@@ -185,19 +185,20 @@ def test_engine_ingest_throughput(benchmark, context):
 
 
 def test_columnar_ingest_throughput(benchmark, context):
-    """The columnar hand-off vs the classic fused loop, engine-only.
+    """The columnar hand-off vs the per-observation reference, engine-only.
 
-    The classic mode replays the stored corpus as observation objects
-    through ``ingest_batch``; the columnar mode replays it the way the
-    redesigned pipeline actually flows -- the store's native
-    ``scan_columns`` chunks straight into ``ingest_columns``, no
-    per-row object walks or hi/lo splits anywhere.  Both end in
-    checkpoint bytes identical to each other (the storage layout and
-    kernel are execution details, never a result change).  A parallel
-    engine fed the same column batches must merge to the same bytes.
-    Without numpy the "columnar" engine *is* the fallback, so the
-    section records ``"numpy": false`` and a ~1x ratio instead of
-    asserting a speedup.
+    The reference mode folds the stored corpus one observation at a
+    time through ``ingest()`` -- the scalar ``ShardState.observe`` fold,
+    which is also the whole bulk path on a host without numpy; the
+    columnar mode replays it the way the redesigned pipeline actually
+    flows -- the store's native ``scan_columns`` chunks straight into
+    ``ingest_columns``, no per-row object walks or hi/lo splits
+    anywhere.  Both end in checkpoint bytes identical to each other
+    (the storage layout and kernel are execution details, never a
+    result change).  A parallel engine fed the same column batches must
+    merge to the same bytes.  Without numpy ``ingest_columns`` *is* the
+    reference loop, so the section records ``"numpy": false`` and a ~1x
+    ratio instead of asserting a speedup.
     """
     corpus = list(context.campaign_result.store)
     config = StreamConfig(num_shards=8, keep_observations=False)
@@ -208,55 +209,54 @@ def test_columnar_ingest_throughput(benchmark, context):
     corpus_store.extend(corpus)
     column_chunks = list(corpus_store.scan_columns())
 
-    def run(mode):
-        engine = StreamEngine(config, origin_of=context.origin_of, columnar=mode)
-        if mode:
-            for batch in column_chunks:
-                engine.ingest_columns(batch)
-        else:
-            engine.ingest_batch(corpus)
+    def run_reference():
+        engine = StreamEngine(config, origin_of=context.origin_of)
+        ingest = engine.ingest
+        for observation in corpus:
+            ingest(observation)
         engine.flush()
         return engine
 
-    run(False)  # warm the route caches and allocator
-    if have_numpy:
-        run(True)  # warm numpy's lazy submodule imports
+    def run_columnar():
+        engine = StreamEngine(config, origin_of=context.origin_of)
+        for batch in column_chunks:
+            engine.ingest_columns(batch)
+        engine.flush()
+        return engine
+
+    run_reference()  # warm the route caches and allocator
+    run_columnar()  # warm numpy's lazy submodule imports
     # Interleaved min-of-3 rounds: alternating the two modes cancels
     # monotonic host drift (thermal/boost state) that back-to-back
     # blocks would attribute to whichever mode ran later.
-    classic_seconds = columnar_seconds = float("inf")
+    reference_seconds = columnar_seconds = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        classic = run(False)
-        classic_seconds = min(classic_seconds, time.perf_counter() - t0)
+        reference = run_reference()
+        reference_seconds = min(reference_seconds, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        columnar_engine = run(True)
+        columnar_engine = run_columnar()
         columnar_seconds = min(columnar_seconds, time.perf_counter() - t0)
-    classic_state = engine_state(classic)
-    assert engine_state(columnar_engine) == classic_state  # byte-identical
+    reference_state = engine_state(reference)
+    assert engine_state(columnar_engine) == reference_state  # byte-identical
     # pytest-benchmark's table entry: one representative columnar run
     # (the recorded JSON uses the interleaved minimums above).
-    benchmark.pedantic(lambda: run(True), rounds=1, iterations=1)
+    benchmark.pedantic(run_columnar, rounds=1, iterations=1)
 
-    parallel = ParallelStreamEngine(
-        config, origin_of=context.origin_of, num_workers=2, columnar=True
-    )
+    parallel = ParallelStreamEngine(config, origin_of=context.origin_of, num_workers=2)
     t0 = time.perf_counter()
-    if have_numpy:
-        for batch in column_chunks:  # zero-copy column dispatch
-            parallel.ingest_columns(batch)
-    else:
-        parallel.ingest_batch(corpus)
+    for batch in column_chunks:  # zero-copy column dispatch (with numpy)
+        parallel.ingest_columns(batch)
     parallel.barrier()
     parallel_ingest_seconds = time.perf_counter() - t0
     merged = parallel.finalize()
     parallel_total_seconds = time.perf_counter() - t0
-    assert engine_state(merged) == classic_state  # byte-identical
+    assert engine_state(merged) == reference_state  # byte-identical
 
-    speedup = classic_seconds / columnar_seconds
+    speedup = reference_seconds / columnar_seconds
     print(
         f"\ncolumnar ingest on {len(corpus)} responses (numpy={have_numpy}): "
-        f"classic {len(corpus) / classic_seconds:,.0f} responses/s, "
+        f"reference {len(corpus) / reference_seconds:,.0f} responses/s, "
         f"columnar {len(corpus) / columnar_seconds:,.0f} responses/s "
         f"({speedup:.2f}x), parallel-columnar x2 ingest "
         f"{len(corpus) / parallel_ingest_seconds:,.0f} responses/s -- "
@@ -267,8 +267,8 @@ def test_columnar_ingest_throughput(benchmark, context):
         {
             "responses": len(corpus),
             "numpy": have_numpy,
-            "classic_seconds": round(classic_seconds, 4),
-            "classic_responses_per_s": round(len(corpus) / classic_seconds),
+            "reference_seconds": round(reference_seconds, 4),
+            "reference_responses_per_s": round(len(corpus) / reference_seconds),
             "columnar_seconds": round(columnar_seconds, 4),
             "columnar_responses_per_s": round(len(corpus) / columnar_seconds),
             "speedup": round(speedup, 2),
@@ -298,7 +298,7 @@ def test_telemetry_overhead(benchmark, context):
     within 5% of the untelemetered columnar ingest rate, because every
     instrument update happens at batch/day granularity, never per row.
     Interleaved min-of-5 rounds cancel host drift the same way the
-    columnar-vs-classic comparison does.  Checkpoint bytes must be
+    columnar-vs-reference comparison does.  Checkpoint bytes must be
     identical with telemetry on and off (telemetry is execution state,
     never result state).
     """
@@ -313,9 +313,7 @@ def test_telemetry_overhead(benchmark, context):
     column_chunks = list(corpus_store.scan_columns())
 
     def run(telemetry):
-        engine = StreamEngine(
-            config, origin_of=context.origin_of, columnar=True, telemetry=telemetry
-        )
+        engine = StreamEngine(config, origin_of=context.origin_of, telemetry=telemetry)
         for batch in column_chunks:
             engine.ingest_columns(batch)
         engine.flush()
@@ -511,7 +509,7 @@ def test_passive_feed_throughput(benchmark, context):
     """The feed adapter layer vs. raw batch ingestion.
 
     A passive mirror of the campaign corpus rides through
-    ``sighting_feed`` + ``ingest_feed``; equal capability means the
+    ``sighting_feed`` + ``ingest()``; equal capability means the
     resulting engine must be byte-identical to the active
     ``ingest_batch`` run, so the measured delta is pure adapter
     overhead (record conversion + the day-order sort).
@@ -528,7 +526,7 @@ def test_passive_feed_throughput(benchmark, context):
 
     def ingest_mirror():
         engine = StreamEngine(config, origin_of=context.origin_of)
-        engine.ingest_feed(sighting_feed(records))
+        engine.ingest(sighting_feed(records))
         engine.flush()
         return engine
 
@@ -565,7 +563,7 @@ def test_checkpoint_formats(benchmark, context, tmp_path):
     (``tests/test_bench_schema.py``): binary full save >= 3x the JSON
     save on the committed baseline, and the one-dirty-shard delta <=
     25% of the full segment's bytes.  Interleaved min-of-3 rounds
-    cancel host drift the same way the columnar-vs-classic comparison
+    cancel host drift the same way the columnar-vs-reference comparison
     does.
     """
     from repro.core.records import ProbeObservation
@@ -579,7 +577,6 @@ def test_checkpoint_formats(benchmark, context, tmp_path):
     engine = StreamEngine(
         StreamConfig(num_shards=8, keep_observations=True),
         origin_of=context.origin_of,
-        columnar=True,
         store=ObservationStore(make_backend("columnar")),
     )
     for batch in corpus_store.scan_columns():
@@ -738,7 +735,7 @@ def test_serve_queries_under_ingest(benchmark, context):
     def ingest_once(with_load):
         """One fresh served engine over the whole corpus; returns the
         ingest wall-clock and the readers' per-thread version trails."""
-        engine = StreamEngine(config, origin_of=context.origin_of, columnar=True)
+        engine = StreamEngine(config, origin_of=context.origin_of)
         engine.watch(watch_iid)
         publisher = SnapshotPublisher(engine, min_interval=0.05)
         server = TrackerServer(publisher)
@@ -792,7 +789,7 @@ def test_serve_queries_under_ingest(benchmark, context):
     benchmark.pedantic(lambda: ingest_once(True), rounds=1, iterations=1)
 
     # Burst: unpaced readers against the final snapshot, ingest idle.
-    engine = StreamEngine(config, origin_of=context.origin_of, columnar=True)
+    engine = StreamEngine(config, origin_of=context.origin_of)
     engine.watch(watch_iid)
     for batch in column_chunks:
         engine.ingest_columns(batch)
@@ -956,7 +953,7 @@ def test_replication_overhead(benchmark, context, tmp_path):
     every = max(1, len(column_chunks) // 3)
 
     def run(path, shipper):
-        engine = StreamEngine(config, origin_of=context.origin_of, columnar=True)
+        engine = StreamEngine(config, origin_of=context.origin_of)
         saver = BinaryCheckpointer(path)
         t0 = time.perf_counter()
         c0 = time.process_time()

@@ -66,7 +66,7 @@ def main() -> None:
     bad_apple = tap.sightings_on(DAYS[0])[0][0] & iid_mask
     print(f"\nfollowing IID {bad_apple:#x} through the tap (probes sent: 0):")
     for day in DAYS:
-        engine.ingest_feed(sighting_feed(tap.sightings_on(day)))
+        engine.ingest(sighting_feed(tap.sightings_on(day)))
         sighting = engine.last_sighting(bad_apple)
         marker = "sighted" if sighting.day == day else "quiet  "
         print(f"  day {day}: {marker} last known {format_addr(sighting.source)}")
@@ -106,9 +106,7 @@ def main() -> None:
     active.ingest_batch(corpus)
     active.flush()
     mirror = StreamEngine(StreamConfig(num_shards=4))
-    mirror.ingest_feed(
-        sighting_feed(SightingRecord.from_observation(o) for o in corpus)
-    )
+    mirror.ingest(sighting_feed(SightingRecord.from_observation(o) for o in corpus))
     mirror.flush()
     identical = json.dumps(engine_state(active)) == json.dumps(engine_state(mirror))
     print(f"passive mirror checkpoint byte-identical to active run: {identical}")
@@ -130,7 +128,7 @@ def main() -> None:
         # Hunt at 13:00, then fold in the tap's evening records: the
         # passive sighting re-anchors tomorrow's hunt, never today's.
         outcome = pursuit.advance(day)[bad_apple]
-        hunt_engine.ingest_feed(sighting_feed(hunt_tap.sightings_on(day)))
+        hunt_engine.ingest(sighting_feed(hunt_tap.sightings_on(day)))
         found += outcome.found
         sighted += hunt_engine.last_sighting(bad_apple).day == day
     print(

@@ -73,6 +73,11 @@ def build_streaming(internet, days, checkpoint_path, telemetry=None):
         build_campaign(internet, days),
         checkpoint_path=checkpoint_path,
         checkpoint_every=1,
+        # Step 3b compares file bytes, which only the canonical JSON
+        # format promises under any write cadence (binary files accrue
+        # a delta segment per write) -- so pin it against the
+        # REPRO_CHECKPOINT_FORMAT=binary CI legs.
+        checkpoint_format="json",
         telemetry=telemetry,
     )
 

@@ -22,7 +22,8 @@ setup(
     python_requires=">=3.10",
     # No hard dependencies: the library is stdlib-only.  numpy powers
     # the columnar streaming kernel (repro.stream.columnar) and is
-    # optional -- without it every ingest path transparently uses the
-    # pure-Python fused loops with identical results, just slower.
+    # optional -- without it the bulk ingest paths run the scalar
+    # per-observation fold (ShardState.observe), the same one ingest()
+    # always runs: identical results, just slower.
     extras_require={"fast": ["numpy"]},
 )

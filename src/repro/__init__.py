@@ -69,7 +69,6 @@ from repro.stream.feeds import (
     dedup_feed,
     flow_feed,
     hitlist_feed,
-    ingest_feed,
     observation_feed,
     sighting_feed,
     tap_feed,
@@ -143,7 +142,6 @@ __all__ = [
     "hitlist_feed",
     "infer_allocation_plen",
     "infer_rotation_pool_plen",
-    "ingest_feed",
     "is_eui64_iid",
     "mac_to_eui64_iid",
     "observation_feed",

@@ -18,13 +18,10 @@ Variable                         Meaning
                                  for every ``ObservationStore()`` built
                                  without an explicit backend: ``object`` /
                                  ``columnar`` / ``sqlite``.  Unset: columnar
-                                 when numpy is enabled, else object.
+                                 when numpy imports, else object.
 ``REPRO_CHECKPOINT_FORMAT``      Checkpoint write format: ``json``
                                  (canonical) or ``binary`` (columnar delta
                                  segments).  Reads always sniff the file.
-``REPRO_STREAM_FORCE_FALLBACK``  Any non-empty value forces the pure-Python
-                                 ingest kernel even when numpy imports (the
-                                 CI fallback-equivalence hook).
 ``REPRO_LOG_JSON``               ``1``/``true``/``yes``: JSON-lines log
                                  records instead of human one-liners.
 ``REPRO_LOG_LEVEL``              Default level for :func:`repro.util.get_logger`
@@ -87,7 +84,6 @@ from dataclasses import dataclass, fields
 
 ENV_STORE_BACKEND = "REPRO_STORE_BACKEND"
 ENV_CHECKPOINT_FORMAT = "REPRO_CHECKPOINT_FORMAT"
-ENV_FORCE_FALLBACK = "REPRO_STREAM_FORCE_FALLBACK"
 ENV_LOG_JSON = "REPRO_LOG_JSON"
 ENV_LOG_LEVEL = "REPRO_LOG_LEVEL"
 ENV_FABRIC_HEARTBEAT = "REPRO_FABRIC_HEARTBEAT"
@@ -108,7 +104,6 @@ class Settings:
 
     store_backend: str | None = None
     checkpoint_format: str | None = None
-    force_fallback: bool = False
     log_json: bool = False
     log_level: str | None = None
     fabric_heartbeat_seconds: float = 2.0
@@ -168,9 +163,6 @@ def current(**overrides) -> Settings:
     values = {
         "store_backend": _env_str(ENV_STORE_BACKEND),
         "checkpoint_format": _env_str(ENV_CHECKPOINT_FORMAT),
-        # Presence is the switch (any non-empty value), matching the
-        # historical semantics the CI no-numpy leg relies on.
-        "force_fallback": bool(os.environ.get(ENV_FORCE_FALLBACK)),
         "log_json": _env_truthy(ENV_LOG_JSON),
         "log_level": _env_str(ENV_LOG_LEVEL),
         "fabric_heartbeat_seconds": _env_float(ENV_FABRIC_HEARTBEAT, 2.0),
@@ -208,7 +200,6 @@ __all__ = [
     "ENV_FABRIC_HEARTBEAT_TIMEOUT",
     "ENV_FABRIC_JOURNAL_LIMIT",
     "ENV_FABRIC_MAX_FRAME",
-    "ENV_FORCE_FALLBACK",
     "ENV_LOG_JSON",
     "ENV_LOG_LEVEL",
     "ENV_REPLICATE_AUTHKEY",

@@ -182,7 +182,7 @@ def _run_passive(
             engine.watch(iid, initial)
         tracked = 0
         for day in days:
-            engine.ingest_feed(sighting_feed(tap.sightings_on(day)))
+            engine.ingest(sighting_feed(tap.sightings_on(day)))
             tracked += sum(1 for iid in targets if _sighted(engine, iid, day))
     finally:
         _close(engine)
@@ -214,7 +214,7 @@ def _run_pursuit(
             # day's pursuit rather than time-travelling into today's.
             outcomes = pursuit.advance(day)
             if engine is not None:
-                engine.ingest_feed(sighting_feed(tap.sightings_on(day)))
+                engine.ingest(sighting_feed(tap.sightings_on(day)))
             for iid, outcome in outcomes.items():
                 if outcome.found or (
                     engine is not None and _sighted(engine, iid, day)

@@ -129,6 +129,11 @@ class _Handler(BaseHTTPRequestHandler):
         if path != "/shutdown":
             self._error(404, f"unknown endpoint: {path}")
             return
+        # Signal first, then acknowledge: a client holding the ack may
+        # rely on the stop already being requested.
+        on_shutdown = self.server.on_shutdown
+        if on_shutdown is not None:
+            on_shutdown()
         self._send_json(
             {
                 "status": "shutting down",
@@ -138,9 +143,6 @@ class _Handler(BaseHTTPRequestHandler):
         obs = self.server.serve_obs
         if obs is not None:
             obs.request_served("shutdown", 0.0)
-        on_shutdown = self.server.on_shutdown
-        if on_shutdown is not None:
-            on_shutdown()
 
     def _get_iid(self, token: str) -> None:
         iid = _parse_iid(token)
@@ -204,7 +206,8 @@ class TrackerServer:
 
     ``port=0`` binds an ephemeral port (read :attr:`port` after
     :meth:`start`).  *on_shutdown* is invoked -- on a handler thread,
-    after the response is written -- when a client POSTs
+    before the acknowledgement is written, so a client that holds the
+    ack knows the stop was already requested -- when a client POSTs
     ``/shutdown``; it must only signal (set an event), never join the
     server from inside a handler.
     """

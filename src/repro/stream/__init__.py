@@ -16,15 +16,15 @@ Layout:
 * :mod:`repro.stream.columnar` -- the numpy sort-reduce worker kernel:
   chunked uint64 address columns, vectorized dedup/min-max reduction,
   Python set materialization deferred to day close or snapshot; the
-  default ``ingest_batch``/worker apply path when numpy is importable
-  (the ``[fast]`` extra), with a pure-Python fallback otherwise;
+  ``ingest_batch``/worker apply path when numpy is importable (the
+  ``[fast]`` extra) -- without it bulk calls run the scalar reference
+  fold in :mod:`repro.stream.state`;
 * :mod:`repro.stream.engine` -- :class:`StreamEngine`, the single-pass
   ingestion core with always-current per-AS inferences, live rotation
   detection, and a watchlist for passive device sightings;
 * :mod:`repro.stream.sink` -- the :class:`IngestSink` protocol and
-  :class:`IngestSinkBase` mixin: one polymorphic ``ingest()`` (plus the
-  legacy ``ingest_*`` names as shims) shared by every observation
-  consumer;
+  :class:`IngestSinkBase` mixin: one polymorphic ``ingest()`` shared
+  by every observation consumer;
 * :mod:`repro.stream.parallel` -- :class:`ParallelStreamEngine`, the
   parallel backend: sharded workers fed flat-tuple chunks through a
   fabric transport, merged back into a byte-identical engine view;
@@ -68,7 +68,6 @@ from repro.stream.feeds import (
     SightingRecord,
     flow_feed,
     hitlist_feed,
-    ingest_feed,
     observation_feed,
     sighting_feed,
     tap_feed,
@@ -100,7 +99,6 @@ __all__ = [
     "engine_state",
     "flow_feed",
     "hitlist_feed",
-    "ingest_feed",
     "load_engine",
     "observation_feed",
     "parse_worker_spec",

@@ -3,8 +3,8 @@
 Profiling the streaming subsystem shows per-worker apply cost dominated
 by Python ``set.add``/``dict`` inserts -- every observation pays for
 hashing 128-bit ints and interpreter dispatch, so parallel workers gain
-little over the serial fused loop.  This module replaces that hot loop
-with a columnar kernel:
+little over the serial per-observation loop.  This module replaces that
+hot loop with a columnar kernel:
 
 * each chunk of observations is split into ``uint64`` columns --
   addresses as (hi, lo) pairs, plus day / origin-AS / shard columns;
@@ -29,15 +29,15 @@ checkpoint bytes are identical to the per-observation engine's on any
 valid stream (fuzz-equivalence-tested).
 
 numpy is an optional dependency (the ``[fast]`` extra).  When it is
-absent -- or ``REPRO_STREAM_FORCE_FALLBACK`` is set in the environment
--- :func:`make_accumulator` returns ``None`` and callers fall back to
-the pure-Python fused loops that predate this kernel, keeping tier-1
-dependency-light with identical results.
+absent :func:`make_accumulator` returns ``None`` and bulk callers run
+the scalar reference fold (:meth:`ShardState.observe
+<repro.stream.state.ShardState.observe>`, one call per observation)
+instead, keeping tier-1 dependency-light with identical results.
+Whether numpy imports is the only switch; there is no knob.
 """
 
 from __future__ import annotations
 
-from repro import config
 from repro.core.rotation_detect import RotationDetection
 from repro.net.addr import Prefix
 from repro.net.eui64 import _FFFE, _FFFE_SHIFT
@@ -49,35 +49,18 @@ try:
 except ImportError:  # pragma: no cover - the no-numpy CI leg covers this
     np = None
 
-#: Set (to any non-empty value) to force the pure-Python fallback even
-#: when numpy is importable -- the CI no-numpy leg and the fallback
-#: equivalence tests use it.  (Resolved through
-#: :func:`repro.config.current`.)
-FORCE_FALLBACK_ENV = config.ENV_FORCE_FALLBACK
-
 _MASK64 = (1 << 64) - 1
 _NET48_SHIFT = 80
 
 
 def numpy_enabled() -> bool:
-    """True when the numpy kernel is importable and not overridden."""
-    return np is not None and not config.current().force_fallback
+    """True when the numpy kernel is importable."""
+    return np is not None
 
 
-def make_accumulator(
-    num_shards: int, columnar: bool | None = None
-) -> "ColumnarAccumulator | None":
-    """Build the columnar accumulator, or ``None`` for the fallback path.
-
-    *columnar* follows the engine-facing convention: ``None`` (auto)
-    and ``True`` select the numpy kernel when :func:`numpy_enabled`;
-    ``False`` forces the classic fused loop.  ``True`` without numpy
-    degrades silently to the fallback -- requesting speed must never
-    turn into an import error on a minimal install.
-    """
-    if columnar is False or not numpy_enabled():
-        return None
-    return ColumnarAccumulator(num_shards)
+def make_accumulator(num_shards: int) -> "ColumnarAccumulator | None":
+    """The columnar accumulator, or ``None`` when numpy is absent."""
+    return ColumnarAccumulator(num_shards) if numpy_enabled() else None
 
 
 def vector_shard_index(keys, num_shards: int):
@@ -128,30 +111,6 @@ def day_segments(days: list, current_day: int | None):
     return [(a, b, days[a]) for a, b in zip(starts, stops)], arr, error
 
 
-def observation_columns(batch: list, day_column, route_of):
-    """Columns for a day-ordered batch of :class:`ProbeObservation`-likes.
-
-    *day_column* is the validated int64 day array from
-    :func:`day_segments` (one entry per observation).  *route_of(source)*
-    -> ``(shard, asn)`` is consulted once per unique source /48 (the
-    engine's memoized route cache), then broadcast back over the rows
-    with the unique-inverse mapping -- one column build serves every
-    day segment of the batch via slicing.
-    """
-    src_hi = np.array([o.source >> 64 for o in batch], dtype=np.uint64)
-    src_lo = np.array([o.source & _MASK64 for o in batch], dtype=np.uint64)
-    tgt_hi = np.array([o.target >> 64 for o in batch], dtype=np.uint64)
-    tgt_lo = np.array([o.target & _MASK64 for o in batch], dtype=np.uint64)
-    net48, first_idx, inverse = np.unique(
-        src_hi >> np.uint64(16), return_index=True, return_inverse=True
-    )
-    sid_u = np.empty(len(net48), dtype=np.int64)
-    asn_u = np.empty(len(net48), dtype=np.int64)
-    for j, i in enumerate(first_idx.tolist()):
-        sid_u[j], asn_u[j] = route_of(batch[i].source)
-    return sid_u[inverse], day_column, asn_u[inverse], src_hi, src_lo, tgt_hi, tgt_lo
-
-
 def _batch_address_arrays(batch):
     """uint64 address arrays plus the unique-source-/48 grouping.
 
@@ -160,8 +119,8 @@ def _batch_address_arrays(batch):
     call (the batch already holds flat hi/lo buffers -- no per-row
     attribute walks or shifts), and the unique-/48 ``first_idx`` /
     ``inverse`` mapping lets callers resolve routes once per /48 and
-    broadcast back over the rows, exactly as
-    :func:`observation_columns` does for object batches.
+    broadcast back over the rows -- one column build serves every day
+    segment of the batch via slicing.
     """
     src_hi = np.array(batch.src_hi, dtype=np.uint64)
     src_lo = np.array(batch.src_lo, dtype=np.uint64)
@@ -176,11 +135,10 @@ def _batch_address_arrays(batch):
 def column_batch_arrays(batch, day_column, route_of):
     """Kernel columns for a :class:`~repro.store.batch.ColumnBatch`.
 
-    The zero-conversion twin of :func:`observation_columns`.
     *route_of(source)* -> ``(shard, asn)`` is consulted once per unique
-    source /48; *day_column* is the validated array from
-    :func:`day_segments` and *batch* must already be truncated to its
-    length.
+    source /48 (the engine's memoized route cache); *day_column* is the
+    validated array from :func:`day_segments` and *batch* must already
+    be truncated to its length.
     """
     src_hi, src_lo, tgt_hi, tgt_lo, first_idx, inverse = _batch_address_arrays(batch)
     sid_u = np.empty(len(first_idx), dtype=np.int64)
@@ -234,23 +192,6 @@ def absorb_worker_columns(acc, columns, asn_keyed: bool, num_shards: int) -> Non
     key = asn.astype(np.uint64) if asn_keyed else src_hi >> np.uint64(32)
     sid = vector_shard_index(key, num_shards).astype(np.int64)
     acc.absorb(sid, day, asn, src_hi, src_lo, tgt_hi, tgt_lo)
-
-
-def worker_columns_to_rows(columns) -> list[tuple]:
-    """``cols`` message -> flat ``(day, target, source, asn)`` rows.
-
-    The fallback bridge for a worker running the classic fused loop
-    while the dispatcher ships columns: plain Python ints only (numpy
-    scalars must never leak into shard sets -- they would not survive
-    checkpoint JSON serialization).
-    """
-    day, asn, src_hi, src_lo, tgt_hi, tgt_lo = (
-        c.tolist() if hasattr(c, "tolist") else list(c) for c in columns
-    )
-    return [
-        (d, (thi << 64) | tlo, (shi << 64) | slo, a)
-        for d, a, shi, slo, thi, tlo in zip(day, asn, src_hi, src_lo, tgt_hi, tgt_lo)
-    ]
 
 
 def row_columns(rows: list, asn_keyed: bool, num_shards: int):

@@ -8,9 +8,17 @@ up to date, without ever re-walking the observation corpus.
 
 Ingestion is partitioned by a :class:`~repro.stream.shard.ShardRouter`:
 each response updates exactly one shard's aggregates, so shards never
-share mutable state and the dispatcher parallelizes trivially (the
-distributed-worker backend is a ROADMAP item; the partitioning contract
-is what this module fixes).
+share mutable state and the dispatcher parallelizes trivially
+(:mod:`repro.stream.parallel` runs the shards in worker processes,
+:mod:`repro.stream.fabric` on other hosts; the partitioning contract is
+what this module fixes).
+
+The fold itself exists twice and only twice: the scalar reference
+:meth:`ShardState.observe <repro.stream.state.ShardState.observe>`
+behind :meth:`StreamEngine.ingest`, and the numpy
+:class:`~repro.stream.columnar.ColumnarAccumulator` behind the bulk
+entry points.  Which one a bulk call runs is decided by whether numpy
+imports, nothing else.
 
 Day handling: observation days must arrive non-decreasing (scans are
 time-ordered).  When a new day first appears, the previous day is
@@ -31,8 +39,8 @@ from repro.core.records import ObservationStore, ProbeObservation
 from repro.core.rotation_detect import RotationDetection, diff_pairs, target_prefix48
 from repro.core.rotation_pool import RotationPoolInference
 from repro.core.tracker import AsProfile
-from repro.net.addr import IID_BITS, IID_MASK, Prefix
-from repro.net.eui64 import _FFFE, _FFFE_SHIFT
+from repro.net.addr import Prefix
+from repro.store.batch import ColumnBatch
 from repro.stream import columnar as columnar_kernel
 from repro.stream.shard import ShardKey, ShardRouter
 from repro.stream.sink import IngestSinkBase
@@ -96,7 +104,8 @@ def update_sighting(
 
     The one freshness rule (strictly newer ``t_seconds`` wins, so the
     first arrival keeps a tie), shared by every ingest path -- the
-    engine's, its batch fast path, and the parallel dispatcher's.
+    engine's per-observation and columnar paths and the parallel
+    dispatcher's.
     Callers gate on the watch set first; this only runs for watched
     IIDs, off the hot path.
     """
@@ -113,8 +122,7 @@ class StreamEngine(IngestSinkBase):
     """Single-pass ingestion with incrementally maintained inferences.
 
     An :class:`~repro.stream.sink.IngestSink`: the polymorphic
-    ``ingest()`` and the legacy ``ingest_response(s)`` / ``ingest_feed``
-    entrypoints come from the shared mixin; this class implements the
+    ``ingest()`` comes from the shared mixin; this class implements the
     three native primitives (:meth:`_ingest_observation`,
     :meth:`ingest_batch`, :meth:`ingest_columns`).
     """
@@ -125,7 +133,6 @@ class StreamEngine(IngestSinkBase):
         origin_of: Callable[[int], int | None] | None = None,
         store: ObservationStore | None = None,
         *,
-        columnar: bool | None = None,
         telemetry=None,
     ) -> None:
         self.config = config or StreamConfig()
@@ -158,16 +165,12 @@ class StreamEngine(IngestSinkBase):
         # paper's unit), so origin -- and hence ASN-keyed sharding -- is
         # constant within a /48; /32-keyed sharding is coarser still.
         self._route_cache: dict[int, tuple[int, int]] = {}
-        # Batch fast path: per-/48 list of pre-resolved shard targets
-        # (bound set.add methods plus the per-AS span dicts), so the
-        # inner loop of ingest_batch touches no attributes at all.
-        self._fast_entries: dict[int, list] = {}
         # Columnar kernel (numpy sort-reduce per chunk, set/dict work
-        # deferred to materialize): the default ingest_batch path when
-        # numpy is importable; ``columnar=False`` forces the classic
-        # fused loop, and a missing numpy falls back to it silently.
-        # Execution detail only -- never part of checkpoint state.
-        self._acc = columnar_kernel.make_accumulator(self.config.num_shards, columnar)
+        # deferred to materialize): the bulk path whenever numpy is
+        # importable; None without it, and bulk calls then run the
+        # per-observation reference loop.  Execution detail only --
+        # never part of checkpoint state.
+        self._acc = columnar_kernel.make_accumulator(self.config.num_shards)
         # Dirty-tracking for incremental (delta) checkpoints: a shard's
         # epoch is bumped to the current engine epoch on every mutation;
         # a binary saver remembers the epoch it saved at and re-emits
@@ -227,18 +230,11 @@ class StreamEngine(IngestSinkBase):
         ``ingest()``; campaign consumers bind this method directly."""
         day = observation.day
         if day != self.current_day:
-            if self.current_day is None:
-                self.current_day = day
-            elif day < self.current_day:
+            if self.current_day is not None and day < self.current_day:
                 raise ValueError(
                     f"stream went backwards: day {day} after day {self.current_day}"
                 )
-            else:
-                self._close_days_through(day - 1)
-                self.current_day = day
-            self._days_seen.add(day)
-            if self._obs is not None:
-                self._obs.day_opened(day)
+            self._open_day(day)
 
         source = observation.source
         route = self._route_cache.get(source >> 80)
@@ -246,7 +242,7 @@ class StreamEngine(IngestSinkBase):
             asn = (self._origin_of(source) or 0) if self._origin_of else 0
             route = (self.router.shard_of(source), asn)
             self._route_cache[source >> 80] = route
-        self.shards[route[0]].observe(observation, route[1])
+        self.shards[route[0]].observe(day, observation.target, source, route[1])
         self._shard_epochs[route[0]] = self._epoch
         if self.store is not None:
             self.store.add(observation)
@@ -259,142 +255,57 @@ class StreamEngine(IngestSinkBase):
             if iid in self._watch_iids:
                 update_sighting(self.watched, iid, source, day, observation.t_seconds)
 
+    def _open_day(self, day: int) -> None:
+        """Advance the stream to *day*, closing every day before it.
+
+        The one day-open step both ingest paths share; callers have
+        already policed ordering (*day* is newer than ``current_day``).
+        """
+        if self.current_day is not None:
+            self._close_days_through(day - 1)
+        self.current_day = day
+        self._days_seen.add(day)
+        if self._obs is not None:
+            self._obs.day_opened(day)
+
+    # How many observations the columnar path converts to columns at a
+    # time.  Bounds transient memory on lazy feeds (the reference loop
+    # is O(1); this is O(chunk)) while staying large enough to amortize
+    # the per-chunk numpy fixed costs.
+    _COLUMNAR_CHUNK = 16384
+
     def ingest_batch(self, observations: Iterable[ProbeObservation]) -> int:
         """Bulk-apply a micro-batch; returns how many were ingested.
 
-        The measured fast path: one flat loop with every per-response
-        attribute lookup hoisted into the per-/48 entry cache (shard
-        routing, bound ``set.add`` methods, per-AS span dicts) and store
-        writes deferred to one bulk :meth:`ObservationStore.extend`.
-        State-identical to calling :meth:`ingest` per observation -- the
-        equivalence tests assert it -- just without the per-response
-        interpreter overhead.
-
-        ``repro.stream.fabric.protocol._apply_rows`` is this loop's
-        hand-inlined twin for fabric workers; edits to the span/pair logic
-        must land in both (the worker-count-invariance tests pin them
-        identical).
-
-        With the columnar kernel active (numpy importable and
-        ``columnar`` not ``False``), batches route through the
-        sort-reduce path instead -- state-identical again, several-fold
-        faster (see ``BENCH_stream.json``'s ``columnar_ingest``).
+        With the columnar kernel (numpy importable) the iterable is
+        consumed in bounded chunks -- lazy feeds are never materialized
+        whole -- each split into a :class:`ColumnBatch` and handed to
+        the sort-reduce path :meth:`ingest_columns` also runs (several-
+        fold faster than the reference loop; see ``BENCH_stream.json``'s
+        ``columnar_ingest``).  Without numpy this *is* the reference
+        loop: :meth:`ingest` per observation.  State-identical either
+        way -- the fuzz harness asserts it -- including the
+        rows-before-error accounting on a backwards day (rows before
+        the offending one are ingested, then the error raises).
         """
-        if self._acc is not None:
-            return self._ingest_batch_columnar(observations)
-        shards = self.shards
-        entries = self._fast_entries
-        route_cache = self._route_cache
-        origin = self._origin_of
-        shard_of = self.router.shard_of
-        watch = self._watch_iids
-        watched = self.watched
-        store = self.store
-        obs_bundle = self._obs
-        keep: list[ProbeObservation] | None = [] if store is not None else None
-        days_seen = self._days_seen
-        current_day = self.current_day
-        count = 0
-        counts: dict[int, int] = {}
-        try:
-            for observation in observations:
-                day = observation.day
-                if day != current_day:
-                    if current_day is None:
-                        pass
-                    elif day < current_day:
-                        raise ValueError(
-                            f"stream went backwards: day {day} after day {current_day}"
-                        )
-                    else:
-                        # self.current_day still holds the old day here,
-                        # exactly as in the per-observation path.
-                        self._close_days_through(day - 1)
-                    current_day = day
-                    self.current_day = day
-                    days_seen.add(day)
-                    if obs_bundle is not None:
-                        obs_bundle.day_opened(day)
-                source = observation.source
-                net48 = source >> 80
-                entry = entries.get(net48)
-                if entry is None:
-                    route = route_cache.get(net48)
-                    if route is None:
-                        asn = (origin(source) or 0) if origin else 0
-                        route = route_cache[net48] = (shard_of(source), asn)
-                    shard = shards[route[0]]
-                    # Span dicts start as None: they are created on the
-                    # first EUI-64 response, matching ShardState.observe.
-                    entry = entries[net48] = [
-                        route[0],
-                        shard.sources.add,
-                        shard.eui_sources.add,
-                        shard.eui_iids.add,
-                        None,
-                        None,
-                        shard.pairs_by_day,
-                        shard,
-                        route[1],
-                    ]
-                count += 1
-                sid = entry[0]
-                counts[sid] = counts.get(sid, 0) + 1
-                entry[1](source)
-                if keep is not None:
-                    keep.append(observation)
-                iid = source & IID_MASK
-                if (iid >> _FFFE_SHIFT) & 0xFFFF == _FFFE:  # is_eui64_iid
-                    entry[2](source)
-                    entry[3](iid)
-                    target = observation.target
-                    alloc = entry[4]
-                    if alloc is None:
-                        shard = entry[7]
-                        asn = entry[8]
-                        alloc = shard.alloc_spans.get(asn)
-                        if alloc is None:
-                            alloc = shard.alloc_spans[asn] = {}
-                        entry[4] = alloc
-                        pool = shard.pool_spans.get(asn)
-                        if pool is None:
-                            pool = shard.pool_spans[asn] = {}
-                        entry[5] = pool
-                    else:
-                        pool = entry[5]
-                    t64 = target >> IID_BITS
-                    span = alloc.get((iid, day))
-                    if span is None:
-                        alloc[(iid, day)] = [t64, t64]
-                    elif t64 < span[0]:
-                        span[0] = t64
-                    elif t64 > span[1]:
-                        span[1] = t64
-                    s64 = source >> IID_BITS
-                    span = pool.get(iid)
-                    if span is None:
-                        pool[iid] = [s64, s64]
-                    elif s64 < span[0]:
-                        span[0] = s64
-                    elif s64 > span[1]:
-                        span[1] = s64
-                    pairs = entry[6].get(day)
-                    if pairs is None:
-                        pairs = entry[6][day] = set()
-                    pairs.add((target, source))
-                if watch and iid in watch:
-                    update_sighting(watched, iid, source, day, observation.t_seconds)
-        finally:
-            self.responses_ingested += count
-            if obs_bundle is not None:
-                obs_bundle.observe_batch(count)
-            epoch = self._epoch
-            for sid, shard_count in counts.items():
-                shards[sid].n_observations += shard_count
-                self._shard_epochs[sid] = epoch
-            if keep:
-                store.extend(keep)
-        return count
+        if self._acc is None:
+            count = 0
+            try:
+                for observation in observations:
+                    self._ingest_observation(observation)
+                    count += 1
+            finally:
+                if self._obs is not None:
+                    self._obs.batches.value += 1
+                    self._obs.batch_rows.observe(count)
+            return count
+        iterator = iter(observations)
+        total = 0
+        while True:
+            chunk = list(islice(iterator, self._COLUMNAR_CHUNK))
+            if not chunk:
+                return total
+            total += self._ingest_column_batch(ColumnBatch.from_observations(chunk))
 
     def _route_of(self, source: int) -> tuple[int, int]:
         """(shard, origin AS) for a source, memoized per covering /48."""
@@ -407,81 +318,6 @@ class StreamEngine(IngestSinkBase):
             )
         return route
 
-    # How many observations the columnar path converts to columns at a
-    # time.  Bounds transient memory on lazy feeds (the classic loop was
-    # O(1); this is O(chunk)) while staying large enough to amortize the
-    # per-chunk numpy fixed costs.
-    _COLUMNAR_CHUNK = 16384
-
-    def _ingest_batch_columnar(self, observations: Iterable[ProbeObservation]) -> int:
-        """The columnar twin of :meth:`ingest_batch`.
-
-        The input is consumed in bounded chunks (lazy feeds are never
-        materialized whole).  Per day-run of each chunk: build uint64
-        columns (one Python pass over the observations), resolve routes
-        per unique /48, and hand the columns to the accumulator; Python
-        sets and span dicts are only touched when a day closes or state
-        is read (:meth:`materialize`).  Day progression, watchlist
-        sightings, and store writes keep the scalar path's exact
-        semantics -- including the rows-before-error accounting on a
-        backwards day (rows before the offending one are ingested, then
-        the error raises).
-        """
-        iterator = iter(observations)
-        total = 0
-        while True:
-            obs = list(islice(iterator, self._COLUMNAR_CHUNK))
-            if not obs:
-                return total
-            total += self._ingest_columns(obs)
-
-    def _ingest_columns(self, obs: list[ProbeObservation]) -> int:
-        """Ingest one materialized chunk through the columnar kernel."""
-        segments, day_column, error = columnar_kernel.day_segments(
-            [o.day for o in obs], self.current_day
-        )
-        store = self.store
-        keep: list[ProbeObservation] | None = [] if store is not None else None
-        count = 0
-        try:
-            if segments:
-                valid = obs if len(day_column) == len(obs) else obs[: len(day_column)]
-                columns = columnar_kernel.observation_columns(
-                    valid, day_column, self._route_of
-                )
-            for start, stop, day in segments:
-                if day != self.current_day:
-                    if self.current_day is not None:
-                        self._close_days_through(day - 1)
-                    self.current_day = day
-                    self._days_seen.add(day)
-                    if self._obs is not None:
-                        self._obs.day_opened(day)
-                self._acc.absorb(*(c[start:stop] for c in columns))
-                if self._watch_iids:
-                    src_lo = columns[4][start:stop]
-                    for i in columnar_kernel.watch_hits(src_lo, self._watch_iids):
-                        o = obs[start + i]
-                        update_sighting(
-                            self.watched,
-                            o.source & IID_MASK,
-                            o.source,
-                            day,
-                            o.t_seconds,
-                        )
-                count += stop - start
-                if keep is not None:
-                    keep.extend(obs[start:stop])
-        finally:
-            self.responses_ingested += count
-            if self._obs is not None:
-                self._obs.observe_batch(count)
-            if keep:
-                store.extend(keep)
-        if error is not None:
-            raise ValueError(error)
-        return count
-
     def ingest_columns(self, batch) -> int:
         """Ingest a :class:`~repro.store.batch.ColumnBatch` directly.
 
@@ -492,8 +328,8 @@ class StreamEngine(IngestSinkBase):
         per-observation attribute walks ``ingest_batch`` pays.  State-
         identical to ingesting ``batch.observations()`` -- the store
         fuzz harness pins it -- including mid-batch backwards-day
-        accounting.  Without the numpy kernel the batch degrades to the
-        classic per-observation loop, lazily.
+        accounting.  Without the numpy kernel the batch iterates,
+        lazily, into the per-observation reference loop.
         """
         if not len(batch):
             return 0
@@ -510,10 +346,14 @@ class StreamEngine(IngestSinkBase):
     def _ingest_column_batch(self, batch) -> int:
         """One bounded :class:`ColumnBatch` through the columnar kernel.
 
-        The :meth:`_ingest_columns` twin minus the object-to-column
-        build; store writes stay columnar too
+        Per day-run of the batch: resolve routes per unique /48 and
+        hand the columns to the accumulator; Python sets and span dicts
+        are only touched when a day closes or state is read
+        (:meth:`materialize`).  Store writes stay columnar too
         (:meth:`~repro.core.records.ObservationStore.extend_columns`),
         so a column-native store appends with zero row materialization.
+        Day progression and watchlist sightings keep the scalar path's
+        exact semantics.
         """
         segments, day_column, error = columnar_kernel.day_segments(
             batch.day, self.current_day
@@ -530,12 +370,7 @@ class StreamEngine(IngestSinkBase):
                 )
             for start, stop, day in segments:
                 if day != self.current_day:
-                    if self.current_day is not None:
-                        self._close_days_through(day - 1)
-                    self.current_day = day
-                    self._days_seen.add(day)
-                    if self._obs is not None:
-                        self._obs.day_opened(day)
+                    self._open_day(day)
                 self._acc.absorb(*(c[start:stop] for c in columns))
                 if self._watch_iids:
                     src_lo = columns[4][start:stop]
@@ -577,8 +412,7 @@ class StreamEngine(IngestSinkBase):
                 with obs.materialize_seconds.time():
                     acc.materialize(self.shards)
 
-    # ingest_response / ingest_responses / ingest_feed and the
-    # polymorphic ingest() are inherited from IngestSinkBase.
+    # The polymorphic ingest() is inherited from IngestSinkBase.
 
     # -- live rotation detection ------------------------------------------
 
@@ -620,9 +454,9 @@ class StreamEngine(IngestSinkBase):
     def _diff_days(self, previous: int, closed: int) -> None:
         """Diff two scanned days into the live detection.
 
-        Columnar engines diff pair columns directly (no Python sets) as
+        With the kernel, pair columns diff directly (no Python sets) as
         long as the accumulator still owns both days' pairs; otherwise
-        -- and always for classic engines -- this is the shared
+        -- and always without numpy -- this is the shared
         :func:`diff_pairs` over merged shard sets.
         """
         acc = self._acc

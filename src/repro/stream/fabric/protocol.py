@@ -37,9 +37,10 @@ message)`` frame, which the dispatcher re-raises as
 unchanged.
 
 :class:`WorkerCore` is the transport-independent worker: it owns the
-shard aggregates plus the columnar accumulator and implements every
-request above, so the local pipe worker, the remote socket worker, and
-in-process test workers all run the exact same fold logic.
+shard aggregates plus (when numpy imports) the columnar accumulator
+and implements every request above, so the local pipe worker, the
+remote socket worker, and in-process test workers all run the exact
+same fold logic.
 Determinism note: the core is a pure function of the message sequence
 it receives for the shards it owns -- the property that makes
 requeue-to-survivor journal replay and the serial == pipes == sockets
@@ -55,14 +56,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.net.addr import IID_BITS, IID_MASK
-from repro.net.eui64 import _FFFE, _FFFE_SHIFT
 from repro.stream import columnar as columnar_kernel
 from repro.stream.shard import shard_index
 from repro.stream.sink import IngestSinkBase
 from repro.stream.state import ShardState, prune_shard_days
 
-PROTO_VERSION = 1
+PROTO_VERSION = 2
 
 _MASK64 = (1 << 64) - 1
 
@@ -86,86 +85,6 @@ class WorkerLost(FabricError):
         self.channel_index = channel_index
 
 
-def _apply_rows(
-    rows: list[tuple],
-    shards: list[ShardState],
-    entries: dict,
-    counts: dict[int, int],
-    asn_keyed: bool,
-    num_shards: int,
-) -> None:
-    """Fold one chunk of flat rows into the worker's shard aggregates.
-
-    This is ``StreamEngine.ingest_batch``'s fused inner loop minus the
-    concerns the dispatcher keeps (day progression, watchlist, store):
-    workers only ever see rows for shards they own, and the origin AS
-    arrives pre-resolved in the row.  The two loops are deliberately
-    hand-inlined twins -- a shared per-row helper would reintroduce the
-    call overhead they exist to remove -- and any edit to the span/pair
-    logic must land in both; the worker-count-invariance tests pin them
-    byte-identical on every shared corpus.
-    """
-    for day, target, source, asn in rows:
-        net48 = source >> 80
-        entry = entries.get(net48)
-        if entry is None:
-            sid = shard_index(asn if asn_keyed else source >> 96, num_shards)
-            shard = shards[sid]
-            entry = entries[net48] = [
-                sid,
-                shard.sources.add,
-                shard.eui_sources.add,
-                shard.eui_iids.add,
-                None,
-                None,
-                shard.pairs_by_day,
-                shard,
-                asn,
-            ]
-        sid = entry[0]
-        counts[sid] = counts.get(sid, 0) + 1
-        entry[1](source)
-        iid = source & IID_MASK
-        if (iid >> _FFFE_SHIFT) & 0xFFFF != _FFFE:  # not an EUI-64 IID
-            continue
-        entry[2](source)
-        entry[3](iid)
-        alloc = entry[4]
-        if alloc is None:
-            shard = entry[7]
-            row_asn = entry[8]
-            alloc = shard.alloc_spans.get(row_asn)
-            if alloc is None:
-                alloc = shard.alloc_spans[row_asn] = {}
-            entry[4] = alloc
-            pool = shard.pool_spans.get(row_asn)
-            if pool is None:
-                pool = shard.pool_spans[row_asn] = {}
-            entry[5] = pool
-        else:
-            pool = entry[5]
-        t64 = target >> IID_BITS
-        span = alloc.get((iid, day))
-        if span is None:
-            alloc[(iid, day)] = [t64, t64]
-        elif t64 < span[0]:
-            span[0] = t64
-        elif t64 > span[1]:
-            span[1] = t64
-        s64 = source >> IID_BITS
-        span = pool.get(iid)
-        if span is None:
-            pool[iid] = [s64, s64]
-        elif s64 < span[0]:
-            span[0] = s64
-        elif s64 > span[1]:
-            span[1] = s64
-        pairs = entry[6].get(day)
-        if pairs is None:
-            pairs = entry[6][day] = set()
-        pairs.add((target, source))
-
-
 def pairs_from_columns(columns) -> set[tuple[int, int]]:
     """Rebuild a ``{(target, source)}`` pair set from flat columns.
 
@@ -183,9 +102,11 @@ def pairs_from_columns(columns) -> set[tuple[int, int]]:
 class WorkerCore(IngestSinkBase):
     """Transport-independent worker state machine.
 
-    Owns the shard aggregates and the optional columnar accumulator;
-    every transport (local pipe process, remote socket worker,
-    in-process test thread) wraps one of these in a message loop.
+    Owns the shard aggregates and, when numpy imports, the columnar
+    accumulator (without it rows fold through the scalar reference
+    :meth:`ShardState.observe`); every transport (local pipe process,
+    remote socket worker, in-process test thread) wraps one of these in
+    a message loop.
     :meth:`handle` is the single dispatch point, so a message means
     exactly the same thing over a pipe, a socket, or a direct call.
 
@@ -194,15 +115,14 @@ class WorkerCore(IngestSinkBase):
     -- ASN routing needs the dispatcher's resolver).
     """
 
-    __slots__ = ("shards", "entries", "counts", "acc", "asn_keyed", "num_shards")
+    __slots__ = ("shards", "sids", "acc", "asn_keyed", "num_shards")
 
-    def __init__(
-        self, num_shards: int, asn_keyed: bool, columnar: bool | None = None
-    ) -> None:
+    def __init__(self, num_shards: int, asn_keyed: bool) -> None:
         self.shards = [ShardState(shard_id=i) for i in range(num_shards)]
-        self.entries: dict[int, list] = {}
-        self.counts: dict[int, int] = {}
-        self.acc = columnar_kernel.make_accumulator(num_shards, columnar)
+        # Kernel-less row path: owning shard per source /48 (placement
+        # is constant within a /48, as in the engine's route cache).
+        self.sids: dict[int, int] = {}
+        self.acc = columnar_kernel.make_accumulator(num_shards)
         self.asn_keyed = asn_keyed
         self.num_shards = num_shards
 
@@ -214,24 +134,26 @@ class WorkerCore(IngestSinkBase):
             self.acc.absorb(
                 *columnar_kernel.row_columns(rows, self.asn_keyed, self.num_shards)
             )
-        else:
-            _apply_rows(
-                rows, self.shards, self.entries, self.counts,
-                self.asn_keyed, self.num_shards,
-            )
+            return
+        shards = self.shards
+        sids = self.sids
+        for day, target, source, asn in rows:
+            sid = sids.get(source >> 80)
+            if sid is None:
+                sid = sids[source >> 80] = shard_index(
+                    asn if self.asn_keyed else source >> 96, self.num_shards
+                )
+            shards[sid].observe(day, target, source, asn)
 
     def apply_cols(self, columns) -> None:
         """Fold dispatched uint64 column arrays (see ``ingest_columns``)."""
-        if self.acc is not None:
-            columnar_kernel.absorb_worker_columns(
-                self.acc, columns, self.asn_keyed, self.num_shards
+        if self.acc is None:
+            raise FabricError(
+                "a cols frame needs the numpy kernel, which this worker lacks"
             )
-        else:
-            _apply_rows(
-                columnar_kernel.worker_columns_to_rows(columns),
-                self.shards, self.entries, self.counts,
-                self.asn_keyed, self.num_shards,
-            )
+        columnar_kernel.absorb_worker_columns(
+            self.acc, columns, self.asn_keyed, self.num_shards
+        )
 
     def day_pair_columns(self, day: int) -> tuple[list, list, list, list]:
         """*day*'s pairs as flat hi/lo columns -- the ``day_pairs`` reply.
@@ -271,13 +193,12 @@ class WorkerCore(IngestSinkBase):
     def state(self) -> list[ShardState]:
         """Materialize and return the shard aggregates (``state`` reply).
 
-        Safe to call repeatedly -- snapshots keep workers running -- and
-        the counts assignment is idempotent across calls.
+        Safe to call repeatedly -- snapshots keep workers running:
+        materializing drains the accumulator, so no row is ever counted
+        twice.
         """
         if self.acc is not None:
             self.acc.materialize(self.shards)
-        for sid, count in self.counts.items():
-            self.shards[sid].n_observations = count
         return self.shards
 
     # -- IngestSink primitives (direct local use) -------------------------

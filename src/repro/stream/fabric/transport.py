@@ -77,8 +77,8 @@ _LOST = object()  # inbox sentinel: the channel died; wake blocked readers
 # -- local pipe transport --------------------------------------------------
 
 
-def _pipe_worker_main(conn, num_shards: int, asn_keyed: bool, columnar) -> None:
-    core = WorkerCore(num_shards, asn_keyed, columnar)
+def _pipe_worker_main(conn, num_shards: int, asn_keyed: bool) -> None:
+    core = WorkerCore(num_shards, asn_keyed)
     try:
         serve(core, conn.recv, conn.send)
     finally:
@@ -153,7 +153,7 @@ class PipeTransport:
         self.channels: list[PipeChannel] = []
 
     def start(
-        self, num_workers: int, *, num_shards: int, asn_keyed: bool, columnar
+        self, num_workers: int, *, num_shards: int, asn_keyed: bool
     ) -> list[PipeChannel]:
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else "spawn")
@@ -161,7 +161,7 @@ class PipeTransport:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             process = ctx.Process(
                 target=_pipe_worker_main,
-                args=(child_conn, num_shards, asn_keyed, columnar),
+                args=(child_conn, num_shards, asn_keyed),
                 daemon=True,
             )
             process.start()
@@ -501,14 +501,13 @@ class SocketTransport:
                 raise ValueError(f"unknown spawn mode {self.spawn!r}")
 
     def start(
-        self, num_workers: int, *, num_shards: int, asn_keyed: bool, columnar
+        self, num_workers: int, *, num_shards: int, asn_keyed: bool
     ) -> list[SocketChannel]:
         self._spawn_workers(num_workers)
         deadline = time.monotonic() + self.connect_timeout
         welcome_config = {
             "num_shards": num_shards,
             "asn_keyed": asn_keyed,
-            "columnar": columnar,
             "max_frame": self.max_frame,
             # Workers push unsolicited beats at this cadence from a
             # thread decoupled from their serve loop (liveness must

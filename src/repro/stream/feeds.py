@@ -37,12 +37,10 @@ The feed model has three modes:
   whatever passive vantage it can buy.
 
 Every adapter yields plain observations, so both engines ingest feeds
-through their fused batch paths unchanged
-(:meth:`StreamEngine.ingest_feed` /
-:meth:`~repro.stream.parallel.ParallelStreamEngine.ingest_feed` are the
-named entry points) and byte-identical-checkpoint guarantees carry
-over: a passive feed that mirrors an active day-stream produces the
-same checkpoint as the active run, in serial and parallel modes alike.
+through their bulk paths unchanged (``engine.ingest(feed)``) and
+byte-identical-checkpoint guarantees carry over: a passive feed that
+mirrors an active day-stream produces the same checkpoint as the active
+run, in serial and parallel modes alike.
 """
 
 from __future__ import annotations
@@ -275,15 +273,3 @@ class MixedFeed:
 
     def __iter__(self) -> Iterator[ProbeObservation]:
         return heapq.merge(*self.feeds, key=_feed_key)
-
-
-def ingest_feed(engine, feed: Iterable[ProbeObservation]) -> int:
-    """Drive any engine from a feed; returns observations ingested.
-
-    The duck-typed twin of the engines' ``ingest_feed`` methods, for
-    callers holding an engine only by its ``ingest_batch`` contract --
-    :class:`~repro.stream.engine.StreamEngine`,
-    :class:`~repro.stream.parallel.ParallelStreamEngine`, or anything
-    else honouring it.
-    """
-    return engine.ingest_batch(feed)

@@ -25,8 +25,8 @@ Division of labour:
 * each **worker** (a :class:`~repro.stream.fabric.protocol.WorkerCore`
   behind whatever transport) folds its chunks into plain
   :class:`~repro.stream.state.ShardState` aggregates with the same
-  fused loop the engine's batch path uses, and ships those states back
-  on request.
+  fold the engine runs (the columnar kernel when numpy imports, the
+  scalar reference otherwise), and ships those states back on request.
 
 The merge step (:meth:`ParallelStreamEngine.snapshot_engine` /
 :meth:`~ParallelStreamEngine.finalize`) folds worker partials -- plus
@@ -103,11 +103,10 @@ class ParallelStreamEngine(IngestSinkBase):
     Pass a checkpoint-restored engine as *base* to resume: workers
     start empty and the base state is folded in at every merge.
     ``num_workers=1`` is the degenerate case the equivalence tests pin
-    against the single-process engine.  *columnar* selects the worker
-    apply kernel exactly like ``StreamEngine(columnar=...)``: ``None``
-    (auto) uses the numpy sort-reduce kernel when available, ``False``
-    forces the classic fused loop, and a missing numpy always falls
-    back silently.
+    against the single-process engine.  Workers fold with the numpy
+    sort-reduce kernel when numpy imports on their host and with the
+    scalar reference loop otherwise -- same bytes either way, and not
+    configurable.
 
     *transport* selects worker placement: ``None`` forks local pipe
     workers (:class:`~repro.stream.fabric.PipeTransport`, the
@@ -126,7 +125,6 @@ class ParallelStreamEngine(IngestSinkBase):
         batch_rows: int = 8192,
         store: ObservationStore | None = None,
         base: StreamEngine | None = None,
-        columnar: bool | None = None,
         telemetry=None,
         transport=None,
     ) -> None:
@@ -148,7 +146,6 @@ class ParallelStreamEngine(IngestSinkBase):
             )
         self.num_workers = num_workers
         self.batch_rows = batch_rows
-        self._columnar = columnar
         self._origin_of = origin_of
         self._asn_keyed = self.config.shard_key is ShardKey.ASN
         self._base = base
@@ -236,7 +233,6 @@ class ParallelStreamEngine(IngestSinkBase):
             num_workers,
             num_shards=self.config.num_shards,
             asn_keyed=self._asn_keyed,
-            columnar=columnar,
         )
         if self._obs is not None:
             for index, channel in enumerate(self._channels):

@@ -1,12 +1,9 @@
 """One polymorphic ``ingest()`` shared by every observation consumer.
 
-Six entrypoints grew up around the engines -- ``ingest`` (one
-observation), ``ingest_response``/``ingest_responses`` (raw probe
-replies), ``ingest_batch`` (an observation iterable), ``ingest_columns``
-(a :class:`~repro.store.batch.ColumnBatch`), and ``ingest_feed`` (a
-day-ordered feed).  Each exists because a caller held a different
-currency, but the *routing* between them is mechanical -- so it now
-lives here, once.
+Callers hold different currencies -- one observation, a raw probe
+reply, an observation iterable or day-ordered feed, a
+:class:`~repro.store.batch.ColumnBatch` -- but the *routing* between
+them is mechanical, so it lives here, once, behind one name.
 
 :class:`IngestSinkBase` is the mixin: a subclass implements the three
 native primitives --
@@ -18,8 +15,7 @@ native primitives --
 * :meth:`ingest_columns` -- ingest a ``ColumnBatch`` without row
   materialization
 
--- and inherits the polymorphic :meth:`ingest` plus every legacy name
-as a thin delegating shim.  :class:`StreamEngine`,
+-- and inherits the polymorphic :meth:`ingest`.  :class:`StreamEngine`,
 :class:`ParallelStreamEngine`, and the fabric's
 :class:`~repro.stream.fabric.protocol.WorkerCore` all mix it in, which
 is what lets campaign code, feeds, and transports treat "something that
@@ -52,7 +48,7 @@ class IngestSink(Protocol):
 
 
 class IngestSinkBase:
-    """Mixin: polymorphic ``ingest()`` + legacy shims over 3 primitives."""
+    """Mixin: the polymorphic ``ingest()`` over three primitives."""
 
     __slots__ = ()
 
@@ -114,29 +110,6 @@ class IngestSinkBase:
                 ProbeObservation.from_response(r, day) for r in _chained()
             )
         return self.ingest_batch(_chained())
-
-    # -- legacy entrypoints, now thin shims -------------------------------
-
-    def ingest_response(self, response: ProbeResponse, day: int | None = None) -> None:
-        """Ingest one raw probe reply (*day* stamps the observation)."""
-        self._ingest_observation(ProbeObservation.from_response(response, day))
-
-    def ingest_responses(
-        self, responses: Iterable[ProbeResponse], day: int | None = None
-    ) -> int:
-        """Ingest raw probe replies in bulk; returns how many."""
-        return self.ingest_batch(
-            ProbeObservation.from_response(r, day) for r in responses
-        )
-
-    def ingest_feed(self, feed: Iterable[ProbeObservation]) -> int:
-        """Consume a day-ordered feed (see :mod:`repro.stream.feeds`).
-
-        Active scan streams, passive vantage adapters, and
-        :class:`~repro.stream.feeds.MixedFeed` interleavings all ride
-        the bulk path; returns how many were ingested.
-        """
-        return self.ingest_batch(feed)
 
 
 __all__ = ["IngestSink", "IngestSinkBase"]

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.allocation import AllocationInference, allocation_bits, plen_from_bits
-from repro.core.records import ProbeObservation
 from repro.core.rotation_pool import (
     RotationPoolInference,
     pool_bits,
@@ -163,22 +162,22 @@ class ShardState:
     pool_spans: dict[int, dict[int, Span]] = field(default_factory=dict)
     pairs_by_day: dict[int, set[tuple[int, int]]] = field(default_factory=dict)
 
-    def observe(self, observation: ProbeObservation, asn: int) -> None:
-        """Fold one observation into every aggregate.
+    def observe(self, day: int, target: int, source: int, asn: int) -> None:
+        """Fold one observation, as scalars, into every aggregate.
 
-        O(1), and deliberately hand-inlined: this is the per-response
-        hot path the throughput benchmark measures.
+        The scalar reference of the fold: the per-response path, the
+        fabric workers' row path and the whole bulk path when numpy is
+        absent all land here, and the fuzz harness compares the
+        columnar kernel against it.  O(1), and deliberately
+        hand-inlined: this is the per-response hot path.
         """
         self.n_observations += 1
-        source = observation.source
         self.sources.add(source)
         iid = source & _IID_MASK
         if (iid >> _FFFE_SHIFT) & 0xFFFF != _FFFE:  # is_eui64_iid, inlined
             return
         self.eui_sources.add(source)
         self.eui_iids.add(iid)
-        day = observation.day
-        target = observation.target
 
         alloc = self.alloc_spans.get(asn)
         if alloc is None:

@@ -50,6 +50,17 @@ def test_daemon_serves_during_ingest_and_stops_clean(tmp_path):
     daemon = TrackerDaemon(streaming)
     versions: list[int] = []
     done = threading.Event()
+    answered = threading.Event()
+    # The overlap is arranged, not hoped for: each day boundary waits
+    # (bounded) for the reader's first answer, so a campaign that
+    # outruns the reader's first round trip cannot leave it empty.
+    refresh = streaming.on_day_complete
+
+    def refresh_then_wait_for_reader(day: int) -> None:
+        refresh(day)
+        answered.wait(timeout=30)
+
+    streaming.on_day_complete = refresh_then_wait_for_reader
 
     def query() -> None:
         wait_for_server(daemon.url)
@@ -61,6 +72,7 @@ def test_daemon_serves_during_ingest_and_stops_clean(tmp_path):
                 break  # server stopped between checks
             versions.append(stats["snapshot_version"])
             versions.append(rotations["snapshot_version"])
+            answered.set()
 
     reader = threading.Thread(target=query)
     reader.start()

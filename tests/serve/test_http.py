@@ -9,10 +9,12 @@ torn state, and every response's ``snapshot_version`` is monotonically
 non-decreasing per connection.
 """
 
+import io
 import json
 import threading
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +22,7 @@ from _serve_world import corpus, device_iid, origin_of
 
 from repro.obs import Telemetry
 from repro.serve import SnapshotPublisher, TrackerServer
+from repro.serve.http import _Handler
 from repro.stream.engine import StreamConfig, StreamEngine
 
 
@@ -128,6 +131,43 @@ def test_shutdown_post_invokes_callback(engine):
         assert fired.wait(5)
     finally:
         server.stop()
+
+
+def test_shutdown_signals_before_acknowledging(engine):
+    """``on_shutdown`` must run before a single ack byte is written.
+
+    A client holding the "shutting down" ack may act on it at once, so
+    the stop has to be requested first.  The handler is driven inline
+    over a recording fake socket -- no server thread, no timing: the
+    callback snapshots the bytes written so far.
+    """
+    class RecordingSocket:
+        def __init__(self, request: bytes) -> None:
+            self.request = io.BytesIO(request)
+            self.sent = b""
+
+        def makefile(self, mode, *_args):
+            return self.request
+
+        def sendall(self, data) -> None:
+            self.sent += bytes(data)
+
+        def setsockopt(self, *_args) -> None:
+            pass
+
+    sock = RecordingSocket(
+        b"POST /shutdown HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Length: 0\r\nConnection: close\r\n\r\n"
+    )
+    written_at_signal = []
+    fake_server = SimpleNamespace(
+        publisher=SnapshotPublisher(engine),
+        serve_obs=None,
+        on_shutdown=lambda: written_at_signal.append(sock.sent),
+    )
+    _Handler(sock, ("127.0.0.1", 0), fake_server)  # handles inline
+    assert written_at_signal == [b""]
+    assert b'"status": "shutting down"' in sock.sent
 
 
 def test_stop_is_idempotent_and_releases_port(engine):

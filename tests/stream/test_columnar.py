@@ -1,10 +1,10 @@
-"""The columnar kernel: selection, fallback, and primitive correctness.
+"""The columnar kernel: selection and primitive correctness.
 
 The fuzz harness (``test_fuzz_equivalence.py``) pins whole-engine
 checkpoint bytes across ingestion modes; these tests cover what it
-cannot: kernel selection (auto / forced-off / forced-fallback / numpy
-genuinely absent), the vectorized primitives against their scalar
-oracles, and the pure-Python fallback agreeing with the numpy path.
+cannot: kernel selection (numpy importable / patched out / genuinely
+absent in a subprocess), the vectorized primitives against their scalar
+oracles, and the reference bulk loop agreeing with the numpy path.
 """
 
 import json
@@ -19,6 +19,7 @@ import pytest
 from repro.core.records import ProbeObservation
 from repro.core.rotation_detect import RotationDetection, diff_pairs
 from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
+from repro.store import ColumnBatch
 from repro.stream import columnar
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
@@ -78,39 +79,37 @@ def reference_state(corpus) -> str:
 
 
 class TestKernelSelection:
-    def test_columnar_false_forces_classic_loop(self):
-        engine = StreamEngine(StreamConfig(num_shards=2), columnar=False)
-        assert engine._acc is None
+    """One switch: the kernel runs exactly when numpy imports."""
 
     @needs_numpy
     def test_auto_selects_numpy_kernel(self):
         engine = StreamEngine(StreamConfig(num_shards=2))
         assert engine._acc is not None
 
-    def test_force_fallback_env_disables_kernel(self, monkeypatch):
-        monkeypatch.setenv(columnar.FORCE_FALLBACK_ENV, "1")
+    def test_numpy_patched_out_selects_no_kernel(self, monkeypatch):
+        monkeypatch.setattr(columnar, "np", None)
         assert not columnar.numpy_enabled()
-        engine = StreamEngine(StreamConfig(num_shards=2), columnar=True)
-        assert engine._acc is None  # degraded silently, not an error
+        assert columnar.make_accumulator(2) is None
+        engine = StreamEngine(StreamConfig(num_shards=2))
+        assert engine._acc is None  # no kernel, not an error
 
     def test_forced_fallback_agrees_with_reference(self, monkeypatch):
-        """The pure-Python fallback run: same corpus, same bytes."""
+        """Forced by patching numpy out: the bulk entry points then *are*
+        the per-observation reference loop -- same corpus, same bytes."""
         corpus = small_corpus()
         expected = reference_state(corpus)
-        monkeypatch.setenv(columnar.FORCE_FALLBACK_ENV, "1")
-        engine = StreamEngine(
-            StreamConfig(num_shards=4), origin_of=origin_of, columnar=True
-        )
-        engine.ingest_batch(corpus)
+        monkeypatch.setattr(columnar, "np", None)
+        engine = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
+        half = len(corpus) // 2
+        engine.ingest_batch(corpus[:half])
+        engine.ingest_columns(ColumnBatch.from_observations(corpus[half:]))
         engine.flush()
         assert json.dumps(engine_state(engine)) == expected
 
     @needs_numpy
     def test_numpy_kernel_agrees_with_reference(self):
         corpus = small_corpus()
-        engine = StreamEngine(
-            StreamConfig(num_shards=4), origin_of=origin_of, columnar=True
-        )
+        engine = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
         assert engine._acc is not None
         engine.ingest_batch(corpus)
         engine.flush()
@@ -118,14 +117,12 @@ class TestKernelSelection:
 
     @needs_numpy
     def test_mixed_per_observation_and_batch_ingest(self):
-        """Interleaving ingest() and ingest_batch() on one columnar
+        """Interleaving ingest() and ingest_batch() on one kernel
         engine must match the reference -- the per-observation path
         writes shard state directly, which flips later day closes onto
         the merged-set diff."""
         corpus = small_corpus()
-        engine = StreamEngine(
-            StreamConfig(num_shards=4), origin_of=origin_of, columnar=True
-        )
+        engine = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
         third = len(corpus) // 3
         engine.ingest_batch(corpus[:third])
         for observation in corpus[third : 2 * third]:
@@ -210,7 +207,7 @@ class TestKernelPrimitives:
 
 # The subprocess bootstrap: install a meta-path blocker so every numpy
 # import raises, *then* import this module (which pulls repro.stream in
-# its no-numpy configuration) and emit the fallback engine's state.
+# its no-numpy configuration) and emit the kernel-less engine's state.
 _NO_NUMPY_BOOTSTRAP = """
 import sys
 
@@ -225,32 +222,30 @@ sys.path.insert(0, {test_dir!r})
 sys.path.insert(0, {src_dir!r})
 import test_columnar
 
-test_columnar.emit_fallback_state()
+test_columnar.emit_kernel_less_state()
 """
 
 
-def emit_fallback_state() -> None:
-    """Subprocess body: prove the fallback runs and print its checkpoint."""
+def emit_kernel_less_state() -> None:
+    """Subprocess body: prove the reference loop runs; print its checkpoint."""
     assert columnar.np is None, "numpy import was not blocked"
     assert not columnar.numpy_enabled()
-    engine = StreamEngine(
-        StreamConfig(num_shards=4), origin_of=origin_of, columnar=True
-    )
-    assert engine._acc is None  # silent fallback, not an error
+    engine = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
+    assert engine._acc is None  # no kernel, not an error
     engine.ingest_batch(small_corpus())
     engine.flush()
     print(json.dumps(engine_state(engine)))
 
 
 def test_import_and_ingest_without_numpy_installed():
-    """End to end with numpy genuinely unimportable (not just forced).
+    """End to end with numpy genuinely unimportable (not just patched).
 
     A subprocess blocks every ``numpy`` import at the meta-path level
-    before ``repro.stream`` is first imported, ingests the
-    deterministic corpus through a ``columnar=True`` engine (which must
-    silently fall back), and prints the checkpoint JSON -- byte-compared
-    here against the per-observation reference from the (typically
-    numpy-enabled) parent.
+    before ``repro.stream`` is first imported, bulk-ingests the
+    deterministic corpus (which must run the reference loop, silently),
+    and prints the checkpoint JSON -- byte-compared here against the
+    per-observation reference from the (typically numpy-enabled)
+    parent.
     """
     code = _NO_NUMPY_BOOTSTRAP.format(
         test_dir=str(Path(__file__).resolve().parent), src_dir=str(SRC_DIR)

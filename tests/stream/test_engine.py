@@ -78,9 +78,7 @@ class TestSpans:
 
     def test_observe_ignores_non_eui64(self):
         shard = ShardState()
-        shard.observe(
-            ProbeObservation(day=0, t_seconds=0.0, target=1 << 64, source=7), asn=1
-        )
+        shard.observe(day=0, target=1 << 64, source=7, asn=1)
         assert shard.n_observations == 1
         assert not shard.eui_iids and not shard.alloc_spans
 
@@ -141,8 +139,8 @@ class TestLiveRotationDetection:
         batch = detect_rotating_prefixes(snap_a, snap_b)
 
         engine = StreamEngine(StreamConfig(num_shards=4))
-        engine.ingest_responses(snap_a.responses, day=0)
-        engine.ingest_responses(snap_b.responses, day=1)
+        engine.ingest(snap_a.responses, day=0)
+        engine.ingest(snap_b.responses, day=1)
         live = engine.flush()
         assert live.changed_pairs == batch.changed_pairs
         assert live.rotating_prefixes == batch.rotating_prefixes
@@ -203,8 +201,9 @@ class TestLiveRotationDetection:
 
 
 class TestFusedBatchPath:
-    """ingest_batch is a hand-fused fast path; it must stay observably
-    identical to the per-observation loop it replaced."""
+    """ingest_batch (the columnar kernel, or the reference loop itself
+    without numpy) must stay observably identical to per-observation
+    ``ingest()`` calls."""
 
     @pytest.mark.parametrize("shard_key", [ShardKey.PREFIX32, ShardKey.ASN])
     @pytest.mark.parametrize("keep_observations", [True, False])

@@ -179,7 +179,7 @@ class TestAuthentication:
         thread.start()
         try:
             with pytest.raises(FabricError, match="waiting for worker 0"):
-                transport.start(1, num_shards=2, asn_keyed=False, columnar=False)
+                transport.start(1, num_shards=2, asn_keyed=False)
         finally:
             thread.join(timeout=5)
             transport.close()
@@ -196,7 +196,7 @@ class TestAuthentication:
         framing.send_frame(sock, framing.encode(("hello", PROTO_VERSION, 1)))
         try:
             with pytest.raises(FabricError, match="waiting for worker 0"):
-                transport.start(1, num_shards=2, asn_keyed=False, columnar=False)
+                transport.start(1, num_shards=2, asn_keyed=False)
         finally:
             sock.close()
             transport.close()
@@ -303,7 +303,6 @@ class TestSocketEquivalence:
             config_,
             origin_of=internet.rib.origin_of,
             num_workers=2,
-            columnar=True,
             transport=socket_transport(),
         )
         parallel.ingest_batch(corpus)
@@ -413,7 +412,7 @@ class TestFaults:
         try:
             started = time.monotonic()
             with pytest.raises(FabricError, match="waiting for worker 0"):
-                transport.start(1, num_shards=4, asn_keyed=False, columnar=False)
+                transport.start(1, num_shards=4, asn_keyed=False)
             assert time.monotonic() - started >= 0.9
         finally:
             lurker.close()
@@ -447,24 +446,29 @@ class TestFaults:
         thread.join(timeout=5)
 
     def test_protocol_version_mismatch_is_fatal(self):
-        transport = SocketTransport(connect_timeout=5.0)
-        port = int(transport.address.rsplit(":", 1)[1])
+        # Version 2 dropped the kernel-selection field from the welcome
+        # payload; a worker from either side of that change must be
+        # refused by the version check, before any payload is read.
+        assert PROTO_VERSION == 2
+        for skewed in (PROTO_VERSION - 1, PROTO_VERSION + 1):
+            transport = SocketTransport(connect_timeout=5.0)
+            port = int(transport.address.rsplit(":", 1)[1])
 
-        def imposter():
-            # Holds the right key (version skew is an ops mistake, not
-            # an attack) but speaks a different protocol revision.
-            sock = socket.create_connection(("127.0.0.1", port))
-            framing.authenticate_worker(sock, transport.authkey)
-            framing.send_frame(sock, framing.encode(("hello", PROTO_VERSION + 1, 123)))
-            time.sleep(1.0)
-            sock.close()
+            def imposter():
+                # Holds the right key (version skew is an ops mistake,
+                # not an attack) but speaks a different protocol revision.
+                sock = socket.create_connection(("127.0.0.1", port))
+                framing.authenticate_worker(sock, transport.authkey)
+                framing.send_frame(sock, framing.encode(("hello", skewed, 123)))
+                time.sleep(1.0)
+                sock.close()
 
-        thread = threading.Thread(target=imposter, daemon=True)
-        thread.start()
-        with pytest.raises(FabricError, match="protocol"):
-            transport.start(1, num_shards=2, asn_keyed=False, columnar=False)
-        thread.join(timeout=5)
-        transport.close()
+            thread = threading.Thread(target=imposter, daemon=True)
+            thread.start()
+            with pytest.raises(FabricError, match=f"protocol {skewed}"):
+                transport.start(1, num_shards=2, asn_keyed=False)
+            thread.join(timeout=5)
+            transport.close()
 
 
 class TestLiveness:
@@ -498,9 +502,7 @@ class TestLiveness:
         thread = threading.Thread(target=busy_worker, daemon=True)
         thread.start()
         try:
-            channel = transport.start(
-                1, num_shards=2, asn_keyed=False, columnar=False
-            )[0]
+            channel = transport.start(1, num_shards=2, asn_keyed=False)[0]
             time.sleep(2.0)  # well past heartbeat_timeout
             assert channel.alive, channel.dead_reason
         finally:
@@ -525,9 +527,7 @@ class TestLiveness:
         thread = threading.Thread(target=wedged_worker, daemon=True)
         thread.start()
         try:
-            channel = transport.start(
-                1, num_shards=2, asn_keyed=False, columnar=False
-            )[0]
+            channel = transport.start(1, num_shards=2, asn_keyed=False)[0]
             deadline = time.monotonic() + 5.0
             while channel.alive and time.monotonic() < deadline:
                 time.sleep(0.05)
@@ -545,9 +545,7 @@ class TestLiveness:
         # must go dead (and wake recv) instead of hanging send().
         transport = socket_transport(connect_timeout=10.0)
         try:
-            channel = transport.start(
-                1, num_shards=2, asn_keyed=False, columnar=False
-            )[0]
+            channel = transport.start(1, num_shards=2, asn_keyed=False)[0]
             channel.send(("rows", lambda row: row))  # lambdas don't pickle
             with pytest.raises(WorkerLost):
                 channel.recv()
@@ -560,7 +558,7 @@ class TestLiveness:
 class TestWorkerCore:
     def test_day_pair_columns_are_flat_ints(self, world):
         internet, corpus = world
-        core = WorkerCore(4, False, False)
+        core = WorkerCore(4, False)
         rows = [(o.day, o.target, o.source, 0) for o in corpus]
         core.apply_rows(rows)
         day = corpus[0].day
@@ -582,6 +580,43 @@ class TestWorkerCore:
             for t, s in pairs_from_columns((t_hi, t_lo, s_hi, s_lo))
         }
         assert expected == reference._pairs_on(day)
+
+    def test_kernel_less_rows_match_and_state_is_idempotent(self, world, monkeypatch):
+        """Without numpy the row path is the scalar ``observe`` fold: same
+        shard state as the kernel worker, and repeated ``state`` requests
+        (snapshots keep workers running) never recount observations."""
+        from repro.stream import columnar
+
+        _internet, corpus = world
+        rows = [(o.day, o.target, o.source, 0) for o in corpus]
+        half = len(rows) // 2
+        with_kernel = WorkerCore(4, False)
+        with_kernel.apply_rows(rows)
+        expected = with_kernel.state()
+        monkeypatch.setattr(columnar, "np", None)
+        kernel_less = WorkerCore(4, False)
+        assert kernel_less.acc is None
+        kernel_less.apply_rows(rows[:half])
+        assert sum(s.n_observations for s in kernel_less.state()) == half
+        kernel_less.apply_rows(rows[half:])
+        kernel_less.state()
+        assert kernel_less.state() == expected
+        assert sum(s.n_observations for s in kernel_less.state()) == len(rows)
+
+    def test_kernel_less_worker_refuses_cols_frame(self, monkeypatch):
+        """A ``cols`` frame carries numpy arrays; a worker without the
+        kernel reports it as an ``("error", ...)`` reply and stops."""
+        from repro.stream import columnar
+        from repro.stream.fabric.protocol import serve
+
+        monkeypatch.setattr(columnar, "np", None)
+        inbox = [("cols", ([0], [0], [1], [2], [3], [4])), ("ping", 7)]
+        replies = []
+        serve(WorkerCore(2, False), lambda: inbox.pop(0), replies.append)
+        assert len(replies) == 1
+        assert replies[0][0] == "error"
+        assert "FabricError" in replies[0][1] and "numpy" in replies[0][1]
+        assert inbox == [("ping", 7)]  # the loop exited on the error
 
 
 class TestSettings:
@@ -644,7 +679,9 @@ class TestIngestSink:
         single.flush()
         assert json.dumps(engine_state(single)) == expected
 
-    def test_legacy_names_still_work(self, world):
+    def test_ingest_routes_responses_and_feeds(self, world):
+        """The currencies the removed ``ingest_response(s)`` /
+        ``ingest_feed`` names took all route through ``ingest()``."""
         from repro.net.icmpv6 import IcmpType, ProbeResponse
 
         internet, corpus = world
@@ -662,17 +699,20 @@ class TestIngestSink:
         ]
 
         batch = StreamEngine(config_, origin_of=internet.rib.origin_of)
-        assert batch.ingest_responses(responses) == len(corpus)
+        assert batch.ingest(responses) == len(corpus)  # response iterable
         batch.flush()
         assert json.dumps(engine_state(batch)) == expected
 
         single = StreamEngine(config_, origin_of=internet.rib.origin_of)
         for response, observation in zip(responses, corpus):
-            single.ingest_response(response, day=observation.day)
+            assert single.ingest(response, day=observation.day) == 1
         single.flush()
         assert json.dumps(engine_state(single)) == expected
 
         feed = StreamEngine(config_, origin_of=internet.rib.origin_of)
-        assert feed.ingest_feed(iter(corpus)) == len(corpus)
+        assert feed.ingest(iter(corpus)) == len(corpus)  # lazy feed
         feed.flush()
         assert json.dumps(engine_state(feed)) == expected
+
+        for removed in ("ingest_response", "ingest_responses", "ingest_feed"):
+            assert not hasattr(feed, removed)

@@ -27,7 +27,6 @@ from repro.stream.feeds import (
     dedup_feed,
     flow_feed,
     hitlist_feed,
-    ingest_feed,
     observation_feed,
     sighting_feed,
     tap_feed,
@@ -67,7 +66,7 @@ class TestDedupWindow:
     def test_store_rows_not_multiplied(self):
         engine = StreamEngine(StreamConfig(num_shards=2))
         chatty = [(0xCAFE, 0)] * 50 + [(0xCAFE, 1)] * 50
-        engine.ingest_feed(sighting_feed(chatty, dedup_window=16))
+        engine.ingest(sighting_feed(chatty, dedup_window=16))
         engine.flush()
         assert len(engine.store) == 2  # one row per (source, day)
         assert engine.responses_ingested == 2
@@ -173,9 +172,7 @@ class TestMirrorEquivalence:
         active.flush()
 
         mirror = StreamEngine(config, origin_of=internet.rib.origin_of)
-        mirror.ingest_feed(
-            sighting_feed(SightingRecord.from_observation(o) for o in corpus)
-        )
+        mirror.ingest(sighting_feed(SightingRecord.from_observation(o) for o in corpus))
         mirror.flush()
         assert json.dumps(engine_state(mirror)) == json.dumps(engine_state(active))
         assert list(mirror.store) == list(active.store)
@@ -190,7 +187,7 @@ class TestMirrorEquivalence:
         parallel = ParallelStreamEngine(
             config, origin_of=internet.rib.origin_of, num_workers=2, batch_rows=64
         )
-        parallel.ingest_feed(
+        parallel.ingest(
             sighting_feed(SightingRecord.from_observation(o) for o in corpus)
         )
         merged = parallel.finalize()
@@ -212,30 +209,28 @@ class TestMirrorEquivalence:
         )
         by_hand.flush()
         adapted = StreamEngine(StreamConfig(num_shards=2))
-        adapted.ingest_feed(sighting_feed(records))
+        adapted.ingest(sighting_feed(records))
         adapted.flush()
         assert engine_state(adapted) == engine_state(by_hand)
 
 
 class TestEngineEntryPoints:
     def test_ingest_feed_equals_ingest_batch(self):
+        """``ingest(feed)`` is the feed entry point of both engine kinds."""
         _internet, corpus = small_corpus()
         via_feed = StreamEngine(StreamConfig(num_shards=2))
-        via_feed.ingest_feed(observation_feed(corpus))
+        assert via_feed.ingest(observation_feed(corpus)) == len(corpus)
         via_feed.flush()
         via_batch = StreamEngine(StreamConfig(num_shards=2))
         via_batch.ingest_batch(list(corpus))
         via_batch.flush()
         assert engine_state(via_feed) == engine_state(via_batch)
-
-    def test_free_function_drives_both_engine_kinds(self):
-        _internet, corpus = small_corpus()
-        serial = StreamEngine(StreamConfig(num_shards=2))
-        assert ingest_feed(serial, corpus) == len(corpus)
         with ParallelStreamEngine(
             StreamConfig(num_shards=2), num_workers=1
         ) as parallel:
-            assert ingest_feed(parallel, corpus) == len(corpus)
+            assert parallel.ingest(observation_feed(corpus)) == len(corpus)
+            merged = parallel.finalize()
+        assert engine_state(merged) == engine_state(via_batch)
 
 
 class TestFlowTap:
@@ -273,7 +268,7 @@ class TestFlowTap:
         engine = StreamEngine(StreamConfig(num_shards=2))
         iid = records[0][0] & ((1 << 64) - 1)
         engine.watch(iid)
-        engine.ingest_feed(tap_feed(tap, days))
+        engine.ingest(tap_feed(tap, days))
         sighting = engine.last_sighting(iid)
         assert sighting is not None and sighting.day == days[-1]
 

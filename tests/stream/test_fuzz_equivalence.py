@@ -1,33 +1,35 @@
 """Seeded randomized stream-equivalence fuzzing.
 
-Every ingestion path -- per-observation, the classic fused
-``ingest_batch`` loop, the columnar (numpy sort-reduce) batch kernel,
-and the parallel dispatcher at any worker count with either worker
-kernel over either fabric transport (local pipes or TCP socket
-workers) -- must leave the engine in the *same* state for any valid
-stream.  The unit and world tests pin that on curated scenarios; this
-harness pins it on ~20 randomized ones: random rotation cadences, scan
-gaps, shard modes and counts, retention windows, worker counts, chunk
-sizes, duplicate and out-of-order same-day responses, and a mid-stream
-snapshot point.  The oracle is ``engine_state`` serialized to JSON --
-checkpoint bytes -- so any divergence in any aggregate, counter,
-watchlist entry, or stored observation fails the seed that found it.
+Every ingestion path -- per-observation ``ingest()`` (the scalar
+reference fold), the bulk entry points (the numpy sort-reduce kernel),
+and the parallel dispatcher at any worker count over either fabric
+transport (local pipes or TCP socket workers) -- must leave the engine
+in the *same* state for any valid stream.  The unit and world tests pin
+that on curated scenarios; this harness pins it on ~20 randomized ones:
+random rotation cadences, scan gaps, shard modes and counts, retention
+windows, worker counts, chunk sizes, duplicate and out-of-order
+same-day responses, and a mid-stream snapshot point.  The oracle is
+``engine_state`` serialized to JSON -- checkpoint bytes -- so any
+divergence in any aggregate, counter, watchlist entry, or stored
+observation fails the seed that found it.
 
-The parallel engine alternates its worker kernel by seed parity, so
-both the columnar and the classic multiprocess paths stay covered
-without doubling the process spawns per seed.  When numpy is absent,
-``columnar=True`` engines transparently run the pure-Python fallback
-and the harness degenerates to the (still valid) classic comparison.
+The kernel is selected by one thing only -- whether numpy imports -- so
+the harness runs its whole engine set twice: as installed, and (on a
+subset of seeds) with ``repro.stream.columnar.np`` patched to ``None``,
+where the bulk paths and the workers all run the reference fold.  That
+keeps the kernel-less bulk path and kernel-less workers fuzz-covered on
+numpy hosts, not only on the CI no-numpy legs (where both runs
+degenerate to the same, still valid, comparison).
 
 Since the storage redesign the harness is also the cross-backend
 oracle: corpus-keeping engines each hold their store on a *different*
 :class:`~repro.store.backend.StoreBackend` (object / columnar / an
-sqlite file), and odd seeds feed the columnar engine through
-``ingest_columns`` (``ColumnBatch`` hand-off) and the parallel engine
-through its column dispatch -- so identical checkpoint bytes prove
+sqlite file), and odd seeds feed the bulk engine through
+``ingest_columns`` (``ColumnBatch`` hand-off) and the parallel engines
+through their column dispatch -- so identical checkpoint bytes prove
 layout- and currency-independence, not just kernel equivalence.
 
-Since the serve layer the columnar engine is additionally *served*: a
+Since the serve layer the bulk engine is additionally *served*: a
 :class:`~repro.serve.snapshot.SnapshotPublisher` refreshes against it
 at random points mid-stream (materializing pending state each time),
 pinning that publishing read snapshots never perturbs checkpoint bytes
@@ -48,6 +50,9 @@ from repro.stream.parallel import ParallelStreamEngine
 from repro.stream.shard import ShardKey
 
 SEEDS = range(20)
+# Seeds re-run with the numpy kernel patched out: 0-5 cover both feed
+# currencies (seed parity) at 1, 2 and 4 workers.
+KERNEL_LESS_SEEDS = range(6)
 
 
 def origin_of(address: int) -> int:
@@ -137,8 +142,8 @@ def chunks(rng: random.Random, items: list) -> list[list]:
     return out
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_checkpoint_bytes_identical_across_ingest_paths(seed, tmp_path):
+def check_ingest_paths_agree(seed, tmp_path):
+    """One seed of the cross-path oracle (see the module docstring)."""
     rng = random.Random(seed ^ 0xF022)
     corpus = random_corpus(rng)
     if not corpus:  # all days happened to gap out; trivially equivalent
@@ -147,12 +152,8 @@ def test_checkpoint_bytes_identical_across_ingest_paths(seed, tmp_path):
     num_workers = rng.choice([1, 2, 4])
     batch_rows = rng.choice([5, 17, 64])
     split = rng.randrange(len(corpus) + 1)  # mid-stream snapshot point
-    # Two independent axes, all four combinations over the seed range:
-    # odd seeds drive the ColumnBatch hand-off paths, and the worker
-    # kernel alternates on a different parity -- so column dispatch
-    # also lands on classic-kernel workers (the cols->rows bridge).
+    # Odd seeds drive the ColumnBatch hand-off paths.
     columns = bool(seed % 2)
-    worker_kernel = bool((seed // 2) % 2)
 
     watch = [o.source_iid for o in corpus if o.is_eui64][:2]
 
@@ -169,16 +170,10 @@ def test_checkpoint_bytes_identical_across_ingest_paths(seed, tmp_path):
     # path must never perturb checkpoint bytes.
     from repro.obs import Telemetry
 
-    reference = StreamEngine(
-        config, origin_of=origin_of, store=backend_store("object")
-    )
-    batched = StreamEngine(
-        config, origin_of=origin_of, columnar=False, store=backend_store("columnar")
-    )
-    columnar = StreamEngine(
+    reference = StreamEngine(config, origin_of=origin_of, store=backend_store("object"))
+    bulk = StreamEngine(
         config,
         origin_of=origin_of,
-        columnar=True,
         store=backend_store("sqlite"),
         telemetry=Telemetry(),
     )
@@ -187,11 +182,10 @@ def test_checkpoint_bytes_identical_across_ingest_paths(seed, tmp_path):
         origin_of=origin_of,
         num_workers=num_workers,
         batch_rows=batch_rows,
-        columnar=worker_kernel,
         store=backend_store(("object", "columnar")[seed % 2]),
         telemetry=Telemetry(),
     )
-    # The fifth engine rides the socket fabric: same dispatcher, but
+    # The fourth engine rides the socket fabric: same dispatcher, but
     # every chunk crosses a real TCP frame boundary -- serial == pipes
     # == sockets is the fabric's headline contract.
     from repro.stream.fabric import SocketTransport
@@ -201,71 +195,85 @@ def test_checkpoint_bytes_identical_across_ingest_paths(seed, tmp_path):
         origin_of=origin_of,
         num_workers=num_workers,
         batch_rows=batch_rows,
-        columnar=worker_kernel,
         store=backend_store(("columnar", "object")[seed % 2]),
         transport=SocketTransport(spawn="thread"),
     )
-    engines = (reference, batched, columnar, parallel, fabric)
+    engines = (reference, bulk, parallel, fabric)
     for iid in watch:
         for engine in engines:
             engine.watch(iid)
 
-    # The columnar engine is also served: random refreshes materialize
-    # its pending state mid-stream, which must never change what ends
-    # up in a checkpoint (the oracle below says so), and versions must
-    # only move forward.
+    # The bulk engine is also served: random refreshes materialize its
+    # pending state mid-stream, which must never change what ends up in
+    # a checkpoint (the oracle below says so), and versions must only
+    # move forward.
     from repro.serve import SnapshotPublisher
 
-    publisher = SnapshotPublisher(columnar)
+    publisher = SnapshotPublisher(bulk)
     versions = [publisher.version]
 
     def feed(engine, chunk):
-        """Columns for the column-capable engines on odd seeds."""
-        if columns and engine in (columnar, parallel, fabric):
+        """Columns on odd seeds, observation objects on even ones."""
+        if columns:
             engine.ingest_columns(ColumnBatch.from_observations(chunk))
         else:
             engine.ingest_batch(chunk)
-        if engine is columnar and rng.random() < 0.3:
+        if engine is bulk and rng.random() < 0.3:
             versions.append(publisher.refresh().version)
 
     # Phase 1: up to the snapshot point.
     for observation in corpus[:split]:
         reference.ingest(observation)
-    for engine in (batched, columnar, parallel, fabric):
+    for engine in (bulk, parallel, fabric):
         for chunk in chunks(rng, corpus[:split]):
             feed(engine, chunk)
 
-    # Mid-stream: the parallel snapshot and both batch engines must
-    # match the per-observation engine, in-progress day left open --
-    # and the serialized store rows must not depend on the backend.
+    # Mid-stream: the parallel snapshots and the bulk engine must match
+    # the per-observation engine, in-progress day left open -- and the
+    # serialized store rows must not depend on the backend.
     versions.append(publisher.refresh(force=True).version)
     mid = json.dumps(engine_state(reference))
-    assert json.dumps(engine_state(batched)) == mid
-    assert json.dumps(engine_state(columnar)) == mid
+    assert json.dumps(engine_state(bulk)) == mid
     assert json.dumps(engine_state(parallel.snapshot_engine())) == mid
     assert json.dumps(engine_state(fabric.snapshot_engine())) == mid
 
     # Phase 2: the rest of the stream, then flush everything.
     for observation in corpus[split:]:
         reference.ingest(observation)
-    for engine in (batched, columnar, parallel, fabric):
+    for engine in (bulk, parallel, fabric):
         for chunk in chunks(rng, corpus[split:]):
             feed(engine, chunk)
     reference.flush()
-    batched.flush()
-    columnar.flush()
+    bulk.flush()
     merged = parallel.finalize()
     fabric_merged = fabric.finalize()
 
     versions.append(publisher.refresh(force=True).version)
     final = json.dumps(engine_state(reference))
-    assert json.dumps(engine_state(batched)) == final
-    assert json.dumps(engine_state(columnar)) == final
+    assert json.dumps(engine_state(bulk)) == final
     assert json.dumps(engine_state(merged)) == final
     assert json.dumps(engine_state(fabric_merged)) == final
-    # Serving the columnar engine never moved a version backwards.
+    # Serving the bulk engine never moved a version backwards.
     assert versions == sorted(versions)
     assert versions[-1] >= 2
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_checkpoint_bytes_identical_across_ingest_paths(seed, tmp_path):
+    check_ingest_paths_agree(seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", KERNEL_LESS_SEEDS)
+def test_checkpoint_bytes_identical_without_kernel(seed, tmp_path, monkeypatch):
+    """The same engine set with numpy patched out of the kernel module:
+    serial bulk, pipe workers (forked after the patch), socket-thread
+    workers, mid-stream snapshots and the ``ingest_columns`` currency
+    all run the scalar reference fold and must produce its bytes."""
+    from repro.stream import columnar
+
+    monkeypatch.setattr(columnar, "np", None)
+    assert StreamEngine()._acc is None  # the patch is the whole switch
+    check_ingest_paths_agree(seed, tmp_path)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -319,7 +327,6 @@ def test_binary_checkpoint_restores_identical_state(seed, tmp_path):
         config,
         origin_of=origin_of,
         num_workers=rng.choice([1, 2, 4]),
-        columnar=bool(seed % 2),
     )
     par_path = tmp_path / "parallel.bin"
     saver = BinaryCheckpointer(par_path)

@@ -76,7 +76,7 @@ REPLICATION_OVERHEAD_CAP_PCT = 10.0
 GATED_METRICS = (
     "engine_batch_ingest.responses_per_s",
     "columnar_ingest.columnar_responses_per_s",
-    "columnar_ingest.classic_responses_per_s",
+    "columnar_ingest.reference_responses_per_s",
     "columnar_ingest.speedup",
     "store_backends.object.append_rows_per_s",
     "store_backends.columnar.append_rows_per_s",
