@@ -1,12 +1,13 @@
 """Distributed fabric quickstart: socket workers, one merged view.
 
-``parallel_ingest.py`` scales the online adversary across local cores.
-This one scales it across *hosts*: the dispatcher binds a TCP master
-(:class:`FabricServer`), workers dial in from wherever they run
-(``python -m repro.stream.fabric.worker tcp://master:port``), and the
-stream travels as length-prefixed CRC-checked frames instead of pipe
-writes.  The contract is unchanged -- merged checkpoints are
-byte-identical to a serial run -- so this script demonstrates:
+``parallel_ingest.py`` fans the online adversary out over local worker
+processes with ``workers=N``.  This one spells out what that shorthand
+stands for, the way a multi-*host* run configures it: the dispatcher
+binds a TCP master (:class:`FabricServer`), workers dial in from
+wherever they run (``python -m repro.stream.fabric.worker
+tcp://master:port``), and the stream travels as length-prefixed
+CRC-checked frames.  The contract is the same -- merged checkpoints
+are byte-identical to a serial run -- so this script demonstrates:
 
 1. a socket-transport engine (workers self-spawned here for a
    single-box demo; point real deployments at ``spawn=None`` and

@@ -1,13 +1,19 @@
-"""Parallel ingestion quickstart: multiprocess workers, one merged view.
+"""Parallel ingestion quickstart: local fabric workers, one merged view.
 
 The streaming quickstart shows the online adversary on one core.  This
-one shows the same adversary scaled out:
+one shows the same adversary fanned out over worker processes.  It
+buys capacity and fan-in, not speed: one serial engine out-runs any
+local worker count (see "when to use workers at all" in
+``benchmarks/README.md``).
 
 1. build a small rotating ISP and collect a campaign corpus,
-2. feed the corpus through a :class:`ParallelStreamEngine` -- N worker
-   processes each own a disjoint set of shards, observations travel as
-   batched flat tuples, and the dispatcher keeps stream-order state
-   (days, watchlist) itself,
+2. feed the corpus through a :class:`ParallelStreamEngine` --
+   ``num_workers=N`` spawns N ``python -m repro.stream.fabric.worker``
+   subprocesses that dial a loopback master (the same framing,
+   handshake and requeue journal a multi-host run uses, see
+   ``fabric_campaign.py``), each owns a disjoint set of shards,
+   observations travel as batched flat tuples, and the dispatcher
+   keeps stream-order state (days, watchlist) itself,
 3. merge the workers back into a plain :class:`StreamEngine` view and
    verify it is byte-identical to a single-process run over the same
    stream,
@@ -82,8 +88,8 @@ def main() -> None:
     single.flush()
     single_seconds = time.perf_counter() - t0
 
-    parallel = ParallelStreamEngine(config, origin_of=origin_of, num_workers=2)
     t0 = time.perf_counter()
+    parallel = ParallelStreamEngine(config, origin_of=origin_of, num_workers=2)
     parallel.ingest_batch(corpus)
     merged = parallel.finalize()
     parallel_seconds = time.perf_counter() - t0
@@ -91,7 +97,8 @@ def main() -> None:
     identical = json.dumps(engine_state(merged)) == json.dumps(engine_state(single))
     print(
         f"single-process: {single_seconds:.2f}s, "
-        f"2 workers (incl. merge): {parallel_seconds:.2f}s, "
+        f"2 loopback socket workers (incl. spawn and merge): "
+        f"{parallel_seconds:.2f}s, "
         f"merged state byte-identical: {identical}"
     )
     profile = merged.as_profiles()[65001]

@@ -138,7 +138,7 @@ class ParallelInstruments(EngineInstruments):
         self.dispatch_chunks = [
             registry.counter(
                 "repro_parallel_dispatch_chunks_total",
-                "Pipe messages shipped to each worker",
+                "Row/column frames shipped to each worker",
                 {"worker": str(w)},
             )
             for w in range(num_workers)

@@ -41,7 +41,7 @@ from repro import config
 from repro.stream.checkpoint import restore_engine
 from repro.stream.ckptbin import ChainAssembler, CheckpointError
 from repro.stream.fabric import framing
-from repro.stream.fabric.transport import _parse_address, _set_nodelay
+from repro.stream.fabric.framing import parse_address, set_nodelay
 from repro.util import get_logger
 
 from .protocol import HELLO_FRAME_MAX, PROTO_VERSION, ReplicationError
@@ -76,7 +76,7 @@ class ReplicaFollower:
                 "set REPRO_REPLICATE_AUTHKEY / REPRO_FABRIC_AUTHKEY"
             )
         try:
-            self._host, self._port = _parse_address(address)
+            self._host, self._port = parse_address(address)
         except Exception as exc:
             raise ReplicationError(str(exc)) from None
         self.address = address
@@ -233,7 +233,7 @@ class ReplicaFollower:
             (self._host, self._port), timeout=self._timeout
         )
         try:
-            _set_nodelay(sock)
+            set_nodelay(sock)
             framing.authenticate_worker(sock, self.authkey)
             framing.send_frame(
                 sock,

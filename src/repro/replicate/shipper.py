@@ -46,7 +46,7 @@ from collections import deque
 from repro import config
 from repro.stream.ckptbin import segment_bytes
 from repro.stream.fabric import framing
-from repro.stream.fabric.transport import _parse_address, _set_nodelay
+from repro.stream.fabric.framing import format_address, parse_address, set_nodelay
 from repro.util import get_logger
 
 from .protocol import HELLO_FRAME_MAX, PROTO_VERSION, ReplicationError
@@ -157,13 +157,13 @@ class SegmentShipper:
         self._timeout = settings.replicate_connect_timeout
         self._max_frame = settings.fabric_max_frame_bytes
         try:
-            host, port = _parse_address(address)
+            host, port = parse_address(address)
         except Exception as exc:
             raise ReplicationError(str(exc)) from None
-        self._listener = socket.create_server((host, port))
-        bound_host, bound_port = self._listener.getsockname()[:2]
-        self._host = bound_host if host in ("0.0.0.0", "::") else host
-        self._port = bound_port
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, port), family=family)
+        self._host = host
+        self._port = self._listener.getsockname()[1]
         self._lock = threading.Lock()
         #: The shipper's authoritative chain copy: ``(meta, raw)`` in
         #: seq order.  Bounded by the saver's ``max_chain`` (a rebase
@@ -187,15 +187,9 @@ class SegmentShipper:
 
     @property
     def address(self) -> str:
-        """The bound endpoint, ``tcp://host:port``."""
-        return f"tcp://{self._format_host()}:{self._port}"
-
-    def _format_host(self) -> str:
-        if self._host in ("0.0.0.0", ""):
-            return "127.0.0.1"
-        if self._host == "::":
-            return "::1"
-        return self._host
+        """The endpoint followers dial, ``tcp://host:port`` (a wildcard
+        bind reads as its loopback)."""
+        return format_address(self._host, self._port, dialable=True)
 
     @property
     def subscribers(self) -> int:
@@ -232,7 +226,7 @@ class SegmentShipper:
         """
         try:
             sock.settimeout(self._timeout)
-            _set_nodelay(sock)
+            set_nodelay(sock)
             framing.authenticate_master(sock, self.authkey)
             hello = framing.decode(framing.recv_frame(sock, HELLO_FRAME_MAX))
             if (

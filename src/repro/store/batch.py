@@ -13,7 +13,7 @@ uint64 halves.  This is the lingua franca of the storage redesign:
 
 The day and address columns are stdlib :mod:`array` buffers (``'q'`` /
 ``'Q'``), so the type works on a stdlib-only install, every read
-indexes back to an exact Python int, pickling for the worker pipes is
+indexes back to an exact Python int, pickling for the worker frames is
 one machine-byte blob per column, and -- when numpy is available --
 the columnar kernel's ``np.array(column, dtype=...)`` call is a C
 memcpy through the buffer protocol instead of a per-int conversion

@@ -29,10 +29,10 @@ Layout:
   parallel backend: sharded workers fed flat-tuple chunks through a
   fabric transport, merged back into a byte-identical engine view;
 * :mod:`repro.stream.fabric` -- the distributed campaign fabric:
-  message framing, the dispatcher/worker protocol, the local
-  :class:`PipeTransport`, and the :class:`SocketTransport` master +
-  ``python -m repro.stream.fabric.worker`` entrypoint for multi-host
-  workers;
+  message framing, the dispatcher/worker protocol, and the one
+  transport -- the :class:`SocketTransport` master + ``python -m
+  repro.stream.fabric.worker`` entrypoint, for local subprocess
+  workers and multi-host workers alike;
 * :mod:`repro.stream.feeds` -- passive-feed adapters: flow logs,
   hitlist sightings, provider flow taps, and generic timestamped
   records as observation streams, plus :class:`MixedFeed` day-order
@@ -58,7 +58,6 @@ from repro.stream.engine import Sighting, StreamConfig, StreamEngine
 from repro.stream.fabric import (
     FabricError,
     FabricServer,
-    PipeTransport,
     SocketTransport,
     WorkerLost,
     parse_worker_spec,
@@ -85,7 +84,6 @@ __all__ = [
     "LivePursuit",
     "MixedFeed",
     "ParallelStreamEngine",
-    "PipeTransport",
     "PursuitState",
     "ShardKey",
     "ShardRouter",

@@ -48,8 +48,11 @@ class StreamingCampaign:
     queries the aggregates cover (inferences, rotation candidates,
     sightings) come from the engine without touching the corpus.
 
-    ``workers`` opts the campaign into the multiprocess ingestion
-    backend: responses are dispatched to that many worker processes and
+    ``workers`` opts the campaign into the parallel ingestion backend:
+    responses are dispatched to that many local worker subprocesses
+    (an int is shorthand for the fabric spec
+    ``"tcp://127.0.0.1:0?workers=N&spawn=process"``; pass a spec string
+    to bind elsewhere and take workers from other hosts) and
     ``self.engine`` becomes the merged view, refreshed at every day the
     run stops on and at every checkpoint.  Checkpoints are byte-for-byte
     the same in both modes, so a run may freely switch worker counts --
@@ -129,10 +132,10 @@ class StreamingCampaign:
             # The (possibly checkpoint-restored) engine seeds the
             # dispatcher: its aggregates fold into every merge and its
             # watchlist/day state carries over, so an empty engine is
-            # simply a zero-cost base.  An int forks that many local
-            # pipe workers; a fabric spec string ("tcp://host:port
-            # ?workers=N...") boots a socket master instead, with the
-            # worker count riding in the spec.
+            # simply a zero-cost base.  An int spawns that many local
+            # workers on a loopback master; a fabric spec string
+            # ("tcp://host:port?workers=N...") says where to bind and
+            # carries the worker count itself.
             if isinstance(workers, str):
                 parallel_kwargs = {"transport": workers}
             else:

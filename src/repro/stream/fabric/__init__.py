@@ -2,14 +2,14 @@
 
 The :class:`~repro.stream.parallel.ParallelStreamEngine` dispatcher
 speaks a small tagged-tuple protocol (:mod:`.protocol`) to its workers
-through a :class:`Transport`: local ``multiprocessing`` pipes
-(:class:`.PipeTransport`, the default -- zero behavior change from the
-pipe era) or length-prefixed CRC-checked TCP frames
+over one transport: length-prefixed CRC-checked TCP frames
 (:class:`.SocketTransport` / :data:`.FabricServer` + the
-``python -m repro.stream.fabric.worker`` entrypoint) so workers run on
-other hosts.  Whatever the transport and worker count, merged
+``python -m repro.stream.fabric.worker`` entrypoint).  Local workers
+(``workers=N``) are subprocesses dialing a loopback master; remote ones
+dial in from other hosts -- same framing, handshake, heartbeats and
+journal either way.  Whatever the worker count and placement, merged
 checkpoints are byte-identical to a serial engine fed the same stream
--- the fuzz harness pins ``serial == pipes == sockets``.
+-- the fuzz harness pins ``serial == sockets``.
 """
 
 from repro.stream.fabric.framing import FrameError
@@ -23,7 +23,6 @@ from repro.stream.fabric.protocol import (
 )
 from repro.stream.fabric.transport import (
     FabricServer,
-    PipeTransport,
     SocketTransport,
     parse_worker_spec,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "FabricError",
     "FabricServer",
     "FrameError",
-    "PipeTransport",
     "SocketTransport",
     "WorkerCore",
     "WorkerLost",

@@ -15,15 +15,21 @@ scalars, lists of ints, or numpy uint64 arrays, all of which pickle
 compactly and survive a numpy/no-numpy boundary when the sender
 converts arrays to lists first (see ``protocol.day_pair_columns``).
 Unpickling attacker-controlled bytes is arbitrary code execution, and
--- unlike ``multiprocessing`` pipes, which are fd-inherited and never
-network-reachable -- a TCP listener is dialable by anything that can
-route to it.  So no fabric frame is ever *unpickled* before the peer
-proves knowledge of the shared authkey: every connection starts with a
+a TCP listener -- even the loopback one a local ``workers=N`` run
+binds -- is dialable by anything that can route to it.  So no fabric
+frame is ever *unpickled* before the peer proves knowledge of the
+shared authkey: every connection starts with a
 mutual HMAC-SHA256 challenge-response handshake
 (:func:`authenticate_master` / :func:`authenticate_worker`, the same
 scheme as ``multiprocessing.connection``) whose frames are raw bytes,
 never pickled, and are capped at :data:`AUTH_FRAME_MAX` so an
 unauthenticated peer cannot force a large allocation either.
+
+The endpoint helpers every listener and dialer of these frames shares
+(fabric master and worker, replication shipper and follower) live here
+too: :func:`parse_address` / :func:`format_address` round-trip
+``tcp://host:port`` with IPv6 literals bracketed, and
+:func:`set_nodelay` turns Nagle off on a connected socket.
 """
 
 from __future__ import annotations
@@ -31,8 +37,12 @@ from __future__ import annotations
 import hmac
 import pickle
 import secrets
+import socket
 import struct
 import zlib
+from urllib.parse import urlsplit
+
+from repro.stream.fabric.protocol import FabricError
 
 MAGIC = b"RFB1"
 
@@ -57,6 +67,34 @@ class AuthenticationError(FrameError):
     A :class:`FrameError` subclass on purpose: every accept/handshake
     path that drops malformed connections drops imposters the same way.
     """
+
+
+def parse_address(address: str) -> tuple[str, int]:
+    """``tcp://host:port`` (scheme optional, IPv6 literals bracketed)
+    -> ``(host, port)``; inverse of :func:`format_address`."""
+    parts = urlsplit(address if "://" in address else f"tcp://{address}")
+    if parts.scheme != "tcp":
+        raise FabricError(f"unsupported fabric scheme {parts.scheme!r}")
+    if parts.hostname is None or parts.port is None:
+        raise FabricError(f"fabric address needs host:port, got {address!r}")
+    return parts.hostname, parts.port
+
+
+def format_address(host: str, port: int, *, dialable: bool = False) -> str:
+    """``tcp://host:port``, bracketing an IPv6 literal so
+    :func:`parse_address` reads it back.  *dialable* swaps a wildcard
+    bind host for its loopback: the address a same-box peer connects to."""
+    if dialable:
+        host = {"0.0.0.0": "127.0.0.1", "::": "::1"}.get(host, host)
+    return f"tcp://[{host}]:{port}" if ":" in host else f"tcp://{host}:{port}"
+
+
+def set_nodelay(sock) -> None:
+    """Disable Nagle: frames are small request/reply pairs."""
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        pass
 
 
 def _digest(authkey: str, nonce: bytes) -> bytes:
@@ -181,6 +219,9 @@ __all__ = [
     "decode",
     "deliver_challenge",
     "encode",
+    "format_address",
+    "parse_address",
     "recv_frame",
     "send_frame",
+    "set_nodelay",
 ]

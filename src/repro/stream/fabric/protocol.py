@@ -1,15 +1,13 @@
 """The fabric wire protocol: message tags and the worker-side core.
 
-The dispatcher/worker conversation is a handful of tagged tuples --
-the same tuples the pipe era sent over ``multiprocessing``
-connections, now transport-agnostic:
+The dispatcher/worker conversation is a handful of tagged tuples,
+carried as ``RFB1`` frames (:mod:`~repro.stream.fabric.framing`):
 
 ==============  =======================================  ==================
 Request         Payload                                  Reply
 ==============  =======================================  ==================
 ``hello``       ``(proto, pid)``                         ``welcome`` +
                                                          worker config
-                                                         (socket only)
 ``rows``        flat ``(day, target, source, asn)``      *(none)*
 ``cols``        uint64 column arrays                     *(none)*
 ``day_pairs``   ``day``                                  ``pairs`` + flat
@@ -25,7 +23,7 @@ Request         Payload                                  Reply
                                                          exits)*
 ==============  =======================================  ==================
 
-On the socket transport every connection starts with a mutual
+Every connection starts with a mutual
 HMAC-SHA256 challenge-response over the shared authkey
 (:mod:`~repro.stream.fabric.framing`) *before* ``hello``; replay and
 impersonation protection live there, in raw-bytes frames, not in the
@@ -33,32 +31,29 @@ pickled conversation above.
 
 Anything that goes wrong worker-side is reported as an ``("error",
 message)`` frame, which the dispatcher re-raises as
-``RuntimeError("stream worker failed: ...")`` -- the pipe-era contract,
-unchanged.
+``RuntimeError("stream worker failed: ...")``.
 
-:class:`WorkerCore` is the transport-independent worker: it owns the
+:class:`WorkerCore` is the socket-independent worker: it owns the
 shard aggregates plus (when numpy imports) the columnar accumulator
-and implements every request above, so the local pipe worker, the
-remote socket worker, and in-process test workers all run the exact
+and implements every request above, so a worker subprocess, a worker
+on another host, and an in-process worker thread all run the exact
 same fold logic.
 Determinism note: the core is a pure function of the message sequence
 it receives for the shards it owns -- the property that makes
-requeue-to-survivor journal replay and the serial == pipes == sockets
+requeue-to-survivor journal replay and the serial == sockets
 byte-identity pin possible at all.
 
 ``day_pairs`` replies ship flat *pair columns* (four parallel uint64
-lists: target hi/lo, source hi/lo), not pickled Python sets -- the
-last pipe-era wart, fixed here.  The dispatcher rebuilds the set with
-:func:`pairs_from_columns` and diffs as before.
+lists: target hi/lo, source hi/lo), not pickled Python sets.  The
+dispatcher rebuilds the set with :func:`pairs_from_columns` and diffs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.stream import columnar as columnar_kernel
 from repro.stream.shard import shard_index
-from repro.stream.sink import IngestSinkBase
 from repro.stream.state import ShardState, prune_shard_days
 
 PROTO_VERSION = 2
@@ -99,20 +94,15 @@ def pairs_from_columns(columns) -> set[tuple[int, int]]:
     }
 
 
-class WorkerCore(IngestSinkBase):
-    """Transport-independent worker state machine.
+class WorkerCore:
+    """Socket-independent worker state machine.
 
     Owns the shard aggregates and, when numpy imports, the columnar
     accumulator (without it rows fold through the scalar reference
-    :meth:`ShardState.observe`); every transport (local pipe process,
-    remote socket worker, in-process test thread) wraps one of these in
-    a message loop.
+    :meth:`ShardState.observe`); every worker (subprocess, remote
+    host, in-process thread) wraps one of these in a message loop.
     :meth:`handle` is the single dispatch point, so a message means
-    exactly the same thing over a pipe, a socket, or a direct call.
-
-    Also an :class:`~repro.stream.sink.IngestSink`: local tooling can
-    feed observations straight into a core (hash-keyed sharding only
-    -- ASN routing needs the dispatcher's resolver).
+    exactly the same thing over a socket or a direct call.
     """
 
     __slots__ = ("shards", "sids", "acc", "asn_keyed", "num_shards")
@@ -200,24 +190,6 @@ class WorkerCore(IngestSinkBase):
         if self.acc is not None:
             self.acc.materialize(self.shards)
         return self.shards
-
-    # -- IngestSink primitives (direct local use) -------------------------
-
-    def _ingest_observation(self, observation) -> None:
-        self.ingest_batch((observation,))
-
-    def ingest_batch(self, observations: Iterable) -> int:
-        if self.asn_keyed:
-            raise FabricError(
-                "an ASN-sharded WorkerCore needs pre-routed rows "
-                "(the dispatcher resolves origins); use apply_rows"
-            )
-        rows = [(o.day, o.target, o.source, 0) for o in observations]
-        self.apply_rows(rows)
-        return len(rows)
-
-    def ingest_columns(self, batch) -> int:
-        return self.ingest_batch(iter(batch))
 
     # -- message dispatch -------------------------------------------------
 

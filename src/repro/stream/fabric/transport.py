@@ -1,8 +1,8 @@
-"""Transports: how the dispatcher reaches its workers.
+"""The transport: how the dispatcher reaches its workers.
 
-A transport owns worker *placement* -- process spawn, connection
-lifecycle, liveness -- and hands the dispatcher a list of *channels*,
-one per worker, each with the same tiny surface::
+The transport owns worker *placement* -- spawn, connection lifecycle,
+liveness -- and hands the dispatcher a list of *channels*, one per
+worker, each with the same tiny surface::
 
     channel.send(message)   # enqueue/deliver one protocol tuple
     channel.recv()          # next non-heartbeat reply (blocking)
@@ -11,45 +11,38 @@ one per worker, each with the same tiny surface::
 
 Failures surface as :class:`~repro.stream.fabric.protocol.WorkerLost`
 carrying the channel index; what happens next is the transport's
-*policy* -- ``"fail"`` (raise; the pipe default, preserving the
-pre-fabric contract), ``"requeue"`` (the dispatcher replays the lost
-worker's journal onto a survivor), or ``"abort"`` (raise cleanly; the
-last committed checkpoint on disk stays resumable).
+*policy* -- ``"requeue"`` (the dispatcher replays the lost worker's
+journal onto a survivor) or ``"abort"`` (raise cleanly; the last
+committed checkpoint on disk stays resumable).
 
-Two implementations:
+There is one implementation, for local and multi-host runs alike:
+:class:`SocketTransport` (alias :data:`FabricServer`), a TCP master.
+Workers connect from anywhere (same box, other hosts), prove the
+shared authkey through a mutual HMAC challenge-response
+(:func:`~repro.stream.fabric.framing.authenticate_master`; nothing is
+ever unpickled from an unauthenticated connection), complete a
+hello/welcome handshake that carries the engine configuration, and
+speak length-prefixed CRC-checked frames
+(:mod:`~repro.stream.fabric.framing`).  Each channel runs a writer
+thread (dispatch is asynchronous: the ingest loop never blocks on
+socket writes or pickling, so scan I/O and worker round-trips overlap)
+and a reader thread (replies and heartbeats drain continuously).
+Liveness is worker-push: every worker beats from a dedicated thread,
+decoupled from its serve loop, so a worker deep in apply backlog still
+reads as alive; the master's monitor thread only *measures* (RTT
+pings) and declares a worker dead once no frame of any kind has
+arrived for the configured timeout, which closes the socket and wakes
+any blocked dispatcher read -- the no-hang guarantee.
 
-* :class:`PipeTransport` -- the original ``multiprocessing`` pipe
-  workers, forked locally.  Default, zero behavior change.
-* :class:`SocketTransport` (alias :data:`FabricServer`) -- a TCP
-  master.  Workers connect from anywhere (same box, other hosts),
-  prove the shared authkey through a mutual HMAC challenge-response
-  (:func:`~repro.stream.fabric.framing.authenticate_master`; nothing
-  is ever unpickled from an unauthenticated connection), complete a
-  hello/welcome handshake that carries the engine configuration, and
-  speak length-prefixed CRC-checked frames
-  (:mod:`~repro.stream.fabric.framing`).  Each channel runs a writer
-  thread (dispatch is asynchronous: the ingest loop never blocks on
-  socket writes or pickling, so scan I/O and worker round-trips
-  overlap) and a reader thread (replies and heartbeats drain
-  continuously).  Liveness is worker-push: every worker beats from a
-  dedicated thread, decoupled from its serve loop, so a worker deep in
-  apply backlog still reads as alive; the master's monitor thread only
-  *measures* (RTT pings) and declares a worker dead once no frame of
-  any kind has arrived for the configured timeout, which closes the
-  socket and wakes any blocked dispatcher read -- the no-hang
-  guarantee.
-
-Spawn modes for the socket master: ``None`` waits for externally
-launched workers (``python -m repro.stream.fabric.worker
-tcp://host:port``); ``"process"`` launches local worker subprocesses;
-``"thread"`` runs in-process worker threads over real sockets (tests,
-single-box smoke runs); a callable receives ``(address, index)`` and
-does whatever it wants (custom launchers).
+Spawn modes: ``None`` waits for externally launched workers (``python
+-m repro.stream.fabric.worker tcp://host:port``); ``"process"``
+launches local worker subprocesses running that same command (what
+``workers=N`` means); ``"thread"`` runs in-process worker threads over
+real sockets (tests, single-box smoke runs).
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import queue
 import secrets
@@ -58,141 +51,14 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from urllib.parse import parse_qs, urlsplit
 
 from repro import config
 from repro.stream.fabric import framing
-from repro.stream.fabric.protocol import (
-    PROTO_VERSION,
-    FabricError,
-    WorkerCore,
-    WorkerLost,
-    serve,
-)
+from repro.stream.fabric.framing import format_address, parse_address, set_nodelay
+from repro.stream.fabric.protocol import PROTO_VERSION, FabricError, WorkerLost
 
 _LOST = object()  # inbox sentinel: the channel died; wake blocked readers
-
-
-# -- local pipe transport --------------------------------------------------
-
-
-def _pipe_worker_main(conn, num_shards: int, asn_keyed: bool) -> None:
-    core = WorkerCore(num_shards, asn_keyed)
-    try:
-        serve(core, conn.recv, conn.send)
-    finally:
-        conn.close()
-
-
-class PipeChannel:
-    """A duplex ``multiprocessing`` pipe to one forked worker."""
-
-    __slots__ = ("index", "conn", "process", "alive", "dead_reason")
-
-    def __init__(self, index: int, conn, process) -> None:
-        self.index = index
-        self.conn = conn
-        self.process = process
-        self.alive = True
-        self.dead_reason = ""
-
-    @property
-    def pid(self):
-        return self.process.pid
-
-    def send(self, message) -> None:
-        if not self.alive:
-            raise WorkerLost(self.index, self.dead_reason)
-        try:
-            self.conn.send(message)
-        except (OSError, EOFError, ValueError) as exc:
-            self.mark_dead(str(exc) or type(exc).__name__)
-            raise WorkerLost(self.index, self.dead_reason) from exc
-
-    def recv(self):
-        if not self.alive:
-            raise WorkerLost(self.index, self.dead_reason)
-        try:
-            return self.conn.recv()
-        except (OSError, EOFError) as exc:
-            self.mark_dead(str(exc) or type(exc).__name__)
-            raise WorkerLost(self.index, self.dead_reason) from exc
-
-    def mark_dead(self, reason: str) -> None:
-        if self.alive:
-            self.alive = False
-            self.dead_reason = reason
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-    def close(self, flush: bool = False) -> None:
-        self.alive = False
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
-class PipeTransport:
-    """Local ``multiprocessing`` pipe workers -- the default transport.
-
-    Policy is ``"fail"``: a lost pipe worker raises immediately, the
-    behavior parallel engines have always had.  (Local forks don't die
-    for environmental reasons; if one does, something is wrong enough
-    that replaying onto its siblings in the same failure domain helps
-    nobody.)
-    """
-
-    policy = "fail"
-
-    def __init__(self) -> None:
-        self.processes: list = []
-        self.channels: list[PipeChannel] = []
-
-    def start(
-        self, num_workers: int, *, num_shards: int, asn_keyed: bool
-    ) -> list[PipeChannel]:
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        for index in range(num_workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            process = ctx.Process(
-                target=_pipe_worker_main,
-                args=(child_conn, num_shards, asn_keyed),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self.processes.append(process)
-            self.channels.append(PipeChannel(index, parent_conn, process))
-        return self.channels
-
-    def attach_telemetry(self, telemetry, num_workers: int) -> None:
-        pass  # pipe workers carry no fabric-level instruments
-
-    def close(self, graceful: bool = False) -> None:
-        for channel in self.channels:
-            channel.close()
-        for process in self.processes:
-            if graceful:
-                process.join(timeout=10)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
-        self.channels = []
-
-
-# -- socket transport ------------------------------------------------------
-
-
-def _set_nodelay(sock) -> None:
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    except OSError:
-        pass
 
 
 class SocketChannel:
@@ -333,6 +199,12 @@ class SocketChannel:
             self.alive = False
             self.dead_reason = reason or "worker lost"
         try:
+            # shutdown before close: a reader blocked in recv() pins the
+            # fd, so close alone would neither wake it nor send the FIN.
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self.sock.close()
         except OSError:
             pass
@@ -356,17 +228,8 @@ class SocketChannel:
         return self._outbox.qsize()
 
 
-def _parse_address(address: str) -> tuple[str, int]:
-    parts = urlsplit(address if "://" in address else f"tcp://{address}")
-    if parts.scheme not in ("tcp", ""):
-        raise FabricError(f"unsupported fabric scheme {parts.scheme!r}")
-    if parts.hostname is None or parts.port is None:
-        raise FabricError(f"fabric address needs host:port, got {address!r}")
-    return parts.hostname, parts.port
-
-
 class SocketTransport:
-    """TCP master for socket workers (the :data:`FabricServer`).
+    """TCP master for the workers (the :data:`FabricServer`).
 
     Binds its listener at construction, so :attr:`address` is known --
     and advertisable to remote workers -- before the engine starts.
@@ -392,7 +255,7 @@ class SocketTransport:
         address: str = "tcp://127.0.0.1:0",
         *,
         policy: str = "requeue",
-        spawn=None,
+        spawn: str | None = None,
         heartbeat: float | None = None,
         heartbeat_timeout: float | None = None,
         connect_timeout: float | None = None,
@@ -402,6 +265,8 @@ class SocketTransport:
     ) -> None:
         if policy not in ("requeue", "abort"):
             raise ValueError(f"unknown fabric policy {policy!r}")
+        if spawn not in (None, "thread", "process"):
+            raise ValueError(f"unknown spawn mode {spawn!r}")
         settings = config.current(
             fabric_heartbeat_seconds=heartbeat,
             fabric_heartbeat_timeout=heartbeat_timeout,
@@ -418,7 +283,7 @@ class SocketTransport:
         self.max_frame = settings.fabric_max_frame_bytes
         self.authkey = settings.fabric_authkey or secrets.token_hex(16)
         self.journal_limit = settings.fabric_journal_limit_rows
-        host, port = _parse_address(address)
+        host, port = parse_address(address)
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._listener = socket.create_server((host, port), family=family, backlog=16)
         self._host, self._port = self._listener.getsockname()[:2]
@@ -430,23 +295,15 @@ class SocketTransport:
         self._obs = None
         self._telemetry = None
 
-    @staticmethod
-    def _format(host: str, port: int) -> str:
-        return f"tcp://[{host}]:{port}" if ":" in host else f"tcp://{host}:{port}"
-
     @property
     def address(self) -> str:
         """The bound master endpoint, ``tcp://host:port``."""
-        return self._format(self._host, self._port)
+        return format_address(self._host, self._port)
 
     @property
     def connect_address(self) -> str:
         """The endpoint locally spawned workers dial (wildcard-safe)."""
-        if self._host == "0.0.0.0":
-            return self._format("127.0.0.1", self._port)
-        if self._host == "::":
-            return self._format("::1", self._port)
-        return self._format(self._host, self._port)
+        return format_address(self._host, self._port, dialable=True)
 
     def attach_telemetry(self, telemetry, num_workers: int) -> None:
         from repro.obs.instruments import FabricInstruments
@@ -474,7 +331,7 @@ class SocketTransport:
                 )
                 thread.start()
                 self.threads.append(thread)
-            elif self.spawn == "process":
+            else:
                 src_root = os.path.dirname(
                     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                 )
@@ -495,10 +352,6 @@ class SocketTransport:
                         env=env,
                     )
                 )
-            elif callable(self.spawn):
-                self.spawn(address, index)
-            else:
-                raise ValueError(f"unknown spawn mode {self.spawn!r}")
 
     def start(
         self, num_workers: int, *, num_shards: int, asn_keyed: bool
@@ -542,7 +395,7 @@ class SocketTransport:
             except OSError as exc:
                 self.close()
                 raise FabricError(f"fabric listener failed: {exc}") from exc
-            _set_nodelay(sock)
+            set_nodelay(sock)
             sock.settimeout(max(deadline - time.monotonic(), 0.001))
             try:
                 # Mutual authkey proof first -- nothing off this
@@ -626,58 +479,65 @@ class SocketTransport:
 FabricServer = SocketTransport
 
 
+_SPEC_KEYS = (
+    "workers",
+    "policy",
+    "spawn",
+    "heartbeat",
+    "heartbeat_timeout",
+    "connect_timeout",
+    "journal_limit",
+)
+
+
 def parse_worker_spec(spec: str):
     """Build a transport from a worker spec string.
 
-    ``tcp://host:port[?workers=N&policy=requeue|abort&spawn=thread|
-    process&journal_limit=ROWS]`` returns ``(SocketTransport, N or
-    None)``: bind the master at ``host:port`` and (by default) wait
-    for externally launched socket workers.  ``local[://N]`` or a bare
-    integer string returns ``(PipeTransport, N or None)`` -- the
-    classic local forks.  The worker count rides in the spec so one
-    string can configure a whole deployment
-    (`StreamingCampaign(workers=spec)`).  The authkey deliberately
-    does *not* ride in the spec (specs land in config files and logs);
-    it comes from ``REPRO_FABRIC_AUTHKEY`` or the ``SocketTransport``
-    constructor.
+    ``tcp://host[:port][?workers=N&policy=requeue|abort&spawn=thread|
+    process&heartbeat=S&heartbeat_timeout=S&connect_timeout=S&
+    journal_limit=ROWS]`` returns ``(SocketTransport, N or None)``:
+    bind the master at ``host:port`` (an IPv6 literal goes in
+    brackets) and, by default, wait for externally launched workers.
+    The worker count rides in the spec so one string can configure a
+    whole deployment (`StreamingCampaign(workers=spec)`); an int
+    ``workers=N`` is shorthand for
+    ``tcp://127.0.0.1:0?workers=N&spawn=process``.  Anything else --
+    another scheme, a bare number, a misspelt option -- is refused
+    rather than guessed at.  The authkey deliberately does *not* ride
+    in the spec (specs land in config files and logs); it comes from
+    ``REPRO_FABRIC_AUTHKEY`` or the ``SocketTransport`` constructor.
     """
-    spec = spec.strip()
-    if spec.isdigit():
-        return PipeTransport(), int(spec)
-    parts = urlsplit(spec if "://" in spec else f"tcp://{spec}")
-    if parts.scheme == "local":
-        workers = parts.netloc or parts.path.strip("/")
-        return PipeTransport(), int(workers) if workers else None
-    if parts.scheme != "tcp":
-        raise FabricError(f"unsupported worker spec {spec!r}")
-    query = parse_qs(parts.query)
+    parts = urlsplit(spec.strip())
+    if parts.scheme != "tcp" or parts.hostname is None:
+        raise FabricError(
+            f"unsupported worker spec {spec!r}: expected tcp://host[:port][?options]"
+        )
+    query = parse_qs(parts.query, keep_blank_values=True)
+    unknown = sorted(set(query) - set(_SPEC_KEYS))
+    if unknown:
+        raise FabricError(
+            f"unknown worker spec option(s) {', '.join(unknown)} in {spec!r}; "
+            f"accepted: {', '.join(_SPEC_KEYS)}"
+        )
 
-    def _one(key):
-        values = query.get(key)
-        return values[-1] if values else None
+    def _one(key, cast):
+        value = query.get(key, [""])[-1]
+        return cast(value) if value else None
 
-    workers = _one("workers")
-    spawn = _one("spawn")
-    heartbeat = _one("heartbeat")
-    heartbeat_timeout = _one("heartbeat_timeout")
-    connect_timeout = _one("connect_timeout")
-    journal_limit = _one("journal_limit")
     transport = SocketTransport(
-        f"tcp://{parts.hostname}:{parts.port or 0}",
-        policy=_one("policy") or "requeue",
-        spawn=spawn,
-        heartbeat=float(heartbeat) if heartbeat else None,
-        heartbeat_timeout=float(heartbeat_timeout) if heartbeat_timeout else None,
-        connect_timeout=float(connect_timeout) if connect_timeout else None,
-        journal_limit=int(journal_limit) if journal_limit is not None else None,
+        format_address(parts.hostname, parts.port or 0),
+        policy=_one("policy", str) or "requeue",
+        spawn=_one("spawn", str),
+        heartbeat=_one("heartbeat", float),
+        heartbeat_timeout=_one("heartbeat_timeout", float),
+        connect_timeout=_one("connect_timeout", float),
+        journal_limit=_one("journal_limit", int),
     )
-    return transport, int(workers) if workers else None
+    return transport, _one("workers", int)
 
 
 __all__ = [
     "FabricServer",
-    "PipeChannel",
-    "PipeTransport",
     "SocketChannel",
     "SocketTransport",
     "parse_worker_spec",

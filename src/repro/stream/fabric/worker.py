@@ -31,13 +31,13 @@ import threading
 
 from repro import config
 from repro.stream.fabric import framing
+from repro.stream.fabric.framing import parse_address, set_nodelay
 from repro.stream.fabric.protocol import (
     PROTO_VERSION,
     FabricError,
     WorkerCore,
     serve,
 )
-from repro.stream.fabric.transport import _parse_address, _set_nodelay
 
 
 def run_worker(
@@ -65,14 +65,14 @@ def run_worker(
             f"{config.ENV_FABRIC_AUTHKEY} to the master's key "
             "(or pass authkey=)"
         )
-    host, port = _parse_address(address)
+    host, port = parse_address(address)
     try:
         sock = socket.create_connection(
             (host, port), timeout=settings.fabric_connect_timeout
         )
     except OSError as exc:
         raise FabricError(f"cannot reach fabric master at {address}: {exc}") from exc
-    _set_nodelay(sock)
+    set_nodelay(sock)
     try:
         try:
             framing.authenticate_worker(sock, settings.fabric_authkey)

@@ -5,10 +5,10 @@ partitions its hot-path state into shards that never share mutable
 state.  This module cashes that contract in: a
 :class:`ParallelStreamEngine` runs N workers, each owning the shards
 the scramble in :func:`~repro.stream.shard.shard_index` maps to it,
-and routes batched observation chunks to them through a
-:mod:`~repro.stream.fabric` transport -- local ``multiprocessing``
-pipes by default, or length-prefixed TCP sockets so the workers run on
-other hosts (``transport="tcp://0.0.0.0:9999?workers=4"``).
+and routes batched observation chunks to them through the
+:mod:`~repro.stream.fabric` transport -- length-prefixed TCP frames to
+local worker subprocesses on a loopback port by default, or to workers
+on other hosts (``transport="tcp://0.0.0.0:9999?workers=4"``).
 Observations travel as flat ``(day, target, source, asn)`` tuples --
 exactly the fields the workers read, batched to amortize the transfer
 and pickling cost that per-object transfer would pay on every
@@ -23,7 +23,7 @@ Division of labour:
   -- and runs day-over-day rotation diffs on pair columns collected
   from the workers whenever a day closes;
 * each **worker** (a :class:`~repro.stream.fabric.protocol.WorkerCore`
-  behind whatever transport) folds its chunks into plain
+  behind its socket) folds its chunks into plain
   :class:`~repro.stream.state.ShardState` aggregates with the same
   fold the engine runs (the columnar kernel when numpy imports, the
   scalar reference otherwise), and ships those states back on request.
@@ -36,11 +36,10 @@ Because every aggregate commutes, the merged engine is *byte-identical*
 (same :func:`~repro.stream.checkpoint.engine_state`, hence the same
 checkpoint JSON) to a single-process engine fed the same stream: the
 single-process engine is exactly the degenerate one-worker case.
-Worker-count invariance is equivalence-tested at N = 1, 2, 4 on both
-transports.
+Worker-count invariance is equivalence-tested at N = 1, 2, 4.
 
-Fault tolerance rides the same commutativity.  Under the socket
-transport's ``"requeue"`` policy the dispatcher journals every
+Fault tolerance rides the same commutativity.  Under the transport's
+``"requeue"`` policy (the default) the dispatcher journals every
 mutating message per channel (journal-append *before* send, so a
 failed send is already covered); when a worker dies mid-campaign its
 journal replays onto the lowest-indexed survivor -- any worker can
@@ -61,14 +60,13 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro import config as repro_config
 from repro.core.records import ObservationStore, ProbeObservation
 from repro.core.rotation_detect import RotationDetection, diff_pairs, target_prefix48
 from repro.net.addr import IID_MASK
 from repro.stream import columnar as columnar_kernel
 from repro.stream.engine import Sighting, StreamConfig, StreamEngine, update_sighting
 from repro.stream.fabric.protocol import FabricError, WorkerLost, pairs_from_columns
-from repro.stream.fabric.transport import PipeTransport, parse_worker_spec
+from repro.stream.fabric.transport import SocketTransport, parse_worker_spec
 from repro.stream.shard import ShardKey, shard_index
 from repro.stream.sink import IngestSinkBase
 from repro.stream.state import ShardState, merge_shard_state
@@ -108,12 +106,14 @@ class ParallelStreamEngine(IngestSinkBase):
     scalar reference loop otherwise -- same bytes either way, and not
     configurable.
 
-    *transport* selects worker placement: ``None`` forks local pipe
-    workers (:class:`~repro.stream.fabric.PipeTransport`, the
-    historical behavior); a :class:`~repro.stream.fabric.SocketTransport`
-    (or a spec string like ``"tcp://0.0.0.0:9999?workers=4"``) runs a
-    socket master instead -- a spec's ``workers=`` overrides
-    *num_workers* so one string configures the whole deployment.
+    *transport* selects worker placement: ``None`` is shorthand for
+    the spec ``"tcp://127.0.0.1:0?workers=N&spawn=process"`` -- a
+    loopback master with *num_workers* local worker subprocesses; a
+    :class:`~repro.stream.fabric.SocketTransport` (or a spec string
+    like ``"tcp://0.0.0.0:9999?workers=4"``) binds where it says and
+    waits for or spawns workers as configured -- a spec's ``workers=``
+    overrides *num_workers* so one string configures the whole
+    deployment.
     """
 
     def __init__(
@@ -151,7 +151,9 @@ class ParallelStreamEngine(IngestSinkBase):
         self._base = base
         self._route_cache: dict[int, tuple[int, int]] = {}
         self._buffers: list[list[tuple]] = [[] for _ in range(num_workers)]
-        self._transport = transport if transport is not None else PipeTransport()
+        if transport is None:
+            transport = SocketTransport(spawn="process")
+        self._transport = transport
         self._channels: list = []
         # Dispatch slot -> channel index.  Starts as the identity; a
         # requeue redirects every slot of a lost channel to its heir.
@@ -168,10 +170,7 @@ class ParallelStreamEngine(IngestSinkBase):
             if self._transport.policy == "requeue"
             else None
         )
-        journal_limit = getattr(self._transport, "journal_limit", None)
-        if journal_limit is None:
-            journal_limit = repro_config.current().fabric_journal_limit_rows
-        self._journal_limit = journal_limit
+        self._journal_limit = self._transport.journal_limit
         self._journal_rows = 0
         self._journal_degraded = False
         self._sync_token = 0
@@ -247,8 +246,7 @@ class ParallelStreamEngine(IngestSinkBase):
         self._obs = ParallelInstruments(telemetry, self.num_workers)
         if self.store is not None:
             self.store.attach_telemetry(telemetry)
-        if hasattr(self._transport, "attach_telemetry"):
-            self._transport.attach_telemetry(telemetry, self.num_workers)
+        self._transport.attach_telemetry(telemetry, self.num_workers)
 
     # -- worker lifecycle --------------------------------------------------
 
@@ -256,11 +254,6 @@ class ParallelStreamEngine(IngestSinkBase):
     def transport(self):
         """The live :class:`~repro.stream.fabric` transport."""
         return self._transport
-
-    @property
-    def _procs(self) -> list:
-        """Worker process handles (tests poke liveness through this)."""
-        return self._transport.processes
 
     def _check_open(self) -> None:
         if not self._open:
@@ -300,32 +293,26 @@ class ParallelStreamEngine(IngestSinkBase):
         once (the journal is appended *before* each original send, so a
         send that died mid-flight is already covered, and the replay
         itself extends the heir's journal first so cascading deaths
-        recurse safely).  ``abort``/``fail``: close everything and
-        raise -- with a socket campaign the last committed checkpoint
-        on disk stays resumable.
+        recurse safely).  ``abort`` (or ``requeue`` after the journal
+        bound degraded): close everything and raise -- the last
+        committed checkpoint on disk stays resumable.
         """
         channel = self._channels[channel_index]
         channel.mark_dead(reason)
         if self._obs is not None:
             self._obs.worker_exited(channel_index)
         if self._journals is None:
-            policy = self._transport.policy
-            degraded = self._journal_degraded
             self.close()
-            if degraded:
-                raise FabricError(
-                    f"worker channel {channel_index} lost ({reason}) after "
-                    "the requeue journal exceeded its row bound "
-                    f"({self._journal_limit}); aborting -- the last "
-                    "committed checkpoint remains resumable"
-                )
-            if policy == "abort":
-                raise FabricError(
-                    f"worker channel {channel_index} lost ({reason}); "
-                    "aborting -- the last committed checkpoint remains "
-                    "resumable"
-                )
-            raise FabricError(f"worker channel {channel_index} lost: {reason}")
+            degraded = (
+                " after the requeue journal exceeded its row bound "
+                f"({self._journal_limit})"
+                if self._journal_degraded
+                else ""
+            )
+            raise FabricError(
+                f"worker channel {channel_index} lost ({reason}){degraded}; "
+                "aborting -- the last committed checkpoint remains resumable"
+            )
         survivors = [i for i, ch in enumerate(self._channels) if ch.alive]
         if not survivors:
             self.close()
@@ -341,8 +328,7 @@ class ParallelStreamEngine(IngestSinkBase):
         for slot in range(self.num_workers):
             if self._slots[slot] == channel_index:
                 self._slots[slot] = heir
-        if hasattr(self._transport, "note_requeued"):
-            self._transport.note_requeued(len(journal))
+        self._transport.note_requeued(len(journal))
         heir_channel = self._channels[heir]
         for message in journal:
             try:

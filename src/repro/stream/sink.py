@@ -15,12 +15,10 @@ native primitives --
 * :meth:`ingest_columns` -- ingest a ``ColumnBatch`` without row
   materialization
 
--- and inherits the polymorphic :meth:`ingest`.  :class:`StreamEngine`,
-:class:`ParallelStreamEngine`, and the fabric's
-:class:`~repro.stream.fabric.protocol.WorkerCore` all mix it in, which
-is what lets campaign code, feeds, and transports treat "something that
-absorbs observations" as one :class:`IngestSink` type regardless of
-process or host boundaries.
+-- and inherits the polymorphic :meth:`ingest`.  :class:`StreamEngine`
+and :class:`ParallelStreamEngine` both mix it in, which is what lets
+campaign code and feeds treat "something that absorbs observations" as
+one :class:`IngestSink` type regardless of process or host boundaries.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ the primary had never died.
 """
 
 import json
+import socket
 import urllib.request
 
 import pytest
@@ -107,6 +108,33 @@ def test_checkpoint_written_event_carries_chain_identity(tmp_path):
 
 
 # -- live shipping ---------------------------------------------------------
+
+
+def has_ipv6_loopback():
+    if not socket.has_ipv6:
+        return False
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not has_ipv6_loopback(), reason="host has no IPv6 loopback")
+def test_shipper_follower_over_ipv6_loopback(tmp_path):
+    """A bracketed IPv6 endpoint binds, prints an address the follower
+    can parse back, and ships the whole chain."""
+    with SegmentShipper("tcp://[::1]:0") as shipper:
+        assert shipper.address.startswith("tcp://[::1]:")
+        primary = make_primary(tmp_path, shipper, days=2)
+        with ReplicaFollower(shipper.address, authkey=shipper.authkey) as follower:
+            follower.start()
+            primary.run()
+            infos = chain_info(tmp_path / "primary.ckpt")
+            assert wait_for(lambda: follower.applied_seq == infos[-1].seq)
+            assert state_json(follower.state) == state_json(
+                read_state(tmp_path / "primary.ckpt")
+            )
 
 
 def test_shipper_follower_round_trip(tmp_path):

@@ -24,6 +24,7 @@ from repro.obs import Telemetry
 from repro.serve import SnapshotPublisher
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
+from repro.stream.fabric import SocketTransport
 from repro.stream.parallel import ParallelStreamEngine
 
 
@@ -196,6 +197,7 @@ def test_publisher_over_parallel_engine():
         origin_of=origin_of,
         num_workers=2,
         batch_rows=16,
+        transport=SocketTransport(spawn="thread"),
     )
     try:
         parallel.watch(device_iid(0))

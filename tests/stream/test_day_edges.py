@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.records import ProbeObservation
 from repro.stream.engine import StreamConfig, StreamEngine
+from repro.stream.fabric import SocketTransport
 from repro.stream.parallel import ParallelStreamEngine
 
 EUI = 0x0219C6FFFE000001  # carries the ff:fe marker
@@ -55,7 +56,9 @@ class TestClosedDays:
         with pytest.raises(ValueError, match="backwards"):
             engine.ingest_batch([stale])
         with ParallelStreamEngine(
-            StreamConfig(num_shards=1), num_workers=1
+            StreamConfig(num_shards=1),
+            num_workers=1,
+            transport=SocketTransport(spawn="thread"),
         ) as parallel:
             parallel.ingest_batch(eui_obs(5, subnet=1))
             with pytest.raises(ValueError, match="backwards"):

@@ -35,7 +35,6 @@ from repro.stream.fabric import (
     parse_worker_spec,
 )
 from repro.stream.fabric import framing
-from repro.stream.fabric.transport import PipeTransport
 from repro.stream.parallel import ParallelStreamEngine
 
 
@@ -51,6 +50,21 @@ def reference_state(internet, corpus, config_):
     engine.ingest_batch(corpus)
     engine.flush()
     return json.dumps(engine_state(engine))
+
+
+def has_ipv6_loopback():
+    if not socket.has_ipv6:
+        return False
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        return False
+    return True
+
+
+needs_ipv6 = pytest.mark.skipif(
+    not has_ipv6_loopback(), reason="host has no IPv6 loopback"
+)
 
 
 def socket_transport(**kwargs):
@@ -218,15 +232,54 @@ class TestAuthentication:
 
 
 class TestWorkerSpec:
-    def test_bare_integer_is_pipes(self):
-        transport, workers = parse_worker_spec("3")
-        assert isinstance(transport, PipeTransport)
-        assert workers == 3
+    def test_bare_integer_refused(self):
+        # Once a spelling of the int; the int itself is the spelling now.
+        with pytest.raises(FabricError, match="unsupported worker spec"):
+            parse_worker_spec("2")
 
-    def test_local_scheme(self):
-        transport, workers = parse_worker_spec("local://2")
-        assert isinstance(transport, PipeTransport)
-        assert workers == 2
+    def test_local_scheme_refused(self):
+        with pytest.raises(FabricError, match="unsupported worker spec"):
+            parse_worker_spec("local://2")
+
+    def test_misspelt_option_refused(self):
+        # "polcy=abort" used to be dropped, leaving a requeue transport
+        # where the operator asked for abort.
+        with pytest.raises(FabricError, match="polcy.*accepted: workers, policy"):
+            parse_worker_spec("tcp://127.0.0.1:0?workers=2&polcy=abort")
+
+    def test_unknown_spawn_refused_at_construction(self):
+        with pytest.raises(ValueError, match="unknown spawn mode"):
+            SocketTransport(spawn="fork")
+
+    def test_int_workers_is_the_loopback_process_spec(self, world):
+        internet, _corpus = world
+        serial = StreamingCampaign(build_campaign(internet))
+        serial.run()
+        campaign = StreamingCampaign(build_campaign(internet), workers=2)
+        transport = campaign.live_engine.transport
+        assert isinstance(transport, SocketTransport)
+        assert transport.address.startswith("tcp://127.0.0.1:")
+        assert (transport.spawn, transport.policy) == ("process", "requeue")
+        procs = list(transport.processes)
+        assert len(procs) == 2 and all(p.poll() is None for p in procs)
+        campaign.run()
+        assert engine_state(campaign.engine) == engine_state(serial.engine)
+        assert all(p.poll() is not None for p in procs)  # none left behind
+
+    @needs_ipv6
+    def test_ipv6_spec_master(self, world):
+        internet, corpus = world
+        config_ = StreamConfig(num_shards=4, keep_observations=False)
+        parallel = ParallelStreamEngine(
+            config_,
+            origin_of=internet.rib.origin_of,
+            transport="tcp://[::1]:0?workers=2&spawn=thread",
+        )
+        assert parallel.transport.address.startswith("tcp://[::1]:")
+        parallel.ingest_batch(corpus)
+        assert json.dumps(engine_state(parallel.finalize())) == reference_state(
+            internet, corpus, config_
+        )
 
     def test_tcp_with_knobs(self):
         transport, workers = parse_worker_spec(
@@ -344,6 +397,28 @@ class TestFaults:
         parallel.ingest_batch(corpus[half:])
         merged = parallel.finalize()
         assert json.dumps(engine_state(merged)) == expected
+
+    def test_killed_local_worker_requeues_onto_survivor(self, world):
+        # What a local crash does now: ``workers=N`` is the same
+        # fabric, so a SIGKILLed subprocess requeues like a lost host.
+        internet, _corpus = world
+        serial = StreamingCampaign(build_campaign(internet))
+        serial.run()
+        campaign = StreamingCampaign(build_campaign(internet), workers=2)
+        victim = campaign.live_engine.transport.processes[1]
+
+        def kill_once(_day):
+            if victim.poll() is None:
+                campaign.live_engine.barrier()
+                victim.kill()
+                victim.wait(timeout=10)
+
+        campaign.on_day_complete = kill_once
+        campaign.run()
+        assert victim.returncode == -signal.SIGKILL
+        assert json.dumps(engine_state(campaign.engine)) == json.dumps(
+            engine_state(serial.engine)
+        )
 
     def test_abort_policy_raises_with_checkpoint_hint(self, world):
         internet, corpus = world
@@ -539,6 +614,16 @@ class TestLiveness:
             done.set()
             thread.join(timeout=5)
             transport.close()
+
+    def test_close_without_finalize_releases_workers(self):
+        # close() on live workers must reach them as a FIN at once, not
+        # whenever their next beat happens to wake the master's blocked
+        # reader: with beats 60 s apart the worker threads still exit
+        # inside close()'s own join.
+        transport = socket_transport(heartbeat=60.0, connect_timeout=10.0)
+        transport.start(2, num_shards=2, asn_keyed=False)
+        transport.close()
+        assert not any(thread.is_alive() for thread in transport.threads)
 
     def test_writer_failure_surfaces_as_worker_lost(self):
         # An unpicklable message kills the writer thread; the channel

@@ -21,6 +21,7 @@ from repro.simnet.vantage import FlowTap
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
+from repro.stream.fabric import SocketTransport
 from repro.stream.feeds import (
     MixedFeed,
     SightingRecord,
@@ -185,7 +186,11 @@ class TestMirrorEquivalence:
         active.flush()
 
         parallel = ParallelStreamEngine(
-            config, origin_of=internet.rib.origin_of, num_workers=2, batch_rows=64
+            config,
+            origin_of=internet.rib.origin_of,
+            num_workers=2,
+            batch_rows=64,
+            transport=SocketTransport(spawn="thread"),
         )
         parallel.ingest(
             sighting_feed(SightingRecord.from_observation(o) for o in corpus)
@@ -226,7 +231,9 @@ class TestEngineEntryPoints:
         via_batch.flush()
         assert engine_state(via_feed) == engine_state(via_batch)
         with ParallelStreamEngine(
-            StreamConfig(num_shards=2), num_workers=1
+            StreamConfig(num_shards=2),
+            num_workers=1,
+            transport=SocketTransport(spawn="thread"),
         ) as parallel:
             assert parallel.ingest(observation_feed(corpus)) == len(corpus)
             merged = parallel.finalize()

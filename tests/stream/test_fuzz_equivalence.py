@@ -2,9 +2,9 @@
 
 Every ingestion path -- per-observation ``ingest()`` (the scalar
 reference fold), the bulk entry points (the numpy sort-reduce kernel),
-and the parallel dispatcher at any worker count over either fabric
-transport (local pipes or TCP socket workers) -- must leave the engine
-in the *same* state for any valid stream.  The unit and world tests pin
+and the parallel dispatcher at any worker count over the socket fabric
+(thread- and subprocess-spawned workers) -- must leave the engine in
+the *same* state for any valid stream.  The unit and world tests pin
 that on curated scenarios; this harness pins it on ~20 randomized ones:
 random rotation cadences, scan gaps, shard modes and counts, retention
 windows, worker counts, chunk sizes, duplicate and out-of-order
@@ -25,8 +25,8 @@ Since the storage redesign the harness is also the cross-backend
 oracle: corpus-keeping engines each hold their store on a *different*
 :class:`~repro.store.backend.StoreBackend` (object / columnar / an
 sqlite file), and odd seeds feed the bulk engine through
-``ingest_columns`` (``ColumnBatch`` hand-off) and the parallel engines
-through their column dispatch -- so identical checkpoint bytes prove
+``ingest_columns`` (``ColumnBatch`` hand-off) and the parallel engine
+through its column dispatch -- so identical checkpoint bytes prove
 layout- and currency-independence, not just kernel equivalence.
 
 Since the serve layer the bulk engine is additionally *served*: a
@@ -46,6 +46,7 @@ from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
 from repro.store import ColumnBatch, SqliteBackend, make_backend
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
+from repro.stream.fabric import SocketTransport
 from repro.stream.parallel import ParallelStreamEngine
 from repro.stream.shard import ShardKey
 
@@ -165,7 +166,7 @@ def check_ingest_paths_agree(seed, tmp_path):
             return ObservationStore(SqliteBackend(tmp_path / "fuzz.sqlite"))
         return ObservationStore(make_backend(kind))
 
-    # Telemetry rides on two of the four engines (the untelemetered
+    # Telemetry rides on two of the three engines (the untelemetered
     # reference stays the oracle): instrumentation live on every hot
     # path must never perturb checkpoint bytes.
     from repro.obs import Telemetry
@@ -177,28 +178,22 @@ def check_ingest_paths_agree(seed, tmp_path):
         store=backend_store("sqlite"),
         telemetry=Telemetry(),
     )
+    # The third engine rides the socket fabric: every chunk crosses a
+    # real TCP frame boundary -- serial == sockets is the fabric's
+    # headline contract.  Seed bit 1 picks real subprocess workers
+    # (what ``workers=N`` spawns) over in-process threads; the store
+    # layout takes bit 0 xor bit 1, so spawn mode, feed currency (bit
+    # 0) and layout meet in every combination.
     parallel = ParallelStreamEngine(
         config,
         origin_of=origin_of,
         num_workers=num_workers,
         batch_rows=batch_rows,
-        store=backend_store(("object", "columnar")[seed % 2]),
+        store=backend_store(("object", "columnar")[(seed ^ seed >> 1) & 1]),
         telemetry=Telemetry(),
+        transport=SocketTransport(spawn=("thread", "process")[seed >> 1 & 1]),
     )
-    # The fourth engine rides the socket fabric: same dispatcher, but
-    # every chunk crosses a real TCP frame boundary -- serial == pipes
-    # == sockets is the fabric's headline contract.
-    from repro.stream.fabric import SocketTransport
-
-    fabric = ParallelStreamEngine(
-        config,
-        origin_of=origin_of,
-        num_workers=num_workers,
-        batch_rows=batch_rows,
-        store=backend_store(("columnar", "object")[seed % 2]),
-        transport=SocketTransport(spawn="thread"),
-    )
-    engines = (reference, bulk, parallel, fabric)
+    engines = (reference, bulk, parallel)
     for iid in watch:
         for engine in engines:
             engine.watch(iid)
@@ -224,35 +219,32 @@ def check_ingest_paths_agree(seed, tmp_path):
     # Phase 1: up to the snapshot point.
     for observation in corpus[:split]:
         reference.ingest(observation)
-    for engine in (bulk, parallel, fabric):
+    for engine in (bulk, parallel):
         for chunk in chunks(rng, corpus[:split]):
             feed(engine, chunk)
 
-    # Mid-stream: the parallel snapshots and the bulk engine must match
+    # Mid-stream: the parallel snapshot and the bulk engine must match
     # the per-observation engine, in-progress day left open -- and the
     # serialized store rows must not depend on the backend.
     versions.append(publisher.refresh(force=True).version)
     mid = json.dumps(engine_state(reference))
     assert json.dumps(engine_state(bulk)) == mid
     assert json.dumps(engine_state(parallel.snapshot_engine())) == mid
-    assert json.dumps(engine_state(fabric.snapshot_engine())) == mid
 
     # Phase 2: the rest of the stream, then flush everything.
     for observation in corpus[split:]:
         reference.ingest(observation)
-    for engine in (bulk, parallel, fabric):
+    for engine in (bulk, parallel):
         for chunk in chunks(rng, corpus[split:]):
             feed(engine, chunk)
     reference.flush()
     bulk.flush()
     merged = parallel.finalize()
-    fabric_merged = fabric.finalize()
 
     versions.append(publisher.refresh(force=True).version)
     final = json.dumps(engine_state(reference))
     assert json.dumps(engine_state(bulk)) == final
     assert json.dumps(engine_state(merged)) == final
-    assert json.dumps(engine_state(fabric_merged)) == final
     # Serving the bulk engine never moved a version backwards.
     assert versions == sorted(versions)
     assert versions[-1] >= 2
@@ -266,9 +258,11 @@ def test_checkpoint_bytes_identical_across_ingest_paths(seed, tmp_path):
 @pytest.mark.parametrize("seed", KERNEL_LESS_SEEDS)
 def test_checkpoint_bytes_identical_without_kernel(seed, tmp_path, monkeypatch):
     """The same engine set with numpy patched out of the kernel module:
-    serial bulk, pipe workers (forked after the patch), socket-thread
-    workers, mid-stream snapshots and the ``ingest_columns`` currency
-    all run the scalar reference fold and must produce its bytes."""
+    serial bulk, the dispatcher, thread-spawned workers, mid-stream
+    snapshots and the ``ingest_columns`` currency all run the scalar
+    reference fold and must produce its bytes.  (Subprocess workers --
+    seeds 2 and 3 -- import numpy afresh, so those seeds pin a
+    kernel-less master against kernel workers: the mixed-host case.)"""
     from repro.stream import columnar
 
     monkeypatch.setattr(columnar, "np", None)
@@ -327,6 +321,7 @@ def test_binary_checkpoint_restores_identical_state(seed, tmp_path):
         config,
         origin_of=origin_of,
         num_workers=rng.choice([1, 2, 4]),
+        transport=SocketTransport(spawn="thread"),
     )
     par_path = tmp_path / "parallel.bin"
     saver = BinaryCheckpointer(par_path)

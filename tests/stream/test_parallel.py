@@ -1,4 +1,4 @@
-"""Multiprocess backend tests: worker-count invariance is the contract.
+"""Parallel backend tests: worker-count invariance is the contract.
 
 Every test pins the parallel backend against the single-process engine
 on the shared sim worlds: same checkpoint bytes, same inferences, same
@@ -18,6 +18,7 @@ from repro.core.tracker import DeviceTracker, TrackerConfig
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import engine_state, restore_engine
 from repro.stream.engine import StreamConfig, StreamEngine
+from repro.stream.fabric import SocketTransport
 from repro.stream.parallel import ParallelStreamEngine
 from repro.stream.shard import ShardKey
 from repro.stream.tracker import LivePursuit
@@ -29,6 +30,13 @@ def world():
     internet = build_rotating_internet()
     store = build_campaign(internet).run().store
     return internet, list(store)
+
+
+def threaded():
+    """Thread-spawned loopback workers: the same sockets, frames and
+    journal as the ``num_workers=N`` default minus the subprocess
+    start-up -- for tests that pin bytes, not process isolation."""
+    return SocketTransport(spawn="thread")
 
 
 def reference_engine(internet, corpus, config):
@@ -51,6 +59,7 @@ class TestWorkerCountInvariance:
             origin_of=internet.rib.origin_of,
             num_workers=num_workers,
             batch_rows=64,
+            transport=threaded(),
         )
         parallel.ingest_batch(corpus)
         merged = parallel.finalize()
@@ -63,7 +72,10 @@ class TestWorkerCountInvariance:
         config = StreamConfig(num_shards=4, keep_observations=False)
         reference = reference_engine(internet, corpus, config)
         parallel = ParallelStreamEngine(
-            config, origin_of=internet.rib.origin_of, num_workers=num_workers
+            config,
+            origin_of=internet.rib.origin_of,
+            num_workers=num_workers,
+            transport=threaded(),
         )
         parallel.ingest_batch(corpus)
         merged = parallel.finalize()
@@ -88,7 +100,10 @@ class TestWorkerCountInvariance:
         )
         reference = reference_engine(internet, corpus, config)
         parallel = ParallelStreamEngine(
-            config, origin_of=internet.rib.origin_of, num_workers=3
+            config,
+            origin_of=internet.rib.origin_of,
+            num_workers=3,
+            transport=threaded(),
         )
         parallel.ingest_batch(corpus)
         assert engine_state(parallel.finalize()) == engine_state(reference)
@@ -98,7 +113,11 @@ class TestWorkerCountInvariance:
         config = StreamConfig(num_shards=4, keep_observations=False, retain_days=2)
         reference = reference_engine(internet, corpus, config)
         parallel = ParallelStreamEngine(
-            config, origin_of=internet.rib.origin_of, num_workers=2, batch_rows=32
+            config,
+            origin_of=internet.rib.origin_of,
+            num_workers=2,
+            batch_rows=32,
+            transport=threaded(),
         )
         parallel.ingest_batch(corpus)
         assert engine_state(parallel.finalize()) == engine_state(reference)
@@ -113,7 +132,11 @@ class TestSnapshotAndResume:
         reference = StreamEngine(config, origin_of=internet.rib.origin_of)
         reference.ingest_batch(corpus[:half])
         parallel = ParallelStreamEngine(
-            config, origin_of=internet.rib.origin_of, num_workers=2, batch_rows=32
+            config,
+            origin_of=internet.rib.origin_of,
+            num_workers=2,
+            batch_rows=32,
+            transport=threaded(),
         )
         parallel.ingest_batch(corpus[:half])
         # The snapshot leaves the in-progress day open, like the live engine.
@@ -142,6 +165,7 @@ class TestSnapshotAndResume:
             origin_of=internet.rib.origin_of,
             num_workers=2,
             base=restored,
+            transport=threaded(),
         )
         parallel.ingest_batch(corpus[half:])
 
@@ -166,7 +190,9 @@ class TestDispatcherSemantics:
         watch = eui_iids[:3]
 
         reference = StreamEngine(StreamConfig(num_shards=2))
-        parallel = ParallelStreamEngine(StreamConfig(num_shards=2), num_workers=2)
+        parallel = ParallelStreamEngine(
+            StreamConfig(num_shards=2), num_workers=2, transport=threaded()
+        )
         for iid in watch:
             reference.watch(iid)
             parallel.watch(iid)
@@ -180,7 +206,9 @@ class TestDispatcherSemantics:
         """LivePursuit's passive re-anchoring works against the
         dispatcher directly (watch/last_sighting duck typing)."""
         internet, corpus = world
-        engine = ParallelStreamEngine(StreamConfig(num_shards=2), num_workers=2)
+        engine = ParallelStreamEngine(
+            StreamConfig(num_shards=2), num_workers=2, transport=threaded()
+        )
         iid = next(o.source_iid for o in corpus if o.is_eui64)
         initial = next(o.source for o in corpus if o.source_iid == iid)
         tracker = DeviceTracker(build_rotating_internet(), {}, TrackerConfig(seed=5))
@@ -196,7 +224,9 @@ class TestDispatcherSemantics:
         engine.close()
 
     def test_backwards_day_rejected(self):
-        parallel = ParallelStreamEngine(StreamConfig(num_shards=1), num_workers=1)
+        parallel = ParallelStreamEngine(
+            StreamConfig(num_shards=1), num_workers=1, transport=threaded()
+        )
         parallel.ingest(ProbeObservation(day=3, t_seconds=0.0, target=1, source=2))
         with pytest.raises(ValueError, match="backwards"):
             parallel.ingest(ProbeObservation(day=2, t_seconds=0.0, target=1, source=2))
@@ -213,7 +243,7 @@ class TestDispatcherSemantics:
         with pytest.raises(ValueError, match="backwards"):
             reference.ingest_batch(list(batch))
         parallel = ParallelStreamEngine(
-            StreamConfig(num_shards=1), num_workers=1
+            StreamConfig(num_shards=1), num_workers=1, transport=threaded()
         )
         with pytest.raises(ValueError, match="backwards"):
             parallel.ingest_batch(list(batch))
@@ -242,7 +272,11 @@ class TestDispatcherSemantics:
         config = StreamConfig(num_shards=4, keep_observations=False)
         reference = StreamEngine(config, origin_of=internet.rib.origin_of)
         parallel = ParallelStreamEngine(
-            config, origin_of=internet.rib.origin_of, num_workers=2, batch_rows=32
+            config,
+            origin_of=internet.rib.origin_of,
+            num_workers=2,
+            batch_rows=32,
+            transport=threaded(),
         )
         for engine in (reference, parallel):
             engine.ingest_batch(list(head))
@@ -257,14 +291,18 @@ class TestDispatcherSemantics:
         assert engine_state(parallel.finalize()) == engine_state(reference)
 
     def test_ingest_after_finalize_rejected(self):
-        parallel = ParallelStreamEngine(StreamConfig(num_shards=1), num_workers=1)
+        parallel = ParallelStreamEngine(
+            StreamConfig(num_shards=1), num_workers=1, transport=threaded()
+        )
         parallel.ingest(ProbeObservation(day=0, t_seconds=0.0, target=1, source=2))
         parallel.finalize()
         with pytest.raises(RuntimeError, match="finalized"):
             parallel.ingest(ProbeObservation(day=1, t_seconds=1.0, target=1, source=2))
 
     def test_finalize_idempotent(self):
-        parallel = ParallelStreamEngine(StreamConfig(num_shards=1), num_workers=1)
+        parallel = ParallelStreamEngine(
+            StreamConfig(num_shards=1), num_workers=1, transport=threaded()
+        )
         parallel.ingest(ProbeObservation(day=0, t_seconds=0.0, target=1, source=2))
         assert parallel.finalize() is parallel.finalize()
 
@@ -281,8 +319,9 @@ class TestDispatcherSemantics:
             StreamConfig(num_shards=1), num_workers=2
         ) as parallel:
             parallel.ingest(ProbeObservation(day=0, t_seconds=0.0, target=1, source=2))
-            procs = list(parallel._procs)
-        assert all(not p.is_alive() for p in procs)
+            procs = list(parallel.transport.processes)
+            assert len(procs) == 2 and all(p.poll() is None for p in procs)
+        assert all(p.poll() is not None for p in procs)
 
 
 class TestParallelCampaign:
