@@ -363,11 +363,11 @@ def test_telemetry_overhead(benchmark, context):
 
 
 def test_store_backend_throughput(benchmark, context):
-    """The three StoreBackends on one corpus: append and full-scan rates.
+    """The two StoreBackends on one corpus: append and full-scan rates.
 
     Each backend ingests the same pre-built column batches through
     ``extend_columns`` and is then scanned end to end through
-    ``scan_columns``; all three must serialize byte-identical snapshot
+    ``scan_columns``; both must serialize byte-identical snapshot
     rows (the cross-backend contract).  The recorded figures feed the
     CI regression gate alongside the engine throughput numbers.
     """
@@ -381,7 +381,6 @@ def test_store_backend_throughput(benchmark, context):
     results = {}
     snapshots = {}
     stores = {
-        "object": ObservationStore(make_backend("object")),
         "columnar": ObservationStore(make_backend("columnar")),
         "sqlite": ObservationStore(SqliteBackend()),
     }
@@ -408,7 +407,7 @@ def test_store_backend_throughput(benchmark, context):
             "scan_seconds": round(scan_seconds, 4),
             "scan_rows_per_s": round(rows / scan_seconds),
         }
-    assert snapshots["object"] == snapshots["columnar"] == snapshots["sqlite"]
+    assert snapshots["columnar"] == snapshots["sqlite"]
     stores["sqlite"].close()  # drop the temp file
 
     # pytest-benchmark's table entry: one representative columnar append.

@@ -56,7 +56,6 @@ from repro.simnet.vantage import FlowTap
 from repro.store import (
     ColumnBatch,
     ColumnarBackend,
-    ObjectBackend,
     SqliteBackend,
     StoreBackend,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "InternetSpec",
     "LivePursuit",
     "MixedFeed",
-    "ObjectBackend",
     "ObservationStore",
     "OuiRegistry",
     "ParallelStreamEngine",

@@ -16,9 +16,9 @@ Variable                         Meaning
 ===============================  ==========================================
 ``REPRO_STORE_BACKEND``          Default :class:`~repro.store.StoreBackend`
                                  for every ``ObservationStore()`` built
-                                 without an explicit backend: ``object`` /
-                                 ``columnar`` / ``sqlite``.  Unset: columnar
-                                 when numpy imports, else object.
+                                 without an explicit backend: ``columnar``
+                                 (RAM) or ``sqlite`` (disk).  Unset:
+                                 columnar.
 ``REPRO_CHECKPOINT_FORMAT``      Checkpoint write format: ``json``
                                  (canonical) or ``binary`` (columnar delta
                                  segments).  Reads always sniff the file.

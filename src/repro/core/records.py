@@ -8,11 +8,12 @@ per-day snapshots, and per-IID target maps (for Algorithm 1).
 Since the storage redesign the store is a thin facade over a pluggable
 :class:`~repro.store.backend.StoreBackend` (see :mod:`repro.store`):
 the corpus travels as :class:`~repro.store.batch.ColumnBatch` flat
-columns, backends swap between native column storage, the classic
-object layout, and an append-only sqlite file, and checkpoint bytes are
-identical whichever backend holds the rows.  The historical API --
-``ObservationStore()``, ``add``/``extend``, iteration yielding
-:class:`ProbeObservation` -- is preserved verbatim on top of it.
+columns, backends swap between native in-memory column storage and an
+append-only sqlite file, and checkpoint bytes are identical whichever
+backend holds the rows.  The historical API -- ``ObservationStore()``,
+``add``/``extend``, iteration yielding :class:`ProbeObservation` -- is
+preserved verbatim on top of it: this facade is the one place objects
+become columns (on insert) and columns become objects (on read).
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from repro.net.addr import IID_BITS, Prefix, iid_of
 from repro.net.eui64 import is_eui64_iid
 from repro.net.icmpv6 import ProbeResponse
 from repro.simnet.clock import day_of, hours
+from repro.store.batch import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.backend import StoreBackend, StoreStats
-    from repro.store.batch import ColumnBatch
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,10 +75,13 @@ class ObservationStore:
     no longer pays a one-element bulk insert each time.  Every read
     drains the buffer first, so queries always see the full stream.
 
-    *backend* picks the storage layout -- an instance, a registered
-    name (``"object"`` / ``"columnar"`` / ``"sqlite"``), or ``None``
-    for the environment-governed default (columnar under the ``[fast]``
-    install, object on stdlib-only, ``$REPRO_STORE_BACKEND`` to force).
+    *backend* picks where the corpus lives -- an instance, a registered
+    name (``"columnar"`` in memory, ``"sqlite"`` on disk), or ``None``
+    for the default (columnar on every install, ``$REPRO_STORE_BACKEND``
+    to force).  Either way rows are held as columns, so every object
+    read (iteration, ``on_day``, ``observations_of_iid``) materializes
+    one :class:`ProbeObservation` per row per call: group once rather
+    than re-walk the corpus.
     """
 
     #: Single ``add`` calls buffered before one bulk backend append.
@@ -106,20 +110,26 @@ class ObservationStore:
 
     def __iter__(self) -> Iterator[ProbeObservation]:
         self._flush()
-        for chunk in self.backend.scan_observations():
-            yield from chunk
+        for chunk in self.backend.scan_columns():
+            yield from chunk.observations()
+
+    def _append(self, batch: ColumnBatch) -> int:
+        """The one timed backend append every insert path ends in."""
+        obs = self._obs
+        if obs is None:
+            return self.backend.append_columns(batch)
+        with obs.append_seconds.time():
+            added = self.backend.append_columns(batch)
+        obs.append_rows.value += added
+        return added
 
     def _flush(self) -> None:
         """Drain the ``add`` buffer into the backend (order-preserving)."""
         if self._pending:
-            pending, self._pending = self._pending, []
-            obs = self._obs
-            if obs is None:
-                self.backend.append_observations(pending)
-            else:
-                with obs.append_seconds.time():
-                    self.backend.append_observations(pending)
-                obs.append_rows.value += len(pending)
+            self._append(ColumnBatch.from_observations(self._pending))
+            # Cleared only once the rows are stored: a rejected row
+            # keeps failing loudly instead of taking its neighbours along.
+            self._pending = []
 
     def add(self, observation: ProbeObservation) -> None:
         """Insert one observation (buffered; see :attr:`ADD_BUFFER_ROWS`)."""
@@ -132,43 +142,23 @@ class ObservationStore:
 
         Returns how many observations were added.
         """
-        batch = observations if isinstance(observations, list) else list(observations)
-        self._flush()
-        obs = self._obs
-        if obs is None:
-            return self.backend.append_observations(batch)
-        with obs.append_seconds.time():
-            added = self.backend.append_observations(batch)
-        obs.append_rows.value += added
-        return added
+        return self.extend_columns(ColumnBatch.from_observations(observations))
 
-    def extend_columns(self, batch: "ColumnBatch") -> int:
-        """Bulk insert a :class:`ColumnBatch`; zero conversion on
-        column-native backends.  Returns rows added."""
+    def extend_columns(self, batch: ColumnBatch) -> int:
+        """Bulk insert a :class:`ColumnBatch` with no conversion.
+        Returns rows added."""
         self._flush()
-        obs = self._obs
-        if obs is None:
-            return self.backend.append_columns(batch)
-        with obs.append_seconds.time():
-            added = self.backend.append_columns(batch)
-        obs.append_rows.value += added
-        return added
+        return self._append(batch)
 
     def add_responses(
         self, responses: Iterable[ProbeResponse], day: int | None = None
     ) -> int:
         """Ingest a scan's responses; returns how many were added."""
-        if getattr(self.backend, "prefers_columns", True):
-            from repro.store.batch import ColumnBatch
-
-            return self.extend_columns(ColumnBatch.from_responses(responses, day))
-        return self.extend(
-            [ProbeObservation.from_response(response, day) for response in responses]
-        )
+        return self.extend_columns(ColumnBatch.from_responses(responses, day))
 
     # -- column views (the streaming engines' hand-off) ---------------------
 
-    def scan_columns(self, chunk_rows: int | None = None) -> "Iterator[ColumnBatch]":
+    def scan_columns(self, chunk_rows: int | None = None) -> Iterator[ColumnBatch]:
         """The whole corpus as bounded column chunks, insertion order."""
         self._flush()
         if chunk_rows is None:
@@ -181,7 +171,7 @@ class ObservationStore:
         return self._timed_scan(chunks, obs)
 
     @staticmethod
-    def _timed_scan(chunks, obs) -> "Iterator[ColumnBatch]":
+    def _timed_scan(chunks, obs) -> Iterator[ColumnBatch]:
         """Scan passthrough that times each chunk fetch (lazy backends
         do their I/O inside ``next``, so per-chunk timing is the truth)."""
         while True:
@@ -191,12 +181,12 @@ class ObservationStore:
                 return
             yield chunk
 
-    def day_slice(self, day: int) -> "ColumnBatch":
+    def day_slice(self, day: int) -> ColumnBatch:
         """Columns of every observation on *day*, insertion order."""
         self._flush()
         return self.backend.day_slice(day)
 
-    def iid_history(self, iid: int) -> "ColumnBatch":
+    def iid_history(self, iid: int) -> ColumnBatch:
         """Columns of every observation sourced by *iid*, insertion order."""
         self._flush()
         return self.backend.iid_history(iid)
@@ -216,7 +206,7 @@ class ObservationStore:
         with obs.snapshot_seconds.time():
             return self.backend.snapshot()
 
-    def snapshot_columns(self, start_row: int = 0) -> "ColumnBatch":
+    def snapshot_columns(self, start_row: int = 0) -> ColumnBatch:
         """Checkpoint columns from *start_row* on (insertion order).
 
         The binary checkpoint writer's currency: the same rows
@@ -225,30 +215,11 @@ class ObservationStore:
         *start_row* lets delta checkpoints fetch only the appended tail.
         """
         self._flush()
-        fast = getattr(self.backend, "snapshot_columns", None)
         obs = self._obs
         if obs is None:
-            if fast is not None:
-                return fast(start_row)
-            return self._scan_snapshot_columns(start_row)
+            return self.backend.snapshot_columns(start_row)
         with obs.snapshot_seconds.time():
-            if fast is not None:
-                return fast(start_row)
-            return self._scan_snapshot_columns(start_row)
-
-    def _scan_snapshot_columns(self, start_row: int) -> "ColumnBatch":
-        """Generic backend fallback: chunked scan, skipping *start_row* rows."""
-        from repro.store.batch import ColumnBatch
-
-        out = ColumnBatch()
-        skip = start_row
-        for chunk in self.backend.scan_columns():
-            if skip >= len(chunk):
-                skip -= len(chunk)
-                continue
-            out.extend(chunk.slice(skip) if skip else chunk)
-            skip = 0
-        return out
+            return self.backend.snapshot_columns(start_row)
 
     def restore_rows(self, rows: list[list]) -> int:
         """Load checkpoint rows (incremental on disk-backed stores)."""
@@ -285,24 +256,15 @@ class ObservationStore:
 
     def observations_of_iid(self, iid: int) -> list[ProbeObservation]:
         self._flush()
-        fast = getattr(self.backend, "iid_observations", None)
-        if fast is not None:
-            return fast(iid)
         return self.backend.iid_history(iid).observations()
 
     def net64s_of_iid(self, iid: int) -> set[int]:
         """Distinct /64s an IID was seen in (Figure 8's quantity)."""
         self._flush()
-        fast = getattr(self.backend, "iid_observations", None)
-        if fast is not None:
-            return {o.source >> IID_BITS for o in fast(iid)}
         return set(self.backend.iid_history(iid).src_hi)
 
     def days_of_iid(self, iid: int) -> set[int]:
         self._flush()
-        fast = getattr(self.backend, "iid_observations", None)
-        if fast is not None:
-            return {o.day for o in fast(iid)}
         return set(self.backend.iid_history(iid).day)
 
     def eui64_histories(self) -> Iterator[tuple[int, list[ProbeObservation]]]:
@@ -315,9 +277,6 @@ class ObservationStore:
 
     def on_day(self, day: int) -> list[ProbeObservation]:
         self._flush()
-        fast = getattr(self.backend, "day_observations", None)
-        if fast is not None:
-            return fast(day)
         return self.backend.day_slice(day).observations()
 
     def days(self) -> list[int]:

@@ -90,6 +90,9 @@ class RotationPoolInference:
     def from_store(
         cls, asn: int, store: ObservationStore, origin_of
     ) -> RotationPoolInference:
+        """Single-AS convenience.  Walks the whole corpus on each call:
+        for many ASes, call ``store.group_eui64_by_asn`` once and
+        :meth:`from_observations` per group."""
         groups = store.group_eui64_by_asn(origin_of)
         if asn not in groups:
             raise ValueError(f"AS{asn}: no EUI-64 observations in store")

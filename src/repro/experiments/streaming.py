@@ -115,15 +115,12 @@ def run(context: ExperimentContext, days: int | None = 3) -> StreamingComparison
     comparison.stores_identical = list(batch.store) == list(stream.store)
     comparison.responses = len(stream.store)
 
+    # One walk of the corpus for every AS, not one per AS.
+    groups = batch.store.group_eui64_by_asn(context.origin_of)
     for asn in sorted(streaming.engine.asns()):
-        if asn == 0:
+        if asn == 0 or asn not in groups:
             continue
-        try:
-            batch_inference = RotationPoolInference.from_store(
-                asn, batch.store, context.origin_of
-            )
-        except ValueError:
-            continue
+        batch_inference = RotationPoolInference.from_observations(asn, groups[asn])
         comparison.batch_pool_plens[asn] = batch_inference.inferred_plen
         comparison.engine_pool_plens[asn] = streaming.engine.pool_inference(
             asn

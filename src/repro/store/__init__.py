@@ -17,47 +17,50 @@ The pieces
     multiprocess dispatcher ships it to workers as-is.
 
 :class:`StoreBackend`
-    The protocol a corpus holder implements: ``append_columns`` /
-    ``append_observations`` (both currencies, one of them native),
-    ``scan_columns`` / ``scan_observations`` (bounded chunks, insertion
-    order), ``day_slice`` and ``iid_history`` (indexed slices),
-    ``days`` / ``eui_iids`` / ``unique_sources`` /
-    ``unique_eui64_sources`` / ``stats`` (incremental counters), and
-    ``snapshot`` / ``restore`` (the canonical checkpoint rows
-    ``[[day, t_seconds, target, source], ...]``).  Snapshot rows are
-    the byte-identity contract: an engine checkpoint serializes the
-    same JSON whichever backend holds the corpus.
+    The protocol a corpus holder implements, 14 members, columns
+    only: ``rows``, ``append_columns``, ``scan_columns`` (bounded
+    chunks, insertion order), ``day_slice`` and ``iid_history``
+    (indexed slices), ``days`` / ``eui_iids`` / ``unique_sources`` /
+    ``unique_eui64_sources`` / ``stats`` (incremental counters),
+    ``snapshot`` / ``snapshot_columns`` / ``restore`` (the canonical
+    checkpoint rows ``[[day, t_seconds, target, source], ...]``, whole
+    or as the column tail a delta checkpoint needs), and ``close``.
+    Snapshot rows are the byte-identity contract: an engine checkpoint
+    serializes the same bytes whichever backend holds the corpus.
+    Observation objects exist only above the protocol: the
+    ``ObservationStore`` facade converts them to a ``ColumnBatch`` on
+    the way in and materializes them on the way out.
 
 Backends
 --------
 
-* :class:`ColumnarBackend` -- native column lists plus per-day/per-IID
-  row indexes; the default whenever the numpy kernel is enabled (the
-  ``[fast]`` install), because the engines then re-read the corpus with
-  zero per-row Python work.
-* :class:`ObjectBackend` -- the classic observation-object layout;
-  stdlib-only default, byte-compatible with the pre-redesign store.
+* :class:`ColumnarBackend` -- the in-memory store, on every install
+  (its columns are stdlib ``array`` buffers; numpy is not needed):
+  native columns plus per-day/per-IID row indexes, so the engines
+  re-read the corpus with zero per-row Python work.
 * :class:`SqliteBackend` -- append-only disk store for corpora larger
   than RAM, with incremental checkpoints (each commit writes only the
   rows appended since the last one) and incremental resume (restore
   appends only the rows the file doesn't already hold).
 
-``REPRO_STORE_BACKEND`` (``object`` / ``columnar`` / ``sqlite``)
-overrides the default for every store that doesn't pass an explicit
-backend -- the hook the CI sqlite leg uses to run the whole tier-1
-suite against the disk backend.
+Which one is a deployment setting -- RAM or disk:
+``REPRO_STORE_BACKEND`` (``columnar`` / ``sqlite``) overrides the
+default for every store that doesn't pass an explicit backend -- the
+hook the CI sqlite leg uses to run the whole tier-1 suite against the
+disk backend.
 
 Adding a backend
 ----------------
 
-Implement the :class:`StoreBackend` protocol (duck typing is enough;
-the protocol is ``runtime_checkable`` for sanity asserts).  The
-invariants the equivalence suite will hold you to:
+Implement the 14 members of the :class:`StoreBackend` protocol (duck
+typing is enough; the protocol is ``runtime_checkable`` for sanity
+asserts).  The invariants the equivalence suite will hold you to:
 
 1. insertion order is preserved everywhere -- scans, slices, snapshot;
 2. ``snapshot()`` equals ``ColumnBatch.rows()`` of the concatenated
    ``scan_columns()`` output, value-exact (``0`` stays int, ``0.0``
-   stays float);
+   stays float), and ``snapshot_columns(n).rows()`` equals
+   ``snapshot()[n:]``;
 3. ``restore(snapshot())`` onto a fresh backend reproduces the corpus;
 4. counters (``rows``, ``stats``, ``eui_iids``) stay correct without
    re-walking the corpus.
@@ -73,7 +76,6 @@ from repro import config
 from repro.store.backend import (
     SCAN_CHUNK_ROWS,
     ColumnarBackend,
-    ObjectBackend,
     StoreBackend,
     StoreStats,
 )
@@ -82,12 +84,11 @@ from repro.store.sqlite import SqliteBackend
 
 #: Environment override for the default backend of every
 #: :class:`~repro.core.records.ObservationStore` constructed without an
-#: explicit backend.  Unset: columnar when numpy is enabled, else object.
+#: explicit backend.  Unset: columnar.
 #: (Resolved through :func:`repro.config.current`.)
 BACKEND_ENV = config.ENV_STORE_BACKEND
 
 _BACKENDS = {
-    "object": ObjectBackend,
     "columnar": ColumnarBackend,
     "sqlite": SqliteBackend,
 }
@@ -96,9 +97,7 @@ _BACKENDS = {
 def default_backend_name() -> str:
     """The backend every plain ``ObservationStore()`` gets.
 
-    ``$REPRO_STORE_BACKEND`` wins; otherwise columnar exactly when the
-    streaming kernel would also run columnar (one switch governs both),
-    falling back to the object layout on stdlib-only installs.
+    ``$REPRO_STORE_BACKEND`` wins; otherwise columnar, on every install.
     """
     override = config.current().store_backend
     if override:
@@ -108,9 +107,7 @@ def default_backend_name() -> str:
                 f" (expected one of {sorted(_BACKENDS)})"
             )
         return override
-    from repro.stream.columnar import numpy_enabled
-
-    return "columnar" if numpy_enabled() else "object"
+    return "columnar"
 
 
 def make_backend(kind: str | None = None) -> StoreBackend:
@@ -130,7 +127,6 @@ __all__ = [
     "SCAN_CHUNK_ROWS",
     "ColumnBatch",
     "ColumnarBackend",
-    "ObjectBackend",
     "SqliteBackend",
     "StoreBackend",
     "StoreStats",

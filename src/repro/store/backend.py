@@ -1,32 +1,26 @@
-"""The :class:`StoreBackend` protocol and the two in-memory backends.
+"""The :class:`StoreBackend` protocol and the in-memory backend.
 
 A backend owns the observation corpus.  It must preserve insertion
-(stream) order, serve both column and object views of the same rows,
-and serialize to the canonical checkpoint rows
+(stream) order, speak :class:`~repro.store.batch.ColumnBatch` in and
+out, and serialize to the canonical checkpoint rows
 (``[[day, t_seconds, target, source], ...]``) so checkpoints are
 byte-identical whichever backend produced them.
 
-``ObjectBackend`` keeps the pre-redesign layout -- a list of
-:class:`~repro.core.records.ProbeObservation` plus per-IID/per-day
-index lists -- and is the stdlib fallback.  ``ColumnarBackend`` holds
-the six :class:`~repro.store.batch.ColumnBatch` columns natively with
-integer-row indexes, so columnar consumers (the streaming engines' numpy
+``ColumnarBackend`` is the one in-memory layout, on every install: the
+six ``ColumnBatch`` columns (stdlib :mod:`array` buffers) with
+integer-row indexes, so columnar consumers (the streaming engines'
 kernel) re-read the corpus without any per-row Python work.  The
-disk-backed third backend lives in :mod:`repro.store.sqlite`.
+disk-backed backend lives in :mod:`repro.store.sqlite`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Protocol, runtime_checkable
 
-from repro.net.addr import IID_MASK
 from repro.net.eui64 import is_eui64_iid
 from repro.store.batch import ColumnBatch
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.records import ProbeObservation
 
 #: Default row count per :meth:`StoreBackend.scan_columns` chunk --
 #: large enough to amortize per-chunk fixed costs (numpy array builds,
@@ -49,10 +43,10 @@ class StoreStats:
 class StoreBackend(Protocol):
     """What :class:`~repro.core.records.ObservationStore` requires.
 
-    Append paths come in both currencies -- columns and observation
-    objects -- so each backend implements its native one directly and
-    converts for the other (:class:`ColumnBatch` makes either direction
-    a one-liner).  All scans and slices return rows in insertion order.
+    The currency is columns: the facade converts observation objects
+    to a :class:`ColumnBatch` before an append and materializes them
+    after a read, so a backend never sees one.  All scans and slices
+    return rows in insertion order.
     """
 
     @property
@@ -64,18 +58,8 @@ class StoreBackend(Protocol):
         """Append a column batch; returns rows appended."""
         ...
 
-    def append_observations(self, observations: "list[ProbeObservation]") -> int:
-        """Append observation objects; returns rows appended."""
-        ...
-
     def scan_columns(self, chunk_rows: int = SCAN_CHUNK_ROWS) -> Iterator[ColumnBatch]:
         """The whole corpus as bounded column chunks, insertion order."""
-        ...
-
-    def scan_observations(
-        self, chunk_rows: int = SCAN_CHUNK_ROWS
-    ) -> "Iterator[list[ProbeObservation]]":
-        """The whole corpus as bounded object chunks, insertion order."""
         ...
 
     def day_slice(self, day: int) -> ColumnBatch:
@@ -112,6 +96,12 @@ class StoreBackend(Protocol):
         """
         ...
 
+    def snapshot_columns(self, start_row: int = 0) -> ColumnBatch:
+        """Checkpoint columns from *start_row* on: the tail of
+        :meth:`snapshot` as one batch (delta checkpoints fetch only the
+        rows appended since the last one)."""
+        ...
+
     def restore(self, rows: list[list]) -> int:
         """Converge the corpus on checkpoint rows; returns rows appended.
 
@@ -127,11 +117,6 @@ class StoreBackend(Protocol):
     def close(self) -> None:
         """Release backend resources (no-op for in-memory backends)."""
         ...
-
-
-def _chunked(items: list, chunk_rows: int) -> Iterator[list]:
-    for start in range(0, len(items), chunk_rows):
-        yield items[start : start + chunk_rows]
 
 
 def _verify_prefix(backend, rows: list[list], keep: int) -> None:
@@ -158,146 +143,19 @@ def _verify_prefix(backend, rows: list[list], keep: int) -> None:
         offset += take
 
 
-def _restore_plan(backend, rows: list[list]) -> tuple[bool, int]:
-    """Shared restore convergence for the in-memory backends.
-
-    Returns ``(reset, held)``: *reset* means the backend must rebuild
-    from *rows* in full (it held rows beyond the checkpoint, which the
-    resumed stream will replay); otherwise append ``rows[held:]``.
-    Raises when the held corpus disagrees with *rows* anywhere in the
-    shared prefix -- the same contract :meth:`SqliteBackend.restore`
-    enforces.
-    """
-    held = backend.rows
-    _verify_prefix(backend, rows, min(held, len(rows)))
-    return held > len(rows), held
-
-
-class ObjectBackend:
-    """The classic stdlib layout: observation objects plus index lists.
-
-    Byte-compatible with the pre-redesign ``ObservationStore`` -- same
-    structures, same insertion-order guarantees -- and the default on
-    installs without numpy.  Object reads are free; column reads pay
-    one conversion pass.
-    """
-
-    name = "object"
-    #: Hint for dual-currency producers (e.g. ``add_responses``): build
-    #: observation objects, this backend stores them as-is.
-    prefers_columns = False
-
-    def __init__(self) -> None:
-        self._observations: "list[ProbeObservation]" = []
-        self._by_iid: "dict[int, list[ProbeObservation]]" = defaultdict(list)
-        self._by_day: "dict[int, list[ProbeObservation]]" = defaultdict(list)
-        self._eui_iids: set[int] = set()
-        self._eui_rows = 0
-
-    @property
-    def rows(self) -> int:
-        return len(self._observations)
-
-    def append_observations(self, observations: "list[ProbeObservation]") -> int:
-        self._observations.extend(observations)
-        by_iid = self._by_iid
-        by_day = self._by_day
-        eui_iids = self._eui_iids
-        for observation in observations:
-            iid = observation.source & IID_MASK
-            by_iid[iid].append(observation)
-            by_day[observation.day].append(observation)
-            if iid in eui_iids:
-                self._eui_rows += 1
-            elif is_eui64_iid(iid):
-                eui_iids.add(iid)
-                self._eui_rows += 1
-        return len(observations)
-
-    def append_columns(self, batch: ColumnBatch) -> int:
-        return self.append_observations(batch.observations())
-
-    def scan_columns(self, chunk_rows: int = SCAN_CHUNK_ROWS) -> Iterator[ColumnBatch]:
-        for chunk in _chunked(self._observations, chunk_rows):
-            yield ColumnBatch.from_observations(chunk)
-
-    def scan_observations(
-        self, chunk_rows: int = SCAN_CHUNK_ROWS
-    ) -> "Iterator[list[ProbeObservation]]":
-        yield from _chunked(self._observations, chunk_rows)
-
-    def day_slice(self, day: int) -> ColumnBatch:
-        return ColumnBatch.from_observations(self._by_day.get(day, []))
-
-    def day_observations(self, day: int) -> "list[ProbeObservation]":
-        return list(self._by_day.get(day, ()))
-
-    def iid_history(self, iid: int) -> ColumnBatch:
-        return ColumnBatch.from_observations(self._by_iid.get(iid, []))
-
-    def iid_observations(self, iid: int) -> "list[ProbeObservation]":
-        return list(self._by_iid.get(iid, ()))
-
-    def days(self) -> list[int]:
-        return sorted(self._by_day)
-
-    def eui_iids(self) -> set[int]:
-        return set(self._eui_iids)
-
-    def unique_sources(self) -> set[int]:
-        return {o.source for o in self._observations}
-
-    def unique_eui64_sources(self) -> set[int]:
-        return {o.source for o in self._observations if o.is_eui64}
-
-    def stats(self) -> StoreStats:
-        return StoreStats(
-            backend=self.name,
-            rows=len(self._observations),
-            eui_rows=self._eui_rows,
-            days=len(self._by_day),
-        )
-
-    def snapshot(self) -> list[list]:
-        return [
-            [o.day, o.t_seconds, o.target, o.source] for o in self._observations
-        ]
-
-    def restore(self, rows: list[list]) -> int:
-        from repro.core.records import ProbeObservation
-
-        reset, held = _restore_plan(self, rows)
-        if reset:
-            # Rebuild from the checkpoint; the re-insert of verified
-            # rows is an implementation detail, not an append.
-            self.__init__()
-            self.restore(rows)
-            return 0
-        return self.append_observations(
-            [
-                ProbeObservation(day=day, t_seconds=t, target=target, source=source)
-                for day, t, target, source in rows[held:]
-            ]
-        )
-
-    def close(self) -> None:
-        pass
-
-
 class ColumnarBackend:
     """Native column storage: one growing :class:`ColumnBatch` + indexes.
 
-    The ``[fast]`` default.  Appending a column batch is six list
+    The default on every install.  Appending a column batch is six
     ``extend`` calls; re-reading the corpus for the streaming engines'
-    numpy kernel slices those same lists, so the per-batch
-    object-to-column conversion the PR-4 kernel paid disappears
-    entirely.  Indexes are per-day and per-IID row-number lists --
-    ints, never observation objects.
+    kernel slices those same columns, so no per-batch object-to-column
+    conversion is paid.  Indexes are per-day and per-IID row-number
+    lists -- ints, never observation objects -- so object reads
+    materialize one :class:`~repro.core.records.ProbeObservation` per
+    row per call: group once rather than re-walk the corpus.
     """
 
     name = "columnar"
-    #: Producers that can emit either currency should emit columns.
-    prefers_columns = True
 
     def __init__(self) -> None:
         self._cols = ColumnBatch()
@@ -327,19 +185,10 @@ class ColumnarBackend:
                 self._eui_rows += 1
         return len(batch)
 
-    def append_observations(self, observations: "list[ProbeObservation]") -> int:
-        return self.append_columns(ColumnBatch.from_observations(observations))
-
     def scan_columns(self, chunk_rows: int = SCAN_CHUNK_ROWS) -> Iterator[ColumnBatch]:
         cols = self._cols
         for start in range(0, len(cols), chunk_rows):
             yield cols.slice(start, start + chunk_rows)
-
-    def scan_observations(
-        self, chunk_rows: int = SCAN_CHUNK_ROWS
-    ) -> "Iterator[list[ProbeObservation]]":
-        for batch in self.scan_columns(chunk_rows):
-            yield batch.observations()
 
     def _rows_batch(self, row_numbers: Iterable[int]) -> ColumnBatch:
         cols = self._cols.columns
@@ -390,10 +239,12 @@ class ColumnarBackend:
         return self._cols.slice(start_row)
 
     def restore(self, rows: list[list]) -> int:
-        reset, held = _restore_plan(self, rows)
-        if reset:
-            # Rebuild from the checkpoint; the re-insert of verified
-            # rows is an implementation detail, not an append.
+        held = len(self._cols)
+        _verify_prefix(self, rows, min(held, len(rows)))
+        if held > len(rows):
+            # Rows beyond the checkpoint (the resumed stream replays
+            # them): rebuild from the checkpoint.  The re-insert of
+            # verified rows is an implementation detail, not an append.
             self.__init__()
             self.restore(rows)
             return 0

@@ -43,6 +43,13 @@ DAY_TYPECODE = "q"  # signed 64-bit: days
 U64_TYPECODE = "Q"  # unsigned 64-bit: address halves
 
 
+def _reject_address(target: int, source: int) -> None:
+    """Raise ``ValueError`` naming whichever address is not 128-bit."""
+    for field, value in (("target", target), ("source", source)):
+        if value >> 128:  # negative, or bits above the 128th
+            raise ValueError(f"{field} address {value:#x} outside [0, 2**128)")
+
+
 class ColumnBatch:
     """A batch of observations as six parallel columns.
 
@@ -102,14 +109,19 @@ class ColumnBatch:
         )
         targets = [o.target for o in batch]
         sources = [o.source for o in batch]
-        return cls(
-            day=array(DAY_TYPECODE, [o.day for o in batch]),
-            t_seconds=[o.t_seconds for o in batch],
-            tgt_hi=array(U64_TYPECODE, [t >> 64 for t in targets]),
-            tgt_lo=array(U64_TYPECODE, [t & MASK64 for t in targets]),
-            src_hi=array(U64_TYPECODE, [s >> 64 for s in sources]),
-            src_lo=array(U64_TYPECODE, [s & MASK64 for s in sources]),
-        )
+        try:
+            return cls(
+                day=array(DAY_TYPECODE, [o.day for o in batch]),
+                t_seconds=[o.t_seconds for o in batch],
+                tgt_hi=array(U64_TYPECODE, [t >> 64 for t in targets]),
+                tgt_lo=array(U64_TYPECODE, [t & MASK64 for t in targets]),
+                src_hi=array(U64_TYPECODE, [s >> 64 for s in sources]),
+                src_lo=array(U64_TYPECODE, [s & MASK64 for s in sources]),
+            )
+        except OverflowError:
+            for target, source in zip(targets, sources):
+                _reject_address(target, source)
+            raise
 
     @classmethod
     def from_responses(cls, responses, day: int | None = None) -> "ColumnBatch":
@@ -140,7 +152,13 @@ class ColumnBatch:
         return out
 
     def append(self, day: int, t_seconds: float, target: int, source: int) -> None:
-        """Append one observation-as-scalars row."""
+        """Append one observation-as-scalars row.
+
+        An address outside ``[0, 2**128)`` raises ``ValueError`` before
+        any column grows, so the six columns never tear.
+        """
+        if (target | source) >> 128:  # either one negative or too wide
+            _reject_address(target, source)
         self.day.append(day)
         self.t_seconds.append(t_seconds)
         self.tgt_hi.append(target >> 64)

@@ -9,7 +9,7 @@ Checkpointing is *incremental* at the storage layer: appended rows
 accumulate in the connection's open transaction, and
 :meth:`SqliteBackend.checkpoint` commits exactly the delta since the
 last checkpoint -- the disk write is O(rows appended), never O(corpus),
-unlike the in-memory backends whose only persistence is the engine
+unlike the in-memory backend whose only persistence is the engine
 checkpoint re-serializing every row.  Resume is incremental too:
 :meth:`restore` compares the checkpoint rows against what the database
 file already holds and appends only the missing tail, so reattaching a
@@ -22,7 +22,7 @@ Round-trip exactness rules (the cross-backend byte-identity contract):
 * the timestamp column is declared without a type, giving it BLOB
   affinity -- sqlite then preserves the bound Python value exactly
   (an int stays an int, a float stays a float), so snapshot JSON never
-  differs from the in-memory backends on values like ``0`` vs ``0.0``.
+  differs from the in-memory backend on values like ``0`` vs ``0.0``.
 """
 
 from __future__ import annotations
@@ -31,14 +31,11 @@ import os
 import sqlite3
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.net.eui64 import is_eui64_iid
 from repro.store.backend import SCAN_CHUNK_ROWS, StoreStats, _verify_prefix
 from repro.store.batch import ColumnBatch
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.records import ProbeObservation
 
 _SHIFT = 1 << 63  # uint64 <-> sqlite signed INTEGER
 
@@ -88,8 +85,6 @@ class SqliteBackend:
     """
 
     name = "sqlite"
-    #: Producers that can emit either currency should emit columns.
-    prefers_columns = True
 
     def __init__(self, path: str | Path | None = None) -> None:
         if path is None:
@@ -158,9 +153,6 @@ class SqliteBackend:
         self._appended_since_checkpoint += n
         return n
 
-    def append_observations(self, observations: "list[ProbeObservation]") -> int:
-        return self.append_columns(ColumnBatch.from_observations(observations))
-
     # -- incremental checkpoints -------------------------------------------
 
     @property
@@ -204,12 +196,6 @@ class SqliteBackend:
             if not rows:
                 return
             yield _decode_batch(rows)
-
-    def scan_observations(
-        self, chunk_rows: int = SCAN_CHUNK_ROWS
-    ) -> "Iterator[list[ProbeObservation]]":
-        for batch in self.scan_columns(chunk_rows):
-            yield batch.observations()
 
     def day_slice(self, day: int) -> ColumnBatch:
         cur = self._con.execute(
@@ -260,7 +246,7 @@ class SqliteBackend:
     def snapshot(self) -> list[list]:
         """Full checkpoint rows; commits the pending delta first.
 
-        The returned rows are byte-identical to the in-memory backends';
+        The returned rows are byte-identical to the in-memory backend's;
         the side-effect commit means every engine checkpoint also makes
         the sqlite file durable at O(delta) cost.
         """

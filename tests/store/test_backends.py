@@ -1,9 +1,10 @@
 """The StoreBackend contract, cross-backend equivalence, and sqlite
 incremental checkpoint/resume.
 
-Every backend must hold the same corpus the same way the old
-object-list store did: insertion order everywhere, value-exact snapshot
-rows, and engine checkpoints that do not depend on the storage layout.
+Every backend must hold the corpus it was given -- the oracle is the
+literal input list, not a second implementation: insertion order
+everywhere, value-exact snapshot rows, and engine checkpoints that do
+not depend on where the rows live.
 """
 
 import json
@@ -18,7 +19,6 @@ from repro.store import (
     BACKEND_ENV,
     ColumnarBackend,
     ColumnBatch,
-    ObjectBackend,
     SqliteBackend,
     StoreBackend,
     default_backend_name,
@@ -29,7 +29,7 @@ from repro.stream.engine import StreamConfig, StreamEngine
 
 EUI = mac_to_eui64_iid(0x3810D5AABBCC)
 
-BACKENDS = ["object", "columnar", "sqlite"]
+BACKENDS = ["columnar", "sqlite"]
 
 
 def fresh_backend(kind: str, tmp_path):
@@ -129,6 +129,17 @@ class TestBackendContract:
         assert restored.snapshot_rows() == rows
         assert list(restored) == corpus
 
+    def test_snapshot_columns_is_the_tail_of_snapshot(self, kind, tmp_path):
+        """``snapshot_columns`` is a protocol member, not an optional
+        hook: the delta-checkpoint tail, equal to ``snapshot()[n:]``."""
+        corpus = sample_corpus(n=60)
+        backend = fresh_backend(kind, tmp_path)
+        backend.append_columns(ColumnBatch.from_observations(corpus))
+        rows = backend.snapshot()
+        for start_row in (0, 1, 37, len(rows), len(rows) + 5):
+            assert backend.snapshot_columns(start_row).rows() == rows[start_row:]
+        assert backend.snapshot_columns().rows() == rows
+
     def test_restore_converges_on_checkpoint(self, kind, tmp_path):
         """restore() must land exactly on the checkpoint rows whatever
         the backend already held -- prefix kept, suffix discarded,
@@ -136,7 +147,7 @@ class TestBackendContract:
         corpus = sample_corpus(n=60)
         rows = [[o.day, o.t_seconds, o.target, o.source] for o in corpus]
         backend = fresh_backend(kind, tmp_path)
-        backend.append_observations(corpus)
+        backend.append_columns(ColumnBatch.from_observations(corpus))
         # Held suffix beyond the checkpoint: verified, then discarded.
         assert backend.restore(rows[:30]) == 0
         assert backend.rows == 30
@@ -189,10 +200,10 @@ def test_add_batches_through_pending_buffer(tmp_path):
     """Satellite: ``add`` buffers instead of a 1-element extend each."""
     calls = []
 
-    class CountingBackend(ObjectBackend):
-        def append_observations(self, observations):
-            calls.append(len(observations))
-            return super().append_observations(observations)
+    class CountingBackend(ColumnarBackend):
+        def append_columns(self, batch):
+            calls.append(len(batch))
+            return super().append_columns(batch)
 
     store = ObservationStore(CountingBackend())
     for i in range(ObservationStore.ADD_BUFFER_ROWS + 10):
@@ -203,15 +214,63 @@ def test_add_batches_through_pending_buffer(tmp_path):
     assert calls == [ObservationStore.ADD_BUFFER_ROWS, 10]
 
 
+@pytest.mark.parametrize(
+    "field, target, source",
+    [("target", 1 << 128, 2), ("source", 1, 1 << 128), ("source", 1, -1)],
+    ids=["target-too-wide", "source-too-wide", "source-negative"],
+)
+def test_column_batch_rejects_out_of_range_address_untorn(field, target, source):
+    """Validation precedes mutation: a bad address names its field and
+    leaves all six columns the length they were."""
+    batch = ColumnBatch()
+    batch.append(0, 0.0, 1, 2)
+    with pytest.raises(ValueError, match=f"{field} address"):
+        batch.append(1, 1.0, target, source)
+    assert [len(column) for column in batch.columns] == [1] * 6
+    assert batch.rows() == [[0, 0.0, 1, 2]]
+    with pytest.raises(ValueError, match=f"{field} address"):
+        ColumnBatch.from_rows([[1, 1.0, target, source]])
+    with pytest.raises(ValueError, match=f"{field} address"):
+        ColumnBatch.from_observations([obs(1, target, source)])
+
+
+def test_add_keeps_pending_rows_when_the_append_is_rejected():
+    """A row the column layout cannot hold fails the flush closed: the
+    buffered neighbours stay counted and the error repeats on every
+    read, instead of the good rows vanishing behind one exception."""
+    store = ObservationStore(ColumnarBackend())
+    for i in range(5):
+        store.add(obs(0, i, with_iid(0x10, EUI)))
+    store.add(obs(0, 1, 1 << 128))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="source address"):
+            list(store)
+        assert len(store) == 6
+
+
 def test_env_override_selects_backend(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "object")
-    assert default_backend_name() == "object"
-    assert isinstance(ObservationStore().backend, ObjectBackend)
+    import repro.stream.columnar as kernel
+
+    monkeypatch.setenv(BACKEND_ENV, "sqlite")
+    assert default_backend_name() == "sqlite"
+    assert isinstance(ObservationStore().backend, SqliteBackend)
     monkeypatch.setenv(BACKEND_ENV, "columnar")
     assert isinstance(ObservationStore().backend, ColumnarBackend)
     monkeypatch.setenv(BACKEND_ENV, "bogus")
     with pytest.raises(ValueError, match="bogus"):
         ObservationStore()
+    # The removed layout fails closed, naming what is accepted -- from
+    # the environment and from the constructor alike.
+    monkeypatch.setenv(BACKEND_ENV, "object")
+    with pytest.raises(ValueError, match=r"'object'.*\['columnar', 'sqlite'\]"):
+        ObservationStore()
+    monkeypatch.delenv(BACKEND_ENV)
+    with pytest.raises(ValueError, match=r"'object'.*\['columnar', 'sqlite'\]"):
+        ObservationStore(backend="object")
+    # The default observes nothing about the platform: no numpy, same store.
+    monkeypatch.setattr(kernel, "np", None)
+    assert default_backend_name() == "columnar"
+    assert isinstance(ObservationStore().backend, ColumnarBackend)
 
 
 def origin_of(address: int) -> int:
@@ -237,7 +296,7 @@ def test_engine_checkpoints_identical_across_backends(tmp_path):
         engine.ingest_columns(ColumnBatch.from_observations(corpus[150:]))
         engine.flush()
         states[kind] = json.dumps(engine_state(engine))
-    assert states["object"] == states["columnar"] == states["sqlite"]
+    assert states["columnar"] == states["sqlite"]
 
 
 def test_sqlite_incremental_checkpoint_counts(tmp_path):
@@ -292,7 +351,7 @@ def test_sqlite_restore_discards_uncheckpointed_suffix(tmp_path):
     corpus = sample_corpus(n=40)
     rows = [[o.day, o.t_seconds, o.target, o.source] for o in corpus]
     backend = SqliteBackend(tmp_path / "a.sqlite")
-    backend.append_observations(corpus)
+    backend.append_columns(ColumnBatch.from_observations(corpus))
     backend.close()  # commits everything, checkpointed or not
     reattached = SqliteBackend(tmp_path / "a.sqlite")
     assert reattached.rows == len(corpus)
@@ -303,14 +362,14 @@ def test_sqlite_restore_discards_uncheckpointed_suffix(tmp_path):
         o.source_iid for o in corpus[:20] if o.is_eui64
     }
     # The resumed stream re-appends the replayed responses cleanly.
-    reattached.append_observations(corpus[20:])
+    reattached.append_columns(ColumnBatch.from_observations(corpus[20:]))
     assert reattached.snapshot() == rows
 
 
 def test_sqlite_restore_rejects_mismatched_file(tmp_path):
     corpus = sample_corpus(n=40)
     backend = SqliteBackend(tmp_path / "a.sqlite")
-    backend.append_observations(corpus)
+    backend.append_columns(ColumnBatch.from_observations(corpus))
     backend.checkpoint()
     rows = [[o.day, o.t_seconds, o.target, o.source] for o in corpus]
     bad_short = [list(r) for r in rows[:20]]
@@ -328,7 +387,7 @@ def test_sqlite_close_removes_owned_tempfile():
     backend = SqliteBackend()  # no path: throwaway temp file
     path = backend.path
     assert path.exists()
-    backend.append_observations([obs(0, 1, with_iid(0x10, EUI))])
+    backend.append_columns(ColumnBatch.from_rows([[0, 0.0, 1, with_iid(0x10, EUI)]]))
     backend.close()
     assert not path.exists()
 

@@ -19,7 +19,7 @@ import pytest
 from repro.core.records import ProbeObservation
 from repro.core.rotation_detect import RotationDetection, diff_pairs
 from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
-from repro.store import ColumnBatch
+from repro.store import BACKEND_ENV, ColumnBatch
 from repro.stream import columnar
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
@@ -234,6 +234,8 @@ def emit_kernel_less_state() -> None:
     assert engine._acc is None  # no kernel, not an error
     engine.ingest_batch(small_corpus())
     engine.flush()
+    # The in-memory store does not depend on numpy either.
+    assert engine.store.stats().backend == "columnar"
     print(json.dumps(engine_state(engine)))
 
 
@@ -245,7 +247,8 @@ def test_import_and_ingest_without_numpy_installed():
     deterministic corpus (which must run the reference loop, silently),
     and prints the checkpoint JSON -- byte-compared here against the
     per-observation reference from the (typically numpy-enabled)
-    parent.
+    parent.  The store override is dropped from the child's environment
+    so it also proves the *default* store is columnar without numpy.
     """
     code = _NO_NUMPY_BOOTSTRAP.format(
         test_dir=str(Path(__file__).resolve().parent), src_dir=str(SRC_DIR)
@@ -255,7 +258,7 @@ def test_import_and_ingest_without_numpy_installed():
         capture_output=True,
         text=True,
         timeout=120,
-        env=dict(os.environ),
+        env={k: v for k, v in os.environ.items() if k != BACKEND_ENV},
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == reference_state(small_corpus())

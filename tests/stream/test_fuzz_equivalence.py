@@ -22,9 +22,10 @@ numpy hosts, not only on the CI no-numpy legs (where both runs
 degenerate to the same, still valid, comparison).
 
 Since the storage redesign the harness is also the cross-backend
-oracle: corpus-keeping engines each hold their store on a *different*
-:class:`~repro.store.backend.StoreBackend` (object / columnar / an
-sqlite file), and odd seeds feed the bulk engine through
+oracle: the corpus-keeping reference and parallel engines hold their
+store in memory (:class:`~repro.store.backend.ColumnarBackend`) while
+the bulk engine keeps an sqlite file, and odd seeds feed the bulk
+engine through
 ``ingest_columns`` (``ColumnBatch`` hand-off) and the parallel engine
 through its column dispatch -- so identical checkpoint bytes prove
 layout- and currency-independence, not just kernel equivalence.
@@ -159,7 +160,7 @@ def check_ingest_paths_agree(seed, tmp_path):
     watch = [o.source_iid for o in corpus if o.is_eui64][:2]
 
     def backend_store(kind):
-        """Corpus-keeping engines each hold a different store layout."""
+        """Corpus-keeping engines: memory for two, a disk file for one."""
         if not config.keep_observations:
             return None
         if kind == "sqlite":
@@ -171,7 +172,9 @@ def check_ingest_paths_agree(seed, tmp_path):
     # path must never perturb checkpoint bytes.
     from repro.obs import Telemetry
 
-    reference = StreamEngine(config, origin_of=origin_of, store=backend_store("object"))
+    reference = StreamEngine(
+        config, origin_of=origin_of, store=backend_store("columnar")
+    )
     bulk = StreamEngine(
         config,
         origin_of=origin_of,
@@ -181,15 +184,14 @@ def check_ingest_paths_agree(seed, tmp_path):
     # The third engine rides the socket fabric: every chunk crosses a
     # real TCP frame boundary -- serial == sockets is the fabric's
     # headline contract.  Seed bit 1 picks real subprocess workers
-    # (what ``workers=N`` spawns) over in-process threads; the store
-    # layout takes bit 0 xor bit 1, so spawn mode, feed currency (bit
-    # 0) and layout meet in every combination.
+    # (what ``workers=N`` spawns) over in-process threads, so spawn
+    # mode and feed currency (bit 0) meet in every combination.
     parallel = ParallelStreamEngine(
         config,
         origin_of=origin_of,
         num_workers=num_workers,
         batch_rows=batch_rows,
-        store=backend_store(("object", "columnar")[(seed ^ seed >> 1) & 1]),
+        store=backend_store("columnar"),
         telemetry=Telemetry(),
         transport=SocketTransport(spawn=("thread", "process")[seed >> 1 & 1]),
     )

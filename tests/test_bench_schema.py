@@ -78,7 +78,6 @@ GATED_METRICS = (
     "columnar_ingest.columnar_responses_per_s",
     "columnar_ingest.reference_responses_per_s",
     "columnar_ingest.speedup",
-    "store_backends.object.append_rows_per_s",
     "store_backends.columnar.append_rows_per_s",
     "store_backends.columnar.scan_rows_per_s",
     "store_backends.sqlite.append_rows_per_s",
