@@ -12,8 +12,9 @@ torn intermediate -- and hold it for as long as they like while ingest
 keeps appending.
 
 Versions increase by exactly one per published snapshot and never move
-backwards; a refresh that finds the engine unchanged republishes the
-current snapshot untouched.  Refreshing is cheap to call often: the
+backwards; a refresh that finds the engine unchanged (no row, day
+open/close or watchlist seed since) republishes the current snapshot
+untouched.  Refreshing is cheap to call often: the
 ``min_interval`` rate limit plus an engine-progress signature keep the
 actual rebuild cost bounded by the configured staleness, not by the
 caller's cadence.
@@ -201,13 +202,6 @@ class SnapshotPublisher:
         self._engine = engine
         self._signature = None
 
-    def _read_engine(self):
-        engine = self._engine
-        read_view = getattr(engine, "read_view", None)
-        if read_view is not None:
-            return read_view()
-        return engine
-
     def refresh(self, force: bool = False) -> TrackerSnapshot:
         """Publish a fresh snapshot if the engine moved on.
 
@@ -224,13 +218,7 @@ class SnapshotPublisher:
                 and now - self._last_refresh < self.min_interval
             ):
                 return self._current
-            engine = self._engine
-            signature = (
-                engine.responses_ingested,
-                engine.current_day,
-                engine._closed_through,
-            )
-            if signature == self._signature:
+            if self._engine.progress_signature() == self._signature:
                 return self._current
         snapshot = self._build()
         self._current = snapshot  # the atomic publication point
@@ -240,13 +228,8 @@ class SnapshotPublisher:
     def _build(self) -> TrackerSnapshot:
         obs = self._obs
         t0 = self._clock() if obs is not None else 0.0
-        engine = self._read_engine()
-        source = self._engine
-        self._signature = (
-            source.responses_ingested,
-            source.current_day,
-            source._closed_through,
-        )
+        engine = self._engine.read_view()
+        self._signature = self._engine.progress_signature()
         detection = engine.live_detection
         self._version += 1
         snapshot = TrackerSnapshot(

@@ -16,15 +16,18 @@ Layout:
 * :mod:`repro.stream.columnar` -- the numpy sort-reduce worker kernel:
   chunked uint64 address columns, vectorized dedup/min-max reduction,
   Python set materialization deferred to day close or snapshot; the
-  ``ingest_batch``/worker apply path when numpy is importable (the
-  ``[fast]`` extra) -- without it bulk calls run the scalar reference
-  fold in :mod:`repro.stream.state`;
+  engine's bulk path and the workers' apply path when numpy is
+  importable (the ``[fast]`` extra) -- without it bulk calls run the
+  one reference loop in :mod:`repro.stream.sink` over the scalar fold
+  in :mod:`repro.stream.state`;
 * :mod:`repro.stream.engine` -- :class:`StreamEngine`, the single-pass
   ingestion core with always-current per-AS inferences, live rotation
   detection, and a watchlist for passive device sightings;
 * :mod:`repro.stream.sink` -- the :class:`IngestSink` protocol and
-  :class:`IngestSinkBase` mixin: one polymorphic ``ingest()`` shared
-  by every observation consumer;
+  the :class:`IngestSinkBase` mixin: the stream-order front end the
+  engine and the dispatcher share -- polymorphic ``ingest()``, the
+  reference ``ingest_batch`` loop, the ``ingest_columns`` skeleton,
+  day open/close, watchlist, ``flush``;
 * :mod:`repro.stream.parallel` -- :class:`ParallelStreamEngine`, the
   parallel backend: sharded workers fed flat-tuple chunks through a
   fabric transport, merged back into a byte-identical engine view;
@@ -54,7 +57,7 @@ from repro.stream.checkpoint import (
     restore_engine,
     save_engine,
 )
-from repro.stream.engine import Sighting, StreamConfig, StreamEngine
+from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.fabric import (
     FabricError,
     FabricServer,
@@ -73,7 +76,7 @@ from repro.stream.feeds import (
 )
 from repro.stream.parallel import ParallelStreamEngine
 from repro.stream.shard import ShardKey, ShardRouter, shard_index
-from repro.stream.sink import IngestSink, IngestSinkBase
+from repro.stream.sink import IngestSink, IngestSinkBase, Sighting
 from repro.stream.tracker import LivePursuit, PursuitState
 
 __all__ = [

@@ -41,8 +41,9 @@ from repro import config
 from repro.core.records import ObservationStore
 from repro.core.rotation_detect import RotationDetection
 from repro.net.addr import Prefix
-from repro.stream.engine import Sighting, StreamConfig, StreamEngine
+from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.shard import ShardKey
+from repro.stream.sink import Sighting
 from repro.stream.state import ShardState, alloc_span_rows, pool_span_rows
 
 FORMAT_VERSION = 1
@@ -144,16 +145,20 @@ def _restore_store(
     return store
 
 
-def engine_state(engine: StreamEngine) -> dict:
-    """The engine's complete serializable state."""
-    engine.materialize()  # fold any pending columnar buffers first
-    state = {
-        "version": FORMAT_VERSION,
+def stream_head(engine: StreamEngine) -> dict:
+    """The scalar head of a checkpoint: config plus stream-order state.
+
+    Both formats embed exactly this dict (JSON at the top level of
+    :func:`engine_state`, binary inside each segment header), so its
+    key order is part of the byte-identity oracle.
+    """
+    config = engine.config
+    return {
         "config": {
-            "num_shards": engine.config.num_shards,
-            "shard_key": engine.config.shard_key.value,
-            "keep_observations": engine.config.keep_observations,
-            "retain_days": engine.config.retain_days,
+            "num_shards": config.num_shards,
+            "shard_key": config.shard_key.value,
+            "keep_observations": config.keep_observations,
+            "retain_days": config.retain_days,
         },
         "current_day": engine.current_day,
         "closed_through": engine._closed_through,
@@ -163,6 +168,42 @@ def engine_state(engine: StreamEngine) -> dict:
         "watched": sorted(
             [iid, s.source, s.day, s.t_seconds] for iid, s in engine.watched.items()
         ),
+    }
+
+
+def restore_stream_head(
+    head: dict,
+    origin_of: Callable[[int], int | None] | None = None,
+    store: ObservationStore | None = None,
+) -> StreamEngine:
+    """An empty engine configured and positioned by :func:`stream_head`
+    output (any dict holding those keys)."""
+    config = StreamConfig(
+        num_shards=head["config"]["num_shards"],
+        shard_key=ShardKey(head["config"]["shard_key"]),
+        keep_observations=head["config"]["keep_observations"],
+        # .get(): additive field, pre-retention checkpoints still load.
+        retain_days=head["config"].get("retain_days"),
+    )
+    engine = StreamEngine(config, origin_of=origin_of, store=store)
+    engine.current_day = head["current_day"]
+    engine._closed_through = head["closed_through"]
+    engine._days_seen = set(head["days_seen"])
+    engine.responses_ingested = head["responses_ingested"]
+    engine._watch_iids = set(head["watch_iids"])
+    engine.watched = {
+        iid: Sighting(source=source, day=day, t_seconds=t)
+        for iid, source, day, t in head["watched"]
+    }
+    return engine
+
+
+def engine_state(engine: StreamEngine) -> dict:
+    """The engine's complete serializable state."""
+    engine.materialize()  # fold any pending columnar buffers first
+    state = {
+        "version": FORMAT_VERSION,
+        **stream_head(engine),
         "detection": _detection_state(engine.live_detection),
         "shards": [_shard_state(s) for s in engine.shards],
         "store": _store_state(engine.store) if engine.store is not None else None,
@@ -195,23 +236,7 @@ def restore_engine(
         return engine
     if state.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {state.get('version')!r}")
-    config = StreamConfig(
-        num_shards=state["config"]["num_shards"],
-        shard_key=ShardKey(state["config"]["shard_key"]),
-        keep_observations=state["config"]["keep_observations"],
-        # .get(): additive field, pre-retention checkpoints still load.
-        retain_days=state["config"].get("retain_days"),
-    )
-    engine = StreamEngine(config, origin_of=origin_of, store=store)
-    engine.current_day = state["current_day"]
-    engine._closed_through = state["closed_through"]
-    engine._days_seen = set(state["days_seen"])
-    engine.responses_ingested = state["responses_ingested"]
-    engine._watch_iids = set(state["watch_iids"])
-    engine.watched = {
-        iid: Sighting(source=source, day=day, t_seconds=t)
-        for iid, source, day, t in state["watched"]
-    }
+    engine = restore_stream_head(state, origin_of=origin_of, store=store)
     engine.live_detection = _restore_detection(state["detection"])
     engine.shards = [_restore_shard(s) for s in state["shards"]]
     if state["store"] is not None and store is None and engine.store is not None:

@@ -51,7 +51,7 @@ from sys import byteorder
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from repro.stream.checkpoint import FORMAT_VERSION
+from repro.stream.checkpoint import FORMAT_VERSION, stream_head
 from repro.stream.state import ShardState, alloc_span_rows, pool_span_rows
 
 try:
@@ -472,7 +472,6 @@ def _build_segment(
         _add_store_blocks(writer, store, store_start) if store is not None else None
     )
 
-    config = engine.config
     header = {
         "format": BINARY_FORMAT,
         "kind": kind,
@@ -480,24 +479,7 @@ def _build_segment(
         "seq": seq,
         "day_floor": day_floor,
         "prune_threshold": engine._prune_floor,
-        "engine": {
-            "config": {
-                "num_shards": config.num_shards,
-                "shard_key": config.shard_key.value,
-                "keep_observations": config.keep_observations,
-                "retain_days": config.retain_days,
-            },
-            "current_day": engine.current_day,
-            "closed_through": engine._closed_through,
-            "days_seen": sorted(engine._days_seen),
-            "responses_ingested": engine.responses_ingested,
-            "watch_iids": sorted(engine._watch_iids),
-            "watched": sorted(
-                [iid, s.source, s.day, s.t_seconds]
-                for iid, s in engine.watched.items()
-            ),
-            "stable_pairs": detection.stable_pairs,
-        },
+        "engine": {**stream_head(engine), "stable_pairs": detection.stable_pairs},
         "shards": shard_records,
         "store": store_record,
         "progress": progress,
@@ -971,15 +953,12 @@ class ChainAssembler:
             ],
         }
 
+        # The header's "engine" dict is the shared stream head plus the
+        # one detection scalar that has no column block.
+        head = {k: v for k, v in engine_header.items() if k != "stable_pairs"}
         engine_state = {
             "version": FORMAT_VERSION,
-            "config": dict(engine_header["config"]),
-            "current_day": engine_header["current_day"],
-            "closed_through": engine_header["closed_through"],
-            "days_seen": engine_header["days_seen"],
-            "responses_ingested": engine_header["responses_ingested"],
-            "watch_iids": engine_header["watch_iids"],
-            "watched": engine_header["watched"],
+            **head,
             "detection": detection,
             "shards": shards,
             "store": rows,

@@ -82,13 +82,13 @@ def eui64_mask(src_lo):
 def day_segments(days: list, current_day: int | None):
     """Split a batch's day list into runs of equal days; police ordering.
 
-    Returns ``(segments, day_column, error)``: segments are ``(start,
-    stop, day)`` over the longest valid prefix, *day_column* is the
-    validated int64 day array truncated to that prefix (fed straight
-    into the column build), and *error* is the per-observation path's
-    "stream went backwards" message when the prefix ends at an ordering
-    violation (the caller ingests the prefix, then raises -- exactly
-    what the scalar loop does mid-batch).
+    Returns ``(segments, day_column, backwards)``: segments are
+    ``(start, stop, day)`` over the longest valid prefix, *day_column*
+    is the validated int64 day array truncated to that prefix (fed
+    straight into the column build), and *backwards* is the offending
+    day when the prefix ends at an ordering violation, else ``None``
+    (the caller ingests the prefix, then hands that day to its day-open
+    step, which raises -- exactly what the scalar loop does mid-batch).
     """
     arr = np.array(days, dtype=np.int64)
     n = len(arr)
@@ -96,31 +96,34 @@ def day_segments(days: list, current_day: int | None):
     prev[0] = current_day if current_day is not None else arr[0]
     prev[1:] = arr[:-1]
     bad = arr < prev
-    error = None
+    backwards = None
     if bad.any():
         n = int(bad.argmax())
-        error = f"stream went backwards: day {days[n]} after day {int(prev[n])}"
+        backwards = days[n]
         arr = arr[:n]
     if n == 0:
-        return [], arr, error
+        return [], arr, backwards
     first = np.empty(n, dtype=bool)
     first[0] = True
     first[1:] = arr[1:] != arr[:-1]
     starts = np.nonzero(first)[0].tolist()
     stops = starts[1:] + [n]
-    return [(a, b, days[a]) for a, b in zip(starts, stops)], arr, error
+    return [(a, b, days[a]) for a, b in zip(starts, stops)], arr, backwards
 
 
-def _batch_address_arrays(batch):
-    """uint64 address arrays plus the unique-source-/48 grouping.
+def column_batch_arrays(batch, day_column, route_of):
+    """Kernel columns for a :class:`~repro.store.batch.ColumnBatch`.
 
-    The shared core of the :class:`ColumnBatch` kernel entry points:
-    each column becomes a uint64 array with one C-level ``np.array``
-    call (the batch already holds flat hi/lo buffers -- no per-row
-    attribute walks or shifts), and the unique-/48 ``first_idx`` /
-    ``inverse`` mapping lets callers resolve routes once per /48 and
-    broadcast back over the rows -- one column build serves every day
-    segment of the batch via slicing.
+    Each address column becomes a uint64 array with one C-level
+    ``np.array`` call (the batch already holds flat hi/lo buffers -- no
+    per-row attribute walks or shifts), and one column build serves
+    every day segment of the batch via slicing.  *route_of(source)* ->
+    ``(slot, asn)`` is consulted once per unique source /48 (the
+    caller's memoized route cache) and broadcast back over the rows;
+    the slot is whatever owns the row for the caller -- a shard for the
+    engine, a worker for the dispatcher.  *day_column* is the validated
+    array from :func:`day_segments` and *batch* must already be
+    truncated to its length.
     """
     src_hi = np.array(batch.src_hi, dtype=np.uint64)
     src_lo = np.array(batch.src_lo, dtype=np.uint64)
@@ -129,55 +132,13 @@ def _batch_address_arrays(batch):
     _net48, first_idx, inverse = np.unique(
         src_hi >> np.uint64(16), return_index=True, return_inverse=True
     )
-    return src_hi, src_lo, tgt_hi, tgt_lo, first_idx, inverse
-
-
-def column_batch_arrays(batch, day_column, route_of):
-    """Kernel columns for a :class:`~repro.store.batch.ColumnBatch`.
-
-    *route_of(source)* -> ``(shard, asn)`` is consulted once per unique
-    source /48 (the engine's memoized route cache); *day_column* is the
-    validated array from :func:`day_segments` and *batch* must already
-    be truncated to its length.
-    """
-    src_hi, src_lo, tgt_hi, tgt_lo, first_idx, inverse = _batch_address_arrays(batch)
-    sid_u = np.empty(len(first_idx), dtype=np.int64)
+    slot_u = np.empty(len(first_idx), dtype=np.int64)
     asn_u = np.empty(len(first_idx), dtype=np.int64)
     batch_hi = batch.src_hi
     batch_lo = batch.src_lo
     for j, i in enumerate(first_idx.tolist()):
-        sid_u[j], asn_u[j] = route_of((batch_hi[i] << 64) | batch_lo[i])
-    return sid_u[inverse], day_column, asn_u[inverse], src_hi, src_lo, tgt_hi, tgt_lo
-
-
-def dispatch_batch_arrays(batch, route_of):
-    """Worker-routing columns for a :class:`ColumnBatch` at the dispatcher.
-
-    Like :func:`column_batch_arrays` but keeps only the origin AS of
-    each row's route (worker placement is re-derived vectorially by
-    :func:`worker_of_rows`, and shard placement happens worker-side,
-    exactly as with flat rows).  *route_of(source)* is the dispatcher's
-    memoized per-/48 resolver.  Returns ``(asn, src_hi, src_lo,
-    tgt_hi, tgt_lo)`` with *asn* as an int64 row column.
-    """
-    src_hi, src_lo, tgt_hi, tgt_lo, first_idx, inverse = _batch_address_arrays(batch)
-    asn_u = np.empty(len(first_idx), dtype=np.int64)
-    batch_hi = batch.src_hi
-    batch_lo = batch.src_lo
-    for j, i in enumerate(first_idx.tolist()):
-        asn_u[j] = route_of((batch_hi[i] << 64) | batch_lo[i])[1]
-    return asn_u[inverse], src_hi, src_lo, tgt_hi, tgt_lo
-
-
-def worker_of_rows(asn, src_hi, asn_keyed: bool, num_shards: int, num_workers: int):
-    """Owning-worker index per row, matching the scalar dispatcher.
-
-    The scalar path computes ``shard_index(key) % num_workers`` per
-    /48; :func:`vector_shard_index` is elementwise-identical to
-    ``shard_index``, so both paths place every row on the same worker.
-    """
-    key = asn.astype(np.uint64) if asn_keyed else src_hi >> np.uint64(32)
-    return vector_shard_index(key, num_shards) % np.uint64(num_workers)
+        slot_u[j], asn_u[j] = route_of((batch_hi[i] << 64) | batch_lo[i])
+    return slot_u[inverse], day_column, asn_u[inverse], src_hi, src_lo, tgt_hi, tgt_lo
 
 
 def absorb_worker_columns(acc, columns, asn_keyed: bool, num_shards: int) -> None:

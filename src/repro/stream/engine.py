@@ -18,9 +18,12 @@ The fold itself exists twice and only twice: the scalar reference
 behind :meth:`StreamEngine.ingest`, and the numpy
 :class:`~repro.stream.columnar.ColumnarAccumulator` behind the bulk
 entry points.  Which one a bulk call runs is decided by whether numpy
-imports, nothing else.
+imports, nothing else: ``ingest_batch`` here only converts chunks to
+columns when the kernel exists, and is otherwise the reference loop
+inherited from :class:`~repro.stream.sink.IngestSinkBase`.
 
-Day handling: observation days must arrive non-decreasing (scans are
+Day handling lives in that shared base (the dispatcher runs the same
+code): observation days must arrive non-decreasing (scans are
 time-ordered).  When a new day first appears, the previous day is
 *closed*: its ``<target, EUI response>`` pair set is diffed against the
 day before it -- the same :func:`diff_pairs` the batch detector uses --
@@ -36,14 +39,13 @@ from typing import Callable, Iterable
 
 from repro.core.allocation import AllocationInference
 from repro.core.records import ObservationStore, ProbeObservation
-from repro.core.rotation_detect import RotationDetection, diff_pairs, target_prefix48
+from repro.core.rotation_detect import RotationDetection, diff_pairs
 from repro.core.rotation_pool import RotationPoolInference
 from repro.core.tracker import AsProfile
-from repro.net.addr import Prefix
 from repro.store.batch import ColumnBatch
 from repro.stream import columnar as columnar_kernel
 from repro.stream.shard import ShardKey, ShardRouter
-from repro.stream.sink import IngestSinkBase
+from repro.stream.sink import IngestSinkBase, update_sighting
 from repro.stream.state import (
     ShardState,
     allocation_inference_from_spans,
@@ -83,48 +85,14 @@ class StreamConfig:
             raise ValueError("retain_days must be >= 2 (the live diff needs 2 days)")
 
 
-@dataclass
-class Sighting:
-    """The freshest observation of a watched IID.
-
-    ``t_seconds`` is ``None`` for a watchlist seed (an anchor supplied
-    by the caller, not yet observed on the stream) -- kept JSON-clean,
-    no infinity sentinels.
-    """
-
-    source: int
-    day: int
-    t_seconds: float | None
-
-
-def update_sighting(
-    watched: dict[int, Sighting], iid: int, source: int, day: int, t_seconds: float
-) -> None:
-    """Record an observation of a watched IID if it is the freshest.
-
-    The one freshness rule (strictly newer ``t_seconds`` wins, so the
-    first arrival keeps a tie), shared by every ingest path -- the
-    engine's per-observation and columnar paths and the parallel
-    dispatcher's.
-    Callers gate on the watch set first; this only runs for watched
-    IIDs, off the hot path.
-    """
-    sighting = watched.get(iid)
-    if sighting is None:
-        watched[iid] = Sighting(source=source, day=day, t_seconds=t_seconds)
-    elif sighting.t_seconds is None or t_seconds > sighting.t_seconds:
-        sighting.source = source
-        sighting.day = day
-        sighting.t_seconds = t_seconds
-
-
 class StreamEngine(IngestSinkBase):
     """Single-pass ingestion with incrementally maintained inferences.
 
-    An :class:`~repro.stream.sink.IngestSink`: the polymorphic
-    ``ingest()`` comes from the shared mixin; this class implements the
-    three native primitives (:meth:`_ingest_observation`,
-    :meth:`ingest_batch`, :meth:`ingest_columns`).
+    An :class:`~repro.stream.sink.IngestSink`: stream order (day
+    open/close, watchlist, ``flush``), the polymorphic ``ingest()`` and
+    the bulk skeletons come from the shared mixin; this class supplies
+    the hand-inlined :meth:`_ingest_observation`, the shard-owning
+    hooks, and the columnar fast paths on top of them.
     """
 
     def __init__(
@@ -145,21 +113,7 @@ class StreamEngine(IngestSinkBase):
             self.store = store
         else:
             self.store = ObservationStore() if self.config.keep_observations else None
-        self.live_detection = RotationDetection()  # via the property setter
-        # Per-day rotation attribution for the serve layer: day ->
-        # prefixes whose pairs were first flagged changed at that day's
-        # close (a disappearance that merely completes a previously
-        # reported appearance is not re-attributed, matching the
-        # columnar emitted-mask dedup).  One small set per closed day;
-        # execution state only, never checkpointed -- a restored engine
-        # re-accumulates from its resume day.
-        self.rotation_days: dict[int, set[Prefix]] = {}
-        self._watch_iids: set[int] = set()
-        self.watched: dict[int, Sighting] = {}
-        self.current_day: int | None = None
-        self._closed_through: int | None = None  # newest day already diffed
-        self._days_seen: set[int] = set()  # days with >= 1 observation
-        self.responses_ingested = 0
+        self._init_stream_order()
         # Hot-path cache: (shard, asn) per source /48.  Sound because BGP
         # routes in this model are /48 or shorter (periphery /48s are the
         # paper's unit), so origin -- and hence ASN-keyed sharding -- is
@@ -201,26 +155,6 @@ class StreamEngine(IngestSinkBase):
         if self.store is not None:
             self.store.attach_telemetry(telemetry)
 
-    # -- watchlist (live tracker pursuit) ---------------------------------
-
-    def watch(self, iid: int, initial_address: int | None = None) -> None:
-        """Start keeping the freshest sighting of *iid*.
-
-        The passive half of tracking: if the hunted device answers any
-        campaign probe after a rotation, its new address is known without
-        a single extra probe.
-        """
-        self._watch_iids.add(iid)
-        if iid not in self.watched and initial_address is not None:
-            self.watched[iid] = Sighting(
-                source=initial_address,
-                day=self.current_day or 0,
-                t_seconds=None,
-            )
-
-    def last_sighting(self, iid: int) -> Sighting | None:
-        return self.watched.get(iid)
-
     # -- ingestion ---------------------------------------------------------
 
     def _ingest_observation(self, observation: ProbeObservation) -> None:
@@ -230,10 +164,6 @@ class StreamEngine(IngestSinkBase):
         ``ingest()``; campaign consumers bind this method directly."""
         day = observation.day
         if day != self.current_day:
-            if self.current_day is not None and day < self.current_day:
-                raise ValueError(
-                    f"stream went backwards: day {day} after day {self.current_day}"
-                )
             self._open_day(day)
 
         source = observation.source
@@ -255,25 +185,6 @@ class StreamEngine(IngestSinkBase):
             if iid in self._watch_iids:
                 update_sighting(self.watched, iid, source, day, observation.t_seconds)
 
-    def _open_day(self, day: int) -> None:
-        """Advance the stream to *day*, closing every day before it.
-
-        The one day-open step both ingest paths share; callers have
-        already policed ordering (*day* is newer than ``current_day``).
-        """
-        if self.current_day is not None:
-            self._close_days_through(day - 1)
-        self.current_day = day
-        self._days_seen.add(day)
-        if self._obs is not None:
-            self._obs.day_opened(day)
-
-    # How many observations the columnar path converts to columns at a
-    # time.  Bounds transient memory on lazy feeds (the reference loop
-    # is O(1); this is O(chunk)) while staying large enough to amortize
-    # the per-chunk numpy fixed costs.
-    _COLUMNAR_CHUNK = 16384
-
     def ingest_batch(self, observations: Iterable[ProbeObservation]) -> int:
         """Bulk-apply a micro-batch; returns how many were ingested.
 
@@ -282,23 +193,14 @@ class StreamEngine(IngestSinkBase):
         whole -- each split into a :class:`ColumnBatch` and handed to
         the sort-reduce path :meth:`ingest_columns` also runs (several-
         fold faster than the reference loop; see ``BENCH_stream.json``'s
-        ``columnar_ingest``).  Without numpy this *is* the reference
-        loop: :meth:`ingest` per observation.  State-identical either
-        way -- the fuzz harness asserts it -- including the
-        rows-before-error accounting on a backwards day (rows before
-        the offending one are ingested, then the error raises).
+        ``columnar_ingest``).  Without numpy this is the inherited
+        reference loop.  State-identical either way -- the fuzz harness
+        asserts it -- including the rows-before-error accounting on a
+        backwards day (rows before the offending one are ingested, then
+        the error raises).
         """
         if self._acc is None:
-            count = 0
-            try:
-                for observation in observations:
-                    self._ingest_observation(observation)
-                    count += 1
-            finally:
-                if self._obs is not None:
-                    self._obs.batches.value += 1
-                    self._obs.batch_rows.observe(count)
-            return count
+            return super().ingest_batch(observations)
         iterator = iter(observations)
         total = 0
         while True:
@@ -318,83 +220,11 @@ class StreamEngine(IngestSinkBase):
             )
         return route
 
-    def ingest_columns(self, batch) -> int:
-        """Ingest a :class:`~repro.store.batch.ColumnBatch` directly.
-
-        The redesign's native hand-off: the batch already holds flat
-        day/hi/lo columns (from ``Zmap6`` column emission, a store's
-        ``scan_columns``, or a resumed corpus), so the kernel arrays
-        build with one C-level conversion per column instead of the
-        per-observation attribute walks ``ingest_batch`` pays.  State-
-        identical to ingesting ``batch.observations()`` -- the store
-        fuzz harness pins it -- including mid-batch backwards-day
-        accounting.  Without the numpy kernel the batch iterates,
-        lazily, into the per-observation reference loop.
-        """
-        if not len(batch):
-            return 0
-        if self._acc is None:
-            return self.ingest_batch(iter(batch))
-        chunk = self._COLUMNAR_CHUNK
-        if len(batch) <= chunk:
-            return self._ingest_column_batch(batch)
-        total = 0
-        for start in range(0, len(batch), chunk):
-            total += self._ingest_column_batch(batch.slice(start, start + chunk))
-        return total
-
-    def _ingest_column_batch(self, batch) -> int:
-        """One bounded :class:`ColumnBatch` through the columnar kernel.
-
-        Per day-run of the batch: resolve routes per unique /48 and
-        hand the columns to the accumulator; Python sets and span dicts
-        are only touched when a day closes or state is read
-        (:meth:`materialize`).  Store writes stay columnar too
-        (:meth:`~repro.core.records.ObservationStore.extend_columns`),
-        so a column-native store appends with zero row materialization.
-        Day progression and watchlist sightings keep the scalar path's
-        exact semantics.
-        """
-        segments, day_column, error = columnar_kernel.day_segments(
-            batch.day, self.current_day
-        )
-        store = self.store
-        valid = batch
-        count = 0
-        try:
-            if segments:
-                if len(day_column) != len(batch):
-                    valid = batch.slice(0, len(day_column))
-                columns = columnar_kernel.column_batch_arrays(
-                    valid, day_column, self._route_of
-                )
-            for start, stop, day in segments:
-                if day != self.current_day:
-                    self._open_day(day)
-                self._acc.absorb(*(c[start:stop] for c in columns))
-                if self._watch_iids:
-                    src_lo = columns[4][start:stop]
-                    for i in columnar_kernel.watch_hits(src_lo, self._watch_iids):
-                        row = start + i
-                        update_sighting(
-                            self.watched,
-                            valid.src_lo[row],
-                            (valid.src_hi[row] << 64) | valid.src_lo[row],
-                            day,
-                            valid.t_seconds[row],
-                        )
-                count += stop - start
-        finally:
-            self.responses_ingested += count
-            if self._obs is not None:
-                self._obs.observe_batch(count)
-            if count and store is not None:
-                store.extend_columns(
-                    valid if count == len(valid) else valid.slice(0, count)
-                )
-        if error is not None:
-            raise ValueError(error)
-        return count
+    def _absorb_columns(self, day: int, columns: tuple) -> None:
+        """Buffer a day-segment in the accumulator; Python sets and span
+        dicts are only touched when a day closes or state is read
+        (:meth:`materialize`)."""
+        self._acc.absorb(*columns)
 
     def materialize(self) -> None:
         """Fold any pending columnar buffers into the shard states.
@@ -411,8 +241,6 @@ class StreamEngine(IngestSinkBase):
             else:
                 with obs.materialize_seconds.time():
                     acc.materialize(self.shards)
-
-    # The polymorphic ingest() is inherited from IngestSinkBase.
 
     # -- live rotation detection ------------------------------------------
 
@@ -456,8 +284,8 @@ class StreamEngine(IngestSinkBase):
 
         With the kernel, pair columns diff directly (no Python sets) as
         long as the accumulator still owns both days' pairs; otherwise
-        -- and always without numpy -- this is the shared
-        :func:`diff_pairs` over merged shard sets.
+        -- and always without numpy -- this is the shared set-based
+        step over merged shard sets (:meth:`_pairs_on`).
         """
         acc = self._acc
         if acc is not None and not self._shards_have_pairs(previous, closed):
@@ -468,19 +296,7 @@ class StreamEngine(IngestSinkBase):
             if self._obs is not None:
                 self._obs.day_closed(closed, len(changed[0]), stable)
             return
-        detection = diff_pairs(self._pairs_on(previous), self._pairs_on(closed))
-        # Attribute only pairs not already in the cumulative set, so the
-        # per-day sets agree with the columnar close path's emitted-mask
-        # dedup (computed before the cumulative |= below).
-        fresh = detection.changed_pairs - self.live_detection.changed_pairs
-        self.rotation_days[closed] = {target_prefix48(t) for t, _ in fresh}
-        self._live_detection.changed_pairs |= detection.changed_pairs
-        self._live_detection.rotating_prefixes |= detection.rotating_prefixes
-        self._live_detection.stable_pairs += detection.stable_pairs
-        if self._obs is not None:
-            self._obs.day_closed(
-                closed, len(detection.changed_pairs), detection.stable_pairs
-            )
+        super()._diff_days(previous, closed)
 
     def _pairs_on(self, day: int) -> set[tuple[int, int]]:
         self.materialize()
@@ -489,43 +305,13 @@ class StreamEngine(IngestSinkBase):
             pairs |= shard.pairs_by_day.get(day, set())
         return pairs
 
-    def _close_days_through(self, day: int) -> None:
-        """Diff every newly closed day against its predecessor.
-
-        A pair of consecutive days is diffed iff *both* were scanned
-        (had at least one observation): a scanned day with zero EUI-64
-        pairs legitimately diffs as "everything disappeared", matching
-        the batch detector, while an unscanned gap day yields no
-        snapshot to compare against.  Shard-local diffs would be
-        equivalent (the pair -> shard mapping is content-stable), but
-        the merged diff reuses ``diff_pairs`` verbatim, keeping one
-        source of truth with the batch detector.
-        """
-        start = (
-            self._closed_through + 1
-            if self._closed_through is not None
-            else self.current_day
-        )
-        days_seen = self._days_seen
-        for closed in range(start, day + 1):
-            previous = closed - 1
-            if previous in days_seen and closed in days_seen:
-                self._diff_days(previous, closed)
-            self._closed_through = closed
-        retain = self.config.retain_days
-        if retain is not None and self._closed_through is not None:
-            if self._acc is not None:
-                # Bounded-memory mode: per-row aggregate buffers must not
-                # outlive a day.  Pairs stay columnar (pruned below), so
-                # the columnar close diff keeps its fast path.
-                self._acc.fold_aggregates(self.shards)
-            self.prune_pair_days(self._closed_through - retain + 2)
-
-    def flush(self) -> RotationDetection:
-        """Close the in-progress day and return the cumulative detection."""
-        if self.current_day is not None and self._closed_through != self.current_day:
-            self._close_days_through(self.current_day)
-        return self.live_detection
+    def _prune_below(self, floor: int) -> None:
+        if self._acc is not None:
+            # Bounded-memory mode: per-row aggregate buffers must not
+            # outlive a day.  Pairs stay columnar (pruned below), so
+            # the columnar close diff keeps its fast path.
+            self._acc.fold_aggregates(self.shards)
+        self.prune_pair_days(floor)
 
     def prune_pair_days(self, threshold: int) -> None:
         """Drop per-day pair sets for days older than *threshold*.

@@ -16,12 +16,14 @@ response.
 
 Division of labour:
 
-* the **dispatcher** (the caller's process) flattens observations,
-  resolves each source /48's origin AS once through the memoized
-  routing cache, tracks stream-order state that must not be sharded --
-  day progression, watchlist sightings, the optional observation store
-  -- and runs day-over-day rotation diffs on pair columns collected
-  from the workers whenever a day closes;
+* the **dispatcher** (the caller's process) resolves each source
+  /48's owning worker and origin AS once through the memoized routing
+  cache and ships rows as ``rows``/``cols`` frames.  Stream order --
+  day progression, watchlist sightings, the day-close walk and its
+  diff -- is :class:`~repro.stream.sink.IngestSinkBase`'s, the same
+  code the engine runs; the dispatcher only supplies the hooks that
+  reach across the transport: a day's pairs are collected from the
+  workers (plus a resumed base), a prune goes to every live channel;
 * each **worker** (a :class:`~repro.stream.fabric.protocol.WorkerCore`
   behind its socket) folds its chunks into plain
   :class:`~repro.stream.state.ShardState` aggregates with the same
@@ -58,17 +60,15 @@ silent loss.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.core.records import ObservationStore, ProbeObservation
-from repro.core.rotation_detect import RotationDetection, diff_pairs, target_prefix48
 from repro.net.addr import IID_MASK
-from repro.stream import columnar as columnar_kernel
-from repro.stream.engine import Sighting, StreamConfig, StreamEngine, update_sighting
+from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.fabric.protocol import FabricError, WorkerLost, pairs_from_columns
 from repro.stream.fabric.transport import SocketTransport, parse_worker_spec
 from repro.stream.shard import ShardKey, shard_index
-from repro.stream.sink import IngestSinkBase
+from repro.stream.sink import IngestSinkBase, update_sighting
 from repro.stream.state import ShardState, merge_shard_state
 from repro.util import get_logger
 
@@ -89,8 +89,10 @@ def _journal_weight(message: tuple) -> int:
 class ParallelStreamEngine(IngestSinkBase):
     """Drop-in parallel ingestion front-end for :class:`StreamEngine`.
 
-    Accepts the same observation stream and watchlist calls as the
-    single-process engine; materialize the merged view on demand:
+    Shares the engine's whole stream-order surface (``ingest*``,
+    ``watch``, ``last_sighting``, ``flush``) through
+    :class:`~repro.stream.sink.IngestSinkBase`; what it adds is the
+    merged view, materialized on demand:
 
     * :meth:`snapshot_engine` -- merged :class:`StreamEngine` of
       everything ingested so far; workers keep running (the live-query
@@ -176,42 +178,18 @@ class ParallelStreamEngine(IngestSinkBase):
         self._sync_token = 0
         self._merged: StreamEngine | None = None
         self._open = True
+        self._exited: set[int] = set()  # channels whose exit telemetry saw
         # Workers that received rows since a binary checkpoint saver
         # last drained the set (take_dirty_sids).  Marked only at the
         # send sites -- a snapshot flushes the buffers first, so every
         # mutation is visible as a send by checkpoint time.
         self._dirty_workers: set[int] = set()
 
-        # Stream-order state the dispatcher owns (never sharded).
-        if base is not None:
-            self.current_day: int | None = base.current_day
-            self._closed_through: int | None = base._closed_through
-            self._days_seen: set[int] = set(base._days_seen)
-            self._watch_iids: set[int] = set(base._watch_iids)
-            self.watched: dict[int, Sighting] = {
-                iid: Sighting(source=s.source, day=s.day, t_seconds=s.t_seconds)
-                for iid, s in base.watched.items()
-            }
-            self.live_detection = RotationDetection(
-                changed_pairs=set(base.live_detection.changed_pairs),
-                rotating_prefixes=set(base.live_detection.rotating_prefixes),
-                stable_pairs=base.live_detection.stable_pairs,
-            )
-            self.rotation_days = {
-                day: set(prefixes) for day, prefixes in base.rotation_days.items()
-            }
-            self.responses_ingested = base.responses_ingested
-        else:
-            self.current_day = None
-            self._closed_through = None
-            self._days_seen = set()
-            self._watch_iids = set()
-            self.watched = {}
-            self.live_detection = RotationDetection()
-            self.rotation_days = {}
-            self.responses_ingested = 0
-        # Merged pairs of the most recently closed scanned day, kept so
-        # the next close diffs without re-asking the workers.
+        # Stream-order state stays dispatcher-side (never sharded), so
+        # sightings and day closes resolve in exact stream order.
+        self._init_stream_order(base)
+        # Merged pairs of the most recently collected day, kept so the
+        # next close diffs without re-asking the workers.
         self._closed_pairs: tuple[int, set[tuple[int, int]]] | None = None
 
         if store is not None:
@@ -262,11 +240,20 @@ class ParallelStreamEngine(IngestSinkBase):
     def close(self) -> None:
         """Hard-stop the workers (no merge).  Idempotent."""
         self._open = False
-        if self._obs is not None:
-            for worker in range(len(self._channels)):
-                self._obs.worker_exited(worker)
-        self._channels = []
+        self._retire_channels()
         self._transport.close(graceful=False)
+
+    def _report_exit(self, worker: int) -> None:
+        """Tell telemetry a worker is gone -- once per worker, whether
+        the loss handler or the final close gets there first."""
+        if self._obs is not None and worker not in self._exited:
+            self._exited.add(worker)
+            self._obs.worker_exited(worker)
+
+    def _retire_channels(self) -> None:
+        for worker in range(len(self._channels)):
+            self._report_exit(worker)
+        self._channels = []
 
     def __enter__(self) -> "ParallelStreamEngine":
         return self
@@ -299,8 +286,7 @@ class ParallelStreamEngine(IngestSinkBase):
         """
         channel = self._channels[channel_index]
         channel.mark_dead(reason)
-        if self._obs is not None:
-            self._obs.worker_exited(channel_index)
+        self._report_exit(channel_index)
         if self._journals is None:
             self.close()
             degraded = (
@@ -443,52 +429,27 @@ class ParallelStreamEngine(IngestSinkBase):
                 self._handle_loss(exc.channel_index, str(exc))
                 self._resync()
 
-    # -- watchlist ---------------------------------------------------------
-
-    def watch(self, iid: int, initial_address: int | None = None) -> None:
-        """Same contract as :meth:`StreamEngine.watch` (dispatcher-side,
-        so sightings resolve in exact stream order at no transfer cost)."""
-        self._watch_iids.add(iid)
-        if iid not in self.watched and initial_address is not None:
-            self.watched[iid] = Sighting(
-                source=initial_address, day=self.current_day or 0, t_seconds=None
-            )
-
-    def last_sighting(self, iid: int) -> Sighting | None:
-        return self.watched.get(iid)
-
     # -- ingestion ---------------------------------------------------------
 
     def _ingest_observation(self, observation: ProbeObservation) -> None:
-        """Route one observation; the per-response consumer fast path.
-
-        Campaign drivers hand the dispatcher one response at a time, so
-        this avoids the batch prologue: one day check, one route-cache
-        probe, one buffer append.  (The polymorphic
-        :meth:`~repro.stream.sink.IngestSinkBase.ingest` lands here for
-        single observations.)
-        """
+        """Route one observation: one day check, one route-cache probe,
+        one buffer append.  Everything else happens in the workers."""
+        self._check_open()
         day = observation.day
         if day != self.current_day:
-            # Delegate the cold path (first day, day close, backwards
-            # error) to the batch loop.
-            self.ingest_batch((observation,))
-            return
-        self._check_open()
-        if self._closed_pairs is not None and self._closed_pairs[0] == day:
-            # This day was closed and cached by flush(); new rows for it
-            # must invalidate the cache (see ingest_batch).
+            self._open_day(day)
+        elif self._closed_pairs is not None and self._closed_pairs[0] == day:
+            # flush() closed and cached the current day's pairs; a row
+            # arriving for that same day makes the cache stale for the
+            # next day-over-day diff.
             self._closed_pairs = None
         source = observation.source
         route = self._route_of(source)
         buffer = self._buffers[route[0]]
         buffer.append((day, observation.target, source, route[1]))
         if len(buffer) >= self.batch_rows:
-            self._dispatch(route[0], ("rows", buffer))
+            self._send(route[0], ("rows", buffer), len(buffer))
             self._buffers[route[0]] = []
-            self._dirty_workers.add(route[0])
-            if self._obs is not None:
-                self._obs.dispatched(route[0], len(buffer))
         if self.store is not None:
             self.store.add(observation)
         self.responses_ingested += 1
@@ -499,220 +460,56 @@ class ParallelStreamEngine(IngestSinkBase):
             if iid in self._watch_iids:
                 update_sighting(self.watched, iid, source, day, observation.t_seconds)
 
-    def ingest_batch(self, observations: Iterable[ProbeObservation]) -> int:
-        """Flatten, route, and enqueue a batch; returns how many rows.
-
-        Per observation the dispatcher does exactly: one dict probe for
-        the /48 route (origin AS + owning worker), one tuple append, and
-        -- only when a watchlist or store is active -- the bookkeeping
-        that must see stream order.  Everything else happens in the
-        workers.
-        """
-        self._check_open()
-        buffers = self._buffers
-        dispatch = self._dispatch
-        limit = self.batch_rows
-        route_cache = self._route_cache
-        resolve_route = self._resolve_route
-        watch = self._watch_iids
-        watched = self.watched
-        days_seen = self._days_seen
-        store = self.store
-        obs_bundle = self._obs
-        keep: list[ProbeObservation] | None = [] if store is not None else None
-        current_day = self.current_day
-        if self._closed_pairs is not None and self._closed_pairs[0] == current_day:
-            # flush() closed and cached the current day's pairs; rows
-            # arriving for that same day would make the cache stale for
-            # the next day-over-day diff.
-            self._closed_pairs = None
-        count = 0
-        try:
-            for observation in observations:
-                day = observation.day
-                if day != current_day:
-                    if current_day is None:
-                        pass
-                    elif day < current_day:
-                        raise ValueError(
-                            f"stream went backwards: day {day} after day {current_day}"
-                        )
-                    else:
-                        # A later day appeared: everything up to day-1
-                        # is complete.  Flush so the workers hold those
-                        # days in full, then run the close protocol.
-                        self.current_day = current_day
-                        self._flush_buffers()
-                        self._close_through(day - 1)
-                    current_day = day
-                    self.current_day = day
-                    days_seen.add(day)
-                    if obs_bundle is not None:
-                        obs_bundle.day_opened(day)
-                source = observation.source
-                net48 = source >> 80
-                route = route_cache.get(net48)
-                if route is None:
-                    route = route_cache[net48] = resolve_route(source)
-                buffer = buffers[route[0]]
-                buffer.append((day, observation.target, source, route[1]))
-                if len(buffer) >= limit:
-                    dispatch(route[0], ("rows", buffer))
-                    buffers[route[0]] = []
-                    self._dirty_workers.add(route[0])
-                    if obs_bundle is not None:
-                        obs_bundle.dispatched(route[0], len(buffer))
-                if keep is not None:
-                    keep.append(observation)
-                count += 1
-                if watch:
-                    iid = source & IID_MASK
-                    if iid in watch:
-                        update_sighting(
-                            watched, iid, source, day, observation.t_seconds
-                        )
-        finally:
-            # Mirror StreamEngine.ingest_batch: rows processed before a
-            # mid-batch error stay accounted, matching the per-
-            # observation path's behavior on the same stream.
-            self.current_day = current_day
-            self.responses_ingested += count
-            if obs_bundle is not None:
-                obs_bundle.observe_batch(count)
-            if keep:
-                store.extend(keep)
-        return count
-
-    def _resolve_route(self, source: int) -> tuple[int, int]:
-        """(owning worker, origin AS) for *source* -- the one derivation.
-
-        Every dispatch path -- per-response, flat-row batch, and column
-        batch -- must place a /48's rows on the same worker, so the
-        scramble and the unrouted-AS convention live here only.
-        """
-        asn = (self._origin_of(source) or 0) if self._origin_of else 0
-        worker = shard_index(
-            asn if self._asn_keyed else source >> 96, self.config.num_shards
-        ) % self.num_workers
-        return (worker, asn)
-
     def _route_of(self, source: int) -> tuple[int, int]:
-        """:meth:`_resolve_route`, memoized per covering /48."""
+        """(owning worker, origin AS) for *source*, memoized per /48.
+
+        Every dispatch path must place a /48's rows on the same worker,
+        so the scramble and the unrouted-AS convention live here only.
+        """
         net48 = source >> 80
         route = self._route_cache.get(net48)
         if route is None:
-            route = self._route_cache[net48] = self._resolve_route(source)
+            asn = (self._origin_of(source) or 0) if self._origin_of else 0
+            worker = shard_index(
+                asn if self._asn_keyed else source >> 96, self.config.num_shards
+            ) % self.num_workers
+            route = self._route_cache[net48] = (worker, asn)
         return route
 
     def ingest_columns(self, batch) -> int:
-        """Dispatch a :class:`~repro.store.batch.ColumnBatch` to the workers.
-
-        The zero-copy hand-off: per day segment the rows are split by
-        owning worker with one vectorized scramble and shipped as flat
-        uint64 arrays -- no per-row tuples are built on either side of
-        the transport.  Day closes, watchlist sightings, store writes,
-        and mid-batch backwards-day accounting keep
-        :meth:`ingest_batch`'s exact semantics (the fuzz harness pins
-        the merged state byte-identical).  Without numpy the batch
-        lazily degrades to the flat-row path.
-        """
+        """Dispatch a :class:`~repro.store.batch.ColumnBatch` to the
+        workers as flat uint64 arrays -- no per-row tuples are built on
+        either side of the transport (see :meth:`_absorb_columns`)."""
         self._check_open()
-        if not len(batch):
-            return 0
-        if not columnar_kernel.numpy_enabled():
-            return self.ingest_batch(iter(batch))
-        segments, day_column, error = columnar_kernel.day_segments(
-            batch.day, self.current_day
-        )
-        store = self.store
-        valid = batch
-        count = 0
-        try:
-            if segments:
-                if len(day_column) != len(batch):
-                    valid = batch.slice(0, len(day_column))
-                asn, src_hi, src_lo, tgt_hi, tgt_lo = (
-                    columnar_kernel.dispatch_batch_arrays(valid, self._route_of)
-                )
-                worker_rows = columnar_kernel.worker_of_rows(
-                    asn,
-                    src_hi,
-                    self._asn_keyed,
-                    self.config.num_shards,
-                    self.num_workers,
-                )
-            for start, stop, day in segments:
-                if day != self.current_day:
-                    if self.current_day is not None:
-                        self._flush_buffers()
-                        self._close_through(day - 1)
-                    self.current_day = day
-                    self._days_seen.add(day)
-                    if self._obs is not None:
-                        self._obs.day_opened(day)
-                if self._closed_pairs is not None and self._closed_pairs[0] == day:
-                    # flush() closed and cached this day; new rows make
-                    # the cached pair set stale (see ingest_batch).
-                    self._closed_pairs = None
-                segment = slice(start, stop)
-                seg_worker = worker_rows[segment]
-                for w in range(self.num_workers):
-                    mask = seg_worker == w
-                    if not mask.any():
-                        continue
-                    self._dispatch(
-                        w,
-                        (
-                            "cols",
-                            (
-                                day_column[segment][mask],
-                                asn[segment][mask],
-                                src_hi[segment][mask],
-                                src_lo[segment][mask],
-                                tgt_hi[segment][mask],
-                                tgt_lo[segment][mask],
-                            ),
-                        ),
-                    )
-                    self._dirty_workers.add(w)
-                    if self._obs is not None:
-                        self._obs.dispatched(w, int(mask.sum()))
-                if self._watch_iids:
-                    for i in columnar_kernel.watch_hits(
-                        src_lo[segment], self._watch_iids
-                    ):
-                        row = start + i
-                        update_sighting(
-                            self.watched,
-                            valid.src_lo[row],
-                            (valid.src_hi[row] << 64) | valid.src_lo[row],
-                            day,
-                            valid.t_seconds[row],
-                        )
-                count += stop - start
-        finally:
-            self.responses_ingested += count
-            if self._obs is not None:
-                self._obs.observe_batch(count)
-            if count and store is not None:
-                store.extend_columns(
-                    valid if count == len(valid) else valid.slice(0, count)
-                )
-        if error is not None:
-            raise ValueError(error)
-        return count
+        return super().ingest_columns(batch)
+
+    def _absorb_columns(self, day: int, columns: tuple) -> None:
+        """Split one day-segment by owning worker and ship ``cols`` frames."""
+        if self._closed_pairs is not None and self._closed_pairs[0] == day:
+            self._closed_pairs = None  # stale: see _ingest_observation
+        owner = columns[0]
+        for w in range(self.num_workers):
+            mask = owner == w
+            rows = int(mask.sum())
+            if rows:
+                self._send(w, ("cols", tuple(c[mask] for c in columns[1:])), rows)
+
+    def _send(self, worker: int, message: tuple, rows: int) -> None:
+        """Dispatch a row-carrying frame and account for it."""
+        self._dispatch(worker, message)
+        self._dirty_workers.add(worker)
+        if self._obs is not None:
+            self._obs.dispatched(worker, rows)
 
     def _flush_buffers(self) -> None:
+        self._check_open()
         obs = self._obs
         for worker, buffer in enumerate(self._buffers):
             if obs is not None:
                 obs.queue_depth[worker].value = len(buffer)
             if buffer:
-                self._dispatch(worker, ("rows", buffer))
+                self._send(worker, ("rows", buffer), len(buffer))
                 self._buffers[worker] = []
-                self._dirty_workers.add(worker)
-                if obs is not None:
-                    obs.dispatched(worker, len(buffer))
 
     def take_dirty_sids(self) -> set[int]:
         """Shard ids possibly mutated since the last call; clears the set.
@@ -736,80 +533,41 @@ class ParallelStreamEngine(IngestSinkBase):
 
     def barrier(self) -> None:
         """Block until every worker has applied everything sent so far."""
-        self._check_open()
         self._flush_buffers()
         self._resync()
 
-    # -- live rotation detection (dispatcher-side day closes) --------------
+    # -- day-close hooks (the walk itself is IngestSinkBase's) --------------
 
-    def _merged_day_pairs(self, day: int) -> set[tuple[int, int]]:
+    def _pairs_on(self, day: int) -> set[tuple[int, int]]:
         """Pairs of *day* across all workers plus any resumed base state.
 
-        Workers reply with flat pair *columns* (four parallel uint64
-        lists) -- nothing object-shaped crosses the transport -- and
-        the dispatcher rebuilds the set to diff.
+        Flushes first so the workers hold the day in full.  Workers
+        reply with flat pair *columns* (four parallel uint64 lists) --
+        nothing object-shaped crosses the transport -- and the
+        dispatcher rebuilds the set to diff, caching the newest one so
+        each close costs one collection.
         """
+        cached = self._closed_pairs
+        if cached is not None and cached[0] == day:
+            return cached[1]
+        self._flush_buffers()
         pairs: set[tuple[int, int]] = set()
         for columns in self._collect(("day_pairs", day), "pairs"):
             pairs |= pairs_from_columns(columns)
         if self._base is not None:
             pairs |= self._base._pairs_on(day)
+        self._closed_pairs = (day, pairs)
         return pairs
 
-    def _close_through(self, day: int) -> None:
-        """The dispatcher's replica of ``StreamEngine._close_days_through``.
-
-        Identical day-pairing rules and the same :func:`diff_pairs`, but
-        over pair columns collected from the workers; caching the last
-        closed day's merged pairs keeps it to one collection per close.
-        """
-        start = (
-            self._closed_through + 1
-            if self._closed_through is not None
-            else self.current_day
-        )
-        days_seen = self._days_seen
-        for closed in range(start, day + 1):
-            previous = closed - 1
-            if previous in days_seen and closed in days_seen:
-                if self._closed_pairs is not None and self._closed_pairs[0] == previous:
-                    previous_pairs = self._closed_pairs[1]
-                else:
-                    previous_pairs = self._merged_day_pairs(previous)
-                closed_pairs = self._merged_day_pairs(closed)
-                detection = diff_pairs(previous_pairs, closed_pairs)
-                # Per-day attribution for the serve layer, deduplicated
-                # against the cumulative set exactly as
-                # StreamEngine._diff_days does.
-                fresh = detection.changed_pairs - self.live_detection.changed_pairs
-                self.rotation_days[closed] = {target_prefix48(t) for t, _ in fresh}
-                self.live_detection.changed_pairs |= detection.changed_pairs
-                self.live_detection.rotating_prefixes |= detection.rotating_prefixes
-                self.live_detection.stable_pairs += detection.stable_pairs
-                self._closed_pairs = (closed, closed_pairs)
-                if self._obs is not None:
-                    self._obs.day_closed(
-                        closed, len(detection.changed_pairs), detection.stable_pairs
-                    )
-            self._closed_through = closed
-        retain = self.config.retain_days
-        if retain is not None and self._closed_through is not None:
-            floor = self._closed_through - retain + 2
-            sent: set[int] = set()
-            for slot in range(self.num_workers):
-                channel_index = self._slots[slot]
-                if channel_index in sent:
-                    continue
+    def _prune_below(self, floor: int) -> None:
+        """One ``prune`` per live channel, after the rows it must follow."""
+        self._flush_buffers()
+        sent: set[int] = set()
+        for slot in range(self.num_workers):
+            channel_index = self._slots[slot]
+            if channel_index not in sent:
                 sent.add(channel_index)
                 self._dispatch(slot, ("prune", floor))
-
-    def flush(self) -> RotationDetection:
-        """Close the in-progress day; the parallel ``StreamEngine.flush``."""
-        self._check_open()
-        self._flush_buffers()
-        if self.current_day is not None and self._closed_through != self.current_day:
-            self._close_through(self.current_day)
-        return self.live_detection
 
     # -- merge -------------------------------------------------------------
 
@@ -831,28 +589,12 @@ class ParallelStreamEngine(IngestSinkBase):
             for shard in shards:
                 if shard.n_observations:
                     merge_shard_state(engine.shards[shard.shard_id], shard)
-        retain = self.config.retain_days
-        if retain is not None and self._closed_through is not None:
+        floor = self._retain_floor()
+        if floor is not None:
             # A resumed base may hold pair days the live run has since
             # pruned; apply the current threshold to the merged view.
-            engine.prune_pair_days(self._closed_through - retain + 2)
-        engine.current_day = self.current_day
-        engine._closed_through = self._closed_through
-        engine._days_seen = set(self._days_seen)
-        engine.responses_ingested = self.responses_ingested
-        engine._watch_iids = set(self._watch_iids)
-        engine.watched = {
-            iid: Sighting(source=s.source, day=s.day, t_seconds=s.t_seconds)
-            for iid, s in self.watched.items()
-        }
-        engine.live_detection = RotationDetection(
-            changed_pairs=set(self.live_detection.changed_pairs),
-            rotating_prefixes=set(self.live_detection.rotating_prefixes),
-            stable_pairs=self.live_detection.stable_pairs,
-        )
-        engine.rotation_days = {
-            day: set(prefixes) for day, prefixes in self.rotation_days.items()
-        }
+            engine.prune_pair_days(floor)
+        engine._init_stream_order(self)
         return engine
 
     def read_view(self) -> StreamEngine:
@@ -875,7 +617,6 @@ class ParallelStreamEngine(IngestSinkBase):
         engine fed the same observations -- including the still-open
         day, which stays unclosed exactly as it would live.
         """
-        self._check_open()
         self._flush_buffers()
         return self._fold(self._collect(("state",), "state"))
 
@@ -891,6 +632,7 @@ class ParallelStreamEngine(IngestSinkBase):
             return self._merged
         self._check_open()
         self.flush()
+        self._flush_buffers()  # flush() only ships what a day close needs
         states = self._collect(("state",), "state")
         for channel_index in self._active_channels():
             try:
@@ -899,10 +641,7 @@ class ParallelStreamEngine(IngestSinkBase):
                 pass
         merged = self._fold(states)
         self._open = False
-        if self._obs is not None:
-            for worker in range(len(self._channels)):
-                self._obs.worker_exited(worker)
-        self._channels = []
+        self._retire_channels()
         self._transport.close(graceful=True)
         self._merged = merged
         return merged

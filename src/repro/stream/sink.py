@@ -1,33 +1,56 @@
-"""One polymorphic ``ingest()`` shared by every observation consumer.
+"""The stream-order front end shared by every observation consumer.
 
-Callers hold different currencies -- one observation, a raw probe
-reply, an observation iterable or day-ordered feed, a
-:class:`~repro.store.batch.ColumnBatch` -- but the *routing* between
-them is mechanical, so it lives here, once, behind one name.
+Two things make the day-over-day rotation diff right, and neither may
+be sharded or forked: callers hold different *currencies* (one
+observation, a raw probe reply, an observation iterable or day-ordered
+feed, a :class:`~repro.store.batch.ColumnBatch`), and the stream has an
+*order* -- days arrive non-decreasing, a day closes when the next one
+opens, consecutive scanned days diff through :func:`diff_pairs`, the
+freshest sighting of a watched IID wins.  :class:`IngestSinkBase` owns
+both, once, for :class:`~repro.stream.engine.StreamEngine` and
+:class:`~repro.stream.parallel.ParallelStreamEngine` alike:
 
-:class:`IngestSinkBase` is the mixin: a subclass implements the three
-native primitives --
+* the polymorphic :meth:`~IngestSinkBase.ingest` over every currency;
+* the stream-order fields (``current_day``, ``_closed_through``,
+  ``_days_seen``, ``_watch_iids``, ``watched``, ``live_detection``,
+  ``rotation_days``, ``responses_ingested``), kept as plain attributes
+  on the sink itself so the per-response path pays no indirection;
+* the watchlist (:meth:`~IngestSinkBase.watch`,
+  :meth:`~IngestSinkBase.last_sighting`);
+* the day-open step with the one backwards-day check, the day-close
+  walk, the set-based diff-and-attribute step and
+  :meth:`~IngestSinkBase.flush`;
+* the scalar bulk loop (:meth:`~IngestSinkBase.ingest_batch` *is* the
+  reference loop) and the column-batch skeleton
+  (:meth:`~IngestSinkBase.ingest_columns`).
+
+A sink supplies what is genuinely its own:
 
 * :meth:`_ingest_observation` -- fold one observation (the hot
-  per-response path; campaign drivers bind this method directly so the
-  dispatch below never runs per probe);
-* :meth:`ingest_batch` -- bulk-apply an observation iterable;
-* :meth:`ingest_columns` -- ingest a ``ColumnBatch`` without row
-  materialization
+  per-response path, hand-inlined per sink; campaign drivers bind it
+  directly so nothing in this module runs per probe);
+* :meth:`_route_of` -- ``(owning slot, origin AS)`` of a source: a
+  shard for the engine, a worker for the dispatcher;
+* :meth:`_absorb_columns` -- take one day-segment's kernel columns;
+* :meth:`_pairs_on` -- the merged ``(target, source)`` pair set of a
+  scanned day;
+* :meth:`_prune_below` -- drop per-day pair state older than a floor;
 
--- and inherits the polymorphic :meth:`ingest`.  :class:`StreamEngine`
-and :class:`ParallelStreamEngine` both mix it in, which is what lets
-campaign code and feeds treat "something that absorbs observations" as
-one :class:`IngestSink` type regardless of process or host boundaries.
+plus the attributes ``config``, ``store`` and ``_obs`` (telemetry
+bundle or ``None``).  Everything shared runs once per day or once per
+chunk, never per probe.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Protocol, runtime_checkable
 
 from repro.core.records import ProbeObservation
+from repro.core.rotation_detect import RotationDetection, diff_pairs, target_prefix48
 from repro.net.icmpv6 import ProbeResponse
 from repro.store.batch import ColumnBatch
+from repro.stream import columnar as columnar_kernel
 
 
 @runtime_checkable
@@ -45,24 +68,312 @@ class IngestSink(Protocol):
     def ingest_columns(self, batch) -> int: ...
 
 
+@dataclass
+class Sighting:
+    """The freshest observation of a watched IID.
+
+    ``t_seconds`` is ``None`` for a watchlist seed (an anchor supplied
+    by the caller, not yet observed on the stream) -- kept JSON-clean,
+    no infinity sentinels.
+    """
+
+    source: int
+    day: int
+    t_seconds: float | None
+
+
+def update_sighting(
+    watched: dict[int, Sighting], iid: int, source: int, day: int, t_seconds: float
+) -> None:
+    """Record an observation of a watched IID if it is the freshest.
+
+    The one freshness rule (strictly newer ``t_seconds`` wins, so the
+    first arrival keeps a tie), shared by every ingest path.  Callers
+    gate on the watch set first; this only runs for watched IIDs, off
+    the hot path.
+    """
+    sighting = watched.get(iid)
+    if sighting is None:
+        watched[iid] = Sighting(source=source, day=day, t_seconds=t_seconds)
+    elif sighting.t_seconds is None or t_seconds > sighting.t_seconds:
+        sighting.source = source
+        sighting.day = day
+        sighting.t_seconds = t_seconds
+
+
 class IngestSinkBase:
-    """Mixin: the polymorphic ``ingest()`` over three primitives."""
+    """Mixin: stream order and the polymorphic ``ingest()``, written once."""
 
     __slots__ = ()
 
-    # -- the primitives a sink implements ---------------------------------
+    # -- what a sink supplies ----------------------------------------------
 
     def _ingest_observation(self, observation: ProbeObservation) -> None:
         """Fold one observation into the sink. O(1); the hot path."""
         raise NotImplementedError
 
-    def ingest_batch(self, observations: Iterable[ProbeObservation]) -> int:
-        """Bulk-apply an observation iterable; returns how many."""
+    def _route_of(self, source: int) -> tuple[int, int]:
+        """``(owning slot, origin AS)`` for *source*, memoized per /48."""
         raise NotImplementedError
 
-    def ingest_columns(self, batch) -> int:
-        """Ingest a :class:`ColumnBatch` directly; returns how many."""
+    def _absorb_columns(self, day: int, columns: tuple) -> None:
+        """Take one day-segment of :func:`column_batch_arrays` columns
+        ``(slot, day, asn, src_hi, src_lo, tgt_hi, tgt_lo)``."""
         raise NotImplementedError
+
+    def _pairs_on(self, day: int) -> set[tuple[int, int]]:
+        """Every ``(target, EUI source)`` pair seen on scanned *day*."""
+        raise NotImplementedError
+
+    def _prune_below(self, floor: int) -> None:
+        """Drop per-day pair state for days older than *floor*."""
+        raise NotImplementedError
+
+    # -- stream-order state -------------------------------------------------
+
+    def _init_stream_order(self, source: "IngestSinkBase | None" = None) -> None:
+        """Set the stream-order fields: a fresh stream, or an independent
+        copy of *source*'s (a resumed base, a dispatcher being merged).
+
+        The one field list.  ``rotation_days`` is day -> prefixes whose
+        pairs were first flagged changed at that day's close; execution
+        state for the serve layer, never checkpointed.
+        """
+        self.current_day: int | None = None
+        self._closed_through: int | None = None  # newest day already diffed
+        self._days_seen: set[int] = set()  # days with >= 1 observation
+        self._watch_iids: set[int] = set()
+        self.watched: dict[int, Sighting] = {}
+        self.live_detection = RotationDetection()
+        self.rotation_days: dict[int, set] = {}
+        self.responses_ingested = 0
+        if source is None:
+            return
+        self.current_day = source.current_day
+        self._closed_through = source._closed_through
+        self._days_seen.update(source._days_seen)
+        self._watch_iids.update(source._watch_iids)
+        for iid, s in source.watched.items():
+            self.watched[iid] = Sighting(s.source, s.day, s.t_seconds)
+        detection = source.live_detection
+        self.live_detection = RotationDetection(
+            changed_pairs=set(detection.changed_pairs),
+            rotating_prefixes=set(detection.rotating_prefixes),
+            stable_pairs=detection.stable_pairs,
+        )
+        for day, prefixes in source.rotation_days.items():
+            self.rotation_days[day] = set(prefixes)
+        self.responses_ingested = source.responses_ingested
+
+    def progress_signature(self) -> tuple:
+        """Changes whenever anything a reader could observe has moved:
+        rows ingested, the open day, the newest close, the watchlist."""
+        return (
+            self.responses_ingested,
+            self.current_day,
+            self._closed_through,
+            len(self.watched),
+        )
+
+    def read_view(self):
+        """The object read-only queries run against: the sink itself,
+        unless it must merge remote state first (the dispatcher)."""
+        return self
+
+    # -- watchlist (live tracker pursuit) -----------------------------------
+
+    def watch(self, iid: int, initial_address: int | None = None) -> None:
+        """Start keeping the freshest sighting of *iid*.
+
+        The passive half of tracking: if the hunted device answers any
+        campaign probe after a rotation, its new address is known without
+        a single extra probe.
+        """
+        self._watch_iids.add(iid)
+        if iid not in self.watched and initial_address is not None:
+            self.watched[iid] = Sighting(
+                source=initial_address, day=self.current_day or 0, t_seconds=None
+            )
+
+    def last_sighting(self, iid: int) -> Sighting | None:
+        return self.watched.get(iid)
+
+    # -- day progression ----------------------------------------------------
+
+    def _open_day(self, day: int) -> None:
+        """Advance the stream to *day*, closing every day before it.
+
+        The one day-open step and the one ordering check: callers come
+        here whenever a row's day differs from ``current_day``.
+        """
+        current = self.current_day
+        if current is not None:
+            if day < current:
+                raise ValueError(
+                    f"stream went backwards: day {day} after day {current}"
+                )
+            self._close_days_through(day - 1)
+        self.current_day = day
+        self._days_seen.add(day)
+        if self._obs is not None:
+            self._obs.day_opened(day)
+
+    def _retain_floor(self) -> int | None:
+        """Oldest pair day ``retain_days`` still keeps, if it bounds any."""
+        retain = self.config.retain_days
+        if retain is None or self._closed_through is None:
+            return None
+        return self._closed_through - retain + 2
+
+    def _close_days_through(self, day: int) -> None:
+        """Diff every newly closed day against its predecessor.
+
+        A pair of consecutive days is diffed iff *both* were scanned
+        (had at least one observation): a scanned day with zero EUI-64
+        pairs legitimately diffs as "everything disappeared", matching
+        the batch detector, while an unscanned gap day yields no
+        snapshot to compare against.
+        """
+        start = (
+            self._closed_through + 1
+            if self._closed_through is not None
+            else self.current_day
+        )
+        days_seen = self._days_seen
+        for closed in range(start, day + 1):
+            previous = closed - 1
+            if previous in days_seen and closed in days_seen:
+                self._diff_days(previous, closed)
+            self._closed_through = closed
+        floor = self._retain_floor()
+        if floor is not None:
+            self._prune_below(floor)
+
+    def _diff_days(self, previous: int, closed: int) -> None:
+        """Diff two scanned days' merged pair sets into the live detection.
+
+        The same :func:`diff_pairs` the batch detector uses -- one
+        source of truth.  Only pairs not already in the cumulative set
+        are attributed to *closed* (computed before the cumulative
+        ``|=``), so per-day attribution agrees with the columnar close
+        path's emitted-mask dedup.
+        """
+        detection = diff_pairs(self._pairs_on(previous), self._pairs_on(closed))
+        live = self.live_detection
+        fresh = detection.changed_pairs - live.changed_pairs
+        self.rotation_days[closed] = {target_prefix48(t) for t, _ in fresh}
+        live.changed_pairs |= detection.changed_pairs
+        live.rotating_prefixes |= detection.rotating_prefixes
+        live.stable_pairs += detection.stable_pairs
+        if self._obs is not None:
+            self._obs.day_closed(
+                closed, len(detection.changed_pairs), detection.stable_pairs
+            )
+
+    def flush(self) -> RotationDetection:
+        """Close the in-progress day and return the cumulative detection."""
+        if self.current_day is not None and self._closed_through != self.current_day:
+            self._close_days_through(self.current_day)
+        return self.live_detection
+
+    # -- bulk ingestion -----------------------------------------------------
+
+    # How many rows go through the column skeleton at a time.  Bounds
+    # transient memory on lazy feeds (the reference loop is O(1); this
+    # is O(chunk)) while staying large enough to amortize the per-chunk
+    # numpy fixed costs.
+    _COLUMNAR_CHUNK = 16384
+
+    def ingest_batch(self, observations: Iterable[ProbeObservation]) -> int:
+        """Bulk-apply an observation iterable; returns how many.
+
+        The reference loop: :meth:`_ingest_observation` per row, so
+        rows before a mid-batch backwards day are ingested and
+        accounted, then the error raises.
+        """
+        count = 0
+        try:
+            for observation in observations:
+                self._ingest_observation(observation)
+                count += 1
+        finally:
+            if self._obs is not None:
+                self._obs.batches.value += 1
+                self._obs.batch_rows.observe(count)
+        return count
+
+    def ingest_columns(self, batch) -> int:
+        """Ingest a :class:`ColumnBatch` without row materialization.
+
+        The batch already holds flat day/hi/lo columns (``Zmap6`` column
+        emission, a store's ``scan_columns``, a resumed corpus), so the
+        kernel arrays build with one C-level conversion per column.
+        State-identical to ingesting ``batch.observations()``, mid-batch
+        backwards-day accounting included.  Without numpy the batch
+        iterates, lazily, into the reference loop.
+        """
+        if not len(batch):
+            return 0
+        if not columnar_kernel.numpy_enabled():
+            return self.ingest_batch(iter(batch))
+        chunk = self._COLUMNAR_CHUNK
+        if len(batch) <= chunk:
+            return self._ingest_column_batch(batch)
+        total = 0
+        for start in range(0, len(batch), chunk):
+            total += self._ingest_column_batch(batch.slice(start, start + chunk))
+        return total
+
+    def _ingest_column_batch(self, batch) -> int:
+        """One bounded :class:`ColumnBatch` through the column skeleton.
+
+        Per day-run of the batch: routes resolve once per unique /48,
+        the sink absorbs the segment's columns, and day progression and
+        watchlist sightings keep the scalar path's exact semantics.
+        Store writes stay columnar, so a column-native store appends
+        with zero row materialization.
+        """
+        segments, day_column, backwards = columnar_kernel.day_segments(
+            batch.day, self.current_day
+        )
+        valid = batch
+        count = 0
+        try:
+            if segments:
+                if len(day_column) != len(batch):
+                    valid = batch.slice(0, len(day_column))
+                columns = columnar_kernel.column_batch_arrays(
+                    valid, day_column, self._route_of
+                )
+            for start, stop, day in segments:
+                if day != self.current_day:
+                    self._open_day(day)
+                self._absorb_columns(day, tuple(c[start:stop] for c in columns))
+                if self._watch_iids:
+                    src_lo = columns[4][start:stop]
+                    for i in columnar_kernel.watch_hits(src_lo, self._watch_iids):
+                        row = start + i
+                        update_sighting(
+                            self.watched,
+                            valid.src_lo[row],
+                            (valid.src_hi[row] << 64) | valid.src_lo[row],
+                            day,
+                            valid.t_seconds[row],
+                        )
+                count += stop - start
+        finally:
+            self.responses_ingested += count
+            if self._obs is not None:
+                self._obs.observe_batch(count)
+            if count and self.store is not None:
+                self.store.extend_columns(
+                    valid if count == len(valid) else valid.slice(0, count)
+                )
+        if backwards is not None:
+            # The valid prefix is in; the offending day is older than
+            # current_day, so the day-open step raises for it.
+            self._open_day(backwards)
+        return count
 
     # -- the one polymorphic entry point ----------------------------------
 
@@ -110,4 +421,4 @@ class IngestSinkBase:
         return self.ingest_batch(_chained())
 
 
-__all__ = ["IngestSink", "IngestSinkBase"]
+__all__ = ["IngestSink", "IngestSinkBase", "Sighting", "update_sighting"]

@@ -236,3 +236,15 @@ def test_watch_sighting_address_tracks_the_daily_move(engine):
     from repro.net.addr import parse_addr
 
     assert parse_addr(payload["sighting"]["address"]) == device_address(0, 3)
+
+
+def test_seeded_watch_reaches_readers_without_an_ingest(engine):
+    # LivePursuit.add_target on a served engine: the seed sighting must
+    # be visible on the next refresh, not only after a probe answers.
+    publisher = SnapshotPublisher(engine)
+    iid = device_iid(99)  # not in the corpus, so only the seed can show
+    engine.watch(iid, initial_address=device_address(99, 3))
+    snapshot = publisher.refresh()
+    assert snapshot.version == 2
+    assert snapshot.iid_location(iid) == (device_address(99, 3), 3, None)
+    assert publisher.refresh() is snapshot  # and then it is unchanged again

@@ -9,6 +9,7 @@ connection that never says hello times the master out, and a corrupted
 frame poisons exactly one channel, never the stream's integrity.
 """
 
+import io
 import json
 import os
 import signal
@@ -23,6 +24,7 @@ import pytest
 from _worlds import build_campaign, build_rotating_internet
 
 from repro import config
+from repro.obs import Telemetry
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
@@ -375,6 +377,16 @@ class TestSocketEquivalence:
         )
 
 
+def assert_each_worker_exited_once(telemetry, event_sink, num_workers):
+    """A lost worker is reported when the loss is seen, not again at
+    close: the live-worker gauge lands on 0 (it used to read -1) and
+    every worker has exactly one ``worker_exit`` event."""
+    assert telemetry.snapshot()["gauges"]["repro_parallel_workers"] == 0
+    events = [json.loads(line) for line in event_sink.getvalue().splitlines()]
+    exits = sorted(e["worker"] for e in events if e["event"] == "worker_exit")
+    assert exits == list(range(num_workers))
+
+
 class TestFaults:
     def test_killed_worker_requeues_onto_survivor(self, world):
         internet, corpus = world
@@ -383,12 +395,15 @@ class TestFaults:
         transport = socket_transport(
             spawn="process", heartbeat=0.2, heartbeat_timeout=1.5
         )
+        event_sink = io.StringIO()
+        telemetry = Telemetry(events=event_sink)
         parallel = ParallelStreamEngine(
             config_,
             origin_of=internet.rib.origin_of,
             num_workers=2,
             batch_rows=32,
             transport=transport,
+            telemetry=telemetry,
         )
         half = len(corpus) // 2
         parallel.ingest_batch(corpus[:half])
@@ -397,6 +412,7 @@ class TestFaults:
         parallel.ingest_batch(corpus[half:])
         merged = parallel.finalize()
         assert json.dumps(engine_state(merged)) == expected
+        assert_each_worker_exited_once(telemetry, event_sink, 2)
 
     def test_killed_local_worker_requeues_onto_survivor(self, world):
         # What a local crash does now: ``workers=N`` is the same
@@ -429,12 +445,15 @@ class TestFaults:
             heartbeat=0.2,
             heartbeat_timeout=1.5,
         )
+        event_sink = io.StringIO()
+        telemetry = Telemetry(events=event_sink)
         parallel = ParallelStreamEngine(
             config_,
             origin_of=internet.rib.origin_of,
             num_workers=2,
             batch_rows=32,
             transport=transport,
+            telemetry=telemetry,
         )
         half = len(corpus) // 2
         parallel.ingest_batch(corpus[:half])
@@ -446,6 +465,7 @@ class TestFaults:
             parallel.ingest_batch(corpus[half:])
             parallel.barrier()
         parallel.close()
+        assert_each_worker_exited_once(telemetry, event_sink, 2)
 
     def test_journal_bound_degrades_to_abort(self, world):
         # Past the journal row bound the dispatcher stops retaining

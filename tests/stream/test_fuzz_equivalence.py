@@ -8,7 +8,9 @@ the *same* state for any valid stream.  The unit and world tests pin
 that on curated scenarios; this harness pins it on ~20 randomized ones:
 random rotation cadences, scan gaps, shard modes and counts, retention
 windows, worker counts, chunk sizes, duplicate and out-of-order
-same-day responses, and a mid-stream snapshot point.  The oracle is
+same-day responses, a feed currency drawn afresh for every chunk, and a
+mid-stream snapshot point (at which even seeds also ``flush()``, so
+same-day rows arrive after a close).  The oracle is
 ``engine_state`` serialized to JSON -- checkpoint bytes -- so any
 divergence in any aggregate, counter, watchlist entry, or stored
 observation fails the seed that found it.
@@ -24,11 +26,12 @@ degenerate to the same, still valid, comparison).
 Since the storage redesign the harness is also the cross-backend
 oracle: the corpus-keeping reference and parallel engines hold their
 store in memory (:class:`~repro.store.backend.ColumnarBackend`) while
-the bulk engine keeps an sqlite file, and odd seeds feed the bulk
-engine through
-``ingest_columns`` (``ColumnBatch`` hand-off) and the parallel engine
-through its column dispatch -- so identical checkpoint bytes prove
-layout- and currency-independence, not just kernel equivalence.
+the bulk engine keeps an sqlite file, and each chunk reaches the bulk
+engine and the dispatcher as single ``ingest(observation)`` calls, an
+``ingest_batch`` or an ``ingest_columns`` (``ColumnBatch`` hand-off /
+column dispatch), drawn per chunk -- so identical checkpoint bytes
+prove layout- and currency-independence (and that the currencies
+interleave), not just kernel equivalence.
 
 Since the serve layer the bulk engine is additionally *served*: a
 :class:`~repro.serve.snapshot.SnapshotPublisher` refreshes against it
@@ -52,8 +55,8 @@ from repro.stream.parallel import ParallelStreamEngine
 from repro.stream.shard import ShardKey
 
 SEEDS = range(20)
-# Seeds re-run with the numpy kernel patched out: 0-5 cover both feed
-# currencies (seed parity) at 1, 2 and 4 workers.
+# Seeds re-run with the numpy kernel patched out: 0-5 cover the
+# split-point flush (seed parity) at 1, 2 and 4 workers.
 KERNEL_LESS_SEEDS = range(6)
 
 
@@ -154,8 +157,9 @@ def check_ingest_paths_agree(seed, tmp_path):
     num_workers = rng.choice([1, 2, 4])
     batch_rows = rng.choice([5, 17, 64])
     split = rng.randrange(len(corpus) + 1)  # mid-stream snapshot point
-    # Odd seeds drive the ColumnBatch hand-off paths.
-    columns = bool(seed % 2)
+    # Even seeds also flush() there, so the rest of that day's rows
+    # arrive after their day was closed (and its pairs cached).
+    flush_at_split = not seed % 2
 
     watch = [o.source_iid for o in corpus if o.is_eui64][:2]
 
@@ -185,7 +189,7 @@ def check_ingest_paths_agree(seed, tmp_path):
     # real TCP frame boundary -- serial == sockets is the fabric's
     # headline contract.  Seed bit 1 picks real subprocess workers
     # (what ``workers=N`` spawns) over in-process threads, so spawn
-    # mode and feed currency (bit 0) meet in every combination.
+    # mode and the split-point flush (bit 0) meet in every combination.
     parallel = ParallelStreamEngine(
         config,
         origin_of=origin_of,
@@ -210,11 +214,16 @@ def check_ingest_paths_agree(seed, tmp_path):
     versions = [publisher.version]
 
     def feed(engine, chunk):
-        """Columns on odd seeds, observation objects on even ones."""
-        if columns:
-            engine.ingest_columns(ColumnBatch.from_observations(chunk))
-        else:
+        """One chunk in a currency drawn for it: single observations,
+        an observation batch, or a ``ColumnBatch``."""
+        currency = rng.choice(("each", "batch", "columns"))
+        if currency == "each":
+            for observation in chunk:
+                engine.ingest(observation)
+        elif currency == "batch":
             engine.ingest_batch(chunk)
+        else:
+            engine.ingest_columns(ColumnBatch.from_observations(chunk))
         if engine is bulk and rng.random() < 0.3:
             versions.append(publisher.refresh().version)
 
@@ -232,6 +241,12 @@ def check_ingest_paths_agree(seed, tmp_path):
     mid = json.dumps(engine_state(reference))
     assert json.dumps(engine_state(bulk)) == mid
     assert json.dumps(engine_state(parallel.snapshot_engine())) == mid
+    if flush_at_split:
+        for engine in engines:
+            engine.flush()
+        mid = json.dumps(engine_state(reference))
+        assert json.dumps(engine_state(bulk)) == mid
+        assert json.dumps(engine_state(parallel.snapshot_engine())) == mid
 
     # Phase 2: the rest of the stream, then flush everything.
     for observation in corpus[split:]:
@@ -261,7 +276,7 @@ def test_checkpoint_bytes_identical_across_ingest_paths(seed, tmp_path):
 def test_checkpoint_bytes_identical_without_kernel(seed, tmp_path, monkeypatch):
     """The same engine set with numpy patched out of the kernel module:
     serial bulk, the dispatcher, thread-spawned workers, mid-stream
-    snapshots and the ``ingest_columns`` currency all run the scalar
+    snapshots and every feed currency all run the scalar
     reference fold and must produce its bytes.  (Subprocess workers --
     seeds 2 and 3 -- import numpy afresh, so those seeds pin a
     kernel-less master against kernel workers: the mixed-host case.)"""
