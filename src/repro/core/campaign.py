@@ -9,13 +9,20 @@ per day at ``scan_hour``, all responses accumulated in one
 
 An hourly mode provides the Figure 10 workload (one sweep of selected
 /48s per hour across several days).
+
+:meth:`Campaign.run_streaming` is column batches end to end: each day's
+scan is drained as :class:`~repro.store.batch.ColumnBatch` chunks that
+go to the consumer (an ingest sink takes the batch whole) and into the
+store as they are.  No per-response object exists between the network
+and the fold; :class:`ProbeObservation` appears only for a consumer
+that is a plain per-observation callable.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core.records import ObservationStore, ProbeObservation
 from repro.net.addr import Prefix
@@ -23,6 +30,10 @@ from repro.scan.targets import one_target_per_subnet
 from repro.scan.zmap import ScanConfig, ScanStream, Zmap6
 from repro.simnet.clock import HOURS_PER_DAY, seconds
 from repro.simnet.internet import SimInternet
+from repro.store.batch import ColumnBatch
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.stream.sink import IngestSink
 
 
 @dataclass(frozen=True)
@@ -129,8 +140,10 @@ class Campaign:
         scanner = Zmap6(
             self.internet, ScanConfig(rate_pps=config.rate_pps, seed=config.seed)
         )
+        # Same seed, same order every day: walk the cycle once.
+        ordered = list(scanner.ordered(self._targets))
         for day, start in self.day_schedule()[start_offset:]:
-            yield day, scanner.stream(self._targets, start_seconds=start)
+            yield day, ScanStream(scanner.network, scanner.config, ordered, start)
 
     def run(self) -> CampaignResult:
         """The full multi-day campaign (batch form of :meth:`run_streaming`)."""
@@ -138,43 +151,50 @@ class Campaign:
 
     def run_streaming(
         self,
-        consumer: Callable[[ProbeObservation], None] | None = None,
+        consumer: "IngestSink | Callable[[ProbeObservation], None] | None" = None,
         result: CampaignResult | None = None,
         start_offset: int = 0,
         max_days: int | None = None,
         on_day_complete: Callable[[int], None] | None = None,
     ) -> CampaignResult:
-        """Single-pass campaign: responses are handed to *consumer* as
-        they arrive and bulk-applied to the store once per scan.
+        """Single-pass campaign: each scan's responses reach *consumer*
+        and the store chunk by chunk, as column batches.
 
-        Produces a result identical to batch mode -- both paths share the
-        scanner's probe loop and the store's :meth:`~repro.core.records.
-        ObservationStore.extend` fast path.  This is the one
-        correctness-critical ingest loop; every streaming driver
-        (including :class:`repro.stream.campaign.StreamingCampaign`)
-        runs through it.  Pass a partially filled *result* plus
-        *start_offset* to resume an interrupted campaign; *max_days*
-        bounds how many days this call processes, and *on_day_complete*
-        fires after each day's accounting (the checkpoint hook).
+        *consumer* is an ingest sink (anything with ``ingest_columns``:
+        a stream engine, the parallel dispatcher), which takes each
+        batch whole, or a plain callable, which is handed one
+        :class:`ProbeObservation` per row.  Produces a result identical
+        to batch mode -- ``run()`` *is* this loop with no consumer.
+        This is the one correctness-critical ingest loop; every
+        streaming driver (including
+        :class:`repro.stream.campaign.StreamingCampaign`) runs through
+        it.  Pass a partially filled *result* plus *start_offset* to
+        resume an interrupted campaign; *max_days* bounds how many days
+        this call processes, and *on_day_complete* fires after each
+        day's accounting (the checkpoint hook).
+
+        A campaign started from its first day is a new branch of
+        simulated history: the network's rate limiters are reset first,
+        so repeats on one world answer identically however many came
+        before.
         """
         if result is None:
             result = CampaignResult(targets_per_day=len(self._targets))
-        from_response = ProbeObservation.from_response
+        if start_offset == 0:
+            self.internet.reset_rate_limits()
+        deliver = getattr(consumer, "ingest_columns", None)
+        if deliver is None and consumer is not None:
+            def deliver(batch: ColumnBatch) -> None:
+                for observation in batch:
+                    consumer(observation)
         processed = 0
         for day, stream in self.iter_day_streams(start_offset):
             if max_days is not None and processed >= max_days:
                 break
-            observations = []
-            append = observations.append
-            if consumer is None:
-                for response in stream:
-                    append(from_response(response, day))
-            else:
-                for response in stream:
-                    observation = from_response(response, day)
-                    append(observation)
-                    consumer(observation)
-            result.store.extend(observations)
+            for batch in stream.column_batches(day=day):
+                if deliver is not None:
+                    deliver(batch)
+                result.store.extend_columns(batch)
             result.probes_sent += stream.probes_sent
             result.days_run += 1
             processed += 1

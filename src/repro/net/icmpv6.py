@@ -15,9 +15,11 @@ simulation path exchanges the structured records directly.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from repro.net.addr import format_addr
+from repro.net.addr import IID_MASK, format_addr
 
 
 class IcmpType(enum.IntEnum):
@@ -111,6 +113,109 @@ class ProbeResponse:
             f"{self.icmp_type.name}/{self.code} from {format_addr(self.source)} "
             f"at t={self.time:.3f}h"
         )
+
+
+_ICMP_TYPES = {int(member): member for member in IcmpType}
+
+
+class ProbeChunk:
+    """What one chunk of probes drew: :class:`ProbeResponse` as columns.
+
+    One row per response, in probe order: ``times`` (the probes' own
+    time objects), the ``uint64`` halves of target and source as
+    ``array('Q')`` buffers -- the layout of a
+    :class:`~repro.store.batch.ColumnBatch`, so a chunk becomes a batch
+    without a copy -- and the ICMPv6 type and code as plain ints.
+    ``consumed`` is how many of the chunk's probes the network
+    processed: all of them, or, when the caller named a source IID to
+    stop at, every probe up to and including the one whose response
+    carries it (that response is then the last row).
+    """
+
+    __slots__ = (
+        "consumed",
+        "times",
+        "tgt_hi",
+        "tgt_lo",
+        "src_hi",
+        "src_lo",
+        "icmp_type",
+        "code",
+    )
+
+    def __init__(self) -> None:
+        self.consumed = 0
+        self.times: list[float] = []
+        self.tgt_hi = array("Q")
+        self.tgt_lo = array("Q")
+        self.src_hi = array("Q")
+        self.src_lo = array("Q")
+        self.icmp_type: list[int] = []
+        self.code: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def ends_at(self, iid: int | None) -> bool:
+        """True when the last response's source carries *iid*: with a
+        network told to stop there, the sign that it did."""
+        return bool(self.times) and self.src_lo[-1] == iid
+
+    def append(self, response: ProbeResponse) -> None:
+        self.times.append(response.time)
+        self.tgt_hi.append(response.target >> 64)
+        self.tgt_lo.append(response.target & IID_MASK)
+        self.src_hi.append(response.source >> 64)
+        self.src_lo.append(response.source & IID_MASK)
+        self.icmp_type.append(response.icmp_type)
+        self.code.append(response.code)
+
+    def responses(self, start: int = 0) -> list[ProbeResponse]:
+        """Rows *start* onward as :class:`ProbeResponse` objects, in probe order."""
+        return [
+            ProbeResponse(
+                target=(thi << 64) | tlo,
+                source=(shi << 64) | slo,
+                icmp_type=_ICMP_TYPES.get(icmp_type, icmp_type),
+                code=code,
+                time=time,
+            )
+            for thi, tlo, shi, slo, icmp_type, code, time in zip(
+                self.tgt_hi[start:],
+                self.tgt_lo[start:],
+                self.src_hi[start:],
+                self.src_lo[start:],
+                self.icmp_type[start:],
+                self.code[start:],
+                self.times[start:],
+            )
+        ]
+
+
+def probe_each(
+    probe: Callable[[int, float], "ProbeResponse | None"],
+    targets: Sequence[int],
+    times: Sequence[float],
+    stop_iid: int | None = None,
+) -> ProbeChunk:
+    """Answer a chunk by calling *probe* once per target, in order.
+
+    The scalar reference of every ``probe_many``: what a network that
+    only has ``probe`` is driven with, and what the simulator's chunk
+    verb runs when numpy is absent.  Stops after the first response
+    whose source IID equals *stop_iid*.
+    """
+    chunk = ProbeChunk()
+    append = chunk.append
+    chunk.consumed = len(targets)
+    for position, (target, t_seconds) in enumerate(zip(targets, times), start=1):
+        response = probe(target, t_seconds)
+        if response is not None:
+            append(response)
+            if response.source & IID_MASK == stop_iid:
+                chunk.consumed = position
+                break
+    return chunk
 
 
 def checksum(data: bytes) -> int:

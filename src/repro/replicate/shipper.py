@@ -179,9 +179,10 @@ class SegmentShipper:
             from repro.obs.instruments import ReplicationInstruments
 
             self._obs = ReplicationInstruments(telemetry)
-        threading.Thread(
+        self._acceptor = threading.Thread(
             target=self._accept_loop, name="repl-shipper-accept", daemon=True
-        ).start()
+        )
+        self._acceptor.start()
 
     # -- addressing --------------------------------------------------------
 
@@ -355,16 +356,26 @@ class SegmentShipper:
 
     def close(self) -> None:
         """Stop accepting, send ``stop`` to every follower, release the
-        port.  Idempotent."""
+        port and the chain copy.  Idempotent."""
         if self._closed:
             return
         self._closed = True
+        # Closing a listener from another thread does not wake a thread
+        # blocked in accept() on Linux; shutdown() does.  Left blocked,
+        # the accept thread keeps the port bound and, through its
+        # bound-method target, this shipper and every segment it holds.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # platforms that refuse shutdown on a listening socket
         try:
             self._listener.close()
         except OSError:
             pass
+        self._acceptor.join(timeout=2.0)
         with self._lock:
             subscribers = list(self._subs)
+            self._chain = []
         for subscriber in subscribers:
             subscriber.force(("stop",))
             subscriber.stop()

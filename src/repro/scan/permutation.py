@@ -13,13 +13,18 @@ Two constructions:
   cycle-walking, giving O(1) forward *and inverse* evaluation.  The
   simulator's shuffle-rotation policy uses the inverse to resolve
   "which customer occupies slot s in epoch e" without materializing
-  per-epoch tables.
+  per-epoch tables; :meth:`FeistelPermutation.inverse_many` is the same
+  inverse over a ``uint64`` column, for the simulator's chunk kernel.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterator
+
+from repro.util import np, splitmix_many
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _miller_rabin(n: int) -> bool:
@@ -191,6 +196,32 @@ class FeistelPermutation:
         x = self._decrypt_once(value)
         while x >= self.n:
             x = self._decrypt_once(x)
+        return x
+
+    def _decrypt_many(self, values):
+        """:meth:`_decrypt_once` over a ``uint64`` column.
+
+        Each round key is folded as a Python int and masked: ``value ^
+        (key + c)`` only ever reads the low 64 bits of ``key + c``, and
+        the mask is what makes a negative or 65+-bit key representable.
+        """
+        half_bits = np.uint64(self._half_bits)
+        half_mask = np.uint64(self._half_mask)
+        left = values >> half_bits
+        right = values & half_mask
+        for rnd in reversed(range(self.ROUNDS)):
+            round_key = (self.key + 0x9E3779B97F4A7C15 * (rnd + 1)) & _MASK64
+            mixed = splitmix_many(left ^ np.uint64(round_key))
+            left, right = right ^ (mixed & half_mask), left
+        return (left << half_bits) | right
+
+    def inverse_many(self, values):
+        """:meth:`inverse` over a ``uint64`` column of in-domain values."""
+        x = self._decrypt_many(values)
+        outside = x >= np.uint64(self.n)
+        while outside.any():  # cycle-walk only the rows still outside
+            x[outside] = self._decrypt_many(x[outside])
+            outside = x >= np.uint64(self.n)
         return x
 
     def __iter__(self) -> Iterator[int]:

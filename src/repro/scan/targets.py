@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from repro.net.addr import IID_BITS, Prefix
+from repro.net.addr import ADDR_BITS, IID_BITS, Prefix
 
 
 def random_iid_targets(prefix: Prefix, count: int, rng: random.Random) -> list[int]:
@@ -49,7 +49,13 @@ def one_target_per_subnet(
         )
     if subnet_plen > IID_BITS:
         raise ValueError(f"subnet_plen must be <= 64, got {subnet_plen}")
-    return [subnet.random_addr(rng) for subnet in prefix.subnets(subnet_plen)]
+    # ``subnet.random_addr(rng)`` per subnet, without building the subnets.
+    base, host_bits = prefix.network, ADDR_BITS - subnet_plen
+    draw = rng.getrandbits
+    return [
+        base | (i << host_bits) | draw(host_bits)
+        for i in range(prefix.num_subnets(subnet_plen))
+    ]
 
 
 def targets_for_pool(

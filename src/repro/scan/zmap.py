@@ -14,24 +14,55 @@ The scanner is generic over the "network": any object with
 ``probe(target: int, t_seconds: float) -> ProbeResponse | None``.  In this
 library that is :class:`repro.simnet.internet.SimInternet`, the simulated
 Internet seen from the attacker's vantage point.
+
+**Chunks.**  Every bulk output -- :meth:`ScanStream.column_batches`,
+``result()`` / ``scan()``, ``scan_until`` -- runs one chunk loop: take
+the next run of targets, give each its send time and its loss draw,
+hand the survivors to the network as one chunk, account for what came
+back.  The chunk is answered by the network's own ``probe_many(targets,
+times, stop_iid)`` when its *class* defines one (the simulator's
+vectorised verb), and otherwise by :func:`~repro.net.icmpv6.probe_each`,
+one ``probe`` call per target filling the same
+:class:`~repro.net.icmpv6.ProbeChunk`.  The lookup is on the type, not
+the instance, on purpose: a proxy that wraps a network's ``probe`` and
+forwards every other attribute through ``__getattr__`` (a timing or
+fault-injection shim) has no ``probe_many`` of its own, and an instance
+lookup would reach through it to the wrapped network's and bypass the
+very call the proxy exists to see.  Such a network is driven per probe,
+exactly as before.  Lazy iteration of a stream stays per probe for
+every network, so a consumer that breaks early has paid for exactly the
+probes it saw.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, islice, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
 
-from repro.net.icmpv6 import ProbeResponse
+from repro.net.icmpv6 import ProbeChunk, ProbeResponse, probe_each
 from repro.scan.permutation import MultiplicativeCycle
-from repro.simnet.clock import day_of, hours
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.batch import ColumnBatch
 
+#: Probes per chunk of a full scan: large enough to amortise the
+#: simulator's per-chunk (and per-pool) fixed costs, small enough that
+#: a chunk's temporaries stay a few hundred kilobytes.
+CHUNK_PROBES = 16_384
+#: Probes per chunk of an early-exit hunt.  Only the network's pure work
+#: can run past the hit, so this bounds what a hunt wastes.
+HUNT_CHUNK_PROBES = 512
+
 
 class ProbeNetwork(Protocol):
-    """The minimal network interface the scanner probes against."""
+    """The minimal network interface the scanner probes against.
+
+    A network class may also define ``probe_many(targets, times,
+    stop_iid) -> ProbeChunk`` (see the module docstring); one that does
+    not is driven through :meth:`probe` alone.
+    """
 
     def probe(self, target: int, t_seconds: float) -> ProbeResponse | None:
         """Send one Echo Request at *t_seconds*; maybe get a response."""
@@ -97,7 +128,9 @@ class ScanStream:
     ``probes_sent`` counts every probe processed so far (lost and
     unanswered included), so a consumer that stops early still knows the
     probe cost up to and including the last yielded response.  Probing
-    happens lazily: nothing is sent until the stream is iterated.
+    happens lazily: nothing is sent until the stream is iterated or
+    drained.  Iteration and the bulk drains share one position, clock
+    and loss RNG, so they may be mixed on one stream.
     """
 
     def __init__(
@@ -109,27 +142,27 @@ class ScanStream:
     ) -> None:
         self.started_at = start_seconds
         self.probes_sent = 0
+        self._network = network
         self._interval = 1.0 / config.rate_pps
-        self._iterator = self._probe_loop(network, config, ordered, start_seconds)
+        self._ordered = iter(ordered)
+        self._now = start_seconds
+        self._loss = config.loss_rate
+        self._loss_rng = (
+            random.Random(config.seed ^ 0x10552) if config.loss_rate else None
+        )
+        self._iterator = self._probe_loop()
 
-    def _probe_loop(
-        self,
-        network: ProbeNetwork,
-        config: ScanConfig,
-        ordered: Iterable[int],
-        start_seconds: float,
-    ) -> Iterator[ProbeResponse]:
-        loss = config.loss_rate
-        loss_rng = random.Random(config.seed ^ 0x10552) if loss else None
-        interval = self._interval
-        now = start_seconds
-        for target in ordered:
+    def _probe_loop(self) -> Iterator[ProbeResponse]:
+        """The per-probe reference: one target, one send time, one draw."""
+        probe = self._network.probe
+        interval, loss, loss_rng = self._interval, self._loss, self._loss_rng
+        for target in self._ordered:
             self.probes_sent += 1
+            now = self._now
+            self._now = now + interval
             if loss_rng is not None and loss_rng.random() < loss:
-                now += interval
                 continue
-            response = network.probe(target, now)
-            now += interval
+            response = probe(target, now)
             if response is not None:
                 yield response
 
@@ -141,42 +174,67 @@ class ScanStream:
         """Simulated time occupied by the probes processed so far."""
         return self.probes_sent * self._interval
 
-    def column_batches(
-        self, day: int | None = None, batch_rows: int = 4096
-    ) -> "Iterator[ColumnBatch]":
+    def _chunks(
+        self, chunk_probes: int, stop_iid: int | None = None
+    ) -> Iterator[ProbeChunk]:
+        """The one chunk loop under every bulk output.
+
+        Send times accumulate one ``+= interval`` at a time, as the
+        per-probe loop's do (``start + i * interval`` rounds
+        differently); the loss RNG draws once per probe in probe order,
+        and a lost probe keeps its time slot.  With *stop_iid* the loop
+        ends at the first response carrying it, ``probes_sent`` counting
+        through that probe and no further.
+        """
+        network = self._network
+        probe_many = getattr(type(network), "probe_many", None)
+        interval, loss, loss_rng = self._interval, self._loss, self._loss_rng
+        while True:
+            targets = list(islice(self._ordered, chunk_probes))
+            size = len(targets)
+            if not size:
+                return
+            times = list(accumulate(chain((self._now,), repeat(interval, size - 1))))
+            self._now = times[-1] + interval
+            kept = None  # chunk positions that survive loss, when there is loss
+            if loss_rng is not None:
+                kept = [i for i in range(size) if not loss_rng.random() < loss]
+                targets = [targets[i] for i in kept]
+                times = [times[i] for i in kept]
+            if probe_many is not None:
+                chunk = probe_many(network, targets, times, stop_iid)
+            else:
+                chunk = probe_each(network.probe, targets, times, stop_iid)
+            hit = chunk.ends_at(stop_iid)
+            if hit:  # the network stopped there: count through that probe only
+                size = chunk.consumed if kept is None else kept[chunk.consumed - 1] + 1
+            self.probes_sent += size
+            yield chunk
+            if hit:
+                return
+
+    def column_batches(self, day: int | None = None) -> "Iterator[ColumnBatch]":
         """Drain the scan as :class:`~repro.store.batch.ColumnBatch` chunks.
 
-        The scanner's native columnar emission: responses land directly
-        in flat day/hi/lo buffers (no per-response observation objects),
-        sized for the streaming engines' ``ingest_columns`` and the
-        stores' ``extend_columns``.  *day* pins the campaign day (one
-        scan belongs to one day); ``None`` derives it per response from
-        the probe timestamp.  Probe order, loss decisions, and
-        accounting are exactly those of plain iteration -- this is the
-        same underlying probe loop, chunked.
+        The scanner's bulk output: each chunk's responses land directly
+        in flat day/hi/lo buffers (no per-response objects), ready for
+        the streaming engines' ``ingest_columns`` and the stores'
+        ``extend_columns``.  *day* pins the campaign day (one scan
+        belongs to one day); ``None`` derives it per response from the
+        probe timestamp.  Probe order, send times, loss decisions and
+        accounting are exactly those of plain iteration.
         """
         from repro.store.batch import ColumnBatch
 
-        batch = ColumnBatch()
-        append = batch.append
-        for response in self._iterator:
-            append(
-                day if day is not None else day_of(hours(response.time)),
-                response.time,
-                response.target,
-                response.source,
-            )
-            if len(batch) >= batch_rows:
-                yield batch
-                batch = ColumnBatch()
-                append = batch.append
-        if len(batch):
-            yield batch
+        for chunk in self._chunks(CHUNK_PROBES):
+            if len(chunk):
+                yield ColumnBatch.from_chunk(chunk, day)
 
     def result(self) -> ScanResult:
         """Drain the remaining probes and package a :class:`ScanResult`."""
         result = ScanResult(started_at=self.started_at)
-        result.responses.extend(self._iterator)
+        for chunk in self._chunks(CHUNK_PROBES):
+            result.responses.extend(chunk.responses())
         result.probes_sent = self.probes_sent
         result._duration = self.duration_seconds
         return result
@@ -187,20 +245,21 @@ class Zmap6:
 
     One instance may run many scans; each ``scan`` call is standalone and
     deterministic given (targets, config, start time).  ``stream`` is the
-    single probe loop underneath both ``scan`` and ``scan_until``: batch
-    and streaming consumers therefore see byte-identical probe orders,
-    loss decisions, and timings.
+    one :class:`ScanStream` underneath both ``scan`` and ``scan_until``:
+    batch, streaming and hunting consumers therefore see byte-identical
+    probe orders, loss decisions, and timings.
     """
 
     def __init__(self, network: ProbeNetwork, config: ScanConfig | None = None) -> None:
         self.network = network
         self.config = config or ScanConfig()
 
-    def _ordered(self, targets: Sequence[int]) -> Iterable[int]:
+    def ordered(self, targets: Sequence[int]) -> Iterable[int]:
+        """*targets* in this scanner's probe order (the seed's cycle)."""
         if not self.config.randomize_order or len(targets) <= 1:
             return targets
         cycle = MultiplicativeCycle(len(targets), seed=self.config.seed)
-        return (targets[i] for i in cycle)
+        return map(targets.__getitem__, cycle)
 
     def stream(self, targets: Sequence[int], start_seconds: float = 0.0) -> ScanStream:
         """Probe every target once, yielding responses as they arrive.
@@ -209,7 +268,7 @@ class Zmap6:
         rate; each probe ``i`` is sent at ``start + i / rate``.
         """
         return ScanStream(
-            self.network, self.config, self._ordered(targets), start_seconds
+            self.network, self.config, self.ordered(targets), start_seconds
         )
 
     def scan(self, targets: Sequence[int], start_seconds: float = 0.0) -> ScanResult:
@@ -230,11 +289,13 @@ class Zmap6:
 
         This is the tracking primitive of Section 6: stop as soon as the
         hunted EUI-64 IID shows up, and report how many probes it took.
-        Returns ``(matching response | None, probes_sent)``.
+        Returns ``(matching response | None, probes_sent)``.  The IID is
+        pushed down to the network chunk by chunk, so nothing past the
+        matching probe is sent, rate-limited or counted.
         """
-        iid_mask = (1 << 64) - 1
         stream = self.stream(targets, start_seconds)
-        for response in stream:
-            if (response.source & iid_mask) == want_source_iid:
-                return response, stream.probes_sent
-        return None, stream.probes_sent
+        found = None
+        for chunk in stream._chunks(HUNT_CHUNK_PROBES, want_source_iid):
+            if chunk.ends_at(want_source_iid):
+                found = chunk.responses(start=len(chunk) - 1)[0]
+        return found, stream.probes_sent

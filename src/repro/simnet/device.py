@@ -14,6 +14,15 @@ and a daily online probability.  The privacy-relevant behaviour:
 A device may carry a ``privacy_switch_hours`` timestamp: a firmware update
 that flips it from EUI-64 to privacy addressing, modelling the vendor
 remediation of Section 8.
+
+:class:`DeviceColumns` is a pool's devices as numpy columns for the
+simulator's chunk kernel -- a *cache* of objects that scenario events
+and tests mutate by plain assignment after the world is built.  The
+staleness rule: assigning any public :class:`CpeDevice` field bumps a
+module-wide generation, and columns built under an older generation (or
+for a different device count) are rebuilt on next use.  The counter is
+shared by every world in the process; sharing can only cause a spare
+rebuild, never a stale read.
 """
 
 from __future__ import annotations
@@ -25,8 +34,11 @@ from dataclasses import dataclass, field
 from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
 from repro.net.icmpv6 import IcmpCode, IcmpType
 from repro.scan.rate import IcmpRateLimiter
-from repro.simnet.clock import day_of
-from repro.util import mix64, unit_float
+from repro.simnet.clock import HOURS_PER_DAY, day_of
+from repro.util import mix64, mix64_many, np, unit_float, unit_float_many
+
+_MASK64 = (1 << 64) - 1
+_generation = 0  # bumped by every public-field assignment on any CpeDevice
 
 
 class AddressingMode(enum.Enum):
@@ -91,6 +103,14 @@ class CpeDevice:
         if not 0.0 <= self.online_fraction <= 1.0:
             raise ValueError(f"online_fraction must be in [0,1], got {self.online_fraction}")
 
+    def __setattr__(self, name: str, value) -> None:
+        # Public fields only: ``_limiter`` is assigned lazily on a
+        # device's first probe and no column caches it.
+        if name[0] != "_":
+            global _generation
+            _generation += 1
+        object.__setattr__(self, name, value)
+
     @property
     def limiter(self) -> IcmpRateLimiter:
         if self._limiter is None:
@@ -149,3 +169,80 @@ class CpeDevice:
     def allows_response(self, t_seconds: float) -> bool:
         """Apply the RFC 4443 error rate limit at *t_seconds*."""
         return self.limiter.allow(t_seconds)
+
+
+_EUI64, _PRIVACY, _STATIC = range(3)
+_MODE_CODE = {
+    AddressingMode.EUI64: _EUI64,
+    AddressingMode.PRIVACY: _PRIVACY,
+    AddressingMode.STATIC: _STATIC,
+}
+
+
+class DeviceColumns:
+    """The probe-relevant fields of a device list, one numpy column each.
+
+    Rows are customer indices.  :meth:`is_online_many` and
+    :meth:`wan_iid_many` are :meth:`CpeDevice.is_online` and
+    :meth:`CpeDevice.wan_iid` over index columns, operation for
+    operation.
+    """
+
+    def __init__(self, devices: list[CpeDevice]) -> None:
+        self._generation = _generation
+        self._count = len(devices)
+        f64, i64 = np.float64, np.int64
+        self.device_id = np.array(
+            [d.device_id & _MASK64 for d in devices], dtype=np.uint64
+        )
+        self.active_from = np.array([d.active_from_hours for d in devices], dtype=f64)
+        self.active_until = np.array([d.active_until_hours for d in devices], dtype=f64)
+        self.online_fraction = np.array([d.online_fraction for d in devices], dtype=f64)
+        self.responds = np.array([d.policy.responds for d in devices], dtype=bool)
+        self.icmp_type = np.array([int(d.policy.icmp_type) for d in devices], dtype=i64)
+        self.icmp_code = np.array([d.policy.icmp_code for d in devices], dtype=i64)
+        self.mode = np.array(
+            [_MODE_CODE[d.addressing] for d in devices], dtype=np.uint8
+        )
+        self.privacy_switch = np.array(
+            [
+                math.inf if d.privacy_switch_hours is None else d.privacy_switch_hours
+                for d in devices
+            ],
+            dtype=f64,
+        )
+        self.eui_iid = np.array(
+            [
+                mac_to_eui64_iid(d.mac) if d.addressing is AddressingMode.EUI64 else 0
+                for d in devices
+            ],
+            dtype=np.uint64,
+        )
+
+    def current_for(self, devices: list[CpeDevice]) -> bool:
+        """False once any device field was assigned or the list resized."""
+        return self._generation == _generation and self._count == len(devices)
+
+    def is_online_many(self, indices, t_hours):
+        active = (self.active_from[indices] <= t_hours) & (
+            t_hours < self.active_until[indices]
+        )
+        fraction = self.online_fraction[indices]
+        # A negative day wraps to its two's complement, as ``& _MASK64`` does.
+        day = np.floor(t_hours / HOURS_PER_DAY).astype(np.int64).view(np.uint64)
+        draw = unit_float_many(self.device_id[indices], day, 0xD1CE)
+        return active & ((fraction >= 1.0) | (draw < fraction))
+
+    def wan_iid_many(self, indices, net64s, t_hours):
+        mode = self.mode[indices]
+        privacy = (mode == _PRIVACY) | (
+            (mode == _EUI64) & (t_hours >= self.privacy_switch[indices])
+        )
+        iid = np.where(mode == _STATIC, np.uint64(1), self.eui_iid[indices])
+        if privacy.any():
+            ids = self.device_id[indices]
+            fresh = mix64_many(ids[privacy], net64s[privacy], 0x9A1D)
+            marked = (fresh >> np.uint64(24)) & np.uint64(0xFFFF) == np.uint64(0xFFFE)
+            fresh[marked] ^= np.uint64(1 << 24)
+            iid[privacy] = fresh
+        return iid

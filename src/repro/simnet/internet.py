@@ -1,15 +1,30 @@
 """The simulated Internet: what the attacker's vantage point can reach.
 
 :class:`SimInternet` glues providers, their pools, a BGP table, and an AS
-registry into one probe-able world.  Its two verbs mirror the paper's two
-tools:
+registry into one probe-able world.  Its three verbs mirror the paper's
+two tools:
 
 * ``probe(target, t)`` -- a zmap-style ICMPv6 Echo Request.  If the target
   falls inside a delegated customer prefix, the responsible CPE answers
   (policy, uptime, and rate limits permitting) with an ICMPv6 error whose
   source is its WAN address.  Probes into routed-but-undelegated space may
   draw a "no route" from a statically addressed core router; unrouted
-  space is silent.
+  space is silent.  This is the reference: one probe, every rule in order.
+* ``probe_many(targets, times, stop_iid)`` -- a chunk of those probes,
+  answered as columns with the same outcomes, counters and limiter state
+  as calling ``probe`` on each in order.  It works in two phases.  The
+  *pure* phase is vectorised and reads no mutable state: /48 -> pool,
+  slot, epoch, occupant, uptime, response policy and WAN address for
+  every row at once.  The *stateful* phase then walks, in ascending
+  probe order, only the rows that state decides: a CPE that would
+  answer asks its own token bucket, and a row outside every indexed
+  pool takes the scalar path (the per-AS core limiter is
+  order-dependent).  With *stop_iid* the walk ends at the first
+  response whose source carries that IID, and the chunk is **committed
+  only through that cut**: no bucket is touched and no counter bumped
+  for a row after it, exactly as if the caller had stopped probing
+  there.  The pure phase may have looked past the cut -- it has nothing
+  to commit.  Without numpy the same verb runs ``probe`` per row.
 * ``trace(target, t)`` -- a yarrp-style traceroute returning the per-hop
   source addresses, ending at the CPE when one is on-path (the periphery
   discovery of Section 2.2).
@@ -17,17 +32,24 @@ tools:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.bgp.asinfo import AsRegistry
 from repro.bgp.table import RoutingTable
-from repro.net.icmpv6 import IcmpCode, IcmpType, ProbeResponse
+from repro.net.addr import IID_BITS, IID_MASK
+from repro.net.icmpv6 import IcmpCode, IcmpType, ProbeChunk, ProbeResponse, probe_each
 from repro.scan.rate import IcmpRateLimiter
-from repro.simnet.clock import hours
+from repro.simnet.clock import SECONDS_PER_HOUR, hours
 from repro.simnet.pool import Residence, RotationPool
 from repro.simnet.provider import Provider
+from repro.util import np
 
 _NET48_SHIFT = 80  # bits below a /48 network
+
+# What the pure phase of ``probe_many`` decides per row.
+_SCALAR, _VACANT, _OFFLINE, _SILENT, _ANSWERS = range(5)
 
 
 @dataclass
@@ -74,6 +96,21 @@ class SimInternet:
                 self.rib.advertise(prefix, provider.asn)
             for pool in provider.pools:
                 self._index_pool(provider, pool)
+        # The /48 index as sorted columns, for ``probe_many``'s lookup.
+        self._indexed_pools = [
+            pool
+            for provider in self.providers
+            for pool in provider.pools
+            if pool.prefix.plen <= 48
+        ]
+        if np is not None:
+            number_of = {id(pool): i for i, pool in enumerate(self._indexed_pools)}
+            keys = sorted(self._pool_index)
+            self._index_keys = np.array(keys, dtype=np.uint64)
+            self._index_numbers = np.array(
+                [number_of[id(self._pool_index[key][1])] for key in keys],
+                dtype=np.int64,
+            )
 
     def _index_pool(self, provider: Provider, pool: RotationPool) -> None:
         """Index a pool by its covering /48s for O(1) probe resolution."""
@@ -113,6 +150,21 @@ class SimInternet:
         for provider in self.providers:
             yield from provider.all_devices()
 
+    def reset_rate_limits(self) -> None:
+        """Forget every ICMPv6 limiter's history, core and CPE.
+
+        A measurement restarted from its beginning is a new branch of
+        simulated history in which every bucket had been idle.  The
+        buckets cannot tell by themselves: a device probed once per
+        campaign is touched at the identical instant on every repeat
+        (no time passes, no backward jump), so its burst would drain one
+        token per repeat until the answer disappeared.
+        """
+        self._core_limiters.clear()
+        for device in self.all_devices():
+            if device._limiter is not None:
+                device._limiter = None
+
     # -- the attacker-facing verbs ------------------------------------------
 
     def probe(self, target: int, t_seconds: float) -> ProbeResponse | None:
@@ -145,6 +197,131 @@ class SimInternet:
                 time=t_seconds,
             )
         return self._core_response(target, t_seconds)
+
+    def _classify(self, hi, t_hours):
+        """The pure phase of :meth:`probe_many`, over ``addr >> 64`` and
+        hour columns: per row, the indexed pool's number (-1: none), the
+        outcome short of the rate limiters, the occupant's customer
+        index, and -- where a CPE would answer -- its source address
+        halves and ICMPv6 type and code.  Reads no mutable state.
+        """
+        n = len(hi)
+        keys = hi >> np.uint64(_NET48_SHIFT - IID_BITS)
+        at = np.searchsorted(self._index_keys, keys)
+        at[at == len(self._index_keys)] = 0
+        numbers = np.where(self._index_keys[at] == keys, self._index_numbers[at], -1)
+        outcome = np.full(n, _SCALAR, dtype=np.uint8)
+        occupant = np.zeros(n, dtype=np.int64)
+        src_hi = np.zeros(n, dtype=np.uint64)
+        src_lo = np.zeros(n, dtype=np.uint64)
+        icmp_type = np.zeros(n, dtype=np.int64)
+        code = np.zeros(n, dtype=np.int64)
+        order = np.argsort(numbers, kind="stable")
+        grouped = numbers[order]
+        starts = [0] + (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+        for start, stop in zip(starts, starts[1:] + [n]):
+            number = int(grouped[start])
+            if number < 0:
+                continue
+            rows = order[start:stop]
+            pool = self._indexed_pools[number]
+            tenant, wan_net64, wan_iid = pool.resolve_many(hi[rows], t_hours[rows])
+            columns = pool.device_columns()
+            verdict = np.full(len(rows), _VACANT, dtype=np.uint8)
+            held = np.flatnonzero(tenant >= 0)
+            tenants = tenant[held]
+            verdict[held] = np.where(
+                columns.is_online_many(tenants, t_hours[rows[held]]),
+                np.where(columns.responds[tenants], _ANSWERS, _SILENT),
+                _OFFLINE,
+            )
+            outcome[rows] = verdict
+            occupant[rows] = tenant
+            src_hi[rows] = wan_net64
+            src_lo[rows] = wan_iid
+            icmp_type[rows[held]] = columns.icmp_type[tenants]
+            code[rows[held]] = columns.icmp_code[tenants]
+        return numbers, outcome, occupant, src_hi, src_lo, icmp_type, code
+
+    def probe_many(
+        self,
+        targets: Sequence[int],
+        times: Sequence[float],
+        stop_iid: int | None = None,
+    ) -> ProbeChunk:
+        """Echo Requests toward *targets* at *times*, answered as a chunk.
+
+        Equal, response for response and counter for counter, to calling
+        :meth:`probe` on each pair in order and stopping after the first
+        response whose source IID is *stop_iid* (see the module docstring
+        for the two phases and the cut).
+        """
+        if np is None or not self._indexed_pools or not len(targets):
+            return probe_each(self.probe, targets, times, stop_iid)
+        n = len(targets)
+        addrs = np.array(targets, dtype=object)
+        hi = (addrs >> IID_BITS).astype(np.uint64)
+        lo = (addrs & IID_MASK).astype(np.uint64)
+        t_hours = np.array(times, dtype=np.float64) / SECONDS_PER_HOUR
+        numbers, outcome, occupant, src_hi, src_lo, icmp_type, code = self._classify(
+            hi, t_hours
+        )
+
+        # -- stateful: token buckets and the scalar rows, in probe order -----
+        stop_rows: set[int] = set()
+        if stop_iid is not None and 0 <= stop_iid <= IID_MASK:
+            carries = (outcome == _ANSWERS) & (src_lo == np.uint64(stop_iid))
+            stop_rows.update(np.flatnonzero(carries).tolist())
+        walk = np.flatnonzero((outcome == _ANSWERS) | (outcome == _SCALAR))
+        devices_of = [pool.devices for pool in self._indexed_pools]
+        answered: list[int] = []
+        limited = 0
+        cut = n
+        for row, number, tenant in zip(
+            walk.tolist(), numbers[walk].tolist(), occupant[walk].tolist()
+        ):
+            if number < 0:
+                # Core space, pools off the /48 index: probe() counts for itself.
+                response = self.probe(targets[row], times[row])
+                if response is None:
+                    continue
+                src_hi[row] = response.source >> IID_BITS
+                src_lo[row] = response.source & IID_MASK
+                icmp_type[row] = response.icmp_type
+                code[row] = response.code
+                hit = response.source & IID_MASK == stop_iid
+            elif devices_of[number][tenant].allows_response(times[row]):
+                hit = row in stop_rows
+            else:
+                limited += 1
+                continue
+            answered.append(row)
+            if hit:
+                cut = row + 1
+                break
+
+        # -- commit: counters over the consumed prefix only ------------------
+        counts = np.bincount(outcome[:cut], minlength=5).tolist()
+        stats = self.stats
+        stats.probes += cut - counts[_SCALAR]
+        stats.vacant += counts[_VACANT]
+        stats.offline += counts[_OFFLINE]
+        stats.silent_policy += counts[_SILENT]
+        stats.rate_limited += limited
+        stats.cpe_responses += counts[_ANSWERS] - limited
+
+        chunk = ProbeChunk()
+        chunk.consumed = cut
+        if answered:
+            take = np.array(answered)
+            chunk.times = [times[row] for row in answered]
+            chunk.tgt_hi = array("Q", hi[take].tobytes())
+            chunk.tgt_lo = array("Q", lo[take].tobytes())
+            chunk.src_hi = array("Q", src_hi[take].tobytes())
+            chunk.src_lo = array("Q", src_lo[take].tobytes())
+            chunk.icmp_type = icmp_type[take].tolist()
+            chunk.code = code[take].tolist()
+        return chunk
 
     def _core_response(self, target: int, t_seconds: float) -> ProbeResponse | None:
         """Routed-but-undelegated space: maybe a core-router "no route"."""

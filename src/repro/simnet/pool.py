@@ -5,6 +5,8 @@ A pool owns a prefix (e.g. a /46), divides it into delegation-sized slots
 assignment at any time is given by the pool's rotation policy.  Resolution
 is the heart of the simulator: given a probed address and a time, find the
 device whose delegation covers it -- in O(1), by inverting the policy.
+:meth:`RotationPool.resolve_many` is the same resolution over a chunk of
+addresses as numpy columns.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.net.addr import IID_BITS, Prefix
-from repro.simnet.device import CpeDevice
+from repro.simnet.device import CpeDevice, DeviceColumns
 from repro.simnet.rotation import NoRotation, RotationPolicy
+from repro.util import np
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,6 +37,7 @@ class RotationPool:
     policy: RotationPolicy = field(default_factory=NoRotation)
     pool_key: int = 0
     devices: list[CpeDevice] = field(default_factory=list)
+    _columns: DeviceColumns | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.prefix.plen <= self.delegation_plen <= IID_BITS:
@@ -131,6 +135,61 @@ class RotationPool:
         net64 = delegation.network >> IID_BITS
         wan = (net64 << IID_BITS) | device.wan_iid(net64, t_hours)
         return Residence(device=device, delegation=delegation, wan_address=wan)
+
+    def device_columns(self) -> DeviceColumns:
+        """The devices as columns, rebuilt when stale (see
+        :class:`~repro.simnet.device.DeviceColumns`)."""
+        columns = self._columns
+        if columns is None or not columns.current_for(self.devices):
+            columns = self._columns = DeviceColumns(self.devices)
+        return columns
+
+    def _occupants_in_epoch(self, slots, offsets, epoch: int):
+        """Occupant customer index per row (-1: vacant), all rows in *epoch*."""
+        policy, key, nslots = self.policy, self.pool_key, self.nslots
+        n = np.uint64(self.n_customers)
+        incoming = policy.customer_of_many(slots, epoch, nslots, key)
+        moved_in = (incoming < n) & (
+            offsets >= policy.customer_jitter_many(incoming, key)
+        )
+        occupant = np.where(moved_in, incoming.astype(np.int64), -1)
+        # A laggard holds on only while offset < its jitter <= window_hours.
+        rest = np.flatnonzero(~moved_in & (offsets <= policy.window_hours))
+        if len(rest):
+            outgoing = policy.customer_of_many(slots[rest], epoch - 1, nslots, key)
+            stays = (outgoing < n) & (
+                offsets[rest] < policy.customer_jitter_many(outgoing, key)
+            )
+            occupant[rest[stays]] = outgoing[stays]
+        return occupant
+
+    def resolve_many(self, net64s, t_hours):
+        """:meth:`resolve` over columns, for addresses inside the pool.
+
+        *net64s* is the ``addr >> 64`` column (``uint64``), *t_hours* the
+        float64 times.  Returns ``(occupant, wan_net64, wan_iid)``: the
+        occupant's customer index (``int64``, -1 where the slot is
+        vacant) and the halves of its WAN address (meaningless where
+        vacant).
+        Rows are grouped by base epoch, so a chunk that straddles a
+        rotation boundary resolves each side under its own epoch.
+        """
+        shift = np.uint64(IID_BITS - self.delegation_plen)
+        slots = (net64s - np.uint64(self.prefix.network >> IID_BITS)) >> shift
+        epochs, offsets = self.policy.epoch_and_offset_many(t_hours)
+        occupant = np.empty(len(slots), dtype=np.int64)
+        for epoch in np.unique(epochs).tolist():
+            rows = epochs == epoch
+            occupant[rows] = self._occupants_in_epoch(
+                slots[rows], offsets[rows], int(epoch)
+            )
+        wan_net64 = (net64s >> shift) << shift
+        wan_iid = np.zeros(len(slots), dtype=np.uint64)
+        held = occupant >= 0
+        wan_iid[held] = self.device_columns().wan_iid_many(
+            occupant[held], wan_net64[held], t_hours[held]
+        )
+        return occupant, wan_net64, wan_iid
 
     def customer_index_of(self, device_id: int) -> int | None:
         """Find a device's customer index by its id (ground-truth helper)."""

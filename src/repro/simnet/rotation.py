@@ -26,6 +26,11 @@ evicts a laggard occupant early (the laggard is then briefly
 mid-renumbering and unreachable, as real DHCPv6 clients are).  These two
 rules guarantee that at every instant each slot has at most one tenant
 and each device occupies at most one slot.
+
+Every ``*_many`` method is its scalar neighbour over numpy columns,
+written operation for operation (float64 arithmetic in the same order,
+``uint64`` wrapping where the scalar masks), for the chunk kernel in
+:meth:`repro.simnet.pool.RotationPool.resolve_many`.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.scan.permutation import FeistelPermutation
-from repro.util import unit_float
+from repro.util import np, unit_float, unit_float_many
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,12 @@ class RotationPolicy(ABC):
             return 0.0
         return unit_float(pool_key, customer_index, 0x117) * self.window_hours
 
+    def customer_jitter_many(self, customer_indices, pool_key: int):
+        """:meth:`customer_jitter` over a ``uint64`` column of indices."""
+        if self.window_hours == 0.0:
+            return np.zeros(len(customer_indices))
+        return unit_float_many(pool_key, customer_indices, 0x117) * self.window_hours
+
     def base_epoch(self, t_hours: float) -> int:
         """The epoch in effect at *t_hours*, ignoring per-customer stagger."""
         return math.floor((t_hours - self.rotation_hour) / self.interval_hours)
@@ -77,6 +88,13 @@ class RotationPolicy(ABC):
             - self.base_epoch(t_hours) * self.interval_hours
         )
 
+    def epoch_and_offset_many(self, t_hours):
+        """(:meth:`base_epoch`, :meth:`offset_in_epoch`) over a float64
+        column; the epochs come back as float64 whole numbers."""
+        since = t_hours - self.rotation_hour
+        epoch = np.floor(since / self.interval_hours)
+        return epoch, since - epoch * self.interval_hours
+
     @abstractmethod
     def slot_of(self, customer_index: int, epoch: int, nslots: int, pool_key: int) -> int:
         """Slot held by *customer_index* during *epoch*."""
@@ -85,6 +103,10 @@ class RotationPolicy(ABC):
     def customer_of(self, slot: int, epoch: int, nslots: int, pool_key: int) -> int:
         """Customer index that holds *slot* during *epoch* (may be vacant:
         indices >= the pool's customer count mean the slot is empty)."""
+
+    @abstractmethod
+    def customer_of_many(self, slots, epoch: int, nslots: int, pool_key: int):
+        """:meth:`customer_of` over a ``uint64`` column of slots, one epoch."""
 
 
 @lru_cache(maxsize=4096)
@@ -120,6 +142,9 @@ class NoRotation(RotationPolicy):
     def customer_of(self, slot: int, epoch: int, nslots: int, pool_key: int) -> int:
         return _scatter(nslots, pool_key).inverse(slot)
 
+    def customer_of_many(self, slots, epoch: int, nslots: int, pool_key: int):
+        return _scatter(nslots, pool_key).inverse_many(slots)
+
 
 @dataclass(frozen=True)
 class SequentialAssignment(NoRotation):
@@ -136,6 +161,9 @@ class SequentialAssignment(NoRotation):
     def customer_of(self, slot: int, epoch: int, nslots: int, pool_key: int) -> int:
         return slot
 
+    def customer_of_many(self, slots, epoch: int, nslots: int, pool_key: int):
+        return slots
+
 
 @dataclass(frozen=True)
 class IncrementRotation(RotationPolicy):
@@ -148,6 +176,11 @@ class IncrementRotation(RotationPolicy):
     def customer_of(self, slot: int, epoch: int, nslots: int, pool_key: int) -> int:
         base = (slot - epoch) % nslots
         return _scatter(nslots, pool_key).inverse(base)
+
+    def customer_of_many(self, slots, epoch: int, nslots: int, pool_key: int):
+        # slots < nslots, so adding (-epoch mod nslots) cannot wrap uint64.
+        base = (slots + np.uint64(-epoch % nslots)) % np.uint64(nslots)
+        return _scatter(nslots, pool_key).inverse_many(base)
 
 
 @dataclass(frozen=True)
@@ -162,3 +195,6 @@ class ShuffleRotation(RotationPolicy):
 
     def customer_of(self, slot: int, epoch: int, nslots: int, pool_key: int) -> int:
         return self._perm(epoch, nslots, pool_key).inverse(slot)
+
+    def customer_of_many(self, slots, epoch: int, nslots: int, pool_key: int):
+        return self._perm(epoch, nslots, pool_key).inverse_many(slots)

@@ -143,6 +143,19 @@ class ColumnBatch:
         return out
 
     @classmethod
+    def from_chunk(cls, chunk, day: int | None = None) -> "ColumnBatch":
+        """Columns for a :class:`~repro.net.icmpv6.ProbeChunk`: its address
+        and time buffers are adopted as they are; *day* as in
+        :meth:`from_responses`."""
+        if day is not None:
+            days = array(DAY_TYPECODE, [day]) * len(chunk)
+        else:
+            days = array(DAY_TYPECODE, [day_of(hours(t)) for t in chunk.times])
+        return cls(
+            days, chunk.times, chunk.tgt_hi, chunk.tgt_lo, chunk.src_hi, chunk.src_lo
+        )
+
+    @classmethod
     def from_rows(cls, rows: Iterable[list]) -> "ColumnBatch":
         """Columns from checkpoint rows ``[day, t_seconds, target, source]``."""
         out = cls()

@@ -2,12 +2,13 @@
 
 Wraps a batch :class:`~repro.core.campaign.Campaign` and drives its
 day streams through a :class:`StreamEngine` in a single pass: every
-response updates the live inferences as it arrives, and each scan's
-observations are bulk-applied to the result's
-:class:`~repro.core.records.ObservationStore` through its ``extend``
-fast path.  The resulting :class:`CampaignResult` is identical to
-``campaign.run()`` -- same store contents, same counters -- because
-both modes share the scanner's probe loop and the storage layer.
+chunk of a scan's responses updates the live inferences as it arrives
+(``ingest_columns``) and lands in the result's
+:class:`~repro.core.records.ObservationStore` as the same column batch
+(``extend_columns``).  The resulting :class:`CampaignResult` is
+identical to ``campaign.run()`` -- same store contents, same counters
+-- because both modes share the scanner's chunk loop and the storage
+layer.
 
 ``checkpoint_every`` writes an engine+progress+corpus checkpoint after
 every N completed days; :meth:`resume` picks a run back up from such a
@@ -525,10 +526,10 @@ class StreamingCampaign:
     def run(self, max_days: int | None = None) -> CampaignResult:
         """Process remaining campaign days; returns the (shared) result.
 
-        Delegates the per-response loop to
-        :meth:`Campaign.run_streaming` -- the one ingest loop both batch
-        and streaming modes share -- with the engine (or the parallel
-        dispatcher) as consumer.  *max_days* bounds how many days this
+        Delegates to :meth:`Campaign.run_streaming` -- the one ingest
+        loop both batch and streaming modes share -- with the engine (or
+        the parallel dispatcher) as the sink each scan's column batches
+        land in.  *max_days* bounds how many days this
         call processes (the interruption hook the checkpoint tests
         exercise).
 
@@ -557,13 +558,8 @@ class StreamingCampaign:
                 workers=self.workers,
             )
         self._drain_feed(first_day - 1, skip_drained=True)
-        consumer = (
-            self._parallel._ingest_observation
-            if self._parallel
-            else self.engine._ingest_observation
-        )
         self.campaign.run_streaming(
-            consumer=consumer,
+            consumer=self.live_engine,
             result=self.result,
             start_offset=self.result.days_run,
             max_days=max_days,

@@ -160,8 +160,8 @@ class StreamEngine(IngestSinkBase):
     def _ingest_observation(self, observation: ProbeObservation) -> None:
         """Fold one observation into all engine state. O(1).
 
-        The hot per-response primitive behind the polymorphic
-        ``ingest()``; campaign consumers bind this method directly."""
+        The per-response primitive behind the polymorphic ``ingest()``
+        and the reference loop (campaigns deliver column batches)."""
         day = observation.day
         if day != self.current_day:
             self._open_day(day)

@@ -26,9 +26,9 @@ both, once, for :class:`~repro.stream.engine.StreamEngine` and
 
 A sink supplies what is genuinely its own:
 
-* :meth:`_ingest_observation` -- fold one observation (the hot
-  per-response path, hand-inlined per sink; campaign drivers bind it
-  directly so nothing in this module runs per probe);
+* :meth:`_ingest_observation` -- fold one observation (the
+  per-response path, hand-inlined per sink; campaign drivers hand the
+  sink whole column batches, so nothing in this module runs per probe);
 * :meth:`_route_of` -- ``(owning slot, origin AS)`` of a source: a
   shard for the engine, a worker for the dispatcher;
 * :meth:`_absorb_columns` -- take one day-segment's kernel columns;

@@ -3,7 +3,11 @@
 Simulation components must be reproducible from explicit seeds, so all
 "random-looking but fixed" quantities (privacy IIDs, per-device jitter,
 online schedules) derive from :func:`mix64` -- a splitmix64-style avalanche
-over the inputs -- rather than from global RNG state.
+over the inputs -- rather than from global RNG state.  :func:`mix64_many`
+and :func:`unit_float_many` are the same arithmetic over ``uint64``
+columns for the simulator's chunk kernel; ``np`` is numpy when it
+imports and ``None`` otherwise, the one switch every column kernel in
+the package reads.
 
 :func:`get_logger` is the repo's one structured-logging entry point:
 stdlib ``logging``, stderr by default (stdout stays machine-readable
@@ -18,6 +22,11 @@ import json
 import logging
 import sys
 from typing import IO
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - the no-numpy CI leg covers this
+    np = None
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -41,6 +50,39 @@ def mix64(*values: int) -> int:
 def unit_float(*values: int) -> float:
     """Deterministic float in [0, 1) keyed by *values*."""
     return mix64(*values) / float(1 << 64)
+
+
+def splitmix_many(x):
+    """The splitmix64 finalizer over a ``uint64`` column (wrapping
+    multiplies): the three lines :func:`mix64` and the Feistel round
+    function share."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def mix64_many(*values):
+    """:func:`mix64` over columns: each value is an int or a ``uint64`` array.
+
+    ``uint64`` arithmetic wraps mod 2**64, which is the scalar's
+    ``& _MASK64``; int inputs are masked first, so a negative or 65+-bit
+    key folds in as its two's-complement low 64 bits, as it does there.
+    """
+    # A one-element array, not a scalar: numpy warns on scalar overflow
+    # and wraps silently in arrays, and wrapping is the point.
+    acc = np.array([0x243F6A8885A308D3], dtype=np.uint64)
+    golden = np.uint64(_GOLDEN)
+    for value in values:
+        if isinstance(value, int):
+            value = np.uint64(value & _MASK64)
+        acc = splitmix_many(acc + golden + value)
+    return acc
+
+
+def unit_float_many(*values):
+    """:func:`unit_float` over columns (``uint64 -> float64`` rounds to
+    nearest-even exactly as Python's ``int / float`` does)."""
+    return mix64_many(*values).astype(np.float64) / float(1 << 64)
 
 
 def median(values: list[float] | list[int]) -> float:

@@ -10,6 +10,7 @@ the primary had never died.
 
 import json
 import socket
+import threading
 import urllib.request
 
 import pytest
@@ -226,6 +227,30 @@ def test_stop_reaches_follower(tmp_path):
     assert wait_for(lambda: follower.stopped_by_primary)
     assert follower.reconnects == 0
     follower.stop()
+
+
+def test_close_ends_the_accept_thread_and_frees_the_port(tmp_path):
+    """``close()`` must wake the thread blocked in ``accept()``: left
+    there it keeps the port bound and pins the shipper and its chain."""
+
+    def acceptors():
+        return [
+            thread
+            for thread in threading.enumerate()
+            if thread.name == "repl-shipper-accept" and thread.is_alive()
+        ]
+
+    before = len(acceptors())
+    campaign = make_primary(tmp_path, SegmentShipper(), days=2)
+    shipper = campaign.shipper
+    campaign.run()
+    assert shipper.segments_shipped and shipper._chain
+    assert len(acceptors()) == before + 1
+    port = int(shipper.address.rsplit(":", 1)[1])
+    shipper.close()
+    assert len(acceptors()) == before
+    assert shipper._chain == []
+    socket.create_server(("127.0.0.1", port)).close()  # EADDRINUSE while leaked
 
 
 def test_follower_requires_authkey(monkeypatch):

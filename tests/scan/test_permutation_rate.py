@@ -11,6 +11,7 @@ from repro.scan.permutation import (
     next_prime,
 )
 from repro.scan.rate import IcmpRateLimiter, TokenBucket
+from repro.util import np
 
 
 class TestPrimes:
@@ -121,6 +122,43 @@ class TestFeistelPermutation:
             f = perm.forward(i)
             assert 0 <= f < n
             assert perm.inverse(f) == i
+
+
+@pytest.mark.skipif(np is None, reason="the column form needs numpy")
+class TestFeistelInverseMany:
+    """``inverse_many`` equals ``inverse`` on every element of the domain."""
+
+    # Domains that force cycle-walking (well under the covering power of
+    # four), the degenerate ones, and both sides of every power of two.
+    DOMAINS = [1, 2, 3, 5, 7, 17, 100, 1000]
+    DOMAINS += [2**k + d for k in (2, 3, 5, 8, 10) for d in (-1, 0, 1)]
+    # Keys as the rotation policies build them: small, 63-bit, 65+-bit,
+    # and negative (ShuffleRotation's key for a negative epoch).
+    KEYS = [0, 7, 2**63 | 1, 2**64 + 5, 2**70 + 12345, -1, -(2**66) - 17]
+    KEYS.append(0x5EED ^ (-366 * 0x9E3779B9) ^ 0xF00D)
+
+    @pytest.mark.parametrize("n", DOMAINS)
+    def test_matches_scalar_on_the_whole_domain(self, n):
+        for key in self.KEYS:
+            perm = FeistelPermutation(n, key=key)
+            values = np.arange(n, dtype=np.uint64)
+            assert perm.inverse_many(values).tolist() == [
+                perm.inverse(v) for v in range(n)
+            ], (n, key)
+
+    @given(
+        st.integers(min_value=1, max_value=5000),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_property(self, n, key, data):
+        perm = FeistelPermutation(n, key=key)
+        values = data.draw(
+            st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=32)
+        )
+        got = perm.inverse_many(np.array(values, dtype=np.uint64))
+        assert got.tolist() == [perm.inverse(v) for v in values]
 
 
 class TestPermutationEdgeCases:

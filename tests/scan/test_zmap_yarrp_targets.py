@@ -72,10 +72,19 @@ class TestTargets:
         assert a == b
 
     def test_iter_variant_lazy_equivalence(self):
-        prefix = Prefix.parse("2001:db8::/56")
-        eager = one_target_per_subnet(prefix, 64, random.Random(3))
-        lazy = list(iter_subnet_targets(prefix, 64, random.Random(3)))
-        assert eager == lazy
+        # The lazy variant draws ``subnet.random_addr(rng)`` per subnet;
+        # the eager one computes the same address without the subnets.
+        for text, plen in [
+            ("2001:db8::/56", 64),
+            ("2001:db8::/46", 56),
+            ("2001:db8::/48", 60),
+            ("2001:db8:0:7::/64", 64),
+            ("2001:db8::/44", 48),
+        ]:
+            prefix = Prefix.parse(text)
+            eager = one_target_per_subnet(prefix, plen, random.Random(3))
+            lazy = list(iter_subnet_targets(prefix, plen, random.Random(3)))
+            assert eager == lazy, text
 
 
 class TestZmap6:
@@ -165,6 +174,44 @@ class TestZmap6:
         result = Zmap6(internet).scan([])
         assert result.probes_sent == 0
         assert result.responses == []
+
+    def test_forwarding_proxy_sees_every_probe(self, internet):
+        """A network that wraps ``probe`` and forwards everything else
+        (a timing or fault shim) is driven per probe: the scanner looks
+        ``probe_many`` up on the type, so it never reaches through the
+        proxy to the wrapped network's chunk verb."""
+
+        class Forwarding:
+            def __init__(self, network) -> None:
+                self._network = network
+                self.calls = 0
+
+            def probe(self, target, t_seconds):
+                self.calls += 1
+                return self._network.probe(target, t_seconds)
+
+            def __getattr__(self, name):
+                return getattr(self._network, name)
+
+        proxy = Forwarding(internet)
+        assert proxy.probe_many.__self__ is internet  # reachable, must not be used
+        pool = internet.providers[0].pools[0]
+        targets = one_target_per_subnet(pool.prefix, 56, random.Random(1))
+        scanner = Zmap6(proxy, ScanConfig(seed=9))
+        direct = Zmap6(internet, ScanConfig(seed=9))
+
+        result = scanner.scan(targets)
+        assert proxy.calls == result.probes_sent == 256
+        assert result.responses == direct.scan(targets).responses
+
+        stream = scanner.stream(targets, start_seconds=86_400.0)
+        rows = sum(len(batch) for batch in stream.column_batches(day=1))
+        assert proxy.calls == 256 + stream.probes_sent == 512 and rows
+
+        want = mac_to_eui64_iid(pool.devices[7].mac)
+        response, sent = scanner.scan_until(targets, want, start_seconds=2 * 86_400.0)
+        assert response is not None and sent < 256
+        assert proxy.calls == 512 + sent  # not one probe past the hit
 
 
 class TestYarrp:

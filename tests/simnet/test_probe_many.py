@@ -1,0 +1,354 @@
+"""The chunk kernel against its scalar reference.
+
+``RotationPool.resolve_many`` must agree with ``resolve`` row for row,
+and ``SimInternet.probe_many`` must leave a world in exactly the state
+``probe`` per row leaves its twin in: same responses, same
+``InternetStats``, same limiter for limiter -- whatever the chunk
+boundaries, with loss, and when a hunt cuts a chunk short.
+"""
+
+import random
+from dataclasses import asdict
+
+import pytest
+
+from repro.net.addr import IID_MASK, Prefix
+from repro.net.eui64 import is_eui64_iid
+from repro.net.icmpv6 import probe_each
+from repro.scan.zmap import ScanConfig, Zmap6
+from repro.simnet.builder import InternetSpec, PoolSpec, ProviderSpec, build_internet
+from repro.simnet.device import AddressingMode, CpeDevice, ResponsePolicy
+from repro.simnet.internet import SimInternet
+from repro.simnet.pool import RotationPool
+from repro.simnet.provider import Provider
+from repro.simnet.rotation import (
+    IncrementRotation,
+    NoRotation,
+    SequentialAssignment,
+    ShuffleRotation,
+)
+from repro.util import np
+
+needs_numpy = pytest.mark.skipif(np is None, reason="the column kernel needs numpy")
+
+YEAR_BEFORE = -365.0 * 24.0  # the seed campaign's hour
+
+
+# -- resolve_many vs resolve -------------------------------------------------------
+
+POLICIES = [
+    NoRotation(),
+    NoRotation(window_hours=5.0),
+    SequentialAssignment(),
+    IncrementRotation(24.0, 0.0, 0.0),
+    IncrementRotation(24.0, 1.0, 6.0),
+    ShuffleRotation(48.0, 2.0, 0.0),
+    ShuffleRotation(24.0, 0.0, 4.0),
+]
+
+
+def mixed_pool(policy, delegation_plen: int, seed: int) -> RotationPool:
+    """A half-full /48 pool whose devices cover every branch of
+    ``is_online`` and ``wan_iid``."""
+    rng = random.Random(seed)
+    pool = RotationPool(
+        prefix=Prefix.parse("2001:db8:40::/48"),
+        delegation_plen=delegation_plen,
+        policy=policy,
+        pool_key=rng.getrandbits(63) | 1,
+    )
+    for i in range(min(pool.nslots // 2, 96)):
+        kind = rng.random()
+        device = CpeDevice(
+            device_id=1000 + i,
+            mac=0x3810D5000000 + i,
+            addressing=(
+                AddressingMode.EUI64
+                if kind < 0.6
+                else AddressingMode.PRIVACY if kind < 0.9 else AddressingMode.STATIC
+            ),
+            online_fraction=rng.choice([1.0, 0.9, 0.5]),
+        )
+        roll = rng.random()
+        if roll < 0.15:
+            device.active_until_hours = rng.uniform(0.0, 72.0)  # retired mid-run
+        elif roll < 0.3:
+            device.active_from_hours = rng.uniform(YEAR_BEFORE, 48.0)
+        if rng.random() < 0.3:
+            device.privacy_switch_hours = rng.uniform(0.0, 72.0)  # firmware fix
+        pool.add_device(device)
+    return pool
+
+
+SHAPES = ["past", "window", "straddle", "spread"]
+
+
+def chunk_times(rng: random.Random, policy, shape: str, n: int) -> list[float]:
+    """Hours for one chunk: a year back, inside a rotation window,
+    straddling a rotation boundary by half the chunk either side, or
+    spread over days either side of day 0."""
+    if shape == "past":
+        start = YEAR_BEFORE + rng.uniform(0.0, 24.0)
+    elif shape == "window":
+        day = 24.0 * rng.randrange(1, 4)
+        start = day + policy.rotation_hour + rng.uniform(0.0, 2.0)
+    elif shape == "straddle":
+        boundary = policy.rotation_hour + min(policy.interval_hours, 48.0)
+        start = boundary - (n // 2) * 1e-4 / 3600.0
+    else:
+        return sorted(rng.uniform(-30.0, 100.0) for _ in range(n))
+    return [start + i * 1e-4 / 3600.0 for i in range(n)]
+
+
+@needs_numpy
+@pytest.mark.parametrize("delegation_plen", [56, 60, 64])
+@pytest.mark.parametrize(
+    "policy", POLICIES, ids=lambda p: f"{type(p).__name__}-w{p.window_hours:g}"
+)
+def test_resolve_many_matches_resolve(policy, delegation_plen):
+    pool = mixed_pool(policy, delegation_plen, seed=delegation_plen)
+    rng = random.Random(7)
+    for shape, n in [(shape, n) for shape in SHAPES for n in (1, 5, 200)]:
+        addrs = [pool.prefix.random_addr(rng) for _ in range(n)]
+        hours = chunk_times(rng, policy, shape, n)
+        tenant, net64, iid = pool.resolve_many(
+            np.array([a >> 64 for a in addrs], dtype=np.uint64), np.array(hours)
+        )
+        columns = pool.device_columns()
+        for i, (addr, t) in enumerate(zip(addrs, hours)):
+            residence = pool.resolve(addr, t)
+            if residence is None:
+                assert tenant[i] == -1, (addr, t)
+                continue
+            assert pool.devices[tenant[i]] is residence.device, (addr, t)
+            assert (int(net64[i]) << 64) | int(iid[i]) == residence.wan_address
+            online = columns.is_online_many(tenant[i : i + 1], np.array([t]))
+            assert bool(online[0]) == residence.device.is_online(t)
+
+
+@needs_numpy
+def test_resolve_many_straddles_a_rotation_boundary():
+    """One chunk, two epochs: rows before the boundary resolve under the
+    old assignment and rows after it under the new one."""
+    pool = mixed_pool(ShuffleRotation(24.0), 56, seed=3)
+    addr = pool.prefix.subnet(17, 56).network | 1
+    hours = [23.999, 24.001]
+    tenant, _, _ = pool.resolve_many(
+        np.array([addr >> 64] * 2, dtype=np.uint64), np.array(hours)
+    )
+    want = [pool.resolve(addr, t) for t in hours]
+    assert [t if t >= 0 else None for t in tenant.tolist()] == [
+        None if r is None else pool.devices.index(r.device) for r in want
+    ]
+    assert pool.policy.base_epoch(hours[0]) != pool.policy.base_epoch(hours[1])
+
+
+# -- twin worlds -------------------------------------------------------------------
+
+SPEC = InternetSpec(
+    providers=(
+        ProviderSpec(
+            asn=64601,
+            name="increment",
+            country="DE",
+            bgp_prefix="2001:db8::/32",
+            pools=(
+                PoolSpec(46, 56, 0.6, IncrementRotation(24.0, 0.0, 6.0)),
+                PoolSpec(48, 64, 0.01, SequentialAssignment()),
+                PoolSpec(52, 60, 0.5, ShuffleRotation(24.0)),  # finer than a /48
+            ),
+            online_fraction=0.9,
+            retired_fraction=0.2,
+        ),
+        ProviderSpec(
+            asn=64602,
+            name="shuffle",
+            country="GR",
+            bgp_prefix="2001:db9::/32",
+            pools=(
+                PoolSpec(48, 60, 0.4, ShuffleRotation(48.0, 2.0, 3.0)),
+                PoolSpec(47, 56, 0.7, NoRotation()),
+            ),
+            eui64_fraction=0.6,
+        ),
+    ),
+    seed=11,
+)
+
+
+def build_world():
+    """A small world with every policy, a pool finer than a /48 (off the
+    /48 index), core space around the pools and unrouted space beyond."""
+    return build_internet(SPEC)
+
+
+def world_targets(world, rng: random.Random, n: int) -> list[int]:
+    """*n* targets: mostly inside pools, some in core space, a few
+    unrouted -- and eight delegations hammered with 80 probes each, so
+    their tenants' token buckets run dry mid-scan."""
+    pools = [pool for provider in world.providers for pool in provider.pools]
+    targets = []
+    for _ in range(8):
+        pool = rng.choice(pools)
+        slot = pool.prefix.subnet(rng.randrange(pool.nslots), pool.delegation_plen)
+        targets.extend(slot.random_addr(rng) for _ in range(80))
+    for _ in range(n - len(targets)):
+        roll = rng.random()
+        if roll < 0.75:
+            targets.append(rng.choice(pools).prefix.random_addr(rng))
+        elif roll < 0.95:
+            targets.append(rng.choice(world.providers).bgp_prefixes[0].random_addr(rng))
+        else:
+            targets.append(rng.getrandbits(128))
+    return targets
+
+
+def limiter_states(world) -> list:
+    """Every limiter a run touched, as plain values."""
+
+    def state(limiter):
+        bucket = limiter._bucket
+        return (limiter.emitted, limiter.suppressed, bucket._tokens, bucket._last)
+
+    devices = [
+        (device.device_id, state(device._limiter))
+        for device in world.all_devices()
+        if device._limiter is not None
+    ]
+    core = sorted((asn, state(lim)) for asn, lim in world._core_limiters.items())
+    return [devices, core]
+
+
+def assert_same_world(a, b) -> None:
+    assert asdict(a.stats) == asdict(b.stats)
+    assert limiter_states(a) == limiter_states(b)
+
+
+class PerProbe:
+    """A network with ``probe`` only: the scanner drives it per probe."""
+
+    def __init__(self, network) -> None:
+        self.probe = network.probe
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512, 16_384, 100_000])
+@pytest.mark.parametrize("loss_rate", [0.0, 0.25])
+def test_chunked_scan_equals_per_probe_scan(chunk, loss_rate, monkeypatch):
+    from repro.scan import zmap
+
+    monkeypatch.setattr(zmap, "CHUNK_PROBES", chunk)
+    reference, chunked = build_world(), build_world()
+    config = ScanConfig(seed=5, loss_rate=loss_rate)
+    rng = random.Random(chunk)
+    # Three scans on one world: a year back, then two that run across
+    # midnight and a rotation boundary, close enough to drain buckets.
+    for start in (YEAR_BEFORE * 3600.0, 86_399.0, 86_401.5):
+        targets = world_targets(reference, rng, 2000)
+        stream = Zmap6(reference, config).stream(targets, start)
+        want = list(stream)  # lazy iteration: one probe at a time
+        got = Zmap6(chunked, config).scan(targets, start)
+        assert got.responses == want
+        assert [type(r.icmp_type) for r in got.responses] == [
+            type(r.icmp_type) for r in want
+        ]
+        assert got.probes_sent == stream.probes_sent == len(targets)
+        assert_same_world(reference, chunked)
+    assert reference.stats.core_responses
+    assert any(d._limiter and d._limiter.suppressed for d in reference.all_devices())
+
+
+@pytest.mark.parametrize("loss_rate", [0.0, 0.3])
+def test_hunt_commits_nothing_past_the_hit(loss_rate, monkeypatch):
+    """``scan_until`` in chunks of 8: hits on a chunk's first probe, on
+    its last, mid-chunk, and a miss -- each against a fresh twin."""
+    from repro.scan import zmap
+
+    monkeypatch.setattr(zmap, "HUNT_CHUNK_PROBES", 8)
+    config = ScanConfig(seed=9, loss_rate=loss_rate)
+    start = 2 * 86_400.0 + 3600.0
+    targets = world_targets(build_world(), random.Random(2), 2000)
+    world = build_world()
+    sightings = {}  # source IID -> probes sent when it first answered
+    stream = Zmap6(world, config).stream(targets, start)
+    for response in stream:
+        sightings.setdefault(response.source & IID_MASK, stream.probes_sent)
+    wanted = {"miss": 0xDEAD}
+    for iid, sent in sightings.items():
+        position = {1: "first", 0: "last"}.get(sent % 8, "middle")
+        wanted.setdefault(position, iid)
+    assert set(wanted) == {"miss", "first", "last", "middle"}
+    for position, iid in wanted.items():
+        reference, chunked = build_world(), build_world()
+        want = Zmap6(PerProbe(reference), config).scan_until(targets, iid, start)
+        got = Zmap6(chunked, config).scan_until(targets, iid, start)
+        assert got == want, position
+        assert (got[0] is None) == (position == "miss")
+        assert got[1] == (len(targets) if position == "miss" else sightings[iid])
+        assert_same_world(reference, chunked)
+
+
+def test_probe_many_equals_probe_each():
+    """The verb itself, no scanner: whole chunks and a cut one."""
+    reference, chunked = build_world(), build_world()
+    rng = random.Random(4)
+    for start in (YEAR_BEFORE * 3600.0, 5 * 86_400.0 - 0.2):
+        targets = world_targets(reference, rng, 2500)
+        times = [start + i * 1e-4 for i in range(len(targets))]
+        want = probe_each(reference.probe, targets, times)
+        got = chunked.probe_many(targets, times)
+        assert all(getattr(got, f) == getattr(want, f) for f in want.__slots__)
+        assert got.consumed == len(targets)
+        assert_same_world(reference, chunked)
+    stop_iid = want.src_lo[len(want) // 2]
+    times = [t + 3600.0 for t in times]
+    want = probe_each(reference.probe, targets, times, stop_iid)
+    got = chunked.probe_many(targets, times, stop_iid)
+    assert all(getattr(got, f) == getattr(want, f) for f in want.__slots__)
+    assert 0 < got.consumed < len(targets) and got.src_lo[-1] == stop_iid
+    assert_same_world(reference, chunked)
+
+
+def test_probe_many_on_an_empty_chunk_and_a_poolless_world():
+    world = build_world()
+    assert world.probe_many([], []).consumed == 0
+    assert world.stats.probes == 0
+    bgp = Prefix.parse("2001:db8::/32")
+    bare = SimInternet([Provider(64601, "bare", "DE", bgp_prefixes=[bgp])])
+    chunk = bare.probe_many([bgp.network | 5], [1.0])
+    assert chunk.consumed == 1 and len(chunk) == 1  # the core router's no-route
+    assert bare.stats.probes == 1 and bare.stats.core_responses == 1
+
+
+def test_devices_mutated_after_a_first_chunk_are_seen():
+    """Device columns are a cache of mutable objects: plain assignment
+    to a device, and a new subscriber, must reach the next chunk."""
+    reference, chunked = build_world(), build_world()
+    rng = random.Random(8)
+    targets = world_targets(reference, rng, 2000)
+
+    def probe_both(start):
+        times = [start + i * 1e-4 for i in range(len(targets))]
+        want = probe_each(reference.probe, targets, times)
+        got = chunked.probe_many(targets, times)
+        assert all(getattr(got, f) == getattr(want, f) for f in want.__slots__)
+        assert_same_world(reference, chunked)
+        return want
+
+    before = probe_both(86_400.0)
+    answered = {iid for iid in before.src_lo if is_eui64_iid(iid)}
+    for world in (reference, chunked):
+        touched = 0
+        for device in world.all_devices():
+            if device.addressing is not AddressingMode.EUI64:
+                continue
+            touched += 1
+            if touched % 3 == 0:
+                device.privacy_switch_hours = 0.0  # the firmware fix, backdated
+            elif touched % 3 == 1:
+                device.policy = ResponsePolicy.silent()
+            else:
+                device.active_until_hours = 30.0
+        pool = world.providers[0].pools[0]
+        pool.add_device(CpeDevice(device_id=999_999, mac=0x0200_0000_0001))
+    after = probe_both(2 * 86_400.0)
+    assert answered and not answered & set(after.src_lo)  # every EUI-64 IID is gone

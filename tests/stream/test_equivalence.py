@@ -83,6 +83,32 @@ class TestCampaignEquivalence:
         assert list(batch.store) == list(result.store)
         assert streaming.finished
 
+    def test_repeats_on_one_world_are_byte_identical(self):
+        """Twelve campaigns back to back on one TINY world: one digest.
+
+        A device that lands on a probed slot once per campaign is probed
+        at the identical instant on every repeat, so its token bucket
+        never sees time pass; without the reset a campaign's first day
+        performs, the 11th repeat finds the default burst of 10 spent
+        and loses the response.
+        """
+        import hashlib
+        import json
+
+        from repro.experiments.context import ExperimentContext
+        from repro.experiments.scale import TINY
+        from repro.stream.checkpoint import engine_state
+
+        campaign = ExperimentContext(TINY).build_campaign()
+        digests = set()
+        for repeat in range(1, 13):
+            streaming = StreamingCampaign(campaign)
+            streaming.run()
+            if repeat in (1, 10, 11, 12):  # serializing is most of a repeat
+                state = json.dumps(engine_state(streaming.engine), sort_keys=True)
+                digests.add(hashlib.sha256(state.encode()).hexdigest())
+        assert len(digests) == 1
+
     def test_checkpoint_resume_identical_to_uninterrupted(self, tmp_path):
         path = tmp_path / "campaign.json"
         full = StreamingCampaign(build_campaign())

@@ -38,16 +38,38 @@ Since the serve layer the bulk engine is additionally *served*: a
 at random points mid-stream (materializing pending state each time),
 pinning that publishing read snapshots never perturbs checkpoint bytes
 and that snapshot versions only ever move forward.
+
+The chunked-scanner leg moves the oracle one layer out, to the probes
+themselves: twin simulated worlds from one random spec, one probed one
+probe at a time and folded one response at a time, the other run as a
+:class:`~repro.stream.campaign.StreamingCampaign` -- scanner chunks,
+the simulator's ``probe_many``, column batches into ``ingest_columns``
+-- with the chunk sizes fuzzed so chunk boundaries fall inside days,
+scans that start just before a rotation boundary, and a hunt that ends
+mid-chunk.  Same checkpoint bytes, same probe counts, same simulator
+counters.
 """
 
 import json
 import random
+from dataclasses import asdict, replace
 
 import pytest
 
+from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.records import ObservationStore, ProbeObservation
+from repro.net.addr import Prefix
 from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
+from repro.scan.zmap import ScanConfig, Zmap6
+from repro.simnet.builder import InternetSpec, PoolSpec, ProviderSpec, build_internet
+from repro.simnet.rotation import (
+    IncrementRotation,
+    NoRotation,
+    SequentialAssignment,
+    ShuffleRotation,
+)
 from repro.store import ColumnBatch, SqliteBackend, make_backend
+from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.fabric import SocketTransport
@@ -285,6 +307,161 @@ def test_checkpoint_bytes_identical_without_kernel(seed, tmp_path, monkeypatch):
     monkeypatch.setattr(columnar, "np", None)
     assert StreamEngine()._acc is None  # the patch is the whole switch
     check_ingest_paths_agree(seed, tmp_path)
+
+
+def random_world_spec(rng: random.Random) -> InternetSpec:
+    """One or two providers with one or two pools each, every policy,
+    delegation size and stagger width in the draw."""
+
+    def policy():
+        interval = rng.choice([24.0, 24.0, 48.0])
+        hour = rng.choice([0.0, 1.0, 3.5])
+        window = rng.choice([0.0, 0.0, 2.0, 6.0])
+        return rng.choice(
+            [
+                NoRotation(),
+                SequentialAssignment(),
+                IncrementRotation(interval, hour, window),
+                ShuffleRotation(interval, hour, window),
+            ]
+        )
+
+    providers = []
+    for index in range(rng.randint(1, 2)):
+        pools = []
+        for _ in range(rng.randint(1, 2)):
+            pool_plen = rng.choice([47, 48, 48, 52])
+            delegation = rng.choice([p for p in (56, 60, 64) if p >= pool_plen])
+            # Per-/64 pools stay sparse: the world is built twice per seed.
+            occupancy = rng.uniform(0.05, 0.7) / (1 if delegation < 64 else 64)
+            pools.append(PoolSpec(pool_plen, delegation, occupancy, policy()))
+        providers.append(
+            ProviderSpec(
+                asn=64700 + index,
+                name=f"fuzz-{index}",
+                country="DE",
+                pools=tuple(pools),
+                eui64_fraction=rng.uniform(0.5, 1.0),
+                online_fraction=rng.choice([1.0, 0.9, 0.6]),
+                retired_fraction=rng.choice([0.0, 0.3]),
+            )
+        )
+    return InternetSpec(providers=tuple(providers), seed=rng.getrandbits(32))
+
+
+class ProbeOnly:
+    """The shape of a timing proxy: its own ``probe``, everything else
+    forwarded.  It has no ``probe_many`` of its own, so the scanner must
+    drive it one probe at a time."""
+
+    def __init__(self, network) -> None:
+        self._network = network
+        self.calls = 0
+
+    def probe(self, target, t_seconds):
+        self.calls += 1
+        return self._network.probe(target, t_seconds)
+
+    def __getattr__(self, name):
+        return getattr(self._network, name)
+
+
+def check_scanner_paths_agree(seed, monkeypatch):
+    """One seed of the probe-level oracle (see the module docstring)."""
+    from repro.scan import zmap
+
+    rng = random.Random(seed ^ 0x5CA2)
+    spec = random_world_spec(rng)
+    reference_world, chunked_world = build_internet(spec), build_internet(spec)
+    pools = [pool for provider in reference_world.providers for pool in provider.pools]
+    # Every /48 a pool touches: the ones a /47 spans, the one a /52 sits in.
+    prefixes48 = sorted(
+        {
+            Prefix.containing(net.network, 48)
+            for pool in pools
+            for net in pool.prefix.subnets(max(48, pool.prefix.plen))
+        },
+        key=lambda p: p.network,
+    )
+    # Even seeds start each scan a few probes short of a pool's rotation
+    # hour, so one day's chunk straddles the epoch change.
+    scan_hour = rng.uniform(0.0, 23.0)
+    if not seed % 2:
+        scan_hour = (rng.choice(pools).policy.rotation_hour - 0.05 / 3600.0) % 24.0
+    campaign_config = CampaignConfig(
+        days=rng.randint(2, 4),
+        start_day=rng.randint(0, 3),
+        scan_hour=scan_hour,
+        probe_plen=rng.choice([56, 56, 60]),
+        seed=rng.getrandbits(16),
+        rate_pps=rng.choice([10_000.0, 2_000.0]),
+    )
+    # The campaign owns the corpus; its engine runs store-less.
+    config = replace(random_config(rng), keep_observations=False)
+    # Any chunk size that keeps the run to a couple of thousand chunks:
+    # small worlds get probed one probe per chunk, large ones in few.
+    probes = campaign_config.days * len(prefixes48) << (campaign_config.probe_plen - 48)
+    sizes = [size for size in (1, 7, 100, 512, 16_384) if probes // size <= 2_000]
+    monkeypatch.setattr(zmap, "CHUNK_PROBES", rng.choice(sizes))
+    monkeypatch.setattr(zmap, "HUNT_CHUNK_PROBES", rng.choice([5, 64, 512]))
+
+    # Reference leg: lazy iteration, one probe and one fold at a time.
+    reference = StreamEngine(config, origin_of=reference_world.rib.origin_of)
+    campaign = Campaign(reference_world, prefixes48, campaign_config)
+    assert probes == campaign_config.days * len(campaign.targets)
+    probes = 0
+    for day, stream in campaign.iter_day_streams():
+        for response in stream:
+            reference.ingest(response, day)
+        probes += stream.probes_sent
+    reference.flush()
+
+    # Chunked leg: the campaign as every driver runs it.
+    streaming = StreamingCampaign(
+        Campaign(chunked_world, prefixes48, campaign_config),
+        engine=StreamEngine(config, origin_of=chunked_world.rib.origin_of),
+    )
+    result = streaming.run()
+    assert result.probes_sent == probes
+    assert json.dumps(engine_state(streaming.engine)) == json.dumps(
+        engine_state(reference)
+    )
+    assert len(result.store) == reference.responses_ingested
+    assert asdict(chunked_world.stats) == asdict(reference_world.stats)
+
+    # A hunt after the campaign: an IID the corpus holds (or a miss),
+    # through a probe-only proxy on one side and in chunks on the other.
+    iids = sorted(result.store.eui64_iids())
+    want = rng.choice(iids) if iids and rng.random() < 0.8 else 0xDEAD
+    targets = list(campaign.targets)
+    start = (campaign_config.start_day + campaign_config.days) * 86_400.0 + 3_600.0
+    scan = ScanConfig(seed=seed, loss_rate=rng.choice([0.0, 0.2]))
+    proxy = ProbeOnly(reference_world)
+    expected = Zmap6(proxy, scan).scan_until(targets, want, start)
+    assert Zmap6(chunked_world, scan).scan_until(targets, want, start) == expected
+    assert asdict(chunked_world.stats) == asdict(reference_world.stats)
+    if not scan.loss_rate:
+        assert proxy.calls == expected[1]  # the proxy saw every probe sent
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_checkpoint_bytes_identical_across_scanner_paths(seed, monkeypatch):
+    check_scanner_paths_agree(seed, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", KERNEL_LESS_SEEDS)
+def test_checkpoint_bytes_identical_across_scanner_paths_without_numpy(
+    seed, monkeypatch
+):
+    """The same legs with numpy patched out of the fold kernel and the
+    simulator: ``probe_many`` runs ``probe`` per row, ``ingest_columns``
+    the reference fold, and the bytes are the per-probe leg's."""
+    from repro.simnet import internet
+    from repro.stream import columnar
+
+    monkeypatch.setattr(columnar, "np", None)
+    monkeypatch.setattr(internet, "np", None)
+    check_scanner_paths_agree(seed, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -15,7 +15,16 @@ from repro.simnet.clock import (
     hours,
     seconds,
 )
-from repro.util import mean, median, mix64, stddev, unit_float
+from repro.util import (
+    mean,
+    median,
+    mix64,
+    mix64_many,
+    np,
+    stddev,
+    unit_float,
+    unit_float_many,
+)
 
 
 class TestMix64:
@@ -48,6 +57,38 @@ class TestMix64:
     def test_unit_float_range(self):
         for i in range(100):
             assert 0.0 <= unit_float(i, 7) < 1.0
+
+
+@pytest.mark.skipif(np is None, reason="the column forms need numpy")
+class TestMix64Many:
+    """The column forms equal the scalar ones value for value."""
+
+    # Scalars of any size and sign (keys are Python ints: 65+ bits and
+    # negative epochs both occur); columns are uint64 by construction.
+    scalars = st.integers(min_value=-(2**70), max_value=2**70)
+    columns = st.lists(
+        st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=8
+    )
+
+    @given(scalars, columns, scalars)
+    def test_matches_scalar(self, key, column, salt):
+        got = mix64_many(key, np.array(column, dtype=np.uint64), salt)
+        assert got.tolist() == [mix64(key, value, salt) for value in column]
+
+    @given(columns, st.integers(min_value=-(2**40), max_value=2**40))
+    def test_negative_day_wraps_like_the_mask(self, ids, day):
+        # is_online hashes (device_id, day_of(t)); days before day 0 are
+        # negative and must fold in as their two's complement.
+        days = np.full(len(ids), day, dtype=np.int64).view(np.uint64)
+        got = unit_float_many(np.array(ids, dtype=np.uint64), days, 0xD1CE)
+        assert got.tolist() == [unit_float(i, day, 0xD1CE) for i in ids]
+
+    def test_uint64_to_float_rounds_like_int_division(self):
+        # Values one ulp around float64's 53-bit grid, and the top of the
+        # range (which rounds to 1.0 in both forms).
+        edge = [2**64 - 1, 2**64 - 2**10, 2**63 + 2**10 + 1, 2**53 + 1, 3]
+        as_float = np.array(edge, dtype=np.uint64).astype(np.float64) / float(1 << 64)
+        assert as_float.tolist() == [value / float(1 << 64) for value in edge]
 
 
 class TestStats:
