@@ -221,14 +221,19 @@ class ObservationStore:
         with obs.snapshot_seconds.time():
             return self.backend.snapshot_columns(start_row)
 
-    def restore_rows(self, rows: list[list]) -> int:
-        """Load checkpoint rows (incremental on disk-backed stores)."""
+    def restore_columns(self, batch: ColumnBatch) -> int:
+        """Converge the corpus on a checkpoint's rows, given as columns
+        (incremental on disk-backed stores); returns rows appended."""
         self._flush()
         obs = self._obs
         if obs is None:
-            return self.backend.restore(rows)
+            return self.backend.restore(batch)
         with obs.restore_seconds.time():
-            return self.backend.restore(rows)
+            return self.backend.restore(batch)
+
+    def restore_rows(self, rows: list[list]) -> int:
+        """:meth:`restore_columns` for JSON checkpoint rows."""
+        return self.restore_columns(ColumnBatch.from_rows(rows))
 
     def close(self) -> None:
         """Flush and release backend resources (files, connections)."""

@@ -38,7 +38,6 @@ import time
 from pathlib import Path
 
 from repro import config
-from repro.stream.checkpoint import restore_engine
 from repro.stream.ckptbin import ChainAssembler, CheckpointError
 from repro.stream.fabric import framing
 from repro.stream.fabric.framing import parse_address, set_nodelay
@@ -137,16 +136,16 @@ class ReplicaFollower:
     def engine(self):
         """A live engine restored from the applied chain.
 
-        Rebuilt lazily after each applied segment and cached; restored
+        Rebuilt lazily after each applied segment and cached -- from
+        the assembler's columns, not from :attr:`state`; restored
         without an ``origin_of`` resolver -- origins only matter at
         ingest, and a standby engine answers queries, it never ingests.
         """
         with self._lock:
             if self._engine is None:
-                # A campaign chain nests the engine under "engine"; a
-                # chain saved from a bare engine *is* the engine state.
-                state = self.state
-                self._engine = restore_engine(state.get("engine", state))
+                if self._asm is None:
+                    raise ReplicationError("no segments applied yet")
+                self._engine = self._asm.restore_engine()
             return self._engine
 
     def role_info(self) -> dict:

@@ -22,22 +22,35 @@ The pieces
     chunks, insertion order), ``day_slice`` and ``iid_history``
     (indexed slices), ``days`` / ``eui_iids`` / ``unique_sources`` /
     ``unique_eui64_sources`` / ``stats`` (incremental counters),
-    ``snapshot`` / ``snapshot_columns`` / ``restore`` (the canonical
-    checkpoint rows ``[[day, t_seconds, target, source], ...]``, whole
-    or as the column tail a delta checkpoint needs), and ``close``.
+    ``snapshot`` / ``snapshot_columns`` (the canonical checkpoint rows
+    ``[[day, t_seconds, target, source], ...]``, whole or as the column
+    tail a delta checkpoint needs), ``restore`` (converge on a
+    checkpoint's corpus, handed over as one ``ColumnBatch``: a held
+    prefix is verified column slice against column slice and kept, only
+    a copy of the tail is appended), and ``close``.
     Snapshot rows are the byte-identity contract: an engine checkpoint
     serializes the same bytes whichever backend holds the corpus.
-    Observation objects exist only above the protocol: the
-    ``ObservationStore`` facade converts them to a ``ColumnBatch`` on
-    the way in and materializes them on the way out.
+    Observation objects and row lists exist only above the protocol:
+    the ``ObservationStore`` facade converts them to a ``ColumnBatch``
+    on the way in (``extend``, and ``restore_rows`` for the rows of a
+    JSON checkpoint -- a binary one arrives as columns through
+    ``restore_columns``) and materializes them on the way out.
 
 Backends
 --------
 
 * :class:`ColumnarBackend` -- the in-memory store, on every install
   (its columns are stdlib ``array`` buffers; numpy is not needed):
-  native columns plus per-day/per-IID row indexes, so the engines
-  re-read the corpus with zero per-row Python work.
+  native columns, so an append is six ``extend`` calls and the engines
+  re-read the corpus with zero per-row Python work.  Its per-day /
+  per-IID row indexes are built by the first read that needs one
+  (``day_slice``, ``iid_history``, ``days``, ``eui_iids``,
+  ``unique_eui64_sources``, ``stats``) and caught up by the next, on
+  the calling thread; a campaign that only appends and checkpoints
+  never pays for them.  That is sound because the store has one writer
+  and no cross-thread reader today (HTTP readers are served from
+  published snapshots); a second reading thread would need a lock
+  around the catch-up.
 * :class:`SqliteBackend` -- append-only disk store for corpora larger
   than RAM, with incremental checkpoints (each commit writes only the
   rows appended since the last one) and incremental resume (restore
@@ -61,7 +74,8 @@ asserts).  The invariants the equivalence suite will hold you to:
    ``scan_columns()`` output, value-exact (``0`` stays int, ``0.0``
    stays float), and ``snapshot_columns(n).rows()`` equals
    ``snapshot()[n:]``;
-3. ``restore(snapshot())`` onto a fresh backend reproduces the corpus;
+3. ``restore(ColumnBatch.from_rows(snapshot()))`` onto a fresh backend
+   reproduces the corpus, and the batch passed in is never kept;
 4. counters (``rows``, ``stats``, ``eui_iids``) stay correct without
    re-walking the corpus.
 

@@ -7,16 +7,18 @@ out, and serialize to the canonical checkpoint rows
 byte-identical whichever backend produced them.
 
 ``ColumnarBackend`` is the one in-memory layout, on every install: the
-six ``ColumnBatch`` columns (stdlib :mod:`array` buffers) with
-integer-row indexes, so columnar consumers (the streaming engines'
-kernel) re-read the corpus without any per-row Python work.  The
-disk-backed backend lives in :mod:`repro.store.sqlite`.
+six ``ColumnBatch`` columns (stdlib :mod:`array` buffers), so columnar
+consumers (the streaming engines' kernel) re-read the corpus without
+any per-row Python work, plus integer-row indexes that the first
+indexed read builds.  The disk-backed backend lives in
+:mod:`repro.store.sqlite`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.net.eui64 import is_eui64_iid
@@ -43,10 +45,13 @@ class StoreStats:
 class StoreBackend(Protocol):
     """What :class:`~repro.core.records.ObservationStore` requires.
 
-    The currency is columns: the facade converts observation objects
-    to a :class:`ColumnBatch` before an append and materializes them
-    after a read, so a backend never sees one.  All scans and slices
-    return rows in insertion order.
+    The currency is columns, ``restore`` included: the facade converts
+    observation objects (and a JSON checkpoint's rows) to a
+    :class:`ColumnBatch` before handing them over and materializes
+    objects after a read, so a backend never sees one.  All scans and
+    slices return rows in insertion order.  A backend may build its
+    indexes lazily, inside the first read that needs them: the store
+    has a single writer and is read on that same thread.
     """
 
     @property
@@ -102,15 +107,17 @@ class StoreBackend(Protocol):
         rows appended since the last one)."""
         ...
 
-    def restore(self, rows: list[list]) -> int:
-        """Converge the corpus on checkpoint rows; returns rows appended.
+    def restore(self, batch: ColumnBatch) -> int:
+        """Converge the corpus on a checkpoint's rows, given as columns;
+        returns rows appended.
 
-        The corpus after restore must equal *rows* exactly, whatever
+        The corpus after restore must equal *batch* exactly, whatever
         the backend already held: a held prefix is verified and kept
         (the incremental-resume contract -- disk backends skip the
         re-insert entirely), a held suffix beyond the checkpoint is
         discarded (the resumed stream replays it), and a corpus that
-        disagrees with *rows* at the boundary raises ``ValueError``.
+        disagrees with *batch* at the boundary raises ``ValueError``.
+        *batch* is never kept: what is appended is a copy of its tail.
         """
         ...
 
@@ -119,26 +126,28 @@ class StoreBackend(Protocol):
         ...
 
 
-def _verify_prefix(backend, rows: list[list], keep: int) -> None:
-    """Raise unless the backend's first *keep* rows equal ``rows[:keep]``.
+def _verify_prefix(backend, batch: ColumnBatch, keep: int) -> None:
+    """Raise unless the backend's first *keep* rows equal ``batch[:keep]``.
 
     The restore soundness check, shared by every backend: a chunked
-    scan (bounded memory, O(held) row reads -- still no re-inserts),
-    compared value-exact so reattaching the wrong corpus can never
-    silently fork the stream.
+    scan (bounded memory, O(held) reads -- still no re-inserts)
+    compared column slice against column slice, value-exact, so
+    reattaching the wrong corpus can never silently fork the stream.
+    Rows are only walked to name the one that diverges.
     """
     offset = 0
-    for batch in backend.scan_columns():
+    for chunk in backend.scan_columns():
         if offset >= keep:
             break
-        chunk = batch.rows()
         take = min(len(chunk), keep - offset)
-        if chunk[:take] != rows[offset : offset + take]:
-            for i in range(take):
-                if chunk[i] != rows[offset + i]:
+        held = chunk.slice(0, take).columns
+        wanted = batch.slice(offset, offset + take).columns
+        if any(h != w for h, w in zip(held, wanted)):
+            for row, (mine, theirs) in enumerate(zip(zip(*held), zip(*wanted))):
+                if mine != theirs:
                     raise ValueError(
                         f"{backend.name} store diverges from the checkpoint"
-                        f" at row {offset + i}: not the same corpus"
+                        f" at row {offset + row}: not the same corpus"
                     )
         offset += take
 
@@ -147,12 +156,18 @@ class ColumnarBackend:
     """Native column storage: one growing :class:`ColumnBatch` + indexes.
 
     The default on every install.  Appending a column batch is six
-    ``extend`` calls; re-reading the corpus for the streaming engines'
-    kernel slices those same columns, so no per-batch object-to-column
-    conversion is paid.  Indexes are per-day and per-IID row-number
-    lists -- ints, never observation objects -- so object reads
-    materialize one :class:`~repro.core.records.ProbeObservation` per
-    row per call: group once rather than re-walk the corpus.
+    ``extend`` calls and nothing else; re-reading the corpus for the
+    streaming engines' kernel slices those same columns, so no
+    per-batch object-to-column conversion is paid.  Indexes are per-day
+    and per-IID row-number lists -- ints, never observation objects --
+    built by the first read that needs them and brought up to date over
+    the rows appended since by the next one, on the calling thread (the
+    store has one writer and no cross-thread reader: the serve layer
+    answers from published snapshots, never from the store).  A
+    campaign that only appends and checkpoints never builds them.
+    Object reads materialize one
+    :class:`~repro.core.records.ProbeObservation` per row per call:
+    group once rather than re-walk the corpus.
     """
 
     name = "columnar"
@@ -163,19 +178,31 @@ class ColumnarBackend:
         self._iid_rows: dict[int, list[int]] = defaultdict(list)
         self._eui_iids: set[int] = set()
         self._eui_rows = 0
+        self._indexed = 0  # rows [0, _indexed) are in the indexes
 
     @property
     def rows(self) -> int:
         return len(self._cols)
 
     def append_columns(self, batch: ColumnBatch) -> int:
-        base = len(self._cols)
         self._cols.extend(batch)
+        return len(batch)
+
+    def _index(self) -> None:
+        """Bring the indexes and EUI counters up to date with the columns."""
+        cols = self._cols
+        start = self._indexed
+        if start == len(cols):
+            return
         day_rows = self._day_rows
         iid_rows = self._iid_rows
         eui_iids = self._eui_iids
-        for offset, (day, iid) in enumerate(zip(batch.day, batch.src_lo)):
-            row = base + offset
+        new_rows = zip(
+            count(start),
+            islice(cols.day, start, None),
+            islice(cols.src_lo, start, None),
+        )
+        for row, day, iid in new_rows:
             day_rows[day].append(row)
             iid_rows[iid].append(row)
             if iid in eui_iids:
@@ -183,7 +210,7 @@ class ColumnarBackend:
             elif is_eui64_iid(iid):
                 eui_iids.add(iid)
                 self._eui_rows += 1
-        return len(batch)
+        self._indexed = len(cols)
 
     def scan_columns(self, chunk_rows: int = SCAN_CHUNK_ROWS) -> Iterator[ColumnBatch]:
         cols = self._cols
@@ -197,15 +224,19 @@ class ColumnarBackend:
         )
 
     def day_slice(self, day: int) -> ColumnBatch:
+        self._index()
         return self._rows_batch(self._day_rows.get(day, ()))
 
     def iid_history(self, iid: int) -> ColumnBatch:
+        self._index()
         return self._rows_batch(self._iid_rows.get(iid, ()))
 
     def days(self) -> list[int]:
+        self._index()
         return sorted(self._day_rows)
 
     def eui_iids(self) -> set[int]:
+        self._index()
         return set(self._eui_iids)
 
     def unique_sources(self) -> set[int]:
@@ -215,6 +246,7 @@ class ColumnarBackend:
         }
 
     def unique_eui64_sources(self) -> set[int]:
+        self._index()
         sources: set[int] = set()
         src_hi = self._cols.src_hi
         src_lo = self._cols.src_lo
@@ -224,6 +256,7 @@ class ColumnarBackend:
         return sources
 
     def stats(self) -> StoreStats:
+        self._index()
         return StoreStats(
             backend=self.name,
             rows=len(self._cols),
@@ -238,17 +271,17 @@ class ColumnarBackend:
         """Checkpoint columns from *start_row* on -- a pure slice."""
         return self._cols.slice(start_row)
 
-    def restore(self, rows: list[list]) -> int:
+    def restore(self, batch: ColumnBatch) -> int:
         held = len(self._cols)
-        _verify_prefix(self, rows, min(held, len(rows)))
-        if held > len(rows):
+        _verify_prefix(self, batch, min(held, len(batch)))
+        if held > len(batch):
             # Rows beyond the checkpoint (the resumed stream replays
             # them): rebuild from the checkpoint.  The re-insert of
             # verified rows is an implementation detail, not an append.
             self.__init__()
-            self.restore(rows)
+            self.append_columns(batch)
             return 0
-        return self.append_columns(ColumnBatch.from_rows(rows[held:]))
+        return self.append_columns(batch.slice(held))
 
     def close(self) -> None:
         pass

@@ -271,13 +271,13 @@ class SqliteBackend:
         )
         return _decode_batch(cur.fetchall())
 
-    def restore(self, rows: list[list]) -> int:
-        """Converge the file on the checkpoint rows; appends only the tail.
+    def restore(self, batch: ColumnBatch) -> int:
+        """Converge the file on the checkpoint's rows; appends only the tail.
 
         A freshly created file loads everything.  A reattached file
         (the incremental-resume path) verifies every row it shares
         with the checkpoint -- a chunked read, O(held), still no
-        re-inserts -- and appends only ``rows[held:]``.  A file holding
+        re-inserts -- and appends only ``batch[held:]``.  A file holding
         rows *beyond* the checkpoint -- a run that kept ingesting after
         its last checkpoint and then exited, committing on close -- has
         its uncheckpointed suffix discarded after verification: the
@@ -287,9 +287,9 @@ class SqliteBackend:
         different corpus and raises.
         """
         held = self._rows
-        keep = min(held, len(rows))
-        _verify_prefix(self, rows, keep)
-        if held > len(rows):
+        keep = min(held, len(batch))
+        _verify_prefix(self, batch, keep)
+        if held > len(batch):
             if keep:
                 cur = self._con.execute(
                     "SELECT seq FROM observations ORDER BY seq LIMIT 1 OFFSET ?",
@@ -302,7 +302,7 @@ class SqliteBackend:
             self._con.commit()
             self._load_counters()
             self._appended_since_checkpoint = 0
-        return self.append_columns(ColumnBatch.from_rows(rows[held:]))
+        return self.append_columns(batch.slice(held))
 
     def close(self) -> None:
         """Commit and close; unlink the file if this backend created it."""

@@ -26,9 +26,9 @@ from typing import Callable, Iterable
 from repro import config
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.records import ObservationStore, ProbeObservation
+from repro.store.batch import ColumnBatch
 from repro.stream.checkpoint import (
     FORMAT_VERSION,
-    _restore_store,
     _store_state,
     engine_state,
     is_binary_checkpoint,
@@ -291,23 +291,33 @@ class StreamingCampaign:
         binary run rebases with a fresh full segment on its first
         checkpoint.
         """
+        origin_of = campaign.internet.rib.origin_of
         if is_binary_checkpoint(checkpoint_path):
-            from repro.stream.ckptbin import read_state
+            from repro.stream.ckptbin import load_chain
 
-            state = read_state(checkpoint_path)
+            # Columns end to end: no state dict, no row lists.
+            chain = load_chain(checkpoint_path)
+            progress = chain.progress
+            if progress is None:
+                raise ValueError(
+                    f"{checkpoint_path}: an engine checkpoint, not a campaign's"
+                )
+            engine = chain.restore_engine(origin_of=origin_of, telemetry=telemetry)
+            corpus = chain.corpus or ColumnBatch()
         else:
             state = json.loads(Path(checkpoint_path).read_text())
-        if state.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version: {state.get('version')!r}"
+            if state.get("version") != FORMAT_VERSION:
+                raise ValueError(
+                    f"unsupported checkpoint version: {state.get('version')!r}"
+                )
+            progress = state["progress"]
+            engine = restore_engine(
+                state["engine"], origin_of=origin_of, telemetry=telemetry
             )
+            corpus = ColumnBatch.from_rows(state["store"])
         streaming = cls(
             campaign,
-            engine=restore_engine(
-                state["engine"],
-                origin_of=campaign.internet.rib.origin_of,
-                telemetry=telemetry,
-            ),
+            engine=engine,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
             workers=workers,
@@ -325,8 +335,7 @@ class StreamingCampaign:
             streaming._external_store = True
             if telemetry is not None:
                 store.attach_telemetry(telemetry)
-        _restore_store(state["store"], streaming.result.store)
-        progress = state["progress"]
+        streaming.result.store.restore_columns(corpus)
         streaming.result.probes_sent = progress["probes_sent"]
         streaming.result.days_run = progress["days_run"]
         streaming.result.targets_per_day = progress["targets_per_day"]
@@ -410,11 +419,12 @@ class StreamingCampaign:
             dirty_sids=dirty,
             instruments=self._obs,
         )
-        self.checkpoints_written += 1
-        if result.kind == "delta":
-            self.checkpoints_delta += 1
-        else:
-            self.checkpoints_full += 1
+        if result.segment_bytes:  # zero: the chain already held this position
+            self.checkpoints_written += 1
+            if result.kind == "delta":
+                self.checkpoints_delta += 1
+            else:
+                self.checkpoints_full += 1
         self.last_checkpoint_bytes = result.file_bytes
         if self.shipper is not None:
             # Synchronous on the checkpoint thread: the file is

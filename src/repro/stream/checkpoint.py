@@ -309,15 +309,17 @@ def load_engine(
 
     The format is sniffed from the file's magic bytes, so a process
     configured for one format transparently resumes from the other.
+    A binary chain restores as columns when the engine has the numpy
+    kernel (:meth:`~repro.stream.ckptbin.ChainAssembler.restore_engine`).
     """
     if is_binary_checkpoint(path):
-        from repro.stream.ckptbin import read_state
+        from repro.stream.ckptbin import load_chain
 
-        state = read_state(path)
-    else:
-        state = json.loads(Path(path).read_text())
+        return load_chain(path).restore_engine(
+            origin_of=origin_of, store=store, telemetry=telemetry
+        )
     return restore_engine(
-        state,
+        json.loads(Path(path).read_text()),
         origin_of=origin_of,
         store=store,
         telemetry=telemetry,

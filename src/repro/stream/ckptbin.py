@@ -1,15 +1,15 @@
-"""Binary columnar checkpoints: serialization off the hot path.
+"""Binary columnar checkpoints: columns from the fold to a promoted standby.
 
 The JSON checkpoint (:mod:`repro.stream.checkpoint`) is the canonical,
 diff-able format, but writing it re-sorts every aggregate into Python
 list-of-lists and renders millions of 128-bit ints as decimal text --
 for a long campaign the serialize step dwarfs the state update work it
 interrupts.  This module keeps the *state* identical and changes only
-the *encoding*: every aggregate is emitted as length-prefixed flat
-little-endian 64-bit column blocks, written straight from the columnar
-accumulator's arrays and the store's column buffers where available
-(a near-memcpy), with a stdlib :mod:`array`/:mod:`struct` fallback --
-never through sorted Python list-of-lists.
+the *encoding*: every aggregate is a length-prefixed flat little-endian
+64-bit column block, and on a numpy install the aggregates are columns
+all the way -- written from the kernel's reduce, merged by the
+follower, and adopted by a resumed engine with ``np.frombuffer`` --
+without a Python object per row anywhere in between.
 
 Segment layout (one file holds one *chain* of segments)::
 
@@ -28,14 +28,39 @@ when the previous segment was written (days arrive monotone), so a
 delta carries pair blocks only for ``day >= day_floor``; days the
 delta does not re-emit are dropped on restore for re-emitted shards,
 and every restore replays the segment's ``prune_threshold`` so clean
-shards prune identically.
+shards prune identically.  A save at a position the chain already
+holds (no dirty shard, no new store row, same head) writes nothing.
 
-:func:`read_state` walks the chain, validating magic, header, bounds,
-and CRC per segment (any corruption raises :class:`CheckpointError`,
-never a silent partial restore) and returns a dict shaped exactly like
-:func:`repro.stream.checkpoint.engine_state` output, so the JSON
-restore path rebuilds the engine -- the fuzz harness pins the restored
-``engine_state`` JSON byte-identical across formats.
+**What a save reads.**  The accumulator's *runs*
+(:meth:`ColumnarAccumulator.reduce
+<repro.stream.columnar.ColumnarAccumulator.reduce>`: sorted,
+de-duplicated columns per aggregate family, sliced per shard), its
+per-day pair chunks, the engine's changed-pair column log, and the
+store's column tail -- each a ``tobytes()``.  Whatever a shard *also*
+holds as Python state (scalar ``ingest(observation)``, a JSON restore,
+an earlier ``materialize()``) is walked and joined in: concatenated for
+the set families and the pairs (duplicates are harmless -- every reader
+builds sets or re-reduces), group-reduced together with the run for the
+two span families, so a segment never carries one span key twice.
+Without numpy there are no runs and the walk is all there is.
+
+**What a load builds.**  :class:`ChainAssembler` validates each segment
+against its header *before* touching merged state -- framing, CRC,
+chain continuity, store chaining, and that every block the header
+promises is there with the right type and one length per family (any
+miss raises :class:`CheckpointError`, never a silent partial restore)
+-- and keeps the decoded blocks as stdlib arrays and the corpus as one
+:class:`~repro.store.batch.ColumnBatch`.  :meth:`ChainAssembler.restore_engine`
+hands those arrays to a kernel engine as ``np.frombuffer`` views
+(aggregates through the same merge the reduce uses, pair blocks to the
+accumulator's per-day chunks, changed pairs to the log), so the resumed
+engine's next day close still diffs in column space.  Python sets,
+dicts, tuples and row lists are built in exactly one place,
+:meth:`ChainAssembler.state` -- the dict shaped like
+:func:`repro.stream.checkpoint.engine_state` output that
+:func:`read_state`, a follower's ``state`` and the kernel-less restore
+use; the fuzz harness pins both restores to the same ``engine_state``
+JSON bytes.
 """
 
 from __future__ import annotations
@@ -45,19 +70,30 @@ import os
 import weakref
 import zlib
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from sys import byteorder
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from repro.stream.checkpoint import FORMAT_VERSION, stream_head
-from repro.stream.state import ShardState, alloc_span_rows, pool_span_rows
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the no-numpy CI leg covers this
-    np = None
+from repro.net.addr import Prefix
+from repro.store.batch import ColumnBatch
+from repro.stream.checkpoint import (
+    FORMAT_VERSION,
+    restore_stream_head,
+    stream_head,
+)
+from repro.stream.checkpoint import restore_engine as restore_engine_state
+from repro.stream.columnar import RUN_FAMILIES, reduce_spans
+from repro.stream.shard import ShardKey
+from repro.stream.state import (
+    ShardState,
+    alloc_span_rows,
+    pair_columns,
+    pool_span_rows,
+)
+from repro.util import np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.records import ObservationStore
@@ -73,6 +109,45 @@ _BIG_ENDIAN = byteorder == "big"
 
 #: dtype name -> (stdlib array typecode, numpy little-endian dtype).
 _TYPECODES = {"u64": ("Q", "<u8"), "i64": ("q", "<i8"), "f64": ("d", "<f8")}
+
+# The block schema, shared by the writer and the reader's validation:
+# a *family* is a tuple of (block name tail, dtype) whose columns share
+# one length.  Shard families are prefixed ``s<sid>.``, a shard's pair
+# family for one day ``s<sid>.d<day>.``.
+_SHARD_BLOCKS = {
+    "src": (("src.hi", "u64"), ("src.lo", "u64")),
+    "esrc": (("esrc.hi", "u64"), ("esrc.lo", "u64")),
+    "iid": (("iid", "u64"),),
+    "alloc": (
+        ("alloc.asn", "i64"),
+        ("alloc.iid", "u64"),
+        ("alloc.day", "i64"),
+        ("alloc.lo", "u64"),
+        ("alloc.hi", "u64"),
+    ),
+    "pool": (
+        ("pool.asn", "i64"),
+        ("pool.iid", "u64"),
+        ("pool.lo", "u64"),
+        ("pool.hi", "u64"),
+    ),
+}
+_PAIR_BLOCKS = (("thi", "u64"), ("tlo", "u64"), ("shi", "u64"), ("slo", "u64"))
+_CHANGED_BLOCKS = tuple(("det.cp." + tail, dtype) for tail, dtype in _PAIR_BLOCKS)
+_PREFIX_BLOCKS = (
+    ("det.rp.net_hi", "u64"),
+    ("det.rp.net_lo", "u64"),
+    ("det.rp.plen", "i64"),
+)
+_STORE_BLOCKS = (
+    ("store.day", "i64"),
+    ("store.t", "f64"),
+    ("store.thi", "u64"),
+    ("store.tlo", "u64"),
+    ("store.shi", "u64"),
+    ("store.slo", "u64"),
+)
+_STORE_TINT = ("store.tint", "u64")  # its own length: indices into store.t
 
 
 class CheckpointError(ValueError):
@@ -102,18 +177,17 @@ def _col_bytes(col, dtype: str) -> bytes:
     return col.tobytes()
 
 
-def _decode_block(data: bytes, dtype: str) -> list:
-    """Little-endian block bytes -> plain Python ints/floats.
+def _decode_block(data, dtype: str) -> array:
+    """Little-endian block bytes (any buffer) -> a native stdlib array.
 
-    stdlib-only on purpose: the restore path must work (and stay fast
-    enough) on the no-numpy install.
+    stdlib-only on purpose: the assembler must work on the no-numpy
+    install; the kernel restore views these arrays with ``frombuffer``.
     """
-    typecode, _ = _TYPECODES[dtype]
-    out = array(typecode)
+    out = array(_TYPECODES[dtype][0])
     out.frombytes(data)
     if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
         out.byteswap()
-    return out.tolist()
+    return out
 
 
 def _split128(values) -> tuple[array, array]:
@@ -133,36 +207,46 @@ class _SegmentWriter:
         self.blocks: list[list] = []  # [name, dtype, element count]
         self.blobs: list[bytes] = []
 
-    def add(self, name: str, dtype: str, col) -> None:
-        self.add_bytes(name, dtype, _col_bytes(col, dtype))
-
-    def add_bytes(self, name: str, dtype: str, blob: bytes) -> None:
+    def add(self, name: str, dtype: str, *parts) -> None:
+        """One block: the concatenation of column *parts*."""
+        if len(parts) == 1:
+            blob = _col_bytes(parts[0], dtype)
+        else:
+            blob = b"".join(_col_bytes(part, dtype) for part in parts)
         self.blocks.append([name, dtype, len(blob) // 8])
         self.blobs.append(blob)
 
+    def add_family(self, prefix: str, schema: tuple, *parts) -> None:
+        """One block family: each of *parts* holds one column per
+        *schema* entry; parts concatenate block by block."""
+        for index, (tail, dtype) in enumerate(schema):
+            self.add(prefix + tail, dtype, *(part[index] for part in parts))
 
-def _write_segment(fh, header_bytes: bytes, blobs: list[bytes]) -> int:
-    """Stream one segment to *fh*; returns its size in bytes."""
+
+def _write_segment(fh, header_bytes: bytes, blobs: list) -> int:
+    """Write one segment to *fh* in one call; returns its size in bytes."""
     crc = zlib.crc32(header_bytes)
-    fh.write(MAGIC)
-    fh.write(len(header_bytes).to_bytes(4, "little"))
-    fh.write(header_bytes)
-    size = len(MAGIC) + 4 + len(header_bytes) + 4
     for blob in blobs:
         crc = zlib.crc32(blob, crc)
-        fh.write(blob)
-        size += len(blob)
-    fh.write(crc.to_bytes(4, "little"))
-    return size
+    fh.writelines(
+        [
+            MAGIC,
+            len(header_bytes).to_bytes(4, "little"),
+            header_bytes,
+            *blobs,
+            crc.to_bytes(4, "little"),
+        ]
+    )
+    return len(MAGIC) + 4 + len(header_bytes) + sum(map(len, blobs)) + 4
 
 
-def _parse_segment(data: bytes, offset: int, label) -> tuple[dict, bytes, int]:
+def _parse_segment(data, offset: int, label) -> tuple[dict, memoryview, int]:
     """Validate one segment at *offset*; returns (header, payload, end).
 
-    Magic, header JSON, payload bounds, and CRC are all checked before
-    anything is returned; any mismatch raises :class:`CheckpointError`
-    -- a truncated or corrupted segment must never restore partial
-    state.
+    Magic, header JSON, the block table's shape, payload bounds, and CRC
+    are all checked before anything is returned; any mismatch raises
+    :class:`CheckpointError` -- a truncated or corrupted segment must
+    never restore partial state.  The payload is a view into *data*.
     """
     total = len(data)
     if total - offset < 8 or data[offset : offset + 4] != MAGIC:
@@ -174,23 +258,27 @@ def _parse_segment(data: bytes, offset: int, label) -> tuple[dict, bytes, int]:
     header_bytes = data[offset + 8 : header_end]
     try:
         header = json.loads(header_bytes)
-        payload_len = sum(8 * count for _, _, count in header["blocks"])
+        payload_len = 0
+        for _name, _dtype, count in header["blocks"]:
+            if type(count) is not int or count < 0:
+                raise ValueError(f"block count {count!r}")
+            payload_len += 8 * count
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{label}: corrupt segment header") from exc
     payload_end = header_end + payload_len
     if payload_end + 4 > total:
         raise CheckpointError(f"{label}: truncated segment payload")
-    payload = data[header_end:payload_end]
+    payload = memoryview(data)[header_end:payload_end]
     stored_crc = int.from_bytes(data[payload_end : payload_end + 4], "little")
     if stored_crc != zlib.crc32(payload, zlib.crc32(header_bytes)):
         raise CheckpointError(f"{label}: segment CRC mismatch at byte {offset}")
     return header, payload, payload_end + 4
 
 
-def _read_segments(path) -> list[tuple[dict, bytes]]:
+def _read_segments(path) -> list[tuple[dict, memoryview]]:
     """Every ``(header, payload)`` in the file, fully validated."""
     data = Path(path).read_bytes()
-    segments: list[tuple[dict, bytes]] = []
+    segments: list[tuple[dict, memoryview]] = []
     offset = 0
     while offset < len(data):
         header, payload, offset = _parse_segment(data, offset, path)
@@ -265,101 +353,78 @@ def segment_bytes(path, info: SegmentInfo) -> bytes:
     return data
 
 
-def _block_table(header: dict, payload: bytes) -> dict[str, list]:
-    """Decode a segment's payload into ``{name: values}``."""
-    table: dict[str, list] = {}
-    offset = 0
-    for name, dtype, count in header["blocks"]:
-        end = offset + 8 * count
-        table[name] = _decode_block(payload[offset:end], dtype)
-        offset = end
-    return table
-
-
 # -- segment building ------------------------------------------------------
 
 
-def _add_pair_blocks(writer, sid: int, day: int, pairs, acc_cols) -> None:
-    """One (shard, day) pair block family: set rows then columnar rows.
+def _shard_run(runs: dict, family: str, sid: int):
+    """Shard *sid*'s slice of a reduced run (columns after ``sid``), or
+    ``None`` when the run holds nothing for it."""
+    cols = runs.get(family)
+    if cols is None:
+        return None
+    start, stop = np.searchsorted(cols[0], (sid, sid + 1))
+    return [c[start:stop] for c in cols[1:]] if stop > start else None
 
-    Duplicates between the two halves are harmless -- restore builds a
-    set -- so pending accumulator pairs serialize without ever becoming
-    Python tuples.
+
+def _joined_spans(walked: tuple, run, family: str) -> tuple:
+    """One shard's span family: rows walked out of ``ShardState`` joined
+    with its run slice, every key exactly once (a reader that overwrites
+    per key -- every reader before the column restore -- stays right)."""
+    if run is None:
+        return walked
+    if not len(walked[0]):
+        return run
+    cols = [
+        np.concatenate((np.frombuffer(w, dtype=r.dtype), r))
+        for w, r in zip(walked, run)
+    ]
+    return reduce_spans(cols, RUN_FAMILIES[family] - 1)  # no sid column here
+
+
+def _add_shard_blocks(
+    writer, shard: ShardState, days: list[int], acc_day, runs: dict, pending_rows: int
+) -> dict:
+    """Emit one shard's blocks; returns its header record.
+
+    Each family is the shard's ``ShardState`` rows plus its slice of
+    the accumulator's *runs*; duplicates across the two halves are
+    harmless for the set families and the pairs (restore builds sets,
+    or re-reduces), and the span families are group-reduced together.
     """
-    tgt_hi = array("Q")
-    tgt_lo = array("Q")
-    src_hi = array("Q")
-    src_lo = array("Q")
-    if pairs:
-        for target, source in pairs:
-            tgt_hi.append(target >> 64)
-            tgt_lo.append(target & _MASK64)
-            src_hi.append(source >> 64)
-            src_lo.append(source & _MASK64)
-    prefix = f"s{sid}.d{day}."
-    names = ("thi", "tlo", "shi", "slo")
-    if acc_cols is None:
-        for name, col in zip(names, (tgt_hi, tgt_lo, src_hi, src_lo)):
-            writer.add(prefix + name, "u64", col)
-    else:
-        for name, col, extra in zip(
-            names, (tgt_hi, tgt_lo, src_hi, src_lo), acc_cols
-        ):
-            writer.add_bytes(
-                prefix + name,
-                "u64",
-                _col_bytes(col, "u64") + _col_bytes(extra, "u64"),
-            )
-
-
-def _add_shard_blocks(writer, shard: ShardState, days: list[int], acc_day) -> dict:
-    """Emit one shard's blocks; returns its header record."""
     sid = shard.shard_id
-    hi, lo = _split128(shard.sources)
-    writer.add(f"s{sid}.src.hi", "u64", hi)
-    writer.add(f"s{sid}.src.lo", "u64", lo)
-    hi, lo = _split128(shard.eui_sources)
-    writer.add(f"s{sid}.esrc.hi", "u64", hi)
-    writer.add(f"s{sid}.esrc.lo", "u64", lo)
-    writer.add(f"s{sid}.iid", "u64", array("Q", shard.eui_iids))
+    prefix = f"s{sid}."
+    for family, walked in (
+        ("src", _split128(shard.sources)),
+        ("esrc", _split128(shard.eui_sources)),
+        ("iid", (array("Q", shard.eui_iids),)),
+    ):
+        run = _shard_run(runs, family, sid)
+        parts = (walked,) if run is None else (walked, run)
+        writer.add_family(prefix, _SHARD_BLOCKS[family], *parts)
 
-    a_asn = array("q")
-    a_iid = array("Q")
-    a_day = array("q")
-    a_lo = array("Q")
-    a_hi = array("Q")
-    for asn, iid, day, lo_, hi_ in alloc_span_rows(shard):
-        a_asn.append(asn)
-        a_iid.append(iid)
-        a_day.append(day)
-        a_lo.append(lo_)
-        a_hi.append(hi_)
-    writer.add(f"s{sid}.alloc.asn", "i64", a_asn)
-    writer.add(f"s{sid}.alloc.iid", "u64", a_iid)
-    writer.add(f"s{sid}.alloc.day", "i64", a_day)
-    writer.add(f"s{sid}.alloc.lo", "u64", a_lo)
-    writer.add(f"s{sid}.alloc.hi", "u64", a_hi)
-
-    p_asn = array("q")
-    p_iid = array("Q")
-    p_lo = array("Q")
-    p_hi = array("Q")
-    for asn, iid, lo_, hi_ in pool_span_rows(shard):
-        p_asn.append(asn)
-        p_iid.append(iid)
-        p_lo.append(lo_)
-        p_hi.append(hi_)
-    writer.add(f"s{sid}.pool.asn", "i64", p_asn)
-    writer.add(f"s{sid}.pool.iid", "u64", p_iid)
-    writer.add(f"s{sid}.pool.lo", "u64", p_lo)
-    writer.add(f"s{sid}.pool.hi", "u64", p_hi)
+    for family, rows in (
+        ("alloc", alloc_span_rows(shard)),
+        ("pool", pool_span_rows(shard)),
+    ):
+        schema = _SHARD_BLOCKS[family]
+        columns = list(zip(*rows)) or [()] * len(schema)
+        walked = tuple(
+            array(_TYPECODES[dtype][0], column)
+            for (_, dtype), column in zip(schema, columns)
+        )
+        writer.add_family(
+            prefix,
+            schema,
+            _joined_spans(walked, _shard_run(runs, family, sid), family),
+        )
 
     for day in days:
+        parts = [pair_columns(shard.pairs_by_day.get(day, ()))]
         acc_cols = acc_day(day).get(sid)
-        _add_pair_blocks(
-            writer, sid, day, shard.pairs_by_day.get(day), acc_cols
-        )
-    return {"sid": sid, "n": shard.n_observations, "days": days}
+        if acc_cols is not None:
+            parts.append(acc_cols)
+        writer.add_family(f"{prefix}d{day}.", _PAIR_BLOCKS, *parts)
+    return {"sid": sid, "n": shard.n_observations + pending_rows, "days": days}
 
 
 def _add_store_blocks(writer, store, start_row: int) -> dict:
@@ -394,7 +459,7 @@ def _add_store_blocks(writer, store, start_row: int) -> dict:
             t_col.append(value)
     writer.add("store.day", "i64", batch.day)
     writer.add("store.t", "f64", t_col)
-    writer.add("store.tint", "u64", t_int)
+    writer.add(*_STORE_TINT, t_int)
     writer.add("store.thi", "u64", batch.tgt_hi)
     writer.add("store.tlo", "u64", batch.tgt_lo)
     writer.add("store.shi", "u64", batch.src_hi)
@@ -406,6 +471,7 @@ def _build_segment(
     engine: "StreamEngine",
     store: "ObservationStore | None",
     progress: dict | None,
+    head: dict,
     *,
     kind: str,
     base_id: str,
@@ -416,33 +482,26 @@ def _build_segment(
 ) -> tuple[bytes, list[bytes], dict]:
     """Serialize one segment; returns (header bytes, blobs, header dict).
 
-    Folds the accumulator's aggregate buffers (counts, sets, spans)
-    but deliberately NOT its pair columns -- those serialize straight
-    from the arrays via ``shard_pair_columns``, so a mid-campaign
-    checkpoint never costs the columnar day-close diff its fast path.
+    Reads columns only: the accumulator's reduced runs and pair chunks,
+    the engine's changed-pair log, the store's tail -- plus whatever
+    Python state the shards already hold.  Nothing is moved into the
+    shards and no pair tuple is built, so a mid-campaign checkpoint
+    costs neither the columnar day-close diff its fast path nor the
+    next save its columns.
     """
     acc = engine._acc
-    if acc is not None:
-        acc.fold_aggregates(engine.shards)
-    detection = engine.live_detection  # folds pending changed columns
+    runs = acc.reduce() if acc is not None else {}
 
     writer = _SegmentWriter()
-    hi, lo = _split128(t for t, _ in detection.changed_pairs)
-    shi, slo = _split128(s for _, s in detection.changed_pairs)
-    writer.add("det.cp.thi", "u64", hi)
-    writer.add("det.cp.tlo", "u64", lo)
-    writer.add("det.cp.shi", "u64", shi)
-    writer.add("det.cp.slo", "u64", slo)
+    writer.add_family("", _CHANGED_BLOCKS, *engine.changed_pair_columns())
     net_hi = array("Q")
     net_lo = array("Q")
     plen = array("q")
-    for prefix in detection.rotating_prefixes:
+    for prefix in engine.rotating_prefixes():
         net_hi.append(prefix.network >> 64)
         net_lo.append(prefix.network & _MASK64)
         plen.append(prefix.plen)
-    writer.add("det.rp.net_hi", "u64", net_hi)
-    writer.add("det.rp.net_lo", "u64", net_lo)
-    writer.add("det.rp.plen", "i64", plen)
+    writer.add_family("", _PREFIX_BLOCKS, (net_hi, net_lo, plen))
 
     acc_days = acc.pair_days() if acc is not None else []
     if kind == "delta" and day_floor is not None:
@@ -465,7 +524,14 @@ def _build_segment(
             days = {d for d in days if d >= day_floor}
         days.update(d for d in acc_days if sid in acc_day(d))
         shard_records.append(
-            _add_shard_blocks(writer, shard, sorted(days), acc_day)
+            _add_shard_blocks(
+                writer,
+                shard,
+                sorted(days),
+                acc_day,
+                runs,
+                int(acc.counts[sid]) if acc is not None else 0,
+            )
         )
 
     store_record = (
@@ -479,7 +545,7 @@ def _build_segment(
         "seq": seq,
         "day_floor": day_floor,
         "prune_threshold": engine._prune_floor,
-        "engine": {**stream_head(engine), "stable_pairs": detection.stable_pairs},
+        "engine": head,
         "shards": shard_records,
         "store": store_record,
         "progress": progress,
@@ -497,8 +563,8 @@ class SaveResult:
     """What one :meth:`BinaryCheckpointer.save` call wrote."""
 
     kind: str  # "full" or "delta"
-    file_bytes: int  # checkpoint file size after the write
-    segment_bytes: int  # bytes this save appended/wrote
+    file_bytes: int  # checkpoint file size after the call
+    segment_bytes: int  # bytes this save appended/wrote (0: nothing to save)
     dirty_shards: int  # shards the segment re-emitted
 
 
@@ -510,8 +576,11 @@ class BinaryCheckpointer:
     store swapped or truncated, chain at ``max_chain``) rewrites the
     file atomically with a full segment; subsequent saves of the same
     engine append delta segments holding only the dirty shards and the
-    store tail.  A failed delta append truncates the file back to the
-    pre-append size, so the last good chain stays loadable.
+    store tail.  A delta that would hold nothing the chain lacks -- no
+    dirty shard, no new store row, the head, progress and prune
+    threshold of the segment just written -- is not written at all.  A
+    failed delta append truncates the file back to the pre-append size,
+    so the last good chain stays loadable.
     """
 
     def __init__(self, path, max_chain: int = 16) -> None:
@@ -530,6 +599,8 @@ class BinaryCheckpointer:
         self._store_rows = 0
         self._expected_size: int | None = None
         self._segments: list[SegmentInfo] = []
+        # (head, progress, prune threshold) of the segment just written.
+        self._position: tuple | None = None
 
     @property
     def chain(self) -> tuple[SegmentInfo, ...]:
@@ -601,6 +672,13 @@ class BinaryCheckpointer:
         else:
             raise ValueError(f"unknown checkpoint mode: {mode!r}")
 
+        # The header's "engine" dict: the shared stream head plus the
+        # one detection scalar that has no column block.
+        head = {
+            **stream_head(engine),
+            "stable_pairs": engine._live_detection.stable_pairs,
+        }
+        position = (head, progress, engine._prune_floor)
         if kind == "delta":
             base_id = self._base_id
             seq = self._seq + 1
@@ -615,6 +693,15 @@ class BinaryCheckpointer:
                     for sid, epoch in enumerate(engine._shard_epochs)
                     if epoch > mark
                 ]
+            if (
+                not sids
+                and (store is None or len(store) == store_start)
+                and position == self._position
+            ):
+                # Changed pairs and prefixes only grow at a day close,
+                # which moves the head's closed_through: the chain on
+                # disk already says everything this delta would.
+                return SaveResult("delta", self._expected_size, 0, 0)
         else:
             base_id = os.urandom(8).hex()
             seq = 0
@@ -623,24 +710,16 @@ class BinaryCheckpointer:
             sids = list(range(engine.config.num_shards))
 
         t0 = perf_counter()
-        if instruments is not None:
-            with instruments.serialize_seconds.time():
-                header_bytes, blobs, header = _build_segment(
-                    engine,
-                    store,
-                    progress,
-                    kind=kind,
-                    base_id=base_id,
-                    seq=seq,
-                    day_floor=day_floor,
-                    sids=sids,
-                    store_start=store_start,
-                )
-        else:
+        with (
+            instruments.serialize_seconds.time()
+            if instruments is not None
+            else nullcontext()
+        ):
             header_bytes, blobs, header = _build_segment(
                 engine,
                 store,
                 progress,
+                head,
                 kind=kind,
                 base_id=base_id,
                 seq=seq,
@@ -685,6 +764,7 @@ class BinaryCheckpointer:
         self._day_floor = engine.current_day
         self._had_store = store is not None
         self._store_rows = header["store"]["rows"] if store is not None else 0
+        self._position = position
         file_bytes = path.stat().st_size
         self._expected_size = file_bytes
 
@@ -710,51 +790,91 @@ class BinaryCheckpointer:
 # -- reading ---------------------------------------------------------------
 
 
-def _shard_pairs_from(table: dict, sid: int, days: list[int]) -> dict:
-    return {
-        day: (
-            table[f"s{sid}.d{day}.thi"],
-            table[f"s{sid}.d{day}.tlo"],
-            table[f"s{sid}.d{day}.shi"],
-            table[f"s{sid}.d{day}.slo"],
-        )
-        for day in days
-    }
+def _block_table(header: dict, payload, label) -> dict[str, array]:
+    """Decode a segment's payload into ``{name: array}``."""
+    table: dict[str, array] = {}
+    offset = 0
+    for name, dtype, count in header["blocks"]:
+        if dtype not in _TYPECODES or not isinstance(name, str) or name in table:
+            raise CheckpointError(
+                f"{label}: bad block table entry {[name, dtype, count]!r}"
+            )
+        end = offset + 8 * count
+        table[name] = _decode_block(payload[offset:end], dtype)
+        offset = end
+    return table
 
 
-def _apply_store_segment(header: dict, table: dict, rows: list) -> None:
-    record = header["store"]
-    if record["start"] != len(rows):
+def _take_family(table: dict, prefix: str, schema: tuple, label) -> tuple:
+    """Pop one block family out of *table*: every block present, of the
+    schema's type, all of one length."""
+    cols = []
+    for tail, dtype in schema:
+        col = table.pop(prefix + tail, None)
+        if col is None:
+            raise CheckpointError(f"{label}: segment lacks block {prefix + tail!r}")
+        if col.typecode != _TYPECODES[dtype][0]:
+            raise CheckpointError(f"{label}: block {prefix + tail!r} is not {dtype}")
+        cols.append(col)
+    if any(len(col) != len(cols[0]) for col in cols):
         raise CheckpointError(
-            f"store delta does not chain: segment starts at row"
-            f" {record['start']}, chain holds {len(rows)}"
+            f"{label}: columns of block family {prefix + schema[0][0]!r}"
+            " differ in length"
         )
-    days = table["store.day"]
-    # Both chain checks run before any row lands, so a bad segment
-    # never leaves partially appended store state behind.
-    if record["rows"] != record["start"] + len(days):
-        raise CheckpointError(
-            f"store row count mismatch: header says {record['rows']},"
-            f" decoded {record['start'] + len(days)}"
+    return tuple(cols)
+
+
+def _is_int(value, minimum: int | None = None) -> bool:
+    return type(value) is int and (minimum is None or value >= minimum)
+
+
+def _check_head(head: dict) -> None:
+    """Raise unless *head* has the types :func:`restore_stream_head`
+    and :meth:`ChainAssembler.state` rely on."""
+    config = head["config"]
+    ShardKey(config["shard_key"])
+    retain = config.get("retain_days")
+    watched_ok = all(
+        len(row) == 4
+        and all(_is_int(v) for v in row[:3])
+        and (row[3] is None or type(row[3]) in (int, float))
+        for row in head["watched"]
+    )
+    if not (
+        _is_int(config["num_shards"], 1)
+        and type(config["keep_observations"]) is bool
+        and (retain is None or _is_int(retain, 2))
+        and all(
+            head[key] is None or _is_int(head[key])
+            for key in ("current_day", "closed_through")
         )
-    t_col = table["store.t"]
-    t_int = set(table["store.tint"])
-    tgt_hi = table["store.thi"]
-    tgt_lo = table["store.tlo"]
-    src_hi = table["store.shi"]
-    src_lo = table["store.slo"]
-    for index in range(len(days)):
-        value = t_col[index]
-        if index in t_int:
-            value = int(value)
-        rows.append(
-            [
-                days[index],
-                value,
-                (tgt_hi[index] << 64) | tgt_lo[index],
-                (src_hi[index] << 64) | src_lo[index],
-            ]
+        and _is_int(head["responses_ingested"], 0)
+        and _is_int(head["stable_pairs"], 0)
+        and all(
+            type(head[key]) is list and all(_is_int(v) for v in head[key])
+            for key in ("days_seen", "watch_iids")
         )
+        and type(head["watched"]) is list
+        and watched_ok
+    ):
+        raise ValueError("engine head field of the wrong type")
+
+
+@dataclass
+class _Staged:
+    """One validated segment, decoded and merged on the side: everything
+    :meth:`ChainAssembler.apply_parsed` commits, built without touching
+    the assembler."""
+
+    shard_records: dict
+    corpus_tail: ColumnBatch | None
+    detection: dict
+    is_base: bool
+
+
+def _view(col: array):
+    """A stdlib array as a numpy array of the same type, no copy."""
+    return np.frombuffer(col, dtype=np.uint64 if col.typecode == "Q" else np.int64)
 
 
 class ChainAssembler:
@@ -762,14 +882,19 @@ class ChainAssembler:
 
     The consumer side of the segment stream: feed it each raw segment
     (or each pre-parsed ``(header, payload)``) in chain order and it
-    maintains the same merged view :func:`read_state` builds from a
-    file -- which is how a replication follower applies deltas without
-    re-reading the whole chain per segment.  :meth:`state` materializes
-    the checkpoint-state dict on demand.
+    maintains the merged chain as columns -- per shard the newest
+    decoded block arrays, the corpus as one growing
+    :class:`~repro.store.batch.ColumnBatch` -- which is how a
+    replication follower applies deltas without re-reading the whole
+    chain per segment.  :meth:`restore_engine` builds an engine from
+    those columns; :meth:`state` inflates them to the checkpoint-state
+    dict on demand and is the only place Python rows are built.
 
     Validation happens strictly before mutation: framing, CRC, format,
-    chain continuity, and store chaining are all checked first, so a
-    rejected segment (:class:`CheckpointError`) never poisons the
+    chain continuity, store chaining, and the block table against what
+    the header promises (presence, type, one length per family, no
+    strays) are all checked while the segment is merged *on the side*,
+    so a rejected segment (:class:`CheckpointError`) never poisons the
     already-applied state.  With *allow_rebase* (the wire default) a
     fresh full segment -- ``seq`` 0, new ``base_id`` -- resets the
     assembler, mirroring a shipper-side rebase; file readers pass
@@ -785,10 +910,20 @@ class ChainAssembler:
         self.seq: int | None = None
         self.segments_applied = 0
         self._engine_header: dict | None = None
-        self._detection_table: dict | None = None
+        self._detection: dict | None = None
         self._shard_records: dict[int, dict] = {}
-        self._rows: list | None = None
+        self._corpus: ColumnBatch | None = None
         self._progress: dict | None = None
+
+    @property
+    def progress(self) -> dict | None:
+        """The campaign progress the newest segment carries, if any."""
+        return self._progress
+
+    @property
+    def corpus(self) -> ColumnBatch | None:
+        """The chain's corpus rows as columns (``None``: no store)."""
+        return self._corpus
 
     def apply(self, segment: bytes) -> dict:
         """Validate and merge one raw segment; returns its header."""
@@ -801,14 +936,53 @@ class ChainAssembler:
         self.apply_parsed(header, payload)
         return header
 
-    def apply_parsed(self, header: dict, payload: bytes) -> None:
+    def apply_parsed(self, header: dict, payload) -> None:
         """Merge one already-framed segment (CRC checked by the caller)."""
+        try:
+            staged = self._stage(header, payload)
+        except CheckpointError:
+            raise
+        except (
+            AttributeError,
+            IndexError,
+            KeyError,
+            OverflowError,
+            TypeError,
+            ValueError,
+        ) as exc:
+            # Nothing has been mutated yet: whatever a malformed header
+            # tripped over is a rejected segment, not a crashed reader.
+            raise CheckpointError(
+                f"{self._label}: malformed segment ({exc!r})"
+            ) from exc
+
+        # -- commit point: everything below mutates merged state -------
+        self._shard_records = staged.shard_records
+        if staged.is_base:
+            self._corpus = staged.corpus_tail
+        elif staged.corpus_tail is not None:
+            self._corpus.extend(staged.corpus_tail)
+        self._engine_header = header["engine"]
+        self._progress = header["progress"]
+        self._detection = staged.detection
+        self.base_id = header["base_id"]
+        self.seq = header["seq"]
+        self.segments_applied += 1
+
+    def _stage(self, header: dict, payload) -> _Staged:
+        """Validate *header* against its blocks and merge the segment
+        into a copy of the shard records; mutates nothing of ``self``."""
         label = self._label
         if header.get("format") != BINARY_FORMAT:
             raise CheckpointError(
                 f"unsupported binary checkpoint format: {header.get('format')!r}"
             )
-        is_base = header["kind"] == "full" and header["seq"] == 0
+        kind, seq = header["kind"], header["seq"]
+        if kind not in ("full", "delta") or not _is_int(seq, 0):
+            raise CheckpointError(f"{label}: bad segment identity {kind!r}/{seq!r}")
+        if not isinstance(header["base_id"], str):
+            raise CheckpointError(f"{label}: bad base id {header['base_id']!r}")
+        is_base = kind == "full" and seq == 0
         rebase = is_base and self.base_id is not None and self._allow_rebase
         if self.base_id is None:
             if not is_base:
@@ -816,33 +990,55 @@ class ChainAssembler:
                     f"{label}: chain does not start with a full segment"
                 )
         elif not rebase and (
-            header["base_id"] != self.base_id or header["seq"] != self.seq + 1
+            header["base_id"] != self.base_id or seq != self.seq + 1
         ):
             raise CheckpointError(
-                f"{label}: broken segment chain at seq {header['seq']}"
+                f"{label}: broken segment chain at seq {seq}"
                 f" (expected {self.seq + 1} of base {self.base_id})"
             )
-        table = _block_table(header, payload)
-        if header["store"] is not None and not is_base:
-            if self._rows is None:
-                raise CheckpointError(
-                    f"{label}: delta carries store rows but the chain has no store"
-                )
 
-        # -- commit point: everything below mutates merged state -------
-        if is_base:
-            self._shard_records = {}
-            self._rows = [] if header["store"] is not None else None
-        shard_records = self._shard_records
+        head = header["engine"]
+        _check_head(head)
+        num_shards = head["config"]["num_shards"]
         day_floor = header["day_floor"]
+        threshold = header["prune_threshold"]
+        progress = header["progress"]
+        if not (
+            (day_floor is None or _is_int(day_floor))
+            and (threshold is None or _is_int(threshold))
+            and (progress is None or type(progress) is dict)
+        ):
+            raise CheckpointError(f"{label}: bad segment header scalars")
+        if not is_base and num_shards != self._engine_header["config"]["num_shards"]:
+            raise CheckpointError(f"{label}: shard count changed mid-chain")
+
+        table = _block_table(header, payload, label)
+        detection = {
+            "cp": _take_family(table, "", _CHANGED_BLOCKS, label),
+            "rp": _take_family(table, "", _PREFIX_BLOCKS, label),
+        }
+
+        shard_records = {} if is_base else dict(self._shard_records)
+        emitted: set[int] = set()
         for record in header["shards"]:
-            sid = record["sid"]
-            previous = shard_records.get(sid)
+            sid, days = record["sid"], record["days"]
             if (
-                header["kind"] == "delta"
-                and previous is not None
-                and day_floor is not None
+                not _is_int(sid, 0)
+                or sid >= num_shards
+                or sid in emitted
+                or not _is_int(record["n"], 0)
+                or type(days) is not list
+                or not all(_is_int(day) for day in days)
+                or len(set(days)) != len(days)
             ):
+                raise CheckpointError(f"{label}: bad shard record {record!r}")
+            emitted.add(sid)
+            prefix = f"s{sid}."
+            merged = {"n": record["n"]}
+            for family, schema in _SHARD_BLOCKS.items():
+                merged[family] = _take_family(table, prefix, schema, label)
+            previous = shard_records.get(sid)
+            if kind == "delta" and previous is not None and day_floor is not None:
                 pairs = {
                     day: cols
                     for day, cols in previous["pairs"].items()
@@ -850,39 +1046,134 @@ class ChainAssembler:
                 }
             else:
                 pairs = {}
-            pairs.update(_shard_pairs_from(table, sid, record["days"]))
-            shard_records[sid] = {
-                "n": record["n"],
-                "src": (table[f"s{sid}.src.hi"], table[f"s{sid}.src.lo"]),
-                "esrc": (table[f"s{sid}.esrc.hi"], table[f"s{sid}.esrc.lo"]),
-                "iid": table[f"s{sid}.iid"],
-                "alloc": tuple(
-                    table[f"s{sid}.alloc.{c}"]
-                    for c in ("asn", "iid", "day", "lo", "hi")
-                ),
-                "pool": tuple(
-                    table[f"s{sid}.pool.{c}"] for c in ("asn", "iid", "lo", "hi")
-                ),
-                "pairs": pairs,
-            }
-        threshold = header["prune_threshold"]
+            for day in days:
+                pairs[day] = _take_family(
+                    table, f"{prefix}d{day}.", _PAIR_BLOCKS, label
+                )
+            merged["pairs"] = pairs
+            shard_records[sid] = merged
+        if is_base and len(emitted) != num_shards:
+            raise CheckpointError(
+                f"{label}: full segment emits {len(emitted)} of {num_shards} shards"
+            )
         if threshold is not None:
             # Replayed on *every* shard: a delta's clean shards were
             # pruned in memory without being re-emitted.
-            for record in shard_records.values():
-                record["pairs"] = {
-                    day: cols
-                    for day, cols in record["pairs"].items()
-                    if day >= threshold
-                }
-        if header["store"] is not None:
-            _apply_store_segment(header, table, self._rows)
-        self._engine_header = header["engine"]
-        self._progress = header["progress"]
-        self._detection_table = {name: table[name] for name in _DETECTION_BLOCKS}
-        self.base_id = header["base_id"]
-        self.seq = header["seq"]
-        self.segments_applied += 1
+            for sid, record in shard_records.items():
+                if any(day < threshold for day in record["pairs"]):
+                    shard_records[sid] = {
+                        **record,
+                        "pairs": {
+                            day: cols
+                            for day, cols in record["pairs"].items()
+                            if day >= threshold
+                        },
+                    }
+
+        corpus_tail = None
+        store_record = header["store"]
+        if store_record is not None:
+            if is_base:
+                held = 0
+            elif self._corpus is None:
+                raise CheckpointError(
+                    f"{label}: delta carries store rows but the chain has no store"
+                )
+            else:
+                held = len(self._corpus)
+            if store_record["start"] != held:
+                raise CheckpointError(
+                    f"store delta does not chain: segment starts at row"
+                    f" {store_record['start']}, chain holds {held}"
+                )
+            day, t_col, tgt_hi, tgt_lo, src_hi, src_lo = _take_family(
+                table, "", _STORE_BLOCKS, label
+            )
+            (t_int,) = _take_family(table, "", (_STORE_TINT,), label)
+            if store_record["rows"] != held + len(day):
+                raise CheckpointError(
+                    f"store row count mismatch: header says {store_record['rows']},"
+                    f" decoded {held + len(day)}"
+                )
+            t_seconds = t_col.tolist()
+            for index in t_int:
+                t_seconds[index] = int(t_seconds[index])
+            corpus_tail = ColumnBatch(day, t_seconds, tgt_hi, tgt_lo, src_hi, src_lo)
+        if table:
+            raise CheckpointError(
+                f"{label}: blocks the header does not account for:"
+                f" {sorted(table)[:4]}"
+            )
+        return _Staged(shard_records, corpus_tail, detection, is_base)
+
+    def _head(self) -> dict:
+        if self._engine_header is None:
+            raise CheckpointError(f"{self._label}: no segments applied")
+        return self._engine_header
+
+    def restore_engine(
+        self, origin_of=None, store=None, telemetry=None
+    ) -> "StreamEngine":
+        """Build the engine the chain describes (arguments as
+        :func:`~repro.stream.checkpoint.restore_engine`).
+
+        A kernel engine adopts the chain as columns, no dict in
+        between: aggregates as ``frombuffer`` views through the
+        accumulator's run merge, pair blocks into its per-day chunks
+        (the next day close keeps the columnar diff), changed pairs
+        into the engine's log.  Whether there is a kernel is asked of
+        the engine just built, never of this module's own imports; a
+        kernel-less engine is ``restore_engine(self.state())``.
+        """
+        if telemetry is not None:
+            from repro.obs.instruments import CheckpointInstruments
+
+            with CheckpointInstruments(telemetry).restore_seconds.time():
+                engine = self.restore_engine(origin_of=origin_of, store=store)
+            engine.attach_telemetry(telemetry)
+            return engine
+        head = self._head()
+        engine = restore_stream_head(head, origin_of=origin_of, store=store)
+        acc = engine._acc
+        if acc is None:
+            # A campaign chain nests the engine under "engine"; a chain
+            # saved from a bare engine *is* the engine state.
+            state = self.state()
+            return restore_engine_state(
+                state.get("engine", state), origin_of=origin_of, store=store
+            )
+        parts: dict[str, list] = {family: [] for family in _SHARD_BLOCKS}
+        for sid, record in self._shard_records.items():
+            acc.counts[sid] += record["n"]
+            for family in _SHARD_BLOCKS:
+                cols = record[family]
+                if len(cols[0]):
+                    sid_col = np.full(len(cols[0]), sid, dtype=np.int64)
+                    parts[family].append([sid_col, *map(_view, cols)])
+            for day, cols in record["pairs"].items():
+                if len(cols[0]):
+                    acc.add_pair_chunk(
+                        day,
+                        np.full(len(cols[0]), sid, dtype=np.int64),
+                        *map(_view, cols),
+                    )
+        acc.merge_runs({family: new for family, new in parts.items() if new})
+        engine.restore_detection(
+            tuple(map(_view, self._detection["cp"])),
+            {
+                Prefix((hi << 64) | lo, plen)
+                for hi, lo, plen in zip(*self._detection["rp"])
+            },
+            head["stable_pairs"],
+        )
+        if (
+            self._progress is None
+            and self._corpus is not None
+            and store is None
+            and engine.store is not None
+        ):
+            engine.store.restore_columns(self._corpus)
+        return engine
 
     def state(self) -> dict:
         """The merged checkpoint-state dict (see :func:`read_state`).
@@ -891,32 +1182,21 @@ class ChainAssembler:
         consumed, so a follower can materialize after every applied
         segment.
         """
-        engine_header = self._engine_header
-        if engine_header is None:
-            raise CheckpointError(f"{self._label}: no segments applied")
-        detection_table = self._detection_table
-        rows = self._rows
+        engine_header = self._head()
+        rows = self._corpus.rows() if self._corpus is not None else None
 
         shards = []
         for sid in range(engine_header["config"]["num_shards"]):
-            record = self._shard_records.get(sid)
-            if record is None:  # full segments emit every shard
-                raise CheckpointError(
-                    f"{self._label}: shard {sid} missing from chain"
-                )
-            src_hi, src_lo = record["src"]
-            esrc_hi, esrc_lo = record["esrc"]
+            record = self._shard_records[sid]  # full segments emit every shard
             shards.append(
                 {
                     "shard_id": sid,
                     "n_observations": record["n"],
-                    "sources": [
-                        (hi << 64) | lo for hi, lo in zip(src_hi, src_lo)
-                    ],
+                    "sources": [(hi << 64) | lo for hi, lo in zip(*record["src"])],
                     "eui_sources": [
-                        (hi << 64) | lo for hi, lo in zip(esrc_hi, esrc_lo)
+                        (hi << 64) | lo for hi, lo in zip(*record["esrc"])
                     ],
-                    "eui_iids": record["iid"],
+                    "eui_iids": record["iid"][0].tolist(),
                     "alloc": [list(row) for row in zip(*record["alloc"])],
                     "pool": [list(row) for row in zip(*record["pool"])],
                     "pairs": [
@@ -935,21 +1215,12 @@ class ChainAssembler:
         detection = {
             "changed_pairs": [
                 [(thi << 64) | tlo, (shi << 64) | slo]
-                for thi, tlo, shi, slo in zip(
-                    *(
-                        detection_table[f"det.cp.{c}"]
-                        for c in ("thi", "tlo", "shi", "slo")
-                    )
-                )
+                for thi, tlo, shi, slo in zip(*self._detection["cp"])
             ],
             "stable_pairs": engine_header["stable_pairs"],
             "rotating_prefixes": [
                 [(hi << 64) | lo, plen]
-                for hi, lo, plen in zip(
-                    detection_table["det.rp.net_hi"],
-                    detection_table["det.rp.net_lo"],
-                    detection_table["det.rp.plen"],
-                )
+                for hi, lo, plen in zip(*self._detection["rp"])
             ],
         }
 
@@ -973,29 +1244,28 @@ class ChainAssembler:
         return engine_state
 
 
+def load_chain(path) -> ChainAssembler:
+    """Read and validate a checkpoint file's whole chain.
+
+    Magic, header, bounds, CRC and the block table are checked per
+    segment (any corruption raises :class:`CheckpointError`).  The
+    result restores an engine (:meth:`ChainAssembler.restore_engine`)
+    or inflates to the state dict (:meth:`ChainAssembler.state`).
+    """
+    assembler = ChainAssembler(label=str(path), allow_rebase=False)
+    for header, payload in _read_segments(path):
+        assembler.apply_parsed(header, payload)
+    return assembler
+
+
 def read_state(path) -> dict:
     """Read a binary checkpoint chain back into checkpoint-state form.
 
     Returns the same dict shape :func:`~repro.stream.checkpoint.engine_state`
     emits (or, when the chain carries campaign progress, the campaign
     checkpoint shape), ready for
-    :func:`~repro.stream.checkpoint.restore_engine` /
-    ``StreamingCampaign.resume``.  List ordering inside the dict is not
-    normative -- restore builds sets and dicts from it -- so no sorting
-    happens here.
+    :func:`~repro.stream.checkpoint.restore_engine`.  List ordering
+    inside the dict is not normative -- restore builds sets and dicts
+    from it -- so no sorting happens here.
     """
-    assembler = ChainAssembler(label=str(path), allow_rebase=False)
-    for header, payload in _read_segments(path):
-        assembler.apply_parsed(header, payload)
-    return assembler.state()
-
-
-_DETECTION_BLOCKS = (
-    "det.cp.thi",
-    "det.cp.tlo",
-    "det.cp.shi",
-    "det.cp.slo",
-    "det.rp.net_hi",
-    "det.rp.net_lo",
-    "det.rp.plen",
-)
+    return load_chain(path).state()

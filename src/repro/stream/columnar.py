@@ -12,15 +12,27 @@ hot loop with a columnar kernel:
   shard placement (the same splitmix scramble as
   :func:`~repro.stream.shard.shard_index`, vectorized), and per-shard
   row counting;
-* the expensive Python-object work is *deferred*: day-over-day rotation
-  diffs run directly on lexsorted, deduplicated pair columns
-  (:func:`diff_pair_columns`), and sets/span dicts materialize only
-  when shard state is actually read -- checkpoint, snapshot, merge, or
-  an inference query (:meth:`ColumnarAccumulator.materialize`).
-  Materialization sorts each buffered column family once, deduplicates
-  rows vectorially, min/max-reduces span groups with
-  ``ufunc.reduceat``, and only then touches Python sets -- once per
-  *unique* element instead of once per observation.
+* the expensive Python-object work is *deferred*, in three steps that
+  each do strictly more (:class:`ColumnarAccumulator`):
+
+  - ``reduce()`` sort-reduces the buffered rows into *runs* -- per
+    aggregate family one sorted, de-duplicated set of columns, span
+    groups min/max-reduced with ``ufunc.reduceat``.  Still pure numpy.
+    This is all a binary checkpoint, a ``retain_days`` day close and a
+    column restore ever need: state stays columns from the fold to the
+    segment on disk and back (:mod:`repro.stream.ckptbin`).
+  - ``fold_aggregates()`` moves the runs into :class:`ShardState` sets
+    and span dicts -- Python objects, once per *unique* element
+    instead of once per observation.
+  - ``materialize()`` additionally moves the per-day pair columns into
+    ``pairs_by_day`` sets.  It *moves*: afterwards the shards own the
+    rows and the accumulator owns nothing, for the runs exactly as for
+    the pairs, so an engine that is read every day (an inference
+    query, ``engine_state``, a snapshot refresh) walks Python state at
+    its next save as it always has.
+
+  Day-over-day rotation diffs need none of that: they run directly on
+  lexsorted, deduplicated pair columns (:func:`diff_pair_columns`).
 
 Because every aggregate the engine keeps commutes (counts add, sets
 union, spans min/max -- see :mod:`repro.stream.state`), deferring and
@@ -43,11 +55,7 @@ from repro.net.addr import Prefix
 from repro.net.eui64 import _FFFE, _FFFE_SHIFT
 from repro.stream.shard import SPLITMIX64
 from repro.stream.state import ShardState, merge_span_bounds
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the no-numpy CI leg covers this
-    np = None
+from repro.util import np
 
 _MASK64 = (1 << 64) - 1
 _NET48_SHIFT = 80
@@ -306,6 +314,44 @@ def _group_slices(*key_cols):
     return starts, stops
 
 
+#: The aggregate families a reduce leaves behind, as column layouts
+#: (every layout starts with the ``sid`` column).  Set families are all
+#: key; span families carry ``lo, hi`` after the key columns counted here.
+RUN_FAMILIES = {
+    "src": None,  # (sid, src_hi, src_lo), every row
+    "esrc": None,  # (sid, src_hi, src_lo), EUI-64 rows
+    "iid": None,  # (sid, iid)
+    "alloc": 4,  # (sid, asn, iid, day) -> [lo, hi] target /64 numbers
+    "pool": 3,  # (sid, asn, iid) -> [lo, hi] source /64 numbers
+}
+
+
+def reduce_spans(cols: list, n_keys: int) -> list:
+    """Group-reduce span rows to one ``[min lo, max hi]`` row per key.
+
+    *cols* is *n_keys* key columns followed by ``lo`` and ``hi``; the
+    result has the same layout, lexicographically sorted by key
+    (``cols[0]`` primary) with every key unique -- min/max commute, so
+    reducing already-reduced rows together with raw ones is exact.
+    """
+    if len(cols[0]) == 0:
+        return list(cols)
+    order = np.lexsort(tuple(reversed(cols[:n_keys])))
+    keys = [c[order] for c in cols[:n_keys]]
+    starts, _ = _group_slices(*keys)
+    return [c[starts] for c in keys] + [
+        np.minimum.reduceat(cols[n_keys][order], starts),
+        np.maximum.reduceat(cols[n_keys + 1][order], starts),
+    ]
+
+
+def _merge_family(family: str, parts: list) -> list:
+    """Concatenate one family's column *parts*; sort, de-duplicate, reduce."""
+    cols = [np.concatenate(column) for column in zip(*parts)]
+    n_keys = RUN_FAMILIES[family]
+    return _unique_rows(cols) if n_keys is None else reduce_spans(cols, n_keys)
+
+
 def diff_pair_columns(cols_a: list, cols_b: list, emitted_a=None):
     """The day-over-day rotation diff, entirely in column space.
 
@@ -376,48 +422,84 @@ def net48_prefixes(net48s) -> set:
     return {Prefix(n48 << _NET48_SHIFT, 48) for n48 in net48s.tolist()}
 
 
-def fold_changed(pending: list, detection: RotationDetection) -> None:
-    """Fold deferred :func:`diff_pair_columns` results into *detection*.
-
-    Concatenates every pending changed-column batch and builds the
-    Python pair tuples and /48 prefixes in one pass each.  The batches
-    are duplicate-free by construction (the emitted-mask in
-    :meth:`ColumnarAccumulator.diff_days`); the rare stragglers from an
-    invalidated mask just cost a redundant set insert.
-    """
-    cols = [
-        np.concatenate([entry[0][i] for entry in pending]) for i in range(4)
-    ]
-    if len(cols[0]):
-        detection.changed_pairs.update(
-            zip(_combine64(cols[0], cols[1]), _combine64(cols[2], cols[3]))
+def unique_pair_columns(batches: list) -> tuple:
+    """Concatenate ``(tgt_hi, tgt_lo, src_hi, src_lo)`` column *batches*
+    (numpy or stdlib arrays) and drop repeated rows."""
+    return tuple(
+        _dedup_rows(
+            [
+                np.concatenate([np.asarray(b[i], dtype=np.uint64) for b in batches])
+                for i in range(4)
+            ]
         )
-    net48s = np.unique(np.concatenate([entry[1] for entry in pending]))
+    )
+
+
+def fold_changed_pairs(batches: list, detection: RotationDetection) -> None:
+    """Fold ``(tgt_hi, tgt_lo, src_hi, src_lo)`` changed-pair column
+    *batches* into ``detection.changed_pairs`` -- the one place the
+    changed pairs become Python tuples.
+
+    Batches are numpy columns from :func:`diff_pair_columns` or a
+    checkpoint, or stdlib arrays from a set-based close; they are
+    near duplicate-free by construction (the emitted-mask in
+    :meth:`ColumnarAccumulator.diff_days`), and a straggler just costs
+    a redundant set insert.
+    """
+    for thi, tlo, shi, slo in batches:
+        detection.changed_pairs.update(
+            zip(_combine64(thi, tlo), _combine64(shi, slo))
+        )
+
+
+def fold_changed_prefixes(net48_batches: list, detection: RotationDetection) -> None:
+    """Fold changed /48-number arrays into ``detection.rotating_prefixes``."""
+    net48s = np.unique(np.concatenate(net48_batches))
     detection.rotating_prefixes.update(net48_prefixes(net48s))
 
 
 class ColumnarAccumulator:
-    """Buffers observation columns; folds them into shard state on demand.
+    """Buffers observation columns; reduces and folds them on demand.
 
     The owner (a :class:`~repro.stream.engine.StreamEngine` or a
-    multiprocess worker) calls :meth:`absorb` per chunk on the hot path
-    and :meth:`materialize` whenever its :class:`ShardState` list must
-    be current -- checkpoint, snapshot, merge, inference queries.
-    Day-close rotation diffs never materialize: they read merged pair
-    columns straight from the buffer (:meth:`day_pair_columns`).  Shard
-    row counts fold in at materialize time too, so an un-materialized
-    accumulator leaves the shard list untouched.
+    multiprocess worker) calls :meth:`absorb` per chunk on the hot
+    path.  What happens to the buffered aggregate rows afterwards comes
+    in three strengths:
+
+    * :meth:`reduce` merges them into the *runs* -- per family
+      (:data:`RUN_FAMILIES`) one sorted, de-duplicated set of columns,
+      span groups already min/max-reduced.  Pure numpy; no Python set,
+      dict or tuple is built.  A checkpoint save and a ``retain_days``
+      day close stop here, and a column restore starts here
+      (:meth:`merge_runs`).
+    * :meth:`fold_aggregates` reduces and then *moves* the runs into
+      :class:`ShardState` sets and span dicts, leaving the pair columns
+      alone.
+    * :meth:`materialize` does that and moves the per-day pair columns
+      too -- whenever the :class:`ShardState` list must be current
+      (``engine_state``, a merge, an inference query).  After it the
+      accumulator owns nothing, exactly as it has always been for the
+      pairs; the shards' next checkpoint walks Python state again.
+
+    Day-close rotation diffs need none of the three: they read merged
+    pair columns straight from the buffer (:meth:`day_pair_columns`).
+    Shard row counts (:attr:`counts`) move with the runs, so an
+    un-materialized accumulator leaves the shard list untouched.
     """
 
     def __init__(self, num_shards: int) -> None:
         self.num_shards = num_shards
         self.pending = 0
-        self._counts = np.zeros(num_shards, dtype=np.int64)
+        #: Rows per shard not yet added to ``ShardState.n_observations``.
+        self.counts = np.zeros(num_shards, dtype=np.int64)
         # Every row: (sid, src_hi, src_lo) -- feeds the sources sets.
         self._rows: list[tuple] = []
         # EUI-64 rows: (sid, day, asn, src_hi, src_lo, tgt_hi) -- feeds
         # spans and the EUI source/IID sets (pairs carry tgt_lo below).
         self._eui: list[tuple] = []
+        #: family -> reduced columns (see :data:`RUN_FAMILIES`); a family
+        #: with nothing reduced is absent.
+        self.runs: dict[str, list] = {}
         # day -> [(sid, tgt_hi, tgt_lo, src_hi, src_lo), ...] EUI pair
         # chunks, plus a per-day merged/deduplicated diff-ready cache
         # and the mask of merged rows already emitted as changed.
@@ -439,7 +521,7 @@ class ColumnarAccumulator:
         if n == 0:
             return
         counts = np.bincount(sid, minlength=self.num_shards)
-        self._counts += counts
+        self.counts += counts
         self.dirty_sids.update(np.nonzero(counts)[0].tolist())
         self._rows.append((sid, src_hi, src_lo))
         eui = eui64_mask(src_lo)
@@ -467,14 +549,21 @@ class ColumnarAccumulator:
             for d in days_in:
                 # Single-day chunks (every engine segment) skip the mask.
                 mask = slice(None) if len(days_in) == 1 else day_e == d
-                self._pair_chunks.setdefault(d, []).append(
-                    (sid_e[mask], thi_e[mask], tlo_e[mask], shi_e[mask], slo_e[mask])
+                self.add_pair_chunk(
+                    d, sid_e[mask], thi_e[mask], tlo_e[mask], shi_e[mask], slo_e[mask]
                 )
-                self._merged_pairs.pop(d, None)
-                self._appeared.pop(d, None)
         self.pending += n
 
     # -- pair columns (the day-close fast path) ----------------------------
+
+    def add_pair_chunk(self, day: int, sid, tgt_hi, tgt_lo, src_hi, src_lo) -> None:
+        """Buffer EUI pair columns of one *day* (a chunk's, or a
+        checkpoint's pair blocks on restore)."""
+        self._pair_chunks.setdefault(day, []).append(
+            (sid, tgt_hi, tgt_lo, src_hi, src_lo)
+        )
+        self._merged_pairs.pop(day, None)
+        self._appeared.pop(day, None)
 
     def has_pairs(self, day: int) -> bool:
         return day in self._pair_chunks
@@ -565,11 +654,51 @@ class ColumnarAccumulator:
 
     @property
     def has_pending(self) -> bool:
-        """True while any buffered column has not been folded yet."""
-        return bool(self.pending or self._pair_chunks)
+        """True while the accumulator owns anything the shards lack."""
+        return bool(self.pending or self.runs or self._pair_chunks)
+
+    def reduce(self) -> dict[str, list]:
+        """Merge the pending row buffers into :attr:`runs`; returns them.
+
+        One lexsort (plus ``minimum/maximum.reduceat`` for the span
+        families) per family over the old run and the new rows; pure
+        numpy.  The bounded-memory half of ``retain_days`` (per-row
+        buffers never outlive a day close) and everything a checkpoint
+        save needs of the aggregates.
+        """
+        if self.pending:
+            rows = self._rows
+            parts: dict[str, list] = {
+                "src": [[np.concatenate([c[i] for c in rows]) for i in range(3)]]
+            }
+            if self._eui:
+                sid, day, asn, src_hi, src_lo, tgt_hi = (
+                    np.concatenate([chunk[i] for chunk in self._eui]) for i in range(6)
+                )
+                parts["esrc"] = [[sid, src_hi, src_lo]]
+                parts["iid"] = [[sid, src_lo]]
+                parts["alloc"] = [[sid, asn, src_lo, day, tgt_hi, tgt_hi]]
+                parts["pool"] = [[sid, asn, src_lo, src_hi, src_hi]]
+            self._rows = []
+            self._eui = []
+            self.pending = 0
+            self.merge_runs(parts)
+        return self.runs
+
+    def merge_runs(self, parts: dict[str, list]) -> None:
+        """Merge column *parts* (family -> list of column lists in the
+        :data:`RUN_FAMILIES` layouts, any order, duplicates welcome)
+        into :attr:`runs`.  The one merge behind :meth:`reduce` and a
+        checkpoint's column restore, so the runs' invariants (sorted,
+        unique keys) never depend on who produced the rows."""
+        runs = self.runs
+        for family, new in parts.items():
+            if family in runs:
+                new = [runs[family], *new]
+            runs[family] = _merge_family(family, new)
 
     def materialize(self, shards: list[ShardState]) -> None:
-        """Sort-reduce every buffered column and fold into *shards*.
+        """Fold everything the accumulator owns into *shards*.
 
         All values cross into Python land via ``tolist()`` (plain ints),
         so the resulting shard state is indistinguishable -- including
@@ -579,102 +708,47 @@ class ColumnarAccumulator:
         self._fold_pairs(shards)
 
     def fold_aggregates(self, shards: list[ShardState]) -> None:
-        """Fold counts, source/IID sets, and spans; keep pairs columnar.
-
-        The bounded-memory half of materialization: ``retain_days``
-        engines call this at every day close so the per-row aggregate
-        buffers never outlive a day, while the pair columns stay in the
-        accumulator where the columnar day-close diff (and
-        :meth:`drop_pair_days` pruning) can keep operating on them.
-        """
-        if not self.pending:
-            return
-        for sid, count in enumerate(self._counts.tolist()):
+        """:meth:`reduce`, then move counts and runs into *shards*
+        (source/IID sets once per unique element, spans once per
+        group); the pair columns stay where the columnar day-close diff
+        and :meth:`drop_pair_days` can keep operating on them."""
+        runs = self.reduce()
+        for sid, count in enumerate(self.counts.tolist()):
             if count:
                 shards[sid].n_observations += count
-        self._counts = np.zeros(self.num_shards, dtype=np.int64)
-
-        sid, src_hi, src_lo = (
-            np.concatenate([chunk[i] for chunk in self._rows]) for i in range(3)
-        )
-        self._fold_sources(shards, sid, src_hi, src_lo)
-
-        if self._eui:
-            columns = [
-                np.concatenate([chunk[i] for chunk in self._eui]) for i in range(6)
-            ]
-            self._fold_eui(shards, *columns)
-
-        self._rows = []
-        self._eui = []
-        self.pending = 0
-
-    def _fold_sources(self, shards, sid, src_hi, src_lo) -> None:
-        sid_u, hi_u, lo_u = _unique_rows([sid, src_hi, src_lo])
-        starts, stops = _group_slices(sid_u)
-        combined = _combine64(hi_u, lo_u)
-        for a, b in zip(starts.tolist(), stops.tolist()):
-            shards[int(sid_u[a])].sources.update(combined[a:b])
-
-    def _fold_eui(self, shards, sid, day, asn, src_hi, src_lo, tgt_hi):
-        # EUI-64 source addresses and IIDs (dedup per distinct key).
-        sid_u, hi_u, lo_u = _unique_rows([sid, src_hi, src_lo])
-        starts, stops = _group_slices(sid_u)
-        combined = _combine64(hi_u, lo_u)
-        for a, b in zip(starts.tolist(), stops.tolist()):
-            shards[int(sid_u[a])].eui_sources.update(combined[a:b])
-        sid_u, iid_u = _unique_rows([sid, src_lo])
-        starts, stops = _group_slices(sid_u)
-        iid_l = iid_u.tolist()
-        for a, b in zip(starts.tolist(), stops.tolist()):
-            shards[int(sid_u[a])].eui_iids.update(iid_l[a:b])
-
-        # Allocation and pool spans share one lexsort: rows ordered by
-        # (sid, asn, iid, day) group for alloc on all four keys and for
-        # pool on the first three.
-        order = np.lexsort((day, src_lo, asn, sid))
-        sid_s = sid[order]
-        asn_s = asn[order]
-        iid_s = src_lo[order]
-        day_s = day[order]
-        thi_s = tgt_hi[order]
-        shi_s = src_hi[order]
-        n = len(order)
-        pool_changed = np.zeros(n - 1, dtype=bool)
-        for c in (sid_s, asn_s, iid_s):
-            pool_changed |= c[1:] != c[:-1]
-        alloc_changed = pool_changed | (day_s[1:] != day_s[:-1])
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-
-        first[1:] = alloc_changed
-        alloc_starts = np.nonzero(first)[0]
-        lows = np.minimum.reduceat(thi_s, alloc_starts).tolist()
-        highs = np.maximum.reduceat(thi_s, alloc_starts).tolist()
-        g_sid = sid_s[alloc_starts].tolist()
-        g_asn = asn_s[alloc_starts].tolist()
-        g_iid = iid_s[alloc_starts].tolist()
-        g_day = day_s[alloc_starts].tolist()
-        for i in range(len(g_sid)):
-            shard = shards[g_sid[i]]
-            spans = shard.alloc_spans.get(g_asn[i])
-            if spans is None:
-                spans = shard.alloc_spans[g_asn[i]] = {}
-            merge_span_bounds(spans, (g_iid[i], g_day[i]), lows[i], highs[i])
-
-        first[1:] = pool_changed
-        pool_starts = np.nonzero(first)[0]
-        lows = np.minimum.reduceat(shi_s, pool_starts).tolist()
-        highs = np.maximum.reduceat(shi_s, pool_starts).tolist()
-        g_sid = sid_s[pool_starts].tolist()
-        g_asn = asn_s[pool_starts].tolist()
-        g_iid = iid_s[pool_starts].tolist()
-        for i in range(len(g_sid)):
-            shard = shards[g_sid[i]]
-            spans = shard.pool_spans.get(g_asn[i])
-            if spans is None:
-                spans = shard.pool_spans[g_asn[i]] = {}
-            merge_span_bounds(spans, g_iid[i], lows[i], highs[i])
+        self.counts = np.zeros(self.num_shards, dtype=np.int64)
+        for family, attribute in (("src", "sources"), ("esrc", "eui_sources")):
+            if family in runs:
+                sid_u, hi_u, lo_u = runs[family]
+                starts, stops = _group_slices(sid_u)
+                combined = _combine64(hi_u, lo_u)
+                for a, b in zip(starts.tolist(), stops.tolist()):
+                    getattr(shards[int(sid_u[a])], attribute).update(combined[a:b])
+        if "iid" in runs:
+            sid_u, iid_u = runs["iid"]
+            starts, stops = _group_slices(sid_u)
+            iid_l = iid_u.tolist()
+            for a, b in zip(starts.tolist(), stops.tolist()):
+                shards[int(sid_u[a])].eui_iids.update(iid_l[a:b])
+        if "alloc" in runs:
+            g_sid, g_asn, g_iid, g_day, lows, highs = (
+                c.tolist() for c in runs["alloc"]
+            )
+            for i in range(len(g_sid)):
+                shard = shards[g_sid[i]]
+                spans = shard.alloc_spans.get(g_asn[i])
+                if spans is None:
+                    spans = shard.alloc_spans[g_asn[i]] = {}
+                merge_span_bounds(spans, (g_iid[i], g_day[i]), lows[i], highs[i])
+        if "pool" in runs:
+            g_sid, g_asn, g_iid, lows, highs = (c.tolist() for c in runs["pool"])
+            for i in range(len(g_sid)):
+                shard = shards[g_sid[i]]
+                spans = shard.pool_spans.get(g_asn[i])
+                if spans is None:
+                    spans = shard.pool_spans[g_asn[i]] = {}
+                merge_span_bounds(spans, g_iid[i], lows[i], highs[i])
+        self.runs = {}
 
     def _fold_pairs(self, shards) -> None:
         for day, chunks in self._pair_chunks.items():

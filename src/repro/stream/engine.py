@@ -50,6 +50,7 @@ from repro.stream.state import (
     ShardState,
     allocation_inference_from_spans,
     merge_spans,
+    pair_columns,
     pool_inference_from_spans,
     prune_shard_days,
 )
@@ -248,20 +249,79 @@ class StreamEngine(IngestSinkBase):
     def live_detection(self) -> RotationDetection:
         """The cumulative rotation detection, folded on first read.
 
-        Columnar day closes defer the changed-pair tuple and prefix
-        construction (:func:`~repro.stream.columnar.diff_pair_columns`);
-        reading the detection folds everything pending -- deduplicated
-        across closes -- so observers always see the complete state.
+        Day closes only append the changed pairs to a column log and
+        the changed /48 numbers to a pending list
+        (:func:`~repro.stream.columnar.diff_pair_columns`); reading the
+        detection builds the pair tuples and prefixes of everything not
+        folded yet -- deduplicated across closes -- so observers always
+        see the complete state.
         """
-        if self._pending_changed:
-            columnar_kernel.fold_changed(self._pending_changed, self._live_detection)
-            self._pending_changed = []
+        log = self._changed_log
+        if self._changed_folded < len(log):
+            columnar_kernel.fold_changed_pairs(
+                log[self._changed_folded :], self._live_detection
+            )
+            self._changed_folded = len(log)
+        self.rotating_prefixes()
         return self._live_detection
 
     @live_detection.setter
     def live_detection(self, detection: RotationDetection) -> None:
         self._live_detection = detection
-        self._pending_changed: list = []
+        # The cumulative changed pairs once more, as an append-only log
+        # of (tgt_hi, tgt_lo, src_hi, src_lo) column batches: what a
+        # binary checkpoint writes and restores without ever building
+        # the tuples.  Entries below _changed_folded are in the set.
+        self._changed_log: list[tuple] = (
+            [pair_columns(detection.changed_pairs)] if detection.changed_pairs else []
+        )
+        self._changed_folded = len(self._changed_log)
+        self._changed_unique: tuple = (0, None)  # see changed_pair_columns
+        self._pending_net48s: list = []
+
+    def changed_pair_columns(self) -> list[tuple]:
+        """Column batches holding every cumulative changed pair exactly
+        once -- what a binary checkpoint writes.
+
+        The log itself may repeat a pair across closes (one that lived
+        two days re-surfaces as "disappeared"; the emitted-mask only
+        covers the close right after it appeared), which readers never
+        notice but segment sizes would.  De-duplication is one numpy
+        pass over the columns, remembered until the log next grows;
+        kernel-less logs hold set differences and are disjoint already.
+        """
+        log = self._changed_log
+        if self._acc is None or len(log) < 2:
+            return log
+        covered, unique = self._changed_unique
+        if covered != len(log):
+            unique = columnar_kernel.unique_pair_columns(
+                ([unique] if covered else []) + log[covered:]
+            )
+            self._changed_unique = (len(log), unique)
+        return [unique]
+
+    def rotating_prefixes(self) -> set:
+        """The cumulative rotating /48s -- the cheap half of
+        :attr:`live_detection` (a few hundred prefixes per close)."""
+        if self._pending_net48s:
+            columnar_kernel.fold_changed_prefixes(
+                self._pending_net48s, self._live_detection
+            )
+            self._pending_net48s = []
+        return self._live_detection.rotating_prefixes
+
+    def restore_detection(
+        self, changed_cols: tuple, prefixes: set, stable: int
+    ) -> None:
+        """Adopt checkpointed detection state as columns: the changed
+        pairs go to the log unfolded, so no tuple is built until
+        someone reads :attr:`live_detection`."""
+        self.live_detection = RotationDetection(
+            rotating_prefixes=prefixes, stable_pairs=stable
+        )
+        if len(changed_cols[0]):
+            self._changed_log.append(changed_cols)
 
     def _shards_have_pairs(self, *days: int) -> bool:
         """True if any shard holds a materialized pair set for any *days*.
@@ -290,13 +350,17 @@ class StreamEngine(IngestSinkBase):
         acc = self._acc
         if acc is not None and not self._shards_have_pairs(previous, closed):
             changed, net48s, stable = acc.diff_days(previous, closed)
-            self._pending_changed.append((changed, net48s))
+            self._changed_log.append(tuple(changed))
+            self._pending_net48s.append(net48s)
             self.rotation_days[closed] = columnar_kernel.net48_prefixes(net48s)
             self._live_detection.stable_pairs += stable
             if self._obs is not None:
                 self._obs.day_closed(closed, len(changed[0]), stable)
             return
-        super()._diff_days(previous, closed)
+        fresh = super()._diff_days(previous, closed)
+        if fresh:
+            self._changed_log.append(pair_columns(fresh))
+            self._changed_folded = len(self._changed_log)
 
     def _pairs_on(self, day: int) -> set[tuple[int, int]]:
         self.materialize()
@@ -308,9 +372,10 @@ class StreamEngine(IngestSinkBase):
     def _prune_below(self, floor: int) -> None:
         if self._acc is not None:
             # Bounded-memory mode: per-row aggregate buffers must not
-            # outlive a day.  Pairs stay columnar (pruned below), so
-            # the columnar close diff keeps its fast path.
-            self._acc.fold_aggregates(self.shards)
+            # outlive a day -- reduced to runs, not to Python objects.
+            # Pairs stay columnar (pruned below), so the columnar close
+            # diff keeps its fast path.
+            self._acc.reduce()
         self.prune_pair_days(floor)
 
     def prune_pair_days(self, threshold: int) -> None:

@@ -583,6 +583,7 @@ class ParallelStreamEngine(IngestSinkBase):
         if self.store is None:
             engine.store = None
         if self._base is not None:
+            self._base.materialize()  # a column-restored base holds runs
             for shard in self._base.shards:
                 merge_shard_state(engine.shards[shard.shard_id], shard)
         for shards in worker_states:

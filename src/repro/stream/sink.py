@@ -249,14 +249,14 @@ class IngestSinkBase:
         if floor is not None:
             self._prune_below(floor)
 
-    def _diff_days(self, previous: int, closed: int) -> None:
+    def _diff_days(self, previous: int, closed: int) -> set:
         """Diff two scanned days' merged pair sets into the live detection.
 
         The same :func:`diff_pairs` the batch detector uses -- one
         source of truth.  Only pairs not already in the cumulative set
         are attributed to *closed* (computed before the cumulative
         ``|=``), so per-day attribution agrees with the columnar close
-        path's emitted-mask dedup.
+        path's emitted-mask dedup.  Returns those fresh pairs.
         """
         detection = diff_pairs(self._pairs_on(previous), self._pairs_on(closed))
         live = self.live_detection
@@ -269,6 +269,7 @@ class IngestSinkBase:
             self._obs.day_closed(
                 closed, len(detection.changed_pairs), detection.stable_pairs
             )
+        return fresh
 
     def flush(self) -> RotationDetection:
         """Close the in-progress day and return the cumulative detection."""

@@ -22,6 +22,7 @@ sharding of the response stream yields the same inferences.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.core.allocation import AllocationInference, allocation_bits, plen_from_bits
@@ -37,6 +38,7 @@ from repro.util import median
 Span = list[int]  # [lo, hi] running min/max, mutated in place
 
 _IID_MASK = (1 << IID_BITS) - 1
+_MASK64 = (1 << 64) - 1
 
 
 def _update_span(spans: dict, key, value: int) -> None:
@@ -92,6 +94,21 @@ def prune_shard_days(shards: "list[ShardState]", threshold: int) -> None:
         pairs_by_day = shard.pairs_by_day
         for day in [d for d in pairs_by_day if d < threshold]:
             del pairs_by_day[day]
+
+
+def pair_columns(pairs) -> tuple[array, array, array, array]:
+    """``(target, source)`` 128-bit pairs -> ``(tgt_hi, tgt_lo, src_hi,
+    src_lo)`` uint64 columns (stdlib arrays: works without numpy)."""
+    tgt_hi = array("Q")
+    tgt_lo = array("Q")
+    src_hi = array("Q")
+    src_lo = array("Q")
+    for target, source in pairs:
+        tgt_hi.append(target >> 64)
+        tgt_lo.append(target & _MASK64)
+        src_hi.append(source >> 64)
+        src_lo.append(source & _MASK64)
+    return tgt_hi, tgt_lo, src_hi, src_lo
 
 
 def alloc_span_rows(shard: "ShardState"):

@@ -29,6 +29,7 @@ from repro.stream.ckptbin import (
     BinaryCheckpointer,
     ChainAssembler,
     CheckpointError,
+    SegmentInfo,
     chain_info,
     read_state,
     segment_bytes,
@@ -161,6 +162,98 @@ def test_bare_engine_chain_restores_an_engine(tmp_path):
     assert state_json(engine_state(follower.engine)) == state_json(
         engine_state(load_engine(tmp_path / "chain.bin"))
     )
+
+
+def without_block(raw: bytes, suffix: str) -> bytes:
+    """*raw* minus the first block named ``*suffix`` -- framing and CRC
+    valid."""
+
+    def edit(blocks):
+        blocks.remove(next(b for b in blocks if b[0].endswith(suffix)))
+        return blocks
+
+    return edited_blocks(raw, edit)
+
+
+def with_short_block(raw: bytes, suffix: str) -> bytes:
+    """*raw* with the last element of one non-empty block dropped."""
+
+    def edit(blocks):
+        victim = next(b for b in blocks if b[0].endswith(suffix) and b[2])
+        victim[2] = victim[2][:-8]
+        return blocks
+
+    return edited_blocks(raw, edit)
+
+
+def edited_blocks(raw: bytes, edit) -> bytes:
+    import io
+
+    from repro.stream.ckptbin import _parse_segment, _write_segment
+
+    # Parse, edit the [name, dtype, bytes] block list, re-frame with a
+    # fresh CRC.
+    header, payload, _ = _parse_segment(raw, 0, "<test>")
+    blocks, offset = [], 0
+    for name, dtype, count in header["blocks"]:
+        blocks.append([name, dtype, bytes(payload[offset : offset + 8 * count])])
+        offset += 8 * count
+    blocks = edit(blocks)
+    header["blocks"] = [[n, d, len(b) // 8] for n, d, b in blocks]
+    out = io.BytesIO()
+    _write_segment(
+        out,
+        json.dumps(header, separators=(",", ":")).encode(),
+        [b for _, _, b in blocks],
+    )
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda raw: without_block(raw, ".pool.hi"),
+        lambda raw: with_short_block(raw, ".src.lo"),
+    ],
+    ids=["missing-block", "ragged-family"],
+)
+def test_malformed_segment_rejected_receive_thread_survives(tmp_path, malform):
+    """A CRC-valid segment whose blocks contradict its header arrives
+    over the wire: rejected and counted, the receive thread alive (it
+    used to die of a ``KeyError``), the applied chain still served."""
+    from types import SimpleNamespace
+
+    path = tmp_path / "chain.bin"
+    segments = build_chain(path)
+    infos = chain_info(path)
+    bad = malform(segments[1][1])
+    with open(path, "rb+") as fh:  # swap seq 1 on disk for its bad twin
+        fh.truncate(infos[1].offset)
+        fh.seek(infos[1].offset)
+        fh.write(bad)
+    bad_info = SegmentInfo("delta", infos[1].base_id, 1, infos[1].offset, len(bad))
+    with SegmentShipper() as shipper:
+        with ReplicaFollower(
+            shipper.address, authkey=shipper.authkey, retry_interval=0.05
+        ) as follower:
+            follower.start()
+            assert wait_for(lambda: shipper.subscribers >= 1)
+            shipper.ship(SimpleNamespace(path=path, chain=(infos[0],)))
+            assert wait_for(lambda: follower.applied_seq == 0)
+            before = state_json(follower.state)
+            shipper.ship(SimpleNamespace(path=path, chain=(infos[0], bad_info)))
+            assert wait_for(lambda: follower.segments_rejected >= 1)
+            # Rejected, resubscribed, offered again, rejected again: the
+            # loop is the receive thread staying alive.
+            assert wait_for(lambda: follower.segments_rejected >= 2)
+            assert follower._thread.is_alive()
+            assert (follower.applied_seq, follower.segments_applied) == (0, 1)
+            assert state_json(follower.state) == before
+            good = ChainAssembler()
+            good.apply(segments[0][1])
+            assert state_json(engine_state(follower.engine)) == state_json(
+                engine_state(good.restore_engine())
+            )
 
 
 # -- outbox overflow -------------------------------------------------------

@@ -149,26 +149,74 @@ class TestBackendContract:
         backend = fresh_backend(kind, tmp_path)
         backend.append_columns(ColumnBatch.from_observations(corpus))
         # Held suffix beyond the checkpoint: verified, then discarded.
-        assert backend.restore(rows[:30]) == 0
+        assert backend.restore(ColumnBatch.from_rows(rows[:30])) == 0
         assert backend.rows == 30
         assert backend.snapshot() == rows[:30]
         assert backend.eui_iids() == {
             o.source_iid for o in corpus[:30] if o.is_eui64
         }
         # Held prefix: kept, only the tail appends.
-        assert backend.restore(rows) == len(rows) - 30
+        assert backend.restore(ColumnBatch.from_rows(rows)) == len(rows) - 30
         assert backend.snapshot() == rows
         # Divergence anywhere in the shared prefix: rejected -- at the
         # boundary and (the subtler case) at an early row behind an
         # agreeing boundary.
         bad = [list(r) for r in rows]
         bad[-1] = [99, 0.0, 1, 2]
-        with pytest.raises(ValueError, match="not the same corpus"):
-            backend.restore(bad)
+        with pytest.raises(ValueError, match=f"at row {len(rows) - 1}: not the same"):
+            backend.restore(ColumnBatch.from_rows(bad))
         bad_early = [list(r) for r in rows]
         bad_early[0] = [0, 0.0, 1, 2]
         with pytest.raises(ValueError, match="at row 0"):
-            backend.restore(bad_early)
+            backend.restore(ColumnBatch.from_rows(bad_early))
+        assert backend.snapshot() == rows  # a rejected restore changes nothing
+
+    def test_restore_never_keeps_the_callers_batch(self, kind, tmp_path):
+        """What restore appends is a copy: the checkpoint's columns (a
+        follower's still-growing corpus) and the store stay independent."""
+        corpus = sample_corpus(n=40)
+        batch = ColumnBatch.from_observations(corpus[:30])
+        backend = fresh_backend(kind, tmp_path)
+        assert backend.restore(batch) == 30
+        batch.extend(ColumnBatch.from_observations(corpus[30:]))
+        assert backend.rows == 30
+        backend.append_columns(ColumnBatch.from_observations(corpus[30:35]))
+        assert len(batch) == len(corpus)
+        # 35 held and verified, the rest appended.
+        assert backend.restore(batch) == len(corpus) - 35
+        assert backend.snapshot() == batch.rows()
+
+    def test_indexed_reads_between_appends_match_one_append(self, kind, tmp_path):
+        """Indexes are brought up to date by the reads that need them:
+        reads interleaved with appends must equal the same reads on a
+        backend that took the whole corpus at once."""
+        corpus = sample_corpus(n=120)
+        eager = fresh_backend(kind, tmp_path / "eager")
+        eager.append_columns(ColumnBatch.from_observations(corpus))
+        lazy = fresh_backend(kind, tmp_path / "lazy")
+        iid = corpus[0].source_iid
+        seen = 0
+        for stop, read in (
+            (10, lambda b: b.day_slice(0)),
+            (55, lambda b: b.iid_history(iid)),
+            (56, lambda b: b.stats()),
+            (90, lambda b: b.days()),
+            (len(corpus), lambda b: b.eui_iids()),
+        ):
+            lazy.append_columns(ColumnBatch.from_observations(corpus[seen:stop]))
+            seen = stop
+            read(lazy)
+        for day in (0, 1, 2, 7):
+            assert lazy.day_slice(day).rows() == eager.day_slice(day).rows()
+            assert lazy.day_slice(day).rows() == [
+                [o.day, o.t_seconds, o.target, o.source] for o in corpus if o.day == day
+            ]
+        for probe in {o.source_iid for o in corpus} | {1}:
+            assert lazy.iid_history(probe).rows() == eager.iid_history(probe).rows()
+        assert lazy.stats() == eager.stats()
+        assert lazy.stats().eui_rows == sum(1 for o in corpus if o.is_eui64)
+        assert lazy.days() == eager.days() == sorted({o.day for o in corpus})
+        assert lazy.unique_eui64_sources() == eager.unique_eui64_sources()
 
     def test_value_types_survive_snapshot(self, kind, tmp_path):
         """int days stay int, float timestamps stay float -- the JSON
@@ -355,7 +403,8 @@ def test_sqlite_restore_discards_uncheckpointed_suffix(tmp_path):
     backend.close()  # commits everything, checkpointed or not
     reattached = SqliteBackend(tmp_path / "a.sqlite")
     assert reattached.rows == len(corpus)
-    assert reattached.restore(rows[:20]) == 0  # nothing appended...
+    # Nothing appended...
+    assert reattached.restore(ColumnBatch.from_rows(rows[:20])) == 0
     assert reattached.rows == 20  # ...and the suffix is gone
     assert reattached.snapshot() == rows[:20]
     assert reattached.eui_iids() == {
@@ -375,12 +424,14 @@ def test_sqlite_restore_rejects_mismatched_file(tmp_path):
     bad_short = [list(r) for r in rows[:20]]
     bad_short[-1] = [99, 0.0, 1, 2]
     with pytest.raises(ValueError, match="not the same corpus"):
-        backend.restore(bad_short)  # boundary row disagrees (shorter)
+        # The boundary row disagrees (checkpoint shorter than the file).
+        backend.restore(ColumnBatch.from_rows(bad_short))
     bad_long = [list(r) for r in rows]
     bad_long[-1] = [99, 0.0, 1, 2]
     bad_long.append([99, 1.0, 3, 4])
     with pytest.raises(ValueError, match="not the same corpus"):
-        backend.restore(bad_long)  # boundary row disagrees (longer)
+        # The boundary row disagrees (checkpoint longer than the file).
+        backend.restore(ColumnBatch.from_rows(bad_long))
 
 
 def test_sqlite_close_removes_owned_tempfile():

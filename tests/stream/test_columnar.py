@@ -183,7 +183,8 @@ class TestKernelPrimitives:
                 self._pair_columns(sorted(pairs_b)),
             )
             detection = RotationDetection()
-            columnar.fold_changed([(changed, net48s)], detection)
+            columnar.fold_changed_pairs([changed], detection)
+            columnar.fold_changed_prefixes([net48s], detection)
             assert detection.changed_pairs == expected.changed_pairs
             assert detection.rotating_prefixes == expected.rotating_prefixes
             assert stable == expected.stable_pairs

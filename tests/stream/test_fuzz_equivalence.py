@@ -464,14 +464,17 @@ def test_checkpoint_bytes_identical_across_scanner_paths_without_numpy(
     check_scanner_paths_agree(seed, monkeypatch)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_binary_checkpoint_restores_identical_state(seed, tmp_path):
-    """Randomized format equivalence: the canonical JSON checkpoint, a
+def check_binary_restores(seed, tmp_path):
+    """One seed of the format oracle: the canonical JSON checkpoint, a
     binary full segment, and a binary full+delta chain must all restore
     to byte-identical ``engine_state`` JSON -- mid-stream and at flush,
     for the serial engine and for the parallel engine's merged
     snapshots (whose deltas ride the dispatcher's dirty-shard set, the
-    campaign checkpoint path)."""
+    campaign checkpoint path).  And the two ways a binary chain comes
+    back -- ``load_engine`` (columns straight into the kernel, when the
+    engine has one) and ``restore_engine(read_state(...))`` (the state
+    dict) -- must agree there and, un-materialized, continue the stream
+    to the same final bytes."""
     from repro.stream.checkpoint import load_engine, restore_engine, save_engine
     from repro.stream.ckptbin import BinaryCheckpointer, _read_segments, read_state
 
@@ -485,6 +488,11 @@ def test_binary_checkpoint_restores_identical_state(seed, tmp_path):
     def dump_restored(path):
         return json.dumps(engine_state(load_engine(path, origin_of=origin_of)))
 
+    def dump_restored_by_dict(path):
+        return json.dumps(
+            engine_state(restore_engine(read_state(path), origin_of=origin_of))
+        )
+
     engine = StreamEngine(config, origin_of=origin_of)
     for chunk in chunks(rng, corpus[:split]):
         engine.ingest_batch(chunk)
@@ -495,10 +503,18 @@ def test_binary_checkpoint_restores_identical_state(seed, tmp_path):
     mid = json.dumps(engine_state(engine))
     assert dump_restored(json_path) == mid
     assert dump_restored(bin_path) == mid
+    assert dump_restored_by_dict(bin_path) == mid
+    # Restored but never read: these two carry on from the checkpoint.
+    continued = [
+        load_engine(bin_path, origin_of=origin_of),
+        restore_engine(read_state(bin_path), origin_of=origin_of),
+    ]
+    assert (continued[0]._acc is None) == (engine._acc is None)
 
     # The rest of the stream; the second binary save of the same engine
     # to the same path chains a delta segment onto the full one.
-    for chunk in chunks(rng, corpus[split:]):
+    rest = chunks(rng, corpus[split:])
+    for chunk in rest:
         engine.ingest_batch(chunk)
     engine.flush()
     save_engine(engine, json_path, format="json")
@@ -508,6 +524,12 @@ def test_binary_checkpoint_restores_identical_state(seed, tmp_path):
     final = json.dumps(engine_state(engine))
     assert dump_restored(json_path) == final
     assert dump_restored(bin_path) == final
+    assert dump_restored_by_dict(bin_path) == final
+    for resumed in continued:
+        for chunk in rest:
+            resumed.ingest_columns(ColumnBatch.from_observations(chunk))
+        resumed.flush()
+        assert json.dumps(engine_state(resumed)) == final
 
     # Parallel leg: merged snapshots are fresh engine objects at every
     # save, so the delta chain runs on explicit dirty_sids.
@@ -530,8 +552,95 @@ def test_binary_checkpoint_restores_identical_state(seed, tmp_path):
     merged = parallel.finalize()
     second = saver.save(merged, dirty_sids=parallel.take_dirty_sids())
     assert second.kind == "delta"
-    restored = restore_engine(read_state(par_path), origin_of=origin_of)
-    assert json.dumps(engine_state(restored)) == final
+    assert dump_restored(par_path) == final
+    assert dump_restored_by_dict(par_path) == final
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_binary_checkpoint_restores_identical_state(seed, tmp_path):
+    check_binary_restores(seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", KERNEL_LESS_SEEDS)
+def test_binary_checkpoint_restores_identical_state_without_kernel(
+    seed, tmp_path, monkeypatch
+):
+    """The same triangle through the same entry points with numpy
+    patched out of the kernel module only: saves walk ``ShardState``
+    and ``load_engine`` must notice that the engine it built has no
+    accumulator and take the dict path (the checkpoint module's own
+    numpy import is *not* patched)."""
+    from repro.stream import columnar
+
+    monkeypatch.setattr(columnar, "np", None)
+    assert StreamEngine()._acc is None  # the patch is the whole switch
+    check_binary_restores(seed, tmp_path)
+
+
+def check_binary_campaign_round_trip(seed, tmp_path):
+    """A campaign checkpointing in binary every day, interrupted,
+    resumed from the chain and finished in JSON, lands on the bytes of
+    an uninterrupted JSON run of a twin world."""
+    rng = random.Random(seed ^ 0xCA3B)
+    spec = random_world_spec(rng)
+    worlds = [build_internet(spec) for _ in range(3)]
+    pools = [pool for provider in worlds[0].providers for pool in provider.pools]
+    prefixes48 = sorted(
+        {
+            Prefix.containing(net.network, 48)
+            for pool in pools
+            for net in pool.prefix.subnets(max(48, pool.prefix.plen))
+        },
+        key=lambda p: p.network,
+    )
+    campaign_config = CampaignConfig(
+        days=rng.randint(3, 4), start_day=rng.randint(0, 3), seed=rng.getrandbits(16)
+    )
+    config = replace(random_config(rng), keep_observations=False)
+
+    def campaign(world):
+        return Campaign(world, prefixes48, campaign_config)
+
+    def engine(world):
+        return StreamEngine(config, origin_of=world.rib.origin_of)
+
+    reference = tmp_path / "reference.json"
+    StreamingCampaign(
+        campaign(worlds[0]),
+        engine=engine(worlds[0]),
+        checkpoint_path=reference,
+        checkpoint_format="json",
+    ).run()
+
+    path = tmp_path / "campaign.ckpt"
+    StreamingCampaign(
+        campaign(worlds[1]),
+        engine=engine(worlds[1]),
+        checkpoint_path=path,
+        checkpoint_every=1,
+        checkpoint_format="binary",
+    ).run(max_days=rng.randint(1, campaign_config.days - 1))
+    resumed = StreamingCampaign.resume(
+        campaign(worlds[2]), path, checkpoint_format="json"
+    )
+    resumed.run()
+    assert path.read_bytes() == reference.read_bytes()
+    return resumed
+
+
+@pytest.mark.parametrize("seed", KERNEL_LESS_SEEDS)
+def test_binary_campaign_resume_round_trip(seed, tmp_path):
+    check_binary_campaign_round_trip(seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", KERNEL_LESS_SEEDS)
+def test_binary_campaign_resume_round_trip_without_kernel(
+    seed, tmp_path, monkeypatch
+):
+    from repro.stream import columnar
+
+    monkeypatch.setattr(columnar, "np", None)
+    assert check_binary_campaign_round_trip(seed, tmp_path).engine._acc is None
 
 
 @pytest.mark.parametrize("seed", range(6))
