@@ -88,6 +88,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         "scale", nargs="?", default="full", choices=("full", "tiny"),
         help="tiny runs 3 campaign days instead of 5",
     )
+    parser.add_argument(
+        "--host", default="127.0.0.1",
+        help="listen address; an IPv6 literal (::1, ::) listens on IPv6",
+    )
     parser.add_argument("--port", type=int, default=0, help="0 = ephemeral")
     parser.add_argument(
         "--linger", default=None,
@@ -113,7 +117,7 @@ def main(argv: list[str]) -> int:
 
         # 2. The daemon: ingest + serve + graceful shutdown.
         streaming = build_streaming(build_world(), days, checkpoint, telemetry)
-        daemon = TrackerDaemon(streaming, port=args.port)
+        daemon = TrackerDaemon(streaming, host=args.host, port=args.port)
         print(f"serving at {daemon.url}", flush=True)
         daemon.run(linger=args.linger)
         telemetry.close()

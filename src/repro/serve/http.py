@@ -20,6 +20,12 @@ Endpoints (all GET unless noted):
 ``POST /shutdown``   request a graceful stop (the owner decides what
                      that means; see :class:`TrackerDaemon`)
 
+A request body (``POST /shutdown`` takes none, but clients send them)
+is read and discarded up to 64 KiB, so the next request on a keep-alive
+connection starts at its request line; a garbled or larger declared
+length is refused and the connection closed.  *host* may be an IPv6
+literal (``::1``, ``::``); URLs bracket it (``http://[::1]:8397``).
+
 Every JSON body carries ``snapshot_version``; versions across any
 sequence of responses are monotonically non-decreasing.  ``/stats``
 and ``/healthz`` additionally carry a ``role`` field: ``primary`` by
@@ -31,12 +37,18 @@ replication lag -- when the server fronts a
 from __future__ import annotations
 
 import json
+import socket
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
+from repro.stream.fabric.framing import format_address
+
 from .snapshot import SnapshotPublisher
+
+#: Largest request body read and discarded; a longer one is refused.
+MAX_BODY_BYTES = 64 * 1024
 
 
 def _parse_iid(token: str) -> int | None:
@@ -68,6 +80,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -124,7 +138,30 @@ class _Handler(BaseHTTPRequestHandler):
         if obs is not None and endpoint is not None:
             obs.request_served(endpoint, time.perf_counter() - t0)
 
+    def _discard_body(self) -> bool:
+        """Read and drop the declared request body, so whatever follows
+        on a keep-alive connection parses as the next request and not as
+        this one's leftovers.  No ``Content-Length`` means no body.  A
+        length that is not a number, or over :data:`MAX_BODY_BYTES`, or
+        a chunked body (not decoded here) is answered ``400``/``413``
+        and the connection closed -- ``False`` then, the caller is done.
+        """
+        declared = self.headers.get("Content-Length", "0").strip()
+        numeric = declared.isascii() and declared.isdigit()
+        if self.headers.get("Transfer-Encoding") or not numeric:
+            refusal = (400, "request body needs a numeric Content-Length")
+        elif (length := int(declared)) > MAX_BODY_BYTES:
+            refusal = (413, f"request body over {MAX_BODY_BYTES} bytes")
+        else:
+            self.rfile.read(length)
+            return True
+        self.close_connection = True
+        self._error(*refusal)
+        return False
+
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        if not self._discard_body():
+            return
         path = urlsplit(self.path).path.rstrip("/")
         if path != "/shutdown":
             self._error(404, f"unknown endpoint: {path}")
@@ -189,6 +226,11 @@ class _Server(ThreadingHTTPServer):
     allow_reuse_address = True
     role_info: Callable[[], dict] | None = None
 
+    def __init__(self, address: tuple[str, int], handler) -> None:
+        if ":" in address[0]:  # an IPv6 literal: ::1, ::, 2001:db8::1
+            self.address_family = socket.AF_INET6
+        super().__init__(address, handler)
+
     def role_payload(self) -> dict:
         """Replication role fields merged into /healthz and /stats.
 
@@ -249,7 +291,7 @@ class TrackerServer:
 
     @property
     def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        return format_address(self.host, self.port, scheme="http")
 
     def requests_served(self) -> int:
         obs = self._obs
@@ -264,6 +306,9 @@ class TrackerServer:
         self._httpd.started_at = time.monotonic()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            # How long stop() may wait for the loop to notice: 50 ms,
+            # not http.server's 500.
+            kwargs={"poll_interval": 0.05},
             name="repro-serve-http",
             daemon=True,
         )

@@ -1,8 +1,8 @@
 """Versioned read-only snapshots of a live stream engine.
 
 The read path that does not stall ingest: the ingest thread owns the
-engine (whose accessors mutate internal state -- ``materialize()``
-folds pending columnar buffers) and periodically asks the
+engine (which is not thread-safe -- even its read accessors reduce
+pending row buffers into the columnar runs) and periodically asks the
 :class:`SnapshotPublisher` to rebuild an immutable
 :class:`TrackerSnapshot` from it.  Publication is a single attribute
 assignment, atomic under the interpreter lock, so reader threads
@@ -11,9 +11,17 @@ previous complete snapshot or the new complete snapshot -- never a
 torn intermediate -- and hold it for as long as they like while ingest
 keeps appending.
 
+A rebuild reads columns, not Python state: per-AS profiles are two
+group-reduces over the engine's span runs plus a handful of scalar
+medians, the unique-address counts are row counts, the changed-pair
+count is the de-duplicated log's length.  Nothing is moved into the
+engine's shards and no pair tuple or span dict is built, so serving an
+engine costs its next day close and its next checkpoint nothing, and a
+refresh stays a few milliseconds however much state the engine holds.
+
 Versions increase by exactly one per published snapshot and never move
 backwards; a refresh that finds the engine unchanged (no row, day
-open/close or watchlist seed since) republishes the current snapshot
+open/close or watchlist change since) republishes the current snapshot
 untouched.  Refreshing is cheap to call often: the
 ``min_interval`` rate limit plus an engine-progress signature keep the
 actual rebuild cost bounded by the configured staleness, not by the
@@ -50,7 +58,8 @@ class TrackerSnapshot:
     days_seen: tuple[int, ...]
     #: asn -> AsProfile (allocation + pool inference as of this version).
     profiles: Mapping[int, object]
-    #: watched iid -> (source address, day, t_seconds or None).
+    #: watched iid -> (source address, day, t_seconds or None), for the
+    #: watched IIDs seen (or seeded with an address) so far.
     sightings: Mapping[int, tuple[int, int, float | None]]
     #: closed day -> /48 prefixes first flagged rotating at that close.
     rotations_by_day: Mapping[int, tuple[Prefix, ...]]
@@ -60,6 +69,8 @@ class TrackerSnapshot:
     stable_pairs: int = 0
     unique_addresses: int = 0
     unique_eui64_addresses: int = 0
+    #: every IID on the engine's watchlist, sighted yet or not.
+    watch_iids: frozenset[int] = field(default_factory=frozenset)
 
     def iid_location(self, iid: int) -> tuple[int, int, float | None] | None:
         """Freshest sighting of a watched IID, or ``None``."""
@@ -81,7 +92,7 @@ class TrackerSnapshot:
             "current_day": self.current_day,
             "closed_through": self.closed_through,
             "days_seen": list(self.days_seen),
-            "watched_iids": len(self.sightings),
+            "watched_iids": len(self.watch_iids),
             "profiled_asns": len(self.profiles),
             "rotating_48s": len(self.rotating_prefixes),
             "changed_pairs": self.changed_pairs,
@@ -97,7 +108,7 @@ class TrackerSnapshot:
             "snapshot_version": self.version,
             "iid": iid,
             "iid_hex": f"{iid:016x}",
-            "watched": iid in self.sightings,
+            "watched": iid in self.watch_iids,
         }
         if sighting is None:
             payload["sighting"] = None
@@ -144,10 +155,10 @@ class SnapshotPublisher:
     """Builds and atomically publishes :class:`TrackerSnapshot`\\ s.
 
     Owned by the ingest thread: :meth:`refresh` reads engine accessors
-    that materialize pending columnar state, so it must run on the
-    thread that ingests (the engine is not thread-safe).  Reader
-    threads only ever touch :attr:`current`, which is a lock-free
-    atomic reference read.
+    that reduce pending column buffers, so it must run on the thread
+    that ingests (the engine is not thread-safe).  Reader threads only
+    ever touch :attr:`current`, which is a lock-free atomic reference
+    read.
 
     *engine* is a :class:`~repro.stream.engine.StreamEngine` or a
     :class:`~repro.stream.parallel.ParallelStreamEngine` (refreshes go
@@ -230,7 +241,6 @@ class SnapshotPublisher:
         t0 = self._clock() if obs is not None else 0.0
         engine = self._engine.read_view()
         self._signature = self._engine.progress_signature()
-        detection = engine.live_detection
         self._version += 1
         snapshot = TrackerSnapshot(
             version=self._version,
@@ -251,11 +261,12 @@ class SnapshotPublisher:
                     for day, prefixes in engine.rotation_days.items()
                 }
             ),
-            rotating_prefixes=frozenset(detection.rotating_prefixes),
-            changed_pairs=len(detection.changed_pairs),
-            stable_pairs=detection.stable_pairs,
+            rotating_prefixes=frozenset(engine.rotating_prefixes()),
+            changed_pairs=engine.changed_pair_count(),
+            stable_pairs=engine.stable_pair_count(),
             unique_addresses=engine.unique_sources(),
             unique_eui64_addresses=engine.unique_eui64_sources(),
+            watch_iids=frozenset(engine._watch_iids),
         )
         if obs is not None:
             obs.snapshot_published(snapshot.version, self._clock() - t0)

@@ -580,14 +580,16 @@ class StreamingCampaign:
             # of the passive feeds (trailing sighting days included)
             # goes in before the final flush closes the stream.
             self._drain_feed(None)
+        # Close the day, without flush()'s read of the detection: on a
+        # kernel engine that read builds a tuple per changed pair.
         if self._parallel is not None:
             if not self.finished:
-                self._parallel.flush()
+                self._parallel.close_open_day()
             # finished: _refresh_engine finalizes, which flushes itself
             # (and is a cached no-op if a prior run already finalized).
             self._refresh_engine()
         else:
-            self.engine.flush()
+            self.engine.close_open_day()
         if self.checkpoint_path is not None:
             self._write_checkpoint()
         if self.finished and self.telemetry is not None:

@@ -38,7 +38,9 @@ de-duplicated columns per aggregate family, sliced per shard), its
 per-day pair chunks, the engine's changed-pair column log, and the
 store's column tail -- each a ``tobytes()``.  Whatever a shard *also*
 holds as Python state (scalar ``ingest(observation)``, a JSON restore,
-an earlier ``materialize()``) is walked and joined in: concatenated for
+an earlier ``materialize()``) is lifted into columns
+(:func:`~repro.stream.state.lift_family`, the lift the engine's column
+queries share) and joined in: concatenated for
 the set families and the pairs (duplicates are harmless -- every reader
 builds sets or re-reduces), group-reduced together with the run for the
 two span families, so a segment never carries one span key twice.
@@ -85,14 +87,9 @@ from repro.stream.checkpoint import (
     stream_head,
 )
 from repro.stream.checkpoint import restore_engine as restore_engine_state
-from repro.stream.columnar import RUN_FAMILIES, reduce_spans
+from repro.stream.columnar import RUN_FAMILIES, as_array, reduce_spans, shard_part
 from repro.stream.shard import ShardKey
-from repro.stream.state import (
-    ShardState,
-    alloc_span_rows,
-    pair_columns,
-    pool_span_rows,
-)
+from repro.stream.state import ShardState, lift_family, pair_columns
 from repro.util import np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -188,16 +185,6 @@ def _decode_block(data, dtype: str) -> array:
     if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
         out.byteswap()
     return out
-
-
-def _split128(values) -> tuple[array, array]:
-    """A set/iterable of 128-bit ints -> (hi, lo) uint64 columns."""
-    hi = array("Q")
-    lo = array("Q")
-    for value in values:
-        hi.append(value >> 64)
-        lo.append(value & _MASK64)
-    return hi, lo
 
 
 class _SegmentWriter:
@@ -374,10 +361,7 @@ def _joined_spans(walked: tuple, run, family: str) -> tuple:
         return walked
     if not len(walked[0]):
         return run
-    cols = [
-        np.concatenate((np.frombuffer(w, dtype=r.dtype), r))
-        for w, r in zip(walked, run)
-    ]
+    cols = [np.concatenate((as_array(w), r)) for w, r in zip(walked, run)]
     return reduce_spans(cols, RUN_FAMILIES[family] - 1)  # no sid column here
 
 
@@ -393,30 +377,14 @@ def _add_shard_blocks(
     """
     sid = shard.shard_id
     prefix = f"s{sid}."
-    for family, walked in (
-        ("src", _split128(shard.sources)),
-        ("esrc", _split128(shard.eui_sources)),
-        ("iid", (array("Q", shard.eui_iids),)),
-    ):
+    for family, schema in _SHARD_BLOCKS.items():
+        walked = lift_family(shard, family)
         run = _shard_run(runs, family, sid)
-        parts = (walked,) if run is None else (walked, run)
-        writer.add_family(prefix, _SHARD_BLOCKS[family], *parts)
-
-    for family, rows in (
-        ("alloc", alloc_span_rows(shard)),
-        ("pool", pool_span_rows(shard)),
-    ):
-        schema = _SHARD_BLOCKS[family]
-        columns = list(zip(*rows)) or [()] * len(schema)
-        walked = tuple(
-            array(_TYPECODES[dtype][0], column)
-            for (_, dtype), column in zip(schema, columns)
-        )
-        writer.add_family(
-            prefix,
-            schema,
-            _joined_spans(walked, _shard_run(runs, family, sid), family),
-        )
+        if RUN_FAMILIES[family] is None:
+            parts = (walked,) if run is None else (walked, run)
+        else:
+            parts = (_joined_spans(walked, run, family),)
+        writer.add_family(prefix, schema, *parts)
 
     for day in days:
         parts = [pair_columns(shard.pairs_by_day.get(day, ()))]
@@ -872,11 +840,6 @@ class _Staged:
     is_base: bool
 
 
-def _view(col: array):
-    """A stdlib array as a numpy array of the same type, no copy."""
-    return np.frombuffer(col, dtype=np.uint64 if col.typecode == "Q" else np.int64)
-
-
 class ChainAssembler:
     """Incrementally merges a stream of chain segments into state.
 
@@ -1148,18 +1111,13 @@ class ChainAssembler:
             for family in _SHARD_BLOCKS:
                 cols = record[family]
                 if len(cols[0]):
-                    sid_col = np.full(len(cols[0]), sid, dtype=np.int64)
-                    parts[family].append([sid_col, *map(_view, cols)])
+                    parts[family].append(shard_part(sid, cols))
             for day, cols in record["pairs"].items():
                 if len(cols[0]):
-                    acc.add_pair_chunk(
-                        day,
-                        np.full(len(cols[0]), sid, dtype=np.int64),
-                        *map(_view, cols),
-                    )
+                    acc.add_pair_chunk(day, *shard_part(sid, cols))
         acc.merge_runs({family: new for family, new in parts.items() if new})
         engine.restore_detection(
-            tuple(map(_view, self._detection["cp"])),
+            tuple(map(as_array, self._detection["cp"])),
             {
                 Prefix((hi << 64) | lo, plen)
                 for hi, lo, plen in zip(*self._detection["rp"])

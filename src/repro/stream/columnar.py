@@ -27,12 +27,16 @@ hot loop with a columnar kernel:
   - ``materialize()`` additionally moves the per-day pair columns into
     ``pairs_by_day`` sets.  It *moves*: afterwards the shards own the
     rows and the accumulator owns nothing, for the runs exactly as for
-    the pairs, so an engine that is read every day (an inference
-    query, ``engine_state``, a snapshot refresh) walks Python state at
-    its next save as it always has.
+    the pairs.  Only the JSON oracle (``engine_state``), the fabric's
+    merge and a caller who asks for it by name go this far.
 
   Day-over-day rotation diffs need none of that: they run directly on
   lexsorted, deduplicated pair columns (:func:`diff_pair_columns`).
+  Neither do readers: every engine query and the served snapshot answer
+  from the runs (:meth:`ColumnarAccumulator.family_columns`, joined
+  with whatever the shards also hold), so an engine that is read every
+  day keeps its columns -- and its columnar day close and save -- for
+  the whole campaign.
 
 Because every aggregate the engine keeps commutes (counts add, sets
 union, spans min/max -- see :mod:`repro.stream.state`), deferring and
@@ -54,7 +58,13 @@ from repro.core.rotation_detect import RotationDetection
 from repro.net.addr import Prefix
 from repro.net.eui64 import _FFFE, _FFFE_SHIFT
 from repro.stream.shard import SPLITMIX64
-from repro.stream.state import ShardState, merge_span_bounds
+from repro.stream.state import (
+    ShardState,
+    lift_family,
+    merge_span_bounds,
+    pair_columns,
+    plen_of_middle,
+)
 from repro.util import np
 
 _MASK64 = (1 << 64) - 1
@@ -352,6 +362,56 @@ def _merge_family(family: str, parts: list) -> list:
     return _unique_rows(cols) if n_keys is None else reduce_spans(cols, n_keys)
 
 
+def as_array(col):
+    """A stdlib array as a numpy array of the same type, no copy."""
+    return np.frombuffer(col, dtype=np.uint64 if col.typecode == "Q" else np.int64)
+
+
+def shard_part(sid: int, columns) -> list:
+    """One shard's stdlib-array *columns* (a checkpoint's blocks, a
+    :func:`~repro.stream.state.lift_family`) as a run part: numpy views
+    behind a constant ``sid`` column."""
+    return [np.full(len(columns[0]), sid, dtype=np.int64), *map(as_array, columns)]
+
+
+def unique_values(column) -> list:
+    """The distinct values of one column, ascending, as Python ints."""
+    return np.unique(column).tolist()
+
+
+def spans_by_as(asn, iid, lo, hi) -> dict[int, dict[int, tuple[int, int]]]:
+    """``asn -> iid -> (lo, hi)`` from span columns sorted by *asn*, as
+    Python ints: what the scalar per-IID inference step takes."""
+    if not len(asn):
+        return {}
+    starts, stops = _group_slices(asn)
+    iids, spans = iid.tolist(), list(zip(lo.tolist(), hi.tolist()))
+    return {
+        a: dict(zip(iids[i:j], spans[i:j]))
+        for a, i, j in zip(asn[starts].tolist(), starts.tolist(), stops.tolist())
+    }
+
+
+def median_plens(asn, spread, bits_of, plen_of) -> dict[int, int]:
+    """``asn -> plen_of(median(bits_of(spread)))`` over per-IID *spread*
+    rows, by the middle-spread rule: one integer ``lexsort`` here, the
+    float arithmetic in :func:`~repro.stream.state.plen_of_middle`
+    (which says why that is exact and a vectorized logarithm is not)."""
+    if not len(asn):
+        return {}
+    order = np.lexsort((spread, asn))
+    asn, spread = asn[order], spread[order]
+    starts, stops = _group_slices(asn)
+    mid = (starts + stops) // 2
+    odd = (stops - starts) % 2
+    # mid - 1 is only read for an even group, where it is inside the group.
+    middles = zip(odd.tolist(), spread[mid - 1].tolist(), spread[mid].tolist())
+    return {
+        a: plen_of_middle([upper] if is_odd else [lower, upper], bits_of, plen_of)
+        for a, (is_odd, lower, upper) in zip(asn[starts].tolist(), middles)
+    }
+
+
 def diff_pair_columns(cols_a: list, cols_b: list, emitted_a=None):
     """The day-over-day rotation diff, entirely in column space.
 
@@ -477,9 +537,13 @@ class ColumnarAccumulator:
       alone.
     * :meth:`materialize` does that and moves the per-day pair columns
       too -- whenever the :class:`ShardState` list must be current
-      (``engine_state``, a merge, an inference query).  After it the
-      accumulator owns nothing, exactly as it has always been for the
-      pairs; the shards' next checkpoint walks Python state again.
+      (``engine_state``, a fabric merge).  After it the accumulator
+      owns nothing, exactly as it has always been for the pairs; the
+      shards' next checkpoint walks Python state again.
+
+    Readers need none of the three either: :meth:`family_columns`,
+    :meth:`iid_spans` and :meth:`day_pair_columns` answer from the runs
+    and pair chunks, joined with whatever the shards already hold.
 
     Day-close rotation diffs need none of the three: they read merged
     pair columns straight from the buffer (:meth:`day_pair_columns`).
@@ -568,13 +632,22 @@ class ColumnarAccumulator:
     def has_pairs(self, day: int) -> bool:
         return day in self._pair_chunks
 
-    def day_pair_columns(self, day: int) -> list:
+    def day_pair_columns(self, day: int, shards=()) -> list:
         """Merged, deduplicated ``(tgt_hi, tgt_lo, src_hi, src_lo)`` of *day*.
 
         Cached until new rows arrive for the day; an unscanned or
         EUI-free day reads as empty columns, matching the empty pair
-        set the scalar path would diff.
+        set the scalar path would diff.  Pairs any of *shards* also
+        holds for the day are joined in (a read; never cached).
         """
+        held = [
+            pair_columns(shard.pairs_by_day[day])
+            for shard in shards
+            if shard.pairs_by_day.get(day)
+        ]
+        if held:
+            parts = [self.day_pair_columns(day), *(map(as_array, h) for h in held)]
+            return _dedup_rows([np.concatenate(column) for column in zip(*parts)])
         merged = self._merged_pairs.get(day)
         if merged is None:
             chunks = self._pair_chunks.get(day)
@@ -696,6 +769,43 @@ class ColumnarAccumulator:
             if family in runs:
                 new = [runs[family], *new]
             runs[family] = _merge_family(family, new)
+
+    # -- reading (no Python state is built or moved) -----------------------
+
+    def family_columns(self, family: str, shards) -> list:
+        """*family*'s rows in its :data:`RUN_FAMILIES` layout, sorted,
+        every key once: the run (pending rows reduced first) joined
+        with whatever *shards* also hold as Python state -- scalar
+        ``ingest(observation)``, a JSON restore, an earlier
+        :meth:`materialize` -- through the lift and the merge the
+        segment writer and :meth:`reduce` use.  With empty shards (every
+        campaign, resume and standby path) this *is* the run.
+        """
+        run = self.reduce().get(family)
+        lifted = [
+            shard_part(shard.shard_id, lift_family(shard, family)) for shard in shards
+        ]
+        held = [part for part in lifted if len(part[0])]
+        if run is None:
+            return _merge_family(family, held or lifted[:1])
+        return _merge_family(family, [run, *held]) if held else run
+
+    def iid_spans(self, family: str, shards, day=None, asn=None) -> list:
+        """A span family reduced to ``(asn, iid, lo, hi)``, one row per
+        ``(asn, iid)`` across shards and days; only *day*'s rows of
+        ``alloc`` and only *asn*'s rows when given (both masks apply
+        before the reduce, as the dict walk filters before it merges)."""
+        cols = self.family_columns(family, shards)[1:]
+        keep = None
+        if family == "alloc":
+            days = cols.pop(2)
+            if day is not None:
+                keep = days == day
+        if asn is not None:
+            keep = cols[0] == asn if keep is None else keep & (cols[0] == asn)
+        if keep is not None:
+            cols = [c[keep] for c in cols]
+        return reduce_spans(cols, 2)
 
     def materialize(self, shards: list[ShardState]) -> None:
         """Fold everything the accumulator owns into *shards*.

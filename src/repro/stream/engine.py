@@ -22,6 +22,23 @@ imports, nothing else: ``ingest_batch`` here only converts chunks to
 columns when the kernel exists, and is otherwise the reference loop
 inherited from :class:`~repro.stream.sink.IngestSinkBase`.
 
+Reading follows the same switch.  With the kernel, every query --
+``asns``, ``allocation_inference[s]``, ``pool_inference[s]``,
+``as_profiles``, ``unique_sources``, ``unique_eui64_sources``,
+``eui64_iids``, ``summary``, ``rotation_between``,
+``changed_pair_count``, ``rotating_prefixes`` -- answers from columns:
+the accumulator's runs and pair chunks joined with whatever the shards
+also hold (:meth:`ColumnarAccumulator.family_columns
+<repro.stream.columnar.ColumnarAccumulator.family_columns>`), moving
+nothing, so an engine that is queried or served every day keeps the
+columnar day close and the columnar save.  Without the kernel the same
+queries walk ``ShardState`` (the scalar reference the fuzz harness
+holds the column answers to).  :meth:`StreamEngine.materialize` -- every
+run and pair chunk moved into the shards as Python sets and dicts -- is
+left to three callers: :func:`~repro.stream.checkpoint.engine_state`
+(the JSON oracle), the parallel dispatcher's merge of a column-restored
+base, and anyone who wants to read :attr:`StreamEngine.shards` directly.
+
 Day handling lives in that shared base (the dispatcher runs the same
 code): observation days must arrive non-decreasing (scans are
 time-ordered).  When a new day first appears, the previous day is
@@ -37,10 +54,14 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable
 
-from repro.core.allocation import AllocationInference
+from repro.core.allocation import AllocationInference, allocation_bits, plen_from_bits
 from repro.core.records import ObservationStore, ProbeObservation
 from repro.core.rotation_detect import RotationDetection, diff_pairs
-from repro.core.rotation_pool import RotationPoolInference
+from repro.core.rotation_pool import (
+    RotationPoolInference,
+    pool_bits,
+    pool_plen_from_bits,
+)
 from repro.core.tracker import AsProfile
 from repro.store.batch import ColumnBatch
 from repro.stream import columnar as columnar_kernel
@@ -48,6 +69,7 @@ from repro.stream.shard import ShardKey, ShardRouter
 from repro.stream.sink import IngestSinkBase, update_sighting
 from repro.stream.state import (
     ShardState,
+    allocation_inference_from_iid_spans,
     allocation_inference_from_spans,
     merge_spans,
     pair_columns,
@@ -230,9 +252,9 @@ class StreamEngine(IngestSinkBase):
     def materialize(self) -> None:
         """Fold any pending columnar buffers into the shard states.
 
-        Cheap no-op without the kernel or with nothing buffered; every
-        state-reading path calls it, so callers never see a shard view
-        that lags the ingested stream.
+        Cheap no-op without the kernel or with nothing buffered.  The
+        queries below do *not* call it (they read the columns); call it
+        before reading :attr:`shards` directly.
         """
         acc = self._acc
         if acc is not None and acc.has_pending:
@@ -301,6 +323,18 @@ class StreamEngine(IngestSinkBase):
             self._changed_unique = (len(log), unique)
         return [unique]
 
+    def changed_pair_count(self) -> int:
+        """``len(live_detection.changed_pairs)`` without building a pair
+        tuple: the de-duplicated log's row count unless everything is
+        folded into the set already (or there is no kernel)."""
+        if self._acc is None or self._changed_folded == len(self._changed_log):
+            return len(self._live_detection.changed_pairs)
+        return sum(len(batch[0]) for batch in self.changed_pair_columns())
+
+    def stable_pair_count(self) -> int:
+        """``live_detection.stable_pairs``, read without the fold."""
+        return self._live_detection.stable_pairs
+
     def rotating_prefixes(self) -> set:
         """The cumulative rotating /48s -- the cheap half of
         :attr:`live_detection` (a few hundred prefixes per close)."""
@@ -328,9 +362,9 @@ class StreamEngine(IngestSinkBase):
 
         The columnar close path is only sound while the accumulator owns
         every pair of the two days being diffed; per-observation ingest
-        or a mid-stream materialization (checkpoint, snapshot) moves
-        pairs into the shards, after which closes must diff full merged
-        sets again.
+        or a mid-stream materialization (a JSON checkpoint, an explicit
+        :meth:`materialize`) moves pairs into the shards, after which
+        closes must diff full merged sets again.
         """
         for shard in self.shards:
             pairs_by_day = shard.pairs_by_day
@@ -363,8 +397,8 @@ class StreamEngine(IngestSinkBase):
             self._changed_folded = len(self._changed_log)
 
     def _pairs_on(self, day: int) -> set[tuple[int, int]]:
-        self.materialize()
-        pairs: set[tuple[int, int]] = set()
+        acc = self._acc
+        pairs = acc.day_pairs_set(day) if acc is not None else set()
         for shard in self.shards:
             pairs |= shard.pairs_by_day.get(day, set())
         return pairs
@@ -397,12 +431,24 @@ class StreamEngine(IngestSinkBase):
         With ``retain_days`` set, days older than the retention window
         have been dropped and diff as empty snapshots.
         """
-        return diff_pairs(self._pairs_on(day_a), self._pairs_on(day_b))
+        acc = self._acc
+        if acc is None:
+            return diff_pairs(self._pairs_on(day_a), self._pairs_on(day_b))
+        # Column diff; tuples and prefixes for the changed rows only.
+        changed, net48s, stable, _ = columnar_kernel.diff_pair_columns(
+            acc.day_pair_columns(day_a, self.shards),
+            acc.day_pair_columns(day_b, self.shards),
+        )
+        detection = RotationDetection(
+            rotating_prefixes=columnar_kernel.net48_prefixes(net48s),
+            stable_pairs=stable,
+        )
+        columnar_kernel.fold_changed_pairs([changed], detection)
+        return detection
 
-    # -- merged-shard queries ----------------------------------------------
+    # -- queries: columns with the kernel, ShardState walks without ---------
 
     def _merged_alloc_spans(self, asn: int) -> dict[tuple[int, int], list[int]]:
-        self.materialize()
         merged: dict[tuple[int, int], list[int]] = {}
         for shard in self.shards:
             spans = shard.alloc_spans.get(asn)
@@ -411,7 +457,6 @@ class StreamEngine(IngestSinkBase):
         return merged
 
     def _merged_pool_spans(self, asn: int) -> dict[int, list[int]]:
-        self.materialize()
         merged: dict[int, list[int]] = {}
         for shard in self.shards:
             spans = shard.pool_spans.get(asn)
@@ -419,9 +464,17 @@ class StreamEngine(IngestSinkBase):
                 merge_spans(merged, spans)
         return merged
 
+    def _spans_by_as(self, family: str, day: int | None = None, asn: int | None = None):
+        """``asn -> iid -> (lo, hi)`` of a span family, from columns."""
+        return columnar_kernel.spans_by_as(
+            *self._acc.iid_spans(family, self.shards, day, asn)
+        )
+
     def asns(self) -> list[int]:
         """Every origin AS with at least one EUI-64 observation."""
-        self.materialize()
+        if self._acc is not None:
+            pool = self._acc.family_columns("pool", self.shards)
+            return columnar_kernel.unique_values(pool[1])
         seen: set[int] = set()
         for shard in self.shards:
             seen.update(shard.pool_spans)
@@ -431,11 +484,21 @@ class StreamEngine(IngestSinkBase):
         self, asn: int, day: int | None = None
     ) -> AllocationInference:
         """Algorithm 1, as of now, from aggregates alone."""
+        if self._acc is not None:
+            spans = self._spans_by_as("alloc", day, asn).get(asn, {})
+            return allocation_inference_from_iid_spans(asn, spans)
         return allocation_inference_from_spans(asn, self._merged_alloc_spans(asn), day)
 
     def allocation_inferences(
         self, day: int | None = None
     ) -> dict[int, AllocationInference]:
+        if self._acc is not None:
+            by_as = self._spans_by_as("alloc", day)
+            return {
+                asn: allocation_inference_from_iid_spans(asn, by_as[asn])
+                for asn in self.asns()
+                if asn and asn in by_as
+            }
         inferences = {}
         for asn in self.asns():
             if asn == 0:
@@ -448,9 +511,18 @@ class StreamEngine(IngestSinkBase):
 
     def pool_inference(self, asn: int) -> RotationPoolInference:
         """Algorithm 2, as of now, from aggregates alone."""
+        if self._acc is not None:
+            spans = self._spans_by_as("pool", asn=asn).get(asn, {})
+            return pool_inference_from_spans(asn, spans)
         return pool_inference_from_spans(asn, self._merged_pool_spans(asn))
 
     def pool_inferences(self) -> dict[int, RotationPoolInference]:
+        if self._acc is not None:
+            return {
+                asn: pool_inference_from_spans(asn, spans)
+                for asn, spans in self._spans_by_as("pool").items()
+                if asn
+            }
         inferences = {}
         for asn in self.asns():
             if asn == 0:
@@ -461,35 +533,60 @@ class StreamEngine(IngestSinkBase):
                 continue
         return inferences
 
+    def _median_plens(self, family: str, bits_of, plen_of) -> dict[int, int]:
+        asn, _iid, lo, hi = self._acc.iid_spans(family, self.shards)
+        return columnar_kernel.median_plens(asn, hi - lo, bits_of, plen_of)
+
     def as_profiles(self, default_allocation_plen: int = 56) -> dict[int, AsProfile]:
         """Live tracker knowledge: the streaming analogue of
-        :attr:`ExperimentContext.as_profiles`."""
+        :attr:`ExperimentContext.as_profiles`.
+
+        With the kernel, two group-reduces and the middle-spread rule
+        (:func:`~repro.stream.state.plen_of_middle`): no per-IID Python
+        object, no inference object, nothing moved into the shards --
+        what a served snapshot pays per refresh.
+        """
+        if self._acc is not None:
+            allocations = self._median_plens("alloc", allocation_bits, plen_from_bits)
+            pools = self._median_plens("pool", pool_bits, pool_plen_from_bits)
+        else:
+            allocations = {
+                asn: found.inferred_plen
+                for asn, found in self.allocation_inferences().items()
+            }
+            pools = {
+                asn: found.inferred_plen for asn, found in self.pool_inferences().items()
+            }
         profiles: dict[int, AsProfile] = {}
-        allocations = self.allocation_inferences()
-        for asn, pool in self.pool_inferences().items():
-            allocation = allocations.get(asn)
-            allocation_plen = (
-                allocation.inferred_plen if allocation else default_allocation_plen
-            )
-            profiles[asn] = AsProfile(
-                asn=asn,
-                allocation_plen=allocation_plen,
-                pool_plen=min(pool.inferred_plen, allocation_plen),
-            )
+        for asn, pool_plen in pools.items():
+            if asn:
+                allocation_plen = allocations.get(asn, default_allocation_plen)
+                profiles[asn] = AsProfile(
+                    asn=asn,
+                    allocation_plen=allocation_plen,
+                    pool_plen=min(pool_plen, allocation_plen),
+                )
         return profiles
 
     # -- summary -----------------------------------------------------------
 
+    def _family_rows(self, family: str) -> int:
+        return len(self._acc.family_columns(family, self.shards)[0])
+
     def unique_sources(self) -> int:
-        self.materialize()
+        if self._acc is not None:
+            return self._family_rows("src")
         return sum(len(s.sources) for s in self.shards)
 
     def unique_eui64_sources(self) -> int:
-        self.materialize()
+        if self._acc is not None:
+            return self._family_rows("esrc")
         return sum(len(s.eui_sources) for s in self.shards)
 
     def eui64_iids(self) -> set[int]:
-        self.materialize()
+        if self._acc is not None:
+            iid = self._acc.family_columns("iid", self.shards)[1]
+            return set(columnar_kernel.unique_values(iid))
         iids: set[int] = set()
         for shard in self.shards:
             iids |= shard.eui_iids
@@ -502,5 +599,5 @@ class StreamEngine(IngestSinkBase):
             "unique_addresses": self.unique_sources(),
             "unique_eui64_addresses": self.unique_eui64_sources(),
             "unique_eui64_iids": len(self.eui64_iids()),
-            "rotating_48s": len(self.live_detection.rotating_prefixes),
+            "rotating_48s": len(self.rotating_prefixes()),
         }

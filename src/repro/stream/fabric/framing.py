@@ -80,13 +80,16 @@ def parse_address(address: str) -> tuple[str, int]:
     return parts.hostname, parts.port
 
 
-def format_address(host: str, port: int, *, dialable: bool = False) -> str:
+def format_address(
+    host: str, port: int, *, dialable: bool = False, scheme: str = "tcp"
+) -> str:
     """``tcp://host:port``, bracketing an IPv6 literal so
-    :func:`parse_address` reads it back.  *dialable* swaps a wildcard
-    bind host for its loopback: the address a same-box peer connects to."""
+    :func:`parse_address` (or a URL parser, for the HTTP front end's
+    ``scheme="http"``) reads it back.  *dialable* swaps a wildcard bind
+    host for its loopback: the address a same-box peer connects to."""
     if dialable:
         host = {"0.0.0.0": "127.0.0.1", "::": "::1"}.get(host, host)
-    return f"tcp://[{host}]:{port}" if ":" in host else f"tcp://{host}:{port}"
+    return f"{scheme}://[{host}]:{port}" if ":" in host else f"{scheme}://{host}:{port}"
 
 
 def set_nodelay(sock) -> None:

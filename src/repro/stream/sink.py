@@ -18,8 +18,8 @@ both, once, for :class:`~repro.stream.engine.StreamEngine` and
 * the watchlist (:meth:`~IngestSinkBase.watch`,
   :meth:`~IngestSinkBase.last_sighting`);
 * the day-open step with the one backwards-day check, the day-close
-  walk, the set-based diff-and-attribute step and
-  :meth:`~IngestSinkBase.flush`;
+  walk, the set-based diff-and-attribute step,
+  :meth:`~IngestSinkBase.close_open_day` and :meth:`~IngestSinkBase.flush`;
 * the scalar bulk loop (:meth:`~IngestSinkBase.ingest_batch` *is* the
   reference loop) and the column-batch skeleton
   (:meth:`~IngestSinkBase.ingest_columns`).
@@ -167,12 +167,13 @@ class IngestSinkBase:
 
     def progress_signature(self) -> tuple:
         """Changes whenever anything a reader could observe has moved:
-        rows ingested, the open day, the newest close, the watchlist."""
+        rows ingested, the open day, the newest close, the watchlist
+        (IIDs watched, and how many of them have a sighting)."""
         return (
             self.responses_ingested,
             self.current_day,
             self._closed_through,
-            len(self.watched),
+            (len(self._watch_iids), len(self.watched)),
         )
 
     def read_view(self):
@@ -271,10 +272,17 @@ class IngestSinkBase:
             )
         return fresh
 
-    def flush(self) -> RotationDetection:
-        """Close the in-progress day and return the cumulative detection."""
+    def close_open_day(self) -> None:
+        """Close the in-progress day (end of stream, or of a ``run()``)."""
         if self.current_day is not None and self._closed_through != self.current_day:
             self._close_days_through(self.current_day)
+
+    def flush(self) -> RotationDetection:
+        """Close the in-progress day and return the cumulative detection
+        (on a kernel engine the read folds every changed pair into a
+        tuple; a caller that only wants the close uses
+        :meth:`close_open_day`)."""
+        self.close_open_day()
         return self.live_detection
 
     # -- bulk ingestion -----------------------------------------------------

@@ -96,6 +96,16 @@ def prune_shard_days(shards: "list[ShardState]", threshold: int) -> None:
             del pairs_by_day[day]
 
 
+def split128(values) -> tuple[array, array]:
+    """128-bit ints -> ``(hi, lo)`` uint64 columns."""
+    hi = array("Q")
+    lo = array("Q")
+    for value in values:
+        hi.append(value >> 64)
+        lo.append(value & _MASK64)
+    return hi, lo
+
+
 def pair_columns(pairs) -> tuple[array, array, array, array]:
     """``(target, source)`` 128-bit pairs -> ``(tgt_hi, tgt_lo, src_hi,
     src_lo)`` uint64 columns (stdlib arrays: works without numpy)."""
@@ -115,7 +125,7 @@ def alloc_span_rows(shard: "ShardState"):
     """Yield ``(asn, iid, day, lo, hi)`` rows of a shard's alloc spans.
 
     The flat-row view both checkpoint serializers share: JSON sorts the
-    rows, the binary writer packs them into int64/uint64 columns.
+    rows, :func:`lift_family` packs them into int64/uint64 columns.
     """
     for asn, spans in shard.alloc_spans.items():
         for (iid, day), span in spans.items():
@@ -127,6 +137,36 @@ def pool_span_rows(shard: "ShardState"):
     for asn, spans in shard.pool_spans.items():
         for iid, span in spans.items():
             yield asn, iid, span[0], span[1]
+
+
+def _span_columns(rows, typecodes: str) -> tuple[array, ...]:
+    columns = list(zip(*rows)) or [()] * len(typecodes)
+    return tuple(array(code, column) for code, column in zip(typecodes, columns))
+
+
+#: Aggregate family -> its lift out of a shard's Python state.
+_LIFTS = {
+    "src": lambda shard: split128(shard.sources),
+    "esrc": lambda shard: split128(shard.eui_sources),
+    "iid": lambda shard: (array("Q", shard.eui_iids),),
+    "alloc": lambda shard: _span_columns(alloc_span_rows(shard), "qQqQQ"),
+    "pool": lambda shard: _span_columns(pool_span_rows(shard), "qQQQ"),
+}
+
+
+def lift_family(shard: "ShardState", family: str) -> tuple[array, ...]:
+    """One aggregate *family* of a shard's Python state as stdlib-array
+    columns, in the accumulator's run layout minus ``sid``
+    (:data:`repro.stream.columnar.RUN_FAMILIES`): ``(hi, lo)`` for
+    ``src``/``esrc``, ``(iid,)``, ``(asn, iid, day, lo, hi)`` for
+    ``alloc``, ``(asn, iid, lo, hi)`` for ``pool``.
+
+    The one place ``ShardState`` becomes columns: the binary segment
+    writer and the engine's column queries both join this with the
+    accumulator's runs.  On every campaign, resume and standby path
+    the shards are empty and this walks nothing.
+    """
+    return _LIFTS[family](shard)
 
 
 def merge_shard_state(into: "ShardState", part: "ShardState") -> None:
@@ -229,6 +269,30 @@ class ShardState:
 # -- merged-shard inference (identical to the batch algorithms) -----------
 
 
+def _fill_inference(inference, spans: dict[int, Span], bits_of, plen_of):
+    """Per-IID sizes and their median from ``iid -> [lo, hi]`` spans
+    (``[lo, hi]`` of a set has the set's spread) -- the scalar step both
+    algorithms share, fed by dict walks or by column slices alike."""
+    if not spans:
+        raise ValueError(f"AS{inference.asn}: no EUI-64 observations")
+    sizes = []
+    for iid, (lo, hi) in spans.items():
+        bits = bits_of([lo, hi])
+        sizes.append(bits)
+        inference.per_iid_plen[iid] = plen_of(bits)
+    inference.inferred_plen = plen_of(median(sizes))
+    return inference
+
+
+def allocation_inference_from_iid_spans(
+    asn: int, spans: dict[int, Span]
+) -> AllocationInference:
+    """Algorithm 1 over per-IID target spans (days already reduced)."""
+    return _fill_inference(
+        AllocationInference(asn=asn), spans, allocation_bits, plen_from_bits
+    )
+
+
 def allocation_inference_from_spans(
     asn: int, spans: dict[tuple[int, int], Span], day: int | None = None
 ) -> AllocationInference:
@@ -248,30 +312,32 @@ def allocation_inference_from_spans(
         else:
             mine[0] = min(mine[0], span[0])
             mine[1] = max(mine[1], span[1])
-    if not per_iid:
-        raise ValueError(f"AS{asn}: no EUI-64 observations")
-
-    inference = AllocationInference(asn=asn)
-    sizes = []
-    for iid, (lo, hi) in per_iid.items():
-        bits = allocation_bits([lo, hi])
-        sizes.append(bits)
-        inference.per_iid_plen[iid] = plen_from_bits(bits)
-    inference.inferred_plen = plen_from_bits(median(sizes))
-    return inference
+    return allocation_inference_from_iid_spans(asn, per_iid)
 
 
 def pool_inference_from_spans(
     asn: int, spans: dict[int, Span]
 ) -> RotationPoolInference:
     """Algorithm 2 over incremental spans; matches the batch inference."""
-    if not spans:
-        raise ValueError(f"AS{asn}: no EUI-64 observations")
-    inference = RotationPoolInference(asn=asn)
-    sizes = []
-    for iid, (lo, hi) in spans.items():
-        bits = pool_bits([lo, hi])
-        sizes.append(bits)
-        inference.per_iid_plen[iid] = pool_plen_from_bits(bits)
-    inference.inferred_plen = pool_plen_from_bits(median(sizes))
-    return inference
+    return _fill_inference(
+        RotationPoolInference(asn=asn), spans, pool_bits, pool_plen_from_bits
+    )
+
+
+def plen_of_middle(spreads: list[int], bits_of, plen_of) -> int:
+    """``plen_of(median(bits_of(every per-IID spread)))`` computed from
+    the middle one (odd count) or two (even count) spreads alone.
+
+    Exact by construction, not by tolerance: ``median`` only ever reads
+    the middle element(s) of the sorted sizes, and ``bits_of`` is
+    monotone in the spread (``log2``, with ``spread <= 0 -> 0.0``), so
+    the middle of the sorted *spreads* are the middle *sizes*.  The
+    column path (:func:`repro.stream.columnar.median_plens`) therefore
+    only sorts integers in numpy and hands the middle ones over as
+    Python ints; the float arithmetic -- ``math.log2``, the mean of
+    two, ``round`` -- is this scalar code on every path.  A vectorized
+    ``log2``/``rint`` would not do: above 2**53 a spread is not a
+    float64, and one ulp between a SIMD ``log2`` and libm's next to a
+    ``.5`` boundary would change an inferred prefix length.
+    """
+    return plen_of(median([bits_of([0, spread]) for spread in spreads]))

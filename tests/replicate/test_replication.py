@@ -297,6 +297,48 @@ def test_standby_http_reports_role_and_position(tmp_path):
         server.stop()
 
 
+def test_serving_standby_applies_without_leaving_columns(
+    tmp_path, monkeypatch, forbid_folds
+):
+    """The standby twin of the daemon's no-materialize drill: three
+    shipped segments applied with ``serve()`` on, every fold from
+    columns to Python state patched to raise on both sides; the
+    standby's ``/profiles`` and ``/stats`` are the primary's."""
+    from repro.serve import SnapshotPublisher
+
+    with SegmentShipper() as shipper:
+        primary = make_primary(tmp_path, shipper, days=2)
+        if primary.engine._acc is None:
+            pytest.skip("numpy kernel unavailable")
+        calls = forbid_folds(monkeypatch)
+        with ReplicaFollower(shipper.address, authkey=shipper.authkey) as follower:
+            url = follower.serve()
+            follower.start()
+            primary.run()
+            infos = chain_info(tmp_path / "primary.ckpt")
+            assert len(infos) == 3
+            assert wait_for(lambda: follower.applied_seq == infos[-1].seq)
+            expected = SnapshotPublisher(primary.engine).current
+            assert wait_for(
+                lambda: get_json(url + "/stats")["responses"] == expected.responses
+            )
+            profiles = get_json(url + "/profiles")["profiles"]
+            stats = get_json(url + "/stats")
+    assert calls == []
+    assert profiles and profiles == expected.profiles_payload()["profiles"]
+    for key, value in expected.stats().items():
+        if key != "snapshot_version":
+            assert stats[key] == value, key
+
+
+@pytest.mark.skipif(not has_ipv6_loopback(), reason="host has no IPv6 loopback")
+def test_standby_serves_on_ipv6_loopback():
+    with ReplicaFollower("tcp://[::1]:1", authkey="k") as follower:
+        url = follower.serve(host="::1")
+        assert url.startswith("http://[::1]:")
+        assert get_json(url + "/healthz")["role"] == "standby"
+
+
 # -- promotion and campaign wiring -----------------------------------------
 
 

@@ -15,6 +15,8 @@ import time
 import urllib.error
 import urllib.request
 
+import pytest
+
 from _serve_world import build_campaign
 
 from repro.obs import Telemetry
@@ -260,3 +262,74 @@ def test_daemon_without_checkpoint_path(tmp_path):
     daemon.run()
     assert streaming.finished
     assert daemon.publisher.version >= 1
+
+
+def test_a_served_day_never_leaves_columns(tmp_path, monkeypatch, forbid_folds):
+    """The no-materialize drill: a whole daemon run on a TINY-sized
+    world -- ingest, a snapshot refresh per day, a binary checkpoint per
+    day, a reader asking every endpoint throughout -- with each fold
+    from columns to Python state patched to raise; then the final state
+    equals an unserved run's."""
+    from repro.experiments.context import get_context
+    from repro.experiments.scale import TINY
+    from repro.stream.checkpoint import engine_state
+    from repro.stream.engine import StreamConfig, StreamEngine
+
+    ctx = get_context(TINY)
+    iid = min(ctx.campaign_store.eui64_iids())
+
+    def streaming(name):
+        engine = StreamEngine(
+            StreamConfig(keep_observations=False), origin_of=ctx.origin_of
+        )
+        if engine._acc is None:
+            pytest.skip("numpy kernel unavailable")
+        engine.watch(iid)
+        return StreamingCampaign(
+            ctx.build_campaign(),
+            engine=engine,
+            checkpoint_path=tmp_path / name,
+            checkpoint_every=1,
+            checkpoint_format="binary",
+        )
+
+    served = streaming("served.ckpt")
+    daemon = TrackerDaemon(served)
+    done = threading.Event()
+    answers: list[dict] = []
+
+    def query() -> None:
+        wait_for_server(daemon.url)
+        while not done.is_set():
+            try:
+                for path in ("/profiles", "/stats", "/rotations", f"/iid/{iid:x}"):
+                    answers.append(get_json(daemon.url + path))
+            except OSError:
+                break  # server stopped between checks
+
+    reader = threading.Thread(target=query)
+    reader.start()
+    try:
+        with monkeypatch.context() as patch:
+            calls = forbid_folds(patch)
+            daemon.run()
+    finally:
+        done.set()
+        reader.join(timeout=30)
+    assert calls == []
+    assert served.finished and answers
+    assert daemon.publisher.current.profiles  # the refreshes profiled ASes
+    assert daemon.publisher.current.iid_location(iid) is not None
+    # Every save chained a delta onto the first full segment: the engine
+    # stayed columnar for the savers as well as for the readers.
+    assert served.checkpoints_full == 1 and served.checkpoints_delta >= 3
+
+    unserved = streaming("unserved.ckpt")
+    unserved.run()
+    assert json.dumps(engine_state(served.engine)) == json.dumps(
+        engine_state(unserved.engine)
+    )
+    resumed = StreamingCampaign.resume(ctx.build_campaign(), tmp_path / "served.ckpt")
+    assert json.dumps(engine_state(resumed.engine)) == json.dumps(
+        engine_state(unserved.engine)
+    )

@@ -9,8 +9,10 @@ torn state, and every response's ``snapshot_version`` is monotonically
 non-decreasing per connection.
 """
 
+import http.client
 import io
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -168,6 +170,78 @@ def test_shutdown_signals_before_acknowledging(engine):
     _Handler(sock, ("127.0.0.1", 0), fake_server)  # handles inline
     assert written_at_signal == [b""]
     assert b'"status": "shutting down"' in sock.sent
+
+
+def test_request_body_does_not_desynchronise_keep_alive(served):
+    """A body on ``POST /shutdown`` (or on a POST to nowhere) is read
+    and dropped: the next request on the same connection is parsed from
+    its own request line, not from the leftovers."""
+    _url, _publisher, server = served
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        for path, status in (("/shutdown", 200), ("/nowhere", 404)):
+            connection.request("POST", path, body=json.dumps({"reason": "test"}))
+            response = connection.getresponse()
+            assert response.status == status
+            assert "snapshot_version" in json.loads(response.read())
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize(
+    "length, status", [(str(1 << 20), 413), ("seventeen", 400), ("-1", 400)]
+)
+def test_unreadable_body_length_is_refused_and_closes(served, length, status):
+    _url, _publisher, server = served
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        connection.putrequest("POST", "/shutdown")
+        connection.putheader("Content-Length", length)
+        connection.endheaders()
+        response = connection.getresponse()
+        assert response.status == status
+        assert response.getheader("Content-Type") == "application/json"
+        assert "error" in json.loads(response.read())
+        assert response.getheader("Connection") == "close"
+        assert connection.sock is None or connection.sock.recv(1) == b""
+    finally:
+        connection.close()
+
+
+def test_watched_flag_over_http_before_first_sighting(served):
+    url, publisher, _server = served
+    iid = device_iid(99)  # never in the corpus
+    assert get_json(f"{url}/iid/{iid}")["watched"] is False
+    watched = get_json(f"{url}/stats")["watched_iids"]
+    publisher._engine.watch(iid)
+    publisher.refresh()
+    payload = get_json(f"{url}/iid/{iid}")
+    assert payload["watched"] is True and payload["sighting"] is None
+    assert get_json(f"{url}/stats")["watched_iids"] == watched + 1
+
+
+def _ipv6_loopback() -> bool:
+    try:
+        with socket.socket(socket.AF_INET6, socket.SOCK_STREAM) as probe:
+            probe.bind(("::1", 0))
+        return True
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _ipv6_loopback(), reason="no IPv6 loopback")
+def test_server_listens_on_ipv6_loopback(engine):
+    server = TrackerServer(SnapshotPublisher(engine), host="::1")
+    url = server.start()
+    try:
+        assert url == f"http://[::1]:{server.port}"
+        assert get_json(f"{url}/healthz")["status"] == "ok"
+    finally:
+        server.stop()
 
 
 def test_stop_is_idempotent_and_releases_port(engine):

@@ -102,10 +102,11 @@ def test_snapshot_mappings_are_immutable(engine):
 
 def test_snapshot_parity_with_engine_accessors(engine):
     snapshot = SnapshotPublisher(engine).current
-    assert snapshot.profiles.keys() == engine.as_profiles().keys()
+    assert dict(snapshot.profiles) == engine.as_profiles()
     assert snapshot.unique_addresses == engine.unique_sources()
     assert snapshot.unique_eui64_addresses == engine.unique_eui64_sources()
     assert snapshot.changed_pairs == len(engine.live_detection.changed_pairs)
+    assert snapshot.stable_pairs == engine.live_detection.stable_pairs
     assert snapshot.rotating_prefixes == engine.live_detection.rotating_prefixes
     assert set(snapshot.rotations_by_day) == set(engine.rotation_days)
     for day, prefixes in engine.rotation_days.items():
@@ -248,3 +249,20 @@ def test_seeded_watch_reaches_readers_without_an_ingest(engine):
     assert snapshot.version == 2
     assert snapshot.iid_location(iid) == (device_address(99, 3), 3, None)
     assert publisher.refresh() is snapshot  # and then it is unchanged again
+
+
+def test_unseeded_watch_is_published_as_watched(engine):
+    # watch() without an address: nothing to sight yet, but the IID is
+    # on the watchlist and readers must be told so at the next refresh.
+    publisher = SnapshotPublisher(engine)
+    iid = device_iid(99)  # not in the corpus: it stays unsighted
+    before = publisher.current.stats()["watched_iids"]
+    engine.watch(iid)
+    snapshot = publisher.refresh()
+    assert snapshot.version == 2  # the watchlist is part of the signature
+    payload = snapshot.iid_payload(iid)
+    assert payload["watched"] is True
+    assert payload["sighting"] is None
+    assert snapshot.stats()["watched_iids"] == before + 1
+    assert snapshot.iid_payload(device_iid(98))["watched"] is False
+    assert publisher.refresh() is snapshot

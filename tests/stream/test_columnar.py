@@ -15,15 +15,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.allocation import allocation_bits, plen_from_bits
 from repro.core.records import ProbeObservation
 from repro.core.rotation_detect import RotationDetection, diff_pairs
+from repro.core.rotation_pool import pool_bits, pool_plen_from_bits
 from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
 from repro.store import BACKEND_ENV, ColumnBatch
 from repro.stream import columnar
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.shard import shard_index
+from repro.util import median
 
 SRC_DIR = Path(__file__).resolve().parent.parent.parent / "src"
 
@@ -263,3 +268,45 @@ def test_import_and_ingest_without_numpy_installed():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == reference_state(small_corpus())
+
+
+# -- the middle-spread rule (what as_profiles medians run on) --------------
+
+_SPREAD = st.one_of(
+    st.sampled_from([0, 1, 2, 3, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 64) - 1]),
+    st.integers(0, 1),
+    st.integers(0, 1 << 16),
+    st.integers((1 << 53) - 64, (1 << 53) + 64),
+    st.integers(0, (1 << 64) - 1),
+)
+_SPREADS = st.one_of(
+    st.lists(_SPREAD, min_size=1, max_size=2),
+    st.lists(_SPREAD, min_size=1, max_size=40),
+    st.builds(lambda value, n: [value] * n, _SPREAD, st.integers(1, 9)),
+)
+
+
+@needs_numpy
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 1 << 32), _SPREADS, max_size=5))
+def test_median_plens_equal_the_scalar_median(spreads_by_as):
+    """The column path's per-AS plen (sort integer spreads, read the
+    middle one or two, scalar float arithmetic) equals the scalar
+    ``plen(median(bits(every spread)))`` -- odd, even and single-IID
+    ASes, all-equal spreads, zeros and ones, spreads straddling 2**53
+    (where a spread stops being a float64) and up to 2**64 - 1."""
+    np = columnar.np
+    asn = np.array(
+        [a for a, spreads in spreads_by_as.items() for _ in spreads], dtype=np.int64
+    )
+    spread = np.array(
+        [s for spreads in spreads_by_as.values() for s in spreads], dtype=np.uint64
+    )
+    for bits_of, plen_of in (
+        (allocation_bits, plen_from_bits),
+        (pool_bits, pool_plen_from_bits),
+    ):
+        assert columnar.median_plens(asn, spread, bits_of, plen_of) == {
+            a: plen_of(median([bits_of([0, s]) for s in spreads]))
+            for a, spreads in spreads_by_as.items()
+        }

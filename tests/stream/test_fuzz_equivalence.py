@@ -35,9 +35,22 @@ interleave), not just kernel equivalence.
 
 Since the serve layer the bulk engine is additionally *served*: a
 :class:`~repro.serve.snapshot.SnapshotPublisher` refreshes against it
-at random points mid-stream (materializing pending state each time),
+at random points mid-stream (reading its columns each time),
 pinning that publishing read snapshots never perturbs checkpoint bytes
 and that snapshot versions only ever move forward.
+
+The reader leg holds the queries to the same standard as the folds: at
+the snapshot point and at the end -- *before* ``engine_state`` moves
+anything into the shards -- every read accessor of the bulk engine
+(columns: the kernel's runs joined with whatever the shards hold, which
+is a genuine mix by then: scalar-currency chunks, an odd-seed
+``materialize()``, the mid-stream ``engine_state``) must equal the
+per-observation engine's answer read through the ``ShardState`` walks
+(the scalar reference, reached by reading with the engine's empty
+kernel set aside) and through its own column path (every row lifted out
+of the shards), twice over; the checkpoint-bytes oracle then shows the
+reads disturbed nothing.  Without the kernel the same leg runs on the
+``ShardState`` queries alone.
 
 The chunked-scanner leg moves the oracle one layer out, to the probes
 themselves: twin simulated worlds from one random spec, one probed one
@@ -169,6 +182,43 @@ def chunks(rng: random.Random, items: list) -> list[list]:
     return out
 
 
+def read_everything(engine, days) -> dict:
+    """Every read accessor's answer, in a shape ``==`` compares."""
+    day, day_a, day_b = days
+    return {
+        "asns": engine.asns(),
+        "profiles": engine.as_profiles(),
+        "allocation": engine.allocation_inferences(),
+        "allocation_on_day": engine.allocation_inferences(day),
+        "pool": engine.pool_inferences(),
+        "unique": (engine.unique_sources(), engine.unique_eui64_sources()),
+        "eui64_iids": engine.eui64_iids(),
+        "summary": engine.summary(),
+        "rotation_between": engine.rotation_between(day_a, day_b),
+        "changed_pairs": engine.changed_pair_count(),
+    }
+
+
+def read_scalar(engine, days) -> dict:
+    """*engine*'s answers through the ``ShardState`` walks: the scalar
+    reference.  Only for an engine whose kernel holds nothing (one fed
+    per observation), whose kernel is set aside for the read."""
+    acc = engine._acc
+    assert acc is None or not acc.has_pending
+    engine._acc = None
+    try:
+        return read_everything(engine, days)
+    finally:
+        engine._acc = acc
+
+
+def check_readers_agree(reference, others, days) -> None:
+    expected = read_scalar(reference, days)
+    for engine in (reference, *others):
+        assert read_everything(engine, days) == expected
+        assert read_everything(engine, days) == expected  # reads move nothing
+
+
 def check_ingest_paths_agree(seed, tmp_path):
     """One seed of the cross-path oracle (see the module docstring)."""
     rng = random.Random(seed ^ 0xF022)
@@ -184,6 +234,17 @@ def check_ingest_paths_agree(seed, tmp_path):
     flush_at_split = not seed % 2
 
     watch = [o.source_iid for o in corpus if o.is_eui64][:2]
+    # The reader leg draws from its own generator, so what the seeds
+    # cover of the ingest paths is what it was before the leg existed.
+    reader_rng = random.Random(seed ^ 0x4EAD)
+    span = range(corpus[0].day, corpus[-1].day + 1)
+
+    def reader_days():
+        return [reader_rng.choice(span) for _ in range(3)]
+
+    # Odd seeds materialize the bulk engine once mid-phase: rows before
+    # it sit in the shards, rows after it in the runs.
+    materialize_after = reader_rng.randrange(8) if seed % 2 else None
 
     def backend_store(kind):
         """Corpus-keeping engines: memory for two, a disk file for one."""
@@ -226,10 +287,9 @@ def check_ingest_paths_agree(seed, tmp_path):
         for engine in engines:
             engine.watch(iid)
 
-    # The bulk engine is also served: random refreshes materialize its
-    # pending state mid-stream, which must never change what ends up in
-    # a checkpoint (the oracle below says so), and versions must only
-    # move forward.
+    # The bulk engine is also served: random refreshes read its columns
+    # mid-stream, which must never change what ends up in a checkpoint
+    # (the oracle below says so), and versions must only move forward.
     from repro.serve import SnapshotPublisher
 
     publisher = SnapshotPublisher(bulk)
@@ -253,16 +313,21 @@ def check_ingest_paths_agree(seed, tmp_path):
     for observation in corpus[:split]:
         reference.ingest(observation)
     for engine in (bulk, parallel):
-        for chunk in chunks(rng, corpus[:split]):
+        for index, chunk in enumerate(chunks(rng, corpus[:split])):
             feed(engine, chunk)
+            if engine is bulk and index == materialize_after:
+                bulk.materialize()
 
     # Mid-stream: the parallel snapshot and the bulk engine must match
     # the per-observation engine, in-progress day left open -- and the
-    # serialized store rows must not depend on the backend.
+    # serialized store rows must not depend on the backend.  Readers
+    # first: engine_state would move the bulk engine's runs away.
     versions.append(publisher.refresh(force=True).version)
+    snapshot = parallel.snapshot_engine()
+    check_readers_agree(reference, (bulk, snapshot), reader_days())
     mid = json.dumps(engine_state(reference))
     assert json.dumps(engine_state(bulk)) == mid
-    assert json.dumps(engine_state(parallel.snapshot_engine())) == mid
+    assert json.dumps(engine_state(snapshot)) == mid
     if flush_at_split:
         for engine in engines:
             engine.flush()
@@ -281,6 +346,7 @@ def check_ingest_paths_agree(seed, tmp_path):
     merged = parallel.finalize()
 
     versions.append(publisher.refresh(force=True).version)
+    check_readers_agree(reference, (bulk, merged), reader_days())
     final = json.dumps(engine_state(reference))
     assert json.dumps(engine_state(bulk)) == final
     assert json.dumps(engine_state(merged)) == final
