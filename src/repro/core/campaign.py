@@ -103,6 +103,7 @@ class Campaign:
             if not 48 <= plen <= 64:
                 raise ValueError(f"override plen /{plen} for {prefix} out of range")
         self._targets = self._build_targets()
+        self._order: tuple[ScanConfig, list[int]] | None = None
 
     def _build_targets(self) -> list[int]:
         """The fixed target list: identical every day, like the paper's."""
@@ -128,6 +129,21 @@ class Campaign:
             for offset in range(config.days)
         ]
 
+    def _probe_order(self) -> tuple[ScanConfig, list[int]]:
+        """The daily scan's config and the targets in its probe order.
+
+        Same seed, same order every day: the cycle is walked once per
+        campaign object, however many ``run_streaming`` calls (a daemon
+        makes one per served day) the campaign is run in.  Keyed on the
+        scan config, so a reassigned ``config`` cannot serve a stale
+        order.
+        """
+        config = ScanConfig(rate_pps=self.config.rate_pps, seed=self.config.seed)
+        if self._order is None or self._order[0] != config:
+            ordered = list(Zmap6(self.internet, config).ordered(self._targets))
+            self._order = (config, ordered)
+        return self._order
+
     def iter_day_streams(
         self, start_offset: int = 0
     ) -> Iterator[tuple[int, ScanStream]]:
@@ -136,14 +152,9 @@ class Campaign:
         *start_offset* skips already-processed days, the resume hook for
         checkpointed streaming campaigns.
         """
-        config = self.config
-        scanner = Zmap6(
-            self.internet, ScanConfig(rate_pps=config.rate_pps, seed=config.seed)
-        )
-        # Same seed, same order every day: walk the cycle once.
-        ordered = list(scanner.ordered(self._targets))
+        config, ordered = self._probe_order()
         for day, start in self.day_schedule()[start_offset:]:
-            yield day, ScanStream(scanner.network, scanner.config, ordered, start)
+            yield day, ScanStream(self.internet, config, ordered, start)
 
     def run(self) -> CampaignResult:
         """The full multi-day campaign (batch form of :meth:`run_streaming`)."""

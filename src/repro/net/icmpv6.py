@@ -121,8 +121,8 @@ _ICMP_TYPES = {int(member): member for member in IcmpType}
 class ProbeChunk:
     """What one chunk of probes drew: :class:`ProbeResponse` as columns.
 
-    One row per response, in probe order: ``times`` (the probes' own
-    time objects), the ``uint64`` halves of target and source as
+    One row per response, in probe order: ``times`` (the probes' send
+    times), the ``uint64`` halves of target and source as
     ``array('Q')`` buffers -- the layout of a
     :class:`~repro.store.batch.ColumnBatch`, so a chunk becomes a batch
     without a copy -- and the ICMPv6 type and code as plain ints.

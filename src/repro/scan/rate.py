@@ -10,6 +10,15 @@ Two sides of the same mechanism appear in the paper:
 
 Time here is simulation time in **seconds** (the clock layer converts to
 hours); buckets are purely arithmetic, no wall-clock involvement.
+
+Where the state lives.  :class:`TokenBucket` / :class:`IcmpRateLimiter`
+objects limit the simulated *core routers* (one per provider AS, held
+by ``SimInternet``).  The CPE -- tens of thousands per world, one
+bucket each -- do not own an object: their buckets are cells in their
+``RotationPool``'s columns, and ``RotationPool.allows_response`` is
+this module's arithmetic on one cell.  The classes here are also the
+oracle those columns are tested against
+(``tests/simnet/test_bucket_columns.py``).
 """
 
 from __future__ import annotations
@@ -73,10 +82,11 @@ class TokenBucket:
 class IcmpRateLimiter:
     """Per-source ICMPv6 error rate limiting (RFC 4443 section 2.4(f)).
 
-    Each responding device owns one limiter; when the bucket is empty the
-    error message is simply not generated, which the attacker observes as
+    One limiter per limited source; when the bucket is empty the error
+    message is simply not generated, which the attacker observes as
     packet loss.  Defaults approximate common router implementations
-    (100 errors/second with a small burst).
+    (100 errors/second with a small burst), and are the CPE defaults
+    too.
     """
 
     DEFAULT_RATE = 100.0

@@ -51,8 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: simulator's per-chunk (and per-pool) fixed costs, small enough that
 #: a chunk's temporaries stay a few hundred kilobytes.
 CHUNK_PROBES = 16_384
-#: Probes per chunk of an early-exit hunt.  Only the network's pure work
-#: can run past the hit, so this bounds what a hunt wastes.
+#: Probes in the first chunk of an early-exit hunt; each later chunk
+#: doubles, up to ``CHUNK_PROBES``.  Only the network's pure work can run
+#: past the hit, so a hunt wastes at most about what it had already sent,
+#: and a long miss pays the per-chunk fixed costs ~log n times.
 HUNT_CHUNK_PROBES = 512
 
 
@@ -174,9 +176,7 @@ class ScanStream:
         """Simulated time occupied by the probes processed so far."""
         return self.probes_sent * self._interval
 
-    def _chunks(
-        self, chunk_probes: int, stop_iid: int | None = None
-    ) -> Iterator[ProbeChunk]:
+    def _chunks(self, stop_iid: int | None = None) -> Iterator[ProbeChunk]:
         """The one chunk loop under every bulk output.
 
         Send times accumulate one ``+= interval`` at a time, as the
@@ -184,9 +184,12 @@ class ScanStream:
         differently); the loss RNG draws once per probe in probe order,
         and a lost probe keeps its time slot.  With *stop_iid* the loop
         ends at the first response carrying it, ``probes_sent`` counting
-        through that probe and no further.
+        through that probe and no further, and chunks grow from
+        ``HUNT_CHUNK_PROBES`` by doubling; a full drain takes
+        ``CHUNK_PROBES`` at a time.
         """
         network = self._network
+        chunk_probes = CHUNK_PROBES if stop_iid is None else HUNT_CHUNK_PROBES
         probe_many = getattr(type(network), "probe_many", None)
         interval, loss, loss_rng = self._interval, self._loss, self._loss_rng
         while True:
@@ -212,6 +215,8 @@ class ScanStream:
             yield chunk
             if hit:
                 return
+            if stop_iid is not None and chunk_probes < CHUNK_PROBES:
+                chunk_probes = min(2 * chunk_probes, CHUNK_PROBES)
 
     def column_batches(self, day: int | None = None) -> "Iterator[ColumnBatch]":
         """Drain the scan as :class:`~repro.store.batch.ColumnBatch` chunks.
@@ -226,14 +231,14 @@ class ScanStream:
         """
         from repro.store.batch import ColumnBatch
 
-        for chunk in self._chunks(CHUNK_PROBES):
+        for chunk in self._chunks():
             if len(chunk):
                 yield ColumnBatch.from_chunk(chunk, day)
 
     def result(self) -> ScanResult:
         """Drain the remaining probes and package a :class:`ScanResult`."""
         result = ScanResult(started_at=self.started_at)
-        for chunk in self._chunks(CHUNK_PROBES):
+        for chunk in self._chunks():
             result.responses.extend(chunk.responses())
         result.probes_sent = self.probes_sent
         result._duration = self.duration_seconds
@@ -295,7 +300,7 @@ class Zmap6:
         """
         stream = self.stream(targets, start_seconds)
         found = None
-        for chunk in stream._chunks(HUNT_CHUNK_PROBES, want_source_iid):
+        for chunk in stream._chunks(want_source_iid):
             if chunk.ends_at(want_source_iid):
                 found = chunk.responses(start=len(chunk) - 1)[0]
         return found, stream.probes_sent

@@ -15,10 +15,16 @@ A device may carry a ``privacy_switch_hours`` timestamp: a firmware update
 that flips it from EUI-64 to privacy addressing, modelling the vendor
 remediation of Section 8.
 
+A device is configuration only.  ``icmp_rate`` / ``icmp_burst`` set its
+RFC 4443 error rate limit, but the bucket they govern -- the one piece
+of state a probe mutates -- lives in the device's
+:class:`~repro.simnet.pool.RotationPool`, one cell per customer index
+(``pool.allows_response(index, t)``); a device owns no limiter object.
+
 :class:`DeviceColumns` is a pool's devices as numpy columns for the
 simulator's chunk kernel -- a *cache* of objects that scenario events
 and tests mutate by plain assignment after the world is built.  The
-staleness rule: assigning any public :class:`CpeDevice` field bumps a
+staleness rule: assigning any :class:`CpeDevice` field bumps a
 module-wide generation, and columns built under an older generation (or
 for a different device count) are rebuilt on next use.  The counter is
 shared by every world in the process; sharing can only cause a spare
@@ -38,7 +44,7 @@ from repro.simnet.clock import HOURS_PER_DAY, day_of
 from repro.util import mix64, mix64_many, np, unit_float, unit_float_many
 
 _MASK64 = (1 << 64) - 1
-_generation = 0  # bumped by every public-field assignment on any CpeDevice
+_generation = 0  # bumped by every field assignment on any CpeDevice
 
 
 class AddressingMode(enum.Enum):
@@ -97,25 +103,20 @@ class CpeDevice:
     privacy_switch_hours: float | None = None
     icmp_rate: float = IcmpRateLimiter.DEFAULT_RATE
     icmp_burst: float = IcmpRateLimiter.DEFAULT_BURST
-    _limiter: IcmpRateLimiter | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.online_fraction <= 1.0:
             raise ValueError(f"online_fraction must be in [0,1], got {self.online_fraction}")
+        if self.icmp_rate <= 0 or self.icmp_burst <= 0:
+            raise ValueError(
+                f"icmp_rate and icmp_burst must be positive, got "
+                f"{self.icmp_rate} and {self.icmp_burst}"
+            )
 
     def __setattr__(self, name: str, value) -> None:
-        # Public fields only: ``_limiter`` is assigned lazily on a
-        # device's first probe and no column caches it.
-        if name[0] != "_":
-            global _generation
-            _generation += 1
+        global _generation
+        _generation += 1
         object.__setattr__(self, name, value)
-
-    @property
-    def limiter(self) -> IcmpRateLimiter:
-        if self._limiter is None:
-            self._limiter = IcmpRateLimiter(rate=self.icmp_rate, burst=self.icmp_burst)
-        return self._limiter
 
     def addressing_at(self, t_hours: float) -> AddressingMode:
         """Addressing mode in effect at *t_hours* (remediation-aware)."""
@@ -166,10 +167,6 @@ class CpeDevice:
             iid ^= 1 << 24
         return iid
 
-    def allows_response(self, t_seconds: float) -> bool:
-        """Apply the RFC 4443 error rate limit at *t_seconds*."""
-        return self.limiter.allow(t_seconds)
-
 
 _EUI64, _PRIVACY, _STATIC = range(3)
 _MODE_CODE = {
@@ -201,6 +198,8 @@ class DeviceColumns:
         self.responds = np.array([d.policy.responds for d in devices], dtype=bool)
         self.icmp_type = np.array([int(d.policy.icmp_type) for d in devices], dtype=i64)
         self.icmp_code = np.array([d.policy.icmp_code for d in devices], dtype=i64)
+        self.icmp_rate = np.array([d.icmp_rate for d in devices], dtype=f64)
+        self.icmp_burst = np.array([d.icmp_burst for d in devices], dtype=f64)
         self.mode = np.array(
             [_MODE_CODE[d.addressing] for d in devices], dtype=np.uint8
         )

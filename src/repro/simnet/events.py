@@ -67,7 +67,6 @@ def switch_provider(
         device_id=next_device_id,
         active_from_hours=at_hours,
         active_until_hours=float("inf"),
-        _limiter=None,
     )
     target_pool = _representative_pool(to_provider.pools)
     target_pool.add_device(new_device)

@@ -15,16 +15,26 @@ two tools:
   as calling ``probe`` on each in order.  It works in two phases.  The
   *pure* phase is vectorised and reads no mutable state: /48 -> pool,
   slot, epoch, occupant, uptime, response policy and WAN address for
-  every row at once.  The *stateful* phase then walks, in ascending
-  probe order, only the rows that state decides: a CPE that would
-  answer asks its own token bucket, and a row outside every indexed
-  pool takes the scalar path (the per-AS core limiter is
-  order-dependent).  With *stop_iid* the walk ends at the first
-  response whose source carries that IID, and the chunk is **committed
-  only through that cut**: no bucket is touched and no counter bumped
-  for a row after it, exactly as if the caller had stopped probing
-  there.  The pure phase may have looked past the cut -- it has nothing
-  to commit.  Without numpy the same verb runs ``probe`` per row.
+  every row at once -- and, from those, every row that *would* end a
+  hunt if its CPE's bucket lets it answer.  The *stateful* phase is
+  column arithmetic too.  A CPE's token bucket is a cell in its pool's
+  bucket columns (see :mod:`repro.simnet.pool`), buckets of different
+  devices are independent, and only order *within* a device matters:
+  so each pool answers all of its would-answer rows in one
+  ``RotationPool.allow_many`` pass.  Two things stay per row, in
+  ascending probe order: a row outside every indexed pool takes the
+  scalar ``probe`` (the per-AS core routers keep an
+  :class:`~repro.scan.rate.IcmpRateLimiter` *object* each -- there is
+  one per provider, and its answers are order-dependent), and a device
+  probed twice in one chunk is replayed through the pool's scalar
+  method.  With *stop_iid* the rows are taken a segment at a time --
+  through the first candidate stop row, then, only if that CPE's own
+  bucket refused it, through the next -- and the chunk is **committed
+  only through the cut**: no bucket is touched and no counter bumped
+  for a row after the response that carries the IID, exactly as if the
+  caller had stopped probing there.  The pure phase may have looked
+  past the cut -- it has nothing to commit.  Without numpy the same
+  verb runs ``probe`` per row, over the same bucket columns.
 * ``trace(target, t)`` -- a yarrp-style traceroute returning the per-hop
   source addresses, ending at the CPE when one is on-path (the periphery
   discovery of Section 2.2).
@@ -84,7 +94,7 @@ class SimInternet:
         self._provider_by_asn: dict[int, Provider] = {}
         self._pool_index: dict[int, tuple[Provider, RotationPool]] = {}
         self._wide_pools: list[tuple[Provider, RotationPool]] = []
-        self._core_limiters: dict[int, IcmpRateLimiter] = {}
+        self._core_limits: dict[int, IcmpRateLimiter] = {}
         self._core_icmp_rate = core_icmp_rate
 
         for provider in self.providers:
@@ -151,7 +161,8 @@ class SimInternet:
             yield from provider.all_devices()
 
     def reset_rate_limits(self) -> None:
-        """Forget every ICMPv6 limiter's history, core and CPE.
+        """Forget every ICMPv6 limiter's history, core and CPE: drop the
+        core routers' limiters and refill each pool's bucket columns.
 
         A measurement restarted from its beginning is a new branch of
         simulated history in which every bucket had been idle.  The
@@ -160,20 +171,20 @@ class SimInternet:
         (no time passes, no backward jump), so its burst would drain one
         token per repeat until the answer disappeared.
         """
-        self._core_limiters.clear()
-        for device in self.all_devices():
-            if device._limiter is not None:
-                device._limiter = None
+        self._core_limits.clear()
+        for provider in self.providers:
+            for pool in provider.pools:
+                pool.reset_buckets()
 
     # -- the attacker-facing verbs ------------------------------------------
 
     def probe(self, target: int, t_seconds: float) -> ProbeResponse | None:
         """One ICMPv6 Echo Request toward *target* at *t_seconds*."""
         self.stats.probes += 1
-        t_h = hours(t_seconds)
         entry = self.pool_of(target)
         if entry is not None:
-            provider, pool = entry
+            pool = entry[1]
+            t_h = hours(t_seconds)
             residence = pool.resolve(target, t_h)
             if residence is None:
                 self.stats.vacant += 1
@@ -185,7 +196,7 @@ class SimInternet:
             if not device.policy.responds:
                 self.stats.silent_policy += 1
                 return None
-            if not device.allows_response(t_seconds):
+            if not pool.allows_response(residence.customer_index, t_seconds):
                 self.stats.rate_limited += 1
                 return None
             self.stats.cpe_responses += 1
@@ -200,10 +211,11 @@ class SimInternet:
 
     def _classify(self, hi, t_hours):
         """The pure phase of :meth:`probe_many`, over ``addr >> 64`` and
-        hour columns: per row, the indexed pool's number (-1: none), the
-        outcome short of the rate limiters, the occupant's customer
-        index, and -- where a CPE would answer -- its source address
-        halves and ICMPv6 type and code.  Reads no mutable state.
+        hour columns: per row, the outcome short of the rate limiters
+        and -- where a CPE would answer -- its source address halves and
+        ICMPv6 type and code; per indexed pool, the rows whose occupant
+        would answer (ascending) with those occupants' customer indices.
+        Reads no mutable state.
         """
         n = len(hi)
         keys = hi >> np.uint64(_NET48_SHIFT - IID_BITS)
@@ -211,11 +223,11 @@ class SimInternet:
         at[at == len(self._index_keys)] = 0
         numbers = np.where(self._index_keys[at] == keys, self._index_numbers[at], -1)
         outcome = np.full(n, _SCALAR, dtype=np.uint8)
-        occupant = np.zeros(n, dtype=np.int64)
         src_hi = np.zeros(n, dtype=np.uint64)
         src_lo = np.zeros(n, dtype=np.uint64)
         icmp_type = np.zeros(n, dtype=np.int64)
         code = np.zeros(n, dtype=np.int64)
+        by_pool = []
         order = np.argsort(numbers, kind="stable")
         grouped = numbers[order]
         starts = [0] + (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
@@ -236,12 +248,13 @@ class SimInternet:
                 _OFFLINE,
             )
             outcome[rows] = verdict
-            occupant[rows] = tenant
             src_hi[rows] = wan_net64
             src_lo[rows] = wan_iid
             icmp_type[rows[held]] = columns.icmp_type[tenants]
             code[rows[held]] = columns.icmp_code[tenants]
-        return numbers, outcome, occupant, src_hi, src_lo, icmp_type, code
+            answers = verdict == _ANSWERS
+            by_pool.append((pool, rows[answers], tenant[answers]))
+        return outcome, src_hi, src_lo, icmp_type, code, by_pool
 
     def probe_many(
         self,
@@ -262,59 +275,64 @@ class SimInternet:
         addrs = np.array(targets, dtype=object)
         hi = (addrs >> IID_BITS).astype(np.uint64)
         lo = (addrs & IID_MASK).astype(np.uint64)
-        t_hours = np.array(times, dtype=np.float64) / SECONDS_PER_HOUR
-        numbers, outcome, occupant, src_hi, src_lo, icmp_type, code = self._classify(
-            hi, t_hours
+        t_seconds = np.array(times, dtype=np.float64)
+        outcome, src_hi, src_lo, icmp_type, code, by_pool = self._classify(
+            hi, t_seconds / SECONDS_PER_HOUR
         )
 
-        # -- stateful: token buckets and the scalar rows, in probe order -----
+        # -- stateful: one segment per candidate stop row, then the rest -----
+        would_answer = outcome == _ANSWERS
         stop_rows: set[int] = set()
         if stop_iid is not None and 0 <= stop_iid <= IID_MASK:
-            carries = (outcome == _ANSWERS) & (src_lo == np.uint64(stop_iid))
+            carries = would_answer & (src_lo == np.uint64(stop_iid))
             stop_rows.update(np.flatnonzero(carries).tolist())
-        walk = np.flatnonzero((outcome == _ANSWERS) | (outcome == _SCALAR))
-        devices_of = [pool.devices for pool in self._indexed_pools]
-        answered: list[int] = []
-        limited = 0
-        cut = n
-        for row, number, tenant in zip(
-            walk.tolist(), numbers[walk].tolist(), occupant[walk].tolist()
-        ):
-            if number < 0:
+        off_index = iter(np.flatnonzero(outcome == _SCALAR).tolist())
+        row = next(off_index, n)
+        answered = np.zeros(n, dtype=bool)
+        start = 0
+        for end in sorted(stop_rows | {n - 1}):
+            end += 1  # this segment is rows [start, end), unless a scalar row hits
+            while row < end:
                 # Core space, pools off the /48 index: probe() counts for itself.
                 response = self.probe(targets[row], times[row])
-                if response is None:
+                if response is not None:
+                    answered[row] = True
+                    src_hi[row] = response.source >> IID_BITS
+                    src_lo[row] = response.source & IID_MASK
+                    icmp_type[row] = response.icmp_type
+                    code[row] = response.code
+                    if response.source & IID_MASK == stop_iid:
+                        stop_rows.add(row)
+                        end = row + 1
+                row = next(off_index, n)
+            for pool, rows, tenants in by_pool:
+                first, beyond = np.searchsorted(rows, (start, end)).tolist()
+                if first == beyond:
                     continue
-                src_hi[row] = response.source >> IID_BITS
-                src_lo[row] = response.source & IID_MASK
-                icmp_type[row] = response.icmp_type
-                code[row] = response.code
-                hit = response.source & IID_MASK == stop_iid
-            elif devices_of[number][tenant].allows_response(times[row]):
-                hit = row in stop_rows
-            else:
-                limited += 1
-                continue
-            answered.append(row)
-            if hit:
-                cut = row + 1
+                rows = rows[first:beyond]
+                allowed = pool.allow_many(tenants[first:beyond], t_seconds[rows])
+                answered[rows] = allowed
+            if answered[end - 1] and end - 1 in stop_rows:
                 break
+            start = end
+        cut = end
 
         # -- commit: counters over the consumed prefix only ------------------
         counts = np.bincount(outcome[:cut], minlength=5).tolist()
+        cpe_responses = int(np.count_nonzero(answered & would_answer))
         stats = self.stats
         stats.probes += cut - counts[_SCALAR]
         stats.vacant += counts[_VACANT]
         stats.offline += counts[_OFFLINE]
         stats.silent_policy += counts[_SILENT]
-        stats.rate_limited += limited
-        stats.cpe_responses += counts[_ANSWERS] - limited
+        stats.rate_limited += counts[_ANSWERS] - cpe_responses
+        stats.cpe_responses += cpe_responses
 
         chunk = ProbeChunk()
         chunk.consumed = cut
-        if answered:
-            take = np.array(answered)
-            chunk.times = [times[row] for row in answered]
+        take = np.flatnonzero(answered)
+        if len(take):
+            chunk.times = t_seconds[take].tolist()
             chunk.tgt_hi = array("Q", hi[take].tobytes())
             chunk.tgt_lo = array("Q", lo[take].tobytes())
             chunk.src_hi = array("Q", src_hi[take].tobytes())
@@ -325,20 +343,20 @@ class SimInternet:
 
     def _core_response(self, target: int, t_seconds: float) -> ProbeResponse | None:
         """Routed-but-undelegated space: maybe a core-router "no route"."""
-        route = self.rib.lookup(target)
-        if route is None:
+        origin_asn = self.rib.origin_of(target)
+        if origin_asn is None:
             self.stats.unrouted += 1
             return None
         if not self.core_answers_unrouted:
             return None
-        provider = self._provider_by_asn.get(route.origin_asn)
+        provider = self._provider_by_asn.get(origin_asn)
         if provider is None or not provider.bgp_prefixes:
             self.stats.unrouted += 1
             return None
-        limiter = self._core_limiters.get(provider.asn)
+        limiter = self._core_limits.get(provider.asn)
         if limiter is None:
             limiter = IcmpRateLimiter(rate=self._core_icmp_rate)
-            self._core_limiters[provider.asn] = limiter
+            self._core_limits[provider.asn] = limiter
         if not limiter.allow(t_seconds):
             self.stats.rate_limited += 1
             return None

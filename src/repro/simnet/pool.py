@@ -7,10 +7,25 @@ is the heart of the simulator: given a probed address and a time, find the
 device whose delegation covers it -- in O(1), by inverting the policy.
 :meth:`RotationPool.resolve_many` is the same resolution over a chunk of
 addresses as numpy columns.
+
+The pool is also the one home of its customers' RFC 4443 token buckets.
+A bucket is not an object: it is one cell, at the customer's index, in
+each of four stdlib ``array`` columns -- ``tokens`` and ``last``
+(``'d'``; ``last == -inf`` marks a device never probed) and the
+``emitted`` / ``suppressed`` counters (``'q'``).
+:meth:`RotationPool.allows_response` is the bucket's arithmetic on one
+cell and the scalar reference (it is
+:class:`~repro.scan.rate.TokenBucket`, step for step);
+:meth:`RotationPool.allow_many` is the same arithmetic in float64 over
+numpy views of the same cells.  Both read the device's *current*
+``icmp_rate`` / ``icmp_burst``: the columns hold state, the device
+holds configuration.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 
 from repro.net.addr import IID_BITS, Prefix
@@ -26,6 +41,7 @@ class Residence:
     device: CpeDevice
     delegation: Prefix
     wan_address: int
+    customer_index: int
 
 
 @dataclass
@@ -38,6 +54,11 @@ class RotationPool:
     pool_key: int = 0
     devices: list[CpeDevice] = field(default_factory=list)
     _columns: DeviceColumns | None = field(default=None, repr=False, compare=False)
+    # Token buckets, one cell per customer index (see the module docstring).
+    tokens: array = field(init=False, repr=False, compare=False)
+    last: array = field(init=False, repr=False, compare=False)
+    emitted: array = field(init=False, repr=False, compare=False)
+    suppressed: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.prefix.plen <= self.delegation_plen <= IID_BITS:
@@ -49,6 +70,7 @@ class RotationPool:
             raise ValueError(
                 f"{len(self.devices)} devices exceed {self.nslots} slots"
             )
+        self.reset_buckets()
 
     @property
     def nslots(self) -> int:
@@ -67,7 +89,101 @@ class RotationPool:
         if len(self.devices) >= self.nslots:
             raise ValueError("pool is full")
         self.devices.append(device)
+        self.tokens.append(0.0)
+        self.last.append(-math.inf)
+        self.emitted.append(0)
+        self.suppressed.append(0)
         return len(self.devices) - 1
+
+    # -- RFC 4443 error rate limiting (customer index -> may it answer) ----
+
+    def reset_buckets(self) -> None:
+        """Every customer's bucket back to never probed."""
+        n = len(self.devices)
+        self.tokens = array("d", [0.0]) * n
+        self.last = array("d", [-math.inf]) * n
+        self.emitted = array("q", [0]) * n
+        self.suppressed = array("q", [0]) * n
+
+    def allows_response(self, customer_index: int, t_seconds: float) -> bool:
+        """Apply customer *customer_index*'s error rate limit at *t_seconds*.
+
+        One bucket cell, refilled lazily: a first touch fills it to the
+        burst; a small backward step (overlapping scans replaying one
+        window) neither refills nor rewinds; a backward jump past a full
+        refill is a logically separate measurement and finds the bucket
+        full again.  Rate and burst are read from the device on every
+        call, like every other device field the simulator consults: a
+        reassigned ``icmp_rate`` governs the very next probe.  (The
+        limiter object this replaces captured both at its first use; no
+        column caches configuration.)
+        """
+        device = self.devices[customer_index]
+        rate, burst = device.icmp_rate, device.icmp_burst
+        tokens, last = self.tokens[customer_index], self.last[customer_index]
+        if last == -math.inf:
+            tokens = burst
+            self.last[customer_index] = t_seconds
+        elif t_seconds < last:
+            if last - t_seconds > burst / rate:
+                tokens = burst
+                self.last[customer_index] = t_seconds
+        else:
+            tokens = min(burst, tokens + (t_seconds - last) * rate)
+            self.last[customer_index] = t_seconds
+        if tokens >= 1.0:
+            self.tokens[customer_index] = tokens - 1.0
+            self.emitted[customer_index] += 1
+            return True
+        self.tokens[customer_index] = tokens
+        self.suppressed[customer_index] += 1
+        return False
+
+    def allow_many(self, indices, t_seconds):
+        """:meth:`allows_response` over a chunk, in probe order.
+
+        *indices* is the customer index column (``int64``), *t_seconds*
+        the float64 send times; returns the allowed column (``bool``).
+        Buckets of different devices are independent, so the devices
+        that occur once in the chunk -- almost all: a scan sends one
+        target per delegation -- take one vector pass over numpy views
+        of the cells, the scalar method's float64 arithmetic operation
+        for operation; the rows of a device that occurs again are
+        replayed through the scalar method in row order.
+        """
+        if not len(indices):
+            return np.empty(0, dtype=bool)
+        ranked = np.sort(indices)
+        again = ranked[1:][ranked[1:] == ranked[:-1]]
+        if len(again):
+            repeated = np.isin(indices, again)
+            allowed = np.empty(len(indices), dtype=bool)
+            allowed[repeated] = [
+                self.allows_response(index, t)
+                for index, t in zip(
+                    indices[repeated].tolist(), t_seconds[repeated].tolist()
+                )
+            ]
+            once = ~repeated
+            allowed[once] = self.allow_many(indices[once], t_seconds[once])
+            return allowed
+        columns = self.device_columns()
+        rate, burst = columns.icmp_rate[indices], columns.icmp_burst[indices]
+        tokens_of, last_of = np.frombuffer(self.tokens), np.frombuffer(self.last)
+        held, last = tokens_of[indices], last_of[indices]
+        # A first touch refills from -inf: without bound, so to the burst.
+        tokens = np.minimum(burst, held + (t_seconds - last) * rate)
+        back = t_seconds < last
+        if back.any():  # overlapping or rewound scans; one scan only moves forward
+            rewound = back & (last - t_seconds > burst / rate)
+            tokens = np.where(rewound, burst, np.where(back, held, tokens))
+            t_seconds = np.where(back & ~rewound, last, t_seconds)
+        last_of[indices] = t_seconds
+        allowed = tokens >= 1.0
+        tokens_of[indices] = tokens - allowed
+        np.frombuffer(self.emitted, dtype=np.int64)[indices] += allowed
+        np.frombuffer(self.suppressed, dtype=np.int64)[indices] += ~allowed
+        return allowed
 
     # -- ground-truth queries (device -> where) ---------------------------
 
@@ -134,7 +250,9 @@ class RotationPool:
         delegation = self.prefix.subnet(slot, self.delegation_plen)
         net64 = delegation.network >> IID_BITS
         wan = (net64 << IID_BITS) | device.wan_iid(net64, t_hours)
-        return Residence(device=device, delegation=delegation, wan_address=wan)
+        return Residence(
+            device=device, delegation=delegation, wan_address=wan, customer_index=occupant
+        )
 
     def device_columns(self) -> DeviceColumns:
         """The devices as columns, rebuilt when stale (see

@@ -1,0 +1,202 @@
+"""The pool's bucket columns against the limiter objects they replaced.
+
+A CPE's RFC 4443 token bucket is one cell per customer index in its
+``RotationPool``'s ``tokens`` / ``last`` / ``emitted`` / ``suppressed``
+columns.  ``IcmpRateLimiter`` -- still the core routers' limiter -- is
+the oracle: one per device, fed the same rows in order, must agree with
+``allows_response`` (the scalar reference) and ``allow_many`` (the
+vector pass) in every answer and every cell.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.net.addr import Prefix
+from repro.net.icmpv6 import probe_each
+from repro.scan.rate import IcmpRateLimiter
+from repro.simnet.device import CpeDevice
+from repro.simnet.internet import SimInternet
+from repro.simnet.pool import RotationPool
+from repro.simnet.provider import Provider
+from repro.util import np
+
+needs_numpy = pytest.mark.skipif(np is None, reason="allow_many needs numpy")
+
+# (rate, burst) per customer: the default, a slow refill, a bucket that
+# can never answer (burst < 1), fractional both, and a large burst.
+LIMITS = [(100.0, 10.0), (1.0, 2.0), (5.0, 0.5), (0.3, 1.5), (2.5, 3.25), (50.0, 40.0)]
+
+
+def make_pool() -> RotationPool:
+    pool = RotationPool(prefix=Prefix.parse("2001:db8:7::/48"), delegation_plen=56)
+    for i, (rate, burst) in enumerate(LIMITS):
+        pool.add_device(
+            CpeDevice(device_id=i + 1, mac=0x3810D5000000 + i, icmp_rate=rate, icmp_burst=burst)
+        )
+    return pool
+
+
+def cells(pool: RotationPool) -> list[tuple]:
+    return list(zip(pool.tokens, pool.last, pool.emitted, pool.suppressed))
+
+
+def oracle_cells(limiters: dict[int, IcmpRateLimiter], n: int) -> list[tuple]:
+    """What *n* customers' cells must read, from one limiter object per
+    touched device."""
+    want = []
+    for index in range(n):
+        limiter = limiters.get(index)
+        if limiter is None:
+            want.append((0.0, -math.inf, 0, 0))
+        else:
+            bucket = limiter._bucket
+            want.append((bucket._tokens, bucket._last, limiter.emitted, limiter.suppressed))
+    return want
+
+
+# One probe: which customer, and how time moves before it -- not at all
+# (equal times), a small step back (no refill, no rewind), forward by a
+# fraction of a refill or by many, back by about some bucket's full
+# refill (0.1 s to 5 s here), or back past every bucket's.
+STEPS = st.one_of(
+    st.just(0.0),
+    st.floats(-0.004, 0.0),
+    st.floats(0.0, 0.05),
+    st.floats(0.05, 30.0),
+    st.floats(-12.0, -0.004),
+    st.floats(-400.0, -6.0),
+)
+ROWS = st.lists(st.tuples(st.integers(0, len(LIMITS) - 1), STEPS), min_size=1, max_size=60)
+# Pinned: a jump back between burst / rate and burst (a rewind, by the
+# first and not by the second), a step back that must not refill, and a
+# device three times in one chunk.
+REWIND = [(0, 0.0), (0, -6.0), (0, 0.0)]
+STEP_BACK = [(1, 0.0), (1, 0.0), (1, 5.0), (1, -0.5), (1, 0.0), (1, 0.0)]
+
+
+def replay(rows):
+    """``(index, t)`` rows from ``(index, step)`` draws, and the oracle's
+    answer to each."""
+    t, indexed, limiters, answers = 1000.0, [], {}, []
+    for index, step in rows:
+        t += step
+        indexed.append((index, t))
+        rate, burst = LIMITS[index]
+        limiter = limiters.setdefault(index, IcmpRateLimiter(rate=rate, burst=burst))
+        answers.append(limiter.allow(t))
+    return indexed, limiters, answers
+
+
+@given(rows=ROWS)
+@example(rows=REWIND)
+@example(rows=STEP_BACK)
+@settings(max_examples=200, deadline=None)
+def test_allows_response_is_the_limiter_object(rows):
+    indexed, limiters, answers = replay(rows)
+    pool = make_pool()
+    assert [pool.allows_response(index, t) for index, t in indexed] == answers
+    assert cells(pool) == oracle_cells(limiters, len(LIMITS))
+
+
+@needs_numpy
+@given(rows=ROWS, cut_at=st.floats(0.0, 1.0), split_at=st.lists(st.floats(0.0, 1.0), max_size=4))
+@example(rows=REWIND, cut_at=1.0, split_at=[])
+@example(rows=REWIND, cut_at=1.0, split_at=[0.4])
+@example(rows=STEP_BACK, cut_at=1.0, split_at=[])
+@example(rows=STEP_BACK, cut_at=1.0, split_at=[0.5])
+@settings(max_examples=300, deadline=None)
+def test_allow_many_is_the_limiter_object(rows, cut_at, split_at):
+    """Chunks split at random points (a device may repeat inside one),
+    and a cut: rows past it are never handed over, and a device seen
+    only past it keeps an untouched cell."""
+    cut = max(1, round(cut_at * len(rows)))
+    splits = sorted({at for at in (round(f * cut) for f in split_at) if 0 < at < cut})
+    indexed, limiters, answers = replay(rows[:cut])
+    pool = make_pool()
+    got = []
+    for start, stop in zip([0] + splits, splits + [cut]):
+        chunk = indexed[start:stop]
+        allowed = pool.allow_many(
+            np.array([index for index, _ in chunk], dtype=np.int64),
+            np.array([t for _, t in chunk], dtype=np.float64),
+        )
+        assert allowed.dtype == bool and len(allowed) == len(chunk)
+        got.extend(allowed.tolist())
+    assert got == answers
+    assert cells(pool) == oracle_cells(limiters, len(LIMITS))
+    for index in {index for index, _ in rows[cut:]} - set(limiters):
+        assert pool.last[index] == -math.inf and pool.emitted[index] == 0
+
+
+@needs_numpy
+def test_allow_many_reads_rate_and_burst_per_probe():
+    """Like the scalar method: a reassigned rate reaches the vector pass
+    through the device columns' staleness rule."""
+    pool, twin = make_pool(), make_pool()
+    once = np.arange(len(LIMITS), dtype=np.int64)
+    for t in (0.0, 0.0):
+        allowed = pool.allow_many(once, np.full(len(once), t))
+        assert allowed.tolist() == [twin.allows_response(i, t) for i in once.tolist()]
+    for world in (pool, twin):
+        world.devices[1].icmp_rate = 7.0
+        world.devices[1].icmp_burst = 9.0
+    allowed = pool.allow_many(once, np.full(len(once), 0.5))
+    assert allowed.tolist() == [twin.allows_response(i, 0.5) for i in once.tolist()]
+    assert cells(pool) == cells(twin) and pool.tokens[1] == 2.5
+
+
+def test_reset_and_growth_keep_one_cell_per_customer():
+    pool = make_pool()
+    assert pool.allows_response(1, 5.0)
+    index = pool.add_device(CpeDevice(device_id=99, mac=0x0200_0000_0001))
+    assert index == len(LIMITS) and len(pool.tokens) == len(pool.last) == index + 1
+    assert len(pool.emitted) == len(pool.suppressed) == pool.n_customers
+    assert pool.allows_response(index, 5.0)
+    pool.reset_buckets()
+    assert cells(pool) == [(0.0, -math.inf, 0, 0)] * pool.n_customers
+
+
+# -- the cut, through probe_many --------------------------------------------------
+
+
+def hunted_world() -> tuple[SimInternet, RotationPool]:
+    pool = RotationPool(prefix=Prefix.parse("2001:db8::/48"), delegation_plen=56, pool_key=5)
+    for i in range(8):
+        pool.add_device(CpeDevice(device_id=i + 1, mac=0x3810D5000100 + i))
+    pool.devices[2].icmp_rate = pool.devices[2].icmp_burst = 1.0
+    provider = Provider(
+        asn=64512,
+        name="Test ISP",
+        country="DE",
+        bgp_prefixes=[Prefix.parse("2001:db8::/32")],
+        pools=[pool],
+    )
+    return SimInternet([provider]), pool
+
+
+def test_a_refused_candidate_does_not_end_the_hunt():
+    """The hunted CPE's bucket is dry when its first candidate row comes
+    up: the chunk goes on to the next candidate, and commits nothing
+    past the one that answers."""
+    reference, ref_pool = hunted_world()
+    chunked, pool = hunted_world()
+    hunted = pool.delegation_of(2, 0.0).network
+    others = [pool.delegation_of(i, 0.0).network for i in (0, 1, 3, 4)]
+    core = Prefix.parse("2001:db8:ffff::/48").network
+    targets = [others[0] + 1, hunted + 1, others[1] + 1, core + 1, hunted + 2,
+               others[2] + 1, hunted + 3, hunted + 4, others[3] + 1, core + 2]
+    times = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.5, 1.6, 1.7, 1.8]
+    stop_iid = reference.probe(hunted + 9, 0.0).source & ((1 << 64) - 1)
+    assert chunked.probe(hunted + 9, 0.0) is not None  # both buckets now dry
+    want = probe_each(reference.probe, targets, times, stop_iid)
+    got = chunked.probe_many(targets, times, stop_iid)
+    assert all(getattr(got, f) == getattr(want, f) for f in want.__slots__)
+    assert got.consumed == 7 and got.src_lo[-1] == stop_iid and len(got) == 5
+    assert chunked.stats == reference.stats and chunked.stats.rate_limited == 2
+    assert cells(pool) == cells(ref_pool)
+    assert (pool.emitted[2], pool.suppressed[2]) == (2, 2)
+    assert pool.last[4] == -math.inf  # the row after the cut never reached its CPE
+    assert chunked._core_limits[64512].emitted == 1  # nor the second core row

@@ -1,6 +1,8 @@
 """Tests for the CPE device model and rotation pool resolution."""
 
 
+import math
+
 import pytest
 
 from repro.net.addr import IID_BITS, Prefix, iid_of
@@ -78,10 +80,38 @@ class TestDevice:
             make_device(online_fraction=1.5)
 
     def test_rate_limiter_applies(self):
-        device = make_device(icmp_rate=1.0, icmp_burst=2.0)
-        assert device.allows_response(0.0)
-        assert device.allows_response(0.0)
-        assert not device.allows_response(0.0)
+        # The bucket is a cell in the device's pool, at its customer index.
+        pool = make_pool(n_devices=2)
+        index = pool.add_device(make_device(icmp_rate=1.0, icmp_burst=2.0))
+        assert pool.allows_response(index, 0.0)
+        assert pool.allows_response(index, 0.0)
+        assert not pool.allows_response(index, 0.0)
+        assert (pool.emitted[index], pool.suppressed[index]) == (2, 1)
+        assert (pool.tokens[index], pool.last[index]) == (0.0, 0.0)
+        assert list(pool.last[:index]) == [-math.inf] * index  # neighbours untouched
+        assert not hasattr(make_device(), "allows_response")
+
+    def test_rate_limit_validation(self):
+        with pytest.raises(ValueError):
+            make_device(icmp_rate=0.0)
+        with pytest.raises(ValueError):
+            make_device(icmp_burst=-1.0)
+
+    def test_bucket_reads_rate_and_burst_on_every_probe(self):
+        """Rate and burst are device configuration, read per probe: a
+        reassignment after the bucket's first touch governs the next
+        probe (the limiter object this replaced froze both at first
+        touch)."""
+        pool = make_pool(n_devices=1)
+        device = pool.devices[0]
+        device.icmp_rate = device.icmp_burst = 1.0
+        assert pool.allows_response(0, 0.0)
+        assert not pool.allows_response(0, 0.0)
+        device.icmp_rate, device.icmp_burst = 4.0, 5.0
+        assert pool.allows_response(0, 1.0)  # refilled 1 s at the new rate
+        assert pool.tokens[0] == 3.0
+        assert pool.allows_response(0, 11.0)  # ... and capped at the new burst
+        assert pool.tokens[0] == 4.0
 
     def test_response_policy_factories(self):
         assert ResponsePolicy.silent().responds is False

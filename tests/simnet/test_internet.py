@@ -96,6 +96,11 @@ class TestProbe:
         assert internet.probe(delegation.network + 1, 0.0) is not None
         assert internet.probe(delegation.network + 2, 0.0) is None
         assert internet.stats.rate_limited == 1
+        # The refusal is on the pool's books, at the device's customer index.
+        assert (pool.emitted[2], pool.suppressed[2]) == (1, 1)
+        assert sum(pool.emitted) + sum(pool.suppressed) == 2
+        internet.reset_rate_limits()
+        assert internet.probe(delegation.network + 3, 0.0) is not None
 
     def test_rotation_changes_responding_prefix(self):
         internet = small_internet()

@@ -7,6 +7,7 @@ and ``SimInternet.probe_many`` must leave a world in exactly the state
 boundaries, with loss, and when a hunt cuts a chunk short.
 """
 
+import math
 import random
 from dataclasses import asdict
 
@@ -204,23 +205,35 @@ def world_targets(world, rng: random.Random, n: int) -> list[int]:
 
 
 def limiter_states(world) -> list:
-    """Every limiter a run touched, as plain values."""
+    """Every limiter a run touched, as plain values: the CPE buckets
+    from their pools' columns, the core routers' from their objects."""
 
     def state(limiter):
         bucket = limiter._bucket
         return (limiter.emitted, limiter.suppressed, bucket._tokens, bucket._last)
 
     devices = [
-        (device.device_id, state(device._limiter))
-        for device in world.all_devices()
-        if device._limiter is not None
+        (
+            pool.devices[index].device_id,
+            (
+                pool.emitted[index],
+                pool.suppressed[index],
+                pool.tokens[index],
+                pool.last[index],
+            ),
+        )
+        for provider in world.providers
+        for pool in provider.pools
+        for index in range(pool.n_customers)
+        if pool.last[index] != -math.inf
     ]
-    core = sorted((asn, state(lim)) for asn, lim in world._core_limiters.items())
+    core = sorted((asn, state(lim)) for asn, lim in world._core_limits.items())
     return [devices, core]
 
 
 def assert_same_world(a, b) -> None:
     assert asdict(a.stats) == asdict(b.stats)
+    assert all(type(count) is int for count in asdict(b.stats).values())
     assert limiter_states(a) == limiter_states(b)
 
 
@@ -254,19 +267,34 @@ def test_chunked_scan_equals_per_probe_scan(chunk, loss_rate, monkeypatch):
         assert got.probes_sent == stream.probes_sent == len(targets)
         assert_same_world(reference, chunked)
     assert reference.stats.core_responses
-    assert any(d._limiter and d._limiter.suppressed for d in reference.all_devices())
+    assert any(any(p.suppressed) for pr in reference.providers for p in pr.pools)
+
+
+def hunt_chunk_ends(first: int, limit: int, total: int) -> list[int]:
+    """Probes sent by the end of each hunt chunk: sizes start at *first*
+    and double up to *limit*."""
+    ends, size = [], first
+    while not ends or ends[-1] < total:
+        ends.append((ends[-1] if ends else 0) + size)
+        size = min(2 * size, limit) if size < limit else size
+    return ends
 
 
 @pytest.mark.parametrize("loss_rate", [0.0, 0.3])
 def test_hunt_commits_nothing_past_the_hit(loss_rate, monkeypatch):
-    """``scan_until`` in chunks of 8: hits on a chunk's first probe, on
-    its last, mid-chunk, and a miss -- each against a fresh twin."""
+    """``scan_until`` in chunks of 8, 16, 32, 32, ...: hits on a chunk's
+    first probe, on its last, mid-chunk, and a miss -- each against a
+    fresh twin."""
     from repro.scan import zmap
 
     monkeypatch.setattr(zmap, "HUNT_CHUNK_PROBES", 8)
+    monkeypatch.setattr(zmap, "CHUNK_PROBES", 32)
     config = ScanConfig(seed=9, loss_rate=loss_rate)
     start = 2 * 86_400.0 + 3600.0
     targets = world_targets(build_world(), random.Random(2), 2000)
+    ends = hunt_chunk_ends(8, 32, len(targets))
+    assert ends[:4] == [8, 24, 56, 88]
+    lasts, firsts = set(ends), {1} | {end + 1 for end in ends}
     world = build_world()
     sightings = {}  # source IID -> probes sent when it first answered
     stream = Zmap6(world, config).stream(targets, start)
@@ -274,8 +302,9 @@ def test_hunt_commits_nothing_past_the_hit(loss_rate, monkeypatch):
         sightings.setdefault(response.source & IID_MASK, stream.probes_sent)
     wanted = {"miss": 0xDEAD}
     for iid, sent in sightings.items():
-        position = {1: "first", 0: "last"}.get(sent % 8, "middle")
-        wanted.setdefault(position, iid)
+        position = "first" if sent in firsts else "last" if sent in lasts else "middle"
+        if sent > 24 or position == "middle":  # boundaries of the grown sizes
+            wanted.setdefault(position, iid)
     assert set(wanted) == {"miss", "first", "last", "middle"}
     for position, iid in wanted.items():
         reference, chunked = build_world(), build_world()
@@ -352,3 +381,130 @@ def test_devices_mutated_after_a_first_chunk_are_seen():
         pool.add_device(CpeDevice(device_id=999_999, mac=0x0200_0000_0001))
     after = probe_both(2 * 86_400.0)
     assert answered and not answered & set(after.src_lo)  # every EUI-64 IID is gone
+
+
+# -- one home for the buckets: the lazy and the chunked paths meet in the pool ------
+
+
+class Forwarding:
+    """A timing-proxy shape: its own ``probe``, everything else (the
+    wrapped world's ``probe_many`` included) reachable by ``__getattr__``
+    -- which the scanner must not use."""
+
+    def __init__(self, network) -> None:
+        self._network = network
+
+    def probe(self, target, t_seconds):
+        return self._network.probe(target, t_seconds)
+
+    def __getattr__(self, name):
+        return getattr(self._network, name)
+
+
+@pytest.mark.parametrize("loss_rate", [0.0, 0.25])
+def test_mixed_drains_meet_in_the_pool(loss_rate, monkeypatch):
+    """One stream drained half lazily and half by ``result()``, then a
+    proxy hunt followed by a chunked hunt on the same world: responses,
+    counters and bucket cells equal the all-lazy and the all-chunked
+    worlds'."""
+    from repro.scan import zmap
+
+    monkeypatch.setattr(zmap, "CHUNK_PROBES", 300)
+    monkeypatch.setattr(zmap, "HUNT_CHUNK_PROBES", 16)
+    lazy, chunked, mixed = build_world(), build_world(), build_world()
+    config = ScanConfig(seed=6, loss_rate=loss_rate)
+    start = 86_399.0
+    targets = world_targets(lazy, random.Random(12), 2000)
+
+    want = list(Zmap6(lazy, config).stream(targets, start))
+    assert Zmap6(chunked, config).scan(targets, start).responses == want
+    stream = Zmap6(mixed, config).stream(targets, start)
+    head = []
+    for response in stream:
+        head.append(response)
+        if stream.probes_sent >= len(targets) // 2:
+            break
+    tail = stream.result()
+    assert head + tail.responses == want and tail.probes_sent == len(targets)
+    assert_same_world(lazy, mixed)
+    assert_same_world(lazy, chunked)
+
+    # Two hunts a second apart, close enough that the second finds the
+    # first one's drained buckets: per probe on the reference, chunked on
+    # its twin, and one of each on the mixed world.
+    iids = sorted({r.source & IID_MASK for r in want if is_eui64_iid(r.source & IID_MASK)})
+    hunts = [(iids[len(iids) // 2], start + 1.0), (iids[-1], start + 2.0)]
+    for iid, at in hunts:
+        expected = Zmap6(PerProbe(lazy), config).scan_until(targets, iid, at)
+        assert Zmap6(chunked, config).scan_until(targets, iid, at) == expected
+    networks = [Forwarding(mixed), mixed]
+    for (iid, at), network in zip(hunts, networks):
+        Zmap6(network, config).scan_until(targets, iid, at)
+    assert_same_world(lazy, mixed)
+    assert_same_world(lazy, chunked)
+    assert any(any(p.suppressed) for pr in mixed.providers for p in pr.pools)
+
+
+class Recording:
+    """Records every ``(target, time)`` it is probed with."""
+
+    def __init__(self, network) -> None:
+        self._network = network
+        self.rows: list[tuple[int, float]] = []
+
+    def probe(self, target, t_seconds):
+        self.rows.append((target, t_seconds))
+        return self._network.probe(target, t_seconds)
+
+
+@needs_numpy
+@pytest.mark.parametrize("probe_plen", [56, 58])
+def test_scalar_bucket_calls_are_the_repeated_rows_only(probe_plen, monkeypatch):
+    """One chunked campaign day: ``RotationPool.allows_response`` runs
+    once per row of a device probed again within the same chunk -- none
+    at all when every delegation gets one target -- not once per answer."""
+    from repro.core.campaign import Campaign, CampaignConfig
+    from repro.scan import zmap
+
+    chunk_probes = 512
+    monkeypatch.setattr(zmap, "CHUNK_PROBES", chunk_probes)
+    reference, chunked = build_world(), build_world()
+    prefixes48 = sorted(
+        {
+            net
+            for provider in reference.providers
+            for pool in provider.pools
+            if pool.prefix.plen <= 48  # on the /48 index: no scalar probe rows
+            for net in pool.prefix.subnets(48)
+        },
+        key=lambda p: p.network,
+    )
+    config = CampaignConfig(days=1, probe_plen=probe_plen, seed=3)
+
+    recorder = Recording(reference)
+    for _day, stream in Campaign(recorder, prefixes48, config).iter_day_streams():
+        answers = len(list(stream))
+    per_chunk: dict[tuple, int] = {}
+    for position, (target, t) in enumerate(recorder.rows):
+        residence = reference.resolve(target, t / 3600.0)
+        if residence is None or not residence.device.policy.responds:
+            continue
+        if residence.device.is_online(t / 3600.0):
+            key = (position // chunk_probes, residence.device.device_id)
+            per_chunk[key] = per_chunk.get(key, 0) + 1
+    repeated_rows = sum(count for count in per_chunk.values() if count > 1)
+    assert (repeated_rows > 0) == (probe_plen > 56)
+
+    calls = []
+    allows_response = RotationPool.allows_response
+
+    def counted(pool, index, t_seconds):
+        calls.append(index)
+        return allows_response(pool, index, t_seconds)
+
+    monkeypatch.setattr(RotationPool, "allows_response", counted)
+    result = Campaign(chunked, prefixes48, config).run()
+    assert len(result.store) == answers
+    assert len(calls) == repeated_rows < answers
+    monkeypatch.setattr(RotationPool, "allows_response", allows_response)
+    assert_same_world(reference, chunked)

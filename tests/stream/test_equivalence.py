@@ -128,6 +128,46 @@ class TestCampaignEquivalence:
 
         assert engine_state(resumed.engine) == engine_state(full.engine)
 
+    def test_daemon_style_days_walk_the_probe_order_once(self, monkeypatch):
+        """``TrackerDaemon.run()`` drives one ``run(max_days=1)`` per
+        served day: the campaign walks its cycle once, not once per
+        call, and ends on the uninterrupted run's bytes."""
+        from dataclasses import replace
+
+        from repro.scan import zmap
+        from repro.stream.checkpoint import engine_state
+
+        cycles = []
+
+        def counted(*args, **kwargs):
+            cycles.append(args)
+            return MultiplicativeCycle(*args, **kwargs)
+
+        MultiplicativeCycle = zmap.MultiplicativeCycle
+        monkeypatch.setattr(zmap, "MultiplicativeCycle", counted)
+        full = StreamingCampaign(build_campaign())
+        full_result = full.run()
+        assert len(cycles) == 1
+
+        daily = StreamingCampaign(build_campaign())
+        calls = 0
+        while not daily.finished:
+            daily.run(max_days=1)
+            calls += 1
+        assert calls == CAMPAIGN_CONFIG.days > 1 and len(cycles) == 2
+        assert list(daily.result.store) == list(full_result.store)
+        assert daily.result.summary() == full_result.summary()
+        assert engine_state(daily.engine) == engine_state(full.engine)
+
+        # The memo is keyed on what the scanner is built from: a
+        # reassigned config cannot serve the old seed's order.
+        campaign = daily.campaign
+        before = next(campaign.iter_day_streams())[1]._ordered
+        assert len(cycles) == 2
+        campaign.config = replace(campaign.config, seed=campaign.config.seed + 1)
+        after = next(campaign.iter_day_streams())[1]._ordered
+        assert len(cycles) == 3 and list(after) != list(before)
+
     def test_periodic_checkpoints_written(self, tmp_path):
         path = tmp_path / "campaign.json"
         streaming = StreamingCampaign(

@@ -415,6 +415,15 @@ def random_world_spec(rng: random.Random) -> InternetSpec:
     return InternetSpec(providers=tuple(providers), seed=rng.getrandbits(32))
 
 
+def bucket_cells(world) -> list:
+    """Every CPE token bucket in *world*, pool by pool, as plain values."""
+    return [
+        [list(column) for column in (pool.tokens, pool.last, pool.emitted, pool.suppressed)]
+        for provider in world.providers
+        for pool in provider.pools
+    ]
+
+
 class ProbeOnly:
     """The shape of a timing proxy: its own ``probe``, everything else
     forwarded.  It has no ``probe_many`` of its own, so the scanner must
@@ -506,6 +515,7 @@ def check_scanner_paths_agree(seed, monkeypatch):
     expected = Zmap6(proxy, scan).scan_until(targets, want, start)
     assert Zmap6(chunked_world, scan).scan_until(targets, want, start) == expected
     assert asdict(chunked_world.stats) == asdict(reference_world.stats)
+    assert bucket_cells(chunked_world) == bucket_cells(reference_world)
     if not scan.loss_rate:
         assert proxy.calls == expected[1]  # the proxy saw every probe sent
 
