@@ -67,7 +67,7 @@ class EngineInstruments:
         )
         self.materialize_seconds = registry.histogram(
             "repro_stream_materialize_seconds",
-            "Columnar buffer fold-to-shard latency",
+            "Shard states built from the columns (materialize) latency",
         )
         self.days_closed = registry.counter(
             "repro_stream_days_closed_total", "Scanned day pairs diffed"

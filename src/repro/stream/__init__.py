@@ -13,13 +13,13 @@ Layout:
   (/32 or origin-AS keyed) so hot-path aggregates stay small and local;
 * :mod:`repro.stream.state` -- the O(1)-per-response aggregates that
   replace batch re-walks (allocation spans, pool spans, rotation pairs);
-* :mod:`repro.stream.columnar` -- the numpy sort-reduce worker kernel:
-  chunked uint64 address columns, vectorized dedup/min-max reduction,
-  Python set materialization deferred to day close or snapshot; the
-  engine's bulk path and the workers' apply path when numpy is
-  importable (the ``[fast]`` extra) -- without it bulk calls run the
-  one reference loop in :mod:`repro.stream.sink` over the scalar fold
-  in :mod:`repro.stream.state`;
+* :mod:`repro.stream.columnar` -- the numpy sort-reduce kernel:
+  chunked uint64 address columns, vectorized dedup/min-max reduction;
+  when numpy is importable (the ``[fast]`` extra) it owns all of an
+  engine's or a worker's state, for every ingest currency -- without
+  it every call runs the one reference loop in
+  :mod:`repro.stream.sink` over the scalar fold in
+  :mod:`repro.stream.state`;
 * :mod:`repro.stream.engine` -- :class:`StreamEngine`, the single-pass
   ingestion core with always-current per-AS inferences, live rotation
   detection, and a watchlist for passive device sightings;

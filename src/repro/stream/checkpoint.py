@@ -200,12 +200,12 @@ def restore_stream_head(
 
 def engine_state(engine: StreamEngine) -> dict:
     """The engine's complete serializable state."""
-    engine.materialize()  # fold any pending columnar buffers first
+    shards = engine.materialize()
     state = {
         "version": FORMAT_VERSION,
         **stream_head(engine),
         "detection": _detection_state(engine.live_detection),
-        "shards": [_shard_state(s) for s in engine.shards],
+        "shards": [_shard_state(s) for s in shards],
         "store": _store_state(engine.store) if engine.store is not None else None,
     }
     return state
@@ -238,7 +238,7 @@ def restore_engine(
         raise ValueError(f"unsupported checkpoint version: {state.get('version')!r}")
     engine = restore_stream_head(state, origin_of=origin_of, store=store)
     engine.live_detection = _restore_detection(state["detection"])
-    engine.shards = [_restore_shard(s) for s in state["shards"]]
+    engine.adopt_shards([_restore_shard(s) for s in state["shards"]])
     if state["store"] is not None and store is None and engine.store is not None:
         _restore_store(state["store"], engine.store)
     return engine

@@ -31,20 +31,16 @@ and every restore replays the segment's ``prune_threshold`` so clean
 shards prune identically.  A save at a position the chain already
 holds (no dirty shard, no new store row, same head) writes nothing.
 
-**What a save reads.**  The accumulator's *runs*
+**What a save reads.**  Whichever one owns the engine's state, never
+both.  With the kernel: the accumulator's *runs*
 (:meth:`ColumnarAccumulator.reduce
 <repro.stream.columnar.ColumnarAccumulator.reduce>`: sorted,
-de-duplicated columns per aggregate family, sliced per shard), its
-per-day pair chunks, the engine's changed-pair column log, and the
-store's column tail -- each a ``tobytes()``.  Whatever a shard *also*
-holds as Python state (scalar ``ingest(observation)``, a JSON restore,
-an earlier ``materialize()``) is lifted into columns
-(:func:`~repro.stream.state.lift_family`, the lift the engine's column
-queries share) and joined in: concatenated for
-the set families and the pairs (duplicates are harmless -- every reader
-builds sets or re-reduces), group-reduced together with the run for the
-two span families, so a segment never carries one span key twice.
-Without numpy there are no runs and the walk is all there is.
+de-duplicated columns per aggregate family, sliced per shard) and its
+per-day pair chunks, each a ``tobytes()``.  Without it: the shards'
+Python state, lifted into the same columns
+(:func:`~repro.stream.state.lift_family`).  Either way every span key
+appears once per shard, and both add the engine's changed-pair column
+log and the store's column tail.
 
 **What a load builds.**  :class:`ChainAssembler` validates each segment
 against its header *before* touching merged state -- framing, CRC,
@@ -87,9 +83,9 @@ from repro.stream.checkpoint import (
     stream_head,
 )
 from repro.stream.checkpoint import restore_engine as restore_engine_state
-from repro.stream.columnar import RUN_FAMILIES, as_array, reduce_spans, shard_part
+from repro.stream.columnar import as_array
 from repro.stream.shard import ShardKey
-from repro.stream.state import ShardState, lift_family, pair_columns
+from repro.stream.state import lift_family, pair_columns
 from repro.util import np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -343,56 +339,23 @@ def segment_bytes(path, info: SegmentInfo) -> bytes:
 # -- segment building ------------------------------------------------------
 
 
-def _shard_run(runs: dict, family: str, sid: int):
-    """Shard *sid*'s slice of a reduced run (columns after ``sid``), or
-    ``None`` when the run holds nothing for it."""
-    cols = runs.get(family)
-    if cols is None:
-        return None
+def _shard_run(runs: dict, family: str, sid: int) -> list:
+    """Shard *sid*'s slice of a reduced run (the columns after ``sid``)."""
+    cols = runs[family]
     start, stop = np.searchsorted(cols[0], (sid, sid + 1))
-    return [c[start:stop] for c in cols[1:]] if stop > start else None
+    return [c[start:stop] for c in cols[1:]]
 
 
-def _joined_spans(walked: tuple, run, family: str) -> tuple:
-    """One shard's span family: rows walked out of ``ShardState`` joined
-    with its run slice, every key exactly once (a reader that overwrites
-    per key -- every reader before the column restore -- stays right)."""
-    if run is None:
-        return walked
-    if not len(walked[0]):
-        return run
-    cols = [np.concatenate((as_array(w), r)) for w, r in zip(walked, run)]
-    return reduce_spans(cols, RUN_FAMILIES[family] - 1)  # no sid column here
-
-
-def _add_shard_blocks(
-    writer, shard: ShardState, days: list[int], acc_day, runs: dict, pending_rows: int
-) -> dict:
-    """Emit one shard's blocks; returns its header record.
-
-    Each family is the shard's ``ShardState`` rows plus its slice of
-    the accumulator's *runs*; duplicates across the two halves are
-    harmless for the set families and the pairs (restore builds sets,
-    or re-reduces), and the span families are group-reduced together.
-    """
-    sid = shard.shard_id
+def _add_shard_blocks(writer, sid: int, n: int, families: list, pairs: dict) -> dict:
+    """Emit one shard's blocks -- *families* one column set per
+    :data:`_SHARD_BLOCKS` family, *pairs* ascending day -> pair
+    columns -- and return its header record."""
     prefix = f"s{sid}."
-    for family, schema in _SHARD_BLOCKS.items():
-        walked = lift_family(shard, family)
-        run = _shard_run(runs, family, sid)
-        if RUN_FAMILIES[family] is None:
-            parts = (walked,) if run is None else (walked, run)
-        else:
-            parts = (_joined_spans(walked, run, family),)
-        writer.add_family(prefix, schema, *parts)
-
-    for day in days:
-        parts = [pair_columns(shard.pairs_by_day.get(day, ()))]
-        acc_cols = acc_day(day).get(sid)
-        if acc_cols is not None:
-            parts.append(acc_cols)
-        writer.add_family(f"{prefix}d{day}.", _PAIR_BLOCKS, *parts)
-    return {"sid": sid, "n": shard.n_observations + pending_rows, "days": days}
+    for schema, columns in zip(_SHARD_BLOCKS.values(), families):
+        writer.add_family(prefix, schema, columns)
+    for day, columns in pairs.items():
+        writer.add_family(f"{prefix}d{day}.", _PAIR_BLOCKS, columns)
+    return {"sid": sid, "n": n, "days": list(pairs)}
 
 
 def _add_store_blocks(writer, store, start_row: int) -> dict:
@@ -450,16 +413,11 @@ def _build_segment(
 ) -> tuple[bytes, list[bytes], dict]:
     """Serialize one segment; returns (header bytes, blobs, header dict).
 
-    Reads columns only: the accumulator's reduced runs and pair chunks,
-    the engine's changed-pair log, the store's tail -- plus whatever
-    Python state the shards already hold.  Nothing is moved into the
-    shards and no pair tuple is built, so a mid-campaign checkpoint
-    costs neither the columnar day-close diff its fast path nor the
-    next save its columns.
+    Reads whichever owns the engine's state: with the kernel the
+    accumulator's reduced runs and pair chunks (nothing is built, no
+    pair tuple), without it the shards, lifted into the same columns.
+    Plus the engine's changed-pair log and the store's tail.
     """
-    acc = engine._acc
-    runs = acc.reduce() if acc is not None else {}
-
     writer = _SegmentWriter()
     writer.add_family("", _CHANGED_BLOCKS, *engine.changed_pair_columns())
     net_hi = array("Q")
@@ -471,36 +429,33 @@ def _build_segment(
         plen.append(prefix.plen)
     writer.add_family("", _PREFIX_BLOCKS, (net_hi, net_lo, plen))
 
-    acc_days = acc.pair_days() if acc is not None else []
-    if kind == "delta" and day_floor is not None:
-        acc_days = [d for d in acc_days if d >= day_floor]
-    acc_cache: dict[int, dict] = {}
+    # A delta carries pair days from the previous segment's day on.
+    def kept(days) -> list[int]:
+        return sorted(d for d in days if day_floor is None or d >= day_floor)
 
-    def acc_day(day: int) -> dict:
-        cols = acc_cache.get(day)
-        if cols is None:
-            cols = acc_cache[day] = (
-                acc.shard_pair_columns(day) if acc is not None else {}
-            )
-        return cols
-
+    acc = engine._acc
     shard_records = []
-    for sid in sids:
-        shard = engine.shards[sid]
-        days = set(shard.pairs_by_day)
-        if kind == "delta" and day_floor is not None:
-            days = {d for d in days if d >= day_floor}
-        days.update(d for d in acc_days if sid in acc_day(d))
-        shard_records.append(
-            _add_shard_blocks(
-                writer,
-                shard,
-                sorted(days),
-                acc_day,
-                runs,
-                int(acc.counts[sid]) if acc is not None else 0,
+    if acc is not None:
+        runs = acc.reduce()
+        counts = acc.counts.tolist()
+        by_day = {day: acc.shard_pair_columns(day) for day in kept(acc.pair_days())}
+        for sid in sids:
+            families = [_shard_run(runs, family, sid) for family in _SHARD_BLOCKS]
+            pairs = {day: cols[sid] for day, cols in by_day.items() if sid in cols}
+            shard_records.append(
+                _add_shard_blocks(writer, sid, counts[sid], families, pairs)
             )
-        )
+    else:
+        for sid in sids:
+            shard = engine.shards[sid]
+            families = [lift_family(shard, family) for family in _SHARD_BLOCKS]
+            pairs = {
+                day: pair_columns(shard.pairs_by_day[day])
+                for day in kept(shard.pairs_by_day)
+            }
+            shard_records.append(
+                _add_shard_blocks(writer, sid, shard.n_observations, families, pairs)
+            )
 
     store_record = (
         _add_store_blocks(writer, store, store_start) if store is not None else None
@@ -617,14 +572,11 @@ class BinaryCheckpointer:
         """
         if store is None:
             store = engine.store
-        acc = engine._acc
-        if acc is not None and acc.dirty_sids:
+        if engine._acc is not None:
             # Columnar dirtiness lives in the accumulator; sync it into
             # the shard epochs so every saver of this engine sees it.
-            epoch = engine._epoch
-            for sid in acc.dirty_sids:
-                engine._shard_epochs[sid] = epoch
-            acc.dirty_sids.clear()
+            for sid in engine._acc.take_dirty_sids():
+                engine._shard_epochs[sid] = engine._epoch
 
         chain_ok = self._chain_ok(engine, store, dirty_sids)
         if mode == "full":
@@ -1081,12 +1033,13 @@ class ChainAssembler:
         :func:`~repro.stream.checkpoint.restore_engine`).
 
         A kernel engine adopts the chain as columns, no dict in
-        between: aggregates as ``frombuffer`` views through the
-        accumulator's run merge, pair blocks into its per-day chunks
-        (the next day close keeps the columnar diff), changed pairs
-        into the engine's log.  Whether there is a kernel is asked of
-        the engine just built, never of this module's own imports; a
-        kernel-less engine is ``restore_engine(self.state())``.
+        between (:meth:`~repro.stream.engine.StreamEngine.adopt_shards`:
+        aggregates as ``frombuffer`` views through the accumulator's run
+        merge, pair blocks into its per-day chunks, so the next day
+        close keeps the columnar diff), changed pairs into the engine's
+        log.  Whether there is a kernel is asked of the engine just
+        built, never of this module's own imports; a kernel-less engine
+        is ``restore_engine(self.state())``.
         """
         if telemetry is not None:
             from repro.obs.instruments import CheckpointInstruments
@@ -1097,25 +1050,14 @@ class ChainAssembler:
             return engine
         head = self._head()
         engine = restore_stream_head(head, origin_of=origin_of, store=store)
-        acc = engine._acc
-        if acc is None:
+        if engine._acc is None:
             # A campaign chain nests the engine under "engine"; a chain
             # saved from a bare engine *is* the engine state.
             state = self.state()
             return restore_engine_state(
                 state.get("engine", state), origin_of=origin_of, store=store
             )
-        parts: dict[str, list] = {family: [] for family in _SHARD_BLOCKS}
-        for sid, record in self._shard_records.items():
-            acc.counts[sid] += record["n"]
-            for family in _SHARD_BLOCKS:
-                cols = record[family]
-                if len(cols[0]):
-                    parts[family].append(shard_part(sid, cols))
-            for day, cols in record["pairs"].items():
-                if len(cols[0]):
-                    acc.add_pair_chunk(day, *shard_part(sid, cols))
-        acc.merge_runs({family: new for family, new in parts.items() if new})
+        engine.adopt_shards(self._shard_records)
         engine.restore_detection(
             tuple(map(as_array, self._detection["cp"])),
             {

@@ -1,4 +1,4 @@
-"""Columnar (numpy) worker kernel: sort-reduce ingestion off the hot path.
+"""Columnar (numpy) kernel: the whole state of a kernel engine, as columns.
 
 Profiling the streaming subsystem shows per-worker apply cost dominated
 by Python ``set.add``/``dict`` inserts -- every observation pays for
@@ -8,35 +8,29 @@ hot loop with a columnar kernel:
 
 * each chunk of observations is split into ``uint64`` columns --
   addresses as (hi, lo) pairs, plus day / origin-AS / shard columns;
+  single observations are buffered as flat rows and converted a chunk
+  at a time;
 * per-chunk work is pure numpy: the EUI-64 ``ff:fe`` structural test,
   shard placement (the same splitmix scramble as
   :func:`~repro.stream.shard.shard_index`, vectorized), and per-shard
   row counting;
-* the expensive Python-object work is *deferred*, in three steps that
-  each do strictly more (:class:`ColumnarAccumulator`):
+* Python objects are built only on request, in two steps
+  (:class:`ColumnarAccumulator`):
 
   - ``reduce()`` sort-reduces the buffered rows into *runs* -- per
     aggregate family one sorted, de-duplicated set of columns, span
-    groups min/max-reduced with ``ufunc.reduceat``.  Still pure numpy.
-    This is all a binary checkpoint, a ``retain_days`` day close and a
-    column restore ever need: state stays columns from the fold to the
-    segment on disk and back (:mod:`repro.stream.ckptbin`).
-  - ``fold_aggregates()`` moves the runs into :class:`ShardState` sets
-    and span dicts -- Python objects, once per *unique* element
-    instead of once per observation.
-  - ``materialize()`` additionally moves the per-day pair columns into
-    ``pairs_by_day`` sets.  It *moves*: afterwards the shards own the
-    rows and the accumulator owns nothing, for the runs exactly as for
-    the pairs.  Only the JSON oracle (``engine_state``), the fabric's
-    merge and a caller who asks for it by name go this far.
+    groups min/max-reduced with ``ufunc.reduceat``.  Pure numpy, and
+    all that queries, the served snapshot, a binary checkpoint, a
+    ``retain_days`` day close and a restore ever need.
+  - ``shard_states()`` *builds* fresh :class:`ShardState` objects from
+    the runs and the per-day pair chunks -- once per unique element --
+    for the JSON oracle (``engine_state``) and the fabric's merge.  It
+    moves nothing: the accumulator keeps owning every row.
 
-  Day-over-day rotation diffs need none of that: they run directly on
-  lexsorted, deduplicated pair columns (:func:`diff_pair_columns`).
-  Neither do readers: every engine query and the served snapshot answer
-  from the runs (:meth:`ColumnarAccumulator.family_columns`, joined
-  with whatever the shards also hold), so an engine that is read every
-  day keeps its columns -- and its columnar day close and save -- for
-  the whole campaign.
+With the kernel the accumulator is the one owner of engine state, and
+without it :class:`ShardState` is; nothing holds both, so no reader or
+writer ever joins the two.  Day-over-day rotation diffs run directly on
+lexsorted, deduplicated pair columns (:func:`diff_pair_columns`).
 
 Because every aggregate the engine keeps commutes (counts add, sets
 union, spans min/max -- see :mod:`repro.stream.state`), deferring and
@@ -58,13 +52,7 @@ from repro.core.rotation_detect import RotationDetection
 from repro.net.addr import Prefix
 from repro.net.eui64 import _FFFE, _FFFE_SHIFT
 from repro.stream.shard import SPLITMIX64
-from repro.stream.state import (
-    ShardState,
-    lift_family,
-    merge_span_bounds,
-    pair_columns,
-    plen_of_middle,
-)
+from repro.stream.state import ShardState, plen_of_middle
 from repro.util import np
 
 _MASK64 = (1 << 64) - 1
@@ -76,9 +64,11 @@ def numpy_enabled() -> bool:
     return np is not None
 
 
-def make_accumulator(num_shards: int) -> "ColumnarAccumulator | None":
+def make_accumulator(
+    num_shards: int, asn_keyed: bool = False
+) -> "ColumnarAccumulator | None":
     """The columnar accumulator, or ``None`` when numpy is absent."""
-    return ColumnarAccumulator(num_shards) if numpy_enabled() else None
+    return ColumnarAccumulator(num_shards, asn_keyed) if numpy_enabled() else None
 
 
 def vector_shard_index(keys, num_shards: int):
@@ -159,35 +149,19 @@ def column_batch_arrays(batch, day_column, route_of):
     return slot_u[inverse], day_column, asn_u[inverse], src_hi, src_lo, tgt_hi, tgt_lo
 
 
-def absorb_worker_columns(acc, columns, asn_keyed: bool, num_shards: int) -> None:
-    """Fold one ``cols`` message into a worker's accumulator.
-
-    *columns* is the pickled ``(day, asn, src_hi, src_lo, tgt_hi,
-    tgt_lo)`` array tuple; shard placement is the vectorized scramble
-    over pre-resolved origin AS (or the source /32), exactly as
-    :func:`row_columns` does for flat rows.
-    """
-    day, asn, src_hi, src_lo, tgt_hi, tgt_lo = columns
-    key = asn.astype(np.uint64) if asn_keyed else src_hi >> np.uint64(32)
-    sid = vector_shard_index(key, num_shards).astype(np.int64)
-    acc.absorb(sid, day, asn, src_hi, src_lo, tgt_hi, tgt_lo)
-
-
-def row_columns(rows: list, asn_keyed: bool, num_shards: int):
-    """Columns for worker flat rows ``(day, target, source, asn)``.
-
-    Workers receive the origin AS pre-resolved, so shard placement is
-    the fully vectorized scramble -- no route cache, no Python loop.
-    """
-    days = np.array([r[0] for r in rows], dtype=np.int64)
-    asn = np.array([r[3] for r in rows], dtype=np.int64)
-    src_hi = np.array([r[2] >> 64 for r in rows], dtype=np.uint64)
-    src_lo = np.array([r[2] & _MASK64 for r in rows], dtype=np.uint64)
-    tgt_hi = np.array([r[1] >> 64 for r in rows], dtype=np.uint64)
-    tgt_lo = np.array([r[1] & _MASK64 for r in rows], dtype=np.uint64)
-    key = asn.astype(np.uint64) if asn_keyed else src_hi >> np.uint64(32)
-    sid = vector_shard_index(key, num_shards).astype(np.int64)
-    return sid, days, asn, src_hi, src_lo, tgt_hi, tgt_lo
+def row_columns(rows: list) -> tuple:
+    """Flat ``(day, target, source, asn)`` rows -- the engine's
+    per-observation buffer, a worker's ``rows`` frame -- as the
+    ``(day, asn, src_hi, src_lo, tgt_hi, tgt_lo)`` columns a ``cols``
+    frame carries (see :meth:`ColumnarAccumulator.absorb_unplaced`)."""
+    return (
+        np.array([r[0] for r in rows], dtype=np.int64),
+        np.array([r[3] for r in rows], dtype=np.int64),
+        np.array([r[2] >> 64 for r in rows], dtype=np.uint64),
+        np.array([r[2] & _MASK64 for r in rows], dtype=np.uint64),
+        np.array([r[1] >> 64 for r in rows], dtype=np.uint64),
+        np.array([r[1] & _MASK64 for r in rows], dtype=np.uint64),
+    )
 
 
 def watch_hits(src_lo, watch_iids: set) -> list:
@@ -324,15 +298,17 @@ def _group_slices(*key_cols):
     return starts, stops
 
 
-#: The aggregate families a reduce leaves behind, as column layouts
-#: (every layout starts with the ``sid`` column).  Set families are all
-#: key; span families carry ``lo, hi`` after the key columns counted here.
+#: The aggregate families a reduce leaves behind: family -> (column
+#: typecodes, span key count).  Every layout starts with the ``sid``
+#: column; ``q`` is int64, ``Q`` uint64.  Set families (``None``) are
+#: all key; span families carry ``lo, hi`` after the key columns
+#: counted here.
 RUN_FAMILIES = {
-    "src": None,  # (sid, src_hi, src_lo), every row
-    "esrc": None,  # (sid, src_hi, src_lo), EUI-64 rows
-    "iid": None,  # (sid, iid)
-    "alloc": 4,  # (sid, asn, iid, day) -> [lo, hi] target /64 numbers
-    "pool": 3,  # (sid, asn, iid) -> [lo, hi] source /64 numbers
+    "src": ("qQQ", None),  # (sid, src_hi, src_lo), every row
+    "esrc": ("qQQ", None),  # (sid, src_hi, src_lo), EUI-64 rows
+    "iid": ("qQ", None),  # (sid, iid)
+    "alloc": ("qqQqQQ", 4),  # (sid, asn, iid, day) -> [lo, hi] target /64s
+    "pool": ("qqQQQ", 3),  # (sid, asn, iid) -> [lo, hi] source /64 numbers
 }
 
 
@@ -358,13 +334,17 @@ def reduce_spans(cols: list, n_keys: int) -> list:
 def _merge_family(family: str, parts: list) -> list:
     """Concatenate one family's column *parts*; sort, de-duplicate, reduce."""
     cols = [np.concatenate(column) for column in zip(*parts)]
-    n_keys = RUN_FAMILIES[family]
+    n_keys = RUN_FAMILIES[family][1]
     return _unique_rows(cols) if n_keys is None else reduce_spans(cols, n_keys)
+
+
+def _dtype(typecode: str):
+    return np.uint64 if typecode == "Q" else np.int64
 
 
 def as_array(col):
     """A stdlib array as a numpy array of the same type, no copy."""
-    return np.frombuffer(col, dtype=np.uint64 if col.typecode == "Q" else np.int64)
+    return np.frombuffer(col, dtype=_dtype(col.typecode))
 
 
 def shard_part(sid: int, columns) -> list:
@@ -372,6 +352,16 @@ def shard_part(sid: int, columns) -> list:
     :func:`~repro.stream.state.lift_family`) as a run part: numpy views
     behind a constant ``sid`` column."""
     return [np.full(len(columns[0]), sid, dtype=np.int64), *map(as_array, columns)]
+
+
+def _shard_groups(*key_cols):
+    """``(key values..., start, stop)`` per equal-key run of sorted key
+    columns, as Python ints (nothing for empty columns)."""
+    if not len(key_cols[0]):
+        return ()
+    starts, stops = _group_slices(*key_cols)
+    firsts = [c[starts].tolist() for c in key_cols]
+    return zip(*firsts, starts.tolist(), stops.tolist())
 
 
 def unique_values(column) -> list:
@@ -501,10 +491,9 @@ def fold_changed_pairs(batches: list, detection: RotationDetection) -> None:
     changed pairs become Python tuples.
 
     Batches are numpy columns from :func:`diff_pair_columns` or a
-    checkpoint, or stdlib arrays from a set-based close; they are
-    near duplicate-free by construction (the emitted-mask in
-    :meth:`ColumnarAccumulator.diff_days`), and a straggler just costs
-    a redundant set insert.
+    checkpoint; they are near duplicate-free by construction (the
+    emitted-mask in :meth:`ColumnarAccumulator.diff_days`), and a
+    straggler just costs a redundant set insert.
     """
     for thi, tlo, shi, slo in batches:
         detection.changed_pairs.update(
@@ -519,61 +508,62 @@ def fold_changed_prefixes(net48_batches: list, detection: RotationDetection) -> 
 
 
 class ColumnarAccumulator:
-    """Buffers observation columns; reduces and folds them on demand.
+    """A kernel engine's aggregates and per-day pairs, as columns.
 
-    The owner (a :class:`~repro.stream.engine.StreamEngine` or a
-    multiprocess worker) calls :meth:`absorb` per chunk on the hot
-    path.  What happens to the buffered aggregate rows afterwards comes
-    in three strengths:
+    With the kernel this is the *one owner* of an engine's (or a fabric
+    worker's) state: every currency lands here, every reader and writer
+    reads here, and the owner's :class:`ShardState` list stays empty.
+    Writes come in three shapes -- :meth:`absorb` per placed chunk on
+    the hot path, single rows appended to :attr:`rows` (drained a chunk
+    at a time, and before any read), and :meth:`adopt` for restored or
+    merged state.  Reads come in two strengths:
 
-    * :meth:`reduce` merges them into the *runs* -- per family
-      (:data:`RUN_FAMILIES`) one sorted, de-duplicated set of columns,
-      span groups already min/max-reduced.  Pure numpy; no Python set,
-      dict or tuple is built.  A checkpoint save and a ``retain_days``
-      day close stop here, and a column restore starts here
-      (:meth:`merge_runs`).
-    * :meth:`fold_aggregates` reduces and then *moves* the runs into
-      :class:`ShardState` sets and span dicts, leaving the pair columns
-      alone.
-    * :meth:`materialize` does that and moves the per-day pair columns
-      too -- whenever the :class:`ShardState` list must be current
-      (``engine_state``, a fabric merge).  After it the accumulator
-      owns nothing, exactly as it has always been for the pairs; the
-      shards' next checkpoint walks Python state again.
+    * :meth:`reduce` merges the buffered rows into the *runs* -- per
+      family (:data:`RUN_FAMILIES`) one sorted, de-duplicated set of
+      columns, span groups already min/max-reduced.  Pure numpy; no
+      Python set, dict or tuple is built.  Queries
+      (:meth:`family_columns`, :meth:`iid_spans`), a checkpoint save and
+      a ``retain_days`` day close stop here, and day-close diffs read
+      merged pair columns straight from the per-day chunks
+      (:meth:`day_pair_columns`).
+    * :meth:`shard_states` builds fresh :class:`ShardState` objects
+      from the runs and pair chunks -- for the JSON oracle and the
+      fabric's merge.  It moves nothing.
 
-    Readers need none of the three either: :meth:`family_columns`,
-    :meth:`iid_spans` and :meth:`day_pair_columns` answer from the runs
-    and pair chunks, joined with whatever the shards already hold.
-
-    Day-close rotation diffs need none of the three: they read merged
-    pair columns straight from the buffer (:meth:`day_pair_columns`).
-    Shard row counts (:attr:`counts`) move with the runs, so an
-    un-materialized accumulator leaves the shard list untouched.
+    Every read method drains :attr:`rows` first (as
+    :meth:`ObservationStore.add <repro.core.records.ObservationStore.add>`'s
+    buffer drains before a store read), so no caller has to remember to.
     """
 
-    def __init__(self, num_shards: int) -> None:
+    def __init__(self, num_shards: int, asn_keyed: bool = False) -> None:
         self.num_shards = num_shards
-        self.pending = 0
-        #: Rows per shard not yet added to ``ShardState.n_observations``.
+        # What shard placement scrambles: the origin AS, or the source /32.
+        self.asn_keyed = asn_keyed
+        #: Single ``(day, target, source, asn)`` rows not absorbed yet.
+        self.rows: list[tuple] = []
+        #: Rows ever absorbed or adopted, per shard.
         self.counts = np.zeros(num_shards, dtype=np.int64)
-        # Every row: (sid, src_hi, src_lo) -- feeds the sources sets.
-        self._rows: list[tuple] = []
+        # Every row: (sid, src_hi, src_lo) -- feeds the sources run.
+        self._src: list[tuple] = []
         # EUI-64 rows: (sid, day, asn, src_hi, src_lo, tgt_hi) -- feeds
-        # spans and the EUI source/IID sets (pairs carry tgt_lo below).
+        # the span and EUI runs (pairs carry tgt_lo below).
         self._eui: list[tuple] = []
-        #: family -> reduced columns (see :data:`RUN_FAMILIES`); a family
-        #: with nothing reduced is absent.
-        self.runs: dict[str, list] = {}
+        #: family -> reduced columns (see :data:`RUN_FAMILIES`).
+        self.runs: dict[str, list] = {
+            family: [np.empty(0, dtype=_dtype(code)) for code in typecodes]
+            for family, (typecodes, _) in RUN_FAMILIES.items()
+        }
         # day -> [(sid, tgt_hi, tgt_lo, src_hi, src_lo), ...] EUI pair
         # chunks, plus a per-day merged/deduplicated diff-ready cache
         # and the mask of merged rows already emitted as changed.
         self._pair_chunks: dict[int, list[tuple]] = {}
         self._merged_pairs: dict[int, list] = {}
         self._appeared: dict[int, object] = {}
-        # Shards that received rows since a checkpoint saver last drained
-        # this set (binary delta dirty-tracking; never cleared by
-        # materialize -- folding buffers does not make a shard clean).
-        self.dirty_sids: set[int] = set()
+        # Shards that received rows since a checkpoint saver last took
+        # this set (binary delta dirty-tracking).
+        self._dirty_sids: set[int] = set()
+
+    # -- writing -----------------------------------------------------------
 
     def absorb(self, sid, day, asn, src_hi, src_lo, tgt_hi, tgt_lo) -> None:
         """Buffer one chunk of column arrays (all int64/uint64, same length).
@@ -586,8 +576,8 @@ class ColumnarAccumulator:
             return
         counts = np.bincount(sid, minlength=self.num_shards)
         self.counts += counts
-        self.dirty_sids.update(np.nonzero(counts)[0].tolist())
-        self._rows.append((sid, src_hi, src_lo))
+        self._dirty_sids.update(np.nonzero(counts)[0].tolist())
+        self._src.append((sid, src_hi, src_lo))
         eui = eui64_mask(src_lo)
         if eui.any():
             if eui.all():  # all-EUI chunks skip seven subset copies
@@ -616,38 +606,71 @@ class ColumnarAccumulator:
                 self.add_pair_chunk(
                     d, sid_e[mask], thi_e[mask], tlo_e[mask], shi_e[mask], slo_e[mask]
                 )
-        self.pending += n
 
-    # -- pair columns (the day-close fast path) ----------------------------
+    def absorb_unplaced(self, columns) -> None:
+        """Place and absorb ``(day, asn, src_hi, src_lo, tgt_hi, tgt_lo)``
+        columns -- a worker's ``cols`` frame, or :func:`row_columns` of
+        flat rows: the vectorized scramble over the origin AS (or the
+        source /32) picks each row's shard, as the engine's router does."""
+        day, asn, src_hi, src_lo, tgt_hi, tgt_lo = columns
+        key = asn.astype(np.uint64) if self.asn_keyed else src_hi >> np.uint64(32)
+        sid = vector_shard_index(key, self.num_shards).astype(np.int64)
+        self.absorb(sid, day, asn, src_hi, src_lo, tgt_hi, tgt_lo)
+
+    def drain(self) -> None:
+        """Absorb the buffered single :attr:`rows` as one chunk."""
+        if self.rows:
+            rows, self.rows = self.rows, []
+            self.absorb_unplaced(row_columns(rows))
 
     def add_pair_chunk(self, day: int, sid, tgt_hi, tgt_lo, src_hi, src_lo) -> None:
         """Buffer EUI pair columns of one *day* (a chunk's, or a
-        checkpoint's pair blocks on restore)."""
+        restored shard's)."""
         self._pair_chunks.setdefault(day, []).append(
             (sid, tgt_hi, tgt_lo, src_hi, src_lo)
         )
         self._merged_pairs.pop(day, None)
         self._appeared.pop(day, None)
 
-    def has_pairs(self, day: int) -> bool:
-        return day in self._pair_chunks
+    def merge_runs(self, parts: dict[str, list]) -> None:
+        """Merge column *parts* (family -> list of column lists in the
+        :data:`RUN_FAMILIES` layouts, any order, duplicates welcome)
+        into :attr:`runs`.  The one merge behind :meth:`reduce` and
+        :meth:`adopt`, so the runs' invariants (sorted, unique keys)
+        never depend on who produced the rows."""
+        runs = self.runs
+        for family, new in parts.items():
+            runs[family] = _merge_family(family, [runs[family], *new])
 
-    def day_pair_columns(self, day: int, shards=()) -> list:
+    def adopt(self, records: dict) -> None:
+        """Take over restored or merged shard state: ``{sid: record}``,
+        each record holding per :data:`RUN_FAMILIES` family the shard's
+        stdlib-array columns minus ``sid`` (a checkpoint's blocks, or a
+        :func:`~repro.stream.state.lift_family`), ``"pairs"`` (day ->
+        pair columns) and ``"n"`` (its row count).  Marks nothing
+        dirty: adopted state is what the chain on disk already holds."""
+        parts: dict[str, list] = {family: [] for family in RUN_FAMILIES}
+        for sid, record in records.items():
+            self.counts[sid] += record["n"]
+            for family, family_parts in parts.items():
+                cols = record[family]
+                if len(cols[0]):
+                    family_parts.append(shard_part(sid, cols))
+            for day, cols in record["pairs"].items():
+                if len(cols[0]):
+                    self.add_pair_chunk(day, *shard_part(sid, cols))
+        self.merge_runs({family: new for family, new in parts.items() if new})
+
+    # -- pair columns (the day-close fast path) ----------------------------
+
+    def day_pair_columns(self, day: int) -> list:
         """Merged, deduplicated ``(tgt_hi, tgt_lo, src_hi, src_lo)`` of *day*.
 
         Cached until new rows arrive for the day; an unscanned or
         EUI-free day reads as empty columns, matching the empty pair
-        set the scalar path would diff.  Pairs any of *shards* also
-        holds for the day are joined in (a read; never cached).
+        set the scalar path would diff.
         """
-        held = [
-            pair_columns(shard.pairs_by_day[day])
-            for shard in shards
-            if shard.pairs_by_day.get(day)
-        ]
-        if held:
-            parts = [self.day_pair_columns(day), *(map(as_array, h) for h in held)]
-            return _dedup_rows([np.concatenate(column) for column in zip(*parts)])
+        self.drain()
         merged = self._merged_pairs.get(day)
         if merged is None:
             chunks = self._pair_chunks.get(day)
@@ -677,11 +700,9 @@ class ColumnarAccumulator:
         return changed, net48s, stable
 
     def day_pairs_set(self, day: int) -> set:
-        """*day*'s buffered pairs as Python ``(target, source)`` tuples.
-
-        The multiprocess ``day_pairs`` protocol reply; building tuples
-        from the merged columns skips shard-set materialization.
-        """
+        """*day*'s pairs as Python ``(target, source)`` tuples: a kernel
+        engine's ``_pairs_on``, which only the parallel dispatcher's
+        day close asks of a resumed base engine."""
         cols = self.day_pair_columns(day)
         return set(
             zip(_combine64(cols[0], cols[1]), _combine64(cols[2], cols[3]))
@@ -689,6 +710,7 @@ class ColumnarAccumulator:
 
     def pair_days(self) -> list[int]:
         """Days with buffered pair columns, ascending (checkpoint walk)."""
+        self.drain()
         return sorted(self._pair_chunks)
 
     def shard_pair_columns(self, day: int) -> dict:
@@ -696,18 +718,18 @@ class ColumnarAccumulator:
 
         Returns ``{sid: (tgt_hi, tgt_lo, src_hi, src_lo)}`` -- sorted,
         deduplicated, straight from the buffered chunks.  The binary
-        checkpoint writer emits these arrays directly, so pending pairs
+        checkpoint writer emits these arrays directly, so pairs
         serialize without ever becoming Python tuples.
         """
+        self.drain()
         chunks = self._pair_chunks.get(day)
         if not chunks:
             return {}
         cols = [np.concatenate([c[i] for c in chunks]) for i in range(5)]
         sid_u, thi_u, tlo_u, shi_u, slo_u = _unique_rows(cols)
-        starts, stops = _group_slices(sid_u)
         return {
-            int(sid_u[a]): (thi_u[a:b], tlo_u[a:b], shi_u[a:b], slo_u[a:b])
-            for a, b in zip(starts.tolist(), stops.tolist())
+            sid: (thi_u[a:b], tlo_u[a:b], shi_u[a:b], slo_u[a:b])
+            for sid, a, b in _shard_groups(sid_u)
         }
 
     def drop_pair_days(self, threshold: int) -> None:
@@ -716,6 +738,7 @@ class ColumnarAccumulator:
         The columnar half of ``retain_days`` pruning; aggregates are
         unaffected (pruning never touches them).
         """
+        self.drain()
         for day in [d for d in self._pair_chunks if d < threshold]:
             del self._pair_chunks[day]
         for day in [d for d in self._merged_pairs if d < threshold]:
@@ -723,26 +746,28 @@ class ColumnarAccumulator:
         for day in [d for d in self._appeared if d < threshold]:
             del self._appeared[day]
 
-    # -- materialization ---------------------------------------------------
+    def take_dirty_sids(self) -> set[int]:
+        """Shards that received rows since the last call; clears the set."""
+        self.drain()
+        dirty, self._dirty_sids = self._dirty_sids, set()
+        return dirty
 
-    @property
-    def has_pending(self) -> bool:
-        """True while the accumulator owns anything the shards lack."""
-        return bool(self.pending or self.runs or self._pair_chunks)
+    # -- reading (no Python state is built) --------------------------------
 
     def reduce(self) -> dict[str, list]:
-        """Merge the pending row buffers into :attr:`runs`; returns them.
+        """Merge the buffered rows into :attr:`runs`; returns them.
 
         One lexsort (plus ``minimum/maximum.reduceat`` for the span
         families) per family over the old run and the new rows; pure
         numpy.  The bounded-memory half of ``retain_days`` (per-row
         buffers never outlive a day close) and everything a checkpoint
-        save needs of the aggregates.
+        save or a query needs of the aggregates.
         """
-        if self.pending:
-            rows = self._rows
+        self.drain()
+        if self._src:
+            src = self._src
             parts: dict[str, list] = {
-                "src": [[np.concatenate([c[i] for c in rows]) for i in range(3)]]
+                "src": [[np.concatenate([c[i] for c in src]) for i in range(3)]]
             }
             if self._eui:
                 sid, day, asn, src_hi, src_lo, tgt_hi = (
@@ -752,50 +777,22 @@ class ColumnarAccumulator:
                 parts["iid"] = [[sid, src_lo]]
                 parts["alloc"] = [[sid, asn, src_lo, day, tgt_hi, tgt_hi]]
                 parts["pool"] = [[sid, asn, src_lo, src_hi, src_hi]]
-            self._rows = []
+            self._src = []
             self._eui = []
-            self.pending = 0
             self.merge_runs(parts)
         return self.runs
 
-    def merge_runs(self, parts: dict[str, list]) -> None:
-        """Merge column *parts* (family -> list of column lists in the
-        :data:`RUN_FAMILIES` layouts, any order, duplicates welcome)
-        into :attr:`runs`.  The one merge behind :meth:`reduce` and a
-        checkpoint's column restore, so the runs' invariants (sorted,
-        unique keys) never depend on who produced the rows."""
-        runs = self.runs
-        for family, new in parts.items():
-            if family in runs:
-                new = [runs[family], *new]
-            runs[family] = _merge_family(family, new)
-
-    # -- reading (no Python state is built or moved) -----------------------
-
-    def family_columns(self, family: str, shards) -> list:
+    def family_columns(self, family: str) -> list:
         """*family*'s rows in its :data:`RUN_FAMILIES` layout, sorted,
-        every key once: the run (pending rows reduced first) joined
-        with whatever *shards* also hold as Python state -- scalar
-        ``ingest(observation)``, a JSON restore, an earlier
-        :meth:`materialize` -- through the lift and the merge the
-        segment writer and :meth:`reduce` use.  With empty shards (every
-        campaign, resume and standby path) this *is* the run.
-        """
-        run = self.reduce().get(family)
-        lifted = [
-            shard_part(shard.shard_id, lift_family(shard, family)) for shard in shards
-        ]
-        held = [part for part in lifted if len(part[0])]
-        if run is None:
-            return _merge_family(family, held or lifted[:1])
-        return _merge_family(family, [run, *held]) if held else run
+        every key once: the run, buffered rows reduced first."""
+        return self.reduce()[family]
 
-    def iid_spans(self, family: str, shards, day=None, asn=None) -> list:
+    def iid_spans(self, family: str, day=None, asn=None) -> list:
         """A span family reduced to ``(asn, iid, lo, hi)``, one row per
         ``(asn, iid)`` across shards and days; only *day*'s rows of
         ``alloc`` and only *asn*'s rows when given (both masks apply
         before the reduce, as the dict walk filters before it merges)."""
-        cols = self.family_columns(family, shards)[1:]
+        cols = self.family_columns(family)[1:]
         keep = None
         if family == "alloc":
             days = cols.pop(2)
@@ -807,72 +804,39 @@ class ColumnarAccumulator:
             cols = [c[keep] for c in cols]
         return reduce_spans(cols, 2)
 
-    def materialize(self, shards: list[ShardState]) -> None:
-        """Fold everything the accumulator owns into *shards*.
-
-        All values cross into Python land via ``tolist()`` (plain ints),
-        so the resulting shard state is indistinguishable -- including
-        under JSON serialization -- from per-observation ingestion.
-        """
-        self.fold_aggregates(shards)
-        self._fold_pairs(shards)
-
-    def fold_aggregates(self, shards: list[ShardState]) -> None:
-        """:meth:`reduce`, then move counts and runs into *shards*
-        (source/IID sets once per unique element, spans once per
-        group); the pair columns stay where the columnar day-close diff
-        and :meth:`drop_pair_days` can keep operating on them."""
+    def shard_states(self) -> list[ShardState]:
+        """Everything held, as fresh :class:`ShardState` objects -- one
+        per shard, indistinguishable (under JSON serialization too: all
+        values cross over by ``tolist()``) from per-observation
+        ingestion.  Moves nothing; the runs keep every key once, so each
+        set and span dict is built by plain assignment."""
         runs = self.reduce()
-        for sid, count in enumerate(self.counts.tolist()):
-            if count:
-                shards[sid].n_observations += count
-        self.counts = np.zeros(self.num_shards, dtype=np.int64)
+        shards = [
+            ShardState(shard_id=sid, n_observations=n)
+            for sid, n in enumerate(self.counts.tolist())
+        ]
         for family, attribute in (("src", "sources"), ("esrc", "eui_sources")):
-            if family in runs:
-                sid_u, hi_u, lo_u = runs[family]
-                starts, stops = _group_slices(sid_u)
-                combined = _combine64(hi_u, lo_u)
-                for a, b in zip(starts.tolist(), stops.tolist()):
-                    getattr(shards[int(sid_u[a])], attribute).update(combined[a:b])
-        if "iid" in runs:
-            sid_u, iid_u = runs["iid"]
-            starts, stops = _group_slices(sid_u)
-            iid_l = iid_u.tolist()
-            for a, b in zip(starts.tolist(), stops.tolist()):
-                shards[int(sid_u[a])].eui_iids.update(iid_l[a:b])
-        if "alloc" in runs:
-            g_sid, g_asn, g_iid, g_day, lows, highs = (
-                c.tolist() for c in runs["alloc"]
-            )
-            for i in range(len(g_sid)):
-                shard = shards[g_sid[i]]
-                spans = shard.alloc_spans.get(g_asn[i])
-                if spans is None:
-                    spans = shard.alloc_spans[g_asn[i]] = {}
-                merge_span_bounds(spans, (g_iid[i], g_day[i]), lows[i], highs[i])
-        if "pool" in runs:
-            g_sid, g_asn, g_iid, lows, highs = (c.tolist() for c in runs["pool"])
-            for i in range(len(g_sid)):
-                shard = shards[g_sid[i]]
-                spans = shard.pool_spans.get(g_asn[i])
-                if spans is None:
-                    spans = shard.pool_spans[g_asn[i]] = {}
-                merge_span_bounds(spans, g_iid[i], lows[i], highs[i])
-        self.runs = {}
-
-    def _fold_pairs(self, shards) -> None:
-        for day, chunks in self._pair_chunks.items():
-            cols = [np.concatenate([c[i] for c in chunks]) for i in range(5)]
-            sid_u, thi_u, tlo_u, shi_u, slo_u = _unique_rows(cols)
-            starts, stops = _group_slices(sid_u)
-            targets = _combine64(thi_u, tlo_u)
-            sources = _combine64(shi_u, slo_u)
-            for a, b in zip(starts.tolist(), stops.tolist()):
-                shard = shards[int(sid_u[a])]
-                pairs = shard.pairs_by_day.get(day)
-                if pairs is None:
-                    pairs = shard.pairs_by_day[day] = set()
-                pairs.update(zip(targets[a:b], sources[a:b]))
-        self._pair_chunks = {}
-        self._merged_pairs = {}
-        self._appeared = {}
+            sid, hi, lo = runs[family]
+            values = _combine64(hi, lo)
+            for s, a, b in _shard_groups(sid):
+                setattr(shards[s], attribute, set(values[a:b]))
+        sid, iid = runs["iid"]
+        iids = iid.tolist()
+        for s, a, b in _shard_groups(sid):
+            shards[s].eui_iids = set(iids[a:b])
+        sid, asn, iid, day, lo, hi = runs["alloc"]
+        keys = list(zip(iid.tolist(), day.tolist()))
+        spans = list(map(list, zip(lo.tolist(), hi.tolist())))
+        for s, a, start, stop in _shard_groups(sid, asn):
+            shards[s].alloc_spans[a] = dict(zip(keys[start:stop], spans[start:stop]))
+        sid, asn, iid, lo, hi = runs["pool"]
+        keys = iid.tolist()
+        spans = list(map(list, zip(lo.tolist(), hi.tolist())))
+        for s, a, start, stop in _shard_groups(sid, asn):
+            shards[s].pool_spans[a] = dict(zip(keys[start:stop], spans[start:stop]))
+        for day in self.pair_days():
+            for s, (thi, tlo, shi, slo) in self.shard_pair_columns(day).items():
+                shards[s].pairs_by_day[day] = set(
+                    zip(_combine64(thi, tlo), _combine64(shi, slo))
+                )
+        return shards

@@ -14,30 +14,33 @@ share mutable state and the dispatcher parallelizes trivially
 what this module fixes).
 
 The fold itself exists twice and only twice: the scalar reference
-:meth:`ShardState.observe <repro.stream.state.ShardState.observe>`
-behind :meth:`StreamEngine.ingest`, and the numpy
-:class:`~repro.stream.columnar.ColumnarAccumulator` behind the bulk
-entry points.  Which one a bulk call runs is decided by whether numpy
-imports, nothing else: ``ingest_batch`` here only converts chunks to
-columns when the kernel exists, and is otherwise the reference loop
-inherited from :class:`~repro.stream.sink.IngestSinkBase`.
+:meth:`ShardState.observe <repro.stream.state.ShardState.observe>` and
+the numpy :class:`~repro.stream.columnar.ColumnarAccumulator`.  Whether
+numpy imports decides which one an engine runs -- and which one *owns*
+its state -- for every currency, nothing else:
 
-Reading follows the same switch.  With the kernel, every query --
-``asns``, ``allocation_inference[s]``, ``pool_inference[s]``,
-``as_profiles``, ``unique_sources``, ``unique_eui64_sources``,
-``eui64_iids``, ``summary``, ``rotation_between``,
-``changed_pair_count``, ``rotating_prefixes`` -- answers from columns:
-the accumulator's runs and pair chunks joined with whatever the shards
-also hold (:meth:`ColumnarAccumulator.family_columns
-<repro.stream.columnar.ColumnarAccumulator.family_columns>`), moving
-nothing, so an engine that is queried or served every day keeps the
-columnar day close and the columnar save.  Without the kernel the same
-queries walk ``ShardState`` (the scalar reference the fuzz harness
-holds the column answers to).  :meth:`StreamEngine.materialize` -- every
-run and pair chunk moved into the shards as Python sets and dicts -- is
-left to three callers: :func:`~repro.stream.checkpoint.engine_state`
-(the JSON oracle), the parallel dispatcher's merge of a column-restored
-base, and anyone who wants to read :attr:`StreamEngine.shards` directly.
+* **With the kernel** the accumulator is the only owner.  Column
+  batches and observation iterables are absorbed a chunk at a time,
+  single observations are buffered as flat rows and drained into it a
+  chunk at a time (and before any read), restored or merged state is
+  adopted into it (:meth:`StreamEngine.adopt_shards`), and every query
+  -- ``asns``, ``allocation_inference[s]``, ``pool_inference[s]``,
+  ``as_profiles``, ``unique_sources``, ``unique_eui64_sources``,
+  ``eui64_iids``, ``summary``, ``rotation_between``,
+  ``changed_pair_count``, ``rotating_prefixes`` -- every day close and
+  every binary save reads its columns.  :attr:`StreamEngine.shards`
+  stays a list of empty :class:`ShardState` objects.
+* **Without it** :attr:`StreamEngine.shards` is the only owner: every
+  currency runs the reference loop inherited from
+  :class:`~repro.stream.sink.IngestSinkBase`, and the same queries walk
+  ``ShardState`` (the scalar reference the fuzz harness holds the
+  column answers to).
+
+Nothing ever holds both, so nothing joins the two.
+:meth:`StreamEngine.materialize` returns the state as ``ShardState``
+objects either way -- freshly built from the columns with the kernel --
+for :func:`~repro.stream.checkpoint.engine_state` (the JSON oracle), the
+parallel dispatcher's merge, and anyone who wants to peek at shards.
 
 Day handling lives in that shared base (the dispatcher runs the same
 code): observation days must arrive non-decreasing (scans are
@@ -71,6 +74,7 @@ from repro.stream.state import (
     ShardState,
     allocation_inference_from_iid_spans,
     allocation_inference_from_spans,
+    lift_family,
     merge_spans,
     pair_columns,
     pool_inference_from_spans,
@@ -142,12 +146,13 @@ class StreamEngine(IngestSinkBase):
         # paper's unit), so origin -- and hence ASN-keyed sharding -- is
         # constant within a /48; /32-keyed sharding is coarser still.
         self._route_cache: dict[int, tuple[int, int]] = {}
-        # Columnar kernel (numpy sort-reduce per chunk, set/dict work
-        # deferred to materialize): the bulk path whenever numpy is
-        # importable; None without it, and bulk calls then run the
-        # per-observation reference loop.  Execution detail only --
-        # never part of checkpoint state.
-        self._acc = columnar_kernel.make_accumulator(self.config.num_shards)
+        # Columnar kernel (numpy sort-reduce per chunk): the owner of all
+        # engine state whenever numpy is importable; None without it,
+        # and self.shards owns it instead.  How the state is held never
+        # shows in a checkpoint.
+        self._acc = columnar_kernel.make_accumulator(
+            self.config.num_shards, self.config.shard_key is ShardKey.ASN
+        )
         # Dirty-tracking for incremental (delta) checkpoints: a shard's
         # epoch is bumped to the current engine epoch on every mutation;
         # a binary saver remembers the epoch it saved at and re-emits
@@ -184,7 +189,10 @@ class StreamEngine(IngestSinkBase):
         """Fold one observation into all engine state. O(1).
 
         The per-response primitive behind the polymorphic ``ingest()``
-        and the reference loop (campaigns deliver column batches)."""
+        and the reference loop (campaigns deliver column batches).
+        With the kernel the row joins the accumulator's flat-row buffer
+        -- a chunk of them is absorbed at once, and any read drains it
+        first; without it, :meth:`ShardState.observe` folds it here."""
         day = observation.day
         if day != self.current_day:
             self._open_day(day)
@@ -192,11 +200,16 @@ class StreamEngine(IngestSinkBase):
         source = observation.source
         route = self._route_cache.get(source >> 80)
         if route is None:
-            asn = (self._origin_of(source) or 0) if self._origin_of else 0
-            route = (self.router.shard_of(source), asn)
-            self._route_cache[source >> 80] = route
-        self.shards[route[0]].observe(day, observation.target, source, route[1])
-        self._shard_epochs[route[0]] = self._epoch
+            route = self._route_of(source)
+        acc = self._acc
+        if acc is None:
+            self.shards[route[0]].observe(day, observation.target, source, route[1])
+            self._shard_epochs[route[0]] = self._epoch
+        else:
+            rows = acc.rows
+            rows.append((day, observation.target, source, route[1]))
+            if len(rows) >= self._COLUMNAR_CHUNK:
+                acc.drain()
         if self.store is not None:
             self.store.add(observation)
         self.responses_ingested += 1
@@ -215,8 +228,8 @@ class StreamEngine(IngestSinkBase):
         consumed in bounded chunks -- lazy feeds are never materialized
         whole -- each split into a :class:`ColumnBatch` and handed to
         the sort-reduce path :meth:`ingest_columns` also runs (several-
-        fold faster than the reference loop; see ``BENCH_stream.json``'s
-        ``columnar_ingest``).  Without numpy this is the inherited
+        fold faster than the reference loop; see ``BENCHMARK.json``'s
+        ``replay_ingest`` workload).  Without numpy this is the inherited
         reference loop.  State-identical either way -- the fuzz harness
         asserts it -- including the rows-before-error accounting on a
         backwards day (rows before the offending one are ingested, then
@@ -244,26 +257,61 @@ class StreamEngine(IngestSinkBase):
         return route
 
     def _absorb_columns(self, day: int, columns: tuple) -> None:
-        """Buffer a day-segment in the accumulator; Python sets and span
-        dicts are only touched when a day closes or state is read
-        (:meth:`materialize`)."""
+        """Buffer a day-segment in the accumulator."""
         self._acc.absorb(*columns)
 
-    def materialize(self) -> None:
-        """Fold any pending columnar buffers into the shard states.
+    def adopt_shards(self, shards) -> None:
+        """Make restored or merged state this (fresh) engine's own.
 
-        Cheap no-op without the kernel or with nothing buffered.  The
-        queries below do *not* call it (they read the columns); call it
-        before reading :attr:`shards` directly.
+        *shards* is one :class:`ShardState` per shard -- a JSON restore,
+        the parallel dispatcher's merge -- or, from a binary chain,
+        ``{sid: record}`` column records as
+        :class:`~repro.stream.ckptbin.ChainAssembler` keeps them (see
+        :meth:`ColumnarAccumulator.adopt
+        <repro.stream.columnar.ColumnarAccumulator.adopt>`).  Without the
+        kernel the shards simply become :attr:`shards`.  With it each
+        shard is lifted into columns once (:func:`lift_family`,
+        :func:`pair_columns`) and adopted by the accumulator;
+        :attr:`shards` stays empty.
         """
         acc = self._acc
-        if acc is not None and acc.has_pending:
-            obs = self._obs
-            if obs is None:
-                acc.materialize(self.shards)
-            else:
-                with obs.materialize_seconds.time():
-                    acc.materialize(self.shards)
+        if acc is None:
+            self.shards = list(shards)
+            return
+        if not isinstance(shards, dict):
+            shards = {
+                shard.shard_id: {
+                    "n": shard.n_observations,
+                    "pairs": {
+                        day: pair_columns(pairs)
+                        for day, pairs in shard.pairs_by_day.items()
+                    },
+                    **{
+                        family: lift_family(shard, family)
+                        for family in columnar_kernel.RUN_FAMILIES
+                    },
+                }
+                for shard in shards
+            }
+        acc.adopt(shards)
+
+    def materialize(self) -> list[ShardState]:
+        """The engine's state as one :class:`ShardState` per shard.
+
+        Without the kernel that is :attr:`shards` itself; with it, fresh
+        objects built from the accumulator's columns, which keep owning
+        everything (the queries below never need this -- they read the
+        columns).  For the JSON oracle, the dispatcher's merge, and
+        anyone who wants to peek at shards.
+        """
+        acc = self._acc
+        if acc is None:
+            return self.shards
+        obs = self._obs
+        if obs is None:
+            return acc.shard_states()
+        with obs.materialize_seconds.time():
+            return acc.shard_states()
 
     # -- live rotation detection ------------------------------------------
 
@@ -357,32 +405,15 @@ class StreamEngine(IngestSinkBase):
         if len(changed_cols[0]):
             self._changed_log.append(changed_cols)
 
-    def _shards_have_pairs(self, *days: int) -> bool:
-        """True if any shard holds a materialized pair set for any *days*.
-
-        The columnar close path is only sound while the accumulator owns
-        every pair of the two days being diffed; per-observation ingest
-        or a mid-stream materialization (a JSON checkpoint, an explicit
-        :meth:`materialize`) moves pairs into the shards, after which
-        closes must diff full merged sets again.
-        """
-        for shard in self.shards:
-            pairs_by_day = shard.pairs_by_day
-            for day in days:
-                if day in pairs_by_day:
-                    return True
-        return False
-
     def _diff_days(self, previous: int, closed: int) -> None:
         """Diff two scanned days into the live detection.
 
-        With the kernel, pair columns diff directly (no Python sets) as
-        long as the accumulator still owns both days' pairs; otherwise
-        -- and always without numpy -- this is the shared set-based
-        step over merged shard sets (:meth:`_pairs_on`).
+        With the kernel, pair columns diff directly (no Python sets);
+        without it this is the shared set-based step over merged shard
+        sets (:meth:`_pairs_on`).
         """
         acc = self._acc
-        if acc is not None and not self._shards_have_pairs(previous, closed):
+        if acc is not None:
             changed, net48s, stable = acc.diff_days(previous, closed)
             self._changed_log.append(tuple(changed))
             self._pending_net48s.append(net48s)
@@ -397,8 +428,9 @@ class StreamEngine(IngestSinkBase):
             self._changed_folded = len(self._changed_log)
 
     def _pairs_on(self, day: int) -> set[tuple[int, int]]:
-        acc = self._acc
-        pairs = acc.day_pairs_set(day) if acc is not None else set()
+        if self._acc is not None:
+            return self._acc.day_pairs_set(day)
+        pairs: set[tuple[int, int]] = set()
         for shard in self.shards:
             pairs |= shard.pairs_by_day.get(day, set())
         return pairs
@@ -421,7 +453,8 @@ class StreamEngine(IngestSinkBase):
         """
         if self._acc is not None:
             self._acc.drop_pair_days(threshold)
-        prune_shard_days(self.shards, threshold)
+        else:
+            prune_shard_days(self.shards, threshold)
         if self._prune_floor is None or threshold > self._prune_floor:
             self._prune_floor = threshold
 
@@ -436,8 +469,7 @@ class StreamEngine(IngestSinkBase):
             return diff_pairs(self._pairs_on(day_a), self._pairs_on(day_b))
         # Column diff; tuples and prefixes for the changed rows only.
         changed, net48s, stable, _ = columnar_kernel.diff_pair_columns(
-            acc.day_pair_columns(day_a, self.shards),
-            acc.day_pair_columns(day_b, self.shards),
+            acc.day_pair_columns(day_a), acc.day_pair_columns(day_b)
         )
         detection = RotationDetection(
             rotating_prefixes=columnar_kernel.net48_prefixes(net48s),
@@ -466,14 +498,12 @@ class StreamEngine(IngestSinkBase):
 
     def _spans_by_as(self, family: str, day: int | None = None, asn: int | None = None):
         """``asn -> iid -> (lo, hi)`` of a span family, from columns."""
-        return columnar_kernel.spans_by_as(
-            *self._acc.iid_spans(family, self.shards, day, asn)
-        )
+        return columnar_kernel.spans_by_as(*self._acc.iid_spans(family, day, asn))
 
     def asns(self) -> list[int]:
         """Every origin AS with at least one EUI-64 observation."""
         if self._acc is not None:
-            pool = self._acc.family_columns("pool", self.shards)
+            pool = self._acc.family_columns("pool")
             return columnar_kernel.unique_values(pool[1])
         seen: set[int] = set()
         for shard in self.shards:
@@ -534,7 +564,7 @@ class StreamEngine(IngestSinkBase):
         return inferences
 
     def _median_plens(self, family: str, bits_of, plen_of) -> dict[int, int]:
-        asn, _iid, lo, hi = self._acc.iid_spans(family, self.shards)
+        asn, _iid, lo, hi = self._acc.iid_spans(family)
         return columnar_kernel.median_plens(asn, hi - lo, bits_of, plen_of)
 
     def as_profiles(self, default_allocation_plen: int = 56) -> dict[int, AsProfile]:
@@ -571,7 +601,7 @@ class StreamEngine(IngestSinkBase):
     # -- summary -----------------------------------------------------------
 
     def _family_rows(self, family: str) -> int:
-        return len(self._acc.family_columns(family, self.shards)[0])
+        return len(self._acc.family_columns(family)[0])
 
     def unique_sources(self) -> int:
         if self._acc is not None:
@@ -585,7 +615,7 @@ class StreamEngine(IngestSinkBase):
 
     def eui64_iids(self) -> set[int]:
         if self._acc is not None:
-            iid = self._acc.family_columns("iid", self.shards)[1]
+            iid = self._acc.family_columns("iid")[1]
             return set(columnar_kernel.unique_values(iid))
         iids: set[int] = set()
         for shard in self.shards:

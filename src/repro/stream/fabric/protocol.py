@@ -34,10 +34,10 @@ message)`` frame, which the dispatcher re-raises as
 ``RuntimeError("stream worker failed: ...")``.
 
 :class:`WorkerCore` is the socket-independent worker: it owns the
-shard aggregates plus (when numpy imports) the columnar accumulator
-and implements every request above, so a worker subprocess, a worker
-on another host, and an in-process worker thread all run the exact
-same fold logic.
+shard aggregates -- in the columnar accumulator when numpy imports, in
+``ShardState`` otherwise -- and implements every request above, so a
+worker subprocess, a worker on another host, and an in-process worker
+thread all run the exact same fold logic.
 Determinism note: the core is a pure function of the message sequence
 it receives for the shards it owns -- the property that makes
 requeue-to-survivor journal replay and the serial == sockets
@@ -54,11 +54,9 @@ from typing import Callable
 
 from repro.stream import columnar as columnar_kernel
 from repro.stream.shard import shard_index
-from repro.stream.state import ShardState, prune_shard_days
+from repro.stream.state import ShardState, pair_columns, prune_shard_days
 
 PROTO_VERSION = 2
-
-_MASK64 = (1 << 64) - 1
 
 
 class FabricError(RuntimeError):
@@ -84,8 +82,7 @@ def pairs_from_columns(columns) -> set[tuple[int, int]]:
     """Rebuild a ``{(target, source)}`` pair set from flat columns.
 
     Inverse of :meth:`WorkerCore.day_pair_columns`: zips the four
-    parallel hi/lo lists back into 128-bit address tuples.  Duplicates
-    between a worker's shard-set and columnar legs collapse here.
+    parallel hi/lo lists back into 128-bit address tuples.
     """
     t_hi, t_lo, s_hi, s_lo = columns
     return {
@@ -97,12 +94,13 @@ def pairs_from_columns(columns) -> set[tuple[int, int]]:
 class WorkerCore:
     """Socket-independent worker state machine.
 
-    Owns the shard aggregates and, when numpy imports, the columnar
-    accumulator (without it rows fold through the scalar reference
-    :meth:`ShardState.observe`); every worker (subprocess, remote
-    host, in-process thread) wraps one of these in a message loop.
-    :meth:`handle` is the single dispatch point, so a message means
-    exactly the same thing over a socket or a direct call.
+    Owns the worker's shard aggregates under the engine's rule: when
+    numpy imports the columnar accumulator holds all of them, otherwise
+    :attr:`shards` does (rows fold through the scalar reference
+    :meth:`ShardState.observe`) -- never both.  Every worker
+    (subprocess, remote host, in-process thread) wraps one of these in
+    a message loop.  :meth:`handle` is the single dispatch point, so a
+    message means exactly the same thing over a socket or a direct call.
     """
 
     __slots__ = ("shards", "sids", "acc", "asn_keyed", "num_shards")
@@ -112,7 +110,7 @@ class WorkerCore:
         # Kernel-less row path: owning shard per source /48 (placement
         # is constant within a /48, as in the engine's route cache).
         self.sids: dict[int, int] = {}
-        self.acc = columnar_kernel.make_accumulator(num_shards)
+        self.acc = columnar_kernel.make_accumulator(num_shards, asn_keyed)
         self.asn_keyed = asn_keyed
         self.num_shards = num_shards
 
@@ -121,9 +119,7 @@ class WorkerCore:
     def apply_rows(self, rows: list[tuple]) -> None:
         """Fold a chunk of flat ``(day, target, source, asn)`` rows."""
         if self.acc is not None:
-            self.acc.absorb(
-                *columnar_kernel.row_columns(rows, self.asn_keyed, self.num_shards)
-            )
+            self.acc.absorb_unplaced(columnar_kernel.row_columns(rows))
             return
         shards = self.shards
         sids = self.sids
@@ -141,54 +137,43 @@ class WorkerCore:
             raise FabricError(
                 "a cols frame needs the numpy kernel, which this worker lacks"
             )
-        columnar_kernel.absorb_worker_columns(
-            self.acc, columns, self.asn_keyed, self.num_shards
-        )
+        self.acc.absorb_unplaced(columns)
 
-    def day_pair_columns(self, day: int) -> tuple[list, list, list, list]:
+    def day_pair_columns(self, day: int) -> tuple[list, ...]:
         """*day*'s pairs as flat hi/lo columns -- the ``day_pairs`` reply.
 
         Plain int lists (never numpy arrays) so the payload crosses a
-        numpy/no-numpy host boundary unchanged; the shard-set and
-        columnar-backlog legs may overlap, and the dispatcher's set
-        rebuild deduplicates.
+        numpy/no-numpy host boundary unchanged; read from whichever owns
+        the worker's state.
         """
-        t_hi: list[int] = []
-        t_lo: list[int] = []
-        s_hi: list[int] = []
-        s_lo: list[int] = []
-        for shard in self.shards:
-            day_pairs = shard.pairs_by_day.get(day)
-            if day_pairs:
-                for target, source in day_pairs:
-                    t_hi.append(target >> 64)
-                    t_lo.append(target & _MASK64)
-                    s_hi.append(source >> 64)
-                    s_lo.append(source & _MASK64)
-        if self.acc is not None and self.acc.has_pairs(day):
-            for out, col in zip(
-                (t_hi, t_lo, s_hi, s_lo), self.acc.day_pair_columns(day)
-            ):
-                out.extend(int(v) for v in col)
-        return (t_hi, t_lo, s_hi, s_lo)
+        if self.acc is not None:
+            columns = self.acc.day_pair_columns(day)
+        else:
+            columns = pair_columns(
+                pair
+                for shard in self.shards
+                for pair in shard.pairs_by_day.get(day, ())
+            )
+        return tuple(column.tolist() for column in columns)
 
     def prune(self, keep_floor: int) -> None:
         """Forget pair days below *keep_floor*.  Idempotent, so journal
         replay onto a survivor (which may have pruned already) is safe."""
         if self.acc is not None:
-            self.acc.fold_aggregates(self.shards)
+            self.acc.reduce()  # per-row buffers never outlive a close
             self.acc.drop_pair_days(keep_floor)
-        prune_shard_days(self.shards, keep_floor)
+        else:
+            prune_shard_days(self.shards, keep_floor)
 
     def state(self) -> list[ShardState]:
-        """Materialize and return the shard aggregates (``state`` reply).
+        """The shard aggregates as :class:`ShardState` (``state`` reply).
 
-        Safe to call repeatedly -- snapshots keep workers running:
-        materializing drains the accumulator, so no row is ever counted
-        twice.
+        Built fresh from the accumulator's columns with the kernel,
+        which keep owning everything -- so repeated requests (snapshots
+        keep workers running) never count a row twice.
         """
         if self.acc is not None:
-            self.acc.materialize(self.shards)
+            return self.acc.shard_states()
         return self.shards
 
     # -- message dispatch -------------------------------------------------

@@ -25,15 +25,16 @@ Division of labour:
   reach across the transport: a day's pairs are collected from the
   workers (plus a resumed base), a prune goes to every live channel;
 * each **worker** (a :class:`~repro.stream.fabric.protocol.WorkerCore`
-  behind its socket) folds its chunks into plain
-  :class:`~repro.stream.state.ShardState` aggregates with the same
-  fold the engine runs (the columnar kernel when numpy imports, the
-  scalar reference otherwise), and ships those states back on request.
+  behind its socket) folds its chunks with the same fold the engine
+  runs (the columnar kernel when numpy imports, the scalar reference
+  otherwise), and ships its state back as plain
+  :class:`~repro.stream.state.ShardState` aggregates on request.
 
 The merge step (:meth:`ParallelStreamEngine.snapshot_engine` /
 :meth:`~ParallelStreamEngine.finalize`) folds worker partials -- plus
-any checkpoint-restored base state -- into a fresh
-:class:`StreamEngine` with :func:`~repro.stream.state.merge_shard_state`.
+any checkpoint-restored base state -- into scratch shards with
+:func:`~repro.stream.state.merge_shard_state`, which a fresh
+:class:`StreamEngine` then adopts (``adopt_shards``).
 Because every aggregate commutes, the merged engine is *byte-identical*
 (same :func:`~repro.stream.checkpoint.engine_state`, hence the same
 checkpoint JSON) to a single-process engine fed the same stream: the
@@ -579,17 +580,18 @@ class ParallelStreamEngine(IngestSinkBase):
             return self._fold_states(worker_states)
 
     def _fold_states(self, worker_states: list[list[ShardState]]) -> StreamEngine:
+        merged = [ShardState(shard_id=i) for i in range(self.config.num_shards)]
+        parts = list(worker_states)
+        if self._base is not None:
+            parts.append(self._base.materialize())
+        for shards in parts:
+            for shard in shards:
+                if shard.n_observations:
+                    merge_shard_state(merged[shard.shard_id], shard)
         engine = StreamEngine(self.config, origin_of=self._origin_of, store=self.store)
         if self.store is None:
             engine.store = None
-        if self._base is not None:
-            self._base.materialize()  # a column-restored base holds runs
-            for shard in self._base.shards:
-                merge_shard_state(engine.shards[shard.shard_id], shard)
-        for shards in worker_states:
-            for shard in shards:
-                if shard.n_observations:
-                    merge_shard_state(engine.shards[shard.shard_id], shard)
+        engine.adopt_shards(merged)
         floor = self._retain_floor()
         if floor is not None:
             # A resumed base may hold pair days the live run has since

@@ -41,35 +41,6 @@ _IID_MASK = (1 << IID_BITS) - 1
 _MASK64 = (1 << 64) - 1
 
 
-def _update_span(spans: dict, key, value: int) -> None:
-    span = spans.get(key)
-    if span is None:
-        spans[key] = [value, value]
-    elif value < span[0]:
-        span[0] = value
-    elif value > span[1]:
-        span[1] = value
-
-
-def merge_span_bounds(spans: dict, key, lo: int, hi: int) -> None:
-    """Fold a pre-reduced ``[lo, hi]`` group into a span table.
-
-    The single-key counterpart of :func:`merge_spans`, used by the
-    columnar kernel: each vectorized sort-reduce yields one min/max pair
-    per (key) group, and folding it here commutes with per-observation
-    :func:`_update_span` calls -- so columnar and scalar ingestion reach
-    identical span tables in any interleaving.
-    """
-    span = spans.get(key)
-    if span is None:
-        spans[key] = [lo, hi]
-    else:
-        if lo < span[0]:
-            span[0] = lo
-        if hi > span[1]:
-            span[1] = hi
-
-
 def merge_spans(into: dict, other: dict) -> None:
     """Merge another span table into *into* (losslessly -- min/max commute)."""
     for key, span in other.items():
@@ -161,10 +132,11 @@ def lift_family(shard: "ShardState", family: str) -> tuple[array, ...]:
     ``src``/``esrc``, ``(iid,)``, ``(asn, iid, day, lo, hi)`` for
     ``alloc``, ``(asn, iid, lo, hi)`` for ``pool``.
 
-    The one place ``ShardState`` becomes columns: the binary segment
-    writer and the engine's column queries both join this with the
-    accumulator's runs.  On every campaign, resume and standby path
-    the shards are empty and this walks nothing.
+    The one place ``ShardState`` becomes columns, for exactly two
+    callers: the binary segment writer of a kernel-less engine (whose
+    shards own its state), and ``StreamEngine.adopt_shards``, which
+    hands a kernel engine restored or merged shards once -- after
+    that the accumulator owns everything and no shard is lifted again.
     """
     return _LIFTS[family](shard)
 
@@ -222,11 +194,12 @@ class ShardState:
     def observe(self, day: int, target: int, source: int, asn: int) -> None:
         """Fold one observation, as scalars, into every aggregate.
 
-        The scalar reference of the fold: the per-response path, the
-        fabric workers' row path and the whole bulk path when numpy is
-        absent all land here, and the fuzz harness compares the
-        columnar kernel against it.  O(1), and deliberately
-        hand-inlined: this is the per-response hot path.
+        The kernel-less fold and the scalar reference: when numpy is
+        absent every currency of the engine and the fabric workers
+        lands here (with it, none does -- the columnar accumulator owns
+        the state), and the fuzz harness compares the columnar kernel
+        against it.  O(1), and deliberately hand-inlined: without the
+        kernel this is the per-response hot path.
         """
         self.n_observations += 1
         self.sources.add(source)

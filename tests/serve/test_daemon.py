@@ -333,3 +333,58 @@ def test_a_served_day_never_leaves_columns(tmp_path, monkeypatch, forbid_folds):
     assert json.dumps(engine_state(resumed.engine)) == json.dumps(
         engine_state(unserved.engine)
     )
+
+
+def test_a_json_resumed_daemon_serves_from_columns(
+    tmp_path, monkeypatch, forbid_folds
+):
+    """The resume twin of the drill above: a daemon resumed from a JSON
+    checkpoint -- its engine adopts the restored shards once -- serves
+    ``/profiles`` and ``/stats`` and chains binary deltas with every
+    way between columns and Python state armed to raise from the moment
+    the resume returns; the final state equals an uninterrupted run's."""
+    from repro.stream.checkpoint import engine_state
+    from repro.stream.ckptbin import chain_info
+
+    path = tmp_path / "ck"
+    StreamingCampaign(
+        build_campaign(), checkpoint_path=path, checkpoint_format="json"
+    ).run(max_days=1)
+    resumed = StreamingCampaign.resume(
+        build_campaign(), path, checkpoint_every=1, checkpoint_format="binary"
+    )
+    if resumed.engine._acc is None:
+        pytest.skip("numpy kernel unavailable")
+    answers: list[dict] = []
+    done = threading.Event()
+    with monkeypatch.context() as patch:
+        calls = forbid_folds(patch)
+        daemon = TrackerDaemon(resumed)
+
+        def query() -> None:
+            wait_for_server(daemon.url)
+            while not done.is_set():
+                try:
+                    for endpoint in ("/profiles", "/stats"):
+                        answers.append(get_json(daemon.url + endpoint))
+                except OSError:
+                    break  # server stopped between checks
+
+        reader = threading.Thread(target=query)
+        reader.start()
+        try:
+            daemon.run()
+        finally:
+            done.set()
+            reader.join(timeout=30)
+    assert calls == []
+    assert resumed.finished
+    assert any(answer.get("profiles") for answer in answers)
+    kinds = [info.kind for info in chain_info(path)]
+    assert kinds[0] == "full" and set(kinds[1:]) == {"delta"}
+
+    unserved = StreamingCampaign(build_campaign())
+    unserved.run()
+    assert json.dumps(engine_state(resumed.engine)) == json.dumps(
+        engine_state(unserved.engine)
+    )

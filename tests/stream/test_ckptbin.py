@@ -748,10 +748,10 @@ class TestNothingToSave:
 
 def test_mixed_ownership_segment_has_unique_span_keys(tmp_path):
     """Scalar ``ingest(observation)`` rows, column batches and a
-    ``materialize()`` between two saves leave a shard's spans partly in
-    ``ShardState`` and partly in the accumulator's runs: the segment
-    must carry every span key once (readers that overwrite per key stay
-    right) and the chain must restore to the reference bytes."""
+    ``materialize()`` interleaved between two saves (which once left a
+    shard's spans partly in ``ShardState`` and partly in the runs): the
+    segment carries every span key once (readers that overwrite per key
+    stay right) and the chain restores to the reference bytes."""
     rows = [row for day in (2, 3, 4) for row in eui_rows(day)]
     reference = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
     for row in rows:
@@ -761,10 +761,10 @@ def test_mixed_ownership_segment_has_unique_span_keys(tmp_path):
     engine = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
     saver = BinaryCheckpointer(tmp_path / "mixed.bin")
     for row in rows[:20]:
-        engine.ingest(row)  # scalar fold: ShardState
-    engine.ingest_batch(rows[20:60])  # kernel: pending columns
+        engine.ingest(row)
+    engine.ingest_batch(rows[20:60])
     saver.save(engine)
-    engine.materialize()  # runs and pairs move into ShardState
+    engine.materialize()
     engine.ingest_batch(rows[60:110])
     for row in rows[110:120]:
         engine.ingest(row)

@@ -39,9 +39,8 @@ def eui_obs(day: int, subnet: int, n: int = 3, t_offset: float = 0.0):
 
 
 def resident_days(engine: StreamEngine) -> set[int]:
-    engine.materialize()  # shard peeking bypasses the reading accessors
     days: set[int] = set()
-    for shard in engine.shards:
+    for shard in engine.materialize():
         days |= set(shard.pairs_by_day)
     return days
 

@@ -282,9 +282,8 @@ class TestBoundedRotationWindows:
         ]
 
     def _resident_days(self, engine):
-        engine.materialize()  # shard peeking bypasses the reading accessors
         days = set()
-        for shard in engine.shards:
+        for shard in engine.materialize():
             days |= set(shard.pairs_by_day)
         return days
 
@@ -425,3 +424,73 @@ class TestCheckpoint:
         whole.ingest_batch(iter(store))
         whole.flush()
         assert engine_state(resumed) == engine_state(whole)
+
+
+class TestOneOwner:
+    """With the kernel the accumulator is the only owner of engine
+    state; without it the shards are.  Nothing ever holds both."""
+
+    def test_kernel_engine_never_writes_its_shards(self, tmp_path, monkeypatch):
+        """Every currency, reads, flushes, a ``retain_days`` prune, JSON
+        and binary saves and a JSON resume, interleaved: after each step
+        the kernel engine's shards are still empty and ``materialize()``
+        builds exactly the shards a kernel-less engine holds."""
+        from repro.store import ColumnBatch
+        from repro.stream import columnar
+
+        internet, store = run_small_campaign()
+        origin_of = internet.rib.origin_of
+        config = StreamConfig(num_shards=4, retain_days=2, keep_observations=False)
+        engine = StreamEngine(config, origin_of=origin_of)
+        if engine._acc is None:
+            pytest.skip("numpy kernel unavailable")
+        with monkeypatch.context() as patch:
+            patch.setattr(columnar, "np", None)
+            reference = StreamEngine(config, origin_of=origin_of)
+        assert reference._acc is None
+
+        def check():
+            assert engine.shards == [ShardState(shard_id=i) for i in range(4)]
+            assert engine.materialize() == reference.materialize()
+
+        def feed(part, ingest):
+            ingest(part)
+            reference.ingest_batch(part)  # the kernel-less reference loop
+            check()
+
+        def both(step):
+            step(engine)
+            step(reference)
+            check()
+
+        days = store.days()
+        for index, day in enumerate(days):
+            rows = [o for o in store if o.day == day]
+            third = len(rows) // 3
+            for observation in rows[:third]:
+                feed([observation], lambda part: engine.ingest(part[0]))
+            feed(rows[third : 2 * third], lambda part: engine.ingest_batch(part))
+            feed(
+                rows[2 * third :],
+                lambda part: engine.ingest_columns(ColumnBatch.from_observations(part)),
+            )
+            both(lambda e: (e.as_profiles(), e.summary(), e.pool_inferences()))
+            both(lambda e: e.rotation_between(days[0], day))
+            if index % 2:
+                both(lambda e: e.flush())
+            if index == 1:
+                save_engine(engine, tmp_path / "ckpt.bin", format="binary")
+                check()
+            if index == 2:
+                save_engine(engine, tmp_path / "ckpt.json", format="json")
+                check()
+                engine = load_engine(tmp_path / "ckpt.json", origin_of=origin_of)
+                check()
+        both(lambda e: e.flush())
+        assert reference._prune_floor is not None  # retain_days did prune
+        save_engine(engine, tmp_path / "ckpt.bin", format="binary")
+        check()
+        assert json.dumps(engine_state(engine)) == json.dumps(engine_state(reference))
+        resumed = load_engine(tmp_path / "ckpt.bin", origin_of=origin_of)
+        assert resumed.shards == [ShardState(shard_id=i) for i in range(4)]
+        assert resumed.materialize() == reference.materialize()

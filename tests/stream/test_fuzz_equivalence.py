@@ -1,16 +1,16 @@
 """Seeded randomized stream-equivalence fuzzing.
 
-Every ingestion path -- per-observation ``ingest()`` (the scalar
-reference fold), the bulk entry points (the numpy sort-reduce kernel),
-and the parallel dispatcher at any worker count over the socket fabric
-(thread- and subprocess-spawned workers) -- must leave the engine in
-the *same* state for any valid stream.  The unit and world tests pin
-that on curated scenarios; this harness pins it on ~20 randomized ones:
-random rotation cadences, scan gaps, shard modes and counts, retention
-windows, worker counts, chunk sizes, duplicate and out-of-order
-same-day responses, a feed currency drawn afresh for every chunk, and a
-mid-stream snapshot point (at which even seeds also ``flush()``, so
-same-day rows arrive after a close).  The oracle is
+Every ingestion path -- per-observation ``ingest()``, the bulk entry
+points, and the parallel dispatcher at any worker count over the socket
+fabric (thread- and subprocess-spawned workers) -- must leave the
+engine in the *same* state for any valid stream as the scalar reference
+fold: a kernel-less engine fed one observation at a time.  The unit and
+world tests pin that on curated scenarios; this harness pins it on ~20
+randomized ones: random rotation cadences, scan gaps, shard modes and
+counts, retention windows, worker counts, chunk sizes, duplicate and
+out-of-order same-day responses, a feed currency drawn afresh for every
+chunk, and a mid-stream snapshot point (at which even seeds also
+``flush()``, so same-day rows arrive after a close).  The oracle is
 ``engine_state`` serialized to JSON -- checkpoint bytes -- so any
 divergence in any aggregate, counter, watchlist entry, or stored
 observation fails the seed that found it.
@@ -40,16 +40,13 @@ pinning that publishing read snapshots never perturbs checkpoint bytes
 and that snapshot versions only ever move forward.
 
 The reader leg holds the queries to the same standard as the folds: at
-the snapshot point and at the end -- *before* ``engine_state`` moves
-anything into the shards -- every read accessor of the bulk engine
-(columns: the kernel's runs joined with whatever the shards hold, which
-is a genuine mix by then: scalar-currency chunks, an odd-seed
-``materialize()``, the mid-stream ``engine_state``) must equal the
-per-observation engine's answer read through the ``ShardState`` walks
-(the scalar reference, reached by reading with the engine's empty
-kernel set aside) and through its own column path (every row lifted out
-of the shards), twice over; the checkpoint-bytes oracle then shows the
-reads disturbed nothing.  Without the kernel the same leg runs on the
+the snapshot point and at the end, every read accessor of the bulk
+engine (columns: the kernel's runs, the one owner of everything every
+currency, an odd-seed ``materialize()`` and a mid-stream JSON round
+trip left behind) and of the parallel merge must equal the
+per-observation reference's answer, read through the ``ShardState``
+walks, twice over; the checkpoint-bytes oracle then shows the reads
+disturbed nothing.  Without the kernel the same leg runs on the
 ``ShardState`` queries alone.
 
 The chunked-scanner leg moves the oracle one layer out, to the probes
@@ -83,7 +80,7 @@ from repro.simnet.rotation import (
 )
 from repro.store import ColumnBatch, SqliteBackend, make_backend
 from repro.stream.campaign import StreamingCampaign
-from repro.stream.checkpoint import engine_state
+from repro.stream.checkpoint import engine_state, restore_engine
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.fabric import SocketTransport
 from repro.stream.parallel import ParallelStreamEngine
@@ -199,21 +196,21 @@ def read_everything(engine, days) -> dict:
     }
 
 
-def read_scalar(engine, days) -> dict:
-    """*engine*'s answers through the ``ShardState`` walks: the scalar
-    reference.  Only for an engine whose kernel holds nothing (one fed
-    per observation), whose kernel is set aside for the read."""
-    acc = engine._acc
-    assert acc is None or not acc.has_pending
-    engine._acc = None
-    try:
-        return read_everything(engine, days)
-    finally:
-        engine._acc = acc
+def kernel_less_engine(*args, **kwargs) -> StreamEngine:
+    """A :class:`StreamEngine` built without the columnar kernel on any
+    install: its shards own its state, and it reads them through the
+    ``ShardState`` walks -- the scalar reference."""
+    from repro.stream import columnar
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columnar, "np", None)
+        engine = StreamEngine(*args, **kwargs)
+    assert engine._acc is None
+    return engine
 
 
 def check_readers_agree(reference, others, days) -> None:
-    expected = read_scalar(reference, days)
+    expected = read_everything(reference, days)
     for engine in (reference, *others):
         assert read_everything(engine, days) == expected
         assert read_everything(engine, days) == expected  # reads move nothing
@@ -242,8 +239,8 @@ def check_ingest_paths_agree(seed, tmp_path):
     def reader_days():
         return [reader_rng.choice(span) for _ in range(3)]
 
-    # Odd seeds materialize the bulk engine once mid-phase: rows before
-    # it sit in the shards, rows after it in the runs.
+    # Odd seeds materialize the bulk engine once mid-phase: the shards
+    # it builds must be the reference's, and it must move nothing.
     materialize_after = reader_rng.randrange(8) if seed % 2 else None
 
     def backend_store(kind):
@@ -259,7 +256,7 @@ def check_ingest_paths_agree(seed, tmp_path):
     # path must never perturb checkpoint bytes.
     from repro.obs import Telemetry
 
-    reference = StreamEngine(
+    reference = kernel_less_engine(
         config, origin_of=origin_of, store=backend_store("columnar")
     )
     bulk = StreamEngine(
@@ -309,19 +306,20 @@ def check_ingest_paths_agree(seed, tmp_path):
         if engine is bulk and rng.random() < 0.3:
             versions.append(publisher.refresh().version)
 
-    # Phase 1: up to the snapshot point.
-    for observation in corpus[:split]:
-        reference.ingest(observation)
+    # Phase 1: up to the snapshot point.  The reference keeps pace with
+    # the bulk engine chunk by chunk, so both materialize at one point.
     for engine in (bulk, parallel):
         for index, chunk in enumerate(chunks(rng, corpus[:split])):
             feed(engine, chunk)
-            if engine is bulk and index == materialize_after:
-                bulk.materialize()
+            if engine is bulk:
+                for observation in chunk:
+                    reference.ingest(observation)
+                if index == materialize_after:
+                    assert bulk.materialize() == reference.materialize()
 
     # Mid-stream: the parallel snapshot and the bulk engine must match
     # the per-observation engine, in-progress day left open -- and the
-    # serialized store rows must not depend on the backend.  Readers
-    # first: engine_state would move the bulk engine's runs away.
+    # serialized store rows must not depend on the backend.
     versions.append(publisher.refresh(force=True).version)
     snapshot = parallel.snapshot_engine()
     check_readers_agree(reference, (bulk, snapshot), reader_days())
@@ -334,6 +332,12 @@ def check_ingest_paths_agree(seed, tmp_path):
         mid = json.dumps(engine_state(reference))
         assert json.dumps(engine_state(bulk)) == mid
         assert json.dumps(engine_state(parallel.snapshot_engine())) == mid
+    # The bulk engine goes through a JSON checkpoint and carries on as
+    # the engine that state restores to (a kernel engine adopts it).
+    bulk = restore_engine(
+        engine_state(bulk), origin_of=origin_of, store=bulk.store, telemetry=Telemetry()
+    )
+    publisher.rebind(bulk)
 
     # Phase 2: the rest of the stream, then flush everything.
     for observation in corpus[split:]:
