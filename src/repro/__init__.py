@@ -65,10 +65,7 @@ from repro.stream.fabric import FabricServer, SocketTransport, parse_worker_spec
 from repro.stream.feeds import (
     MixedFeed,
     SightingRecord,
-    dedup_feed,
     flow_feed,
-    hitlist_feed,
-    observation_feed,
     sighting_feed,
     tap_feed,
 )
@@ -132,17 +129,14 @@ __all__ = [
     "Zmap6",
     "build_internet",
     "build_paper_internet",
-    "dedup_feed",
     "eui64_iid_to_mac",
     "flow_feed",
     "format_addr",
     "format_mac",
-    "hitlist_feed",
     "infer_allocation_plen",
     "infer_rotation_pool_plen",
     "is_eui64_iid",
     "mac_to_eui64_iid",
-    "observation_feed",
     "parse_addr",
     "parse_mac",
     "parse_worker_spec",

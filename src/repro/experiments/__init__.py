@@ -8,7 +8,8 @@ Every experiment follows one convention:
 * ``<Experiment>Result.render() -> str`` -- the paper-shaped rows or
   ASCII figure.
 
-``repro.experiments.runner`` executes everything end-to-end, and
+``python -m repro.experiments.report`` executes everything end-to-end
+and writes the paper-vs-reproduction report, and
 ``repro.experiments.scale`` defines the scaled-down default workload
 next to the paper's full-size parameters.
 """

@@ -38,6 +38,7 @@ import time
 from pathlib import Path
 
 from repro import config
+from repro.stream.checkpoint import atomic_write
 from repro.stream.ckptbin import ChainAssembler, CheckpointError
 from repro.stream.fabric import framing
 from repro.stream.fabric.framing import parse_address, set_nodelay
@@ -404,9 +405,9 @@ class ReplicaFollower:
 
         Stops replication and serving, then writes the applied
         segments -- their exact received bytes, concatenated -- to
-        *path* via tmp + atomic replace.  The result is byte-identical
-        to the primary's checkpoint file as of the last shipped
-        segment, ready for ``StreamingCampaign.resume``.
+        *path* with :func:`~repro.stream.checkpoint.atomic_write`.  The
+        result is byte-identical to the primary's checkpoint file as of
+        the last shipped segment, ready for ``StreamingCampaign.resume``.
         """
         self.stop()
         self.stop_serving()
@@ -416,12 +417,7 @@ class ReplicaFollower:
             payload = b"".join(self._raw)
             base_id, seq = self._asm.base_id, self._asm.seq
         path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            tmp.write_bytes(payload)
-            tmp.replace(path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write(path, payload)
         log.info(
             "promoted: chain (%s, %d) finalized to %s (%d bytes)",
             base_id,

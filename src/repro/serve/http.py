@@ -77,6 +77,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ----------------------------------------------------------
 
     def _send(self, status: int, body: bytes, content_type: str) -> None:
+        self._status = status
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -134,8 +135,9 @@ class _Handler(BaseHTTPRequestHandler):
                 return
         except (BrokenPipeError, ConnectionResetError):  # reader went away
             return
+        # An error answer (a 400 from a route) counts as an error only.
         obs = self.server.serve_obs
-        if obs is not None and endpoint is not None:
+        if obs is not None and endpoint is not None and self._status < 400:
             obs.request_served(endpoint, time.perf_counter() - t0)
 
     def _discard_body(self) -> bool:

@@ -213,7 +213,7 @@ class ColumnBatch:
     def rows(self) -> list[list]:
         """Checkpoint rows ``[day, t_seconds, target, source]``, in order.
 
-        The exact shape :func:`repro.stream.checkpoint._store_state` has
+        The exact shape :func:`repro.stream.checkpoint.engine_state` has
         always serialized -- backends produce these for snapshots, so
         checkpoint bytes stay identical whatever backend holds the rows.
         """

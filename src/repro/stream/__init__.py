@@ -37,17 +37,18 @@ Layout:
   repro.stream.fabric.worker`` entrypoint, for local subprocess
   workers and multi-host workers alike;
 * :mod:`repro.stream.feeds` -- passive-feed adapters: flow logs,
-  hitlist sightings, provider flow taps, and generic timestamped
-  records as observation streams, plus :class:`MixedFeed` day-order
-  interleaving of active and passive sources (the Saidi et al. "one
-  bad apple" ingestion path);
+  provider flow taps, and generic timestamped records (hitlist
+  sightings included) as observation streams, plus :class:`MixedFeed`
+  day-order interleaving of active and passive sources (the Saidi et
+  al. "one bad apple" ingestion path);
 * :mod:`repro.stream.campaign` -- :class:`StreamingCampaign`, batch-
   identical campaign execution with periodic checkpoints (opts into the
   parallel backend via ``workers=N``, passive vantage via
   ``passive_feeds=[...]``);
 * :mod:`repro.stream.tracker` -- :class:`LivePursuit`, the day-major
   streaming tracker;
-* :mod:`repro.stream.checkpoint` -- JSON serialization of engine state.
+* :mod:`repro.stream.checkpoint` -- the one checkpoint writer and
+  reader, JSON or binary (:mod:`repro.stream.ckptbin`) segments.
 """
 
 from repro.stream.campaign import StreamingCampaign
@@ -69,8 +70,6 @@ from repro.stream.feeds import (
     MixedFeed,
     SightingRecord,
     flow_feed,
-    hitlist_feed,
-    observation_feed,
     sighting_feed,
     tap_feed,
 )
@@ -99,9 +98,7 @@ __all__ = [
     "WorkerLost",
     "engine_state",
     "flow_feed",
-    "hitlist_feed",
     "load_engine",
-    "observation_feed",
     "parse_worker_spec",
     "restore_engine",
     "save_engine",

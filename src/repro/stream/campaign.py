@@ -12,13 +12,13 @@ layer.
 
 ``checkpoint_every`` writes an engine+progress+corpus checkpoint after
 every N completed days; :meth:`resume` picks a run back up from such a
-file, replaying nothing.
+file, replaying nothing.  Both go through the one checkpoint writer and
+reader, :func:`~repro.stream.checkpoint.write_checkpoint` and
+:func:`~repro.stream.checkpoint.read_checkpoint`.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable
@@ -26,15 +26,8 @@ from typing import Callable, Iterable
 from repro import config
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.records import ObservationStore, ProbeObservation
-from repro.store.batch import ColumnBatch
-from repro.stream.checkpoint import (
-    FORMAT_VERSION,
-    _store_state,
-    engine_state,
-    is_binary_checkpoint,
-    restore_engine,
-)
 from repro.stream.checkpoint import checkpoint_format as resolve_checkpoint_format
+from repro.stream.checkpoint import checkpoint_savers, read_checkpoint, write_checkpoint
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.feeds import MixedFeed
 from repro.stream.parallel import ParallelStreamEngine
@@ -155,7 +148,6 @@ class StreamingCampaign:
         # repro.stream.ckptbin); resolved here so a bad value fails at
         # construction, not at the first mid-campaign checkpoint.
         self.checkpoint_format = resolve_checkpoint_format(checkpoint_format)
-        self._ckpt_saver = None  # lazily built BinaryCheckpointer
         # Checkpoint replication (repro.replicate): a SegmentShipper
         # instance, a bind address string, or None -- in which case
         # REPRO_REPLICATE_BIND can switch it on without touching the
@@ -291,30 +283,15 @@ class StreamingCampaign:
         binary run rebases with a fresh full segment on its first
         checkpoint.
         """
-        origin_of = campaign.internet.rib.origin_of
-        if is_binary_checkpoint(checkpoint_path):
-            from repro.stream.ckptbin import load_chain
-
-            # Columns end to end: no state dict, no row lists.
-            chain = load_chain(checkpoint_path)
-            progress = chain.progress
-            if progress is None:
-                raise ValueError(
-                    f"{checkpoint_path}: an engine checkpoint, not a campaign's"
-                )
-            engine = chain.restore_engine(origin_of=origin_of, telemetry=telemetry)
-            corpus = chain.corpus or ColumnBatch()
-        else:
-            state = json.loads(Path(checkpoint_path).read_text())
-            if state.get("version") != FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported checkpoint version: {state.get('version')!r}"
-                )
-            progress = state["progress"]
-            engine = restore_engine(
-                state["engine"], origin_of=origin_of, telemetry=telemetry
+        engine, progress, corpus = read_checkpoint(
+            checkpoint_path,
+            origin_of=campaign.internet.rib.origin_of,
+            telemetry=telemetry,
+        )
+        if progress is None:
+            raise ValueError(
+                f"{checkpoint_path}: an engine checkpoint, not a campaign's"
             )
-            corpus = ColumnBatch.from_rows(state["store"])
         streaming = cls(
             campaign,
             engine=engine,
@@ -343,55 +320,9 @@ class StreamingCampaign:
 
     # -- execution ---------------------------------------------------------
 
-    def _checkpoint_state(self) -> dict:
-        return {
-            "version": FORMAT_VERSION,
-            "progress": {
-                "probes_sent": self.result.probes_sent,
-                "days_run": self.result.days_run,
-                "targets_per_day": self.result.targets_per_day,
-            },
-            "engine": engine_state(self.engine),
-            "store": _store_state(self.result.store),
-        }
-
     def _write_checkpoint(self) -> None:
-        if self.checkpoint_format == "binary":
-            self._write_checkpoint_binary()
-            return
-        obs = self._obs
-        path = self.checkpoint_path
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            if obs is None:
-                payload = json.dumps(self._checkpoint_state())
-                tmp.write_text(payload)
-                tmp.replace(path)
-            else:
-                # Telemetry changes nothing about the payload -- only
-                # measures it (the checkpoint tests pin observed ==
-                # unobserved bytes).
-                t0 = time.perf_counter()
-                with obs.serialize_seconds.time():
-                    payload = json.dumps(self._checkpoint_state())
-                tmp.write_text(payload)
-                tmp.replace(path)
-                obs.written(
-                    path,
-                    len(payload),
-                    self.live_engine.current_day,
-                    time.perf_counter() - t0,
-                )
-        finally:
-            # A serialization or write failure must not leave a stale
-            # .tmp next to the checkpoint.
-            tmp.unlink(missing_ok=True)
-        self.checkpoints_written += 1
-        self.checkpoints_full += 1
-        self.last_checkpoint_bytes = len(payload)
-
-    def _write_checkpoint_binary(self) -> None:
-        """One binary segment: full on the first write, delta after.
+        """One checkpoint through the shared writer: the JSON file, or
+        one binary segment (full on the first write, delta after).
 
         Parallel mode passes the dispatcher's dirty-worker shard set
         explicitly -- ``self.engine`` is a fresh merged snapshot at
@@ -400,16 +331,15 @@ class StreamingCampaign:
         The order is safe because ``_refresh_engine`` runs first and
         flushes the dispatch buffers, marking their workers dirty.
         """
-        from repro.stream.ckptbin import BinaryCheckpointer
-
-        saver = self._ckpt_saver
-        if saver is None:
-            saver = self._ckpt_saver = BinaryCheckpointer(self.checkpoint_path)
         dirty = None
         if self._parallel is not None:
             dirty = self._parallel.take_dirty_sids()
-        result = saver.save(
+        savers = checkpoint_savers(self)
+        result = write_checkpoint(
+            self.checkpoint_path,
             self.engine,
+            fmt=self.checkpoint_format,
+            savers=savers,
             store=self.result.store,
             progress={
                 "probes_sent": self.result.probes_sent,
@@ -430,7 +360,7 @@ class StreamingCampaign:
             # Synchronous on the checkpoint thread: the file is
             # quiescent here, and ship() only reads the new byte
             # ranges + enqueues (slow followers never block it).
-            self.shipper.ship(saver)
+            self.shipper.ship(savers[self.checkpoint_path])
 
     def _refresh_engine(self) -> None:
         """In parallel mode, re-materialize ``self.engine`` as the

@@ -6,7 +6,11 @@ rotation windows, watchlist, and optionally the observation corpus --
 so a resumed run is bit-identical to an uninterrupted one given the
 same probe stream.
 
-Two on-disk formats serialize the *same* state:
+Every checkpoint file is written by :func:`write_checkpoint` and read
+by :func:`read_checkpoint`, in either of two on-disk formats that
+serialize the *same* state, and in either of two shapes: an engine's
+state, or a streaming campaign's (progress counters, the engine, the
+corpus).
 
 * ``"json"`` (canonical, the default): deterministic JSON, sets emitted
   sorted -- diff-able, stable, and the byte-identity oracle every other
@@ -16,13 +20,11 @@ Two on-disk formats serialize the *same* state:
   columnar accumulator's arrays and the store's column buffers, with
   incremental *delta* segments re-emitting only the shards dirtied
   since the previous save -- the format for checkpoints on the hot
-  path.  Repeated :func:`save_engine` calls on one path chain deltas
-  automatically.
+  path.  Repeated writes through one saver map chain deltas.
 
 Pick the format per call (``format=``), per process
-(``REPRO_CHECKPOINT_FORMAT``), or not at all: :func:`load_engine` and
-campaign resume sniff the file's magic bytes, so either format loads
-regardless of configuration.
+(``REPRO_CHECKPOINT_FORMAT``), or not at all: the reader sniffs the
+file's magic bytes, so either format loads regardless of configuration.
 
 The simulated Internet itself is deliberately not checkpointed: a real
 adversary cannot snapshot the Internet either.  Rebuilding it from the
@@ -34,13 +36,17 @@ simulated time and resets across large gaps (see ``TokenBucket``).
 from __future__ import annotations
 
 import json
+import weakref
+from contextlib import nullcontext
 from pathlib import Path
+from time import perf_counter
 from typing import Callable
 
 from repro import config
 from repro.core.records import ObservationStore
 from repro.core.rotation_detect import RotationDetection
 from repro.net.addr import Prefix
+from repro.store.batch import ColumnBatch
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.shard import ShardKey
 from repro.stream.sink import Sighting
@@ -122,29 +128,6 @@ def _restore_shard(state: dict) -> ShardState:
     return shard
 
 
-def _store_state(store: ObservationStore) -> list[list]:
-    """The corpus as canonical checkpoint rows.
-
-    Delegated to the store's backend: all backends serialize the same
-    ``[day, t_seconds, target, source]`` rows in insertion order, so
-    checkpoint bytes never depend on the storage layout.
-    """
-    return store.snapshot_rows()
-
-
-def _restore_store(
-    rows: list[list], store: ObservationStore | None = None
-) -> ObservationStore:
-    """Load checkpoint rows into *store* (a fresh one when ``None``).
-
-    Disk-backed stores restore incrementally: rows their file already
-    holds are verified and skipped, not re-inserted.
-    """
-    store = store if store is not None else ObservationStore()
-    store.restore_rows(rows)
-    return store
-
-
 def stream_head(engine: StreamEngine) -> dict:
     """The scalar head of a checkpoint: config plus stream-order state.
 
@@ -206,7 +189,9 @@ def engine_state(engine: StreamEngine) -> dict:
         **stream_head(engine),
         "detection": _detection_state(engine.live_detection),
         "shards": [_shard_state(s) for s in shards],
-        "store": _store_state(engine.store) if engine.store is not None else None,
+        # Every store backend serializes the same [day, t_seconds, target,
+        # source] rows in insertion order: bytes never depend on layout.
+        "store": engine.store.snapshot_rows() if engine.store is not None else None,
     }
     return state
 
@@ -240,8 +225,124 @@ def restore_engine(
     engine.live_detection = _restore_detection(state["detection"])
     engine.adopt_shards([_restore_shard(s) for s in state["shards"]])
     if state["store"] is not None and store is None and engine.store is not None:
-        _restore_store(state["store"], engine.store)
+        # A disk-backed store verifies and skips the rows it already holds.
+        engine.store.restore_rows(state["store"])
     return engine
+
+
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Replace *path* with *data* through ``<name>.tmp`` and a rename;
+    the tmp never outlives the call, even when the write or rename fails."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+#: Per checkpoint owner (an engine saved by :func:`save_engine`, a
+#: streaming campaign) its ``{path: BinaryCheckpointer}`` map; weak keys,
+#: so a saver dies with its owner and no two owners chain onto one.
+_SAVERS: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
+
+
+def checkpoint_savers(owner) -> dict:
+    """*owner*'s saver map for :func:`write_checkpoint`."""
+    return _SAVERS.setdefault(owner, {})
+
+
+def write_checkpoint(
+    path: str | Path,
+    engine: StreamEngine,
+    *,
+    fmt: str,
+    savers: dict,
+    store: ObservationStore | None = None,
+    progress: dict | None = None,
+    dirty_sids=None,
+    instruments=None,
+):
+    """The one checkpoint writer; returns a ``SaveResult``.
+
+    ``"binary"`` saves through *savers*' saver for *path* (so writes
+    through one map chain deltas), ``"json"`` replaces the file.  With
+    *progress* it is a campaign checkpoint whose corpus is *store*.
+    *instruments* (``CheckpointInstruments``) times the write and emits
+    ``checkpoint_written``; the bytes are the same either way.
+    """
+    from repro.stream.ckptbin import BinaryCheckpointer, SaveResult
+
+    path = Path(path)
+    if fmt == "binary":
+        saver = savers.get(path)
+        if saver is None:
+            saver = savers[path] = BinaryCheckpointer(path)
+        return saver.save(
+            engine,
+            store=store,
+            progress=progress,
+            dirty_sids=dirty_sids,
+            instruments=instruments,
+        )
+    t0 = perf_counter()
+    with (
+        instruments.serialize_seconds.time()
+        if instruments is not None
+        else nullcontext()
+    ):
+        state = engine_state(engine)
+        if progress is not None:
+            state = {
+                "version": FORMAT_VERSION,
+                "progress": progress,
+                "engine": state,
+                "store": store.snapshot_rows(),
+            }
+        payload = json.dumps(state).encode()
+    atomic_write(path, payload)
+    if instruments is not None:
+        instruments.written(path, len(payload), engine.current_day, perf_counter() - t0)
+    return SaveResult("full", len(payload), len(payload), engine.config.num_shards)
+
+
+def read_checkpoint(
+    path: str | Path,
+    origin_of: Callable[[int], int | None] | None = None,
+    store: ObservationStore | None = None,
+    telemetry=None,
+) -> tuple[StreamEngine, dict | None, ColumnBatch | None]:
+    """The one checkpoint reader, either format (sniffed) and shape.
+
+    Returns ``(engine, progress, corpus)`` for a campaign checkpoint and
+    ``(engine, None, None)`` for an engine's, whose corpus goes into
+    ``engine.store``.  Arguments as :func:`restore_engine`.
+    """
+    if is_binary_checkpoint(path):
+        from repro.stream.ckptbin import load_chain
+
+        chain = load_chain(path)
+        engine = chain.restore_engine(
+            origin_of=origin_of, store=store, telemetry=telemetry
+        )
+        progress, corpus = chain.progress, chain.corpus
+    else:
+        state = json.loads(Path(path).read_text())
+        if state.get("version") != FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported checkpoint version: {state.get('version')!r}"
+            )
+        progress = state.get("progress")
+        if progress is not None:
+            corpus = ColumnBatch.from_rows(state["store"])
+            state = state["engine"]
+        engine = restore_engine(
+            state, origin_of=origin_of, store=store, telemetry=telemetry
+        )
+    if progress is None:
+        return engine, None, None
+    return engine, progress, corpus or ColumnBatch()
 
 
 def save_engine(
@@ -261,42 +362,19 @@ def save_engine(
     checkpoint size are recorded and a ``checkpoint_written`` event is
     emitted -- the checkpoint *bytes* stay identical either way.
     """
-    path = Path(path)
-    if checkpoint_format(format) == "binary":
-        from repro.stream.ckptbin import BinaryCheckpointer
-
-        saver = engine._ckpt_savers.get(path)
-        if saver is None:
-            saver = engine._ckpt_savers[path] = BinaryCheckpointer(path)
-        instruments = None
-        if telemetry is not None:
-            from repro.obs.instruments import CheckpointInstruments
-
-            instruments = CheckpointInstruments(telemetry)
-        saver.save(engine, instruments=instruments)
-        return path
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        if telemetry is None:
-            tmp.write_text(json.dumps(engine_state(engine)))
-            tmp.replace(path)
-            return path
-        from time import perf_counter
-
+    instruments = None
+    if telemetry is not None:
         from repro.obs.instruments import CheckpointInstruments
 
-        obs = CheckpointInstruments(telemetry)
-        t0 = perf_counter()
-        with obs.serialize_seconds.time():
-            payload = json.dumps(engine_state(engine))
-        tmp.write_text(payload)
-        tmp.replace(path)
-        obs.written(path, len(payload), engine.current_day, perf_counter() - t0)
-        return path
-    finally:
-        # A serialization or write failure must not leave a stale .tmp
-        # next to the checkpoint (the replace consumed it on success).
-        tmp.unlink(missing_ok=True)
+        instruments = CheckpointInstruments(telemetry)
+    write_checkpoint(
+        path,
+        engine,
+        fmt=checkpoint_format(format),
+        savers=checkpoint_savers(engine),
+        instruments=instruments,
+    )
+    return Path(path)
 
 
 def load_engine(
@@ -305,22 +383,8 @@ def load_engine(
     store: ObservationStore | None = None,
     telemetry=None,
 ) -> StreamEngine:
-    """Read a checkpoint written by :func:`save_engine` (either format).
-
-    The format is sniffed from the file's magic bytes, so a process
-    configured for one format transparently resumes from the other.
-    A binary chain restores as columns when the engine has the numpy
-    kernel (:meth:`~repro.stream.ckptbin.ChainAssembler.restore_engine`).
-    """
-    if is_binary_checkpoint(path):
-        from repro.stream.ckptbin import load_chain
-
-        return load_chain(path).restore_engine(
-            origin_of=origin_of, store=store, telemetry=telemetry
-        )
-    return restore_engine(
-        json.loads(Path(path).read_text()),
-        origin_of=origin_of,
-        store=store,
-        telemetry=telemetry,
-    )
+    """Read a checkpoint written by :func:`save_engine` (either format;
+    see :func:`read_checkpoint`)."""
+    return read_checkpoint(
+        path, origin_of=origin_of, store=store, telemetry=telemetry
+    )[0]

@@ -163,9 +163,6 @@ class StreamEngine(IngestSinkBase):
         # Highest prune_pair_days threshold applied so far (delta
         # restores replay it on shards the delta did not re-emit).
         self._prune_floor: int | None = None
-        # Per-path binary checkpointers kept by save_engine so repeated
-        # saves to one path chain deltas (see repro.stream.ckptbin).
-        self._ckpt_savers: dict = {}
         # Telemetry bundle (repro.obs), execution state only: None keeps
         # every hot path at a single attribute check; checkpoints never
         # see it (the fuzz harness pins the bytes identical either way).

@@ -16,16 +16,16 @@ from passive sightings alone.
 The feed model has three modes:
 
 * **active** -- probe responses, as before.  Any day-ordered iterable of
-  observations is already a feed (:func:`observation_feed` passes one
-  through unchanged), so the scanner's day streams compose with the
-  rest of this module for free.
+  observations is already a feed, so the scanner's day streams compose
+  with the rest of this module for free.
 * **passive** -- sightings that arrived without a probe.  Adapters:
   :func:`sighting_feed` for the generic timestamped ``(src_addr, day)``
   record (:class:`SightingRecord`), :func:`flow_feed` for
   :class:`~repro.core.correlator.Flow` logs (what
-  :func:`~repro.core.correlator.synthesize_flows` produces),
-  :func:`hitlist_feed` for ``(address, day)`` hitlist sightings, and
+  :func:`~repro.core.correlator.synthesize_flows` produces), and
   :func:`tap_feed` for :class:`~repro.simnet.vantage.FlowTap` records.
+  A daily re-verified hitlist is :func:`sighting_feed` over its
+  ``(address, day)`` rows.
   A passive record has no probe target, so its observation is a
   *self-sighting*: ``target = source``.  The pair ``(source, source)``
   is content-stable across identical sightings, its /64 truthfully lies
@@ -156,26 +156,12 @@ class DedupFeed:
         raise StopIteration
 
 
-def dedup_feed(
-    feed: Iterable[ProbeObservation], window: int, counter=None
-) -> DedupFeed:
-    """Functional spelling of :class:`DedupFeed` (the historical name)."""
-    return DedupFeed(feed, window, counter=counter)
-
-
 def _maybe_dedup(
     observations: list[ProbeObservation], dedup_window: int | None
 ) -> Iterator[ProbeObservation]:
     if dedup_window is None:
         return iter(observations)
     return DedupFeed(observations, dedup_window)
-
-
-def observation_feed(
-    observations: Iterable[ProbeObservation],
-) -> Iterator[ProbeObservation]:
-    """An active day-stream as a feed (passthrough; must be day-ordered)."""
-    return iter(observations)
 
 
 def sighting_feed(
@@ -190,7 +176,7 @@ def sighting_feed(
     are sorted by ``(day, time)`` -- passive logs rarely arrive
     globally ordered -- with the sort stable, so equal-keyed records
     keep their input order.  *dedup_window* bounds repeat suppression
-    (see :func:`dedup_feed`).
+    (see :class:`DedupFeed`).
     """
     observations = [
         (
@@ -212,7 +198,7 @@ def flow_feed(
     client flows contribute address counts only; the feed matters the
     moment a flow's source carries a stable (EUI-64) IID.
     *dedup_window* collapses a host's repeat flows within a day (see
-    :func:`dedup_feed`).
+    :class:`DedupFeed`).
     """
     observations = [
         ProbeObservation(
@@ -222,25 +208,6 @@ def flow_feed(
             source=flow.source,
         )
         for flow in flows
-    ]
-    observations.sort(key=_feed_key)
-    return _maybe_dedup(observations, dedup_window)
-
-
-def hitlist_feed(
-    entries: Iterable[tuple[int, int]],
-    dedup_window: int | None = None,
-) -> Iterator[ProbeObservation]:
-    """``(address, day)`` hitlist sightings -> day-ordered feed.
-
-    The shape of a responsive-address hitlist re-verified daily: no
-    timestamps, no targets, just which addresses were alive on which
-    day.  *dedup_window* drops re-verifications of the same address on
-    the same day (see :func:`dedup_feed`).
-    """
-    observations = [
-        SightingRecord(source=address, day=day).to_observation()
-        for address, day in entries
     ]
     observations.sort(key=_feed_key)
     return _maybe_dedup(observations, dedup_window)

@@ -32,6 +32,7 @@ from repro.core.tracker import (
     TrackingReport,
 )
 from repro.simnet.clock import HOURS_PER_DAY, seconds
+from repro.stream.checkpoint import atomic_write
 from repro.stream.engine import StreamEngine
 
 PURSUIT_FORMAT_VERSION = 1
@@ -152,9 +153,7 @@ class LivePursuit:
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.state()))
-        tmp.replace(path)
+        atomic_write(path, json.dumps(self.state()).encode())
         return path
 
     @classmethod

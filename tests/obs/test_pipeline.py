@@ -16,7 +16,7 @@ from repro.net.eui64 import mac_to_eui64_iid
 from repro.obs import Dashboard, Telemetry
 from repro.stream.checkpoint import engine_state, load_engine, save_engine
 from repro.stream.engine import StreamConfig, StreamEngine
-from repro.stream.feeds import dedup_feed
+from repro.stream.feeds import DedupFeed
 
 NET48 = 0x20010DB80000
 
@@ -116,7 +116,7 @@ def test_dedup_feed_counter_hookup():
     telemetry = Telemetry()
     counter = telemetry.registry.counter("repro_feed_dedup_suppressed_total")
     stream = corpus(days=1)
-    feed = dedup_feed(stream + stream, window=64, counter=counter)
+    feed = DedupFeed(stream + stream, window=64, counter=counter)
     drained = list(feed)
     assert len(drained) == len(stream)
     assert feed.suppressed == len(stream)

@@ -20,6 +20,7 @@ from _world import DAYS, build_campaign, wait_for
 from repro.obs import Telemetry, read_events
 from repro.replicate import ReplicaFollower, ReplicationError, SegmentShipper
 from repro.stream.campaign import StreamingCampaign
+from repro.stream.checkpoint import checkpoint_savers
 from repro.stream.ckptbin import (
     BinaryCheckpointer,
     ChainAssembler,
@@ -74,7 +75,7 @@ def test_chain_info_matches_saver_chain(tmp_path):
         assert cur.offset == prev.offset + prev.size
     assert infos[-1].offset + infos[-1].size == path.stat().st_size
     # The live saver tracked everything it wrote identically.
-    assert list(campaign._ckpt_saver.chain) == infos
+    assert list(checkpoint_savers(campaign)[path].chain) == infos
     # segment_bytes round-trips each raw segment through the assembler.
     assembler = ChainAssembler()
     for info in infos:

@@ -192,6 +192,35 @@ def test_request_body_does_not_desynchronise_keep_alive(served):
         connection.close()
 
 
+def test_error_answers_count_as_errors_only(served):
+    """A 400 from a route counts in ``errors_total`` and nowhere else,
+    like a 404: not in ``requests_served`` or the per-endpoint counter.
+    One keep-alive connection, so each request's accounting is done
+    before the next one is read."""
+    _url, _publisher, server = served
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        for path, status in (
+            ("/iid/not-an-iid", 400),
+            ("/rotations?day=tuesday", 400),
+            ("/nope", 404),
+            ("/stats", 200),
+            ("/metrics", 200),
+        ):
+            connection.request("GET", path)
+            response = connection.getresponse()
+            assert response.status == status
+            body = response.read()
+            if path == "/stats":
+                assert json.loads(body)["requests_served"] == 0
+    finally:
+        connection.close()
+    lines = body.decode().splitlines()
+    assert "repro_serve_errors_total 3" in lines
+    assert 'repro_serve_requests_total{endpoint="iid"} 0' in lines
+    assert 'repro_serve_requests_total{endpoint="rotations"} 0' in lines
+
+
 @pytest.mark.parametrize(
     "length, status", [(str(1 << 20), 413), ("seventeen", 400), ("-1", 400)]
 )

@@ -335,6 +335,13 @@ class TestCampaignBinaryCheckpoints:
         assert stats["checkpoints_delta"] == 0
         assert stats["last_checkpoint_bytes"] == path.stat().st_size
 
+    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    def test_resume_refuses_engine_checkpoint(self, tmp_path, fmt):
+        """An engine-level file is refused the same way in both formats."""
+        path = save_engine(StreamEngine(), tmp_path / "engine.ckpt", format=fmt)
+        with pytest.raises(ValueError, match="an engine checkpoint, not a campaign's"):
+            StreamingCampaign.resume(build_campaign(), path)
+
     def test_delta_chain_resume_matches_uninterrupted_run(self, tmp_path):
         """The acceptance path: a campaign checkpointing per day over a
         delta chain, interrupted and resumed, must land on the same

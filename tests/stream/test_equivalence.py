@@ -5,6 +5,8 @@ same responses, same stores, same counters, same tracking outcomes --
 because both are driven through the same probe loops and storage layer.
 """
 
+from pathlib import Path
+
 import pytest
 
 from _worlds import (
@@ -277,6 +279,22 @@ class TestPursuitEquivalence:
         report = resumed.report()
         for iid in targets:
             assert report.tracks[iid].outcomes == full_report.tracks[iid].outcomes
+
+    def test_failed_save_leaves_no_tmp(self, tmp_path, monkeypatch):
+        """A pursuit save that fails at the rename leaves no ``.tmp``."""
+        profiles, targets, _days = tracking_fixture()
+        pursuit = LivePursuit(
+            DeviceTracker(build_rotating_internet(), profiles, TrackerConfig(seed=5))
+        )
+        pursuit.add_targets(targets)
+
+        def refuse(self, target):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(Path, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            pursuit.save(tmp_path / "pursuit.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_target_rejected(self):
         profiles, targets, _days = tracking_fixture()

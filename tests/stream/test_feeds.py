@@ -23,12 +23,10 @@ from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.fabric import SocketTransport
 from repro.stream.feeds import (
+    DedupFeed,
     MixedFeed,
     SightingRecord,
-    dedup_feed,
     flow_feed,
-    hitlist_feed,
-    observation_feed,
     sighting_feed,
     tap_feed,
 )
@@ -83,10 +81,10 @@ class TestDedupWindow:
 
     def test_invalid_window_raises(self):
         with pytest.raises(ValueError, match="dedup_window"):
-            list(dedup_feed(iter([]), 0))
+            DedupFeed(iter([]), 0)
 
     def test_adapters_expose_dedup_window(self):
-        flows_like = hitlist_feed([(0xA, 1), (0xA, 1)], dedup_window=4)
+        flows_like = sighting_feed([(0xA, 1), (0xA, 1)], dedup_window=4)
         assert len(list(flows_like)) == 1
 
 
@@ -136,12 +134,15 @@ class TestAdapters:
             assert observation.day == day_of(hours(observation.t_seconds))
 
     def test_hitlist_feed(self):
-        observations = list(hitlist_feed([(5, 2), (6, 1), (5, 1)]))
+        """A daily hitlist's ``(address, day)`` rows are sighting records."""
+        observations = list(sighting_feed([(5, 2), (6, 1), (5, 1)]))
         assert [(o.source, o.day) for o in observations] == [(6, 1), (5, 1), (5, 2)]
 
     def test_observation_feed_passthrough(self):
+        """A day-ordered active stream is already a feed: a single-feed
+        interleave passes it through unchanged."""
         _internet, corpus = small_corpus()
-        assert list(observation_feed(corpus)) == corpus
+        assert list(MixedFeed(corpus)) == corpus
 
     def test_mixed_feed_interleaves_in_day_order(self):
         a = [
@@ -224,7 +225,7 @@ class TestEngineEntryPoints:
         """``ingest(feed)`` is the feed entry point of both engine kinds."""
         _internet, corpus = small_corpus()
         via_feed = StreamEngine(StreamConfig(num_shards=2))
-        assert via_feed.ingest(observation_feed(corpus)) == len(corpus)
+        assert via_feed.ingest(iter(corpus)) == len(corpus)
         via_feed.flush()
         via_batch = StreamEngine(StreamConfig(num_shards=2))
         via_batch.ingest_batch(list(corpus))
@@ -235,7 +236,7 @@ class TestEngineEntryPoints:
             num_workers=1,
             transport=SocketTransport(spawn="thread"),
         ) as parallel:
-            assert parallel.ingest(observation_feed(corpus)) == len(corpus)
+            assert parallel.ingest(iter(corpus)) == len(corpus)
             merged = parallel.finalize()
         assert engine_state(merged) == engine_state(via_batch)
 
