@@ -211,6 +211,18 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "reference",
         "the scalar fold: the kernel-less path and the kernel's oracle",
     ),
+    "repro.stream.state:lift_family": (
+        "reference",
+        "kernel-less shards as column records (no-numpy leg)",
+    ),
+    "repro.stream.state:lift_records": (
+        "reference",
+        "kernel-less shards as column records (no-numpy leg)",
+    ),
+    "repro.stream.state:merge_spans": (
+        "reference",
+        "kernel-less span merge behind the span queries (no-numpy leg)",
+    ),
     "repro.stream.state:allocation_inference_from_spans": (
         "reference",
         "kernel-less Algorithm 1 over shard spans (no-numpy leg)",

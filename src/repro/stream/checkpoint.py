@@ -26,6 +26,14 @@ Pick the format per call (``format=``), per process
 (``REPRO_CHECKPOINT_FORMAT``), or not at all: the reader sniffs the
 file's magic bytes, so either format loads regardless of configuration.
 
+Both formats carry the engine's column records
+(:meth:`~repro.stream.engine.StreamEngine.shard_records`): JSON renders
+them as sorted lists (:func:`_shard_state`, shared with a binary
+chain's ``state()``), and its reader parses the lists straight back
+into records for ``adopt_shards``.  Both readers validate the head and
+the records with the same checks; anything malformed is a
+``ValueError``.
+
 The simulated Internet itself is deliberately not checkpointed: a real
 adversary cannot snapshot the Internet either.  Rebuilding it from the
 same seed reproduces the same world; the only divergence risk is
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import json
 import weakref
+from array import array
 from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
@@ -44,13 +53,13 @@ from typing import Callable
 
 from repro import config
 from repro.core.records import ObservationStore
-from repro.core.rotation_detect import RotationDetection
 from repro.net.addr import Prefix
 from repro.store.batch import ColumnBatch
+from repro.stream.columnar import RUN_FAMILIES
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.shard import ShardKey
 from repro.stream.sink import Sighting
-from repro.stream.state import ShardState, alloc_span_rows, pool_span_rows
+from repro.stream.state import join128, pair_columns, pair_ints, span_columns, split128
 
 FORMAT_VERSION = 1
 
@@ -79,53 +88,122 @@ def is_binary_checkpoint(path: str | Path) -> bool:
         return False
 
 
-def _detection_state(detection: RotationDetection) -> dict:
-    return {
-        "changed_pairs": sorted(list(p) for p in detection.changed_pairs),
-        "stable_pairs": detection.stable_pairs,
-        "rotating_prefixes": sorted(
-            [p.network, p.plen] for p in detection.rotating_prefixes
-        ),
-    }
+#: What a malformed state trips over while it is parsed; both readers
+#: report any of it as a ``ValueError``.
+_MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError)
+
+def _is_int(value, minimum: int | None = None) -> bool:
+    return type(value) is int and (minimum is None or value >= minimum)
 
 
-def _restore_detection(state: dict) -> RotationDetection:
-    return RotationDetection(
-        changed_pairs={(t, s) for t, s in state["changed_pairs"]},
-        rotating_prefixes={Prefix(n, plen) for n, plen in state["rotating_prefixes"]},
-        stable_pairs=state["stable_pairs"],
+def _check_head(head: dict, stable_pairs) -> None:
+    """Raise unless *head* (:func:`stream_head` keys) and the
+    detection's *stable_pairs* have the types :func:`restore_stream_head`
+    and the renderers rely on -- the head check of both readers."""
+    config = head["config"]
+    ShardKey(config["shard_key"])
+    retain = config.get("retain_days")
+    watched_ok = all(
+        len(row) == 4
+        and all(_is_int(v) for v in row[:3])
+        and (row[3] is None or type(row[3]) in (int, float))
+        for row in head["watched"]
     )
+    if not (
+        _is_int(config["num_shards"], 1)
+        and type(config["keep_observations"]) is bool
+        and (retain is None or _is_int(retain, 2))
+        and all(
+            head[key] is None or _is_int(head[key])
+            for key in ("current_day", "closed_through")
+        )
+        and _is_int(head["responses_ingested"], 0)
+        and _is_int(stable_pairs, 0)
+        and all(
+            type(head[key]) is list and all(_is_int(v) for v in head[key])
+            for key in ("days_seen", "watch_iids")
+        )
+        and type(head["watched"]) is list
+        and watched_ok
+    ):
+        raise ValueError("engine head field of the wrong type")
 
 
-def _shard_state(shard: ShardState) -> dict:
+def _check_records(entries, num_shards: int, records: dict | None = None) -> dict:
+    """The record validation of both readers: fold ``(sid, record)``
+    *entries* over *records* (a chain's records so far) and return
+    them, or raise ``ValueError`` unless every sid is in range and
+    appears once, every shard is present, row counts and pair days are
+    ints and each family's columns share one length."""
+    records = {} if records is None else records
+    seen: set[int] = set()
+    for sid, record in entries:
+        families = [record[family] for family in RUN_FAMILIES]
+        if not (
+            _is_int(sid, 0)
+            and sid < num_shards
+            and sid not in seen
+            and _is_int(record["n"], 0)
+            and all(_is_int(day) for day in record["pairs"])
+            and all(
+                len({len(col) for col in cols}) == 1
+                for cols in [*families, *record["pairs"].values()]
+            )
+        ):
+            raise ValueError(f"bad shard record for shard id {sid!r}")
+        seen.add(sid)
+        records[sid] = record
+    if len(records) != num_shards:
+        raise ValueError(f"shard records cover {len(records)} of {num_shards} shards")
+    return records
+
+
+def _rows(*columns) -> list:
+    """Parallel columns (lists) as sorted row lists -- JSON's order."""
+    return sorted(map(list, zip(*columns)))
+
+
+def _shard_state(sid: int, record: dict) -> dict:
+    """One shard's JSON entry from its column record, for
+    :func:`engine_state` and ``ChainAssembler.state`` alike."""
     return {
-        "shard_id": shard.shard_id,
-        "n_observations": shard.n_observations,
-        "sources": sorted(shard.sources),
-        "eui_sources": sorted(shard.eui_sources),
-        "eui_iids": sorted(shard.eui_iids),
-        "alloc": sorted(list(row) for row in alloc_span_rows(shard)),
-        "pool": sorted(list(row) for row in pool_span_rows(shard)),
-        "pairs": sorted(
-            [day, sorted(list(p) for p in pairs)]
-            for day, pairs in shard.pairs_by_day.items()
-        ),
+        "shard_id": sid,
+        "n_observations": record["n"],
+        "sources": sorted(join128(*record["src"])),
+        "eui_sources": sorted(join128(*record["esrc"])),
+        "eui_iids": sorted(record["iid"][0].tolist()),
+        "alloc": _rows(*(col.tolist() for col in record["alloc"])),
+        "pool": _rows(*(col.tolist() for col in record["pool"])),
+        "pairs": [
+            [day, _rows(*pair_ints(cols))]
+            for day, cols in sorted(record["pairs"].items())
+        ],
     }
 
 
-def _restore_shard(state: dict) -> ShardState:
-    shard = ShardState(shard_id=state["shard_id"])
-    shard.n_observations = state["n_observations"]
-    shard.sources = set(state["sources"])
-    shard.eui_sources = set(state["eui_sources"])
-    shard.eui_iids = set(state["eui_iids"])
-    for asn, iid, day, lo, hi in state["alloc"]:
-        shard.alloc_spans.setdefault(asn, {})[(iid, day)] = [lo, hi]
-    for asn, iid, lo, hi in state["pool"]:
-        shard.pool_spans.setdefault(asn, {})[iid] = [lo, hi]
-    for day, pairs in state["pairs"]:
-        shard.pairs_by_day[day] = {(t, s) for t, s in pairs}
-    return shard
+def _detection_state(changed: list, stable: int, prefixes) -> dict:
+    """The JSON detection entry from changed-pair column batches
+    (every pair once), the stable count and ``[network, plen]`` rows."""
+    return {
+        "changed_pairs": sorted(
+            row for cols in changed for row in map(list, zip(*pair_ints(cols)))
+        ),
+        "stable_pairs": stable,
+        "rotating_prefixes": sorted(prefixes),
+    }
+
+
+def _json_record(shard: dict) -> dict:
+    """One JSON shard entry as a column record (stdlib arrays)."""
+    return {
+        "n": shard["n_observations"],
+        "src": split128(shard["sources"]),
+        "esrc": split128(shard["eui_sources"]),
+        "iid": (array("Q", shard["eui_iids"]),),
+        "alloc": span_columns(shard["alloc"], "qQqQQ"),
+        "pool": span_columns(shard["pool"], "qQQQ"),
+        "pairs": {day: pair_columns(pairs) for day, pairs in shard["pairs"]},
+    }
 
 
 def stream_head(engine: StreamEngine) -> dict:
@@ -182,18 +260,23 @@ def restore_stream_head(
 
 
 def engine_state(engine: StreamEngine) -> dict:
-    """The engine's complete serializable state."""
-    shards = engine.materialize()
-    state = {
+    """The engine's complete serializable state, rendered from its
+    column records and changed-pair columns (no Python state built)."""
+    return {
         "version": FORMAT_VERSION,
         **stream_head(engine),
-        "detection": _detection_state(engine.live_detection),
-        "shards": [_shard_state(s) for s in shards],
+        "detection": _detection_state(
+            engine.changed_pair_columns(),
+            engine.stable_pair_count(),
+            ([p.network, p.plen] for p in engine.rotating_prefixes()),
+        ),
+        "shards": [
+            _shard_state(sid, record) for sid, record in engine.shard_records().items()
+        ],
         # Every store backend serializes the same [day, t_seconds, target,
         # source] rows in insertion order: bytes never depend on layout.
         "store": engine.store.snapshot_rows() if engine.store is not None else None,
     }
-    return state
 
 
 def restore_engine(
@@ -210,7 +293,8 @@ def restore_engine(
     (a :class:`repro.obs.Telemetry`) times the restore and re-attaches
     instrumentation to the rebuilt engine -- telemetry itself is never
     checkpoint state, so it must be re-supplied per run, like
-    *origin_of*.
+    *origin_of*.  The lists become validated column records and
+    detection columns; a malformed *state* raises ``ValueError``.
     """
     if telemetry is not None:
         from repro.obs.instruments import CheckpointInstruments
@@ -219,15 +303,32 @@ def restore_engine(
             engine = restore_engine(state, origin_of=origin_of, store=store)
         engine.attach_telemetry(telemetry)
         return engine
+    try:
+        _check_version(state)
+        detection = state["detection"]
+        stable = detection["stable_pairs"]
+        _check_head(state, stable)
+        records = _check_records(
+            ((shard["shard_id"], _json_record(shard)) for shard in state["shards"]),
+            state["config"]["num_shards"],
+        )
+        changed = pair_columns(detection["changed_pairs"])
+        prefixes = {Prefix(n, plen) for n, plen in detection["rotating_prefixes"]}
+        rows = state["store"]
+    except _MALFORMED as exc:
+        raise ValueError(f"malformed checkpoint state ({exc!r})") from exc
+    engine = restore_stream_head(state, origin_of=origin_of, store=store)
+    engine.adopt_shards(records)
+    engine.restore_detection(changed, prefixes, stable)
+    if rows is not None and store is None and engine.store is not None:
+        # A disk-backed store verifies and skips the rows it already holds.
+        engine.store.restore_rows(rows)
+    return engine
+
+
+def _check_version(state: dict) -> None:
     if state.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {state.get('version')!r}")
-    engine = restore_stream_head(state, origin_of=origin_of, store=store)
-    engine.live_detection = _restore_detection(state["detection"])
-    engine.adopt_shards([_restore_shard(s) for s in state["shards"]])
-    if state["store"] is not None and store is None and engine.store is not None:
-        # A disk-backed store verifies and skips the rows it already holds.
-        engine.store.restore_rows(state["store"])
-    return engine
 
 
 def atomic_write(path: str | Path, data: bytes) -> None:
@@ -329,14 +430,14 @@ def read_checkpoint(
         progress, corpus = chain.progress, chain.corpus
     else:
         state = json.loads(Path(path).read_text())
-        if state.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version: {state.get('version')!r}"
-            )
-        progress = state.get("progress")
-        if progress is not None:
-            corpus = ColumnBatch.from_rows(state["store"])
-            state = state["engine"]
+        try:
+            _check_version(state)
+            progress = state.get("progress")
+            if progress is not None:
+                corpus = ColumnBatch.from_rows(state["store"])
+                state = state["engine"]
+        except _MALFORMED as exc:
+            raise ValueError(f"malformed checkpoint file ({exc!r})") from exc
         engine = restore_engine(
             state, origin_of=origin_of, store=store, telemetry=telemetry
         )

@@ -31,34 +31,31 @@ and every restore replays the segment's ``prune_threshold`` so clean
 shards prune identically.  A save at a position the chain already
 holds (no dirty shard, no new store row, same head) writes nothing.
 
-**What a save reads.**  Whichever one owns the engine's state, never
-both.  With the kernel: the accumulator's *runs*
-(:meth:`ColumnarAccumulator.reduce
-<repro.stream.columnar.ColumnarAccumulator.reduce>`: sorted,
-de-duplicated columns per aggregate family, sliced per shard) and its
-per-day pair chunks, each a ``tobytes()``.  Without it: the shards'
-Python state, lifted into the same columns
-(:func:`~repro.stream.state.lift_family`).  Either way every span key
-appears once per shard, and both add the engine's changed-pair column
-log and the store's column tail.
+**What a save reads.**  The engine's column records
+(:meth:`StreamEngine.shard_records
+<repro.stream.engine.StreamEngine.shard_records>` of the dirty shards,
+pair days from the floor on) -- with the kernel numpy views of the
+accumulator's sorted, de-duplicated runs and pair chunks, each a
+``tobytes()``; without it the shards lifted into stdlib arrays -- plus
+the engine's changed-pair columns and the store's column tail.  Every
+span key appears once per shard either way.
 
 **What a load builds.**  :class:`ChainAssembler` validates each segment
 against its header *before* touching merged state -- framing, CRC,
-chain continuity, store chaining, and that every block the header
-promises is there with the right type and one length per family (any
-miss raises :class:`CheckpointError`, never a silent partial restore)
--- and keeps the decoded blocks as stdlib arrays and the corpus as one
-:class:`~repro.store.batch.ColumnBatch`.  :meth:`ChainAssembler.restore_engine`
-hands those arrays to a kernel engine as ``np.frombuffer`` views
+chain continuity, store chaining, the head and the shard records
+(through the same checks as the JSON reader), and that every block the
+header promises is there with the right type and one length per family
+(any miss raises :class:`CheckpointError`, never a silent partial
+restore) -- and keeps the decoded blocks as column records of stdlib
+arrays and the corpus as one :class:`~repro.store.batch.ColumnBatch`.
+:meth:`ChainAssembler.restore_engine` hands the records to
+:meth:`~repro.stream.engine.StreamEngine.adopt_shards`, the one way in
+for either owner: a kernel engine views them with ``np.frombuffer``
 (aggregates through the same merge the reduce uses, pair blocks to the
-accumulator's per-day chunks, changed pairs to the log), so the resumed
-engine's next day close still diffs in column space.  Python sets,
-dicts, tuples and row lists are built in exactly one place,
-:meth:`ChainAssembler.state` -- the dict shaped like
-:func:`repro.stream.checkpoint.engine_state` output that
-:func:`read_state`, a follower's ``state`` and the kernel-less restore
-use; the fuzz harness pins both restores to the same ``engine_state``
-JSON bytes.
+accumulator's per-day chunks, changed pairs to the log), so its next
+day close still diffs in column space.  :meth:`ChainAssembler.state`
+renders the records through the JSON writer's own renderers -- the dict
+:func:`read_state` and a follower's ``state`` return.
 """
 
 from __future__ import annotations
@@ -78,14 +75,17 @@ from typing import TYPE_CHECKING
 from repro.net.addr import Prefix
 from repro.store.batch import ColumnBatch
 from repro.stream.checkpoint import (
+    _MALFORMED,
     FORMAT_VERSION,
+    _check_head,
+    _check_records,
+    _detection_state,
+    _is_int,
+    _shard_state,
     restore_stream_head,
     stream_head,
 )
-from repro.stream.checkpoint import restore_engine as restore_engine_state
-from repro.stream.columnar import as_array
-from repro.stream.shard import ShardKey
-from repro.stream.state import lift_family, pair_columns
+from repro.stream.state import join128, split128
 from repro.util import np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,7 +97,6 @@ MAGIC = b"RPB1"
 #: ``FORMAT_VERSION``, which names the *state schema* both formats share).
 BINARY_FORMAT = 1
 
-_MASK64 = (1 << 64) - 1
 _BIG_ENDIAN = byteorder == "big"
 
 #: dtype name -> (stdlib array typecode, numpy little-endian dtype).
@@ -339,23 +338,15 @@ def segment_bytes(path, info: SegmentInfo) -> bytes:
 # -- segment building ------------------------------------------------------
 
 
-def _shard_run(runs: dict, family: str, sid: int) -> list:
-    """Shard *sid*'s slice of a reduced run (the columns after ``sid``)."""
-    cols = runs[family]
-    start, stop = np.searchsorted(cols[0], (sid, sid + 1))
-    return [c[start:stop] for c in cols[1:]]
-
-
-def _add_shard_blocks(writer, sid: int, n: int, families: list, pairs: dict) -> dict:
-    """Emit one shard's blocks -- *families* one column set per
-    :data:`_SHARD_BLOCKS` family, *pairs* ascending day -> pair
-    columns -- and return its header record."""
+def _add_shard_blocks(writer, sid: int, record: dict) -> dict:
+    """Emit one shard's column *record* as blocks (pair days in the
+    record's order) and return its header record."""
     prefix = f"s{sid}."
-    for schema, columns in zip(_SHARD_BLOCKS.values(), families):
-        writer.add_family(prefix, schema, columns)
-    for day, columns in pairs.items():
+    for family, schema in _SHARD_BLOCKS.items():
+        writer.add_family(prefix, schema, record[family])
+    for day, columns in record["pairs"].items():
         writer.add_family(f"{prefix}d{day}.", _PAIR_BLOCKS, columns)
-    return {"sid": sid, "n": n, "days": list(pairs)}
+    return {"sid": sid, "n": record["n"], "days": list(record["pairs"])}
 
 
 def _add_store_blocks(writer, store, start_row: int) -> dict:
@@ -411,51 +402,21 @@ def _build_segment(
     sids: list[int],
     store_start: int,
 ) -> tuple[bytes, list[bytes], dict]:
-    """Serialize one segment; returns (header bytes, blobs, header dict).
-
-    Reads whichever owns the engine's state: with the kernel the
-    accumulator's reduced runs and pair chunks (nothing is built, no
-    pair tuple), without it the shards, lifted into the same columns.
-    Plus the engine's changed-pair log and the store's tail.
-    """
+    """Serialize one segment; returns (header bytes, blobs, header dict):
+    the column records of *sids* (a delta's pair days from the
+    previous segment's day on), the changed-pair columns, the rotating
+    prefixes and the store's tail."""
     writer = _SegmentWriter()
     writer.add_family("", _CHANGED_BLOCKS, *engine.changed_pair_columns())
-    net_hi = array("Q")
-    net_lo = array("Q")
-    plen = array("q")
-    for prefix in engine.rotating_prefixes():
-        net_hi.append(prefix.network >> 64)
-        net_lo.append(prefix.network & _MASK64)
-        plen.append(prefix.plen)
+    prefixes = list(engine.rotating_prefixes())
+    net_hi, net_lo = split128(prefix.network for prefix in prefixes)
+    plen = array("q", [prefix.plen for prefix in prefixes])
     writer.add_family("", _PREFIX_BLOCKS, (net_hi, net_lo, plen))
 
-    # A delta carries pair days from the previous segment's day on.
-    def kept(days) -> list[int]:
-        return sorted(d for d in days if day_floor is None or d >= day_floor)
-
-    acc = engine._acc
-    shard_records = []
-    if acc is not None:
-        runs = acc.reduce()
-        counts = acc.counts.tolist()
-        by_day = {day: acc.shard_pair_columns(day) for day in kept(acc.pair_days())}
-        for sid in sids:
-            families = [_shard_run(runs, family, sid) for family in _SHARD_BLOCKS]
-            pairs = {day: cols[sid] for day, cols in by_day.items() if sid in cols}
-            shard_records.append(
-                _add_shard_blocks(writer, sid, counts[sid], families, pairs)
-            )
-    else:
-        for sid in sids:
-            shard = engine.shards[sid]
-            families = [lift_family(shard, family) for family in _SHARD_BLOCKS]
-            pairs = {
-                day: pair_columns(shard.pairs_by_day[day])
-                for day in kept(shard.pairs_by_day)
-            }
-            shard_records.append(
-                _add_shard_blocks(writer, sid, shard.n_observations, families, pairs)
-            )
+    shard_records = [
+        _add_shard_blocks(writer, sid, record)
+        for sid, record in engine.shard_records(sids, day_floor).items()
+    ]
 
     store_record = (
         _add_store_blocks(writer, store, store_start) if store is not None else None
@@ -744,42 +705,6 @@ def _take_family(table: dict, prefix: str, schema: tuple, label) -> tuple:
     return tuple(cols)
 
 
-def _is_int(value, minimum: int | None = None) -> bool:
-    return type(value) is int and (minimum is None or value >= minimum)
-
-
-def _check_head(head: dict) -> None:
-    """Raise unless *head* has the types :func:`restore_stream_head`
-    and :meth:`ChainAssembler.state` rely on."""
-    config = head["config"]
-    ShardKey(config["shard_key"])
-    retain = config.get("retain_days")
-    watched_ok = all(
-        len(row) == 4
-        and all(_is_int(v) for v in row[:3])
-        and (row[3] is None or type(row[3]) in (int, float))
-        for row in head["watched"]
-    )
-    if not (
-        _is_int(config["num_shards"], 1)
-        and type(config["keep_observations"]) is bool
-        and (retain is None or _is_int(retain, 2))
-        and all(
-            head[key] is None or _is_int(head[key])
-            for key in ("current_day", "closed_through")
-        )
-        and _is_int(head["responses_ingested"], 0)
-        and _is_int(head["stable_pairs"], 0)
-        and all(
-            type(head[key]) is list and all(_is_int(v) for v in head[key])
-            for key in ("days_seen", "watch_iids")
-        )
-        and type(head["watched"]) is list
-        and watched_ok
-    ):
-        raise ValueError("engine head field of the wrong type")
-
-
 @dataclass
 class _Staged:
     """One validated segment, decoded and merged on the side: everything
@@ -857,14 +782,7 @@ class ChainAssembler:
             staged = self._stage(header, payload)
         except CheckpointError:
             raise
-        except (
-            AttributeError,
-            IndexError,
-            KeyError,
-            OverflowError,
-            TypeError,
-            ValueError,
-        ) as exc:
+        except (*_MALFORMED, ValueError) as exc:
             # Nothing has been mutated yet: whatever a malformed header
             # tripped over is a rejected segment, not a crashed reader.
             raise CheckpointError(
@@ -913,7 +831,7 @@ class ChainAssembler:
             )
 
         head = header["engine"]
-        _check_head(head)
+        _check_head(head, head["stable_pairs"])
         num_shards = head["config"]["num_shards"]
         day_floor = header["day_floor"]
         threshold = header["prune_threshold"]
@@ -933,44 +851,31 @@ class ChainAssembler:
             "rp": _take_family(table, "", _PREFIX_BLOCKS, label),
         }
 
-        shard_records = {} if is_base else dict(self._shard_records)
-        emitted: set[int] = set()
+        entries = []
         for record in header["shards"]:
-            sid, days = record["sid"], record["days"]
-            if (
-                not _is_int(sid, 0)
-                or sid >= num_shards
-                or sid in emitted
-                or not _is_int(record["n"], 0)
-                or type(days) is not list
-                or not all(_is_int(day) for day in days)
-                or len(set(days)) != len(days)
-            ):
-                raise CheckpointError(f"{label}: bad shard record {record!r}")
-            emitted.add(sid)
+            sid = record["sid"]
             prefix = f"s{sid}."
-            merged = {"n": record["n"]}
-            for family, schema in _SHARD_BLOCKS.items():
-                merged[family] = _take_family(table, prefix, schema, label)
-            previous = shard_records.get(sid)
-            if kind == "delta" and previous is not None and day_floor is not None:
-                pairs = {
-                    day: cols
-                    for day, cols in previous["pairs"].items()
-                    if day < day_floor
-                }
-            else:
-                pairs = {}
-            for day in days:
+            merged = {
+                family: _take_family(table, prefix, schema, label)
+                for family, schema in _SHARD_BLOCKS.items()
+            }
+            merged["n"] = record["n"]
+            # A delta keeps a re-emitted shard's pair days below its floor.
+            previous = self._shard_records.get(sid) if kind == "delta" else None
+            pairs = {
+                day: cols
+                for day, cols in (previous["pairs"] if previous else {}).items()
+                if day_floor is not None and day < day_floor
+            }
+            for day in record["days"]:
                 pairs[day] = _take_family(
                     table, f"{prefix}d{day}.", _PAIR_BLOCKS, label
                 )
             merged["pairs"] = pairs
-            shard_records[sid] = merged
-        if is_base and len(emitted) != num_shards:
-            raise CheckpointError(
-                f"{label}: full segment emits {len(emitted)} of {num_shards} shards"
-            )
+            entries.append((sid, merged))
+        shard_records = _check_records(
+            entries, num_shards, {} if is_base else dict(self._shard_records)
+        )
         if threshold is not None:
             # Replayed on *every* shard: a delta's clean shards were
             # pruned in memory without being re-emitted.
@@ -1021,6 +926,11 @@ class ChainAssembler:
             )
         return _Staged(shard_records, corpus_tail, detection, is_base)
 
+    def _prefix_rows(self) -> list[tuple[int, int]]:
+        """The rotating prefixes as ``(network, plen)`` ints."""
+        hi, lo, plen = self._detection["rp"]
+        return list(zip(join128(hi, lo), plen.tolist()))
+
     def _head(self) -> dict:
         if self._engine_header is None:
             raise CheckpointError(f"{self._label}: no segments applied")
@@ -1032,14 +942,9 @@ class ChainAssembler:
         """Build the engine the chain describes (arguments as
         :func:`~repro.stream.checkpoint.restore_engine`).
 
-        A kernel engine adopts the chain as columns, no dict in
-        between (:meth:`~repro.stream.engine.StreamEngine.adopt_shards`:
-        aggregates as ``frombuffer`` views through the accumulator's run
-        merge, pair blocks into its per-day chunks, so the next day
-        close keeps the columnar diff), changed pairs into the engine's
-        log.  Whether there is a kernel is asked of the engine just
-        built, never of this module's own imports; a kernel-less engine
-        is ``restore_engine(self.state())``.
+        The engine adopts the chain's column records
+        (:meth:`~repro.stream.engine.StreamEngine.adopt_shards`) and its
+        changed-pair columns, no dict in between.
         """
         if telemetry is not None:
             from repro.obs.instruments import CheckpointInstruments
@@ -1050,20 +955,10 @@ class ChainAssembler:
             return engine
         head = self._head()
         engine = restore_stream_head(head, origin_of=origin_of, store=store)
-        if engine._acc is None:
-            # A campaign chain nests the engine under "engine"; a chain
-            # saved from a bare engine *is* the engine state.
-            state = self.state()
-            return restore_engine_state(
-                state.get("engine", state), origin_of=origin_of, store=store
-            )
         engine.adopt_shards(self._shard_records)
         engine.restore_detection(
-            tuple(map(as_array, self._detection["cp"])),
-            {
-                Prefix((hi << 64) | lo, plen)
-                for hi, lo, plen in zip(*self._detection["rp"])
-            },
+            self._detection["cp"],
+            {Prefix(*row) for row in self._prefix_rows()},
             head["stable_pairs"],
         )
         if (
@@ -1084,54 +979,21 @@ class ChainAssembler:
         """
         engine_header = self._head()
         rows = self._corpus.rows() if self._corpus is not None else None
-
-        shards = []
-        for sid in range(engine_header["config"]["num_shards"]):
-            record = self._shard_records[sid]  # full segments emit every shard
-            shards.append(
-                {
-                    "shard_id": sid,
-                    "n_observations": record["n"],
-                    "sources": [(hi << 64) | lo for hi, lo in zip(*record["src"])],
-                    "eui_sources": [
-                        (hi << 64) | lo for hi, lo in zip(*record["esrc"])
-                    ],
-                    "eui_iids": record["iid"][0].tolist(),
-                    "alloc": [list(row) for row in zip(*record["alloc"])],
-                    "pool": [list(row) for row in zip(*record["pool"])],
-                    "pairs": [
-                        [
-                            day,
-                            [
-                                [(thi << 64) | tlo, (shi << 64) | slo]
-                                for thi, tlo, shi, slo in zip(*cols)
-                            ],
-                        ]
-                        for day, cols in record["pairs"].items()
-                    ],
-                }
-            )
-
-        detection = {
-            "changed_pairs": [
-                [(thi << 64) | tlo, (shi << 64) | slo]
-                for thi, tlo, shi, slo in zip(*self._detection["cp"])
-            ],
-            "stable_pairs": engine_header["stable_pairs"],
-            "rotating_prefixes": [
-                [(hi << 64) | lo, plen]
-                for hi, lo, plen in zip(*self._detection["rp"])
-            ],
-        }
-
         # The header's "engine" dict is the shared stream head plus the
         # one detection scalar that has no column block.
         head = {k: v for k, v in engine_header.items() if k != "stable_pairs"}
         engine_state = {
             "version": FORMAT_VERSION,
             **head,
-            "detection": detection,
-            "shards": shards,
+            "detection": _detection_state(
+                [self._detection["cp"]],
+                engine_header["stable_pairs"],
+                map(list, self._prefix_rows()),
+            ),
+            "shards": [
+                _shard_state(sid, self._shard_records[sid])
+                for sid in range(engine_header["config"]["num_shards"])
+            ],
             "store": rows,
         }
         if self._progress is not None:

@@ -14,18 +14,18 @@ hot loop with a columnar kernel:
   shard placement (the same splitmix scramble as
   :func:`~repro.stream.shard.shard_index`, vectorized), and per-shard
   row counting;
-* Python objects are built only on request, in two steps
-  (:class:`ColumnarAccumulator`):
+* reads come in two strengths (:class:`ColumnarAccumulator`):
 
   - ``reduce()`` sort-reduces the buffered rows into *runs* -- per
     aggregate family one sorted, de-duplicated set of columns, span
     groups min/max-reduced with ``ufunc.reduceat``.  Pure numpy, and
-    all that queries, the served snapshot, a binary checkpoint, a
-    ``retain_days`` day close and a restore ever need.
-  - ``shard_states()`` *builds* fresh :class:`ShardState` objects from
-    the runs and the per-day pair chunks -- once per unique element --
-    for the JSON oracle (``engine_state``) and the fabric's merge.  It
-    moves nothing: the accumulator keeps owning every row.
+    all that queries, the served snapshot and a ``retain_days`` day
+    close ever need.
+  - ``shard_records()`` slices the runs and the per-day pair chunks
+    per shard into *column records* -- numpy views, no copy -- the one
+    shape state leaves in: both checkpoint formats, the fabric's
+    ``state`` reply and the dispatcher's merge.  ``adopt()`` is the
+    one way records come back in.
 
 With the kernel the accumulator is the one owner of engine state, and
 without it :class:`ShardState` is; nothing holds both, so no reader or
@@ -48,11 +48,13 @@ Whether numpy imports is the only switch; there is no knob.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.core.rotation_detect import RotationDetection
 from repro.net.addr import Prefix
 from repro.net.eui64 import _FFFE, _FFFE_SHIFT
 from repro.stream.shard import SPLITMIX64
-from repro.stream.state import ShardState, plen_of_middle
+from repro.stream.state import pair_ints, plen_of_middle
 from repro.util import np
 
 _MASK64 = (1 << 64) - 1
@@ -168,11 +170,6 @@ def watch_hits(src_lo, watch_iids: set) -> list:
     """Row indices whose IID is watched, in stream order."""
     watch = np.fromiter(watch_iids, dtype=np.uint64, count=len(watch_iids))
     return np.nonzero(np.isin(src_lo, watch))[0].tolist()
-
-
-def _combine64(hi, lo) -> list:
-    """``(hi << 64) | lo`` per row, as Python ints."""
-    return [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
 
 
 _MIX1 = 0x9E3779B97F4A7C15
@@ -343,14 +340,23 @@ def _dtype(typecode: str):
 
 
 def as_array(col):
-    """A stdlib array as a numpy array of the same type, no copy."""
+    """A stdlib (or numpy) array as a numpy array, no copy."""
+    if isinstance(col, np.ndarray):
+        return col
     return np.frombuffer(col, dtype=_dtype(col.typecode))
 
 
+def as_stdlib(col) -> array:
+    """A numpy column as a stdlib array of the same type: what crosses
+    to a host that may lack numpy."""
+    out = array("Q" if col.dtype == np.uint64 else "q")
+    out.frombytes(np.ascontiguousarray(col).tobytes())
+    return out
+
+
 def shard_part(sid: int, columns) -> list:
-    """One shard's stdlib-array *columns* (a checkpoint's blocks, a
-    :func:`~repro.stream.state.lift_family`) as a run part: numpy views
-    behind a constant ``sid`` column."""
+    """One shard's record *columns* (stdlib or numpy) as a run part:
+    numpy views behind a constant ``sid`` column."""
     return [np.full(len(columns[0]), sid, dtype=np.int64), *map(as_array, columns)]
 
 
@@ -495,10 +501,8 @@ def fold_changed_pairs(batches: list, detection: RotationDetection) -> None:
     emitted-mask in :meth:`ColumnarAccumulator.diff_days`), and a
     straggler just costs a redundant set insert.
     """
-    for thi, tlo, shi, slo in batches:
-        detection.changed_pairs.update(
-            zip(_combine64(thi, tlo), _combine64(shi, slo))
-        )
+    for cols in batches:
+        detection.changed_pairs.update(zip(*pair_ints(cols)))
 
 
 def fold_changed_prefixes(net48_batches: list, detection: RotationDetection) -> None:
@@ -512,23 +516,22 @@ class ColumnarAccumulator:
 
     With the kernel this is the *one owner* of an engine's (or a fabric
     worker's) state: every currency lands here, every reader and writer
-    reads here, and the owner's :class:`ShardState` list stays empty.
+    reads here, and the owner holds no :class:`ShardState`.
     Writes come in three shapes -- :meth:`absorb` per placed chunk on
     the hot path, single rows appended to :attr:`rows` (drained a chunk
     at a time, and before any read), and :meth:`adopt` for restored or
-    merged state.  Reads come in two strengths:
+    merged column records.  Reads come in two strengths:
 
     * :meth:`reduce` merges the buffered rows into the *runs* -- per
       family (:data:`RUN_FAMILIES`) one sorted, de-duplicated set of
       columns, span groups already min/max-reduced.  Pure numpy; no
       Python set, dict or tuple is built.  Queries
-      (:meth:`family_columns`, :meth:`iid_spans`), a checkpoint save and
-      a ``retain_days`` day close stop here, and day-close diffs read
-      merged pair columns straight from the per-day chunks
-      (:meth:`day_pair_columns`).
-    * :meth:`shard_states` builds fresh :class:`ShardState` objects
-      from the runs and pair chunks -- for the JSON oracle and the
-      fabric's merge.  It moves nothing.
+      (:meth:`family_columns`, :meth:`iid_spans`) and a ``retain_days``
+      day close stop here, and day-close diffs read merged pair columns
+      straight from the per-day chunks (:meth:`day_pair_columns`).
+    * :meth:`shard_records` slices the runs and pair chunks per shard
+      into column records (numpy views) -- what both checkpoint formats
+      write and a fabric worker replies.  It moves nothing.
 
     Every read method drains :attr:`rows` first (as
     :meth:`ObservationStore.add <repro.core.records.ObservationStore.add>`'s
@@ -643,12 +646,11 @@ class ColumnarAccumulator:
             runs[family] = _merge_family(family, [runs[family], *new])
 
     def adopt(self, records: dict) -> None:
-        """Take over restored or merged shard state: ``{sid: record}``,
-        each record holding per :data:`RUN_FAMILIES` family the shard's
-        stdlib-array columns minus ``sid`` (a checkpoint's blocks, or a
-        :func:`~repro.stream.state.lift_family`), ``"pairs"`` (day ->
-        pair columns) and ``"n"`` (its row count).  Marks nothing
-        dirty: adopted state is what the chain on disk already holds."""
+        """Fold ``{sid: record}`` column records (the
+        :meth:`shard_records` shape; stdlib or numpy columns) into the
+        state, additively -- through the same run merge :meth:`reduce`
+        uses.  Marks nothing dirty: adopted state is what the chain on
+        disk already holds."""
         parts: dict[str, list] = {family: [] for family in RUN_FAMILIES}
         for sid, record in records.items():
             self.counts[sid] += record["n"]
@@ -703,10 +705,7 @@ class ColumnarAccumulator:
         """*day*'s pairs as Python ``(target, source)`` tuples: a kernel
         engine's ``_pairs_on``, which only the parallel dispatcher's
         day close asks of a resumed base engine."""
-        cols = self.day_pair_columns(day)
-        return set(
-            zip(_combine64(cols[0], cols[1]), _combine64(cols[2], cols[3]))
-        )
+        return set(zip(*pair_ints(self.day_pair_columns(day))))
 
     def pair_days(self) -> list[int]:
         """Days with buffered pair columns, ascending (checkpoint walk)."""
@@ -804,39 +803,26 @@ class ColumnarAccumulator:
             cols = [c[keep] for c in cols]
         return reduce_spans(cols, 2)
 
-    def shard_states(self) -> list[ShardState]:
-        """Everything held, as fresh :class:`ShardState` objects -- one
-        per shard, indistinguishable (under JSON serialization too: all
-        values cross over by ``tolist()``) from per-observation
-        ingestion.  Moves nothing; the runs keep every key once, so each
-        set and span dict is built by plain assignment."""
+    def shard_records(self, sids, day_floor: int | None = None) -> dict:
+        """``{sid: record}`` for *sids* (the
+        :meth:`StreamEngine.shard_records
+        <repro.stream.engine.StreamEngine.shard_records>` shape): numpy
+        views of the runs and pair chunks, sliced, never copied."""
         runs = self.reduce()
-        shards = [
-            ShardState(shard_id=sid, n_observations=n)
-            for sid, n in enumerate(self.counts.tolist())
-        ]
-        for family, attribute in (("src", "sources"), ("esrc", "eui_sources")):
-            sid, hi, lo = runs[family]
-            values = _combine64(hi, lo)
-            for s, a, b in _shard_groups(sid):
-                setattr(shards[s], attribute, set(values[a:b]))
-        sid, iid = runs["iid"]
-        iids = iid.tolist()
-        for s, a, b in _shard_groups(sid):
-            shards[s].eui_iids = set(iids[a:b])
-        sid, asn, iid, day, lo, hi = runs["alloc"]
-        keys = list(zip(iid.tolist(), day.tolist()))
-        spans = list(map(list, zip(lo.tolist(), hi.tolist())))
-        for s, a, start, stop in _shard_groups(sid, asn):
-            shards[s].alloc_spans[a] = dict(zip(keys[start:stop], spans[start:stop]))
-        sid, asn, iid, lo, hi = runs["pool"]
-        keys = iid.tolist()
-        spans = list(map(list, zip(lo.tolist(), hi.tolist())))
-        for s, a, start, stop in _shard_groups(sid, asn):
-            shards[s].pool_spans[a] = dict(zip(keys[start:stop], spans[start:stop]))
-        for day in self.pair_days():
-            for s, (thi, tlo, shi, slo) in self.shard_pair_columns(day).items():
-                shards[s].pairs_by_day[day] = set(
-                    zip(_combine64(thi, tlo), _combine64(shi, slo))
-                )
-        return shards
+        counts = self.counts.tolist()
+        by_day = {
+            day: self.shard_pair_columns(day)
+            for day in self.pair_days()
+            if day_floor is None or day >= day_floor
+        }
+        records = {}
+        for sid in sids:
+            record = {"n": counts[sid]}
+            for family, cols in runs.items():
+                start, stop = np.searchsorted(cols[0], (sid, sid + 1))
+                record[family] = tuple(c[start:stop] for c in cols[1:])
+            record["pairs"] = {
+                day: cols[sid] for day, cols in by_day.items() if sid in cols
+            }
+            records[sid] = record
+        return records

@@ -22,25 +22,27 @@ its state -- for every currency, nothing else:
 * **With the kernel** the accumulator is the only owner.  Column
   batches and observation iterables are absorbed a chunk at a time,
   single observations are buffered as flat rows and drained into it a
-  chunk at a time (and before any read), restored or merged state is
-  adopted into it (:meth:`StreamEngine.adopt_shards`), and every query
+  chunk at a time (and before any read), restored or merged column
+  records are adopted into it (:meth:`StreamEngine.adopt_shards`), and
+  every query
   -- ``asns``, ``allocation_inference[s]``, ``pool_inference[s]``,
   ``as_profiles``, ``unique_sources``, ``unique_eui64_sources``,
   ``eui64_iids``, ``summary``, ``rotation_between``,
   ``changed_pair_count``, ``rotating_prefixes`` -- every day close and
-  every binary save reads its columns.  :attr:`StreamEngine.shards`
-  stays a list of empty :class:`ShardState` objects.
+  every checkpoint save reads its columns.  :attr:`StreamEngine.shards`
+  is an empty list: the engine holds no :class:`ShardState`.
 * **Without it** :attr:`StreamEngine.shards` is the only owner: every
   currency runs the reference loop inherited from
   :class:`~repro.stream.sink.IngestSinkBase`, and the same queries walk
   ``ShardState`` (the scalar reference the fuzz harness holds the
   column answers to).
 
-Nothing ever holds both, so nothing joins the two.
-:meth:`StreamEngine.materialize` returns the state as ``ShardState``
-objects either way -- freshly built from the columns with the kernel --
-for :func:`~repro.stream.checkpoint.engine_state` (the JSON oracle), the
-parallel dispatcher's merge, and anyone who wants to peek at shards.
+Nothing ever holds both, so nothing joins the two.  State leaves
+either owner as :meth:`StreamEngine.shard_records` column records and
+enters it through :meth:`StreamEngine.adopt_shards` -- every checkpoint
+format, a follower and the dispatcher's merge alike.
+:meth:`StreamEngine.materialize` folds the records into fresh
+``ShardState`` objects, for anyone who wants to peek at shards.
 
 Day handling lives in that shared base (the dispatcher runs the same
 code): observation days must arrive non-decreasing (scans are
@@ -53,6 +55,7 @@ and newly flagged prefixes accumulate in :attr:`live_detection`.  Call
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable
@@ -74,9 +77,11 @@ from repro.stream.state import (
     ShardState,
     allocation_inference_from_iid_spans,
     allocation_inference_from_spans,
-    lift_family,
+    fold_record,
+    lift_records,
     merge_spans,
     pair_columns,
+    pair_ints,
     pool_inference_from_spans,
     prune_shard_days,
 )
@@ -135,7 +140,6 @@ class StreamEngine(IngestSinkBase):
         self.router = ShardRouter(
             self.config.num_shards, self.config.shard_key, origin_of
         )
-        self.shards = [ShardState(shard_id=i) for i in range(self.config.num_shards)]
         if store is not None:
             self.store = store
         else:
@@ -152,6 +156,11 @@ class StreamEngine(IngestSinkBase):
         # shows in a checkpoint.
         self._acc = columnar_kernel.make_accumulator(
             self.config.num_shards, self.config.shard_key is ShardKey.ASN
+        )
+        self.shards: list[ShardState] = (
+            []
+            if self._acc is not None
+            else [ShardState(shard_id=i) for i in range(self.config.num_shards)]
         )
         # Dirty-tracking for incremental (delta) checkpoints: a shard's
         # epoch is bumped to the current engine epoch on every mutation;
@@ -257,58 +266,42 @@ class StreamEngine(IngestSinkBase):
         """Buffer a day-segment in the accumulator."""
         self._acc.absorb(*columns)
 
-    def adopt_shards(self, shards) -> None:
-        """Make restored or merged state this (fresh) engine's own.
+    def shard_records(self, sids=None, day_floor: int | None = None) -> dict:
+        """``{sid: record}`` for *sids* (default: all), the one shape
+        state leaves an engine in: ``{"n", "src", "esrc", "iid", "alloc",
+        "pool", "pairs"}`` -- the row count, each family's columns in
+        the :data:`~repro.stream.columnar.RUN_FAMILIES` layout minus
+        ``sid``, and ``day -> pair columns`` for days ``>= day_floor``,
+        ascending.  Numpy views of the runs with the kernel, the shards
+        lifted into stdlib arrays without it."""
+        if sids is None:
+            sids = range(self.config.num_shards)
+        if self._acc is not None:
+            return self._acc.shard_records(sids, day_floor)
+        return lift_records(self.shards, sids, day_floor)
 
-        *shards* is one :class:`ShardState` per shard -- a JSON restore,
-        the parallel dispatcher's merge -- or, from a binary chain,
-        ``{sid: record}`` column records as
-        :class:`~repro.stream.ckptbin.ChainAssembler` keeps them (see
-        :meth:`ColumnarAccumulator.adopt
-        <repro.stream.columnar.ColumnarAccumulator.adopt>`).  Without the
-        kernel the shards simply become :attr:`shards`.  With it each
-        shard is lifted into columns once (:func:`lift_family`,
-        :func:`pair_columns`) and adopted by the accumulator;
-        :attr:`shards` stays empty.
-        """
-        acc = self._acc
-        if acc is None:
-            self.shards = list(shards)
+    def adopt_shards(self, records: dict) -> None:
+        """Fold :meth:`shard_records`-shaped records (stdlib or numpy
+        columns) into the engine, additively: the one way state enters
+        an engine -- every restore and the dispatcher's merge."""
+        if self._acc is not None:
+            self._acc.adopt(records)
             return
-        if not isinstance(shards, dict):
-            shards = {
-                shard.shard_id: {
-                    "n": shard.n_observations,
-                    "pairs": {
-                        day: pair_columns(pairs)
-                        for day, pairs in shard.pairs_by_day.items()
-                    },
-                    **{
-                        family: lift_family(shard, family)
-                        for family in columnar_kernel.RUN_FAMILIES
-                    },
-                }
-                for shard in shards
-            }
-        acc.adopt(shards)
+        for sid, record in records.items():
+            fold_record(self.shards[sid], record)
 
     def materialize(self) -> list[ShardState]:
-        """The engine's state as one :class:`ShardState` per shard.
-
-        Without the kernel that is :attr:`shards` itself; with it, fresh
-        objects built from the accumulator's columns, which keep owning
-        everything (the queries below never need this -- they read the
-        columns).  For the JSON oracle, the dispatcher's merge, and
-        anyone who wants to peek at shards.
-        """
-        acc = self._acc
-        if acc is None:
+        """One :class:`ShardState` per shard: :attr:`shards` itself
+        without the kernel, fresh ones folded from :meth:`shard_records`
+        with it (no query needs this)."""
+        if self._acc is None:
             return self.shards
+        shards = [ShardState(shard_id=i) for i in range(self.config.num_shards)]
         obs = self._obs
-        if obs is None:
-            return acc.shard_states()
-        with obs.materialize_seconds.time():
-            return acc.shard_states()
+        with obs.materialize_seconds.time() if obs is not None else nullcontext():
+            for sid, record in self.shard_records().items():
+                fold_record(shards[sid], record)
+        return shards
 
     # -- live rotation detection ------------------------------------------
 
@@ -393,13 +386,13 @@ class StreamEngine(IngestSinkBase):
     def restore_detection(
         self, changed_cols: tuple, prefixes: set, stable: int
     ) -> None:
-        """Adopt checkpointed detection state as columns: the changed
-        pairs go to the log unfolded, so no tuple is built until
-        someone reads :attr:`live_detection`."""
-        self.live_detection = RotationDetection(
-            rotating_prefixes=prefixes, stable_pairs=stable
-        )
-        if len(changed_cols[0]):
+        """Adopt checkpointed detection state, the changed pairs as
+        columns: a kernel engine logs them unfolded, so no tuple is
+        built until someone reads :attr:`live_detection`; a kernel-less
+        one folds them into the set at once."""
+        changed = set(zip(*pair_ints(changed_cols))) if self._acc is None else set()
+        self.live_detection = RotationDetection(changed, prefixes, stable)
+        if self._acc is not None and len(changed_cols[0]):
             self._changed_log.append(changed_cols)
 
     def _diff_days(self, previous: int, closed: int) -> None:

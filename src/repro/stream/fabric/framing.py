@@ -11,9 +11,9 @@ truncated or corrupted frames -- any of the three raises
 master treats the worker as lost and requeues).
 
 Message payloads are pickled: every fabric message is flat Python
-scalars, lists of ints, or numpy uint64 arrays, all of which pickle
-compactly and survive a numpy/no-numpy boundary when the sender
-converts arrays to lists first (see ``protocol.day_pair_columns``).
+scalars, lists of ints, or 64-bit column arrays, all of which pickle
+compactly; replies carry stdlib arrays only, so they survive a
+numpy/no-numpy boundary (see ``protocol.WorkerCore``).
 Unpickling attacker-controlled bytes is arbitrary code execution, and
 a TCP listener -- even the loopback one a local ``workers=N`` run
 binds -- is dialable by anything that can route to it.  So no fabric

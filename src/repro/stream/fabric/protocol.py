@@ -18,7 +18,8 @@ Request         Payload                                  Reply
 ``hb_push``     *(none; worker-initiated liveness        *(none)*
                 beat, sent from a thread decoupled
                 from the serve loop)*
-``state``       --                                       ``state`` + shards
+``state``       --                                       ``state`` + column
+                                                         records
 ``stop``        --                                       *(none; worker
                                                          exits)*
 ==============  =======================================  ==================
@@ -43,9 +44,14 @@ it receives for the shards it owns -- the property that makes
 requeue-to-survivor journal replay and the serial == sockets
 byte-identity pin possible at all.
 
-``day_pairs`` replies ship flat *pair columns* (four parallel uint64
-lists: target hi/lo, source hi/lo), not pickled Python sets.  The
+Replies carry columns as stdlib arrays, never numpy objects or Python
+sets, so they cross a numpy/no-numpy host boundary.  ``day_pairs``
+ships a day's *pair columns* (target hi/lo, source hi/lo); the
 dispatcher rebuilds the set with :func:`pairs_from_columns` and diffs.
+``state`` (protocol 3) ships the worker's ``{sid: record}`` column
+records -- what :meth:`~repro.stream.engine.StreamEngine.shard_records`
+gives and ``adopt_shards`` takes; the dispatcher adopts them into a
+fresh engine.
 """
 
 from __future__ import annotations
@@ -54,9 +60,15 @@ from typing import Callable
 
 from repro.stream import columnar as columnar_kernel
 from repro.stream.shard import shard_index
-from repro.stream.state import ShardState, pair_columns, prune_shard_days
+from repro.stream.state import (
+    ShardState,
+    lift_records,
+    pair_columns,
+    pair_ints,
+    prune_shard_days,
+)
 
-PROTO_VERSION = 2
+PROTO_VERSION = 3
 
 
 class FabricError(RuntimeError):
@@ -79,16 +91,9 @@ class WorkerLost(FabricError):
 
 
 def pairs_from_columns(columns) -> set[tuple[int, int]]:
-    """Rebuild a ``{(target, source)}`` pair set from flat columns.
-
-    Inverse of :meth:`WorkerCore.day_pair_columns`: zips the four
-    parallel hi/lo lists back into 128-bit address tuples.
-    """
-    t_hi, t_lo, s_hi, s_lo = columns
-    return {
-        ((int(th) << 64) | int(tl), (int(sh) << 64) | int(sl))
-        for th, tl, sh, sl in zip(t_hi, t_lo, s_hi, s_lo)
-    }
+    """Rebuild a ``{(target, source)}`` pair set from the four hi/lo
+    columns of a ``day_pairs`` reply."""
+    return set(zip(*pair_ints(columns)))
 
 
 class WorkerCore:
@@ -106,11 +111,15 @@ class WorkerCore:
     __slots__ = ("shards", "sids", "acc", "asn_keyed", "num_shards")
 
     def __init__(self, num_shards: int, asn_keyed: bool) -> None:
-        self.shards = [ShardState(shard_id=i) for i in range(num_shards)]
+        self.acc = columnar_kernel.make_accumulator(num_shards, asn_keyed)
+        self.shards = (
+            []
+            if self.acc is not None
+            else [ShardState(shard_id=i) for i in range(num_shards)]
+        )
         # Kernel-less row path: owning shard per source /48 (placement
         # is constant within a /48, as in the engine's route cache).
         self.sids: dict[int, int] = {}
-        self.acc = columnar_kernel.make_accumulator(num_shards, asn_keyed)
         self.asn_keyed = asn_keyed
         self.num_shards = num_shards
 
@@ -139,22 +148,16 @@ class WorkerCore:
             )
         self.acc.absorb_unplaced(columns)
 
-    def day_pair_columns(self, day: int) -> tuple[list, ...]:
-        """*day*'s pairs as flat hi/lo columns -- the ``day_pairs`` reply.
-
-        Plain int lists (never numpy arrays) so the payload crosses a
-        numpy/no-numpy host boundary unchanged; read from whichever owns
-        the worker's state.
-        """
+    def day_pair_columns(self, day: int) -> tuple:
+        """*day*'s pairs as hi/lo stdlib-array columns -- the
+        ``day_pairs`` reply, read from whichever owns the worker's
+        state."""
         if self.acc is not None:
             columns = self.acc.day_pair_columns(day)
-        else:
-            columns = pair_columns(
-                pair
-                for shard in self.shards
-                for pair in shard.pairs_by_day.get(day, ())
-            )
-        return tuple(column.tolist() for column in columns)
+            return tuple(map(columnar_kernel.as_stdlib, columns))
+        return pair_columns(
+            pair for shard in self.shards for pair in shard.pairs_by_day.get(day, ())
+        )
 
     def prune(self, keep_floor: int) -> None:
         """Forget pair days below *keep_floor*.  Idempotent, so journal
@@ -165,16 +168,23 @@ class WorkerCore:
         else:
             prune_shard_days(self.shards, keep_floor)
 
-    def state(self) -> list[ShardState]:
-        """The shard aggregates as :class:`ShardState` (``state`` reply).
-
-        Built fresh from the accumulator's columns with the kernel,
-        which keep owning everything -- so repeated requests (snapshots
-        keep workers running) never count a row twice.
-        """
-        if self.acc is not None:
-            return self.acc.shard_states()
-        return self.shards
+    def state(self) -> dict:
+        """Every shard's ``{sid: record}`` column record, as stdlib
+        arrays (the ``state`` reply).  Copies: the owner keeps every
+        row, so repeated requests (snapshots keep workers running)
+        never count a row twice."""
+        sids = range(self.num_shards)
+        if self.acc is None:
+            return lift_records(self.shards, sids)
+        records = self.acc.shard_records(sids)
+        as_stdlib = columnar_kernel.as_stdlib
+        for record in records.values():
+            for family in columnar_kernel.RUN_FAMILIES:
+                record[family] = tuple(map(as_stdlib, record[family]))
+            pairs = record["pairs"]
+            for day, cols in pairs.items():
+                pairs[day] = tuple(map(as_stdlib, cols))
+        return records
 
     # -- message dispatch -------------------------------------------------
 

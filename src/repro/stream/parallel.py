@@ -27,14 +27,13 @@ Division of labour:
 * each **worker** (a :class:`~repro.stream.fabric.protocol.WorkerCore`
   behind its socket) folds its chunks with the same fold the engine
   runs (the columnar kernel when numpy imports, the scalar reference
-  otherwise), and ships its state back as plain
-  :class:`~repro.stream.state.ShardState` aggregates on request.
+  otherwise), and ships its state back on request as per-shard column
+  records of stdlib arrays.
 
 The merge step (:meth:`ParallelStreamEngine.snapshot_engine` /
-:meth:`~ParallelStreamEngine.finalize`) folds worker partials -- plus
-any checkpoint-restored base state -- into scratch shards with
-:func:`~repro.stream.state.merge_shard_state`, which a fresh
-:class:`StreamEngine` then adopts (``adopt_shards``).
+:meth:`~ParallelStreamEngine.finalize`) has a fresh :class:`StreamEngine`
+adopt each worker's records plus any resumed base's ``shard_records()``
+(``adopt_shards`` is additive), with no scratch shard in between.
 Because every aggregate commutes, the merged engine is *byte-identical*
 (same :func:`~repro.stream.checkpoint.engine_state`, hence the same
 checkpoint JSON) to a single-process engine fed the same stream: the
@@ -61,6 +60,7 @@ silent loss.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable
 
 from repro.core.records import ObservationStore, ProbeObservation
@@ -70,7 +70,6 @@ from repro.stream.fabric.protocol import FabricError, WorkerLost, pairs_from_col
 from repro.stream.fabric.transport import SocketTransport, parse_worker_spec
 from repro.stream.shard import ShardKey, shard_index
 from repro.stream.sink import IngestSinkBase, update_sighting
-from repro.stream.state import ShardState, merge_shard_state
 from repro.util import get_logger
 
 log = get_logger("repro.stream.parallel")
@@ -572,26 +571,20 @@ class ParallelStreamEngine(IngestSinkBase):
 
     # -- merge -------------------------------------------------------------
 
-    def _fold(self, worker_states: list[list[ShardState]]) -> StreamEngine:
+    def _fold_states(self, worker_records: list[dict]) -> StreamEngine:
+        """A fresh engine that adopted every worker's ``state`` reply
+        and the resumed base's records."""
         obs = self._obs
-        if obs is None:
-            return self._fold_states(worker_states)
-        with obs.merge_seconds.time():
-            return self._fold_states(worker_states)
-
-    def _fold_states(self, worker_states: list[list[ShardState]]) -> StreamEngine:
-        merged = [ShardState(shard_id=i) for i in range(self.config.num_shards)]
-        parts = list(worker_states)
-        if self._base is not None:
-            parts.append(self._base.materialize())
-        for shards in parts:
-            for shard in shards:
-                if shard.n_observations:
-                    merge_shard_state(merged[shard.shard_id], shard)
-        engine = StreamEngine(self.config, origin_of=self._origin_of, store=self.store)
-        if self.store is None:
-            engine.store = None
-        engine.adopt_shards(merged)
+        with obs.merge_seconds.time() if obs is not None else nullcontext():
+            engine = StreamEngine(
+                self.config, origin_of=self._origin_of, store=self.store
+            )
+            if self.store is None:
+                engine.store = None
+            for records in worker_records:
+                engine.adopt_shards(records)
+            if self._base is not None:
+                engine.adopt_shards(self._base.shard_records())
         floor = self._retain_floor()
         if floor is not None:
             # A resumed base may hold pair days the live run has since
@@ -621,7 +614,7 @@ class ParallelStreamEngine(IngestSinkBase):
         day, which stays unclosed exactly as it would live.
         """
         self._flush_buffers()
-        return self._fold(self._collect(("state",), "state"))
+        return self._fold_states(self._collect(("state",), "state"))
 
     def finalize(self) -> StreamEngine:
         """Close the final day, merge, and shut down.  Idempotent.
@@ -642,7 +635,7 @@ class ParallelStreamEngine(IngestSinkBase):
                 self._channels[channel_index].send(("stop",))
             except WorkerLost:
                 pass
-        merged = self._fold(states)
+        merged = self._fold_states(states)
         self._open = False
         self._retire_channels()
         self._transport.close(graceful=True)

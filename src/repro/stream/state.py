@@ -18,6 +18,10 @@ running aggregates, updated in O(1) per response:
 Aggregates are keyed by origin AS inside each shard; shard-level
 partials merge losslessly (min/max and set union commute), so any
 sharding of the response stream yields the same inferences.
+
+State crosses every boundary as per-shard *column records*; without
+the kernel :func:`lift_records` makes them of ``ShardState`` and
+:func:`fold_record` folds them back.
 """
 
 from __future__ import annotations
@@ -41,17 +45,22 @@ _IID_MASK = (1 << IID_BITS) - 1
 _MASK64 = (1 << 64) - 1
 
 
+def widen_span(spans: dict, key, lo: int, hi: int) -> None:
+    """Widen ``spans[key]`` to cover ``[lo, hi]`` (min/max commute)."""
+    span = spans.get(key)
+    if span is None:
+        spans[key] = [lo, hi]
+    else:
+        if lo < span[0]:
+            span[0] = lo
+        if hi > span[1]:
+            span[1] = hi
+
+
 def merge_spans(into: dict, other: dict) -> None:
     """Merge another span table into *into* (losslessly -- min/max commute)."""
-    for key, span in other.items():
-        mine = into.get(key)
-        if mine is None:
-            into[key] = [span[0], span[1]]
-        else:
-            if span[0] < mine[0]:
-                mine[0] = span[0]
-            if span[1] > mine[1]:
-                mine[1] = span[1]
+    for key, (lo, hi) in other.items():
+        widen_span(into, key, lo, hi)
 
 
 def prune_shard_days(shards: "list[ShardState]", threshold: int) -> None:
@@ -77,6 +86,12 @@ def split128(values) -> tuple[array, array]:
     return hi, lo
 
 
+def join128(hi, lo) -> list[int]:
+    """``(hi << 64) | lo`` per row of two uint64 columns (stdlib or
+    numpy), as Python ints: the inverse of :func:`split128`."""
+    return [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
 def pair_columns(pairs) -> tuple[array, array, array, array]:
     """``(target, source)`` 128-bit pairs -> ``(tgt_hi, tgt_lo, src_hi,
     src_lo)`` uint64 columns (stdlib arrays: works without numpy)."""
@@ -92,26 +107,16 @@ def pair_columns(pairs) -> tuple[array, array, array, array]:
     return tgt_hi, tgt_lo, src_hi, src_lo
 
 
-def alloc_span_rows(shard: "ShardState"):
-    """Yield ``(asn, iid, day, lo, hi)`` rows of a shard's alloc spans.
-
-    The flat-row view both checkpoint serializers share: JSON sorts the
-    rows, :func:`lift_family` packs them into int64/uint64 columns.
-    """
-    for asn, spans in shard.alloc_spans.items():
-        for (iid, day), span in spans.items():
-            yield asn, iid, day, span[0], span[1]
+def pair_ints(cols) -> tuple[list[int], list[int]]:
+    """Pair columns -> ``(targets, sources)`` as Python ints."""
+    return join128(cols[0], cols[1]), join128(cols[2], cols[3])
 
 
-def pool_span_rows(shard: "ShardState"):
-    """Yield ``(asn, iid, lo, hi)`` rows of a shard's pool spans."""
-    for asn, spans in shard.pool_spans.items():
-        for iid, span in spans.items():
-            yield asn, iid, span[0], span[1]
-
-
-def _span_columns(rows, typecodes: str) -> tuple[array, ...]:
+def span_columns(rows, typecodes: str) -> tuple[array, ...]:
+    """Int rows -> one stdlib array per *typecodes* entry."""
     columns = list(zip(*rows)) or [()] * len(typecodes)
+    if len(columns) != len(typecodes):
+        raise ValueError(f"span rows are not {len(typecodes)} wide")
     return tuple(array(code, column) for code, column in zip(typecodes, columns))
 
 
@@ -120,8 +125,22 @@ _LIFTS = {
     "src": lambda shard: split128(shard.sources),
     "esrc": lambda shard: split128(shard.eui_sources),
     "iid": lambda shard: (array("Q", shard.eui_iids),),
-    "alloc": lambda shard: _span_columns(alloc_span_rows(shard), "qQqQQ"),
-    "pool": lambda shard: _span_columns(pool_span_rows(shard), "qQQQ"),
+    "alloc": lambda shard: span_columns(
+        (
+            (asn, iid, day, lo, hi)
+            for asn, spans in shard.alloc_spans.items()
+            for (iid, day), (lo, hi) in spans.items()
+        ),
+        "qQqQQ",
+    ),
+    "pool": lambda shard: span_columns(
+        (
+            (asn, iid, lo, hi)
+            for asn, spans in shard.pool_spans.items()
+            for iid, (lo, hi) in spans.items()
+        ),
+        "qQQQ",
+    ),
 }
 
 
@@ -130,47 +149,42 @@ def lift_family(shard: "ShardState", family: str) -> tuple[array, ...]:
     columns, in the accumulator's run layout minus ``sid``
     (:data:`repro.stream.columnar.RUN_FAMILIES`): ``(hi, lo)`` for
     ``src``/``esrc``, ``(iid,)``, ``(asn, iid, day, lo, hi)`` for
-    ``alloc``, ``(asn, iid, lo, hi)`` for ``pool``.
-
-    The one place ``ShardState`` becomes columns, for exactly two
-    callers: the binary segment writer of a kernel-less engine (whose
-    shards own its state), and ``StreamEngine.adopt_shards``, which
-    hands a kernel engine restored or merged shards once -- after
-    that the accumulator owns everything and no shard is lifted again.
-    """
+    ``alloc``, ``(asn, iid, lo, hi)`` for ``pool``."""
     return _LIFTS[family](shard)
 
 
-def merge_shard_state(into: "ShardState", part: "ShardState") -> None:
-    """Fold a partial shard state into *into* (*part* is left untouched).
+def lift_records(shards: "list[ShardState]", sids, day_floor=None) -> dict:
+    """``{sid: record}`` column records of *shards*, pair days below
+    *day_floor* left out: the one place ``ShardState`` becomes columns."""
+    records = {}
+    for sid in sids:
+        shard = shards[sid]
+        record = {family: lift_family(shard, family) for family in _LIFTS}
+        record["n"] = shard.n_observations
+        record["pairs"] = {
+            day: pair_columns(shard.pairs_by_day[day])
+            for day in sorted(shard.pairs_by_day)
+            if day_floor is None or day >= day_floor
+        }
+        records[sid] = record
+    return records
 
-    Every aggregate commutes -- counts add, sets union, spans min/max --
-    so folding any partition of a response stream reproduces the state a
-    single consumer of the whole stream would hold.  This is the merge
-    step of the multiprocess backend: each worker accumulates partials
-    for the shards it owns, and the dispatcher folds them (plus any
-    checkpoint-restored base state) back into one engine view.
-    """
-    into.n_observations += part.n_observations
-    into.sources |= part.sources
-    into.eui_sources |= part.eui_sources
-    into.eui_iids |= part.eui_iids
-    for asn, spans in part.alloc_spans.items():
-        mine = into.alloc_spans.get(asn)
-        if mine is None:
-            mine = into.alloc_spans[asn] = {}
-        merge_spans(mine, spans)
-    for asn, spans in part.pool_spans.items():
-        mine = into.pool_spans.get(asn)
-        if mine is None:
-            mine = into.pool_spans[asn] = {}
-        merge_spans(mine, spans)
-    for day, pairs in part.pairs_by_day.items():
-        mine = into.pairs_by_day.get(day)
-        if mine is None:
-            into.pairs_by_day[day] = set(pairs)
-        else:
-            mine |= pairs
+
+def fold_record(shard: "ShardState", record: dict) -> None:
+    """Fold one column *record* (stdlib or numpy columns) into *shard*:
+    the inverse of :func:`lift_records`, and additive -- counts add,
+    sets union, spans min/max -- so folding any partition of a response
+    stream reproduces the state a single consumer of it holds."""
+    shard.n_observations += record["n"]
+    shard.sources.update(join128(*record["src"]))
+    shard.eui_sources.update(join128(*record["esrc"]))
+    shard.eui_iids.update(record["iid"][0].tolist())
+    for asn, iid, day, lo, hi in zip(*(c.tolist() for c in record["alloc"])):
+        widen_span(shard.alloc_spans.setdefault(asn, {}), (iid, day), lo, hi)
+    for asn, iid, lo, hi in zip(*(c.tolist() for c in record["pool"])):
+        widen_span(shard.pool_spans.setdefault(asn, {}), iid, lo, hi)
+    for day, cols in record["pairs"].items():
+        shard.pairs_by_day.setdefault(day, set()).update(zip(*pair_ints(cols)))
 
 
 @dataclass

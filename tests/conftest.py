@@ -6,13 +6,13 @@ import pytest
 @pytest.fixture()
 def forbid_folds():
     """``forbid_folds(monkeypatch) -> calls``: make every way between a
-    kernel engine's columns and Python state -- shards built from the
-    runs and pair chunks, a day's pairs or the changed pairs folded into
-    tuples, a shard lifted back into columns -- record itself in *calls*
-    and raise, for as long as *monkeypatch* holds.  The no-materialize
-    drills (a served day, a serving standby, a JSON-resumed daemon) run
-    under it."""
-    from repro.stream import ckptbin, columnar, engine, state
+    kernel engine's columns and Python state -- a column record folded
+    into a ``ShardState`` (``materialize()``), a day's pairs or the
+    changed pairs folded into tuples, a shard lifted back into columns
+    -- record itself in *calls* and raise, for as long as *monkeypatch*
+    holds.  The no-materialize drills (a served day, a serving standby,
+    a JSON-resumed daemon, a JSON restore) run under it."""
+    from repro.stream import columnar, engine, state
 
     def forbid(monkeypatch) -> list[str]:
         calls: list[str] = []
@@ -24,14 +24,16 @@ def forbid_folds():
 
             return fold
 
-        for name in ("shard_states", "day_pairs_set"):
-            monkeypatch.setattr(columnar.ColumnarAccumulator, name, forbidden(name))
+        monkeypatch.setattr(
+            columnar.ColumnarAccumulator, "day_pairs_set", forbidden("day_pairs_set")
+        )
         monkeypatch.setattr(
             columnar, "fold_changed_pairs", forbidden("fold_changed_pairs")
         )
-        # lift_family is imported by name where it is called.
-        for module in (state, engine, ckptbin):
-            monkeypatch.setattr(module, "lift_family", forbidden("lift_family"))
+        # Both are imported by name where they are called.
+        monkeypatch.setattr(state, "lift_family", forbidden("lift_family"))
+        for module in (state, engine):
+            monkeypatch.setattr(module, "fold_record", forbidden("fold_record"))
         return calls
 
     return forbid

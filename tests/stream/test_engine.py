@@ -13,6 +13,7 @@ from repro.scan.zmap import ScanConfig, Zmap6
 from repro.stream.checkpoint import (
     engine_state,
     load_engine,
+    read_checkpoint,
     restore_engine,
     save_engine,
 )
@@ -27,6 +28,43 @@ def run_small_campaign():
     internet = build_rotating_internet()
     campaign = build_campaign(internet)
     return internet, campaign.run().store
+
+
+def _relabel(shards: list, index: int, sid) -> list:
+    shards = list(shards)
+    shards[index] = {**shards[index], "shard_id": sid}
+    return shards
+
+
+def _negative_source(state: dict) -> dict:
+    first = state["shards"][0]
+    shards = [{**first, "sources": [-1, *first["sources"]]}, *state["shards"][1:]]
+    return {**state, "shards": shards}
+
+
+#: JSON engine-state edits: shard lists that are not one record per sid,
+#: then malformed files -- each must fail as ``ValueError`` on load,
+#: except the reordered list, which must restore the same engine.
+JSON_MUTATIONS = {
+    "shard_dropped": lambda state: {**state, "shards": state["shards"][1:]},
+    "shard_id_duplicated": lambda state: {
+        **state,
+        "shards": _relabel(state["shards"], 1, 0),
+    },
+    "shard_id_out_of_range": lambda state: {
+        **state,
+        "shards": _relabel(state["shards"], -1, 9),
+    },
+    "shards_reversed": lambda state: {**state, "shards": state["shards"][::-1]},
+    "top_level_list": lambda state: [],
+    "version_only": lambda state: {"version": 1},
+    "num_shards_string": lambda state: {
+        **state,
+        "config": {**state["config"], "num_shards": "4"},
+    },
+    "shards_not_a_list": lambda state: {**state, "shards": 5},
+    "negative_source": _negative_source,
+}
 
 
 def fill_engine(num_shards=4, shard_key=ShardKey.PREFIX32, keep_observations=True):
@@ -400,6 +438,33 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             restore_engine({"version": 999})
 
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "kernel_less"])
+    @pytest.mark.parametrize("mutation", sorted(JSON_MUTATIONS))
+    def test_json_reader_validates_like_the_binary_reader(
+        self, tmp_path, monkeypatch, mutation, kernel
+    ):
+        """A JSON checkpoint whose shard list is not one record per sid,
+        or that is malformed anywhere, fails as ``ValueError`` -- never
+        as another exception, never as a different engine; a reordered
+        but complete shard list restores the same engine either way."""
+        from repro.stream import columnar
+
+        internet, _store, engine = fill_engine(keep_observations=False)
+        if kernel and engine._acc is None:
+            pytest.skip("numpy kernel unavailable")
+        original = json.dumps(engine_state(engine))
+        path = tmp_path / "engine.json"
+        path.write_text(json.dumps(JSON_MUTATIONS[mutation](json.loads(original))))
+        if not kernel:
+            monkeypatch.setattr(columnar, "np", None)
+        if mutation == "shards_reversed":
+            restored = load_engine(path, origin_of=internet.rib.origin_of)
+            assert (restored._acc is not None) == kernel
+            assert json.dumps(engine_state(restored)) == original
+        else:
+            with pytest.raises(ValueError):
+                load_engine(path, origin_of=internet.rib.origin_of)
+
     def test_resume_continues_ingestion(self):
         internet, store, _engine = fill_engine()
         days = store.days()
@@ -430,11 +495,34 @@ class TestOneOwner:
     """With the kernel the accumulator is the only owner of engine
     state; without it the shards are.  Nothing ever holds both."""
 
+    def test_a_json_restore_builds_no_python_state(
+        self, tmp_path, monkeypatch, forbid_folds
+    ):
+        """The restore drill: with every fold between columns and
+        Python state armed, ``read_checkpoint`` of a JSON file gives a
+        kernel engine that holds no ``ShardState`` and no changed-pair
+        set, and whose ``engine_state`` is the file's state exactly."""
+        internet, _store, engine = fill_engine(keep_observations=False)
+        if engine._acc is None:
+            pytest.skip("numpy kernel unavailable")
+        path = save_engine(engine, tmp_path / "engine.json", format="json")
+        with monkeypatch.context() as patch:
+            calls = forbid_folds(patch)
+            restored, _progress, _corpus = read_checkpoint(
+                path, origin_of=internet.rib.origin_of
+            )
+            assert json.dumps(engine_state(restored)) == path.read_text()
+        assert calls == []
+        assert restored.shards == []
+        assert restored._live_detection.changed_pairs == set()
+        assert restored.changed_pair_count() > 0
+
     def test_kernel_engine_never_writes_its_shards(self, tmp_path, monkeypatch):
         """Every currency, reads, flushes, a ``retain_days`` prune, JSON
         and binary saves and a JSON resume, interleaved: after each step
-        the kernel engine's shards are still empty and ``materialize()``
-        builds exactly the shards a kernel-less engine holds."""
+        the kernel engine still holds no ``ShardState`` and
+        ``materialize()`` builds exactly the shards a kernel-less engine
+        holds."""
         from repro.store import ColumnBatch
         from repro.stream import columnar
 
@@ -450,7 +538,7 @@ class TestOneOwner:
         assert reference._acc is None
 
         def check():
-            assert engine.shards == [ShardState(shard_id=i) for i in range(4)]
+            assert engine.shards == []  # no ShardState on a kernel engine
             assert engine.materialize() == reference.materialize()
 
         def feed(part, ingest):
@@ -492,5 +580,5 @@ class TestOneOwner:
         check()
         assert json.dumps(engine_state(engine)) == json.dumps(engine_state(reference))
         resumed = load_engine(tmp_path / "ckpt.bin", origin_of=origin_of)
-        assert resumed.shards == [ShardState(shard_id=i) for i in range(4)]
+        assert resumed.shards == []
         assert resumed.materialize() == reference.materialize()

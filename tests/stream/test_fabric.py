@@ -12,6 +12,7 @@ frame poisons exactly one channel, never the stream's integrity.
 import io
 import json
 import os
+import pickle
 import signal
 import socket
 import struct
@@ -38,6 +39,7 @@ from repro.stream.fabric import (
 )
 from repro.stream.fabric import framing
 from repro.stream.parallel import ParallelStreamEngine
+from repro.stream.state import ShardState, fold_record
 
 
 @pytest.fixture(scope="module")
@@ -541,10 +543,11 @@ class TestFaults:
         thread.join(timeout=5)
 
     def test_protocol_version_mismatch_is_fatal(self):
-        # Version 2 dropped the kernel-selection field from the welcome
-        # payload; a worker from either side of that change must be
-        # refused by the version check, before any payload is read.
-        assert PROTO_VERSION == 2
+        # Version 3 changed the ``state`` reply from ShardState objects
+        # to column records; a worker from either side of that change
+        # must be refused by the version check, before any payload is
+        # read.
+        assert PROTO_VERSION == 3
         for skewed in (PROTO_VERSION - 1, PROTO_VERSION + 1):
             transport = SocketTransport(connect_timeout=5.0)
             port = int(transport.address.rsplit(":", 1)[1])
@@ -688,25 +691,61 @@ class TestWorkerCore:
 
     def test_kernel_less_rows_match_and_state_is_idempotent(self, world, monkeypatch):
         """Without numpy the row path is the scalar ``observe`` fold: same
-        shard state as the kernel worker, and repeated ``state`` requests
-        (snapshots keep workers running) never recount observations."""
+        shard state as the kernel worker -- compared as the column
+        records each replies, folded into shards -- and repeated
+        ``state`` requests (snapshots keep workers running) never
+        recount observations."""
         from repro.stream import columnar
+
+        def folded(records):
+            shards = [ShardState(shard_id=sid) for sid in range(4)]
+            for sid, record in records.items():
+                fold_record(shards[sid], record)
+            return shards
 
         _internet, corpus = world
         rows = [(o.day, o.target, o.source, 0) for o in corpus]
         half = len(rows) // 2
         with_kernel = WorkerCore(4, False)
         with_kernel.apply_rows(rows)
-        expected = with_kernel.state()
+        expected = folded(with_kernel.state())
         monkeypatch.setattr(columnar, "np", None)
         kernel_less = WorkerCore(4, False)
         assert kernel_less.acc is None
         kernel_less.apply_rows(rows[:half])
-        assert sum(s.n_observations for s in kernel_less.state()) == half
+        assert sum(r["n"] for r in kernel_less.state().values()) == half
         kernel_less.apply_rows(rows[half:])
         kernel_less.state()
-        assert kernel_less.state() == expected
-        assert sum(s.n_observations for s in kernel_less.state()) == len(rows)
+        assert folded(kernel_less.state()) == expected
+        assert sum(r["n"] for r in kernel_less.state().values()) == len(rows)
+
+    def test_kernel_state_reply_is_numpy_free_and_adopts_anywhere(
+        self, world, monkeypatch
+    ):
+        """A kernel worker's ``state`` reply pickles without a numpy
+        object, so a numpy-free dispatcher can take it: a kernel-less
+        engine that adopts it holds exactly a serial engine's shards."""
+        from repro.stream import columnar
+
+        internet, corpus = world
+        origin_of = internet.rib.origin_of
+        core = WorkerCore(4, False)
+        if core.acc is None:
+            pytest.skip("numpy kernel unavailable")
+        core.apply_rows(
+            [(o.day, o.target, o.source, origin_of(o.source) or 0) for o in corpus]
+        )
+        payload = pickle.dumps(core.handle(("state",)))
+        assert b"numpy" not in payload
+        monkeypatch.setattr(columnar, "np", None)
+        adopted = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
+        serial = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
+        assert adopted._acc is None and serial._acc is None
+        tag, records = pickle.loads(payload)
+        assert tag == "state"
+        adopted.adopt_shards(records)
+        serial.ingest_batch(corpus)
+        assert adopted.materialize() == serial.materialize()
 
     def test_kernel_less_worker_refuses_cols_frame(self, monkeypatch):
         """A ``cols`` frame carries numpy arrays; a worker without the
