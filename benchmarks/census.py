@@ -157,6 +157,10 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.scan.rate:TokenBucket.available": ("seed", "tests/scan"),
     "repro.scan.targets": ("seed", "target generators no campaign uses; tests/scan"),
     "repro.scan.zmap:ScanResult": ("seed", "result summaries; tests/scan"),
+    "repro.scan.zmap:Zmap6.scan_until": (
+        "seed",
+        "one hunt as one sweep; the tracker batches its days itself; tests/scan",
+    ),
     "repro.simnet.clock": ("seed", "clock helpers; tests/test_util_clock_data.py"),
     "repro.simnet.events:retire_device": ("seed", "tests/simnet"),
     "repro.simnet.rotation:RotationPolicy.rotates": ("seed", "tests/simnet"),
@@ -190,6 +194,10 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.store.batch:ColumnBatch": (
         "reference",
         "object and row views of a batch that tests compare columns against",
+    ),
+    "repro.simnet.internet:SimInternet.probe_many": (
+        "reference",
+        "one sweep through classify and commit, held against probe_each by tests",
     ),
     "repro.stream.checkpoint:save_engine": (
         "reference",

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core.records import ObservationStore, ProbeObservation
 from repro.net.addr import Prefix
-from repro.scan.targets import one_target_per_subnet
+from repro.scan.targets import one_target_per_subnet, split_targets
 from repro.scan.zmap import ScanConfig, ScanStream, Zmap6
 from repro.simnet.clock import HOURS_PER_DAY, seconds
 from repro.simnet.internet import SimInternet
@@ -103,7 +103,7 @@ class Campaign:
             if not 48 <= plen <= 64:
                 raise ValueError(f"override plen /{plen} for {prefix} out of range")
         self._targets = self._build_targets()
-        self._order: tuple[ScanConfig, list[int]] | None = None
+        self._order: tuple[ScanConfig, tuple] | None = None
 
     def _build_targets(self) -> list[int]:
         """The fixed target list: identical every day, like the paper's."""
@@ -129,8 +129,8 @@ class Campaign:
             for offset in range(config.days)
         ]
 
-    def _probe_order(self) -> tuple[ScanConfig, list[int]]:
-        """The daily scan's config and the targets in its probe order.
+    def _probe_order(self) -> tuple[ScanConfig, tuple]:
+        """The daily scan's config and its targets in probe order, as columns.
 
         Same seed, same order every day: the cycle is walked once per
         campaign object, however many ``run_streaming`` calls (a daemon
@@ -140,8 +140,8 @@ class Campaign:
         """
         config = ScanConfig(rate_pps=self.config.rate_pps, seed=self.config.seed)
         if self._order is None or self._order[0] != config:
-            ordered = list(Zmap6(self.internet, config).ordered(self._targets))
-            self._order = (config, ordered)
+            scanner = Zmap6(self.internet, config)
+            self._order = (config, scanner.ordered(*split_targets(self._targets)))
         return self._order
 
     def iter_day_streams(

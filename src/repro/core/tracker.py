@@ -15,6 +15,13 @@ rotation pool size), each day it:
 Probe accounting matches Table 2: per-day probes sent until discovery
 (or the full sweep count on a miss), plus how many distinct /64s the IID
 was found in and on how many days.
+
+:meth:`DeviceTracker.hunt_day` hunts a cohort's day as one batch: the
+pure phase runs over all first sweeps at once, then over the widenings
+of every IID whose sweeps *cannot* hit; the stateful phase walks the
+sweeps in sequential order (IIDs ascending, each first sweep then its
+widenings).  Profiles resolve before the first probe: a day that raises
+has sent nothing.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ import random
 from dataclasses import dataclass, field
 
 from repro.net.addr import IID_BITS, Prefix
-from repro.scan.targets import one_target_per_subnet
-from repro.scan.zmap import ScanConfig, Zmap6
+from repro.scan.targets import target_columns
+from repro.scan.zmap import ScanConfig, Sweep, Zmap6, classify_sweeps, run_sweep
 from repro.simnet.clock import HOURS_PER_DAY, seconds
 from repro.simnet.internet import SimInternet
 from repro.util import mean, stddev
@@ -155,57 +162,62 @@ class DeviceTracker:
             raise ValueError(f"no AS profile covering {address:#x}")
         return self.profiles[asn]
 
-    def _attempt(
-        self, iid: int, anchor: int, pool_plen: int, allocation_plen: int,
-        day: int, salt: int,
-    ) -> tuple[int, int | None]:
-        """One sweep of the pool containing *anchor*; (probes, source)."""
-        pool = Prefix.containing(anchor, pool_plen)
-        rng = random.Random(self.config.seed ^ iid ^ (day << 20) ^ salt)
-        targets = one_target_per_subnet(pool, allocation_plen, rng)
+    def hunt_day(self, anchors: dict[int, int], day: int) -> dict[int, DayOutcome]:
+        """One day's pursuit of every IID in *anchors* (IID -> last known
+        address): the probes, outcomes and world state of
+        :meth:`hunt_one_day` on each IID in ascending order."""
+        config = self.config
+        plans = {}  # IID -> (allocation plen, the pool plens it tries in turn)
+        for iid in sorted(anchors):
+            profile, bits = self._profile_for(anchors[iid]), config.widen_bits
+            wider = max(0, (profile.pool_plen - 1) // bits) if bits else 0
+            widenings = min(wider, config.max_widenings)  # widen while plen > bits
+            plens = [profile.pool_plen - k * bits for k in range(widenings + 1)]
+            plans[iid] = (profile.allocation_plen, plens)
         scanner = Zmap6(
-            self.internet,
-            ScanConfig(rate_pps=self.config.rate_pps, seed=self.config.seed ^ day),
+            self.internet, ScanConfig(rate_pps=config.rate_pps, seed=config.seed ^ day)
         )
-        start = seconds(day * HOURS_PER_DAY + self.config.scan_hour)
-        response, sent = scanner.scan_until(targets, iid, start_seconds=start)
-        return sent, response.source if response else None
+        start = seconds(day * HOURS_PER_DAY + config.scan_hour)
+
+        def sweep(iid: int, salt: int) -> Sweep:
+            subnet_plen, plens = plans[iid]
+            pool = Prefix.containing(anchors[iid], plens[salt])
+            rng = random.Random(config.seed ^ iid ^ (day << 20) ^ salt)
+            return scanner.sweep(*target_columns(pool, subnet_plen, rng), iid, start)
+
+        sweeps = {iid: [sweep(iid, 0)] for iid in plans}
+        pending = list(plans)
+        while pending:  # pure phase: each round, the next sweep of the certain misses
+            classify_sweeps(self.internet, [sweeps[iid][-1] for iid in pending])
+            pending = [
+                iid
+                for iid in pending
+                if len(sweeps[iid]) < len(plans[iid][1])
+                and not sweeps[iid][-1].can_hit()
+            ]
+            for iid in pending:
+                sweeps[iid].append(sweep(iid, len(sweeps[iid])))
+
+        outcomes = {}
+        for iid, (_, plens) in plans.items():  # stateful phase, in sequential order
+            probes = 0
+            for salt in range(len(plens)):
+                if salt == len(sweeps[iid]):  # a widening nobody predicted
+                    sweeps[iid].append(sweep(iid, salt))
+                response, sent = run_sweep(self.internet, sweeps[iid][salt])
+                probes += sent
+                if response is not None:
+                    break
+            source = response and response.source
+            found = source is not None
+            moved = found and source >> IID_BITS != anchors[iid] >> IID_BITS
+            outcomes[iid] = DayOutcome(day, found, probes, source, moved)
+        return outcomes
 
     def hunt_one_day(self, iid: int, last_known: int, day: int) -> DayOutcome:
-        """One day's pursuit of *iid* anchored at *last_known*.
-
-        The pool sweep plus the widening fallback, shared by the batch
-        :meth:`track` loop and the streaming pursuit in
-        :mod:`repro.stream.tracker` -- both therefore send identical
-        probes for a given (iid, anchor, day).
-        """
-        profile = self._profile_for(last_known)
-        probes, source = self._attempt(
-            iid, last_known, profile.pool_plen, profile.allocation_plen, day, 0
-        )
-        widenings = 0
-        pool_plen = profile.pool_plen
-        while (
-            source is None
-            and widenings < self.config.max_widenings
-            and self.config.widen_bits > 0
-            and pool_plen > self.config.widen_bits
-        ):
-            widenings += 1
-            pool_plen -= self.config.widen_bits
-            extra, source = self._attempt(
-                iid, last_known, pool_plen, profile.allocation_plen, day, widenings
-            )
-            probes += extra
-        found = source is not None
-        changed = bool(found and (source >> IID_BITS) != (last_known >> IID_BITS))
-        return DayOutcome(
-            day=day,
-            found=found,
-            probes_sent=probes,
-            source=source,
-            changed_prefix=changed,
-        )
+        """One day's pursuit of *iid* anchored at *last_known*: the pool
+        sweep plus the widening fallback, a :meth:`hunt_day` of one."""
+        return self.hunt_day({iid: last_known}, day)[iid]
 
     def track(
         self, iid: int, initial_address: int, days: list[int]

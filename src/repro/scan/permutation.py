@@ -8,6 +8,7 @@ Two constructions:
   per element, fully determined by (n, seed), so re-running a scan with
   the same seed replays the identical order -- the property the paper's
   daily campaign relies on ("same zmap random seed", Section 5).
+  :attr:`MultiplicativeCycle.order` is the cycle as one column.
 
 * :class:`FeistelPermutation` -- a small keyed Feistel network with
   cycle-walking, giving O(1) forward *and inverse* evaluation.  The
@@ -20,6 +21,8 @@ Two constructions:
 from __future__ import annotations
 
 import random
+from array import array
+from functools import lru_cache
 from typing import Iterator
 
 from repro.util import np, splitmix_many
@@ -121,14 +124,35 @@ class MultiplicativeCycle:
                 yield value
             x = x * self._g % self._p
 
+    @property
+    def order(self):
+        """The whole cycle as one column (``int64``, or ``array('q')``)."""
+        return _cycle_order(self.n, self.seed)
+
     def first(self, k: int) -> list[int]:
         """The first *k* values of the cycle (for tests and sampling)."""
-        out = []
-        for value in self:
-            out.append(value)
-            if len(out) == k:
-                break
-        return out
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
+        return self.order[:k].tolist()
+
+
+@lru_cache(maxsize=64)
+def _cycle_order(n: int, seed: int):
+    """``MultiplicativeCycle(n, seed)`` as a read-only column, cached.
+    Elements ``[m, 2m)`` of the walk ``start * g^k mod p`` are the first
+    ``m`` times ``g^m``: doubling, exact in ``uint64`` while ``p < 2^32``
+    (past that, and without numpy, the cycle is iterated)."""
+    cycle = MultiplicativeCycle(n, seed)
+    p = cycle._p
+    if np is None or p >= 1 << 32:
+        return array("q", cycle)
+    walk = np.array([cycle._start], dtype=np.uint64)
+    while len(walk) < p - 1:
+        factor = np.uint64(pow(cycle._g, len(walk), p))
+        walk = np.concatenate([walk, walk[: p - 1 - len(walk)] * factor % np.uint64(p)])
+    order = walk[walk <= n].astype(np.int64) - 1
+    order.flags.writeable = False
+    return order
 
 
 def _mix(value: int, key: int, rnd: int) -> int:

@@ -15,55 +15,54 @@ The scanner is generic over the "network": any object with
 library that is :class:`repro.simnet.internet.SimInternet`, the simulated
 Internet seen from the attacker's vantage point.
 
-**Chunks.**  Every bulk output -- :meth:`ScanStream.column_batches`,
-``result()`` / ``scan()``, ``scan_until`` -- runs one chunk loop: take
-the next run of targets, give each its send time and its loss draw,
-hand the survivors to the network as one chunk, account for what came
-back.  The chunk is answered by the network's own ``probe_many(targets,
-times, stop_iid)`` when its *class* defines one (the simulator's
-vectorised verb), and otherwise by :func:`~repro.net.icmpv6.probe_each`,
-one ``probe`` call per target filling the same
-:class:`~repro.net.icmpv6.ProbeChunk`.  The lookup is on the type, not
-the instance, on purpose: a proxy that wraps a network's ``probe`` and
-forwards every other attribute through ``__getattr__`` (a timing or
-fault-injection shim) has no ``probe_many`` of its own, and an instance
-lookup would reach through it to the wrapped network's and bypass the
-very call the proxy exists to see.  Such a network is driven per probe,
-exactly as before.  Lazy iteration of a stream stays per probe for
-every network, so a consumer that breaks early has paid for exactly the
-probes it saw.
+**Sweeps.**  Targets travel as ``uint64`` hi/lo columns in probe order
+(:mod:`repro.scan.targets`) and are sent as :class:`Sweep` runs, send
+times and loss draws fixed up front, each ending at the response that
+carries its IID, if any.  A hunt (``scan_until``, a pool sweep of the
+tracker's day) is one sweep; a full drain (``column_batches``,
+``result()``, ``scan()``) is the rest of the scan as ``CHUNK_PROBES``
+sweeps that stop at nothing.  A network *class* with the phase verbs
+``classify`` / ``commit`` (the simulator) runs the pure phase over many
+sweeps at once (:func:`classify_sweeps`: whole sweeps, batched to at
+least ``CHUNK_PROBES`` rows) and commits each at its turn; any other
+network answers each sweep through :func:`~repro.net.icmpv6.probe_each`,
+one ``probe`` per target, in the same order.  The lookup is on the type,
+not the instance, on purpose: a proxy that wraps a network's ``probe``
+and forwards every other attribute through ``__getattr__`` (a timing or
+fault-injection shim) would otherwise reach through to the wrapped
+network's verbs and bypass the very call it exists to see.  Lazy
+iteration of a stream stays per probe for every network, so a consumer
+that breaks early has paid for exactly the probes it saw.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, Protocol, Sequence
 
 from repro.net.icmpv6 import ProbeChunk, ProbeResponse, probe_each
 from repro.scan.permutation import MultiplicativeCycle
+from repro.scan.targets import join_targets, split_targets
+from repro.util import np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.batch import ColumnBatch
 
-#: Probes per chunk of a full scan: large enough to amortise the
-#: simulator's per-chunk (and per-pool) fixed costs, small enough that
-#: a chunk's temporaries stay a few hundred kilobytes.
+#: Probes per chunk of a full scan, and the least rows classified at
+#: once: large enough to amortise the simulator's per-call (and
+#: per-pool) fixed costs, small enough that temporaries stay small.
 CHUNK_PROBES = 16_384
-#: Probes in the first chunk of an early-exit hunt; each later chunk
-#: doubles, up to ``CHUNK_PROBES``.  Only the network's pure work can run
-#: past the hit, so a hunt wastes at most about what it had already sent,
-#: and a long miss pays the per-chunk fixed costs ~log n times.
-HUNT_CHUNK_PROBES = 512
 
 
 class ProbeNetwork(Protocol):
     """The minimal network interface the scanner probes against.
 
-    A network class may also define ``probe_many(targets, times,
-    stop_iid) -> ProbeChunk`` (see the module docstring); one that does
-    not is driven through :meth:`probe` alone.
+    A network class may also define the phase verbs ``classify`` and
+    ``commit`` (see the module docstring); one that does not is driven
+    through :meth:`probe` alone.
     """
 
     def probe(self, target: int, t_seconds: float) -> ProbeResponse | None:
@@ -123,6 +122,22 @@ class ScanResult:
         return {(r.target, r.source) for r in self.responses}
 
 
+def send_times(start: float, interval: float, size: int):
+    """*size* send times from *start*, one ``+= interval`` at a time as
+    the per-probe loop adds them (``start + i * interval`` rounds
+    differently)."""
+    if np is None:
+        return array("d", accumulate(islice(chain((start,), repeat(interval)), size)))
+    return np.add.accumulate(np.append(start, np.full(size, interval))[:size])
+
+
+def _take(column, rows):
+    """``column[rows]`` for a numpy or stdlib ``array`` column."""
+    if np is not None:
+        return column[rows]
+    return array(column.typecode, map(column.__getitem__, rows))
+
+
 class ScanStream:
     """One scan as a lazy response iterator with live accounting.
 
@@ -139,14 +154,14 @@ class ScanStream:
         self,
         network: ProbeNetwork,
         config: ScanConfig,
-        ordered: Iterable[int],
+        ordered: tuple,  # the targets in probe order, as (hi, lo) columns
         start_seconds: float,
     ) -> None:
         self.started_at = start_seconds
         self.probes_sent = 0
         self._network = network
         self._interval = 1.0 / config.rate_pps
-        self._ordered = iter(ordered)
+        self._hi, self._lo = ordered
         self._now = start_seconds
         self._loss = config.loss_rate
         self._loss_rng = (
@@ -158,7 +173,9 @@ class ScanStream:
         """The per-probe reference: one target, one send time, one draw."""
         probe = self._network.probe
         interval, loss, loss_rng = self._interval, self._loss, self._loss_rng
-        for target in self._ordered:
+        targets = join_targets(self._hi, self._lo)
+        while self.probes_sent < len(targets):
+            target = targets[self.probes_sent]
             self.probes_sent += 1
             now = self._now
             self._now = now + interval
@@ -176,47 +193,28 @@ class ScanStream:
         """Simulated time occupied by the probes processed so far."""
         return self.probes_sent * self._interval
 
-    def _chunks(self, stop_iid: int | None = None) -> Iterator[ProbeChunk]:
-        """The one chunk loop under every bulk output.
+    def _next_sweep(self, size: int, iid: int | None = None) -> "Sweep":
+        """The next *size* probes as a :class:`Sweep` for *iid*: times
+        continue the stream's clock, loss draws once per probe in order,
+        and a lost probe keeps its time slot."""
+        start, interval = self.probes_sent, self._interval
+        hi, lo = self._hi[start : start + size], self._lo[start : start + size]
+        times = send_times(self._now, interval, size)
+        self._now = float(times[-1]) + interval if size else self._now
+        kept = None
+        if self._loss_rng is not None:
+            draw, loss = self._loss_rng.random, self._loss
+            kept = [i for i in range(size) if not draw() < loss]
+            hi, lo, times = _take(hi, kept), _take(lo, kept), _take(times, kept)
+        self.probes_sent += size
+        return Sweep(hi, lo, times, iid, size, kept)
 
-        Send times accumulate one ``+= interval`` at a time, as the
-        per-probe loop's do (``start + i * interval`` rounds
-        differently); the loss RNG draws once per probe in probe order,
-        and a lost probe keeps its time slot.  With *stop_iid* the loop
-        ends at the first response carrying it, ``probes_sent`` counting
-        through that probe and no further, and chunks grow from
-        ``HUNT_CHUNK_PROBES`` by doubling; a full drain takes
-        ``CHUNK_PROBES`` at a time.
-        """
-        network = self._network
-        chunk_probes = CHUNK_PROBES if stop_iid is None else HUNT_CHUNK_PROBES
-        probe_many = getattr(type(network), "probe_many", None)
-        interval, loss, loss_rng = self._interval, self._loss, self._loss_rng
-        while True:
-            targets = list(islice(self._ordered, chunk_probes))
-            size = len(targets)
-            if not size:
-                return
-            times = list(accumulate(chain((self._now,), repeat(interval, size - 1))))
-            self._now = times[-1] + interval
-            kept = None  # chunk positions that survive loss, when there is loss
-            if loss_rng is not None:
-                kept = [i for i in range(size) if not loss_rng.random() < loss]
-                targets = [targets[i] for i in kept]
-                times = [times[i] for i in kept]
-            if probe_many is not None:
-                chunk = probe_many(network, targets, times, stop_iid)
-            else:
-                chunk = probe_each(network.probe, targets, times, stop_iid)
-            hit = chunk.ends_at(stop_iid)
-            if hit:  # the network stopped there: count through that probe only
-                size = chunk.consumed if kept is None else kept[chunk.consumed - 1] + 1
-            self.probes_sent += size
-            yield chunk
-            if hit:
-                return
-            if stop_iid is not None and chunk_probes < CHUNK_PROBES:
-                chunk_probes = min(2 * chunk_probes, CHUNK_PROBES)
+    def _chunks(self) -> Iterator[ProbeChunk]:
+        """The one chunk loop under every bulk output: the rest of the
+        scan as sweeps of ``CHUNK_PROBES`` probes that stop at nothing."""
+        while self.probes_sent < len(self._hi):
+            size = min(CHUNK_PROBES, len(self._hi) - self.probes_sent)
+            yield _answer(self._network, self._next_sweep(size))
 
     def column_batches(self, day: int | None = None) -> "Iterator[ColumnBatch]":
         """Drain the scan as :class:`~repro.store.batch.ColumnBatch` chunks.
@@ -245,12 +243,66 @@ class ScanStream:
         return result
 
 
+class Sweep:
+    """``size`` probes fixed up front: the survivors of loss (positions
+    ``kept``, ``None`` for all) as ``hi``/``lo`` columns with ``times``,
+    ending at the response that carries ``iid``; ``classified`` once the
+    network's pure phase has run."""
+
+    __slots__ = ("hi", "lo", "times", "iid", "size", "kept", "classified")
+
+    def __init__(self, hi, lo, times, iid: int, size: int, kept) -> None:
+        self.hi, self.lo, self.times, self.iid = hi, lo, times, iid
+        self.size, self.kept, self.classified = size, kept, None
+
+    def can_hit(self) -> bool:
+        """``False`` only when the pure phase proved no row can end the run."""
+        return self.classified is None or self.classified.can_hit(self.iid)
+
+
+def classify_sweeps(network: ProbeNetwork, sweeps: Sequence[Sweep]) -> None:
+    """Run the pure phase over *sweeps* when *network*'s class has one:
+    whole sweeps, batched to at least ``CHUNK_PROBES`` rows."""
+    if not hasattr(type(network), "classify"):
+        return
+    batch, rows = [], 0
+    for position, sweep in enumerate(sweeps, start=1):
+        batch.append(sweep)
+        rows += len(sweep.hi)
+        if rows >= CHUNK_PROBES or position == len(sweeps):
+            columns = [(each.hi, each.lo, each.times) for each in batch]
+            for each, classified in zip(batch, network.classify(columns)):
+                each.classified = classified
+            batch, rows = [], 0
+
+
+def _answer(network: ProbeNetwork, sweep: Sweep) -> ProbeChunk:
+    """*sweep* sent at its turn, through the first response carrying its
+    IID: committed after the pure phase, or else probe by probe."""
+    if sweep.classified is None:
+        classify_sweeps(network, [sweep])
+    if sweep.classified is not None:
+        return network.commit(sweep.classified, sweep.iid)
+    targets = join_targets(sweep.hi, sweep.lo)
+    return probe_each(network.probe, targets, sweep.times.tolist(), sweep.iid)
+
+
+def run_sweep(network: ProbeNetwork, sweep: Sweep) -> tuple[ProbeResponse | None, int]:
+    """Send *sweep* at its turn: the response carrying its IID (``None``
+    on a miss) and the probes sent, through that response's probe."""
+    chunk = _answer(network, sweep)
+    if not chunk.ends_at(sweep.iid):
+        return None, sweep.size
+    sent = chunk.consumed if sweep.kept is None else sweep.kept[chunk.consumed - 1] + 1
+    return chunk.responses(start=len(chunk) - 1)[0], sent
+
+
 class Zmap6:
     """The attacker's scanner.
 
     One instance may run many scans; each ``scan`` call is standalone and
-    deterministic given (targets, config, start time).  ``stream`` is the
-    one :class:`ScanStream` underneath both ``scan`` and ``scan_until``:
+    deterministic given (targets, config, start time).  ``stream`` and
+    ``sweep`` share one probe order, send-time rule and loss draw:
     batch, streaming and hunting consumers therefore see byte-identical
     probe orders, loss decisions, and timings.
     """
@@ -259,12 +311,12 @@ class Zmap6:
         self.network = network
         self.config = config or ScanConfig()
 
-    def ordered(self, targets: Sequence[int]) -> Iterable[int]:
-        """*targets* in this scanner's probe order (the seed's cycle)."""
-        if not self.config.randomize_order or len(targets) <= 1:
-            return targets
-        cycle = MultiplicativeCycle(len(targets), seed=self.config.seed)
-        return map(targets.__getitem__, cycle)
+    def ordered(self, hi, lo) -> tuple:
+        """Target columns in this scanner's probe order (the seed's cycle)."""
+        if not self.config.randomize_order or len(hi) <= 1:
+            return hi, lo
+        order = MultiplicativeCycle(len(hi), seed=self.config.seed).order
+        return _take(hi, order), _take(lo, order)
 
     def stream(self, targets: Sequence[int], start_seconds: float = 0.0) -> ScanStream:
         """Probe every target once, yielding responses as they arrive.
@@ -272,9 +324,8 @@ class Zmap6:
         Targets are probed in the seed-determined order at the configured
         rate; each probe ``i`` is sent at ``start + i / rate``.
         """
-        return ScanStream(
-            self.network, self.config, self.ordered(targets), start_seconds
-        )
+        ordered = self.ordered(*split_targets(targets))
+        return ScanStream(self.network, self.config, ordered, start_seconds)
 
     def scan(self, targets: Sequence[int], start_seconds: float = 0.0) -> ScanResult:
         """Probe every target once, starting at *start_seconds*.
@@ -283,6 +334,13 @@ class Zmap6:
         :class:`ScanResult`.
         """
         return self.stream(targets, start_seconds).result()
+
+    def sweep(self, hi, lo, iid: int, start_seconds: float = 0.0) -> Sweep:
+        """Target columns as one :class:`Sweep` for *iid*: probe order,
+        send times and loss exactly as :meth:`stream` would give them."""
+        ordered = self.ordered(hi, lo)
+        stream = ScanStream(self.network, self.config, ordered, start_seconds)
+        return stream._next_sweep(len(hi), iid)
 
     def scan_until(
         self,
@@ -294,13 +352,9 @@ class Zmap6:
 
         This is the tracking primitive of Section 6: stop as soon as the
         hunted EUI-64 IID shows up, and report how many probes it took.
-        Returns ``(matching response | None, probes_sent)``.  The IID is
-        pushed down to the network chunk by chunk, so nothing past the
-        matching probe is sent, rate-limited or counted.
+        Returns ``(matching response | None, probes_sent)``.  The scan is
+        one :class:`Sweep`, so nothing past the matching probe is sent,
+        rate-limited or counted.
         """
-        stream = self.stream(targets, start_seconds)
-        found = None
-        for chunk in stream._chunks(want_source_iid):
-            if chunk.ends_at(want_source_iid):
-                found = chunk.responses(start=len(chunk) - 1)[0]
-        return found, stream.probes_sent
+        sweep = self.sweep(*split_targets(targets), want_source_iid, start_seconds)
+        return run_sweep(self.network, sweep)

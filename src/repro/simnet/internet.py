@@ -10,31 +10,29 @@ two tools:
   source is its WAN address.  Probes into routed-but-undelegated space may
   draw a "no route" from a statically addressed core router; unrouted
   space is silent.  This is the reference: one probe, every rule in order.
-* ``probe_many(targets, times, stop_iid)`` -- a chunk of those probes,
-  answered as columns with the same outcomes, counters and limiter state
-  as calling ``probe`` on each in order.  It works in two phases.  The
-  *pure* phase is vectorised and reads no mutable state: /48 -> pool,
-  slot, epoch, occupant, uptime, response policy and WAN address for
-  every row at once -- and, from those, every row that *would* end a
-  hunt if its CPE's bucket lets it answer.  The *stateful* phase is
-  column arithmetic too.  A CPE's token bucket is a cell in its pool's
-  bucket columns (see :mod:`repro.simnet.pool`), buckets of different
-  devices are independent, and only order *within* a device matters:
-  so each pool answers all of its would-answer rows in one
-  ``RotationPool.allow_many`` pass.  Two things stay per row, in
-  ascending probe order: a row outside every indexed pool takes the
-  scalar ``probe`` (the per-AS core routers keep an
-  :class:`~repro.scan.rate.IcmpRateLimiter` *object* each -- there is
-  one per provider, and its answers are order-dependent), and a device
-  probed twice in one chunk is replayed through the pool's scalar
-  method.  With *stop_iid* the rows are taken a segment at a time --
-  through the first candidate stop row, then, only if that CPE's own
-  bucket refused it, through the next -- and the chunk is **committed
-  only through the cut**: no bucket is touched and no counter bumped
-  for a row after the response that carries the IID, exactly as if the
-  caller had stopped probing there.  The pure phase may have looked
-  past the cut -- it has nothing to commit.  Without numpy the same
-  verb runs ``probe`` per row, over the same bucket columns.
+* ``classify(sweeps)`` then ``commit(swept, stop_iid)`` per sweep (see
+  :mod:`repro.scan.zmap`) -- runs of those probes, answered as columns
+  with the outcomes, counters and limiter state of ``probe`` on each in
+  order.  The *pure* phase is vectorised over many sweeps at once and
+  reads no mutable state: /48 -> pool, slot, epoch, occupant, uptime,
+  response policy and WAN address for every row, hence every row that
+  *would* end a hunt if its CPE's bucket lets it answer.  The
+  *stateful* phase commits one sweep, in column arithmetic too: a CPE's
+  token bucket is a cell in its pool's bucket columns (see
+  :mod:`repro.simnet.pool`), buckets are independent, and only order
+  *within* a device matters, so each pool answers its would-answer rows
+  in one ``RotationPool.allow_many`` pass.  Per row, in probe order,
+  stay a row outside every indexed pool (the scalar ``probe``: each
+  provider's core router keeps an order-dependent
+  :class:`~repro.scan.rate.IcmpRateLimiter`) and a device probed twice
+  in one sweep (the pool's scalar method).  With *stop_iid* rows are
+  taken a segment at a time -- through the first candidate stop row,
+  then, only if that CPE's bucket refused it, through the next -- and
+  the sweep is **committed only through the cut**, as if the caller had
+  stopped probing there; the pure phase's look past it commits nothing.
+  ``probe_many`` is one sweep, classified and committed.  Without numpy
+  ``classify`` answers ``None`` and the scanner sends each row through
+  ``probe``, over the same bucket columns.
 * ``trace(target, t)`` -- a yarrp-style traceroute returning the per-hop
   source addresses, ending at the CPE when one is on-path (the periphery
   discovery of Section 2.2).
@@ -43,22 +41,25 @@ two tools:
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
 
 from repro.bgp.asinfo import AsRegistry
 from repro.bgp.table import RoutingTable
 from repro.net.addr import IID_BITS, IID_MASK
 from repro.net.icmpv6 import IcmpCode, IcmpType, ProbeChunk, ProbeResponse, probe_each
 from repro.scan.rate import IcmpRateLimiter
+from repro.scan.targets import join_targets
 from repro.simnet.clock import SECONDS_PER_HOUR, hours
 from repro.simnet.pool import Residence, RotationPool
 from repro.simnet.provider import Provider
 from repro.util import np
 
 _NET48_SHIFT = 80  # bits below a /48 network
+_CLASSIFIED = "hi lo t_seconds outcome src_hi src_lo icmp_type code by_pool"
 
-# What the pure phase of ``probe_many`` decides per row.
+# What the pure phase decides per row.
 _SCALAR, _VACANT, _OFFLINE, _SILENT, _ANSWERS = range(5)
 
 
@@ -74,6 +75,22 @@ class InternetStats:
     offline: int = 0
     vacant: int = 0
     unrouted: int = 0
+
+
+class Classified(namedtuple("Classified", _CLASSIFIED)):
+    """One sweep after :meth:`SimInternet.classify`: its columns, what
+    each row draws short of the rate limiters, and per indexed pool the
+    would-answer rows (sweep-relative, ascending) with their tenants."""
+
+    __slots__ = ()
+
+    def can_hit(self, iid: int) -> bool:
+        """Whether committing could end at *iid* (certain when ``False``):
+        a would-answer row carries it, or a row is left to ``probe``."""
+        return bool(
+            (self.outcome == _SCALAR).any()
+            or (self.src_lo[self.outcome == _ANSWERS] == np.uint64(iid)).any()
+        )
 
 
 class SimInternet:
@@ -116,9 +133,10 @@ class SimInternet:
         if np is not None:
             number_of = {id(pool): i for i, pool in enumerate(self._indexed_pools)}
             keys = sorted(self._pool_index)
-            self._index_keys = np.array(keys, dtype=np.uint64)
+            # A sentinel above every /48 ends the keys: no lookup runs off them.
+            self._index_keys = np.array(keys + [(1 << 64) - 1], dtype=np.uint64)
             self._index_numbers = np.array(
-                [number_of[id(self._pool_index[key][1])] for key in keys],
+                [number_of[id(self._pool_index[key][1])] for key in keys] + [-1],
                 dtype=np.int64,
             )
 
@@ -209,28 +227,29 @@ class SimInternet:
             )
         return self._core_response(target, t_seconds)
 
-    def _classify(self, hi, t_hours):
-        """The pure phase of :meth:`probe_many`, over ``addr >> 64`` and
-        hour columns: per row, the outcome short of the rate limiters
-        and -- where a CPE would answer -- its source address halves and
-        ICMPv6 type and code; per indexed pool, the rows whose occupant
-        would answer (ascending) with those occupants' customer indices.
-        Reads no mutable state.
-        """
+    def classify(self, sweeps) -> list[Classified | None]:
+        """The pure phase over ``(hi, lo, t_seconds)`` sweeps in one pass:
+        per row, the outcome short of the rate limiters and, where a CPE
+        would answer, its source halves and ICMPv6 type and code; per
+        pool, the would-answer rows and tenants.  Reads no mutable state."""
+        if np is None:
+            return [None] * len(sweeps)
+        hi, lo, t_seconds = (np.concatenate([s[k] for s in sweeps]) for k in range(3))
+        t_hours = t_seconds / SECONDS_PER_HOUR
         n = len(hi)
         keys = hi >> np.uint64(_NET48_SHIFT - IID_BITS)
-        at = np.searchsorted(self._index_keys, keys)
-        at[at == len(self._index_keys)] = 0
+        at = np.searchsorted(self._index_keys, keys)  # the sentinel ends the keys
         numbers = np.where(self._index_keys[at] == keys, self._index_numbers[at], -1)
         outcome = np.full(n, _SCALAR, dtype=np.uint8)
         src_hi = np.zeros(n, dtype=np.uint64)
         src_lo = np.zeros(n, dtype=np.uint64)
         icmp_type = np.zeros(n, dtype=np.int64)
         code = np.zeros(n, dtype=np.int64)
-        by_pool = []
+        bounds = [0, *accumulate(len(sweep[0]) for sweep in sweeps)]
+        by_pool: list[list] = [[] for _ in sweeps]  # per sweep, sweep-relative rows
         order = np.argsort(numbers, kind="stable")
         grouped = numbers[order]
-        starts = [0] + (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+        starts = np.flatnonzero(np.diff(grouped, prepend=-2)).tolist()
         for start, stop in zip(starts, starts[1:] + [n]):
             number = int(grouped[start])
             if number < 0:
@@ -252,35 +271,26 @@ class SimInternet:
             src_lo[rows] = wan_iid
             icmp_type[rows[held]] = columns.icmp_type[tenants]
             code[rows[held]] = columns.icmp_code[tenants]
-            answers = verdict == _ANSWERS
-            by_pool.append((pool, rows[answers], tenant[answers]))
-        return outcome, src_hi, src_lo, icmp_type, code, by_pool
+            answers = verdict == _ANSWERS  # a stable sort: rows stay ascending
+            rows, tenants = rows[answers], tenant[answers]
+            cuts = np.searchsorted(rows, bounds).tolist()
+            for s in np.flatnonzero(np.diff(cuts)).tolist():  # the sweeps it serves
+                a, b = cuts[s], cuts[s + 1]
+                by_pool[s].append((pool, rows[a:b] - bounds[s], tenants[a:b]))
+        fields = (hi, lo, t_seconds, outcome, src_hi, src_lo, icmp_type, code)
+        return [
+            Classified(*(field[a:b] for field in fields), by_pool[s])
+            for s, (a, b) in enumerate(zip(bounds, bounds[1:]))
+        ]
 
-    def probe_many(
-        self,
-        targets: Sequence[int],
-        times: Sequence[float],
-        stop_iid: int | None = None,
-    ) -> ProbeChunk:
-        """Echo Requests toward *targets* at *times*, answered as a chunk.
-
-        Equal, response for response and counter for counter, to calling
-        :meth:`probe` on each pair in order and stopping after the first
-        response whose source IID is *stop_iid* (see the module docstring
-        for the two phases and the cut).
-        """
-        if np is None or not self._indexed_pools or not len(targets):
-            return probe_each(self.probe, targets, times, stop_iid)
-        n = len(targets)
-        addrs = np.array(targets, dtype=object)
-        hi = (addrs >> IID_BITS).astype(np.uint64)
-        lo = (addrs & IID_MASK).astype(np.uint64)
-        t_seconds = np.array(times, dtype=np.float64)
-        outcome, src_hi, src_lo, icmp_type, code, by_pool = self._classify(
-            hi, t_seconds / SECONDS_PER_HOUR
-        )
-
-        # -- stateful: one segment per candidate stop row, then the rest -----
+    def commit(self, swept: Classified, stop_iid: int | None = None) -> ProbeChunk:
+        """The stateful phase of one classified sweep: rate limiters,
+        counters and responses, through the first response whose source
+        IID is *stop_iid* (see the module docstring for the cut)."""
+        hi, lo, t_seconds, outcome, src_hi, src_lo, icmp_type, code, by_pool = swept
+        n = len(hi)
+        if not n:
+            return ProbeChunk()
         would_answer = outcome == _ANSWERS
         stop_rows: set[int] = set()
         if stop_iid is not None and 0 <= stop_iid <= IID_MASK:
@@ -294,7 +304,8 @@ class SimInternet:
             end += 1  # this segment is rows [start, end), unless a scalar row hits
             while row < end:
                 # Core space, pools off the /48 index: probe() counts for itself.
-                response = self.probe(targets[row], times[row])
+                target = (int(hi[row]) << IID_BITS) | int(lo[row])
+                response = self.probe(target, float(t_seconds[row]))
                 if response is not None:
                     answered[row] = True
                     src_hi[row] = response.source >> IID_BITS
@@ -340,6 +351,14 @@ class SimInternet:
             chunk.icmp_type = icmp_type[take].tolist()
             chunk.code = code[take].tolist()
         return chunk
+
+    def probe_many(self, hi, lo, times, stop_iid: int | None = None) -> ProbeChunk:
+        """Echo Requests toward targets *hi* / *lo* at *times* as one sweep:
+        :meth:`probe` on each in order, through the first response whose
+        source IID is *stop_iid*, response for response."""
+        if np is None:
+            return probe_each(self.probe, join_targets(hi, lo), times, stop_iid)
+        return self.commit(self.classify([(hi, lo, times)])[0], stop_iid)
 
     def _core_response(self, target: int, t_seconds: float) -> ProbeResponse | None:
         """Routed-but-undelegated space: maybe a core-router "no route"."""

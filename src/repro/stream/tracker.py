@@ -3,11 +3,11 @@
 The batch :class:`~repro.core.tracker.DeviceTracker` hunts one IID
 across all days, then the next IID.  An online adversary works the other
 way: each day it advances *every* open pursuit once, folding in anything
-the campaign stream revealed passively since yesterday.  Both orders
-send identical probes per (IID, anchor, day) -- they share
-:meth:`DeviceTracker.hunt_one_day` -- so on the paper's cohorts (one
-hunted device per AS, hence disjoint probe targets) the two modes
-produce identical tracking reports; the equivalence tests assert it.
+the campaign stream revealed passively since yesterday, in one atomic
+:meth:`DeviceTracker.hunt_day` call.  Both orders send identical probes
+per (IID, anchor, day), so on the paper's cohorts (one hunted device per
+AS, hence disjoint probe targets) the two modes produce identical
+tracking reports; the equivalence tests assert it.
 
 What the streaming mode adds:
 
@@ -22,7 +22,7 @@ What the streaming mode adds:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.core.tracker import (
@@ -93,13 +93,15 @@ class LivePursuit:
         return state.last_known
 
     def advance(self, day: int) -> dict[int, DayOutcome]:
-        """Hunt every open pursuit once on *day*; returns the outcomes."""
-        outcomes: dict[int, DayOutcome] = {}
+        """Hunt every open pursuit once on *day*; returns the outcomes.
+        Anchors refresh on copies of the states, kept once the hunt
+        returns: a day that raises changes nothing."""
         hunt_t = seconds(day * HOURS_PER_DAY + self.tracker.config.scan_hour)
-        for iid in sorted(self.pursuits):
-            state = self.pursuits[iid]
-            anchor = self._anchor_for(iid, state)
-            outcome = self.tracker.hunt_one_day(iid, anchor, day)
+        fresh = {iid: replace(state) for iid, state in sorted(self.pursuits.items())}
+        anchors = {iid: self._anchor_for(iid, state) for iid, state in fresh.items()}
+        outcomes = self.tracker.hunt_day(anchors, day)
+        for iid, outcome in outcomes.items():
+            state = self.pursuits[iid] = fresh[iid]
             state.track.outcomes.append(outcome)
             if outcome.found:
                 state.last_known = outcome.source
@@ -108,7 +110,6 @@ class LivePursuit:
                 # (the device answering tomorrow's campaign scan from a
                 # new prefix) can still re-anchor the pursuit.
                 state.last_update_t = hunt_t
-            outcomes[iid] = outcome
         return outcomes
 
     def pursue(self, days: list[int]) -> TrackingReport:

@@ -70,6 +70,20 @@ class TestMultiplicativeCycle:
         assert len(first) == 10
         assert first == list(cycle)[:10]
 
+    def test_first_zero_is_empty_and_negative_k_is_refused(self):
+        cycle = MultiplicativeCycle(10, seed=5)
+        assert cycle.first(0) == []
+        assert cycle.first(25) == list(cycle)
+        with pytest.raises(ValueError):
+            cycle.first(-1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 97, 100, 10**5])  # 97 prime; 100 = 101 - 1
+    @pytest.mark.parametrize("seed", [0, 7, -3])
+    def test_order_column_equals_the_iteration(self, n, seed):
+        cycle = MultiplicativeCycle(n, seed)
+        assert cycle.order.tolist() == list(cycle)
+        assert cycle.order is MultiplicativeCycle(n, seed).order  # cached per (n, seed)
+
     @given(st.integers(min_value=1, max_value=3000), st.integers())
     @settings(max_examples=30, deadline=None)
     def test_permutation_property(self, n, seed):

@@ -1,19 +1,24 @@
 """Integration tests: scanners driving the simulated Internet."""
 
 import random
+from itertools import accumulate, chain, repeat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.addr import Prefix, iid_of
 from repro.net.eui64 import mac_to_eui64_iid
 from repro.scan.targets import (
     iter_subnet_targets,
+    join_targets,
     one_target_per_subnet,
     random_iid_targets,
+    target_columns,
     targets_for_pool,
 )
 from repro.scan.yarrp import TracerouteRecord, Yarrp
-from repro.scan.zmap import ScanConfig, Zmap6
+from repro.scan.zmap import ScanConfig, Zmap6, send_times
 from repro.simnet.device import CpeDevice
 from repro.simnet.internet import SimInternet
 from repro.simnet.pool import RotationPool
@@ -85,6 +90,45 @@ class TestTargets:
             eager = one_target_per_subnet(prefix, plen, random.Random(3))
             lazy = list(iter_subnet_targets(prefix, plen, random.Random(3)))
             assert eager == lazy, text
+
+
+    @given(
+        st.integers(min_value=0, max_value=2**64),
+        st.sampled_from([("2001:db8::/56", 64), ("2001:db8::/46", 56),
+                         ("2001:db8::/40", 48), ("2001:db8::/26", 32)]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_target_columns_draw_for_draw(self, seed, case):
+        """Host bits 64, 72, 80 and 96: the columns hold the addresses
+        the per-target draws make, and leave the RNG where they do."""
+        prefix, plen = Prefix.parse(case[0]), case[1]
+        per_target, bulk = random.Random(seed), random.Random(seed)
+        want = one_target_per_subnet(prefix, plen, per_target)
+        assert join_targets(*target_columns(prefix, plen, bulk)) == want
+        assert bulk.getstate() == per_target.getstate()
+
+
+class TestSendTimes:
+    @given(
+        st.floats(min_value=-1e7, max_value=1e7, allow_nan=False),
+        st.sampled_from([10_000.0, 2_000.0, 3.0, 7_919.0]),
+        st.integers(min_value=1, max_value=3_000),
+        st.integers(min_value=1, max_value=700),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_send_times_equal_the_chunked_accumulation(self, start, rate, n, chunk):
+        """One accumulation over the whole scan is, bit for bit, the
+        per-chunk accumulations a chunk loop makes -- each chunk starting
+        one interval past the last one's final time."""
+        interval = 1.0 / rate
+        chunked, now = [], start
+        for first in range(0, n, chunk):
+            size = min(chunk, n - first)
+            times = list(accumulate(chain((now,), repeat(interval, size - 1))))
+            chunked.extend(times)
+            now = times[-1] + interval
+        assert list(send_times(start, interval, n)) == chunked
+        assert len(send_times(start, interval, 0)) == 0
 
 
 class TestZmap6:

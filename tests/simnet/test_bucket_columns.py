@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.net.addr import Prefix
 from repro.net.icmpv6 import probe_each
 from repro.scan.rate import IcmpRateLimiter
+from repro.scan.targets import split_targets
 from repro.simnet.device import CpeDevice
 from repro.simnet.internet import SimInternet
 from repro.simnet.pool import RotationPool
@@ -192,7 +193,7 @@ def test_a_refused_candidate_does_not_end_the_hunt():
     stop_iid = reference.probe(hunted + 9, 0.0).source & ((1 << 64) - 1)
     assert chunked.probe(hunted + 9, 0.0) is not None  # both buckets now dry
     want = probe_each(reference.probe, targets, times, stop_iid)
-    got = chunked.probe_many(targets, times, stop_iid)
+    got = chunked.probe_many(*split_targets(targets), times, stop_iid)
     assert all(getattr(got, f) == getattr(want, f) for f in want.__slots__)
     assert got.consumed == 7 and got.src_lo[-1] == stop_iid and len(got) == 5
     assert chunked.stats == reference.stats and chunked.stats.rate_limited == 2

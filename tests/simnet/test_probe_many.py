@@ -16,6 +16,7 @@ import pytest
 from repro.net.addr import IID_MASK, Prefix
 from repro.net.eui64 import is_eui64_iid
 from repro.net.icmpv6 import probe_each
+from repro.scan.targets import split_targets
 from repro.scan.zmap import ScanConfig, Zmap6
 from repro.simnet.builder import InternetSpec, PoolSpec, ProviderSpec, build_internet
 from repro.simnet.device import AddressingMode, CpeDevice, ResponsePolicy
@@ -270,42 +271,30 @@ def test_chunked_scan_equals_per_probe_scan(chunk, loss_rate, monkeypatch):
     assert any(any(p.suppressed) for pr in reference.providers for p in pr.pools)
 
 
-def hunt_chunk_ends(first: int, limit: int, total: int) -> list[int]:
-    """Probes sent by the end of each hunt chunk: sizes start at *first*
-    and double up to *limit*."""
-    ends, size = [], first
-    while not ends or ends[-1] < total:
-        ends.append((ends[-1] if ends else 0) + size)
-        size = min(2 * size, limit) if size < limit else size
-    return ends
-
-
 @pytest.mark.parametrize("loss_rate", [0.0, 0.3])
 def test_hunt_commits_nothing_past_the_hit(loss_rate, monkeypatch):
-    """``scan_until`` in chunks of 8, 16, 32, 32, ...: hits on a chunk's
-    first probe, on its last, mid-chunk, and a miss -- each against a
-    fresh twin."""
+    """``scan_until`` as one sweep: hits on the sweep's first answer, on
+    its last new answer, mid-sweep, and a miss -- each against a fresh
+    twin driven per probe."""
     from repro.scan import zmap
 
-    monkeypatch.setattr(zmap, "HUNT_CHUNK_PROBES", 8)
     monkeypatch.setattr(zmap, "CHUNK_PROBES", 32)
     config = ScanConfig(seed=9, loss_rate=loss_rate)
     start = 2 * 86_400.0 + 3600.0
     targets = world_targets(build_world(), random.Random(2), 2000)
-    ends = hunt_chunk_ends(8, 32, len(targets))
-    assert ends[:4] == [8, 24, 56, 88]
-    lasts, firsts = set(ends), {1} | {end + 1 for end in ends}
     world = build_world()
     sightings = {}  # source IID -> probes sent when it first answered
     stream = Zmap6(world, config).stream(targets, start)
     for response in stream:
         sightings.setdefault(response.source & IID_MASK, stream.probes_sent)
-    wanted = {"miss": 0xDEAD}
-    for iid, sent in sightings.items():
-        position = "first" if sent in firsts else "last" if sent in lasts else "middle"
-        if sent > 24 or position == "middle":  # boundaries of the grown sizes
-            wanted.setdefault(position, iid)
-    assert set(wanted) == {"miss", "first", "last", "middle"}
+    by_position = sorted(sightings, key=sightings.get)
+    wanted = {
+        "miss": 0xDEAD,
+        "first": by_position[0],
+        "last": by_position[-1],
+        "middle": by_position[len(by_position) // 2],
+    }
+    assert len(set(wanted.values())) == 4
     for position, iid in wanted.items():
         reference, chunked = build_world(), build_world()
         want = Zmap6(PerProbe(reference), config).scan_until(targets, iid, start)
@@ -324,14 +313,14 @@ def test_probe_many_equals_probe_each():
         targets = world_targets(reference, rng, 2500)
         times = [start + i * 1e-4 for i in range(len(targets))]
         want = probe_each(reference.probe, targets, times)
-        got = chunked.probe_many(targets, times)
+        got = chunked.probe_many(*split_targets(targets), times)
         assert all(getattr(got, f) == getattr(want, f) for f in want.__slots__)
         assert got.consumed == len(targets)
         assert_same_world(reference, chunked)
     stop_iid = want.src_lo[len(want) // 2]
     times = [t + 3600.0 for t in times]
     want = probe_each(reference.probe, targets, times, stop_iid)
-    got = chunked.probe_many(targets, times, stop_iid)
+    got = chunked.probe_many(*split_targets(targets), times, stop_iid)
     assert all(getattr(got, f) == getattr(want, f) for f in want.__slots__)
     assert 0 < got.consumed < len(targets) and got.src_lo[-1] == stop_iid
     assert_same_world(reference, chunked)
@@ -339,11 +328,11 @@ def test_probe_many_equals_probe_each():
 
 def test_probe_many_on_an_empty_chunk_and_a_poolless_world():
     world = build_world()
-    assert world.probe_many([], []).consumed == 0
+    assert world.probe_many(*split_targets([]), []).consumed == 0
     assert world.stats.probes == 0
     bgp = Prefix.parse("2001:db8::/32")
     bare = SimInternet([Provider(64601, "bare", "DE", bgp_prefixes=[bgp])])
-    chunk = bare.probe_many([bgp.network | 5], [1.0])
+    chunk = bare.probe_many(*split_targets([bgp.network | 5]), [1.0])
     assert chunk.consumed == 1 and len(chunk) == 1  # the core router's no-route
     assert bare.stats.probes == 1 and bare.stats.core_responses == 1
 
@@ -358,7 +347,7 @@ def test_devices_mutated_after_a_first_chunk_are_seen():
     def probe_both(start):
         times = [start + i * 1e-4 for i in range(len(targets))]
         want = probe_each(reference.probe, targets, times)
-        got = chunked.probe_many(targets, times)
+        got = chunked.probe_many(*split_targets(targets), times)
         assert all(getattr(got, f) == getattr(want, f) for f in want.__slots__)
         assert_same_world(reference, chunked)
         return want
@@ -410,7 +399,6 @@ def test_mixed_drains_meet_in_the_pool(loss_rate, monkeypatch):
     from repro.scan import zmap
 
     monkeypatch.setattr(zmap, "CHUNK_PROBES", 300)
-    monkeypatch.setattr(zmap, "HUNT_CHUNK_PROBES", 16)
     lazy, chunked, mixed = build_world(), build_world(), build_world()
     config = ScanConfig(seed=6, loss_rate=loss_rate)
     start = 86_399.0

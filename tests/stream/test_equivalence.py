@@ -164,10 +164,10 @@ class TestCampaignEquivalence:
         # The memo is keyed on what the scanner is built from: a
         # reassigned config cannot serve the old seed's order.
         campaign = daily.campaign
-        before = next(campaign.iter_day_streams())[1]._ordered
+        before = next(campaign.iter_day_streams())[1]._lo
         assert len(cycles) == 2
         campaign.config = replace(campaign.config, seed=campaign.config.seed + 1)
-        after = next(campaign.iter_day_streams())[1]._ordered
+        after = next(campaign.iter_day_streams())[1]._lo
         assert len(cycles) == 3 and list(after) != list(before)
 
     def test_periodic_checkpoints_written(self, tmp_path):

@@ -482,7 +482,6 @@ def check_scanner_paths_agree(seed, monkeypatch):
     probes = campaign_config.days * len(prefixes48) << (campaign_config.probe_plen - 48)
     sizes = [size for size in (1, 7, 100, 512, 16_384) if probes // size <= 2_000]
     monkeypatch.setattr(zmap, "CHUNK_PROBES", rng.choice(sizes))
-    monkeypatch.setattr(zmap, "HUNT_CHUNK_PROBES", rng.choice([5, 64, 512]))
 
     # Reference leg: lazy iteration, one probe and one fold at a time.
     reference = StreamEngine(config, origin_of=reference_world.rib.origin_of)
