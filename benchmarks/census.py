@@ -283,10 +283,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     ),
     "repro.scan.yarrp:TraceNetwork": ("interface", "Protocol stub"),
     "repro.scan.zmap:ProbeNetwork": ("interface", "Protocol stub"),
-    "repro.simnet.rotation:RotationPolicy.customer_of_many": (
-        "interface",
-        "base default every shipped policy overrides",
-    ),
     "repro.store.backend:StoreBackend": ("interface", "Protocol stubs"),
     "repro.store.backend:ColumnarBackend": ("interface", "StoreBackend queries"),
     "repro.store.sqlite:SqliteBackend": ("interface", "StoreBackend queries"),

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.net.addr import IID_BITS, Prefix
+from repro.net.addr import IID_BITS, IID_MASK, Prefix
 from repro.scan.targets import target_columns
 from repro.scan.zmap import ScanConfig, Sweep, Zmap6, classify_sweeps, run_sweep
 from repro.simnet.clock import HOURS_PER_DAY, seconds
@@ -169,6 +169,8 @@ class DeviceTracker:
         config = self.config
         plans = {}  # IID -> (allocation plen, the pool plens it tries in turn)
         for iid in sorted(anchors):
+            if not 0 <= iid <= IID_MASK:
+                raise ValueError(f"IID {iid} outside [0, 2**64)")
             profile, bits = self._profile_for(anchors[iid]), config.widen_bits
             wider = max(0, (profile.pool_plen - 1) // bits) if bits else 0
             widenings = min(wider, config.max_widenings)  # widen while plen > bits

@@ -15,7 +15,7 @@ Two constructions:
   simulator's shuffle-rotation policy uses the inverse to resolve
   "which customer occupies slot s in epoch e" without materializing
   per-epoch tables; :meth:`FeistelPermutation.inverse_many` is the same
-  inverse over a ``uint64`` column, for the simulator's chunk kernel.
+  inverse over ``uint64`` columns, one permutation per row.
 """
 
 from __future__ import annotations
@@ -180,12 +180,14 @@ class FeistelPermutation:
             raise ValueError(f"domain must be positive, got {n}")
         self.n = n
         self.key = key
-        bits = max(2, (n - 1).bit_length())
-        if bits % 2:
-            bits += 1
-        self._half_bits = bits // 2
+        self._half_bits = self.half_bits(n)
         self._half_mask = (1 << self._half_bits) - 1
-        self._cover = 1 << bits
+
+    @staticmethod
+    def half_bits(n: int) -> int:
+        """Half the network's width: the smallest even bit-width (at
+        least two) that covers ``[0, n)``, halved."""
+        return (max(2, (n - 1).bit_length()) + 1) // 2
 
     def _round(self, half: int, rnd: int) -> int:
         return _mix(half, self.key, rnd) & self._half_mask
@@ -222,32 +224,31 @@ class FeistelPermutation:
             x = self._decrypt_once(x)
         return x
 
-    def _decrypt_many(self, values):
-        """:meth:`_decrypt_once` over a ``uint64`` column.
-
-        Each round key is folded as a Python int and masked: ``value ^
-        (key + c)`` only ever reads the low 64 bits of ``key + c``, and
-        the mask is what makes a negative or 65+-bit key representable.
-        """
-        half_bits = np.uint64(self._half_bits)
-        half_mask = np.uint64(self._half_mask)
-        left = values >> half_bits
-        right = values & half_mask
-        for rnd in reversed(range(self.ROUNDS)):
-            round_key = (self.key + 0x9E3779B97F4A7C15 * (rnd + 1)) & _MASK64
-            mixed = splitmix_many(left ^ np.uint64(round_key))
-            left, right = right ^ (mixed & half_mask), left
-        return (left << half_bits) | right
-
-    def inverse_many(self, values):
-        """:meth:`inverse` over a ``uint64`` column of in-domain values."""
-        x = self._decrypt_many(values)
-        outside = x >= np.uint64(self.n)
-        while outside.any():  # cycle-walk only the rows still outside
-            x[outside] = self._decrypt_many(x[outside])
-            outside = x >= np.uint64(self.n)
+    @staticmethod
+    def inverse_many(values, keys, half_bits, n):
+        """:meth:`inverse` over ``uint64`` columns, one permutation per
+        row: an in-domain value, the key's low 64 bits (all that ``value
+        ^ (key + c)`` reads: the add wraps where the scalar masks),
+        :meth:`half_bits` and ``n``.  Rows cycle-walk on their own."""
+        x = _decrypt_many(values, keys, half_bits)
+        walking = np.flatnonzero(x >= n)
+        while len(walking):
+            x[walking] = _decrypt_many(x[walking], keys[walking], half_bits[walking])
+            walking = walking[x[walking] >= n[walking]]
         return x
 
     def __iter__(self) -> Iterator[int]:
         for i in range(self.n):
             yield self.forward(i)
+
+
+def _decrypt_many(values, keys, half_bits):
+    """:meth:`FeistelPermutation._decrypt_once` over ``uint64`` columns."""
+    half_mask = (np.uint64(1) << half_bits) - np.uint64(1)
+    left = values >> half_bits
+    right = values & half_mask
+    for rnd in reversed(range(FeistelPermutation.ROUNDS)):
+        round_keys = keys + np.uint64(0x9E3779B97F4A7C15 * (rnd + 1) & _MASK64)
+        mixed = splitmix_many(left ^ round_keys)
+        left, right = right ^ (mixed & half_mask), left
+    return (left << half_bits) | right

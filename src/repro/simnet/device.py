@@ -21,14 +21,14 @@ of state a probe mutates -- lives in the device's
 :class:`~repro.simnet.pool.RotationPool`, one cell per customer index
 (``pool.allows_response(index, t)``); a device owns no limiter object.
 
-:class:`DeviceColumns` is a pool's devices as numpy columns for the
-simulator's chunk kernel -- a *cache* of objects that scenario events
-and tests mutate by plain assignment after the world is built.  The
+:class:`DeviceColumns` is device lists (a world's pools') as numpy
+columns for the simulator's chunk kernel -- a *cache* of objects that
+scenario events and tests mutate by plain assignment once built.  The
 staleness rule: assigning any :class:`CpeDevice` field bumps a
 module-wide generation, and columns built under an older generation (or
-for a different device count) are rebuilt on next use.  The counter is
-shared by every world in the process; sharing can only cause a spare
-rebuild, never a stale read.
+before any of their lists changed length) are rebuilt on next use.  The
+counter is shared by every world in the process; sharing can only cause
+a spare rebuild, never a stale read.
 """
 
 from __future__ import annotations
@@ -177,17 +177,19 @@ _MODE_CODE = {
 
 
 class DeviceColumns:
-    """The probe-relevant fields of a device list, one numpy column each.
+    """The probe-relevant fields of device lists, one numpy column each.
 
-    Rows are customer indices.  :meth:`is_online_many` and
-    :meth:`wan_iid_many` are :meth:`CpeDevice.is_online` and
-    :meth:`CpeDevice.wan_iid` over index columns, operation for
-    operation.
+    Rows are positions in the lists laid end to end (for one list,
+    customer indices).  :meth:`is_online_many` and :meth:`wan_iid_many`
+    are :meth:`CpeDevice.is_online` and :meth:`CpeDevice.wan_iid` over
+    row columns, operation for operation.
     """
 
-    def __init__(self, devices: list[CpeDevice]) -> None:
+    def __init__(self, *device_lists: list[CpeDevice]) -> None:
         self._generation = _generation
-        self._count = len(devices)
+        self._lists = device_lists
+        self._counts = tuple(map(len, device_lists))
+        devices = [device for devices in device_lists for device in devices]
         f64, i64 = np.float64, np.int64
         self.device_id = np.array(
             [d.device_id & _MASK64 for d in devices], dtype=np.uint64
@@ -218,9 +220,13 @@ class DeviceColumns:
             dtype=np.uint64,
         )
 
-    def current_for(self, devices: list[CpeDevice]) -> bool:
-        """False once any device field was assigned or the list resized."""
-        return self._generation == _generation and self._count == len(devices)
+    @property
+    def current(self) -> bool:
+        """False once any device field was assigned or a list resized."""
+        return (
+            self._generation == _generation
+            and tuple(map(len, self._lists)) == self._counts
+        )
 
     def is_online_many(self, indices, t_hours):
         active = (self.active_from[indices] <= t_hours) & (

@@ -14,9 +14,11 @@ two tools:
   :mod:`repro.scan.zmap`) -- runs of those probes, answered as columns
   with the outcomes, counters and limiter state of ``probe`` on each in
   order.  The *pure* phase is vectorised over many sweeps at once and
-  reads no mutable state: /48 -> pool, slot, epoch, occupant, uptime,
-  response policy and WAN address for every row, hence every row that
-  *would* end a hunt if its CPE's bucket lets it answer.  The
+  reads no mutable state: /48 -> pool number, then one pass over the
+  world's :class:`~repro.simnet.pool.PoolTable` (every pool's parameters
+  and devices as columns) -- slot, epoch, occupant, uptime, response
+  policy and WAN address for every row, whatever its pool, hence every
+  row that *would* end a hunt if its CPE's bucket lets it answer.  The
   *stateful* phase commits one sweep, in column arithmetic too: a CPE's
   token bucket is a cell in its pool's bucket columns (see
   :mod:`repro.simnet.pool`), buckets are independent, and only order
@@ -52,7 +54,7 @@ from repro.net.icmpv6 import IcmpCode, IcmpType, ProbeChunk, ProbeResponse, prob
 from repro.scan.rate import IcmpRateLimiter
 from repro.scan.targets import join_targets
 from repro.simnet.clock import SECONDS_PER_HOUR, hours
-from repro.simnet.pool import Residence, RotationPool
+from repro.simnet.pool import PoolTable, Residence, RotationPool
 from repro.simnet.provider import Provider
 from repro.util import np
 
@@ -113,7 +115,19 @@ class SimInternet:
         self._wide_pools: list[tuple[Provider, RotationPool]] = []
         self._core_limits: dict[int, IcmpRateLimiter] = {}
         self._core_icmp_rate = core_icmp_rate
+        self._table: PoolTable | None = None  # built by the first classify
 
+        # Prefixes nest or are disjoint: sorted, a pool overlapping any
+        # other overlaps the next one, which starts inside it.
+        prefixes = sorted(
+            (pool.prefix for provider in self.providers for pool in provider.pools),
+            key=lambda prefix: (prefix.network, prefix.plen),
+        )
+        for outer, inner in zip(prefixes, prefixes[1:]):
+            if inner.network in outer:
+                raise ValueError(f"pools overlap: {outer} / {inner}")
+        self._indexed_pools: list[RotationPool] = []  # by pool number
+        number_of: dict[int, int] = {}  # /48 -> the number of the pool covering it
         for provider in self.providers:
             if provider.asn in self._provider_by_asn:
                 raise ValueError(f"duplicate AS{provider.asn}")
@@ -122,35 +136,21 @@ class SimInternet:
             for prefix in provider.bgp_prefixes:
                 self.rib.advertise(prefix, provider.asn)
             for pool in provider.pools:
-                self._index_pool(provider, pool)
-        # The /48 index as sorted columns, for ``probe_many``'s lookup.
-        self._indexed_pools = [
-            pool
-            for provider in self.providers
-            for pool in provider.pools
-            if pool.prefix.plen <= 48
-        ]
+                if pool.prefix.plen > 48:
+                    self._wide_pools.append((provider, pool))
+                    continue
+                for net48 in pool.prefix.subnets(48):  # O(1) probe resolution
+                    key = net48.network >> _NET48_SHIFT
+                    self._pool_index[key] = (provider, pool)
+                    number_of[key] = len(self._indexed_pools)
+                self._indexed_pools.append(pool)
+        # The /48 index as sorted columns, for ``classify``'s lookup.
         if np is not None:
-            number_of = {id(pool): i for i, pool in enumerate(self._indexed_pools)}
-            keys = sorted(self._pool_index)
+            keys = sorted(number_of)
             # A sentinel above every /48 ends the keys: no lookup runs off them.
             self._index_keys = np.array(keys + [(1 << 64) - 1], dtype=np.uint64)
-            self._index_numbers = np.array(
-                [number_of[id(self._pool_index[key][1])] for key in keys] + [-1],
-                dtype=np.int64,
-            )
-
-    def _index_pool(self, provider: Provider, pool: RotationPool) -> None:
-        """Index a pool by its covering /48s for O(1) probe resolution."""
-        if pool.prefix.plen > 48:
-            self._wide_pools.append((provider, pool))
-            return
-        for net48 in pool.prefix.subnets(48):
-            key = net48.network >> _NET48_SHIFT
-            if key in self._pool_index:
-                other = self._pool_index[key][1]
-                raise ValueError(f"pools overlap in {net48}: {pool.prefix} / {other.prefix}")
-            self._pool_index[key] = (provider, pool)
+            numbers = [number_of[key] for key in keys] + [-1]
+            self._index_numbers = np.array(numbers, dtype=np.int64)
 
     # -- lookup helpers ----------------------------------------------------
 
@@ -240,43 +240,44 @@ class SimInternet:
         keys = hi >> np.uint64(_NET48_SHIFT - IID_BITS)
         at = np.searchsorted(self._index_keys, keys)  # the sentinel ends the keys
         numbers = np.where(self._index_keys[at] == keys, self._index_numbers[at], -1)
+        table = self._table
+        if table is None or not table.devices.current:
+            table = self._table = PoolTable(self._indexed_pools)
+        rows = np.flatnonzero(numbers >= 0)
+        numbers = numbers[rows]
+        tenant, wan_net64, wan_iid = table.resolve(numbers, hi[rows], t_hours[rows])
+        devices = table.devices
+        verdict = np.full(len(rows), _VACANT, dtype=np.uint8)
+        held = np.flatnonzero(tenant >= 0)
+        tenants = tenant[held]
+        verdict[held] = np.where(
+            devices.is_online_many(tenants, t_hours[rows[held]]),
+            np.where(devices.responds[tenants], _ANSWERS, _SILENT),
+            _OFFLINE,
+        )
         outcome = np.full(n, _SCALAR, dtype=np.uint8)
-        src_hi = np.zeros(n, dtype=np.uint64)
-        src_lo = np.zeros(n, dtype=np.uint64)
-        icmp_type = np.zeros(n, dtype=np.int64)
-        code = np.zeros(n, dtype=np.int64)
+        outcome[rows] = verdict
+        src_hi, src_lo = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
+        src_hi[rows], src_lo[rows] = wan_net64, wan_iid
+        icmp_type, code = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        icmp_type[rows[held]] = devices.icmp_type[tenants]
+        code[rows[held]] = devices.icmp_code[tenants]
+
+        # Per sweep, per pool in number order: the would-answer rows, ascending.
+        answers = np.flatnonzero(verdict == _ANSWERS)
+        rows, numbers = rows[answers], numbers[answers]
+        tenants = tenant[answers] - table.offset[numbers]  # customer indices
         bounds = [0, *accumulate(len(sweep[0]) for sweep in sweeps)]
+        pools = len(self._indexed_pools)
+        group = (np.searchsorted(bounds, rows, side="right") - 1) * pools + numbers
+        order = np.argsort(group, kind="stable")  # rows stay ascending
+        rows, tenants, group = rows[order], tenants[order], group[order]
+        starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
         by_pool: list[list] = [[] for _ in sweeps]  # per sweep, sweep-relative rows
-        order = np.argsort(numbers, kind="stable")
-        grouped = numbers[order]
-        starts = np.flatnonzero(np.diff(grouped, prepend=-2)).tolist()
-        for start, stop in zip(starts, starts[1:] + [n]):
-            number = int(grouped[start])
-            if number < 0:
-                continue
-            rows = order[start:stop]
+        for a, b, key in zip(starts, starts[1:] + [len(rows)], group[starts].tolist()):
+            s, number = divmod(key, pools)
             pool = self._indexed_pools[number]
-            tenant, wan_net64, wan_iid = pool.resolve_many(hi[rows], t_hours[rows])
-            columns = pool.device_columns()
-            verdict = np.full(len(rows), _VACANT, dtype=np.uint8)
-            held = np.flatnonzero(tenant >= 0)
-            tenants = tenant[held]
-            verdict[held] = np.where(
-                columns.is_online_many(tenants, t_hours[rows[held]]),
-                np.where(columns.responds[tenants], _ANSWERS, _SILENT),
-                _OFFLINE,
-            )
-            outcome[rows] = verdict
-            src_hi[rows] = wan_net64
-            src_lo[rows] = wan_iid
-            icmp_type[rows[held]] = columns.icmp_type[tenants]
-            code[rows[held]] = columns.icmp_code[tenants]
-            answers = verdict == _ANSWERS  # a stable sort: rows stay ascending
-            rows, tenants = rows[answers], tenant[answers]
-            cuts = np.searchsorted(rows, bounds).tolist()
-            for s in np.flatnonzero(np.diff(cuts)).tolist():  # the sweeps it serves
-                a, b = cuts[s], cuts[s + 1]
-                by_pool[s].append((pool, rows[a:b] - bounds[s], tenants[a:b]))
+            by_pool[s].append((pool, rows[a:b] - bounds[s], tenants[a:b]))
         fields = (hi, lo, t_seconds, outcome, src_hi, src_lo, icmp_type, code)
         return [
             Classified(*(field[a:b] for field in fields), by_pool[s])

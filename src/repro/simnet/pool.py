@@ -5,8 +5,8 @@ A pool owns a prefix (e.g. a /46), divides it into delegation-sized slots
 assignment at any time is given by the pool's rotation policy.  Resolution
 is the heart of the simulator: given a probed address and a time, find the
 device whose delegation covers it -- in O(1), by inverting the policy.
-:meth:`RotationPool.resolve_many` is the same resolution over a chunk of
-addresses as numpy columns.
+:class:`PoolTable` is the same resolution for many pools at once: their
+parameters and devices as numpy columns, one pass over rows of any pools.
 
 The pool is also the one home of its customers' RFC 4443 token buckets.
 A bucket is not an object: it is one cell, at the customer's index, in
@@ -29,6 +29,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from repro.net.addr import IID_BITS, Prefix
+from repro.scan.permutation import FeistelPermutation
 from repro.simnet.device import CpeDevice, DeviceColumns
 from repro.simnet.rotation import NoRotation, RotationPolicy
 from repro.util import np
@@ -53,7 +54,8 @@ class RotationPool:
     policy: RotationPolicy = field(default_factory=NoRotation)
     pool_key: int = 0
     devices: list[CpeDevice] = field(default_factory=list)
-    _columns: DeviceColumns | None = field(default=None, repr=False, compare=False)
+    # (DeviceColumns, the row of customer 0): what allow_many reads rates from.
+    _columns: tuple | None = field(default=None, repr=False, compare=False)
     # Token buckets, one cell per customer index (see the module docstring).
     tokens: array = field(init=False, repr=False, compare=False)
     last: array = field(init=False, repr=False, compare=False)
@@ -167,8 +169,9 @@ class RotationPool:
             once = ~repeated
             allowed[once] = self.allow_many(indices[once], t_seconds[once])
             return allowed
-        columns = self.device_columns()
-        rate, burst = columns.icmp_rate[indices], columns.icmp_burst[indices]
+        columns, first = self.device_columns()
+        rows = indices + first
+        rate, burst = columns.icmp_rate[rows], columns.icmp_burst[rows]
         tokens_of, last_of = np.frombuffer(self.tokens), np.frombuffer(self.last)
         held, last = tokens_of[indices], last_of[indices]
         # A first touch refills from -inf: without bound, so to the burst.
@@ -254,60 +257,12 @@ class RotationPool:
             device=device, delegation=delegation, wan_address=wan, customer_index=occupant
         )
 
-    def device_columns(self) -> DeviceColumns:
-        """The devices as columns, rebuilt when stale (see
-        :class:`~repro.simnet.device.DeviceColumns`)."""
-        columns = self._columns
-        if columns is None or not columns.current_for(self.devices):
-            columns = self._columns = DeviceColumns(self.devices)
-        return columns
-
-    def _occupants_in_epoch(self, slots, offsets, epoch: int):
-        """Occupant customer index per row (-1: vacant), all rows in *epoch*."""
-        policy, key, nslots = self.policy, self.pool_key, self.nslots
-        n = np.uint64(self.n_customers)
-        incoming = policy.customer_of_many(slots, epoch, nslots, key)
-        moved_in = (incoming < n) & (
-            offsets >= policy.customer_jitter_many(incoming, key)
-        )
-        occupant = np.where(moved_in, incoming.astype(np.int64), -1)
-        # A laggard holds on only while offset < its jitter <= window_hours.
-        rest = np.flatnonzero(~moved_in & (offsets <= policy.window_hours))
-        if len(rest):
-            outgoing = policy.customer_of_many(slots[rest], epoch - 1, nslots, key)
-            stays = (outgoing < n) & (
-                offsets[rest] < policy.customer_jitter_many(outgoing, key)
-            )
-            occupant[rest[stays]] = outgoing[stays]
-        return occupant
-
-    def resolve_many(self, net64s, t_hours):
-        """:meth:`resolve` over columns, for addresses inside the pool.
-
-        *net64s* is the ``addr >> 64`` column (``uint64``), *t_hours* the
-        float64 times.  Returns ``(occupant, wan_net64, wan_iid)``: the
-        occupant's customer index (``int64``, -1 where the slot is
-        vacant) and the halves of its WAN address (meaningless where
-        vacant).
-        Rows are grouped by base epoch, so a chunk that straddles a
-        rotation boundary resolves each side under its own epoch.
-        """
-        shift = np.uint64(IID_BITS - self.delegation_plen)
-        slots = (net64s - np.uint64(self.prefix.network >> IID_BITS)) >> shift
-        epochs, offsets = self.policy.epoch_and_offset_many(t_hours)
-        occupant = np.empty(len(slots), dtype=np.int64)
-        for epoch in np.unique(epochs).tolist():
-            rows = epochs == epoch
-            occupant[rows] = self._occupants_in_epoch(
-                slots[rows], offsets[rows], int(epoch)
-            )
-        wan_net64 = (net64s >> shift) << shift
-        wan_iid = np.zeros(len(slots), dtype=np.uint64)
-        held = occupant >= 0
-        wan_iid[held] = self.device_columns().wan_iid_many(
-            occupant[held], wan_net64[held], t_hours[held]
-        )
-        return occupant, wan_net64, wan_iid
+    def device_columns(self) -> tuple[DeviceColumns, int]:
+        """(device columns, row of customer 0): a :class:`PoolTable`'s,
+        or else the pool's own, rebuilt when stale."""
+        if self._columns is None or not self._columns[0].current:
+            self._columns = (DeviceColumns(self.devices), 0)
+        return self._columns
 
     def customer_index_of(self, device_id: int) -> int | None:
         """Find a device's customer index by its id (ground-truth helper)."""
@@ -315,3 +270,85 @@ class RotationPool:
             if device.device_id == device_id:
                 return index
         return None
+
+
+class PoolTable:
+    """:meth:`RotationPool.resolve` over rows of many pools, in one pass:
+    each pool's parameters at its pool number (its place in *pools*) and
+    all their devices as one :class:`~repro.simnet.device.DeviceColumns`,
+    customer *i* of pool *p* at row ``offset[p] + i``.  Stale exactly
+    when those columns are: pools keep their shape, devices do not."""
+
+    def __init__(self, pools: list[RotationPool]) -> None:
+        self.devices = DeviceColumns(*(pool.devices for pool in pools))
+        counts = [pool.n_customers for pool in pools]
+        self.offset = np.cumsum([0, *counts[:-1]], dtype=np.int64)
+        for pool, first in zip(pools, self.offset.tolist()):
+            pool._columns = (self.devices, first)  # its buckets' rates: no second build
+        self.policies = list(dict.fromkeys(type(pool.policy) for pool in pools))
+
+        def column(value, dtype=np.uint64):
+            return np.array([value(pool) for pool in pools], dtype=dtype)
+
+        self.n_customers = np.array(counts, dtype=np.uint64)
+        self.net64 = column(lambda pool: pool.prefix.network >> IID_BITS)
+        self.shift = column(lambda pool: IID_BITS - pool.delegation_plen)
+        self.nslots = column(lambda pool: pool.nslots)
+        self.half_bits = column(lambda pool: FeistelPermutation.half_bits(pool.nslots))
+        self.pool_key = column(lambda pool: pool.pool_key & (1 << 64) - 1)  # low 64 bits
+        self.policy = column(lambda pool: self.policies.index(type(pool.policy)))
+        self.rotation_hour = column(lambda pool: pool.policy.rotation_hour, np.float64)
+        self.interval = column(lambda pool: pool.policy.interval_hours, np.float64)
+        self.window = column(lambda pool: pool.policy.window_hours, np.float64)
+
+    def resolve(self, numbers, net64s, t_hours):
+        """Per row, :meth:`RotationPool.resolve` in pool *numbers* of the
+        address whose top half *net64s* lies in it, at *t_hours*, under
+        the row's own epoch: ``(occupant, wan_net64, wan_iid)``, the
+        occupant's row in :attr:`devices` (-1: vacant) and the halves of
+        its WAN address (meaningless where vacant)."""
+        shift = self.shift[numbers]
+        slots = (net64s - self.net64[numbers]) >> shift
+        epochs, offsets = RotationPolicy.epoch_and_offset_many(
+            t_hours, self.rotation_hour[numbers], self.interval[numbers]
+        )
+        customers, keys = self.n_customers[numbers], self.pool_key[numbers]
+        window = self.window[numbers]
+        jitter = RotationPolicy.customer_jitter_many
+        incoming = self._customer_of(numbers, slots, epochs)
+        moved_in = incoming < customers
+        # Past the window every jitter has passed (jitter <= window_hours).
+        early = np.flatnonzero(moved_in & (offsets < window))
+        moved_in[early] = offsets[early] >= jitter(
+            incoming[early], keys[early], window[early]
+        )
+        occupant = np.where(moved_in, incoming.astype(np.int64), -1)
+        # A laggard holds on only while offset < its jitter <= window_hours.
+        rest = np.flatnonzero(~moved_in & (offsets <= window))
+        outgoing = self._customer_of(numbers[rest], slots[rest], epochs[rest] - 1)
+        stays = (outgoing < customers[rest]) & (
+            offsets[rest] < jitter(outgoing, keys[rest], window[rest])
+        )
+        occupant[rest[stays]] = outgoing[stays]
+        held = np.flatnonzero(occupant >= 0)
+        occupant[held] += self.offset[numbers[held]]
+        wan_net64 = (net64s >> shift) << shift
+        wan_iid = np.zeros(len(slots), dtype=np.uint64)
+        wan_iid[held] = self.devices.wan_iid_many(
+            occupant[held], wan_net64[held], t_hours[held]
+        )
+        return occupant, wan_net64, wan_iid
+
+    def _customer_of(self, numbers, slots, epochs):
+        """Each row's ``policy.customer_of``: one call per policy class."""
+        customers = np.empty(len(slots), dtype=np.uint64)
+        classes = self.policy[numbers]
+        for kind, policy in enumerate(self.policies):
+            rows = np.flatnonzero(classes == kind)
+            if len(rows):
+                pools = numbers[rows]
+                keys, half_bits = self.pool_key[pools], self.half_bits[pools]
+                customers[rows] = policy.customer_of_many(
+                    slots[rows], epochs[rows], self.nslots[pools], keys, half_bits
+                )
+        return customers

@@ -29,8 +29,9 @@ and each device occupies at most one slot.
 
 Every ``*_many`` method is its scalar neighbour over numpy columns,
 written operation for operation (float64 arithmetic in the same order,
-``uint64`` wrapping where the scalar masks), for the chunk kernel in
-:meth:`repro.simnet.pool.RotationPool.resolve_many`.
+``uint64`` wrapping where the scalar masks), and static: the policy's
+and the pool's parameters are columns too, so that one call resolves a
+policy class's rows in :class:`repro.simnet.pool.PoolTable`.
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ class RotationPolicy(ABC):
             return 0.0
         return unit_float(pool_key, customer_index, 0x117) * self.window_hours
 
-    def customer_jitter_many(self, customer_indices, pool_key: int):
-        """:meth:`customer_jitter` over a ``uint64`` column of indices."""
-        if self.window_hours == 0.0:
-            return np.zeros(len(customer_indices))
-        return unit_float_many(pool_key, customer_indices, 0x117) * self.window_hours
+    @staticmethod
+    def customer_jitter_many(customer_indices, pool_keys, window_hours):
+        """:meth:`customer_jitter` over columns (keys as their low 64
+        bits); a zero window scales every draw to the scalar's 0.0."""
+        return unit_float_many(pool_keys, customer_indices, 0x117) * window_hours
 
     def base_epoch(self, t_hours: float) -> int:
         """The epoch in effect at *t_hours*, ignoring per-customer stagger."""
@@ -88,12 +89,13 @@ class RotationPolicy(ABC):
             - self.base_epoch(t_hours) * self.interval_hours
         )
 
-    def epoch_and_offset_many(self, t_hours):
-        """(:meth:`base_epoch`, :meth:`offset_in_epoch`) over a float64
-        column; the epochs come back as float64 whole numbers."""
-        since = t_hours - self.rotation_hour
-        epoch = np.floor(since / self.interval_hours)
-        return epoch, since - epoch * self.interval_hours
+    @staticmethod
+    def epoch_and_offset_many(t_hours, rotation_hour, interval_hours):
+        """(:meth:`base_epoch` as ``int64``, :meth:`offset_in_epoch`)
+        over float64 columns."""
+        since = t_hours - rotation_hour
+        epoch = np.floor(since / interval_hours)
+        return epoch.astype(np.int64), since - epoch * interval_hours
 
     @abstractmethod
     def slot_of(self, customer_index: int, epoch: int, nslots: int, pool_key: int) -> int:
@@ -102,11 +104,9 @@ class RotationPolicy(ABC):
     @abstractmethod
     def customer_of(self, slot: int, epoch: int, nslots: int, pool_key: int) -> int:
         """Customer index that holds *slot* during *epoch* (may be vacant:
-        indices >= the pool's customer count mean the slot is empty)."""
-
-    @abstractmethod
-    def customer_of_many(self, slots, epoch: int, nslots: int, pool_key: int):
-        """:meth:`customer_of` over a ``uint64`` column of slots, one epoch."""
+        indices >= the pool's customer count mean the slot is empty).
+        ``customer_of_many(slots, epochs, nslots, pool_keys, half_bits)``
+        is the same over ``uint64`` columns (``int64`` epochs)."""
 
 
 @lru_cache(maxsize=4096)
@@ -127,11 +127,6 @@ class NoRotation(RotationPolicy):
 
     interval_hours: float = float(2**40)  # effectively never
 
-    def __post_init__(self) -> None:
-        # The giant interval trips the base sanity window check only if
-        # window_hours was set; keep the validation semantics.
-        super().__post_init__()
-
     @property
     def rotates(self) -> bool:
         return False
@@ -142,8 +137,10 @@ class NoRotation(RotationPolicy):
     def customer_of(self, slot: int, epoch: int, nslots: int, pool_key: int) -> int:
         return _scatter(nslots, pool_key).inverse(slot)
 
-    def customer_of_many(self, slots, epoch: int, nslots: int, pool_key: int):
-        return _scatter(nslots, pool_key).inverse_many(slots)
+    @staticmethod
+    def customer_of_many(slots, epochs, nslots, pool_keys, half_bits):
+        keys = pool_keys ^ np.uint64(0x5CA7)  # _scatter's
+        return FeistelPermutation.inverse_many(slots, keys, half_bits, nslots)
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,8 @@ class SequentialAssignment(NoRotation):
     def customer_of(self, slot: int, epoch: int, nslots: int, pool_key: int) -> int:
         return slot
 
-    def customer_of_many(self, slots, epoch: int, nslots: int, pool_key: int):
+    @staticmethod
+    def customer_of_many(slots, epochs, nslots, pool_keys, half_bits):
         return slots
 
 
@@ -177,10 +175,11 @@ class IncrementRotation(RotationPolicy):
         base = (slot - epoch) % nslots
         return _scatter(nslots, pool_key).inverse(base)
 
-    def customer_of_many(self, slots, epoch: int, nslots: int, pool_key: int):
+    @staticmethod
+    def customer_of_many(slots, epochs, nslots, pool_keys, half_bits):
         # slots < nslots, so adding (-epoch mod nslots) cannot wrap uint64.
-        base = (slots + np.uint64(-epoch % nslots)) % np.uint64(nslots)
-        return _scatter(nslots, pool_key).inverse_many(base)
+        base = (slots + np.mod(-epochs, nslots.view(np.int64)).view(np.uint64)) % nslots
+        return NoRotation.customer_of_many(base, epochs, nslots, pool_keys, half_bits)
 
 
 @dataclass(frozen=True)
@@ -196,5 +195,9 @@ class ShuffleRotation(RotationPolicy):
     def customer_of(self, slot: int, epoch: int, nslots: int, pool_key: int) -> int:
         return self._perm(epoch, nslots, pool_key).inverse(slot)
 
-    def customer_of_many(self, slots, epoch: int, nslots: int, pool_key: int):
-        return self._perm(epoch, nslots, pool_key).inverse_many(slots)
+    @staticmethod
+    def customer_of_many(slots, epochs, nslots, pool_keys, half_bits):
+        # ``_perm``'s key: the int64 product wraps to the scalar's low 64 bits.
+        keys = pool_keys ^ epochs.view(np.uint64) * np.uint64(0x9E3779B9)
+        keys ^= np.uint64(0xF00D)
+        return FeistelPermutation.inverse_many(slots, keys, half_bits, nslots)

@@ -258,3 +258,18 @@ def test_a_day_with_an_unprofiled_anchor_sends_nothing():
     outcomes = pursuit.advance(8)
     assert all(len(state.track.outcomes) == 1 for state in pursuit.pursuits.values())
     assert sorted(outcomes) == sorted(pursuit.pursuits) and world.stats.probes
+
+
+@pytest.mark.parametrize("iid", [-1, 1 << 64])
+def test_an_iid_outside_64_bits_sends_nothing(iid):
+    """Checked beside the profiles, before any probe: with numpy or without."""
+    worlds = stream_worlds()
+    world = worlds.build_rotating_internet()
+    profiles = {65001: AsProfile(65001, allocation_plen=56, pool_plen=48)}
+    tracker = DeviceTracker(world, profiles, TrackerConfig(seed=1))
+    pool = world.providers[0].pools[0]
+    anchor = pool.wan_address_of(0, 10.0)
+    before = world_state(world)
+    with pytest.raises(ValueError, match="outside"):
+        tracker.hunt_day({anchor & IID_MASK: anchor, iid: anchor}, 8)
+    assert world_state(world) == before

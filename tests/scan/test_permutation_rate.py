@@ -138,6 +138,20 @@ class TestFeistelPermutation:
             assert perm.inverse(f) == i
 
 
+def inverse_many(perms, values):
+    """``FeistelPermutation.inverse_many`` with row *i*'s columns taken
+    from ``perms[i]``."""
+    def column(field):
+        return np.array([field(perm) for perm in perms], dtype=np.uint64)
+
+    return FeistelPermutation.inverse_many(
+        np.array(values, dtype=np.uint64),
+        column(lambda perm: perm.key & (1 << 64) - 1),
+        column(lambda perm: FeistelPermutation.half_bits(perm.n)),
+        column(lambda perm: perm.n),
+    )
+
+
 @pytest.mark.skipif(np is None, reason="the column form needs numpy")
 class TestFeistelInverseMany:
     """``inverse_many`` equals ``inverse`` on every element of the domain."""
@@ -155,8 +169,7 @@ class TestFeistelInverseMany:
     def test_matches_scalar_on_the_whole_domain(self, n):
         for key in self.KEYS:
             perm = FeistelPermutation(n, key=key)
-            values = np.arange(n, dtype=np.uint64)
-            assert perm.inverse_many(values).tolist() == [
+            assert inverse_many([perm] * n, range(n)).tolist() == [
                 perm.inverse(v) for v in range(n)
             ], (n, key)
 
@@ -171,8 +184,28 @@ class TestFeistelInverseMany:
         values = data.draw(
             st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=32)
         )
-        got = perm.inverse_many(np.array(values, dtype=np.uint64))
+        got = inverse_many([perm] * len(values), values)
         assert got.tolist() == [perm.inverse(v) for v in values]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_call_serves_many_permutations(self, data):
+        """Rows of different domains and keys, interleaved: each row walks
+        its own cycle."""
+        perms = data.draw(
+            st.lists(
+                st.builds(
+                    FeistelPermutation,
+                    st.sampled_from(self.DOMAINS),
+                    st.sampled_from(self.KEYS),
+                ),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        values = [data.draw(st.integers(0, perm.n - 1)) for perm in perms]
+        got = inverse_many(perms, values)
+        assert got.tolist() == [perm.inverse(v) for perm, v in zip(perms, values)]
 
 
 class TestPermutationEdgeCases:

@@ -173,6 +173,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimInternet([provider])
 
+    @pytest.mark.parametrize(
+        "outer, inner",
+        [
+            ("2001:db8::/46", "2001:db8:1:ff00::/56"),  # a wide pool inside an indexed one
+            ("2001:db8:1:ff00::/56", "2001:db8:1:fff0::/60"),  # two wide pools
+            ("2001:db8:1::/49", "2001:db8:1::/49"),
+        ],
+    )
+    def test_overlap_with_a_pool_finer_than_a_48_rejected(self, outer, inner):
+        pools = [
+            RotationPool(prefix=Prefix.parse(text), delegation_plen=64)
+            for text in (inner, outer)
+        ]
+        provider = Provider(
+            asn=1,
+            name="X",
+            country="DE",
+            bgp_prefixes=[Prefix.parse("2001:db8::/32")],
+            pools=pools,
+        )
+        with pytest.raises(ValueError, match="pools overlap"):
+            SimInternet([provider])
+
     def test_pool_outside_bgp_rejected(self):
         with pytest.raises(ValueError):
             Provider(

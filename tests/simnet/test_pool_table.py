@@ -1,0 +1,289 @@
+"""The pool table: ``SimInternet.classify`` as one column pass over every pool.
+
+Two references pin it:
+
+* the scalar simulator, row by row: for rows of every policy class
+  (zero and nonzero stagger windows, slot counts that make the Feistel
+  scatter cycle-walk, negative epochs, rotation boundaries) and every
+  kind of device, ``classify`` says what ``RotationPool.resolve``,
+  ``is_online``, ``responds`` and ``wan_iid`` say;
+* a fixture recorded from the per-pool ``classify`` the table replaced
+  (``data/classify_parent.json``): a sha256 of every ``Classified``
+  column and of every ``by_pool`` entry over the streaming tests'
+  campaign plus a three-day hunt, at two seeds.
+
+Run this file as a script to re-record the fixture.
+"""
+
+import hashlib
+import importlib.util
+import json
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.net.addr import IID_BITS, IID_MASK, Prefix
+from repro.simnet.device import AddressingMode, CpeDevice, ResponsePolicy
+from repro.simnet.internet import (
+    _ANSWERS,
+    _OFFLINE,
+    _SCALAR,
+    _SILENT,
+    _VACANT,
+    SimInternet,
+)
+from repro.simnet.pool import RotationPool
+from repro.simnet.provider import Provider
+from repro.simnet.rotation import (
+    IncrementRotation,
+    NoRotation,
+    SequentialAssignment,
+    ShuffleRotation,
+)
+from repro.util import np
+
+pytestmark = pytest.mark.skipif(np is None, reason="the pool table needs numpy")
+
+HERE = Path(__file__).resolve().parent
+FIXTURE = HERE / "data" / "classify_parent.json"
+
+# -- the scalar reference -----------------------------------------------------------
+
+# (pool, delegation plen, policy): every class, both window kinds, slot
+# counts 2^9, 2^11 and 2^15 (odd widths: the scatter cycle-walks) beside
+# powers of four, rotation hours after midnight (negative epochs before).
+POOLS = {
+    64801: [
+        ("2001:db8:10::/48", 57, SequentialAssignment()),
+        ("2001:db8:12::/47", 56, NoRotation()),
+        ("2001:db8:14::/48", 60, NoRotation(window_hours=5.0)),
+        ("2001:db8:15:8000::/49", 56, ShuffleRotation(24.0)),  # off the /48 index
+    ],
+    64802: [
+        ("2001:db9:20::/46", 57, IncrementRotation(24.0, 3.0, 6.0)),
+        ("2001:db9:24::/48", 63, IncrementRotation(24.0, 0.0, 0.0)),
+        ("2001:db9:25::/48", 59, ShuffleRotation(48.0, 2.0, 0.0)),
+        ("2001:db9:26::/48", 56, ShuffleRotation(24.0, 5.0, 4.0)),
+    ],
+}
+RESPONSES = [
+    ResponsePolicy.admin_prohibited(),
+    ResponsePolicy.no_route(),
+    ResponsePolicy.hop_limit_exceeded(),
+    ResponsePolicy.silent(),
+]
+
+
+def mixed_world() -> SimInternet:
+    """Eight pools (one off the /48 index) of devices covering every
+    branch of ``is_online``, ``responds`` and ``wan_iid``."""
+    rng = random.Random(31)
+    providers = []
+    for asn, pools in POOLS.items():
+        built = []
+        for text, plen, policy in pools:
+            pool = RotationPool(Prefix.parse(text), plen, policy, rng.getrandbits(64))
+            for i in range(min(pool.nslots // 2, 120)):
+                roll = rng.random()
+                device = CpeDevice(
+                    device_id=asn * 1000 + len(built) * 200 + i,
+                    mac=0x3810D5000000 + rng.getrandbits(24),
+                    addressing=(
+                        AddressingMode.EUI64
+                        if roll < 0.6
+                        else AddressingMode.PRIVACY if roll < 0.85 else AddressingMode.STATIC
+                    ),
+                    policy=rng.choice(RESPONSES),
+                    online_fraction=rng.choice([1.0, 1.0, 0.9, 0.5, 0.0]),
+                )
+                roll = rng.random()
+                if roll < 0.1:
+                    device.active_until_hours = rng.uniform(-50.0, 100.0)
+                elif roll < 0.2:
+                    device.active_from_hours = rng.uniform(-50.0, 100.0)
+                if rng.random() < 0.3:
+                    device.privacy_switch_hours = rng.uniform(-50.0, 100.0)
+                pool.add_device(device)
+            built.append(pool)
+        bgp = Prefix.parse("2001:db8::/32" if asn == 64801 else "2001:db9::/32")
+        providers.append(Provider(asn, f"AS{asn}", "DE", bgp_prefixes=[bgp], pools=built))
+    return SimInternet(providers)
+
+
+WORLD = mixed_world() if np is not None else None
+ALL_POOLS = (
+    [pool for provider in WORLD.providers for pool in provider.pools] if WORLD else []
+)
+
+
+def draw_rows(rng: random.Random, shape: str, n: int) -> list[tuple[int, float]]:
+    """*n* (address, hours) rows: mostly aimed at a customer's delegation
+    of the moment, some anywhere in a pool, a few in core space."""
+    rows = []
+    for _ in range(n):
+        if shape == "negative":  # before every rotation hour: epochs < 0
+            t = rng.uniform(-120.0, 0.0)
+        elif shape == "straddle":
+            t = 24.0 * rng.randrange(-2, 4) + rng.choice([0.0, 2.0, 3.0, 5.0])
+            t += rng.uniform(-0.01, 0.01)
+        elif shape == "window":  # inside a stagger window
+            t = 24.0 * rng.randrange(-2, 4) + rng.uniform(0.0, 11.0)
+        else:
+            t = rng.uniform(-120.0, 200.0)
+        pool = rng.choice(ALL_POOLS)
+        roll = rng.random()
+        if roll < 0.6 and pool.n_customers:
+            delegation = pool.delegation_of(rng.randrange(pool.n_customers), t)
+            addr = delegation.random_addr(rng)
+        elif roll < 0.9:
+            addr = pool.prefix.random_addr(rng)
+        else:
+            addr = Prefix.parse("2001:db8:ff00::/40").random_addr(rng)
+        rows.append((addr, t))
+    return rows
+
+
+def expected(world: SimInternet, addr: int, t_hours: float):
+    """The scalar simulator's word on one row: outcome, WAN address,
+    (type, code) and the answering tenant's (pool, customer index)."""
+    entry = world.pool_of(addr)
+    if entry is None or entry[1].prefix.plen > 48:
+        return _SCALAR, None, None, None
+    residence = entry[1].resolve(addr, t_hours)
+    if residence is None:
+        return _VACANT, None, None, None
+    device = residence.device
+    assert residence.wan_address & IID_MASK == device.wan_iid(
+        residence.wan_address >> IID_BITS, t_hours
+    )
+    if not device.is_online(t_hours):
+        outcome = _OFFLINE
+    elif not device.policy.responds:
+        outcome = _SILENT
+    else:
+        outcome = _ANSWERS
+    kind = (int(device.policy.icmp_type), device.policy.icmp_code)
+    return outcome, residence.wan_address, kind, (entry[1], residence.customer_index)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    shape=st.sampled_from(["negative", "straddle", "window", "spread"]),
+    sizes=st.lists(st.integers(min_value=0, max_value=120), min_size=1, max_size=4),
+)
+def test_classify_equals_the_scalar_simulator(seed, shape, sizes):
+    rng = random.Random(seed)
+    sweeps = [draw_rows(rng, shape, size) for size in sizes]
+    columns = [
+        (
+            np.array([addr >> IID_BITS for addr, _ in rows], dtype=np.uint64),
+            np.array([addr & IID_MASK for addr, _ in rows], dtype=np.uint64),
+            np.array([t * 3600.0 for _, t in rows]),
+        )
+        for rows in sweeps
+    ]
+    number = {id(pool): i for i, pool in enumerate(WORLD._indexed_pools)}
+    for rows, got in zip(sweeps, WORLD.classify(columns)):
+        tenants = {}
+        for i, (addr, t) in enumerate(rows):
+            t_hours = float(got.t_seconds[i]) / 3600.0  # as the simulator converts
+            outcome, wan, kind, tenant = expected(WORLD, addr, t_hours)
+            assert got.outcome[i] == outcome, (addr, t)
+            if wan is not None:
+                assert (int(got.src_hi[i]) << IID_BITS) | int(got.src_lo[i]) == wan
+                assert (got.icmp_type[i], got.code[i]) == kind
+            if outcome == _ANSWERS:
+                tenants[i] = tenant
+        pools = [number[id(pool)] for pool, _, _ in got.by_pool]
+        assert pools == sorted(set(pools))  # one entry per pool, in number order
+        assert {
+            row: (pool, index)
+            for pool, rows_of, indices in got.by_pool
+            for row, index in zip(rows_of.tolist(), indices.tolist())
+        } == tenants
+        assert all((np.diff(rows_of) > 0).all() for _, rows_of, _ in got.by_pool)
+
+
+def test_the_table_is_rebuilt_when_devices_change():
+    world = mixed_world()
+    pool = world._indexed_pools[0]
+    addr = pool.prefix.subnet(pool.n_customers, pool.delegation_plen).network | 1
+    hi, lo = np.array([addr >> IID_BITS], np.uint64), np.array([1], np.uint64)
+    sweep = [(hi, lo, np.array([0.0]))]
+    assert world.classify(sweep)[0].outcome[0] == _VACANT  # sequential: the next slot
+    table = world._table
+    pool.add_device(CpeDevice(device_id=1, mac=0x0200_0000_0001))
+    assert world.classify(sweep)[0].outcome[0] == _ANSWERS
+    assert world._table is not table
+    table = world._table
+    assert world.classify(sweep)[0].outcome[0] == _ANSWERS and world._table is table
+    pool.devices[-1].online_fraction = 0.0
+    assert world.classify(sweep)[0].outcome[0] == _OFFLINE
+
+
+# -- the recorded per-pool classify -------------------------------------------------
+
+
+def hunt_days_module():
+    """``tests/core/test_hunt_days.py``, by path: its recorded pursuit."""
+    path = HERE.parent / "core" / "test_hunt_days.py"
+    spec = importlib.util.spec_from_file_location("_pool_table_hunts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def classify_digests(seed: int) -> dict:
+    """The streaming tests' campaign and a three-day hunt on its world
+    (``test_hunt_days.pinned_pursuit``), with every ``classify`` answer
+    folded into sha256s: one per column, dtype and bytes, and one over
+    every ``by_pool`` entry as (pool number, rows, tenants)."""
+    columns = {}
+    by_pool = hashlib.sha256()
+    counts = {"calls": 0, "sweeps": 0, "rows": 0, "entries": 0}
+    classify = SimInternet.classify
+
+    def recording(self, sweeps):
+        answers = classify(self, sweeps)
+        number = {id(pool): i for i, pool in enumerate(self._indexed_pools)}
+        counts["calls"] += 1
+        for answer in answers:
+            counts["sweeps"] += 1
+            counts["rows"] += len(answer.hi)
+            for name, column in zip(answer._fields[:-1], answer[:-1]):
+                digest = columns.setdefault(name, hashlib.sha256())
+                digest.update(column.dtype.str.encode() + column.tobytes())
+            by_pool.update(len(answer.by_pool).to_bytes(8, "little"))
+            for pool, rows, tenants in answer.by_pool:
+                counts["entries"] += 1
+                by_pool.update(number[id(pool)].to_bytes(8, "little"))
+                for column in (rows, tenants):
+                    by_pool.update(column.dtype.str.encode() + len(column).to_bytes(8, "little"))
+                    by_pool.update(column.tobytes())
+        return answers
+
+    SimInternet.classify = recording
+    try:
+        hunt_days_module().pinned_pursuit(seed)
+    finally:
+        SimInternet.classify = classify
+    digests = {name: digest.hexdigest() for name, digest in columns.items()}
+    return {**counts, "columns": digests, "by_pool": by_pool.hexdigest()}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_classify_matches_the_recorded_parent(seed):
+    recorded = json.loads(FIXTURE.read_text())[str(seed)]
+    got = classify_digests(seed)
+    assert got == recorded
+    assert got["entries"] and got["calls"] > 1 and len(got["columns"]) == 8
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    record = {str(seed): classify_digests(seed) for seed in (0, 5)}
+    FIXTURE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -1,6 +1,6 @@
 """The chunk kernel against its scalar reference.
 
-``RotationPool.resolve_many`` must agree with ``resolve`` row for row,
+``PoolTable.resolve`` must agree with ``RotationPool.resolve`` row for row,
 and ``SimInternet.probe_many`` must leave a world in exactly the state
 ``probe`` per row leaves its twin in: same responses, same
 ``InternetStats``, same limiter for limiter -- whatever the chunk
@@ -14,14 +14,14 @@ from dataclasses import asdict
 import pytest
 
 from repro.net.addr import IID_MASK, Prefix
-from repro.net.eui64 import is_eui64_iid
+from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
 from repro.net.icmpv6 import probe_each
 from repro.scan.targets import split_targets
 from repro.scan.zmap import ScanConfig, Zmap6
 from repro.simnet.builder import InternetSpec, PoolSpec, ProviderSpec, build_internet
 from repro.simnet.device import AddressingMode, CpeDevice, ResponsePolicy
 from repro.simnet.internet import SimInternet
-from repro.simnet.pool import RotationPool
+from repro.simnet.pool import PoolTable, RotationPool
 from repro.simnet.provider import Provider
 from repro.simnet.rotation import (
     IncrementRotation,
@@ -36,7 +36,7 @@ needs_numpy = pytest.mark.skipif(np is None, reason="the column kernel needs num
 YEAR_BEFORE = -365.0 * 24.0  # the seed campaign's hour
 
 
-# -- resolve_many vs resolve -------------------------------------------------------
+# -- the pool table vs resolve -----------------------------------------------------
 
 POLICIES = [
     NoRotation(),
@@ -108,15 +108,19 @@ def chunk_times(rng: random.Random, policy, shape: str, n: int) -> list[float]:
     "policy", POLICIES, ids=lambda p: f"{type(p).__name__}-w{p.window_hours:g}"
 )
 def test_resolve_many_matches_resolve(policy, delegation_plen):
+    """A one-pool table: its device rows are the pool's customer indices."""
     pool = mixed_pool(policy, delegation_plen, seed=delegation_plen)
+    table = PoolTable([pool])
     rng = random.Random(7)
     for shape, n in [(shape, n) for shape in SHAPES for n in (1, 5, 200)]:
         addrs = [pool.prefix.random_addr(rng) for _ in range(n)]
         hours = chunk_times(rng, policy, shape, n)
-        tenant, net64, iid = pool.resolve_many(
-            np.array([a >> 64 for a in addrs], dtype=np.uint64), np.array(hours)
+        tenant, net64, iid = table.resolve(
+            np.zeros(n, dtype=np.int64),
+            np.array([a >> 64 for a in addrs], dtype=np.uint64),
+            np.array(hours),
         )
-        columns = pool.device_columns()
+        columns = table.devices
         for i, (addr, t) in enumerate(zip(addrs, hours)):
             residence = pool.resolve(addr, t)
             if residence is None:
@@ -135,8 +139,8 @@ def test_resolve_many_straddles_a_rotation_boundary():
     pool = mixed_pool(ShuffleRotation(24.0), 56, seed=3)
     addr = pool.prefix.subnet(17, 56).network | 1
     hours = [23.999, 24.001]
-    tenant, _, _ = pool.resolve_many(
-        np.array([addr >> 64] * 2, dtype=np.uint64), np.array(hours)
+    tenant, _, _ = PoolTable([pool]).resolve(
+        np.zeros(2, dtype=np.int64), np.array([addr >> 64] * 2, dtype=np.uint64), np.array(hours)
     )
     want = [pool.resolve(addr, t) for t in hours]
     assert [t if t >= 0 else None for t in tenant.tolist()] == [
@@ -339,7 +343,8 @@ def test_probe_many_on_an_empty_chunk_and_a_poolless_world():
 
 def test_devices_mutated_after_a_first_chunk_are_seen():
     """Device columns are a cache of mutable objects: plain assignment
-    to a device, and a new subscriber, must reach the next chunk."""
+    to a device, and a new subscriber in one pool after a first
+    ``classify``, must reach the next chunk."""
     reference, chunked = build_world(), build_world()
     rng = random.Random(8)
     targets = world_targets(reference, rng, 2000)
@@ -367,9 +372,13 @@ def test_devices_mutated_after_a_first_chunk_are_seen():
             else:
                 device.active_until_hours = 30.0
         pool = world.providers[0].pools[0]
-        pool.add_device(CpeDevice(device_id=999_999, mac=0x0200_0000_0001))
+        index = pool.add_device(CpeDevice(device_id=999_999, mac=0x0200_0000_0001))
+    # One more target, at the newcomer's delegation when it is probed.
+    at_hours = (2 * 86_400.0 + len(targets) * 1e-4) / 3600.0
+    targets.append(pool.delegation_of(index, at_hours).network | 1)
     after = probe_both(2 * 86_400.0)
     assert answered and not answered & set(after.src_lo)  # every EUI-64 IID is gone
+    assert after.src_lo[-1] == mac_to_eui64_iid(0x0200_0000_0001)  # the newcomer answers
 
 
 # -- one home for the buckets: the lazy and the chunked paths meet in the pool ------
