@@ -14,77 +14,212 @@ cost is bumps on instruments resolved *once*, here, at attach time
 and belongs to exactly one component instance; nothing in any bundle is
 checkpoint state.
 
-Metric name scheme (documented in ``benchmarks/README.md``):
-
-* ``repro_stream_*``   -- :class:`~repro.stream.engine.StreamEngine`
-* ``repro_parallel_*`` -- the multiprocess dispatcher (``worker`` label)
-* ``repro_fabric_*``   -- the socket transport: heartbeat RTT, outbox
-  depth, lost workers, requeued messages (``worker`` label)
-* ``repro_feed_*``     -- passive-feed drains and suppressions
-* ``repro_store_*``    -- :class:`ObservationStore` backends (``backend``
-  label)
-* ``repro_checkpoint_*`` -- serialize/restore/write latency and size
-* ``repro_serve_*``    -- the query daemon (``endpoint`` label) and
-  snapshot publication
-* ``repro_repl_*``     -- checkpoint replication: segments shipped and
-  applied, follower lag, resyncs
+The whole vocabulary is one table, :data:`METRICS`, in registration
+(and so exposition) order.  A bundle class names the rows it binds
+(``ROWS``) and derives its ``__slots__`` from them; one binder,
+:class:`_Bundle`, registers them.  One name prefix per subsystem --
+``repro_stream_*`` (the engine), ``repro_parallel_*`` (the dispatcher),
+``repro_fabric_*``, ``repro_feed_*``, ``repro_store_*``,
+``repro_checkpoint_*``, ``repro_serve_*``, ``repro_repl_*`` -- as
+documented in ``benchmarks/README.md``.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import NamedTuple
 
 from .registry import LATENCY_BUCKETS, SIZE_BUCKETS
 
+#: The serve endpoints with pre-bound request counters.
+SERVE_ENDPOINTS = (
+    "iid",
+    "rotations",
+    "profiles",
+    "stats",
+    "healthz",
+    "metrics",
+    "shutdown",
+)
 
-class EngineInstruments:
+
+class Metric(NamedTuple):
+    """One row of :data:`METRICS`.  *fan_out* ``"worker"`` binds a list
+    of ``worker``-labelled instruments, one per worker; ``"endpoint"`` a
+    dict over :data:`SERVE_ENDPOINTS`.  *buckets* are for histograms."""
+
+    bundle: str
+    attribute: str
+    kind: str
+    name: str
+    help: str
+    fan_out: str | None = None
+    buckets: tuple = LATENCY_BUCKETS
+
+
+_C, _G, _H = "counter", "gauge", "histogram"  # kinds: the registry's verbs
+
+#: Every metric any bundle registers, in registration order.
+METRICS = tuple(Metric(*row) for row in (
+    ("engine", "responses", _C, "repro_stream_responses_total",
+     "Observations ingested"),
+    ("engine", "batches", _C, "repro_stream_batches_total",
+     "Ingest batches/chunks applied"),
+    ("engine", "batch_rows", _H, "repro_stream_batch_rows",
+     "Rows per ingest batch/chunk", None, SIZE_BUCKETS),
+    ("engine", "materialize_seconds", _H, "repro_stream_materialize_seconds",
+     "Shard states built from the columns (materialize) latency"),
+    ("engine", "days_closed", _C, "repro_stream_days_closed_total",
+     "Scanned day pairs diffed"),
+    ("engine", "rotation_events", _C, "repro_stream_rotation_events_total",
+     "Day closes that detected rotation"),
+    ("engine", "changed_pairs", _C, "repro_stream_changed_pairs_total",
+     "Changed pairs across day closes"),
+    ("engine", "stable_pairs", _C, "repro_stream_stable_pairs_total",
+     "Stable pairs across day closes"),
+    ("engine", "current_day", _G, "repro_stream_current_day",
+     "Newest day seen on the stream"),
+    ("parallel", "dispatch_rows", _C, "repro_parallel_dispatch_rows_total",
+     "Rows shipped to each worker", "worker"),
+    ("parallel", "dispatch_chunks", _C, "repro_parallel_dispatch_chunks_total",
+     "Row/column frames shipped to each worker", "worker"),
+    ("parallel", "chunk_rows", _H, "repro_parallel_chunk_rows",
+     "Rows per dispatched chunk", None, SIZE_BUCKETS),
+    ("parallel", "queue_depth", _G, "repro_parallel_buffer_rows",
+     "Rows buffered for each worker at last flush", "worker"),
+    ("parallel", "wait_seconds", _H, "repro_parallel_wait_seconds",
+     "Dispatcher time blocked on worker replies"),
+    ("parallel", "merge_seconds", _H, "repro_parallel_merge_seconds",
+     "Worker-partial fold into a merged engine"),
+    ("parallel", "workers_alive", _G, "repro_parallel_workers",
+     "Worker processes currently running"),
+    ("fabric", "heartbeat_seconds", _H, "repro_fabric_heartbeat_seconds",
+     "Master-to-worker heartbeat round-trip time"),
+    ("fabric", "outbox_depth", _G, "repro_fabric_outbox_frames",
+     "Frames queued toward each worker at last monitor tick", "worker"),
+    ("fabric", "workers_lost", _C, "repro_fabric_workers_lost_total",
+     "Socket workers declared dead (timeout or connection loss)"),
+    ("fabric", "requeued_messages", _C, "repro_fabric_requeued_messages_total",
+     "Journaled messages replayed onto surviving workers"),
+    ("store", "append_rows", _C, "repro_store_append_rows_total",
+     "Rows appended"),
+    ("store", "append_seconds", _H, "repro_store_append_seconds",
+     "Bulk append latency"),
+    ("store", "scan_seconds", _H, "repro_store_scan_seconds",
+     "Full column scan latency"),
+    ("store", "snapshot_seconds", _H, "repro_store_snapshot_seconds",
+     "Checkpoint-row snapshot latency"),
+    ("store", "restore_seconds", _H, "repro_store_restore_seconds",
+     "Checkpoint-row restore latency"),
+    ("feed", "drained", _C, "repro_feed_records_total",
+     "Passive records ingested"),
+    ("feed", "lagging_dropped", _C, "repro_feed_lagging_dropped_total",
+     "Passive records dropped for predating the engine's day"),
+    ("feed", "dedup_suppressed", _C, "repro_feed_dedup_suppressed_total",
+     "Repeat sightings suppressed by dedup windows"),
+    ("serve", "requests", _C, "repro_serve_requests_total",
+     "Queries served, per endpoint", "endpoint"),
+    ("serve", "request_seconds", _H, "repro_serve_request_seconds",
+     "Query handling latency"),
+    ("serve", "errors", _C, "repro_serve_errors_total",
+     "Queries answered with an error status"),
+    ("serve", "snapshot_version", _G, "repro_serve_snapshot_version",
+     "Version of the published snapshot"),
+    ("serve", "snapshot_refreshes", _C, "repro_serve_snapshot_refreshes_total",
+     "Snapshots published"),
+    ("serve", "snapshot_refresh_seconds", _H,
+     "repro_serve_snapshot_refresh_seconds", "Snapshot rebuild latency"),
+    ("checkpoint", "serialize_seconds", _H,
+     "repro_checkpoint_serialize_seconds", "engine_state build latency"),
+    ("checkpoint", "restore_seconds", _H, "repro_checkpoint_restore_seconds",
+     "Engine restore latency"),
+    ("checkpoint", "write_seconds", _H, "repro_checkpoint_write_seconds",
+     "Full checkpoint write latency"),
+    ("checkpoint", "checkpoint_bytes", _G, "repro_checkpoint_bytes",
+     "Size of the newest checkpoint"),
+    ("checkpoint", "checkpoint_delta_bytes", _G, "repro_checkpoint_delta_bytes",
+     "Bytes the newest binary delta segment appended"),
+    ("checkpoint", "checkpoints", _C, "repro_checkpoint_written_total",
+     "Checkpoints written"),
+    ("checkpoint", "checkpoints_full", _C, "repro_checkpoint_full_total",
+     "Full checkpoints written (JSON or binary base segments)"),
+    ("checkpoint", "checkpoints_delta", _C, "repro_checkpoint_delta_total",
+     "Binary delta segments appended"),
+    ("repl", "segments_shipped", _C, "repro_repl_segments_shipped_total",
+     "Checkpoint segments streamed to followers"),
+    ("repl", "bytes_shipped", _C, "repro_repl_bytes_shipped_total",
+     "Raw segment bytes streamed to followers"),
+    ("repl", "subscribers", _G, "repro_repl_subscribers",
+     "Followers currently subscribed"),
+    ("repl", "resyncs", _C, "repro_repl_resyncs_total",
+     "Full-chain resyncs forced by outbox overflow"),
+    ("repl", "segments_applied", _C, "repro_repl_segments_applied_total",
+     "Segments validated and applied by the follower"),
+    ("repl", "apply_seconds", _H, "repro_repl_apply_seconds",
+     "Segment validate-and-merge latency"),
+    ("repl", "lag_seconds", _G, "repro_repl_lag_seconds",
+     "Primary-write to follower-apply delay of the newest segment"),
+    ("repl", "rejected", _C, "repro_repl_rejected_total",
+     "Segments rejected by validation (state left untouched)"),
+    ("repl", "reconnects", _C, "repro_repl_reconnects_total",
+     "Follower reconnect attempts"),
+))
+
+
+def _rows(bundle: str) -> tuple[Metric, ...]:
+    return tuple(row for row in METRICS if row.bundle == bundle)
+
+
+def _slots(rows) -> tuple[str, ...]:
+    return tuple(row.attribute for row in rows)
+
+
+class _Bundle:
+    """The binder: registers ``ROWS`` on the telemetry's registry, once.
+
+    *workers* sizes the ``"worker"`` fan-out; *labels* go on every
+    series the bundle registers.
+    """
+
+    __slots__ = ("telemetry",)
+    ROWS: tuple[Metric, ...] = ()
+
+    def __init__(self, telemetry, workers: int = 0, labels=None) -> None:
+        self.telemetry = telemetry
+        registry = telemetry.registry
+        labels = labels or {}
+
+        def bind(row, **extra):
+            series = {**labels, **extra}
+            if row.kind == _H:
+                return registry.histogram(row.name, row.help, row.buckets, series)
+            return getattr(registry, row.kind)(row.name, row.help, series)
+
+        for row in self.ROWS:
+            if row.fan_out == "worker":
+                value = [bind(row, worker=str(w)) for w in range(workers)]
+            elif row.fan_out == "endpoint":
+                value = {e: bind(row, endpoint=e) for e in SERVE_ENDPOINTS}
+            else:
+                value = bind(row)
+            setattr(self, row.attribute, value)
+
+
+class _Locked(_Bundle):
+    """A bundle bumped from several threads: updates take ``_lock``."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, telemetry, workers: int = 0, labels=None) -> None:
+        super().__init__(telemetry, workers, labels)
+        self._lock = threading.Lock()
+
+
+class EngineInstruments(_Bundle):
     """StreamEngine metrics: ingest throughput, batch shape, day closes."""
 
-    __slots__ = (
-        "telemetry",
-        "responses",
-        "batches",
-        "batch_rows",
-        "materialize_seconds",
-        "days_closed",
-        "rotation_events",
-        "changed_pairs",
-        "stable_pairs",
-        "current_day",
-    )
-
-    def __init__(self, telemetry) -> None:
-        registry = telemetry.registry
-        self.telemetry = telemetry
-        self.responses = registry.counter(
-            "repro_stream_responses_total", "Observations ingested"
-        )
-        self.batches = registry.counter(
-            "repro_stream_batches_total", "Ingest batches/chunks applied"
-        )
-        self.batch_rows = registry.histogram(
-            "repro_stream_batch_rows", "Rows per ingest batch/chunk", SIZE_BUCKETS
-        )
-        self.materialize_seconds = registry.histogram(
-            "repro_stream_materialize_seconds",
-            "Shard states built from the columns (materialize) latency",
-        )
-        self.days_closed = registry.counter(
-            "repro_stream_days_closed_total", "Scanned day pairs diffed"
-        )
-        self.rotation_events = registry.counter(
-            "repro_stream_rotation_events_total",
-            "Day closes that detected rotation",
-        )
-        self.changed_pairs = registry.counter(
-            "repro_stream_changed_pairs_total", "Changed pairs across day closes"
-        )
-        self.stable_pairs = registry.counter(
-            "repro_stream_stable_pairs_total", "Stable pairs across day closes"
-        )
-        self.current_day = registry.gauge(
-            "repro_stream_current_day", "Newest day seen on the stream"
-        )
+    ROWS = _rows("engine")
+    __slots__ = _slots(ROWS)
 
     def observe_batch(self, rows: int) -> None:
         self.responses.value += rows
@@ -111,60 +246,12 @@ class ParallelInstruments(EngineInstruments):
     Per-worker dispatch counters carry a ``worker`` label; wait time is
     the dispatcher blocking on worker replies (day-pair collections,
     state merges, barriers) -- dispatcher-side idle, the number that
-    says whether workers or the feed are the bottleneck.
+    says whether workers or the feed are the bottleneck.  Built as
+    ``ParallelInstruments(telemetry, num_workers)``.
     """
 
-    __slots__ = (
-        "dispatch_rows",
-        "dispatch_chunks",
-        "chunk_rows",
-        "queue_depth",
-        "wait_seconds",
-        "merge_seconds",
-        "workers_alive",
-    )
-
-    def __init__(self, telemetry, num_workers: int) -> None:
-        super().__init__(telemetry)
-        registry = telemetry.registry
-        self.dispatch_rows = [
-            registry.counter(
-                "repro_parallel_dispatch_rows_total",
-                "Rows shipped to each worker",
-                {"worker": str(w)},
-            )
-            for w in range(num_workers)
-        ]
-        self.dispatch_chunks = [
-            registry.counter(
-                "repro_parallel_dispatch_chunks_total",
-                "Row/column frames shipped to each worker",
-                {"worker": str(w)},
-            )
-            for w in range(num_workers)
-        ]
-        self.chunk_rows = registry.histogram(
-            "repro_parallel_chunk_rows", "Rows per dispatched chunk", SIZE_BUCKETS
-        )
-        self.queue_depth = [
-            registry.gauge(
-                "repro_parallel_buffer_rows",
-                "Rows buffered for each worker at last flush",
-                {"worker": str(w)},
-            )
-            for w in range(num_workers)
-        ]
-        self.wait_seconds = registry.histogram(
-            "repro_parallel_wait_seconds",
-            "Dispatcher time blocked on worker replies",
-        )
-        self.merge_seconds = registry.histogram(
-            "repro_parallel_merge_seconds",
-            "Worker-partial fold into a merged engine",
-        )
-        self.workers_alive = registry.gauge(
-            "repro_parallel_workers", "Worker processes currently running"
-        )
+    ROWS = EngineInstruments.ROWS + _rows("parallel")
+    __slots__ = _slots(_rows("parallel"))  # the engine's are inherited
 
     def dispatched(self, worker: int, rows: int) -> None:
         self.dispatch_rows[worker].value += rows
@@ -180,49 +267,18 @@ class ParallelInstruments(EngineInstruments):
         self.telemetry.emit("worker_exit", worker=worker)
 
 
-class FabricInstruments:
+class FabricInstruments(_Locked):
     """Socket-transport metrics: heartbeat RTT, outbox depth, losses.
 
-    Heartbeats land on per-channel reader threads and the monitor thread
-    bumps outbox gauges, so -- like :class:`ServeInstruments` -- updates
-    take a small lock.  Cadence is per-heartbeat (seconds apart), never
+    Built as ``FabricInstruments(telemetry, num_workers)``.  Heartbeats
+    land on per-channel reader threads and the monitor thread bumps
+    outbox gauges, so -- like :class:`ServeInstruments` -- updates take
+    a small lock.  Cadence is per-heartbeat (seconds apart), never
     per-row, so the lock is nowhere near a hot path.
     """
 
-    __slots__ = (
-        "telemetry",
-        "heartbeat_seconds",
-        "outbox_depth",
-        "workers_lost",
-        "requeued_messages",
-        "_lock",
-    )
-
-    def __init__(self, telemetry, num_workers: int) -> None:
-        registry = telemetry.registry
-        self.telemetry = telemetry
-        self.heartbeat_seconds = registry.histogram(
-            "repro_fabric_heartbeat_seconds",
-            "Master-to-worker heartbeat round-trip time",
-            LATENCY_BUCKETS,
-        )
-        self.outbox_depth = [
-            registry.gauge(
-                "repro_fabric_outbox_frames",
-                "Frames queued toward each worker at last monitor tick",
-                {"worker": str(w)},
-            )
-            for w in range(num_workers)
-        ]
-        self.workers_lost = registry.counter(
-            "repro_fabric_workers_lost_total",
-            "Socket workers declared dead (timeout or connection loss)",
-        )
-        self.requeued_messages = registry.counter(
-            "repro_fabric_requeued_messages_total",
-            "Journaled messages replayed onto surviving workers",
-        )
-        self._lock = threading.Lock()
+    ROWS = _rows("fabric")
+    __slots__ = _slots(ROWS)
 
     def heartbeat(self, worker: int, seconds: float) -> None:
         with self._lock:
@@ -244,80 +300,25 @@ class FabricInstruments:
         self.telemetry.emit("fabric_requeue", messages=messages)
 
 
-class StoreInstruments:
+class StoreInstruments(_Bundle):
     """ObservationStore metrics, one bundle per attached store; every
     series carries the backend name as a label."""
 
-    __slots__ = (
-        "telemetry",
-        "append_rows",
-        "append_seconds",
-        "scan_seconds",
-        "snapshot_seconds",
-        "restore_seconds",
-    )
+    ROWS = _rows("store")
+    __slots__ = _slots(ROWS)
 
     def __init__(self, telemetry, backend: str) -> None:
-        registry = telemetry.registry
-        labels = {"backend": backend}
-        self.telemetry = telemetry
-        self.append_rows = registry.counter(
-            "repro_store_append_rows_total", "Rows appended", labels
-        )
-        self.append_seconds = registry.histogram(
-            "repro_store_append_seconds", "Bulk append latency", LATENCY_BUCKETS, labels
-        )
-        self.scan_seconds = registry.histogram(
-            "repro_store_scan_seconds", "Full column scan latency", LATENCY_BUCKETS, labels
-        )
-        self.snapshot_seconds = registry.histogram(
-            "repro_store_snapshot_seconds",
-            "Checkpoint-row snapshot latency",
-            LATENCY_BUCKETS,
-            labels,
-        )
-        self.restore_seconds = registry.histogram(
-            "repro_store_restore_seconds",
-            "Checkpoint-row restore latency",
-            LATENCY_BUCKETS,
-            labels,
-        )
+        super().__init__(telemetry, labels={"backend": backend})
 
 
-class FeedInstruments:
+class FeedInstruments(_Bundle):
     """Passive-feed drain metrics (campaign-side)."""
 
-    __slots__ = ("telemetry", "drained", "lagging_dropped", "dedup_suppressed")
-
-    def __init__(self, telemetry) -> None:
-        registry = telemetry.registry
-        self.telemetry = telemetry
-        self.drained = registry.counter(
-            "repro_feed_records_total", "Passive records ingested"
-        )
-        self.lagging_dropped = registry.counter(
-            "repro_feed_lagging_dropped_total",
-            "Passive records dropped for predating the engine's day",
-        )
-        self.dedup_suppressed = registry.counter(
-            "repro_feed_dedup_suppressed_total",
-            "Repeat sightings suppressed by dedup windows",
-        )
+    ROWS = _rows("feed")
+    __slots__ = _slots(ROWS)
 
 
-#: The serve endpoints with pre-bound request counters.
-SERVE_ENDPOINTS = (
-    "iid",
-    "rotations",
-    "profiles",
-    "stats",
-    "healthz",
-    "metrics",
-    "shutdown",
-)
-
-
-class ServeInstruments:
+class ServeInstruments(_Locked):
     """Query-daemon metrics: requests per endpoint, latency, snapshots.
 
     Unlike the ingest bundles this one is bumped from HTTP handler
@@ -327,44 +328,8 @@ class ServeInstruments:
     only).
     """
 
-    __slots__ = (
-        "telemetry",
-        "requests",
-        "request_seconds",
-        "errors",
-        "snapshot_version",
-        "snapshot_refreshes",
-        "snapshot_refresh_seconds",
-        "_lock",
-    )
-
-    def __init__(self, telemetry) -> None:
-        registry = telemetry.registry
-        self.telemetry = telemetry
-        self.requests = {
-            endpoint: registry.counter(
-                "repro_serve_requests_total",
-                "Queries served, per endpoint",
-                {"endpoint": endpoint},
-            )
-            for endpoint in SERVE_ENDPOINTS
-        }
-        self.request_seconds = registry.histogram(
-            "repro_serve_request_seconds", "Query handling latency"
-        )
-        self.errors = registry.counter(
-            "repro_serve_errors_total", "Queries answered with an error status"
-        )
-        self.snapshot_version = registry.gauge(
-            "repro_serve_snapshot_version", "Version of the published snapshot"
-        )
-        self.snapshot_refreshes = registry.counter(
-            "repro_serve_snapshot_refreshes_total", "Snapshots published"
-        )
-        self.snapshot_refresh_seconds = registry.histogram(
-            "repro_serve_snapshot_refresh_seconds", "Snapshot rebuild latency"
-        )
-        self._lock = threading.Lock()
+    ROWS = _rows("serve")
+    __slots__ = _slots(ROWS)
 
     def request_served(self, endpoint: str, seconds: float) -> None:
         with self._lock:
@@ -387,50 +352,11 @@ class ServeInstruments:
         self.snapshot_refresh_seconds.observe(seconds)
 
 
-class CheckpointInstruments:
+class CheckpointInstruments(_Bundle):
     """Checkpoint serialize/write/restore latency and size."""
 
-    __slots__ = (
-        "telemetry",
-        "serialize_seconds",
-        "restore_seconds",
-        "write_seconds",
-        "checkpoint_bytes",
-        "checkpoint_delta_bytes",
-        "checkpoints",
-        "checkpoints_full",
-        "checkpoints_delta",
-    )
-
-    def __init__(self, telemetry) -> None:
-        registry = telemetry.registry
-        self.telemetry = telemetry
-        self.serialize_seconds = registry.histogram(
-            "repro_checkpoint_serialize_seconds", "engine_state build latency"
-        )
-        self.restore_seconds = registry.histogram(
-            "repro_checkpoint_restore_seconds", "Engine restore latency"
-        )
-        self.write_seconds = registry.histogram(
-            "repro_checkpoint_write_seconds", "Full checkpoint write latency"
-        )
-        self.checkpoint_bytes = registry.gauge(
-            "repro_checkpoint_bytes", "Size of the newest checkpoint"
-        )
-        self.checkpoint_delta_bytes = registry.gauge(
-            "repro_checkpoint_delta_bytes",
-            "Bytes the newest binary delta segment appended",
-        )
-        self.checkpoints = registry.counter(
-            "repro_checkpoint_written_total", "Checkpoints written"
-        )
-        self.checkpoints_full = registry.counter(
-            "repro_checkpoint_full_total",
-            "Full checkpoints written (JSON or binary base segments)",
-        )
-        self.checkpoints_delta = registry.counter(
-            "repro_checkpoint_delta_total", "Binary delta segments appended"
-        )
+    ROWS = _rows("checkpoint")
+    __slots__ = _slots(ROWS)
 
     def written(
         self,
@@ -474,7 +400,7 @@ class CheckpointInstruments:
         self.telemetry.emit("checkpoint_written", **payload)
 
 
-class ReplicationInstruments:
+class ReplicationInstruments(_Locked):
     """Checkpoint-replication metrics, shipper and follower sides.
 
     One vocabulary for both roles: a shipper bumps the shipped/
@@ -485,59 +411,8 @@ class ReplicationInstruments:
     nothing here is anywhere near a per-row path.
     """
 
-    __slots__ = (
-        "telemetry",
-        "segments_shipped",
-        "bytes_shipped",
-        "subscribers",
-        "resyncs",
-        "segments_applied",
-        "apply_seconds",
-        "lag_seconds",
-        "rejected",
-        "reconnects",
-        "_lock",
-    )
-
-    def __init__(self, telemetry) -> None:
-        registry = telemetry.registry
-        self.telemetry = telemetry
-        self.segments_shipped = registry.counter(
-            "repro_repl_segments_shipped_total",
-            "Checkpoint segments streamed to followers",
-        )
-        self.bytes_shipped = registry.counter(
-            "repro_repl_bytes_shipped_total",
-            "Raw segment bytes streamed to followers",
-        )
-        self.subscribers = registry.gauge(
-            "repro_repl_subscribers", "Followers currently subscribed"
-        )
-        self.resyncs = registry.counter(
-            "repro_repl_resyncs_total",
-            "Full-chain resyncs forced by outbox overflow",
-        )
-        self.segments_applied = registry.counter(
-            "repro_repl_segments_applied_total",
-            "Segments validated and applied by the follower",
-        )
-        self.apply_seconds = registry.histogram(
-            "repro_repl_apply_seconds",
-            "Segment validate-and-merge latency",
-            LATENCY_BUCKETS,
-        )
-        self.lag_seconds = registry.gauge(
-            "repro_repl_lag_seconds",
-            "Primary-write to follower-apply delay of the newest segment",
-        )
-        self.rejected = registry.counter(
-            "repro_repl_rejected_total",
-            "Segments rejected by validation (state left untouched)",
-        )
-        self.reconnects = registry.counter(
-            "repro_repl_reconnects_total", "Follower reconnect attempts"
-        )
-        self._lock = threading.Lock()
+    ROWS = _rows("repl")
+    __slots__ = _slots(ROWS)
 
     def shipped(
         self, base_id: str, seq: int, kind: str, nbytes: int, subscribers: int

@@ -11,13 +11,18 @@ pins it).
 
 from __future__ import annotations
 
+import math
+
 from .registry import MetricsRegistry
 
 
+def _escape_help(value: str) -> str:
+    return value.replace("\\", "\\\\").replace("\n", "\\n")
+
+
 def _escape(value: str) -> str:
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
+    """A label value: help text's escapes, plus the double quote."""
+    return _escape_help(value).replace('"', '\\"')
 
 
 def _labels(pairs, extra: str = "") -> str:
@@ -28,9 +33,15 @@ def _labels(pairs, extra: str = "") -> str:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
+    if not isinstance(value, float):
+        return str(value)
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    if value == int(value) and abs(value) < 1e15:
         return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(value)
 
 
 def render(registry: MetricsRegistry) -> str:
@@ -41,7 +52,7 @@ def render(registry: MetricsRegistry) -> str:
         if metric.name not in seen_headers:
             seen_headers.add(metric.name)
             if metric.help:
-                lines.append(f"# HELP {metric.name} {_escape(metric.help)}")
+                lines.append(f"# HELP {metric.name} {_escape_help(metric.help)}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
         if metric.kind in ("counter", "gauge"):
             lines.append(
@@ -52,6 +63,8 @@ def render(registry: MetricsRegistry) -> str:
         cumulative = 0
         for bound, count in zip(metric.bounds, metric.counts):
             cumulative += count
+            if bound == math.inf:
+                continue  # the trailing +Inf bucket is this one
             le = _labels(metric.labels, f'le="{_format_value(float(bound))}"')
             lines.append(f"{metric.name}_bucket{le} {cumulative}")
         inf = _labels(metric.labels, 'le="+Inf"')

@@ -177,7 +177,7 @@ class Histogram:
             raise ValueError("quantile must be in [0, 1]")
         if self.count == 0:
             return 0.0
-        rank = q * self.count
+        rank = max(q * self.count, 1)  # q=0 still needs one observation
         seen = 0
         for i, bucket_count in enumerate(self.counts):
             seen += bucket_count

@@ -104,17 +104,13 @@ class CpeDevice:
     icmp_rate: float = IcmpRateLimiter.DEFAULT_RATE
     icmp_burst: float = IcmpRateLimiter.DEFAULT_BURST
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.online_fraction <= 1.0:
-            raise ValueError(f"online_fraction must be in [0,1], got {self.online_fraction}")
-        if self.icmp_rate <= 0 or self.icmp_burst <= 0:
-            raise ValueError(
-                f"icmp_rate and icmp_burst must be positive, got "
-                f"{self.icmp_rate} and {self.icmp_burst}"
-            )
-
     def __setattr__(self, name: str, value) -> None:
+        # ``__init__`` assigns through here too: one check for both.
         global _generation
+        if name == "online_fraction" and not 0.0 <= value <= 1.0:
+            raise ValueError(f"online_fraction must be in [0,1], got {value}")
+        if name in ("icmp_rate", "icmp_burst") and not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
         _generation += 1
         object.__setattr__(self, name, value)
 

@@ -105,6 +105,8 @@ class SimInternet:
         core_answers_unrouted: bool = True,
         core_icmp_rate: float = IcmpRateLimiter.DEFAULT_RATE,
     ) -> None:
+        if not core_icmp_rate > 0:
+            raise ValueError(f"core_icmp_rate must be positive, got {core_icmp_rate}")
         self.providers = list(providers)
         self.registry = registry or AsRegistry()
         self.rib = RoutingTable()

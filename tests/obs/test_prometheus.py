@@ -1,5 +1,7 @@
 """Prometheus text exposition: a golden rendering pins the format."""
 
+import math
+
 from repro.obs import MetricsRegistry, to_prometheus
 
 GOLDEN = """\
@@ -67,6 +69,43 @@ def test_label_values_escaped():
     registry = MetricsRegistry()
     registry.counter("repro_esc_total", labels={"path": 'a"b\\c\nd'})
     assert 'path="a\\"b\\\\c\\nd"' in to_prometheus(registry)
+
+
+def test_help_escapes_backslash_and_newline_but_not_quotes():
+    # Text format 0.0.4: HELP escapes only \\ and newline; label values
+    # escape the double quote as well.
+    registry = MetricsRegistry()
+    registry.counter("repro_c", 'say "hi"\\now\nthen')
+    assert '# HELP repro_c say "hi"\\\\now\\nthen\n' in to_prometheus(registry)
+
+
+def test_non_finite_values_use_text_format_spellings():
+    registry = MetricsRegistry()
+    registry.gauge("repro_up").set(math.inf)
+    registry.gauge("repro_down").set(-math.inf)
+    registry.gauge("repro_nan").set(math.nan)
+    registry.histogram("repro_h", buckets=(1.0,)).observe(math.inf)
+    lines = to_prometheus(registry).splitlines()
+    assert "repro_up +Inf" in lines
+    assert "repro_down -Inf" in lines
+    assert "repro_nan NaN" in lines
+    assert "repro_h_sum +Inf" in lines
+    assert 'repro_h_bucket{le="+Inf"} 1' in lines
+
+
+def test_infinite_bucket_edges_render_once():
+    registry = MetricsRegistry()
+    histogram = registry.histogram("repro_h", buckets=(-math.inf, 0.0, math.inf))
+    for value in (-1.0, 5.0):
+        histogram.observe(value)
+    buckets = [
+        line for line in to_prometheus(registry).splitlines() if "_bucket" in line
+    ]
+    assert buckets == [
+        'repro_h_bucket{le="-Inf"} 0',
+        'repro_h_bucket{le="0"} 1',
+        'repro_h_bucket{le="+Inf"} 2',
+    ]
 
 
 def test_telemetry_prometheus_matches_render():

@@ -56,6 +56,16 @@ def test_histogram_quantile_reports_bucket_edge():
         histogram.quantile(1.5)
 
 
+def test_histogram_quantile_zero_skips_empty_buckets():
+    histogram = MetricsRegistry().histogram("repro_test_rows", buckets=(1, 2, 4))
+    for _ in range(5):
+        histogram.observe(3)
+    # Every quantile lands in the one occupied bucket, q=0 included.
+    assert histogram.quantile(0.0) == 4.0
+    assert histogram.quantile(0.5) == 4.0
+    assert histogram.quantile(1.0) == 4.0
+
+
 def test_histogram_rejects_bad_buckets():
     registry = MetricsRegistry()
     with pytest.raises(ValueError):

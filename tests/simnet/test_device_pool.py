@@ -97,6 +97,35 @@ class TestDevice:
         with pytest.raises(ValueError):
             make_device(icmp_burst=-1.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("icmp_rate", 0.0),
+            ("icmp_burst", -1.0),
+            ("icmp_rate", math.nan),
+            ("online_fraction", 2.0),
+            ("online_fraction", -0.1),
+        ],
+    )
+    def test_assignment_validated_like_construction(self, name, value):
+        # A later assignment gets the constructor's check, and a rejected
+        # one leaves the device as it was.
+        device = make_device()
+        before = getattr(device, name)
+        with pytest.raises(ValueError, match=name):
+            setattr(device, name, value)
+        assert getattr(device, name) == before
+
+    def test_rejected_rate_never_reaches_the_bucket(self):
+        # A zero rate used to be accepted, then divide by zero in the
+        # scalar verb on a backward time step (and to inf in allow_many).
+        pool = make_pool(n_devices=2)
+        index = pool.add_device(make_device())
+        assert pool.allows_response(index, 100.0)
+        with pytest.raises(ValueError):
+            pool.devices[index].icmp_rate = 0.0
+        assert pool.allows_response(index, 50.0)
+
     def test_bucket_reads_rate_and_burst_on_every_probe(self):
         """Rate and burst are device configuration, read per probe: a
         reassignment after the bucket's first touch governs the next

@@ -158,6 +158,14 @@ class TestConstruction:
         internet = small_internet()
         assert internet.rib.origin_of(parse_addr("2001:db8::1")) == 64512
 
+    @pytest.mark.parametrize("rate", [0, -1.0, float("nan")])
+    def test_core_icmp_rate_validated_at_construction(self, rate):
+        # Not on the first core-space row, mid-commit.
+        with pytest.raises(ValueError, match="core_icmp_rate"):
+            SimInternet([], core_icmp_rate=rate)
+        with pytest.raises(ValueError, match="core_icmp_rate"):
+            small_internet(core_icmp_rate=rate)
+
     def test_duplicate_asn_rejected(self):
         provider = small_internet().providers[0]
         with pytest.raises(ValueError):
