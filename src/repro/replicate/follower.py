@@ -42,6 +42,7 @@ from repro.stream.checkpoint import atomic_write
 from repro.stream.ckptbin import ChainAssembler, CheckpointError
 from repro.stream.fabric import framing
 from repro.stream.fabric.framing import parse_address, set_nodelay
+from repro.stream.fabric.protocol import FabricError
 from repro.util import get_logger
 
 from .protocol import HELLO_FRAME_MAX, PROTO_VERSION, ReplicationError
@@ -77,7 +78,7 @@ class ReplicaFollower:
             )
         try:
             self._host, self._port = parse_address(address)
-        except Exception as exc:
+        except FabricError as exc:
             raise ReplicationError(str(exc)) from None
         self.address = address
         self._timeout = settings.replicate_connect_timeout

@@ -47,6 +47,7 @@ from repro import config
 from repro.stream.ckptbin import segment_bytes
 from repro.stream.fabric import framing
 from repro.stream.fabric.framing import format_address, parse_address, set_nodelay
+from repro.stream.fabric.protocol import FabricError
 from repro.util import get_logger
 
 from .protocol import HELLO_FRAME_MAX, PROTO_VERSION, ReplicationError
@@ -158,7 +159,7 @@ class SegmentShipper:
         self._max_frame = settings.fabric_max_frame_bytes
         try:
             host, port = parse_address(address)
-        except Exception as exc:
+        except FabricError as exc:
             raise ReplicationError(str(exc)) from None
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._listener = socket.create_server((host, port), family=family)

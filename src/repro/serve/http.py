@@ -9,7 +9,7 @@ a poller pays connection setup once.
 Endpoints (all GET unless noted):
 
 ``/iid/<x>``         freshest sighting of a watched IID (decimal,
-                     ``0x``-prefixed, or bare-hex *x*)
+                     ``0x``-prefixed, or bare-hex *x* below 2**64)
 ``/rotations?day=N`` /48s attributed to day N's close (newest close
                      when ``day`` is omitted)
 ``/profiles``        per-AS allocation/pool inference slices
@@ -18,7 +18,8 @@ Endpoints (all GET unless noted):
 ``/metrics``         Prometheus text exposition of the attached
                      telemetry registry
 ``POST /shutdown``   request a graceful stop (the owner decides what
-                     that means; see :class:`TrackerDaemon`)
+                     that means; see :class:`TrackerDaemon`); loopback
+                     peers only, anyone else gets ``403``
 
 A request body (``POST /shutdown`` takes none, but clients send them)
 is read and discarded up to 64 KiB, so the next request on a keep-alive
@@ -36,7 +37,9 @@ replication lag -- when the server fronts a
 
 from __future__ import annotations
 
+import ipaddress
 import json
+import re
 import socket
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -51,16 +54,23 @@ from .snapshot import SnapshotPublisher
 MAX_BODY_BYTES = 64 * 1024
 
 
+#: What an ``/iid/<x>`` token may look like: hex digits (decimal ones
+#: included), optionally ``0x``-prefixed -- no sign, underscore or space.
+_IID_TOKEN = re.compile(r"(?:0[xX])?[0-9a-fA-F]+")
+
+
 def _parse_iid(token: str) -> int | None:
-    """An IID from its path segment: decimal, 0x-hex, or bare hex."""
-    try:
-        return int(token, 0)
-    except ValueError:
-        pass
-    try:
-        return int(token, 16)
-    except ValueError:
+    """An IID from its path segment -- decimal, 0x-hex, or bare hex,
+    below 2**64 -- or ``None``.  Python's integer-literal reading wins
+    where it applies (``10`` is ten); a token it refuses reads as bare
+    hex (``0010`` is sixteen)."""
+    if _IID_TOKEN.fullmatch(token) is None:
         return None
+    try:
+        value = int(token, 0)
+    except ValueError:
+        value = int(token, 16)
+    return value if value < 2**64 else None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -168,6 +178,12 @@ class _Handler(BaseHTTPRequestHandler):
         if path != "/shutdown":
             self._error(404, f"unknown endpoint: {path}")
             return
+        # Loopback peers only: 127/8, ::1, or an IPv4-mapped 127/8 (an
+        # IPv4 client of a dual-stack "::" server).
+        peer = ipaddress.ip_address(self.client_address[0])
+        if not (getattr(peer, "ipv4_mapped", None) or peer).is_loopback:
+            self._error(403, "shutdown is accepted from loopback only")
+            return
         # Signal first, then acknowledge: a client holding the ack may
         # rely on the stop already being requested.
         on_shutdown = self.server.on_shutdown
@@ -185,7 +201,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get_iid(self, token: str) -> None:
         iid = _parse_iid(token)
-        if iid is None or iid < 0:
+        if iid is None:
             self._error(400, f"not an IID: {token!r}")
             return
         self._send_json(self.server.publisher.current.iid_payload(iid))

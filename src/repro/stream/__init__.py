@@ -10,7 +10,7 @@ resurfaces.
 Layout:
 
 * :mod:`repro.stream.shard` -- deterministic response -> shard routing
-  (/32 or origin-AS keyed) so hot-path aggregates stay small and local;
+  by the source /32, so hot-path aggregates stay small and local;
 * :mod:`repro.stream.state` -- the O(1)-per-response aggregates that
   replace batch re-walks (allocation spans, pool spans, rotation pairs);
 * :mod:`repro.stream.columnar` -- the numpy sort-reduce kernel:
@@ -25,11 +25,11 @@ Layout:
   detection, and a watchlist for passive device sightings;
 * :mod:`repro.stream.sink` -- the :class:`IngestSink` protocol and
   the :class:`IngestSinkBase` mixin: the stream-order front end the
-  engine and the dispatcher share -- polymorphic ``ingest()``, the
-  reference ``ingest_batch`` loop, the ``ingest_columns`` skeleton,
-  day open/close, watchlist, ``flush``;
+  engine and the dispatcher share -- polymorphic ``ingest()``, row
+  placement, the reference ``ingest_batch`` loop, the
+  ``ingest_columns`` skeleton, day open/close, watchlist, ``flush``;
 * :mod:`repro.stream.parallel` -- :class:`ParallelStreamEngine`, the
-  parallel backend: sharded workers fed flat-tuple chunks through a
+  parallel backend: sharded workers fed column frames through a
   fabric transport, merged back into a byte-identical engine view;
 * :mod:`repro.stream.fabric` -- the distributed campaign fabric:
   message framing, the dispatcher/worker protocol, and the one
@@ -74,7 +74,7 @@ from repro.stream.feeds import (
     tap_feed,
 )
 from repro.stream.parallel import ParallelStreamEngine
-from repro.stream.shard import ShardKey, ShardRouter, shard_index
+from repro.stream.shard import shard_index
 from repro.stream.sink import IngestSink, IngestSinkBase, Sighting
 from repro.stream.tracker import LivePursuit, PursuitState
 
@@ -87,8 +87,6 @@ __all__ = [
     "MixedFeed",
     "ParallelStreamEngine",
     "PursuitState",
-    "ShardKey",
-    "ShardRouter",
     "Sighting",
     "SightingRecord",
     "SocketTransport",

@@ -57,11 +57,12 @@ from repro.net.addr import Prefix
 from repro.store.batch import ColumnBatch
 from repro.stream.columnar import RUN_FAMILIES
 from repro.stream.engine import StreamConfig, StreamEngine
-from repro.stream.shard import ShardKey
 from repro.stream.sink import Sighting
 from repro.stream.state import join128, pair_columns, pair_ints, span_columns, split128
 
 FORMAT_VERSION = 1
+
+_SHARD_KEY = "prefix32"  # every engine shards by the source /32; readers refuse others
 
 #: Process-wide checkpoint format override ("json" or "binary"); the
 #: ``format=`` argument wins when given.  Reads always sniff the file.
@@ -101,7 +102,8 @@ def _check_head(head: dict, stable_pairs) -> None:
     detection's *stable_pairs* have the types :func:`restore_stream_head`
     and the renderers rely on -- the head check of both readers."""
     config = head["config"]
-    ShardKey(config["shard_key"])
+    if config["shard_key"] != _SHARD_KEY:
+        raise ValueError(f"unsupported shard_key {config['shard_key']!r}")
     retain = config.get("retain_days")
     watched_ok = all(
         len(row) == 4
@@ -217,7 +219,7 @@ def stream_head(engine: StreamEngine) -> dict:
     return {
         "config": {
             "num_shards": config.num_shards,
-            "shard_key": config.shard_key.value,
+            "shard_key": _SHARD_KEY,
             "keep_observations": config.keep_observations,
             "retain_days": config.retain_days,
         },
@@ -241,7 +243,6 @@ def restore_stream_head(
     output (any dict holding those keys)."""
     config = StreamConfig(
         num_shards=head["config"]["num_shards"],
-        shard_key=ShardKey(head["config"]["shard_key"]),
         keep_observations=head["config"]["keep_observations"],
         # .get(): additive field, pre-retention checkpoints still load.
         retain_days=head["config"].get("retain_days"),

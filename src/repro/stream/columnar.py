@@ -66,11 +66,9 @@ def numpy_enabled() -> bool:
     return np is not None
 
 
-def make_accumulator(
-    num_shards: int, asn_keyed: bool = False
-) -> "ColumnarAccumulator | None":
+def make_accumulator(num_shards: int) -> "ColumnarAccumulator | None":
     """The columnar accumulator, or ``None`` when numpy is absent."""
-    return ColumnarAccumulator(num_shards, asn_keyed) if numpy_enabled() else None
+    return ColumnarAccumulator(num_shards) if numpy_enabled() else None
 
 
 def vector_shard_index(keys, num_shards: int):
@@ -130,10 +128,9 @@ def column_batch_arrays(batch, day_column, route_of):
     every day segment of the batch via slicing.  *route_of(source)* ->
     ``(slot, asn)`` is consulted once per unique source /48 (the
     caller's memoized route cache) and broadcast back over the rows;
-    the slot is whatever owns the row for the caller -- a shard for the
-    engine, a worker for the dispatcher.  *day_column* is the validated
-    array from :func:`day_segments` and *batch* must already be
-    truncated to its length.
+    the slot is the row's shard (the dispatcher maps it to a worker).
+    *day_column* is the validated array from :func:`day_segments` and
+    *batch* must already be truncated to its length.
     """
     src_hi = np.array(batch.src_hi, dtype=np.uint64)
     src_lo = np.array(batch.src_lo, dtype=np.uint64)
@@ -152,17 +149,17 @@ def column_batch_arrays(batch, day_column, route_of):
 
 
 def row_columns(rows: list) -> tuple:
-    """Flat ``(day, target, source, asn)`` rows -- the engine's
-    per-observation buffer, a worker's ``rows`` frame -- as the
-    ``(day, asn, src_hi, src_lo, tgt_hi, tgt_lo)`` columns a ``cols``
-    frame carries (see :meth:`ColumnarAccumulator.absorb_unplaced`)."""
+    """Flat ``(day, target, source, asn)`` rows -- the engine's and the
+    dispatcher's per-observation buffers -- as the ``(day, asn, src_hi,
+    src_lo, tgt_hi, tgt_lo)`` stdlib arrays a ``cols`` frame carries
+    (see :meth:`ColumnarAccumulator.absorb_unplaced`).  Needs no numpy."""
     return (
-        np.array([r[0] for r in rows], dtype=np.int64),
-        np.array([r[3] for r in rows], dtype=np.int64),
-        np.array([r[2] >> 64 for r in rows], dtype=np.uint64),
-        np.array([r[2] & _MASK64 for r in rows], dtype=np.uint64),
-        np.array([r[1] >> 64 for r in rows], dtype=np.uint64),
-        np.array([r[1] & _MASK64 for r in rows], dtype=np.uint64),
+        array("q", [r[0] for r in rows]),
+        array("q", [r[3] for r in rows]),
+        array("Q", [r[2] >> 64 for r in rows]),
+        array("Q", [r[2] & _MASK64 for r in rows]),
+        array("Q", [r[1] >> 64 for r in rows]),
+        array("Q", [r[1] & _MASK64 for r in rows]),
     )
 
 
@@ -538,10 +535,8 @@ class ColumnarAccumulator:
     buffer drains before a store read), so no caller has to remember to.
     """
 
-    def __init__(self, num_shards: int, asn_keyed: bool = False) -> None:
+    def __init__(self, num_shards: int) -> None:
         self.num_shards = num_shards
-        # What shard placement scrambles: the origin AS, or the source /32.
-        self.asn_keyed = asn_keyed
         #: Single ``(day, target, source, asn)`` rows not absorbed yet.
         self.rows: list[tuple] = []
         #: Rows ever absorbed or adopted, per shard.
@@ -612,13 +607,12 @@ class ColumnarAccumulator:
 
     def absorb_unplaced(self, columns) -> None:
         """Place and absorb ``(day, asn, src_hi, src_lo, tgt_hi, tgt_lo)``
-        columns -- a worker's ``cols`` frame, or :func:`row_columns` of
-        flat rows: the vectorized scramble over the origin AS (or the
-        source /32) picks each row's shard, as the engine's router does."""
-        day, asn, src_hi, src_lo, tgt_hi, tgt_lo = columns
-        key = asn.astype(np.uint64) if self.asn_keyed else src_hi >> np.uint64(32)
-        sid = vector_shard_index(key, self.num_shards).astype(np.int64)
-        self.absorb(sid, day, asn, src_hi, src_lo, tgt_hi, tgt_lo)
+        columns (stdlib or numpy) -- a worker's ``cols`` frame, or
+        :func:`row_columns` of flat rows: the vectorized scramble over
+        the source /32 picks each row's shard, as the engine's does."""
+        day, asn, src_hi, src_lo, tgt_hi, tgt_lo = map(as_array, columns)
+        sid = vector_shard_index(src_hi >> np.uint64(32), self.num_shards)
+        self.absorb(sid.astype(np.int64), day, asn, src_hi, src_lo, tgt_hi, tgt_lo)
 
     def drain(self) -> None:
         """Absorb the buffered single :attr:`rows` as one chunk."""

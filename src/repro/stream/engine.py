@@ -6,12 +6,13 @@ the tracker needs -- allocation sizes, rotation pools, rotation-candidate
 prefixes, and last-known addresses of watched IIDs -- incrementally
 up to date, without ever re-walking the observation corpus.
 
-Ingestion is partitioned by a :class:`~repro.stream.shard.ShardRouter`:
-each response updates exactly one shard's aggregates, so shards never
-share mutable state and the dispatcher parallelizes trivially
+Ingestion is partitioned by the source's /32
+(:func:`~repro.stream.shard.shard_index` of
+:func:`~repro.stream.shard.net32_of`, the one placement rule): each
+response updates exactly one shard's aggregates, so shards never share
+mutable state and the dispatcher parallelizes trivially
 (:mod:`repro.stream.parallel` runs the shards in worker processes,
-:mod:`repro.stream.fabric` on other hosts; the partitioning contract is
-what this module fixes).
+:mod:`repro.stream.fabric` on other hosts).
 
 The fold itself exists twice and only twice: the scalar reference
 :meth:`ShardState.observe <repro.stream.state.ShardState.observe>` and
@@ -71,7 +72,6 @@ from repro.core.rotation_pool import (
 from repro.core.tracker import AsProfile
 from repro.store.batch import ColumnBatch
 from repro.stream import columnar as columnar_kernel
-from repro.stream.shard import ShardKey, ShardRouter
 from repro.stream.sink import IngestSinkBase, update_sighting
 from repro.stream.state import (
     ShardState,
@@ -106,7 +106,6 @@ class StreamConfig:
     """
 
     num_shards: int = 8
-    shard_key: ShardKey = ShardKey.PREFIX32
     keep_observations: bool = True
     retain_days: int | None = None
 
@@ -137,26 +136,18 @@ class StreamEngine(IngestSinkBase):
     ) -> None:
         self.config = config or StreamConfig()
         self._origin_of = origin_of
-        self.router = ShardRouter(
-            self.config.num_shards, self.config.shard_key, origin_of
-        )
         if store is not None:
             self.store = store
         else:
             self.store = ObservationStore() if self.config.keep_observations else None
         self._init_stream_order()
-        # Hot-path cache: (shard, asn) per source /48.  Sound because BGP
-        # routes in this model are /48 or shorter (periphery /48s are the
-        # paper's unit), so origin -- and hence ASN-keyed sharding -- is
-        # constant within a /48; /32-keyed sharding is coarser still.
+        # Hot-path cache: (shard, asn) per source /48 (see _route_of).
         self._route_cache: dict[int, tuple[int, int]] = {}
         # Columnar kernel (numpy sort-reduce per chunk): the owner of all
         # engine state whenever numpy is importable; None without it,
         # and self.shards owns it instead.  How the state is held never
         # shows in a checkpoint.
-        self._acc = columnar_kernel.make_accumulator(
-            self.config.num_shards, self.config.shard_key is ShardKey.ASN
-        )
+        self._acc = columnar_kernel.make_accumulator(self.config.num_shards)
         self.shards: list[ShardState] = (
             []
             if self._acc is not None
@@ -250,17 +241,6 @@ class StreamEngine(IngestSinkBase):
             if not chunk:
                 return total
             total += self._ingest_column_batch(ColumnBatch.from_observations(chunk))
-
-    def _route_of(self, source: int) -> tuple[int, int]:
-        """(shard, origin AS) for a source, memoized per covering /48."""
-        route = self._route_cache.get(source >> 80)
-        if route is None:
-            asn = (self._origin_of(source) or 0) if self._origin_of else 0
-            route = self._route_cache[source >> 80] = (
-                self.router.shard_of(source),
-                asn,
-            )
-        return route
 
     def _absorb_columns(self, day: int, columns: tuple) -> None:
         """Buffer a day-segment in the accumulator."""

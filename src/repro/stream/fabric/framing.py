@@ -71,13 +71,18 @@ class AuthenticationError(FrameError):
 
 def parse_address(address: str) -> tuple[str, int]:
     """``tcp://host:port`` (scheme optional, IPv6 literals bracketed)
-    -> ``(host, port)``; inverse of :func:`format_address`."""
-    parts = urlsplit(address if "://" in address else f"tcp://{address}")
+    -> ``(host, port)``; inverse of :func:`format_address`.  Anything
+    else raises :class:`FabricError` naming the bad part."""
+    try:
+        parts = urlsplit(address if "://" in address else f"tcp://{address}")
+        host, port = parts.hostname, parts.port
+    except ValueError as exc:  # an unclosed IPv6 bracket, a bad port
+        raise FabricError(f"bad fabric address {address!r}: {exc}") from None
     if parts.scheme != "tcp":
         raise FabricError(f"unsupported fabric scheme {parts.scheme!r}")
-    if parts.hostname is None or parts.port is None:
+    if host is None or port is None:
         raise FabricError(f"fabric address needs host:port, got {address!r}")
-    return parts.hostname, parts.port
+    return host, port
 
 
 def format_address(

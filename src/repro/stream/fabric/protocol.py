@@ -8,8 +8,8 @@ Request         Payload                                  Reply
 ==============  =======================================  ==================
 ``hello``       ``(proto, pid)``                         ``welcome`` +
                                                          worker config
-``rows``        flat ``(day, target, source, asn)``      *(none)*
-``cols``        uint64 column arrays                     *(none)*
+``cols``        ``(day, asn, src_hi, src_lo, tgt_hi,     *(none)*
+                tgt_lo)`` stdlib arrays
 ``day_pairs``   ``day``                                  ``pairs`` + flat
                                                          pair columns
 ``prune``       ``keep_floor`` day                       *(none)*
@@ -44,14 +44,16 @@ it receives for the shards it owns -- the property that makes
 requeue-to-survivor journal replay and the serial == sockets
 byte-identity pin possible at all.
 
-Replies carry columns as stdlib arrays, never numpy objects or Python
-sets, so they cross a numpy/no-numpy host boundary.  ``day_pairs``
+Every column on the wire -- ``cols``, the one row-carrying request, as
+much as the replies -- is a stdlib array, never a numpy object or a
+Python set, so any master and worker mix across a numpy/no-numpy host
+boundary; both kinds of worker place rows by the source /32.
+``day_pairs``
 ships a day's *pair columns* (target hi/lo, source hi/lo); the
 dispatcher rebuilds the set with :func:`pairs_from_columns` and diffs.
-``state`` (protocol 3) ships the worker's ``{sid: record}`` column
-records -- what :meth:`~repro.stream.engine.StreamEngine.shard_records`
-gives and ``adopt_shards`` takes; the dispatcher adopts them into a
-fresh engine.
+``state`` ships the worker's ``{sid: record}`` column records -- what
+:meth:`~repro.stream.engine.StreamEngine.shard_records` gives and
+``adopt_shards`` takes; the dispatcher adopts them into a fresh engine.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.stream import columnar as columnar_kernel
-from repro.stream.shard import shard_index
+from repro.stream.shard import net32_of, shard_index
 from repro.stream.state import (
     ShardState,
     lift_records,
@@ -68,7 +70,7 @@ from repro.stream.state import (
     prune_shard_days,
 )
 
-PROTO_VERSION = 3
+PROTO_VERSION = 4
 
 
 class FabricError(RuntimeError):
@@ -108,45 +110,32 @@ class WorkerCore:
     message means exactly the same thing over a socket or a direct call.
     """
 
-    __slots__ = ("shards", "sids", "acc", "asn_keyed", "num_shards")
+    __slots__ = ("shards", "acc", "num_shards")
 
-    def __init__(self, num_shards: int, asn_keyed: bool) -> None:
-        self.acc = columnar_kernel.make_accumulator(num_shards, asn_keyed)
+    def __init__(self, num_shards: int) -> None:
+        self.acc = columnar_kernel.make_accumulator(num_shards)
         self.shards = (
             []
             if self.acc is not None
             else [ShardState(shard_id=i) for i in range(num_shards)]
         )
-        # Kernel-less row path: owning shard per source /48 (placement
-        # is constant within a /48, as in the engine's route cache).
-        self.sids: dict[int, int] = {}
-        self.asn_keyed = asn_keyed
         self.num_shards = num_shards
 
     # -- wire-facing operations -------------------------------------------
 
-    def apply_rows(self, rows: list[tuple]) -> None:
-        """Fold a chunk of flat ``(day, target, source, asn)`` rows."""
+    def apply_cols(self, columns) -> None:
+        """Fold a ``cols`` frame: ``(day, asn, src_hi, src_lo, tgt_hi,
+        tgt_lo)`` stdlib arrays."""
         if self.acc is not None:
-            self.acc.absorb_unplaced(columnar_kernel.row_columns(rows))
+            self.acc.absorb_unplaced(columns)
             return
         shards = self.shards
-        sids = self.sids
-        for day, target, source, asn in rows:
-            sid = sids.get(source >> 80)
-            if sid is None:
-                sid = sids[source >> 80] = shard_index(
-                    asn if self.asn_keyed else source >> 96, self.num_shards
-                )
-            shards[sid].observe(day, target, source, asn)
-
-    def apply_cols(self, columns) -> None:
-        """Fold dispatched uint64 column arrays (see ``ingest_columns``)."""
-        if self.acc is None:
-            raise FabricError(
-                "a cols frame needs the numpy kernel, which this worker lacks"
+        num_shards = self.num_shards
+        for day, asn, src_hi, src_lo, tgt_hi, tgt_lo in zip(*columns):
+            source = (src_hi << 64) | src_lo
+            shards[shard_index(net32_of(source), num_shards)].observe(
+                day, (tgt_hi << 64) | tgt_lo, source, asn
             )
-        self.acc.absorb_unplaced(columns)
 
     def day_pair_columns(self, day: int) -> tuple:
         """*day*'s pairs as hi/lo stdlib-array columns -- the
@@ -191,9 +180,6 @@ class WorkerCore:
     def handle(self, message: tuple):
         """Apply one request; return the reply tuple or ``None``."""
         tag = message[0]
-        if tag == "rows":
-            self.apply_rows(message[1])
-            return None
         if tag == "cols":
             self.apply_cols(message[1])
             return None

@@ -21,8 +21,8 @@ Workers connect from anywhere (same box, other hosts), prove the
 shared authkey through a mutual HMAC challenge-response
 (:func:`~repro.stream.fabric.framing.authenticate_master`; nothing is
 ever unpickled from an unauthenticated connection), complete a
-hello/welcome handshake that carries the engine configuration, and
-speak length-prefixed CRC-checked frames
+hello/welcome handshake that carries the shard count, and speak
+length-prefixed CRC-checked frames
 (:mod:`~repro.stream.fabric.framing`).  Each channel runs a writer
 thread (dispatch is asynchronous: the ingest loop never blocks on
 socket writes or pickling, so scan I/O and worker round-trips overlap)
@@ -353,14 +353,11 @@ class SocketTransport:
                     )
                 )
 
-    def start(
-        self, num_workers: int, *, num_shards: int, asn_keyed: bool
-    ) -> list[SocketChannel]:
+    def start(self, num_workers: int, *, num_shards: int) -> list[SocketChannel]:
         self._spawn_workers(num_workers)
         deadline = time.monotonic() + self.connect_timeout
         welcome_config = {
             "num_shards": num_shards,
-            "asn_keyed": asn_keyed,
             "max_frame": self.max_frame,
             # Workers push unsolicited beats at this cadence from a
             # thread decoupled from their serve loop (liveness must
@@ -507,7 +504,11 @@ def parse_worker_spec(spec: str):
     in the spec (specs land in config files and logs); it comes from
     ``REPRO_FABRIC_AUTHKEY`` or the ``SocketTransport`` constructor.
     """
-    parts = urlsplit(spec.strip())
+    try:
+        parts = urlsplit(spec.strip())
+        port = parts.port
+    except ValueError as exc:  # an unclosed IPv6 bracket, a bad port
+        raise FabricError(f"bad worker spec {spec!r}: {exc}") from None
     if parts.scheme != "tcp" or parts.hostname is None:
         raise FabricError(
             f"unsupported worker spec {spec!r}: expected tcp://host[:port][?options]"
@@ -522,10 +523,13 @@ def parse_worker_spec(spec: str):
 
     def _one(key, cast):
         value = query.get(key, [""])[-1]
-        return cast(value) if value else None
+        try:
+            return cast(value) if value else None
+        except ValueError:
+            raise FabricError(f"bad worker spec option {key}={value!r}") from None
 
     transport = SocketTransport(
-        format_address(parts.hostname, parts.port or 0),
+        format_address(parts.hostname, port or 0),
         policy=_one("policy", str) or "requeue",
         spawn=_one("spawn", str),
         heartbeat=_one("heartbeat", float),

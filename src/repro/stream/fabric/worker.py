@@ -5,7 +5,7 @@ shared authkey (``REPRO_FABRIC_AUTHKEY`` -- set it to the same value
 on the master box; the handshake is mutual, so the worker also
 verifies the master before decoding anything), says hello, and the
 welcome frame tells it everything else -- its worker index, the shard
-count, the sharding mode, and the heartbeat cadence.  That is what
+count, the frame bound and the heartbeat cadence.  That is what
 makes multi-host deployment one command per box::
 
     REPRO_FABRIC_AUTHKEY=... python -m repro.stream.fabric.worker tcp://master-host:9999
@@ -89,7 +89,7 @@ def run_worker(
         worker_config = welcome[2]
         frame_limit = worker_config.get("max_frame", settings.fabric_max_frame_bytes)
         sock.settimeout(None)
-        core = WorkerCore(worker_config["num_shards"], worker_config["asn_keyed"])
+        core = WorkerCore(worker_config["num_shards"])
         # The serve loop and the heartbeat thread share the socket for
         # writes; the lock keeps their frames from interleaving.
         send_lock = threading.Lock()

@@ -9,18 +9,19 @@ and routes batched observation chunks to them through the
 :mod:`~repro.stream.fabric` transport -- length-prefixed TCP frames to
 local worker subprocesses on a loopback port by default, or to workers
 on other hosts (``transport="tcp://0.0.0.0:9999?workers=4"``).
-Observations travel as flat ``(day, target, source, asn)`` tuples --
-exactly the fields the workers read, batched to amortize the transfer
-and pickling cost that per-object transfer would pay on every
-response.
+Observations travel as ``cols`` frames of ``(day, asn, src_hi, src_lo,
+tgt_hi, tgt_lo)`` stdlib arrays -- exactly the fields the workers read,
+batched to amortize the transfer and pickling cost that per-object
+transfer would pay on every response.
 
 Division of labour:
 
 * the **dispatcher** (the caller's process) resolves each source
-  /48's owning worker and origin AS once through the memoized routing
-  cache and ships rows as ``rows``/``cols`` frames.  Stream order --
-  day progression, watchlist sightings, the day-close walk and its
-  diff -- is :class:`~repro.stream.sink.IngestSinkBase`'s, the same
+  /48's shard and origin AS once through the memoized routing cache,
+  places the row on worker ``shard % num_workers`` and ships ``cols``
+  frames (single observations are buffered per worker first).  Stream
+  order -- day progression, watchlist sightings, the day-close walk and
+  its diff -- is :class:`~repro.stream.sink.IngestSinkBase`'s, the same
   code the engine runs; the dispatcher only supplies the hooks that
   reach across the transport: a day's pairs are collected from the
   workers (plus a resumed base), a prune goes to every live channel;
@@ -65,25 +66,14 @@ from typing import Callable
 
 from repro.core.records import ObservationStore, ProbeObservation
 from repro.net.addr import IID_MASK
+from repro.stream import columnar as columnar_kernel
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.fabric.protocol import FabricError, WorkerLost, pairs_from_columns
 from repro.stream.fabric.transport import SocketTransport, parse_worker_spec
-from repro.stream.shard import ShardKey, shard_index
 from repro.stream.sink import IngestSinkBase, update_sighting
 from repro.util import get_logger
 
 log = get_logger("repro.stream.parallel")
-
-
-def _journal_weight(message: tuple) -> int:
-    """Rows a journaled message holds -- the unit the journal bound
-    counts (a row, not a message, is what costs memory)."""
-    tag = message[0]
-    if tag == "rows":
-        return len(message[1])
-    if tag == "cols":
-        return len(message[1][0])
-    return 1
 
 
 class ParallelStreamEngine(IngestSinkBase):
@@ -139,8 +129,6 @@ class ParallelStreamEngine(IngestSinkBase):
             raise ValueError("num_workers must be positive")
         if batch_rows <= 0:
             raise ValueError("batch_rows must be positive")
-        if self.config.shard_key is ShardKey.ASN and origin_of is None:
-            raise ValueError("ASN sharding requires an origin_of callable")
         if base is not None and base.config != self.config:
             raise ValueError(
                 "base engine config does not match: "
@@ -149,7 +137,6 @@ class ParallelStreamEngine(IngestSinkBase):
         self.num_workers = num_workers
         self.batch_rows = batch_rows
         self._origin_of = origin_of
-        self._asn_keyed = self.config.shard_key is ShardKey.ASN
         self._base = base
         self._route_cache: dict[int, tuple[int, int]] = {}
         self._buffers: list[list[tuple]] = [[] for _ in range(num_workers)]
@@ -160,7 +147,7 @@ class ParallelStreamEngine(IngestSinkBase):
         # Dispatch slot -> channel index.  Starts as the identity; a
         # requeue redirects every slot of a lost channel to its heir.
         self._slots: list[int] = list(range(num_workers))
-        # Per-channel journals of mutating messages (rows/cols/prune),
+        # Per-channel journals of mutating messages (cols/prune),
         # kept only under the "requeue" policy: a lost channel's journal
         # replays onto a survivor, rebuilding its shards exactly.  The
         # journals retain every row shipped so far, so they are bounded:
@@ -207,9 +194,7 @@ class ParallelStreamEngine(IngestSinkBase):
             self.attach_telemetry(telemetry)
 
         self._channels = self._transport.start(
-            num_workers,
-            num_shards=self.config.num_shards,
-            asn_keyed=self._asn_keyed,
+            num_workers, num_shards=self.config.num_shards
         )
         if self._obs is not None:
             for index, channel in enumerate(self._channels):
@@ -352,7 +337,8 @@ class ParallelStreamEngine(IngestSinkBase):
                 continue  # the slot now points at the heir
             if self._journals is not None:
                 self._journals[channel_index].append(message)
-                self._journal_rows += _journal_weight(message)
+                # The bound counts rows (what costs memory), not messages.
+                self._journal_rows += len(message[1][0]) if message[0] == "cols" else 1
                 if self._journal_limit and self._journal_rows > self._journal_limit:
                     self._degrade_journal()
             try:
@@ -444,12 +430,13 @@ class ParallelStreamEngine(IngestSinkBase):
             # next day-over-day diff.
             self._closed_pairs = None
         source = observation.source
-        route = self._route_of(source)
-        buffer = self._buffers[route[0]]
-        buffer.append((day, observation.target, source, route[1]))
+        shard, asn = self._route_of(source)
+        worker = shard % self.num_workers
+        buffer = self._buffers[worker]
+        buffer.append((day, observation.target, source, asn))
         if len(buffer) >= self.batch_rows:
-            self._send(route[0], ("rows", buffer), len(buffer))
-            self._buffers[route[0]] = []
+            self._send(worker, columnar_kernel.row_columns(buffer))
+            self._buffers[worker] = []
         if self.store is not None:
             self.store.add(observation)
         self.responses_ingested += 1
@@ -460,26 +447,10 @@ class ParallelStreamEngine(IngestSinkBase):
             if iid in self._watch_iids:
                 update_sighting(self.watched, iid, source, day, observation.t_seconds)
 
-    def _route_of(self, source: int) -> tuple[int, int]:
-        """(owning worker, origin AS) for *source*, memoized per /48.
-
-        Every dispatch path must place a /48's rows on the same worker,
-        so the scramble and the unrouted-AS convention live here only.
-        """
-        net48 = source >> 80
-        route = self._route_cache.get(net48)
-        if route is None:
-            asn = (self._origin_of(source) or 0) if self._origin_of else 0
-            worker = shard_index(
-                asn if self._asn_keyed else source >> 96, self.config.num_shards
-            ) % self.num_workers
-            route = self._route_cache[net48] = (worker, asn)
-        return route
-
     def ingest_columns(self, batch) -> int:
         """Dispatch a :class:`~repro.store.batch.ColumnBatch` to the
-        workers as flat uint64 arrays -- no per-row tuples are built on
-        either side of the transport (see :meth:`_absorb_columns`)."""
+        workers as ``cols`` frames of stdlib arrays, building no per-row
+        tuple (see :meth:`_absorb_columns`)."""
         self._check_open()
         return super().ingest_columns(batch)
 
@@ -487,19 +458,19 @@ class ParallelStreamEngine(IngestSinkBase):
         """Split one day-segment by owning worker and ship ``cols`` frames."""
         if self._closed_pairs is not None and self._closed_pairs[0] == day:
             self._closed_pairs = None  # stale: see _ingest_observation
-        owner = columns[0]
+        owner = columns[0] % self.num_workers
+        as_stdlib = columnar_kernel.as_stdlib
         for w in range(self.num_workers):
             mask = owner == w
-            rows = int(mask.sum())
-            if rows:
-                self._send(w, ("cols", tuple(c[mask] for c in columns[1:])), rows)
+            if mask.any():
+                self._send(w, tuple(as_stdlib(c[mask]) for c in columns[1:]))
 
-    def _send(self, worker: int, message: tuple, rows: int) -> None:
-        """Dispatch a row-carrying frame and account for it."""
-        self._dispatch(worker, message)
+    def _send(self, worker: int, columns: tuple) -> None:
+        """Dispatch one ``cols`` frame of stdlib arrays and account for it."""
+        self._dispatch(worker, ("cols", columns))
         self._dirty_workers.add(worker)
         if self._obs is not None:
-            self._obs.dispatched(worker, rows)
+            self._obs.dispatched(worker, len(columns[0]))
 
     def _flush_buffers(self) -> None:
         self._check_open()
@@ -508,16 +479,16 @@ class ParallelStreamEngine(IngestSinkBase):
             if obs is not None:
                 obs.queue_depth[worker].value = len(buffer)
             if buffer:
-                self._send(worker, ("rows", buffer), len(buffer))
+                self._send(worker, columnar_kernel.row_columns(buffer))
                 self._buffers[worker] = []
 
     def take_dirty_sids(self) -> set[int]:
         """Shard ids possibly mutated since the last call; clears the set.
 
-        Worker placement is ``shard_index(key) % num_workers`` over the
-        same key the worker's shard placement uses, so dispatch slot
-        *w* owns exactly the shards with ``sid % num_workers == w`` --
-        a dirty slot over-approximates to all its shards, which is safe
+        Worker placement is ``shard % num_workers`` over the shard
+        :meth:`_route_of` gives, so dispatch slot *w* owns exactly the
+        shards with ``sid % num_workers == w`` -- a dirty slot
+        over-approximates to all its shards, which is safe
         for delta checkpoints (extra shards re-emit, never go missing).
         Requeue redirections don't change slot-to-shard ownership, only
         which channel services the slot.

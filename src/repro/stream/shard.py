@@ -1,19 +1,16 @@
 """Partitioned dispatch for streaming ingestion.
 
 The engine shards its hot-path state so per-IID aggregate updates touch
-one small dict instead of one giant one: routing is deterministic by
-either the response source's covering /32 (the provider-block
-granularity the paper groups by) or its BGP origin ASN.  Shard-local
-state keeps the working set cache-resident during bursts from one
-provider, and gives a natural unit for future parallel workers --
-observations for one key always land in the same shard, so shards never
+one small dict instead of one giant one: a row's shard is
+``shard_index(net32_of(source), num_shards)``, the response source's
+covering /32 (the provider-block granularity the paper groups by).
+Shard-local state keeps the working set cache-resident during bursts
+from one provider, and gives a natural unit for parallel workers --
+observations for one /32 always land in the same shard, so shards never
 contend.
 """
 
 from __future__ import annotations
-
-import enum
-from typing import Callable
 
 from repro.net.addr import IID_MASK
 
@@ -26,61 +23,19 @@ _NET32_SHIFT = 96  # bits below a /32 network
 SPLITMIX64 = 0x9E3779B97F4A7C15
 
 
-class ShardKey(enum.Enum):
-    """What the dispatcher hashes to pick a shard."""
-
-    PREFIX32 = "prefix32"
-    ASN = "asn"
-
-
 def net32_of(address: int) -> int:
     """The /32 network number containing *address*."""
     return address >> _NET32_SHIFT
 
 
 def shard_index(partition_key: int, num_shards: int) -> int:
-    """The shard owning *partition_key*, for any routing participant.
+    """The shard owning *partition_key* (a source's :func:`net32_of`).
 
-    Exposed standalone so multiprocess workers can place rows without
-    instantiating a router (they receive pre-resolved keys): every
-    participant that scrambles the same key the same way agrees on the
-    owning shard, which is what makes worker partial states mergeable
-    back into the single-process layout.
+    The one placement rule, for every routing participant: the engine,
+    the dispatcher and a worker all scramble the same key the same way,
+    so they agree on the owning shard, which is what makes worker
+    partial states mergeable back into the single-process layout.
     """
     # splitmix-style scramble so sequential /32s spread evenly.
     x = (partition_key * SPLITMIX64) & IID_MASK
     return (x >> 32) % num_shards
-
-
-class ShardRouter:
-    """Deterministic response-source -> shard routing.
-
-    ``ASN`` keying needs an *origin_of* callable (``RoutingTable.
-    origin_of``); unrouted sources land in shard 0's key-space under
-    ASN 0.  Routing is stable across runs and across checkpoint/resume:
-    it depends only on (key mode, shard count, address).
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        key: ShardKey = ShardKey.PREFIX32,
-        origin_of: Callable[[int], int | None] | None = None,
-    ) -> None:
-        if num_shards <= 0:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
-        if key is ShardKey.ASN and origin_of is None:
-            raise ValueError("ASN sharding requires an origin_of callable")
-        self.num_shards = num_shards
-        self.key = key
-        self._origin_of = origin_of
-
-    def partition_key(self, source: int) -> int:
-        """The stable grouping key for a response source address."""
-        if self.key is ShardKey.ASN:
-            return self._origin_of(source) or 0
-        return net32_of(source)
-
-    def shard_of(self, source: int) -> int:
-        """Which shard owns *source*'s aggregates."""
-        return shard_index(self.partition_key(source), self.num_shards)

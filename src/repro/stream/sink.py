@@ -29,16 +29,15 @@ A sink supplies what is genuinely its own:
 * :meth:`_ingest_observation` -- fold one observation (the
   per-response path, hand-inlined per sink; campaign drivers hand the
   sink whole column batches, so nothing in this module runs per probe);
-* :meth:`_route_of` -- ``(owning slot, origin AS)`` of a source: a
-  shard for the engine, a worker for the dispatcher;
 * :meth:`_absorb_columns` -- take one day-segment's kernel columns;
 * :meth:`_pairs_on` -- the merged ``(target, source)`` pair set of a
   scanned day;
 * :meth:`_prune_below` -- drop per-day pair state older than a floor;
 
-plus the attributes ``config``, ``store`` and ``_obs`` (telemetry
-bundle or ``None``).  Everything shared runs once per day or once per
-chunk, never per probe.
+plus the attributes ``config``, ``store``, ``_obs`` (telemetry
+bundle or ``None``), ``_origin_of`` and ``_route_cache``, which the
+one placement rule (:meth:`~IngestSinkBase._route_of`) reads.
+Everything shared runs once per day or once per chunk, never per probe.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from repro.core.rotation_detect import RotationDetection, diff_pairs, target_pre
 from repro.net.icmpv6 import ProbeResponse
 from repro.store.batch import ColumnBatch
 from repro.stream import columnar as columnar_kernel
+from repro.stream.shard import net32_of, shard_index
 
 
 @runtime_checkable
@@ -112,10 +112,6 @@ class IngestSinkBase:
         """Fold one observation into the sink. O(1); the hot path."""
         raise NotImplementedError
 
-    def _route_of(self, source: int) -> tuple[int, int]:
-        """``(owning slot, origin AS)`` for *source*, memoized per /48."""
-        raise NotImplementedError
-
     def _absorb_columns(self, day: int, columns: tuple) -> None:
         """Take one day-segment of :func:`column_batch_arrays` columns
         ``(slot, day, asn, src_hi, src_lo, tgt_hi, tgt_lo)``."""
@@ -128,6 +124,21 @@ class IngestSinkBase:
     def _prune_below(self, floor: int) -> None:
         """Drop per-day pair state for days older than *floor*."""
         raise NotImplementedError
+
+    # -- placement ----------------------------------------------------------
+
+    def _route_of(self, source: int) -> tuple[int, int]:
+        """``(shard, origin AS)`` of *source*: the shard is
+        :func:`~repro.stream.shard.shard_index` of its /32, an unrouted
+        source has AS 0.  Memoized per /48, which no BGP route in this
+        model splits."""
+        route = self._route_cache.get(source >> 80)
+        if route is None:
+            origin_of = self._origin_of
+            asn = (origin_of(source) or 0) if origin_of is not None else 0
+            shard = shard_index(net32_of(source), self.config.num_shards)
+            route = self._route_cache[source >> 80] = (shard, asn)
+        return route
 
     # -- stream-order state -------------------------------------------------
 

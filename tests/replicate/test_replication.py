@@ -254,6 +254,14 @@ def test_close_ends_the_accept_thread_and_frees_the_port(tmp_path):
     socket.create_server(("127.0.0.1", port)).close()  # EADDRINUSE while leaked
 
 
+@pytest.mark.parametrize("address", ["tcp://127.0.0.1:99999", "tcp://[::1:99"])
+def test_malformed_address_is_a_replication_error(address):
+    with pytest.raises(ReplicationError, match="bad fabric address"):
+        ReplicaFollower(address, authkey="k")
+    with pytest.raises(ReplicationError, match="bad fabric address"):
+        SegmentShipper(address, authkey="k")
+
+
 def test_follower_requires_authkey(monkeypatch):
     monkeypatch.delenv("REPRO_REPLICATE_AUTHKEY", raising=False)
     monkeypatch.delenv("REPRO_FABRIC_AUTHKEY", raising=False)

@@ -24,7 +24,8 @@ from _serve_world import corpus, device_iid, origin_of
 
 from repro.obs import Telemetry
 from repro.serve import SnapshotPublisher, TrackerServer
-from repro.serve.http import _Handler
+from repro.serve import http as http_module
+from repro.serve.http import _Handler, _parse_iid
 from repro.stream.engine import StreamConfig, StreamEngine
 
 
@@ -65,6 +66,25 @@ def test_iid_endpoint_rejects_garbage(served):
     url, _, _ = served
     payload = get_json(f"{url}/iid/not-an-iid", status=400)
     assert "error" in payload and "snapshot_version" in payload
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["0x10000000000000000", "18446744073709551616", "+5", "1_0", "0x_ff", "0x"],
+)
+def test_iid_endpoint_refuses_tokens_outside_the_grammar(served, token):
+    """Only decimal, 0x-hex or bare-hex tokens below 2**64 name an IID:
+    a sign, an underscore or an over-wide value is a 400, not a lookup."""
+    url, _, _ = served
+    payload = get_json(f"{url}/iid/{token}", status=400)
+    assert "error" in payload
+
+
+def test_iid_tokens_keep_their_reading():
+    assert _parse_iid("0010") == 16  # leading-zero decimal reads as hex
+    assert _parse_iid("10") == 10
+    assert _parse_iid("0XfF") == _parse_iid("ff") == 255
+    assert _parse_iid("f" * 16) == 2**64 - 1
 
 
 def test_rotations_endpoint(served):
@@ -131,6 +151,48 @@ def test_shutdown_post_invokes_callback(engine):
             payload = json.loads(response.read())
         assert payload["status"] == "shutting down"
         assert fired.wait(5)
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize(
+    "peer, allowed",
+    [
+        ("192.0.2.1", False),
+        ("::ffff:192.0.2.1", False),
+        ("2001:db8::1", False),
+        ("127.8.0.1", True),
+        ("::1", True),
+        ("::ffff:127.0.0.1", True),
+    ],
+)
+def test_shutdown_is_pinned_to_loopback_peers(engine, monkeypatch, peer, allowed):
+    """A server bound to ``0.0.0.0`` or ``::`` must not let a remote
+    host stop the pursuit: the server reports each connection as coming
+    from *peer*, and only a loopback one may shut it down."""
+
+    class PeerServer(http_module._Server):
+        def get_request(self):
+            sock, _address = super().get_request()
+            return sock, (peer, 40000)
+
+    monkeypatch.setattr(http_module, "_Server", PeerServer)
+    fired = threading.Event()
+    server = TrackerServer(SnapshotPublisher(engine), on_shutdown=fired.set)
+    url = server.start()
+    try:
+        request = urllib.request.Request(f"{url}/shutdown", method="POST")
+        if allowed:
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert json.loads(response.read())["status"] == "shutting down"
+            assert fired.is_set()
+        else:
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                urllib.request.urlopen(request, timeout=10)
+            assert refused.value.code == 403
+            assert "loopback" in json.loads(refused.value.read())["error"]
+            assert not fired.is_set()
+            assert get_json(f"{url}/healthz")["status"] == "ok"  # still serving
     finally:
         server.stop()
 

@@ -540,6 +540,27 @@ class TestMalformedSegments:
             assembler.apply(reframed(header, blocks))
         self.assert_untouched(assembler, before)
 
+    @pytest.mark.parametrize("shard_key", ["asn", "prefix48"])
+    def test_head_keyed_otherwise_is_refused(self, two_segment_chain, shard_key):
+        """A segment whose engine head names any shard key but the
+        source /32's is rejected whole: a fresh chain stays empty and a
+        chain mid-way keeps exactly what it had."""
+        (full, delta) = two_segment_chain
+        fresh = ChainAssembler()
+        header, payload = json.loads(json.dumps(full[0])), full[1]
+        header["engine"]["config"]["shard_key"] = shard_key
+        with pytest.raises(CheckpointError, match="shard_key"):
+            fresh.apply(reframed(header, blocks_of(header, payload)))
+        assert fresh.base_id is None and fresh.segments_applied == 0
+
+        assembler = self.applied([full])
+        before = (assembler.base_id, assembler.seq, json.dumps(assembler.state()))
+        header, payload = json.loads(json.dumps(delta[0])), delta[1]
+        header["engine"]["config"]["shard_key"] = shard_key
+        with pytest.raises(CheckpointError, match="shard_key"):
+            assembler.apply(reframed(header, blocks_of(header, payload)))
+        self.assert_untouched(assembler, before)
+
     def test_store_tint_out_of_range_raises(self, two_segment_chain):
         (full, _) = two_segment_chain
         header, payload = full

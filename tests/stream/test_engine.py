@@ -18,7 +18,7 @@ from repro.stream.checkpoint import (
     save_engine,
 )
 from repro.stream.engine import StreamConfig, StreamEngine
-from repro.stream.shard import ShardKey, ShardRouter, net32_of
+from repro.stream.shard import net32_of, shard_index
 from repro.stream.state import ShardState, merge_spans
 
 from _worlds import build_campaign, build_rotating_internet
@@ -67,14 +67,10 @@ JSON_MUTATIONS = {
 }
 
 
-def fill_engine(num_shards=4, shard_key=ShardKey.PREFIX32, keep_observations=True):
+def fill_engine(num_shards=4, keep_observations=True):
     internet, store = run_small_campaign()
     engine = StreamEngine(
-        StreamConfig(
-            num_shards=num_shards,
-            shard_key=shard_key,
-            keep_observations=keep_observations,
-        ),
+        StreamConfig(num_shards=num_shards, keep_observations=keep_observations),
         origin_of=internet.rib.origin_of,
     )
     engine.ingest_batch(iter(store))
@@ -83,25 +79,24 @@ def fill_engine(num_shards=4, shard_key=ShardKey.PREFIX32, keep_observations=Tru
 
 
 class TestShardRouter:
+    """The one placement rule: ``shard_index`` of the source /32."""
+
     def test_deterministic_and_in_range(self):
-        router = ShardRouter(8)
-        addrs = [0x20010DB8 << 96 | i << 64 | 5 for i in range(64)]
-        shards = [router.shard_of(a) for a in addrs]
-        assert shards == [router.shard_of(a) for a in addrs]
+        addrs = [(0x20010DB8 + i) << 96 | i << 64 | 5 for i in range(64)]
+        shards = [shard_index(net32_of(a), 8) for a in addrs]
+        assert shards == [shard_index(net32_of(a), 8) for a in addrs]
         assert all(0 <= s < 8 for s in shards)
+        assert len(set(shards)) > 1
 
     def test_same_prefix32_same_shard(self):
-        router = ShardRouter(16)
         base = 0x20010DB8 << 96
-        assert router.shard_of(base | 1) == router.shard_of(base | (1 << 90))
-
-    def test_asn_key_requires_origin(self):
-        with pytest.raises(ValueError):
-            ShardRouter(4, ShardKey.ASN)
+        engine = StreamEngine(StreamConfig(num_shards=16))
+        assert engine._route_of(base | 1)[0] == engine._route_of(base | (1 << 90))[0]
+        assert engine._route_of(base | 1)[0] == shard_index(0x20010DB8, 16)
 
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
-            ShardRouter(0)
+            StreamConfig(num_shards=0)
 
     def test_net32(self):
         assert net32_of(0x20010DB8 << 96 | 42) == 0x20010DB8
@@ -123,9 +118,8 @@ class TestSpans:
 
 class TestEngineInferenceEquivalence:
     @pytest.mark.parametrize("num_shards", [1, 4])
-    @pytest.mark.parametrize("shard_key", [ShardKey.PREFIX32, ShardKey.ASN])
-    def test_matches_batch_algorithms(self, num_shards, shard_key):
-        internet, store, engine = fill_engine(num_shards, shard_key)
+    def test_matches_batch_algorithms(self, num_shards):
+        internet, store, engine = fill_engine(num_shards)
         origin_of = internet.rib.origin_of
         for asn in (65001, 65002):
             batch_pool = RotationPoolInference.from_store(asn, store, origin_of)
@@ -243,13 +237,10 @@ class TestFusedBatchPath:
     without numpy) must stay observably identical to per-observation
     ``ingest()`` calls."""
 
-    @pytest.mark.parametrize("shard_key", [ShardKey.PREFIX32, ShardKey.ASN])
     @pytest.mark.parametrize("keep_observations", [True, False])
-    def test_state_identical_to_per_observation(self, shard_key, keep_observations):
+    def test_state_identical_to_per_observation(self, keep_observations):
         internet, store = run_small_campaign()
-        config = StreamConfig(
-            num_shards=4, shard_key=shard_key, keep_observations=keep_observations
-        )
+        config = StreamConfig(num_shards=4, keep_observations=keep_observations)
         reference = StreamEngine(config, origin_of=internet.rib.origin_of)
         for observation in store:
             reference.ingest(observation)
@@ -437,6 +428,24 @@ class TestCheckpoint:
     def test_version_check(self):
         with pytest.raises(ValueError, match="version"):
             restore_engine({"version": 999})
+
+    @pytest.mark.parametrize("shard_key", ["asn", "prefix48", None])
+    def test_head_keyed_otherwise_is_refused(self, tmp_path, shard_key):
+        """Every engine places rows by the source /32 and its head says
+        ``"shard_key": "prefix32"``; a checkpoint whose shards were keyed
+        any other way (an origin-AS keyed engine's) fails closed in both
+        JSON readers instead of restoring shards under the wrong rule."""
+        engine = StreamEngine(StreamConfig(num_shards=2))
+        engine.ingest(ProbeObservation(day=0, t_seconds=0.0, target=1, source=2))
+        state = json.loads(json.dumps(engine_state(engine)))
+        assert state["config"]["shard_key"] == "prefix32"
+        state["config"]["shard_key"] = shard_key
+        with pytest.raises(ValueError, match="shard_key"):
+            restore_engine(state)
+        path = tmp_path / "engine.json"
+        path.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="shard_key"):
+            read_checkpoint(path)
 
     @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "kernel_less"])
     @pytest.mark.parametrize("mutation", sorted(JSON_MUTATIONS))

@@ -13,9 +13,12 @@ import io
 import json
 import os
 import pickle
+import re
 import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import zlib
@@ -26,8 +29,10 @@ from _worlds import build_campaign, build_rotating_internet
 
 from repro import config
 from repro.obs import Telemetry
+from repro.store import ColumnBatch
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import engine_state
+from repro.stream.columnar import row_columns
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.fabric import (
     PROTO_VERSION,
@@ -47,6 +52,12 @@ def world():
     internet = build_rotating_internet()
     store = build_campaign(internet).run().store
     return internet, list(store)
+
+
+def cols_frame(observations, origin_of=lambda source: 0):
+    """The ``cols`` frame a dispatcher sends for *observations*."""
+    rows = [(o.day, o.target, o.source, origin_of(o.source) or 0) for o in observations]
+    return ("cols", row_columns(rows))
 
 
 def reference_state(internet, corpus, config_):
@@ -197,7 +208,7 @@ class TestAuthentication:
         thread.start()
         try:
             with pytest.raises(FabricError, match="waiting for worker 0"):
-                transport.start(1, num_shards=2, asn_keyed=False)
+                transport.start(1, num_shards=2)
         finally:
             thread.join(timeout=5)
             transport.close()
@@ -214,7 +225,7 @@ class TestAuthentication:
         framing.send_frame(sock, framing.encode(("hello", PROTO_VERSION, 1)))
         try:
             with pytest.raises(FabricError, match="waiting for worker 0"):
-                transport.start(1, num_shards=2, asn_keyed=False)
+                transport.start(1, num_shards=2)
         finally:
             sock.close()
             transport.close()
@@ -309,6 +320,43 @@ class TestWorkerSpec:
         with pytest.raises(ValueError, match="unknown fabric policy"):
             SocketTransport(policy="retry")
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("tcp://127.0.0.1:0?workers=abc", "workers='abc'"),
+            ("tcp://127.0.0.1:0?heartbeat=fast", "heartbeat='fast'"),
+            ("tcp://127.0.0.1:99999?workers=2", "Port out of range"),
+            ("tcp://[::1:0?workers=2", "Invalid IPv6 URL"),
+        ],
+    )
+    def test_malformed_spec_value_names_the_bad_part(self, spec, named):
+        with pytest.raises(FabricError, match=re.escape(named)):
+            parse_worker_spec(spec)
+
+
+BAD_ADDRESSES = [
+    ("tcp://127.0.0.1:99999", "Port out of range"),
+    ("127.0.0.1:notaport", "notaport"),
+    ("tcp://[::1:99", "Invalid IPv6 URL"),
+]
+
+
+class TestAddresses:
+    @pytest.mark.parametrize("address, named", BAD_ADDRESSES)
+    def test_malformed_address_is_a_fabric_error(self, address, named):
+        with pytest.raises(FabricError, match=re.escape(named)):
+            framing.parse_address(address)
+
+    @pytest.mark.parametrize("address, _named", BAD_ADDRESSES)
+    def test_worker_cli_reports_a_malformed_address_in_one_line(
+        self, address, _named, capsys
+    ):
+        from repro.stream.fabric.worker import main
+
+        assert main([address, "--authkey", "k"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fabric worker: ") and err.count("\n") == 1
+
 
 class TestSocketEquivalence:
     @pytest.mark.parametrize("num_workers", [1, 2, 4])
@@ -326,6 +374,41 @@ class TestSocketEquivalence:
         parallel.ingest_batch(corpus)
         merged = parallel.finalize()
         assert json.dumps(engine_state(merged)) == expected
+
+    def test_numpy_master_merges_a_numpy_less_worker(
+        self, world, tmp_path, monkeypatch
+    ):
+        """A worker subprocess that cannot import numpy takes a numpy
+        master's ``cols`` frames -- column batches and single
+        observations -- and the merged engine is a serial engine's."""
+        from repro.stream import columnar
+
+        if not columnar.numpy_enabled():
+            pytest.skip("the master needs numpy for this mix")
+        shadow = tmp_path / "nonumpy" / "numpy"
+        shadow.mkdir(parents=True)
+        (shadow / "__init__.py").write_text('raise ImportError("numpy blocked")\n')
+        existing = os.environ.get("PYTHONPATH")
+        blocked = str(shadow.parent) + (os.pathsep + existing if existing else "")
+        monkeypatch.setenv("PYTHONPATH", blocked)
+        probe = subprocess.run([sys.executable, "-c", "import numpy"], check=False)
+        assert probe.returncode != 0, "the shadow must hide numpy from workers"
+
+        internet, corpus = world
+        config_ = StreamConfig(num_shards=4, keep_observations=False)
+        expected = reference_state(internet, corpus, config_)
+        parallel = ParallelStreamEngine(
+            config_,
+            origin_of=internet.rib.origin_of,
+            num_workers=1,
+            batch_rows=64,
+            transport=socket_transport(spawn="process"),
+        )
+        half = len(corpus) // 2
+        parallel.ingest(ColumnBatch.from_observations(corpus[:half]))
+        for observation in corpus[half:]:
+            parallel.ingest(observation)
+        assert json.dumps(engine_state(parallel.finalize())) == expected
 
     def test_mid_stream_snapshot_then_resume(self, world):
         internet, corpus = world
@@ -509,7 +592,7 @@ class TestFaults:
         try:
             started = time.monotonic()
             with pytest.raises(FabricError, match="waiting for worker 0"):
-                transport.start(1, num_shards=4, asn_keyed=False)
+                transport.start(1, num_shards=4)
             assert time.monotonic() - started >= 0.9
         finally:
             lurker.close()
@@ -543,11 +626,11 @@ class TestFaults:
         thread.join(timeout=5)
 
     def test_protocol_version_mismatch_is_fatal(self):
-        # Version 3 changed the ``state`` reply from ShardState objects
-        # to column records; a worker from either side of that change
-        # must be refused by the version check, before any payload is
-        # read.
-        assert PROTO_VERSION == 3
+        # Version 4 made ``cols`` of stdlib arrays the only row frame
+        # and dropped ``asn_keyed`` from the welcome config; a worker
+        # from either side of that change must be refused by the
+        # version check, before any payload is read.
+        assert PROTO_VERSION == 4
         for skewed in (PROTO_VERSION - 1, PROTO_VERSION + 1):
             transport = SocketTransport(connect_timeout=5.0)
             port = int(transport.address.rsplit(":", 1)[1])
@@ -564,7 +647,7 @@ class TestFaults:
             thread = threading.Thread(target=imposter, daemon=True)
             thread.start()
             with pytest.raises(FabricError, match=f"protocol {skewed}"):
-                transport.start(1, num_shards=2, asn_keyed=False)
+                transport.start(1, num_shards=2)
             thread.join(timeout=5)
             transport.close()
 
@@ -600,7 +683,7 @@ class TestLiveness:
         thread = threading.Thread(target=busy_worker, daemon=True)
         thread.start()
         try:
-            channel = transport.start(1, num_shards=2, asn_keyed=False)[0]
+            channel = transport.start(1, num_shards=2)[0]
             time.sleep(2.0)  # well past heartbeat_timeout
             assert channel.alive, channel.dead_reason
         finally:
@@ -625,7 +708,7 @@ class TestLiveness:
         thread = threading.Thread(target=wedged_worker, daemon=True)
         thread.start()
         try:
-            channel = transport.start(1, num_shards=2, asn_keyed=False)[0]
+            channel = transport.start(1, num_shards=2)[0]
             deadline = time.monotonic() + 5.0
             while channel.alive and time.monotonic() < deadline:
                 time.sleep(0.05)
@@ -644,7 +727,7 @@ class TestLiveness:
         # reader: with beats 60 s apart the worker threads still exit
         # inside close()'s own join.
         transport = socket_transport(heartbeat=60.0, connect_timeout=10.0)
-        transport.start(2, num_shards=2, asn_keyed=False)
+        transport.start(2, num_shards=2)
         transport.close()
         assert not any(thread.is_alive() for thread in transport.threads)
 
@@ -653,8 +736,8 @@ class TestLiveness:
         # must go dead (and wake recv) instead of hanging send().
         transport = socket_transport(connect_timeout=10.0)
         try:
-            channel = transport.start(1, num_shards=2, asn_keyed=False)[0]
-            channel.send(("rows", lambda row: row))  # lambdas don't pickle
+            channel = transport.start(1, num_shards=2)[0]
+            channel.send(("cols", lambda row: row))  # lambdas don't pickle
             with pytest.raises(WorkerLost):
                 channel.recv()
             assert not channel.alive
@@ -666,9 +749,8 @@ class TestLiveness:
 class TestWorkerCore:
     def test_day_pair_columns_are_flat_ints(self, world):
         internet, corpus = world
-        core = WorkerCore(4, False)
-        rows = [(o.day, o.target, o.source, 0) for o in corpus]
-        core.apply_rows(rows)
+        core = WorkerCore(4)
+        core.handle(cols_frame(corpus))
         day = corpus[0].day
         t_hi, t_lo, s_hi, s_lo = core.day_pair_columns(day)
         assert len(t_hi) == len(t_lo) == len(s_hi) == len(s_lo)
@@ -704,20 +786,19 @@ class TestWorkerCore:
             return shards
 
         _internet, corpus = world
-        rows = [(o.day, o.target, o.source, 0) for o in corpus]
-        half = len(rows) // 2
-        with_kernel = WorkerCore(4, False)
-        with_kernel.apply_rows(rows)
+        half = len(corpus) // 2
+        with_kernel = WorkerCore(4)
+        with_kernel.handle(cols_frame(corpus))
         expected = folded(with_kernel.state())
         monkeypatch.setattr(columnar, "np", None)
-        kernel_less = WorkerCore(4, False)
+        kernel_less = WorkerCore(4)
         assert kernel_less.acc is None
-        kernel_less.apply_rows(rows[:half])
+        kernel_less.handle(cols_frame(corpus[:half]))
         assert sum(r["n"] for r in kernel_less.state().values()) == half
-        kernel_less.apply_rows(rows[half:])
+        kernel_less.handle(cols_frame(corpus[half:]))
         kernel_less.state()
         assert folded(kernel_less.state()) == expected
-        assert sum(r["n"] for r in kernel_less.state().values()) == len(rows)
+        assert sum(r["n"] for r in kernel_less.state().values()) == len(corpus)
 
     def test_kernel_state_reply_is_numpy_free_and_adopts_anywhere(
         self, world, monkeypatch
@@ -729,12 +810,10 @@ class TestWorkerCore:
 
         internet, corpus = world
         origin_of = internet.rib.origin_of
-        core = WorkerCore(4, False)
+        core = WorkerCore(4)
         if core.acc is None:
             pytest.skip("numpy kernel unavailable")
-        core.apply_rows(
-            [(o.day, o.target, o.source, origin_of(o.source) or 0) for o in corpus]
-        )
+        core.handle(cols_frame(corpus, origin_of))
         payload = pickle.dumps(core.handle(("state",)))
         assert b"numpy" not in payload
         monkeypatch.setattr(columnar, "np", None)
@@ -747,20 +826,25 @@ class TestWorkerCore:
         serial.ingest_batch(corpus)
         assert adopted.materialize() == serial.materialize()
 
-    def test_kernel_less_worker_refuses_cols_frame(self, monkeypatch):
-        """A ``cols`` frame carries numpy arrays; a worker without the
-        kernel reports it as an ``("error", ...)`` reply and stops."""
+    def test_kernel_less_worker_folds_cols_frame(self, world, monkeypatch):
+        """A ``cols`` frame is stdlib arrays: a worker without the kernel
+        folds it through ``ShardState.observe``, placing each row by its
+        source /32 exactly as a serial engine does, and keeps serving."""
         from repro.stream import columnar
         from repro.stream.fabric.protocol import serve
 
+        internet, corpus = world
+        origin_of = internet.rib.origin_of
         monkeypatch.setattr(columnar, "np", None)
-        inbox = [("cols", ([0], [0], [1], [2], [3], [4])), ("ping", 7)]
+        core = WorkerCore(4)
+        assert core.acc is None
+        inbox = [cols_frame(corpus, origin_of), ("ping", 7)]
         replies = []
-        serve(WorkerCore(2, False), lambda: inbox.pop(0), replies.append)
-        assert len(replies) == 1
-        assert replies[0][0] == "error"
-        assert "FabricError" in replies[0][1] and "numpy" in replies[0][1]
-        assert inbox == [("ping", 7)]  # the loop exited on the error
+        serve(core, lambda: inbox.pop(0) if inbox else ("stop",), replies.append)
+        assert replies == [("pong", 7)]
+        serial = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
+        serial.ingest_batch(corpus)
+        assert core.shards == serial.materialize()
 
 
 class TestSettings:

@@ -84,7 +84,6 @@ from repro.stream.checkpoint import engine_state, restore_engine
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.fabric import SocketTransport
 from repro.stream.parallel import ParallelStreamEngine
-from repro.stream.shard import ShardKey
 
 SEEDS = range(20)
 # Seeds re-run with the numpy kernel patched out: 0-5 cover the
@@ -162,9 +161,10 @@ def random_corpus(rng: random.Random) -> list[ProbeObservation]:
 
 
 def random_config(rng: random.Random) -> StreamConfig:
+    num_shards = rng.choice([1, 2, 4, 8])
+    rng.choice((0, 1))  # a retired draw, kept so each seed keeps its choices
     return StreamConfig(
-        num_shards=rng.choice([1, 2, 4, 8]),
-        shard_key=rng.choice([ShardKey.PREFIX32, ShardKey.ASN]),
+        num_shards=num_shards,
         keep_observations=rng.random() < 0.5,
         retain_days=rng.choice([None, None, 2, 3]),
     )
@@ -737,7 +737,6 @@ def test_sqlite_incremental_resume_mid_stream(seed, tmp_path):
     if not config.keep_observations:
         config = StreamConfig(
             num_shards=config.num_shards,
-            shard_key=config.shard_key,
             keep_observations=True,
             retain_days=config.retain_days,
         )

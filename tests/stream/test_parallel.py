@@ -7,6 +7,7 @@ the specification; the backend only exists to reach it faster.
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -15,12 +16,12 @@ from _worlds import build_campaign, build_rotating_internet
 
 from repro.core.records import ProbeObservation
 from repro.core.tracker import DeviceTracker, TrackerConfig
+from repro.store import ColumnBatch
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import engine_state, restore_engine
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.fabric import SocketTransport
 from repro.stream.parallel import ParallelStreamEngine
-from repro.stream.shard import ShardKey
 from repro.stream.tracker import LivePursuit
 
 
@@ -93,20 +94,38 @@ class TestWorkerCountInvariance:
             == reference.live_detection.stable_pairs
         )
 
-    def test_asn_sharding(self, world):
+    def test_dispatched_frames_are_numpy_free(self, world):
+        """Rows leave the dispatcher as ``cols`` frames of stdlib arrays
+        on both paths -- a column batch and single observations -- so a
+        worker that cannot import numpy can unpickle every frame."""
         internet, corpus = world
-        config = StreamConfig(
-            num_shards=4, shard_key=ShardKey.ASN, keep_observations=False
-        )
+        config = StreamConfig(num_shards=4, keep_observations=False)
         reference = reference_engine(internet, corpus, config)
         parallel = ParallelStreamEngine(
             config,
             origin_of=internet.rib.origin_of,
-            num_workers=3,
+            num_workers=2,
+            batch_rows=64,
             transport=threaded(),
         )
-        parallel.ingest_batch(corpus)
-        assert engine_state(parallel.finalize()) == engine_state(reference)
+        frames = []
+        for channel in parallel._channels:
+
+            def recording(message, send=channel.send):
+                frames.append((message[0], pickle.dumps(message)))
+                send(message)
+
+            channel.send = recording
+        half = len(corpus) // 2
+        parallel.ingest(ColumnBatch.from_observations(corpus[:half]))
+        column_frames = len(frames)
+        for observation in corpus[half:]:
+            parallel.ingest(observation)
+        merged = parallel.finalize()
+        tags = [tag for tag, _ in frames]
+        assert "cols" in tags[:column_frames] and "cols" in tags[column_frames:]
+        assert all(b"numpy" not in payload for _, payload in frames)
+        assert engine_state(merged) == engine_state(reference)
 
     def test_retention_matches_single_process(self, world):
         internet, corpus = world
@@ -311,8 +330,6 @@ class TestDispatcherSemantics:
             ParallelStreamEngine(num_workers=0)
         with pytest.raises(ValueError, match="batch_rows"):
             ParallelStreamEngine(batch_rows=0)
-        with pytest.raises(ValueError, match="origin_of"):
-            ParallelStreamEngine(StreamConfig(shard_key=ShardKey.ASN))
 
     def test_context_manager_closes(self):
         with ParallelStreamEngine(
