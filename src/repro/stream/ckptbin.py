@@ -361,24 +361,27 @@ def _add_store_blocks(writer, store, start_row: int) -> dict:
     cannot be represented and raises rather than silently drifting.
     """
     batch = store.snapshot_columns(start_row)
-    t_col = array("d")
     t_int = array("Q")
-    for index, value in enumerate(batch.t_seconds):
-        if isinstance(value, int):
-            try:
-                as_float = float(value)
-            except OverflowError as exc:
-                raise CheckpointError(
-                    f"timestamp {value!r} does not fit float64"
-                ) from exc
-            if int(as_float) != value:
-                raise CheckpointError(
-                    f"timestamp {value!r} does not round-trip float64"
-                )
-            t_int.append(index)
-            t_col.append(as_float)
-        else:
-            t_col.append(value)
+    if not any(issubclass(kind, int) for kind in set(map(type, batch.t_seconds))):
+        t_col = array("d", batch.t_seconds)  # no int to mark: one C-level build
+    else:
+        t_col = array("d")
+        for index, value in enumerate(batch.t_seconds):
+            if isinstance(value, int):
+                try:
+                    as_float = float(value)
+                except OverflowError as exc:
+                    raise CheckpointError(
+                        f"timestamp {value!r} does not fit float64"
+                    ) from exc
+                if int(as_float) != value:
+                    raise CheckpointError(
+                        f"timestamp {value!r} does not round-trip float64"
+                    )
+                t_int.append(index)
+                t_col.append(as_float)
+            else:
+                t_col.append(value)
     writer.add("store.day", "i64", batch.day)
     writer.add("store.t", "f64", t_col)
     writer.add(*_STORE_TINT, t_int)
@@ -467,12 +470,14 @@ class BinaryCheckpointer:
     so the last good chain stays loadable.
     """
 
-    def __init__(self, path, max_chain: int = 16) -> None:
+    def __init__(self, path, max_chain: int = 16, id_source=os.urandom) -> None:
         self.path = Path(path)
         #: Segments per chain before the next save rebases with a full
         #: rewrite (bounds restore-time chain walking and file growth
         #: from re-emitted detection state).
         self.max_chain = max_chain
+        #: ``id_source(8)`` -> 8 bytes: a new chain's id, as hex.
+        self.id_source = id_source
         self._base_id: str | None = None
         self._seq = 0
         self._engine_ref = None
@@ -584,7 +589,7 @@ class BinaryCheckpointer:
                 # disk already says everything this delta would.
                 return SaveResult("delta", self._expected_size, 0, 0)
         else:
-            base_id = os.urandom(8).hex()
+            base_id = self.id_source(8).hex()
             seq = 0
             day_floor = None
             store_start = 0

@@ -16,21 +16,21 @@ hot loop with a columnar kernel:
   row counting;
 * reads come in two strengths (:class:`ColumnarAccumulator`):
 
-  - ``reduce()`` sort-reduces the buffered rows into *runs* -- per
-    aggregate family one sorted, de-duplicated set of columns, span
-    groups min/max-reduced with ``ufunc.reduceat``.  Pure numpy, and
-    all that queries, the served snapshot and a ``retain_days`` day
-    close ever need.
+  - ``reduce()`` merges the buffered rows into *runs* -- per aggregate
+    family one sorted, de-duplicated set of columns, span groups
+    min/max-reduced with ``ufunc.reduceat``; only new rows are sorted.
+    Pure numpy, and all that queries, the served snapshot and a
+    ``retain_days`` day close ever need.
   - ``shard_records()`` slices the runs and the per-day pair chunks
     per shard into *column records* -- numpy views, no copy -- the one
     shape state leaves in: both checkpoint formats, the fabric's
-    ``state`` reply and the dispatcher's merge.  ``adopt()`` is the
-    one way records come back in.
+    ``state`` reply and the dispatcher's merge; a day's pairs are
+    sorted once.  ``adopt()`` is the one way records come back in.
 
 With the kernel the accumulator is the one owner of engine state, and
 without it :class:`ShardState` is; nothing holds both, so no reader or
 writer ever joins the two.  Day-over-day rotation diffs run directly on
-lexsorted, deduplicated pair columns (:func:`diff_pair_columns`).
+deduplicated pair columns (:func:`diff_pair_columns`).
 
 Because every aggregate the engine keeps commutes (counts add, sets
 union, spans min/max -- see :mod:`repro.stream.state`), deferring and
@@ -196,7 +196,7 @@ def _dedup_rows(cols: list) -> list:
     Rows with a unique hash are unique outright; only the hash-dup
     subset (true duplicates plus the odd collision) pays the exact
     lexicographic dedup.  Row order of the result is arbitrary --
-    callers that need grouping order use :func:`_unique_rows`.
+    callers that need grouping order use :func:`_sorted_rows`.
     """
     n = len(cols[0])
     if n == 0:
@@ -207,7 +207,7 @@ def _dedup_rows(cols: list) -> list:
         return cols
     dup = counts[inverse] > 1
     singles = [c[~dup] for c in cols]
-    dup_cols = _unique_rows([c[dup] for c in cols])
+    dup_cols = _sorted_rows([c[dup] for c in cols])
     return [np.concatenate((s, d)) for s, d in zip(singles, dup_cols)]
 
 
@@ -242,7 +242,7 @@ def _match_rows(cols_a: list, cols_b: list):
     na = len(cols_a[0])
     nb = len(cols_b[0])
     merged = [np.concatenate(pair) for pair in zip(cols_a, cols_b)]
-    order = np.lexsort(tuple(reversed(merged)))
+    order = row_order(merged)
     sorted_cols = [c[order] for c in merged]
     same = np.ones(na + nb - 1, dtype=bool)
     for c in sorted_cols:
@@ -258,24 +258,96 @@ def _match_rows(cols_a: list, cols_b: list):
     return common_a, common_b
 
 
-def _unique_rows(cols: list) -> list:
-    """Lexicographically sort the row set held in *cols*; drop duplicates.
+def _unsigned(col):
+    """An int64 or uint64 column as uint64, order kept (sign bit flipped)."""
+    if col.dtype == np.uint64:
+        return col
+    return col.astype(np.int64, copy=False).view(np.uint64) ^ np.uint64(1 << 63)
 
-    ``cols[0]`` is the primary key.  Returns the sorted, deduplicated
-    columns (numeric lexsort beats ``np.unique`` on structured views).
-    """
+
+def row_order(cols: list):
+    """A permutation sorting rows lexicographically, ``cols[0]`` primary
+    (equal rows in no promised order): the kernel's one sort.  Each
+    column becomes its offset from its minimum -- its dense rank when
+    offsets would not fit beside the later columns and outnumber the
+    rows -- folded into one uint64 key for one ``argsort``; a column
+    that still does not fit ranks the key folded so far first."""
     n = len(cols[0])
-    if n == 0:
-        return cols
-    order = np.lexsort(tuple(reversed(cols)))
-    cols = [c[order] for c in cols]
-    changed = np.zeros(n - 1, dtype=bool)
-    for c in cols:
-        changed |= c[1:] != c[:-1]
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    keep[1:] = changed
-    return [c[keep] for c in cols]
+    key = np.zeros(n, dtype=np.uint64)
+    span = 1  # the values the key folded so far can take
+    for col in reversed(cols if n else ()):
+        values = _unsigned(col)
+        low = int(values.min())
+        width = int(values.max()) - low + 1
+        if width == 1:
+            continue
+        if span * width > 1 << 64 and width > n:
+            distinct, values = np.unique(values, return_inverse=True)
+            values, low, width = values.astype(np.uint64), 0, len(distinct)
+        if span * width > 1 << 64:
+            distinct, key = np.unique(key, return_inverse=True)
+            key, span = key.astype(np.uint64), len(distinct)
+        key += (values - np.uint64(low)) * np.uint64(span)
+        span *= width
+    return np.argsort(key)
+
+
+def _one_per_key(cols: list, n_keys: int | None = None) -> list:
+    """Key-sorted rows reduced to one row per key: set rows (no *n_keys*)
+    are all key and drop repeats; span rows carry ``lo, hi`` after
+    *n_keys* key columns and keep ``[min lo, max hi]`` -- min/max
+    commute, so reducing reduced rows with raw ones is exact."""
+    starts, _ = _group_slices(*cols[:n_keys])
+    rows = [c[starts] for c in cols[:n_keys]]
+    if n_keys is not None:
+        rows.append(np.minimum.reduceat(cols[n_keys], starts))
+        rows.append(np.maximum.reduceat(cols[n_keys + 1], starts))
+    return rows
+
+
+def _sorted_rows(cols: list, n_keys: int | None = None) -> list:
+    """*cols* sorted by key, one row per key (see :func:`_one_per_key`).
+    Rows that already strictly ascend -- a run, a checkpoint's records
+    -- come back as they are after an O(n) check, unsorted."""
+    keys = cols[:n_keys]
+    above = np.zeros(max(len(keys[0]) - 1, 0), dtype=bool)
+    tied = ~above
+    for c in keys:
+        above |= tied & (c[1:] > c[:-1])
+        tied &= c[1:] == c[:-1]
+    if above.all():
+        return list(cols)
+    order = row_order(keys)
+    return _one_per_key([c[order] for c in cols], n_keys)
+
+
+def _row_bytes(cols: list):
+    """Each row as big-endian bytes, which order as the rows do: a
+    ``void`` column ``np.searchsorted`` walks like any sorted column."""
+    rows = np.empty((len(cols[0]), len(cols)), dtype=">u8")
+    for i, col in enumerate(cols):
+        rows[:, i] = _unsigned(col)
+    return rows.view(f"V{8 * len(cols)}").ravel()
+
+
+def _insert_rows(run: list, new: list, n_keys: int | None = None) -> list:
+    """Merge the key-sorted, key-unique rows *new* into *run* (alike):
+    insertion points from one ``searchsorted`` over the key bytes, one
+    scatter, then a key the run already held keeps one row (the span
+    widened) -- the run itself is never sorted again."""
+    if not len(run[0]) or not len(new[0]):
+        return run if len(run[0]) else new
+    at = np.searchsorted(_row_bytes(run[:n_keys]), _row_bytes(new[:n_keys]))
+    slots = at + np.arange(len(at))
+    kept = np.ones(len(run[0]) + len(at), dtype=bool)
+    kept[slots] = False
+    merged = []
+    for r, q in zip(run, new):
+        col = np.empty(len(kept), dtype=r.dtype)
+        col[slots] = q
+        col[kept] = r
+        merged.append(col)
+    return _one_per_key(merged, n_keys)
 
 
 def _group_slices(*key_cols):
@@ -306,30 +378,14 @@ RUN_FAMILIES = {
 }
 
 
-def reduce_spans(cols: list, n_keys: int) -> list:
-    """Group-reduce span rows to one ``[min lo, max hi]`` row per key.
-
-    *cols* is *n_keys* key columns followed by ``lo`` and ``hi``; the
-    result has the same layout, lexicographically sorted by key
-    (``cols[0]`` primary) with every key unique -- min/max commute, so
-    reducing already-reduced rows together with raw ones is exact.
-    """
-    if len(cols[0]) == 0:
-        return list(cols)
-    order = np.lexsort(tuple(reversed(cols[:n_keys])))
-    keys = [c[order] for c in cols[:n_keys]]
-    starts, _ = _group_slices(*keys)
-    return [c[starts] for c in keys] + [
-        np.minimum.reduceat(cols[n_keys][order], starts),
-        np.maximum.reduceat(cols[n_keys + 1][order], starts),
-    ]
-
-
 def _merge_family(family: str, parts: list) -> list:
-    """Concatenate one family's column *parts*; sort, de-duplicate, reduce."""
-    cols = [np.concatenate(column) for column in zip(*parts)]
+    """Merge one family's column *parts* -- the first its run (sorted,
+    key-unique), the rest in any order, repeats welcome -- into a run:
+    the new rows sorted and reduced, then inserted into the run."""
     n_keys = RUN_FAMILIES[family][1]
-    return _unique_rows(cols) if n_keys is None else reduce_spans(cols, n_keys)
+    run, *new = parts
+    batch = _sorted_rows([np.concatenate(column) for column in zip(*new)], n_keys)
+    return _insert_rows(run, batch, n_keys)
 
 
 def _dtype(typecode: str):
@@ -357,16 +413,6 @@ def shard_part(sid: int, columns) -> list:
     return [np.full(len(columns[0]), sid, dtype=np.int64), *map(as_array, columns)]
 
 
-def _shard_groups(*key_cols):
-    """``(key values..., start, stop)`` per equal-key run of sorted key
-    columns, as Python ints (nothing for empty columns)."""
-    if not len(key_cols[0]):
-        return ()
-    starts, stops = _group_slices(*key_cols)
-    firsts = [c[starts].tolist() for c in key_cols]
-    return zip(*firsts, starts.tolist(), stops.tolist())
-
-
 def unique_values(column) -> list:
     """The distinct values of one column, ascending, as Python ints."""
     return np.unique(column).tolist()
@@ -387,12 +433,12 @@ def spans_by_as(asn, iid, lo, hi) -> dict[int, dict[int, tuple[int, int]]]:
 
 def median_plens(asn, spread, bits_of, plen_of) -> dict[int, int]:
     """``asn -> plen_of(median(bits_of(spread)))`` over per-IID *spread*
-    rows, by the middle-spread rule: one integer ``lexsort`` here, the
-    float arithmetic in :func:`~repro.stream.state.plen_of_middle`
+    rows, by the middle-spread rule: one integer :func:`row_order` here,
+    the float arithmetic in :func:`~repro.stream.state.plen_of_middle`
     (which says why that is exact and a vectorized logarithm is not)."""
     if not len(asn):
         return {}
-    order = np.lexsort((spread, asn))
+    order = row_order([asn, spread])
     asn, spread = asn[order], spread[order]
     starts, stops = _group_slices(asn)
     mid = (starts + stops) // 2
@@ -552,10 +598,11 @@ class ColumnarAccumulator:
             for family, (typecodes, _) in RUN_FAMILIES.items()
         }
         # day -> [(sid, tgt_hi, tgt_lo, src_hi, src_lo), ...] EUI pair
-        # chunks, plus a per-day merged/deduplicated diff-ready cache
-        # and the mask of merged rows already emitted as changed.
+        # chunks, a merged/deduplicated diff-ready cache, the mask of its
+        # rows emitted as changed, and (chunks covered, sorted columns).
         self._pair_chunks: dict[int, list[tuple]] = {}
         self._merged_pairs: dict[int, list] = {}
+        self._sorted_pairs: dict[int, tuple] = {}
         self._appeared: dict[int, object] = {}
         # Shards that received rows since a checkpoint saver last took
         # this set (binary delta dirty-tracking).
@@ -629,22 +676,13 @@ class ColumnarAccumulator:
         self._merged_pairs.pop(day, None)
         self._appeared.pop(day, None)
 
-    def merge_runs(self, parts: dict[str, list]) -> None:
-        """Merge column *parts* (family -> list of column lists in the
-        :data:`RUN_FAMILIES` layouts, any order, duplicates welcome)
-        into :attr:`runs`.  The one merge behind :meth:`reduce` and
-        :meth:`adopt`, so the runs' invariants (sorted, unique keys)
-        never depend on who produced the rows."""
-        runs = self.runs
-        for family, new in parts.items():
-            runs[family] = _merge_family(family, [runs[family], *new])
-
     def adopt(self, records: dict) -> None:
         """Fold ``{sid: record}`` column records (the
-        :meth:`shard_records` shape; stdlib or numpy columns) into the
-        state, additively -- through the same run merge :meth:`reduce`
-        uses.  Marks nothing dirty: adopted state is what the chain on
-        disk already holds."""
+        :meth:`shard_records` shape; stdlib or numpy columns; rows in any
+        order, repeats welcome) into the state, additively: each family
+        through :func:`_merge_family`, which sorts nothing when the rows
+        already ascend, as a checkpoint's do.  Marks nothing dirty:
+        adopted state is what the chain on disk already holds."""
         parts: dict[str, list] = {family: [] for family in RUN_FAMILIES}
         for sid, record in records.items():
             self.counts[sid] += record["n"]
@@ -655,7 +693,9 @@ class ColumnarAccumulator:
             for day, cols in record["pairs"].items():
                 if len(cols[0]):
                     self.add_pair_chunk(day, *shard_part(sid, cols))
-        self.merge_runs({family: new for family, new in parts.items() if new})
+        for family, new in parts.items():
+            if new:
+                self.runs[family] = _merge_family(family, [self.runs[family], *new])
 
     # -- pair columns (the day-close fast path) ----------------------------
 
@@ -706,24 +746,31 @@ class ColumnarAccumulator:
         self.drain()
         return sorted(self._pair_chunks)
 
-    def shard_pair_columns(self, day: int) -> dict:
-        """*day*'s buffered pairs grouped by shard, as uint64 columns.
-
-        Returns ``{sid: (tgt_hi, tgt_lo, src_hi, src_lo)}`` -- sorted,
-        deduplicated, straight from the buffered chunks.  The binary
-        checkpoint writer emits these arrays directly, so pairs
-        serialize without ever becoming Python tuples.
-        """
+    def shard_pair_columns(self, day: int) -> tuple:
+        """*day*'s pairs as sorted, deduplicated ``(sid, tgt_hi, tgt_lo,
+        src_hi, src_lo)`` columns, which the binary writer slices per
+        shard: only chunks buffered since the last call are sorted (and
+        inserted).  The sorted form replaces the chunks when they were in
+        order already (an adopt's) or once the day is closed -- merged
+        pairs cached, a later day buffered; only an adopt, which fills a
+        fresh engine, could add chunks -- so no reader needs their
+        arrival order."""
         self.drain()
         chunks = self._pair_chunks.get(day)
         if not chunks:
-            return {}
-        cols = [np.concatenate([c[i] for c in chunks]) for i in range(5)]
-        sid_u, thi_u, tlo_u, shi_u, slo_u = _unique_rows(cols)
-        return {
-            sid: (thi_u[a:b], tlo_u[a:b], shi_u[a:b], slo_u[a:b])
-            for sid, a, b in _shard_groups(sid_u)
-        }
+            return ()
+        covered, cols = self._sorted_pairs.get(day, (0, None))
+        in_order = False  # the chunks, concatenated, are the sorted form
+        if covered < len(chunks):
+            cat = [np.concatenate([c[i] for c in chunks[covered:]]) for i in range(5)]
+            new = _sorted_rows(cat)
+            in_order = not covered and new[0] is cat[0]
+            cols = tuple(new if cols is None else _insert_rows(cols, new))
+        closed = day in self._merged_pairs and day < max(self._pair_chunks)
+        if (closed or in_order) and chunks[0] is not cols:
+            self._pair_chunks[day] = chunks = [cols]
+        self._sorted_pairs[day] = (len(chunks), cols)
+        return cols
 
     def drop_pair_days(self, threshold: int) -> None:
         """Forget buffered pair columns for days older than *threshold*.
@@ -732,12 +779,10 @@ class ColumnarAccumulator:
         unaffected (pruning never touches them).
         """
         self.drain()
-        for day in [d for d in self._pair_chunks if d < threshold]:
-            del self._pair_chunks[day]
-        for day in [d for d in self._merged_pairs if d < threshold]:
-            del self._merged_pairs[day]
-        for day in [d for d in self._appeared if d < threshold]:
-            del self._appeared[day]
+        by_day = self._pair_chunks, self._merged_pairs, self._appeared
+        for cache in (*by_day, self._sorted_pairs):
+            for day in [d for d in cache if d < threshold]:
+                del cache[day]
 
     def take_dirty_sids(self) -> set[int]:
         """Shards that received rows since the last call; clears the set."""
@@ -750,29 +795,34 @@ class ColumnarAccumulator:
     def reduce(self) -> dict[str, list]:
         """Merge the buffered rows into :attr:`runs`; returns them.
 
-        One lexsort (plus ``minimum/maximum.reduceat`` for the span
-        families) per family over the old run and the new rows; pure
-        numpy.  The bounded-memory half of ``retain_days`` (per-row
-        buffers never outlive a day close) and everything a checkpoint
-        save or a query needs of the aggregates.
+        Only the new rows are sorted, once per family group -- ``esrc``
+        is the EUI-64 subset of sorted ``src``, ``pool``'s key a prefix
+        of ``alloc``'s, ``iid`` read off reduced ``pool`` -- and then
+        inserted into the runs (:func:`_insert_rows`).  The
+        bounded-memory half of ``retain_days`` (per-row buffers never
+        outlive a day close) and all a save or a query needs of the
+        aggregates.
         """
         self.drain()
         if self._src:
-            src = self._src
-            parts: dict[str, list] = {
-                "src": [[np.concatenate([c[i] for c in src]) for i in range(3)]]
-            }
+            src = _sorted_rows([np.concatenate(c) for c in zip(*self._src)])
+            batches = {"src": src}
             if self._eui:
-                sid, day, asn, src_hi, src_lo, tgt_hi = (
-                    np.concatenate([chunk[i] for chunk in self._eui]) for i in range(6)
-                )
-                parts["esrc"] = [[sid, src_hi, src_lo]]
-                parts["iid"] = [[sid, src_lo]]
-                parts["alloc"] = [[sid, asn, src_lo, day, tgt_hi, tgt_hi]]
-                parts["pool"] = [[sid, asn, src_lo, src_hi, src_hi]]
+                eui = map(np.concatenate, zip(*self._eui))
+                sid, day, asn, src_hi, src_lo, tgt_hi = eui
+                order = row_order([sid, asn, src_lo, day])
+                key = [c[order] for c in (sid, asn, src_lo, day)]  # pool's: key[:3]
+                src_hi, tgt_hi = src_hi[order], tgt_hi[order]
+                pool = _one_per_key([*key[:3], src_hi, src_hi], 3)
+                batches["esrc"] = [c[eui64_mask(src[2])] for c in src]
+                batches["iid"] = _sorted_rows([pool[0], pool[2]])
+                batches["alloc"] = _one_per_key([*key, tgt_hi, tgt_hi], 4)
+                batches["pool"] = pool
             self._src = []
             self._eui = []
-            self.merge_runs(parts)
+            for family, batch in batches.items():
+                n_keys = RUN_FAMILIES[family][1]
+                self.runs[family] = _insert_rows(self.runs[family], batch, n_keys)
         return self.runs
 
     def family_columns(self, family: str) -> list:
@@ -795,13 +845,16 @@ class ColumnarAccumulator:
             keep = cols[0] == asn if keep is None else keep & (cols[0] == asn)
         if keep is not None:
             cols = [c[keep] for c in cols]
-        return reduce_spans(cols, 2)
+        return _sorted_rows(cols, 2)
 
     def shard_records(self, sids, day_floor: int | None = None) -> dict:
         """``{sid: record}`` for *sids* (the
         :meth:`StreamEngine.shard_records
         <repro.stream.engine.StreamEngine.shard_records>` shape): numpy
-        views of the runs and pair chunks, sliced, never copied."""
+        views of the runs and pair chunks, sliced, never copied.  No
+        *sids* (a clean save) reduces and sorts nothing."""
+        if not sids:
+            return {}
         runs = self.reduce()
         counts = self.counts.tolist()
         by_day = {
@@ -815,8 +868,10 @@ class ColumnarAccumulator:
             for family, cols in runs.items():
                 start, stop = np.searchsorted(cols[0], (sid, sid + 1))
                 record[family] = tuple(c[start:stop] for c in cols[1:])
-            record["pairs"] = {
-                day: cols[sid] for day, cols in by_day.items() if sid in cols
-            }
+            record["pairs"] = {}
+            for day, cols in by_day.items():
+                start, stop = np.searchsorted(cols[0], (sid, sid + 1))
+                if stop > start:
+                    record["pairs"][day] = tuple(c[start:stop] for c in cols[1:])
             records[sid] = record
         return records
