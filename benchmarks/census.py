@@ -154,7 +154,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.net.mac": ("seed", "MAC parse/format helpers; tests/net"),
     "repro.net.oui:OuiRegistry": ("seed", "registry queries; tests/net"),
     "repro.scan.permutation": ("seed", "permutation dunders and first(); tests/scan"),
-    "repro.scan.rate:TokenBucket.available": ("seed", "tests/scan"),
     "repro.scan.targets": ("seed", "target generators no campaign uses; tests/scan"),
     "repro.scan.zmap:ScanResult": ("seed", "result summaries; tests/scan"),
     "repro.scan.zmap:Zmap6.scan_until": (
@@ -198,6 +197,18 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.simnet.internet:SimInternet.probe_many": (
         "reference",
         "one sweep through classify and commit, held against probe_each by tests",
+    ),
+    "repro.scan.rate:TokenBucket": (
+        "reference",
+        "the bucket cells' oracle (test_bucket_columns); available(): tests/scan",
+    ),
+    "repro.scan.rate:IcmpRateLimiter": (
+        "reference",
+        "one limiter object per bucket: the oracle test_bucket_columns holds cells to",
+    ),
+    "repro.simnet.pool:RotationPool.allow_many": (
+        "reference",
+        "one pool's cells walked alone; commit walks the world table's",
     ),
     "repro.stream.checkpoint:save_engine": (
         "reference",

@@ -8,7 +8,8 @@ Two constructions:
   per element, fully determined by (n, seed), so re-running a scan with
   the same seed replays the identical order -- the property the paper's
   daily campaign relies on ("same zmap random seed", Section 5).
-  :attr:`MultiplicativeCycle.order` is the cycle as one column.
+  :attr:`MultiplicativeCycle.order` is the cycle as one column, and
+  :func:`cycle_order` the same column from (n, seed) alone, cached.
 
 * :class:`FeistelPermutation` -- a small keyed Feistel network with
   cycle-walking, giving O(1) forward *and inverse* evaluation.  The
@@ -127,7 +128,7 @@ class MultiplicativeCycle:
     @property
     def order(self):
         """The whole cycle as one column (``int64``, or ``array('q')``)."""
-        return _cycle_order(self.n, self.seed)
+        return cycle_order(self.n, self.seed)
 
     def first(self, k: int) -> list[int]:
         """The first *k* values of the cycle (for tests and sampling)."""
@@ -137,7 +138,7 @@ class MultiplicativeCycle:
 
 
 @lru_cache(maxsize=64)
-def _cycle_order(n: int, seed: int):
+def cycle_order(n: int, seed: int):
     """``MultiplicativeCycle(n, seed)`` as a read-only column, cached.
     Elements ``[m, 2m)`` of the walk ``start * g^k mod p`` are the first
     ``m`` times ``g^m``: doubling, exact in ``uint64`` while ``p < 2^32``

@@ -11,19 +11,31 @@ Two sides of the same mechanism appear in the paper:
 Time here is simulation time in **seconds** (the clock layer converts to
 hours); buckets are purely arithmetic, no wall-clock involvement.
 
-Where the state lives.  :class:`TokenBucket` / :class:`IcmpRateLimiter`
-objects limit the simulated *core routers* (one per provider AS, held
-by ``SimInternet``).  The CPE -- tens of thousands per world, one
-bucket each -- do not own an object: their buckets are cells in their
-``RotationPool``'s columns, and ``RotationPool.allows_response`` is
-this module's arithmetic on one cell.  The classes here are also the
-oracle those columns are tested against
+Where the state lives.  No simulated router owns a limiter object:
+every bucket -- each CPE's and each provider's core router's -- is a cell
+of some :class:`BucketCells` (a ``RotationPool``'s, or the
+``SimInternet``'s core cells), views of one set of world columns once
+the world's pool table is built.  :class:`TokenBucket` and
+:class:`IcmpRateLimiter` are the oracle those cells are tested against
 (``tests/simnet/test_bucket_columns.py``).
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
+
+from repro.util import np
+
+#: Rows of one cell a walk sums ahead per event.
+QUIET_WINDOW = 512
+
+
+def check_rate(name: str, value: float) -> None:
+    """Reject a rate or burst that is not positive and finite (so never NaN)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -46,10 +58,8 @@ class TokenBucket:
     _last: float = float("-inf")
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.burst <= 0:
-            raise ValueError(f"burst must be positive, got {self.burst}")
+        check_rate("rate", self.rate)
+        check_rate("burst", self.burst)
         self._tokens = self.burst
 
     def _refill(self, now: float) -> None:
@@ -104,3 +114,123 @@ class IcmpRateLimiter:
             return True
         self.suppressed += 1
         return False
+
+
+class BucketCells:
+    """*n* token buckets as columns, one cell each: ``tokens``, ``last``
+    (``-inf``: never touched), ``emitted`` and ``suppressed`` -- stdlib
+    arrays, or views of a world's columns.  Rate and burst are the
+    caller's: cells hold state, not configuration."""
+
+    #: Each column: its name, typecode and never-touched value.
+    COLUMNS = ("tokens", "d", 0.0), ("last", "d", -math.inf), ("emitted", "q", 0), ("suppressed", "q", 0)
+
+    def __init__(self, n: int = 0) -> None:
+        for name, typecode, value in self.COLUMNS:
+            setattr(self, name, array(typecode, [value]) * n)
+
+    def add_cell(self) -> None:
+        """One more never-touched cell (views are copied out first)."""
+        if not isinstance(self.tokens, array):
+            for name, typecode, _ in self.COLUMNS:
+                setattr(self, name, array(typecode, getattr(self, name)))
+        self.tokens.append(0.0)
+        self.last.append(-math.inf)
+        self.emitted.append(0)
+        self.suppressed.append(0)
+
+    def reset_buckets(self) -> None:
+        """Every cell back to never touched, in place (views included)."""
+        for name, typecode, value in self.COLUMNS:
+            getattr(self, name)[:] = array(typecode, [value]) * len(getattr(self, name))
+
+    def allow(self, i: int, now: float, rate: float, burst: float) -> bool:
+        """:class:`IcmpRateLimiter` ``allow(now)`` on cell *i*, step for
+        step, and the scalar reference: a first touch fills it to the
+        burst, a small step back neither refills nor rewinds, a jump back
+        past a full refill finds it full again."""
+        tokens, last = self.tokens[i], self.last[i]
+        if last == -math.inf:
+            tokens = burst
+            self.last[i] = now
+        elif now < last:
+            if last - now > burst / rate:
+                tokens = burst
+                self.last[i] = now
+        else:
+            tokens = min(burst, tokens + (now - last) * rate)
+            self.last[i] = now
+        if tokens >= 1.0:
+            self.tokens[i] = tokens - 1.0
+            self.emitted[i] += 1
+            return True
+        self.tokens[i] = tokens
+        self.suppressed[i] += 1
+        return False
+
+    def walk(self, index, now, rate, burst):
+        """:meth:`allow` on every row in order -- cell ``index[k]`` at
+        ``now[k]`` with ``rate[k]`` and ``burst[k]`` (numpy columns) --
+        returning the allowed column.  Cells are independent: the cells
+        met once (a sweep's CPE) take one vector step, :meth:`allow`'s
+        float64 arithmetic op for op; one met again walks its rows."""
+        ranked = np.sort(index)
+        if not (ranked[1:] == ranked[:-1]).any():
+            return self._step(index, now, rate, burst)
+        order = np.argsort(index, kind="stable")  # by cell, then row
+        starts = np.append(True, np.diff(index[order]) != 0).nonzero()[0]
+        sizes = np.diff(np.append(starts, len(index)))
+        once = order[starts[sizes == 1]]
+        allowed = np.empty(len(index), dtype=bool)
+        allowed[once] = self._step(index[once], now[once], rate[once], burst[once])
+        for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+            rows = order[start : start + size]
+            allowed[rows] = self._run(index[rows[0]], now[rows], rate[rows[0]], burst[rows[0]])
+        return allowed
+
+    def _step(self, index, now, rate, burst):
+        """One row each of distinct cells, as one vector pass."""
+        tokens_of, last_of = np.asarray(self.tokens), np.asarray(self.last)
+        held, last = tokens_of[index], last_of[index]
+        # A first touch refills from -inf: without bound, so to the burst.
+        tokens = np.minimum(burst, held + (now - last) * rate)
+        back = now < last
+        if back.any():  # overlapping or rewound scans; one scan only moves forward
+            rewound = back & (last - now > burst / rate)
+            tokens = np.where(rewound, burst, np.where(back, held, tokens))
+            now = np.where(back & ~rewound, last, now)
+        last_of[index] = now
+        allowed = tokens >= 1.0
+        tokens_of[index] = tokens - allowed
+        np.asarray(self.emitted)[index] += allowed
+        np.asarray(self.suppressed)[index] += ~allowed
+        return allowed
+
+    def _run(self, i: int, now, rate: float, burst: float):
+        """The rows of cell *i*, in order.  A row meets as the cell's last
+        time the running maximum of the times before it (until a rewind):
+        forward it refills ``Δt·rate``, a little back nothing.  So after
+        each event (a token, the burst or a rewind: :meth:`allow`) the
+        quiet rows are one running sum, as ``np.add.accumulate`` adds."""
+        n, limit, i, rate, burst = len(now), min(1.0, burst), int(i), float(rate), float(burst)
+        allowed = np.zeros(n, dtype=bool)
+        k, stale = 0, True
+        while k < n:
+            if stale:  # the last each row from k on meets, and its refill
+                base = k
+                met = np.maximum.accumulate(np.append(self.last[i], now[k:]))
+                gap = now[k:] - met[:-1]
+                refill = np.where(gap >= 0, gap * rate, np.where(-gap > burst / rate, np.inf, 0))
+            allowed[k] = self.allow(i, float(now[k]), rate, burst)
+            k += 1
+            stale = self.last[i] != met[k - base]  # a rewind
+            if stale:
+                continue
+            ahead = refill[k - base : k - base + QUIET_WINDOW]
+            sums = np.add.accumulate(np.concatenate(((self.tokens[i],), ahead)))[1:]
+            run = int(np.searchsorted(sums, limit))  # sums never fall
+            if run:
+                self.tokens[i], self.last[i] = sums[run - 1], met[k + run - base]
+                self.suppressed[i] += run
+                k += run
+        return allowed

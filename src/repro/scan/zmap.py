@@ -44,7 +44,7 @@ from itertools import accumulate, chain, islice, repeat
 from typing import TYPE_CHECKING, Iterator, Protocol, Sequence
 
 from repro.net.icmpv6 import ProbeChunk, ProbeResponse, probe_each
-from repro.scan.permutation import MultiplicativeCycle
+from repro.scan.permutation import cycle_order
 from repro.scan.targets import join_targets, split_targets
 from repro.util import np
 
@@ -315,7 +315,7 @@ class Zmap6:
         """Target columns in this scanner's probe order (the seed's cycle)."""
         if not self.config.randomize_order or len(hi) <= 1:
             return hi, lo
-        order = MultiplicativeCycle(len(hi), seed=self.config.seed).order
+        order = cycle_order(len(hi), self.config.seed)
         return _take(hi, order), _take(lo, order)
 
     def stream(self, targets: Sequence[int], start_seconds: float = 0.0) -> ScanStream:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
 from repro.net.icmpv6 import IcmpCode, IcmpType
-from repro.scan.rate import IcmpRateLimiter
+from repro.scan.rate import IcmpRateLimiter, check_rate
 from repro.simnet.clock import HOURS_PER_DAY, day_of
 from repro.util import mix64, mix64_many, np, unit_float, unit_float_many
 
@@ -109,8 +109,8 @@ class CpeDevice:
         global _generation
         if name == "online_fraction" and not 0.0 <= value <= 1.0:
             raise ValueError(f"online_fraction must be in [0,1], got {value}")
-        if name in ("icmp_rate", "icmp_burst") and not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if name in ("icmp_rate", "icmp_burst"):
+            check_rate(name, value)
         _generation += 1
         object.__setattr__(self, name, value)
 

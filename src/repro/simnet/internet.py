@@ -14,27 +14,22 @@ two tools:
   :mod:`repro.scan.zmap`) -- runs of those probes, answered as columns
   with the outcomes, counters and limiter state of ``probe`` on each in
   order.  The *pure* phase is vectorised over many sweeps at once and
-  reads no mutable state: /48 -> pool number, then one pass over the
-  world's :class:`~repro.simnet.pool.PoolTable` (every pool's parameters
-  and devices as columns) -- slot, epoch, occupant, uptime, response
-  policy and WAN address for every row, whatever its pool, hence every
-  row that *would* end a hunt if its CPE's bucket lets it answer.  The
-  *stateful* phase commits one sweep, in column arithmetic too: a CPE's
-  token bucket is a cell in its pool's bucket columns (see
-  :mod:`repro.simnet.pool`), buckets are independent, and only order
-  *within* a device matters, so each pool answers its would-answer rows
-  in one ``RotationPool.allow_many`` pass.  Per row, in probe order,
-  stay a row outside every indexed pool (the scalar ``probe``: each
-  provider's core router keeps an order-dependent
-  :class:`~repro.scan.rate.IcmpRateLimiter`) and a device probed twice
-  in one sweep (the pool's scalar method).  With *stop_iid* rows are
-  taken a segment at a time -- through the first candidate stop row,
-  then, only if that CPE's bucket refused it, through the next -- and
-  the sweep is **committed only through the cut**, as if the caller had
-  stopped probing there; the pure phase's look past it commits nothing.
-  ``probe_many`` is one sweep, classified and committed.  Without numpy
-  ``classify`` answers ``None`` and the scanner sends each row through
-  ``probe``, over the same bucket columns.
+  reads no mutable state: each row's pool by one ``searchsorted``, then
+  one pass over the world's :class:`~repro.simnet.pool.PoolTable`
+  (slot, epoch, occupant, uptime, response policy and WAN address), and
+  outside every pool the origin AS from the RIB's columns -- unrouted,
+  quiet, or a core router's "no route".  So every row that *would* end a
+  hunt if its bucket lets it is known, with that bucket's cell.  The
+  *stateful* phase has no per-row call: every ICMPv6 limiter, a CPE's or
+  a core router's, is a cell of the table (see :mod:`repro.scan.rate`),
+  and one walk answers all the rows a segment sends to buckets, whatever
+  their pool.  With *stop_iid* rows are taken a segment at a time --
+  through the first candidate stop row, then, only if its bucket
+  refused it, through the next -- and the sweep is **committed only
+  through the cut**, as if the caller had stopped probing there; the
+  pure phase's look past it commits nothing.  ``probe_many`` is one
+  sweep, classified and committed.  Without numpy ``classify`` answers
+  ``None`` and the scanner sends each row through ``probe``.
 * ``trace(target, t)`` -- a yarrp-style traceroute returning the per-hop
   source addresses, ending at the CPE when one is on-path (the periphery
   discovery of Section 2.2).
@@ -43,26 +38,28 @@ two tools:
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
 
 from repro.bgp.asinfo import AsRegistry
 from repro.bgp.table import RoutingTable
-from repro.net.addr import IID_BITS, IID_MASK
+from repro.net.addr import IID_MASK
 from repro.net.icmpv6 import IcmpCode, IcmpType, ProbeChunk, ProbeResponse, probe_each
-from repro.scan.rate import IcmpRateLimiter
-from repro.scan.targets import join_targets
+from repro.scan.rate import BucketCells, IcmpRateLimiter, check_rate
+from repro.scan.targets import join_targets, split_targets
 from repro.simnet.clock import SECONDS_PER_HOUR, hours
 from repro.simnet.pool import PoolTable, Residence, RotationPool
 from repro.simnet.provider import Provider
 from repro.util import np
 
-_NET48_SHIFT = 80  # bits below a /48 network
-_CLASSIFIED = "hi lo t_seconds outcome src_hi src_lo icmp_type code by_pool"
+_CLASSIFIED = "hi lo t_seconds outcome src_hi src_lo icmp_type code cell"
 
-# What the pure phase decides per row.
-_SCALAR, _VACANT, _OFFLINE, _SILENT, _ANSWERS = range(5)
+# What the pure phase decides per row: in a pool, the slot is vacant, its
+# tenant offline, silent, or its bucket decides; outside every pool, the
+# core router's bucket decides, or the space is unrouted, or quiet.
+_CORE, _VACANT, _OFFLINE, _SILENT, _ANSWERS, _UNROUTED, _QUIET = range(7)
 
 
 @dataclass
@@ -81,18 +78,15 @@ class InternetStats:
 
 class Classified(namedtuple("Classified", _CLASSIFIED)):
     """One sweep after :meth:`SimInternet.classify`: its columns, what
-    each row draws short of the rate limiters, and per indexed pool the
-    would-answer rows (sweep-relative, ascending) with their tenants."""
+    each row draws short of the rate limiters and, where a bucket
+    decides (a would-answer row), its cell in the pool table (else -1)."""
 
     __slots__ = ()
 
     def can_hit(self, iid: int) -> bool:
         """Whether committing could end at *iid* (certain when ``False``):
-        a would-answer row carries it, or a row is left to ``probe``."""
-        return bool(
-            (self.outcome == _SCALAR).any()
-            or (self.src_lo[self.outcome == _ANSWERS] == np.uint64(iid)).any()
-        )
+        a would-answer row carries it."""
+        return bool((self.src_lo[self.cell >= 0] == np.uint64(iid)).any())
 
 
 class SimInternet:
@@ -105,54 +99,46 @@ class SimInternet:
         core_answers_unrouted: bool = True,
         core_icmp_rate: float = IcmpRateLimiter.DEFAULT_RATE,
     ) -> None:
-        if not core_icmp_rate > 0:
-            raise ValueError(f"core_icmp_rate must be positive, got {core_icmp_rate}")
+        check_rate("core_icmp_rate", core_icmp_rate)
         self.providers = list(providers)
         self.registry = registry or AsRegistry()
         self.rib = RoutingTable()
         self.core_answers_unrouted = core_answers_unrouted
         self.stats = InternetStats()
         self._provider_by_asn: dict[int, Provider] = {}
-        self._pool_index: dict[int, tuple[Provider, RotationPool]] = {}
-        self._wide_pools: list[tuple[Provider, RotationPool]] = []
-        self._core_limits: dict[int, IcmpRateLimiter] = {}
+        self._core_cell: dict[int, int] = {}  # AS -> its core router's cell in _core
+        self._core = BucketCells(len(self.providers))
         self._core_icmp_rate = core_icmp_rate
         self._table: PoolTable | None = None  # built by the first classify
 
         # Prefixes nest or are disjoint: sorted, a pool overlapping any
-        # other overlaps the next one, which starts inside it.
-        prefixes = sorted(
-            (pool.prefix for provider in self.providers for pool in provider.pools),
-            key=lambda prefix: (prefix.network, prefix.plen),
+        # other overlaps the next one, which starts inside it.  In this
+        # order pools are numbered in the pool table and bisected.
+        entries = sorted(
+            ((pool, provider) for provider in self.providers for pool in provider.pools),
+            key=lambda entry: (entry[0].prefix.network, entry[0].prefix.plen),
         )
-        for outer, inner in zip(prefixes, prefixes[1:]):
-            if inner.network in outer:
-                raise ValueError(f"pools overlap: {outer} / {inner}")
-        self._indexed_pools: list[RotationPool] = []  # by pool number
-        number_of: dict[int, int] = {}  # /48 -> the number of the pool covering it
-        for provider in self.providers:
+        self._pools = [pool for pool, _ in entries]
+        self._owners = [provider for _, provider in entries]
+        self._starts = [pool.prefix.network for pool in self._pools]
+        for outer, inner in zip(self._pools, self._pools[1:]):
+            if inner.prefix.network in outer.prefix:
+                raise ValueError(f"pools overlap: {outer.prefix} / {inner.prefix}")
+        for number, provider in enumerate(self.providers):
             if provider.asn in self._provider_by_asn:
                 raise ValueError(f"duplicate AS{provider.asn}")
             self._provider_by_asn[provider.asn] = provider
+            self._core_cell[provider.asn] = number
             self.registry.register(provider.asn, provider.name, provider.country)
             for prefix in provider.bgp_prefixes:
                 self.rib.advertise(prefix, provider.asn)
-            for pool in provider.pools:
-                if pool.prefix.plen > 48:
-                    self._wide_pools.append((provider, pool))
-                    continue
-                for net48 in pool.prefix.subnets(48):  # O(1) probe resolution
-                    key = net48.network >> _NET48_SHIFT
-                    self._pool_index[key] = (provider, pool)
-                    number_of[key] = len(self._indexed_pools)
-                self._indexed_pools.append(pool)
-        # The /48 index as sorted columns, for ``classify``'s lookup.
+        # The core routers by origin AS, for ``classify``: the sorted ASNs
+        # (a sentinel above every AS ends them), each one's cell and source.
+        providers = enumerate(self.providers)
+        routers = [(p.asn, n, p.core_router_address(0)) for n, p in providers if p.bgp_prefixes]
+        asns, cells, sources = zip(*sorted(routers), (1 << 62, -1, 0))
         if np is not None:
-            keys = sorted(number_of)
-            # A sentinel above every /48 ends the keys: no lookup runs off them.
-            self._index_keys = np.array(keys + [(1 << 64) - 1], dtype=np.uint64)
-            numbers = [number_of[key] for key in keys] + [-1]
-            self._index_numbers = np.array(numbers, dtype=np.int64)
+            self._routers = (np.array(asns), np.array(cells), *split_targets(sources))
 
     # -- lookup helpers ----------------------------------------------------
 
@@ -161,12 +147,9 @@ class SimInternet:
 
     def pool_of(self, addr: int) -> tuple[Provider, RotationPool] | None:
         """The (provider, pool) whose pool prefix covers *addr*, if any."""
-        entry = self._pool_index.get(addr >> _NET48_SHIFT)
-        if entry is not None:
-            return entry
-        for provider, pool in self._wide_pools:
-            if addr in pool.prefix:
-                return provider, pool
+        at = bisect_right(self._starts, addr) - 1
+        if at >= 0 and addr in self._pools[at].prefix:
+            return self._owners[at], self._pools[at]
         return None
 
     def resolve(self, addr: int, t_hours: float) -> Residence | None:
@@ -181,8 +164,8 @@ class SimInternet:
             yield from provider.all_devices()
 
     def reset_rate_limits(self) -> None:
-        """Forget every ICMPv6 limiter's history, core and CPE: drop the
-        core routers' limiters and refill each pool's bucket columns.
+        """Forget every ICMPv6 limiter's history, core and CPE: every
+        bucket cell back to never touched, in place.
 
         A measurement restarted from its beginning is a new branch of
         simulated history in which every bucket had been idle.  The
@@ -191,10 +174,8 @@ class SimInternet:
         (no time passes, no backward jump), so its burst would drain one
         token per repeat until the answer disappeared.
         """
-        self._core_limits.clear()
-        for provider in self.providers:
-            for pool in provider.pools:
-                pool.reset_buckets()
+        for cells in (self._core, *self._pools):
+            cells.reset_buckets()
 
     # -- the attacker-facing verbs ------------------------------------------
 
@@ -232,22 +213,24 @@ class SimInternet:
     def classify(self, sweeps) -> list[Classified | None]:
         """The pure phase over ``(hi, lo, t_seconds)`` sweeps in one pass:
         per row, the outcome short of the rate limiters and, where a CPE
-        would answer, its source halves and ICMPv6 type and code; per
-        pool, the would-answer rows and tenants.  Reads no mutable state."""
+        or core router would answer, its source halves, ICMPv6 type and
+        code and its bucket's cell.  Reads no mutable state."""
         if np is None:
             return [None] * len(sweeps)
         hi, lo, t_seconds = (np.concatenate([s[k] for s in sweeps]) for k in range(3))
         t_hours = t_seconds / SECONDS_PER_HOUR
         n = len(hi)
-        keys = hi >> np.uint64(_NET48_SHIFT - IID_BITS)
-        at = np.searchsorted(self._index_keys, keys)  # the sentinel ends the keys
-        numbers = np.where(self._index_keys[at] == keys, self._index_numbers[at], -1)
         table = self._table
         if table is None or not table.devices.current:
-            table = self._table = PoolTable(self._indexed_pools)
-        rows = np.flatnonzero(numbers >= 0)
-        numbers = numbers[rows]
-        tenant, wan_net64, wan_iid = table.resolve(numbers, hi[rows], t_hours[rows])
+            table = self._table = PoolTable(self._pools, self._core, self._core_icmp_rate)
+        numbers = table.numbers(hi)
+        outcome = np.empty(n, dtype=np.uint8)
+        cell = np.full(n, -1, dtype=np.int64)
+        src_hi, src_lo = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
+        icmp_type, code = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+
+        rows = np.flatnonzero(numbers >= 0)  # in a pool: its tenant of the moment
+        tenant, wan_net64, wan_iid = table.resolve(numbers[rows], hi[rows], t_hours[rows])
         devices = table.devices
         verdict = np.full(len(rows), _VACANT, dtype=np.uint8)
         held = np.flatnonzero(tenant >= 0)
@@ -257,94 +240,76 @@ class SimInternet:
             np.where(devices.responds[tenants], _ANSWERS, _SILENT),
             _OFFLINE,
         )
-        outcome = np.full(n, _SCALAR, dtype=np.uint8)
         outcome[rows] = verdict
-        src_hi, src_lo = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
         src_hi[rows], src_lo[rows] = wan_net64, wan_iid
-        icmp_type, code = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         icmp_type[rows[held]] = devices.icmp_type[tenants]
         code[rows[held]] = devices.icmp_code[tenants]
+        answers = verdict == _ANSWERS
+        cell[rows[answers]] = tenant[answers]  # a device's cell is its row
 
-        # Per sweep, per pool in number order: the would-answer rows, ascending.
-        answers = np.flatnonzero(verdict == _ANSWERS)
-        rows, numbers = rows[answers], numbers[answers]
-        tenants = tenant[answers] - table.offset[numbers]  # customer indices
+        rows = np.flatnonzero(numbers < 0)  # outside every pool: the origin's core
+        origin = self.rib.origins(hi[rows], lo[rows])
+        asns, cells, router_hi, router_lo = self._routers
+        at = np.searchsorted(asns, origin)  # the sentinel ends them
+        router = np.where(asns[at] == origin, at, -1)
+        if self.core_answers_unrouted:
+            outcome[rows] = np.where(router >= 0, _CORE, _UNROUTED)
+        else:
+            outcome[rows] = np.where(origin >= 0, _QUIET, _UNROUTED)
+        answers = outcome[rows] == _CORE
+        core, router = rows[answers], router[answers]
+        cell[core] = table.core + cells[router]
+        src_hi[core], src_lo[core] = router_hi[router], router_lo[router]
+        icmp_type[core], code[core] = IcmpType.DEST_UNREACHABLE, IcmpCode.NO_ROUTE
+
         bounds = [0, *accumulate(len(sweep[0]) for sweep in sweeps)]
-        pools = len(self._indexed_pools)
-        group = (np.searchsorted(bounds, rows, side="right") - 1) * pools + numbers
-        order = np.argsort(group, kind="stable")  # rows stay ascending
-        rows, tenants, group = rows[order], tenants[order], group[order]
-        starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
-        by_pool: list[list] = [[] for _ in sweeps]  # per sweep, sweep-relative rows
-        for a, b, key in zip(starts, starts[1:] + [len(rows)], group[starts].tolist()):
-            s, number = divmod(key, pools)
-            pool = self._indexed_pools[number]
-            by_pool[s].append((pool, rows[a:b] - bounds[s], tenants[a:b]))
-        fields = (hi, lo, t_seconds, outcome, src_hi, src_lo, icmp_type, code)
-        return [
-            Classified(*(field[a:b] for field in fields), by_pool[s])
-            for s, (a, b) in enumerate(zip(bounds, bounds[1:]))
-        ]
+        fields = (hi, lo, t_seconds, outcome, src_hi, src_lo, icmp_type, code, cell)
+        return [Classified(*(f[a:b] for f in fields)) for a, b in zip(bounds, bounds[1:])]
 
     def commit(self, swept: Classified, stop_iid: int | None = None) -> ProbeChunk:
         """The stateful phase of one classified sweep: rate limiters,
         counters and responses, through the first response whose source
-        IID is *stop_iid* (see the module docstring for the cut)."""
-        hi, lo, t_seconds, outcome, src_hi, src_lo, icmp_type, code, by_pool = swept
+        IID is *stop_iid* (see the module docstring for the cut).  Its
+        cells are the pool table's as classified: commit before a pool grows."""
+        hi, lo, t_seconds, outcome, src_hi, src_lo, icmp_type, code, cell = swept
         n = len(hi)
         if not n:
             return ProbeChunk()
-        would_answer = outcome == _ANSWERS
-        stop_rows: set[int] = set()
+        table = self._table
+        bucket = (cell >= 0).nonzero()[0]  # the rows a bucket decides
+        cells = cell[bucket]
+        stops = []  # the candidate stop rows, as places in bucket
         if stop_iid is not None and 0 <= stop_iid <= IID_MASK:
-            carries = would_answer & (src_lo == np.uint64(stop_iid))
-            stop_rows.update(np.flatnonzero(carries).tolist())
-        off_index = iter(np.flatnonzero(outcome == _SCALAR).tolist())
-        row = next(off_index, n)
-        answered = np.zeros(n, dtype=bool)
-        start = 0
-        for end in sorted(stop_rows | {n - 1}):
-            end += 1  # this segment is rows [start, end), unless a scalar row hits
-            while row < end:
-                # Core space, pools off the /48 index: probe() counts for itself.
-                target = (int(hi[row]) << IID_BITS) | int(lo[row])
-                response = self.probe(target, float(t_seconds[row]))
-                if response is not None:
-                    answered[row] = True
-                    src_hi[row] = response.source >> IID_BITS
-                    src_lo[row] = response.source & IID_MASK
-                    icmp_type[row] = response.icmp_type
-                    code[row] = response.code
-                    if response.source & IID_MASK == stop_iid:
-                        stop_rows.add(row)
-                        end = row + 1
-                row = next(off_index, n)
-            for pool, rows, tenants in by_pool:
-                first, beyond = np.searchsorted(rows, (start, end)).tolist()
-                if first == beyond:
-                    continue
-                rows = rows[first:beyond]
-                allowed = pool.allow_many(tenants[first:beyond], t_seconds[rows])
-                answered[rows] = allowed
-            if answered[end - 1] and end - 1 in stop_rows:
+            stops = (src_lo[bucket] == np.uint64(stop_iid)).nonzero()[0].tolist()
+        allowed = np.zeros(len(bucket), dtype=bool)
+        start, cut = 0, n
+        for stop in stops + [len(bucket)]:
+            if start == len(bucket):
                 break
-            start = end
-        cut = end
+            segment, times = cells[start : stop + 1], t_seconds[bucket[start : stop + 1]]
+            rate, burst = table.rate[segment], table.burst[segment]
+            allowed[start : stop + 1] = table.walk(segment, times, rate, burst)
+            if stop < len(bucket) and allowed[stop]:
+                cut = int(bucket[stop]) + 1
+                break
+            start = stop + 1
 
         # -- commit: counters over the consumed prefix only ------------------
-        counts = np.bincount(outcome[:cut], minlength=5).tolist()
-        cpe_responses = int(np.count_nonzero(answered & would_answer))
+        take = bucket[allowed]
+        counts = np.bincount(outcome[:cut], minlength=7).tolist()
+        core_responses = int(np.count_nonzero(outcome[take] == _CORE))
         stats = self.stats
-        stats.probes += cut - counts[_SCALAR]
+        stats.probes += cut
         stats.vacant += counts[_VACANT]
         stats.offline += counts[_OFFLINE]
         stats.silent_policy += counts[_SILENT]
-        stats.rate_limited += counts[_ANSWERS] - cpe_responses
-        stats.cpe_responses += cpe_responses
+        stats.unrouted += counts[_UNROUTED]
+        stats.rate_limited += counts[_ANSWERS] + counts[_CORE] - len(take)
+        stats.cpe_responses += len(take) - core_responses
+        stats.core_responses += core_responses
 
         chunk = ProbeChunk()
         chunk.consumed = cut
-        take = np.flatnonzero(answered)
         if len(take):
             chunk.times = t_seconds[take].tolist()
             chunk.tgt_hi = array("Q", hi[take].tobytes())
@@ -375,11 +340,8 @@ class SimInternet:
         if provider is None or not provider.bgp_prefixes:
             self.stats.unrouted += 1
             return None
-        limiter = self._core_limits.get(provider.asn)
-        if limiter is None:
-            limiter = IcmpRateLimiter(rate=self._core_icmp_rate)
-            self._core_limits[provider.asn] = limiter
-        if not limiter.allow(t_seconds):
+        rate, burst = self._core_icmp_rate, IcmpRateLimiter.DEFAULT_BURST
+        if not self._core.allow(self._core_cell[provider.asn], t_seconds, rate, burst):
             self.stats.rate_limited += 1
             return None
         self.stats.core_responses += 1

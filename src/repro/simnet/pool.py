@@ -8,28 +8,25 @@ device whose delegation covers it -- in O(1), by inverting the policy.
 :class:`PoolTable` is the same resolution for many pools at once: their
 parameters and devices as numpy columns, one pass over rows of any pools.
 
-The pool is also the one home of its customers' RFC 4443 token buckets.
-A bucket is not an object: it is one cell, at the customer's index, in
-each of four stdlib ``array`` columns -- ``tokens`` and ``last``
-(``'d'``; ``last == -inf`` marks a device never probed) and the
-``emitted`` / ``suppressed`` counters (``'q'``).
-:meth:`RotationPool.allows_response` is the bucket's arithmetic on one
-cell and the scalar reference (it is
-:class:`~repro.scan.rate.TokenBucket`, step for step);
-:meth:`RotationPool.allow_many` is the same arithmetic in float64 over
-numpy views of the same cells.  Both read the device's *current*
-``icmp_rate`` / ``icmp_burst``: the columns hold state, the device
-holds configuration.
+The pool is also the one home of its customers' RFC 4443 token buckets:
+it is :class:`~repro.scan.rate.BucketCells`, one cell per customer
+index -- ``tokens``, ``last`` (``-inf``: never probed), ``emitted`` and
+``suppressed``.  :meth:`RotationPool.allows_response` is the bucket's
+arithmetic on one cell and the scalar reference;
+:meth:`RotationPool.allow_many` is :meth:`~repro.scan.rate.BucketCells.walk`
+over a chunk.  Both read the device's *current* ``icmp_rate`` /
+``icmp_burst``: the columns hold state, the device holds configuration.
+A :class:`PoolTable` lays every pool's cells end to end, with each
+provider's core-router cell after them, and the pools keep views.
 """
 
 from __future__ import annotations
 
-import math
-from array import array
 from dataclasses import dataclass, field
 
 from repro.net.addr import IID_BITS, Prefix
 from repro.scan.permutation import FeistelPermutation
+from repro.scan.rate import BucketCells, IcmpRateLimiter
 from repro.simnet.device import CpeDevice, DeviceColumns
 from repro.simnet.rotation import NoRotation, RotationPolicy
 from repro.util import np
@@ -46,7 +43,7 @@ class Residence:
 
 
 @dataclass
-class RotationPool:
+class RotationPool(BucketCells):
     """One provider rotation pool."""
 
     prefix: Prefix
@@ -54,13 +51,6 @@ class RotationPool:
     policy: RotationPolicy = field(default_factory=NoRotation)
     pool_key: int = 0
     devices: list[CpeDevice] = field(default_factory=list)
-    # (DeviceColumns, the row of customer 0): what allow_many reads rates from.
-    _columns: tuple | None = field(default=None, repr=False, compare=False)
-    # Token buckets, one cell per customer index (see the module docstring).
-    tokens: array = field(init=False, repr=False, compare=False)
-    last: array = field(init=False, repr=False, compare=False)
-    emitted: array = field(init=False, repr=False, compare=False)
-    suppressed: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.prefix.plen <= self.delegation_plen <= IID_BITS:
@@ -72,7 +62,7 @@ class RotationPool:
             raise ValueError(
                 f"{len(self.devices)} devices exceed {self.nslots} slots"
             )
-        self.reset_buckets()
+        BucketCells.__init__(self, len(self.devices))  # see the module docstring
 
     @property
     def nslots(self) -> int:
@@ -91,102 +81,23 @@ class RotationPool:
         if len(self.devices) >= self.nslots:
             raise ValueError("pool is full")
         self.devices.append(device)
-        self.tokens.append(0.0)
-        self.last.append(-math.inf)
-        self.emitted.append(0)
-        self.suppressed.append(0)
+        self.add_cell()
         return len(self.devices) - 1
 
     # -- RFC 4443 error rate limiting (customer index -> may it answer) ----
 
-    def reset_buckets(self) -> None:
-        """Every customer's bucket back to never probed."""
-        n = len(self.devices)
-        self.tokens = array("d", [0.0]) * n
-        self.last = array("d", [-math.inf]) * n
-        self.emitted = array("q", [0]) * n
-        self.suppressed = array("q", [0]) * n
-
     def allows_response(self, customer_index: int, t_seconds: float) -> bool:
-        """Apply customer *customer_index*'s error rate limit at *t_seconds*.
-
-        One bucket cell, refilled lazily: a first touch fills it to the
-        burst; a small backward step (overlapping scans replaying one
-        window) neither refills nor rewinds; a backward jump past a full
-        refill is a logically separate measurement and finds the bucket
-        full again.  Rate and burst are read from the device on every
-        call, like every other device field the simulator consults: a
-        reassigned ``icmp_rate`` governs the very next probe.  (The
-        limiter object this replaces captured both at its first use; no
-        column caches configuration.)
-        """
+        """Apply customer *customer_index*'s error rate limit at *t_seconds*,
+        with the device's rate and burst of the moment: a reassigned
+        ``icmp_rate`` governs the very next probe."""
         device = self.devices[customer_index]
-        rate, burst = device.icmp_rate, device.icmp_burst
-        tokens, last = self.tokens[customer_index], self.last[customer_index]
-        if last == -math.inf:
-            tokens = burst
-            self.last[customer_index] = t_seconds
-        elif t_seconds < last:
-            if last - t_seconds > burst / rate:
-                tokens = burst
-                self.last[customer_index] = t_seconds
-        else:
-            tokens = min(burst, tokens + (t_seconds - last) * rate)
-            self.last[customer_index] = t_seconds
-        if tokens >= 1.0:
-            self.tokens[customer_index] = tokens - 1.0
-            self.emitted[customer_index] += 1
-            return True
-        self.tokens[customer_index] = tokens
-        self.suppressed[customer_index] += 1
-        return False
+        return self.allow(customer_index, t_seconds, device.icmp_rate, device.icmp_burst)
 
     def allow_many(self, indices, t_seconds):
-        """:meth:`allows_response` over a chunk, in probe order.
-
-        *indices* is the customer index column (``int64``), *t_seconds*
-        the float64 send times; returns the allowed column (``bool``).
-        Buckets of different devices are independent, so the devices
-        that occur once in the chunk -- almost all: a scan sends one
-        target per delegation -- take one vector pass over numpy views
-        of the cells, the scalar method's float64 arithmetic operation
-        for operation; the rows of a device that occurs again are
-        replayed through the scalar method in row order.
-        """
-        if not len(indices):
-            return np.empty(0, dtype=bool)
-        ranked = np.sort(indices)
-        again = ranked[1:][ranked[1:] == ranked[:-1]]
-        if len(again):
-            repeated = np.isin(indices, again)
-            allowed = np.empty(len(indices), dtype=bool)
-            allowed[repeated] = [
-                self.allows_response(index, t)
-                for index, t in zip(
-                    indices[repeated].tolist(), t_seconds[repeated].tolist()
-                )
-            ]
-            once = ~repeated
-            allowed[once] = self.allow_many(indices[once], t_seconds[once])
-            return allowed
-        columns, first = self.device_columns()
-        rows = indices + first
-        rate, burst = columns.icmp_rate[rows], columns.icmp_burst[rows]
-        tokens_of, last_of = np.frombuffer(self.tokens), np.frombuffer(self.last)
-        held, last = tokens_of[indices], last_of[indices]
-        # A first touch refills from -inf: without bound, so to the burst.
-        tokens = np.minimum(burst, held + (t_seconds - last) * rate)
-        back = t_seconds < last
-        if back.any():  # overlapping or rewound scans; one scan only moves forward
-            rewound = back & (last - t_seconds > burst / rate)
-            tokens = np.where(rewound, burst, np.where(back, held, tokens))
-            t_seconds = np.where(back & ~rewound, last, t_seconds)
-        last_of[indices] = t_seconds
-        allowed = tokens >= 1.0
-        tokens_of[indices] = tokens - allowed
-        np.frombuffer(self.emitted, dtype=np.int64)[indices] += allowed
-        np.frombuffer(self.suppressed, dtype=np.int64)[indices] += ~allowed
-        return allowed
+        """:meth:`allows_response` over customer indices (``int64``) at
+        float64 send times, in probe order: the allowed column (``bool``)."""
+        columns = DeviceColumns(self.devices)
+        return self.walk(indices, t_seconds, columns.icmp_rate[indices], columns.icmp_burst[indices])
 
     # -- ground-truth queries (device -> where) ---------------------------
 
@@ -257,13 +168,6 @@ class RotationPool:
             device=device, delegation=delegation, wan_address=wan, customer_index=occupant
         )
 
-    def device_columns(self) -> tuple[DeviceColumns, int]:
-        """(device columns, row of customer 0): a :class:`PoolTable`'s,
-        or else the pool's own, rebuilt when stale."""
-        if self._columns is None or not self._columns[0].current:
-            self._columns = (DeviceColumns(self.devices), 0)
-        return self._columns
-
     def customer_index_of(self, device_id: int) -> int | None:
         """Find a device's customer index by its id (ground-truth helper)."""
         for index, device in enumerate(self.devices):
@@ -272,19 +176,20 @@ class RotationPool:
         return None
 
 
-class PoolTable:
+class PoolTable(BucketCells):
     """:meth:`RotationPool.resolve` over rows of many pools, in one pass:
-    each pool's parameters at its pool number (its place in *pools*) and
-    all their devices as one :class:`~repro.simnet.device.DeviceColumns`,
-    customer *i* of pool *p* at row ``offset[p] + i``.  Stale exactly
-    when those columns are: pools keep their shape, devices do not."""
+    each pool's parameters at its pool number (its place in *pools*,
+    disjoint, in address order) and all their devices as one
+    :class:`~repro.simnet.device.DeviceColumns`, customer *i* of pool *p*
+    at row ``offset[p] + i``.  Its bucket cells are each device's at its
+    row, then *core*'s (limited at *core_rate*) from :attr:`core` on; the
+    pools and *core* keep views.  Stale exactly when the device columns
+    are: pools keep their shape, devices do not."""
 
-    def __init__(self, pools: list[RotationPool]) -> None:
+    def __init__(self, pools: list[RotationPool], core: BucketCells, core_rate: float) -> None:
         self.devices = DeviceColumns(*(pool.devices for pool in pools))
         counts = [pool.n_customers for pool in pools]
         self.offset = np.cumsum([0, *counts[:-1]], dtype=np.int64)
-        for pool, first in zip(pools, self.offset.tolist()):
-            pool._columns = (self.devices, first)  # its buckets' rates: no second build
         self.policies = list(dict.fromkeys(type(pool.policy) for pool in pools))
 
         def column(value, dtype=np.uint64):
@@ -300,6 +205,26 @@ class PoolTable:
         self.rotation_hour = column(lambda pool: pool.policy.rotation_hour, np.float64)
         self.interval = column(lambda pool: pool.policy.interval_hours, np.float64)
         self.window = column(lambda pool: pool.policy.window_hours, np.float64)
+        last64 = column(lambda pool: (pool.prefix.network >> IID_BITS) + pool.prefix.num_subnets(IID_BITS) - 1)
+        self.last64 = np.append(last64, np.uint64(0))  # [-1]: below every pool
+
+        holders = [*pools, core]
+        bounds = np.cumsum([0, *(len(holder.tokens) for holder in holders)]).tolist()
+        for name, typecode, _ in self.COLUMNS:  # memoryviews: scalar steps at Python speed
+            cells = np.concatenate([np.asarray(getattr(holder, name)) for holder in holders])
+            shared = memoryview(bytearray(cells.tobytes())).cast(typecode)
+            setattr(self, name, shared)
+            for holder, first, end in zip(holders, bounds, bounds[1:]):
+                setattr(holder, name, shared[first:end])
+        self.core, routers = bounds[-2], bounds[-1] - bounds[-2]
+        self.rate = np.append(self.devices.icmp_rate, np.full(routers, core_rate))
+        burst = np.full(routers, IcmpRateLimiter.DEFAULT_BURST)
+        self.burst = np.append(self.devices.icmp_burst, burst)
+
+    def numbers(self, net64s):
+        """The number of the pool holding each top half *net64s*, or -1."""
+        at = np.searchsorted(self.net64, net64s, side="right") - 1
+        return np.where(net64s <= self.last64[at], at, -1)
 
     def resolve(self, numbers, net64s, t_hours):
         """Per row, :meth:`RotationPool.resolve` in pool *numbers* of the

@@ -11,6 +11,10 @@ Three references pin the day-major hunt:
   batching: hunted IIDs sharing pools, one-token buckets that refuse and
   rewind, candidate stop rows their bucket refuses, two widenings that
   reach core space;
+* the same pursuit on the batched twin with every scalar way to a
+  limiter armed to raise (``forbid_scalar_probes``): with numpy, a hunt
+  day -- widenings into core space included -- answers every row as
+  columns;
 * atomicity: a day with an anchor no AS profile covers raises before
   any probe and leaves the pursuits as they were.
 """
@@ -18,6 +22,7 @@ Three references pin the day-major hunt:
 import hashlib
 import importlib.util
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,6 +30,7 @@ import pytest
 
 from repro.core.tracker import AsProfile, DeviceTracker, TrackerConfig
 from repro.net.addr import IID_MASK, Prefix
+from repro.scan.rate import IcmpRateLimiter
 from repro.simnet.device import AddressingMode, CpeDevice
 from repro.simnet.internet import SimInternet
 from repro.simnet.pool import RotationPool
@@ -168,16 +174,18 @@ class Forwarding:
 
 
 def world_state(world: SimInternet) -> list:
-    cells = [
+    cells = world._core  # the core routers' buckets, one cell per provider
+    pools = [
         [list(column) for column in (pool.tokens, pool.last, pool.emitted, pool.suppressed)]
         for provider in world.providers
         for pool in provider.pools
     ]
     core = sorted(
-        (asn, (lim.emitted, lim.suppressed, lim._bucket._tokens, lim._bucket._last))
-        for asn, lim in world._core_limits.items()
+        (asn, (cells.emitted[i], cells.suppressed[i], cells.tokens[i], cells.last[i]))
+        for asn, i in world._core_cell.items()
+        if cells.last[i] != -math.inf
     )
-    return [asdict(world.stats), cells, core]
+    return [asdict(world.stats), pools, core]
 
 
 def test_day_major_hunts_equal_the_per_probe_reference(monkeypatch):
@@ -216,13 +224,60 @@ def test_day_major_hunts_equal_the_per_probe_reference(monkeypatch):
     assert any(o.found for o in outcomes) and not all(o.found for o in outcomes)
     assert max(o.probes_sent for o in outcomes) == 256 + 1024 + 4096  # two widenings
     assert batched.stats.rate_limited and batched.stats.core_responses
-    assert batched._core_limits[ASN].suppressed  # the core router refused too
+    assert batched._core.suppressed[batched._core_cell[ASN]]  # the core router refused too
     assert any(any(pool.suppressed) for pool in batched.providers[0].pools)
     if np is not None:  # without numpy there are no phases to spy on
         assert missed_candidates  # a candidate stop row its bucket refused
         widenings = [rows for rows in batches if min(rows) > 256]
         assert any(len(rows) > 1 for rows in widenings)  # certain misses', together
         assert any(len(rows) == 1 for rows in widenings)  # one classified at its turn
+
+
+@pytest.fixture()
+def forbid_scalar_probes():
+    """``forbid_scalar_probes(monkeypatch) -> calls``: make every scalar
+    way to a limiter -- ``SimInternet.probe``, its core-router branch and
+    a limiter object's ``allow`` -- record itself in *calls* and raise,
+    for as long as *monkeypatch* holds."""
+
+    def forbid(monkeypatch) -> list[str]:
+        calls: list[str] = []
+
+        def forbidden(name):
+            def scalar(*_args, **_kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called in a hunt day")
+
+            return scalar
+
+        monkeypatch.setattr(SimInternet, "probe", forbidden("probe"))
+        monkeypatch.setattr(SimInternet, "_core_response", forbidden("_core_response"))
+        monkeypatch.setattr(IcmpRateLimiter, "allow", forbidden("IcmpRateLimiter.allow"))
+        return calls
+
+    return forbid
+
+
+@pytest.mark.skipif(np is None, reason="without numpy every row is a probe")
+def test_hunt_days_send_no_scalar_probe(monkeypatch, forbid_scalar_probes):
+    """The hostile cohort's two days, widenings into core space included,
+    with no per-row call: the same outcomes and world as the reference."""
+    config = TrackerConfig(seed=3, max_widenings=2)
+    profiles = {ASN: AsProfile(ASN, allocation_plen=56, pool_plen=48)}
+    batched, reference = hostile_world(), hostile_world()
+    cohort = hostile_cohort(batched)
+    pursuits = []
+    for world in (batched, Forwarding(reference)):
+        pursuit = LivePursuit(DeviceTracker(world, profiles, config))
+        pursuit.add_targets(cohort)
+        pursuits.append(pursuit)
+    wants = [pursuits[1].advance(day) for day in (2, 3)]  # before the patch
+    with monkeypatch.context() as patch:
+        calls = forbid_scalar_probes(patch)
+        assert [pursuits[0].advance(day) for day in (2, 3)] == wants
+    assert calls == []
+    assert world_state(batched) == world_state(reference)
+    assert batched.stats.core_responses and batched.stats.rate_limited
 
 
 # -- atomic days -------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""The pool's bucket columns against the limiter objects they replaced.
+"""The bucket cells against the limiter objects they replaced.
 
 A CPE's RFC 4443 token bucket is one cell per customer index in its
 ``RotationPool``'s ``tokens`` / ``last`` / ``emitted`` / ``suppressed``
-columns.  ``IcmpRateLimiter`` -- still the core routers' limiter -- is
-the oracle: one per device, fed the same rows in order, must agree with
-``allows_response`` (the scalar reference) and ``allow_many`` (the
-vector pass) in every answer and every cell.
+columns, and a provider's core router's is one cell of the
+``SimInternet``'s core cells.  ``IcmpRateLimiter`` is the oracle: one
+per device or router, fed the same rows in order, must agree with
+``allows_response`` (the scalar reference), ``allow_many`` and
+``commit`` (the walk) in every answer and every cell.
 """
 
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.net.addr import Prefix
 from repro.net.icmpv6 import probe_each
-from repro.scan.rate import IcmpRateLimiter
+from repro.scan.rate import BucketCells, IcmpRateLimiter, TokenBucket
 from repro.scan.targets import split_targets
 from repro.simnet.device import CpeDevice
 from repro.simnet.internet import SimInternet
@@ -200,4 +201,119 @@ def test_a_refused_candidate_does_not_end_the_hunt():
     assert cells(pool) == cells(ref_pool)
     assert (pool.emitted[2], pool.suppressed[2]) == (2, 2)
     assert pool.last[4] == -math.inf  # the row after the cut never reached its CPE
-    assert chunked._core_limits[64512].emitted == 1  # nor the second core row
+    assert chunked._core.emitted[chunked._core_cell[64512]] == 1  # nor the second core row
+
+
+# -- the core routers' cells, through probe_many ------------------------------------
+
+CORE_RATES = {64601: 100.0, 64602: 2.0}  # per AS: one core_icmp_rate per world
+
+
+def core_world(rate: float) -> SimInternet:
+    """Two providers with no pools: every probe into their /32s is a core
+    row, and all of a provider's rows share its router's one cell."""
+    providers = [
+        Provider(asn, f"AS{asn}", "DE", bgp_prefixes=[Prefix.parse(f"2001:db{i}::/32")])
+        for i, asn in enumerate(CORE_RATES, start=8)
+    ]
+    return SimInternet(providers, core_icmp_rate=rate)
+
+
+def core_cells(world: SimInternet) -> dict:
+    core = world._core
+    return {
+        asn: (core.tokens[i], core.last[i], core.emitted[i], core.suppressed[i])
+        for asn, i in world._core_cell.items()
+        if core.last[i] != -math.inf
+    }
+
+
+# Quiet runs (steps far below a token), forward jumps, small steps back
+# and rewinds past a full refill (10 / 100 s and 10 / 2 s here).
+CORE_STEPS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-3),
+    st.floats(1e-3, 2.0),
+    st.floats(-0.05, 0.0),
+    st.floats(-40.0, -0.2),
+)
+CORE_ROWS = st.lists(st.tuples(st.sampled_from(list(CORE_RATES)), CORE_STEPS), min_size=1, max_size=400)
+
+
+@needs_numpy
+@given(rows=CORE_ROWS, rate=st.sampled_from(sorted(CORE_RATES.values())))
+@example(rows=[(64601, 1e-4)] * 300 + [(64601, -0.05)] + [(64601, 1e-4)] * 50, rate=100.0)
+@example(rows=[(64602, 1e-4)] * 30 + [(64602, -20.0)] + [(64602, 0.0)] * 12, rate=2.0)
+@settings(max_examples=150, deadline=None)
+def test_core_cells_are_the_limiter_objects(rows, rate):
+    """One sweep of core rows, many per router: ``commit`` walks each
+    router's cell event by event and must give every answer, every
+    counter and every cell of one ``IcmpRateLimiter`` per AS."""
+    world = core_world(rate)
+    limiters = {asn: IcmpRateLimiter(rate=rate) for asn in CORE_RATES}
+    t, targets, times, answers = 500.0, [], [], []
+    for k, (asn, step) in enumerate(rows):
+        t += step
+        bgp = world.provider_of_asn(asn).bgp_prefixes[0]
+        targets.append(bgp.network | (k + 2) << 64 | 7)
+        times.append(t)
+        answers.append(limiters[asn].allow(t))
+    got = world.probe_many(*split_targets(targets), np.array(times))
+    assert got.times == [t for t, answered in zip(times, answers) if answered]
+    assert world.stats.core_responses == sum(answers)
+    assert world.stats.rate_limited == len(rows) - sum(answers)
+    assert core_cells(world) == {
+        asn: (lim._bucket._tokens, lim._bucket._last, lim.emitted, lim.suppressed)
+        for asn, lim in limiters.items()
+        if lim.emitted + lim.suppressed
+    }
+
+
+@needs_numpy
+def test_advertise_and_withdraw_reach_the_next_commit():
+    """The RIB's columns are invalidated as its per-/48 memo is: a route
+    advertised or withdrawn between two commits changes core rows."""
+    worlds = core_world(100.0), core_world(100.0)  # chunked, per probe
+    extra = Prefix.parse("3fff:1::/32")
+    targets = [extra.network | 1, Prefix.parse("2001:db8::/32").network | 1 << 64]
+    times = [1.0, 2.0]
+
+    def both(t0: float) -> list:
+        t = [t0 + x for x in times]
+        chunk = worlds[0].probe_many(*split_targets(targets), np.array(t))
+        assert chunk.responses() == probe_each(worlds[1].probe, targets, t).responses()
+        assert worlds[0].stats == worlds[1].stats and core_cells(worlds[0]) == core_cells(worlds[1])
+        return [response.target for response in chunk.responses()]
+
+    assert both(0.0) == targets[1:] and worlds[0].stats.unrouted == 1
+    for world in worlds:
+        world.rib.advertise(extra, 64602)
+    assert both(10.0) == targets
+    for world in worlds:
+        assert world.rib.withdraw(extra)
+    assert both(20.0) == targets[1:] and worlds[0].stats.unrouted == 2
+
+    quiet = SimInternet(core_world(100.0).providers, core_answers_unrouted=False)
+    chunk = quiet.probe_many(*split_targets(targets), np.array(times))
+    assert not len(chunk) and quiet.stats.probes == 2 and quiet.stats.unrouted == 1
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_rates_fail_closed(bad):
+    """An infinite rate used to pass: then ``0 * inf`` left NaN in a cell
+    and the walk refused what the scalar step allowed (t = 5, 5, 5, 6)."""
+    for name in ("icmp_rate", "icmp_burst"):
+        with pytest.raises(ValueError, match=name):
+            CpeDevice(device_id=1, mac=0x3810D5000001, **{name: bad})
+    for name in ("rate", "burst"):
+        with pytest.raises(ValueError, match=name):
+            TokenBucket(**{"rate": 100.0, "burst": 10.0, name: bad})
+    with pytest.raises(ValueError, match="core_icmp_rate"):
+        SimInternet([], core_icmp_rate=bad)
+    if np is not None:  # the walk on the reproduced rows, at a finite rate
+        cells, oracle = BucketCells(1), IcmpRateLimiter(rate=1e300)
+        times = np.array([5.0, 5.0, 5.0, 6.0])
+        rows = np.zeros(4, dtype=np.int64)
+        allowed = cells.walk(rows, times, np.full(4, 1e300), np.full(4, 10.0))
+        assert allowed.tolist() == [oracle.allow(t) for t in times.tolist()]
+        assert not math.isnan(cells.tokens[0])

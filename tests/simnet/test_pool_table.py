@@ -4,13 +4,16 @@ Two references pin it:
 
 * the scalar simulator, row by row: for rows of every policy class
   (zero and nonzero stagger windows, slot counts that make the Feistel
-  scatter cycle-walk, negative epochs, rotation boundaries) and every
-  kind of device, ``classify`` says what ``RotationPool.resolve``,
-  ``is_online``, ``responds`` and ``wan_iid`` say;
+  scatter cycle-walk, negative epochs, rotation boundaries), every
+  kind of device and core space routed and unrouted, ``classify`` says
+  what ``RotationPool.resolve``, ``is_online``, ``responds``,
+  ``wan_iid`` and the RIB say, and names the bucket cell that decides;
 * a fixture recorded from the per-pool ``classify`` the table replaced
   (``data/classify_parent.json``): a sha256 of every ``Classified``
   column and of every ``by_pool`` entry over the streaming tests'
-  campaign plus a three-day hunt, at two seeds.
+  campaign plus a three-day hunt, at two seeds.  That ``classify`` left
+  core rows to ``probe`` and listed would-answer rows per pool, so the
+  recorder folds each answer back into that shape (:func:`parent_view`).
 
 Run this file as a script to re-record the fixture.
 """
@@ -29,9 +32,10 @@ from repro.net.addr import IID_BITS, IID_MASK, Prefix
 from repro.simnet.device import AddressingMode, CpeDevice, ResponsePolicy
 from repro.simnet.internet import (
     _ANSWERS,
+    _CORE,
     _OFFLINE,
-    _SCALAR,
     _SILENT,
+    _UNROUTED,
     _VACANT,
     SimInternet,
 )
@@ -121,7 +125,8 @@ ALL_POOLS = (
 
 def draw_rows(rng: random.Random, shape: str, n: int) -> list[tuple[int, float]]:
     """*n* (address, hours) rows: mostly aimed at a customer's delegation
-    of the moment, some anywhere in a pool, a few in core space."""
+    of the moment, some anywhere in a pool, a few in core space, routed
+    or not."""
     rows = []
     for _ in range(n):
         if shape == "negative":  # before every rotation hour: epochs < 0
@@ -140,21 +145,27 @@ def draw_rows(rng: random.Random, shape: str, n: int) -> list[tuple[int, float]]
             addr = delegation.random_addr(rng)
         elif roll < 0.9:
             addr = pool.prefix.random_addr(rng)
-        else:
+        elif roll < 0.97:
             addr = Prefix.parse("2001:db8:ff00::/40").random_addr(rng)
+        else:
+            addr = Prefix.parse("3fff::/20").random_addr(rng)
         rows.append((addr, t))
     return rows
 
 
 def expected(world: SimInternet, addr: int, t_hours: float):
-    """The scalar simulator's word on one row: outcome, WAN address,
-    (type, code) and the answering tenant's (pool, customer index)."""
-    entry = world.pool_of(addr)
-    if entry is None or entry[1].prefix.plen > 48:
-        return _SCALAR, None, None, None
+    """The scalar simulator's word on one row: outcome, source address,
+    (type, code) and the cell of the bucket that decides (-1: none)."""
+    table, entry = world._table, world.pool_of(addr)
+    if entry is None:
+        asn = world.rib.origin_of(addr)
+        if asn is None:
+            return _UNROUTED, None, None, -1
+        source = world.provider_of_asn(asn).core_router_address(0)
+        return _CORE, source, (1, 0), table.core + world._core_cell[asn]
     residence = entry[1].resolve(addr, t_hours)
     if residence is None:
-        return _VACANT, None, None, None
+        return _VACANT, None, None, -1
     device = residence.device
     assert residence.wan_address & IID_MASK == device.wan_iid(
         residence.wan_address >> IID_BITS, t_hours
@@ -166,7 +177,9 @@ def expected(world: SimInternet, addr: int, t_hours: float):
     else:
         outcome = _ANSWERS
     kind = (int(device.policy.icmp_type), device.policy.icmp_code)
-    return outcome, residence.wan_address, kind, (entry[1], residence.customer_index)
+    number = world._pools.index(entry[1])
+    cell = int(table.offset[number]) + residence.customer_index if outcome == _ANSWERS else -1
+    return outcome, residence.wan_address, kind, cell
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -186,31 +199,23 @@ def test_classify_equals_the_scalar_simulator(seed, shape, sizes):
         )
         for rows in sweeps
     ]
-    number = {id(pool): i for i, pool in enumerate(WORLD._indexed_pools)}
     for rows, got in zip(sweeps, WORLD.classify(columns)):
-        tenants = {}
         for i, (addr, t) in enumerate(rows):
             t_hours = float(got.t_seconds[i]) / 3600.0  # as the simulator converts
-            outcome, wan, kind, tenant = expected(WORLD, addr, t_hours)
+            outcome, source, kind, cell = expected(WORLD, addr, t_hours)
             assert got.outcome[i] == outcome, (addr, t)
-            if wan is not None:
-                assert (int(got.src_hi[i]) << IID_BITS) | int(got.src_lo[i]) == wan
+            if source is not None:
+                assert (int(got.src_hi[i]) << IID_BITS) | int(got.src_lo[i]) == source
                 assert (got.icmp_type[i], got.code[i]) == kind
-            if outcome == _ANSWERS:
-                tenants[i] = tenant
-        pools = [number[id(pool)] for pool, _, _ in got.by_pool]
-        assert pools == sorted(set(pools))  # one entry per pool, in number order
-        assert {
-            row: (pool, index)
-            for pool, rows_of, indices in got.by_pool
-            for row, index in zip(rows_of.tolist(), indices.tolist())
-        } == tenants
-        assert all((np.diff(rows_of) > 0).all() for _, rows_of, _ in got.by_pool)
+            assert got.cell[i] == cell, (addr, t)
+    pools = WORLD._pools
+    assert all(a.prefix.network < b.prefix.network for a, b in zip(pools, pools[1:]))
+    assert any(pool.prefix.plen > 48 for pool in pools)  # off the /48 index, in the table
 
 
 def test_the_table_is_rebuilt_when_devices_change():
     world = mixed_world()
-    pool = world._indexed_pools[0]
+    pool = world._pools[0]
     addr = pool.prefix.subnet(pool.n_customers, pool.delegation_plen).network | 1
     hi, lo = np.array([addr >> IID_BITS], np.uint64), np.array([1], np.uint64)
     sweep = [(hi, lo, np.array([0.0]))]
@@ -237,11 +242,31 @@ def hunt_days_module():
     return module
 
 
+def parent_view(world: SimInternet, answer) -> tuple[list, list]:
+    """*answer* as the per-pool ``classify`` gave it: the eight columns
+    with every core row left to ``probe`` (outcome 0, no source, type or
+    code), and ``by_pool`` -- per pool in number order, the would-answer
+    rows (ascending) and their customer indices."""
+    core = (answer.outcome == _CORE) | (answer.outcome >= _UNROUTED)
+    columns = [*answer[:3], *(np.where(core, np.zeros_like(c), c) for c in answer[3:8])]
+    offset = world._table.offset
+    rows = np.flatnonzero(answer.outcome == _ANSWERS)
+    cells = answer.cell[rows]
+    numbers = np.searchsorted(offset, cells, side="right") - 1
+    by_pool = [
+        (number, rows[numbers == number], cells[numbers == number] - offset[number])
+        for number in np.unique(numbers).tolist()
+    ]
+    return columns, by_pool
+
+
 def classify_digests(seed: int) -> dict:
     """The streaming tests' campaign and a three-day hunt on its world
     (``test_hunt_days.pinned_pursuit``), with every ``classify`` answer
-    folded into sha256s: one per column, dtype and bytes, and one over
-    every ``by_pool`` entry as (pool number, rows, tenants)."""
+    in :func:`parent_view` folded into sha256s: one per column, dtype and
+    bytes, and one over every ``by_pool`` entry as (pool number, rows,
+    tenants).  That world's pools are all on the /48 index, numbered in
+    address order as they were in provider order."""
     columns = {}
     by_pool = hashlib.sha256()
     counts = {"calls": 0, "sweeps": 0, "rows": 0, "entries": 0}
@@ -249,18 +274,20 @@ def classify_digests(seed: int) -> dict:
 
     def recording(self, sweeps):
         answers = classify(self, sweeps)
-        number = {id(pool): i for i, pool in enumerate(self._indexed_pools)}
+        assert [pool for p in self.providers for pool in p.pools] == self._pools
+        assert all(pool.prefix.plen <= 48 for pool in self._pools)
         counts["calls"] += 1
         for answer in answers:
             counts["sweeps"] += 1
             counts["rows"] += len(answer.hi)
-            for name, column in zip(answer._fields[:-1], answer[:-1]):
+            parent, entries = parent_view(self, answer)
+            for name, column in zip(answer._fields[:8], parent):
                 digest = columns.setdefault(name, hashlib.sha256())
                 digest.update(column.dtype.str.encode() + column.tobytes())
-            by_pool.update(len(answer.by_pool).to_bytes(8, "little"))
-            for pool, rows, tenants in answer.by_pool:
+            by_pool.update(len(entries).to_bytes(8, "little"))
+            for number, rows, tenants in entries:
                 counts["entries"] += 1
-                by_pool.update(number[id(pool)].to_bytes(8, "little"))
+                by_pool.update(number.to_bytes(8, "little"))
                 for column in (rows, tenants):
                     by_pool.update(column.dtype.str.encode() + len(column).to_bytes(8, "little"))
                     by_pool.update(column.tobytes())

@@ -16,6 +16,7 @@ import pytest
 from repro.net.addr import IID_MASK, Prefix
 from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
 from repro.net.icmpv6 import probe_each
+from repro.scan.rate import BucketCells
 from repro.scan.targets import split_targets
 from repro.scan.zmap import ScanConfig, Zmap6
 from repro.simnet.builder import InternetSpec, PoolSpec, ProviderSpec, build_internet
@@ -110,7 +111,7 @@ def chunk_times(rng: random.Random, policy, shape: str, n: int) -> list[float]:
 def test_resolve_many_matches_resolve(policy, delegation_plen):
     """A one-pool table: its device rows are the pool's customer indices."""
     pool = mixed_pool(policy, delegation_plen, seed=delegation_plen)
-    table = PoolTable([pool])
+    table = PoolTable([pool], BucketCells(), 100.0)
     rng = random.Random(7)
     for shape, n in [(shape, n) for shape in SHAPES for n in (1, 5, 200)]:
         addrs = [pool.prefix.random_addr(rng) for _ in range(n)]
@@ -139,7 +140,7 @@ def test_resolve_many_straddles_a_rotation_boundary():
     pool = mixed_pool(ShuffleRotation(24.0), 56, seed=3)
     addr = pool.prefix.subnet(17, 56).network | 1
     hours = [23.999, 24.001]
-    tenant, _, _ = PoolTable([pool]).resolve(
+    tenant, _, _ = PoolTable([pool], BucketCells(), 100.0).resolve(
         np.zeros(2, dtype=np.int64), np.array([addr >> 64] * 2, dtype=np.uint64), np.array(hours)
     )
     want = [pool.resolve(addr, t) for t in hours]
@@ -211,12 +212,8 @@ def world_targets(world, rng: random.Random, n: int) -> list[int]:
 
 def limiter_states(world) -> list:
     """Every limiter a run touched, as plain values: the CPE buckets
-    from their pools' columns, the core routers' from their objects."""
-
-    def state(limiter):
-        bucket = limiter._bucket
-        return (limiter.emitted, limiter.suppressed, bucket._tokens, bucket._last)
-
+    from their pools' columns, the core routers' from the core cells."""
+    core = world._core
     devices = [
         (
             pool.devices[index].device_id,
@@ -232,7 +229,11 @@ def limiter_states(world) -> list:
         for index in range(pool.n_customers)
         if pool.last[index] != -math.inf
     ]
-    core = sorted((asn, state(lim)) for asn, lim in world._core_limits.items())
+    core = sorted(
+        (asn, (core.emitted[i], core.suppressed[i], core.tokens[i], core.last[i]))
+        for asn, i in world._core_cell.items()
+        if core.last[i] != -math.inf
+    )
     return [devices, core]
 
 
@@ -457,9 +458,10 @@ class Recording:
 @needs_numpy
 @pytest.mark.parametrize("probe_plen", [56, 58])
 def test_scalar_bucket_calls_are_the_repeated_rows_only(probe_plen, monkeypatch):
-    """One chunked campaign day: ``RotationPool.allows_response`` runs
-    once per row of a device probed again within the same chunk -- none
-    at all when every delegation gets one target -- not once per answer."""
+    """One chunked campaign day: the scalar bucket step
+    (``BucketCells.allow``) runs once per row of a device probed again
+    within the same chunk -- none at all when every delegation gets one
+    target -- not once per answer."""
     from repro.core.campaign import Campaign, CampaignConfig
     from repro.scan import zmap
 
@@ -493,15 +495,15 @@ def test_scalar_bucket_calls_are_the_repeated_rows_only(probe_plen, monkeypatch)
     assert (repeated_rows > 0) == (probe_plen > 56)
 
     calls = []
-    allows_response = RotationPool.allows_response
+    allow = BucketCells.allow
 
-    def counted(pool, index, t_seconds):
+    def counted(cells, index, t_seconds, rate, burst):
         calls.append(index)
-        return allows_response(pool, index, t_seconds)
+        return allow(cells, index, t_seconds, rate, burst)
 
-    monkeypatch.setattr(RotationPool, "allows_response", counted)
+    monkeypatch.setattr(BucketCells, "allow", counted)
     result = Campaign(chunked, prefixes48, config).run()
     assert len(result.store) == answers
     assert len(calls) == repeated_rows < answers
-    monkeypatch.setattr(RotationPool, "allows_response", allows_response)
+    monkeypatch.setattr(BucketCells, "allow", allow)
     assert_same_world(reference, chunked)

@@ -143,10 +143,10 @@ class TestCampaignEquivalence:
 
         def counted(*args, **kwargs):
             cycles.append(args)
-            return MultiplicativeCycle(*args, **kwargs)
+            return cycle_order(*args, **kwargs)
 
-        MultiplicativeCycle = zmap.MultiplicativeCycle
-        monkeypatch.setattr(zmap, "MultiplicativeCycle", counted)
+        cycle_order = zmap.cycle_order
+        monkeypatch.setattr(zmap, "cycle_order", counted)
         full = StreamingCampaign(build_campaign())
         full_result = full.run()
         assert len(cycles) == 1
