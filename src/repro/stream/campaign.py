@@ -324,16 +324,10 @@ class StreamingCampaign:
         """One checkpoint through the shared writer: the JSON file, or
         one binary segment (full on the first write, delta after).
 
-        Parallel mode passes the dispatcher's dirty-worker shard set
-        explicitly -- ``self.engine`` is a fresh merged snapshot at
-        every checkpoint, so the saver's own engine-identity dirty
-        tracking would (correctly but wastefully) rebase every time.
-        The order is safe because ``_refresh_engine`` runs first and
-        flushes the dispatch buffers, marking their workers dirty.
+        In parallel mode ``self.engine`` is a fresh merged view at every
+        checkpoint; it carries the dispatcher's stream identity, so the
+        saver still chains deltas of the shards whose count moved.
         """
-        dirty = None
-        if self._parallel is not None:
-            dirty = self._parallel.take_dirty_sids()
         savers = checkpoint_savers(self)
         result = write_checkpoint(
             self.checkpoint_path,
@@ -346,7 +340,6 @@ class StreamingCampaign:
                 "days_run": self.result.days_run,
                 "targets_per_day": self.result.targets_per_day,
             },
-            dirty_sids=dirty,
             instruments=self._obs,
         )
         if result.segment_bytes:  # zero: the chain already held this position

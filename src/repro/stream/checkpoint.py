@@ -363,7 +363,6 @@ def write_checkpoint(
     savers: dict,
     store: ObservationStore | None = None,
     progress: dict | None = None,
-    dirty_sids=None,
     instruments=None,
 ):
     """The one checkpoint writer; returns a ``SaveResult``.
@@ -385,7 +384,6 @@ def write_checkpoint(
             engine,
             store=store,
             progress=progress,
-            dirty_sids=dirty_sids,
             instruments=instruments,
         )
     t0 = perf_counter()

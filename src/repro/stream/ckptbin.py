@@ -20,20 +20,22 @@ The header is compact JSON carrying scalars, the chain identity
 ...]``; the payload is the named blocks concatenated in table order,
 each ``count`` little-endian 8-byte elements; the CRC covers header
 bytes plus payload.  A *full* segment (``seq`` 0) rewrites everything;
-a *delta* segment re-emits only the shards dirtied since the previous
-segment (epoch dirty-tracking on the engine) plus the store rows
-appended since, chained by ``base_id`` and consecutive ``seq``.  Pair
+a *delta* segment re-emits only the shards whose row count moved since
+the previous segment -- the one dirtiness rule: the saver remembers
+each shard's :meth:`~repro.stream.engine.StreamEngine.shard_counts`
+entry as its last segment wrote it -- plus the store rows appended
+since, chained by ``base_id`` and consecutive ``seq``.  Pair
 sets only ever gain rows for days at or past the day that was current
 when the previous segment was written (days arrive monotone), so a
 delta carries pair blocks only for ``day >= day_floor``; days the
 delta does not re-emit are dropped on restore for re-emitted shards,
 and every restore replays the segment's ``prune_threshold`` so clean
 shards prune identically.  A save at a position the chain already
-holds (no dirty shard, no new store row, same head) writes nothing.
+holds (no moved count, no new store row, same head) writes nothing.
 
 **What a save reads.**  The engine's column records
 (:meth:`StreamEngine.shard_records
-<repro.stream.engine.StreamEngine.shard_records>` of the dirty shards,
+<repro.stream.engine.StreamEngine.shard_records>` of the moved shards,
 pair days from the floor on) -- with the kernel numpy views of the
 accumulator's sorted, de-duplicated runs and pair chunks, each a
 ``tobytes()``; without it the shards lifted into stdlib arrays -- plus
@@ -62,7 +64,6 @@ from __future__ import annotations
 
 import json
 import os
-import weakref
 import zlib
 from array import array
 from contextlib import nullcontext
@@ -458,16 +459,20 @@ class SaveResult:
 class BinaryCheckpointer:
     """Writes a chain of binary segments to one checkpoint path.
 
-    The first save (and any save that cannot safely chain -- engine
-    replaced, file moved or resized underneath us, shard count changed,
-    store swapped or truncated, chain at ``max_chain``) rewrites the
-    file atomically with a full segment; subsequent saves of the same
-    engine append delta segments holding only the dirty shards and the
-    store tail.  A delta that would hold nothing the chain lacks -- no
-    dirty shard, no new store row, the head, progress and prune
-    threshold of the segment just written -- is not written at all.  A
-    failed delta append truncates the file back to the pre-append size,
-    so the last good chain stays loadable.
+    The first save (and any save that cannot safely chain -- another
+    stream or another store, file moved or resized underneath us, store
+    truncated, chain at ``max_chain``) rewrites the file atomically
+    with a full segment; later saves of the same stream append delta
+    segments holding only the shards whose row count moved since the
+    last segment and the store tail.  A *stream* is what
+    :meth:`~repro.stream.sink.IngestSinkBase._init_stream_order` names:
+    an engine, or a dispatcher with its resumed base and every merged
+    view it hands out -- one frozen config, so one shard count.  A
+    forced full is a fresh saver on the path.  A delta that would hold
+    nothing the chain lacks -- no moved count, no new store row, the
+    head, progress and prune threshold of the segment just written --
+    is not written at all.  A failed delta append truncates the file
+    back to the pre-append size, so the last good chain stays loadable.
     """
 
     def __init__(self, path, max_chain: int = 16, id_source=os.urandom) -> None:
@@ -480,11 +485,10 @@ class BinaryCheckpointer:
         self.id_source = id_source
         self._base_id: str | None = None
         self._seq = 0
-        self._engine_ref = None
-        self._num_shards: int | None = None
-        self._mark = 0  # engine epoch the last segment captured
+        self._stream = None  # the stream identity the chain holds
+        self._store = None  # the store whose rows the chain holds
+        self._counts: list[int] = []  # per-shard rows the chain holds
         self._day_floor: int | None = None
-        self._had_store = False
         self._store_rows = 0
         self._expected_size: int | None = None
         self._segments: list[SegmentInfo] = []
@@ -501,19 +505,15 @@ class BinaryCheckpointer:
         """
         return tuple(self._segments)
 
-    def _chain_ok(self, engine, store, dirty_sids) -> bool:
+    def _chain_ok(self, engine, store) -> bool:
         path = self.path
         return (
             self._base_id is not None
             and self._seq + 1 < self.max_chain
             and path.exists()
             and path.stat().st_size == self._expected_size
-            and (
-                dirty_sids is not None
-                or (self._engine_ref is not None and self._engine_ref() is engine)
-            )
-            and self._num_shards == engine.config.num_shards
-            and (store is not None) == self._had_store
+            and engine._stream_id is self._stream
+            and store is self._store
             and (store is None or len(store) >= self._store_rows)
         )
 
@@ -522,41 +522,19 @@ class BinaryCheckpointer:
         engine: "StreamEngine",
         store: "ObservationStore | None" = None,
         progress: dict | None = None,
-        mode: str = "auto",
-        dirty_sids=None,
         instruments=None,
     ) -> SaveResult:
         """Write one segment; returns a :class:`SaveResult`.
 
-        *store* defaults to ``engine.store``.  *mode* ``"auto"`` picks
-        delta whenever the chain is intact, ``"full"`` forces a rebase,
-        ``"delta"`` raises :class:`CheckpointError` if it cannot chain.
-        *dirty_sids* overrides epoch-based dirtiness -- the parallel
-        campaign path, whose merged snapshot engines are fresh objects
-        every save, passes the dispatcher's dirty-worker shard set.
-        *instruments* is a ``CheckpointInstruments`` bundle (optional).
+        *store* defaults to ``engine.store``.  A delta re-emits the
+        shards whose :meth:`~repro.stream.engine.StreamEngine.shard_counts`
+        entry moved since the last segment.  *instruments* is a
+        ``CheckpointInstruments`` bundle (optional).
         """
         if store is None:
             store = engine.store
-        if engine._acc is not None:
-            # Columnar dirtiness lives in the accumulator; sync it into
-            # the shard epochs so every saver of this engine sees it.
-            for sid in engine._acc.take_dirty_sids():
-                engine._shard_epochs[sid] = engine._epoch
-
-        chain_ok = self._chain_ok(engine, store, dirty_sids)
-        if mode == "full":
-            kind = "full"
-        elif mode == "delta":
-            if not chain_ok:
-                raise CheckpointError(
-                    "cannot append a delta: no valid base segment to chain to"
-                )
-            kind = "delta"
-        elif mode == "auto":
-            kind = "delta" if chain_ok else "full"
-        else:
-            raise ValueError(f"unknown checkpoint mode: {mode!r}")
+        counts = engine.shard_counts()
+        kind = "delta" if self._chain_ok(engine, store) else "full"
 
         # The header's "engine" dict: the shared stream head plus the
         # one detection scalar that has no column block.
@@ -570,15 +548,11 @@ class BinaryCheckpointer:
             seq = self._seq + 1
             day_floor = self._day_floor
             store_start = self._store_rows
-            if dirty_sids is not None:
-                sids = sorted(set(dirty_sids))
-            else:
-                mark = self._mark
-                sids = [
-                    sid
-                    for sid, epoch in enumerate(engine._shard_epochs)
-                    if epoch > mark
-                ]
+            sids = [
+                sid
+                for sid, (n, saved) in enumerate(zip(counts, self._counts))
+                if n != saved
+            ]
             if (
                 not sids
                 and (store is None or len(store) == store_start)
@@ -643,12 +617,10 @@ class BinaryCheckpointer:
 
         self._base_id = base_id
         self._seq = seq
-        self._engine_ref = weakref.ref(engine)
-        self._num_shards = engine.config.num_shards
-        self._mark = engine._epoch
-        engine._epoch += 1
+        self._stream = engine._stream_id
+        self._store = store
+        self._counts = counts
         self._day_floor = engine.current_day
-        self._had_store = store is not None
         self._store_rows = header["store"]["rows"] if store is not None else 0
         self._position = position
         file_bytes = path.stat().st_size

@@ -604,9 +604,6 @@ class ColumnarAccumulator:
         self._merged_pairs: dict[int, list] = {}
         self._sorted_pairs: dict[int, tuple] = {}
         self._appeared: dict[int, object] = {}
-        # Shards that received rows since a checkpoint saver last took
-        # this set (binary delta dirty-tracking).
-        self._dirty_sids: set[int] = set()
 
     # -- writing -----------------------------------------------------------
 
@@ -619,9 +616,7 @@ class ColumnarAccumulator:
         n = len(sid)
         if n == 0:
             return
-        counts = np.bincount(sid, minlength=self.num_shards)
-        self.counts += counts
-        self._dirty_sids.update(np.nonzero(counts)[0].tolist())
+        self.counts += np.bincount(sid, minlength=self.num_shards)
         self._src.append((sid, src_hi, src_lo))
         eui = eui64_mask(src_lo)
         if eui.any():
@@ -681,8 +676,8 @@ class ColumnarAccumulator:
         :meth:`shard_records` shape; stdlib or numpy columns; rows in any
         order, repeats welcome) into the state, additively: each family
         through :func:`_merge_family`, which sorts nothing when the rows
-        already ascend, as a checkpoint's do.  Marks nothing dirty:
-        adopted state is what the chain on disk already holds."""
+        already ascend, as a checkpoint's do.  Each record's ``n`` joins
+        :attr:`counts`, the row counts a binary saver compares."""
         parts: dict[str, list] = {family: [] for family in RUN_FAMILIES}
         for sid, record in records.items():
             self.counts[sid] += record["n"]
@@ -783,12 +778,6 @@ class ColumnarAccumulator:
         for cache in (*by_day, self._sorted_pairs):
             for day in [d for d in cache if d < threshold]:
                 del cache[day]
-
-    def take_dirty_sids(self) -> set[int]:
-        """Shards that received rows since the last call; clears the set."""
-        self.drain()
-        dirty, self._dirty_sids = self._dirty_sids, set()
-        return dirty
 
     # -- reading (no Python state is built) --------------------------------
 

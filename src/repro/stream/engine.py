@@ -153,13 +153,6 @@ class StreamEngine(IngestSinkBase):
             if self._acc is not None
             else [ShardState(shard_id=i) for i in range(self.config.num_shards)]
         )
-        # Dirty-tracking for incremental (delta) checkpoints: a shard's
-        # epoch is bumped to the current engine epoch on every mutation;
-        # a binary saver remembers the epoch it saved at and re-emits
-        # only shards whose epoch moved past it.  Execution state only,
-        # never serialized.
-        self._epoch = 1
-        self._shard_epochs = [1] * self.config.num_shards
         # Highest prune_pair_days threshold applied so far (delta
         # restores replay it on shards the delta did not re-emit).
         self._prune_floor: int | None = None
@@ -201,7 +194,6 @@ class StreamEngine(IngestSinkBase):
         acc = self._acc
         if acc is None:
             self.shards[route[0]].observe(day, observation.target, source, route[1])
-            self._shard_epochs[route[0]] = self._epoch
         else:
             rows = acc.rows
             rows.append((day, observation.target, source, route[1]))
@@ -259,6 +251,14 @@ class StreamEngine(IngestSinkBase):
         if self._acc is not None:
             return self._acc.shard_records(sids, day_floor)
         return lift_records(self.shards, sids, day_floor)
+
+    def shard_counts(self) -> list[int]:
+        """Rows folded into each shard so far, buffered rows drained
+        first: a binary delta re-emits the shards whose count moved."""
+        if self._acc is not None:
+            self._acc.drain()
+            return self._acc.counts.tolist()
+        return [shard.n_observations for shard in self.shards]
 
     def adopt_shards(self, records: dict) -> None:
         """Fold :meth:`shard_records`-shaped records (stdlib or numpy

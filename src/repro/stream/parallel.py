@@ -166,11 +166,6 @@ class ParallelStreamEngine(IngestSinkBase):
         self._merged: StreamEngine | None = None
         self._open = True
         self._exited: set[int] = set()  # channels whose exit telemetry saw
-        # Workers that received rows since a binary checkpoint saver
-        # last drained the set (take_dirty_sids).  Marked only at the
-        # send sites -- a snapshot flushes the buffers first, so every
-        # mutation is visible as a send by checkpoint time.
-        self._dirty_workers: set[int] = set()
 
         # Stream-order state stays dispatcher-side (never sharded), so
         # sightings and day closes resolve in exact stream order.
@@ -468,7 +463,6 @@ class ParallelStreamEngine(IngestSinkBase):
     def _send(self, worker: int, columns: tuple) -> None:
         """Dispatch one ``cols`` frame of stdlib arrays and account for it."""
         self._dispatch(worker, ("cols", columns))
-        self._dirty_workers.add(worker)
         if self._obs is not None:
             self._obs.dispatched(worker, len(columns[0]))
 
@@ -481,26 +475,6 @@ class ParallelStreamEngine(IngestSinkBase):
             if buffer:
                 self._send(worker, columnar_kernel.row_columns(buffer))
                 self._buffers[worker] = []
-
-    def take_dirty_sids(self) -> set[int]:
-        """Shard ids possibly mutated since the last call; clears the set.
-
-        Worker placement is ``shard % num_workers`` over the shard
-        :meth:`_route_of` gives, so dispatch slot *w* owns exactly the
-        shards with ``sid % num_workers == w`` -- a dirty slot
-        over-approximates to all its shards, which is safe
-        for delta checkpoints (extra shards re-emit, never go missing).
-        Requeue redirections don't change slot-to-shard ownership, only
-        which channel services the slot.
-        """
-        dirty = self._dirty_workers
-        self._dirty_workers = set()
-        workers = self.num_workers
-        return {
-            sid
-            for sid in range(self.config.num_shards)
-            if sid % workers in dirty
-        }
 
     def barrier(self) -> None:
         """Block until every worker has applied everything sent so far."""

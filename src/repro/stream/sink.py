@@ -148,8 +148,11 @@ class IngestSinkBase:
 
         The one field list.  ``rotation_days`` is day -> prefixes whose
         pairs were first flagged changed at that day's close; execution
-        state for the serve layer, never checkpointed.
+        state for the serve layer, never checkpointed.  ``_stream_id``
+        names the stream, shared with *source*: a binary saver chains a
+        delta only onto a segment of the same stream.
         """
+        self._stream_id = object() if source is None else source._stream_id
         self.current_day: int | None = None
         self._closed_through: int | None = None  # newest day already diffed
         self._days_seen: set[int] = set()  # days with >= 1 observation

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from _ckpt import checkpoint_fingerprint
 from _worlds import build_campaign
 
-from repro.core.records import ProbeObservation
+from repro.core.records import ObservationStore, ProbeObservation
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import (
     checkpoint_format,
@@ -36,6 +36,7 @@ from repro.stream.ckptbin import (
     CheckpointError,
     _read_segments,
     _write_segment,
+    load_chain,
     read_state,
 )
 from repro.stream.engine import StreamConfig, StreamEngine
@@ -62,15 +63,17 @@ def small_engine(num_shards: int = 4, days=(2, 3, 4)) -> StreamEngine:
     return engine
 
 
-def touch_one_observation(engine: StreamEngine, day: int = 5) -> None:
-    engine.ingest(
-        ProbeObservation(
-            day=day,
-            t_seconds=day * 86_400.0,
-            target=(0x20010DB8 << 96) | (day << 16),
-            source=(0x20010DB8 << 96) | (day << 16) | 0x100,
-        )
+def one_observation(day: int = 5) -> ProbeObservation:
+    return ProbeObservation(
+        day=day,
+        t_seconds=day * 86_400.0,
+        target=(0x20010DB8 << 96) | (day << 16),
+        source=(0x20010DB8 << 96) | (day << 16) | 0x100,
     )
+
+
+def touch_one_observation(engine: StreamEngine, day: int = 5) -> None:
+    engine.ingest(one_observation(day))
 
 
 def rewrite_segments(path, segments) -> None:
@@ -191,12 +194,32 @@ class TestDeltaChains:
         assert kinds == ["full", "delta"]
         assert state_dump(load_engine(path, origin_of=origin_of)) == state_dump(engine)
 
-    def test_delta_reemits_only_dirty_shards(self, tmp_path):
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "twin"])
+    @pytest.mark.parametrize("single", [True, False], ids=["buffered", "batch"])
+    def test_delta_reemits_only_dirty_shards(
+        self, tmp_path, monkeypatch, kernel, single
+    ):
+        """A delta re-emits the shards whose row count moved, whichever
+        owner keeps the counts -- the accumulator or the ``ShardState``
+        twin -- and a single ``ingest(observation)`` row still in the
+        kernel's row buffer when the save starts is drained and counted."""
+        from repro.stream import columnar
+
+        if not kernel:
+            monkeypatch.setattr(columnar, "np", None)
+        elif columnar.np is None:
+            pytest.skip("the kernel needs numpy")
         engine = small_engine(num_shards=8)
+        assert (engine._acc is not None) == kernel
         saver = BinaryCheckpointer(tmp_path / "ckpt.bin")
         first = saver.save(engine)
         assert (first.kind, first.dirty_shards) == ("full", 8)
-        touch_one_observation(engine)
+        if single:
+            touch_one_observation(engine)
+            if kernel:
+                assert len(engine._acc.rows) == 1  # not absorbed yet
+        else:
+            engine.ingest_batch([one_observation()])
         second = saver.save(engine)
         assert (second.kind, second.dirty_shards) == ("delta", 1)
         assert second.segment_bytes < first.segment_bytes
@@ -228,15 +251,31 @@ class TestDeltaChains:
         with pytest.raises(CheckpointError, match="broken segment chain"):
             read_state(saver.path)
 
-    def test_mode_delta_without_base_raises(self, tmp_path):
+    def test_another_stream_rebases(self, tmp_path):
+        """A second engine saved through the same saver -- same shard
+        count, more rows -- starts a new chain that restores to it."""
         saver = BinaryCheckpointer(tmp_path / "ckpt.bin")
-        with pytest.raises(CheckpointError, match="cannot append a delta"):
-            saver.save(small_engine(), mode="delta")
+        first = small_engine()
+        saver.save(first)
+        base_id = saver.chain[0].base_id
+        second = small_engine(days=(2, 3, 4, 5))
+        assert sum(second.shard_counts()) > sum(first.shard_counts())
+        assert saver.save(second).kind == "full"
+        assert len(saver.chain) == 1 and saver.chain[0].base_id != base_id
+        restored = load_engine(saver.path, origin_of=origin_of)
+        assert state_dump(restored) == state_dump(second)
 
-    def test_unknown_mode_raises(self, tmp_path):
+    def test_a_swapped_store_rebases(self, tmp_path):
+        """Another store object is another corpus, however many rows it
+        holds: the save rewrites the file with the new store's rows."""
+        engine = small_engine()
+        store_a, store_b = ObservationStore(), ObservationStore()
+        store_a.extend(eui_rows(2, n=5))
+        store_b.extend(eui_rows(3, n=9))
         saver = BinaryCheckpointer(tmp_path / "ckpt.bin")
-        with pytest.raises(ValueError, match="unknown checkpoint mode"):
-            saver.save(small_engine(), mode="incremental")
+        assert saver.save(engine, store=store_a).kind == "full"
+        assert saver.save(engine, store=store_b).kind == "full"
+        assert load_chain(saver.path).corpus.observations() == list(store_b)
 
     def test_max_chain_forces_rebase(self, tmp_path):
         engine = small_engine()
@@ -286,7 +325,7 @@ class TestDeltaChains:
 
         monkeypatch.setattr(ckptbin, "_write_segment", torn_write)
         with pytest.raises(OSError):
-            saver.save(engine, mode="full")
+            BinaryCheckpointer(saver.path).save(engine)  # a full rewrite
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
         assert saver.path.read_bytes() == good
 
@@ -742,11 +781,6 @@ class TestNothingToSave:
         result = saver.save(engine)
         assert result.segment_bytes > 0 and saver.path.stat().st_size > size
         assert len(saver.chain) == 3
-
-    def test_forced_full_always_writes(self, tmp_path):
-        engine, saver = self.saved_twice(tmp_path)
-        assert saver.save(engine, mode="full").kind == "full"
-        assert len(saver.chain) == 1
 
     def test_campaign_counts_and_ships_nothing(self, tmp_path):
         shipped = []

@@ -548,8 +548,8 @@ def check_binary_restores(seed, tmp_path):
     binary full segment, and a binary full+delta chain must all restore
     to byte-identical ``engine_state`` JSON -- mid-stream and at flush,
     for the serial engine and for the parallel engine's merged
-    snapshots (whose deltas ride the dispatcher's dirty-shard set, the
-    campaign checkpoint path).  And the two ways a binary chain comes
+    snapshots (which chain deltas on the dispatcher's stream identity,
+    the campaign checkpoint path).  And the two ways a binary chain comes
     back -- ``load_engine`` (columns straight into the kernel, when the
     engine has one) and ``restore_engine(read_state(...))`` (the state
     dict) -- must agree there and, un-materialized, continue the stream
@@ -611,7 +611,8 @@ def check_binary_restores(seed, tmp_path):
         assert json.dumps(engine_state(resumed)) == final
 
     # Parallel leg: merged snapshots are fresh engine objects at every
-    # save, so the delta chain runs on explicit dirty_sids.
+    # save; they share the dispatcher's stream identity, so the second
+    # save still chains a delta.
     parallel = ParallelStreamEngine(
         config,
         origin_of=origin_of,
@@ -622,14 +623,12 @@ def check_binary_restores(seed, tmp_path):
     saver = BinaryCheckpointer(par_path)
     for chunk in chunks(rng, corpus[:split]):
         parallel.ingest_batch(chunk)
-    first = saver.save(
-        parallel.snapshot_engine(), dirty_sids=parallel.take_dirty_sids()
-    )
+    first = saver.save(parallel.snapshot_engine())
     assert first.kind == "full"
     for chunk in chunks(rng, corpus[split:]):
         parallel.ingest_batch(chunk)
     merged = parallel.finalize()
-    second = saver.save(merged, dirty_sids=parallel.take_dirty_sids())
+    second = saver.save(merged)
     assert second.kind == "delta"
     assert dump_restored(par_path) == final
     assert dump_restored_by_dict(par_path) == final
@@ -823,7 +822,9 @@ def test_delta_replication_matches_full_restore(seed, tmp_path):
         )
         engine.ingest_batch(chunk)
         engine.flush()
-        saver.save(engine, mode="full" if point == forced_full_at else "auto")
+        if point == forced_full_at:
+            saver = BinaryCheckpointer(path, max_chain=saver.max_chain)
+        saver.save(engine)
         infos = chain_info(path)
         applied = apply_tail(follower, applied, infos)
         if not (offline[0] <= point < offline[1]):

@@ -350,7 +350,8 @@ def test_each_days_pairs_are_sorted_once(tmp_path, forbid_sorts):
     calls = forbid_sorts(reduce=False)
     for day, cols in before.items():
         assert acc.shard_pair_columns(day) is cols
-    assert saver.save(engine, mode="full").kind == "full"  # every day: no sort
+    fresh = BinaryCheckpointer(saver.path, id_source=counter_ids())
+    assert fresh.save(engine).kind == "full"  # every day: no sort
     resumed = StreamEngine(StreamConfig(num_shards=4))
     resumed.adopt_shards(engine.shard_records())  # sorted records: no sort
     for day, cols in before.items():
