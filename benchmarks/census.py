@@ -161,6 +161,15 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "one hunt as one sweep; the tracker batches its days itself; tests/scan",
     ),
     "repro.simnet.clock": ("seed", "clock helpers; tests/test_util_clock_data.py"),
+    "repro.simnet.device:_check_fraction": (
+        "safety",
+        "rejects an online_fraction outside [0,1] when a device is made or "
+        "assigned; the builder writes drawn columns; tests/simnet",
+    ),
+    "repro.simnet.device:CpeDevice.policy": (
+        "seed",
+        "assigning a device's response policy (the getter is reached); tests/simnet",
+    ),
     "repro.simnet.events:retire_device": ("seed", "tests/simnet"),
     "repro.simnet.rotation:RotationPolicy.rotates": ("seed", "tests/simnet"),
     "repro.simnet.rotation:RotationPolicy.slot_of": (

@@ -137,10 +137,10 @@ class ExperimentContext:
         for asn in sorted(self.rotating_48s_by_asn):
             prefix48 = self.rotating_48s_by_asn[asn][0]
             sample = Prefix(prefix48.network, ALLOC_SAMPLE_PLEN)
-            targets = one_target_per_subnet(sample, 64, rng)
-            scan = scanner.scan(targets, start_seconds=start)
-            start += scan.duration_seconds
-            store.add_responses(scan.responses, day=day)
+            stream = scanner.stream(one_target_per_subnet(sample, 64, rng), start)
+            for batch in stream.column_batches(day):
+                store.extend_columns(batch)
+            start += stream.duration_seconds
         return store
 
     @cached_property

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.data.asinfo_db import TAIL_COUNTRIES
 from repro.data.oui_db import VENDOR_OUIS
 from repro.net.addr import Prefix
-from repro.net.mac import mac_from_oui, parse_oui
-from repro.simnet.device import AddressingMode, CpeDevice, ResponsePolicy
+from repro.net.mac import parse_oui
+from repro.simnet.device import _EUI64, _PRIVACY, AddressingMode, DeviceColumns, ResponsePolicy
 from repro.simnet.events import clone_mac_into_ases, switch_provider
 from repro.simnet.internet import SimInternet
 from repro.simnet.pool import RotationPool
@@ -50,6 +52,8 @@ _RESPONSE_MIX: tuple[tuple[str, float], ...] = (
     ("hop_limit_exceeded", 0.10),
     ("silent", 0.05),
 )
+
+_OUIS = {vendor: [parse_oui(text) for text in ouis] for vendor, ouis in VENDOR_OUIS.items()}
 
 _POLICY_FACTORIES = {
     "admin_prohibited": ResponsePolicy.admin_prohibited,
@@ -109,6 +113,9 @@ class ProviderSpec:
         unknown = [name for name, _ in self.response_mix if name not in _POLICY_FACTORIES]
         if unknown:
             raise ValueError(f"AS{self.asn}: unknown response policies {unknown}")
+        unknown = [name for name, _ in self.vendor_mix if not _OUIS.get(name)]
+        if unknown:
+            raise ValueError(f"AS{self.asn}: unknown vendors {unknown}")
         for fraction in (
             self.eui64_fraction,
             self.online_fraction,
@@ -130,70 +137,62 @@ class InternetSpec:
 
 
 class _DeviceFactory:
-    """Allocates unique device ids and vendor MACs."""
+    """Allocates unique device ids and vendor MACs (per OUI, serials)."""
 
-    def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-        self._next_id = 1
-        self._serials: dict[int, int] = {}
+    def __init__(self) -> None:
+        self.next_id = 1
+        self.serials: dict[int, int] = {}
 
     def next_device_id(self) -> int:
-        device_id = self._next_id
-        self._next_id += 1
-        return device_id
-
-    def mac_for_vendor(self, vendor: str) -> int:
-        ouis = VENDOR_OUIS.get(vendor)
-        if not ouis:
-            raise ValueError(f"unknown vendor {vendor!r}")
-        oui = parse_oui(self._rng.choice(ouis))
-        serial = self._serials.get(oui, 0)
-        if serial >= 1 << 24:
-            raise ValueError(f"OUI {oui:#08x} exhausted")
-        self._serials[oui] = serial + 1
-        return mac_from_oui(oui, serial)
+        self.next_id += 1
+        return self.next_id - 1
 
 
-def _pick_weighted(rng: random.Random, mix: tuple[tuple[str, float], ...]) -> str:
-    roll = rng.random()
-    acc = 0.0
-    for name, weight in mix:
-        acc += weight
-        if roll < acc:
-            return name
-    return mix[-1][0]
-
-
-def _make_device(
+def _draw_customers(
+    n: int,
     factory: _DeviceFactory,
     rng: random.Random,
     spec: ProviderSpec,
     internet_spec: InternetSpec,
-) -> CpeDevice:
-    vendor = _pick_weighted(rng, spec.vendor_mix)
-    mac = factory.mac_for_vendor(vendor)
-    addressing = (
-        AddressingMode.EUI64
-        if rng.random() < spec.eui64_fraction
-        else AddressingMode.PRIVACY
-    )
-    policy = _POLICY_FACTORIES[_pick_weighted(rng, spec.response_mix)]()
-
-    active_from = -math.inf
-    active_until = math.inf
-    if rng.random() < spec.new_since_seed_fraction:
-        active_from = rng.uniform(internet_spec.seed_campaign_hours, 0.0)
-    elif rng.random() < spec.retired_fraction:
-        active_until = rng.uniform(0.0, internet_spec.campaign_span_hours)
-
-    return CpeDevice(
-        device_id=factory.next_device_id(),
-        mac=mac,
-        addressing=addressing,
-        policy=policy,
-        active_from_hours=active_from,
-        active_until_hours=active_until,
-        online_fraction=spec.online_fraction,
+) -> DeviceColumns:
+    """*n* customers' configuration as columns.  Per device, in order:
+    a vendor roll and an OUI choice (the MAC is that OUI's next serial),
+    an EUI-64 roll, a response-mix roll, then a new-since-seed roll and
+    its service start or else a retirement roll and its end.  A roll
+    picks the first mix entry whose running weight exceeds it, else the
+    last."""
+    random_, choice, uniform = rng.random, rng.choice, rng.uniform
+    vendor_sums = list(accumulate(weight for _, weight in spec.vendor_mix))
+    vendor_ouis = [_OUIS[vendor] for vendor, _ in spec.vendor_mix]
+    response_sums = list(accumulate(weight for _, weight in spec.response_mix))
+    policies = [_POLICY_FACTORIES[name]() for name, _ in spec.response_mix]
+    responses = [(policy.responds, policy.icmp_type, policy.icmp_code) for policy in policies]
+    last_vendor, last_response = len(vendor_ouis) - 1, len(responses) - 1
+    serials = factory.serials
+    eui64, new, retired = spec.eui64_fraction, spec.new_since_seed_fraction, spec.retired_fraction
+    seed_hours, span_hours = internet_spec.seed_campaign_hours, internet_spec.campaign_span_hours
+    macs, modes, answers, active_from, active_until = [], [], [], [], []
+    for _ in range(n):
+        oui = choice(vendor_ouis[min(bisect_right(vendor_sums, random_()), last_vendor)])
+        serial = serials.get(oui, 0)
+        if serial >= 1 << 24:
+            raise ValueError(f"OUI {oui:#08x} exhausted")
+        serials[oui] = serial + 1
+        macs.append(oui << 24 | serial)
+        modes.append(_EUI64 if random_() < eui64 else _PRIVACY)
+        answers.append(responses[min(bisect_right(response_sums, random_()), last_response)])
+        if random_() < new:
+            active_from.append(uniform(seed_hours, 0.0))
+            active_until.append(math.inf)
+        else:
+            active_from.append(-math.inf)
+            active_until.append(uniform(0.0, span_hours) if random_() < retired else math.inf)
+    factory.next_id += n
+    responds, kinds, codes = zip(*answers)
+    return DeviceColumns(
+        n, device_id=range(factory.next_id - n, factory.next_id), mac=macs, mode=modes,
+        responds=responds, icmp_type=kinds, icmp_code=codes, active_from=active_from,
+        active_until=active_until, online_fraction=[spec.online_fraction] * n,
     )
 
 
@@ -227,15 +226,17 @@ def _build_provider(
                 f"AS{spec.asn}: pool {index} falls outside seed coverage"
             )
         pool_prefix = Prefix(anchor.network, pool_spec.pool_plen)
+        pool_key = rng.getrandbits(63) | 1  # drawn before its customers
+        nslots = pool_prefix.num_subnets(pool_spec.delegation_plen)
         pool = RotationPool(
             prefix=pool_prefix,
             delegation_plen=pool_spec.delegation_plen,
             policy=pool_spec.policy,
-            pool_key=rng.getrandbits(63) | 1,
+            pool_key=pool_key,
+            rows=_draw_customers(
+                max(1, int(nslots * pool_spec.occupancy)), factory, rng, spec, internet_spec
+            ),
         )
-        n_customers = max(1, int(pool.nslots * pool_spec.occupancy))
-        for _ in range(n_customers):
-            pool.add_device(_make_device(factory, rng, spec, internet_spec))
         provider.add_pool(pool)
     return provider
 
@@ -243,7 +244,7 @@ def _build_provider(
 def build_internet(spec: InternetSpec) -> SimInternet:
     """Materialize a simulated Internet from *spec* (deterministic)."""
     rng = random.Random(spec.seed)
-    factory = _DeviceFactory(rng)
+    factory = _DeviceFactory()
     providers = []
     tail_index = 0
     for provider_spec in spec.providers:
@@ -609,7 +610,7 @@ def _pick_switch_devices(internet: SimInternet) -> list[tuple[int, int]]:
         provider = internet.provider_of_asn(asn)
         if provider is None:
             continue
-        for device in provider.all_devices():
+        for device in (device for pool in provider.pools for device in pool.devices):
             if (
                 device.addressing is AddressingMode.EUI64
                 and device.policy.responds

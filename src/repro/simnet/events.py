@@ -16,8 +16,6 @@ remediation analyses:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.net.oui import OuiRegistry
 from repro.simnet.device import AddressingMode, CpeDevice
 from repro.simnet.internet import SimInternet
@@ -62,8 +60,7 @@ def switch_provider(
         raise ValueError(f"AS{to_asn} not in this internet")
     if not to_provider.pools:
         raise ValueError(f"AS{to_asn} has no pools")
-    new_device = replace(
-        old_device,
+    new_device = old_device.replace(
         device_id=next_device_id,
         active_from_hours=at_hours,
         active_until_hours=float("inf"),

@@ -54,7 +54,7 @@ from repro.simnet.pool import PoolTable, Residence, RotationPool
 from repro.simnet.provider import Provider
 from repro.util import np
 
-_CLASSIFIED = "hi lo t_seconds outcome src_hi src_lo icmp_type code cell"
+_CLASSIFIED = "hi lo t_seconds outcome src_hi src_lo icmp_type code cell table"
 
 # What the pure phase decides per row: in a pool, the slot is vacant, its
 # tenant offline, silent, or its bucket decides; outside every pool, the
@@ -79,7 +79,8 @@ class InternetStats:
 class Classified(namedtuple("Classified", _CLASSIFIED)):
     """One sweep after :meth:`SimInternet.classify`: its columns, what
     each row draws short of the rate limiters and, where a bucket
-    decides (a would-answer row), its cell in the pool table (else -1)."""
+    decides (a would-answer row), its cell in the pool table (else -1)
+    -- the :class:`~repro.simnet.pool.PoolTable` it names, ``table``."""
 
     __slots__ = ()
 
@@ -190,22 +191,22 @@ class SimInternet:
             if residence is None:
                 self.stats.vacant += 1
                 return None
-            device = residence.device
-            if not device.is_online(t_h):
+            i = residence.customer_index
+            if not residence.device.is_online(t_h):
                 self.stats.offline += 1
                 return None
-            if not device.policy.responds:
+            if not pool.responds[i]:
                 self.stats.silent_policy += 1
                 return None
-            if not pool.allows_response(residence.customer_index, t_seconds):
+            if not pool.allows_response(i, t_seconds):
                 self.stats.rate_limited += 1
                 return None
             self.stats.cpe_responses += 1
             return ProbeResponse(
                 target=target,
                 source=residence.wan_address,
-                icmp_type=device.policy.icmp_type,
-                code=device.policy.icmp_code,
+                icmp_type=IcmpType(pool.icmp_type[i]),
+                code=pool.icmp_code[i],
                 time=t_seconds,
             )
         return self._core_response(target, t_seconds)
@@ -220,9 +221,7 @@ class SimInternet:
         hi, lo, t_seconds = (np.concatenate([s[k] for s in sweeps]) for k in range(3))
         t_hours = t_seconds / SECONDS_PER_HOUR
         n = len(hi)
-        table = self._table
-        if table is None or not table.devices.current:
-            table = self._table = PoolTable(self._pools, self._core, self._core_icmp_rate)
+        table = self._pool_table()
         numbers = table.numbers(hi)
         outcome = np.empty(n, dtype=np.uint8)
         cell = np.full(n, -1, dtype=np.int64)
@@ -264,18 +263,20 @@ class SimInternet:
 
         bounds = [0, *accumulate(len(sweep[0]) for sweep in sweeps)]
         fields = (hi, lo, t_seconds, outcome, src_hi, src_lo, icmp_type, code, cell)
-        return [Classified(*(f[a:b] for f in fields)) for a, b in zip(bounds, bounds[1:])]
+        return [Classified(*(f[a:b] for f in fields), table) for a, b in zip(bounds, bounds[1:])]
 
     def commit(self, swept: Classified, stop_iid: int | None = None) -> ProbeChunk:
         """The stateful phase of one classified sweep: rate limiters,
         counters and responses, through the first response whose source
         IID is *stop_iid* (see the module docstring for the cut).  Its
-        cells are the pool table's as classified: commit before a pool grows."""
-        hi, lo, t_seconds, outcome, src_hi, src_lo, icmp_type, code, cell = swept
+        cells are those of the pool table it was classified against: a
+        pool grown since raises :class:`ValueError`."""
+        hi, lo, t_seconds, outcome, src_hi, src_lo, icmp_type, code, cell, table = swept
+        if table is not self._pool_table():
+            raise ValueError("the pool table moved on since classify (a pool grew): classify again")
         n = len(hi)
         if not n:
             return ProbeChunk()
-        table = self._table
         bucket = (cell >= 0).nonzero()[0]  # the rows a bucket decides
         cells = cell[bucket]
         stops = []  # the candidate stop rows, as places in bucket
@@ -327,6 +328,13 @@ class SimInternet:
         if np is None:
             return probe_each(self.probe, join_targets(hi, lo), times, stop_iid)
         return self.commit(self.classify([(hi, lo, times)])[0], stop_iid)
+
+    def _pool_table(self) -> PoolTable:
+        """The world's pool table, built anew once it went stale."""
+        table = self._table
+        if table is None or table.stale:
+            table = self._table = PoolTable(self._pools, self._core, self._core_icmp_rate)
+        return table
 
     def _core_response(self, target: int, t_seconds: float) -> ProbeResponse | None:
         """Routed-but-undelegated space: maybe a core-router "no route"."""

@@ -8,21 +8,28 @@ device whose delegation covers it -- in O(1), by inverting the policy.
 :class:`PoolTable` is the same resolution for many pools at once: their
 parameters and devices as numpy columns, one pass over rows of any pools.
 
-The pool is also the one home of its customers' RFC 4443 token buckets:
-it is :class:`~repro.scan.rate.BucketCells`, one cell per customer
-index -- ``tokens``, ``last`` (``-inf``: never probed), ``emitted`` and
+A pool is also the one home of its customers: their configuration is
+:class:`~repro.simnet.device.DeviceColumns`, one row per customer index
+(``pool.devices[i]`` is the :class:`~repro.simnet.device.CpeDevice` view
+of row *i*), and their RFC 4443 token buckets are
+:class:`~repro.scan.rate.BucketCells`, one cell per customer index --
+``tokens``, ``last`` (``-inf``: never probed), ``emitted`` and
 ``suppressed``.  :meth:`RotationPool.allows_response` is the bucket's
 arithmetic on one cell and the scalar reference;
 :meth:`RotationPool.allow_many` is :meth:`~repro.scan.rate.BucketCells.walk`
-over a chunk.  Both read the device's *current* ``icmp_rate`` /
-``icmp_burst``: the columns hold state, the device holds configuration.
-A :class:`PoolTable` lays every pool's cells end to end, with each
-provider's core-router cell after them, and the pools keep views.
+over a chunk.  Both read the row's ``icmp_rate`` / ``icmp_burst`` at
+the probe, so a reassigned rate governs the next one.  A
+:class:`PoolTable` lays every pool's columns and cells end to end, with
+each provider's core-router cell after them, and the pools keep views:
+only a pool that grows (``add_device`` copies its views out) leaves
+the table behind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import InitVar, dataclass, field
+from itertools import accumulate
 
 from repro.net.addr import IID_BITS, Prefix
 from repro.scan.permutation import FeistelPermutation
@@ -43,26 +50,27 @@ class Residence:
 
 
 @dataclass
-class RotationPool(BucketCells):
-    """One provider rotation pool."""
+class RotationPool(BucketCells, DeviceColumns):
+    """One provider rotation pool; *rows* (optional) are its customers'
+    configuration columns, customer *i* at row *i*."""
 
     prefix: Prefix
     delegation_plen: int
     policy: RotationPolicy = field(default_factory=NoRotation)
     pool_key: int = 0
-    devices: list[CpeDevice] = field(default_factory=list)
+    rows: InitVar[DeviceColumns | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rows: DeviceColumns | None) -> None:
         if not self.prefix.plen <= self.delegation_plen <= IID_BITS:
             raise ValueError(
                 f"delegation /{self.delegation_plen} must be within "
                 f"[/{self.prefix.plen}, /64]"
             )
-        if len(self.devices) > self.nslots:
-            raise ValueError(
-                f"{len(self.devices)} devices exceed {self.nslots} slots"
-            )
-        BucketCells.__init__(self, len(self.devices))  # see the module docstring
+        vars(self).update(vars(rows or DeviceColumns()))
+        if self.n_customers > self.nslots:
+            raise ValueError(f"{self.n_customers} devices exceed {self.nslots} slots")
+        BucketCells.__init__(self, self.n_customers)  # see the module docstring
+        self._table: PoolTable | None = None  # the table viewing its columns
 
     @property
     def nslots(self) -> int:
@@ -70,34 +78,45 @@ class RotationPool(BucketCells):
 
     @property
     def n_customers(self) -> int:
-        return len(self.devices)
+        return len(self.device_id)
+
+    @property
+    def devices(self) -> list[CpeDevice]:
+        """The customers, customer *i* the view of row *i*."""
+        return [CpeDevice.view(self, i) for i in range(self.n_customers)]
 
     @property
     def occupancy(self) -> float:
         return self.n_customers / self.nslots
 
     def add_device(self, device: CpeDevice) -> int:
-        """Register another customer; returns its customer index."""
-        if len(self.devices) >= self.nslots:
+        """Register another customer: its row is copied in and *device*
+        becomes the view of it.  Returns its customer index."""
+        if self.n_customers >= self.nslots:
             raise ValueError("pool is full")
-        self.devices.append(device)
+        if isinstance(device._columns, RotationPool):
+            raise ValueError(f"device {device.device_id} already has a pool")
+        index = self.add_row(device._columns, device._row)
         self.add_cell()
-        return len(self.devices) - 1
+        if self._table is not None:
+            self._table.stale = True  # every later row moved
+        device._columns, device._row = self, index
+        return index
 
     # -- RFC 4443 error rate limiting (customer index -> may it answer) ----
 
     def allows_response(self, customer_index: int, t_seconds: float) -> bool:
         """Apply customer *customer_index*'s error rate limit at *t_seconds*,
-        with the device's rate and burst of the moment: a reassigned
+        with the row's rate and burst of the moment: a reassigned
         ``icmp_rate`` governs the very next probe."""
-        device = self.devices[customer_index]
-        return self.allow(customer_index, t_seconds, device.icmp_rate, device.icmp_burst)
+        i = customer_index
+        return self.allow(i, t_seconds, self.icmp_rate[i], self.icmp_burst[i])
 
     def allow_many(self, indices, t_seconds):
         """:meth:`allows_response` over customer indices (``int64``) at
         float64 send times, in probe order: the allowed column (``bool``)."""
-        columns = DeviceColumns(self.devices)
-        return self.walk(indices, t_seconds, columns.icmp_rate[indices], columns.icmp_burst[indices])
+        rate, burst = np.asarray(self.icmp_rate)[indices], np.asarray(self.icmp_burst)[indices]
+        return self.walk(indices, t_seconds, rate, burst)
 
     # -- ground-truth queries (device -> where) ---------------------------
 
@@ -128,8 +147,7 @@ class RotationPool(BucketCells):
         """
         delegation = self.delegation_of(customer_index, t_hours)
         net64 = delegation.network >> IID_BITS
-        device = self.devices[customer_index]
-        return (net64 << IID_BITS) | device.wan_iid(net64, t_hours)
+        return (net64 << IID_BITS) | CpeDevice.view(self, customer_index).wan_iid(net64, t_hours)
 
     # -- attacker-facing resolution (address -> device) --------------------
 
@@ -160,7 +178,7 @@ class RotationPool(BucketCells):
         if occupant is None:
             return None
 
-        device = self.devices[occupant]
+        device = CpeDevice.view(self, occupant)
         delegation = self.prefix.subnet(slot, self.delegation_plen)
         net64 = delegation.network >> IID_BITS
         wan = (net64 << IID_BITS) | device.wan_iid(net64, t_hours)
@@ -170,8 +188,8 @@ class RotationPool(BucketCells):
 
     def customer_index_of(self, device_id: int) -> int | None:
         """Find a device's customer index by its id (ground-truth helper)."""
-        for index, device in enumerate(self.devices):
-            if device.device_id == device_id:
+        for index, each in enumerate(self.device_id):
+            if each == device_id:
                 return index
         return None
 
@@ -179,15 +197,16 @@ class RotationPool(BucketCells):
 class PoolTable(BucketCells):
     """:meth:`RotationPool.resolve` over rows of many pools, in one pass:
     each pool's parameters at its pool number (its place in *pools*,
-    disjoint, in address order) and all their devices as one
-    :class:`~repro.simnet.device.DeviceColumns`, customer *i* of pool *p*
-    at row ``offset[p] + i``.  Its bucket cells are each device's at its
-    row, then *core*'s (limited at *core_rate*) from :attr:`core` on; the
-    pools and *core* keep views.  Stale exactly when the device columns
-    are: pools keep their shape, devices do not."""
+    disjoint, in address order) and all their customers as one
+    :class:`~repro.simnet.device.DeviceColumns` (:attr:`devices`),
+    customer *i* of pool *p* at row ``offset[p] + i``.  Its bucket cells
+    are each device's at its row, then *core*'s (limited at *core_rate*)
+    from :attr:`core` on.  The pools and *core* keep views of the same
+    bytes, so an assigned field or a spent token is the table's too; it
+    is :attr:`stale` only once a pool grows or a newer table views it."""
 
     def __init__(self, pools: list[RotationPool], core: BucketCells, core_rate: float) -> None:
-        self.devices = DeviceColumns(*(pool.devices for pool in pools))
+        self.stale = False
         counts = [pool.n_customers for pool in pools]
         self.offset = np.cumsum([0, *counts[:-1]], dtype=np.int64)
         self.policies = list(dict.fromkeys(type(pool.policy) for pool in pools))
@@ -208,18 +227,32 @@ class PoolTable(BucketCells):
         last64 = column(lambda pool: (pool.prefix.network >> IID_BITS) + pool.prefix.num_subnets(IID_BITS) - 1)
         self.last64 = np.append(last64, np.uint64(0))  # [-1]: below every pool
 
-        holders = [*pools, core]
-        bounds = np.cumsum([0, *(len(holder.tokens) for holder in holders)]).tolist()
-        for name, typecode, _ in self.COLUMNS:  # memoryviews: scalar steps at Python speed
-            cells = np.concatenate([np.asarray(getattr(holder, name)) for holder in holders])
-            shared = memoryview(bytearray(cells.tobytes())).cast(typecode)
-            setattr(self, name, shared)
-            for holder, first, end in zip(holders, bounds, bounds[1:]):
-                setattr(holder, name, shared[first:end])
-        self.core, routers = bounds[-2], bounds[-1] - bounds[-2]
-        self.rate = np.append(self.devices.icmp_rate, np.full(routers, core_rate))
-        burst = np.full(routers, IcmpRateLimiter.DEFAULT_BURST)
-        self.burst = np.append(self.devices.icmp_burst, burst)
+        # Every column laid end to end, the pools' rows then core's, in one
+        # buffer: memoryview slices for the holders (scalar steps at Python
+        # speed) and numpy arrays for passes.  Rate and burst run on over
+        # the core's cells, so every cell's row holds its own.
+        bounds = [0, *accumulate(counts)]
+        self.core, routers = bounds[-1], len(core.tokens)
+        core_rows = {name: getattr(core, name) for name, _, _ in self.COLUMNS}
+        core_rows["icmp_rate"] = array("d", [core_rate]) * routers
+        core_rows["icmp_burst"] = array("d", [IcmpRateLimiter.DEFAULT_BURST]) * routers
+        for pool in pools:  # their views move here
+            if pool._table is not None:
+                pool._table.stale = True
+            pool._table = self
+        self.devices, laid = DeviceColumns(), {}
+        for name, typecode, value in self.COLUMNS + DeviceColumns.CONFIG:
+            tail = core_rows.get(name, array(typecode, [value]) * routers)
+            shared = bytearray(b"".join([*(getattr(pool, name) for pool in pools), tail]))
+            view, laid[name] = memoryview(shared).cast(typecode), np.frombuffer(shared, typecode)
+            for pool, first, end in zip(pools, bounds, bounds[1:]):
+                setattr(pool, name, view[first:end])
+            if hasattr(core, name):  # a cell column
+                setattr(self, name, view)
+                setattr(core, name, view[self.core :])
+            else:
+                setattr(self.devices, name, laid[name][: self.core])
+        self.rate, self.burst = laid["icmp_rate"], laid["icmp_burst"]
 
     def numbers(self, net64s):
         """The number of the pool holding each top half *net64s*, or -1."""

@@ -357,9 +357,22 @@ def test_a_json_resumed_daemon_serves_from_columns(
         pytest.skip("numpy kernel unavailable")
     answers: list[dict] = []
     done = threading.Event()
+    profiled = threading.Event()
     with monkeypatch.context() as patch:
         calls = forbid_folds(patch)
         daemon = TrackerDaemon(resumed)
+        # The overlap is arranged, not hoped for: the last day's close
+        # waits (bounded) until the reader holds profiles, so a campaign
+        # that outruns the reader's first round trip cannot leave it empty.
+        refresh = resumed.on_day_complete
+        last_day = resumed.campaign.day_schedule()[-1][0]
+
+        def refresh_then_wait_for_profiles(day: int) -> None:
+            refresh(day)
+            if day == last_day:
+                profiled.wait(timeout=30)
+
+        resumed.on_day_complete = refresh_then_wait_for_profiles
 
         def query() -> None:
             wait_for_server(daemon.url)
@@ -369,6 +382,8 @@ def test_a_json_resumed_daemon_serves_from_columns(
                         answers.append(get_json(daemon.url + endpoint))
                 except OSError:
                     break  # server stopped between checks
+                if answers[-2].get("profiles"):
+                    profiled.set()
 
         reader = threading.Thread(target=query)
         reader.start()

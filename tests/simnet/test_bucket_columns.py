@@ -135,8 +135,8 @@ def test_allow_many_is_the_limiter_object(rows, cut_at, split_at):
 
 @needs_numpy
 def test_allow_many_reads_rate_and_burst_per_probe():
-    """Like the scalar method: a reassigned rate reaches the vector pass
-    through the device columns' staleness rule."""
+    """Like the scalar method: a reassigned rate is written to the pool's
+    column, which the vector pass reads."""
     pool, twin = make_pool(), make_pool()
     once = np.arange(len(LIMITS), dtype=np.int64)
     for t in (0.0, 0.0):

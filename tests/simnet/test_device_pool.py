@@ -79,6 +79,16 @@ class TestDevice:
         with pytest.raises(ValueError):
             make_device(online_fraction=1.5)
 
+    def test_mac_validation(self):
+        # The column kernel derives EUI-64 IIDs without the scalar's range
+        # check, so an out-of-range MAC is refused where it is written.
+        with pytest.raises(ValueError, match="mac"):
+            make_device(mac=1 << 48)
+        device = make_device()
+        with pytest.raises(ValueError, match="mac"):
+            device.mac = -1
+        assert device.mac == 0x3810D5000001
+
     def test_rate_limiter_applies(self):
         # The bucket is a cell in the device's pool, at its customer index.
         pool = make_pool(n_devices=2)

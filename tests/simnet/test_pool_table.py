@@ -21,6 +21,7 @@ Run this file as a script to re-record the fixture.
 import hashlib
 import importlib.util
 import json
+import math
 import random
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.addr import IID_BITS, IID_MASK, Prefix
+from repro.scan.rate import BucketCells
 from repro.simnet.device import AddressingMode, CpeDevice, ResponsePolicy
 from repro.simnet.internet import (
     _ANSWERS,
@@ -39,7 +41,7 @@ from repro.simnet.internet import (
     _VACANT,
     SimInternet,
 )
-from repro.simnet.pool import RotationPool
+from repro.simnet.pool import PoolTable, RotationPool
 from repro.simnet.provider import Provider
 from repro.simnet.rotation import (
     IncrementRotation,
@@ -214,6 +216,9 @@ def test_classify_equals_the_scalar_simulator(seed, shape, sizes):
 
 
 def test_the_table_is_rebuilt_when_devices_change():
+    """Growth moves every later row, so it rebuilds the table; an
+    assigned field is written to the table's own column, so the same
+    table answers it at once."""
     world = mixed_world()
     pool = world._pools[0]
     addr = pool.prefix.subnet(pool.n_customers, pool.delegation_plen).network | 1
@@ -227,7 +232,35 @@ def test_the_table_is_rebuilt_when_devices_change():
     table = world._table
     assert world.classify(sweep)[0].outcome[0] == _ANSWERS and world._table is table
     pool.devices[-1].online_fraction = 0.0
-    assert world.classify(sweep)[0].outcome[0] == _OFFLINE
+    assert world.classify(sweep)[0].outcome[0] == _OFFLINE and world._table is table
+    pool.devices[-1].policy = ResponsePolicy.silent()
+    pool.devices[-1].online_fraction = 1.0
+    assert world.classify(sweep)[0].outcome[0] == _SILENT and world._table is table
+
+
+def test_a_pool_grown_between_classify_and_commit_is_refused():
+    """A classified sweep names cells of the table it was classified
+    against; once a pool grows they are not the world's cells any more."""
+    world = mixed_world()
+    pool = world._pools[0]
+    n = pool.n_customers
+    hi = np.array([pool.delegation_of(i, 0.0).network >> IID_BITS for i in range(n)], np.uint64)
+    sweep = [(hi, np.ones(n, np.uint64), np.zeros(n))]
+    swept = world.classify(sweep)[0]
+    assert swept.table is world._table and (swept.cell >= 0).any()
+    pool.add_device(CpeDevice(device_id=1, mac=0x0200_0000_0001))
+    with pytest.raises(ValueError, match="classify again"):
+        world.commit(swept)
+    assert world.stats.probes == 0 and set(pool.last) == {-math.inf}  # nothing committed
+    answered = len(world.commit(world.classify(sweep)[0]))
+    assert answered == int((swept.cell >= 0).sum()) and world.stats.probes == n
+    # A newer table over the same pools takes their views: the older one
+    # (and a sweep classified against it) is retired the same way.
+    swept = world.classify(sweep)[0]
+    PoolTable(world._pools, BucketCells(), 100.0)
+    with pytest.raises(ValueError, match="classify again"):
+        world.commit(swept)
+    assert world.stats.probes == n
 
 
 # -- the recorded per-pool classify -------------------------------------------------

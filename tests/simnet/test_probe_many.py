@@ -127,7 +127,7 @@ def test_resolve_many_matches_resolve(policy, delegation_plen):
             if residence is None:
                 assert tenant[i] == -1, (addr, t)
                 continue
-            assert pool.devices[tenant[i]] is residence.device, (addr, t)
+            assert tenant[i] == residence.customer_index, (addr, t)
             assert (int(net64[i]) << 64) | int(iid[i]) == residence.wan_address
             online = columns.is_online_many(tenant[i : i + 1], np.array([t]))
             assert bool(online[0]) == residence.device.is_online(t)
@@ -145,7 +145,7 @@ def test_resolve_many_straddles_a_rotation_boundary():
     )
     want = [pool.resolve(addr, t) for t in hours]
     assert [t if t >= 0 else None for t in tenant.tolist()] == [
-        None if r is None else pool.devices.index(r.device) for r in want
+        None if r is None else r.customer_index for r in want
     ]
     assert pool.policy.base_epoch(hours[0]) != pool.policy.base_epoch(hours[1])
 
