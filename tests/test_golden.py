@@ -1,0 +1,35 @@
+"""Set-up's scans against ``data/golden.json`` (see ``golden.py``), with
+numpy and in a subprocess whose numpy imports raise."""
+
+import json
+import subprocess
+import sys
+
+import golden
+
+
+def recorded() -> dict:
+    return json.loads(golden.GOLDEN.read_text())
+
+
+def test_discovery_is_golden():
+    assert golden.discovery() == recorded()["discovery"]
+
+
+_NO_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # every numpy import raises
+sys.path[:0] = [{src!r}, {here!r}]
+import golden
+from repro.util import np
+assert np is None
+print(json.dumps(golden.discovery()))
+"""
+
+
+def test_discovery_is_golden_without_numpy():
+    code = _NO_NUMPY.format(src=str(golden.SRC_DIR), here=str(golden.HERE))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == recorded()["discovery"]
