@@ -31,9 +31,8 @@ from pathlib import Path
 from repro.core.allocation import AllocationInference
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.records import ObservationStore
-from repro.core.rotation_detect import detect_rotating_prefixes
+from repro.core.rotation_detect import diff_pairs, eui64_pairs
 from repro.core.rotation_pool import RotationPoolInference
-from repro.scan.zmap import ScanResult
 from repro.store import ColumnBatch, SqliteBackend, make_backend
 from repro.stream import columnar as columnar_kernel
 from repro.stream.campaign import StreamingCampaign
@@ -100,14 +99,11 @@ def _batch_postprocess(context, result):
             allocations[asn] = AllocationInference.from_observations(asn, observations)
         except ValueError:
             continue
-    days = result.store.days()
-    snapshots = []
-    for day in days:
-        snapshot = ScanResult()
-        snapshot.responses = result.store.on_day(day)  # ProbeResponse-compatible
-        snapshots.append(snapshot)
+    store = result.store
+    days = store.days()
     detections = [
-        detect_rotating_prefixes(a, b) for a, b in zip(snapshots, snapshots[1:])
+        diff_pairs(eui64_pairs(store.day_slice(a)), eui64_pairs(store.day_slice(b)))
+        for a, b in zip(days, days[1:])
     ]
     return pools, allocations, detections
 

@@ -155,7 +155,10 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.net.oui:OuiRegistry": ("seed", "registry queries; tests/net"),
     "repro.scan.permutation": ("seed", "permutation dunders and first(); tests/scan"),
     "repro.scan.targets": ("seed", "target generators no campaign uses; tests/scan"),
-    "repro.scan.zmap:ScanResult": ("seed", "result summaries; tests/scan"),
+    "repro.scan.zmap:ScanResult": (
+        "seed",
+        "reply objects, built on request, and the response rate; tests/scan",
+    ),
     "repro.scan.zmap:Zmap6.scan_until": (
         "seed",
         "one hunt as one sweep; the tracker batches its days itself; tests/scan",
@@ -202,6 +205,11 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.store.batch:ColumnBatch": (
         "reference",
         "object and row views of a batch that tests compare columns against",
+    ),
+    "repro.scan.zmap:ScanStream.__iter__": (
+        "reference",
+        "lazy per-probe replies: the fuzz harness's reference leg and "
+        "test_equivalence hold chunked scans against them",
     ),
     "repro.simnet.internet:SimInternet.probe_many": (
         "reference",

@@ -66,8 +66,8 @@ def main() -> None:
     store = ObservationStore()
     for day in (0, 1, 2, 3):
         scan = scanner.scan(targets, start_seconds=(day * 24 + 12) * 3600.0)
-        store.add_responses(scan.responses, day=day)
-        print(f"day {day}: {len(scan.responses)} responses "
+        store.extend_columns(scan.batch(day))
+        print(f"day {day}: {len(scan.rows)} responses "
               f"from {len(scan.responders())} devices")
 
     # 3. Vendor recovery from EUI-64 responses.
@@ -84,7 +84,7 @@ def main() -> None:
         one_target_per_subnet(sample, 64, rng), start_seconds=13 * 3600.0
     )
     sample_store = ObservationStore()
-    sample_store.add_responses(sample_scan.responses, day=0)
+    sample_store.extend_columns(sample_scan.batch(day=0))
     allocation = AllocationInference.from_observations(
         provider.asn, sample_store.eui64_only()
     )

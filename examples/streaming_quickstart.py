@@ -123,7 +123,8 @@ def main() -> None:
     scan_stream = Zmap6(internet, ScanConfig(seed=7)).stream(
         targets, start_seconds=(last_day * 24 + 9) * 3600.0
     )
-    sample_engine.ingest(scan_stream, day=last_day)
+    for batch in scan_stream.column_batches(day=last_day):
+        sample_engine.ingest(batch)
     allocation = sample_engine.allocation_inference(65001, day=last_day)
     pool = engine.pool_inference(65001)
     profiles = {

@@ -230,6 +230,6 @@ class Campaign:
             start = seconds(first_day * HOURS_PER_DAY + hour_index)
             scan = scanner.scan(self._targets, start_seconds=start)
             result.probes_sent += scan.probes_sent
-            result.store.add_responses(scan.responses, day=day)
+            result.store.extend_columns(scan.batch(day))
             result.days_run = hour_index // 24 + 1
         return result

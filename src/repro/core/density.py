@@ -13,9 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.net.addr import Prefix, iid_of
+from repro.net.addr import Prefix
 from repro.net.eui64 import is_eui64_iid
-from repro.net.icmpv6 import ProbeResponse
 
 LOW_DENSITY_THRESHOLD = 0.01
 
@@ -46,10 +45,11 @@ class DensityReport:
 def classify_density(
     prefix: Prefix,
     probes_sent: int,
-    responses: list[ProbeResponse],
+    rows,
     threshold: float = LOW_DENSITY_THRESHOLD,
 ) -> DensityReport:
-    """Classify one /48 from its probe responses.
+    """Classify one /48 from its replies' ``src_hi`` / ``src_lo`` columns
+    (*rows*: a scan's ``rows``, or a :class:`~repro.store.batch.ColumnBatch`).
 
     Only EUI-64 sources count toward density (the paper's target
     population is EUI-64 CPE); a /48 with zero responses of any kind is
@@ -57,10 +57,12 @@ def classify_density(
     """
     if probes_sent <= 0:
         raise ValueError("probes_sent must be positive")
-    unique_eui = {r.source for r in responses if is_eui64_iid(iid_of(r.source))}
+    unique_eui = {
+        (hi << 64) | lo for hi, lo in zip(rows.src_hi, rows.src_lo) if is_eui64_iid(lo)
+    }
     density = len(unique_eui) / probes_sent
 
-    if not responses:
+    if not len(rows):
         classification = DensityClass.UNRESPONSIVE
     elif density < threshold:
         classification = DensityClass.LOW

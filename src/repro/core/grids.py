@@ -132,6 +132,6 @@ def scan_allocation_grid(
     result = scanner.scan(targets, start_seconds=t_seconds)
 
     grid = AllocationGrid(prefix=prefix)
-    for response in result.responses:
-        grid.set_response(response.target, response.source)
+    for target, source in result.pairs():  # one target, so one reply, per cell
+        grid.set_response(target, source)
     return grid

@@ -33,10 +33,11 @@ from repro.core.records import ObservationStore
 from repro.core.rotation_detect import (
     RotationDetection,
     detect_rotating_prefixes,
+    eui64_pairs,
     rotating_asns,
+    target_prefix48,
 )
 from repro.net.addr import Prefix, iid_of
-from repro.net.eui64 import is_eui64_iid
 from repro.scan.targets import one_target_per_subnet
 from repro.scan.yarrp import Yarrp
 from repro.scan.zmap import ScanConfig, Zmap6
@@ -189,16 +190,12 @@ class DiscoveryPipeline:
         scanner = Zmap6(
             self.internet, ScanConfig(rate_pps=config.rate_pps, seed=config.seed)
         )
-        # The widest scan of the pipeline rides the columnar path end to
-        # end: the scanner emits flat column batches, the store appends
-        # them without building observation objects, and the EUI test
-        # reads the IID column directly.
         stream = scanner.stream(targets, start_seconds=seconds(config.expansion_hour))
         for batch in stream.column_batches(day=0):
             result.store.extend_columns(batch)
-            for tgt_hi, src_lo in zip(batch.tgt_hi, batch.src_lo):
-                if is_eui64_iid(src_lo):
-                    result.expanded_48s.add(Prefix((tgt_hi >> 16) << 80, 48))
+            result.expanded_48s.update(
+                target_prefix48(target) for target, _ in eui64_pairs(batch)
+            )
         result.probes_sent += stream.probes_sent
 
     # -- stage 3: density (Section 4.2) --------------------------------------
@@ -215,9 +212,9 @@ class DiscoveryPipeline:
             scan = scanner.scan(targets, start_seconds=start)
             start += scan.duration_seconds
             result.probes_sent += scan.probes_sent
-            result.store.add_responses(scan.responses, day=0)
+            result.store.extend_columns(scan.batch(day=0))
             report = classify_density(
-                prefix48, scan.probes_sent, scan.responses, config.density_threshold
+                prefix48, scan.probes_sent, scan.rows, config.density_threshold
             )
             result.density_reports[prefix48] = report
             if report.classification is DensityClass.HIGH:
@@ -242,8 +239,8 @@ class DiscoveryPipeline:
         snap_a = scanner.scan(targets, start_seconds=seconds(config.snapshot_a_hour))
         snap_b = scanner.scan(targets, start_seconds=seconds(config.snapshot_b_hour))
         result.probes_sent += snap_a.probes_sent + snap_b.probes_sent
-        result.store.add_responses(snap_a.responses, day=0)
-        result.store.add_responses(snap_b.responses, day=1)
+        result.store.extend_columns(snap_a.batch(day=0))
+        result.store.extend_columns(snap_b.batch(day=1))
         result.detection = detect_rotating_prefixes(snap_a, snap_b)
 
     def run(self) -> PipelineResult:

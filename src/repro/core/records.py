@@ -1,7 +1,9 @@
 """Observation records: the attacker's complete view of the world.
 
-A :class:`ProbeObservation` is one responsive probe -- what zmap logs.
-The :class:`ObservationStore` accumulates them across scans and days and
+A :class:`ProbeObservation` is one responsive probe -- what zmap logs,
+as the object view of one corpus row; a scan's replies reach the store
+as columns instead (:meth:`~repro.scan.zmap.ScanResult.batch`).  The
+:class:`ObservationStore` accumulates them across scans and days and
 serves every query the paper's analyses need: per-IID histories,
 per-day snapshots, and per-IID target maps (for Algorithm 1).
 
@@ -23,8 +25,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.net.addr import IID_BITS, Prefix, iid_of
 from repro.net.eui64 import is_eui64_iid
-from repro.net.icmpv6 import ProbeResponse
-from repro.simnet.clock import day_of, hours
 from repro.store.batch import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,15 +55,6 @@ class ProbeObservation:
     @property
     def is_eui64(self) -> bool:
         return is_eui64_iid(iid_of(self.source))
-
-    @classmethod
-    def from_response(cls, response: ProbeResponse, day: int | None = None) -> ProbeObservation:
-        return cls(
-            day=day if day is not None else day_of(hours(response.time)),
-            t_seconds=response.time,
-            target=response.target,
-            source=response.source,
-        )
 
 
 class ObservationStore:
@@ -149,12 +140,6 @@ class ObservationStore:
         Returns rows added."""
         self._flush()
         return self._append(batch)
-
-    def add_responses(
-        self, responses: Iterable[ProbeResponse], day: int | None = None
-    ) -> int:
-        """Ingest a scan's responses; returns how many were added."""
-        return self.extend_columns(ColumnBatch.from_responses(responses, day))
 
     # -- column views (the streaming engines' hand-off) ---------------------
 

@@ -16,10 +16,13 @@ device churn -- which is why roughly half the flagged ASes later infer a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.net.addr import Prefix, iid_of
+from repro.net.addr import Prefix
 from repro.net.eui64 import is_eui64_iid
-from repro.scan.zmap import ScanResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scan.zmap import ScanResult
 
 _NET48_SHIFT = 80
 
@@ -37,22 +40,17 @@ class RotationDetection:
         return len(self.rotating_prefixes)
 
 
-def eui64_pair(target: int, source: int) -> tuple[int, int] | None:
-    """The ``<target, response>`` pair if *source* carries an EUI-64 IID.
-
-    The unit of Section 4.3's comparison, shared by the batch detector
-    below and the streaming detector in :mod:`repro.stream.state`.
+def eui64_pairs(rows) -> set[tuple[int, int]]:
+    """The ``<target, response>`` pairs whose source carries an EUI-64
+    IID (Section 4.3's unit), read from the four address columns of
+    *rows*: a scan's ``rows``, or a :class:`~repro.store.batch.ColumnBatch`.
     """
-    if is_eui64_iid(iid_of(source)):
-        return (target, source)
-    return None
-
-
-def _eui64_pairs(result: ScanResult) -> set[tuple[int, int]]:
     return {
-        pair
-        for r in result.responses
-        if (pair := eui64_pair(r.target, r.source)) is not None
+        ((thi << 64) | tlo, (shi << 64) | slo)
+        for thi, tlo, shi, slo in zip(
+            rows.tgt_hi, rows.tgt_lo, rows.src_hi, rows.src_lo
+        )
+        if is_eui64_iid(slo)
     }
 
 
@@ -81,16 +79,16 @@ def diff_pairs(
 
 
 def detect_rotating_prefixes(
-    first: ScanResult, second: ScanResult
+    first: "ScanResult", second: "ScanResult"
 ) -> RotationDetection:
     """Compare two same-target scans taken 24 hours apart.
 
-    Returns the changed ``<target, response>`` pairs and the /48 prefixes
-    containing their targets.  A "change" covers EUI-to-different-EUI,
-    EUI-to-nothing, and nothing-to-EUI transitions, exactly as the paper
-    describes.
+    Returns the changed ``<target, response>`` pairs (:func:`eui64_pairs`
+    of each scan's ``rows``) and the /48 prefixes containing their
+    targets.  A "change" covers EUI-to-different-EUI, EUI-to-nothing,
+    and nothing-to-EUI transitions, exactly as the paper describes.
     """
-    return diff_pairs(_eui64_pairs(first), _eui64_pairs(second))
+    return diff_pairs(eui64_pairs(first.rows), eui64_pairs(second.rows))
 
 
 def rotating_asns(

@@ -170,6 +170,12 @@ class ProbeChunk:
         self.icmp_type.append(response.icmp_type)
         self.code.append(response.code)
 
+    def extend(self, other: "ProbeChunk") -> None:
+        """Append every row of *other*; its consumed probes add to ours."""
+        self.consumed += other.consumed
+        for name in self.__slots__[1:]:  # every column: the slots after consumed
+            getattr(self, name).extend(getattr(other, name))
+
     def responses(self, start: int = 0) -> list[ProbeResponse]:
         """Rows *start* onward as :class:`ProbeResponse` objects, in probe order."""
         return [

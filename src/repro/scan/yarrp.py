@@ -18,6 +18,7 @@ from typing import Protocol, Sequence
 
 from repro.net.eui64 import addr_is_eui64
 from repro.scan.permutation import MultiplicativeCycle
+from repro.scan.rate import check_rate
 
 
 class TraceNetwork(Protocol):
@@ -51,8 +52,7 @@ class Yarrp:
     """Randomized high-speed traceroute over a simulated topology."""
 
     def __init__(self, network: TraceNetwork, rate_pps: float = 10_000.0, seed: int = 0) -> None:
-        if rate_pps <= 0:
-            raise ValueError(f"rate_pps must be positive, got {rate_pps}")
+        check_rate("rate_pps", rate_pps)
         self.network = network
         self.rate_pps = rate_pps
         self.seed = seed

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Iterator, Protocol, Sequence
 
 from repro.net.icmpv6 import ProbeChunk, ProbeResponse, probe_each
 from repro.scan.permutation import cycle_order
+from repro.scan.rate import check_rate
 from repro.scan.targets import join_targets, split_targets
 from repro.util import np
 
@@ -84,42 +85,55 @@ class ScanConfig:
     randomize_order: bool = True
 
     def __post_init__(self) -> None:
-        if self.rate_pps <= 0:
-            raise ValueError(f"rate_pps must be positive, got {self.rate_pps}")
+        check_rate("rate_pps", self.rate_pps)
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
 
 
 @dataclass
 class ScanResult:
-    """Outcome of one scan: responses plus accounting.
+    """Outcome of one scan: its replies as columns, plus accounting.
 
-    ``responses`` preserves probe order.  ``duration_seconds`` is the
-    simulated time the scan occupied at the configured rate -- the
-    quantity behind the paper's "13 seconds at 10kpps" style arithmetic.
+    ``rows`` holds every reply in probe order, ICMPv6 type and code
+    kept; :meth:`batch` is the corpus rows they become.
+    ``duration_seconds`` is the simulated time the scan occupied at the
+    configured rate -- the quantity behind the paper's "13 seconds at
+    10kpps" style arithmetic.
     """
 
     probes_sent: int = 0
-    responses: list[ProbeResponse] = field(default_factory=list)
+    rows: ProbeChunk = field(default_factory=ProbeChunk)
     started_at: float = 0.0
+    _duration: float = 0.0
+
+    @property
+    def responses(self) -> list[ProbeResponse]:
+        """The replies as :class:`ProbeResponse` objects, built per call."""
+        return self.rows.responses()
 
     @property
     def response_rate(self) -> float:
-        return len(self.responses) / self.probes_sent if self.probes_sent else 0.0
+        return len(self.rows) / self.probes_sent if self.probes_sent else 0.0
 
     @property
     def duration_seconds(self) -> float:
         return self._duration
 
-    _duration: float = 0.0
+    def batch(self, day: int | None = None) -> "ColumnBatch":
+        """:attr:`rows` as corpus rows of *day*, sharing their buffers."""
+        from repro.store.batch import ColumnBatch
+
+        return ColumnBatch.from_chunk(self.rows, day)
 
     def responders(self) -> set[int]:
         """Distinct source addresses that answered."""
-        return {r.source for r in self.responses}
+        return set(join_targets(self.rows.src_hi, self.rows.src_lo))
 
     def pairs(self) -> set[tuple[int, int]]:
         """Distinct <target, response source> pairs (Section 4.3's unit)."""
-        return {(r.target, r.source) for r in self.responses}
+        rows = self.rows
+        targets = join_targets(rows.tgt_hi, rows.tgt_lo)
+        return set(zip(targets, join_targets(rows.src_hi, rows.src_lo)))
 
 
 def send_times(start: float, interval: float, size: int):
@@ -237,7 +251,7 @@ class ScanStream:
         """Drain the remaining probes and package a :class:`ScanResult`."""
         result = ScanResult(started_at=self.started_at)
         for chunk in self._chunks():
-            result.responses.extend(chunk.responses())
+            result.rows.extend(chunk)
         result.probes_sent = self.probes_sent
         result._duration = self.duration_seconds
         return result

@@ -4,7 +4,10 @@ One batch of responsive probes as six parallel flat buffers -- day,
 timestamp, and the 128-bit target/source addresses split into (hi, lo)
 uint64 halves.  This is the lingua franca of the storage redesign:
 
-* the scanner emits it (:meth:`repro.scan.zmap.ScanStream.column_batches`),
+* the scanner's replies become it in one place, :meth:`ColumnBatch.from_chunk`
+  (a :class:`~repro.scan.zmap.ScanStream`'s ``column_batches``, a
+  :class:`~repro.scan.zmap.ScanResult`'s ``batch``), which owns the
+  rule for the day a reply belongs to,
 * every :class:`~repro.store.backend.StoreBackend` appends and scans it,
 * the streaming engines consume it without per-observation conversion
   (:meth:`~repro.stream.engine.StreamEngine.ingest_columns`), and
@@ -124,29 +127,15 @@ class ColumnBatch:
             raise
 
     @classmethod
-    def from_responses(cls, responses, day: int | None = None) -> "ColumnBatch":
-        """Columns for raw :class:`~repro.net.icmpv6.ProbeResponse` objects.
-
-        *day* pins every row's day (a scan belongs to one campaign day);
-        ``None`` derives it per response from the probe timestamp, the
-        same rule as :meth:`ProbeObservation.from_response`.
-        """
-        out = cls()
-        append = out.append
-        for response in responses:
-            append(
-                day if day is not None else day_of(hours(response.time)),
-                response.time,
-                response.target,
-                response.source,
-            )
-        return out
-
-    @classmethod
     def from_chunk(cls, chunk, day: int | None = None) -> "ColumnBatch":
         """Columns for a :class:`~repro.net.icmpv6.ProbeChunk`: its address
-        and time buffers are adopted as they are; *day* as in
-        :meth:`from_responses`."""
+        and time buffers are adopted as they are.
+
+        The one place a probe reply becomes a corpus row, so the one
+        day rule: *day* pins every row's day (a scan belongs to one
+        campaign day); ``None`` derives it per row from the probe
+        timestamp, ``day_of(hours(t))``.
+        """
         if day is not None:
             days = array(DAY_TYPECODE, [day]) * len(chunk)
         else:

@@ -1,10 +1,11 @@
 """The streaming ingestion engine: one pass, always-current inferences.
 
-:class:`StreamEngine` consumes :class:`ProbeObservation`s (or raw
-:class:`ProbeResponse`s) as they arrive and keeps every per-AS inference
-the tracker needs -- allocation sizes, rotation pools, rotation-candidate
-prefixes, and last-known addresses of watched IIDs -- incrementally
-up to date, without ever re-walking the observation corpus.
+:class:`StreamEngine` consumes :class:`ProbeObservation`s (or whole
+:class:`~repro.store.batch.ColumnBatch`es) as they arrive and keeps
+every per-AS inference the tracker needs -- allocation sizes, rotation
+pools, rotation-candidate prefixes, and last-known addresses of watched
+IIDs -- incrementally up to date, without ever re-walking the
+observation corpus.
 
 Ingestion is partitioned by the source's /32
 (:func:`~repro.stream.shard.shard_index` of

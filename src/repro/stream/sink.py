@@ -2,11 +2,12 @@
 
 Two things make the day-over-day rotation diff right, and neither may
 be sharded or forked: callers hold different *currencies* (one
-observation, a raw probe reply, an observation iterable or day-ordered
-feed, a :class:`~repro.store.batch.ColumnBatch`), and the stream has an
-*order* -- days arrive non-decreasing, a day closes when the next one
-opens, consecutive scanned days diff through :func:`diff_pairs`, the
-freshest sighting of a watched IID wins.  :class:`IngestSinkBase` owns
+observation, an observation iterable or day-ordered feed, a
+:class:`~repro.store.batch.ColumnBatch`, the form a scan's replies
+arrive in), and the stream has an *order* -- days arrive
+non-decreasing, a day closes when the next one opens, consecutive
+scanned days diff through :func:`diff_pairs`, the freshest sighting of
+a watched IID wins.  :class:`IngestSinkBase` owns
 both, once, for :class:`~repro.stream.engine.StreamEngine` and
 :class:`~repro.stream.parallel.ParallelStreamEngine` alike:
 
@@ -47,7 +48,6 @@ from typing import Iterable, Protocol, runtime_checkable
 
 from repro.core.records import ProbeObservation
 from repro.core.rotation_detect import RotationDetection, diff_pairs, target_prefix48
-from repro.net.icmpv6 import ProbeResponse
 from repro.store.batch import ColumnBatch
 from repro.stream import columnar as columnar_kernel
 from repro.stream.shard import net32_of, shard_index
@@ -61,7 +61,7 @@ class IngestSink(Protocol):
     satisfy it; feeds and campaigns depend only on this surface.
     """
 
-    def ingest(self, item, day: int | None = None) -> int: ...
+    def ingest(self, item) -> int: ...
 
     def ingest_batch(self, observations: Iterable[ProbeObservation]) -> int: ...
 
@@ -400,48 +400,29 @@ class IngestSinkBase:
 
     # -- the one polymorphic entry point ----------------------------------
 
-    def ingest(self, item, day: int | None = None) -> int:
+    def ingest(self, item) -> int:
         """Ingest *whatever the caller holds*; returns rows ingested.
 
-        Accepts a single :class:`ProbeObservation`, a single raw
-        :class:`ProbeResponse` (*day* stamps it), a
-        :class:`ColumnBatch`, or any iterable of observations or
-        responses -- one entry point over every currency, dispatching
-        to the sink's native primitive for each.  Per-item cost is one
-        ``isinstance`` chain; hot loops that always hold observations
-        bind :meth:`_ingest_observation` instead and skip even that.
+        Accepts a single :class:`ProbeObservation`, a
+        :class:`ColumnBatch`, or any iterable of observations -- one
+        entry point over every currency, dispatching to the sink's
+        native primitive for each.  Per-item cost is one ``isinstance``
+        chain; hot loops that always hold observations bind
+        :meth:`_ingest_observation` instead and skip even that.  A
+        scan's replies arrive as columns
+        (:meth:`~repro.scan.zmap.ScanResult.batch`).
         """
         if isinstance(item, ProbeObservation):
             self._ingest_observation(item)
             return 1
         if isinstance(item, ColumnBatch):
             return self.ingest_columns(item)
-        if isinstance(item, ProbeResponse):
-            self._ingest_observation(ProbeObservation.from_response(item, day))
-            return 1
         if isinstance(item, Iterable):
-            return self._ingest_iterable(item, day)
+            return self.ingest_batch(item)
         raise TypeError(
-            "ingest() accepts a ProbeObservation, ProbeResponse, ColumnBatch, "
-            f"or an iterable of the first two -- got {type(item).__name__}"
+            "ingest() accepts a ProbeObservation, a ColumnBatch, "
+            f"or an iterable of observations -- got {type(item).__name__}"
         )
-
-    def _ingest_iterable(self, items: Iterable, day: int | None) -> int:
-        """Route an iterable by peeking its first element's type."""
-        iterator = iter(items)
-        first = next(iterator, None)
-        if first is None:
-            return 0
-
-        def _chained():
-            yield first
-            yield from iterator
-
-        if isinstance(first, ProbeResponse):
-            return self.ingest_batch(
-                ProbeObservation.from_response(r, day) for r in _chained()
-            )
-        return self.ingest_batch(_chained())
 
 
 __all__ = ["IngestSink", "IngestSinkBase", "Sighting", "update_sighting"]

@@ -14,7 +14,7 @@ from repro.core.search_space import (
 )
 from repro.net.addr import Prefix, with_iid
 from repro.net.eui64 import mac_to_eui64_iid
-from repro.net.icmpv6 import IcmpType, ProbeResponse
+from repro.net.icmpv6 import IcmpType, ProbeChunk, ProbeResponse
 from repro.scan.targets import one_target_per_subnet
 from repro.scan.zmap import ScanConfig, ScanResult, Zmap6
 
@@ -28,12 +28,20 @@ def response(target, source, t=0.0):
                          icmp_type=IcmpType.DEST_UNREACHABLE, code=1, time=t)
 
 
+def rows(responses):
+    """*responses* as the reply columns a scan holds."""
+    chunk = ProbeChunk()
+    for r in responses:
+        chunk.append(r)
+    return chunk
+
+
 class TestDensity:
     def test_high_density(self):
         responses = [
             response(P48.network + i, with_iid(0x100 + i, EUI_A + i)) for i in range(10)
         ]
-        report = classify_density(P48, 256, responses)
+        report = classify_density(P48, 256, rows(responses))
         assert report.classification is DensityClass.HIGH
         assert report.unique_eui64 == 10
         assert report.density == pytest.approx(10 / 256)
@@ -43,7 +51,7 @@ class TestDensity:
         one address: unique-EUI density 1/256 < 0.01."""
         source = with_iid(0x100, EUI_A)
         responses = [response(P48.network + i, source) for i in range(256)]
-        report = classify_density(P48, 256, responses)
+        report = classify_density(P48, 256, rows(responses))
         assert report.classification is DensityClass.LOW
         assert report.unique_eui64 == 1
 
@@ -52,7 +60,7 @@ class TestDensity:
             response(P48.network, with_iid(0x100, EUI_A)),
             response(P48.network + 1, with_iid(0x200, EUI_B)),
         ]
-        report = classify_density(P48, 256, responses)
+        report = classify_density(P48, 256, rows(responses))
         assert report.classification is DensityClass.LOW
 
     def test_three_responders_high(self):
@@ -60,34 +68,32 @@ class TestDensity:
             response(P48.network + i, with_iid(0x100 * (i + 1), EUI_A + i))
             for i in range(3)
         ]
-        assert classify_density(P48, 256, responses).classification is DensityClass.HIGH
+        assert classify_density(P48, 256, rows(responses)).classification is DensityClass.HIGH
 
     def test_unresponsive(self):
-        report = classify_density(P48, 256, [])
+        report = classify_density(P48, 256, rows([]))
         assert report.classification is DensityClass.UNRESPONSIVE
         assert report.density == 0.0
 
     def test_non_eui_responses_do_not_count(self):
         responses = [response(P48.network + i, with_iid(0x100 + i, 0x1234 + i))
                      for i in range(20)]
-        report = classify_density(P48, 256, responses)
+        report = classify_density(P48, 256, rows(responses))
         assert report.unique_eui64 == 0
         # responsive but not EUI-dense -> low, not unresponsive
         assert report.classification is DensityClass.LOW
 
     def test_probe_count_validation(self):
         with pytest.raises(ValueError):
-            classify_density(P48, 0, [])
+            classify_density(P48, 0, rows([]))
 
     def test_describe(self):
-        report = classify_density(P48, 256, [])
+        report = classify_density(P48, 256, rows([]))
         assert "unresponsive" in report.describe()
 
 
 def scan_result(responses):
-    result = ScanResult(probes_sent=len(responses))
-    result.responses = list(responses)
-    return result
+    return ScanResult(probes_sent=len(responses), rows=rows(responses))
 
 
 class TestRotationDetect:

@@ -211,7 +211,7 @@ class TestTimeseries:
         scanner = Zmap6(rotating_internet, ScanConfig(seed=8))
         for day in range(6):
             scan = scanner.scan(targets, start_seconds=(day * 24 + 12) * 3600.0)
-            store.add_responses(scan.responses, day=day)
+            store.extend_columns(scan.batch(day))
         iid = next(iter(store.eui64_iids()))
         points = iid_trajectory(store, iid)
         increments = trajectory_increments(points)

@@ -20,9 +20,10 @@ from repro.core.rotation_pool import (
 )
 from repro.net.addr import Prefix, with_iid
 from repro.net.eui64 import mac_to_eui64_iid
-from repro.net.icmpv6 import IcmpType, ProbeResponse
+from repro.net.icmpv6 import IcmpType, ProbeChunk, ProbeResponse
 from repro.scan.targets import one_target_per_subnet
 from repro.scan.zmap import ScanConfig, Zmap6
+from repro.store.batch import ColumnBatch
 
 
 def obs(day, target, source, t=0.0):
@@ -80,16 +81,20 @@ class TestObservationStore:
         groups = store.group_eui64_by_asn(lambda addr: 100 if (addr >> 64) < 0x18 else 200)
         assert set(groups) == {100, 200}
 
-    def test_from_response(self):
-        response = ProbeResponse(
-            target=5, source=with_iid(1, EUI), icmp_type=IcmpType.DEST_UNREACHABLE,
-            code=1, time=3600.0 * 30,
+    def test_from_chunk_day_rule(self):
+        """A reply's row day: the pinned campaign day, else its hour's day."""
+        t = 3600.0 * 30
+        chunk = ProbeChunk()
+        chunk.append(
+            ProbeResponse(
+                target=5, source=with_iid(1, EUI), icmp_type=IcmpType.DEST_UNREACHABLE,
+                code=1, time=t,
+            )
         )
-        observation = ProbeObservation.from_response(response)
-        assert observation.day == 1  # hour 30 -> day 1
-        added = ObservationStore()
-        added.add_responses([response], day=7)
-        assert added.on_day(7)
+        assert list(ColumnBatch.from_chunk(chunk).day) == [1]  # hour 30 -> day 1
+        pinned = ObservationStore()
+        pinned.extend_columns(ColumnBatch.from_chunk(chunk, day=7))
+        assert pinned.on_day(7) == [ProbeObservation(7, t, 5, with_iid(1, EUI))]
 
     def test_eui64_histories(self):
         store = ObservationStore()
@@ -136,7 +141,7 @@ class TestAlgorithm1:
         targets = one_target_per_subnet(pool.prefix, 64, rng)
         scan = Zmap6(rotating_internet, ScanConfig(seed=5)).scan(targets, 3600.0)
         store = ObservationStore()
-        store.add_responses(scan.responses, day=0)
+        store.extend_columns(scan.batch(0))
         inference = AllocationInference.from_store(
             provider.asn, store, rotating_internet.rib.origin_of, day=0
         )
@@ -151,7 +156,7 @@ class TestAlgorithm1:
         targets = one_target_per_subnet(pool.prefix, 64, rng)
         scan = Zmap6(rotating_internet, ScanConfig(seed=5)).scan(targets, 3600.0)
         store = ObservationStore()
-        store.add_responses(scan.responses, day=0)
+        store.extend_columns(scan.batch(0))
         inference = AllocationInference.from_store(
             provider.asn, store, rotating_internet.rib.origin_of, day=0
         )
@@ -203,7 +208,7 @@ class TestAlgorithm2:
         scanner = Zmap6(rotating_internet, ScanConfig(seed=2))
         for day in range(20):
             scan = scanner.scan(targets, start_seconds=(day * 24 + 12) * 3600.0)
-            store.add_responses(scan.responses, day=day)
+            store.extend_columns(scan.batch(day))
         inference = RotationPoolInference.from_store(
             provider.asn, store, rotating_internet.rib.origin_of
         )
@@ -219,7 +224,7 @@ class TestAlgorithm2:
         scanner = Zmap6(static_internet, ScanConfig(seed=2))
         for day in range(5):
             scan = scanner.scan(targets, start_seconds=(day * 24 + 12) * 3600.0)
-            store.add_responses(scan.responses, day=day)
+            store.extend_columns(scan.batch(day))
         inference = RotationPoolInference.from_store(
             provider.asn, store, static_internet.rib.origin_of
         )
@@ -236,7 +241,7 @@ class TestAlgorithm2:
         scanner = Zmap6(rotating_internet, ScanConfig(seed=2))
         for day in range(5):
             scan = scanner.scan(targets, start_seconds=(day * 24 + 12) * 3600.0)
-            store.add_responses(scan.responses, day=day)
+            store.extend_columns(scan.batch(day))
         inference = RotationPoolInference.from_store(
             provider.asn, store, rotating_internet.rib.origin_of
         )

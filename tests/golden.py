@@ -39,6 +39,12 @@ def digest(value) -> dict:
     return {"n": len(value), "sha256": hashlib.sha256(blob).hexdigest()}
 
 
+def report_row(r) -> list:
+    """One density report, JSON-ready (the density float exact)."""
+    kind = r.classification.value
+    return [str(r.prefix), r.probes_sent, r.unique_eui64, r.density, kind]
+
+
 def discovery_of(seed: int) -> dict:
     """Everything set-up's scans produce at TINY *seed*, in stage order."""
     from repro.core.campaign import Campaign, CampaignConfig
@@ -52,10 +58,7 @@ def discovery_of(seed: int) -> dict:
     result = ctx.pipeline_result
     detection = result.detection
     rotating = sorted(result.rotating_48s, key=lambda p: p.network)
-    reports = [
-        [str(r.prefix), r.probes_sent, r.unique_eui64, r.density, r.classification.value]
-        for _, r in sorted(result.density_reports.items(), key=lambda kv: kv[0].network)
-    ]
+    reports = sorted(result.density_reports.values(), key=lambda r: r.prefix.network)
     sample_rows = ctx.allocation_sample_store.snapshot_rows()
     campaign = ctx.build_campaign()
     versatel = ctx.internet.provider_of_asn(VERSATEL_ASN).pools[0].prefix
@@ -73,7 +76,7 @@ def discovery_of(seed: int) -> dict:
     return {
         "store_rows": digest(result.store.snapshot_rows()),
         "summary": result.summary(),
-        "density_reports": digest(reports),
+        "density_reports": digest([report_row(r) for r in reports]),
         "changed_pairs": digest(sorted(map(list, detection.changed_pairs))),
         "stable_pairs": detection.stable_pairs,
         "rotating_48s": [str(p) for p in rotating],

@@ -176,11 +176,12 @@ class TestZmap6:
         lossy = Zmap6(internet, ScanConfig(seed=1, loss_rate=0.5)).scan(targets)
         assert len(lossy.responses) < len(lossless.responses)
 
-    def test_loss_rate_validation(self):
+    @pytest.mark.parametrize("rate", [0, float("nan"), float("inf")])
+    def test_loss_rate_validation(self, rate):
         with pytest.raises(ValueError):
             ScanConfig(loss_rate=1.0)
         with pytest.raises(ValueError):
-            ScanConfig(rate_pps=0)
+            ScanConfig(rate_pps=rate)
 
     def test_result_helpers(self, internet):
         pool = internet.providers[0].pools[0]
@@ -282,9 +283,10 @@ class TestYarrp:
         assert empty.last_responsive_hop is None
         assert not empty.last_hop_is_eui64
 
-    def test_rate_validation(self, internet):
+    @pytest.mark.parametrize("rate", [0, float("nan"), float("inf")])
+    def test_rate_validation(self, internet, rate):
         with pytest.raises(ValueError):
-            Yarrp(internet, rate_pps=0)
+            Yarrp(internet, rate_pps=rate)
 
     def test_empty_targets(self, internet):
         assert Yarrp(internet).trace_all([]) == []

@@ -171,8 +171,8 @@ class TestLiveRotationDetection:
         batch = detect_rotating_prefixes(snap_a, snap_b)
 
         engine = StreamEngine(StreamConfig(num_shards=4))
-        engine.ingest(snap_a.responses, day=0)
-        engine.ingest(snap_b.responses, day=1)
+        engine.ingest(snap_a.batch(0))
+        engine.ingest(snap_b.batch(1))
         live = engine.flush()
         assert live.changed_pairs == batch.changed_pairs
         assert live.rotating_prefixes == batch.rotating_prefixes

@@ -18,7 +18,9 @@ from _worlds import (
 
 from repro.core.campaign import Campaign
 from repro.core.tracker import AsProfile, DeviceTracker, TrackerConfig
+from repro.scan import zmap
 from repro.scan.zmap import ScanConfig, Zmap6
+from repro.store.batch import ColumnBatch
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.tracker import LivePursuit
 
@@ -43,11 +45,30 @@ class TestScanStreamEquivalence:
         assert stream.probes_sent == batch.probes_sent
         assert stream.duration_seconds == batch.duration_seconds
 
-    def test_stream_with_loss_matches_scan(self, rotating_internet):
-        targets = scan_targets()
-        scanner = Zmap6(rotating_internet, ScanConfig(seed=5, loss_rate=0.2))
-        batch = scanner.scan(targets, start_seconds=100.0)
-        assert list(scanner.stream(targets, start_seconds=100.0)) == batch.responses
+    @pytest.mark.parametrize("chunk_probes", [7, zmap.CHUNK_PROBES])
+    def test_stream_with_loss_matches_scan(self, monkeypatch, chunk_probes):
+        """One scan has one set of rows: a scan's reply columns, its
+        column batches and its lazy per-probe replies agree, whatever
+        the chunk size (each leg on a fresh world, so no bucket carries
+        over)."""
+        monkeypatch.setattr(zmap, "CHUNK_PROBES", chunk_probes)
+        targets, config, day = scan_targets(), ScanConfig(seed=5, loss_rate=0.2), 3
+
+        def scanner():
+            return Zmap6(build_rotating_internet(), config)
+
+        batch = scanner().scan(targets, start_seconds=100.0)
+        streamed = ColumnBatch.concat(
+            scanner().stream(targets, start_seconds=100.0).column_batches(day)
+        )
+        assert batch.batch(day).columns == streamed.columns
+        lazy = list(scanner().stream(targets, start_seconds=100.0))
+        assert batch.responses == lazy
+
+        def kinds(responses):
+            return [(type(r.icmp_type), r.icmp_type, r.code) for r in responses]
+
+        assert kinds(batch.responses) == kinds(lazy)
 
     def test_early_stop_reports_probe_cost(self, rotating_internet):
         targets = scan_targets()

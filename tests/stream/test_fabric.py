@@ -907,35 +907,14 @@ class TestIngestSink:
         single.flush()
         assert json.dumps(engine_state(single)) == expected
 
-    def test_ingest_routes_responses_and_feeds(self, world):
-        """The currencies the removed ``ingest_response(s)`` /
-        ``ingest_feed`` names took all route through ``ingest()``."""
+    def test_ingest_routes_feeds(self, world):
+        """A lazy feed, which the removed ``ingest_feed`` took, routes
+        through ``ingest()``; a raw probe reply is no currency of it."""
         from repro.net.icmpv6 import IcmpType, ProbeResponse
 
         internet, corpus = world
         config_ = StreamConfig(num_shards=4, keep_observations=False)
         expected = reference_state(internet, corpus, config_)
-        responses = [
-            ProbeResponse(
-                target=o.target,
-                source=o.source,
-                icmp_type=IcmpType.ECHO_REPLY,
-                code=0,
-                time=o.t_seconds,
-            )
-            for o in corpus
-        ]
-
-        batch = StreamEngine(config_, origin_of=internet.rib.origin_of)
-        assert batch.ingest(responses) == len(corpus)  # response iterable
-        batch.flush()
-        assert json.dumps(engine_state(batch)) == expected
-
-        single = StreamEngine(config_, origin_of=internet.rib.origin_of)
-        for response, observation in zip(responses, corpus):
-            assert single.ingest(response, day=observation.day) == 1
-        single.flush()
-        assert json.dumps(engine_state(single)) == expected
 
         feed = StreamEngine(config_, origin_of=internet.rib.origin_of)
         assert feed.ingest(iter(corpus)) == len(corpus)  # lazy feed
@@ -944,3 +923,8 @@ class TestIngestSink:
 
         for removed in ("ingest_response", "ingest_responses", "ingest_feed"):
             assert not hasattr(feed, removed)
+        reply = ProbeResponse(
+            corpus[0].target, corpus[0].source, IcmpType.ECHO_REPLY, 0, 0.0
+        )
+        with pytest.raises(TypeError):
+            feed.ingest(reply)

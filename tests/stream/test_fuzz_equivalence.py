@@ -489,8 +489,8 @@ def check_scanner_paths_agree(seed, monkeypatch):
     assert probes == campaign_config.days * len(campaign.targets)
     probes = 0
     for day, stream in campaign.iter_day_streams():
-        for response in stream:
-            reference.ingest(response, day)
+        for r in stream:
+            reference.ingest(ProbeObservation(day, r.time, r.target, r.source))
         probes += stream.probes_sent
     reference.flush()
 

@@ -100,7 +100,7 @@ class TestInferenceStep:
             start_seconds=2 * 86400.0 + 3600.0,
         )
         sample_store = ObservationStore()
-        sample_store.add_responses(scan.responses, day=2)
+        sample_store.extend_columns(scan.batch(2))
         allocation = AllocationInference.from_observations(
             65001, sample_store.eui64_only()
         )
