@@ -1,13 +1,21 @@
 """The golden file: what set-up's scans produce, pinned bit for bit.
 
-``data/golden.json`` holds one section per pinned subject.  Today there
-is one, ``discovery``: for each TINY seed in :data:`SEEDS`, what the
-Section 4 pipeline and the set-up scans after it produce on a fresh
-world -- the pipeline store's checkpoint rows, its ``summary()``, the
-density reports, the changed pairs, stable-pair count and rotating
-/48s, the allocation sample's rows, the campaign's targets, the rows of
-Figure 10's hour-by-hour day and one Figure 3 grid.  Large values are
-kept as a sha256 of their JSON plus a length; small ones as they are.
+``data/golden.json`` holds one section per pinned subject, each keyed
+by TINY seed (:data:`SEEDS`), each computed on a fresh world:
+
+* ``discovery`` -- what the Section 4 pipeline and the set-up scans
+  after it produce: the pipeline store's checkpoint rows, its
+  ``summary()``, the density reports, the changed pairs, stable-pair
+  count and rotating /48s, the allocation sample's rows, the campaign's
+  targets, the rows of Figure 10's hour-by-hour day and one Figure 3
+  grid;
+* ``day_close`` -- what a streaming campaign's day closes yield: per
+  closed day the /48s first flagged there (``rotation_days``), that
+  day's changed pairs and stable-pair count, then the cumulative
+  detection.
+
+Large values are kept as a sha256 of their JSON plus a length; small
+ones as they are.
 
 The stages run in one fixed order on one world, because the simulated
 Internet's rate-limit buckets carry from one scan to the next.
@@ -91,9 +99,45 @@ def discovery() -> dict:
     return {f"tiny,{seed}": discovery_of(seed) for seed in SEEDS}
 
 
+def prefix_strings(prefixes) -> list[str]:
+    return [str(p) for p in sorted(prefixes, key=lambda p: p.network)]
+
+
+def day_close_of(seed: int) -> dict:
+    """What the day closes of a streaming run of set-up's campaign yield
+    at TINY *seed*: each closed day, then the cumulative detection."""
+    from repro.experiments.context import ExperimentContext
+    from repro.experiments.scale import TINY
+    from repro.stream.campaign import StreamingCampaign
+
+    ctx = ExperimentContext(replace(TINY, seed=seed))
+    streaming = StreamingCampaign(ctx.build_campaign())
+    streaming.run()
+    engine = streaming.engine
+    closes = {}
+    for day, prefixes in sorted(engine.rotation_days.items()):
+        diff = engine.rotation_between(day - 1, day)
+        closes[str(day)] = {
+            "rotation_days": prefix_strings(prefixes),
+            "changed_pairs": digest(sorted(map(list, diff.changed_pairs))),
+            "stable_pairs": diff.stable_pairs,
+        }
+    live = engine.flush()
+    return {
+        "closes": closes,
+        "changed_pairs": digest(sorted(map(list, live.changed_pairs))),
+        "stable_pairs": live.stable_pairs,
+        "rotating_48s": prefix_strings(live.rotating_prefixes),
+    }
+
+
+def day_close() -> dict:
+    return {f"tiny,{seed}": day_close_of(seed) for seed in SEEDS}
+
+
 def sections() -> dict:
     """Every section of the golden file, computed afresh."""
-    return {"discovery": discovery()}
+    return {"discovery": discovery(), "day_close": day_close()}
 
 
 if __name__ == "__main__":

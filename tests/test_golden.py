@@ -1,5 +1,6 @@
-"""Set-up's scans against ``data/golden.json`` (see ``golden.py``), with
-numpy and in a subprocess whose numpy imports raise."""
+"""Set-up's scans and a streaming campaign's day closes against
+``data/golden.json`` (see ``golden.py``), with numpy and in a subprocess
+whose numpy imports raise."""
 
 import json
 import subprocess
@@ -16,6 +17,10 @@ def test_discovery_is_golden():
     assert golden.discovery() == recorded()["discovery"]
 
 
+def test_day_close_is_golden():
+    assert golden.day_close() == recorded()["day_close"]
+
+
 _NO_NUMPY = """
 import json, sys
 sys.modules["numpy"] = None  # every numpy import raises
@@ -23,13 +28,24 @@ sys.path[:0] = [{src!r}, {here!r}]
 import golden
 from repro.util import np
 assert np is None
-print(json.dumps(golden.discovery()))
+print(json.dumps(golden.{section}()))
 """
 
 
-def test_discovery_is_golden_without_numpy():
-    code = _NO_NUMPY.format(src=str(golden.SRC_DIR), here=str(golden.HERE))
+def without_numpy(section: str) -> dict:
+    """*section* computed in a subprocess whose numpy imports raise."""
+    code = _NO_NUMPY.format(
+        src=str(golden.SRC_DIR), here=str(golden.HERE), section=section
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert json.loads(out.splitlines()[-1]) == recorded()["discovery"]
+    return json.loads(out.splitlines()[-1])
+
+
+def test_discovery_is_golden_without_numpy():
+    assert without_numpy("discovery") == recorded()["discovery"]
+
+
+def test_day_close_is_golden_without_numpy():
+    assert without_numpy("day_close") == recorded()["day_close"]
