@@ -282,6 +282,10 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "safety",
         "commits a caller's store after a mid-campaign crash",
     ),
+    "repro.stream.columnar:_match_rows": (
+        "safety",
+        "the exact diff of rows whose row hashes collide; test_columnar forces it",
+    ),
     "repro.stream.parallel:ParallelStreamEngine.__enter__": (
         "safety",
         "context manager",

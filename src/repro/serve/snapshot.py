@@ -261,9 +261,9 @@ class SnapshotPublisher:
                     for day, prefixes in engine.rotation_days.items()
                 }
             ),
-            rotating_prefixes=frozenset(engine.rotating_prefixes()),
+            rotating_prefixes=frozenset(engine.live_detection.rotating_prefixes),
             changed_pairs=engine.changed_pair_count(),
-            stable_pairs=engine.stable_pair_count(),
+            stable_pairs=engine.live_detection.stable_pairs,
             unique_addresses=engine.unique_sources(),
             unique_eui64_addresses=engine.unique_eui64_sources(),
             watch_iids=frozenset(engine._watch_iids),

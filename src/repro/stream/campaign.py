@@ -503,8 +503,8 @@ class StreamingCampaign:
             # of the passive feeds (trailing sighting days included)
             # goes in before the final flush closes the stream.
             self._drain_feed(None)
-        # Close the day, without flush()'s read of the detection: on a
-        # kernel engine that read builds a tuple per changed pair.
+        # Close the day.  close_open_day() is flush() without its return
+        # value, the live detection, which nothing here reads.
         if self._parallel is not None:
             if not self.finished:
                 self._parallel.close_open_day()

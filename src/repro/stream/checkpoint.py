@@ -263,13 +263,14 @@ def restore_stream_head(
 def engine_state(engine: StreamEngine) -> dict:
     """The engine's complete serializable state, rendered from its
     column records and changed-pair columns (no Python state built)."""
+    detection = engine.live_detection
     return {
         "version": FORMAT_VERSION,
         **stream_head(engine),
         "detection": _detection_state(
-            engine.changed_pair_columns(),
-            engine.stable_pair_count(),
-            ([p.network, p.plen] for p in engine.rotating_prefixes()),
+            detection.changed_columns(),
+            detection.stable_pairs,
+            ([p.network, p.plen] for p in detection.rotating_prefixes),
         ),
         "shards": [
             _shard_state(sid, record) for sid, record in engine.shard_records().items()

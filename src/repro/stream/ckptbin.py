@@ -411,8 +411,9 @@ def _build_segment(
     previous segment's day on), the changed-pair columns, the rotating
     prefixes and the store's tail."""
     writer = _SegmentWriter()
-    writer.add_family("", _CHANGED_BLOCKS, *engine.changed_pair_columns())
-    prefixes = list(engine.rotating_prefixes())
+    detection = engine.live_detection
+    writer.add_family("", _CHANGED_BLOCKS, *detection.changed_columns())
+    prefixes = list(detection.rotating_prefixes)
     net_hi, net_lo = split128(prefix.network for prefix in prefixes)
     plen = array("q", [prefix.plen for prefix in prefixes])
     writer.add_family("", _PREFIX_BLOCKS, (net_hi, net_lo, plen))
@@ -540,7 +541,7 @@ class BinaryCheckpointer:
         # one detection scalar that has no column block.
         head = {
             **stream_head(engine),
-            "stable_pairs": engine._live_detection.stable_pairs,
+            "stable_pairs": engine.live_detection.stable_pairs,
         }
         position = (head, progress, engine._prune_floor)
         if kind == "delta":

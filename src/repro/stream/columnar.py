@@ -29,8 +29,12 @@ hot loop with a columnar kernel:
 
 With the kernel the accumulator is the one owner of engine state, and
 without it :class:`ShardState` is; nothing holds both, so no reader or
-writer ever joins the two.  Day-over-day rotation diffs run directly on
-deduplicated pair columns (:func:`diff_pair_columns`).
+writer ever joins the two.  A day close stays in columns too: each
+day's deduplicated pairs are hashed and sorted once, and a diff is one
+``searchsorted`` of one day's hashes into the other's
+(:func:`diff_pair_columns`); the cumulative detection logs the changed
+columns and builds their tuples only when someone reads them
+(:class:`LiveDetection`).
 
 Because every aggregate the engine keeps commutes (counts add, sets
 union, spans min/max -- see :mod:`repro.stream.state`), deferring and
@@ -54,7 +58,7 @@ from repro.core.rotation_detect import RotationDetection
 from repro.net.addr import Prefix
 from repro.net.eui64 import _FFFE, _FFFE_SHIFT
 from repro.stream.shard import SPLITMIX64
-from repro.stream.state import pair_ints, plen_of_middle
+from repro.stream.state import pair_columns, pair_ints, plen_of_middle
 from repro.util import np
 
 _MASK64 = (1 << 64) - 1
@@ -190,51 +194,35 @@ def _row_hash(cols: list):
     return h
 
 
-def _dedup_rows(cols: list) -> list:
-    """Drop duplicate rows without a full multi-column sort.
+def _repeated(hashes):
+    """Mask of the ascending *hashes* whose value occurs more than once."""
+    same = hashes[1:] == hashes[:-1]
+    repeated = np.zeros(len(hashes), dtype=bool)
+    repeated[1:] = same
+    repeated[:-1] |= same
+    return repeated
 
-    Rows with a unique hash are unique outright; only the hash-dup
-    subset (true duplicates plus the odd collision) pays the exact
-    lexicographic dedup.  Row order of the result is arbitrary --
-    callers that need grouping order use :func:`_sorted_rows`.
+
+def _dedup_rows(cols: list) -> tuple:
+    """Drop duplicate rows without a full multi-column sort; returns
+    ``(cols, hashes, order)``: the unique rows, their row hashes
+    ascending, and the permutation of the rows that sorts them so.
+
+    Rows with a unique hash are unique outright and keep their order;
+    only the hash-dup subset (true duplicates plus the odd collision)
+    pays the exact lexicographic dedup, and follows them sorted.
     """
-    n = len(cols[0])
-    if n == 0:
-        return cols
-    h = _row_hash(cols)
-    uniq, inverse, counts = np.unique(h, return_inverse=True, return_counts=True)
-    if len(uniq) == n:
-        return cols
-    dup = counts[inverse] > 1
-    singles = [c[~dup] for c in cols]
-    dup_cols = _sorted_rows([c[dup] for c in cols])
-    return [np.concatenate((s, d)) for s, d in zip(singles, dup_cols)]
-
-
-def _hash_overlap(hash_a, hash_b):
-    """Masks of elements whose hash value occurs on both sides.
-
-    One stable argsort of the concatenation, then per-run origin flags
-    via ``logical_or.reduceat`` -- cheaper than two ``np.isin`` calls,
-    which each re-sort internally.
-    """
-    na = len(hash_a)
-    merged = np.concatenate((hash_a, hash_b))
-    n = len(merged)
-    order = np.argsort(merged, kind="stable")
-    sorted_hashes = merged[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_hashes[1:] != sorted_hashes[:-1]
-    starts = np.nonzero(boundary)[0]
-    is_a = order < na
-    has_a = np.logical_or.reduceat(is_a, starts)
-    has_b = np.logical_or.reduceat(~is_a, starts)
-    lengths = np.diff(np.append(starts, n))
-    candidate_sorted = np.repeat(has_a & has_b, lengths)
-    candidate = np.empty(n, dtype=bool)
-    candidate[order] = candidate_sorted
-    return candidate[:na], candidate[na:]
+    hashes = _row_hash(cols)
+    order = np.argsort(hashes)
+    repeated = _repeated(hashes[order])
+    if repeated.any():
+        dup = np.zeros(len(order), dtype=bool)
+        dup[order[repeated]] = True
+        dup_cols = _sorted_rows([c[dup] for c in cols])
+        cols = [np.concatenate((c[~dup], d)) for c, d in zip(cols, dup_cols)]
+        hashes = _row_hash(cols)
+        order = np.argsort(hashes)
+    return cols, hashes[order], order
 
 
 def _match_rows(cols_a: list, cols_b: list):
@@ -451,65 +439,65 @@ def median_plens(asn, spread, bits_of, plen_of) -> dict[int, int]:
     }
 
 
-def diff_pair_columns(cols_a: list, cols_b: list, emitted_a=None):
+def diff_pair_columns(day_a: tuple, day_b: tuple, emitted_a=None):
     """The day-over-day rotation diff, entirely in column space.
 
-    *cols_a*/*cols_b* are deduplicated ``(tgt_hi, tgt_lo, src_hi,
-    src_lo)`` pair columns of two scanned days.  Returns
-    ``(changed_cols, changed_net48s, stable_pairs, appeared_b)`` where
-    ``changed_cols`` holds the symmetric difference (the rows
-    :func:`~repro.core.rotation_detect.diff_pairs` would put in
-    ``changed_pairs``), ``changed_net48s`` the unique /48 numbers of
-    the changed targets, ``stable_pairs`` the intersection size, and
-    ``appeared_b`` marks the *cols_b* rows included in the difference.
-    Python tuples for the changed pairs are *not* built here -- the
-    engine folds them lazily (see ``StreamEngine.live_detection``).
+    *day_a*/*day_b* are two scanned days as :func:`_dedup_rows` leaves
+    them: deduplicated ``(tgt_hi, tgt_lo, src_hi, src_lo)`` pair
+    columns, their row hashes ascending and the rows' sorting
+    permutation (what :meth:`ColumnarAccumulator.day_pairs` caches, so
+    a day is hashed and sorted once).  One ``searchsorted`` of b's
+    hashes into a's pairs each row of b with its hash match in a, and
+    the pair is compared column by column; rows whose hash another row
+    of either day shares take the exact :func:`_match_rows` path, so no
+    result depends on hashes being collision-free.
 
-    *emitted_a* (a mask over *cols_a*) names rows already emitted as
-    changed by the previous close -- day N's appeared rows re-surface
-    as day N's disappeared rows one close later, and skipping them
-    keeps the deferred changed-pair stream duplicate-free (a missing
-    mask only costs re-deduplication, never correctness).
+    Returns ``(changed_cols, changed_net48s, stable_pairs,
+    appeared_b)``: the symmetric difference (the rows
+    :func:`~repro.core.rotation_detect.diff_pairs` would put in
+    ``changed_pairs``, *day_a*'s first), the unique /48 numbers of the
+    changed targets, the intersection size, and the mask of *day_b*'s
+    rows in the difference.  No Python tuple is built here
+    (:class:`LiveDetection` folds them when read).
+
+    *emitted_a* (a mask over *day_a*'s rows) names rows already emitted
+    as changed by the previous close -- day N's appeared rows
+    re-surface as day N's disappeared rows one close later, and
+    skipping them keeps the changed-pair log near duplicate-free (a
+    missing mask only costs re-deduplication, never correctness).
     """
-    na = len(cols_a[0])
-    nb = len(cols_b[0])
-    stable = 0
-    if na == 0 or nb == 0:
-        changed_a = np.ones(na, dtype=bool)
-        appeared_b = np.ones(nb, dtype=bool)
-        if emitted_a is not None:
-            changed_a &= ~emitted_a
-        changed = [
-            np.concatenate((ca[changed_a], cb))
-            for ca, cb in zip(cols_a, cols_b)
-        ]
-    else:
-        # Hash probes shrink the exact comparison to the candidate
-        # matches; with heavy rotation (the paper's whole premise) the
-        # common set is small, so the multi-column sort touches almost
-        # nothing.  Hashes only pre-filter -- equality is verified on
-        # the full columns, so collisions cannot corrupt the diff.
-        cand_a, cand_b = _hash_overlap(_row_hash(cols_a), _row_hash(cols_b))
-        changed_a = ~cand_a
-        changed_b = ~cand_b
-        if cand_a.any() and cand_b.any():
-            common_a, common_b = _match_rows(
-                [c[cand_a] for c in cols_a], [c[cand_b] for c in cols_b]
+    (cols_a, hash_a, order_a), (cols_b, hash_b, order_b) = day_a, day_b
+    common_a = np.zeros(len(hash_a), dtype=bool)
+    common_b = np.zeros(len(hash_b), dtype=bool)
+    if len(hash_a) and len(hash_b):
+        at = np.minimum(np.searchsorted(hash_a, hash_b), len(hash_a) - 1)
+        hit = hash_a[at] == hash_b
+        tied = hit & (_repeated(hash_a)[at] | _repeated(hash_b))
+        one = hit & ~tied
+        rows_a, rows_b = order_a[at[one]], order_b[one]
+        same = np.ones(len(rows_a), dtype=bool)
+        for ca, cb in zip(cols_a, cols_b):
+            same &= ca[rows_a] == cb[rows_b]
+        common_a[rows_a[same]] = True
+        common_b[rows_b[same]] = True
+        if tied.any():
+            rows_a = order_a[np.isin(hash_a, hash_b[tied])]
+            rows_b = order_b[tied]
+            match_a, match_b = _match_rows(
+                [c[rows_a] for c in cols_a], [c[rows_b] for c in cols_b]
             )
-            stable = int(common_a.sum())
-            # Candidates that failed exact verification (hash collisions
-            # with a different row) are changed after all.
-            changed_a[np.nonzero(cand_a)[0][~common_a]] = True
-            changed_b[np.nonzero(cand_b)[0][~common_b]] = True
-        appeared_b = changed_b
-        if emitted_a is not None:
-            changed_a &= ~emitted_a
-        changed = [
-            np.concatenate((ca[changed_a], cb[changed_b]))
-            for ca, cb in zip(cols_a, cols_b)
-        ]
+            common_a[rows_a[match_a]] = True
+            common_b[rows_b[match_b]] = True
+    changed_a = ~common_a
+    appeared_b = ~common_b
+    if emitted_a is not None:
+        changed_a &= ~emitted_a
+    changed = [
+        np.concatenate((ca[changed_a], cb[appeared_b]))
+        for ca, cb in zip(cols_a, cols_b)
+    ]
     net48s = np.unique(changed[0] >> np.uint64(16))
-    return changed, net48s, stable, appeared_b
+    return changed, net48s, int(common_a.sum()), appeared_b
 
 
 def net48_prefixes(net48s) -> set:
@@ -530,28 +518,87 @@ def unique_pair_columns(batches: list) -> tuple:
                 np.concatenate([np.asarray(b[i], dtype=np.uint64) for b in batches])
                 for i in range(4)
             ]
-        )
+        )[0]
     )
 
 
-def fold_changed_pairs(batches: list, detection: RotationDetection) -> None:
+def fold_changed_pairs(batches: list, pairs: set) -> None:
     """Fold ``(tgt_hi, tgt_lo, src_hi, src_lo)`` changed-pair column
-    *batches* into ``detection.changed_pairs`` -- the one place the
-    changed pairs become Python tuples.
-
-    Batches are numpy columns from :func:`diff_pair_columns` or a
-    checkpoint; they are near duplicate-free by construction (the
-    emitted-mask in :meth:`ColumnarAccumulator.diff_days`), and a
-    straggler just costs a redundant set insert.
-    """
+    *batches* into *pairs* -- the one place changed pairs become Python
+    tuples.  A straggler repeated across batches just costs a redundant
+    set insert."""
     for cols in batches:
-        detection.changed_pairs.update(zip(*pair_ints(cols)))
+        pairs.update(zip(*pair_ints(cols)))
 
 
-def fold_changed_prefixes(net48_batches: list, detection: RotationDetection) -> None:
-    """Fold changed /48-number arrays into ``detection.rotating_prefixes``."""
-    net48s = np.unique(np.concatenate(net48_batches))
-    detection.rotating_prefixes.update(net48_prefixes(net48s))
+class LiveDetection(RotationDetection):
+    """A stream engine's cumulative :class:`RotationDetection`, kept as
+    columns: the changed pairs as an append-only :attr:`log` of ``(tgt_hi,
+    tgt_lo, src_hi, src_lo)`` column batches, the rotating /48s as
+    pending /48-number arrays.  A close only appends; the first read of
+    :attr:`changed_pairs` after it folds the pending batches into tuples
+    (:func:`fold_changed_pairs`), the first read of
+    :attr:`rotating_prefixes` the pending /48s.  Log entries below
+    :attr:`folded` are in the set already -- all of them on a kernel-less
+    engine, whose closes fold at once and log only the pairs new to the
+    set, so its log is disjoint.
+    """
+
+    def __init__(self, changed_pairs=None, rotating_prefixes=None, stable_pairs=0):
+        self._pairs = changed_pairs if changed_pairs is not None else set()
+        self._prefixes = rotating_prefixes if rotating_prefixes is not None else set()
+        self._net48s: list = []
+        self.stable_pairs = stable_pairs
+        self.log: list[tuple] = [pair_columns(self._pairs)] if self._pairs else []
+        self.folded = len(self.log)
+        self._unique: tuple = (0, None)  # see changed_columns
+
+    @property
+    def changed_pairs(self) -> set:
+        if self.folded < len(self.log):
+            fold_changed_pairs(self.log[self.folded :], self._pairs)
+            self.folded = len(self.log)
+        return self._pairs
+
+    @property
+    def rotating_prefixes(self) -> set:
+        if self._net48s:
+            net48s = np.unique(np.concatenate(self._net48s))
+            self._prefixes.update(net48_prefixes(net48s))
+            self._net48s = []
+        return self._prefixes
+
+    def log_close(self, changed: list, net48s, stable: int) -> None:
+        """Take one kernel close's :func:`diff_pair_columns` output."""
+        self.log.append(tuple(changed))
+        self._net48s.append(net48s)
+        self.stable_pairs += stable
+
+    def changed_columns(self) -> list[tuple]:
+        """Column batches holding every changed pair exactly once --
+        what a checkpoint writes.
+
+        A kernel log may repeat a pair across closes (one that lived two
+        days re-surfaces as "disappeared"; the emitted-mask only covers
+        the close right after it appeared), which readers never notice
+        but segment sizes would.  De-duplication is one numpy pass over
+        the columns, remembered until the log next grows; a disjoint
+        log keeps its row order (rows of equal 64-bit hash aside).
+        """
+        log = self.log
+        if np is None or len(log) < 2:
+            return log
+        covered, unique = self._unique
+        if covered != len(log):
+            unique = unique_pair_columns(([unique] if covered else []) + log[covered:])
+            self._unique = (len(log), unique)
+        return [unique]
+
+    def changed_count(self) -> int:
+        """``len(changed_pairs)`` without building a pair tuple."""
+        if self.folded == len(self.log):
+            return len(self._pairs)
+        return sum(len(batch[0]) for batch in self.changed_columns())
 
 
 class ColumnarAccumulator:
@@ -571,7 +618,7 @@ class ColumnarAccumulator:
       Python set, dict or tuple is built.  Queries
       (:meth:`family_columns`, :meth:`iid_spans`) and a ``retain_days``
       day close stop here, and day-close diffs read merged pair columns
-      straight from the per-day chunks (:meth:`day_pair_columns`).
+      straight from the per-day chunks (:meth:`day_pairs`).
     * :meth:`shard_records` slices the runs and pair chunks per shard
       into column records (numpy views) -- what both checkpoint formats
       write and a fabric worker replies.  It moves nothing.
@@ -598,10 +645,10 @@ class ColumnarAccumulator:
             for family, (typecodes, _) in RUN_FAMILIES.items()
         }
         # day -> [(sid, tgt_hi, tgt_lo, src_hi, src_lo), ...] EUI pair
-        # chunks, a merged/deduplicated diff-ready cache, the mask of its
-        # rows emitted as changed, and (chunks covered, sorted columns).
+        # chunks, the diff-ready day_pairs() cache, the mask of its rows
+        # emitted as changed, and (chunks covered, sorted columns).
         self._pair_chunks: dict[int, list[tuple]] = {}
-        self._merged_pairs: dict[int, list] = {}
+        self._merged_pairs: dict[int, tuple] = {}
         self._sorted_pairs: dict[int, tuple] = {}
         self._appeared: dict[int, object] = {}
 
@@ -694,10 +741,13 @@ class ColumnarAccumulator:
 
     # -- pair columns (the day-close fast path) ----------------------------
 
-    def day_pair_columns(self, day: int) -> list:
-        """Merged, deduplicated ``(tgt_hi, tgt_lo, src_hi, src_lo)`` of *day*.
+    def day_pairs(self, day: int) -> tuple:
+        """*day*'s merged, deduplicated ``(tgt_hi, tgt_lo, src_hi,
+        src_lo)`` columns with their sorted row hashes and sorting
+        permutation (see :func:`diff_pair_columns`).
 
-        Cached until new rows arrive for the day; an unscanned or
+        Cached until new rows arrive for the day, so each day is hashed
+        and sorted once however many diffs read it; an unscanned or
         EUI-free day reads as empty columns, matching the empty pair
         set the scalar path would diff.
         """
@@ -706,8 +756,7 @@ class ColumnarAccumulator:
         if merged is None:
             chunks = self._pair_chunks.get(day)
             if not chunks:
-                empty = np.empty(0, dtype=np.uint64)
-                return [empty, empty, empty, empty]
+                return _dedup_rows([np.empty(0, dtype=np.uint64)] * 4)
             merged = _dedup_rows(
                 [np.concatenate([c[i] for c in chunks]) for i in range(1, 5)]
             )
@@ -723,8 +772,8 @@ class ColumnarAccumulator:
         duplicate-free without a global re-deduplication at fold time.
         """
         changed, net48s, stable, appeared_b = diff_pair_columns(
-            self.day_pair_columns(day_a),
-            self.day_pair_columns(day_b),
+            self.day_pairs(day_a),
+            self.day_pairs(day_b),
             emitted_a=self._appeared.get(day_a),
         )
         self._appeared[day_b] = appeared_b
@@ -734,7 +783,7 @@ class ColumnarAccumulator:
         """*day*'s pairs as Python ``(target, source)`` tuples: a kernel
         engine's ``_pairs_on``, which only the parallel dispatcher's
         day close asks of a resumed base engine."""
-        return set(zip(*pair_ints(self.day_pair_columns(day))))
+        return set(zip(*pair_ints(self.day_pairs(day)[0])))
 
     def pair_days(self) -> list[int]:
         """Days with buffered pair columns, ascending (checkpoint walk)."""

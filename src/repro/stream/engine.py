@@ -30,7 +30,7 @@ its state -- for every currency, nothing else:
   -- ``asns``, ``allocation_inference[s]``, ``pool_inference[s]``,
   ``as_profiles``, ``unique_sources``, ``unique_eui64_sources``,
   ``eui64_iids``, ``summary``, ``rotation_between``,
-  ``changed_pair_count``, ``rotating_prefixes`` -- every day close and
+  ``changed_pair_count``, ``live_detection`` -- every day close and
   every checkpoint save reads its columns.  :attr:`StreamEngine.shards`
   is an empty list: the engine holds no :class:`ShardState`.
 * **Without it** :attr:`StreamEngine.shards` is the only owner: every
@@ -286,117 +286,46 @@ class StreamEngine(IngestSinkBase):
 
     # -- live rotation detection ------------------------------------------
 
-    @property
-    def live_detection(self) -> RotationDetection:
-        """The cumulative rotation detection, folded on first read.
-
-        Day closes only append the changed pairs to a column log and
-        the changed /48 numbers to a pending list
-        (:func:`~repro.stream.columnar.diff_pair_columns`); reading the
-        detection builds the pair tuples and prefixes of everything not
-        folded yet -- deduplicated across closes -- so observers always
-        see the complete state.
-        """
-        log = self._changed_log
-        if self._changed_folded < len(log):
-            columnar_kernel.fold_changed_pairs(
-                log[self._changed_folded :], self._live_detection
-            )
-            self._changed_folded = len(log)
-        self.rotating_prefixes()
-        return self._live_detection
-
-    @live_detection.setter
-    def live_detection(self, detection: RotationDetection) -> None:
-        self._live_detection = detection
-        # The cumulative changed pairs once more, as an append-only log
-        # of (tgt_hi, tgt_lo, src_hi, src_lo) column batches: what a
-        # binary checkpoint writes and restores without ever building
-        # the tuples.  Entries below _changed_folded are in the set.
-        self._changed_log: list[tuple] = (
-            [pair_columns(detection.changed_pairs)] if detection.changed_pairs else []
-        )
-        self._changed_folded = len(self._changed_log)
-        self._changed_unique: tuple = (0, None)  # see changed_pair_columns
-        self._pending_net48s: list = []
-
-    def changed_pair_columns(self) -> list[tuple]:
-        """Column batches holding every cumulative changed pair exactly
-        once -- what a binary checkpoint writes.
-
-        The log itself may repeat a pair across closes (one that lived
-        two days re-surfaces as "disappeared"; the emitted-mask only
-        covers the close right after it appeared), which readers never
-        notice but segment sizes would.  De-duplication is one numpy
-        pass over the columns, remembered until the log next grows;
-        kernel-less logs hold set differences and are disjoint already.
-        """
-        log = self._changed_log
-        if self._acc is None or len(log) < 2:
-            return log
-        covered, unique = self._changed_unique
-        if covered != len(log):
-            unique = columnar_kernel.unique_pair_columns(
-                ([unique] if covered else []) + log[covered:]
-            )
-            self._changed_unique = (len(log), unique)
-        return [unique]
+    #: :attr:`live_detection` is columns until read (see the class).
+    _detection = columnar_kernel.LiveDetection
 
     def changed_pair_count(self) -> int:
-        """``len(live_detection.changed_pairs)`` without building a pair
-        tuple: the de-duplicated log's row count unless everything is
-        folded into the set already (or there is no kernel)."""
-        if self._acc is None or self._changed_folded == len(self._changed_log):
-            return len(self._live_detection.changed_pairs)
-        return sum(len(batch[0]) for batch in self.changed_pair_columns())
-
-    def stable_pair_count(self) -> int:
-        """``live_detection.stable_pairs``, read without the fold."""
-        return self._live_detection.stable_pairs
-
-    def rotating_prefixes(self) -> set:
-        """The cumulative rotating /48s -- the cheap half of
-        :attr:`live_detection` (a few hundred prefixes per close)."""
-        if self._pending_net48s:
-            columnar_kernel.fold_changed_prefixes(
-                self._pending_net48s, self._live_detection
-            )
-            self._pending_net48s = []
-        return self._live_detection.rotating_prefixes
+        """``len(live_detection.changed_pairs)``, without building a
+        pair tuple while closes are pending."""
+        return self.live_detection.changed_count()
 
     def restore_detection(
         self, changed_cols: tuple, prefixes: set, stable: int
     ) -> None:
         """Adopt checkpointed detection state, the changed pairs as
         columns: a kernel engine logs them unfolded, so no tuple is
-        built until someone reads :attr:`live_detection`; a kernel-less
-        one folds them into the set at once."""
-        changed = set(zip(*pair_ints(changed_cols))) if self._acc is None else set()
-        self.live_detection = RotationDetection(changed, prefixes, stable)
-        if self._acc is not None and len(changed_cols[0]):
-            self._changed_log.append(changed_cols)
+        built until someone reads ``live_detection.changed_pairs``; a
+        kernel-less one folds them into the set at once."""
+        changed = set(zip(*pair_ints(changed_cols))) if self._acc is None else None
+        self.live_detection = self._detection(changed, prefixes, stable)
+        if changed is None and len(changed_cols[0]):
+            self.live_detection.log.append(changed_cols)
 
     def _diff_days(self, previous: int, closed: int) -> None:
         """Diff two scanned days into the live detection.
 
-        With the kernel, pair columns diff directly (no Python sets);
-        without it this is the shared set-based step over merged shard
-        sets (:meth:`_pairs_on`).
+        With the kernel, pair columns diff directly and the detection
+        logs the result (no Python sets); without it this is the shared
+        set-based step over merged shard sets (:meth:`_pairs_on`).
         """
         acc = self._acc
         if acc is not None:
             changed, net48s, stable = acc.diff_days(previous, closed)
-            self._changed_log.append(tuple(changed))
-            self._pending_net48s.append(net48s)
+            self.live_detection.log_close(changed, net48s, stable)
             self.rotation_days[closed] = columnar_kernel.net48_prefixes(net48s)
-            self._live_detection.stable_pairs += stable
             if self._obs is not None:
                 self._obs.day_closed(closed, len(changed[0]), stable)
             return
         fresh = super()._diff_days(previous, closed)
-        if fresh:
-            self._changed_log.append(pair_columns(fresh))
-            self._changed_folded = len(self._changed_log)
+        if fresh:  # folded by the set-based step already
+            live = self.live_detection
+            live.log.append(pair_columns(fresh))
+            live.folded = len(live.log)
 
     def _pairs_on(self, day: int) -> set[tuple[int, int]]:
         if self._acc is not None:
@@ -438,15 +367,15 @@ class StreamEngine(IngestSinkBase):
         acc = self._acc
         if acc is None:
             return diff_pairs(self._pairs_on(day_a), self._pairs_on(day_b))
-        # Column diff; tuples and prefixes for the changed rows only.
+        # The close's diff; tuples and prefixes for the changed rows only.
         changed, net48s, stable, _ = columnar_kernel.diff_pair_columns(
-            acc.day_pair_columns(day_a), acc.day_pair_columns(day_b)
+            acc.day_pairs(day_a), acc.day_pairs(day_b)
         )
         detection = RotationDetection(
             rotating_prefixes=columnar_kernel.net48_prefixes(net48s),
             stable_pairs=stable,
         )
-        columnar_kernel.fold_changed_pairs([changed], detection)
+        columnar_kernel.fold_changed_pairs([changed], detection.changed_pairs)
         return detection
 
     # -- queries: columns with the kernel, ShardState walks without ---------
@@ -600,5 +529,5 @@ class StreamEngine(IngestSinkBase):
             "unique_addresses": self.unique_sources(),
             "unique_eui64_addresses": self.unique_eui64_sources(),
             "unique_eui64_iids": len(self.eui64_iids()),
-            "rotating_48s": len(self.rotating_prefixes()),
+            "rotating_48s": self.live_detection.n_rotating,
         }

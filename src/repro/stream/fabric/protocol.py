@@ -142,7 +142,7 @@ class WorkerCore:
         ``day_pairs`` reply, read from whichever owns the worker's
         state."""
         if self.acc is not None:
-            columns = self.acc.day_pair_columns(day)
+            columns = self.acc.day_pairs(day)[0]
             return tuple(map(columnar_kernel.as_stdlib, columns))
         return pair_columns(
             pair for shard in self.shards for pair in shard.pairs_by_day.get(day, ())

@@ -106,6 +106,9 @@ class IngestSinkBase:
 
     __slots__ = ()
 
+    #: The type of :attr:`live_detection` (a stream engine's keeps columns).
+    _detection = RotationDetection
+
     # -- what a sink supplies ----------------------------------------------
 
     def _ingest_observation(self, observation: ProbeObservation) -> None:
@@ -158,8 +161,11 @@ class IngestSinkBase:
         self._days_seen: set[int] = set()  # days with >= 1 observation
         self._watch_iids: set[int] = set()
         self.watched: dict[int, Sighting] = {}
-        self.live_detection = RotationDetection()
+        self.live_detection = self._detection()
         self.rotation_days: dict[int, set] = {}
+        # (day, its pair count, the pairs that appeared at its close):
+        # what the set-based close holds back from rotation_days.
+        self._last_appeared: tuple = (None, 0, set())
         self.responses_ingested = 0
         if source is None:
             return
@@ -170,10 +176,10 @@ class IngestSinkBase:
         for iid, s in source.watched.items():
             self.watched[iid] = Sighting(s.source, s.day, s.t_seconds)
         detection = source.live_detection
-        self.live_detection = RotationDetection(
-            changed_pairs=set(detection.changed_pairs),
-            rotating_prefixes=set(detection.rotating_prefixes),
-            stable_pairs=detection.stable_pairs,
+        self.live_detection = self._detection(
+            set(detection.changed_pairs),
+            set(detection.rotating_prefixes),
+            detection.stable_pairs,
         )
         for day, prefixes in source.rotation_days.items():
             self.rotation_days[day] = set(prefixes)
@@ -268,17 +274,25 @@ class IngestSinkBase:
         """Diff two scanned days' merged pair sets into the live detection.
 
         The same :func:`diff_pairs` the batch detector uses -- one
-        source of truth.  Only pairs not already in the cumulative set
-        are attributed to *closed* (computed before the cumulative
-        ``|=``), so per-day attribution agrees with the columnar close
-        path's emitted-mask dedup.  Returns those fresh pairs.
+        source of truth.  *closed* is attributed the /48s of the changed
+        pairs less those that appeared at *previous*'s close, as the
+        columnar close's emitted mask does (a pair counted as appeared
+        is not counted again as disappeared; new pairs of *previous*
+        since its close void the mask).  Returns the pairs the
+        cumulative set did not hold yet.
         """
-        detection = diff_pairs(self._pairs_on(previous), self._pairs_on(closed))
+        pairs_a, pairs_b = self._pairs_on(previous), self._pairs_on(closed)
+        detection = diff_pairs(pairs_a, pairs_b)
+        day, n_pairs, emitted = self._last_appeared
+        if (day, n_pairs) != (previous, len(pairs_a)):
+            emitted = set()
+        flagged = detection.changed_pairs - emitted
+        self.rotation_days[closed] = {target_prefix48(t) for t, _ in flagged}
+        self._last_appeared = (closed, len(pairs_b), pairs_b - pairs_a)
         live = self.live_detection
         fresh = detection.changed_pairs - live.changed_pairs
-        self.rotation_days[closed] = {target_prefix48(t) for t, _ in fresh}
-        live.changed_pairs |= detection.changed_pairs
-        live.rotating_prefixes |= detection.rotating_prefixes
+        live.changed_pairs.update(detection.changed_pairs)
+        live.rotating_prefixes.update(detection.rotating_prefixes)
         live.stable_pairs += detection.stable_pairs
         if self._obs is not None:
             self._obs.day_closed(
@@ -292,10 +306,11 @@ class IngestSinkBase:
             self._close_days_through(self.current_day)
 
     def flush(self) -> RotationDetection:
-        """Close the in-progress day and return the cumulative detection
-        (on a kernel engine the read folds every changed pair into a
-        tuple; a caller that only wants the close uses
-        :meth:`close_open_day`)."""
+        """Close the in-progress day and return the cumulative detection:
+        the same live object every time, which on a stream engine holds
+        the changed pairs as columns until they are read (see
+        :class:`~repro.stream.columnar.LiveDetection`), so a flush
+        costs the close alone."""
         self.close_open_day()
         return self.live_detection
 

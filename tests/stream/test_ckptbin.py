@@ -874,7 +874,7 @@ def test_changed_pair_blocks_hold_each_pair_once(tmp_path):
     ((header, _),) = _read_segments(tmp_path / "ckpt.bin")
     counts = {name: count for name, _, count in header["blocks"]}
     if engine._acc is not None:  # the kernel's log did see them twice
-        logged = sum(len(batch[0]) for batch in engine._changed_log)
+        logged = sum(len(batch[0]) for batch in engine.live_detection.log)
         assert logged > counts["det.cp.thi"]
     assert counts["det.cp.thi"] == len(engine.live_detection.changed_pairs) == 150
     assert state_dump(load_engine(tmp_path / "ckpt.bin", origin_of=origin_of)) == (

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import allocation_bits, plen_from_bits
 from repro.core.records import ProbeObservation
-from repro.core.rotation_detect import RotationDetection, diff_pairs
+from repro.core.rotation_detect import diff_pairs
 from repro.core.rotation_pool import pool_bits, pool_plen_from_bits
 from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
 from repro.store import BACKEND_ENV, ColumnBatch
@@ -28,6 +29,7 @@ from repro.stream import columnar
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.shard import shard_index
+from repro.stream.state import pair_columns, pair_ints
 from repro.util import median
 
 SRC_DIR = Path(__file__).resolve().parent.parent.parent / "src"
@@ -184,12 +186,11 @@ class TestKernelPrimitives:
             pairs_b = set(rng.sample(universe, rng.randrange(len(universe))))
             expected = diff_pairs(pairs_a, pairs_b)
             changed, net48s, stable, appeared = columnar.diff_pair_columns(
-                self._pair_columns(sorted(pairs_a)),
-                self._pair_columns(sorted(pairs_b)),
+                columnar._dedup_rows(self._pair_columns(sorted(pairs_a))),
+                columnar._dedup_rows(self._pair_columns(sorted(pairs_b))),
             )
-            detection = RotationDetection()
-            columnar.fold_changed_pairs([changed], detection)
-            columnar.fold_changed_prefixes([net48s], detection)
+            detection = columnar.LiveDetection()
+            detection.log_close(changed, net48s, stable)
             assert detection.changed_pairs == expected.changed_pairs
             assert detection.rotating_prefixes == expected.rotating_prefixes
             assert stable == expected.stable_pairs
@@ -201,7 +202,9 @@ class TestKernelPrimitives:
         with_dups = rows + rng.sample(rows, 50)
         rng.shuffle(with_dups)
         cols = self._pair_columns(with_dups)
-        deduped = columnar._dedup_rows(cols)
+        deduped, hashes, order = columnar._dedup_rows(cols)
+        assert (hashes == columnar._row_hash(deduped)[order]).all()
+        assert (hashes[1:] >= hashes[:-1]).all()
         mask = (1 << 64) - 1
         got = {
             ((int(a) << 64) | int(b), (int(c) << 64) | int(d))
@@ -209,6 +212,96 @@ class TestKernelPrimitives:
         }
         assert got == set(rows)
         assert len(deduped[0]) == len(rows)
+
+
+def set_diff(rows_a: list, rows_b: list, emitted_a=None) -> tuple:
+    """What a close's diff must return, by sets, over the same row order:
+    ``(changed rows -- a's then b's, stable count, appeared mask of b)``."""
+    in_a, in_b = set(rows_a), set(rows_b)
+    emitted_a = emitted_a if emitted_a is not None else [False] * len(rows_a)
+    changed_a = [r not in in_b and not e for r, e in zip(rows_a, emitted_a)]
+    appeared_b = [r not in in_a for r in rows_b]
+    changed = [r for r, c in zip(rows_a, changed_a) if c]
+    changed += [r for r, c in zip(rows_b, appeared_b) if c]
+    return changed, len(in_a & in_b), appeared_b
+
+
+def rows_of(cols) -> list:
+    """Pair columns as ``(target, source)`` ints, in row order."""
+    return list(zip(*pair_ints(cols)))
+
+
+def lone_hashes(day: tuple) -> dict:
+    """``hash -> row`` for the hashes one row of *day* holds alone."""
+    cols, hashes, order = day
+    rows, hashes = rows_of(cols), hashes.tolist()
+    counts = Counter(hashes)
+    return {h: rows[i] for h, i in zip(hashes, order.tolist()) if counts[h] == 1}
+
+
+@needs_numpy
+class TestCollidingHashes:
+    """The close with a weak row hash, so that hashes collide within a
+    day and across days: every answer stays exact, row for row."""
+
+    @pytest.fixture(params=[4, 97], ids=["hash4", "hash97"])
+    def weak_hash(self, request, monkeypatch):
+        import numpy as np
+
+        modulus = np.uint64(request.param)
+        monkeypatch.setattr(columnar, "_row_hash", lambda cols: cols[1] % modulus)
+        return request.param
+
+    def accumulator(self, days: list):
+        """An accumulator holding each day's rows, half of them twice
+        (two chunks), so the day's dedup meets true duplicates too."""
+        import numpy as np
+
+        acc = columnar.ColumnarAccumulator(1)
+        for day, rows in enumerate(days):
+            for chunk in (rows, rows[: len(rows) // 2]):
+                if chunk:
+                    cols = [np.array(c, dtype=np.uint64) for c in pair_columns(chunk)]
+                    acc.add_pair_chunk(day, np.zeros(len(chunk), np.int64), *cols)
+        return acc
+
+    def test_closes_match_the_set_diff(self, weak_hash):
+        crossed = tied = 0
+        for seed in range(6):
+            rng = random.Random(seed)
+            universe = [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(60)]
+            days = [rng.sample(universe, rng.randrange(1, 50)) for _ in range(5)]
+            days[2] = []  # an empty side, both ways
+            days.append([])
+            acc = self.accumulator(days)
+            emitted = None
+            for a in range(len(days) - 1):
+                day_a, day_b = acc.day_pairs(a), acc.day_pairs(a + 1)
+                rows_a, rows_b = rows_of(day_a[0]), rows_of(day_b[0])
+                tied += len(day_a[1]) - len(set(day_a[1].tolist()))
+                lone_a, lone_b = lone_hashes(day_a), lone_hashes(day_b)
+                crossed += sum(lone_a[h] != lone_b[h] for h in lone_a.keys() & lone_b)
+                want = diff_pairs(set(rows_a), set(rows_b))
+                changed, net48s, stable, _ = columnar.diff_pair_columns(day_a, day_b)
+                assert set(rows_of(changed)) == want.changed_pairs
+                assert columnar.net48_prefixes(net48s) == want.rotating_prefixes
+                assert stable == want.stable_pairs
+                # The close itself, with the emitted mask of the close before.
+                changed, _net48s, stable = acc.diff_days(a, a + 1)
+                want_changed, want_stable, appeared = set_diff(rows_a, rows_b, emitted)
+                assert rows_of(changed) == want_changed
+                assert stable == want_stable
+                assert acc._appeared[a + 1].tolist() == appeared
+                emitted = appeared
+        # Within a day; across days between rows whose hash is their
+        # day's alone (which four hash values leave no room for).
+        assert tied and (crossed or weak_hash == 4)
+
+    def test_a_day_is_hashed_and_sorted_once(self):
+        acc = self.accumulator([[(1, 2), (3, 4), (5, 6)], [(3, 4)]])
+        first = acc.day_pairs(0)
+        acc.diff_days(0, 1)
+        assert acc.day_pairs(0) is first  # cached across the close
 
 
 # The subprocess bootstrap: install a meta-path blocker so every numpy

@@ -10,12 +10,17 @@ Three regions of the day state machine:
   and keeps exactly the closing day plus the accumulating one;
 * **pruning vs. on-demand diffs** -- ``prune_pair_days`` makes pruned
   days read as empty snapshots to ``rotation_between`` while the
-  accumulated ``live_detection`` keeps their contribution.
+  accumulated ``live_detection`` keeps their contribution;
+* **per-day attribution** -- ``rotation_days`` gives a close the /48s of
+  its changed pairs less those that appeared at the close before, with
+  the columnar fold and without it.
 """
 
 import pytest
 
 from repro.core.records import ProbeObservation
+from repro.core.rotation_detect import target_prefix48
+from repro.stream import columnar
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.fabric import SocketTransport
 from repro.stream.parallel import ParallelStreamEngine
@@ -178,3 +183,36 @@ class TestPruneVsRotationBetween:
         engine.prune_pair_days(10)
         assert resident_days(engine) == set()
         assert not engine.rotation_between(0, 1).changed_pairs
+
+
+def pair_obs(day: int, net: int) -> ProbeObservation:
+    """One EUI-64 pair in /48 number *net* of the test /32 on *day*."""
+    base = NET48 | (net << 80)
+    return ProbeObservation(
+        day=day, t_seconds=day * 86_400.0 + net, target=base | 1, source=base | EUI
+    )
+
+
+class TestRotationDays:
+    def test_columnar_and_set_closes_attribute_alike(self):
+        """Pair 2 leaves, returns and leaves again; pair 3 comes and
+        goes; late rows after a flush void the mask they would hit."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(columnar, "np", None)
+            kernel_less = StreamEngine(StreamConfig(num_shards=2))
+        assert kernel_less._acc is None
+        engines = (StreamEngine(StreamConfig(num_shards=2)), kernel_less)
+        days = [(1, 2), (1, 3), (1, 2), (1, 6)]
+        for engine in engines:
+            for day, nets in enumerate(days):
+                engine.ingest_batch([pair_obs(day, net) for net in nets])
+            engine.flush()
+            engine.ingest_batch([pair_obs(3, 5)])  # late, after the flush
+            engine.ingest_batch([pair_obs(4, 1)])
+            engine.flush()
+        want = {1: {2, 3}, 2: {2}, 3: {6}, 4: {5, 6}}
+        for engine in engines:
+            assert engine.rotation_days == {
+                day: {target_prefix48(NET48 | (net << 80)) for net in nets}
+                for day, nets in want.items()
+            }

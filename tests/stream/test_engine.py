@@ -232,6 +232,80 @@ class TestLiveRotationDetection:
         assert not live.changed_pairs and not live.rotating_prefixes
 
 
+class TestLazyDetection:
+    """A kernel engine's day close logs columns: ``flush()`` builds no
+    tuple, and the first read of the changed pairs folds them all."""
+
+    @pytest.fixture()
+    def world(self):
+        internet, store = run_small_campaign()
+        days = store.days()
+        assert len(days) >= 3
+
+        def rows(*wanted):
+            return [o for o in store if o.day in wanted]
+
+        def fresh():
+            engine = StreamEngine(
+                StreamConfig(num_shards=4, keep_observations=False),
+                origin_of=internet.rib.origin_of,
+            )
+            if engine._acc is None:
+                pytest.skip("numpy kernel unavailable")
+            return engine
+
+        return days, rows, fresh
+
+    def test_flush_folds_nothing_until_read(self, world, monkeypatch):
+        from repro.stream import columnar
+
+        days, rows, fresh = world
+        reference = fresh()
+        reference.ingest(rows(*days))
+        want = set(reference.flush().changed_pairs)
+        folds = []
+        fold = columnar.fold_changed_pairs
+
+        def counted(batches, pairs):
+            folds.append(len(batches))
+            fold(batches, pairs)
+
+        monkeypatch.setattr(columnar, "fold_changed_pairs", counted)
+        engine = fresh()
+        engine.ingest(rows(*days[:-1]))
+        detection = engine.flush()
+        assert folds == [] and engine.flush() is detection
+        assert engine.changed_pair_count() == len(detection.changed_pairs)
+        assert folds == [len(detection.log)] and detection.log  # all, once
+        first = set(detection.changed_pairs)
+        assert len(folds) == 1
+        engine.ingest(rows(days[-1]))  # one more close, after the read
+        assert engine.flush() is detection and len(folds) == 1
+        assert first < detection.changed_pairs == want
+        assert len(folds) == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    def test_checkpoint_bytes_do_not_depend_on_a_read(self, world, tmp_path, fmt):
+        from repro.stream.ckptbin import BinaryCheckpointer
+
+        days, rows, fresh = world
+        blobs = []
+        for read in (True, False):
+            engine = fresh()
+            for day in days:
+                engine.ingest(rows(day))
+                if read:
+                    engine.live_detection.changed_pairs
+            engine.flush()
+            path = tmp_path / f"{read}.ckpt"
+            if fmt == "json":
+                save_engine(engine, path, format="json")
+            else:
+                BinaryCheckpointer(path, id_source=bytes).save(engine)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+
 class TestFusedBatchPath:
     """ingest_batch (the columnar kernel, or the reference loop itself
     without numpy) must stay observably identical to per-observation
@@ -523,7 +597,8 @@ class TestOneOwner:
             assert json.dumps(engine_state(restored)) == path.read_text()
         assert calls == []
         assert restored.shards == []
-        assert restored._live_detection.changed_pairs == set()
+        detection = restored.live_detection
+        assert detection.folded == 0 < len(detection.log)  # no tuple built
         assert restored.changed_pair_count() > 0
 
     def test_kernel_engine_never_writes_its_shards(self, tmp_path, monkeypatch):
