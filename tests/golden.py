@@ -12,7 +12,11 @@ by TINY seed (:data:`SEEDS`), each computed on a fresh world:
 * ``day_close`` -- what a streaming campaign's day closes yield: per
   closed day the /48s first flagged there (``rotation_days``), that
   day's changed pairs and stable-pair count, then the cumulative
-  detection.
+  detection;
+* ``profiles`` -- the per-AS inferences the figures and the tracker
+  read off set-up: each AS's Algorithm 1 (allocation sample) and
+  Algorithm 2 (campaign) ``inferred_plen`` with a digest of its sorted
+  ``per_iid_plen``, and ``as_profiles``.
 
 Large values are kept as a sha256 of their JSON plus a length; small
 ones as they are.
@@ -135,9 +139,38 @@ def day_close() -> dict:
     return {f"tiny,{seed}": day_close_of(seed) for seed in SEEDS}
 
 
+def inference_row(inference) -> list:
+    """An inference's AS-level plen and a digest of its per-IID plens."""
+    return [inference.inferred_plen, digest(sorted(inference.per_iid_plen.items()))]
+
+
+def profiles_of(seed: int) -> dict:
+    """Set-up's per-AS inferences and profiles at TINY *seed*."""
+    from repro.experiments.context import ExperimentContext
+    from repro.experiments.scale import TINY
+
+    ctx = ExperimentContext(replace(TINY, seed=seed))
+
+    def by_asn(inferences: dict) -> dict:
+        return {str(asn): inference_row(i) for asn, i in sorted(inferences.items())}
+
+    return {
+        "allocation": by_asn(ctx.allocation_inferences),
+        "pool": by_asn(ctx.pool_inferences),
+        "as_profiles": {
+            str(asn): [p.allocation_plen, p.pool_plen]
+            for asn, p in sorted(ctx.as_profiles.items())
+        },
+    }
+
+
+def profiles() -> dict:
+    return {f"tiny,{seed}": profiles_of(seed) for seed in SEEDS}
+
+
 def sections() -> dict:
     """Every section of the golden file, computed afresh."""
-    return {"discovery": discovery(), "day_close": day_close()}
+    return {"discovery": discovery(), "day_close": day_close(), "profiles": profiles()}
 
 
 if __name__ == "__main__":
