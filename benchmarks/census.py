@@ -188,11 +188,15 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.simnet.rotation:ShuffleRotation.slot_of": ("seed", "tests/simnet"),
     "repro.viz.cdf:quantile": ("seed", "tests/viz"),
     # -- reference: the kernel-less or batch paths tests compare against
-    "repro.core.allocation": ("reference", "batch Algorithm 1, the engine's oracle"),
-    "repro.core.rotation_pool": ("reference", "batch Algorithm 2, the engine's oracle"),
+    "repro.core.allocation": ("reference", "batch oracle; no product path"),
+    "repro.core.rotation_pool": ("reference", "batch oracle; no product path"),
     "repro.core.campaign:Campaign.run_streaming.<locals>.deliver": (
         "reference",
         "per-row delivery to a plain callable; test_equivalence checks it",
+    ),
+    "repro.core.records:ObservationStore.group_eui64_by_asn": (
+        "reference",
+        "per-AS observation lists for the batch oracles' from_store and tests",
     ),
     "repro.core.records:ObservationStore.extend": (
         "reference",
@@ -235,13 +239,13 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "reference",
         "engine checkpoints: the fuzz harness pins every restore against them",
     ),
-    "repro.stream.engine:StreamEngine._merged_alloc_spans": (
+    "repro.stream.engine:StreamEngine._merged_spans": (
         "reference",
         "kernel-less span merge; the no-numpy tier-1 leg runs it",
     ),
-    "repro.stream.engine:StreamEngine._merged_pool_spans": (
+    "repro.stream.engine:StreamEngine._each_as": (
         "reference",
-        "kernel-less span merge; the no-numpy tier-1 leg runs it",
+        "kernel-less per-AS inferences; the no-numpy tier-1 leg runs it",
     ),
     "repro.stream.state:ShardState.observe": (
         "reference",
@@ -394,14 +398,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.simnet.provider:Provider": (
         "pending: ROADMAP item 5",
         "ground truth behind SimInternet.resolve",
-    ),
-    "repro.stream.engine:StreamEngine.asns": (
-        "pending: ROADMAP item 5",
-        "per-AS inferences; item 5 checks them against the real plens",
-    ),
-    "repro.stream.engine:StreamEngine.allocation_inferences": (
-        "pending: ROADMAP item 5",
-        "per-AS inferences; item 5 checks them against the real plens",
     ),
     "repro.obs.instruments:ParallelInstruments": (
         "pending: ROADMAP item 6",

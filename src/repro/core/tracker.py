@@ -53,6 +53,30 @@ class AsProfile:
             )
 
 
+#: The allocation size assumed for an AS with no Algorithm 1 inference.
+DEFAULT_ALLOCATION_PLEN = 56
+
+
+def inferred_plens(inferences: dict) -> dict[int, int]:
+    """``asn -> inferred_plen`` of per-AS Algorithm 1 or 2 inferences."""
+    return {asn: found.inferred_plen for asn, found in inferences.items()}
+
+
+def profiles_from(
+    pool_plens: dict[int, int], allocation_plens: dict[int, int]
+) -> dict[int, AsProfile]:
+    """One profile per routed AS with a pool plen: its allocation plen
+    (:data:`DEFAULT_ALLOCATION_PLEN` when there is none), and a pool no
+    smaller than that allocation."""
+    profiles = {}
+    for asn, pool_plen in pool_plens.items():
+        if asn:
+            allocation_plen = allocation_plens.get(asn, DEFAULT_ALLOCATION_PLEN)
+            pool_plen = min(pool_plen, allocation_plen)
+            profiles[asn] = AsProfile(asn, allocation_plen, pool_plen)
+    return profiles
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     seed: int = 0

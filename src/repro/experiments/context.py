@@ -5,6 +5,11 @@ Internet, the Section 4 discovery pipeline, the Section 5 campaign, and
 the per-AS inferences.  :class:`ExperimentContext` computes each stage
 lazily and caches it, and :func:`get_context` memoizes whole contexts
 per scale so a benchmark session pays for each workload once.
+
+The per-AS inferences are the tracker's: stream engines read the
+per-/64 allocation sample (Algorithm 1) and the campaign (Algorithm 2).
+A served ``/profiles`` takes its allocation sizes from its own campaign
+corpus instead, having no per-/64 sample.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from repro.core.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.core.pipeline import DiscoveryPipeline, PipelineConfig, PipelineResult
 from repro.core.records import ObservationStore
 from repro.core.rotation_pool import RotationPoolInference
-from repro.core.tracker import AsProfile
+from repro.core.tracker import AsProfile, inferred_plens, profiles_from
 from repro.experiments.scale import DEFAULT, Scale
 from repro.net.addr import Prefix
 from repro.scan.targets import one_target_per_subnet
@@ -26,6 +31,7 @@ from repro.scan.zmap import ScanConfig, Zmap6
 from repro.simnet.builder import build_paper_internet
 from repro.simnet.clock import seconds
 from repro.simnet.internet import SimInternet
+from repro.stream.engine import StreamConfig, StreamEngine
 
 # Allocation inference samples the first /52 of one /48 per AS at /64
 # granularity: 4096 probes yield exact Algorithm 1 spans for every
@@ -143,48 +149,32 @@ class ExperimentContext:
             start += stream.duration_seconds
         return store
 
+    def _engine_over(self, store: ObservationStore) -> StreamEngine:
+        """A stream engine that has read *store* and closed its last day."""
+        engine = StreamEngine(
+            StreamConfig(keep_observations=False), origin_of=self.origin_of
+        )
+        for batch in store.scan_columns():
+            engine.ingest_columns(batch)
+        engine.flush()
+        return engine
+
     @cached_property
     def allocation_inferences(self) -> dict[int, AllocationInference]:
-        inferences: dict[int, AllocationInference] = {}
-        groups = self.allocation_sample_store.group_eui64_by_asn(self.origin_of)
-        for asn, observations in groups.items():
-            if asn == 0:
-                continue
-            try:
-                inferences[asn] = AllocationInference.from_observations(
-                    asn, observations
-                )
-            except ValueError:
-                continue
-        return inferences
+        return self._engine_over(self.allocation_sample_store).allocation_inferences()
 
     @cached_property
     def pool_inferences(self) -> dict[int, RotationPoolInference]:
-        inferences: dict[int, RotationPoolInference] = {}
-        groups = self.campaign_store.group_eui64_by_asn(self.origin_of)
-        for asn, observations in groups.items():
-            if asn == 0:
-                continue
-            try:
-                inferences[asn] = RotationPoolInference.from_observations(
-                    asn, observations
-                )
-            except ValueError:
-                continue
-        return inferences
+        return self._engine_over(self.campaign_store).pool_inferences()
 
     @cached_property
     def as_profiles(self) -> dict[int, AsProfile]:
-        """The attacker's working knowledge per AS, for the tracker."""
-        profiles: dict[int, AsProfile] = {}
-        for asn, pool_inference in self.pool_inferences.items():
-            allocation = self.allocation_inferences.get(asn)
-            allocation_plen = allocation.inferred_plen if allocation else 56
-            pool_plen = min(pool_inference.inferred_plen, allocation_plen)
-            profiles[asn] = AsProfile(
-                asn=asn, allocation_plen=allocation_plen, pool_plen=pool_plen
-            )
-        return profiles
+        """The attacker's working knowledge per AS, for the tracker:
+        campaign pool sizes with the sample's allocation sizes."""
+        return profiles_from(
+            inferred_plens(self.pool_inferences),
+            inferred_plens(self.allocation_inferences),
+        )
 
 
 _CONTEXTS: dict[str, ExperimentContext] = {}

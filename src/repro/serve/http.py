@@ -12,7 +12,8 @@ Endpoints (all GET unless noted):
                      ``0x``-prefixed, or bare-hex *x* below 2**64)
 ``/rotations?day=N`` /48s attributed to day N's close (newest close
                      when ``day`` is omitted)
-``/profiles``        per-AS allocation/pool inference slices
+``/profiles``        per-AS allocation/pool inference slices (both
+                     from the served corpus: no per-/64 sample)
 ``/stats``           snapshot + server counters
 ``/healthz``         liveness probe
 ``/metrics``         Prometheus text exposition of the attached

@@ -645,12 +645,13 @@ class ColumnarAccumulator:
             for family, (typecodes, _) in RUN_FAMILIES.items()
         }
         # day -> [(sid, tgt_hi, tgt_lo, src_hi, src_lo), ...] EUI pair
-        # chunks, the diff-ready day_pairs() cache, the mask of its rows
-        # emitted as changed, and (chunks covered, sorted columns).
+        # chunks, the diff-ready day_pairs() cache, (the day_pairs() its
+        # close diffed, the mask of their rows emitted as changed), and
+        # (chunks covered, sorted columns).
         self._pair_chunks: dict[int, list[tuple]] = {}
         self._merged_pairs: dict[int, tuple] = {}
         self._sorted_pairs: dict[int, tuple] = {}
-        self._appeared: dict[int, object] = {}
+        self._appeared: dict[int, tuple] = {}
 
     # -- writing -----------------------------------------------------------
 
@@ -716,7 +717,6 @@ class ColumnarAccumulator:
             (sid, tgt_hi, tgt_lo, src_hi, src_lo)
         )
         self._merged_pairs.pop(day, None)
-        self._appeared.pop(day, None)
 
     def adopt(self, records: dict) -> None:
         """Fold ``{sid: record}`` column records (the
@@ -770,13 +770,20 @@ class ColumnarAccumulator:
         next close (where they become *day_a*'s disappeared rows) skips
         re-emitting them -- the deferred changed stream stays
         duplicate-free without a global re-deduplication at fold time.
+        Late rows for *day_a* void that mask only if they grow its pair
+        count, as the set-based close's ``_last_appeared`` rule does;
+        rows that only repeat pairs leave the set, so the close diffs
+        the rows the mask is over.
         """
+        pairs_a, emitted_a = self.day_pairs(day_a), None
+        appeared = self._appeared.get(day_a)
+        if appeared is not None and len(appeared[0][1]) == len(pairs_a[1]):
+            pairs_a, emitted_a = appeared
+        pairs_b = self.day_pairs(day_b)
         changed, net48s, stable, appeared_b = diff_pair_columns(
-            self.day_pairs(day_a),
-            self.day_pairs(day_b),
-            emitted_a=self._appeared.get(day_a),
+            pairs_a, pairs_b, emitted_a=emitted_a
         )
-        self._appeared[day_b] = appeared_b
+        self._appeared[day_b] = (pairs_b, appeared_b)
         return changed, net48s, stable
 
     def day_pairs_set(self, day: int) -> set:

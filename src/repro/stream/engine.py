@@ -57,7 +57,7 @@ and newly flagged prefixes accumulate in :attr:`live_detection`.  Call
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable
@@ -70,7 +70,7 @@ from repro.core.rotation_pool import (
     pool_bits,
     pool_plen_from_bits,
 )
-from repro.core.tracker import AsProfile
+from repro.core.tracker import AsProfile, inferred_plens, profiles_from
 from repro.store.batch import ColumnBatch
 from repro.stream import columnar as columnar_kernel
 from repro.stream.sink import IngestSinkBase, update_sighting
@@ -380,18 +380,11 @@ class StreamEngine(IngestSinkBase):
 
     # -- queries: columns with the kernel, ShardState walks without ---------
 
-    def _merged_alloc_spans(self, asn: int) -> dict[tuple[int, int], list[int]]:
-        merged: dict[tuple[int, int], list[int]] = {}
+    def _merged_spans(self, family: str, asn: int) -> dict:
+        """*asn*'s ``alloc_spans`` or ``pool_spans`` over every shard."""
+        merged: dict = {}
         for shard in self.shards:
-            spans = shard.alloc_spans.get(asn)
-            if spans:
-                merge_spans(merged, spans)
-        return merged
-
-    def _merged_pool_spans(self, asn: int) -> dict[int, list[int]]:
-        merged: dict[int, list[int]] = {}
-        for shard in self.shards:
-            spans = shard.pool_spans.get(asn)
+            spans = getattr(shard, family).get(asn)
             if spans:
                 merge_spans(merged, spans)
         return merged
@@ -417,7 +410,8 @@ class StreamEngine(IngestSinkBase):
         if self._acc is not None:
             spans = self._spans_by_as("alloc", day, asn).get(asn, {})
             return allocation_inference_from_iid_spans(asn, spans)
-        return allocation_inference_from_spans(asn, self._merged_alloc_spans(asn), day)
+        spans = self._merged_spans("alloc_spans", asn)
+        return allocation_inference_from_spans(asn, spans, day)
 
     def allocation_inferences(
         self, day: int | None = None
@@ -429,22 +423,14 @@ class StreamEngine(IngestSinkBase):
                 for asn in self.asns()
                 if asn and asn in by_as
             }
-        inferences = {}
-        for asn in self.asns():
-            if asn == 0:
-                continue
-            try:
-                inferences[asn] = self.allocation_inference(asn, day)
-            except ValueError:
-                continue
-        return inferences
+        return self._each_as(lambda asn: self.allocation_inference(asn, day))
 
     def pool_inference(self, asn: int) -> RotationPoolInference:
         """Algorithm 2, as of now, from aggregates alone."""
         if self._acc is not None:
             spans = self._spans_by_as("pool", asn=asn).get(asn, {})
             return pool_inference_from_spans(asn, spans)
-        return pool_inference_from_spans(asn, self._merged_pool_spans(asn))
+        return pool_inference_from_spans(asn, self._merged_spans("pool_spans", asn))
 
     def pool_inferences(self) -> dict[int, RotationPoolInference]:
         if self._acc is not None:
@@ -453,25 +439,30 @@ class StreamEngine(IngestSinkBase):
                 for asn, spans in self._spans_by_as("pool").items()
                 if asn
             }
+        return self._each_as(self.pool_inference)
+
+    def _each_as(self, infer) -> dict:
+        """``infer(asn)`` of every routed AS it does not reject (the
+        kernel-less walks)."""
         inferences = {}
         for asn in self.asns():
-            if asn == 0:
-                continue
-            try:
-                inferences[asn] = self.pool_inference(asn)
-            except ValueError:
-                continue
+            if asn:
+                with suppress(ValueError):
+                    inferences[asn] = infer(asn)
         return inferences
 
     def _median_plens(self, family: str, bits_of, plen_of) -> dict[int, int]:
         asn, _iid, lo, hi = self._acc.iid_spans(family)
         return columnar_kernel.median_plens(asn, hi - lo, bits_of, plen_of)
 
-    def as_profiles(self, default_allocation_plen: int = 56) -> dict[int, AsProfile]:
-        """Live tracker knowledge: the streaming analogue of
-        :attr:`ExperimentContext.as_profiles`.
+    def as_profiles(self) -> dict[int, AsProfile]:
+        """Live tracker knowledge, by the rule of
+        :attr:`ExperimentContext.as_profiles` (:func:`profiles_from`).
 
-        With the kernel, two group-reduces and the middle-spread rule
+        Both plens come from this engine's corpus: the allocation plen
+        is Algorithm 1 over the campaign's own targets, since a daemon
+        has no per-/64 allocation sample.  With the kernel, two
+        group-reduces and the middle-spread rule
         (:func:`~repro.stream.state.plen_of_middle`): no per-IID Python
         object, no inference object, nothing moved into the shards --
         what a served snapshot pays per refresh.
@@ -480,23 +471,9 @@ class StreamEngine(IngestSinkBase):
             allocations = self._median_plens("alloc", allocation_bits, plen_from_bits)
             pools = self._median_plens("pool", pool_bits, pool_plen_from_bits)
         else:
-            allocations = {
-                asn: found.inferred_plen
-                for asn, found in self.allocation_inferences().items()
-            }
-            pools = {
-                asn: found.inferred_plen for asn, found in self.pool_inferences().items()
-            }
-        profiles: dict[int, AsProfile] = {}
-        for asn, pool_plen in pools.items():
-            if asn:
-                allocation_plen = allocations.get(asn, default_allocation_plen)
-                profiles[asn] = AsProfile(
-                    asn=asn,
-                    allocation_plen=allocation_plen,
-                    pool_plen=min(pool_plen, allocation_plen),
-                )
-        return profiles
+            allocations = inferred_plens(self.allocation_inferences())
+            pools = inferred_plens(self.pool_inferences())
+        return profiles_from(pools, allocations)
 
     # -- summary -----------------------------------------------------------
 

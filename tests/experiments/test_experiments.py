@@ -7,10 +7,15 @@ tests in this module; it is the expensive part, built once.
 
 import pytest
 
+from repro.core.allocation import AllocationInference
+from repro.core.records import ProbeObservation
+from repro.core.rotation_pool import RotationPoolInference
 from repro.experiments import ablations, fig3, fig4, fig5, fig6, fig7, fig8, fig9
 from repro.experiments import fig10, fig11_12, headline, streaming, table1, tracking
 from repro.experiments.context import ExperimentContext
-from repro.experiments.scale import SMALL
+from repro.experiments.scale import SMALL, TINY
+from repro.stream import columnar
+from repro.stream.engine import StreamConfig, StreamEngine
 
 
 @pytest.fixture(scope="module")
@@ -210,3 +215,71 @@ class TestStreaming:
         text = streaming.run(context).render()
         assert "batch" in text and "stream" in text
         assert "identical" in text
+
+
+def batch_inferences(store, origin_of, algorithm) -> dict:
+    """*algorithm*'s batch inference of every routed AS in *store*."""
+    inferences = {}
+    for asn, observations in store.group_eui64_by_asn(origin_of).items():
+        if asn:
+            inferences[asn] = algorithm.from_observations(asn, observations)
+    return inferences
+
+
+def kernel_less_engine(store, origin_of) -> StreamEngine:
+    """*store* fed and flushed as the context feeds its engines, with the
+    columnar kernel off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columnar, "np", None)
+        engine = StreamEngine(
+            StreamConfig(keep_observations=False), origin_of=origin_of
+        )
+        assert engine._acc is None
+        for batch in store.scan_columns():
+            engine.ingest_columns(batch)
+        engine.flush()
+    return engine
+
+
+def plens(inferences: dict) -> dict:
+    return {asn: (i.inferred_plen, i.per_iid_plen) for asn, i in inferences.items()}
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    return ExperimentContext(TINY)
+
+
+class TestInferencesAreTheEngines:
+    """The context's per-AS inferences are a stream engine's, and equal
+    the batch Algorithms 1 and 2 per AS, with the kernel and without."""
+
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "no-kernel"])
+    @pytest.mark.parametrize("scale", ["tiny", "context"], ids=["TINY", "SMALL"])
+    def test_engine_equals_batch(self, request, scale, kernel):
+        ctx = request.getfixturevalue(scale)
+        sample, corpus = ctx.allocation_sample_store, ctx.campaign_store
+        if kernel:
+            allocations, pools = ctx.allocation_inferences, ctx.pool_inferences
+        else:
+            engine = kernel_less_engine(sample, ctx.origin_of)
+            allocations = engine.allocation_inferences()
+            pools = kernel_less_engine(corpus, ctx.origin_of).pool_inferences()
+        want = batch_inferences(sample, ctx.origin_of, AllocationInference)
+        assert plens(allocations) == plens(want)
+        want = batch_inferences(corpus, ctx.origin_of, RotationPoolInference)
+        assert plens(pools) == plens(want)
+
+    def test_campaign_set_up_builds_no_observation(self, monkeypatch):
+        """Set-up reads its scans and inferences as columns: grouping the
+        allocation sample for the batch algorithms built 15,329."""
+        built = []
+        init = ProbeObservation.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProbeObservation, "__init__", counting)
+        ExperimentContext(TINY).build_campaign()
+        assert len(built) == 0

@@ -1,7 +1,7 @@
 """The golden file: what set-up's scans produce, pinned bit for bit.
 
 ``data/golden.json`` holds one section per pinned subject, each keyed
-by TINY seed (:data:`SEEDS`), each computed on a fresh world:
+by TINY seed (:data:`SEEDS`):
 
 * ``discovery`` -- what the Section 4 pipeline and the set-up scans
   after it produce: the pipeline store's checkpoint rows, its
@@ -21,8 +21,13 @@ by TINY seed (:data:`SEEDS`), each computed on a fresh world:
 Large values are kept as a sha256 of their JSON plus a length; small
 ones as they are.
 
-The stages run in one fixed order on one world, because the simulated
-Internet's rate-limit buckets carry from one scan to the next.
+Per seed the sections run in this order on one fresh world, and within
+``discovery`` the stages run in one fixed order, because the simulated
+Internet's rate-limit buckets carry from one scan to the next.  The
+``day_close`` and ``profiles`` sections read as they would on a fresh
+world: each runs set-up's campaign from its first day, which resets
+every rate limiter, and reads the allocation sample ``discovery``
+already took.  (Their recorded values were computed on fresh worlds.)
 
 Record (only as a declared behaviour change)::
 
@@ -57,16 +62,15 @@ def report_row(r) -> list:
     return [str(r.prefix), r.probes_sent, r.unique_eui64, r.density, kind]
 
 
-def discovery_of(seed: int) -> dict:
-    """Everything set-up's scans produce at TINY *seed*, in stage order."""
+def discovery_of(ctx) -> dict:
+    """Everything set-up's scans produce on *ctx*'s fresh world, in stage
+    order."""
     from repro.core.campaign import Campaign, CampaignConfig
     from repro.core.grids import scan_allocation_grid
-    from repro.experiments.context import ExperimentContext
     from repro.experiments.fig10 import VERSATEL_ASN
-    from repro.experiments.scale import TINY
     from repro.simnet.clock import seconds
 
-    ctx = ExperimentContext(replace(TINY, seed=seed))
+    seed = ctx.scale.seed
     result = ctx.pipeline_result
     detection = result.detection
     rotating = sorted(result.rotating_48s, key=lambda p: p.network)
@@ -99,22 +103,15 @@ def discovery_of(seed: int) -> dict:
     }
 
 
-def discovery() -> dict:
-    return {f"tiny,{seed}": discovery_of(seed) for seed in SEEDS}
-
-
 def prefix_strings(prefixes) -> list[str]:
     return [str(p) for p in sorted(prefixes, key=lambda p: p.network)]
 
 
-def day_close_of(seed: int) -> dict:
-    """What the day closes of a streaming run of set-up's campaign yield
-    at TINY *seed*: each closed day, then the cumulative detection."""
-    from repro.experiments.context import ExperimentContext
-    from repro.experiments.scale import TINY
+def day_close_of(ctx) -> dict:
+    """What the day closes of a streaming run of *ctx*'s set-up campaign
+    yield: each closed day, then the cumulative detection."""
     from repro.stream.campaign import StreamingCampaign
 
-    ctx = ExperimentContext(replace(TINY, seed=seed))
     streaming = StreamingCampaign(ctx.build_campaign())
     streaming.run()
     engine = streaming.engine
@@ -135,21 +132,13 @@ def day_close_of(seed: int) -> dict:
     }
 
 
-def day_close() -> dict:
-    return {f"tiny,{seed}": day_close_of(seed) for seed in SEEDS}
-
-
 def inference_row(inference) -> list:
     """An inference's AS-level plen and a digest of its per-IID plens."""
     return [inference.inferred_plen, digest(sorted(inference.per_iid_plen.items()))]
 
 
-def profiles_of(seed: int) -> dict:
-    """Set-up's per-AS inferences and profiles at TINY *seed*."""
-    from repro.experiments.context import ExperimentContext
-    from repro.experiments.scale import TINY
-
-    ctx = ExperimentContext(replace(TINY, seed=seed))
+def profiles_of(ctx) -> dict:
+    """*ctx*'s per-AS inferences and profiles."""
 
     def by_asn(inferences: dict) -> dict:
         return {str(asn): inference_row(i) for asn, i in sorted(inferences.items())}
@@ -164,13 +153,22 @@ def profiles_of(seed: int) -> dict:
     }
 
 
-def profiles() -> dict:
-    return {f"tiny,{seed}": profiles_of(seed) for seed in SEEDS}
+#: Section name -> what it records of a context, in the order they run.
+SECTIONS = {"discovery": discovery_of, "day_close": day_close_of, "profiles": profiles_of}
 
 
 def sections() -> dict:
-    """Every section of the golden file, computed afresh."""
-    return {"discovery": discovery(), "day_close": day_close(), "profiles": profiles()}
+    """Every section of the golden file, computed afresh: one fresh
+    world per seed, shared by the sections in :data:`SECTIONS` order."""
+    from repro.experiments.context import ExperimentContext
+    from repro.experiments.scale import TINY
+
+    computed: dict = {name: {} for name in SECTIONS}
+    for seed in SEEDS:
+        ctx = ExperimentContext(replace(TINY, seed=seed))
+        for name, section_of in SECTIONS.items():
+            computed[name][f"tiny,{seed}"] = section_of(ctx)
+    return computed
 
 
 if __name__ == "__main__":

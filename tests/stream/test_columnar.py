@@ -291,7 +291,7 @@ class TestCollidingHashes:
                 want_changed, want_stable, appeared = set_diff(rows_a, rows_b, emitted)
                 assert rows_of(changed) == want_changed
                 assert stable == want_stable
-                assert acc._appeared[a + 1].tolist() == appeared
+                assert acc._appeared[a + 1][1].tolist() == appeared
                 emitted = appeared
         # Within a day; across days between rows whose hash is their
         # day's alone (which four hash values leave no room for).

@@ -193,15 +193,24 @@ def pair_obs(day: int, net: int) -> ProbeObservation:
     )
 
 
+def prefixes(nets) -> set:
+    return {target_prefix48(NET48 | (net << 80)) for net in nets}
+
+
 class TestRotationDays:
-    def test_columnar_and_set_closes_attribute_alike(self):
-        """Pair 2 leaves, returns and leaves again; pair 3 comes and
-        goes; late rows after a flush void the mask they would hit."""
+    @staticmethod
+    def engines() -> tuple[StreamEngine, StreamEngine]:
+        """A kernel engine and a kernel-less one (set-based close)."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(columnar, "np", None)
             kernel_less = StreamEngine(StreamConfig(num_shards=2))
         assert kernel_less._acc is None
-        engines = (StreamEngine(StreamConfig(num_shards=2)), kernel_less)
+        return StreamEngine(StreamConfig(num_shards=2)), kernel_less
+
+    def test_columnar_and_set_closes_attribute_alike(self):
+        """Pair 2 leaves, returns and leaves again; pair 3 comes and
+        goes; late rows after a flush void the mask they would hit."""
+        engines = self.engines()
         days = [(1, 2), (1, 3), (1, 2), (1, 6)]
         for engine in engines:
             for day, nets in enumerate(days):
@@ -213,6 +222,20 @@ class TestRotationDays:
         want = {1: {2, 3}, 2: {2}, 3: {6}, 4: {5, 6}}
         for engine in engines:
             assert engine.rotation_days == {
-                day: {target_prefix48(NET48 | (net << 80)) for net in nets}
-                for day, nets in want.items()
+                day: prefixes(nets) for day, nets in want.items()
             }
+
+    def test_late_repeat_after_a_flush_keeps_the_mask(self):
+        """Day 0 {A}, day 1 {A, Q}, a flush, a late day-1 row repeating
+        A, day 2 {A}: Q was first flagged at day 1's close, so day 2's
+        close flags nothing.  A late row that only repeats a pair leaves
+        the day's pair set, and with it the close's mask, as it was."""
+        a, q = 1, 2
+        for engine in self.engines():
+            engine.ingest_batch([pair_obs(0, a)])
+            engine.ingest_batch([pair_obs(1, a), pair_obs(1, q)])
+            engine.flush()
+            engine.ingest_batch([pair_obs(1, a)])  # late, after the flush
+            engine.ingest_batch([pair_obs(2, a)])
+            engine.flush()
+            assert engine.rotation_days == {1: prefixes([q]), 2: set()}

@@ -11,20 +11,14 @@ import pytest
 import golden
 
 
+@pytest.fixture(scope="module")
 def recorded() -> dict:
     return json.loads(golden.GOLDEN.read_text())
 
 
-def test_discovery_is_golden():
-    assert golden.discovery() == recorded()["discovery"]
-
-
-def test_day_close_is_golden():
-    assert golden.day_close() == recorded()["day_close"]
-
-
-def test_profiles_is_golden():
-    assert golden.profiles() == recorded()["profiles"]
+@pytest.fixture(scope="module")
+def with_numpy() -> dict:
+    return golden.sections()
 
 
 _NO_NUMPY = """
@@ -49,13 +43,25 @@ def without_numpy() -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def test_discovery_is_golden_without_numpy(without_numpy):
-    assert without_numpy["discovery"] == recorded()["discovery"]
+def test_discovery_is_golden(with_numpy, recorded):
+    assert with_numpy["discovery"] == recorded["discovery"]
 
 
-def test_day_close_is_golden_without_numpy(without_numpy):
-    assert without_numpy["day_close"] == recorded()["day_close"]
+def test_day_close_is_golden(with_numpy, recorded):
+    assert with_numpy["day_close"] == recorded["day_close"]
 
 
-def test_profiles_is_golden_without_numpy(without_numpy):
-    assert without_numpy["profiles"] == recorded()["profiles"]
+def test_profiles_is_golden(with_numpy, recorded):
+    assert with_numpy["profiles"] == recorded["profiles"]
+
+
+def test_discovery_is_golden_without_numpy(without_numpy, recorded):
+    assert without_numpy["discovery"] == recorded["discovery"]
+
+
+def test_day_close_is_golden_without_numpy(without_numpy, recorded):
+    assert without_numpy["day_close"] == recorded["day_close"]
+
+
+def test_profiles_is_golden_without_numpy(without_numpy, recorded):
+    assert without_numpy["profiles"] == recorded["profiles"]
