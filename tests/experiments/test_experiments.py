@@ -16,6 +16,7 @@ from repro.experiments.context import ExperimentContext
 from repro.experiments.scale import SMALL, TINY
 from repro.stream import columnar
 from repro.stream.engine import StreamConfig, StreamEngine
+from repro.util import np
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +271,7 @@ class TestInferencesAreTheEngines:
         want = batch_inferences(corpus, ctx.origin_of, RotationPoolInference)
         assert plens(pools) == plens(want)
 
+    @pytest.mark.skipif(np is None, reason="a kernel-less engine folds objects")
     def test_campaign_set_up_builds_no_observation(self, monkeypatch):
         """Set-up reads its scans and inferences as columns: grouping the
         allocation sample for the batch algorithms built 15,329."""
