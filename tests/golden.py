@@ -154,7 +154,11 @@ def profiles_of(ctx) -> dict:
 
 
 #: Section name -> what it records of a context, in the order they run.
-SECTIONS = {"discovery": discovery_of, "day_close": day_close_of, "profiles": profiles_of}
+SECTIONS = {
+    "discovery": discovery_of,
+    "day_close": day_close_of,
+    "profiles": profiles_of,
+}
 
 
 def sections() -> dict:
