@@ -1,23 +1,17 @@
-"""Streaming ingestion throughput: batch vs. stream vs. parallel workers.
+"""Streaming ingestion throughput: batch vs. stream, layer by layer.
 
-Three comparisons, all equal-capability (every mode must end with the
-same artifacts -- corpus, per-AS inferences, rotation detection):
+The headline comparisons are equal-capability (every mode must end
+with the same artifacts -- corpus, per-AS inferences, rotation
+detection):
 
 * **batch vs. single-pass stream** -- the PR-1 bar: one streaming pass
   must at least match store-then-re-walk batch wall-clock;
 * **engine-only ingestion** -- the pure hot path, responses/second
-  through the engine with no simulator in the loop;
-* **parallel scaling** -- the fabric backend (``workers=N``: local
-  subprocess workers on a loopback socket master) at N = 1, 2, 4
-  against the single-process engine, on the same corpus, with the
-  merged result asserted byte-identical.  Recorded, not gated: the
-  end-to-end ratio to the serial bulk engine (``total_vs_serial``) is
-  below 1 at every worker count -- workers buy fan-in and capacity,
-  not speed.
+  through the engine with no simulator in the loop.
 
 Every run emits ``BENCH_stream.json`` at the repo root -- machine-
-readable responses/s, wall-clocks, worker counts, and the git revision
--- so the perf trajectory is tracked across PRs.
+readable responses/s, wall-clocks, and the git revision -- so the perf
+trajectory is tracked across PRs.
 """
 
 import gc
@@ -39,7 +33,6 @@ from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.feeds import SightingRecord, sighting_feed
-from repro.stream.parallel import ParallelStreamEngine
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
 
@@ -194,8 +187,7 @@ def test_columnar_ingest_throughput(benchmark, context):
     ``ingest_columns``, no per-row object walks or hi/lo splits
     anywhere.  Both end in checkpoint bytes identical to each other
     (the storage layout and kernel are execution details, never a
-    result change).  A parallel engine fed the same column batches must
-    merge to the same bytes.  Without numpy ``ingest_columns`` *is* the
+    result change).  Without numpy ``ingest_columns`` *is* the
     reference loop, so the section records ``"numpy": false`` and a ~1x
     ratio instead of asserting a speedup.
     """
@@ -236,30 +228,17 @@ def test_columnar_ingest_throughput(benchmark, context):
         t0 = time.perf_counter()
         columnar_engine = run_columnar()
         columnar_seconds = min(columnar_seconds, time.perf_counter() - t0)
-    reference_state = engine_state(reference)
-    assert engine_state(columnar_engine) == reference_state  # byte-identical
+    assert engine_state(columnar_engine) == engine_state(reference)  # byte-identical
     # pytest-benchmark's table entry: one representative columnar run
     # (the recorded JSON uses the interleaved minimums above).
     benchmark.pedantic(run_columnar, rounds=1, iterations=1)
-
-    parallel = ParallelStreamEngine(config, origin_of=context.origin_of, num_workers=2)
-    t0 = time.perf_counter()
-    for batch in column_chunks:  # zero-copy column dispatch (with numpy)
-        parallel.ingest_columns(batch)
-    parallel.barrier()
-    parallel_ingest_seconds = time.perf_counter() - t0
-    merged = parallel.finalize()
-    parallel_total_seconds = time.perf_counter() - t0
-    assert engine_state(merged) == reference_state  # byte-identical
 
     speedup = reference_seconds / columnar_seconds
     print(
         f"\ncolumnar ingest on {len(corpus)} responses (numpy={have_numpy}): "
         f"reference {len(corpus) / reference_seconds:,.0f} responses/s, "
         f"columnar {len(corpus) / columnar_seconds:,.0f} responses/s "
-        f"({speedup:.2f}x), parallel-columnar x2 ingest "
-        f"{len(corpus) / parallel_ingest_seconds:,.0f} responses/s -- "
-        f"checkpoint bytes identical in all modes"
+        f"({speedup:.2f}x) -- checkpoint bytes identical in both modes"
     )
     record_bench(
         "columnar_ingest",
@@ -271,13 +250,6 @@ def test_columnar_ingest_throughput(benchmark, context):
             "columnar_seconds": round(columnar_seconds, 4),
             "columnar_responses_per_s": round(len(corpus) / columnar_seconds),
             "speedup": round(speedup, 2),
-            "parallel_columnar": {
-                "workers": 2,
-                "ingest_responses_per_s": round(
-                    len(corpus) / parallel_ingest_seconds
-                ),
-                "total_responses_per_s": round(len(corpus) / parallel_total_seconds),
-            },
         },
     )
     if have_numpy:
@@ -422,81 +394,6 @@ def test_store_backend_throughput(benchmark, context):
             f"scan {numbers['scan_rows_per_s']:,} rows/s"
         )
     record_bench("store_backends", {"rows": rows, **results})
-
-
-def test_parallel_worker_scaling(benchmark, context):
-    """The fabric backend vs. the single-process engine.
-
-    Baseline: the per-response ``StreamEngine.ingest`` loop (the PR-1
-    single-process engine path).  Each worker count is measured twice:
-    the ingest phase (dispatch + worker apply, barrier-confirmed) and
-    end-to-end (plus the merge back into one engine view), and the
-    merged result must be byte-identical to the baseline engine.
-    ``total_vs_serial`` divides the end-to-end rate by this run's
-    ``engine_batch_ingest`` rate -- what one serial bulk engine does
-    with the same corpus.  Recorded only; the measured answer is < 1.
-    """
-    corpus = list(context.campaign_result.store)
-    config = StreamConfig(num_shards=8, keep_observations=False)
-
-    def run_baseline():
-        engine = StreamEngine(config, origin_of=context.origin_of)
-        ingest = engine.ingest
-        for observation in corpus:
-            ingest(observation)
-        engine.flush()
-        return engine
-
-    baseline = benchmark.pedantic(run_baseline, rounds=1, iterations=1)
-    baseline_seconds = benchmark.stats.stats.total
-    baseline_state = engine_state(baseline)
-    baseline_rps = len(corpus) / baseline_seconds
-
-    serial = _recorded_at(_git_rev()).get("engine_batch_ingest")
-    results = {}
-    for workers in (1, 2, 4):
-        parallel = ParallelStreamEngine(
-            config, origin_of=context.origin_of, num_workers=workers
-        )
-        t0 = time.perf_counter()
-        parallel.ingest_batch(corpus)
-        parallel.barrier()
-        ingest_seconds = time.perf_counter() - t0
-        merged = parallel.finalize()
-        total_seconds = time.perf_counter() - t0
-        assert engine_state(merged) == baseline_state  # byte-identical
-        results[str(workers)] = {
-            "ingest_seconds": round(ingest_seconds, 4),
-            "ingest_responses_per_s": round(len(corpus) / ingest_seconds),
-            "total_seconds": round(total_seconds, 4),
-            "total_responses_per_s": round(len(corpus) / total_seconds),
-        }
-        if serial is not None:
-            results[str(workers)]["total_vs_serial"] = round(
-                len(corpus) / total_seconds / serial["responses_per_s"], 3
-            )
-
-    cpus = os.cpu_count() or 1
-    print(
-        f"\nparallel scaling on {len(corpus)} responses ({cpus} CPUs), "
-        f"results byte-identical at every worker count:"
-    )
-    print(f"  baseline (per-response, single process): {baseline_rps:,.0f} responses/s")
-    for workers, numbers in results.items():
-        print(
-            f"  {workers} worker(s): ingest {numbers['ingest_responses_per_s']:,} "
-            f"responses/s, end-to-end incl. merge "
-            f"{numbers['total_responses_per_s']:,} responses/s "
-            f"({numbers.get('total_vs_serial', 'n/a')}x the serial bulk engine)"
-        )
-    record_bench(
-        "parallel_scaling",
-        {
-            "responses": len(corpus),
-            "baseline_responses_per_s": round(baseline_rps),
-            "workers": results,
-        },
-    )
 
 
 def test_passive_feed_throughput(benchmark, context):

@@ -247,6 +247,19 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "reference",
         "kernel-less per-AS inferences; the no-numpy tier-1 leg runs it",
     ),
+    "repro.stream.engine:StreamEngine._pairs_on": (
+        "reference",
+        "kernel-less day pairs the set-based close diffs (no-numpy leg)",
+    ),
+    "repro.stream.columnar:LiveDetection.changed_pairs": (
+        "reference",
+        "changed pairs as tuples: the kernel-less close folds into them "
+        "(no-numpy leg); tests and the fuzz harness read them",
+    ),
+    "repro.stream.sink:IngestSinkBase": (
+        "reference",
+        "the set-based close and the reference ingest loop (no-numpy leg)",
+    ),
     "repro.stream.state:ShardState.observe": (
         "reference",
         "the scalar fold: the kernel-less path and the kernel's oracle",
@@ -290,18 +303,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "safety",
         "the exact diff of rows whose row hashes collide; test_columnar forces it",
     ),
-    "repro.stream.parallel:ParallelStreamEngine.__enter__": (
-        "safety",
-        "context manager",
-    ),
-    "repro.stream.parallel:ParallelStreamEngine.__exit__": (
-        "safety",
-        "shuts workers down",
-    ),
-    "repro.stream.parallel:ParallelStreamEngine._degrade_journal": (
-        "safety",
-        "journal overflow after a lost worker",
-    ),
     "repro.stream.tracker:LivePursuit": (
         "safety",
         "a pursuit's own checkpoint and resume (state, save, restore, load)",
@@ -323,7 +324,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.store.backend:ColumnarBackend": ("interface", "StoreBackend queries"),
     "repro.store.sqlite:SqliteBackend": ("interface", "StoreBackend queries"),
     "repro.stream.sink:IngestSink": ("interface", "Protocol stubs"),
-    "repro.stream.sink:IngestSinkBase": ("interface", "hooks each sink overrides"),
     # -- entry: command-line and deployment entry points
     "repro.replicate.follower:main": ("entry", "python -m repro.replicate.follower"),
     "repro.replicate.follower:ReplicaFollower.promote_campaign": (
@@ -340,10 +340,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.serve.snapshot:TrackerSnapshot": (
         "entry",
         "in-process reader API and GET /profiles",
-    ),
-    "repro.stream.fabric:__getattr__": (
-        "entry",
-        "lazy re-export: python -m repro.stream.fabric.worker imports once",
     ),
     "repro.util:JsonLogFormatter.format": ("entry", "REPRO_LOG_JSON log lines"),
     # -- pending: the ROADMAP item that gives each its consumer
@@ -371,14 +367,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "pending: ROADMAP item 4",
         "retain_days pruning",
     ),
-    "repro.stream.fabric.protocol:WorkerCore.prune": (
-        "pending: ROADMAP item 4",
-        "retain_days pruning on a worker",
-    ),
-    "repro.stream.parallel:ParallelStreamEngine._prune_below": (
-        "pending: ROADMAP item 4",
-        "retain_days pruning across workers",
-    ),
     "repro.stream.state:prune_shard_days": (
         "pending: ROADMAP item 4",
         "retain_days pruning, kernel-less",
@@ -398,34 +386,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.simnet.provider:Provider": (
         "pending: ROADMAP item 5",
         "ground truth behind SimInternet.resolve",
-    ),
-    "repro.obs.instruments:ParallelInstruments": (
-        "pending: ROADMAP item 6",
-        "fabric telemetry; no workload runs the fabric until fan_in",
-    ),
-    "repro.obs.instruments:FabricInstruments": (
-        "pending: ROADMAP item 6",
-        "fabric telemetry; no workload runs the fabric until fan_in",
-    ),
-    "repro.stream.fabric.transport:SocketChannel.outbox_depth": (
-        "pending: ROADMAP item 6",
-        "fabric telemetry",
-    ),
-    "repro.stream.fabric.transport:SocketTransport.attach_telemetry": (
-        "pending: ROADMAP item 6",
-        "fabric telemetry",
-    ),
-    "repro.stream.parallel:ParallelStreamEngine.attach_telemetry": (
-        "pending: ROADMAP item 6",
-        "fabric telemetry",
-    ),
-    "repro.stream.parallel:ParallelStreamEngine.transport": (
-        "pending: ROADMAP item 6",
-        "the fabric's transport handle",
-    ),
-    "repro.stream.parallel:ParallelStreamEngine.read_view": (
-        "pending: ROADMAP item 6",
-        "serving a parallel engine; no workload does until fan_in",
     ),
     "repro.obs.registry": (
         "pending: ROADMAP item 8",

@@ -132,8 +132,8 @@ def main(argv: list[str]) -> int:
         #     same world ends in a byte-identical engine state.
         blind = build_streaming(build_world(), days)
         blind.run()
-        identical = json.dumps(engine_state(blind.live_engine)) == json.dumps(
-            engine_state(campaign.live_engine)
+        identical = json.dumps(engine_state(blind.engine)) == json.dumps(
+            engine_state(campaign.engine)
         )
         print(f"checkpoint byte-identical to untelemetered run: {identical}")
         return 0 if identical else 1

@@ -61,7 +61,6 @@ from repro.store import (
 )
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.engine import StreamConfig, StreamEngine
-from repro.stream.fabric import FabricServer, SocketTransport, parse_worker_spec
 from repro.stream.feeds import (
     MixedFeed,
     SightingRecord,
@@ -69,7 +68,6 @@ from repro.stream.feeds import (
     sighting_feed,
     tap_feed,
 )
-from repro.stream.parallel import ParallelStreamEngine
 from repro.stream.tracker import LivePursuit
 
 __version__ = "1.0.0"
@@ -94,14 +92,12 @@ __all__ = [
     "ColumnarBackend",
     "DeviceTracker",
     "DiscoveryPipeline",
-    "FabricServer",
     "FlowTap",
     "InternetSpec",
     "LivePursuit",
     "MixedFeed",
     "ObservationStore",
     "OuiRegistry",
-    "ParallelStreamEngine",
     "PipelineConfig",
     "PoolSpec",
     "Prefix",
@@ -116,7 +112,6 @@ __all__ = [
     "SightingRecord",
     "SimInternet",
     "SnapshotPublisher",
-    "SocketTransport",
     "SqliteBackend",
     "StoreBackend",
     "StreamConfig",
@@ -139,7 +134,6 @@ __all__ = [
     "mac_to_eui64_iid",
     "parse_addr",
     "parse_mac",
-    "parse_worker_spec",
     "sighting_feed",
     "tap_feed",
 ]

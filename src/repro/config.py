@@ -26,39 +26,14 @@ Variable                         Meaning
                                  records instead of human one-liners.
 ``REPRO_LOG_LEVEL``              Default level for :func:`repro.util.get_logger`
                                  (``INFO`` when unset).
-``REPRO_FABRIC_HEARTBEAT``       Socket-fabric heartbeat interval, seconds
-                                 (default 2).
-``REPRO_FABRIC_HEARTBEAT_TIMEOUT``  Seconds of worker silence before the
-                                 master declares it dead (default 10).
-``REPRO_FABRIC_CONNECT_TIMEOUT`` Seconds the master waits for workers to
-                                 connect and complete the hello handshake,
-                                 and a worker waits for its welcome
-                                 (default 10).
-``REPRO_FABRIC_MAX_FRAME``       Largest accepted fabric frame payload,
-                                 bytes (default 256 MiB); oversized frames
-                                 are rejected before allocation.
-``REPRO_FABRIC_AUTHKEY``         Shared secret for the fabric's mutual
-                                 HMAC challenge-response handshake.  Must
-                                 match on the master and every worker box;
-                                 unset, the master generates a random key
-                                 (exposed as ``SocketTransport.authkey``)
-                                 and hands it to the workers it spawns
-                                 itself.
-``REPRO_FABRIC_JOURNAL_LIMIT``   Requeue-journal bound, in journaled rows
-                                 across all workers (default 4,000,000;
-                                 ``0`` = unbounded).  Past the bound the
-                                 dispatcher drops the journals and a later
-                                 worker loss aborts to the last committed
-                                 checkpoint instead of requeueing.
 ``REPRO_REPLICATE_BIND``         Endpoint a binary-checkpoint campaign's
                                  segment shipper listens on for followers
                                  (``tcp://host:port``).  Unset: replication
                                  off, zero cost.
 ``REPRO_REPLICATE_AUTHKEY``      Shared secret for the replication
-                                 handshake (same mutual HMAC scheme as the
-                                 fabric).  Unset, the shipper falls back to
-                                 ``REPRO_FABRIC_AUTHKEY``, then generates a
-                                 random key (``SegmentShipper.authkey``).
+                                 handshake (mutual HMAC challenge-response).
+                                 Unset, the shipper generates a random key
+                                 (``SegmentShipper.authkey``).
 ``REPRO_REPLICATE_OUTBOX``       Per-follower outbox bound, in queued
                                  segments (default 64).  A follower that
                                  falls further behind is degraded to a
@@ -86,12 +61,6 @@ ENV_STORE_BACKEND = "REPRO_STORE_BACKEND"
 ENV_CHECKPOINT_FORMAT = "REPRO_CHECKPOINT_FORMAT"
 ENV_LOG_JSON = "REPRO_LOG_JSON"
 ENV_LOG_LEVEL = "REPRO_LOG_LEVEL"
-ENV_FABRIC_HEARTBEAT = "REPRO_FABRIC_HEARTBEAT"
-ENV_FABRIC_HEARTBEAT_TIMEOUT = "REPRO_FABRIC_HEARTBEAT_TIMEOUT"
-ENV_FABRIC_CONNECT_TIMEOUT = "REPRO_FABRIC_CONNECT_TIMEOUT"
-ENV_FABRIC_MAX_FRAME = "REPRO_FABRIC_MAX_FRAME"
-ENV_FABRIC_AUTHKEY = "REPRO_FABRIC_AUTHKEY"
-ENV_FABRIC_JOURNAL_LIMIT = "REPRO_FABRIC_JOURNAL_LIMIT"
 ENV_REPLICATE_BIND = "REPRO_REPLICATE_BIND"
 ENV_REPLICATE_AUTHKEY = "REPRO_REPLICATE_AUTHKEY"
 ENV_REPLICATE_OUTBOX = "REPRO_REPLICATE_OUTBOX"
@@ -106,12 +75,6 @@ class Settings:
     checkpoint_format: str | None = None
     log_json: bool = False
     log_level: str | None = None
-    fabric_heartbeat_seconds: float = 2.0
-    fabric_heartbeat_timeout: float = 10.0
-    fabric_connect_timeout: float = 10.0
-    fabric_max_frame_bytes: int = 256 * 1024 * 1024
-    fabric_authkey: str | None = None
-    fabric_journal_limit_rows: int = 4_000_000
     replicate_bind: str | None = None
     replicate_authkey: str | None = None
     replicate_outbox_frames: int = 64
@@ -165,16 +128,6 @@ def current(**overrides) -> Settings:
         "checkpoint_format": _env_str(ENV_CHECKPOINT_FORMAT),
         "log_json": _env_truthy(ENV_LOG_JSON),
         "log_level": _env_str(ENV_LOG_LEVEL),
-        "fabric_heartbeat_seconds": _env_float(ENV_FABRIC_HEARTBEAT, 2.0),
-        "fabric_heartbeat_timeout": _env_float(ENV_FABRIC_HEARTBEAT_TIMEOUT, 10.0),
-        "fabric_connect_timeout": _env_float(ENV_FABRIC_CONNECT_TIMEOUT, 10.0),
-        "fabric_max_frame_bytes": _env_int(
-            ENV_FABRIC_MAX_FRAME, Settings.fabric_max_frame_bytes
-        ),
-        "fabric_authkey": _env_str(ENV_FABRIC_AUTHKEY),
-        "fabric_journal_limit_rows": _env_int(
-            ENV_FABRIC_JOURNAL_LIMIT, Settings.fabric_journal_limit_rows
-        ),
         "replicate_bind": _env_str(ENV_REPLICATE_BIND),
         "replicate_authkey": _env_str(ENV_REPLICATE_AUTHKEY),
         "replicate_outbox_frames": _env_int(
@@ -194,12 +147,6 @@ def current(**overrides) -> Settings:
 
 __all__ = [
     "ENV_CHECKPOINT_FORMAT",
-    "ENV_FABRIC_AUTHKEY",
-    "ENV_FABRIC_CONNECT_TIMEOUT",
-    "ENV_FABRIC_HEARTBEAT",
-    "ENV_FABRIC_HEARTBEAT_TIMEOUT",
-    "ENV_FABRIC_JOURNAL_LIMIT",
-    "ENV_FABRIC_MAX_FRAME",
     "ENV_LOG_JSON",
     "ENV_LOG_LEVEL",
     "ENV_REPLICATE_AUTHKEY",

@@ -171,8 +171,8 @@ class Campaign:
         """Single-pass campaign: each scan's responses reach *consumer*
         and the store chunk by chunk, as column batches.
 
-        *consumer* is an ingest sink (anything with ``ingest_columns``:
-        a stream engine, the parallel dispatcher), which takes each
+        *consumer* is an ingest sink (anything with ``ingest_columns``,
+        such as a stream engine), which takes each
         batch whole, or a plain callable, which is handed one
         :class:`ProbeObservation` per row.  Produces a result identical
         to batch mode -- ``run()`` *is* this loop with no consumer.

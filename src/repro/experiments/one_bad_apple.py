@@ -25,8 +25,7 @@ sets are nested (see :class:`~repro.simnet.vantage.FlowTap`), passive
 tracking success rises monotonically with coverage; and because hunts
 are pool-bounded (identical probe sequences whatever the anchor),
 hybrid success is bounded below by active-only at every coverage --
-both properties are asserted by the test suite, in serial and
-``workers=2`` parallel ingestion modes.
+both properties are asserted by the test suite.
 
 Run: ``python -m repro.experiments.one_bad_apple``
 """
@@ -47,7 +46,6 @@ from repro.simnet.rotation import IncrementRotation
 from repro.simnet.vantage import FlowTap
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.feeds import sighting_feed
-from repro.stream.parallel import ParallelStreamEngine
 from repro.stream.tracker import LivePursuit
 from repro.viz.ascii import render_table
 
@@ -113,7 +111,6 @@ class OneBadAppleResult:
     days: list[int] = field(default_factory=list)
     n_watched: int = 0
     sample_rate: float = 0.0
-    workers: int = 0
     active_success: float = 0.0
     active_probes: int = 0
     passive_success: dict[float, float] = field(default_factory=dict)
@@ -136,8 +133,7 @@ class OneBadAppleResult:
             title=(
                 f"One bad apple: daily tracking success, {self.n_watched} "
                 f"EUI-64 CPE over {len(self.days)} days "
-                f"(tap sample rate {self.sample_rate:.2f}, "
-                f"{'parallel ' + str(self.workers) + '-worker' if self.workers else 'serial'} ingestion)"
+                f"(tap sample rate {self.sample_rate:.2f})"
             ),
         )
         return (
@@ -148,16 +144,8 @@ class OneBadAppleResult:
         )
 
 
-def _make_engine(workers: int):
-    config = StreamConfig(num_shards=4, keep_observations=False)
-    if workers:
-        return ParallelStreamEngine(config, num_workers=workers, batch_rows=64)
-    return StreamEngine(config)
-
-
-def _close(engine) -> None:
-    if isinstance(engine, ParallelStreamEngine):
-        engine.close()
+def _make_engine() -> StreamEngine:
+    return StreamEngine(StreamConfig(num_shards=4, keep_observations=False))
 
 
 def _sighted(engine, iid: int, day: int) -> bool:
@@ -171,27 +159,24 @@ def _sighted(engine, iid: int, day: int) -> bool:
 
 def _run_passive(
     coverage: float, days: list[int], sample_rate: float, seed: int,
-    n_devices: int, workers: int,
+    n_devices: int,
 ) -> float:
     internet = build_world(seed, n_devices)
     targets = watch_targets(internet, days[0] - 1)
     tap = FlowTap(internet, ASN, coverage=coverage, sample_rate=sample_rate, seed=seed)
-    engine = _make_engine(workers)
-    try:
-        for iid, initial in targets.items():
-            engine.watch(iid, initial)
-        tracked = 0
-        for day in days:
-            engine.ingest(sighting_feed(tap.sightings_on(day)))
-            tracked += sum(1 for iid in targets if _sighted(engine, iid, day))
-    finally:
-        _close(engine)
+    engine = _make_engine()
+    for iid, initial in targets.items():
+        engine.watch(iid, initial)
+    tracked = 0
+    for day in days:
+        engine.ingest(sighting_feed(tap.sightings_on(day)))
+        tracked += sum(1 for iid in targets if _sighted(engine, iid, day))
     return tracked / (len(targets) * len(days))
 
 
 def _run_pursuit(
     coverage: float | None, days: list[int], sample_rate: float, seed: int,
-    n_devices: int, workers: int,
+    n_devices: int,
 ) -> tuple[float, int]:
     """Active-only (coverage None) or hybrid pursuit; (success, probes)."""
     internet = build_world(seed, n_devices)
@@ -203,26 +188,20 @@ def _run_pursuit(
         tap = FlowTap(
             internet, ASN, coverage=coverage, sample_rate=sample_rate, seed=seed
         )
-        engine = _make_engine(workers)
+        engine = _make_engine()
     pursuit = LivePursuit(tracker, engine=engine)
     pursuit.add_targets(targets)
     tracked = 0
-    try:
-        for day in days:
-            # Hunt first: the tap's evening records land *after* the
-            # 13:00 hunt in simulated time, so they re-anchor the next
-            # day's pursuit rather than time-travelling into today's.
-            outcomes = pursuit.advance(day)
-            if engine is not None:
-                engine.ingest(sighting_feed(tap.sightings_on(day)))
-            for iid, outcome in outcomes.items():
-                if outcome.found or (
-                    engine is not None and _sighted(engine, iid, day)
-                ):
-                    tracked += 1
-    finally:
+    for day in days:
+        # Hunt first: the tap's evening records land *after* the
+        # 13:00 hunt in simulated time, so they re-anchor the next
+        # day's pursuit rather than time-travelling into today's.
+        outcomes = pursuit.advance(day)
         if engine is not None:
-            _close(engine)
+            engine.ingest(sighting_feed(tap.sightings_on(day)))
+        for iid, outcome in outcomes.items():
+            if outcome.found or (engine is not None and _sighted(engine, iid, day)):
+                tracked += 1
     return tracked / (len(targets) * len(days)), internet.stats.probes
 
 
@@ -233,7 +212,6 @@ def run(
     sample_rate: float = 0.85,
     seed: int = 0,
     n_devices: int = 32,
-    workers: int = 0,
 ) -> OneBadAppleResult:
     """Sweep tap coverage against tracking success in all three modes.
 
@@ -247,25 +225,22 @@ def run(
         days=days,
         n_watched=n_devices,
         sample_rate=sample_rate,
-        workers=workers,
     )
     result.active_success, result.active_probes = _run_pursuit(
-        None, days, sample_rate, seed, n_devices, workers
+        None, days, sample_rate, seed, n_devices
     )
     for coverage in coverages:
         result.passive_success[coverage] = _run_passive(
-            coverage, days, sample_rate, seed, n_devices, workers
+            coverage, days, sample_rate, seed, n_devices
         )
         result.hybrid_success[coverage], result.hybrid_probes[coverage] = _run_pursuit(
-            coverage, days, sample_rate, seed, n_devices, workers
+            coverage, days, sample_rate, seed, n_devices
         )
     return result
 
 
 def main() -> int:
-    for workers in (0, 2):
-        print(run(workers=workers).render())
-        print()
+    print(run().render())
     return 0
 
 

@@ -1,15 +1,15 @@
 """``repro.obs``: zero-dependency observability for the stream pipeline.
 
-The package answers the operational questions the ROADMAP's multi-host
-fabric and tracker-daemon shapes will ask -- responses/s, worker
-balance, rotation-event rates, checkpoint cost -- without touching the
+The package answers the operational questions a tracker daemon and
+its standby ask -- responses/s, rotation-event rates, checkpoint cost,
+replication lag -- without touching the
 result path: telemetry is execution state only, never checkpoint
 state, and the stream fuzz harness pins checkpoint bytes identical
 with telemetry on and off.
 
 The front door is :class:`Telemetry`: one metrics registry plus an
 optional JSON-lines event log, handed to any combination of
-``StreamEngine``, ``ParallelStreamEngine``, ``StreamingCampaign``, and
+``StreamEngine``, ``StreamingCampaign``, and
 ``ObservationStore.attach_telemetry``.  Components left without a
 telemetry object pay one ``is not None`` check per batch -- the
 overhead budget ``BENCH_stream.json``'s ``telemetry_overhead`` section

@@ -1,7 +1,7 @@
 """Live ASCII dashboard over a telemetry registry.
 
 A terminal-friendly view of a running campaign: throughput since the
-last frame, per-day progress, rotation events, worker balance, and
+last frame, per-day progress, rotation events, passive feeds, and
 checkpoint cost -- everything read straight out of the metric series
 the stream subsystem maintains, so the dashboard works on any engine
 combination without its own plumbing.  Frames render to a string
@@ -101,22 +101,6 @@ class Dashboard:
                 f"| passive   {_fmt_count(passive):>8} in"
                 f"   {_fmt_count(suppressed):>8} suppressed         |"
             )
-        # Worker rows come from the registry's label tuples, not from
-        # re-parsing rendered series names -- extra labels or a
-        # different label order must not break the panel.
-        workers = sorted(
-            (dict(metric.labels).get("worker", "?"), metric.value)
-            for metric in self.registry
-            if metric.kind == "counter"
-            and metric.name == "repro_parallel_dispatch_rows_total"
-        )
-        if workers:
-            top = max(value for _, value in workers) or 1
-            for worker, value in workers:
-                lines.append(
-                    f"| worker {worker:>2}  [{_bar(value / top)}]"
-                    f" {_fmt_count(value):>8}     |"
-                )
         if checkpoint_bytes:
             lines.append(
                 f"| checkpoint {_fmt_count(checkpoint_bytes):>8} bytes"

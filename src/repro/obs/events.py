@@ -2,7 +2,7 @@
 
 Metrics answer *how fast*; events answer *what happened when*: a day
 closing, a rotation being detected, a checkpoint landing on disk, a
-worker joining or exiting.  Each event is one JSON object per line --
+segment shipping to a follower.  Each event is one JSON object per line --
 trivially greppable, tail-able, and replayable into any downstream
 tooling -- with a stable envelope::
 
@@ -31,10 +31,6 @@ KNOWN_EVENTS = (
     "day_close",
     "rotation_detected",
     "checkpoint_written",
-    "worker_join",
-    "worker_exit",
-    "fabric_worker_lost",
-    "fabric_requeue",
     "serve_start",
     "serve_stop",
     "segment_shipped",

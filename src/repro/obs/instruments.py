@@ -18,8 +18,7 @@ The whole vocabulary is one table, :data:`METRICS`, in registration
 (and so exposition) order.  A bundle class names the rows it binds
 (``ROWS``) and derives its ``__slots__`` from them; one binder,
 :class:`_Bundle`, registers them.  One name prefix per subsystem --
-``repro_stream_*`` (the engine), ``repro_parallel_*`` (the dispatcher),
-``repro_fabric_*``, ``repro_feed_*``, ``repro_store_*``,
+``repro_stream_*`` (the engine), ``repro_feed_*``, ``repro_store_*``,
 ``repro_checkpoint_*``, ``repro_serve_*``, ``repro_repl_*`` -- as
 documented in ``benchmarks/README.md``.
 """
@@ -44,8 +43,7 @@ SERVE_ENDPOINTS = (
 
 
 class Metric(NamedTuple):
-    """One row of :data:`METRICS`.  *fan_out* ``"worker"`` binds a list
-    of ``worker``-labelled instruments, one per worker; ``"endpoint"`` a
+    """One row of :data:`METRICS`.  *fan_out* ``"endpoint"`` binds a
     dict over :data:`SERVE_ENDPOINTS`.  *buckets* are for histograms."""
 
     bundle: str
@@ -79,28 +77,6 @@ METRICS = tuple(Metric(*row) for row in (
      "Stable pairs across day closes"),
     ("engine", "current_day", _G, "repro_stream_current_day",
      "Newest day seen on the stream"),
-    ("parallel", "dispatch_rows", _C, "repro_parallel_dispatch_rows_total",
-     "Rows shipped to each worker", "worker"),
-    ("parallel", "dispatch_chunks", _C, "repro_parallel_dispatch_chunks_total",
-     "Row/column frames shipped to each worker", "worker"),
-    ("parallel", "chunk_rows", _H, "repro_parallel_chunk_rows",
-     "Rows per dispatched chunk", None, SIZE_BUCKETS),
-    ("parallel", "queue_depth", _G, "repro_parallel_buffer_rows",
-     "Rows buffered for each worker at last flush", "worker"),
-    ("parallel", "wait_seconds", _H, "repro_parallel_wait_seconds",
-     "Dispatcher time blocked on worker replies"),
-    ("parallel", "merge_seconds", _H, "repro_parallel_merge_seconds",
-     "Worker-partial fold into a merged engine"),
-    ("parallel", "workers_alive", _G, "repro_parallel_workers",
-     "Worker processes currently running"),
-    ("fabric", "heartbeat_seconds", _H, "repro_fabric_heartbeat_seconds",
-     "Master-to-worker heartbeat round-trip time"),
-    ("fabric", "outbox_depth", _G, "repro_fabric_outbox_frames",
-     "Frames queued toward each worker at last monitor tick", "worker"),
-    ("fabric", "workers_lost", _C, "repro_fabric_workers_lost_total",
-     "Socket workers declared dead (timeout or connection loss)"),
-    ("fabric", "requeued_messages", _C, "repro_fabric_requeued_messages_total",
-     "Journaled messages replayed onto surviving workers"),
     ("store", "append_rows", _C, "repro_store_append_rows_total",
      "Rows appended"),
     ("store", "append_seconds", _H, "repro_store_append_seconds",
@@ -177,14 +153,13 @@ def _slots(rows) -> tuple[str, ...]:
 class _Bundle:
     """The binder: registers ``ROWS`` on the telemetry's registry, once.
 
-    *workers* sizes the ``"worker"`` fan-out; *labels* go on every
-    series the bundle registers.
+    *labels* go on every series the bundle registers.
     """
 
     __slots__ = ("telemetry",)
     ROWS: tuple[Metric, ...] = ()
 
-    def __init__(self, telemetry, workers: int = 0, labels=None) -> None:
+    def __init__(self, telemetry, labels=None) -> None:
         self.telemetry = telemetry
         registry = telemetry.registry
         labels = labels or {}
@@ -196,9 +171,7 @@ class _Bundle:
             return getattr(registry, row.kind)(row.name, row.help, series)
 
         for row in self.ROWS:
-            if row.fan_out == "worker":
-                value = [bind(row, worker=str(w)) for w in range(workers)]
-            elif row.fan_out == "endpoint":
+            if row.fan_out == "endpoint":
                 value = {e: bind(row, endpoint=e) for e in SERVE_ENDPOINTS}
             else:
                 value = bind(row)
@@ -210,8 +183,8 @@ class _Locked(_Bundle):
 
     __slots__ = ("_lock",)
 
-    def __init__(self, telemetry, workers: int = 0, labels=None) -> None:
-        super().__init__(telemetry, workers, labels)
+    def __init__(self, telemetry, labels=None) -> None:
+        super().__init__(telemetry, labels)
         self._lock = threading.Lock()
 
 
@@ -238,66 +211,6 @@ class EngineInstruments(_Bundle):
         if changed:
             self.rotation_events.value += 1
             self.telemetry.emit("rotation_detected", day=day, changed=changed)
-
-
-class ParallelInstruments(EngineInstruments):
-    """Dispatcher metrics, on top of the shared engine vocabulary.
-
-    Per-worker dispatch counters carry a ``worker`` label; wait time is
-    the dispatcher blocking on worker replies (day-pair collections,
-    state merges, barriers) -- dispatcher-side idle, the number that
-    says whether workers or the feed are the bottleneck.  Built as
-    ``ParallelInstruments(telemetry, num_workers)``.
-    """
-
-    ROWS = EngineInstruments.ROWS + _rows("parallel")
-    __slots__ = _slots(_rows("parallel"))  # the engine's are inherited
-
-    def dispatched(self, worker: int, rows: int) -> None:
-        self.dispatch_rows[worker].value += rows
-        self.dispatch_chunks[worker].value += 1
-        self.chunk_rows.observe(rows)
-
-    def worker_joined(self, worker: int, pid: int | None) -> None:
-        self.workers_alive.value += 1
-        self.telemetry.emit("worker_join", worker=worker, pid=pid)
-
-    def worker_exited(self, worker: int) -> None:
-        self.workers_alive.value -= 1
-        self.telemetry.emit("worker_exit", worker=worker)
-
-
-class FabricInstruments(_Locked):
-    """Socket-transport metrics: heartbeat RTT, outbox depth, losses.
-
-    Built as ``FabricInstruments(telemetry, num_workers)``.  Heartbeats
-    land on per-channel reader threads and the monitor thread bumps
-    outbox gauges, so -- like :class:`ServeInstruments` -- updates take
-    a small lock.  Cadence is per-heartbeat (seconds apart), never
-    per-row, so the lock is nowhere near a hot path.
-    """
-
-    ROWS = _rows("fabric")
-    __slots__ = _slots(ROWS)
-
-    def heartbeat(self, worker: int, seconds: float) -> None:
-        with self._lock:
-            self.heartbeat_seconds.observe(seconds)
-
-    def outbox(self, worker: int, depth: int) -> None:
-        with self._lock:
-            if 0 <= worker < len(self.outbox_depth):
-                self.outbox_depth[worker].value = depth
-
-    def worker_lost(self, worker: int) -> None:
-        with self._lock:
-            self.workers_lost.value += 1
-        self.telemetry.emit("fabric_worker_lost", worker=worker)
-
-    def requeued(self, messages: int) -> None:
-        with self._lock:
-            self.requeued_messages.value += messages
-        self.telemetry.emit("fabric_requeue", messages=messages)
 
 
 class StoreInstruments(_Bundle):

@@ -16,8 +16,8 @@ insertion order never forks identity.
 
 Registries merge: :meth:`MetricsRegistry.merge` folds another
 registry's values in (counters and histograms add, gauges take the
-incoming value), which is what a multi-worker deployment uses to
-aggregate per-worker partials into one exposition.
+incoming value), so per-process partials can be aggregated into one
+exposition.
 
 Telemetry is *execution* state, never result state: nothing in this
 module is serialized into engine checkpoints, and the stream fuzz
@@ -90,7 +90,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that goes up and down (queue depth, bytes, live workers)."""
+    """A value that goes up and down (queue depth, bytes, subscribers)."""
 
     __slots__ = ("name", "labels", "help", "value")
     kind = "gauge"

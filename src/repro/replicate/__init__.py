@@ -2,7 +2,7 @@
 
 A binary-checkpoint campaign gains a hot spare: the primary's
 :class:`SegmentShipper` streams every checkpoint segment -- byte-exact
-off the chain file, over the fabric's authenticated framing -- to any
+off the chain file, over authenticated RFB1 framing -- to any
 number of :class:`ReplicaFollower` subscribers, each of which merges
 the chain incrementally (the same validate-before-mutate assembler the
 file reader uses), tracks its replication lag, optionally serves

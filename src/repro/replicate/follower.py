@@ -40,11 +40,10 @@ from pathlib import Path
 from repro import config
 from repro.stream.checkpoint import atomic_write
 from repro.stream.ckptbin import ChainAssembler, CheckpointError
-from repro.stream.fabric import framing
-from repro.stream.fabric.framing import parse_address, set_nodelay
-from repro.stream.fabric.protocol import FabricError
 from repro.util import get_logger
 
+from . import framing
+from .framing import MAX_FRAME, parse_address, set_nodelay
 from .protocol import HELLO_FRAME_MAX, PROTO_VERSION, ReplicationError
 
 log = get_logger("repro.replicate.follower")
@@ -61,28 +60,22 @@ class ReplicaFollower:
         authkey: str | None = None,
         telemetry=None,
         connect_timeout: float | None = None,
-        max_frame: int | None = None,
         retry_interval: float = 0.5,
         max_retries: int | None = None,
     ) -> None:
         settings = config.current(
             replicate_authkey=authkey,
             replicate_connect_timeout=connect_timeout,
-            fabric_max_frame_bytes=max_frame,
         )
-        self.authkey = settings.replicate_authkey or settings.fabric_authkey
+        self.authkey = settings.replicate_authkey
         if self.authkey is None:
             raise ReplicationError(
                 "a follower needs the primary's authkey: pass authkey= or "
-                "set REPRO_REPLICATE_AUTHKEY / REPRO_FABRIC_AUTHKEY"
+                "set REPRO_REPLICATE_AUTHKEY"
             )
-        try:
-            self._host, self._port = parse_address(address)
-        except FabricError as exc:
-            raise ReplicationError(str(exc)) from None
+        self._host, self._port = parse_address(address)
         self.address = address
         self._timeout = settings.replicate_connect_timeout
-        self._max_frame = settings.fabric_max_frame_bytes
         self.retry_interval = retry_interval
         self.max_retries = max_retries
         self.telemetry = telemetry
@@ -277,7 +270,7 @@ class ReplicaFollower:
 
     def _receive(self, sock: socket.socket) -> None:
         while not self._stop.is_set():
-            message = framing.decode(framing.recv_frame(sock, self._max_frame))
+            message = framing.decode(framing.recv_frame(sock, MAX_FRAME))
             if not isinstance(message, tuple) or not message:
                 raise framing.FrameError(f"malformed message: {message!r}")
             if message[0] == "segment":
@@ -495,8 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--authkey",
         default=None,
-        help="shared secret (default: REPRO_REPLICATE_AUTHKEY / "
-        "REPRO_FABRIC_AUTHKEY)",
+        help="shared secret (default: REPRO_REPLICATE_AUTHKEY)",
     )
     parser.add_argument(
         "--chain",

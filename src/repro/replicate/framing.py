@@ -1,4 +1,4 @@
-"""Length-prefixed, CRC-checked message framing for fabric sockets.
+"""Length-prefixed, CRC-checked message framing for replication sockets.
 
 One frame = a 12-byte header (4-byte magic, little-endian uint32
 payload length, little-endian CRC-32 of the payload) followed by the
@@ -8,28 +8,26 @@ rejects absurd allocations before they happen; the CRC catches
 truncated or corrupted frames -- any of the three raises
 :class:`FrameError`, and a connection that produced one is unusable
 (framing offers no resynchronization point mid-stream, by design: the
-master treats the worker as lost and requeues).
+follower drops the connection and re-subscribes).
 
-Message payloads are pickled: every fabric message is flat Python
-scalars, lists of ints, or 64-bit column arrays, all of which pickle
-compactly; replies carry stdlib arrays only, so they survive a
-numpy/no-numpy boundary (see ``protocol.WorkerCore``).
-Unpickling attacker-controlled bytes is arbitrary code execution, and
-a TCP listener -- even the loopback one a local ``workers=N`` run
-binds -- is dialable by anything that can route to it.  So no fabric
-frame is ever *unpickled* before the peer proves knowledge of the
-shared authkey: every connection starts with a
-mutual HMAC-SHA256 challenge-response handshake
+Message payloads are pickled: every replication message is a small
+tagged tuple of scalars, a dict of them, or one raw checkpoint
+segment.  Unpickling attacker-controlled bytes is arbitrary code
+execution, and a TCP listener -- even a loopback one -- is dialable by
+anything that can route to it.  So no frame is ever *unpickled* before
+the peer proves knowledge of the shared authkey: every connection
+starts with a mutual HMAC-SHA256 challenge-response handshake
 (:func:`authenticate_master` / :func:`authenticate_worker`, the same
 scheme as ``multiprocessing.connection``) whose frames are raw bytes,
 never pickled, and are capped at :data:`AUTH_FRAME_MAX` so an
 unauthenticated peer cannot force a large allocation either.
+Authenticated frames are capped at :data:`MAX_FRAME`.
 
-The endpoint helpers every listener and dialer of these frames shares
-(fabric master and worker, replication shipper and follower) live here
-too: :func:`parse_address` / :func:`format_address` round-trip
-``tcp://host:port`` with IPv6 literals bracketed, and
-:func:`set_nodelay` turns Nagle off on a connected socket.
+The endpoint helpers every listener and dialer shares (the shipper,
+the follower, the HTTP front end) live here too: :func:`parse_address`
+/ :func:`format_address` round-trip ``tcp://host:port`` with IPv6
+literals bracketed, and :func:`set_nodelay` turns Nagle off on a
+connected socket.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import struct
 import zlib
 from urllib.parse import urlsplit
 
-from repro.stream.fabric.protocol import FabricError
+from repro.replicate.protocol import ReplicationError
 
 MAGIC = b"RFB1"
 
@@ -54,6 +52,10 @@ _CHALLENGE_PREFIX = b"#RFB-CHALLENGE#"
 _DIGEST_PREFIX = b"#RFB-DIGEST#"
 _NONCE_BYTES = 32
 AUTH_FRAME_MAX = 256
+
+#: Largest accepted authenticated frame payload, bytes: a checkpoint
+#: segment is one frame.
+MAX_FRAME = 256 * 1024 * 1024
 
 
 class FrameError(RuntimeError):
@@ -72,16 +74,17 @@ class AuthenticationError(FrameError):
 def parse_address(address: str) -> tuple[str, int]:
     """``tcp://host:port`` (scheme optional, IPv6 literals bracketed)
     -> ``(host, port)``; inverse of :func:`format_address`.  Anything
-    else raises :class:`FabricError` naming the bad part."""
+    else raises :class:`~repro.replicate.protocol.ReplicationError`
+    naming the bad part."""
     try:
         parts = urlsplit(address if "://" in address else f"tcp://{address}")
         host, port = parts.hostname, parts.port
     except ValueError as exc:  # an unclosed IPv6 bracket, a bad port
-        raise FabricError(f"bad fabric address {address!r}: {exc}") from None
+        raise ReplicationError(f"bad replication address {address!r}: {exc}") from None
     if parts.scheme != "tcp":
-        raise FabricError(f"unsupported fabric scheme {parts.scheme!r}")
+        raise ReplicationError(f"unsupported replication scheme {parts.scheme!r}")
     if host is None or port is None:
-        raise FabricError(f"fabric address needs host:port, got {address!r}")
+        raise ReplicationError(f"replication address needs host:port, got {address!r}")
     return host, port
 
 
@@ -122,7 +125,7 @@ def deliver_challenge(sock, authkey: str) -> None:
     if not reply.startswith(_DIGEST_PREFIX) or not hmac.compare_digest(
         reply[len(_DIGEST_PREFIX) :], _digest(authkey, nonce)
     ):
-        raise AuthenticationError("fabric authentication failed: digest mismatch")
+        raise AuthenticationError("authentication failed: digest mismatch")
 
 
 def answer_challenge(sock, authkey: str) -> None:
@@ -136,7 +139,8 @@ def answer_challenge(sock, authkey: str) -> None:
 
 
 def authenticate_master(sock, authkey: str) -> None:
-    """Master side of the mutual handshake: challenge, then answer.
+    """Listening side of the mutual handshake (the shipper): challenge,
+    then answer.
 
     Runs on every accepted connection *before* any pickled frame is
     decoded; an imposter is rejected while the conversation is still
@@ -147,18 +151,19 @@ def authenticate_master(sock, authkey: str) -> None:
 
 
 def authenticate_worker(sock, authkey: str) -> None:
-    """Worker side of the mutual handshake: answer, then challenge.
+    """Dialing side of the mutual handshake (the follower): answer,
+    then challenge.
 
-    The return leg is what stops a worker from trusting a pickled
-    ``welcome`` off an unauthenticated listener: the master must prove
-    the authkey too before the worker decodes anything.
+    The return leg is what stops a follower from trusting a pickled
+    ``welcome`` off an unauthenticated listener: the shipper must prove
+    the authkey too before the follower decodes anything.
     """
     answer_challenge(sock, authkey)
     deliver_challenge(sock, authkey)
 
 
 def encode(message) -> bytes:
-    """Serialize one fabric message to a frame payload."""
+    """Serialize one message to a frame payload."""
     return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -221,6 +226,7 @@ __all__ = [
     "FrameError",
     "HEADER_BYTES",
     "MAGIC",
+    "MAX_FRAME",
     "answer_challenge",
     "authenticate_master",
     "authenticate_worker",

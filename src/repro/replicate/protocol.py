@@ -1,6 +1,6 @@
 """The replication wire protocol: constants and errors.
 
-Replication rides the fabric's framing layer wholesale -- RFB1
+Replication rides :mod:`repro.replicate.framing` wholesale -- RFB1
 length-prefixed CRC-checked frames, pickled tagged-tuple messages, and
 the mutual HMAC-SHA256 authkey handshake -- so the only protocol here
 is the message vocabulary:
@@ -26,12 +26,12 @@ is the message vocabulary:
 
 Nothing is unpickled before the handshake completes, and the
 ``subscribe`` frame is capped at :data:`HELLO_FRAME_MAX` -- the same
-pre-auth allocation discipline the fabric enforces.
+pre-auth allocation discipline the handshake's raw frames keep.
 """
 
 from __future__ import annotations
 
-#: Replication protocol revision (independent of the fabric's).
+#: Replication protocol revision.
 PROTO_VERSION = 1
 
 #: Largest accepted ``subscribe`` frame -- it is a tiny tuple; anything

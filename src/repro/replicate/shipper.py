@@ -27,10 +27,9 @@ the missing tail from its in-memory chain copy -- never from the file,
 which only the checkpoint thread may touch -- or the whole chain when
 the follower is on another base.
 
-Security matches the fabric: mutual HMAC authkey handshake before any
-pickled frame is decoded (:mod:`repro.stream.fabric.framing`).  With
-no key configured (``REPRO_REPLICATE_AUTHKEY``, falling back to
-``REPRO_FABRIC_AUTHKEY``) the shipper generates a random one, exposed
+Security: a mutual HMAC authkey handshake before any pickled frame is
+decoded (:mod:`repro.replicate.framing`).  With no key configured
+(``REPRO_REPLICATE_AUTHKEY``) the shipper generates a random one, exposed
 as :attr:`SegmentShipper.authkey` for followers it shares a process or
 deploy script with.
 """
@@ -45,11 +44,10 @@ from collections import deque
 
 from repro import config
 from repro.stream.ckptbin import segment_bytes
-from repro.stream.fabric import framing
-from repro.stream.fabric.framing import format_address, parse_address, set_nodelay
-from repro.stream.fabric.protocol import FabricError
 from repro.util import get_logger
 
+from . import framing
+from .framing import MAX_FRAME, format_address, parse_address, set_nodelay
 from .protocol import HELLO_FRAME_MAX, PROTO_VERSION, ReplicationError
 
 log = get_logger("repro.replicate.shipper")
@@ -141,26 +139,16 @@ class SegmentShipper:
         telemetry=None,
         outbox_segments: int | None = None,
         connect_timeout: float | None = None,
-        max_frame: int | None = None,
     ) -> None:
         settings = config.current(
             replicate_authkey=authkey,
             replicate_outbox_frames=outbox_segments,
             replicate_connect_timeout=connect_timeout,
-            fabric_max_frame_bytes=max_frame,
         )
-        self.authkey = (
-            settings.replicate_authkey
-            or settings.fabric_authkey
-            or secrets.token_hex(16)
-        )
+        self.authkey = settings.replicate_authkey or secrets.token_hex(16)
         self._bound = settings.replicate_outbox_frames
         self._timeout = settings.replicate_connect_timeout
-        self._max_frame = settings.fabric_max_frame_bytes
-        try:
-            host, port = parse_address(address)
-        except FabricError as exc:
-            raise ReplicationError(str(exc)) from None
+        host, port = parse_address(address)
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._listener = socket.create_server((host, port), family=family)
         self._host = host
@@ -246,7 +234,7 @@ class SegmentShipper:
             framing.send_frame(
                 sock,
                 framing.encode(
-                    ("welcome", PROTO_VERSION, {"max_frame": self._max_frame})
+                    ("welcome", PROTO_VERSION, {"max_frame": MAX_FRAME})
                 ),
             )
             sock.settimeout(None)

@@ -43,7 +43,7 @@ class TrackerDaemon:
         self.campaign = campaign
         self.telemetry = campaign.telemetry
         self.publisher = SnapshotPublisher(
-            campaign.live_engine,
+            campaign.engine,
             self.telemetry,
             min_interval=min_snapshot_interval,
         )
@@ -98,7 +98,6 @@ class TrackerDaemon:
         try:
             while not campaign.finished and not self._stop.is_set():
                 campaign.run(max_days=1)
-                self.publisher.rebind(campaign.live_engine)
                 self.publisher.refresh()
             self.publisher.refresh(force=True)
             if campaign.finished and linger:

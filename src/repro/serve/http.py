@@ -47,7 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
-from repro.stream.fabric.framing import format_address
+from repro.replicate.framing import format_address
 
 from .snapshot import SnapshotPublisher
 

@@ -160,11 +160,9 @@ class SnapshotPublisher:
     ever touch :attr:`current`, which is a lock-free atomic reference
     read.
 
-    *engine* is a :class:`~repro.stream.engine.StreamEngine` or a
-    :class:`~repro.stream.parallel.ParallelStreamEngine` (refreshes go
-    through its merged ``read_view()``); it may also be swapped later
-    via :meth:`rebind` (the campaign daemon does this when a finished
-    parallel run finalizes into a plain engine).
+    *engine* is a :class:`~repro.stream.engine.StreamEngine`; it may
+    be swapped later via :meth:`rebind` (a serving standby does this
+    when a new segment re-materializes its engine).
     """
 
     def __init__(
@@ -239,8 +237,8 @@ class SnapshotPublisher:
     def _build(self) -> TrackerSnapshot:
         obs = self._obs
         t0 = self._clock() if obs is not None else 0.0
-        engine = self._engine.read_view()
-        self._signature = self._engine.progress_signature()
+        engine = self._engine
+        self._signature = engine.progress_signature()
         self._version += 1
         snapshot = TrackerSnapshot(
             version=self._version,

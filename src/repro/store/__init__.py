@@ -12,9 +12,8 @@ The pieces
 :class:`ColumnBatch`
     One batch of observations as six parallel columns (day, timestamp,
     and the target/source addresses split into uint64 hi/lo halves).
-    The scanner emits it, every backend appends and scans it, the
-    streaming engines ingest it without per-row conversion, and the
-    multiprocess dispatcher ships it to workers as-is.
+    The scanner emits it, every backend appends and scans it, and the
+    streaming engine ingests it without per-row conversion.
 
 :class:`StoreBackend`
     The protocol a corpus holder implements, 14 members, columns

@@ -9,15 +9,14 @@ uint64 halves.  This is the lingua franca of the storage redesign:
   :class:`~repro.scan.zmap.ScanResult`'s ``batch``), which owns the
   rule for the day a reply belongs to,
 * every :class:`~repro.store.backend.StoreBackend` appends and scans it,
-* the streaming engines consume it without per-observation conversion
-  (:meth:`~repro.stream.engine.StreamEngine.ingest_columns`), and
-* the multiprocess dispatcher ships it to workers as-is -- flat lists
-  pickle in one pass, with no per-row tuple objects to build or walk.
+  and
+* the streaming engine consumes it without per-observation conversion
+  (:meth:`~repro.stream.engine.StreamEngine.ingest_columns`).
 
 The day and address columns are stdlib :mod:`array` buffers (``'q'`` /
 ``'Q'``), so the type works on a stdlib-only install, every read
-indexes back to an exact Python int, pickling for the worker frames is
-one machine-byte blob per column, and -- when numpy is available --
+indexes back to an exact Python int, pickling is one machine-byte
+blob per column, and -- when numpy is available --
 the columnar kernel's ``np.array(column, dtype=...)`` call is a C
 memcpy through the buffer protocol instead of a per-int conversion
 walk.  The timestamp column stays a plain list: timestamps never enter

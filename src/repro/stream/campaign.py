@@ -30,7 +30,6 @@ from repro.stream.checkpoint import checkpoint_format as resolve_checkpoint_form
 from repro.stream.checkpoint import checkpoint_savers, read_checkpoint, write_checkpoint
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.feeds import MixedFeed
-from repro.stream.parallel import ParallelStreamEngine
 
 
 class StreamingCampaign:
@@ -41,16 +40,6 @@ class StreamingCampaign:
     path.  Queries that need raw observations use the result store;
     queries the aggregates cover (inferences, rotation candidates,
     sightings) come from the engine without touching the corpus.
-
-    ``workers`` opts the campaign into the parallel ingestion backend:
-    responses are dispatched to that many local worker subprocesses
-    (an int is shorthand for the fabric spec
-    ``"tcp://127.0.0.1:0?workers=N&spawn=process"``; pass a spec string
-    to bind elsewhere and take workers from other hosts) and
-    ``self.engine`` becomes the merged view, refreshed at every day the
-    run stops on and at every checkpoint.  Checkpoints are byte-for-byte
-    the same in both modes, so a run may freely switch worker counts --
-    or drop back to single-process -- across resumes.
 
     ``passive_feeds`` attaches passive vantage data (see
     :mod:`repro.stream.feeds`): the feeds are interleaved with the
@@ -71,8 +60,6 @@ class StreamingCampaign:
         engine: StreamEngine | None = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = 0,
-        workers: "int | str" = 0,
-        batch_rows: int = 8192,
         passive_feeds: "Iterable[Iterable[ProbeObservation]] | None" = None,
         store: "ObservationStore | None" = None,
         telemetry=None,
@@ -84,8 +71,6 @@ class StreamingCampaign:
             raise ValueError("checkpoint_every must be >= 0")
         if checkpoint_every and checkpoint_path is None:
             raise ValueError("checkpoint_every requires a checkpoint_path")
-        if isinstance(workers, int) and workers < 0:
-            raise ValueError("workers must be >= 0")
         self.campaign = campaign
         self.result = CampaignResult(targets_per_day=len(campaign.targets))
         # Caller hook invoked after each completed day (its feed drain
@@ -120,28 +105,6 @@ class StreamingCampaign:
         else:
             self._adopt_engine(engine)
         self.engine = engine
-        self.workers = workers
-        self._parallel: ParallelStreamEngine | None = None
-        if workers:
-            # The (possibly checkpoint-restored) engine seeds the
-            # dispatcher: its aggregates fold into every merge and its
-            # watchlist/day state carries over, so an empty engine is
-            # simply a zero-cost base.  An int spawns that many local
-            # workers on a loopback master; a fabric spec string
-            # ("tcp://host:port?workers=N...") says where to bind and
-            # carries the worker count itself.
-            if isinstance(workers, str):
-                parallel_kwargs = {"transport": workers}
-            else:
-                parallel_kwargs = {"num_workers": workers}
-            self._parallel = ParallelStreamEngine(
-                engine.config,
-                origin_of=campaign.internet.rib.origin_of,
-                batch_rows=batch_rows,
-                base=engine,
-                telemetry=telemetry,
-                **parallel_kwargs,
-            )
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         self.checkpoint_every = checkpoint_every
         # "json" (canonical) or "binary" (columnar delta segments, see
@@ -197,10 +160,7 @@ class StreamingCampaign:
 
             self._obs = CheckpointInstruments(telemetry)
             self._feed_obs = FeedInstruments(telemetry)
-            if self._parallel is None:
-                # Parallel mode instruments the dispatcher instead; the
-                # base engine never ingests directly.
-                engine.attach_telemetry(telemetry)
+            engine.attach_telemetry(telemetry)
             self.result.store.attach_telemetry(telemetry)
 
     def _require_replicable(self, checkpoint_path) -> None:
@@ -219,16 +179,6 @@ class StreamingCampaign:
         caller's to close.  Idempotent."""
         if self.shipper is not None and self._owns_shipper:
             self.shipper.close()
-
-    @property
-    def live_engine(self) -> "StreamEngine | ParallelStreamEngine":
-        """The object live queries and watchlist calls should target.
-
-        Single-process mode: the engine itself.  Parallel mode: the
-        dispatcher, whose ``watch``/``last_sighting`` are stream-exact
-        while ``self.engine`` is only a merged snapshot.
-        """
-        return self._parallel if self._parallel is not None else self.engine
 
     @staticmethod
     def _adopt_engine(engine: StreamEngine) -> None:
@@ -254,8 +204,6 @@ class StreamingCampaign:
         campaign: Campaign,
         checkpoint_path: str | Path,
         checkpoint_every: int = 0,
-        workers: "int | str" = 0,
-        batch_rows: int = 8192,
         passive_feeds: "Iterable[Iterable[ProbeObservation]] | None" = None,
         store: "ObservationStore | None" = None,
         telemetry=None,
@@ -265,11 +213,10 @@ class StreamingCampaign:
         """Rebuild a streaming campaign from a checkpoint file.
 
         The rebuilt run continues from the first unprocessed day; the
-        engine, corpus, and counters come back exactly as written.  The
-        worker count is an execution choice, not checkpoint state: any
-        *workers* value resumes any checkpoint.  Passive feeds are
-        caller-supplied per run (vantage data is not checkpoint state);
-        records for days the checkpoint already closed are dropped.
+        engine, corpus, and counters come back exactly as written.
+        Passive feeds are caller-supplied per run (vantage data is not
+        checkpoint state); records for days the checkpoint already closed
+        are dropped.
 
         *store* reattaches a caller-owned corpus -- typically an
         :class:`ObservationStore` over a
@@ -297,8 +244,6 @@ class StreamingCampaign:
             engine=engine,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
-            workers=workers,
-            batch_rows=batch_rows,
             passive_feeds=passive_feeds,
             telemetry=telemetry,
             checkpoint_format=checkpoint_format,
@@ -322,12 +267,7 @@ class StreamingCampaign:
 
     def _write_checkpoint(self) -> None:
         """One checkpoint through the shared writer: the JSON file, or
-        one binary segment (full on the first write, delta after).
-
-        In parallel mode ``self.engine`` is a fresh merged view at every
-        checkpoint; it carries the dispatcher's stream identity, so the
-        saver still chains deltas of the shards whose count moved.
-        """
+        one binary segment (full on the first write, delta after)."""
         savers = checkpoint_savers(self)
         result = write_checkpoint(
             self.checkpoint_path,
@@ -355,17 +295,6 @@ class StreamingCampaign:
             # ranges + enqueues (slow followers never block it).
             self.shipper.ship(savers[self.checkpoint_path])
 
-    def _refresh_engine(self) -> None:
-        """In parallel mode, re-materialize ``self.engine`` as the
-        merged view (shutting the workers down once the campaign is
-        done); single-process mode needs nothing."""
-        if self._parallel is None:
-            return
-        if self.finished:
-            self.engine = self._parallel.finalize()
-        else:
-            self.engine = self._parallel.snapshot_engine()
-
     def _drain_feed(
         self, through_day: int | None, skip_drained: bool = False
     ) -> None:
@@ -385,7 +314,7 @@ class StreamingCampaign:
         """
         if self._feed is None:
             return
-        engine = self.live_engine
+        engine = self.engine
         floor = engine.current_day
         if skip_drained and floor is not None:
             floor += 1
@@ -422,13 +351,12 @@ class StreamingCampaign:
             self.checkpoint_every
             and self.result.days_run % self.checkpoint_every == 0
         ):
-            self._refresh_engine()
             self._write_checkpoint()
         if self.on_day_complete is not None:
             self.on_day_complete(day)
 
     def checkpoint(self) -> None:
-        """Write a checkpoint now (refreshing the merged view first).
+        """Write a checkpoint now.
 
         The serve daemon's final-checkpoint hook, and useful for any
         caller that wants durability between ``run()`` calls; requires
@@ -436,7 +364,6 @@ class StreamingCampaign:
         """
         if self.checkpoint_path is None:
             raise ValueError("checkpoint() requires a checkpoint_path")
-        self._refresh_engine()
         self._write_checkpoint()
 
     def _salvage_store(self) -> None:
@@ -460,11 +387,10 @@ class StreamingCampaign:
         """Process remaining campaign days; returns the (shared) result.
 
         Delegates to :meth:`Campaign.run_streaming` -- the one ingest
-        loop both batch and streaming modes share -- with the engine (or
-        the parallel dispatcher) as the sink each scan's column batches
-        land in.  *max_days* bounds how many days this
-        call processes (the interruption hook the checkpoint tests
-        exercise).
+        loop both batch and streaming modes share -- with the engine as
+        the sink each scan's column batches land in.  *max_days* bounds
+        how many days this call processes (the interruption hook the
+        checkpoint tests exercise).
 
         If ingest raises mid-campaign, a caller-provided store is
         committed and closed before the exception propagates (see
@@ -488,11 +414,10 @@ class StreamingCampaign:
                 first_day=first_day,
                 days_run=self.result.days_run,
                 total_days=self.campaign.config.days,
-                workers=self.workers,
             )
         self._drain_feed(first_day - 1, skip_drained=True)
         self.campaign.run_streaming(
-            consumer=self.live_engine,
+            consumer=self.engine,
             result=self.result,
             start_offset=self.result.days_run,
             max_days=max_days,
@@ -505,21 +430,14 @@ class StreamingCampaign:
             self._drain_feed(None)
         # Close the day.  close_open_day() is flush() without its return
         # value, the live detection, which nothing here reads.
-        if self._parallel is not None:
-            if not self.finished:
-                self._parallel.close_open_day()
-            # finished: _refresh_engine finalizes, which flushes itself
-            # (and is a cached no-op if a prior run already finalized).
-            self._refresh_engine()
-        else:
-            self.engine.close_open_day()
+        self.engine.close_open_day()
         if self.checkpoint_path is not None:
             self._write_checkpoint()
         if self.finished and self.telemetry is not None:
             self.telemetry.emit(
                 "campaign_finished",
                 days_run=self.result.days_run,
-                responses=self.live_engine.responses_ingested,
+                responses=self.engine.responses_ingested,
                 passive_ingested=self.passive_ingested,
                 passive_dropped=self.passive_dropped,
                 dedup_suppressed=self.dedup_suppressed,
@@ -547,7 +465,7 @@ class StreamingCampaign:
         return {
             "days_run": self.result.days_run,
             "probes_sent": self.result.probes_sent,
-            "responses": self.live_engine.responses_ingested,
+            "responses": self.engine.responses_ingested,
             "passive_ingested": self.passive_ingested,
             "passive_dropped": self.passive_dropped,
             "dedup_suppressed": self.dedup_suppressed,

@@ -467,8 +467,7 @@ class BinaryCheckpointer:
     segments holding only the shards whose row count moved since the
     last segment and the store tail.  A *stream* is what
     :meth:`~repro.stream.sink.IngestSinkBase._init_stream_order` names:
-    an engine, or a dispatcher with its resumed base and every merged
-    view it hands out -- one frozen config, so one shard count.  A
+    one engine -- one frozen config, so one shard count.  A
     forced full is a fresh saver on the path.  A delta that would hold
     nothing the chain lacks -- no moved count, no new store row, the
     head, progress and prune threshold of the segment just written --

@@ -1,10 +1,9 @@
 """Columnar (numpy) kernel: the whole state of a kernel engine, as columns.
 
-Profiling the streaming subsystem shows per-worker apply cost dominated
-by Python ``set.add``/``dict`` inserts -- every observation pays for
-hashing 128-bit ints and interpreter dispatch, so parallel workers gain
-little over the serial per-observation loop.  This module replaces that
-hot loop with a columnar kernel:
+Profiling the streaming subsystem shows the per-observation apply cost
+dominated by Python ``set.add``/``dict`` inserts -- every observation
+pays for hashing 128-bit ints and interpreter dispatch.  This module
+replaces that hot loop with a columnar kernel:
 
 * each chunk of observations is split into ``uint64`` columns --
   addresses as (hi, lo) pairs, plus day / origin-AS / shard columns;
@@ -23,9 +22,8 @@ hot loop with a columnar kernel:
     ``retain_days`` day close ever need.
   - ``shard_records()`` slices the runs and the per-day pair chunks
     per shard into *column records* -- numpy views, no copy -- the one
-    shape state leaves in: both checkpoint formats, the fabric's
-    ``state`` reply and the dispatcher's merge; a day's pairs are
-    sorted once.  ``adopt()`` is the one way records come back in.
+    shape state leaves in, for both checkpoint formats; a day's pairs
+    are sorted once.  ``adopt()`` is the one way records come back in.
 
 With the kernel the accumulator is the one owner of engine state, and
 without it :class:`ShardState` is; nothing holds both, so no reader or
@@ -132,7 +130,7 @@ def column_batch_arrays(batch, day_column, route_of):
     every day segment of the batch via slicing.  *route_of(source)* ->
     ``(slot, asn)`` is consulted once per unique source /48 (the
     caller's memoized route cache) and broadcast back over the rows;
-    the slot is the row's shard (the dispatcher maps it to a worker).
+    the slot is the row's shard.
     *day_column* is the validated array from :func:`day_segments` and
     *batch* must already be truncated to its length.
     """
@@ -153,10 +151,10 @@ def column_batch_arrays(batch, day_column, route_of):
 
 
 def row_columns(rows: list) -> tuple:
-    """Flat ``(day, target, source, asn)`` rows -- the engine's and the
-    dispatcher's per-observation buffers -- as the ``(day, asn, src_hi,
-    src_lo, tgt_hi, tgt_lo)`` stdlib arrays a ``cols`` frame carries
-    (see :meth:`ColumnarAccumulator.absorb_unplaced`).  Needs no numpy."""
+    """Flat ``(day, target, source, asn)`` rows -- the engine's
+    per-observation buffer -- as ``(day, asn, src_hi, src_lo, tgt_hi,
+    tgt_lo)`` stdlib arrays (see
+    :meth:`ColumnarAccumulator.absorb_unplaced`)."""
     return (
         array("q", [r[0] for r in rows]),
         array("q", [r[3] for r in rows]),
@@ -387,14 +385,6 @@ def as_array(col):
     return np.frombuffer(col, dtype=_dtype(col.typecode))
 
 
-def as_stdlib(col) -> array:
-    """A numpy column as a stdlib array of the same type: what crosses
-    to a host that may lack numpy."""
-    out = array("Q" if col.dtype == np.uint64 else "q")
-    out.frombytes(np.ascontiguousarray(col).tobytes())
-    return out
-
-
 def shard_part(sid: int, columns) -> list:
     """One shard's record *columns* (stdlib or numpy) as a run part:
     numpy views behind a constant ``sid`` column."""
@@ -604,8 +594,8 @@ class LiveDetection(RotationDetection):
 class ColumnarAccumulator:
     """A kernel engine's aggregates and per-day pairs, as columns.
 
-    With the kernel this is the *one owner* of an engine's (or a fabric
-    worker's) state: every currency lands here, every reader and writer
+    With the kernel this is the *one owner* of an engine's state: every
+    currency lands here, every reader and writer
     reads here, and the owner holds no :class:`ShardState`.
     Writes come in three shapes -- :meth:`absorb` per placed chunk on
     the hot path, single rows appended to :attr:`rows` (drained a chunk
@@ -621,7 +611,7 @@ class ColumnarAccumulator:
       straight from the per-day chunks (:meth:`day_pairs`).
     * :meth:`shard_records` slices the runs and pair chunks per shard
       into column records (numpy views) -- what both checkpoint formats
-      write and a fabric worker replies.  It moves nothing.
+      write.  It moves nothing.
 
     Every read method drains :attr:`rows` first (as
     :meth:`ObservationStore.add <repro.core.records.ObservationStore.add>`'s
@@ -697,8 +687,8 @@ class ColumnarAccumulator:
 
     def absorb_unplaced(self, columns) -> None:
         """Place and absorb ``(day, asn, src_hi, src_lo, tgt_hi, tgt_lo)``
-        columns (stdlib or numpy) -- a worker's ``cols`` frame, or
-        :func:`row_columns` of flat rows: the vectorized scramble over
+        columns (stdlib or numpy) -- :func:`row_columns` of flat rows:
+        the vectorized scramble over
         the source /32 picks each row's shard, as the engine's does."""
         day, asn, src_hi, src_lo, tgt_hi, tgt_lo = map(as_array, columns)
         sid = vector_shard_index(src_hi >> np.uint64(32), self.num_shards)
@@ -785,12 +775,6 @@ class ColumnarAccumulator:
         )
         self._appeared[day_b] = (pairs_b, appeared_b)
         return changed, net48s, stable
-
-    def day_pairs_set(self, day: int) -> set:
-        """*day*'s pairs as Python ``(target, source)`` tuples: a kernel
-        engine's ``_pairs_on``, which only the parallel dispatcher's
-        day close asks of a resumed base engine."""
-        return set(zip(*pair_ints(self.day_pairs(day)[0])))
 
     def pair_days(self) -> list[int]:
         """Days with buffered pair columns, ascending (checkpoint walk)."""

@@ -11,9 +11,7 @@ Ingestion is partitioned by the source's /32
 (:func:`~repro.stream.shard.shard_index` of
 :func:`~repro.stream.shard.net32_of`, the one placement rule): each
 response updates exactly one shard's aggregates, so shards never share
-mutable state and the dispatcher parallelizes trivially
-(:mod:`repro.stream.parallel` runs the shards in worker processes,
-:mod:`repro.stream.fabric` on other hosts).
+mutable state, and a checkpoint writes and reads state shard by shard.
 
 The fold itself exists twice and only twice: the scalar reference
 :meth:`ShardState.observe <repro.stream.state.ShardState.observe>` and
@@ -42,16 +40,17 @@ its state -- for every currency, nothing else:
 Nothing ever holds both, so nothing joins the two.  State leaves
 either owner as :meth:`StreamEngine.shard_records` column records and
 enters it through :meth:`StreamEngine.adopt_shards` -- every checkpoint
-format, a follower and the dispatcher's merge alike.
+format and a follower alike.
 :meth:`StreamEngine.materialize` folds the records into fresh
 ``ShardState`` objects, for anyone who wants to peek at shards.
 
-Day handling lives in that shared base (the dispatcher runs the same
-code): observation days must arrive non-decreasing (scans are
-time-ordered).  When a new day first appears, the previous day is
-*closed*: its ``<target, EUI response>`` pair set is diffed against the
-day before it -- the same :func:`diff_pairs` the batch detector uses --
-and newly flagged prefixes accumulate in :attr:`live_detection`.  Call
+Day handling lives in the stream-order base
+(:class:`~repro.stream.sink.IngestSinkBase`): observation days must
+arrive non-decreasing (scans are time-ordered).  When a new day first
+appears, the previous day is *closed*: its ``<target, EUI response>``
+pair set is diffed against the day before it -- the same
+:func:`diff_pairs` the batch detector uses -- and newly flagged
+prefixes accumulate in :attr:`live_detection`.  Call
 :meth:`flush` at end of stream to close the final day.
 """
 
@@ -122,7 +121,7 @@ class StreamEngine(IngestSinkBase):
 
     An :class:`~repro.stream.sink.IngestSink`: stream order (day
     open/close, watchlist, ``flush``), the polymorphic ``ingest()`` and
-    the bulk skeletons come from the shared mixin; this class supplies
+    the bulk skeletons come from the stream-order base; this class supplies
     the hand-inlined :meth:`_ingest_observation`, the shard-owning
     hooks, and the columnar fast paths on top of them.
     """
@@ -264,7 +263,7 @@ class StreamEngine(IngestSinkBase):
     def adopt_shards(self, records: dict) -> None:
         """Fold :meth:`shard_records`-shaped records (stdlib or numpy
         columns) into the engine, additively: the one way state enters
-        an engine -- every restore and the dispatcher's merge."""
+        an engine, for every restore."""
         if self._acc is not None:
             self._acc.adopt(records)
             return
@@ -328,8 +327,9 @@ class StreamEngine(IngestSinkBase):
             live.folded = len(live.log)
 
     def _pairs_on(self, day: int) -> set[tuple[int, int]]:
-        if self._acc is not None:
-            return self._acc.day_pairs_set(day)
+        """Every ``(target, EUI source)`` pair of scanned *day*, over the
+        shards: the kernel-less close's input (with the kernel, closes
+        and :meth:`rotation_between` diff ``acc.day_pairs`` columns)."""
         pairs: set[tuple[int, int]] = set()
         for shard in self.shards:
             pairs |= shard.pairs_by_day.get(day, set())

@@ -36,11 +36,11 @@ The feed model has three modes:
   which is what a real adversary holds: its own probe stream plus
   whatever passive vantage it can buy.
 
-Every adapter yields plain observations, so both engines ingest feeds
-through their bulk paths unchanged (``engine.ingest(feed)``) and
+Every adapter yields plain observations, so the engine ingests feeds
+through its bulk paths unchanged (``engine.ingest(feed)``) and
 byte-identical-checkpoint guarantees carry over: a passive feed that
 mirrors an active day-stream produces the same checkpoint as the active
-run, in serial and parallel modes alike.
+run.
 """
 
 from __future__ import annotations

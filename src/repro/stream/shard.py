@@ -1,13 +1,13 @@
-"""Partitioned dispatch for streaming ingestion.
+"""Shard placement for streaming ingestion.
 
 The engine shards its hot-path state so per-IID aggregate updates touch
 one small dict instead of one giant one: a row's shard is
 ``shard_index(net32_of(source), num_shards)``, the response source's
 covering /32 (the provider-block granularity the paper groups by).
 Shard-local state keeps the working set cache-resident during bursts
-from one provider, and gives a natural unit for parallel workers --
-observations for one /32 always land in the same shard, so shards never
-contend.
+from one provider, and gives checkpoints their unit -- observations for
+one /32 always land in the same shard, so shards never share state and
+a binary delta re-emits only the shards whose row count moved.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ _NET32_SHIFT = 96  # bits below a /32 network
 # The splitmix64-style multiplier behind shard placement.  Exposed so the
 # columnar kernel can vectorize the identical scramble over uint64 key
 # columns (multiplication there wraps mod 2**64, matching the IID_MASK
-# truncation below) -- every routing participant must agree bit-for-bit.
+# truncation below) -- the scalar and vector paths must agree bit-for-bit.
 SPLITMIX64 = 0x9E3779B97F4A7C15
 
 
@@ -31,10 +31,10 @@ def net32_of(address: int) -> int:
 def shard_index(partition_key: int, num_shards: int) -> int:
     """The shard owning *partition_key* (a source's :func:`net32_of`).
 
-    The one placement rule, for every routing participant: the engine,
-    the dispatcher and a worker all scramble the same key the same way,
-    so they agree on the owning shard, which is what makes worker
-    partial states mergeable back into the single-process layout.
+    The one placement rule: the engine's scalar route and the columnar
+    kernel's vectorized one scramble the same key the same way, so a
+    row lands in the same shard whichever path folds it, and the
+    checkpoint layout does not depend on numpy.
     """
     # splitmix-style scramble so sequential /32s spread evenly.
     x = (partition_key * SPLITMIX64) & IID_MASK

@@ -1,4 +1,4 @@
-"""The stream-order front end shared by every observation consumer.
+"""The stream-order front end of the observation consumer.
 
 Two things make the day-over-day rotation diff right, and neither may
 be sharded or forked: callers hold different *currencies* (one
@@ -7,9 +7,8 @@ observation, an observation iterable or day-ordered feed, a
 arrive in), and the stream has an *order* -- days arrive
 non-decreasing, a day closes when the next one opens, consecutive
 scanned days diff through :func:`diff_pairs`, the freshest sighting of
-a watched IID wins.  :class:`IngestSinkBase` owns
-both, once, for :class:`~repro.stream.engine.StreamEngine` and
-:class:`~repro.stream.parallel.ParallelStreamEngine` alike:
+a watched IID wins.  :class:`IngestSinkBase` owns both for
+:class:`~repro.stream.engine.StreamEngine`:
 
 * the polymorphic :meth:`~IngestSinkBase.ingest` over every currency;
 * the stream-order fields (``current_day``, ``_closed_through``,
@@ -25,20 +24,22 @@ both, once, for :class:`~repro.stream.engine.StreamEngine` and
   reference loop) and the column-batch skeleton
   (:meth:`~IngestSinkBase.ingest_columns`).
 
-A sink supplies what is genuinely its own:
+The engine supplies the fold itself:
 
-* :meth:`_ingest_observation` -- fold one observation (the
-  per-response path, hand-inlined per sink; campaign drivers hand the
-  sink whole column batches, so nothing in this module runs per probe);
-* :meth:`_absorb_columns` -- take one day-segment's kernel columns;
-* :meth:`_pairs_on` -- the merged ``(target, source)`` pair set of a
-  scanned day;
-* :meth:`_prune_below` -- drop per-day pair state older than a floor;
+* ``_ingest_observation(observation)`` -- fold one observation (the
+  per-response path, hand-inlined; campaign drivers hand the engine
+  whole column batches, so nothing in this module runs per probe);
+* ``_absorb_columns(day, columns)`` -- take one day-segment of
+  :func:`~repro.stream.columnar.column_batch_arrays` columns;
+* ``_pairs_on(day)`` -- the merged ``(target, source)`` pair set of a
+  scanned day, which the set-based close diffs;
+* ``_prune_below(floor)`` -- drop per-day pair state older than a floor;
 
 plus the attributes ``config``, ``store``, ``_obs`` (telemetry
-bundle or ``None``), ``_origin_of`` and ``_route_cache``, which the
-one placement rule (:meth:`~IngestSinkBase._route_of`) reads.
-Everything shared runs once per day or once per chunk, never per probe.
+bundle or ``None``), ``_detection`` (the type of ``live_detection``),
+``_origin_of`` and ``_route_cache``, which the one placement rule
+(:meth:`~IngestSinkBase._route_of`) reads.
+Everything here runs once per day or once per chunk, never per probe.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from repro.stream.shard import net32_of, shard_index
 class IngestSink(Protocol):
     """Anything that absorbs the observation stream.
 
-    Engines, the parallel dispatcher, and transport workers all
-    satisfy it; feeds and campaigns depend only on this surface.
+    A stream engine satisfies it; feeds and campaigns depend only on
+    this surface.
     """
 
     def ingest(self, item) -> int: ...
@@ -106,28 +107,6 @@ class IngestSinkBase:
 
     __slots__ = ()
 
-    #: The type of :attr:`live_detection` (a stream engine's keeps columns).
-    _detection = RotationDetection
-
-    # -- what a sink supplies ----------------------------------------------
-
-    def _ingest_observation(self, observation: ProbeObservation) -> None:
-        """Fold one observation into the sink. O(1); the hot path."""
-        raise NotImplementedError
-
-    def _absorb_columns(self, day: int, columns: tuple) -> None:
-        """Take one day-segment of :func:`column_batch_arrays` columns
-        ``(slot, day, asn, src_hi, src_lo, tgt_hi, tgt_lo)``."""
-        raise NotImplementedError
-
-    def _pairs_on(self, day: int) -> set[tuple[int, int]]:
-        """Every ``(target, EUI source)`` pair seen on scanned *day*."""
-        raise NotImplementedError
-
-    def _prune_below(self, floor: int) -> None:
-        """Drop per-day pair state for days older than *floor*."""
-        raise NotImplementedError
-
     # -- placement ----------------------------------------------------------
 
     def _route_of(self, source: int) -> tuple[int, int]:
@@ -145,17 +124,16 @@ class IngestSinkBase:
 
     # -- stream-order state -------------------------------------------------
 
-    def _init_stream_order(self, source: "IngestSinkBase | None" = None) -> None:
-        """Set the stream-order fields: a fresh stream, or an independent
-        copy of *source*'s (a resumed base, a dispatcher being merged).
+    def _init_stream_order(self) -> None:
+        """Set the stream-order fields of a fresh stream.
 
         The one field list.  ``rotation_days`` is day -> prefixes whose
         pairs were first flagged changed at that day's close; execution
         state for the serve layer, never checkpointed.  ``_stream_id``
-        names the stream, shared with *source*: a binary saver chains a
-        delta only onto a segment of the same stream.
+        names the stream: a binary saver chains a delta only onto a
+        segment of the same stream.
         """
-        self._stream_id = object() if source is None else source._stream_id
+        self._stream_id = object()
         self.current_day: int | None = None
         self._closed_through: int | None = None  # newest day already diffed
         self._days_seen: set[int] = set()  # days with >= 1 observation
@@ -167,23 +145,6 @@ class IngestSinkBase:
         # what the set-based close holds back from rotation_days.
         self._last_appeared: tuple = (None, 0, set())
         self.responses_ingested = 0
-        if source is None:
-            return
-        self.current_day = source.current_day
-        self._closed_through = source._closed_through
-        self._days_seen.update(source._days_seen)
-        self._watch_iids.update(source._watch_iids)
-        for iid, s in source.watched.items():
-            self.watched[iid] = Sighting(s.source, s.day, s.t_seconds)
-        detection = source.live_detection
-        self.live_detection = self._detection(
-            set(detection.changed_pairs),
-            set(detection.rotating_prefixes),
-            detection.stable_pairs,
-        )
-        for day, prefixes in source.rotation_days.items():
-            self.rotation_days[day] = set(prefixes)
-        self.responses_ingested = source.responses_ingested
 
     def progress_signature(self) -> tuple:
         """Changes whenever anything a reader could observe has moved:
@@ -195,11 +156,6 @@ class IngestSinkBase:
             self._closed_through,
             (len(self._watch_iids), len(self.watched)),
         )
-
-    def read_view(self):
-        """The object read-only queries run against: the sink itself,
-        unless it must merge remote state first (the dispatcher)."""
-        return self
 
     # -- watchlist (live tracker pursuit) -----------------------------------
 

@@ -66,9 +66,8 @@ def merge_spans(into: dict, other: dict) -> None:
 def prune_shard_days(shards: "list[ShardState]", threshold: int) -> None:
     """Drop every shard's pair sets for days older than *threshold*.
 
-    The bounded-memory primitive behind ``StreamConfig.retain_days``,
-    shared by the engine's close path and the parallel workers so both
-    prune identically.
+    The bounded-memory primitive behind ``StreamConfig.retain_days``
+    on a kernel-less engine.
     """
     for shard in shards:
         pairs_by_day = shard.pairs_by_day
@@ -209,11 +208,11 @@ class ShardState:
         """Fold one observation, as scalars, into every aggregate.
 
         The kernel-less fold and the scalar reference: when numpy is
-        absent every currency of the engine and the fabric workers
-        lands here (with it, none does -- the columnar accumulator owns
-        the state), and the fuzz harness compares the columnar kernel
-        against it.  O(1), and deliberately hand-inlined: without the
-        kernel this is the per-response hot path.
+        absent every currency of the engine lands here (with it, none
+        does -- the columnar accumulator owns the state), and the fuzz
+        harness compares the columnar kernel against it.  O(1), and
+        deliberately hand-inlined: without the kernel this is the
+        per-response hot path.
         """
         self.n_observations += 1
         self.sources.add(source)

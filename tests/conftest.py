@@ -7,8 +7,8 @@ import pytest
 def forbid_folds():
     """``forbid_folds(monkeypatch) -> calls``: make every way between a
     kernel engine's columns and Python state -- a column record folded
-    into a ``ShardState`` (``materialize()``), a day's pairs or the
-    changed pairs folded into tuples, a shard lifted back into columns
+    into a ``ShardState`` (``materialize()``), changed pairs folded
+    into tuples, a shard lifted back into columns
     -- record itself in *calls* and raise, for as long as *monkeypatch*
     holds.  The no-materialize drills (a served day, a serving standby,
     a JSON-resumed daemon, a JSON restore) run under it."""
@@ -24,9 +24,6 @@ def forbid_folds():
 
             return fold
 
-        monkeypatch.setattr(
-            columnar.ColumnarAccumulator, "day_pairs_set", forbidden("day_pairs_set")
-        )
         monkeypatch.setattr(
             columnar, "fold_changed_pairs", forbidden("fold_changed_pairs")
         )

@@ -46,7 +46,7 @@ def test_path_sink_appends_and_round_trips(tmp_path):
 def test_file_like_sink_is_not_closed():
     buffer = io.StringIO()
     log = EventLog(buffer)
-    log.emit("worker_join", worker=0)
+    log.emit("day_open", day=0)
     log.close()
     assert not buffer.closed  # caller-owned sinks stay open
 

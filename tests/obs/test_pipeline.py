@@ -160,27 +160,6 @@ def test_dashboard_rate_clamps_at_zero_after_resume():
     assert "rate        0/s" in frame
 
 
-def test_dashboard_worker_rows_survive_extra_labels():
-    """Worker rows must parse via the registry's label tuples: a second
-    label (in any order) on the dispatch series used to break the
-    ``series.split('worker=\"')`` parser."""
-    telemetry = Telemetry()
-    telemetry.registry.counter(
-        "repro_parallel_dispatch_rows_total",
-        "rows",
-        {"worker": "3", "host": "alpha"},  # sorts host before worker
-    ).value = 640
-    telemetry.registry.counter(
-        "repro_parallel_dispatch_rows_total",
-        "rows",
-        {"zone": "b", "worker": "11"},  # sorts worker before zone
-    ).value = 320
-    frame = Dashboard(telemetry, stream=io.StringIO()).render()
-    assert "worker  3" in frame
-    assert "worker 11" in frame
-    assert "640" in frame and "320" in frame
-
-
 def test_dashboard_serve_row():
     telemetry = Telemetry()
     telemetry.registry.counter(

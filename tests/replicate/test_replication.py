@@ -256,17 +256,63 @@ def test_close_ends_the_accept_thread_and_frees_the_port(tmp_path):
 
 @pytest.mark.parametrize("address", ["tcp://127.0.0.1:99999", "tcp://[::1:99"])
 def test_malformed_address_is_a_replication_error(address):
-    with pytest.raises(ReplicationError, match="bad fabric address"):
+    with pytest.raises(ReplicationError, match="bad replication address"):
         ReplicaFollower(address, authkey="k")
-    with pytest.raises(ReplicationError, match="bad fabric address"):
+    with pytest.raises(ReplicationError, match="bad replication address"):
         SegmentShipper(address, authkey="k")
 
 
 def test_follower_requires_authkey(monkeypatch):
     monkeypatch.delenv("REPRO_REPLICATE_AUTHKEY", raising=False)
-    monkeypatch.delenv("REPRO_FABRIC_AUTHKEY", raising=False)
     with pytest.raises(ReplicationError, match="authkey"):
         ReplicaFollower("tcp://127.0.0.1:1")
+
+
+def test_wrong_key_follower_never_subscribes():
+    shipper = SegmentShipper(authkey="right", connect_timeout=1.0)
+    try:
+        follower = ReplicaFollower(
+            shipper.address, authkey="wrong", retry_interval=0.05, max_retries=0
+        )
+        with pytest.raises(ReplicationError):
+            follower.run()
+        assert shipper.subscribers == 0
+    finally:
+        shipper.close()
+
+
+DECODED = []
+
+
+def _record_decode():
+    DECODED.append(True)
+
+
+class _Tripwire:
+    """Records itself if anything ever unpickles it."""
+
+    def __reduce__(self):
+        return _record_decode, ()
+
+
+def test_unauthenticated_pickle_is_never_decoded():
+    """A pickled frame where the shipper expects the raw digest fails
+    the prefix check and the connection is dropped: pickle.loads never
+    sees it, and no subscriber slot is taken."""
+    from repro.replicate import framing
+
+    shipper = SegmentShipper(connect_timeout=1.0)
+    try:
+        port = int(shipper.address.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            framing.send_frame(sock, framing.encode(_Tripwire()))
+            framing.recv_frame(sock, framing.AUTH_FRAME_MAX)  # the challenge
+            with pytest.raises((EOFError, OSError)):
+                framing.recv_frame(sock, framing.AUTH_FRAME_MAX)
+        assert shipper.subscribers == 0
+        assert DECODED == []
+    finally:
+        shipper.close()
 
 
 # -- standby serving -------------------------------------------------------

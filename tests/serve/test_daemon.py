@@ -243,7 +243,7 @@ def test_finished_daemon_lingers_until_shutdown(tmp_path):
     # campaign had already finished while the server still answered.
     assert daemon.shutdown_requested
     assert observed["finished_while_serving"] is True
-    assert observed["responses"] == streaming.live_engine.responses_ingested
+    assert observed["responses"] == streaming.engine.responses_ingested
 
 
 def test_finished_daemon_linger_times_out(tmp_path):

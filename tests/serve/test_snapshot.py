@@ -24,8 +24,6 @@ from repro.obs import Telemetry
 from repro.serve import SnapshotPublisher
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
-from repro.stream.fabric import SocketTransport
-from repro.stream.parallel import ParallelStreamEngine
 
 
 def test_initial_snapshot_is_version_one_and_complete(engine):
@@ -192,31 +190,22 @@ def test_rebind_same_engine_is_noop(engine):
     assert publisher.refresh().responses == other.responses_ingested
 
 
-def test_publisher_over_parallel_engine():
-    parallel = ParallelStreamEngine(
-        StreamConfig(keep_observations=False),
-        origin_of=origin_of,
-        num_workers=2,
-        batch_rows=16,
-        transport=SocketTransport(spawn="thread"),
-    )
-    try:
-        parallel.watch(device_iid(0))
-        publisher = SnapshotPublisher(parallel)
-        for observation in corpus(days=3):
-            parallel.ingest(observation)
-        parallel.flush()
-        snapshot = publisher.refresh()
-        assert snapshot.version == 2
-        assert snapshot.responses == parallel.responses_ingested
-        assert set(snapshot.rotations_by_day) == {1, 2}
-        reference = build_engine(days=3)
-        assert snapshot.profiles.keys() == reference.as_profiles().keys()
-        assert snapshot.rotating_prefixes == (
-            reference.live_detection.rotating_prefixes
-        )
-    finally:
-        parallel.close()
+def test_publisher_over_a_per_observation_engine():
+    """Rows that arrive one ``ingest(observation)`` at a time publish
+    what a batch-fed engine's do."""
+    engine = StreamEngine(StreamConfig(keep_observations=False), origin_of=origin_of)
+    engine.watch(device_iid(0))
+    publisher = SnapshotPublisher(engine)
+    for observation in corpus(days=3):
+        engine.ingest(observation)
+    engine.flush()
+    snapshot = publisher.refresh()
+    assert snapshot.version == 2
+    assert snapshot.responses == engine.responses_ingested
+    assert set(snapshot.rotations_by_day) == {1, 2}
+    reference = build_engine(days=3)
+    assert snapshot.profiles.keys() == reference.as_profiles().keys()
+    assert snapshot.rotating_prefixes == reference.live_detection.rotating_prefixes
 
 
 def test_publisher_telemetry_instruments(engine):

@@ -232,16 +232,6 @@ def test_ingest_columns_empty_batch_is_noop():
     engine = StreamEngine(StreamConfig(num_shards=2))
     assert engine.ingest_columns(ColumnBatch()) == 0
     assert engine.responses_ingested == 0
-    from repro.stream.fabric import SocketTransport
-    from repro.stream.parallel import ParallelStreamEngine
-
-    with ParallelStreamEngine(
-        StreamConfig(num_shards=2),
-        num_workers=1,
-        transport=SocketTransport(spawn="thread"),
-    ) as parallel:
-        assert parallel.ingest_columns(ColumnBatch()) == 0
-        assert parallel.responses_ingested == 0
 
 
 def test_add_batches_through_pending_buffer(tmp_path):

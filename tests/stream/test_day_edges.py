@@ -20,10 +20,9 @@ import pytest
 
 from repro.core.records import ProbeObservation
 from repro.core.rotation_detect import target_prefix48
+from repro.store import ColumnBatch
 from repro.stream import columnar
 from repro.stream.engine import StreamConfig, StreamEngine
-from repro.stream.fabric import SocketTransport
-from repro.stream.parallel import ParallelStreamEngine
 
 EUI = 0x0219C6FFFE000001  # carries the ff:fe marker
 NET48 = 0x20010DB8 << 96
@@ -50,6 +49,14 @@ def resident_days(engine: StreamEngine) -> set[int]:
     return days
 
 
+def pairs_on(engine: StreamEngine, day: int) -> set:
+    """*day*'s ``(target, source)`` pairs, read off materialized shards."""
+    pairs: set = set()
+    for shard in engine.materialize():
+        pairs |= shard.pairs_by_day.get(day, set())
+    return pairs
+
+
 class TestClosedDays:
     def test_day_older_than_current_raises_every_path(self):
         stale = ProbeObservation(day=3, t_seconds=0.0, target=1, source=2)
@@ -59,14 +66,8 @@ class TestClosedDays:
             engine.ingest(stale)
         with pytest.raises(ValueError, match="backwards"):
             engine.ingest_batch([stale])
-        with ParallelStreamEngine(
-            StreamConfig(num_shards=1),
-            num_workers=1,
-            transport=SocketTransport(spawn="thread"),
-        ) as parallel:
-            parallel.ingest_batch(eui_obs(5, subnet=1))
-            with pytest.raises(ValueError, match="backwards"):
-                parallel.ingest(stale)
+        with pytest.raises(ValueError, match="backwards"):
+            engine.ingest(ColumnBatch.from_observations([stale]))
 
     def test_current_day_reopens_after_flush(self):
         """flush() closes the in-progress day, but the day is not gone:
@@ -76,7 +77,7 @@ class TestClosedDays:
         engine.flush()
         engine.ingest_batch(eui_obs(0, subnet=2, t_offset=100.0))  # same day
         assert engine.current_day == 0
-        assert len(engine._pairs_on(0)) == 6
+        assert len(pairs_on(engine, 0)) == 6
 
     def test_late_rows_count_in_next_diff_only(self):
         """A closed day's diff is never re-run; rows arriving for the
@@ -172,7 +173,7 @@ class TestPruneVsRotationBetween:
         # Day 0 now diffs as an empty snapshot: only day 1's pairs
         # appear, all flagged as "appeared".
         pruned_diff = engine.rotation_between(0, 1)
-        assert pruned_diff.changed_pairs == engine._pairs_on(1)
+        assert pruned_diff.changed_pairs == pairs_on(engine, 1)
         assert pruned_diff.stable_pairs == 0
         # The accumulated live detection kept day 0's contribution.
         assert engine.live_detection.changed_pairs == live_before

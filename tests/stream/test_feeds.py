@@ -2,9 +2,8 @@
 
 The layer's core guarantee: feeds are *lossless*.  A passive feed that
 mirrors an active day-stream must produce the exact engine state (and
-hence checkpoint bytes) the active run produces -- in serial and
-parallel ingestion modes -- and every adapter must reduce its vantage
-format to plain day-ordered observations.
+hence checkpoint bytes) the active run produces, and every adapter must
+reduce its vantage format to plain day-ordered observations.
 """
 
 import json
@@ -21,7 +20,6 @@ from repro.simnet.vantage import FlowTap
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
-from repro.stream.fabric import SocketTransport
 from repro.stream.feeds import (
     DedupFeed,
     MixedFeed,
@@ -30,7 +28,6 @@ from repro.stream.feeds import (
     sighting_feed,
     tap_feed,
 )
-from repro.stream.parallel import ParallelStreamEngine
 
 
 class TestDedupWindow:
@@ -179,26 +176,6 @@ class TestMirrorEquivalence:
         assert json.dumps(engine_state(mirror)) == json.dumps(engine_state(active))
         assert list(mirror.store) == list(active.store)
 
-    def test_parallel_byte_identical(self):
-        internet, corpus = small_corpus()
-        config = StreamConfig(num_shards=4)
-        active = StreamEngine(config, origin_of=internet.rib.origin_of)
-        active.ingest_batch(list(corpus))
-        active.flush()
-
-        parallel = ParallelStreamEngine(
-            config,
-            origin_of=internet.rib.origin_of,
-            num_workers=2,
-            batch_rows=64,
-            transport=SocketTransport(spawn="thread"),
-        )
-        parallel.ingest(
-            sighting_feed(SightingRecord.from_observation(o) for o in corpus)
-        )
-        merged = parallel.finalize()
-        assert json.dumps(engine_state(merged)) == json.dumps(engine_state(active))
-
     def test_self_sighting_feed_matches_hand_built_observations(self):
         """The self-target convention, spelled out once."""
         _internet, corpus = small_corpus()
@@ -222,7 +199,7 @@ class TestMirrorEquivalence:
 
 class TestEngineEntryPoints:
     def test_ingest_feed_equals_ingest_batch(self):
-        """``ingest(feed)`` is the feed entry point of both engine kinds."""
+        """``ingest(feed)`` is the engine's feed entry point."""
         _internet, corpus = small_corpus()
         via_feed = StreamEngine(StreamConfig(num_shards=2))
         assert via_feed.ingest(iter(corpus)) == len(corpus)
@@ -231,14 +208,6 @@ class TestEngineEntryPoints:
         via_batch.ingest_batch(list(corpus))
         via_batch.flush()
         assert engine_state(via_feed) == engine_state(via_batch)
-        with ParallelStreamEngine(
-            StreamConfig(num_shards=2),
-            num_workers=1,
-            transport=SocketTransport(spawn="thread"),
-        ) as parallel:
-            assert parallel.ingest(iter(corpus)) == len(corpus)
-            merged = parallel.finalize()
-        assert engine_state(merged) == engine_state(via_batch)
 
 
 class TestFlowTap:
@@ -325,27 +294,15 @@ class TestCampaignPassiveFeeds:
             )
         return records
 
-    def test_serial_and_parallel_checkpoints_identical(self, tmp_path):
+    def test_every_day_of_the_window_is_ingested(self, tmp_path):
         days = [2, 3, 4, 5, 6]  # the _worlds campaign window
-        serial_path = tmp_path / "serial.json"
-        parallel_path = tmp_path / "parallel.json"
         serial = StreamingCampaign(
             build_campaign(),
-            checkpoint_path=serial_path,
+            checkpoint_path=tmp_path / "serial.json",
             passive_feeds=[sighting_feed(self._tap_records(days))],
         )
         serial.run()
-        parallel = StreamingCampaign(
-            build_campaign(),
-            checkpoint_path=parallel_path,
-            workers=2,
-            passive_feeds=[sighting_feed(self._tap_records(days))],
-        )
-        parallel.run()
-        assert serial.passive_ingested == parallel.passive_ingested == len(days)
-        assert checkpoint_fingerprint(serial_path) == checkpoint_fingerprint(
-            parallel_path
-        )
+        assert serial.passive_ingested == len(days)
 
     def test_passive_updates_engine_not_store(self):
         days = [2, 3, 4]

@@ -1,37 +1,34 @@
 """Seeded randomized stream-equivalence fuzzing.
 
-Every ingestion path -- per-observation ``ingest()``, the bulk entry
-points, and the parallel dispatcher at any worker count over the socket
-fabric (thread- and subprocess-spawned workers) -- must leave the
-engine in the *same* state for any valid stream as the scalar reference
-fold: a kernel-less engine fed one observation at a time.  The unit and
-world tests pin that on curated scenarios; this harness pins it on ~20
-randomized ones: random rotation cadences, scan gaps, shard modes and
-counts, retention windows, worker counts, chunk sizes, duplicate and
-out-of-order same-day responses, a feed currency drawn afresh for every
-chunk, and a mid-stream snapshot point (at which even seeds also
-``flush()``, so same-day rows arrive after a close).  The oracle is
-``engine_state`` serialized to JSON -- checkpoint bytes -- so any
-divergence in any aggregate, counter, watchlist entry, or stored
-observation fails the seed that found it.
+Every ingestion path -- per-observation ``ingest()`` and the bulk
+entry points -- must leave the engine in the *same* state for any
+valid stream as the scalar reference fold: a kernel-less engine fed
+one observation at a time.  The unit and world tests pin that on
+curated scenarios; this harness pins it on ~20 randomized ones: random
+rotation cadences, scan gaps, shard modes and counts, retention
+windows, chunk sizes, duplicate and out-of-order same-day responses, a
+feed currency drawn afresh for every chunk, and a mid-stream snapshot
+point (at which even seeds also ``flush()``, so same-day rows arrive
+after a close).  The oracle is ``engine_state`` serialized to JSON --
+checkpoint bytes -- so any divergence in any aggregate, counter,
+watchlist entry, or stored observation fails the seed that found it.
 
 The kernel is selected by one thing only -- whether numpy imports -- so
 the harness runs its whole engine set twice: as installed, and (on a
 subset of seeds) with ``repro.stream.columnar.np`` patched to ``None``,
-where the bulk paths and the workers all run the reference fold.  That
-keeps the kernel-less bulk path and kernel-less workers fuzz-covered on
-numpy hosts, not only on the CI no-numpy legs (where both runs
-degenerate to the same, still valid, comparison).
+where the bulk paths run the reference fold.  That keeps the
+kernel-less bulk path fuzz-covered on numpy hosts, not only on the CI
+no-numpy legs (where both runs degenerate to the same, still valid,
+comparison).
 
 Since the storage redesign the harness is also the cross-backend
-oracle: the corpus-keeping reference and parallel engines hold their
-store in memory (:class:`~repro.store.backend.ColumnarBackend`) while
-the bulk engine keeps an sqlite file, and each chunk reaches the bulk
-engine and the dispatcher as single ``ingest(observation)`` calls, an
-``ingest_batch`` or an ``ingest_columns`` (``ColumnBatch`` hand-off /
-column dispatch), drawn per chunk -- so identical checkpoint bytes
-prove layout- and currency-independence (and that the currencies
-interleave), not just kernel equivalence.
+oracle: the corpus-keeping reference engine holds its store in memory
+(:class:`~repro.store.backend.ColumnarBackend`) while the bulk engine
+keeps an sqlite file, and each chunk reaches the bulk engine as single
+``ingest(observation)`` calls, an ``ingest_batch`` or an
+``ingest_columns`` (``ColumnBatch`` hand-off), drawn per chunk -- so
+identical checkpoint bytes prove layout- and currency-independence
+(and that the currencies interleave), not just kernel equivalence.
 
 Since the serve layer the bulk engine is additionally *served*: a
 :class:`~repro.serve.snapshot.SnapshotPublisher` refreshes against it
@@ -43,11 +40,11 @@ The reader leg holds the queries to the same standard as the folds: at
 the snapshot point and at the end, every read accessor of the bulk
 engine (columns: the kernel's runs, the one owner of everything every
 currency, an odd-seed ``materialize()`` and a mid-stream JSON round
-trip left behind) and of the parallel merge must equal the
-per-observation reference's answer, read through the ``ShardState``
-walks, twice over; the checkpoint-bytes oracle then shows the reads
-disturbed nothing.  Without the kernel the same leg runs on the
-``ShardState`` queries alone.
+trip left behind) must equal the per-observation reference's answer,
+read through the ``ShardState`` walks, twice over; the
+checkpoint-bytes oracle then shows the reads disturbed nothing.
+Without the kernel the same leg runs on the ``ShardState`` queries
+alone.
 
 The chunked-scanner leg moves the oracle one layer out, to the probes
 themselves: twin simulated worlds from one random spec, one probed one
@@ -82,12 +79,10 @@ from repro.store import ColumnBatch, SqliteBackend, make_backend
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import engine_state, restore_engine
 from repro.stream.engine import StreamConfig, StreamEngine
-from repro.stream.fabric import SocketTransport
-from repro.stream.parallel import ParallelStreamEngine
 
 SEEDS = range(20)
 # Seeds re-run with the numpy kernel patched out: 0-5 cover the
-# split-point flush (seed parity) at 1, 2 and 4 workers.
+# split-point flush (seed parity) both ways.
 KERNEL_LESS_SEEDS = range(6)
 
 
@@ -223,8 +218,6 @@ def check_ingest_paths_agree(seed, tmp_path):
     if not corpus:  # all days happened to gap out; trivially equivalent
         return
     config = random_config(rng)
-    num_workers = rng.choice([1, 2, 4])
-    batch_rows = rng.choice([5, 17, 64])
     split = rng.randrange(len(corpus) + 1)  # mid-stream snapshot point
     # Even seeds also flush() there, so the rest of that day's rows
     # arrive after their day was closed (and its pairs cached).
@@ -244,16 +237,16 @@ def check_ingest_paths_agree(seed, tmp_path):
     materialize_after = reader_rng.randrange(8) if seed % 2 else None
 
     def backend_store(kind):
-        """Corpus-keeping engines: memory for two, a disk file for one."""
+        """Corpus-keeping engines: memory for one, a disk file for one."""
         if not config.keep_observations:
             return None
         if kind == "sqlite":
             return ObservationStore(SqliteBackend(tmp_path / "fuzz.sqlite"))
         return ObservationStore(make_backend(kind))
 
-    # Telemetry rides on two of the three engines (the untelemetered
-    # reference stays the oracle): instrumentation live on every hot
-    # path must never perturb checkpoint bytes.
+    # Telemetry rides on the bulk engine (the untelemetered reference
+    # stays the oracle): instrumentation live on every hot path must
+    # never perturb checkpoint bytes.
     from repro.obs import Telemetry
 
     reference = kernel_less_engine(
@@ -265,21 +258,7 @@ def check_ingest_paths_agree(seed, tmp_path):
         store=backend_store("sqlite"),
         telemetry=Telemetry(),
     )
-    # The third engine rides the socket fabric: every chunk crosses a
-    # real TCP frame boundary -- serial == sockets is the fabric's
-    # headline contract.  Seed bit 1 picks real subprocess workers
-    # (what ``workers=N`` spawns) over in-process threads, so spawn
-    # mode and the split-point flush (bit 0) meet in every combination.
-    parallel = ParallelStreamEngine(
-        config,
-        origin_of=origin_of,
-        num_workers=num_workers,
-        batch_rows=batch_rows,
-        store=backend_store("columnar"),
-        telemetry=Telemetry(),
-        transport=SocketTransport(spawn=("thread", "process")[seed >> 1 & 1]),
-    )
-    engines = (reference, bulk, parallel)
+    engines = (reference, bulk)
     for iid in watch:
         for engine in engines:
             engine.watch(iid)
@@ -308,30 +287,25 @@ def check_ingest_paths_agree(seed, tmp_path):
 
     # Phase 1: up to the snapshot point.  The reference keeps pace with
     # the bulk engine chunk by chunk, so both materialize at one point.
-    for engine in (bulk, parallel):
-        for index, chunk in enumerate(chunks(rng, corpus[:split])):
-            feed(engine, chunk)
-            if engine is bulk:
-                for observation in chunk:
-                    reference.ingest(observation)
-                if index == materialize_after:
-                    assert bulk.materialize() == reference.materialize()
+    for index, chunk in enumerate(chunks(rng, corpus[:split])):
+        feed(bulk, chunk)
+        for observation in chunk:
+            reference.ingest(observation)
+        if index == materialize_after:
+            assert bulk.materialize() == reference.materialize()
 
-    # Mid-stream: the parallel snapshot and the bulk engine must match
-    # the per-observation engine, in-progress day left open -- and the
-    # serialized store rows must not depend on the backend.
+    # Mid-stream: the bulk engine must match the per-observation
+    # engine, in-progress day left open -- and the serialized store
+    # rows must not depend on the backend.
     versions.append(publisher.refresh(force=True).version)
-    snapshot = parallel.snapshot_engine()
-    check_readers_agree(reference, (bulk, snapshot), reader_days())
+    check_readers_agree(reference, (bulk,), reader_days())
     mid = json.dumps(engine_state(reference))
     assert json.dumps(engine_state(bulk)) == mid
-    assert json.dumps(engine_state(snapshot)) == mid
     if flush_at_split:
         for engine in engines:
             engine.flush()
         mid = json.dumps(engine_state(reference))
         assert json.dumps(engine_state(bulk)) == mid
-        assert json.dumps(engine_state(parallel.snapshot_engine())) == mid
     # The bulk engine goes through a JSON checkpoint and carries on as
     # the engine that state restores to (a kernel engine adopts it).
     bulk = restore_engine(
@@ -342,18 +316,15 @@ def check_ingest_paths_agree(seed, tmp_path):
     # Phase 2: the rest of the stream, then flush everything.
     for observation in corpus[split:]:
         reference.ingest(observation)
-    for engine in (bulk, parallel):
-        for chunk in chunks(rng, corpus[split:]):
-            feed(engine, chunk)
+    for chunk in chunks(rng, corpus[split:]):
+        feed(bulk, chunk)
     reference.flush()
     bulk.flush()
-    merged = parallel.finalize()
 
     versions.append(publisher.refresh(force=True).version)
-    check_readers_agree(reference, (bulk, merged), reader_days())
+    check_readers_agree(reference, (bulk,), reader_days())
     final = json.dumps(engine_state(reference))
     assert json.dumps(engine_state(bulk)) == final
-    assert json.dumps(engine_state(merged)) == final
     # Serving the bulk engine never moved a version backwards.
     assert versions == sorted(versions)
     assert versions[-1] >= 2
@@ -367,11 +338,8 @@ def test_checkpoint_bytes_identical_across_ingest_paths(seed, tmp_path):
 @pytest.mark.parametrize("seed", KERNEL_LESS_SEEDS)
 def test_checkpoint_bytes_identical_without_kernel(seed, tmp_path, monkeypatch):
     """The same engine set with numpy patched out of the kernel module:
-    serial bulk, the dispatcher, thread-spawned workers, mid-stream
-    snapshots and every feed currency all run the scalar
-    reference fold and must produce its bytes.  (Subprocess workers --
-    seeds 2 and 3 -- import numpy afresh, so those seeds pin a
-    kernel-less master against kernel workers: the mixed-host case.)"""
+    serial bulk, mid-stream snapshots and every feed currency all run
+    the scalar reference fold and must produce its bytes."""
     from repro.stream import columnar
 
     monkeypatch.setattr(columnar, "np", None)
@@ -546,16 +514,14 @@ def test_checkpoint_bytes_identical_across_scanner_paths_without_numpy(
 def check_binary_restores(seed, tmp_path):
     """One seed of the format oracle: the canonical JSON checkpoint, a
     binary full segment, and a binary full+delta chain must all restore
-    to byte-identical ``engine_state`` JSON -- mid-stream and at flush,
-    for the serial engine and for the parallel engine's merged
-    snapshots (which chain deltas on the dispatcher's stream identity,
-    the campaign checkpoint path).  And the two ways a binary chain comes
+    to byte-identical ``engine_state`` JSON -- mid-stream and at flush.
+    And the two ways a binary chain comes
     back -- ``load_engine`` (columns straight into the kernel, when the
     engine has one) and ``restore_engine(read_state(...))`` (the state
     dict) -- must agree there and, un-materialized, continue the stream
     to the same final bytes."""
     from repro.stream.checkpoint import load_engine, restore_engine, save_engine
-    from repro.stream.ckptbin import BinaryCheckpointer, _read_segments, read_state
+    from repro.stream.ckptbin import _read_segments, read_state
 
     rng = random.Random(seed ^ 0xB19A)
     corpus = random_corpus(rng)
@@ -609,29 +575,6 @@ def check_binary_restores(seed, tmp_path):
             resumed.ingest_columns(ColumnBatch.from_observations(chunk))
         resumed.flush()
         assert json.dumps(engine_state(resumed)) == final
-
-    # Parallel leg: merged snapshots are fresh engine objects at every
-    # save; they share the dispatcher's stream identity, so the second
-    # save still chains a delta.
-    parallel = ParallelStreamEngine(
-        config,
-        origin_of=origin_of,
-        num_workers=rng.choice([1, 2, 4]),
-        transport=SocketTransport(spawn="thread"),
-    )
-    par_path = tmp_path / "parallel.bin"
-    saver = BinaryCheckpointer(par_path)
-    for chunk in chunks(rng, corpus[:split]):
-        parallel.ingest_batch(chunk)
-    first = saver.save(parallel.snapshot_engine())
-    assert first.kind == "full"
-    for chunk in chunks(rng, corpus[split:]):
-        parallel.ingest_batch(chunk)
-    merged = parallel.finalize()
-    second = saver.save(merged)
-    assert second.kind == "delta"
-    assert dump_restored(par_path) == final
-    assert dump_restored_by_dict(par_path) == final
 
 
 @pytest.mark.parametrize("seed", SEEDS)
