@@ -256,10 +256,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "changed pairs as tuples: the kernel-less close folds into them "
         "(no-numpy leg); tests and the fuzz harness read them",
     ),
-    "repro.stream.sink:IngestSinkBase": (
-        "reference",
-        "the set-based close and the reference ingest loop (no-numpy leg)",
-    ),
     "repro.stream.state:ShardState.observe": (
         "reference",
         "the scalar fold: the kernel-less path and the kernel's oracle",
@@ -307,7 +303,7 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "safety",
         "a pursuit's own checkpoint and resume (state, save, restore, load)",
     ),
-    # -- interface: protocol hooks a backend, sink or policy supplies
+    # -- interface: protocol hooks a backend or policy supplies
     "repro.core.records:ObservationStore.days": ("interface", "StoreBackend query"),
     "repro.core.records:ObservationStore.iid_history": (
         "interface",
@@ -323,7 +319,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.store.backend:StoreBackend": ("interface", "Protocol stubs"),
     "repro.store.backend:ColumnarBackend": ("interface", "StoreBackend queries"),
     "repro.store.sqlite:SqliteBackend": ("interface", "StoreBackend queries"),
-    "repro.stream.sink:IngestSink": ("interface", "Protocol stubs"),
     # -- entry: command-line and deployment entry points
     "repro.replicate.follower:main": ("entry", "python -m repro.replicate.follower"),
     "repro.replicate.follower:ReplicaFollower.promote_campaign": (
@@ -358,10 +353,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.stream.columnar:ColumnarAccumulator.drop_pair_days": (
         "pending: ROADMAP item 4",
         "retain_days pruning; item 4 checks resident pair-days stay flat",
-    ),
-    "repro.stream.engine:StreamEngine._prune_below": (
-        "pending: ROADMAP item 4",
-        "retain_days pruning",
     ),
     "repro.stream.engine:StreamEngine.prune_pair_days": (
         "pending: ROADMAP item 4",

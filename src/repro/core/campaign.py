@@ -33,7 +33,7 @@ from repro.simnet.internet import SimInternet
 from repro.store.batch import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.stream.sink import IngestSink
+    from repro.stream.engine import StreamEngine
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ class Campaign:
 
     def run_streaming(
         self,
-        consumer: "IngestSink | Callable[[ProbeObservation], None] | None" = None,
+        consumer: "StreamEngine | Callable[[ProbeObservation], None] | None" = None,
         result: CampaignResult | None = None,
         start_offset: int = 0,
         max_days: int | None = None,
@@ -171,9 +171,8 @@ class Campaign:
         """Single-pass campaign: each scan's responses reach *consumer*
         and the store chunk by chunk, as column batches.
 
-        *consumer* is an ingest sink (anything with ``ingest_columns``,
-        such as a stream engine), which takes each
-        batch whole, or a plain callable, which is handed one
+        *consumer* is a stream engine (anything with ``ingest_columns``),
+        which takes each batch whole, or a plain callable, which is handed one
         :class:`ProbeObservation` per row.  Produces a result identical
         to batch mode -- ``run()`` *is* this loop with no consumer.
         This is the one correctness-critical ingest loop; every

@@ -195,7 +195,8 @@ class EngineInstruments(_Bundle):
     __slots__ = _slots(ROWS)
 
     def observe_batch(self, rows: int) -> None:
-        self.responses.value += rows
+        """One ``ingest_batch`` or ``ingest_columns`` call of *rows*
+        (the rows themselves count as they fold)."""
         self.batches.value += 1
         self.batch_rows.observe(rows)
 

@@ -228,7 +228,7 @@ class ReplicaFollower:
         )
         try:
             set_nodelay(sock)
-            framing.authenticate_worker(sock, self.authkey)
+            framing.authenticate_follower(sock, self.authkey)
             framing.send_frame(
                 sock,
                 framing.encode(

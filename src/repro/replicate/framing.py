@@ -17,7 +17,7 @@ execution, and a TCP listener -- even a loopback one -- is dialable by
 anything that can route to it.  So no frame is ever *unpickled* before
 the peer proves knowledge of the shared authkey: every connection
 starts with a mutual HMAC-SHA256 challenge-response handshake
-(:func:`authenticate_master` / :func:`authenticate_worker`, the same
+(:func:`authenticate_shipper` / :func:`authenticate_follower`, the same
 scheme as ``multiprocessing.connection``) whose frames are raw bytes,
 never pickled, and are capped at :data:`AUTH_FRAME_MAX` so an
 unauthenticated peer cannot force a large allocation either.
@@ -138,7 +138,7 @@ def answer_challenge(sock, authkey: str) -> None:
     )
 
 
-def authenticate_master(sock, authkey: str) -> None:
+def authenticate_shipper(sock, authkey: str) -> None:
     """Listening side of the mutual handshake (the shipper): challenge,
     then answer.
 
@@ -150,7 +150,7 @@ def authenticate_master(sock, authkey: str) -> None:
     answer_challenge(sock, authkey)
 
 
-def authenticate_worker(sock, authkey: str) -> None:
+def authenticate_follower(sock, authkey: str) -> None:
     """Dialing side of the mutual handshake (the follower): answer,
     then challenge.
 
@@ -228,8 +228,8 @@ __all__ = [
     "MAGIC",
     "MAX_FRAME",
     "answer_challenge",
-    "authenticate_master",
-    "authenticate_worker",
+    "authenticate_shipper",
+    "authenticate_follower",
     "decode",
     "deliver_challenge",
     "encode",

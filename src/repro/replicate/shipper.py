@@ -217,7 +217,7 @@ class SegmentShipper:
         try:
             sock.settimeout(self._timeout)
             set_nodelay(sock)
-            framing.authenticate_master(sock, self.authkey)
+            framing.authenticate_shipper(sock, self.authkey)
             hello = framing.decode(framing.recv_frame(sock, HELLO_FRAME_MAX))
             if (
                 not isinstance(hello, tuple)

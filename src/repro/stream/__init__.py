@@ -17,17 +17,13 @@ Layout:
   chunked uint64 address columns, vectorized dedup/min-max reduction;
   when numpy is importable (the ``[fast]`` extra) it owns all of an
   engine's state, for every ingest currency -- without
-  it every call runs the one reference loop in
-  :mod:`repro.stream.sink` over the scalar fold in
-  :mod:`repro.stream.state`;
-* :mod:`repro.stream.engine` -- :class:`StreamEngine`, the single-pass
-  ingestion core with always-current per-AS inferences, live rotation
-  detection, and a watchlist for passive device sightings;
-* :mod:`repro.stream.sink` -- the :class:`IngestSink` protocol and
-  the :class:`IngestSinkBase` mixin: the engine's stream-order front
-  end -- polymorphic ``ingest()``, row placement, the reference
-  ``ingest_batch`` loop, the ``ingest_columns`` skeleton, day
-  open/close, watchlist, ``flush``;
+  it every call runs the engine's one reference loop over the scalar
+  fold in :mod:`repro.stream.state`;
+* :mod:`repro.stream.engine` -- :class:`StreamEngine`, the one
+  single-pass ingestion class: the polymorphic ``ingest()``, row
+  placement, day open/close and the day-over-day diff, ``flush``,
+  always-current per-AS inferences, live rotation detection, and a
+  watchlist for passive device sightings (:class:`Sighting`);
 * :mod:`repro.stream.feeds` -- passive-feed adapters: flow logs,
   provider flow taps, and generic timestamped records (hitlist
   sightings included) as observation streams, plus :class:`MixedFeed`
@@ -49,7 +45,7 @@ from repro.stream.checkpoint import (
     restore_engine,
     save_engine,
 )
-from repro.stream.engine import StreamConfig, StreamEngine
+from repro.stream.engine import Sighting, StreamConfig, StreamEngine
 from repro.stream.feeds import (
     MixedFeed,
     SightingRecord,
@@ -58,12 +54,9 @@ from repro.stream.feeds import (
     tap_feed,
 )
 from repro.stream.shard import shard_index
-from repro.stream.sink import IngestSink, IngestSinkBase, Sighting
 from repro.stream.tracker import LivePursuit, PursuitState
 
 __all__ = [
-    "IngestSink",
-    "IngestSinkBase",
     "LivePursuit",
     "MixedFeed",
     "PursuitState",

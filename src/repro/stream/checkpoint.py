@@ -56,8 +56,7 @@ from repro.core.records import ObservationStore
 from repro.net.addr import Prefix
 from repro.store.batch import ColumnBatch
 from repro.stream.columnar import RUN_FAMILIES
-from repro.stream.engine import StreamConfig, StreamEngine
-from repro.stream.sink import Sighting
+from repro.stream.engine import Sighting, StreamConfig, StreamEngine
 from repro.stream.state import join128, pair_columns, pair_ints, span_columns, split128
 
 FORMAT_VERSION = 1

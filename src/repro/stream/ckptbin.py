@@ -465,8 +465,8 @@ class BinaryCheckpointer:
     truncated, chain at ``max_chain``) rewrites the file atomically
     with a full segment; later saves of the same stream append delta
     segments holding only the shards whose row count moved since the
-    last segment and the store tail.  A *stream* is what
-    :meth:`~repro.stream.sink.IngestSinkBase._init_stream_order` names:
+    last segment and the store tail.  A *stream* is what a
+    :class:`~repro.stream.engine.StreamEngine`'s ``_stream_id`` names:
     one engine -- one frozen config, so one shard count.  A
     forced full is a fresh saver on the path.  A delta that would hold
     nothing the chain lacks -- no moved count, no new store row, the

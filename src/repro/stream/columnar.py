@@ -635,13 +635,11 @@ class ColumnarAccumulator:
             for family, (typecodes, _) in RUN_FAMILIES.items()
         }
         # day -> [(sid, tgt_hi, tgt_lo, src_hi, src_lo), ...] EUI pair
-        # chunks, the diff-ready day_pairs() cache, (the day_pairs() its
-        # close diffed, the mask of their rows emitted as changed), and
-        # (chunks covered, sorted columns).
+        # chunks, the diff-ready day_pairs() cache, and (chunks covered,
+        # sorted columns).
         self._pair_chunks: dict[int, list[tuple]] = {}
         self._merged_pairs: dict[int, tuple] = {}
         self._sorted_pairs: dict[int, tuple] = {}
-        self._appeared: dict[int, tuple] = {}
 
     # -- writing -----------------------------------------------------------
 
@@ -753,28 +751,27 @@ class ColumnarAccumulator:
             self._merged_pairs[day] = merged
         return merged
 
-    def diff_days(self, day_a: int, day_b: int):
+    def diff_days(self, day_a: int, day_b: int, appeared=None):
         """:func:`diff_pair_columns` over two buffered days.
 
-        Tracks which of *day_b*'s rows were emitted as changed so the
-        next close (where they become *day_a*'s disappeared rows) skips
-        re-emitting them -- the deferred changed stream stays
-        duplicate-free without a global re-deduplication at fold time.
-        Late rows for *day_a* void that mask only if they grow its pair
-        count, as the set-based close's ``_last_appeared`` rule does;
-        rows that only repeat pairs leave the set, so the close diffs
-        the rows the mask is over.
+        *appeared* is what the close of *day_a* returned last: the
+        ``day_pairs()`` it diffed and the mask of their rows emitted as
+        changed.  Its rows become *day_a*'s disappeared rows at this
+        close and are not emitted again, so the deferred changed stream
+        stays duplicate-free without a global re-deduplication at fold
+        time.  Late rows for *day_a* void the mask only if they grow its
+        pair count, as the kernel-less close's rule does; rows that only
+        repeat pairs leave the set, so the close diffs the rows the mask
+        is over.  Returns ``(changed, net48s, stable, appeared_b)``.
         """
         pairs_a, emitted_a = self.day_pairs(day_a), None
-        appeared = self._appeared.get(day_a)
         if appeared is not None and len(appeared[0][1]) == len(pairs_a[1]):
             pairs_a, emitted_a = appeared
         pairs_b = self.day_pairs(day_b)
         changed, net48s, stable, appeared_b = diff_pair_columns(
             pairs_a, pairs_b, emitted_a=emitted_a
         )
-        self._appeared[day_b] = (pairs_b, appeared_b)
-        return changed, net48s, stable
+        return changed, net48s, stable, (pairs_b, appeared_b)
 
     def pair_days(self) -> list[int]:
         """Days with buffered pair columns, ascending (checkpoint walk)."""
@@ -814,8 +811,7 @@ class ColumnarAccumulator:
         unaffected (pruning never touches them).
         """
         self.drain()
-        by_day = self._pair_chunks, self._merged_pairs, self._appeared
-        for cache in (*by_day, self._sorted_pairs):
+        for cache in (self._pair_chunks, self._merged_pairs, self._sorted_pairs):
             for day in [d for d in cache if d < threshold]:
                 del cache[day]
 

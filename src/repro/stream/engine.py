@@ -5,26 +5,28 @@
 every per-AS inference the tracker needs -- allocation sizes, rotation
 pools, rotation-candidate prefixes, and last-known addresses of watched
 IIDs -- incrementally up to date, without ever re-walking the
-observation corpus.
+observation corpus.  It is one class: stream order, placement, the
+fold and the queries all live on it.
 
 Ingestion is partitioned by the source's /32
 (:func:`~repro.stream.shard.shard_index` of
-:func:`~repro.stream.shard.net32_of`, the one placement rule): each
-response updates exactly one shard's aggregates, so shards never share
-mutable state, and a checkpoint writes and reads state shard by shard.
+:func:`~repro.stream.shard.net32_of`, the one placement rule,
+:meth:`StreamEngine._route_of`): each response updates exactly one
+shard's aggregates, so shards never share mutable state, and a
+checkpoint writes and reads state shard by shard.
 
 The fold itself exists twice and only twice: the scalar reference
 :meth:`ShardState.observe <repro.stream.state.ShardState.observe>` and
 the numpy :class:`~repro.stream.columnar.ColumnarAccumulator`.  Whether
 numpy imports decides which one an engine runs -- and which one *owns*
-its state -- for every currency, nothing else:
+its state -- for every currency, nothing else; ``self._acc`` is the one
+switch every method branches on:
 
 * **With the kernel** the accumulator is the only owner.  Column
   batches and observation iterables are absorbed a chunk at a time,
   single observations are buffered as flat rows and drained into it a
-  chunk at a time (and before any read), restored or merged column
-  records are adopted into it (:meth:`StreamEngine.adopt_shards`), and
-  every query
+  chunk at a time (and before any read), restored column records are
+  adopted into it (:meth:`StreamEngine.adopt_shards`), and every query
   -- ``asns``, ``allocation_inference[s]``, ``pool_inference[s]``,
   ``as_profiles``, ``unique_sources``, ``unique_eui64_sources``,
   ``eui64_iids``, ``summary``, ``rotation_between``,
@@ -32,10 +34,10 @@ its state -- for every currency, nothing else:
   every checkpoint save reads its columns.  :attr:`StreamEngine.shards`
   is an empty list: the engine holds no :class:`ShardState`.
 * **Without it** :attr:`StreamEngine.shards` is the only owner: every
-  currency runs the reference loop inherited from
-  :class:`~repro.stream.sink.IngestSinkBase`, and the same queries walk
-  ``ShardState`` (the scalar reference the fuzz harness holds the
-  column answers to).
+  currency runs the reference loop (:meth:`StreamEngine.ingest_batch`
+  over :meth:`StreamEngine._ingest_observation`), the close diffs
+  merged pair sets, and the same queries walk ``ShardState`` (the
+  scalar reference the fuzz harness holds the column answers to).
 
 Nothing ever holds both, so nothing joins the two.  State leaves
 either owner as :meth:`StreamEngine.shard_records` column records and
@@ -44,14 +46,14 @@ format and a follower alike.
 :meth:`StreamEngine.materialize` folds the records into fresh
 ``ShardState`` objects, for anyone who wants to peek at shards.
 
-Day handling lives in the stream-order base
-(:class:`~repro.stream.sink.IngestSinkBase`): observation days must
-arrive non-decreasing (scans are time-ordered).  When a new day first
-appears, the previous day is *closed*: its ``<target, EUI response>``
-pair set is diffed against the day before it -- the same
-:func:`diff_pairs` the batch detector uses -- and newly flagged
-prefixes accumulate in :attr:`live_detection`.  Call
-:meth:`flush` at end of stream to close the final day.
+Observation days must arrive non-decreasing (scans are time-ordered).
+When a new day first appears, the previous day is *closed*: its
+``<target, EUI response>`` pair set is diffed against the day before
+it -- the same :func:`diff_pairs` the batch detector uses -- and newly
+flagged prefixes accumulate in :attr:`live_detection`.  Call
+:meth:`flush` at end of stream to close the final day.  Everything
+outside :meth:`StreamEngine._ingest_observation` runs once per day or
+once per chunk, never per probe.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from typing import Callable, Iterable
 
 from repro.core.allocation import AllocationInference, allocation_bits, plen_from_bits
 from repro.core.records import ObservationStore, ProbeObservation
-from repro.core.rotation_detect import RotationDetection, diff_pairs
+from repro.core.rotation_detect import RotationDetection, diff_pairs, target_prefix48
 from repro.core.rotation_pool import (
     RotationPoolInference,
     pool_bits,
@@ -72,7 +74,7 @@ from repro.core.rotation_pool import (
 from repro.core.tracker import AsProfile, inferred_plens, profiles_from
 from repro.store.batch import ColumnBatch
 from repro.stream import columnar as columnar_kernel
-from repro.stream.sink import IngestSinkBase, update_sighting
+from repro.stream.shard import net32_of, shard_index
 from repro.stream.state import (
     ShardState,
     allocation_inference_from_iid_spans,
@@ -85,6 +87,39 @@ from repro.stream.state import (
     pool_inference_from_spans,
     prune_shard_days,
 )
+
+
+@dataclass
+class Sighting:
+    """The freshest observation of a watched IID.
+
+    ``t_seconds`` is ``None`` for a watchlist seed (an anchor supplied
+    by the caller, not yet observed on the stream) -- kept JSON-clean,
+    no infinity sentinels.
+    """
+
+    source: int
+    day: int
+    t_seconds: float | None
+
+
+def update_sighting(
+    watched: dict[int, Sighting], iid: int, source: int, day: int, t_seconds: float
+) -> None:
+    """Record an observation of a watched IID if it is the freshest.
+
+    The one freshness rule (strictly newer ``t_seconds`` wins, so the
+    first arrival keeps a tie), shared by every ingest path.  Callers
+    gate on the watch set first; this only runs for watched IIDs, off
+    the hot path.
+    """
+    sighting = watched.get(iid)
+    if sighting is None:
+        watched[iid] = Sighting(source=source, day=day, t_seconds=t_seconds)
+    elif sighting.t_seconds is None or t_seconds > sighting.t_seconds:
+        sighting.source = source
+        sighting.day = day
+        sighting.t_seconds = t_seconds
 
 
 @dataclass(frozen=True)
@@ -116,15 +151,19 @@ class StreamConfig:
             raise ValueError("retain_days must be >= 2 (the live diff needs 2 days)")
 
 
-class StreamEngine(IngestSinkBase):
+class StreamEngine:
     """Single-pass ingestion with incrementally maintained inferences.
 
-    An :class:`~repro.stream.sink.IngestSink`: stream order (day
-    open/close, watchlist, ``flush``), the polymorphic ``ingest()`` and
-    the bulk skeletons come from the stream-order base; this class supplies
-    the hand-inlined :meth:`_ingest_observation`, the shard-owning
-    hooks, and the columnar fast paths on top of them.
+    Stream order (day open and close, the watchlist, ``flush``), the
+    polymorphic ``ingest()``, placement, the fold and the queries, each
+    written once.
     """
+
+    # How many rows go through the column skeleton at a time.  Bounds
+    # transient memory on lazy feeds (the reference loop is O(1); this
+    # is O(chunk)) while staying large enough to amortize the per-chunk
+    # numpy fixed costs.
+    _COLUMNAR_CHUNK = 16384
 
     def __init__(
         self,
@@ -140,7 +179,22 @@ class StreamEngine(IngestSinkBase):
             self.store = store
         else:
             self.store = ObservationStore() if self.config.keep_observations else None
-        self._init_stream_order()
+        # Stream order.  ``rotation_days`` is day -> prefixes whose pairs
+        # were first flagged changed at that day's close; serve state,
+        # never checkpointed, nor is ``_appeared``: (day, mask) of the
+        # newest diffed close, the pairs that appeared at it (see
+        # _diff_days).  ``_stream_id`` names the stream: a binary saver
+        # chains a delta only onto a segment of the same stream.
+        self._stream_id = object()
+        self.current_day: int | None = None
+        self._closed_through: int | None = None  # newest day already diffed
+        self._days_seen: set[int] = set()  # days with >= 1 observation
+        self._watch_iids: set[int] = set()
+        self.watched: dict[int, Sighting] = {}
+        self.live_detection = columnar_kernel.LiveDetection()
+        self.rotation_days: dict[int, set] = {}
+        self._appeared: tuple = (None, None)
+        self.responses_ingested = 0
         # Hot-path cache: (shard, asn) per source /48 (see _route_of).
         self._route_cache: dict[int, tuple[int, int]] = {}
         # Columnar kernel (numpy sort-reduce per chunk): the owner of all
@@ -165,7 +219,7 @@ class StreamEngine(IngestSinkBase):
 
     def attach_telemetry(self, telemetry) -> None:
         """Bind a :class:`repro.obs.Telemetry` to this engine (and its
-        store, if it owns one).  Safe to call on restored/merged engines;
+        store, if it owns one).  Safe to call on restored engines;
         instruments resolve get-or-create, so re-attaching is idempotent."""
         from repro.obs.instruments import EngineInstruments
 
@@ -173,7 +227,208 @@ class StreamEngine(IngestSinkBase):
         if self.store is not None:
             self.store.attach_telemetry(telemetry)
 
+    def _route_of(self, source: int) -> tuple[int, int]:
+        """``(shard, origin AS)`` of *source*: the shard is
+        :func:`~repro.stream.shard.shard_index` of its /32, an unrouted
+        source has AS 0.  Memoized per /48, which no BGP route in this
+        model splits."""
+        route = self._route_cache.get(source >> 80)
+        if route is None:
+            origin_of = self._origin_of
+            asn = (origin_of(source) or 0) if origin_of is not None else 0
+            shard = shard_index(net32_of(source), self.config.num_shards)
+            route = self._route_cache[source >> 80] = (shard, asn)
+        return route
+
+    def progress_signature(self) -> tuple:
+        """Changes whenever anything a reader could observe has moved:
+        rows ingested, the open day, the newest close, the watchlist
+        (IIDs watched, and how many of them have a sighting)."""
+        return (
+            self.responses_ingested,
+            self.current_day,
+            self._closed_through,
+            (len(self._watch_iids), len(self.watched)),
+        )
+
+    # -- watchlist (live tracker pursuit) -----------------------------------
+
+    def watch(self, iid: int, initial_address: int | None = None) -> None:
+        """Start keeping the freshest sighting of *iid*.
+
+        The passive half of tracking: if the hunted device answers any
+        campaign probe after a rotation, its new address is known without
+        a single extra probe.
+        """
+        self._watch_iids.add(iid)
+        if iid not in self.watched and initial_address is not None:
+            self.watched[iid] = Sighting(
+                source=initial_address, day=self.current_day or 0, t_seconds=None
+            )
+
+    def last_sighting(self, iid: int) -> Sighting | None:
+        return self.watched.get(iid)
+
+    # -- day progression ----------------------------------------------------
+
+    def _open_day(self, day: int) -> None:
+        """Advance the stream to *day*, closing every day before it.
+
+        The one day-open step and the one ordering check: callers come
+        here whenever a row's day differs from ``current_day``.
+        """
+        current = self.current_day
+        if current is not None:
+            if day < current:
+                raise ValueError(
+                    f"stream went backwards: day {day} after day {current}"
+                )
+            self._close_days_through(day - 1)
+        self.current_day = day
+        self._days_seen.add(day)
+        if self._obs is not None:
+            self._obs.day_opened(day)
+
+    def _retain_floor(self) -> int | None:
+        """Oldest pair day ``retain_days`` still keeps, if it bounds any."""
+        retain = self.config.retain_days
+        if retain is None or self._closed_through is None:
+            return None
+        return self._closed_through - retain + 2
+
+    def _close_days_through(self, day: int) -> None:
+        """Diff every newly closed day against its predecessor.
+
+        A pair of consecutive days is diffed iff *both* were scanned
+        (had at least one observation): a scanned day with zero EUI-64
+        pairs legitimately diffs as "everything disappeared", matching
+        the batch detector, while an unscanned gap day yields no
+        snapshot to compare against.  Under ``retain_days`` the walk
+        then drops pair days below the window.
+        """
+        start = (
+            self._closed_through + 1
+            if self._closed_through is not None
+            else self.current_day
+        )
+        days_seen = self._days_seen
+        for closed in range(start, day + 1):
+            previous = closed - 1
+            if previous in days_seen and closed in days_seen:
+                self._diff_days(previous, closed)
+            self._closed_through = closed
+        floor = self._retain_floor()
+        if floor is not None:
+            if self._acc is not None:
+                # Bounded-memory mode: per-row aggregate buffers must not
+                # outlive a day -- reduced to runs, not to Python objects.
+                self._acc.reduce()
+            self.prune_pair_days(floor)
+
+    def _diff_days(self, previous: int, closed: int) -> None:
+        """Diff two scanned days into the live detection.
+
+        The same :func:`diff_pairs` the batch detector uses: over pair
+        columns with the kernel (the detection logs the result, no
+        Python set is built), over merged shard sets
+        (:meth:`_pairs_on`) without it.  *closed* is attributed the /48s
+        of the changed pairs less those that appeared at *previous*'s
+        close (``_appeared``): a pair counted as appeared is not counted
+        again as disappeared, and rows that grew *previous*'s pairs
+        since its close void that mask.
+        """
+        day, appeared = self._appeared
+        rebuilt = None
+        if day != previous:
+            appeared = rebuilt = self._rebuild_appeared(previous)
+        acc = self._acc
+        if acc is not None:
+            changed, net48s, stable, mask = acc.diff_days(previous, closed, appeared)
+            self.rotation_days[closed] = columnar_kernel.net48_prefixes(net48s)
+            if rebuilt is not None:  # it attributes; the log takes every change
+                changed, net48s = acc.diff_days(previous, closed)[:2]
+            self.live_detection.log_close(changed, net48s, stable)
+            n_changed = len(changed[0])
+        else:
+            pairs_a, pairs_b = self._pairs_on(previous), self._pairs_on(closed)
+            detection = diff_pairs(pairs_a, pairs_b)
+            flagged = detection.changed_pairs
+            if appeared is not None and appeared[0] == len(pairs_a):
+                flagged = flagged - appeared[1]
+            self.rotation_days[closed] = {target_prefix48(t) for t, _ in flagged}
+            mask = len(pairs_b), pairs_b - pairs_a
+            live = self.live_detection
+            fresh = detection.changed_pairs - live.changed_pairs
+            if fresh:  # folded into the set at once; the log stays disjoint
+                live.changed_pairs.update(fresh)
+                live.log.append(pair_columns(fresh))
+                live.folded = len(live.log)
+            live.rotating_prefixes.update(detection.rotating_prefixes)
+            live.stable_pairs += detection.stable_pairs
+            n_changed, stable = len(detection.changed_pairs), detection.stable_pairs
+        self._appeared = (closed, mask)
+        if self._obs is not None:
+            self._obs.day_closed(closed, n_changed, stable)
+
+    def _rebuild_appeared(self, day: int):
+        """The mask *day*'s close left, rebuilt from the retained pairs;
+        ``None`` when that close diffed nothing.
+
+        Only an engine that did not run that close lacks the mask -- a
+        restored one, at its first close -- so an engine that closes no
+        further day never pays for it.  A rebuilt mask only attributes:
+        rows *day* took after its close (late rows after a ``flush()``)
+        are in it, which a live mask would have voided on, so the kernel
+        still logs every changed row.  A predecessor that ``retain_days``
+        pruned cannot be rebuilt: that close goes without a mask and
+        flags *day*'s appeared pairs again.
+        """
+        floor = self._retain_floor()
+        if day - 1 not in self._days_seen or (floor is not None and day - 1 < floor):
+            return None
+        if self._acc is not None:
+            return self._acc.diff_days(day - 1, day)[3]
+        pairs = self._pairs_on(day)
+        return len(pairs), pairs - self._pairs_on(day - 1)
+
+    def close_open_day(self) -> None:
+        """Close the in-progress day (end of stream, or of a ``run()``)."""
+        if self.current_day is not None and self._closed_through != self.current_day:
+            self._close_days_through(self.current_day)
+
+    def flush(self) -> RotationDetection:
+        """Close the in-progress day and return the cumulative detection:
+        the same live object every time, which with the kernel holds the
+        changed pairs as columns until they are read (see
+        :class:`~repro.stream.columnar.LiveDetection`), so a flush costs
+        the close alone."""
+        self.close_open_day()
+        return self.live_detection
+
     # -- ingestion ---------------------------------------------------------
+
+    def ingest(self, item) -> int:
+        """Ingest *whatever the caller holds*; returns rows ingested.
+
+        Accepts a single :class:`ProbeObservation`, a
+        :class:`ColumnBatch`, or any iterable of observations (a lazy,
+        day-ordered feed included) -- one entry point over every
+        currency.  Per-item cost is one ``isinstance`` chain; hot loops
+        that always hold observations bind :meth:`_ingest_observation`
+        instead and skip even that.  A scan's replies arrive as columns
+        (:meth:`~repro.scan.zmap.ScanResult.batch`).
+        """
+        if isinstance(item, ProbeObservation):
+            self._ingest_observation(item)
+            return 1
+        if isinstance(item, ColumnBatch):
+            return self.ingest_columns(item)
+        if isinstance(item, Iterable):
+            return self.ingest_batch(item)
+        raise TypeError(
+            "ingest() accepts a ProbeObservation, a ColumnBatch, "
+            f"or an iterable of observations -- got {type(item).__name__}"
+        )
 
     def _ingest_observation(self, observation: ProbeObservation) -> None:
         """Fold one observation into all engine state. O(1).
@@ -211,32 +466,108 @@ class StreamEngine(IngestSinkBase):
                 update_sighting(self.watched, iid, source, day, observation.t_seconds)
 
     def ingest_batch(self, observations: Iterable[ProbeObservation]) -> int:
-        """Bulk-apply a micro-batch; returns how many were ingested.
+        """Bulk-apply an observation iterable; returns how many.
 
-        With the columnar kernel (numpy importable) the iterable is
-        consumed in bounded chunks -- lazy feeds are never materialized
-        whole -- each split into a :class:`ColumnBatch` and handed to
-        the sort-reduce path :meth:`ingest_columns` also runs (several-
-        fold faster than the reference loop; see ``BENCHMARK.json``'s
-        ``replay_ingest`` workload).  Without numpy this is the inherited
-        reference loop.  State-identical either way -- the fuzz harness
-        asserts it -- including the rows-before-error accounting on a
-        backwards day (rows before the offending one are ingested, then
-        the error raises).
+        With the kernel the iterable is consumed in bounded chunks --
+        lazy feeds are never materialized whole -- each a
+        :class:`ColumnBatch` through the column skeleton
+        (:meth:`_ingest_column_batch`, several-fold faster; see
+        ``BENCHMARK.json``'s ``replay_ingest`` workload).  Without it
+        this is the reference loop, :meth:`_ingest_observation` per row.
+        State-identical either way -- the fuzz harness asserts it --
+        including a mid-batch backwards day: the rows before it are
+        ingested and accounted, then the error raises.  Telemetry counts
+        one batch per call.
+        """
+        before = self.responses_ingested
+        try:
+            if self._acc is None:
+                for observation in observations:
+                    self._ingest_observation(observation)
+            else:
+                iterator = iter(observations)
+                while chunk := list(islice(iterator, self._COLUMNAR_CHUNK)):
+                    self._ingest_column_batch(ColumnBatch.from_observations(chunk))
+        finally:
+            if self._obs is not None:
+                self._obs.observe_batch(self.responses_ingested - before)
+        return self.responses_ingested - before
+
+    def ingest_columns(self, batch) -> int:
+        """Ingest a :class:`ColumnBatch` without row materialization.
+
+        The batch already holds flat day/hi/lo columns (``Zmap6`` column
+        emission, a store's ``scan_columns``, a resumed corpus), so the
+        kernel arrays build with one C-level conversion per column, a
+        bounded chunk at a time.  State-identical to ingesting
+        ``batch.observations()``, mid-batch backwards-day accounting
+        included.  Without the kernel the batch iterates, lazily, into
+        the reference loop.  Telemetry counts one batch per call.
         """
         if self._acc is None:
-            return super().ingest_batch(observations)
-        iterator = iter(observations)
-        total = 0
-        while True:
-            chunk = list(islice(iterator, self._COLUMNAR_CHUNK))
-            if not chunk:
-                return total
-            total += self._ingest_column_batch(ColumnBatch.from_observations(chunk))
+            return self.ingest_batch(iter(batch))
+        before, n, chunk = self.responses_ingested, len(batch), self._COLUMNAR_CHUNK
+        try:
+            for start in range(0, n, chunk):
+                self._ingest_column_batch(
+                    batch if n <= chunk else batch.slice(start, start + chunk)
+                )
+        finally:
+            if self._obs is not None:
+                self._obs.observe_batch(self.responses_ingested - before)
+        return self.responses_ingested - before
 
-    def _absorb_columns(self, day: int, columns: tuple) -> None:
-        """Buffer a day-segment in the accumulator."""
-        self._acc.absorb(*columns)
+    def _ingest_column_batch(self, batch) -> None:
+        """One bounded :class:`ColumnBatch` through the column skeleton.
+
+        Per day-run of the batch: routes resolve once per unique /48,
+        the accumulator absorbs the segment's columns, and day
+        progression and watchlist sightings keep the scalar path's exact
+        semantics.  Store writes stay columnar, so a column-native store
+        appends with zero row materialization.
+        """
+        segments, day_column, backwards = columnar_kernel.day_segments(
+            batch.day, self.current_day
+        )
+        valid = batch
+        count = 0
+        try:
+            if segments:
+                if len(day_column) != len(batch):
+                    valid = batch.slice(0, len(day_column))
+                columns = columnar_kernel.column_batch_arrays(
+                    valid, day_column, self._route_of
+                )
+            for start, stop, day in segments:
+                if day != self.current_day:
+                    self._open_day(day)
+                self._acc.absorb(*(c[start:stop] for c in columns))
+                if self._watch_iids:
+                    src_lo = columns[4][start:stop]
+                    for i in columnar_kernel.watch_hits(src_lo, self._watch_iids):
+                        row = start + i
+                        update_sighting(
+                            self.watched,
+                            valid.src_lo[row],
+                            (valid.src_hi[row] << 64) | valid.src_lo[row],
+                            day,
+                            valid.t_seconds[row],
+                        )
+                count += stop - start
+        finally:
+            self.responses_ingested += count
+            if self._obs is not None:
+                self._obs.responses.value += count
+            if count and self.store is not None:
+                self.store.extend_columns(
+                    valid if count == len(valid) else valid.slice(0, count)
+                )
+        if backwards is not None:
+            # The valid prefix is in; the offending day is older than
+            # current_day, so the day-open step raises for it.
+            self._open_day(backwards)
+
+    # -- state in and out: column records ------------------------------------
 
     def shard_records(self, sids=None, day_floor: int | None = None) -> dict:
         """``{sid: record}`` for *sids* (default: all), the one shape
@@ -285,9 +616,6 @@ class StreamEngine(IngestSinkBase):
 
     # -- live rotation detection ------------------------------------------
 
-    #: :attr:`live_detection` is columns until read (see the class).
-    _detection = columnar_kernel.LiveDetection
-
     def changed_pair_count(self) -> int:
         """``len(live_detection.changed_pairs)``, without building a
         pair tuple while closes are pending."""
@@ -301,30 +629,9 @@ class StreamEngine(IngestSinkBase):
         built until someone reads ``live_detection.changed_pairs``; a
         kernel-less one folds them into the set at once."""
         changed = set(zip(*pair_ints(changed_cols))) if self._acc is None else None
-        self.live_detection = self._detection(changed, prefixes, stable)
+        self.live_detection = columnar_kernel.LiveDetection(changed, prefixes, stable)
         if changed is None and len(changed_cols[0]):
             self.live_detection.log.append(changed_cols)
-
-    def _diff_days(self, previous: int, closed: int) -> None:
-        """Diff two scanned days into the live detection.
-
-        With the kernel, pair columns diff directly and the detection
-        logs the result (no Python sets); without it this is the shared
-        set-based step over merged shard sets (:meth:`_pairs_on`).
-        """
-        acc = self._acc
-        if acc is not None:
-            changed, net48s, stable = acc.diff_days(previous, closed)
-            self.live_detection.log_close(changed, net48s, stable)
-            self.rotation_days[closed] = columnar_kernel.net48_prefixes(net48s)
-            if self._obs is not None:
-                self._obs.day_closed(closed, len(changed[0]), stable)
-            return
-        fresh = super()._diff_days(previous, closed)
-        if fresh:  # folded by the set-based step already
-            live = self.live_detection
-            live.log.append(pair_columns(fresh))
-            live.folded = len(live.log)
 
     def _pairs_on(self, day: int) -> set[tuple[int, int]]:
         """Every ``(target, EUI source)`` pair of scanned *day*, over the
@@ -334,15 +641,6 @@ class StreamEngine(IngestSinkBase):
         for shard in self.shards:
             pairs |= shard.pairs_by_day.get(day, set())
         return pairs
-
-    def _prune_below(self, floor: int) -> None:
-        if self._acc is not None:
-            # Bounded-memory mode: per-row aggregate buffers must not
-            # outlive a day -- reduced to runs, not to Python objects.
-            # Pairs stay columnar (pruned below), so the columnar close
-            # diff keeps its fast path.
-            self._acc.reduce()
-        self.prune_pair_days(floor)
 
     def prune_pair_days(self, threshold: int) -> None:
         """Drop per-day pair sets for days older than *threshold*.

@@ -11,9 +11,13 @@ streams; these are the deterministic, debuggable versions.
 import io
 import json
 
+import pytest
+
 from repro.core.records import ObservationStore, ProbeObservation
 from repro.net.eui64 import mac_to_eui64_iid
 from repro.obs import Dashboard, Telemetry
+from repro.store import ColumnBatch
+from repro.stream import columnar
 from repro.stream.checkpoint import engine_state, load_engine, save_engine
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.feeds import DedupFeed
@@ -59,6 +63,26 @@ def test_enabled_counters_report_the_truth():
     assert counters["repro_stream_rotation_events_total"] == 2  # daily movers
     gauges = telemetry.snapshot()["gauges"]
     assert gauges["repro_stream_current_day"] == 2
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "twin"])
+def test_one_batch_per_call(monkeypatch, kernel):
+    """A batch is one ``ingest_batch`` or ``ingest_columns`` call on
+    either path, however many chunks the kernel cuts it into."""
+    if not kernel:
+        monkeypatch.setattr(columnar, "np", None)
+    elif columnar.np is None:
+        pytest.skip("the kernel needs numpy")
+    telemetry = Telemetry(events=io.StringIO())
+    engine = StreamEngine(StreamConfig(num_shards=2), telemetry=telemetry)
+    assert (engine._acc is not None) == kernel
+    stream = corpus(days=1, devices=60_005)
+    assert engine.ingest(ColumnBatch.from_observations(stream[:60_000])) == 60_000
+    assert engine.ingest(stream[60_000:]) == 5
+    snapshot = telemetry.snapshot()
+    assert snapshot["counters"]["repro_stream_batches_total"] == 2
+    assert snapshot["counters"]["repro_stream_responses_total"] == 60_005
+    assert snapshot["histograms"]["repro_stream_batch_rows"]["count"] == 2
 
 
 def test_enabled_and_disabled_checkpoints_byte_identical():

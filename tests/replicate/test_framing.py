@@ -88,41 +88,41 @@ class TestAuthentication:
         a, b = socket.socketpair()
         errors = []
 
-        def master():
+        def shipper():
             try:
-                framing.authenticate_master(a, "s3kr1t")
+                framing.authenticate_shipper(a, "s3kr1t")
             except Exception as exc:  # surfaces in the main thread
                 errors.append(exc)
 
-        thread = threading.Thread(target=master)
+        thread = threading.Thread(target=shipper)
         thread.start()
         try:
-            framing.authenticate_worker(b, "s3kr1t")
+            framing.authenticate_follower(b, "s3kr1t")
         finally:
             thread.join(timeout=5)
             a.close()
             b.close()
         assert not errors
 
-    def test_wrong_key_rejected_by_master(self):
+    def test_wrong_key_rejected_by_shipper(self):
         a, b = socket.socketpair()
         rejections = []
 
-        def master():
+        def shipper():
             try:
-                framing.authenticate_master(a, "right")
+                framing.authenticate_shipper(a, "right")
             except framing.AuthenticationError as exc:
                 rejections.append(exc)
             finally:
                 a.close()  # what the accept loop does on any failure
 
-        thread = threading.Thread(target=master)
+        thread = threading.Thread(target=shipper)
         thread.start()
         with pytest.raises((framing.FrameError, EOFError, OSError)):
-            framing.authenticate_worker(b, "wrong")
+            framing.authenticate_follower(b, "wrong")
         thread.join(timeout=5)
         b.close()
-        assert rejections, "master must reject the wrong digest"
+        assert rejections, "the shipper must reject the wrong digest"
 
 
 BAD_ADDRESSES = [

@@ -274,7 +274,7 @@ class TestCollidingHashes:
             days[2] = []  # an empty side, both ways
             days.append([])
             acc = self.accumulator(days)
-            emitted = None
+            emitted = mask = None
             for a in range(len(days) - 1):
                 day_a, day_b = acc.day_pairs(a), acc.day_pairs(a + 1)
                 rows_a, rows_b = rows_of(day_a[0]), rows_of(day_b[0])
@@ -287,11 +287,11 @@ class TestCollidingHashes:
                 assert columnar.net48_prefixes(net48s) == want.rotating_prefixes
                 assert stable == want.stable_pairs
                 # The close itself, with the emitted mask of the close before.
-                changed, _net48s, stable = acc.diff_days(a, a + 1)
+                changed, _net48s, stable, mask = acc.diff_days(a, a + 1, mask)
                 want_changed, want_stable, appeared = set_diff(rows_a, rows_b, emitted)
                 assert rows_of(changed) == want_changed
                 assert stable == want_stable
-                assert acc._appeared[a + 1][1].tolist() == appeared
+                assert mask[1].tolist() == appeared
                 emitted = appeared
         # Within a day; across days between rows whose hash is their
         # day's alone (which four hash values leave no room for).

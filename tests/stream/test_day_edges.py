@@ -13,8 +13,10 @@ Three regions of the day state machine:
   accumulated ``live_detection`` keeps their contribution;
 * **per-day attribution** -- ``rotation_days`` gives a close the /48s of
   its changed pairs less those that appeared at the close before, with
-  the columnar fold and without it.
+  the columnar fold and without it, and after a checkpoint restore.
 """
+
+import json
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.core.records import ProbeObservation
 from repro.core.rotation_detect import target_prefix48
 from repro.store import ColumnBatch
 from repro.stream import columnar
+from repro.stream.checkpoint import engine_state, load_engine, save_engine
 from repro.stream.engine import StreamConfig, StreamEngine
 
 EUI = 0x0219C6FFFE000001  # carries the ff:fe marker
@@ -240,3 +243,30 @@ class TestRotationDays:
             engine.ingest_batch([pair_obs(2, a)])
             engine.flush()
             assert engine.rotation_days == {1: prefixes([q]), 2: set()}
+
+    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "twin"])
+    def test_a_restored_engine_keeps_the_mask(self, tmp_path, monkeypatch, kernel, fmt):
+        """Day 0 {A}, day 1 {A, Q}, day 2 opened with A, a checkpoint,
+        then day 3 {A}: no checkpoint holds day 1's mask, so the
+        restored engine rebuilds it from the retained pairs at its first
+        close, and its day-2 close flags nothing, as the uninterrupted
+        engine's does."""
+        if not kernel:
+            monkeypatch.setattr(columnar, "np", None)
+        elif columnar.np is None:
+            pytest.skip("the kernel needs numpy")
+        a, q = 1, 2
+        engine = StreamEngine(StreamConfig(num_shards=2))
+        for day, nets in enumerate([(a,), (a, q), (a,)]):
+            engine.ingest_batch([pair_obs(day, net) for net in nets])
+        path = tmp_path / f"ckpt.{fmt}"
+        save_engine(engine, path, format=fmt)
+        restored = load_engine(path)
+        assert (restored._acc is not None) == kernel
+        for each in (engine, restored):
+            each.ingest_batch([pair_obs(3, a)])
+            each.flush()
+        assert engine.rotation_days == {1: prefixes([q]), 2: set(), 3: set()}
+        assert restored.rotation_days == {2: set(), 3: set()}
+        assert json.dumps(engine_state(restored)) == json.dumps(engine_state(engine))

@@ -668,7 +668,10 @@ class TestOneOwner:
         assert resumed.materialize() == reference.materialize()
 
 
-class TestIngestSink:
+class TestPolymorphicIngest:
+    """``ingest()`` takes one observation, a ``ColumnBatch`` or any
+    iterable of observations, and lands where each primitive does."""
+
     @pytest.fixture(scope="class")
     def world(self):
         internet, store = run_small_campaign()
