@@ -249,6 +249,10 @@ def restore_stream_head(
     engine = StreamEngine(config, origin_of=origin_of, store=store)
     engine.current_day = head["current_day"]
     engine._closed_through = head["closed_through"]
+    if engine.current_day is not None and engine.current_day == engine._closed_through:
+        # A flushed day may take late rows, which void its close's mask;
+        # no checkpoint says whether it did, so it closes without one.
+        engine._appeared = (engine.current_day, None)
     engine._days_seen = set(head["days_seen"])
     engine.responses_ingested = head["responses_ingested"]
     engine._watch_iids = set(head["watch_iids"])

@@ -512,6 +512,24 @@ def unique_pair_columns(batches: list) -> tuple:
     )
 
 
+def all_logged(appeared: tuple, log: list) -> bool:
+    """Whether every row a close's *appeared* mask ``(day_pairs, mask)``
+    covers is in some batch of the changed-pair *log*."""
+    (cols, _, _), mask = appeared
+    if not mask.any():
+        return True
+    if not log:
+        return False
+    logged = _dedup_rows(
+        [
+            np.concatenate([np.asarray(b[i], dtype=np.uint64) for b in log])
+            for i in range(4)
+        ]
+    )
+    rows = _dedup_rows([c[mask] for c in cols])
+    return not diff_pair_columns(logged, rows)[3].any()
+
+
 def fold_changed_pairs(batches: list, pairs: set) -> None:
     """Fold ``(tgt_hi, tgt_lo, src_hi, src_lo)`` changed-pair column
     *batches* into *pairs* -- the one place changed pairs become Python

@@ -338,15 +338,12 @@ class StreamEngine:
         since its close void that mask.
         """
         day, appeared = self._appeared
-        rebuilt = None
         if day != previous:
-            appeared = rebuilt = self._rebuild_appeared(previous)
+            appeared = self._rebuild_appeared(previous)
         acc = self._acc
         if acc is not None:
             changed, net48s, stable, mask = acc.diff_days(previous, closed, appeared)
             self.rotation_days[closed] = columnar_kernel.net48_prefixes(net48s)
-            if rebuilt is not None:  # it attributes; the log takes every change
-                changed, net48s = acc.diff_days(previous, closed)[:2]
             self.live_detection.log_close(changed, net48s, stable)
             n_changed = len(changed[0])
         else:
@@ -372,24 +369,34 @@ class StreamEngine:
 
     def _rebuild_appeared(self, day: int):
         """The mask *day*'s close left, rebuilt from the retained pairs;
-        ``None`` when that close diffed nothing.
+        ``None`` when that close diffed nothing, or when late rows (after
+        a ``flush()``) grew *day* since it, which voids a live mask too.
 
         Only an engine that did not run that close lacks the mask -- a
         restored one, at its first close -- so an engine that closes no
-        further day never pays for it.  A rebuilt mask only attributes:
-        rows *day* took after its close (late rows after a ``flush()``)
-        are in it, which a live mask would have voided on, so the kernel
-        still logs every changed row.  A predecessor that ``retain_days``
+        further day never pays for it.  A day restored flushed and still
+        current closes without one (see ``restore_stream_head``).  An
+        older one took its late rows before the checkpoint, if any, and
+        no checkpoint says which rows came after its close.  But every
+        pair that appeared at the close was logged as changed, so an
+        appeared pair the log lacks came later and voids the mask; a
+        mask kept holds logged rows only, and the close that skips them
+        loses no changed pair.  Late rows that brought only pairs the
+        log already holds go unseen: the live engine voided on them and
+        this close keeps the mask.  A predecessor that ``retain_days``
         pruned cannot be rebuilt: that close goes without a mask and
         flags *day*'s appeared pairs again.
         """
         floor = self._retain_floor()
         if day - 1 not in self._days_seen or (floor is not None and day - 1 < floor):
             return None
+        live = self.live_detection
         if self._acc is not None:
-            return self._acc.diff_days(day - 1, day)[3]
+            mask = self._acc.diff_days(day - 1, day)[3]
+            return mask if columnar_kernel.all_logged(mask, live.log) else None
         pairs = self._pairs_on(day)
-        return len(pairs), pairs - self._pairs_on(day - 1)
+        appeared = pairs - self._pairs_on(day - 1)
+        return (len(pairs), appeared) if appeared <= live.changed_pairs else None
 
     def close_open_day(self) -> None:
         """Close the in-progress day (end of stream, or of a ``run()``)."""

@@ -270,3 +270,40 @@ class TestRotationDays:
         assert engine.rotation_days == {1: prefixes([q]), 2: set(), 3: set()}
         assert restored.rotation_days == {2: set(), 3: set()}
         assert json.dumps(engine_state(restored)) == json.dumps(engine_state(engine))
+
+    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "twin"])
+    @pytest.mark.parametrize("cut", ["flushed", "next_day_open"])
+    def test_late_rows_void_a_restored_mask(
+        self, tmp_path, monkeypatch, kernel, fmt, cut
+    ):
+        """The schedule of ``test_columnar_and_set_closes_attribute_alike``
+        with a checkpoint after its first flush: the late day-3 row adds
+        pair 5 (after the restore, or before a checkpoint taken once day
+        4 is open), which voids day 3's mask, so the restored engine's
+        day-4 close flags 5 and 6 as the uninterrupted engine's does and
+        logs the same changed pairs."""
+        if not kernel:
+            monkeypatch.setattr(columnar, "np", None)
+        elif columnar.np is None:
+            pytest.skip("the kernel needs numpy")
+        engine = StreamEngine(StreamConfig(num_shards=2))
+        for day, nets in enumerate([(1, 2), (1, 3), (1, 2), (1, 6)]):
+            engine.ingest_batch([pair_obs(day, net) for net in nets])
+        engine.flush()
+        rest = [[pair_obs(3, 5)], [pair_obs(4, 1)]]  # late, then day 4
+        if cut == "next_day_open":
+            for batch in rest:
+                engine.ingest_batch(batch)
+            rest = []
+        path = tmp_path / f"ckpt.{fmt}"
+        save_engine(engine, path, format=fmt)
+        restored = load_engine(path)
+        assert (restored._acc is not None) == kernel
+        for each in (engine, restored):
+            for batch in rest:
+                each.ingest_batch(batch)
+            each.flush()
+        assert engine.rotation_days[4] == prefixes([5, 6])
+        assert restored.rotation_days == {4: prefixes([5, 6])}
+        assert json.dumps(engine_state(restored)) == json.dumps(engine_state(engine))
