@@ -154,10 +154,17 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.net.mac": ("seed", "MAC parse/format helpers; tests/net"),
     "repro.net.oui:OuiRegistry": ("seed", "registry queries; tests/net"),
     "repro.scan.permutation": ("seed", "permutation dunders and first(); tests/scan"),
-    "repro.scan.targets": ("seed", "target generators no campaign uses; tests/scan"),
     "repro.scan.zmap:ScanResult": (
         "seed",
         "reply objects, built on request, and the response rate; tests/scan",
+    ),
+    "repro.scan.yarrp:Yarrp.trace_all": (
+        "seed",
+        "every record, not only EUI-64 last hops; tests/scan, test_trace_many",
+    ),
+    "repro.net.eui64:addr_is_eui64": (
+        "seed",
+        "the address-level EUI-64 test; tests/net, Yarrp's twin without numpy",
     ),
     "repro.scan.zmap:Zmap6.scan_until": (
         "seed",
@@ -218,6 +225,15 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.simnet.internet:SimInternet.probe_many": (
         "reference",
         "one sweep through classify and commit, held against probe_each by tests",
+    ),
+    "repro.simnet.internet:SimInternet.trace": (
+        "reference",
+        "one traceroute: trace_many's oracle (test_trace_many) and "
+        "Yarrp's twin without numpy",
+    ),
+    "repro.scan.yarrp:TracerouteRecord.last_hop_is_eui64": (
+        "reference",
+        "per-record EUI-64 test: how Yarrp's twin without numpy filters",
     ),
     "repro.scan.rate:TokenBucket": (
         "reference",

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core.records import ObservationStore, ProbeObservation
 from repro.net.addr import Prefix
-from repro.scan.targets import one_target_per_subnet, split_targets
+from repro.scan.targets import join_targets, subnet_targets
 from repro.scan.zmap import ScanConfig, ScanStream, Zmap6
 from repro.simnet.clock import HOURS_PER_DAY, seconds
 from repro.simnet.internet import SimInternet
@@ -102,21 +102,21 @@ class Campaign:
         for prefix, plen in self.plen_overrides.items():
             if not 48 <= plen <= 64:
                 raise ValueError(f"override plen /{plen} for {prefix} out of range")
-        self._targets = self._build_targets()
-        self._order: tuple[ScanConfig, tuple] | None = None
-
-    def _build_targets(self) -> list[int]:
-        """The fixed target list: identical every day, like the paper's."""
+        # The fixed target list, as (hi, lo) columns: identical every day,
+        # like the paper's.
+        plens = [self.plen_overrides.get(p, self.config.probe_plen) for p in self.prefixes48]
         rng = random.Random(self.config.seed ^ 0xCA37)
-        targets = []
-        for prefix in self.prefixes48:
-            plen = self.plen_overrides.get(prefix, self.config.probe_plen)
-            targets.extend(one_target_per_subnet(prefix, plen, rng))
-        return targets
+        self._targets = subnet_targets(list(zip(self.prefixes48, plens)), rng)
+        self._order: tuple[ScanConfig, tuple] | None = None
 
     @property
     def targets(self) -> list[int]:
-        return list(self._targets)
+        return join_targets(*self._targets)
+
+    @property
+    def n_targets(self) -> int:
+        """``len(targets)``, without building the list."""
+        return len(self._targets[0])
 
     def day_schedule(self) -> list[tuple[int, float]]:
         """``(day, scan start in seconds)`` for every campaign day."""
@@ -141,7 +141,7 @@ class Campaign:
         config = ScanConfig(rate_pps=self.config.rate_pps, seed=self.config.seed)
         if self._order is None or self._order[0] != config:
             scanner = Zmap6(self.internet, config)
-            self._order = (config, scanner.ordered(*split_targets(self._targets)))
+            self._order = (config, scanner.ordered(*self._targets))
         return self._order
 
     def iter_day_streams(
@@ -189,7 +189,7 @@ class Campaign:
         before.
         """
         if result is None:
-            result = CampaignResult(targets_per_day=len(self._targets))
+            result = CampaignResult(targets_per_day=self.n_targets)
         if start_offset == 0:
             self.internet.reset_rate_limits()
         deliver = getattr(consumer, "ingest_columns", None)
@@ -220,14 +220,14 @@ class Campaign:
             raise ValueError("days must be positive")
         config = self.config
         first_day = config.start_day if start_day is None else start_day
-        result = CampaignResult(targets_per_day=len(self._targets) * 24)
+        result = CampaignResult(targets_per_day=self.n_targets * 24)
         scanner = Zmap6(
             self.internet, ScanConfig(rate_pps=config.rate_pps, seed=config.seed)
         )
         for hour_index in range(days * 24):
             day = first_day + hour_index // 24
             start = seconds(first_day * HOURS_PER_DAY + hour_index)
-            scan = scanner.scan(self._targets, start_seconds=start)
+            scan = scanner.stream_columns(*self._targets, start_seconds=start).result()
             result.probes_sent += scan.probes_sent
             result.store.extend_columns(scan.batch(day))
             result.days_run = hour_index // 24 + 1

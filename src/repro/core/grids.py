@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.net.addr import Prefix
-from repro.scan.targets import one_target_per_subnet
+from repro.scan.targets import target_columns
 from repro.scan.zmap import ScanConfig, Zmap6
 
 GRID_DIM = 256
@@ -127,9 +127,9 @@ def scan_allocation_grid(
     snapshot.
     """
     rng = random.Random(seed)
-    targets = one_target_per_subnet(prefix, 64, rng)
+    targets = target_columns(prefix, 64, rng)
     scanner = Zmap6(internet, ScanConfig(seed=seed, rate_pps=rate_pps))
-    result = scanner.scan(targets, start_seconds=t_seconds)
+    result = scanner.stream_columns(*targets, start_seconds=t_seconds).result()
 
     grid = AllocationGrid(prefix=prefix)
     for target, source in result.pairs():  # one target, so one reply, per cell

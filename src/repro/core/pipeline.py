@@ -37,12 +37,26 @@ from repro.core.rotation_detect import (
     rotating_asns,
     target_prefix48,
 )
-from repro.net.addr import Prefix, iid_of
-from repro.scan.targets import one_target_per_subnet
+from repro.net.addr import IID_BITS, Prefix, iid_of
+from repro.scan.targets import random_columns, split_targets, subnet_targets, target_columns
 from repro.scan.yarrp import Yarrp
 from repro.scan.zmap import ScanConfig, Zmap6
 from repro.simnet.clock import seconds
 from repro.simnet.internet import SimInternet
+from repro.util import np
+
+
+def _probes_per_48(prefixes, coverage: int, k: int, rng: random.Random):
+    """Per /48 among the first *coverage* of each of *prefixes*: one probe
+    into its first /64 -- providers that assign delegations sequentially
+    are dense at the bottom -- then *k* uniform ones across it, as
+    ``(hi, lo)`` columns: ``random_addr(rng)`` per target, draw for draw."""
+    nets = [(p.network >> IID_BITS) | i << 16 for p in prefixes for i in range(min(coverage, p.num_subnets(48)))]
+    widths = (64,) + (80,) * k
+    if np is None:
+        return split_targets([net << IID_BITS | rng.getrandbits(w) for net in nets for w in widths])
+    drawn, nets = random_columns(rng, len(nets), widths), np.array(nets, dtype=np.uint64)
+    return np.stack([nets | high for high, _ in drawn], 1).ravel(), np.stack([low for _, low in drawn], 1).ravel()
 
 
 @dataclass(frozen=True)
@@ -144,32 +158,17 @@ class DiscoveryPipeline:
         """Stale traceroute seed: /48s with a unique EUI-64 last hop."""
         config = self.config
         rng = random.Random(config.seed ^ 0x5EED)
-        targets = []
-        for bgp in self._routed_32s():
-            count = min(config.coverage_48s, bgp.num_subnets(48))
-            for i in range(count):
-                subnet = bgp.subnet(i, 48)
-                # One probe into the /48's first /64 -- providers that
-                # assign delegations sequentially are dense at the bottom
-                # -- plus uniform random probes across the /48.
-                targets.append(subnet.subnet(0, 64).random_addr(rng))
-                for _ in range(config.seed_probes_per_48):
-                    targets.append(subnet.random_addr(rng))
-
+        hi, lo = _probes_per_48(self._routed_32s(), config.coverage_48s, config.seed_probes_per_48, rng)
         yarrp = Yarrp(self.internet, rate_pps=config.rate_pps, seed=config.seed)
-        records = yarrp.eui64_last_hops(
-            targets, start_seconds=seconds(config.seed_campaign_hours)
-        )
-        result.probes_sent += len(targets)
+        records = yarrp.eui64_last_hops(hi, lo, start_seconds=seconds(config.seed_campaign_hours))
+        result.probes_sent += len(hi)
 
-        by_iid: dict[int, set[Prefix]] = {}
+        by_iid: dict[int, set[int]] = {}  # IID -> the /48s (as top bits) it answered from
         for record in records:
-            hop = record.last_responsive_hop
-            prefix48 = Prefix.containing(record.target, 48)
-            by_iid.setdefault(iid_of(hop), set()).add(prefix48)
-        for iid, prefixes in by_iid.items():
-            if len(prefixes) == 1:  # the paper's uniqueness requirement
-                prefix48 = next(iter(prefixes))
+            by_iid.setdefault(iid_of(record.last_responsive_hop), set()).add(record.target >> 80)
+        for iid, nets in by_iid.items():
+            if len(nets) == 1:  # the paper's uniqueness requirement
+                prefix48 = Prefix(nets.pop() << 80, 48)
                 result.seed_48s.add(prefix48)
                 result.seed_32s.add(Prefix.containing(prefix48.network, 32))
 
@@ -178,19 +177,12 @@ class DiscoveryPipeline:
     def run_expansion_stage(self, result: PipelineResult) -> None:
         config = self.config
         rng = random.Random(config.seed ^ 0xE9A)
-        targets = []
-        for bgp32 in sorted(result.seed_32s, key=lambda p: p.network):
-            count = min(config.coverage_48s, bgp32.num_subnets(48))
-            for i in range(count):
-                subnet = bgp32.subnet(i, 48)
-                targets.append(subnet.subnet(0, 64).random_addr(rng))
-                for _ in range(config.expansion_probes_per_48):
-                    targets.append(subnet.random_addr(rng))
-
+        bgp32s = sorted(result.seed_32s, key=lambda p: p.network)
+        hi, lo = _probes_per_48(bgp32s, config.coverage_48s, config.expansion_probes_per_48, rng)
         scanner = Zmap6(
             self.internet, ScanConfig(rate_pps=config.rate_pps, seed=config.seed)
         )
-        stream = scanner.stream(targets, start_seconds=seconds(config.expansion_hour))
+        stream = scanner.stream_columns(hi, lo, start_seconds=seconds(config.expansion_hour))
         for batch in stream.column_batches(day=0):
             result.store.extend_columns(batch)
             result.expanded_48s.update(
@@ -208,8 +200,8 @@ class DiscoveryPipeline:
         )
         start = seconds(config.density_hour)
         for prefix48 in sorted(result.expanded_48s, key=lambda p: p.network):
-            targets = one_target_per_subnet(prefix48, config.probe_plen, rng)
-            scan = scanner.scan(targets, start_seconds=start)
+            targets = target_columns(prefix48, config.probe_plen, rng)
+            scan = scanner.stream_columns(*targets, start_seconds=start).result()
             start += scan.duration_seconds
             result.probes_sent += scan.probes_sent
             result.store.extend_columns(scan.batch(day=0))
@@ -229,15 +221,13 @@ class DiscoveryPipeline:
     def run_rotation_stage(self, result: PipelineResult) -> None:
         config = self.config
         rng = random.Random(config.seed ^ 0x404)
-        targets = []
-        for prefix48 in sorted(result.high_density_48s, key=lambda p: p.network):
-            targets.extend(one_target_per_subnet(prefix48, config.probe_plen, rng))
-
+        high = sorted(result.high_density_48s, key=lambda p: p.network)
+        hi, lo = subnet_targets([(prefix48, config.probe_plen) for prefix48 in high], rng)
         scanner = Zmap6(
             self.internet, ScanConfig(rate_pps=config.rate_pps, seed=config.seed)
         )
-        snap_a = scanner.scan(targets, start_seconds=seconds(config.snapshot_a_hour))
-        snap_b = scanner.scan(targets, start_seconds=seconds(config.snapshot_b_hour))
+        snap_a = scanner.stream_columns(hi, lo, seconds(config.snapshot_a_hour)).result()
+        snap_b = scanner.stream_columns(hi, lo, seconds(config.snapshot_b_hour)).result()
         result.probes_sent += snap_a.probes_sent + snap_b.probes_sent
         result.store.extend_columns(snap_a.batch(day=0))
         result.store.extend_columns(snap_b.batch(day=1))

@@ -26,7 +26,7 @@ from repro.core.rotation_pool import RotationPoolInference
 from repro.core.tracker import AsProfile, inferred_plens, profiles_from
 from repro.experiments.scale import DEFAULT, Scale
 from repro.net.addr import Prefix
-from repro.scan.targets import one_target_per_subnet
+from repro.scan.targets import target_columns
 from repro.scan.zmap import ScanConfig, Zmap6
 from repro.simnet.builder import build_paper_internet
 from repro.simnet.clock import seconds
@@ -143,7 +143,7 @@ class ExperimentContext:
         for asn in sorted(self.rotating_48s_by_asn):
             prefix48 = self.rotating_48s_by_asn[asn][0]
             sample = Prefix(prefix48.network, ALLOC_SAMPLE_PLEN)
-            stream = scanner.stream(one_target_per_subnet(sample, 64, rng), start)
+            stream = scanner.stream_columns(*target_columns(sample, 64, rng), start)
             for batch in stream.column_batches(day):
                 store.extend_columns(batch)
             start += stream.duration_seconds

@@ -17,6 +17,7 @@ what lets the paper's attacker follow a CPE across prefix rotations.
 from __future__ import annotations
 
 from repro.net.mac import MAC_MAX
+from repro.util import np
 
 _FFFE = 0xFFFE
 _UL_BIT = 1 << 57  # the MAC's U/L bit, once shifted into IID position
@@ -62,6 +63,11 @@ def eui64_iid_to_mac(iid: int) -> int:
     oui = flipped >> _IID_OUI_SHIFT
     nic = flipped & _NIC_MASK
     return (oui << 24) | nic
+
+
+def eui64_mask(lo):
+    """:func:`is_eui64_iid` over an IID (low-64) ``uint64`` column."""
+    return (lo >> np.uint64(_FFFE_SHIFT)) & np.uint64(0xFFFF) == np.uint64(_FFFE)
 
 
 def addr_is_eui64(addr: int) -> bool:

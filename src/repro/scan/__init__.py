@@ -10,11 +10,7 @@ seed, a simulated-time rate model, loss, and last-hop extraction.
 
 from repro.scan.permutation import FeistelPermutation, MultiplicativeCycle
 from repro.scan.rate import IcmpRateLimiter, TokenBucket
-from repro.scan.targets import (
-    one_target_per_subnet,
-    random_iid_targets,
-    targets_for_pool,
-)
+from repro.scan.targets import one_target_per_subnet
 from repro.scan.yarrp import TracerouteRecord, Yarrp
 from repro.scan.zmap import ScanConfig, ScanResult, Zmap6
 
@@ -29,6 +25,4 @@ __all__ = [
     "Yarrp",
     "Zmap6",
     "one_target_per_subnet",
-    "random_iid_targets",
-    "targets_for_pool",
 ]

@@ -18,6 +18,12 @@ of some :class:`BucketCells` (a ``RotationPool``'s, or the
 the world's pool table is built.  :class:`TokenBucket` and
 :class:`IcmpRateLimiter` are the oracle those cells are tested against
 (``tests/simnet/test_bucket_columns.py``).
+
+:meth:`BucketCells.walk` answers a chunk cell by cell: the cells met once
+take one vector step, and each cell met again one plain loop over its
+rows, :meth:`BucketCells.allow`'s own.  A vector step per event that
+leapt the quiet rows between cost more than it skipped (ROADMAP,
+"Decided by measurement").
 """
 
 from __future__ import annotations
@@ -27,10 +33,6 @@ from array import array
 from dataclasses import dataclass
 
 from repro.util import np
-
-#: Rows of one cell a walk sums ahead per event.
-QUIET_WINDOW = 512
-
 
 def check_rate(name: str, value: float) -> None:
     """Reject a rate or burst that is not positive and finite (so never NaN)."""
@@ -149,31 +151,15 @@ class BucketCells:
         step, and the scalar reference: a first touch fills it to the
         burst, a small step back neither refills nor rewinds, a jump back
         past a full refill finds it full again."""
-        tokens, last = self.tokens[i], self.last[i]
-        if last == -math.inf:
-            tokens = burst
-            self.last[i] = now
-        elif now < last:
-            if last - now > burst / rate:
-                tokens = burst
-                self.last[i] = now
-        else:
-            tokens = min(burst, tokens + (now - last) * rate)
-            self.last[i] = now
-        if tokens >= 1.0:
-            self.tokens[i] = tokens - 1.0
-            self.emitted[i] += 1
-            return True
-        self.tokens[i] = tokens
-        self.suppressed[i] += 1
-        return False
+        return self._run(i, (now,), rate, burst)[0]
 
     def walk(self, index, now, rate, burst):
         """:meth:`allow` on every row in order -- cell ``index[k]`` at
         ``now[k]`` with ``rate[k]`` and ``burst[k]`` (numpy columns) --
         returning the allowed column.  Cells are independent: the cells
         met once (a sweep's CPE) take one vector step, :meth:`allow`'s
-        float64 arithmetic op for op; one met again walks its rows."""
+        float64 arithmetic op for op; one met again walks its rows in
+        :meth:`allow`'s own loop, one plain step per row."""
         ranked = np.sort(index)
         if not (ranked[1:] == ranked[:-1]).any():
             return self._step(index, now, rate, burst)
@@ -185,7 +171,7 @@ class BucketCells:
         allowed[once] = self._step(index[once], now[once], rate[once], burst[once])
         for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
             rows = order[start : start + size]
-            allowed[rows] = self._run(index[rows[0]], now[rows], rate[rows[0]], burst[rows[0]])
+            allowed[rows] = self._run(index[rows[0]], now[rows].tolist(), rate[rows[0]], burst[rows[0]])
         return allowed
 
     def _step(self, index, now, rate, burst):
@@ -206,31 +192,29 @@ class BucketCells:
         np.asarray(self.suppressed)[index] += ~allowed
         return allowed
 
-    def _run(self, i: int, now, rate: float, burst: float):
-        """The rows of cell *i*, in order.  A row meets as the cell's last
-        time the running maximum of the times before it (until a rewind):
-        forward it refills ``Δt·rate``, a little back nothing.  So after
-        each event (a token, the burst or a rewind: :meth:`allow`) the
-        quiet rows are one running sum, as ``np.add.accumulate`` adds."""
-        n, limit, i, rate, burst = len(now), min(1.0, burst), int(i), float(rate), float(burst)
-        allowed = np.zeros(n, dtype=bool)
-        k, stale = 0, True
-        while k < n:
-            if stale:  # the last each row from k on meets, and its refill
-                base = k
-                met = np.maximum.accumulate(np.append(self.last[i], now[k:]))
-                gap = now[k:] - met[:-1]
-                refill = np.where(gap >= 0, gap * rate, np.where(-gap > burst / rate, np.inf, 0))
-            allowed[k] = self.allow(i, float(now[k]), rate, burst)
-            k += 1
-            stale = self.last[i] != met[k - base]  # a rewind
-            if stale:
-                continue
-            ahead = refill[k - base : k - base + QUIET_WINDOW]
-            sums = np.add.accumulate(np.concatenate(((self.tokens[i],), ahead)))[1:]
-            run = int(np.searchsorted(sums, limit))  # sums never fall
-            if run:
-                self.tokens[i], self.last[i] = sums[run - 1], met[k + run - base]
-                self.suppressed[i] += run
-                k += run
+    def _run(self, i: int, times, rate: float, burst: float) -> list[bool]:
+        """:meth:`allow` at each of *times* in order on cell *i*: the one
+        scalar step, the cell's state held in locals for the run."""
+        i, rate, burst = int(i), float(rate), float(burst)
+        tokens, last, full = self.tokens[i], self.last[i], burst / rate
+        allowed = []
+        for t in times:
+            if last == -math.inf:
+                tokens, last = burst, t
+            elif t < last:
+                if last - t > full:  # time rewound past a full refill
+                    tokens, last = burst, t
+            else:
+                tokens, last = tokens + (t - last) * rate, t
+                if tokens > burst:  # min(burst, ...)
+                    tokens = burst
+            if tokens >= 1.0:
+                tokens -= 1.0
+                allowed.append(True)
+            else:
+                allowed.append(False)
+        self.tokens[i], self.last[i] = tokens, last
+        emitted = sum(allowed)
+        self.emitted[i] += emitted
+        self.suppressed[i] += len(allowed) - emitted
         return allowed

@@ -1,27 +1,26 @@
 """Target-address generation for the paper's probing strategies.
 
-Three generators cover every probing pattern used in Sections 3-6:
-
-* one random-IID target inside **each /64** of a prefix (allocation-size
-  grids, Figure 3; rotation detection, Section 4.3),
-* one random-IID target inside **each length-N subnet** of a prefix
-  (density inference probes one per /56, Section 4.2; trackers probe one
-  per inferred allocation unit, Section 6), and
-* one target per allocation unit across a whole **rotation pool**
-  (the Figure 2 reduced search space).
+One generator covers the probing patterns of Sections 3-6: one
+random-IID target inside **each length-N subnet** of a prefix -- each
+/64 for the allocation-size grids (Figure 3), each /56 for density
+inference (Section 4.2) and rotation detection (Section 4.3), each
+inferred allocation unit of a rotation pool for the tracker (Section 6,
+the Figure 2 reduced search space).
 
 Random IIDs make the probed host almost surely nonexistent, which is what
 forces the CPE to answer with an ICMPv6 error exposing its WAN address.
 
-The scanner carries targets as ``(hi, lo)`` ``uint64`` columns, drawn by
-:func:`target_columns`; :func:`split_targets` / :func:`join_targets` convert.
+The scanner carries targets as ``(hi, lo)`` ``uint64`` columns, drawn in
+bulk by :func:`target_columns` (:func:`subnet_targets` over many
+prefixes); :func:`one_target_per_subnet` is their per-target reference
+and twin without numpy; :func:`split_targets` / :func:`join_targets` convert.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.net.addr import ADDR_BITS, IID_BITS, IID_MASK, Prefix
 from repro.util import np
@@ -39,17 +38,6 @@ def split_targets(targets: Sequence[int]):
 def join_targets(hi, lo) -> list[int]:
     """``(hi, lo)`` columns back to address ints."""
     return [(h << IID_BITS) | low for h, low in zip(hi.tolist(), lo.tolist())]
-
-
-def random_iid_targets(prefix: Prefix, count: int, rng: random.Random) -> list[int]:
-    """*count* uniformly random addresses inside *prefix*.
-
-    Used for seed expansion (one random /64 + random IID per /48,
-    Section 4.1).
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return [prefix.random_addr(rng) for _ in range(count)]
 
 
 def one_target_per_subnet(
@@ -73,47 +61,46 @@ def one_target_per_subnet(
 
 
 def target_columns(prefix: Prefix, subnet_plen: int, rng: random.Random):
-    """:func:`one_target_per_subnet` as ``(hi, lo)`` columns, draw for draw:
-    CPython builds ``getrandbits(k)`` from 32-bit words, least significant
-    first, the last shifted right by ``32 - k % 32``, so one bulk draw of
-    every target's whole words leaves *rng* in the same state."""
+    """:func:`one_target_per_subnet` as ``(hi, lo)`` columns, draw for draw."""
     if np is None:
         return split_targets(one_target_per_subnet(prefix, subnet_plen, rng))
     _check_subnets(prefix, subnet_plen)
     host_bits, n = ADDR_BITS - subnet_plen, prefix.num_subnets(subnet_plen)
-    per = -(-host_bits // 32)  # >= 2: a subnet is at most a /64
-    drawn = rng.getrandbits(32 * per * n).to_bytes(4 * per * n, "little")
-    words = np.frombuffer(drawn, dtype="<u4").reshape(n, per).astype(np.uint64)
-    if host_bits % 32:
-        words[:, -1] >>= np.uint64(32 - host_bits % 32)
-    lo = words[:, 0] | (words[:, 1] << np.uint64(32))
-    hi = np.arange(n, dtype=np.uint64) << np.uint64(host_bits - IID_BITS)
+    (hi, lo), = random_columns(rng, n, (host_bits,))
+    hi |= np.arange(n, dtype=np.uint64) << np.uint64(host_bits - IID_BITS)
     hi |= np.uint64(prefix.network >> IID_BITS)
-    for k in range(2, per):
-        hi |= words[:, k] << np.uint64(32 * (k - 2))
     return hi, lo
 
 
-def targets_for_pool(
-    pool_prefix: Prefix, allocation_plen: int, rng: random.Random
-) -> list[int]:
-    """One target per allocation-sized block across a rotation pool.
-
-    This is the Section 6 tracking workload: knowing the provider
-    allocates (say) /56s and rotates within (say) a /46, the attacker
-    sends one probe per /56 of the /46 -- 1/256th the probes of a naive
-    per-/64 sweep.
-    """
-    return one_target_per_subnet(pool_prefix, allocation_plen, rng)
+def subnet_targets(prefixes, rng: random.Random):
+    """:func:`target_columns` of each ``(prefix, subnet_plen)`` in
+    *prefixes* in turn, end to end."""
+    if np is None:
+        return split_targets([t for p, plen in prefixes for t in one_target_per_subnet(p, plen, rng)])
+    parts = [target_columns(prefix, plen, rng) for prefix, plen in prefixes]
+    return tuple(np.concatenate([np.zeros(0, np.uint64), *(p[k] for p in parts)]) for k in (0, 1))
 
 
-def iter_subnet_targets(
-    prefix: Prefix, subnet_plen: int, rng: random.Random
-) -> Iterator[int]:
-    """Lazy variant of :func:`one_target_per_subnet` for very large sweeps."""
-    _check_subnets(prefix, subnet_plen)
-    for subnet in prefix.subnets(subnet_plen):
-        yield subnet.random_addr(rng)
+def random_columns(rng: random.Random, n: int, widths: Sequence[int]):
+    """*n* rounds of ``rng.getrandbits(w)`` for each *w* of *widths* in
+    turn (each at least 64), as one ``(high, low)`` pair of ``uint64``
+    columns per width: the bits past 64, then the low 64.  CPython
+    builds ``getrandbits(k)`` from 32-bit words, least significant
+    first, the last shifted right by ``32 - k % 32``, so one bulk draw
+    of every value's whole words leaves *rng* in the same state."""
+    per = [-(-width // 32) for width in widths]
+    drawn = rng.getrandbits(32 * sum(per) * n).to_bytes(4 * sum(per) * n, "little")
+    words = np.frombuffer(drawn, dtype="<u4").reshape(n, sum(per)).astype(np.uint64)
+    columns, first = [], 0
+    for width, count in zip(widths, per):
+        value, first = words[:, first : first + count], first + count
+        if width % 32:
+            value[:, -1] >>= np.uint64(32 - width % 32)
+        high = np.zeros(n, dtype=np.uint64)
+        for k in range(2, count):
+            high |= value[:, k] << np.uint64(32 * (k - 2))
+        columns.append((high, value[:, 0] | (value[:, 1] << np.uint64(32))))
+    return columns
 
 
 def _check_subnets(prefix: Prefix, subnet_plen: int) -> None:

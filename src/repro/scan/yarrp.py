@@ -14,11 +14,13 @@ extraction.  We model hops that do not answer as ``None`` entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
-from repro.net.eui64 import addr_is_eui64
-from repro.scan.permutation import MultiplicativeCycle
+from repro.net.eui64 import addr_is_eui64, eui64_mask
+from repro.scan.permutation import cycle_order
 from repro.scan.rate import check_rate
+from repro.scan.targets import join_targets
+from repro.util import np
 
 
 class TraceNetwork(Protocol):
@@ -49,7 +51,10 @@ class TracerouteRecord:
 
 
 class Yarrp:
-    """Randomized high-speed traceroute over a simulated topology."""
+    """Randomized high-speed traceroute over a simulated topology, of
+    targets as ``(hi, lo)`` columns: one column pass when the network's
+    class has ``hop_counts`` and ``trace_many`` (the simulator's), else
+    one ``trace`` per target in the same order at the same times."""
 
     def __init__(self, network: TraceNetwork, rate_pps: float = 10_000.0, seed: int = 0) -> None:
         check_rate("rate_pps", rate_pps)
@@ -57,9 +62,7 @@ class Yarrp:
         self.rate_pps = rate_pps
         self.seed = seed
 
-    def trace_all(
-        self, targets: Sequence[int], start_seconds: float = 0.0
-    ) -> list[TracerouteRecord]:
+    def trace_all(self, hi, lo, start_seconds: float = 0.0) -> list[TracerouteRecord]:
         """Traceroute every target, in seed-randomized order.
 
         Real yarrp randomizes over the (target, TTL) product space; the
@@ -68,25 +71,28 @@ class Yarrp:
         than clustered back-to-back.  We charge each target its full hop
         count of probes and randomize target order.
         """
-        records = []
-        if not targets:
-            return records
-        order = MultiplicativeCycle(len(targets), seed=self.seed)
-        interval = 1.0 / self.rate_pps
-        now = start_seconds
-        for index in order:
-            target = targets[index]
-            hops = self.network.trace(target, now)
-            now += interval * max(1, len(hops))
-            records.append(TracerouteRecord(target=target, hops=tuple(hops)))
-        return records
+        return self._records(hi, lo, start_seconds, eui64_only=False)
 
-    def eui64_last_hops(
-        self, targets: Sequence[int], start_seconds: float = 0.0
-    ) -> list[TracerouteRecord]:
+    def eui64_last_hops(self, hi, lo, start_seconds: float = 0.0) -> list[TracerouteRecord]:
         """Traceroutes whose last responsive hop carries an EUI-64 IID."""
-        return [
-            record
-            for record in self.trace_all(targets, start_seconds)
-            if record.last_hop_is_eui64
-        ]
+        return self._records(hi, lo, start_seconds, eui64_only=True)
+
+    def _records(self, hi, lo, start: float, eui64_only: bool) -> list[TracerouteRecord]:
+        if not len(hi):
+            return []
+        order, network = cycle_order(len(hi), self.seed), self.network
+        interval = 1.0 / self.rate_pps
+        if np is None or not hasattr(type(network), "trace_many"):
+            targets, records, now = join_targets(hi, lo), [], start
+            for index in order:
+                hops = network.trace(targets[index], now)
+                now += interval * max(1, len(hops))
+                records.append(TracerouteRecord(target=targets[index], hops=tuple(hops)))
+            return [r for r in records if r.last_hop_is_eui64 or not eui64_only]
+        hi, lo = hi[order], lo[order]
+        # ``now += interval * hops`` per target, the same float adds.
+        charged = interval * network.hop_counts(hi, lo)[:-1]
+        traced = network.trace_many(hi, lo, np.add.accumulate(np.append(start, charged)))
+        rows = np.flatnonzero(eui64_mask(traced.last_lo) | (not eui64_only))
+        targets = join_targets(hi[rows], lo[rows])
+        return [TracerouteRecord(*record) for record in zip(targets, traced.hops(rows))]

@@ -338,8 +338,11 @@ class Zmap6:
         Targets are probed in the seed-determined order at the configured
         rate; each probe ``i`` is sent at ``start + i / rate``.
         """
-        ordered = self.ordered(*split_targets(targets))
-        return ScanStream(self.network, self.config, ordered, start_seconds)
+        return self.stream_columns(*split_targets(targets), start_seconds)
+
+    def stream_columns(self, hi, lo, start_seconds: float = 0.0) -> ScanStream:
+        """:meth:`stream` over targets as ``(hi, lo)`` columns."""
+        return ScanStream(self.network, self.config, self.ordered(hi, lo), start_seconds)
 
     def scan(self, targets: Sequence[int], start_seconds: float = 0.0) -> ScanResult:
         """Probe every target once, starting at *start_seconds*.
@@ -352,9 +355,7 @@ class Zmap6:
     def sweep(self, hi, lo, iid: int, start_seconds: float = 0.0) -> Sweep:
         """Target columns as one :class:`Sweep` for *iid*: probe order,
         send times and loss exactly as :meth:`stream` would give them."""
-        ordered = self.ordered(hi, lo)
-        stream = ScanStream(self.network, self.config, ordered, start_seconds)
-        return stream._next_sweep(len(hi), iid)
+        return self.stream_columns(hi, lo, start_seconds)._next_sweep(len(hi), iid)
 
     def scan_until(
         self,

@@ -32,7 +32,9 @@ two tools:
   ``None`` and the scanner sends each row through ``probe``.
 * ``trace(target, t)`` -- a yarrp-style traceroute returning the per-hop
   source addresses, ending at the CPE when one is on-path (the periphery
-  discovery of Section 2.2).
+  discovery of Section 2.2).  ``trace_many`` is ``trace`` over target
+  columns, one pass on ``classify``'s, and ``hop_counts`` its hop counts
+  from routes alone; ``trace`` is their reference and twin without numpy.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from itertools import accumulate
 
 from repro.bgp.asinfo import AsRegistry
 from repro.bgp.table import RoutingTable
-from repro.net.addr import IID_MASK
+from repro.net.addr import IID_BITS, IID_MASK
 from repro.net.icmpv6 import IcmpCode, IcmpType, ProbeChunk, ProbeResponse, probe_each
 from repro.scan.rate import BucketCells, IcmpRateLimiter, check_rate
-from repro.scan.targets import join_targets, split_targets
+from repro.scan.targets import join_targets
 from repro.simnet.clock import SECONDS_PER_HOUR, hours
 from repro.simnet.pool import PoolTable, Residence, RotationPool
 from repro.simnet.provider import Provider
@@ -88,6 +90,21 @@ class Classified(namedtuple("Classified", _CLASSIFIED)):
         """Whether committing could end at *iid* (certain when ``False``):
         a would-answer row carries it."""
         return bool((self.src_lo[self.cell >= 0] == np.uint64(iid)).any())
+
+
+class Traces(namedtuple("Traces", "router cpe last_hi last_lo paths")):
+    """Target columns after :meth:`SimInternet.trace_many`: per row its
+    origin's core router (a row of ``paths``, the hops short of the CPE;
+    -1, ``(None,)``, when unrouted), whether the CPE hop answered, and
+    the halves of its last responsive hop (0: none, so never EUI-64)."""
+
+    __slots__ = ()
+
+    def hops(self, rows) -> list[tuple]:
+        """:meth:`SimInternet.trace` of each row of *rows*, as tuples."""
+        last, cpe = join_targets(self.last_hi[rows], self.last_lo[rows]), self.cpe[rows].tolist()
+        routers = self.router[rows].tolist()
+        return [self.paths[r] + (a if c else None,) for r, c, a in zip(routers, cpe, last)]
 
 
 class SimInternet:
@@ -133,13 +150,20 @@ class SimInternet:
             self.registry.register(provider.asn, provider.name, provider.country)
             for prefix in provider.bgp_prefixes:
                 self.rib.advertise(prefix, provider.asn)
-        # The core routers by origin AS, for ``classify``: the sorted ASNs
-        # (a sentinel above every AS ends them), each one's cell and source.
-        providers = enumerate(self.providers)
-        routers = [(p.asn, n, p.core_router_address(0)) for n, p in providers if p.bgp_prefixes]
-        asns, cells, sources = zip(*sorted(routers), (1 << 62, -1, 0))
+        # Each routed provider's path short of the CPE (its statically
+        # numbered core routers) by origin AS, for ``trace``; as columns in
+        # AS order for ``classify`` and ``trace_many``, a sentinel AS ending
+        # them (router -1: none, path ``(None,)``): each one's cell, "no
+        # route" source, last core hop (0: none) and hop count.
+        routed = sorted((p.asn, n, p) for n, p in enumerate(self.providers) if p.bgp_prefixes)
+        self._path_of = {asn: tuple(map(p.core_router_address, range(p.core_hops))) for asn, _, p in routed}
+        self._paths = [*self._path_of.values(), (None,)]
         if np is not None:
-            self._routers = (np.array(asns), np.array(cells), *split_targets(sources))
+            rows = [(asn, n, p.core_router_address(0), (path or (0,))[-1], len(path) + 1)
+                    for (asn, n, p), path in zip(routed, self._paths)]
+            asns, cells, sources, lasts, hops = zip(*rows, (1 << 62, -1, 0, 0, 2))
+            halves = np.array([[a >> IID_BITS, a & IID_MASK] for a in sources + lasts], np.uint64).T
+            self._routers = (np.array(asns), np.array(cells), *halves[:, : len(asns)], *halves[:, len(asns) :], np.array(hops))
 
     # -- lookup helpers ----------------------------------------------------
 
@@ -247,10 +271,8 @@ class SimInternet:
         cell[rows[answers]] = tenant[answers]  # a device's cell is its row
 
         rows = np.flatnonzero(numbers < 0)  # outside every pool: the origin's core
-        origin = self.rib.origins(hi[rows], lo[rows])
-        asns, cells, router_hi, router_lo = self._routers
-        at = np.searchsorted(asns, origin)  # the sentinel ends them
-        router = np.where(asns[at] == origin, at, -1)
+        origin, router = self._routers_of(hi[rows], lo[rows])
+        _, cells, router_hi, router_lo, *_ = self._routers
         if self.core_answers_unrouted:
             outcome[rows] = np.where(router >= 0, _CORE, _UNROUTED)
         else:
@@ -329,6 +351,14 @@ class SimInternet:
             return probe_each(self.probe, join_targets(hi, lo), times, stop_iid)
         return self.commit(self.classify([(hi, lo, times)])[0], stop_iid)
 
+    def _routers_of(self, hi, lo):
+        """Per address, its origin AS (-1: unrouted) and that AS's core
+        router (-1: none)."""
+        origin = self.rib.origins(hi, lo)
+        asns = self._routers[0]
+        at = np.searchsorted(asns, origin)  # the sentinel ends them
+        return origin, np.where(asns[at] == origin, at, -1)
+
     def _pool_table(self) -> PoolTable:
         """The world's pool table, built anew once it went stale."""
         table = self._table
@@ -361,6 +391,22 @@ class SimInternet:
             time=t_seconds,
         )
 
+    def hop_counts(self, hi, lo):
+        """:meth:`trace`'s hop count per row of target columns, from
+        routes alone: 2 unrouted, else the origin's core hops and one."""
+        return self._routers[-1][self._routers_of(hi, lo)[1]]
+
+    def trace_many(self, hi, lo, t_seconds) -> Traces:
+        """:meth:`trace` over target columns at *t_seconds*, in one pass:
+        each row's core path from the RIB's columns, and its CPE hop from
+        :meth:`classify` -- the tenant of the moment, if online."""
+        swept = self.classify([(hi, lo, t_seconds)])[0]
+        router = self._routers_of(hi, lo)[1]
+        cpe = np.isin(swept.outcome, (_SILENT, _ANSWERS)) & (router >= 0)
+        ends = zip((swept.src_hi, swept.src_lo), self._routers[4:6])
+        last_hi, last_lo = (np.where(cpe, wan, end[router]) for wan, end in ends)
+        return Traces(router, cpe, last_hi, last_lo, self._paths)
+
     def trace(self, target: int, t_seconds: float) -> list[int | None]:
         """yarrp-style forwarding path toward *target*.
 
@@ -368,20 +414,10 @@ class SimInternet:
         routers, then the CPE WAN interface if a delegation covers the
         target and the device is up.  Silent hops are ``None``.
         """
-        t_h = hours(t_seconds)
-        route = self.rib.lookup(target)
-        if route is None:
+        path = self._path_of.get(self.rib.origin_of(target))
+        if path is None:  # unrouted, or no provider of ours originates it
             return [None, None]
-        provider = self._provider_by_asn.get(route.origin_asn)
-        if provider is None:
-            return [None, None]
-        hops: list[int | None] = [
-            provider.core_router_address(i) for i in range(provider.core_hops)
-        ]
-        entry = self.pool_of(target)
+        t_h, entry = hours(t_seconds), self.pool_of(target)
         residence = entry[1].resolve(target, t_h) if entry else None
-        if residence is not None and residence.device.is_online(t_h):
-            hops.append(residence.wan_address)
-        else:
-            hops.append(None)
-        return hops
+        up = residence is not None and residence.device.is_online(t_h)
+        return [*path, residence.wan_address if up else None]

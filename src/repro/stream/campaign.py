@@ -72,7 +72,7 @@ class StreamingCampaign:
         if checkpoint_every and checkpoint_path is None:
             raise ValueError("checkpoint_every requires a checkpoint_path")
         self.campaign = campaign
-        self.result = CampaignResult(targets_per_day=len(campaign.targets))
+        self.result = CampaignResult(targets_per_day=campaign.n_targets)
         # Caller hook invoked after each completed day (its feed drain
         # and periodic checkpoint included) -- the serve daemon's
         # snapshot-refresh point.  Public and reassignable.

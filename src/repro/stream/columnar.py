@@ -54,7 +54,7 @@ from array import array
 
 from repro.core.rotation_detect import RotationDetection
 from repro.net.addr import Prefix
-from repro.net.eui64 import _FFFE, _FFFE_SHIFT
+from repro.net.eui64 import eui64_mask
 from repro.stream.shard import SPLITMIX64
 from repro.stream.state import pair_columns, pair_ints, plen_of_middle
 from repro.util import np
@@ -82,11 +82,6 @@ def vector_shard_index(keys, num_shards: int):
     """
     x = keys * np.uint64(SPLITMIX64)
     return (x >> np.uint64(32)) % np.uint64(num_shards)
-
-
-def eui64_mask(src_lo):
-    """Vectorized ``is_eui64_iid`` over an IID (low-64) column."""
-    return (src_lo >> np.uint64(_FFFE_SHIFT)) & np.uint64(0xFFFF) == np.uint64(_FFFE)
 
 
 def day_segments(days: list, current_day: int | None):

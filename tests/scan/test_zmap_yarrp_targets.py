@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from repro.net.addr import Prefix, iid_of
 from repro.net.eui64 import mac_to_eui64_iid
 from repro.scan.targets import (
-    iter_subnet_targets,
     join_targets,
     one_target_per_subnet,
-    random_iid_targets,
+    random_columns,
+    split_targets,
+    subnet_targets,
     target_columns,
-    targets_for_pool,
 )
 from repro.scan.yarrp import TracerouteRecord, Yarrp
 from repro.scan.zmap import ScanConfig, Zmap6, send_times
@@ -24,6 +24,7 @@ from repro.simnet.internet import SimInternet
 from repro.simnet.pool import RotationPool
 from repro.simnet.provider import Provider
 from repro.simnet.rotation import IncrementRotation
+from repro.util import np
 
 
 @pytest.fixture()
@@ -44,17 +45,6 @@ def internet() -> SimInternet:
 
 
 class TestTargets:
-    def test_random_iid_targets_inside(self):
-        rng = random.Random(0)
-        prefix = Prefix.parse("2001:db8::/48")
-        targets = random_iid_targets(prefix, 50, rng)
-        assert len(targets) == 50
-        assert all(t in prefix for t in targets)
-
-    def test_random_iid_targets_count_validation(self):
-        with pytest.raises(ValueError):
-            random_iid_targets(Prefix.parse("2001:db8::/48"), -1, random.Random(0))
-
     def test_one_target_per_subnet(self):
         rng = random.Random(0)
         prefix = Prefix.parse("2001:db8::/48")
@@ -70,15 +60,9 @@ class TestTargets:
         with pytest.raises(ValueError):
             one_target_per_subnet(Prefix.parse("2001:db8::/48"), 65, rng)
 
-    def test_targets_for_pool_matches_subnet_generator(self):
-        prefix = Prefix.parse("2001:db8::/46")
-        a = targets_for_pool(prefix, 56, random.Random(5))
-        b = one_target_per_subnet(prefix, 56, random.Random(5))
-        assert a == b
-
-    def test_iter_variant_lazy_equivalence(self):
-        # The lazy variant draws ``subnet.random_addr(rng)`` per subnet;
-        # the eager one computes the same address without the subnets.
+    def test_one_target_per_subnet_is_random_addr_per_subnet(self):
+        # ``subnet.random_addr(rng)`` per subnet, computed without the
+        # subnets.
         for text, plen in [
             ("2001:db8::/56", 64),
             ("2001:db8::/46", 56),
@@ -86,11 +70,9 @@ class TestTargets:
             ("2001:db8:0:7::/64", 64),
             ("2001:db8::/44", 48),
         ]:
-            prefix = Prefix.parse(text)
-            eager = one_target_per_subnet(prefix, plen, random.Random(3))
-            lazy = list(iter_subnet_targets(prefix, plen, random.Random(3)))
-            assert eager == lazy, text
-
+            prefix, rng = Prefix.parse(text), random.Random(3)
+            want = [subnet.random_addr(rng) for subnet in prefix.subnets(plen)]
+            assert one_target_per_subnet(prefix, plen, random.Random(3)) == want, text
 
     @given(
         st.integers(min_value=0, max_value=2**64),
@@ -106,6 +88,30 @@ class TestTargets:
         want = one_target_per_subnet(prefix, plen, per_target)
         assert join_targets(*target_columns(prefix, plen, bulk)) == want
         assert bulk.getstate() == per_target.getstate()
+
+    @pytest.mark.skipif(np is None, reason="bulk draws decode with numpy")
+    @given(
+        st.integers(min_value=0, max_value=2**64),
+        st.lists(st.sampled_from([64, 65, 72, 80, 96, 127, 128]), min_size=1, max_size=5),
+        st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_columns_draw_for_draw(self, seed, widths, n):
+        """Mixed widths, round after round: each value is the one its own
+        ``getrandbits`` makes, and the RNG ends where those leave it."""
+        per_draw, bulk = random.Random(seed), random.Random(seed)
+        want = [[per_draw.getrandbits(w) for w in widths] for _ in range(n)]
+        columns = random_columns(bulk, n, widths)
+        got = [join_targets(high, low) for high, low in columns]
+        assert [list(row) for row in zip(*got)] == want
+        assert bulk.getstate() == per_draw.getstate()
+
+    def test_subnet_targets_are_target_columns_end_to_end(self):
+        prefixes = [(Prefix.parse("2001:db8::/48"), 56), (Prefix.parse("2001:db8:1::/48"), 60)]
+        a, b = random.Random(9), random.Random(9)
+        want = [t for p, plen in prefixes for t in one_target_per_subnet(p, plen, a)]
+        assert join_targets(*subnet_targets(prefixes, b)) == want
+        assert join_targets(*subnet_targets([], b)) == []
 
 
 class TestSendTimes:
@@ -265,14 +271,14 @@ class TestYarrp:
         targets = [pool.delegation_of(i, 0.0).network + 1 for i in range(8)]
         targets.append(Prefix.parse("2a00::/48").network + 1)  # unrouted
         yarrp = Yarrp(internet, seed=2)
-        records = yarrp.eui64_last_hops(targets)
+        records = yarrp.eui64_last_hops(*split_targets(targets))
         assert len(records) == 8
         assert all(r.last_hop_is_eui64 for r in records)
 
     def test_trace_all_counts(self, internet):
         pool = internet.providers[0].pools[0]
         targets = [pool.delegation_of(i, 0.0).network + 1 for i in range(4)]
-        records = Yarrp(internet, seed=2).trace_all(targets)
+        records = Yarrp(internet, seed=2).trace_all(*split_targets(targets))
         assert len(records) == 4
         assert {r.target for r in records} == set(targets)
 
@@ -289,4 +295,4 @@ class TestYarrp:
             Yarrp(internet, rate_pps=rate)
 
     def test_empty_targets(self, internet):
-        assert Yarrp(internet).trace_all([]) == []
+        assert Yarrp(internet).trace_all(*split_targets([])) == []

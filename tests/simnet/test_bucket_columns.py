@@ -103,6 +103,40 @@ def test_allows_response_is_the_limiter_object(rows):
     assert cells(pool) == oracle_cells(limiters, len(LIMITS))
 
 
+# One cell's long run, in stretches: dense probing (token after token
+# until the bucket runs dry), quiet rows (a drained bucket refilling by
+# a fraction of a token per row, so most are refused) and jumps back
+# (a small overlap, or a rewind past a full refill).
+STRETCH = st.one_of(
+    st.tuples(st.just("dense"), st.integers(1, 40), st.floats(0.0, 0.01)),
+    st.tuples(st.just("quiet"), st.integers(1, 120), st.floats(0.01, 0.6)),
+    st.tuples(st.just("back"), st.just(1), st.floats(-400.0, -0.001)),
+)
+
+
+@needs_numpy
+@given(
+    index=st.integers(0, len(LIMITS) - 1),
+    stretches=st.lists(STRETCH, min_size=1, max_size=12),
+    size=st.integers(100, 256),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_long_run_of_one_cell_is_the_limiter_object(index, stretches, size):
+    """100-256 rows of one cell in one chunk: the walk's per-row loop."""
+    rate = LIMITS[index][0]
+    steps = []
+    for kind, count, step in stretches:
+        steps += [step / rate if kind == "quiet" else step] * count
+    steps = (steps * (size // len(steps) + 1))[:size]
+    indexed, limiters, answers = replay([(index, step) for step in steps])
+    pool = make_pool()
+    allowed = pool.allow_many(
+        np.full(size, index, dtype=np.int64), np.array([t for _, t in indexed])
+    )
+    assert allowed.tolist() == answers
+    assert cells(pool) == oracle_cells(limiters, len(LIMITS))
+
+
 @needs_numpy
 @given(rows=ROWS, cut_at=st.floats(0.0, 1.0), split_at=st.lists(st.floats(0.0, 1.0), max_size=4))
 @example(rows=REWIND, cut_at=1.0, split_at=[])

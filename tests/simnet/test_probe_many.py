@@ -458,10 +458,10 @@ class Recording:
 @needs_numpy
 @pytest.mark.parametrize("probe_plen", [56, 58])
 def test_scalar_bucket_calls_are_the_repeated_rows_only(probe_plen, monkeypatch):
-    """One chunked campaign day: the scalar bucket step
-    (``BucketCells.allow``) runs once per row of a device probed again
+    """One chunked campaign day: the per-row bucket walk
+    (``BucketCells._run``) takes each row of a device probed again
     within the same chunk -- none at all when every delegation gets one
-    target -- not once per answer."""
+    target -- not every answer."""
     from repro.core.campaign import Campaign, CampaignConfig
     from repro.scan import zmap
 
@@ -495,15 +495,15 @@ def test_scalar_bucket_calls_are_the_repeated_rows_only(probe_plen, monkeypatch)
     assert (repeated_rows > 0) == (probe_plen > 56)
 
     calls = []
-    allow = BucketCells.allow
+    run = BucketCells._run
 
     def counted(cells, index, t_seconds, rate, burst):
-        calls.append(index)
-        return allow(cells, index, t_seconds, rate, burst)
+        calls.extend([index] * len(t_seconds))
+        return run(cells, index, t_seconds, rate, burst)
 
-    monkeypatch.setattr(BucketCells, "allow", counted)
+    monkeypatch.setattr(BucketCells, "_run", counted)
     result = Campaign(chunked, prefixes48, config).run()
     assert len(result.store) == answers
     assert len(calls) == repeated_rows < answers
-    monkeypatch.setattr(BucketCells, "allow", allow)
+    monkeypatch.setattr(BucketCells, "_run", run)
     assert_same_world(reference, chunked)
