@@ -35,7 +35,7 @@ from repro.core.rotation_detect import (
     detect_rotating_prefixes,
     eui64_pairs,
     rotating_asns,
-    target_prefix48,
+    target_prefixes48,
 )
 from repro.net.addr import IID_BITS, Prefix, iid_of
 from repro.scan.targets import random_columns, split_targets, subnet_targets, target_columns
@@ -186,7 +186,7 @@ class DiscoveryPipeline:
         for batch in stream.column_batches(day=0):
             result.store.extend_columns(batch)
             result.expanded_48s.update(
-                target_prefix48(target) for target, _ in eui64_pairs(batch)
+                target_prefixes48(target for target, _ in eui64_pairs(batch))
             )
         result.probes_sent += stream.probes_sent
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.net.addr import Prefix
-from repro.net.eui64 import is_eui64_iid
+from repro.net.eui64 import eui64_mask, is_eui64_iid
+from repro.util import np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scan.zmap import ScanResult
@@ -44,19 +45,30 @@ def eui64_pairs(rows) -> set[tuple[int, int]]:
     """The ``<target, response>`` pairs whose source carries an EUI-64
     IID (Section 4.3's unit), read from the four address columns of
     *rows*: a scan's ``rows``, or a :class:`~repro.store.batch.ColumnBatch`.
+    With numpy the EUI-64 test runs over the ``src_lo`` column first,
+    so only EUI-64 rows become tuples.
     """
+    tgt_hi, tgt_lo, src_hi, src_lo = rows.tgt_hi, rows.tgt_lo, rows.src_hi, rows.src_lo
+    if np is None:
+        return {
+            ((thi << 64) | tlo, (shi << 64) | slo)
+            for thi, tlo, shi, slo in zip(tgt_hi, tgt_lo, src_hi, src_lo)
+            if is_eui64_iid(slo)
+        }
+    keep = np.flatnonzero(eui64_mask(np.asarray(src_lo, dtype=np.uint64)))
     return {
-        ((thi << 64) | tlo, (shi << 64) | slo)
-        for thi, tlo, shi, slo in zip(
-            rows.tgt_hi, rows.tgt_lo, rows.src_hi, rows.src_lo
-        )
-        if is_eui64_iid(slo)
+        ((tgt_hi[i] << 64) | tgt_lo[i], (src_hi[i] << 64) | src_lo[i])
+        for i in keep.tolist()
     }
 
 
-def target_prefix48(target: int) -> Prefix:
-    """The /48 containing a probed target (the flagging granularity)."""
-    return Prefix(target >> _NET48_SHIFT << _NET48_SHIFT, 48)
+def target_prefixes48(targets) -> set[Prefix]:
+    """The /48s containing *targets* (the flagging granularity): one
+    :class:`Prefix` per distinct /48, however many targets share it."""
+    return {
+        Prefix(net48 << _NET48_SHIFT, 48)
+        for net48 in {target >> _NET48_SHIFT for target in targets}
+    }
 
 
 def diff_pairs(
@@ -72,10 +84,11 @@ def diff_pairs(
 
     # A target whose EUI pair appears in only one snapshot changed; also
     # catch targets answered by different EUI sources in the two scans.
-    detection = RotationDetection(changed_pairs=changed, stable_pairs=len(common))
-    for target, _source in changed:
-        detection.rotating_prefixes.add(target_prefix48(target))
-    return detection
+    return RotationDetection(
+        changed_pairs=changed,
+        rotating_prefixes=target_prefixes48(target for target, _source in changed),
+        stable_pairs=len(common),
+    )
 
 
 def detect_rotating_prefixes(

@@ -18,9 +18,9 @@ corpus).
 * ``"binary"`` (:mod:`repro.stream.ckptbin`): length-prefixed flat
   little-endian 64-bit column blocks, written straight from the
   columnar accumulator's arrays and the store's column buffers, with
-  incremental *delta* segments re-emitting only the shards dirtied
-  since the previous save -- the format for checkpoints on the hot
-  path.  Repeated writes through one saver map chain deltas.
+  incremental *delta* segments carrying only what arrived since the
+  previous save -- the format for checkpoints on the hot path.
+  Repeated writes through one saver map chain deltas.
 
 Pick the format per call (``format=``), per process
 (``REPRO_CHECKPOINT_FORMAT``), or not at all: the reader sniffs the
@@ -130,21 +130,22 @@ def _check_head(head: dict, stable_pairs) -> None:
         raise ValueError("engine head field of the wrong type")
 
 
-def _check_records(entries, num_shards: int, records: dict | None = None) -> dict:
-    """The record validation of both readers: fold ``(sid, record)``
-    *entries* over *records* (a chain's records so far) and return
-    them, or raise ``ValueError`` unless every sid is in range and
-    appears once, every shard is present, row counts and pair days are
-    ints and each family's columns share one length."""
-    records = {} if records is None else records
-    seen: set[int] = set()
+def _check_records(entries, num_shards: int, counts: dict | None = None) -> dict:
+    """The record validation of both readers: ``(sid, record)``
+    *entries* as ``{sid: record}``, or raise ``ValueError`` unless every
+    sid is in range and appears once, row counts and pair days are ints
+    and each family's columns share one length, and every shard is
+    covered -- by *entries* alone, or with *counts*, a chain's row count
+    per shard so far, which no entry's count may fall below."""
+    counts = {} if counts is None else counts
+    records: dict = {}
     for sid, record in entries:
         families = [record[family] for family in RUN_FAMILIES]
         if not (
             _is_int(sid, 0)
             and sid < num_shards
-            and sid not in seen
-            and _is_int(record["n"], 0)
+            and sid not in records
+            and _is_int(record["n"], counts.get(sid, 0))
             and all(_is_int(day) for day in record["pairs"])
             and all(
                 len({len(col) for col in cols}) == 1
@@ -152,10 +153,10 @@ def _check_records(entries, num_shards: int, records: dict | None = None) -> dic
             )
         ):
             raise ValueError(f"bad shard record for shard id {sid!r}")
-        seen.add(sid)
         records[sid] = record
-    if len(records) != num_shards:
-        raise ValueError(f"shard records cover {len(records)} of {num_shards} shards")
+    covered = len(records.keys() | counts.keys())
+    if covered != num_shards:
+        raise ValueError(f"shard records cover {covered} of {num_shards} shards")
     return records
 
 
@@ -324,7 +325,7 @@ def restore_engine(
         raise ValueError(f"malformed checkpoint state ({exc!r})") from exc
     engine = restore_stream_head(state, origin_of=origin_of, store=store)
     engine.adopt_shards(records)
-    engine.restore_detection(changed, prefixes, stable)
+    engine.restore_detection([changed], prefixes, stable)
     if rows is not None and store is None and engine.store is not None:
         # A disk-backed store verifies and skips the rows it already holds.
         engine.store.restore_rows(rows)

@@ -7,7 +7,7 @@ for a long campaign the serialize step dwarfs the state update work it
 interrupts.  This module keeps the *state* identical and changes only
 the *encoding*: every aggregate is a length-prefixed flat little-endian
 64-bit column block, and on a numpy install the aggregates are columns
-all the way -- written from the kernel's reduce, merged by the
+all the way -- written from the kernel's batches, merged by the
 follower, and adopted by a resumed engine with ``np.frombuffer`` --
 without a Python object per row anywhere in between.
 
@@ -19,45 +19,57 @@ The header is compact JSON carrying scalars, the chain identity
 (``base_id``/``seq``), and the block table ``[[name, dtype, count],
 ...]``; the payload is the named blocks concatenated in table order,
 each ``count`` little-endian 8-byte elements; the CRC covers header
-bytes plus payload.  A *full* segment (``seq`` 0) rewrites everything;
-a *delta* segment re-emits only the shards whose row count moved since
-the previous segment -- the one dirtiness rule: the saver remembers
-each shard's :meth:`~repro.stream.engine.StreamEngine.shard_counts`
-entry as its last segment wrote it -- plus the store rows appended
-since, chained by ``base_id`` and consecutive ``seq``.  Pair
-sets only ever gain rows for days at or past the day that was current
-when the previous segment was written (days arrive monotone), so a
-delta carries pair blocks only for ``day >= day_floor``; days the
-delta does not re-emit are dropped on restore for re-emitted shards,
-and every restore replays the segment's ``prune_threshold`` so clean
-shards prune identically.  A save at a position the chain already
-holds (no moved count, no new store row, same head) writes nothing.
+bytes plus payload.  A *full* segment (``seq`` 0) holds everything.
 
-**What a save reads.**  The engine's column records
-(:meth:`StreamEngine.shard_records
-<repro.stream.engine.StreamEngine.shard_records>` of the moved shards,
-pair days from the floor on) -- with the kernel numpy views of the
-accumulator's sorted, de-duplicated runs and pair chunks, each a
-``tobytes()``; without it the shards lifted into stdlib arrays -- plus
-the engine's changed-pair columns and the store's column tail.  Every
-span key appears once per shard either way.
+**What a delta holds.**  A *delta* segment (chained by ``base_id`` and
+consecutive ``seq``) holds, for each shard whose row count moved since
+the previous segment -- the saver remembers each shard's
+:meth:`~repro.stream.engine.StreamEngine.shard_counts` entry as its
+last segment wrote it -- a record of what arrived since: with the
+kernel, the fold of exactly the rows ingested since that segment
+(sorted, key-unique, spans over those rows only) and the pair rows
+each day gained; plus the changed-pair log entries appended since, the
+rotating prefixes and the store rows appended since.  A saver that did
+not write the engine's previous segment (another saver on the engine,
+or an append that failed), and the kernel-less engine always, write
+each moved shard's *whole* record instead.  A save at a position the
+chain already holds (no moved count, no new store row, same head)
+writes nothing.  The fold since a segment is released only once that
+segment is on disk.
+
+**The merge rule.**  Aggregates only grow, so a reader merges segments
+rather than replacing shards: set rows are unioned, spans min/max'd,
+each day's pairs unioned, changed pairs unioned, and the newest
+``prune_threshold`` (thresholds only rise) is replayed over every
+shard's pair days; a shard's row count and the head, prefixes and
+progress come from the newest segment.  A whole record merges to
+exactly what it says, which is why whole records and the day's fold
+mix freely in one chain, and why a format-1 chain (whose deltas
+re-emitted whole shards) reads through the same merge.
+
+**When runs merge.**  The kernel sorts each save's new rows into one
+batch and queues it; batches merge into the accumulator's runs only
+when something reads the runs -- a query, a JSON or full save, a
+``retain_days`` close.  A delta reads the queued batches, never the
+runs, so a chain of deltas never pays the merge, and a restore queues
+each segment's records as a batch for the first read to merge.
 
 **What a load builds.**  :class:`ChainAssembler` validates each segment
 against its header *before* touching merged state -- framing, CRC,
-chain continuity, store chaining, the head and the shard records
-(through the same checks as the JSON reader), and that every block the
-header promises is there with the right type and one length per family
-(any miss raises :class:`CheckpointError`, never a silent partial
-restore) -- and keeps the decoded blocks as column records of stdlib
-arrays and the corpus as one :class:`~repro.store.batch.ColumnBatch`.
-:meth:`ChainAssembler.restore_engine` hands the records to
+format, chain continuity, store chaining, the head and the shard
+records (through the same checks as the JSON reader), and that every
+block the header promises is there with the right type and one length
+per family (any miss raises :class:`CheckpointError`, never a silent
+partial restore) -- and keeps each segment's decoded records as column
+records of stdlib arrays and the corpus as one
+:class:`~repro.store.batch.ColumnBatch`.
+:meth:`ChainAssembler.restore_engine` hands the segments' records to
 :meth:`~repro.stream.engine.StreamEngine.adopt_shards`, the one way in
-for either owner: a kernel engine views them with ``np.frombuffer``
-(aggregates through the same merge the reduce uses, pair blocks to the
-accumulator's per-day chunks, changed pairs to the log), so its next
-day close still diffs in column space.  :meth:`ChainAssembler.state`
-renders the records through the JSON writer's own renderers -- the dict
-:func:`read_state` and a follower's ``state`` return.
+for either owner (a kernel engine views them with ``np.frombuffer``
+and queues them, so its next day close still diffs in column space).
+:meth:`ChainAssembler.state` renders the engine they restore to
+through the JSON writer's own :func:`~repro.stream.checkpoint.engine_state`
+-- the dict :func:`read_state` and a follower's ``state`` return.
 """
 
 from __future__ import annotations
@@ -80,9 +92,8 @@ from repro.stream.checkpoint import (
     FORMAT_VERSION,
     _check_head,
     _check_records,
-    _detection_state,
     _is_int,
-    _shard_state,
+    engine_state,
     restore_stream_head,
     stream_head,
 )
@@ -96,7 +107,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MAGIC = b"RPB1"
 #: Binary container format revision (independent of the JSON
 #: ``FORMAT_VERSION``, which names the *state schema* both formats share).
-BINARY_FORMAT = 1
+#: 2: a delta may carry the fold since the previous segment; 1: every
+#: delta re-emitted whole shards.  One merge reads both.
+BINARY_FORMAT = 2
+_READABLE_FORMATS = (1, 2)
 
 _BIG_ENDIAN = byteorder == "big"
 
@@ -402,25 +416,22 @@ def _build_segment(
     kind: str,
     base_id: str,
     seq: int,
-    day_floor: int | None,
-    sids: list[int],
+    records: dict,
+    changed: list,
     store_start: int,
 ) -> tuple[bytes, list[bytes], dict]:
     """Serialize one segment; returns (header bytes, blobs, header dict):
-    the column records of *sids* (a delta's pair days from the
-    previous segment's day on), the changed-pair columns, the rotating
-    prefixes and the store's tail."""
+    the changed-pair column batches *changed*, the rotating prefixes,
+    the shard column *records* and the store's tail."""
     writer = _SegmentWriter()
-    detection = engine.live_detection
-    writer.add_family("", _CHANGED_BLOCKS, *detection.changed_columns())
-    prefixes = list(detection.rotating_prefixes)
+    writer.add_family("", _CHANGED_BLOCKS, *changed)
+    prefixes = list(engine.live_detection.rotating_prefixes)
     net_hi, net_lo = split128(prefix.network for prefix in prefixes)
     plen = array("q", [prefix.plen for prefix in prefixes])
     writer.add_family("", _PREFIX_BLOCKS, (net_hi, net_lo, plen))
 
     shard_records = [
-        _add_shard_blocks(writer, sid, record)
-        for sid, record in engine.shard_records(sids, day_floor).items()
+        _add_shard_blocks(writer, sid, record) for sid, record in records.items()
     ]
 
     store_record = (
@@ -432,7 +443,6 @@ def _build_segment(
         "kind": kind,
         "base_id": base_id,
         "seq": seq,
-        "day_floor": day_floor,
         "prune_threshold": engine._prune_floor,
         "engine": head,
         "shards": shard_records,
@@ -464,8 +474,10 @@ class BinaryCheckpointer:
     stream or another store, file moved or resized underneath us, store
     truncated, chain at ``max_chain``) rewrites the file atomically
     with a full segment; later saves of the same stream append delta
-    segments holding only the shards whose row count moved since the
-    last segment and the store tail.  A *stream* is what a
+    segments holding what arrived since the last segment -- per shard
+    whose row count moved, the fold since (or the whole shard, when
+    another segment of the engine came between) -- and the store tail.
+    A *stream* is what a
     :class:`~repro.stream.engine.StreamEngine`'s ``_stream_id`` names:
     one engine -- one frozen config, so one shard count.  A
     forced full is a fresh saver on the path.  A delta that would hold
@@ -478,8 +490,8 @@ class BinaryCheckpointer:
     def __init__(self, path, max_chain: int = 16, id_source=os.urandom) -> None:
         self.path = Path(path)
         #: Segments per chain before the next save rebases with a full
-        #: rewrite (bounds restore-time chain walking and file growth
-        #: from re-emitted detection state).
+        #: rewrite (bounds restore-time chain walking and the parts a
+        #: reader merges per shard).
         self.max_chain = max_chain
         #: ``id_source(8)`` -> 8 bytes: a new chain's id, as hex.
         self.id_source = id_source
@@ -488,7 +500,8 @@ class BinaryCheckpointer:
         self._stream = None  # the stream identity the chain holds
         self._store = None  # the store whose rows the chain holds
         self._counts: list[int] = []  # per-shard rows the chain holds
-        self._day_floor: int | None = None
+        # (live detection, its log length) the chain holds.
+        self._log: tuple = (None, 0)
         self._store_rows = 0
         self._expected_size: int | None = None
         self._segments: list[SegmentInfo] = []
@@ -517,6 +530,34 @@ class BinaryCheckpointer:
             and (store is None or len(store) >= self._store_rows)
         )
 
+    def _write(self, kind, base_id, seq, header_bytes, blobs) -> int:
+        """Put one segment on disk -- a full one through a tmp and a
+        rename, a delta appended -- and record it in :attr:`chain`;
+        returns its size."""
+        path = self.path
+        if kind == "full":
+            tmp = path.with_name(path.name + ".tmp")
+            try:
+                with open(tmp, "wb") as fh:
+                    segment_size = _write_segment(fh, header_bytes, blobs)
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+            self._segments = [SegmentInfo(kind, base_id, seq, 0, segment_size)]
+            return segment_size
+        old_size = path.stat().st_size
+        try:
+            with open(path, "ab") as fh:
+                segment_size = _write_segment(fh, header_bytes, blobs)
+        except BaseException:
+            # A torn append would corrupt the chain; roll the file
+            # back to the last good segment boundary.
+            with open(path, "rb+") as fh:
+                fh.truncate(old_size)
+            raise
+        self._segments.append(SegmentInfo(kind, base_id, seq, old_size, segment_size))
+        return segment_size
+
     def save(
         self,
         engine: "StreamEngine",
@@ -526,7 +567,7 @@ class BinaryCheckpointer:
     ) -> SaveResult:
         """Write one segment; returns a :class:`SaveResult`.
 
-        *store* defaults to ``engine.store``.  A delta re-emits the
+        *store* defaults to ``engine.store``.  A delta holds the
         shards whose :meth:`~repro.stream.engine.StreamEngine.shard_counts`
         entry moved since the last segment.  *instruments* is a
         ``CheckpointInstruments`` bundle (optional).
@@ -543,10 +584,10 @@ class BinaryCheckpointer:
             "stable_pairs": engine.live_detection.stable_pairs,
         }
         position = (head, progress, engine._prune_floor)
+        detection = engine.live_detection
         if kind == "delta":
             base_id = self._base_id
             seq = self._seq + 1
-            day_floor = self._day_floor
             store_start = self._store_rows
             sids = [
                 sid
@@ -565,70 +606,57 @@ class BinaryCheckpointer:
         else:
             base_id = self.id_source(8).hex()
             seq = 0
-            day_floor = None
             store_start = 0
             sids = list(range(engine.config.num_shards))
+        logged, held = self._log
+        if kind == "delta" and logged is detection:
+            changed = detection.log[held:]  # the log only ever appends
+        else:
+            changed = detection.changed_columns()
 
         t0 = perf_counter()
-        with (
-            instruments.serialize_seconds.time()
-            if instruments is not None
-            else nullcontext()
-        ):
-            header_bytes, blobs, header = _build_segment(
-                engine,
-                store,
-                progress,
-                head,
-                kind=kind,
-                base_id=base_id,
-                seq=seq,
-                day_floor=day_floor,
-                sids=sids,
-                store_start=store_start,
-            )
-
-        path = self.path
-        if kind == "full":
-            tmp = path.with_name(path.name + ".tmp")
-            try:
-                with open(tmp, "wb") as fh:
-                    segment_size = _write_segment(fh, header_bytes, blobs)
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
-            self._segments = [
-                SegmentInfo(kind, base_id, seq, 0, segment_size)
-            ]
-        else:
-            old_size = path.stat().st_size
-            try:
-                with open(path, "ab") as fh:
-                    segment_size = _write_segment(fh, header_bytes, blobs)
-            except BaseException:
-                # A torn append would corrupt the chain; roll the file
-                # back to the last good segment boundary.
-                with open(path, "rb+") as fh:
-                    fh.truncate(old_size)
-                raise
-            self._segments.append(
-                SegmentInfo(kind, base_id, seq, old_size, segment_size)
-            )
+        try:
+            with (
+                instruments.serialize_seconds.time()
+                if instruments is not None
+                else nullcontext()
+            ):
+                header_bytes, blobs, header = _build_segment(
+                    engine,
+                    store,
+                    progress,
+                    head,
+                    kind=kind,
+                    base_id=base_id,
+                    seq=seq,
+                    records=engine.shard_records(
+                        sids, since=self if kind == "delta" else None
+                    ),
+                    changed=changed,
+                    store_start=store_start,
+                )
+            segment_size = self._write(kind, base_id, seq, header_bytes, blobs)
+        except BaseException:
+            # Whatever the fold since the last segment holds now, no
+            # delta builds on it: the next save writes whole shards.
+            engine.mark_segment(None)
+            raise
+        engine.mark_segment(self)
 
         self._base_id = base_id
         self._seq = seq
         self._stream = engine._stream_id
         self._store = store
         self._counts = counts
-        self._day_floor = engine.current_day
+        self._log = (detection, len(detection.log))
         self._store_rows = header["store"]["rows"] if store is not None else 0
         self._position = position
-        file_bytes = path.stat().st_size
+        file_bytes = self.path.stat().st_size
         self._expected_size = file_bytes
 
         if instruments is not None:
             instruments.written(
-                path,
+                self.path,
                 file_bytes,
                 engine.current_day,
                 perf_counter() - t0,
@@ -688,9 +716,11 @@ class _Staged:
     :meth:`ChainAssembler.apply_parsed` commits, built without touching
     the assembler."""
 
-    shard_records: dict
+    parts: list
+    counts: dict
+    changed: list
+    prefixes: tuple
     corpus_tail: ColumnBatch | None
-    detection: dict
     is_base: bool
 
 
@@ -699,23 +729,26 @@ class ChainAssembler:
 
     The consumer side of the segment stream: feed it each raw segment
     (or each pre-parsed ``(header, payload)``) in chain order and it
-    maintains the merged chain as columns -- per shard the newest
-    decoded block arrays, the corpus as one growing
+    keeps the chain as columns -- per segment its decoded shard records
+    (each record's ``n`` the rows it adds to the shard's count, so the
+    parts add up to the newest segment's count), the changed-pair
+    batches, the corpus as one growing
     :class:`~repro.store.batch.ColumnBatch` -- which is how a
     replication follower applies deltas without re-reading the whole
     chain per segment.  :meth:`restore_engine` builds an engine from
-    those columns; :meth:`state` inflates them to the checkpoint-state
-    dict on demand and is the only place Python rows are built.
+    those columns; :meth:`state` folds and inflates them to the
+    checkpoint-state dict on demand and is the only place Python rows
+    are built.
 
-    Validation happens strictly before mutation: framing, CRC, format,
-    chain continuity, store chaining, and the block table against what
-    the header promises (presence, type, one length per family, no
-    strays) are all checked while the segment is merged *on the side*,
-    so a rejected segment (:class:`CheckpointError`) never poisons the
-    already-applied state.  With *allow_rebase* (the wire default) a
-    fresh full segment -- ``seq`` 0, new ``base_id`` -- resets the
-    assembler, mirroring a shipper-side rebase; file readers pass
-    ``False`` so a file holding two chains fails loudly.
+    Validation happens strictly before mutation: framing, CRC, format
+    (one per chain), chain continuity, store chaining, and the block
+    table against what the header promises (presence, type, one length
+    per family, no strays) are all checked while the segment is merged
+    *on the side*, so a rejected segment (:class:`CheckpointError`)
+    never poisons the already-applied state.  With *allow_rebase* (the
+    wire default) a fresh full segment -- ``seq`` 0, new ``base_id`` --
+    resets the assembler, mirroring a shipper-side rebase; file readers
+    pass ``False`` so a file holding two chains fails loudly.
     """
 
     def __init__(
@@ -726,9 +759,13 @@ class ChainAssembler:
         self.base_id: str | None = None
         self.seq: int | None = None
         self.segments_applied = 0
+        self._format: int | None = None
+        self._threshold: int | None = None  # the newest prune threshold
         self._engine_header: dict | None = None
-        self._detection: dict | None = None
-        self._shard_records: dict[int, dict] = {}
+        self._parts: list[dict] = []  # per segment, {sid: record}
+        self._counts: dict[int, int] = {}  # per shard, the newest row count
+        self._changed: list[tuple] = []  # changed-pair column batches
+        self._prefixes: tuple = ()  # the newest rotating-prefix columns
         self._corpus: ColumnBatch | None = None
         self._progress: dict | None = None
 
@@ -767,26 +804,29 @@ class ChainAssembler:
             ) from exc
 
         # -- commit point: everything below mutates merged state -------
-        self._shard_records = staged.shard_records
+        self._parts = staged.parts
+        self._counts = staged.counts
+        self._changed = staged.changed
+        self._prefixes = staged.prefixes
         if staged.is_base:
             self._corpus = staged.corpus_tail
         elif staged.corpus_tail is not None:
             self._corpus.extend(staged.corpus_tail)
+        self._format = header["format"]
+        self._threshold = header["prune_threshold"]
         self._engine_header = header["engine"]
         self._progress = header["progress"]
-        self._detection = staged.detection
         self.base_id = header["base_id"]
         self.seq = header["seq"]
         self.segments_applied += 1
 
     def _stage(self, header: dict, payload) -> _Staged:
         """Validate *header* against its blocks and merge the segment
-        into a copy of the shard records; mutates nothing of ``self``."""
+        over a copy of the chain's parts; mutates nothing of ``self``."""
         label = self._label
-        if header.get("format") != BINARY_FORMAT:
-            raise CheckpointError(
-                f"unsupported binary checkpoint format: {header.get('format')!r}"
-            )
+        fmt = header.get("format")
+        if not (_is_int(fmt) and fmt in _READABLE_FORMATS):
+            raise CheckpointError(f"unsupported binary checkpoint format: {fmt!r}")
         kind, seq = header["kind"], header["seq"]
         if kind not in ("full", "delta") or not _is_int(seq, 0):
             raise CheckpointError(f"{label}: bad segment identity {kind!r}/{seq!r}")
@@ -806,16 +846,18 @@ class ChainAssembler:
                 f"{label}: broken segment chain at seq {seq}"
                 f" (expected {self.seq + 1} of base {self.base_id})"
             )
+        if not is_base and fmt != self._format:
+            raise CheckpointError(
+                f"{label}: format changed mid-chain ({self._format} to {fmt})"
+            )
 
         head = header["engine"]
         _check_head(head, head["stable_pairs"])
         num_shards = head["config"]["num_shards"]
-        day_floor = header["day_floor"]
         threshold = header["prune_threshold"]
         progress = header["progress"]
         if not (
-            (day_floor is None or _is_int(day_floor))
-            and (threshold is None or _is_int(threshold))
+            (threshold is None or _is_int(threshold))
             and (progress is None or type(progress) is dict)
         ):
             raise CheckpointError(f"{label}: bad segment header scalars")
@@ -823,74 +865,52 @@ class ChainAssembler:
             raise CheckpointError(f"{label}: shard count changed mid-chain")
 
         table = _block_table(header, payload, label)
-        detection = {
-            "cp": _take_family(table, "", _CHANGED_BLOCKS, label),
-            "rp": _take_family(table, "", _PREFIX_BLOCKS, label),
-        }
+        changed = _take_family(table, "", _CHANGED_BLOCKS, label)
+        prefixes = _take_family(table, "", _PREFIX_BLOCKS, label)
 
         entries = []
         for record in header["shards"]:
-            sid = record["sid"]
-            prefix = f"s{sid}."
-            merged = {
+            prefix = f"s{record['sid']}."
+            part = {
                 family: _take_family(table, prefix, schema, label)
                 for family, schema in _SHARD_BLOCKS.items()
             }
-            merged["n"] = record["n"]
-            # A delta keeps a re-emitted shard's pair days below its floor.
-            previous = self._shard_records.get(sid) if kind == "delta" else None
-            pairs = {
-                day: cols
-                for day, cols in (previous["pairs"] if previous else {}).items()
-                if day_floor is not None and day < day_floor
+            part["n"] = record["n"]
+            part["pairs"] = {
+                day: _take_family(table, f"{prefix}d{day}.", _PAIR_BLOCKS, label)
+                for day in record["days"]
             }
-            for day in record["days"]:
-                pairs[day] = _take_family(
-                    table, f"{prefix}d{day}.", _PAIR_BLOCKS, label
-                )
-            merged["pairs"] = pairs
-            entries.append((sid, merged))
-        shard_records = _check_records(
-            entries, num_shards, {} if is_base else dict(self._shard_records)
-        )
-        if threshold is not None:
-            # Replayed on *every* shard: a delta's clean shards were
-            # pruned in memory without being re-emitted.
-            for sid, record in shard_records.items():
-                if any(day < threshold for day in record["pairs"]):
-                    shard_records[sid] = {
-                        **record,
-                        "pairs": {
-                            day: cols
-                            for day, cols in record["pairs"].items()
-                            if day >= threshold
-                        },
-                    }
+            entries.append((record["sid"], part))
+        held = {} if is_base else self._counts
+        records = _check_records(entries, num_shards, held)
+        counts = {**held, **{sid: record["n"] for sid, record in records.items()}}
+        for sid, record in records.items():
+            record["n"] -= held.get(sid, 0)  # the rows this part adds
 
         corpus_tail = None
         store_record = header["store"]
         if store_record is not None:
             if is_base:
-                held = 0
+                held_rows = 0
             elif self._corpus is None:
                 raise CheckpointError(
                     f"{label}: delta carries store rows but the chain has no store"
                 )
             else:
-                held = len(self._corpus)
-            if store_record["start"] != held:
+                held_rows = len(self._corpus)
+            if store_record["start"] != held_rows:
                 raise CheckpointError(
                     f"store delta does not chain: segment starts at row"
-                    f" {store_record['start']}, chain holds {held}"
+                    f" {store_record['start']}, chain holds {held_rows}"
                 )
             day, t_col, tgt_hi, tgt_lo, src_hi, src_lo = _take_family(
                 table, "", _STORE_BLOCKS, label
             )
             (t_int,) = _take_family(table, "", (_STORE_TINT,), label)
-            if store_record["rows"] != held + len(day):
+            if store_record["rows"] != held_rows + len(day):
                 raise CheckpointError(
                     f"store row count mismatch: header says {store_record['rows']},"
-                    f" decoded {held + len(day)}"
+                    f" decoded {held_rows + len(day)}"
                 )
             t_seconds = t_col.tolist()
             for index in t_int:
@@ -901,12 +921,14 @@ class ChainAssembler:
                 f"{label}: blocks the header does not account for:"
                 f" {sorted(table)[:4]}"
             )
-        return _Staged(shard_records, corpus_tail, detection, is_base)
-
-    def _prefix_rows(self) -> list[tuple[int, int]]:
-        """The rotating prefixes as ``(network, plen)`` ints."""
-        hi, lo, plen = self._detection["rp"]
-        return list(zip(join128(hi, lo), plen.tolist()))
+        return _Staged(
+            parts=([] if is_base else self._parts) + [records],
+            counts=counts,
+            changed=([] if is_base else self._changed) + [changed],
+            prefixes=prefixes,
+            corpus_tail=corpus_tail,
+            is_base=is_base,
+        )
 
     def _head(self) -> dict:
         if self._engine_header is None:
@@ -919,8 +941,8 @@ class ChainAssembler:
         """Build the engine the chain describes (arguments as
         :func:`~repro.stream.checkpoint.restore_engine`).
 
-        The engine adopts the chain's column records
-        (:meth:`~repro.stream.engine.StreamEngine.adopt_shards`) and its
+        The engine adopts each segment's column records in turn
+        (:meth:`~repro.stream.engine.StreamEngine.adopt_shards`) and the
         changed-pair columns, no dict in between.
         """
         if telemetry is not None:
@@ -930,14 +952,7 @@ class ChainAssembler:
                 engine = self.restore_engine(origin_of=origin_of, store=store)
             engine.attach_telemetry(telemetry)
             return engine
-        head = self._head()
-        engine = restore_stream_head(head, origin_of=origin_of, store=store)
-        engine.adopt_shards(self._shard_records)
-        engine.restore_detection(
-            self._detection["cp"],
-            {Prefix(*row) for row in self._prefix_rows()},
-            head["stable_pairs"],
-        )
+        engine = self._engine(origin_of, store)
         if (
             self._progress is None
             and self._corpus is not None
@@ -947,40 +962,44 @@ class ChainAssembler:
             engine.store.restore_columns(self._corpus)
         return engine
 
+    def _engine(self, origin_of=None, store=None) -> "StreamEngine":
+        """The chain's engine, its corpus left out."""
+        head = self._head()
+        engine = restore_stream_head(head, origin_of=origin_of, store=store)
+        for records in self._parts:
+            engine.adopt_shards(records)
+        if self._threshold is not None:
+            # Replayed over every part: a shard the engine pruned need
+            # not have been re-emitted since.
+            engine.prune_pair_days(self._threshold)
+        hi, lo, plen = self._prefixes
+        engine.restore_detection(
+            self._changed,
+            {Prefix(*row) for row in zip(join128(hi, lo), plen.tolist())},
+            head["stable_pairs"],
+        )
+        return engine
+
     def state(self) -> dict:
-        """The merged checkpoint-state dict (see :func:`read_state`).
+        """The merged checkpoint-state dict (see :func:`read_state`):
+        :func:`~repro.stream.checkpoint.engine_state` of the engine the
+        chain restores to -- so the engine's own merge folds the
+        segments -- with the chain's corpus rows.
 
         Builds fresh lists every call; the assembler itself is not
         consumed, so a follower can materialize after every applied
         segment.
         """
-        engine_header = self._head()
         rows = self._corpus.rows() if self._corpus is not None else None
-        # The header's "engine" dict is the shared stream head plus the
-        # one detection scalar that has no column block.
-        head = {k: v for k, v in engine_header.items() if k != "stable_pairs"}
-        engine_state = {
-            "version": FORMAT_VERSION,
-            **head,
-            "detection": _detection_state(
-                [self._detection["cp"]],
-                engine_header["stable_pairs"],
-                map(list, self._prefix_rows()),
-            ),
-            "shards": [
-                _shard_state(sid, self._shard_records[sid])
-                for sid in range(engine_header["config"]["num_shards"])
-            ],
-            "store": rows,
-        }
+        state = {**engine_state(self._engine()), "store": rows}
         if self._progress is not None:
             return {
                 "version": FORMAT_VERSION,
                 "progress": self._progress,
-                "engine": {**engine_state, "store": None},
+                "engine": {**state, "store": None},
                 "store": rows if rows is not None else [],
             }
-        return engine_state
+        return state
 
 
 def load_chain(path) -> ChainAssembler:

@@ -13,17 +13,22 @@ replaces that hot loop with a columnar kernel:
   shard placement (the same splitmix scramble as
   :func:`~repro.stream.shard.shard_index`, vectorized), and per-shard
   row counting;
-* reads come in two strengths (:class:`ColumnarAccumulator`):
+* buffered rows are sorted into *batches* -- per aggregate family one
+  sorted, key-unique set of columns over those rows only, span groups
+  min/max-reduced with ``ufunc.reduceat`` -- and batches are merged
+  into the *runs* only when something reads the runs
+  (:class:`ColumnarAccumulator`):
 
-  - ``reduce()`` merges the buffered rows into *runs* -- per aggregate
-    family one sorted, de-duplicated set of columns, span groups
-    min/max-reduced with ``ufunc.reduceat``; only new rows are sorted.
-    Pure numpy, and all that queries, the served snapshot and a
-    ``retain_days`` day close ever need.
+  - ``reduce()`` merges the queued batches into the runs -- all that
+    queries, the served snapshot and a ``retain_days`` day close ever
+    need.
   - ``shard_records()`` slices the runs and the per-day pair chunks
     per shard into *column records* -- numpy views, no copy -- the one
     shape state leaves in, for both checkpoint formats; a day's pairs
-    are sorted once.  ``adopt()`` is the one way records come back in.
+    are sorted once.  ``since_records()`` slices the batches queued
+    since the last binary segment instead, which a delta writes
+    without merging anything.  ``adopt()`` is the one way records come
+    back in, queued as batches.
 
 With the kernel the accumulator is the one owner of engine state, and
 without it :class:`ShardState` is; nothing holds both, so no reader or
@@ -362,11 +367,15 @@ RUN_FAMILIES = {
 def _merge_family(family: str, parts: list) -> list:
     """Merge one family's column *parts* -- the first its run (sorted,
     key-unique), the rest in any order, repeats welcome -- into a run:
-    the new rows sorted and reduced, then inserted into the run."""
+    each new part sorted and reduced unless its rows already ascend (a
+    batch's, a checkpoint's), then the parts merged pairwise, a tree of
+    :func:`_insert_rows` that sorts nothing again."""
     n_keys = RUN_FAMILIES[family][1]
-    run, *new = parts
-    batch = _sorted_rows([np.concatenate(column) for column in zip(*new)], n_keys)
-    return _insert_rows(run, batch, n_keys)
+    runs = [parts[0], *(_sorted_rows(part, n_keys) for part in parts[1:])]
+    while len(runs) > 1:
+        pairs = [runs[i : i + 2] for i in range(0, len(runs), 2)]
+        runs = [_insert_rows(*pair, n_keys) if pair[1:] else pair[0] for pair in pairs]
+    return runs[0]
 
 
 def _dtype(typecode: str):
@@ -613,18 +622,23 @@ class ColumnarAccumulator:
     Writes come in three shapes -- :meth:`absorb` per placed chunk on
     the hot path, single rows appended to :attr:`rows` (drained a chunk
     at a time, and before any read), and :meth:`adopt` for restored or
-    merged column records.  Reads come in two strengths:
+    merged column records.  Rows become *batches* -- per family
+    (:data:`RUN_FAMILIES`) one sorted, key-unique set of columns over
+    those rows alone -- and batches join the *runs* only when something
+    reads them.  Reads come in three strengths:
 
-    * :meth:`reduce` merges the buffered rows into the *runs* -- per
-      family (:data:`RUN_FAMILIES`) one sorted, de-duplicated set of
-      columns, span groups already min/max-reduced.  Pure numpy; no
+    * :meth:`reduce` merges the queued batches into the runs
+      (:attr:`runs`), span groups already min/max-reduced.  Pure numpy; no
       Python set, dict or tuple is built.  Queries
       (:meth:`family_columns`, :meth:`iid_spans`) and a ``retain_days``
       day close stop here, and day-close diffs read merged pair columns
       straight from the per-day chunks (:meth:`day_pairs`).
     * :meth:`shard_records` slices the runs and pair chunks per shard
       into column records (numpy views) -- what both checkpoint formats
-      write.  It moves nothing.
+      write whole.  It moves nothing.
+    * :meth:`since_records` slices only the batches and pair chunks
+      queued since :meth:`mark` -- the fold a binary delta carries.  It
+      merges nothing into the runs.
 
     Every read method drains :attr:`rows` first (as
     :meth:`ObservationStore.add <repro.core.records.ObservationStore.add>`'s
@@ -642,11 +656,17 @@ class ColumnarAccumulator:
         # EUI-64 rows: (sid, day, asn, src_hi, src_lo, tgt_hi) -- feeds
         # the span and EUI runs (pairs carry tgt_lo below).
         self._eui: list[tuple] = []
-        #: family -> reduced columns (see :data:`RUN_FAMILIES`).
+        #: family -> reduced columns (see :data:`RUN_FAMILIES`); the
+        #: queued batches are not in them until :meth:`reduce`.
         self.runs: dict[str, list] = {
             family: [np.empty(0, dtype=_dtype(code)) for code in typecodes]
             for family, (typecodes, _) in RUN_FAMILIES.items()
         }
+        self._pending: list[dict] = []  # {family: columns} batches
+        # Since the last mark(): the batches and (day, pair chunk)s a
+        # delta carries; None until a segment is marked.
+        self._since: list[dict] | None = None
+        self._pairs_since: list[tuple] = []
         # day -> [(sid, tgt_hi, tgt_lo, src_hi, src_lo), ...] EUI pair
         # chunks, the diff-ready day_pairs() cache, and (chunks covered,
         # sorted columns).
@@ -714,20 +734,24 @@ class ColumnarAccumulator:
     def add_pair_chunk(self, day: int, sid, tgt_hi, tgt_lo, src_hi, src_lo) -> None:
         """Buffer EUI pair columns of one *day* (a chunk's, or a
         restored shard's)."""
-        self._pair_chunks.setdefault(day, []).append(
-            (sid, tgt_hi, tgt_lo, src_hi, src_lo)
-        )
+        chunk = (sid, tgt_hi, tgt_lo, src_hi, src_lo)
+        self._pair_chunks.setdefault(day, []).append(chunk)
         self._merged_pairs.pop(day, None)
+        if self._since is not None:
+            self._pairs_since.append((day, chunk))
 
     def adopt(self, records: dict) -> None:
         """Fold ``{sid: record}`` column records (the
         :meth:`shard_records` shape; stdlib or numpy columns; rows in any
-        order, repeats welcome) into the state, additively: each family
-        through :func:`_merge_family`, which sorts nothing when the rows
-        already ascend, as a checkpoint's do.  Each record's ``n`` joins
-        :attr:`counts`, the row counts a binary saver compares."""
+        order, repeats welcome) into the state, additively: the records
+        are queued as one batch, sorted only where their rows do not
+        already ascend (a checkpoint's do), and merge into the runs with
+        the rest of the queue when the runs are read.  Each record's
+        ``n`` joins :attr:`counts`, the row counts a binary saver
+        compares."""
         parts: dict[str, list] = {family: [] for family in RUN_FAMILIES}
-        for sid, record in records.items():
+        for sid in sorted(records):
+            record = records[sid]
             self.counts[sid] += record["n"]
             for family, family_parts in parts.items():
                 cols = record[family]
@@ -736,9 +760,16 @@ class ColumnarAccumulator:
             for day, cols in record["pairs"].items():
                 if len(cols[0]):
                     self.add_pair_chunk(day, *shard_part(sid, cols))
-        for family, new in parts.items():
-            if new:
-                self.runs[family] = _merge_family(family, [self.runs[family], *new])
+        batch = {
+            family: _sorted_rows(
+                [np.concatenate(column) for column in zip(*new)],
+                RUN_FAMILIES[family][1],
+            )
+            for family, new in parts.items()
+            if new
+        }
+        if batch:
+            self._queue(batch)
 
     # -- pair columns (the day-close fast path) ----------------------------
 
@@ -827,40 +858,58 @@ class ColumnarAccumulator:
         for cache in (self._pair_chunks, self._merged_pairs, self._sorted_pairs):
             for day in [d for d in cache if d < threshold]:
                 del cache[day]
+        self._pairs_since = [i for i in self._pairs_since if i[0] >= threshold]
 
     # -- reading (no Python state is built) --------------------------------
 
-    def reduce(self) -> dict[str, list]:
-        """Merge the buffered rows into :attr:`runs`; returns them.
+    def _queue(self, batch: dict) -> None:
+        """Queue one ``{family: columns}`` batch for the runs (and, while
+        a segment is marked, for the next delta)."""
+        self._pending.append(batch)
+        if self._since is not None:
+            self._since.append(batch)
 
-        Only the new rows are sorted, once per family group -- ``esrc``
-        is the EUI-64 subset of sorted ``src``, ``pool``'s key a prefix
-        of ``alloc``'s, ``iid`` read off reduced ``pool`` -- and then
-        inserted into the runs (:func:`_insert_rows`).  The
-        bounded-memory half of ``retain_days`` (per-row buffers never
-        outlive a day close) and all a save or a query needs of the
-        aggregates.
+    def _batch(self) -> None:
+        """Sort the buffered rows into one queued batch: per family the
+        rows sorted and key-unique, spans min/max over these rows only.
+
+        Each family group is sorted once -- ``esrc`` is the EUI-64
+        subset of sorted ``src``, ``pool``'s key a prefix of
+        ``alloc``'s, ``iid`` read off reduced ``pool``.  The per-row
+        buffers never outlive a read or a save.
         """
         self.drain()
-        if self._src:
-            src = _sorted_rows([np.concatenate(c) for c in zip(*self._src)])
-            batches = {"src": src}
-            if self._eui:
-                eui = map(np.concatenate, zip(*self._eui))
-                sid, day, asn, src_hi, src_lo, tgt_hi = eui
-                order = row_order([sid, asn, src_lo, day])
-                key = [c[order] for c in (sid, asn, src_lo, day)]  # pool's: key[:3]
-                src_hi, tgt_hi = src_hi[order], tgt_hi[order]
-                pool = _one_per_key([*key[:3], src_hi, src_hi], 3)
-                batches["esrc"] = [c[eui64_mask(src[2])] for c in src]
-                batches["iid"] = _sorted_rows([pool[0], pool[2]])
-                batches["alloc"] = _one_per_key([*key, tgt_hi, tgt_hi], 4)
-                batches["pool"] = pool
-            self._src = []
-            self._eui = []
-            for family, batch in batches.items():
-                n_keys = RUN_FAMILIES[family][1]
-                self.runs[family] = _insert_rows(self.runs[family], batch, n_keys)
+        if not self._src:
+            return
+        src = _sorted_rows([np.concatenate(c) for c in zip(*self._src)])
+        batch = {"src": src}
+        if self._eui:
+            eui = map(np.concatenate, zip(*self._eui))
+            sid, day, asn, src_hi, src_lo, tgt_hi = eui
+            order = row_order([sid, asn, src_lo, day])
+            key = [c[order] for c in (sid, asn, src_lo, day)]  # pool's: key[:3]
+            src_hi, tgt_hi = src_hi[order], tgt_hi[order]
+            pool = _one_per_key([*key[:3], src_hi, src_hi], 3)
+            batch["esrc"] = [c[eui64_mask(src[2])] for c in src]
+            batch["iid"] = _sorted_rows([pool[0], pool[2]])
+            batch["alloc"] = _one_per_key([*key, tgt_hi, tgt_hi], 4)
+            batch["pool"] = pool
+        self._src = []
+        self._eui = []
+        self._queue(batch)
+
+    def reduce(self) -> dict[str, list]:
+        """Merge every queued batch, buffered rows batched first, into
+        the runs (:func:`_merge_family`); returns them.  What every read
+        of the runs -- queries, whole records, a ``retain_days`` close --
+        goes through."""
+        self._batch()
+        if self._pending:
+            pending, self._pending = self._pending, []
+            for family, run in self.runs.items():
+                new = [batch[family] for batch in pending if family in batch]
+                if new:
+                    self.runs[family] = _merge_family(family, [run, *new])
         return self.runs
 
     def family_columns(self, family: str) -> list:
@@ -885,25 +934,59 @@ class ColumnarAccumulator:
             cols = [c[keep] for c in cols]
         return _sorted_rows(cols, 2)
 
-    def shard_records(self, sids, day_floor: int | None = None) -> dict:
+    def shard_records(self, sids) -> dict:
         """``{sid: record}`` for *sids* (the
         :meth:`StreamEngine.shard_records
-        <repro.stream.engine.StreamEngine.shard_records>` shape): numpy
-        views of the runs and pair chunks, sliced, never copied.  No
-        *sids* (a clean save) reduces and sorts nothing."""
+        <repro.stream.engine.StreamEngine.shard_records>` shape), whole:
+        numpy views of the runs and pair chunks, sliced, never copied.
+        No *sids* (a clean save) reduces and sorts nothing."""
         if not sids:
             return {}
-        runs = self.reduce()
-        counts = self.counts.tolist()
+        by_day = {day: self.shard_pair_columns(day) for day in self.pair_days()}
+        return self._slice(sids, self.reduce(), by_day)
+
+    def since_records(self, sids) -> dict:
+        """``{sid: record}`` for *sids* holding only what arrived since
+        :meth:`mark`: the queued batches (merged with each other, not
+        into the runs) and each day's new pair rows, sorted; ``n`` is
+        still the shard's running count.  What a binary delta writes --
+        a reader merges it over the chain's earlier segments."""
+        if not sids:
+            return {}
+        self._batch()
+        since = self._since
+        if len(since) > 1:
+            since[:] = [
+                {
+                    family: _merge_family(family, parts)
+                    for family in RUN_FAMILIES
+                    if (parts := [batch[family] for batch in since if family in batch])
+                }
+            ]
+        chunks: dict[int, list] = {}
+        for day, chunk in self._pairs_since:
+            chunks.setdefault(day, []).append(chunk)
         by_day = {
-            day: self.shard_pair_columns(day)
-            for day in self.pair_days()
-            if day_floor is None or day >= day_floor
+            day: _sorted_rows([np.concatenate(column) for column in zip(*day_chunks)])
+            for day, day_chunks in sorted(chunks.items())
         }
+        return self._slice(sids, since[0] if since else {}, by_day)
+
+    def mark(self) -> None:
+        """A segment holding everything queued so far is on disk: the
+        next :meth:`since_records` starts from here."""
+        self._since = []
+        self._pairs_since = []
+
+    def _slice(self, sids, families: dict, by_day: dict) -> dict:
+        """Per-shard views of ``{family: columns}`` and ``day -> pair
+        columns``, each sorted by sid (a missing family: no rows)."""
+        counts = self.counts.tolist()
         records = {}
         for sid in sids:
             record = {"n": counts[sid]}
-            for family, cols in runs.items():
+            for family, run in self.runs.items():
+                cols = families.get(family) or [c[:0] for c in run]
                 start, stop = np.searchsorted(cols[0], (sid, sid + 1))
                 record[family] = tuple(c[start:stop] for c in cols[1:])
             record["pairs"] = {}

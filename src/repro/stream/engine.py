@@ -65,7 +65,7 @@ from typing import Callable, Iterable
 
 from repro.core.allocation import AllocationInference, allocation_bits, plen_from_bits
 from repro.core.records import ObservationStore, ProbeObservation
-from repro.core.rotation_detect import RotationDetection, diff_pairs, target_prefix48
+from repro.core.rotation_detect import RotationDetection, diff_pairs, target_prefixes48
 from repro.core.rotation_pool import (
     RotationPoolInference,
     pool_bits,
@@ -83,7 +83,6 @@ from repro.stream.state import (
     lift_records,
     merge_spans,
     pair_columns,
-    pair_ints,
     pool_inference_from_spans,
     prune_shard_days,
 )
@@ -207,9 +206,12 @@ class StreamEngine:
             if self._acc is not None
             else [ShardState(shard_id=i) for i in range(self.config.num_shards)]
         )
-        # Highest prune_pair_days threshold applied so far (delta
-        # restores replay it on shards the delta did not re-emit).
+        # Highest prune_pair_days threshold applied so far (chain
+        # restores replay it on every shard's pair days).
         self._prune_floor: int | None = None
+        # Who wrote the newest binary segment of this engine's state
+        # (see mark_segment): its next delta may carry the fold since.
+        self._segment_mark = None
         # Telemetry bundle (repro.obs), execution state only: None keeps
         # every hot path at a single attribute check; checkpoints never
         # see it (the fuzz harness pins the bytes identical either way).
@@ -352,7 +354,7 @@ class StreamEngine:
             flagged = detection.changed_pairs
             if appeared is not None and appeared[0] == len(pairs_a):
                 flagged = flagged - appeared[1]
-            self.rotation_days[closed] = {target_prefix48(t) for t, _ in flagged}
+            self.rotation_days[closed] = target_prefixes48(t for t, _ in flagged)
             mask = len(pairs_b), pairs_b - pairs_a
             live = self.live_detection
             fresh = detection.changed_pairs - live.changed_pairs
@@ -576,23 +578,40 @@ class StreamEngine:
 
     # -- state in and out: column records ------------------------------------
 
-    def shard_records(self, sids=None, day_floor: int | None = None) -> dict:
+    def shard_records(self, sids=None, since=None) -> dict:
         """``{sid: record}`` for *sids* (default: all), the one shape
         state leaves an engine in: ``{"n", "src", "esrc", "iid", "alloc",
         "pool", "pairs"}`` -- the row count, each family's columns in
         the :data:`~repro.stream.columnar.RUN_FAMILIES` layout minus
-        ``sid``, and ``day -> pair columns`` for days ``>= day_floor``,
-        ascending.  Numpy views of the runs with the kernel, the shards
-        lifted into stdlib arrays without it."""
+        ``sid``, and ``day -> pair columns``, ascending.  Numpy views of
+        the runs with the kernel, the shards lifted into stdlib arrays
+        without it.
+
+        *since* is a binary saver: with the kernel, while it wrote the
+        newest segment (:meth:`mark_segment`), each record holds only
+        the fold of the rows that arrived after that segment, and the
+        runs are not merged for it; ``n`` stays the running count.
+        Otherwise every record is whole -- which a chain reader merges
+        the same way."""
         if sids is None:
             sids = range(self.config.num_shards)
-        if self._acc is not None:
-            return self._acc.shard_records(sids, day_floor)
-        return lift_records(self.shards, sids, day_floor)
+        if self._acc is None:
+            return lift_records(self.shards, sids)
+        if since is not None and since is self._segment_mark:
+            return self._acc.since_records(sids)
+        return self._acc.shard_records(sids)
+
+    def mark_segment(self, saver) -> None:
+        """*saver* has put a segment holding all of this engine's state
+        on disk (``None``: an append failed, so no delta may build on
+        the fold since the previous one): its next delta starts here."""
+        self._segment_mark = saver
+        if saver is not None and self._acc is not None:
+            self._acc.mark()
 
     def shard_counts(self) -> list[int]:
         """Rows folded into each shard so far, buffered rows drained
-        first: a binary delta re-emits the shards whose count moved."""
+        first: a binary delta holds the shards whose count moved."""
         if self._acc is not None:
             self._acc.drain()
             return self._acc.counts.tolist()
@@ -600,8 +619,10 @@ class StreamEngine:
 
     def adopt_shards(self, records: dict) -> None:
         """Fold :meth:`shard_records`-shaped records (stdlib or numpy
-        columns) into the engine, additively: the one way state enters
-        an engine, for every restore."""
+        columns; rows in any order, repeats welcome) into the engine,
+        additively: the one way state enters an engine, for every
+        restore -- a binary chain's once per segment, its records' ``n``
+        the rows each segment adds."""
         if self._acc is not None:
             self._acc.adopt(records)
             return
@@ -628,17 +649,22 @@ class StreamEngine:
         pair tuple while closes are pending."""
         return self.live_detection.changed_count()
 
-    def restore_detection(
-        self, changed_cols: tuple, prefixes: set, stable: int
-    ) -> None:
+    def restore_detection(self, changed: list, prefixes: set, stable: int) -> None:
         """Adopt checkpointed detection state, the changed pairs as
-        columns: a kernel engine logs them unfolded, so no tuple is
-        built until someone reads ``live_detection.changed_pairs``; a
-        kernel-less one folds them into the set at once."""
-        changed = set(zip(*pair_ints(changed_cols))) if self._acc is None else None
-        self.live_detection = columnar_kernel.LiveDetection(changed, prefixes, stable)
-        if changed is None and len(changed_cols[0]):
-            self.live_detection.log.append(changed_cols)
+        column batches (repeats across batches welcome): a kernel engine
+        logs them de-duplicated and unfolded, so no tuple is built until
+        someone reads ``live_detection.changed_pairs``; a kernel-less
+        one folds them into the set at once."""
+        batches = [cols for cols in changed if len(cols[0])]
+        if self._acc is None:
+            pairs: set = set()
+            columnar_kernel.fold_changed_pairs(batches, pairs)
+            self.live_detection = columnar_kernel.LiveDetection(pairs, prefixes, stable)
+            return
+        self.live_detection = columnar_kernel.LiveDetection(None, prefixes, stable)
+        if len(batches) > 1:
+            batches = [columnar_kernel.unique_pair_columns(batches)]
+        self.live_detection.log.extend(batches)
 
     def _pairs_on(self, day: int) -> set[tuple[int, int]]:
         """Every ``(target, EUI source)`` pair of scanned *day*, over the

@@ -152,9 +152,9 @@ def lift_family(shard: "ShardState", family: str) -> tuple[array, ...]:
     return _LIFTS[family](shard)
 
 
-def lift_records(shards: "list[ShardState]", sids, day_floor=None) -> dict:
-    """``{sid: record}`` column records of *shards*, pair days below
-    *day_floor* left out: the one place ``ShardState`` becomes columns."""
+def lift_records(shards: "list[ShardState]", sids) -> dict:
+    """``{sid: record}`` column records of *shards*: the one place
+    ``ShardState`` becomes columns."""
     records = {}
     for sid in sids:
         shard = shards[sid]
@@ -163,7 +163,6 @@ def lift_records(shards: "list[ShardState]", sids, day_floor=None) -> dict:
         record["pairs"] = {
             day: pair_columns(shard.pairs_by_day[day])
             for day in sorted(shard.pairs_by_day)
-            if day_floor is None or day >= day_floor
         }
         records[sid] = record
     return records

@@ -31,6 +31,7 @@ from repro.stream.checkpoint import (
     save_engine,
 )
 from repro.stream.ckptbin import (
+    BINARY_FORMAT,
     BinaryCheckpointer,
     ChainAssembler,
     CheckpointError,
@@ -341,6 +342,114 @@ class TestDeltaChains:
         assert path.read_bytes() == good
 
 
+def pair_days(header: dict) -> set[int]:
+    """Every pair day a segment's shard records carry."""
+    return {day for record in header["shards"] for day in record["days"]}
+
+
+class TestDeltaContract:
+    """A delta holds what arrived since the previous segment and a
+    reader merges it over the chain: any chain restores to the state
+    one full segment of the final state does, whichever kernel wrote
+    it and whichever reads it."""
+
+    @staticmethod
+    def kernel(monkeypatch, on: bool) -> None:
+        from repro.stream import columnar
+
+        if not on:
+            monkeypatch.setattr(columnar, "np", None)
+        elif columnar.np is None:
+            pytest.skip("the kernel needs numpy")
+
+    @pytest.mark.parametrize("reader", [True, False], ids=["kernel-read", "twin-read"])
+    @pytest.mark.parametrize("writer", [True, False], ids=["kernel", "twin"])
+    def test_campaign_chain_restores_as_one_full_segment(
+        self, tmp_path, monkeypatch, writer, reader
+    ):
+        chain_path, full_path = tmp_path / "chain.bin", tmp_path / "full.bin"
+        with monkeypatch.context() as patch:
+            self.kernel(patch, writer)
+            streaming = StreamingCampaign(
+                build_campaign(),
+                checkpoint_path=chain_path,
+                checkpoint_every=1,
+                checkpoint_format="binary",
+            )
+            streaming.run()
+            kinds = [header["kind"] for header, _ in _read_segments(chain_path)]
+            assert kinds[0] == "full" and kinds.count("delta") >= 2
+            assert (streaming.engine._acc is not None) == writer
+            BinaryCheckpointer(full_path).save(
+                streaming.engine,
+                store=streaming.result.store,
+                progress=read_state(chain_path)["progress"],
+            )
+            expected = state_dump(streaming.engine)
+        self.kernel(monkeypatch, reader)
+        for path in (chain_path, full_path):
+            resumed = StreamingCampaign.resume(build_campaign(), path)
+            assert (resumed.engine._acc is not None) == reader
+            assert state_dump(resumed.engine) == expected
+            state = read_state(path)
+            assert state_dump(restore_engine(state["engine"])) == expected
+            assert state["store"] == streaming.result.store.snapshot_rows()
+        assert block_content(read_state(chain_path)) == block_content(
+            read_state(full_path)
+        )
+
+    def test_a_second_saver_writes_whole_shards(self, tmp_path):
+        """Saver B writes between two of saver A's segments: A's next
+        delta cannot be the fold since A's last segment (B's write
+        released it), so it carries the moved shards whole."""
+        engine = corpus_engine(days=(2, 3))
+        saver_a = BinaryCheckpointer(tmp_path / "a.bin")
+        saver_b = BinaryCheckpointer(tmp_path / "b.bin")
+        saver_a.save(engine)
+        engine.ingest_batch(eui_rows(4))
+        assert saver_b.save(engine).kind == "full"
+        engine.ingest_batch(eui_rows(5))
+        for saver in (saver_a, saver_b, saver_a):
+            assert saver.save(engine).kind == "delta"
+            restored = load_engine(saver.path, origin_of=origin_of)
+            assert state_dump(restored) == state_dump(engine)
+            engine.ingest_batch(eui_rows(engine.current_day + 1))
+        # A's first delta carried days 2 to 5 -- day 4 is what B's full
+        # segment released -- and so did each later one.
+        for header, _ in _read_segments(saver_a.path)[1:]:
+            assert {2, 3, 4, 5} <= pair_days(header)
+
+    def test_a_failed_append_is_followed_by_a_correct_delta(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.stream.ckptbin as ckptbin
+
+        engine = corpus_engine(days=(2, 3))
+        saver = BinaryCheckpointer(tmp_path / "ckpt.bin")
+        saver.save(engine)
+        engine.ingest_batch(eui_rows(4))
+        real_write = ckptbin._write_segment
+
+        def torn_write(fh, header_bytes, blobs):
+            real_write(fh, header_bytes, blobs[:1])
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ckptbin, "_write_segment", torn_write)
+            with pytest.raises(OSError):
+                saver.save(engine)
+        engine.ingest_batch(eui_rows(5))
+        engine.flush()
+        assert saver.save(engine).kind == "delta"
+        segments = _read_segments(saver.path)
+        assert [h["kind"] for h, _ in segments] == ["full", "delta"]
+        assert pair_days(segments[1][0]) == {2, 3, 4, 5}  # whole shards
+        restored = load_engine(saver.path, origin_of=origin_of)
+        assert state_dump(restored) == state_dump(engine)
+        restored = restore_engine(read_state(saver.path), origin_of=origin_of)
+        assert state_dump(restored) == state_dump(engine)
+
+
 class TestCampaignBinaryCheckpoints:
     def test_per_day_checkpoints_chain_and_count(self, tmp_path):
         path = tmp_path / "campaign.ckpt"
@@ -475,19 +584,28 @@ def eui_rows(day: int, n: int = 50) -> list[ProbeObservation]:
 
 
 @pytest.fixture(scope="module")
-def two_segment_chain(tmp_path_factory):
-    """``[(header, payload), ...]`` of a full + delta chain with every
-    family populated (sources, spans, pairs, detection, store rows)."""
+def delta_chain(tmp_path_factory):
+    """``[(header, payload), ...]`` of a full + two-delta chain with
+    every family populated (sources, spans, pairs, detection, store
+    rows) in every segment."""
     path = tmp_path_factory.mktemp("chain") / "chain.bin"
     engine = corpus_engine(days=(2, 3))
     saver = BinaryCheckpointer(path)
     saver.save(engine)
-    engine.ingest_batch(eui_rows(4))
-    engine.flush()
-    saver.save(engine)
+    for day in (4, 5):
+        engine.ingest_batch(eui_rows(day))
+        engine.flush()
+        saver.save(engine)
     segments = _read_segments(path)
-    assert [h["kind"] for h, _ in segments] == ["full", "delta"]
+    assert [h["kind"] for h, _ in segments] == ["full", "delta", "delta"]
+    assert all(header["format"] == BINARY_FORMAT == 2 for header, _ in segments)
     return segments
+
+
+@pytest.fixture(scope="module")
+def two_segment_chain(delta_chain):
+    """The full segment and the first delta of :func:`delta_chain`."""
+    return delta_chain[:2]
 
 
 def block_content(state: dict) -> str:
@@ -629,7 +747,6 @@ _HEADER_PATHS = [
     (("kind",), _BAD_OR_NULL),
     (("seq",), _BAD_OR_NULL),
     (("base_id",), _BAD_OR_NULL),
-    (("day_floor",), _NOT_INT),
     (("prune_threshold",), _NOT_INT),
     (("progress",), _BAD),
     (("store",), _BAD),
@@ -707,18 +824,18 @@ def mutate(header, payload, mutation) -> bytes:
 
 
 @settings(max_examples=300, deadline=None)
-@given(which=st.integers(0, 1), mutation=segment_mutations())
-def test_mutated_segments_fail_closed(two_segment_chain, which, mutation):
+@given(which=st.integers(0, 2), mutation=segment_mutations())
+def test_mutated_segments_fail_closed(delta_chain, which, mutation):
     """Any such edit either raises ``CheckpointError`` with the
     assembler exactly as it was, or decodes to the very blocks the
     unedited segment holds -- never another exception, never a
     shorter state."""
     reference = ChainAssembler()
     assembler = ChainAssembler()
-    for header, payload in two_segment_chain[:which]:
+    for header, payload in delta_chain[:which]:
         reference.apply_parsed(header, payload)
         assembler.apply_parsed(header, payload)
-    header, payload = two_segment_chain[which]
+    header, payload = delta_chain[which]
     reference.apply_parsed(header, payload)
     before = (
         assembler.base_id,
@@ -736,6 +853,28 @@ def test_mutated_segments_fail_closed(two_segment_chain, which, mutation):
         assert engine_state(engine)["shards"] == engine_state(
             reference.restore_engine(origin_of=origin_of)
         )["shards"]
+
+
+@pytest.mark.parametrize("formats", [(2, 1), (1, 2)], ids=["2-then-1", "1-then-2"])
+def test_a_mid_chain_format_change_raises(tmp_path, delta_chain, formats):
+    """Format 1 and 2 both read, but not mixed in one chain: the
+    delta that switches is refused and the chain before it kept."""
+    segments = [
+        ({**header, "format": fmt}, payload)
+        for (header, payload), fmt in zip(delta_chain, formats)
+    ]
+    path = tmp_path / "mixed.bin"
+    rewrite_segments(path, segments[:1])
+    assert read_state(path)["version"] == 1
+    rewrite_segments(path, segments)
+    with pytest.raises(CheckpointError, match="format changed mid-chain"):
+        read_state(path)
+    assembler = ChainAssembler()
+    assembler.apply_parsed(*segments[0])
+    before = json.dumps(assembler.state())
+    with pytest.raises(CheckpointError, match="format changed mid-chain"):
+        assembler.apply_parsed(*segments[1])
+    assert (assembler.seq, json.dumps(assembler.state())) == (0, before)
 
 
 # -- a save at an unchanged position ------------------------------------------

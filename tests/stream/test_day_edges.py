@@ -21,7 +21,7 @@ import json
 import pytest
 
 from repro.core.records import ProbeObservation
-from repro.core.rotation_detect import target_prefix48
+from repro.core.rotation_detect import target_prefixes48
 from repro.store import ColumnBatch
 from repro.stream import columnar
 from repro.stream.checkpoint import engine_state, load_engine, save_engine
@@ -198,7 +198,7 @@ def pair_obs(day: int, net: int) -> ProbeObservation:
 
 
 def prefixes(nets) -> set:
-    return {target_prefix48(NET48 | (net << 80)) for net in nets}
+    return target_prefixes48(NET48 | (net << 80) for net in nets)
 
 
 class TestRotationDays:

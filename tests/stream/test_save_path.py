@@ -7,6 +7,9 @@ segment and of the final file, the resumed ``engine_state`` and, for
 seed 0, the final JSON checkpoint -- on every CI leg, numpy or not
 (the two kernels order some binary blocks differently, so each has its
 own binary digests; JSON and engine state are the same for both).
+The binary segment and file digests were re-recorded once, when a
+delta became the fold since the previous segment (binary format 2);
+the resumed engine state and the JSON digest are the parent's.
 """
 
 import hashlib
@@ -22,7 +25,12 @@ from repro.experiments.context import ExperimentContext
 from repro.experiments.scale import TINY
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import checkpoint_savers, engine_state
-from repro.stream.ckptbin import BinaryCheckpointer, chain_info, segment_bytes
+from repro.stream.ckptbin import (
+    BinaryCheckpointer,
+    _read_segments,
+    chain_info,
+    segment_bytes,
+)
 from repro.util import np
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "save_chain_parent.json"
@@ -266,7 +274,7 @@ def test_adopting_unsorted_records_gives_sorted_unique_runs(chunks, rng):
     acc = ColumnarAccumulator(4)
     acc.adopt(records)
     expected = reference_runs([r for rows, _ in chunks for r in rows])
-    for family, cols in acc.runs.items():
+    for family, cols in acc.reduce().items():
         assert as_rows(cols) == expected[family]
         keys = as_rows(cols[: {"alloc": 4, "pool": 3}.get(family)])
         assert all(a < b for a, b in zip(keys, keys[1:]))  # strictly ascending
@@ -360,6 +368,90 @@ def test_each_days_pairs_are_sorted_once(tmp_path, forbid_sorts):
     assert calls == []
 
 
+# -- what a delta holds ----------------------------------------------------------------
+
+
+def origin_of(address: int) -> int:
+    return 64512 + ((address >> 80) % 3)
+
+
+def family_rows(record: dict) -> dict:
+    """A column record's rows by family, sorted, and its pair days."""
+    rows = {
+        family: sorted(zip(*(c.tolist() for c in record[family])))
+        for family in ("src", "esrc", "iid", "alloc", "pool")
+    }
+    rows["pairs"] = {
+        day: sorted(zip(*(c.tolist() for c in cols)))
+        for day, cols in record["pairs"].items()
+    }
+    return rows
+
+
+@needs_numpy
+@pytest.mark.parametrize("query", [False, True], ids=["saves-only", "queried"])
+def test_a_kernel_delta_holds_the_fold_since_the_last_segment(tmp_path, query):
+    """Each delta's shard blocks are exactly the records of an engine
+    fed only the rows ingested since the previous segment -- however
+    the rows arrive, and whether or not a query merged the runs in
+    between -- and ``n`` is the running count."""
+    from repro.stream.ckptbin import load_chain
+    from repro.stream.engine import StreamConfig, StreamEngine
+
+    engine = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
+    saver = BinaryCheckpointer(tmp_path / "ckpt.bin", id_source=counter_ids())
+    engine.ingest_batch(eui_day(2))
+    saver.save(engine)
+    windows = [eui_day(3) + eui_day(4, n=25), eui_day(4, n=40)[10:] + eui_day(5)]
+    for rows in windows:
+        alone = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
+        alone.ingest_batch(rows)
+        engine.ingest_batch(rows[:30])
+        if query:
+            engine.as_profiles()
+        for row in rows[30:]:
+            engine.ingest(row)
+        saver.save(engine)
+        delta = load_chain(saver.path)._parts[-1]  # each record's n: rows added
+        header = _read_segments(saver.path)[-1][0]
+        counts = engine.shard_counts()
+        assert {r["sid"]: r["n"] for r in header["shards"]} == {
+            sid: counts[sid] for sid in delta
+        }
+        assert {sid: r["n"] for sid, r in delta.items()} == {
+            sid: n for sid, n in enumerate(alone.shard_counts()) if n
+        }
+        expected = alone.shard_records()
+        for sid, record in delta.items():
+            assert family_rows(record) == family_rows(expected[sid])
+
+
+@needs_numpy
+def test_a_delta_save_merges_nothing_into_the_runs(tmp_path, monkeypatch):
+    """Daily deltas sort each day's rows into a batch and never merge a
+    batch into the runs; the first read merges them all."""
+    from repro.stream import columnar
+    from repro.stream.checkpoint import load_engine
+    from repro.stream.engine import StreamConfig, StreamEngine
+
+    engine = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
+    saver = BinaryCheckpointer(tmp_path / "ckpt.bin", id_source=counter_ids())
+    engine.ingest_batch(eui_day(2))
+    saver.save(engine)
+    runs = {family: len(cols[0]) for family, cols in engine._acc.runs.items()}
+    with monkeypatch.context() as patch:
+        for name in ("_insert_rows", "_merge_family"):
+            patch.setattr(columnar, name, lambda *_, n=name: pytest.fail(f"{n} called"))
+        for day in (3, 4, 5):
+            engine.ingest_batch(eui_day(day))
+            assert saver.save(engine).kind == "delta"
+    assert {f: len(c[0]) for f, c in engine._acc.runs.items()} == runs
+    assert len(engine._acc._pending) == 3
+    restored = load_engine(saver.path, origin_of=origin_of)
+    assert json.dumps(engine_state(restored)) == json.dumps(engine_state(engine))
+    assert engine._acc._pending == []
+
+
 # -- the corpus's timestamp column ----------------------------------------------------
 
 
@@ -393,7 +485,6 @@ def test_int_timestamps_round_trip_their_type(tmp_path):
 def test_float_timestamps_write_one_float_block(tmp_path):
     from array import array
 
-    from repro.stream.ckptbin import _read_segments
     from repro.stream.engine import StreamEngine
 
     times = [172_800.5 + i / 3 for i in range(50)]
