@@ -315,11 +315,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "safety",
         "the exact diff of rows whose row hashes collide; test_columnar forces it",
     ),
-    "repro.stream.columnar:all_logged": (
-        "safety",
-        "a restored engine's check of its rebuilt close mask: warm_standby "
-        "reaches it when its follower promotes mid-day; test_day_edges always",
-    ),
     "repro.stream.tracker:LivePursuit": (
         "safety",
         "a pursuit's own checkpoint and resume (state, save, restore, load)",

@@ -14,8 +14,12 @@ resumable checkpoint and the campaign continues from it.
 3. SIGKILL the primary once the follower has applied a few segments,
 4. promote the follower and resume the campaign from its checkpoint,
 5. self-verify: the promoted file is a byte prefix of the dead
-   primary's checkpoint, and the resumed run's final engine state is
-   byte-identical to the reference run's.
+   primary's checkpoint; after every segment it applied, the standby's
+   ``/rotations?day=N`` answered each closed day N with the /48s the
+   primary's close flagged (the reference run's, closes being
+   deterministic); the promoted engine starts with every day the chain
+   closed; and the resumed run's ``rotation_days`` and final engine
+   state are the reference run's.
 
 Run: ``python examples/warm_standby.py [--days N]``
 """
@@ -26,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.request
 from pathlib import Path
 
 from repro import (
@@ -75,6 +80,24 @@ def build_campaign(days: int) -> Campaign:
     return Campaign(
         internet, prefixes48, CampaignConfig(days=days, start_day=2, seed=7)
     )
+
+
+def standby_rotations_agree(url: str, rotations: dict) -> bool:
+    """Whether the standby at *url* answers ``/rotations?day=N`` for
+    every day *rotations* (the reference run's) holds with those /48s,
+    and says "closed" for each day up to its own newest close."""
+    with urllib.request.urlopen(f"{url}/stats") as reply:
+        closed_through = json.load(reply)["closed_through"]
+    for day, prefixes in rotations.items():
+        with urllib.request.urlopen(f"{url}/rotations?day={day}") as reply:
+            answer = json.load(reply)
+        want = [str(p) for p in sorted(prefixes, key=lambda p: p.network)]
+        if answer["closed"] and answer["rotating_prefixes"] != want:
+            return False
+        if closed_through is not None and day <= closed_through:
+            if not answer["closed"]:
+                return False
+    return True
 
 
 def run_primary(days: int, checkpoint: str) -> None:
@@ -133,15 +156,22 @@ def main(argv: list[str]) -> int:
     url = follower.serve()
     print(f"standby serving read-only at {url}")
 
-    # 3. SIGKILL once a few segments have landed on the standby.
+    # 3. SIGKILL once a few segments have landed on the standby,
+    #    checking its per-day rotations after each one.
+    rotations = reference.engine.rotation_days
+    standby_ok, checked = True, -1
     deadline = time.monotonic() + 60
     while follower.applied_seq < 2 and time.monotonic() < deadline:
+        if follower.applied_seq > checked:
+            checked = follower.applied_seq
+            standby_ok &= standby_rotations_agree(url, rotations)
         time.sleep(0.05)
     if follower.applied_seq < 2:
         print("FAIL: follower never caught up")
         return 1
     process.kill()
     process.wait(timeout=30)
+    standby_ok &= standby_rotations_agree(url, rotations)
     print(
         f"primary SIGKILLed at standby position "
         f"({follower.applied_base_id}, {follower.applied_seq}), "
@@ -157,7 +187,10 @@ def main(argv: list[str]) -> int:
     prefix_ok = primary_bytes[: len(promoted_bytes)] == promoted_bytes
     resumed = StreamingCampaign.resume(build_campaign(args.days), promoted)
     print(f"promoted; resuming from day {resumed.result.days_run}")
+    promoted_days = resumed.engine.rotation_days
+    promoted_ok = promoted_days == {day: rotations.get(day) for day in promoted_days}
     resumed.run()
+    promoted_ok &= resumed.engine.rotation_days == rotations
 
     # 5. Self-verify.
     identical = json.dumps(engine_state(resumed.engine)) == json.dumps(
@@ -168,8 +201,10 @@ def main(argv: list[str]) -> int:
         f"promoted chain is a byte prefix of the dead primary's file: {prefix_ok}"
     )
     print(f"resumed run finished all {resumed.result.days_run} days: {finished}")
+    print(f"standby /rotations matched every closed day: {standby_ok}")
+    print(f"promoted engine's rotation_days match the uninterrupted run: {promoted_ok}")
     print(f"final engine state byte-identical to uninterrupted run: {identical}")
-    if prefix_ok and identical and finished:
+    if prefix_ok and identical and finished and standby_ok and promoted_ok:
         print("OK")
         return 0
     print("FAIL")

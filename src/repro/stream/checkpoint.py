@@ -34,6 +34,12 @@ into records for ``adopt_shards``.  Both readers validate the head and
 the records with the same checks; anything malformed is a
 ``ValueError``.
 
+The detection is the changed-pair log, a row per pair and close that
+flagged it with the close's day (a JSON row's third field, the binary
+``det.cp.day``): ``rotation_days`` and the rotating /48s are reads over
+it.  The head's ``mask_day`` names the close whose mask the next close
+reads, which a restore rebuilds from that day's pairs and log rows.
+
 The simulated Internet itself is deliberately not checkpointed: a real
 adversary cannot snapshot the Internet either.  Rebuilding it from the
 same seed reproduces the same world; the only divergence risk is
@@ -53,13 +59,14 @@ from typing import Callable
 
 from repro import config
 from repro.core.records import ObservationStore
-from repro.net.addr import Prefix
 from repro.store.batch import ColumnBatch
-from repro.stream.columnar import RUN_FAMILIES
+from repro.stream.columnar import NO_DAY, RUN_FAMILIES
 from repro.stream.engine import Sighting, StreamConfig, StreamEngine
 from repro.stream.state import join128, pair_columns, pair_ints, span_columns, split128
 
-FORMAT_VERSION = 1
+#: 2: rows carry their close day, the head ``mask_day``, and the rotating
+#: /48s are not stored.  Version 1 reads: rows of no known day, no mask.
+FORMAT_VERSION = 2
 
 _SHARD_KEY = "prefix32"  # every engine shards by the source /32; readers refuse others
 
@@ -118,6 +125,7 @@ def _check_head(head: dict, stable_pairs) -> None:
             head[key] is None or _is_int(head[key])
             for key in ("current_day", "closed_through")
         )
+        and (head.get("mask_day") is None or _is_int(head["mask_day"]))
         and _is_int(head["responses_ingested"], 0)
         and _is_int(stable_pairs, 0)
         and all(
@@ -183,15 +191,17 @@ def _shard_state(sid: int, record: dict) -> dict:
     }
 
 
-def _detection_state(changed: list, stable: int, prefixes) -> dict:
-    """The JSON detection entry from changed-pair column batches
-    (every pair once), the stable count and ``[network, plen]`` rows."""
+def _detection_state(detection) -> dict:
+    """The JSON detection entry: the changed-pair log's ``[target,
+    source, day]`` rows (``[target, source]``: no known day) and the
+    stable count."""
     return {
         "changed_pairs": sorted(
-            row for cols in changed for row in map(list, zip(*pair_ints(cols)))
+            [target, source] if day is None else [target, source, day]
+            for day, cols in detection.log
+            for target, source in zip(*pair_ints(cols))
         ),
-        "stable_pairs": stable,
-        "rotating_prefixes": sorted(prefixes),
+        "stable_pairs": detection.stable_pairs,
     }
 
 
@@ -225,6 +235,7 @@ def stream_head(engine: StreamEngine) -> dict:
         },
         "current_day": engine.current_day,
         "closed_through": engine._closed_through,
+        "mask_day": engine.live_mask_day(),
         "days_seen": sorted(engine._days_seen),
         "responses_ingested": engine.responses_ingested,
         "watch_iids": sorted(engine._watch_iids),
@@ -250,10 +261,7 @@ def restore_stream_head(
     engine = StreamEngine(config, origin_of=origin_of, store=store)
     engine.current_day = head["current_day"]
     engine._closed_through = head["closed_through"]
-    if engine.current_day is not None and engine.current_day == engine._closed_through:
-        # A flushed day may take late rows, which void its close's mask;
-        # no checkpoint says whether it did, so it closes without one.
-        engine._appeared = (engine.current_day, None)
+    engine._appeared = (head.get("mask_day"), None)  # see restore_detection
     engine._days_seen = set(head["days_seen"])
     engine.responses_ingested = head["responses_ingested"]
     engine._watch_iids = set(head["watch_iids"])
@@ -267,15 +275,10 @@ def restore_stream_head(
 def engine_state(engine: StreamEngine) -> dict:
     """The engine's complete serializable state, rendered from its
     column records and changed-pair columns (no Python state built)."""
-    detection = engine.live_detection
     return {
         "version": FORMAT_VERSION,
         **stream_head(engine),
-        "detection": _detection_state(
-            detection.changed_columns(),
-            detection.stable_pairs,
-            ([p.network, p.plen] for p in detection.rotating_prefixes),
-        ),
+        "detection": _detection_state(engine.live_detection),
         "shards": [
             _shard_state(sid, record) for sid, record in engine.shard_records().items()
         ],
@@ -318,14 +321,17 @@ def restore_engine(
             ((shard["shard_id"], _json_record(shard)) for shard in state["shards"]),
             state["config"]["num_shards"],
         )
-        changed = pair_columns(detection["changed_pairs"])
-        prefixes = {Prefix(n, plen) for n, plen in detection["rotating_prefixes"]}
+        flagged = detection["changed_pairs"]
+        changed = (
+            *pair_columns(row[:2] if len(row) == 3 else row for row in flagged),
+            array("q", [row[2] if len(row) == 3 else NO_DAY for row in flagged]),
+        )
         rows = state["store"]
     except _MALFORMED as exc:
         raise ValueError(f"malformed checkpoint state ({exc!r})") from exc
     engine = restore_stream_head(state, origin_of=origin_of, store=store)
     engine.adopt_shards(records)
-    engine.restore_detection([changed], prefixes, stable)
+    engine.restore_detection([changed], stable)
     if rows is not None and store is None and engine.store is not None:
         # A disk-backed store verifies and skips the rows it already holds.
         engine.store.restore_rows(rows)
@@ -333,7 +339,7 @@ def restore_engine(
 
 
 def _check_version(state: dict) -> None:
-    if state.get("version") != FORMAT_VERSION:
+    if state.get("version") not in (1, FORMAT_VERSION):
         raise ValueError(f"unsupported checkpoint version: {state.get('version')!r}")
 
 

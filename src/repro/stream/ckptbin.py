@@ -28,8 +28,9 @@ the previous segment -- the saver remembers each shard's
 last segment wrote it -- a record of what arrived since: with the
 kernel, the fold of exactly the rows ingested since that segment
 (sorted, key-unique, spans over those rows only) and the pair rows
-each day gained; plus the changed-pair log entries appended since, the
-rotating prefixes and the store rows appended since.  A saver that did
+each day gained; plus the changed-pair log rows appended since (with
+``det.cp.day``, each row's close day) and the store rows appended
+since.  A saver that did
 not write the engine's previous segment (another saver on the engine,
 or an append that failed), and the kernel-less engine always, write
 each moved shard's *whole* record instead.  A save at a position the
@@ -39,9 +40,9 @@ segment is on disk.
 
 **The merge rule.**  Aggregates only grow, so a reader merges segments
 rather than replacing shards: set rows are unioned, spans min/max'd,
-each day's pairs unioned, changed pairs unioned, and the newest
+each day's pairs unioned, changed-pair rows unioned, and the newest
 ``prune_threshold`` (thresholds only rise) is replayed over every
-shard's pair days; a shard's row count and the head, prefixes and
+shard's pair days; a shard's row count and the head and
 progress come from the newest segment.  A whole record merges to
 exactly what it says, which is why whole records and the day's fold
 mix freely in one chain, and why a format-1 chain (whose deltas
@@ -85,7 +86,6 @@ from sys import byteorder
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from repro.net.addr import Prefix
 from repro.store.batch import ColumnBatch
 from repro.stream.checkpoint import (
     _MALFORMED,
@@ -97,7 +97,7 @@ from repro.stream.checkpoint import (
     restore_stream_head,
     stream_head,
 )
-from repro.stream.state import join128, split128
+from repro.stream.columnar import NO_DAY
 from repro.util import np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,10 +107,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MAGIC = b"RPB1"
 #: Binary container format revision (independent of the JSON
 #: ``FORMAT_VERSION``, which names the *state schema* both formats share).
+#: 3: changed-pair rows carry ``det.cp.day``, and no rotating /48s;
 #: 2: a delta may carry the fold since the previous segment; 1: every
-#: delta re-emitted whole shards.  One merge reads both.
-BINARY_FORMAT = 2
-_READABLE_FORMATS = (1, 2)
+#: delta re-emitted whole shards.  One merge reads all three.
+BINARY_FORMAT = 3
+_READABLE_FORMATS = (1, 2, 3)
 
 _BIG_ENDIAN = byteorder == "big"
 
@@ -140,8 +141,10 @@ _SHARD_BLOCKS = {
     ),
 }
 _PAIR_BLOCKS = (("thi", "u64"), ("tlo", "u64"), ("shi", "u64"), ("slo", "u64"))
-_CHANGED_BLOCKS = tuple(("det.cp." + tail, dtype) for tail, dtype in _PAIR_BLOCKS)
-_PREFIX_BLOCKS = (
+_CHANGED_BLOCKS = tuple(
+    ("det.cp." + tail, dtype) for tail, dtype in (*_PAIR_BLOCKS, ("day", "i64"))
+)
+_PREFIX_BLOCKS = (  # formats 1 and 2: the rotating /48s
     ("det.rp.net_hi", "u64"),
     ("det.rp.net_lo", "u64"),
     ("det.rp.plen", "i64"),
@@ -421,14 +424,14 @@ def _build_segment(
     store_start: int,
 ) -> tuple[bytes, list[bytes], dict]:
     """Serialize one segment; returns (header bytes, blobs, header dict):
-    the changed-pair column batches *changed*, the rotating prefixes,
-    the shard column *records* and the store's tail."""
+    the changed-pair log entries *changed*, the shard column *records*
+    and the store's tail."""
     writer = _SegmentWriter()
-    writer.add_family("", _CHANGED_BLOCKS, *changed)
-    prefixes = list(engine.live_detection.rotating_prefixes)
-    net_hi, net_lo = split128(prefix.network for prefix in prefixes)
-    plen = array("q", [prefix.plen for prefix in prefixes])
-    writer.add_family("", _PREFIX_BLOCKS, (net_hi, net_lo, plen))
+    log = [
+        (*cols, array("q", [NO_DAY if day is None else day]) * len(cols[0]))
+        for day, cols in changed
+    ]
+    writer.add_family("", _CHANGED_BLOCKS, *log)
 
     shard_records = [
         _add_shard_blocks(writer, sid, record) for sid, record in records.items()
@@ -599,7 +602,7 @@ class BinaryCheckpointer:
                 and (store is None or len(store) == store_start)
                 and position == self._position
             ):
-                # Changed pairs and prefixes only grow at a day close,
+                # Changed pairs only grow at a day close,
                 # which moves the head's closed_through: the chain on
                 # disk already says everything this delta would.
                 return SaveResult("delta", self._expected_size, 0, 0)
@@ -609,10 +612,9 @@ class BinaryCheckpointer:
             store_start = 0
             sids = list(range(engine.config.num_shards))
         logged, held = self._log
+        changed = detection.log
         if kind == "delta" and logged is detection:
-            changed = detection.log[held:]  # the log only ever appends
-        else:
-            changed = detection.changed_columns()
+            changed = changed[held:]  # the log only ever appends
 
         t0 = perf_counter()
         try:
@@ -719,7 +721,6 @@ class _Staged:
     parts: list
     counts: dict
     changed: list
-    prefixes: tuple
     corpus_tail: ColumnBatch | None
     is_base: bool
 
@@ -764,8 +765,7 @@ class ChainAssembler:
         self._engine_header: dict | None = None
         self._parts: list[dict] = []  # per segment, {sid: record}
         self._counts: dict[int, int] = {}  # per shard, the newest row count
-        self._changed: list[tuple] = []  # changed-pair column batches
-        self._prefixes: tuple = ()  # the newest rotating-prefix columns
+        self._changed: list[tuple] = []  # changed-pair (pairs, day) batches
         self._corpus: ColumnBatch | None = None
         self._progress: dict | None = None
 
@@ -807,7 +807,6 @@ class ChainAssembler:
         self._parts = staged.parts
         self._counts = staged.counts
         self._changed = staged.changed
-        self._prefixes = staged.prefixes
         if staged.is_base:
             self._corpus = staged.corpus_tail
         elif staged.corpus_tail is not None:
@@ -865,8 +864,12 @@ class ChainAssembler:
             raise CheckpointError(f"{label}: shard count changed mid-chain")
 
         table = _block_table(header, payload, label)
-        changed = _take_family(table, "", _CHANGED_BLOCKS, label)
-        prefixes = _take_family(table, "", _PREFIX_BLOCKS, label)
+        if fmt < 3:
+            changed = _take_family(table, "", _CHANGED_BLOCKS[:4], label)
+            changed += (array("q", [NO_DAY]) * len(changed[0]),)
+            _take_family(table, "", _PREFIX_BLOCKS, label)
+        else:
+            changed = _take_family(table, "", _CHANGED_BLOCKS, label)
 
         entries = []
         for record in header["shards"]:
@@ -925,7 +928,6 @@ class ChainAssembler:
             parts=([] if is_base else self._parts) + [records],
             counts=counts,
             changed=([] if is_base else self._changed) + [changed],
-            prefixes=prefixes,
             corpus_tail=corpus_tail,
             is_base=is_base,
         )
@@ -972,12 +974,7 @@ class ChainAssembler:
             # Replayed over every part: a shard the engine pruned need
             # not have been re-emitted since.
             engine.prune_pair_days(self._threshold)
-        hi, lo, plen = self._prefixes
-        engine.restore_detection(
-            self._changed,
-            {Prefix(*row) for row in zip(join128(hi, lo), plen.tolist())},
-            head["stable_pairs"],
-        )
+        engine.restore_detection(self._changed, head["stable_pairs"])
         return engine
 
     def state(self) -> dict:

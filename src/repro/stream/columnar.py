@@ -57,11 +57,11 @@ from __future__ import annotations
 
 from array import array
 
-from repro.core.rotation_detect import RotationDetection
+from repro.core.rotation_detect import RotationDetection, target_prefixes48
 from repro.net.addr import Prefix
 from repro.net.eui64 import eui64_mask
 from repro.stream.shard import SPLITMIX64
-from repro.stream.state import pair_columns, pair_ints, plen_of_middle
+from repro.stream.state import pair_ints, plen_of_middle
 from repro.util import np
 
 _MASK64 = (1 << 64) - 1
@@ -457,8 +457,7 @@ def diff_pair_columns(day_a: tuple, day_b: tuple, emitted_a=None):
     *emitted_a* (a mask over *day_a*'s rows) names rows already emitted
     as changed by the previous close -- day N's appeared rows
     re-surface as day N's disappeared rows one close later, and
-    skipping them keeps the changed-pair log near duplicate-free (a
-    missing mask only costs re-deduplication, never correctness).
+    skipping them leaves such a pair to the close that flagged it first.
     """
     (cols_a, hash_a, order_a), (cols_b, hash_b, order_b) = day_a, day_b
     common_a = np.zeros(len(hash_a), dtype=bool)
@@ -495,43 +494,50 @@ def diff_pair_columns(day_a: tuple, day_b: tuple, emitted_a=None):
 
 
 def net48_prefixes(net48s) -> set:
-    """/48 :class:`Prefix` objects for an array of changed /48 numbers.
-
-    The shared prefix-flagging step of both the cumulative fold below
-    and the engine's per-day rotation attribution.
-    """
+    """/48 :class:`Prefix` objects for an array of changed /48 numbers:
+    the log's fold below, and :meth:`StreamEngine.rotation_between`."""
     return {Prefix(n48 << _NET48_SHIFT, 48) for n48 in net48s.tolist()}
 
 
-def unique_pair_columns(batches: list) -> tuple:
-    """Concatenate ``(tgt_hi, tgt_lo, src_hi, src_lo)`` column *batches*
-    (numpy or stdlib arrays) and drop repeated rows."""
-    return tuple(
-        _dedup_rows(
-            [
-                np.concatenate([np.asarray(b[i], dtype=np.uint64) for b in batches])
-                for i in range(4)
-            ]
-        )[0]
-    )
+#: The binary day of a changed-pair row of no known close (one a version
+#: 1 or format 1/2 checkpoint carried): a log entry of day ``None``.
+NO_DAY = -(1 << 63)
 
 
-def all_logged(appeared: tuple, log: list) -> bool:
-    """Whether every row a close's *appeared* mask ``(day_pairs, mask)``
-    covers is in some batch of the changed-pair *log*."""
-    (cols, _, _), mask = appeared
-    if not mask.any():
-        return True
-    if not log:
-        return False
-    logged = _dedup_rows(
-        [
-            np.concatenate([np.asarray(b[i], dtype=np.uint64) for b in log])
-            for i in range(4)
+def log_by_day(batches: list) -> list[tuple]:
+    """Log entries ``(day, pair columns)``, one per day, ascending, from
+    ``(tgt_hi, tgt_lo, src_hi, src_lo, day)`` column *batches* (repeats
+    welcome): each ``(pair, day)`` row once, :data:`NO_DAY`'s as ``None``."""
+    if np is None:
+        days: dict = {}
+        for batch in batches:
+            for *pair, day in zip(*batch):
+                days.setdefault(day, set()).add(tuple(pair))
+        return [
+            (None if day == NO_DAY else day, tuple(map(array, "QQQQ", zip(*rows))))
+            for day, rows in sorted((day, sorted(rows)) for day, rows in days.items())
         ]
+    if not batches:
+        return []
+    day, *cols = (
+        np.concatenate([as_array(b[i]) for b in batches]) for i in (4, 0, 1, 2, 3)
     )
-    rows = _dedup_rows([c[mask] for c in cols])
-    return not diff_pair_columns(logged, rows)[3].any()
+    order = np.argsort(day, kind="stable")
+    day, cols = day[order], [c[order] for c in cols]
+    if not len(day):
+        return []
+    starts, stops = _group_slices(day)
+    return [
+        (None if d == NO_DAY else d, tuple(_dedup_rows([c[i:j] for c in cols])[0]))
+        for d, i, j in zip(day[starts].tolist(), starts.tolist(), stops.tolist())
+    ]
+
+
+def logged_rows(day_pairs: tuple, logged) -> "np.ndarray":
+    """The mask of a :meth:`ColumnarAccumulator.day_pairs` tuple's rows
+    that the ``(tgt_hi, tgt_lo, src_hi, src_lo)`` columns *logged* hold."""
+    logged = _dedup_rows([as_array(col) for col in logged])
+    return ~diff_pair_columns(logged, day_pairs)[3]
 
 
 def fold_changed_pairs(batches: list, pairs: set) -> None:
@@ -545,72 +551,74 @@ def fold_changed_pairs(batches: list, pairs: set) -> None:
 
 class LiveDetection(RotationDetection):
     """A stream engine's cumulative :class:`RotationDetection`, kept as
-    columns: the changed pairs as an append-only :attr:`log` of ``(tgt_hi,
-    tgt_lo, src_hi, src_lo)`` column batches, the rotating /48s as
-    pending /48-number arrays.  A close only appends; the first read of
-    :attr:`changed_pairs` after it folds the pending batches into tuples
-    (:func:`fold_changed_pairs`), the first read of
-    :attr:`rotating_prefixes` the pending /48s.  Log entries below
-    :attr:`folded` are in the set already -- all of them on a kernel-less
-    engine, whose closes fold at once and log only the pairs new to the
-    set, so its log is disjoint.
+    columns: an append-only :attr:`log` of ``(day, (tgt_hi, tgt_lo,
+    src_hi, src_lo))`` entries, per close its day and the pairs it
+    flagged (a pair once per close that flags it).  A close only
+    appends; the first read of :attr:`changed_pairs` after it folds the
+    pending entries into tuples (:func:`fold_changed_pairs`), the first
+    read of :attr:`rotating_prefixes` or :attr:`rotation_days` their
+    /48s.  An entry of day ``None`` holds rows a checkpoint from before
+    the day column carried: changed pairs of no known close.
     """
 
-    def __init__(self, changed_pairs=None, rotating_prefixes=None, stable_pairs=0):
-        self._pairs = changed_pairs if changed_pairs is not None else set()
-        self._prefixes = rotating_prefixes if rotating_prefixes is not None else set()
-        self._net48s: list = []
+    def __init__(self, stable_pairs=0):
+        self._pairs: set = set()
+        self._prefixes: set = set()
+        self._days: dict[int, set] = {}
         self.stable_pairs = stable_pairs
-        self.log: list[tuple] = [pair_columns(self._pairs)] if self._pairs else []
-        self.folded = len(self.log)
-        self._unique: tuple = (0, None)  # see changed_columns
+        self.log: list[tuple] = []
+        self.folded = 0  # log entries in the pair set
+        self._flagged = 0  # log entries in the prefixes and days
+        self._unique: tuple = (0, None)  # see changed_count
 
     @property
     def changed_pairs(self) -> set:
         if self.folded < len(self.log):
-            fold_changed_pairs(self.log[self.folded :], self._pairs)
+            pending = self.log[self.folded :]
+            fold_changed_pairs([cols for _, cols in pending], self._pairs)
             self.folded = len(self.log)
         return self._pairs
 
+    def _fold_prefixes(self) -> None:
+        for day, (tgt_hi, *_) in self.log[self._flagged :]:
+            if np is None:
+                prefixes = target_prefixes48(hi << 64 for hi in tgt_hi)
+            else:
+                prefixes = net48_prefixes(np.unique(as_array(tgt_hi) >> np.uint64(16)))
+            self._prefixes |= prefixes
+            if day is not None:
+                self._days.setdefault(day, set()).update(prefixes)
+        self._flagged = len(self.log)
+
     @property
     def rotating_prefixes(self) -> set:
-        if self._net48s:
-            net48s = np.unique(np.concatenate(self._net48s))
-            self._prefixes.update(net48_prefixes(net48s))
-            self._net48s = []
+        self._fold_prefixes()
         return self._prefixes
 
-    def log_close(self, changed: list, net48s, stable: int) -> None:
-        """Take one kernel close's :func:`diff_pair_columns` output."""
-        self.log.append(tuple(changed))
-        self._net48s.append(net48s)
+    @property
+    def rotation_days(self) -> dict[int, set]:
+        """Close day -> the /48s of the pairs that close flagged."""
+        self._fold_prefixes()
+        return self._days
+
+    def log_close(self, day: int, changed, stable: int) -> None:
+        """Log the pairs close *day* flagged."""
+        self.log.append((day, tuple(changed)))
         self.stable_pairs += stable
 
-    def changed_columns(self) -> list[tuple]:
-        """Column batches holding every changed pair exactly once --
-        what a checkpoint writes.
-
-        A kernel log may repeat a pair across closes (one that lived two
-        days re-surfaces as "disappeared"; the emitted-mask only covers
-        the close right after it appeared), which readers never notice
-        but segment sizes would.  De-duplication is one numpy pass over
-        the columns, remembered until the log next grows; a disjoint
-        log keeps its row order (rows of equal 64-bit hash aside).
-        """
+    def changed_count(self) -> int:
+        """``len(changed_pairs)``; with numpy no tuple is built, and the
+        log's pairs de-duplicate once per growth."""
         log = self.log
-        if np is None or len(log) < 2:
-            return log
+        if np is None or self.folded == len(log):
+            return len(self.changed_pairs)
         covered, unique = self._unique
         if covered != len(log):
-            unique = unique_pair_columns(([unique] if covered else []) + log[covered:])
+            batches = ([unique] if covered else []) + [c for _, c in log[covered:]]
+            cat = [np.concatenate([as_array(b[i]) for b in batches]) for i in range(4)]
+            unique = _dedup_rows(cat)[0]
             self._unique = (len(log), unique)
-        return [unique]
-
-    def changed_count(self) -> int:
-        """``len(changed_pairs)`` without building a pair tuple."""
-        if self.folded == len(self.log):
-            return len(self._pairs)
-        return sum(len(batch[0]) for batch in self.changed_columns())
+        return len(unique[0])
 
 
 class ColumnarAccumulator:
@@ -801,12 +809,11 @@ class ColumnarAccumulator:
         *appeared* is what the close of *day_a* returned last: the
         ``day_pairs()`` it diffed and the mask of their rows emitted as
         changed.  Its rows become *day_a*'s disappeared rows at this
-        close and are not emitted again, so the deferred changed stream
-        stays duplicate-free without a global re-deduplication at fold
-        time.  Late rows for *day_a* void the mask only if they grow its
-        pair count, as the kernel-less close's rule does; rows that only
-        repeat pairs leave the set, so the close diffs the rows the mask
-        is over.  Returns ``(changed, net48s, stable, appeared_b)``.
+        close and are not emitted again.  Late rows for *day_a* void the
+        mask only if they grow its pair count, as the kernel-less close's
+        rule does; rows that only repeat pairs leave the set, so the close
+        diffs the rows the mask is over.  Returns ``(changed, net48s,
+        stable, appeared_b)``.
         """
         pairs_a, emitted_a = self.day_pairs(day_a), None
         if appeared is not None and len(appeared[0][1]) == len(pairs_a[1]):

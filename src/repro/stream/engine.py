@@ -65,7 +65,7 @@ from typing import Callable, Iterable
 
 from repro.core.allocation import AllocationInference, allocation_bits, plen_from_bits
 from repro.core.records import ObservationStore, ProbeObservation
-from repro.core.rotation_detect import RotationDetection, diff_pairs, target_prefixes48
+from repro.core.rotation_detect import RotationDetection, diff_pairs
 from repro.core.rotation_pool import (
     RotationPoolInference,
     pool_bits,
@@ -83,6 +83,7 @@ from repro.stream.state import (
     lift_records,
     merge_spans,
     pair_columns,
+    pair_ints,
     pool_inference_from_spans,
     prune_shard_days,
 )
@@ -178,12 +179,11 @@ class StreamEngine:
             self.store = store
         else:
             self.store = ObservationStore() if self.config.keep_observations else None
-        # Stream order.  ``rotation_days`` is day -> prefixes whose pairs
-        # were first flagged changed at that day's close; serve state,
-        # never checkpointed, nor is ``_appeared``: (day, mask) of the
-        # newest diffed close, the pairs that appeared at it (see
-        # _diff_days).  ``_stream_id`` names the stream: a binary saver
-        # chains a delta only onto a segment of the same stream.
+        # Stream order.  ``_appeared`` is (day, mask) of the newest
+        # diffed close, the pairs that appeared at it (see _diff_days;
+        # a restore rebuilds it, see restore_detection).  ``_stream_id``
+        # names the stream: a binary saver chains a delta only onto a
+        # segment of the same stream.
         self._stream_id = object()
         self.current_day: int | None = None
         self._closed_through: int | None = None  # newest day already diffed
@@ -191,7 +191,6 @@ class StreamEngine:
         self._watch_iids: set[int] = set()
         self.watched: dict[int, Sighting] = {}
         self.live_detection = columnar_kernel.LiveDetection()
-        self.rotation_days: dict[int, set] = {}
         self._appeared: tuple = (None, None)
         self.responses_ingested = 0
         # Hot-path cache: (shard, asn) per source /48 (see _route_of).
@@ -333,20 +332,18 @@ class StreamEngine:
         The same :func:`diff_pairs` the batch detector uses: over pair
         columns with the kernel (the detection logs the result, no
         Python set is built), over merged shard sets
-        (:meth:`_pairs_on`) without it.  *closed* is attributed the /48s
-        of the changed pairs less those that appeared at *previous*'s
-        close (``_appeared``): a pair counted as appeared is not counted
-        again as disappeared, and rows that grew *previous*'s pairs
-        since its close void that mask.
+        (:meth:`_pairs_on`) without it.  Both log, under *closed*, the
+        changed pairs less those that appeared at *previous*'s close
+        (``_appeared``), a mask that rows grown into *previous* since void.
         """
         day, appeared = self._appeared
         if day != previous:
-            appeared = self._rebuild_appeared(previous)
+            appeared = None
+        live = self.live_detection
         acc = self._acc
         if acc is not None:
-            changed, net48s, stable, mask = acc.diff_days(previous, closed, appeared)
-            self.rotation_days[closed] = columnar_kernel.net48_prefixes(net48s)
-            self.live_detection.log_close(changed, net48s, stable)
+            changed, _, stable, mask = acc.diff_days(previous, closed, appeared)
+            live.log_close(closed, changed, stable)
             n_changed = len(changed[0])
         else:
             pairs_a, pairs_b = self._pairs_on(previous), self._pairs_on(closed)
@@ -354,51 +351,24 @@ class StreamEngine:
             flagged = detection.changed_pairs
             if appeared is not None and appeared[0] == len(pairs_a):
                 flagged = flagged - appeared[1]
-            self.rotation_days[closed] = target_prefixes48(t for t, _ in flagged)
             mask = len(pairs_b), pairs_b - pairs_a
-            live = self.live_detection
-            fresh = detection.changed_pairs - live.changed_pairs
-            if fresh:  # folded into the set at once; the log stays disjoint
-                live.changed_pairs.update(fresh)
-                live.log.append(pair_columns(fresh))
-                live.folded = len(live.log)
-            live.rotating_prefixes.update(detection.rotating_prefixes)
-            live.stable_pairs += detection.stable_pairs
-            n_changed, stable = len(detection.changed_pairs), detection.stable_pairs
+            n_changed, stable = len(flagged), detection.stable_pairs
+            live.log_close(closed, pair_columns(flagged), stable)
         self._appeared = (closed, mask)
         if self._obs is not None:
             self._obs.day_closed(closed, n_changed, stable)
 
-    def _rebuild_appeared(self, day: int):
-        """The mask *day*'s close left, rebuilt from the retained pairs;
-        ``None`` when that close diffed nothing, or when late rows (after
-        a ``flush()``) grew *day* since it, which voids a live mask too.
-
-        Only an engine that did not run that close lacks the mask -- a
-        restored one, at its first close -- so an engine that closes no
-        further day never pays for it.  A day restored flushed and still
-        current closes without one (see ``restore_stream_head``).  An
-        older one took its late rows before the checkpoint, if any, and
-        no checkpoint says which rows came after its close.  But every
-        pair that appeared at the close was logged as changed, so an
-        appeared pair the log lacks came later and voids the mask; a
-        mask kept holds logged rows only, and the close that skips them
-        loses no changed pair.  Late rows that brought only pairs the
-        log already holds go unseen: the live engine voided on them and
-        this close keeps the mask.  A predecessor that ``retain_days``
-        pruned cannot be rebuilt: that close goes without a mask and
-        flags *day*'s appeared pairs again.
-        """
-        floor = self._retain_floor()
-        if day - 1 not in self._days_seen or (floor is not None and day - 1 < floor):
+    def live_mask_day(self) -> int | None:
+        """The newest close's day while late rows have not grown its
+        pairs (which voids its mask), else ``None``: a head's ``mask_day``."""
+        day, mask = self._appeared
+        if mask is None or day != self._closed_through:
             return None
-        live = self.live_detection
         if self._acc is not None:
-            mask = self._acc.diff_days(day - 1, day)[3]
-            return mask if columnar_kernel.all_logged(mask, live.log) else None
-        pairs = self._pairs_on(day)
-        appeared = pairs - self._pairs_on(day - 1)
-        return (len(pairs), appeared) if appeared <= live.changed_pairs else None
+            held = len(mask[0][1]) == len(self._acc.day_pairs(day)[1])
+        else:
+            held = mask[0] == len(self._pairs_on(day))
+        return day if held else None
 
     def close_open_day(self) -> None:
         """Close the in-progress day (end of stream, or of a ``run()``)."""
@@ -644,27 +614,44 @@ class StreamEngine:
 
     # -- live rotation detection ------------------------------------------
 
+    @property
+    def rotation_days(self) -> dict[int, set]:
+        """Close day -> the /48s of the pairs that close flagged: a read
+        over the changed-pair log, which checkpoints hold, days and all."""
+        return self.live_detection.rotation_days
+
     def changed_pair_count(self) -> int:
         """``len(live_detection.changed_pairs)``, without building a
         pair tuple while closes are pending."""
         return self.live_detection.changed_count()
 
-    def restore_detection(self, changed: list, prefixes: set, stable: int) -> None:
-        """Adopt checkpointed detection state, the changed pairs as
-        column batches (repeats across batches welcome): a kernel engine
-        logs them de-duplicated and unfolded, so no tuple is built until
-        someone reads ``live_detection.changed_pairs``; a kernel-less
-        one folds them into the set at once."""
-        batches = [cols for cols in changed if len(cols[0])]
-        if self._acc is None:
-            pairs: set = set()
-            columnar_kernel.fold_changed_pairs(batches, pairs)
-            self.live_detection = columnar_kernel.LiveDetection(pairs, prefixes, stable)
+    def restore_detection(self, changed: list, stable: int) -> None:
+        """Adopt a checkpoint's changed-pair log, ``(tgt_hi, tgt_lo,
+        src_hi, src_lo, day)`` batches, once the head and shards are in:
+        an entry per close day (an empty one for a diffed close without
+        rows, unless rows of no known day predate some closes), and the
+        head's ``mask_day`` close's mask, its pairs that the close logged."""
+        live = self.live_detection = columnar_kernel.LiveDetection(stable)
+        live.log = columnar_kernel.log_by_day(changed)
+        logged = dict(live.log)
+        if None not in logged and self._closed_through is not None:
+            seen = self._days_seen
+            live.log += [
+                (day, pair_columns(()))
+                for day in sorted(seen.difference(logged))
+                if day - 1 in seen and day <= self._closed_through
+            ]
+        mask_day = self._appeared[0]
+        if mask_day is None:
             return
-        self.live_detection = columnar_kernel.LiveDetection(None, prefixes, stable)
-        if len(batches) > 1:
-            batches = [columnar_kernel.unique_pair_columns(batches)]
-        self.live_detection.log.extend(batches)
+        rows = dict(live.log).get(mask_day, pair_columns(()))
+        if self._acc is not None:
+            pairs = self._acc.day_pairs(mask_day)
+            mask = pairs, columnar_kernel.logged_rows(pairs, rows)
+        else:
+            pairs = self._pairs_on(mask_day)
+            mask = len(pairs), pairs & set(zip(*pair_ints(rows)))
+        self._appeared = (mask_day, mask)
 
     def _pairs_on(self, day: int) -> set[tuple[int, int]]:
         """Every ``(target, EUI source)`` pair of scanned *day*, over the

@@ -34,3 +34,25 @@ def checkpoint_fingerprint(path: str | Path) -> str:
             sort_keys=True,
         )
     return json.dumps(engine_state(restore_engine(state)), sort_keys=True)
+
+
+def version1_state(state: dict) -> dict:
+    """A version-2 checkpoint state (engine- or campaign-shaped) as the
+    version-1 writer rendered the same state: no ``mask_day`` in the
+    head, each changed pair once without its close day, and the /48s of
+    their targets stored as the rotating prefixes.  What the fixtures
+    recorded before the day column compare against."""
+    if "progress" in state:
+        return {**state, "version": 1, "engine": version1_state(state["engine"])}
+    detection = state["detection"]
+    pairs = sorted({(row[0], row[1]) for row in detection["changed_pairs"]})
+    net48s = sorted({target >> 80 << 80 for target, _ in pairs})
+    return {
+        **{key: value for key, value in state.items() if key != "mask_day"},
+        "version": 1,
+        "detection": {
+            **detection,
+            "changed_pairs": [list(row) for row in pairs],
+            "rotating_prefixes": [[network, 48] for network in net48s],
+        },
+    }

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _ckpt import checkpoint_fingerprint
+from _ckpt import checkpoint_fingerprint, version1_state
 from _worlds import build_campaign
 
 from repro.core.records import ObservationStore, ProbeObservation
@@ -35,6 +35,7 @@ from repro.stream.ckptbin import (
     BinaryCheckpointer,
     ChainAssembler,
     CheckpointError,
+    _PREFIX_BLOCKS,
     _read_segments,
     _write_segment,
     load_chain,
@@ -598,7 +599,7 @@ def delta_chain(tmp_path_factory):
         saver.save(engine)
     segments = _read_segments(path)
     assert [h["kind"] for h, _ in segments] == ["full", "delta", "delta"]
-    assert all(header["format"] == BINARY_FORMAT == 2 for header, _ in segments)
+    assert all(header["format"] == BINARY_FORMAT == 3 for header, _ in segments)
     return segments
 
 
@@ -619,7 +620,6 @@ def block_content(state: dict) -> str:
                 for shard in core["shards"]
             ],
             "changed_pairs": core["detection"]["changed_pairs"],
-            "rotating_prefixes": core["detection"]["rotating_prefixes"],
             "store": state["store"],
         }
     )
@@ -855,17 +855,34 @@ def test_mutated_segments_fail_closed(delta_chain, which, mutation):
         )["shards"]
 
 
-@pytest.mark.parametrize("formats", [(2, 1), (1, 2)], ids=["2-then-1", "1-then-2"])
+def as_format(segment, fmt: int) -> tuple:
+    """*segment* relabelled format *fmt*: below format 3 without its
+    ``det.cp.day`` block and with (empty) rotating-prefix blocks."""
+    header, payload = segment
+    blocks = blocks_of(header, payload)
+    if fmt < 3:
+        blocks = [block for block in blocks if block[0] != "det.cp.day"]
+        blocks += [[name, dtype, b""] for name, dtype in _PREFIX_BLOCKS]
+    header = {
+        **header,
+        "format": fmt,
+        "blocks": [[name, dtype, len(data) // 8] for name, dtype, data in blocks],
+    }
+    return header, b"".join(data for _, _, data in blocks)
+
+
+@pytest.mark.parametrize(
+    "formats",
+    [(3, 2), (2, 3), (2, 1), (1, 2)],
+    ids=["3-then-2", "2-then-3", "2-then-1", "1-then-2"],
+)
 def test_a_mid_chain_format_change_raises(tmp_path, delta_chain, formats):
-    """Format 1 and 2 both read, but not mixed in one chain: the
+    """Formats 1, 2 and 3 all read, but not mixed in one chain: the
     delta that switches is refused and the chain before it kept."""
-    segments = [
-        ({**header, "format": fmt}, payload)
-        for (header, payload), fmt in zip(delta_chain, formats)
-    ]
+    segments = [as_format(segment, fmt) for segment, fmt in zip(delta_chain, formats)]
     path = tmp_path / "mixed.bin"
     rewrite_segments(path, segments[:1])
-    assert read_state(path)["version"] == 1
+    assert read_state(path)["version"] == 2
     rewrite_segments(path, segments)
     with pytest.raises(CheckpointError, match="format changed mid-chain"):
         read_state(path)
@@ -994,10 +1011,12 @@ def test_mixed_ownership_segment_has_unique_span_keys(tmp_path):
     ) == state_dump(reference)
 
 
-def test_changed_pair_blocks_hold_each_pair_once(tmp_path):
+def test_changed_pair_blocks_hold_each_pair_once_per_close(tmp_path):
     """A pair that appears, lives a second day and then disappears is
-    flagged changed at two closes; the column log holds it twice, the
-    segment must not (row counts are what a set-folding writer emits)."""
+    flagged changed at two closes: the log and the segment hold it once
+    per close, under that close's day, and the changed pairs once.  Days
+    1..4 hold 50 pairs each, A, B, B, C: close 2 flags A and B, close 3
+    nothing, close 4 B and C."""
     from dataclasses import replace
 
     engine = StreamEngine(StreamConfig(num_shards=4), origin_of=origin_of)
@@ -1012,10 +1031,10 @@ def test_changed_pair_blocks_hold_each_pair_once(tmp_path):
     save_engine(engine, tmp_path / "ckpt.bin", format="binary")
     ((header, _),) = _read_segments(tmp_path / "ckpt.bin")
     counts = {name: count for name, _, count in header["blocks"]}
-    if engine._acc is not None:  # the kernel's log did see them twice
-        logged = sum(len(batch[0]) for batch in engine.live_detection.log)
-        assert logged > counts["det.cp.thi"]
-    assert counts["det.cp.thi"] == len(engine.live_detection.changed_pairs) == 150
+    logged = {day: len(cols[0]) for day, cols in engine.live_detection.log}
+    assert logged == {2: 100, 3: 0, 4: 100}
+    assert counts["det.cp.thi"] == counts["det.cp.day"] == 200
+    assert len(engine.live_detection.changed_pairs) == 150
     assert state_dump(load_engine(tmp_path / "ckpt.bin", origin_of=origin_of)) == (
         state_dump(engine)
     )
@@ -1024,7 +1043,9 @@ def test_changed_pair_blocks_hold_each_pair_once(tmp_path):
 def test_parent_written_chain_resumes_to_parent_bytes(tmp_path):
     """A campaign chain (full + 2 deltas) written by the commit before
     the column restore loads here, both ways, and resumes to the final
-    JSON checkpoint bytes the parent reached from it."""
+    JSON checkpoint bytes the parent reached from it -- rendered in the
+    version-1 shape, since its rows carry no close day -- and to the
+    version-2 bytes recorded since."""
     meta = json.loads((DATA / "parent_chain.json").read_text())
     path = tmp_path / "chain.ckpt"
     path.write_bytes((DATA / "parent_chain.bin").read_bytes())
@@ -1038,9 +1059,23 @@ def test_parent_written_chain_resumes_to_parent_bytes(tmp_path):
     )
     assert by_columns.result.store.snapshot_rows() == state["store"]
 
+    appended = tmp_path / "appended.ckpt"
+    appended.write_bytes(path.read_bytes())
+    upgraded = StreamingCampaign.resume(
+        build_campaign(), appended, checkpoint_format="binary"
+    )
+    upgraded.run()
+    headers = [header for header, _ in _read_segments(appended)]
+    assert (headers[0]["kind"], headers[0]["seq"]) == ("full", 0)
+    assert {header["format"] for header in headers} == {BINARY_FORMAT}
+
     resumed = StreamingCampaign.resume(build_campaign(), path, checkpoint_format="json")
     resumed.run()
     final = path.read_bytes()
     assert len(resumed.result.store) == meta["rows"]
-    assert len(final) == meta["final_json_bytes"]
-    assert hashlib.sha256(final).hexdigest() == meta["final_json_sha256"]
+    assert len(final) == meta["final_json_v2_bytes"]
+    assert hashlib.sha256(final).hexdigest() == meta["final_json_v2_sha256"]
+    assert state_dump(load_engine(path)) == json.dumps(json.loads(final)["engine"])
+    version1 = json.dumps(version1_state(json.loads(final))).encode()
+    assert len(version1) == meta["final_json_bytes"]
+    assert hashlib.sha256(version1).hexdigest() == meta["final_json_sha256"]

@@ -190,8 +190,10 @@ class TestKernelPrimitives:
                 columnar._dedup_rows(self._pair_columns(sorted(pairs_b))),
             )
             detection = columnar.LiveDetection()
-            detection.log_close(changed, net48s, stable)
+            detection.log_close(1, changed, stable)
+            assert columnar.net48_prefixes(net48s) == expected.rotating_prefixes
             assert detection.changed_pairs == expected.changed_pairs
+            assert detection.rotation_days == {1: expected.rotating_prefixes}
             assert detection.rotating_prefixes == expected.rotating_prefixes
             assert stable == expected.stable_pairs
             assert int(appeared.sum()) == len(pairs_b - pairs_a)

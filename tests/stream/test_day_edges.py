@@ -13,7 +13,8 @@ Three regions of the day state machine:
   accumulated ``live_detection`` keeps their contribution;
 * **per-day attribution** -- ``rotation_days`` gives a close the /48s of
   its changed pairs less those that appeared at the close before, with
-  the columnar fold and without it, and after a checkpoint restore.
+  the columnar fold and without it, and a checkpoint restore keeps every
+  day of it and the mask the next close reads.
 """
 
 import json
@@ -22,6 +23,7 @@ import pytest
 
 from repro.core.records import ProbeObservation
 from repro.core.rotation_detect import target_prefixes48
+from repro.obs import Telemetry
 from repro.store import ColumnBatch
 from repro.stream import columnar
 from repro.stream.checkpoint import engine_state, load_engine, save_engine
@@ -213,10 +215,12 @@ class TestRotationDays:
 
     def test_columnar_and_set_closes_attribute_alike(self):
         """Pair 2 leaves, returns and leaves again; pair 3 comes and
-        goes; late rows after a flush void the mask they would hit."""
+        goes; late rows after a flush void the mask they would hit.
+        Both count the rows they log as the closes' changed pairs."""
         engines = self.engines()
         days = [(1, 2), (1, 3), (1, 2), (1, 6)]
         for engine in engines:
+            engine.attach_telemetry(Telemetry())
             for day, nets in enumerate(days):
                 engine.ingest_batch([pair_obs(day, net) for net in nets])
             engine.flush()
@@ -228,6 +232,8 @@ class TestRotationDays:
             assert engine.rotation_days == {
                 day: prefixes(nets) for day, nets in want.items()
             }
+            logged = sum(len(cols[0]) for _, cols in engine.live_detection.log)
+            assert engine._obs.changed_pairs.value == logged == 6  # a pair per net
 
     def test_late_repeat_after_a_flush_keeps_the_mask(self):
         """Day 0 {A}, day 1 {A, Q}, a flush, a late day-1 row repeating
@@ -246,29 +252,36 @@ class TestRotationDays:
 
     @pytest.mark.parametrize("fmt", ["json", "binary"])
     @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "twin"])
-    def test_a_restored_engine_keeps_the_mask(self, tmp_path, monkeypatch, kernel, fmt):
+    @pytest.mark.parametrize("retain", [None, 2], ids=["all-days", "retain-2"])
+    def test_a_restored_engine_keeps_the_mask(
+        self, tmp_path, monkeypatch, kernel, fmt, retain
+    ):
         """Day 0 {A}, day 1 {A, Q}, day 2 opened with A, a checkpoint,
-        then day 3 {A}: no checkpoint holds day 1's mask, so the
-        restored engine rebuilds it from the retained pairs at its first
-        close, and its day-2 close flags nothing, as the uninterrupted
-        engine's does."""
+        then day 3 {A}: the checkpoint names day 1's close as the one
+        whose mask holds, the restored engine rebuilds that mask from
+        day 1's pairs and the log rows day 1's close flagged -- without
+        day 0, which ``retain_days=2`` has pruned by then -- and its
+        day-2 close flags nothing, as the uninterrupted engine's does.
+        Every day's attribution survives the restore."""
         if not kernel:
             monkeypatch.setattr(columnar, "np", None)
         elif columnar.np is None:
             pytest.skip("the kernel needs numpy")
         a, q = 1, 2
-        engine = StreamEngine(StreamConfig(num_shards=2))
+        engine = StreamEngine(StreamConfig(num_shards=2, retain_days=retain))
         for day, nets in enumerate([(a,), (a, q), (a,)]):
             engine.ingest_batch([pair_obs(day, net) for net in nets])
         path = tmp_path / f"ckpt.{fmt}"
         save_engine(engine, path, format=fmt)
         restored = load_engine(path)
         assert (restored._acc is not None) == kernel
+        assert resident_days(restored) == ({1, 2} if retain else {0, 1, 2})
+        assert restored.rotation_days == engine.rotation_days == {1: prefixes([q])}
         for each in (engine, restored):
             each.ingest_batch([pair_obs(3, a)])
             each.flush()
         assert engine.rotation_days == {1: prefixes([q]), 2: set(), 3: set()}
-        assert restored.rotation_days == {2: set(), 3: set()}
+        assert restored.rotation_days == engine.rotation_days
         assert json.dumps(engine_state(restored)) == json.dumps(engine_state(engine))
 
     @pytest.mark.parametrize("fmt", ["json", "binary"])
@@ -304,6 +317,9 @@ class TestRotationDays:
             for batch in rest:
                 each.ingest_batch(batch)
             each.flush()
-        assert engine.rotation_days[4] == prefixes([5, 6])
-        assert restored.rotation_days == {4: prefixes([5, 6])}
+        want = {1: {2, 3}, 2: {2}, 3: {6}, 4: {5, 6}}
+        assert engine.rotation_days == {
+            day: prefixes(nets) for day, nets in want.items()
+        }
+        assert restored.rotation_days == engine.rotation_days
         assert json.dumps(engine_state(restored)) == json.dumps(engine_state(engine))

@@ -8,8 +8,11 @@ seed 0, the final JSON checkpoint -- on every CI leg, numpy or not
 (the two kernels order some binary blocks differently, so each has its
 own binary digests; JSON and engine state are the same for both).
 The binary segment and file digests were re-recorded once, when a
-delta became the fold since the previous segment (binary format 2);
-the resumed engine state and the JSON digest are the parent's.
+delta became the fold since the previous segment (binary format 2).
+Every digest was re-recorded when changed-pair rows gained their close
+day and the head its ``mask_day`` (JSON version 2, binary format 3);
+the resumed engine state and the JSON file rendered in the version-1
+shape (``*_version1``) are still the parent's.
 """
 
 import hashlib
@@ -23,6 +26,8 @@ from hypothesis import strategies as st
 
 from repro.experiments.context import ExperimentContext
 from repro.experiments.scale import TINY
+from _ckpt import version1_state
+
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import checkpoint_savers, engine_state
 from repro.stream.ckptbin import (
@@ -78,13 +83,18 @@ def daily_chain(ctx, seed: int, fmt: str, path: Path) -> dict:
         )
     streaming.run()
     out = {"file": sha256(path.read_bytes())}
+    if fmt == "json":
+        state = version1_state(json.loads(path.read_bytes()))
+        out["file_version1"] = sha256(json.dumps(state).encode())
     if fmt == "binary":
         out["segments"] = [
             sha256(segment_bytes(path, info)) for info in chain_info(path)
         ]
         resumed = StreamingCampaign.resume(campaign_of(ctx, seed), path)
-        state = json.dumps(engine_state(resumed.engine), sort_keys=True)
-        out["resumed_engine_state"] = sha256(state.encode())
+        state = engine_state(resumed.engine)
+        for key, shape in (("", state), ("_version1", version1_state(state))):
+            dump = json.dumps(shape, sort_keys=True)
+            out["resumed_engine_state" + key] = sha256(dump.encode())
     return out
 
 
