@@ -133,18 +133,22 @@ def main(argv: list[str]) -> int:
     )
     parser.add_argument("--days", type=int, default=6)
     args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="warm_standby_") as workdir:
+        return drill(args.days, Path(workdir))
 
-    workdir = Path(tempfile.mkdtemp(prefix="warm_standby_"))
+
+def drill(days: int, workdir: Path) -> int:
+    """Steps 1-5 with both checkpoints in *workdir*; 0 when all hold."""
     primary_ckpt = workdir / "primary.ckpt"
     takeover_ckpt = workdir / "takeover.ckpt"
 
     # 1. The oracle: the same campaign, never interrupted.
-    reference = StreamingCampaign(build_campaign(args.days))
+    reference = StreamingCampaign(build_campaign(days))
     reference.run()
 
     # 2. Primary subprocess + live follower.
     process = subprocess.Popen(
-        [sys.executable, __file__, "primary", str(args.days), str(primary_ckpt)],
+        [sys.executable, __file__, "primary", str(days), str(primary_ckpt)],
         stdout=subprocess.PIPE,
         text=True,
     )
@@ -166,11 +170,11 @@ def main(argv: list[str]) -> int:
             checked = follower.applied_seq
             standby_ok &= standby_rotations_agree(url, rotations)
         time.sleep(0.05)
+    process.kill()  # on failure too: the directory goes when we return
+    process.wait(timeout=30)
     if follower.applied_seq < 2:
         print("FAIL: follower never caught up")
         return 1
-    process.kill()
-    process.wait(timeout=30)
     standby_ok &= standby_rotations_agree(url, rotations)
     print(
         f"primary SIGKILLed at standby position "
@@ -185,7 +189,7 @@ def main(argv: list[str]) -> int:
     primary_bytes = primary_ckpt.read_bytes()
     promoted_bytes = promoted.read_bytes()
     prefix_ok = primary_bytes[: len(promoted_bytes)] == promoted_bytes
-    resumed = StreamingCampaign.resume(build_campaign(args.days), promoted)
+    resumed = StreamingCampaign.resume(build_campaign(days), promoted)
     print(f"promoted; resuming from day {resumed.result.days_run}")
     promoted_days = resumed.engine.rotation_days
     promoted_ok = promoted_days == {day: rotations.get(day) for day in promoted_days}

@@ -282,8 +282,14 @@ def _one_per_key(cols: list, n_keys: int | None = None) -> list:
     """Key-sorted rows reduced to one row per key: set rows (no *n_keys*)
     are all key and drop repeats; span rows carry ``lo, hi`` after
     *n_keys* key columns and keep ``[min lo, max hi]`` -- min/max
-    commute, so reducing reduced rows with raw ones is exact."""
-    starts, _ = _group_slices(*cols[:n_keys])
+    commute, so reducing reduced rows with raw ones is exact.  Rows
+    with no repeated key come back as they are."""
+    same = np.ones(max(len(cols[0]) - 1, 0), dtype=bool)
+    for c in cols[:n_keys]:
+        same &= c[1:] == c[:-1]
+    if not same.any():
+        return list(cols)
+    starts = np.flatnonzero(np.append(True, ~same))
     rows = [c[starts] for c in cols[:n_keys]]
     if n_keys is not None:
         rows.append(np.minimum.reduceat(cols[n_keys], starts))
@@ -308,32 +314,26 @@ def _sorted_rows(cols: list, n_keys: int | None = None) -> list:
 
 
 def _row_bytes(cols: list):
-    """Each row as big-endian bytes, which order as the rows do: a
-    ``void`` column ``np.searchsorted`` walks like any sorted column."""
+    """Each row as big-endian bytes, which order as the rows do: one
+    ``void`` column, sorted by one ``argsort`` like any column."""
     rows = np.empty((len(cols[0]), len(cols)), dtype=">u8")
     for i, col in enumerate(cols):
         rows[:, i] = _unsigned(col)
     return rows.view(f"V{8 * len(cols)}").ravel()
 
 
-def _insert_rows(run: list, new: list, n_keys: int | None = None) -> list:
-    """Merge the key-sorted, key-unique rows *new* into *run* (alike):
-    insertion points from one ``searchsorted`` over the key bytes, one
-    scatter, then a key the run already held keeps one row (the span
-    widened) -- the run itself is never sorted again."""
-    if not len(run[0]) or not len(new[0]):
-        return run if len(run[0]) else new
-    at = np.searchsorted(_row_bytes(run[:n_keys]), _row_bytes(new[:n_keys]))
-    slots = at + np.arange(len(at))
-    kept = np.ones(len(run[0]) + len(at), dtype=bool)
-    kept[slots] = False
-    merged = []
-    for r, q in zip(run, new):
-        col = np.empty(len(kept), dtype=r.dtype)
-        col[slots] = q
-        col[kept] = r
-        merged.append(col)
-    return _one_per_key(merged, n_keys)
+def _merge_runs(runs: list, n_keys: int | None = None) -> list:
+    """Merge key-sorted, key-unique *runs* (alike columns) into one:
+    laid end to end, one stable sort of the key bytes -- timsort finds
+    the runs in place and merges them, it never sorts a run again --
+    then the equal keys that now sit side by side folded into one row
+    (the span widened).  A lone non-empty run comes back as it is."""
+    runs = [run for run in runs if len(run[0])] or runs[:1]
+    if len(runs) == 1:
+        return runs[0]
+    cols = [np.concatenate(col) for col in zip(*runs)]
+    order = np.argsort(_row_bytes(cols[:n_keys]), kind="stable")
+    return _one_per_key([c[order] for c in cols], n_keys)
 
 
 def _group_slices(*key_cols):
@@ -368,14 +368,10 @@ def _merge_family(family: str, parts: list) -> list:
     """Merge one family's column *parts* -- the first its run (sorted,
     key-unique), the rest in any order, repeats welcome -- into a run:
     each new part sorted and reduced unless its rows already ascend (a
-    batch's, a checkpoint's), then the parts merged pairwise, a tree of
-    :func:`_insert_rows` that sorts nothing again."""
+    batch's, a checkpoint's), then all merged at once by :func:`_merge_runs`."""
     n_keys = RUN_FAMILIES[family][1]
-    runs = [parts[0], *(_sorted_rows(part, n_keys) for part in parts[1:])]
-    while len(runs) > 1:
-        pairs = [runs[i : i + 2] for i in range(0, len(runs), 2)]
-        runs = [_insert_rows(*pair, n_keys) if pair[1:] else pair[0] for pair in pairs]
-    return runs[0]
+    new = (_sorted_rows(part, n_keys) for part in parts[1:])
+    return _merge_runs([parts[0], *new], n_keys)
 
 
 def _dtype(typecode: str):
@@ -636,8 +632,9 @@ class ColumnarAccumulator:
     reads them.  Reads come in three strengths:
 
     * :meth:`reduce` merges the queued batches into the runs
-      (:attr:`runs`), span groups already min/max-reduced.  Pure numpy; no
-      Python set, dict or tuple is built.  Queries
+      (:attr:`runs`) by one stable sort (:func:`_merge_runs`), span
+      groups min/max-reduced.  Pure numpy; no Python set, dict or tuple
+      is built.  Queries
       (:meth:`family_columns`, :meth:`iid_spans`) and a ``retain_days``
       day close stop here, and day-close diffs read merged pair columns
       straight from the per-day chunks (:meth:`day_pairs`).
@@ -848,7 +845,7 @@ class ColumnarAccumulator:
             cat = [np.concatenate([c[i] for c in chunks[covered:]]) for i in range(5)]
             new = _sorted_rows(cat)
             in_order = not covered and new[0] is cat[0]
-            cols = tuple(new if cols is None else _insert_rows(cols, new))
+            cols = tuple(new if cols is None else _merge_runs([cols, new]))
         closed = day in self._merged_pairs and day < max(self._pair_chunks)
         if (closed or in_order) and chunks[0] is not cols:
             self._pair_chunks[day] = chunks = [cols]
@@ -928,7 +925,9 @@ class ColumnarAccumulator:
         """A span family reduced to ``(asn, iid, lo, hi)``, one row per
         ``(asn, iid)`` across shards and days; only *day*'s rows of
         ``alloc`` and only *asn*'s rows when given (both masks apply
-        before the reduce, as the dict walk filters before it merges)."""
+        before the reduce, as the dict walk filters before it merges).
+        Each shard's rows ascend by ``(asn, iid)``: one stable sort
+        merges them, as in :func:`_merge_runs`."""
         cols = self.family_columns(family)[1:]
         keep = None
         if family == "alloc":
@@ -939,7 +938,8 @@ class ColumnarAccumulator:
             keep = cols[0] == asn if keep is None else keep & (cols[0] == asn)
         if keep is not None:
             cols = [c[keep] for c in cols]
-        return _sorted_rows(cols, 2)
+        order = np.argsort(_row_bytes(cols[:2]), kind="stable")
+        return _one_per_key([c[order] for c in cols], 2)
 
     def shard_records(self, sids) -> dict:
         """``{sid: record}`` for *sids* (the

@@ -197,6 +197,43 @@ def test_merge_family_equals_the_reference(merge):
     assert as_rows(merged) == reference_rows(everything, n_keys)
 
 
+@st.composite
+def sorted_runs(draw, family: str):
+    """Runs of *family*'s layout, each sorted and key-unique by the
+    reference: subsets of one pool of rows, so that runs share keys,
+    span rows with their own ``lo, hi`` per run; runs may be empty."""
+    from repro.stream.columnar import RUN_FAMILIES
+
+    codes, n_keys = RUN_FAMILIES[family]
+    pool = draw(typed_rows(codes, max_size=12))
+    size = len(pool[0])
+    picks = st.lists(st.integers(0, max(size - 1, 0)), max_size=12 if size else 0)
+    runs = []
+    for taken in draw(st.lists(picks, min_size=1, max_size=5)):
+        cols = [c[taken] for c in pool]
+        if n_keys is not None:
+            spans = st.lists(UINT64, min_size=len(taken), max_size=len(taken))
+            cols[n_keys:] = [column(draw(spans), "Q") for _ in "lh"]
+        rows = reference_rows(cols, n_keys)
+        runs.append([column([r[i] for r in rows], c) for i, c in enumerate(codes)])
+    return runs
+
+
+@needs_numpy
+@pytest.mark.parametrize("family", ["alloc", "esrc", "iid", "pool", "src"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_merge_runs_equals_the_reference(family, data):
+    from repro.stream.columnar import RUN_FAMILIES, _merge_runs
+
+    n_keys = RUN_FAMILIES[family][1]
+    runs = data.draw(sorted_runs(family))
+    merged = _merge_runs(runs, n_keys)
+    everything = [np.concatenate(c) for c in zip(*runs)]
+    assert as_rows(merged) == reference_rows(everything, n_keys)
+    assert [c.dtype for c in merged] == [c.dtype for c in runs[0]]
+
+
 EUI_LO = st.builds(
     lambda a, b: (a << 40) | (0xFFFE << 24) | b,
     st.integers(0, 2**24 - 1),
@@ -290,14 +327,56 @@ def test_adopting_unsorted_records_gives_sorted_unique_runs(chunks, rng):
         assert all(a < b for a, b in zip(keys, keys[1:]))  # strictly ascending
 
 
+@st.composite
+def spread_shards(draw):
+    """``(sid, day, asn, src_hi, src_lo, tgt_hi, tgt_lo)`` EUI-64 rows on
+    16 shards, one ``(asn, iid)`` among them seen from several shards."""
+    row = st.tuples(
+        st.integers(0, 15),
+        st.integers(0, 2),
+        st.integers(-2, 2),
+        UINT64,
+        EUI_LO,
+        UINT64,
+        st.integers(0, 3),
+    )
+    rows = draw(st.lists(row, max_size=30))
+    asn, iid = draw(st.integers(-2, 2)), draw(EUI_LO)
+    for sid in draw(st.lists(st.integers(0, 15), min_size=2, max_size=6)):
+        day, src_hi, tgt_hi = draw(st.tuples(st.integers(0, 2), UINT64, UINT64))
+        rows.append((sid, day, asn, src_hi, iid, tgt_hi, 0))
+    return sorted(rows, key=lambda r: r[1])
+
+
+@needs_numpy
+@settings(max_examples=75, deadline=None)
+@given(spread_shards(), st.sampled_from([None, 0, 2]), st.sampled_from([None, -2, 0]))
+def test_iid_spans_merge_the_shards_as_lexsort_does(rows, day, asn):
+    from repro.stream.columnar import ColumnarAccumulator
+
+    acc = ColumnarAccumulator(16)
+    acc.absorb(*row_columns(rows))
+    _sid, days, asns, src_hi, iid, tgt_hi, _ = row_columns(rows)
+    for family, span, day_of in (("alloc", tgt_hi, day), ("pool", src_hi, None)):
+        keep = np.ones(len(rows), dtype=bool)
+        if day_of is not None:
+            keep &= days == day_of
+        if asn is not None:
+            keep &= asns == asn
+        cols = [c[keep] for c in (asns, iid, span, span)]
+        expected = reference_rows(cols, 2)
+        assert as_rows(acc.iid_spans(family, day_of, asn)) == expected
+
+
+
 # -- what a save sorts ----------------------------------------------------------------
 
 
 @pytest.fixture()
 def forbid_sorts(monkeypatch):
     """``forbid_sorts(reduce=True) -> calls``: make the row-order kernel
-    (and the run reduce) record itself in *calls* and raise, for as long
-    as the test runs."""
+    (and the run reduce and the run merge) record itself in *calls* and
+    raise, for as long as the test runs."""
     from repro.stream import columnar
 
     calls: list[str] = []
@@ -315,6 +394,7 @@ def forbid_sorts(monkeypatch):
             monkeypatch.setattr(
                 columnar.ColumnarAccumulator, "reduce", forbidden("reduce")
             )
+            monkeypatch.setattr(columnar, "_merge_runs", forbidden("_merge_runs"))
         return calls
 
     return forbid
@@ -450,7 +530,7 @@ def test_a_delta_save_merges_nothing_into_the_runs(tmp_path, monkeypatch):
     saver.save(engine)
     runs = {family: len(cols[0]) for family, cols in engine._acc.runs.items()}
     with monkeypatch.context() as patch:
-        for name in ("_insert_rows", "_merge_family"):
+        for name in ("_merge_runs", "_merge_family"):
             patch.setattr(columnar, name, lambda *_, n=name: pytest.fail(f"{n} called"))
         for day in (3, 4, 5):
             engine.ingest_batch(eui_day(day))
