@@ -297,7 +297,15 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.replicate.follower:ReplicaFollower.__enter__": ("safety", "context manager"),
     "repro.replicate.follower:ReplicaFollower.__exit__": (
         "safety",
-        "stops the follower",
+        "closes the follower",
+    ),
+    "repro.replicate.follower:ReplicaFollower.close": (
+        "safety",
+        "removes an unpromoted chain file: a with block's exit, the CLI's",
+    ),
+    "repro.replicate.follower:_ChainFile.discard": (
+        "safety",
+        "removes a superseded or failed chain file (rebase, failed append, close)",
     ),
     "repro.replicate.shipper:_Subscriber.clear": ("safety", "outbox overflow"),
     "repro.replicate.shipper:SegmentShipper._resync_locked": (

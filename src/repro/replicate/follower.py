@@ -20,21 +20,27 @@ Three consumption modes, composable:
   ``/healthz`` and ``/stats`` carry ``role: standby`` plus the applied
   ``(base_id, seq)`` and replication lag, so a load balancer can tell
   a standby from the primary and judge its freshness.
-* **promotion** -- :meth:`promote` writes the applied chain to disk as
-  a normal resumable binary checkpoint (byte-identical to the
-  primary's file at the last shipped segment);
-  :meth:`promote_campaign` goes one further and boots
+* **promotion** -- every applied segment's exact bytes are appended
+  to the follower's own chain file (a temp file), so :meth:`promote`
+  only moves that file into place: a normal resumable binary
+  checkpoint, byte-identical to the primary's file at the last shipped
+  segment.  :meth:`promote_campaign` goes one further and boots
   ``StreamingCampaign.resume`` over it, so a SIGKILLed primary's
-  pursuit continues as if the kill never happened.
+  pursuit continues as if the kill never happened.  A follower closed
+  or collected without promoting removes its chain file.
 
 Run standalone as ``python -m repro.replicate.follower tcp://primary:port``.
 """
 
 from __future__ import annotations
 
+import errno
+import os
 import socket
+import tempfile
 import threading
 import time
+import weakref
 from pathlib import Path
 
 from repro import config
@@ -49,9 +55,58 @@ from .protocol import HELLO_FRAME_MAX, PROTO_VERSION, ReplicationError
 log = get_logger("repro.replicate.follower")
 
 
+class _ChainFile:
+    """A follower's copy of the applied chain: a temp file that every
+    applied segment's bytes are appended to, and that is removed when
+    discarded, collected, or at interpreter exit -- unless promoted."""
+
+    def __init__(self) -> None:
+        fd, name = tempfile.mkstemp(prefix="repro-follower-", suffix=".ckpt")
+        os.close(fd)
+        self.path = Path(name)
+        self.size = 0  # the last good segment boundary
+        self._remove = weakref.finalize(self, self.path.unlink, missing_ok=True)
+
+    def append(self, raw: bytes) -> None:
+        """Append one segment; a failed append truncates the file back
+        to the last good boundary (the primary's rule for its chain)."""
+        try:
+            with open(self.path, "ab") as fh:
+                fh.write(raw)
+        except BaseException:
+            with open(self.path, "rb+") as fh:
+                fh.truncate(self.size)
+            raise
+        self.size += len(raw)
+
+    def discard(self) -> None:
+        self._remove()
+
+    def move_to(self, path: Path) -> None:
+        """Put the chain at *path*: a rename on the same filesystem, a
+        kernel-side copy through ``<name>.tmp`` across filesystems."""
+        try:
+            os.replace(self.path, path)
+        except OSError as exc:
+            if exc.errno != errno.EXDEV:
+                raise
+            atomic_write(path, self.path)
+            self.discard()
+        else:
+            self._remove.detach()
+
+
 class ReplicaFollower:
     """Applies a primary's replicated checkpoint chain, ready to serve
-    or take over."""
+    or take over.
+
+    Each segment is validated and merged in memory, and its exact bytes
+    are appended to a chain file in the system temp directory, which
+    :meth:`promote` moves into place.  :meth:`stop` only stops
+    replication (the chain stays promotable); :meth:`close`, leaving a
+    ``with`` block, or garbage collection removes an unpromoted chain
+    file.
+    """
 
     def __init__(
         self,
@@ -84,13 +139,13 @@ class ReplicaFollower:
             from repro.obs.instruments import ReplicationInstruments
 
             self._obs = ReplicationInstruments(telemetry)
-        # The applied chain.  _asm merges segments; _raw keeps their
-        # exact bytes in order, so promote() can reproduce the
+        # The applied chain.  _asm merges segments; _chain holds their
+        # exact bytes in order on disk, so promote() reproduces the
         # primary's checkpoint file verbatim.  Guarded by _lock --
         # the receive thread writes, serve/promote/stats read.
         self._lock = threading.RLock()
         self._asm: ChainAssembler | None = None
-        self._raw: list[bytes] = []
+        self._chain: _ChainFile | None = None
         self._engine = None
         self.segments_applied = 0
         self.segments_rejected = 0
@@ -286,16 +341,23 @@ class ReplicaFollower:
                 )
 
     def _apply(self, meta: dict, raw: bytes) -> None:
-        """Validate and merge one segment; reject without side effects.
+        """Validate, record and merge one segment; reject without side
+        effects.
 
-        A ``full`` seq-0 segment starts a fresh chain (primary rebase,
-        or a forced resync) -- assembled in a *new* assembler and only
-        committed on success, so even a corrupt rebase segment leaves
-        the previously applied chain intact and queryable.
+        The segment is validated on the side, appended to the chain
+        file, and only then committed: a rejected segment, or a failed
+        append (the file truncated back to its last segment boundary),
+        leaves the applied chain as it was.  A ``full`` seq-0 segment
+        starts a fresh chain (primary rebase, or a forced resync) -- in
+        a *new* assembler and a *new* file, both swapped in at the
+        commit point, so even a corrupt rebase segment leaves the
+        previously applied chain intact and queryable.
         """
         t0 = time.perf_counter()
         with self._lock:
-            reset = self._asm is None or (
+            # No chain file (nothing applied yet, or promoted or closed):
+            # only a chain's first segment can apply.
+            reset = self._chain is None or (
                 meta.get("kind") == "full" and meta.get("seq") == 0
             )
             target = (
@@ -304,17 +366,24 @@ class ReplicaFollower:
                 else self._asm
             )
             try:
-                applied = target.apply(raw)
+                staged = target.stage(raw)
             except CheckpointError:
                 self.segments_rejected += 1
                 if self._obs is not None:
                     self._obs.rejected_segment()
                 raise
+            chain = _ChainFile() if reset else self._chain
+            try:
+                chain.append(raw)
+            except BaseException:
+                if reset:
+                    chain.discard()
+                raise
+            applied = target.commit(staged)
             if reset:
-                self._asm = target
-                self._raw = [raw]
-            else:
-                self._raw.append(raw)
+                if self._chain is not None:
+                    self._chain.discard()
+                self._asm, self._chain = target, chain
             self._engine = None
             self.segments_applied += 1
             self.lag_seconds = max(0.0, time.time() - meta.get("t", time.time()))
@@ -397,27 +466,33 @@ class ReplicaFollower:
     def promote(self, path: str | Path) -> Path:
         """Finalize the applied chain into a resumable checkpoint file.
 
-        Stops replication and serving, then writes the applied
-        segments -- their exact received bytes, concatenated -- to
-        *path* with :func:`~repro.stream.checkpoint.atomic_write`.  The
-        result is byte-identical to the primary's checkpoint file as of
-        the last shipped segment, ready for ``StreamingCampaign.resume``.
+        Stops replication and serving, then moves the chain file --
+        the applied segments' exact received bytes -- to *path*: a
+        rename on the same filesystem, a kernel-side copy and a rename
+        across filesystems.  The result is byte-identical to the
+        primary's checkpoint file as of the last shipped segment, ready
+        for ``StreamingCampaign.resume``.  A follower promotes once.
         """
         self.stop()
         self.stop_serving()
-        with self._lock:
-            if not self._raw:
-                raise ReplicationError("nothing applied; cannot promote")
-            payload = b"".join(self._raw)
-            base_id, seq = self._asm.base_id, self._asm.seq
         path = Path(path)
-        atomic_write(path, payload)
+        with self._lock:
+            if self._chain is None:
+                raise ReplicationError(
+                    "nothing applied; cannot promote"
+                    if self._asm is None
+                    else "chain already promoted"
+                )
+            size = self._chain.size
+            self._chain.move_to(path)
+            self._chain = None
+            base_id, seq = self._asm.base_id, self._asm.seq
         log.info(
             "promoted: chain (%s, %d) finalized to %s (%d bytes)",
             base_id,
             seq,
             path,
-            len(payload),
+            size,
         )
         if self._obs is not None:
             self._obs.promoted(base_id, seq, path)
@@ -460,12 +535,21 @@ class ReplicaFollower:
             min_snapshot_interval=min_snapshot_interval,
         )
 
+    def close(self) -> None:
+        """Stop replicating and serving, and remove an unpromoted chain
+        file (idempotent)."""
+        self.stop()
+        self.stop_serving()
+        with self._lock:
+            if self._chain is not None:
+                self._chain.discard()
+                self._chain = None
+
     def __enter__(self) -> "ReplicaFollower":
         return self
 
     def __exit__(self, *_exc) -> None:
-        self.stop()
-        self.stop_serving()
+        self.close()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -473,8 +557,9 @@ def main(argv: list[str] | None = None) -> int:
 
     Replicates until the primary sends ``stop``, the connection dies
     past the retry budget, or the process is interrupted; with
-    ``--chain`` the applied chain is finalized to that path on the way
-    out, ready for ``StreamingCampaign.resume``.  Exit status: 0 after
+    ``--chain`` the applied chain is moved to that path on the way
+    out, ready for ``StreamingCampaign.resume``, and without it the
+    temp chain file is removed.  Exit status: 0 after
     an orderly stop, 1 on a replication failure (bad authkey,
     unreachable primary).
     """
@@ -494,7 +579,8 @@ def main(argv: list[str] | None = None) -> int:
         "--chain",
         default=None,
         metavar="PATH",
-        help="finalize the applied chain to this checkpoint file on exit",
+        help="move the applied chain (kept in a temp file while"
+        " replicating) to this checkpoint file on exit",
     )
     parser.add_argument(
         "--serve",
@@ -538,7 +624,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.chain and follower.segments_applied:
             path = follower.promote(args.chain)
             print(f"chain finalized to {path}", flush=True)
-        follower.stop_serving()
+        follower.close()
     print(
         f"follower done: {follower.segments_applied} applied, "
         f"{follower.reconnects} reconnects",

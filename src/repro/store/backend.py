@@ -9,20 +9,23 @@ byte-identical whichever backend produced them.
 ``ColumnarBackend`` is the one in-memory layout, on every install: the
 six ``ColumnBatch`` columns (stdlib :mod:`array` buffers), so columnar
 consumers (the streaming engines' kernel) re-read the corpus without
-any per-row Python work, plus integer-row indexes that the first
-indexed read builds.  The disk-backed backend lives in
-:mod:`repro.store.sqlite`.
+any per-row Python work, plus per-day row ranges and per-IID row
+columns that the first indexed read builds.  The disk-backed backend
+lives in :mod:`repro.store.sqlite`.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, islice
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from functools import partial
+from itertools import chain, compress, count, islice
+from operator import ne
+from typing import Iterator, Protocol, runtime_checkable
 
 from repro.net.eui64 import is_eui64_iid
-from repro.store.batch import ColumnBatch
+from repro.store.batch import DAY_TYPECODE, U64_TYPECODE, ColumnBatch
 
 #: Default row count per :meth:`StoreBackend.scan_columns` chunk --
 #: large enough to amortize per-chunk fixed costs (numpy array builds,
@@ -49,7 +52,9 @@ class StoreBackend(Protocol):
     observation objects (and a JSON checkpoint's rows) to a
     :class:`ColumnBatch` before handing them over and materializes
     objects after a read, so a backend never sees one.  All scans and
-    slices return rows in insertion order.  A backend may build its
+    slices return rows in insertion order, as batches of the
+    ``ColumnBatch`` column types (``array('q')`` days, ``array('Q')``
+    address halves, a list of timestamps).  A backend may build its
     indexes lazily, inside the first read that needs them: the store
     has a single writer and is read on that same thread.
     """
@@ -159,9 +164,11 @@ class ColumnarBackend:
     ``extend`` calls and nothing else; re-reading the corpus for the
     streaming engines' kernel slices those same columns, so no
     per-batch object-to-column conversion is paid.  Indexes are per-day
-    and per-IID row-number lists -- ints, never observation objects --
-    built by the first read that needs them and brought up to date over
-    the rows appended since by the next one, on the calling thread (the
+    row ranges and per-IID ``array('q')`` row columns -- never
+    observation objects -- so a day slice is column slices and an IID
+    history a gather into typed columns.  They are built by the first
+    read that needs them and brought up to date over the rows appended
+    since by the next one, on the calling thread (the
     store has one writer and no cross-thread reader: the serve layer
     answers from published snapshots, never from the store).  A
     campaign that only appends and checkpoints never builds them.
@@ -174,8 +181,10 @@ class ColumnarBackend:
 
     def __init__(self) -> None:
         self._cols = ColumnBatch()
-        self._day_rows: dict[int, list[int]] = defaultdict(list)
-        self._iid_rows: dict[int, list[int]] = defaultdict(list)
+        # Per day its row ranges, [start, stop) pairs in row order: one
+        # per day when days arrive in order, as every campaign's do.
+        self._day_ranges: dict[int, list[list[int]]] = {}
+        self._iid_rows: dict[int, array] = defaultdict(partial(array, "q"))
         self._eui_iids: set[int] = set()
         self._eui_rows = 0
         self._indexed = 0  # rows [0, _indexed) are in the indexes
@@ -194,16 +203,24 @@ class ColumnarBackend:
         start = self._indexed
         if start == len(cols):
             return
-        day_rows = self._day_rows
+        # One Python step per run of equal days: the runs' ends are the
+        # rows whose day differs from the row before.
+        days = cols.day
+        ends = compress(
+            count(start + 1),
+            map(ne, islice(days, start, None), islice(days, start + 1, None)),
+        )
+        row = start
+        for stop in chain(ends, (len(cols),)):
+            ranges = self._day_ranges.setdefault(days[row], [])
+            if ranges and ranges[-1][1] == row:
+                ranges[-1][1] = stop
+            else:
+                ranges.append([row, stop])
+            row = stop
         iid_rows = self._iid_rows
         eui_iids = self._eui_iids
-        new_rows = zip(
-            count(start),
-            islice(cols.day, start, None),
-            islice(cols.src_lo, start, None),
-        )
-        for row, day, iid in new_rows:
-            day_rows[day].append(row)
+        for row, iid in zip(count(start), islice(cols.src_lo, start, None)):
             iid_rows[iid].append(row)
             if iid in eui_iids:
                 self._eui_rows += 1
@@ -217,23 +234,29 @@ class ColumnarBackend:
         for start in range(0, len(cols), chunk_rows):
             yield cols.slice(start, start + chunk_rows)
 
-    def _rows_batch(self, row_numbers: Iterable[int]) -> ColumnBatch:
-        cols = self._cols.columns
-        return ColumnBatch(
-            *([column[row] for row in row_numbers] for column in cols)
-        )
-
     def day_slice(self, day: int) -> ColumnBatch:
+        """The day's row ranges, sliced: buffer copies, no per-row work."""
         self._index()
-        return self._rows_batch(self._day_rows.get(day, ()))
+        cols = self._cols
+        parts = [cols.slice(*span) for span in self._day_ranges.get(day, ())]
+        return parts[0] if len(parts) == 1 else ColumnBatch.concat(parts)
 
     def iid_history(self, iid: int) -> ColumnBatch:
         self._index()
-        return self._rows_batch(self._iid_rows.get(iid, ()))
+        rows = self._iid_rows.get(iid, ())
+        cols = self._cols
+        return ColumnBatch(
+            array(DAY_TYPECODE, map(cols.day.__getitem__, rows)),
+            list(map(cols.t_seconds.__getitem__, rows)),
+            *(
+                array(U64_TYPECODE, map(column.__getitem__, rows))
+                for column in (cols.tgt_hi, cols.tgt_lo, cols.src_hi, cols.src_lo)
+            ),
+        )
 
     def days(self) -> list[int]:
         self._index()
-        return sorted(self._day_rows)
+        return sorted(self._day_ranges)
 
     def eui_iids(self) -> set[int]:
         self._index()
@@ -261,7 +284,7 @@ class ColumnarBackend:
             backend=self.name,
             rows=len(self._cols),
             eui_rows=self._eui_rows,
-            days=len(self._day_rows),
+            days=len(self._day_ranges),
         )
 
     def snapshot(self) -> list[list]:

@@ -58,9 +58,9 @@ class ColumnBatch:
     ``day`` is an ``array('q')``, ``t_seconds`` a list of timestamps,
     and ``tgt_hi``/``tgt_lo``/``src_hi``/``src_lo`` are ``array('Q')``
     buffers holding the uint64 halves of the target and source
-    addresses.  (Any same-typed sequence of ints works in their place
-    -- slices and index lists produce such columns.)  All six always
-    share one length; rows keep their insertion (stream) order.
+    addresses.  (Any same-typed sequence of ints works in their place;
+    every backend read returns the array types.)  All six always share
+    one length; rows keep their insertion (stream) order.
     """
 
     __slots__ = ("day", "t_seconds", "tgt_hi", "tgt_lo", "src_hi", "src_lo")
@@ -184,8 +184,8 @@ class ColumnBatch:
         return out
 
     def slice(self, start: int, stop: int | None = None) -> "ColumnBatch":
-        """Rows ``[start:stop)`` as a new batch (list slices, no copies
-        beyond the slice itself)."""
+        """Rows ``[start:stop)`` as a new batch of the same column types
+        (buffer slices, no copies beyond the slice itself)."""
         return ColumnBatch(*(column[start:stop] for column in self.columns))
 
     # -- row views ---------------------------------------------------------

@@ -30,6 +30,9 @@ from repro.stream.checkpoint import checkpoint_format as resolve_checkpoint_form
 from repro.stream.checkpoint import checkpoint_savers, read_checkpoint, write_checkpoint
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.feeds import MixedFeed
+from repro.util import get_logger
+
+log = get_logger("repro.stream.campaign")
 
 
 class StreamingCampaign:
@@ -374,14 +377,15 @@ class StreamingCampaign:
         before the crash are durable and ``resume`` can reattach the
         file.  Campaign-owned default stores are left alone: they are
         temp-backed (closing would delete the file) and there is
-        nothing for a caller to reattach.
+        nothing for a caller to reattach.  A close that fails is logged
+        with its traceback, and the ingest error stays the one raised.
         """
         if not self._external_store:
             return
         try:
             self.result.store.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
+        except Exception:
+            log.exception("closing the caller's store after a failed run")
 
     def run(self, max_days: int | None = None) -> CampaignResult:
         """Process remaining campaign days; returns the (shared) result.

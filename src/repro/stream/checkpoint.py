@@ -50,6 +50,7 @@ simulated time and resets across large gaps (see ``TokenBucket``).
 from __future__ import annotations
 
 import json
+import shutil
 import weakref
 from array import array
 from contextlib import nullcontext
@@ -343,13 +344,20 @@ def _check_version(state: dict) -> None:
         raise ValueError(f"unsupported checkpoint version: {state.get('version')!r}")
 
 
-def atomic_write(path: str | Path, data: bytes) -> None:
+def atomic_write(path: str | Path, data: bytes | Path) -> None:
     """Replace *path* with *data* through ``<name>.tmp`` and a rename;
-    the tmp never outlives the call, even when the write or rename fails."""
+    the tmp never outlives the call, even when the write or rename fails.
+
+    *data* is the bytes, or a :class:`~pathlib.Path` whose file is
+    copied kernel-side (:func:`shutil.copyfile`), never read into Python.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
+        if isinstance(data, Path):
+            shutil.copyfile(data, tmp)
+        else:
+            tmp.write_bytes(data)
         tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -715,9 +715,10 @@ def _take_family(table: dict, prefix: str, schema: tuple, label) -> tuple:
 @dataclass
 class _Staged:
     """One validated segment, decoded and merged on the side: everything
-    :meth:`ChainAssembler.apply_parsed` commits, built without touching
-    the assembler."""
+    :meth:`ChainAssembler.commit` commits, built without touching the
+    assembler."""
 
+    header: dict
     parts: list
     counts: dict
     changed: list
@@ -781,19 +782,31 @@ class ChainAssembler:
 
     def apply(self, segment: bytes) -> dict:
         """Validate and merge one raw segment; returns its header."""
+        return self.commit(self.stage(segment))
+
+    def apply_parsed(self, header: dict, payload) -> None:
+        """Merge one already-framed segment (CRC checked by the caller)."""
+        self.commit(self._stage_checked(header, payload))
+
+    def stage(self, segment: bytes) -> _Staged:
+        """Validate one raw segment and merge it on the side.
+
+        Mutates nothing: :meth:`commit` applies the result, and must be
+        the assembler's next mutation.  Between the two a caller can do
+        what must succeed before the segment counts as applied (a
+        follower appends it to its chain file).
+        """
         header, payload, end = _parse_segment(segment, 0, self._label)
         if end != len(segment):
             raise CheckpointError(
                 f"{self._label}: {len(segment) - end} trailing bytes"
                 " after segment"
             )
-        self.apply_parsed(header, payload)
-        return header
+        return self._stage_checked(header, payload)
 
-    def apply_parsed(self, header: dict, payload) -> None:
-        """Merge one already-framed segment (CRC checked by the caller)."""
+    def _stage_checked(self, header: dict, payload) -> _Staged:
         try:
-            staged = self._stage(header, payload)
+            return self._stage(header, payload)
         except CheckpointError:
             raise
         except (*_MALFORMED, ValueError) as exc:
@@ -803,6 +816,9 @@ class ChainAssembler:
                 f"{self._label}: malformed segment ({exc!r})"
             ) from exc
 
+    def commit(self, staged: _Staged) -> dict:
+        """Apply a segment :meth:`stage` validated; returns its header."""
+        header = staged.header
         # -- commit point: everything below mutates merged state -------
         self._parts = staged.parts
         self._counts = staged.counts
@@ -818,6 +834,7 @@ class ChainAssembler:
         self.base_id = header["base_id"]
         self.seq = header["seq"]
         self.segments_applied += 1
+        return header
 
     def _stage(self, header: dict, payload) -> _Staged:
         """Validate *header* against its blocks and merge the segment
@@ -925,6 +942,7 @@ class ChainAssembler:
                 f" {sorted(table)[:4]}"
             )
         return _Staged(
+            header=header,
             parts=([] if is_base else self._parts) + [records],
             counts=counts,
             changed=([] if is_base else self._changed) + [changed],

@@ -9,8 +9,12 @@ not depend on where the rows live.
 
 import json
 import random
+import tempfile
+from array import array
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.records import ObservationStore, ProbeObservation
 from repro.net.addr import with_iid
@@ -24,6 +28,7 @@ from repro.store import (
     default_backend_name,
     make_backend,
 )
+from repro.store.batch import DAY_TYPECODE, U64_TYPECODE
 from repro.stream.checkpoint import engine_state, restore_engine
 from repro.stream.engine import StreamConfig, StreamEngine
 
@@ -226,6 +231,73 @@ class TestBackendContract:
         store.extend([obs(0, 1, source, t=0.0), obs(1, 2, 3, t=5)])
         dumped = json.dumps(store.snapshot_rows())
         assert dumped == f"[[0, 0.0, 1, {source}], [1, 5, 2, 3]]"
+
+
+_ROW = st.tuples(
+    st.integers(0, 5),  # day
+    st.sampled_from([0, 7, 1.5, 86_400.0]),  # t_seconds, int and float
+    st.integers(0, 3),  # which target
+    st.integers(0, 3),  # which source IID
+)
+_TARGETS = [with_iid(0x20010DB8 << 32, n) for n in (1, 2, 3, 1 << 63)]
+_IIDS = [EUI, mac_to_eui64_iid(0x0), 0x1234, (1 << 64) - 1]
+
+
+def _batch_of(rows) -> ColumnBatch:
+    return ColumnBatch.from_rows(
+        [
+            [day, t, _TARGETS[target], with_iid((0x20010DB8 << 32) | day, _IIDS[iid])]
+            for day, t, target, iid in rows
+        ]
+    )
+
+
+def _assert_typed(batch: ColumnBatch) -> None:
+    assert type(batch.day) is array and batch.day.typecode == DAY_TYPECODE
+    for half in (batch.tgt_hi, batch.tgt_lo, batch.src_hi, batch.src_lo):
+        assert type(half) is array and half.typecode == U64_TYPECODE
+    assert type(batch.t_seconds) is list
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    appends=st.lists(st.lists(_ROW, max_size=12), min_size=1, max_size=6),
+    reads=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+def test_typed_slices_equal_a_per_row_reference(kind, appends, reads):
+    """Days out of order and interleaved, reads between appends: every
+    slice equals the rows picked one by one from the appended corpus,
+    in the ``ColumnBatch`` column types."""
+    with tempfile.TemporaryDirectory() as workdir:
+        backend = (
+            SqliteBackend(f"{workdir}/store.sqlite")
+            if kind == "sqlite"
+            else ColumnarBackend()
+        )
+        corpus: list[list] = []
+        for rows, read_now in zip(appends, reads):
+            batch = _batch_of(rows)
+            backend.append_columns(batch)
+            corpus += batch.rows()
+            if read_now:
+                backend.day_slice(rows[0][0] if rows else 0)
+        assert backend.days() == sorted({row[0] for row in corpus})
+        for day in range(6):
+            picked = backend.day_slice(day)
+            _assert_typed(picked)
+            assert picked.rows() == [row for row in corpus if row[0] == day]
+        for iid in _IIDS + [0]:
+            history = backend.iid_history(iid)
+            _assert_typed(history)
+            assert history.rows() == [
+                row for row in corpus if row[3] & ((1 << 64) - 1) == iid
+            ]
+        backend.close()
 
 
 def test_ingest_columns_empty_batch_is_noop():

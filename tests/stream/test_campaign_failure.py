@@ -111,3 +111,37 @@ def test_campaign_owned_store_is_left_alone_on_crash(tmp_path):
         streaming.run()
     # Still usable: the result store was not closed under the caller.
     assert len(streaming.result.store) > 0
+
+
+def test_failing_store_close_is_logged_not_raised(tmp_path, monkeypatch):
+    """A caller store whose ``close`` raises inside a failed run: the
+    ingest error is the one that propagates, and the close failure is
+    logged with its traceback rather than lost."""
+    import io
+    import logging
+
+    store = ObservationStore(SqliteBackend(tmp_path / "corpus.sqlite"))
+
+    def broken_close():
+        raise OSError("store volume went away")
+
+    monkeypatch.setattr(store, "close", broken_close)
+    streaming = StreamingCampaign(
+        build_campaign(),
+        passive_feeds=[poison_feed(crash_day=3)],
+        store=store,
+    )
+    captured = io.StringIO()
+    handler = logging.StreamHandler(captured)
+    logger = logging.getLogger("repro.stream.campaign")
+    logger.addHandler(handler)
+    try:
+        with pytest.raises(RuntimeError, match="vantage link died"):
+            streaming.run()
+    finally:
+        logger.removeHandler(handler)
+        store.backend.close()
+    logged = captured.getvalue()
+    assert "closing the caller's store after a failed run" in logged
+    assert "Traceback" in logged
+    assert "OSError: store volume went away" in logged
