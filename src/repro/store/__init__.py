@@ -70,8 +70,9 @@ asserts).  The invariants the equivalence suite will hold you to:
 
 1. insertion order is preserved everywhere -- scans, slices, snapshot;
 2. ``snapshot()`` equals ``ColumnBatch.rows()`` of the concatenated
-   ``scan_columns()`` output, value-exact (``0`` stays int, ``0.0``
-   stays float), and ``snapshot_columns(n).rows()`` equals
+   ``scan_columns()`` output, value-exact (days and addresses are ints,
+   timestamps floats: an int timestamp appended reads back as its
+   float), and ``snapshot_columns(n).rows()`` equals
    ``snapshot()[n:]``;
 3. ``restore(ColumnBatch.from_rows(snapshot()))`` onto a fresh backend
    reproduces the corpus, and the batch passed in is never kept;

@@ -25,7 +25,7 @@ from operator import ne
 from typing import Iterator, Protocol, runtime_checkable
 
 from repro.net.eui64 import is_eui64_iid
-from repro.store.batch import DAY_TYPECODE, U64_TYPECODE, ColumnBatch
+from repro.store.batch import ColumnBatch
 
 #: Default row count per :meth:`StoreBackend.scan_columns` chunk --
 #: large enough to amortize per-chunk fixed costs (numpy array builds,
@@ -53,8 +53,8 @@ class StoreBackend(Protocol):
     :class:`ColumnBatch` before handing them over and materializes
     objects after a read, so a backend never sees one.  All scans and
     slices return rows in insertion order, as batches of the
-    ``ColumnBatch`` column types (``array('q')`` days, ``array('Q')``
-    address halves, a list of timestamps).  A backend may build its
+    ``ColumnBatch`` column types (``array('q')`` days, ``array('d')``
+    timestamps, ``array('Q')`` address halves).  A backend may build its
     indexes lazily, inside the first read that needs them: the store
     has a single writer and is read on that same thread.
     """
@@ -246,12 +246,10 @@ class ColumnarBackend:
         rows = self._iid_rows.get(iid, ())
         cols = self._cols
         return ColumnBatch(
-            array(DAY_TYPECODE, map(cols.day.__getitem__, rows)),
-            list(map(cols.t_seconds.__getitem__, rows)),
             *(
-                array(U64_TYPECODE, map(column.__getitem__, rows))
-                for column in (cols.tgt_hi, cols.tgt_lo, cols.src_hi, cols.src_lo)
-            ),
+                array(column.typecode, map(column.__getitem__, rows))
+                for column in cols.columns
+            )
         )
 
     def days(self) -> list[int]:

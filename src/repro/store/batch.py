@@ -19,9 +19,9 @@ indexes back to an exact Python int, pickling is one machine-byte
 blob per column, and -- when numpy is available --
 the columnar kernel's ``np.array(column, dtype=...)`` call is a C
 memcpy through the buffer protocol instead of a per-int conversion
-walk.  The timestamp column stays a plain list: timestamps never enter
-the numpy kernel, and a list preserves the int-vs-float identity of
-each value, which the cross-backend checkpoint byte contract requires.
+walk.  The timestamp column is an ``array('d')``: a timestamp is a
+float64 from scan to checkpoint, so an int handed in is stored, served
+and checkpointed as its float.
 
 The (hi, lo) split exists because numpy cannot hold 128-bit ints: hi is
 ``addr >> 64`` (the /64 network number Algorithms 1 and 2 reason about)
@@ -43,6 +43,7 @@ MASK64 = (1 << 64) - 1
 
 DAY_TYPECODE = "q"  # signed 64-bit: days
 U64_TYPECODE = "Q"  # unsigned 64-bit: address halves
+TIME_TYPECODE = "d"  # float64: timestamps
 
 
 def _reject_address(target: int, source: int) -> None:
@@ -55,12 +56,14 @@ def _reject_address(target: int, source: int) -> None:
 class ColumnBatch:
     """A batch of observations as six parallel columns.
 
-    ``day`` is an ``array('q')``, ``t_seconds`` a list of timestamps,
-    and ``tgt_hi``/``tgt_lo``/``src_hi``/``src_lo`` are ``array('Q')``
-    buffers holding the uint64 halves of the target and source
-    addresses.  (Any same-typed sequence of ints works in their place;
-    every backend read returns the array types.)  All six always share
-    one length; rows keep their insertion (stream) order.
+    ``day`` is an ``array('q')``, ``t_seconds`` an ``array('d')`` of
+    timestamps, and ``tgt_hi``/``tgt_lo``/``src_hi``/``src_lo`` are
+    ``array('Q')`` buffers holding the uint64 halves of the target and
+    source addresses.  (Any same-typed sequence of ints works in place
+    of the int columns; every backend read returns the array types.)
+    The timestamps are converted here, once: an ``array('d')`` is
+    adopted as it is, anything else copied into one.  All six always
+    share one length; rows keep their insertion (stream) order.
     """
 
     __slots__ = ("day", "t_seconds", "tgt_hi", "tgt_lo", "src_hi", "src_lo")
@@ -68,14 +71,16 @@ class ColumnBatch:
     def __init__(
         self,
         day=None,
-        t_seconds: list[float] | None = None,
+        t_seconds=None,
         tgt_hi=None,
         tgt_lo=None,
         src_hi=None,
         src_lo=None,
     ) -> None:
         self.day = day if day is not None else array(DAY_TYPECODE)
-        self.t_seconds = t_seconds if t_seconds is not None else []
+        if not (isinstance(t_seconds, array) and t_seconds.typecode == TIME_TYPECODE):
+            t_seconds = array(TIME_TYPECODE, t_seconds if t_seconds is not None else ())
+        self.t_seconds = t_seconds
         self.tgt_hi = tgt_hi if tgt_hi is not None else array(U64_TYPECODE)
         self.tgt_lo = tgt_lo if tgt_lo is not None else array(U64_TYPECODE)
         self.src_hi = src_hi if src_hi is not None else array(U64_TYPECODE)
@@ -88,7 +93,7 @@ class ColumnBatch:
         return f"ColumnBatch({len(self)} rows)"
 
     @property
-    def columns(self) -> tuple[list, ...]:
+    def columns(self) -> tuple:
         """The six columns, in constructor order."""
         return (
             self.day,
@@ -155,11 +160,13 @@ class ColumnBatch:
     def append(self, day: int, t_seconds: float, target: int, source: int) -> None:
         """Append one observation-as-scalars row.
 
-        An address outside ``[0, 2**128)`` raises ``ValueError`` before
-        any column grows, so the six columns never tear.
+        An address outside ``[0, 2**128)`` (``ValueError``) or a
+        timestamp that is not a number (``TypeError``) raises before any
+        column grows, so the six columns never tear.
         """
         if (target | source) >> 128:  # either one negative or too wide
             _reject_address(target, source)
+        t_seconds = float(t_seconds)
         self.day.append(day)
         self.t_seconds.append(t_seconds)
         self.tgt_hi.append(target >> 64)

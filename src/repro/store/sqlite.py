@@ -15,14 +15,11 @@ checkpoint re-serializing every row.  Resume is incremental too:
 file already holds and appends only the missing tail, so reattaching a
 store file after a crash replays nothing.
 
-Round-trip exactness rules (the cross-backend byte-identity contract):
-
-* the uint64 address halves are stored shifted by ``-2**63`` to fit
-  sqlite's signed 64-bit INTEGER, and shifted back on read;
-* the timestamp column is declared without a type, giving it BLOB
-  affinity -- sqlite then preserves the bound Python value exactly
-  (an int stays an int, a float stays a float), so snapshot JSON never
-  differs from the in-memory backend on values like ``0`` vs ``0.0``.
+Round-trip exactness (the cross-backend byte-identity contract): the
+uint64 address halves are stored shifted by ``-2**63`` to fit sqlite's
+signed 64-bit INTEGER, and shifted back on read; timestamps are float64
+on both sides, so every read decodes them into the ``array('d')``
+column a :class:`~repro.store.batch.ColumnBatch` holds.
 """
 
 from __future__ import annotations
@@ -30,12 +27,16 @@ from __future__ import annotations
 import os
 import sqlite3
 import tempfile
+import weakref
 from pathlib import Path
 from typing import Iterator
 
 from repro.net.eui64 import is_eui64_iid
 from repro.store.backend import SCAN_CHUNK_ROWS, StoreStats, _verify_prefix
 from repro.store.batch import ColumnBatch
+from repro.util import get_logger
+
+log = get_logger("repro.store.sqlite")
 
 _SHIFT = 1 << 63  # uint64 <-> sqlite signed INTEGER
 
@@ -43,7 +44,7 @@ _SCHEMA = """
 CREATE TABLE IF NOT EXISTS observations (
     seq INTEGER PRIMARY KEY,
     day INTEGER NOT NULL,
-    t,
+    t REAL NOT NULL,
     tgt_hi INTEGER NOT NULL,
     tgt_lo INTEGER NOT NULL,
     src_hi INTEGER NOT NULL,
@@ -73,13 +74,34 @@ def _decode_batch(rows: list[tuple]) -> ColumnBatch:
     return batch
 
 
+def _release(con: sqlite3.Connection, path: Path, owned: bool) -> None:
+    """Commit and close *con*, then remove *path* if the backend created it.
+
+    A backend's one teardown: :meth:`SqliteBackend.close` runs it, and
+    so does the backend's finalizer when an unclosed backend is
+    collected or the interpreter exits -- where no caller is left to
+    take an exception, so a failure is logged.
+    """
+    try:
+        con.commit()
+        con.close()
+    except sqlite3.Error:
+        log.exception("closing the sqlite store %s failed", path)
+    if owned:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:
+            log.exception("removing the sqlite store %s failed", path)
+
+
 class SqliteBackend:
     """Append-only sqlite corpus with delta-only checkpoint commits.
 
     *path* names the database file; reopening an existing file resumes
     with every row it holds.  ``path=None`` creates a throwaway file in
-    the system temp directory, deleted on :meth:`close` -- the shape
-    the ``REPRO_STORE_BACKEND=sqlite`` test leg runs every store on.
+    the system temp directory, deleted on :meth:`close` or when the
+    backend is collected -- the shape the ``REPRO_STORE_BACKEND=sqlite``
+    test leg runs every store on.
     One backend instance owns its file; concurrent writers are out of
     scope (the store has a single choke point for inserts by design).
     """
@@ -91,11 +113,12 @@ class SqliteBackend:
             fd, tmp_path = tempfile.mkstemp(prefix="repro-store-", suffix=".sqlite")
             os.close(fd)
             self.path = Path(tmp_path)
-            self._owns_file = True
         else:
             self.path = Path(path)
-            self._owns_file = False
         self._con = sqlite3.connect(self.path)
+        self._teardown = weakref.finalize(
+            self, _release, self._con, self.path, path is None
+        )
         self._con.executescript(_SCHEMA)
         self._con.commit()
         self._load_counters()
@@ -306,22 +329,5 @@ class SqliteBackend:
 
     def close(self) -> None:
         """Commit and close; unlink the file if this backend created it."""
-        if self._con is not None:
-            try:
-                self._con.commit()
-                self._con.close()
-            except sqlite3.Error:  # pragma: no cover - teardown best effort
-                pass
-            self._con = None
-        if self._owns_file:
-            try:
-                self.path.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - teardown best effort
-                pass
-            self._owns_file = False
-
-    def __del__(self) -> None:  # pragma: no cover - gc-timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
+        self._teardown()
+        self._con = None

@@ -157,7 +157,7 @@ _STORE_BLOCKS = (
     ("store.shi", "u64"),
     ("store.slo", "u64"),
 )
-_STORE_TINT = ("store.tint", "u64")  # its own length: indices into store.t
+_STORE_TINT = ("store.tint", "u64")  # written empty; see _add_store_blocks
 
 
 class CheckpointError(ValueError):
@@ -371,38 +371,16 @@ def _add_store_blocks(writer, store, start_row: int) -> dict:
     """Emit the corpus rows appended since *start_row*; returns the record.
 
     The store's column buffers feed the blocks directly (a memcpy on
-    column-native backends).  The timestamp column preserves the
-    int-vs-float identity the checkpoint byte contract requires: every
-    value travels as float64, and ``store.tint`` lists the
-    within-segment indices whose value was an int (restore converts
-    those back).  An int that does not round-trip float64 exactly
-    cannot be represented and raises rather than silently drifting.
+    column-native backends), the ``array('d')`` timestamps included.
+    ``store.tint`` is written empty, which keeps a float corpus's bytes
+    and the format number: older writers listed there the rows whose
+    timestamp was an int, and a reader discards it, so those rows read
+    back as floats.
     """
     batch = store.snapshot_columns(start_row)
-    t_int = array("Q")
-    if not any(issubclass(kind, int) for kind in set(map(type, batch.t_seconds))):
-        t_col = array("d", batch.t_seconds)  # no int to mark: one C-level build
-    else:
-        t_col = array("d")
-        for index, value in enumerate(batch.t_seconds):
-            if isinstance(value, int):
-                try:
-                    as_float = float(value)
-                except OverflowError as exc:
-                    raise CheckpointError(
-                        f"timestamp {value!r} does not fit float64"
-                    ) from exc
-                if int(as_float) != value:
-                    raise CheckpointError(
-                        f"timestamp {value!r} does not round-trip float64"
-                    )
-                t_int.append(index)
-                t_col.append(as_float)
-            else:
-                t_col.append(value)
     writer.add("store.day", "i64", batch.day)
-    writer.add("store.t", "f64", t_col)
-    writer.add(*_STORE_TINT, t_int)
+    writer.add("store.t", "f64", batch.t_seconds)
+    writer.add(*_STORE_TINT, ())
     writer.add("store.thi", "u64", batch.tgt_hi)
     writer.add("store.tlo", "u64", batch.tgt_lo)
     writer.add("store.shi", "u64", batch.src_hi)
@@ -923,19 +901,13 @@ class ChainAssembler:
                     f"store delta does not chain: segment starts at row"
                     f" {store_record['start']}, chain holds {held_rows}"
                 )
-            day, t_col, tgt_hi, tgt_lo, src_hi, src_lo = _take_family(
-                table, "", _STORE_BLOCKS, label
-            )
-            (t_int,) = _take_family(table, "", (_STORE_TINT,), label)
-            if store_record["rows"] != held_rows + len(day):
+            corpus_tail = ColumnBatch(*_take_family(table, "", _STORE_BLOCKS, label))
+            table.pop(_STORE_TINT[0], None)  # an older writer's int rows
+            if store_record["rows"] != held_rows + len(corpus_tail):
                 raise CheckpointError(
                     f"store row count mismatch: header says {store_record['rows']},"
-                    f" decoded {held_rows + len(day)}"
+                    f" decoded {held_rows + len(corpus_tail)}"
                 )
-            t_seconds = t_col.tolist()
-            for index in t_int:
-                t_seconds[index] = int(t_seconds[index])
-            corpus_tail = ColumnBatch(day, t_seconds, tgt_hi, tgt_lo, src_hi, src_lo)
         if table:
             raise CheckpointError(
                 f"{label}: blocks the header does not account for:"

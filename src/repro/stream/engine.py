@@ -109,10 +109,13 @@ def update_sighting(
     """Record an observation of a watched IID if it is the freshest.
 
     The one freshness rule (strictly newer ``t_seconds`` wins, so the
-    first arrival keeps a tie), shared by every ingest path.  Callers
-    gate on the watch set first; this only runs for watched IIDs, off
-    the hot path.
+    first arrival keeps a tie), shared by every ingest path.  The time
+    is stored as a float, as a column batch holds it, so an int-stamped
+    observation leaves the same sighting on every path.  Callers gate
+    on the watch set first; this only runs for watched IIDs, off the
+    hot path.
     """
+    t_seconds = float(t_seconds)
     sighting = watched.get(iid)
     if sighting is None:
         watched[iid] = Sighting(source=source, day=day, t_seconds=t_seconds)

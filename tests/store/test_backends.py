@@ -7,7 +7,10 @@ everywhere, value-exact snapshot rows, and engine checkpoints that do
 not depend on where the rows live.
 """
 
+import gc
+import io
 import json
+import logging
 import random
 import tempfile
 from array import array
@@ -28,7 +31,7 @@ from repro.store import (
     default_backend_name,
     make_backend,
 )
-from repro.store.batch import DAY_TYPECODE, U64_TYPECODE
+from repro.store.batch import DAY_TYPECODE, TIME_TYPECODE, U64_TYPECODE
 from repro.stream.checkpoint import engine_state, restore_engine
 from repro.stream.engine import StreamConfig, StreamEngine
 
@@ -224,13 +227,15 @@ class TestBackendContract:
         assert lazy.unique_eui64_sources() == eager.unique_eui64_sources()
 
     def test_value_types_survive_snapshot(self, kind, tmp_path):
-        """int days stay int, float timestamps stay float -- the JSON
-        byte-identity contract across backends."""
+        """Days and addresses stay int and every timestamp is a float --
+        an int one reads back as its float -- on every backend: the JSON
+        byte-identity contract."""
         store = ObservationStore(fresh_backend(kind, tmp_path))
         source = with_iid(0x10, EUI)
         store.extend([obs(0, 1, source, t=0.0), obs(1, 2, 3, t=5)])
         dumped = json.dumps(store.snapshot_rows())
-        assert dumped == f"[[0, 0.0, 1, {source}], [1, 5, 2, 3]]"
+        assert dumped == f"[[0, 0.0, 1, {source}], [1, 5.0, 2, 3]]"
+        assert [type(o.t_seconds) for o in store] == [float, float]
 
 
 _ROW = st.tuples(
@@ -256,7 +261,7 @@ def _assert_typed(batch: ColumnBatch) -> None:
     assert type(batch.day) is array and batch.day.typecode == DAY_TYPECODE
     for half in (batch.tgt_hi, batch.tgt_lo, batch.src_hi, batch.src_lo):
         assert type(half) is array and half.typecode == U64_TYPECODE
-    assert type(batch.t_seconds) is list
+    assert type(batch.t_seconds) is array and batch.t_seconds.typecode == TIME_TYPECODE
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
@@ -272,7 +277,8 @@ def _assert_typed(batch: ColumnBatch) -> None:
 def test_typed_slices_equal_a_per_row_reference(kind, appends, reads):
     """Days out of order and interleaved, reads between appends: every
     slice equals the rows picked one by one from the appended corpus,
-    in the ``ColumnBatch`` column types."""
+    and every read (scan chunks and the snapshot tail too) is in the
+    ``ColumnBatch`` column types."""
     with tempfile.TemporaryDirectory() as workdir:
         backend = (
             SqliteBackend(f"{workdir}/store.sqlite")
@@ -287,6 +293,8 @@ def test_typed_slices_equal_a_per_row_reference(kind, appends, reads):
             if read_now:
                 backend.day_slice(rows[0][0] if rows else 0)
         assert backend.days() == sorted({row[0] for row in corpus})
+        for chunk in (*backend.scan_columns(7), backend.snapshot_columns(1)):
+            _assert_typed(chunk)
         for day in range(6):
             picked = backend.day_slice(day)
             _assert_typed(picked)
@@ -342,6 +350,14 @@ def test_column_batch_rejects_out_of_range_address_untorn(field, target, source)
         ColumnBatch.from_rows([[1, 1.0, target, source]])
     with pytest.raises(ValueError, match=f"{field} address"):
         ColumnBatch.from_observations([obs(1, target, source)])
+
+
+def test_column_batch_rejects_a_timestamp_that_is_not_a_number_untorn():
+    batch = ColumnBatch()
+    batch.append(0, 0.0, 1, 2)
+    with pytest.raises(TypeError):
+        batch.append(1, None, 1, 2)
+    assert [len(column) for column in batch.columns] == [1] * 6
 
 
 def test_add_keeps_pending_rows_when_the_append_is_rejected():
@@ -503,6 +519,39 @@ def test_sqlite_close_removes_owned_tempfile():
     backend.append_columns(ColumnBatch.from_rows([[0, 0.0, 1, with_iid(0x10, EUI)]]))
     backend.close()
     assert not path.exists()
+
+
+def test_sqlite_dropped_backend_removes_owned_tempfile():
+    """An unclosed backend that owns its temp file removes it when it
+    is collected: collection runs the teardown ``close`` runs."""
+    backend = SqliteBackend()
+    path = backend.path
+    backend.append_columns(ColumnBatch.from_rows([[0, 0.0, 1, with_iid(0x10, EUI)]]))
+    del backend
+    gc.collect()
+    assert not path.exists()
+
+
+def test_sqlite_failed_teardown_at_collection_is_logged():
+    """A teardown that fails when nobody called ``close`` has no caller
+    to raise to: it is logged with its traceback."""
+    backend = SqliteBackend()
+    path = backend.path
+    path.unlink()
+    path.mkdir()  # a directory in the temp file's place: its unlink fails
+    captured = io.StringIO()
+    handler = logging.StreamHandler(captured)
+    logger = logging.getLogger("repro.store.sqlite")
+    logger.addHandler(handler)
+    try:
+        del backend
+        gc.collect()
+    finally:
+        logger.removeHandler(handler)
+        path.rmdir()
+    logged = captured.getvalue()
+    assert f"removing the sqlite store {path} failed" in logged
+    assert "Traceback" in logged
 
 
 def test_eui_classification_matches_scalar_oracle(tmp_path):

@@ -718,16 +718,27 @@ class TestMalformedSegments:
             assembler.apply(reframed(header, blocks_of(header, payload)))
         self.assert_untouched(assembler, before)
 
-    def test_store_tint_out_of_range_raises(self, two_segment_chain):
-        (full, _) = two_segment_chain
-        header, payload = full
-        blocks = blocks_of(header, payload)
-        tint = next(b for b in blocks if b[0] == "store.tint")
-        tint[2] = (10**6).to_bytes(8, "little")
-        assembler = ChainAssembler()
-        with pytest.raises(CheckpointError, match="malformed segment"):
-            assembler.apply(reframed(header, blocks))
-        assert assembler.base_id is None and assembler.segments_applied == 0
+
+def test_an_older_writers_int_rows_read_as_floats(two_segment_chain):
+    """A format-3 segment whose ``store.tint`` marks rows -- as writers
+    did while an int timestamp kept its type -- still loads: ``store.t``
+    is the column, and the marked rows read back as their floats."""
+    (full, delta) = two_segment_chain
+    header, payload = full
+    blocks = blocks_of(header, payload)
+    tint = next(b for b in blocks if b[0] == "store.tint")
+    assert tint[2] == b""  # this writer marks no row
+    tint[2] = b"".join(row.to_bytes(8, "little") for row in (0, 3, 7))
+    older, current = ChainAssembler(), ChainAssembler()
+    older.apply(reframed(header, blocks))
+    current.apply_parsed(header, payload)
+    for assembler in (older, current):
+        assembler.apply_parsed(*delta)
+    assert older.corpus.t_seconds.typecode == "d"
+    assert older.corpus.t_seconds == current.corpus.t_seconds
+    rows = older.state()["store"]
+    assert rows == current.state()["store"]
+    assert {type(row[1]) for row in rows} == {float}
 
 
 # Values no header field may hold (None and dicts are legitimate for

@@ -11,6 +11,7 @@ rows-before-error accounting of a backwards day.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -129,10 +130,18 @@ class TestPathInvariance:
             == unbounded.live_detection.changed_pairs
         )
 
+    @pytest.mark.parametrize("stamps", [float, int])
     @pytest.mark.parametrize("path", PATHS)
-    def test_watchlist_sightings_match(self, world, kernel, path):
+    def test_watchlist_sightings_match(self, world, kernel, path, stamps):
+        """Sightings and checkpoint bytes agree on every path, also when
+        a watched IID's rows carry int timestamps: a column batch holds
+        them as floats, so every path stores the float."""
         internet, corpus = world
         watch = sorted({o.source_iid for o in corpus if o.is_eui64})[:3]
+        corpus = [
+            replace(o, t_seconds=stamps(o.t_seconds)) if o.source_iid == watch[0] else o
+            for o in corpus
+        ]
         config = StreamConfig(num_shards=2)
         reference = StreamEngine(config)
         engine = StreamEngine(config)
@@ -144,6 +153,8 @@ class TestPathInvariance:
         for iid in watch:
             assert reference.last_sighting(iid) is not None
             assert engine.last_sighting(iid) == reference.last_sighting(iid)
+            assert type(reference.last_sighting(iid).t_seconds) is float
+        assert checkpoint_text(engine) == checkpoint_text(reference)
 
 
 class TestSnapshotAndResume:

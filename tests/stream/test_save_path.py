@@ -555,21 +555,27 @@ def store_of(times):
     return store
 
 
-def test_int_timestamps_round_trip_their_type(tmp_path):
-    from repro.stream.ckptbin import CheckpointError, read_state
+def test_int_timestamps_checkpoint_as_their_floats(tmp_path):
+    """A timestamp is a float64: ints handed in (``2**53 + 1`` and a
+    bool too) are stored, checkpointed and read back as their floats,
+    in the very bytes an all-float corpus writes."""
+    from repro.stream.ckptbin import read_state
     from repro.stream.engine import StreamEngine
 
-    times = [172_800.5, 172_801, 172_802.0, 2**53, True]
-    store = store_of(times)
-    path = tmp_path / "ckpt.bin"
-    BinaryCheckpointer(path).save(StreamEngine(), store=store, progress={})
-    rows = read_state(path)["store"]
-    assert rows == store.snapshot_rows()
-    assert [type(row[1]) for row in rows] == [float, int, float, int, int]
-    with pytest.raises(CheckpointError, match="round-trip"):
-        BinaryCheckpointer(tmp_path / "bad.bin").save(
-            StreamEngine(), store=store_of([1.5, 2**53 + 1]), progress={}
-        )
+    times = [172_800.5, 172_801, 172_802.0, 2**53 + 1, True]
+    floats = [float(t) for t in times]
+    payloads = []
+    for name, corpus in (("ints.bin", times), ("floats.bin", floats)):
+        path = tmp_path / name
+        store = store_of(corpus)
+        BinaryCheckpointer(path).save(StreamEngine(), store=store, progress={})
+        rows = read_state(path)["store"]
+        assert rows == store.snapshot_rows()
+        assert [row[1] for row in rows] == floats
+        assert {type(row[1]) for row in rows} == {float}
+        ((_, payload),) = _read_segments(path)
+        payloads.append(bytes(payload))
+    assert payloads[0] == payloads[1]
 
 
 def test_float_timestamps_write_one_float_block(tmp_path):
