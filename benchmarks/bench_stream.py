@@ -27,7 +27,7 @@ from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.records import ObservationStore
 from repro.core.rotation_detect import diff_pairs, eui64_pairs
 from repro.core.rotation_pool import RotationPoolInference
-from repro.store import ColumnBatch, SqliteBackend, make_backend
+from repro.store import ColumnBatch
 from repro.stream import columnar as columnar_kernel
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import engine_state
@@ -196,7 +196,7 @@ def test_columnar_ingest_throughput(benchmark, context):
     have_numpy = columnar_kernel.numpy_enabled()
     # The corpus as the columnar store holds it natively: re-reads are
     # list slices, which is what internet-scale replays would see.
-    corpus_store = ObservationStore("columnar")
+    corpus_store = ObservationStore()
     corpus_store.extend(corpus)
     column_chunks = list(corpus_store.scan_columns())
 
@@ -279,7 +279,7 @@ def test_telemetry_overhead(benchmark, context):
 
     corpus = list(context.campaign_result.store)
     config = StreamConfig(num_shards=8, keep_observations=False)
-    corpus_store = ObservationStore("columnar")
+    corpus_store = ObservationStore()
     corpus_store.extend(corpus)
     column_chunks = list(corpus_store.scan_columns())
 
@@ -331,13 +331,13 @@ def test_telemetry_overhead(benchmark, context):
 
 
 def test_store_backend_throughput(benchmark, context):
-    """The two StoreBackends on one corpus: append and full-scan rates.
+    """The store on one corpus: append and full-scan rates.
 
-    Each backend ingests the same pre-built column batches through
+    The store ingests pre-built column batches through
     ``extend_columns`` and is then scanned end to end through
-    ``scan_columns``; both must serialize byte-identical snapshot
-    rows (the cross-backend contract).  The recorded figures feed the
-    CI regression gate alongside the engine throughput numbers.
+    ``scan_columns``; its snapshot rows must be the corpus's.  The
+    recorded figures feed the CI regression gate alongside the engine
+    throughput numbers.
     """
     corpus = list(context.campaign_result.store)
     chunks = [
@@ -346,54 +346,46 @@ def test_store_backend_throughput(benchmark, context):
     ]
     rows = len(corpus)
 
-    results = {}
-    snapshots = {}
-    stores = {
-        "columnar": ObservationStore(make_backend("columnar")),
-        "sqlite": ObservationStore(SqliteBackend()),
+    store = ObservationStore()
+    # Start the window at a clean gc phase: otherwise a gen-2 pass
+    # lands inside (or outside) the timed appends depending on how many
+    # allocations the *session* did before this test -- a 2.5x swing
+    # that tracks collection order, not the store's cost.
+    gc.collect()
+    t0 = time.perf_counter()
+    for batch in chunks:
+        store.extend_columns(batch)
+    append_seconds = time.perf_counter() - t0
+    gc.collect()
+    t0 = time.perf_counter()
+    scanned = sum(len(batch) for batch in store.scan_columns())
+    scan_seconds = time.perf_counter() - t0
+    assert scanned == rows
+    assert store.snapshot_rows() == [
+        [o.day, o.t_seconds, o.target, o.source] for o in corpus
+    ]
+    columnar = {
+        "append_seconds": round(append_seconds, 4),
+        "append_rows_per_s": round(rows / append_seconds),
+        "scan_seconds": round(scan_seconds, 4),
+        "scan_rows_per_s": round(rows / scan_seconds),
     }
-    for name, store in stores.items():
-        # Start each backend's window at a clean gc phase: the held
-        # snapshot_rows of earlier backends otherwise make a gen-2 pass
-        # land inside (or outside) the timed appends depending on how
-        # many allocations the *session* did before this test -- a
-        # 2.5x swing that tracks collection order, not backend cost.
-        gc.collect()
-        t0 = time.perf_counter()
-        for batch in chunks:
-            store.extend_columns(batch)
-        append_seconds = time.perf_counter() - t0
-        gc.collect()
-        t0 = time.perf_counter()
-        scanned = sum(len(batch) for batch in store.scan_columns())
-        scan_seconds = time.perf_counter() - t0
-        assert scanned == rows
-        snapshots[name] = store.snapshot_rows()
-        results[name] = {
-            "append_seconds": round(append_seconds, 4),
-            "append_rows_per_s": round(rows / append_seconds),
-            "scan_seconds": round(scan_seconds, 4),
-            "scan_rows_per_s": round(rows / scan_seconds),
-        }
-    assert snapshots["columnar"] == snapshots["sqlite"]
-    stores["sqlite"].close()  # drop the temp file
 
-    # pytest-benchmark's table entry: one representative columnar append.
+    # pytest-benchmark's table entry: one representative append.
     def columnar_append():
-        store = ObservationStore(make_backend("columnar"))
+        store = ObservationStore()
         for batch in chunks:
             store.extend_columns(batch)
         return store
 
     benchmark.pedantic(columnar_append, rounds=1, iterations=1)
 
-    print(f"\nstore backends on {rows} rows (snapshot rows identical):")
-    for name, numbers in results.items():
-        print(
-            f"  {name}: append {numbers['append_rows_per_s']:,} rows/s, "
-            f"scan {numbers['scan_rows_per_s']:,} rows/s"
-        )
-    record_bench("store_backends", {"rows": rows, **results})
+    print(
+        f"\nstore on {rows} rows: "
+        f"append {columnar['append_rows_per_s']:,} rows/s, "
+        f"scan {columnar['scan_rows_per_s']:,} rows/s"
+    )
+    record_bench("store_backends", {"rows": rows, "columnar": columnar})
 
 
 def test_passive_feed_throughput(benchmark, context):
@@ -463,12 +455,12 @@ def test_checkpoint_formats(benchmark, context, tmp_path):
 
     corpus = list(context.campaign_result.store)
     have_numpy = columnar_kernel.numpy_enabled()
-    corpus_store = ObservationStore("columnar")
+    corpus_store = ObservationStore()
     corpus_store.extend(corpus)
     engine = StreamEngine(
         StreamConfig(num_shards=8, keep_observations=True),
         origin_of=context.origin_of,
-        store=ObservationStore(make_backend("columnar")),
+        store=ObservationStore(),
     )
     for batch in corpus_store.scan_columns():
         engine.ingest_columns(batch)
@@ -618,7 +610,7 @@ def test_serve_queries_under_ingest(benchmark, context):
 
     corpus = list(context.campaign_result.store)
     config = StreamConfig(num_shards=8, keep_observations=False)
-    corpus_store = ObservationStore("columnar")
+    corpus_store = ObservationStore()
     corpus_store.extend(corpus)
     column_chunks = list(corpus_store.scan_columns())
     watch_iid = next(o.source_iid for o in corpus if o.is_eui64)
@@ -839,7 +831,7 @@ def test_replication_overhead(benchmark, context, tmp_path):
 
     corpus = list(context.campaign_result.store)
     config = StreamConfig(num_shards=8, keep_observations=False)
-    corpus_store = ObservationStore("columnar")
+    corpus_store = ObservationStore()
     corpus_store.extend(corpus)
     column_chunks = list(corpus_store.scan_columns())
     # Checkpoint a handful of times per run: one full segment then a

@@ -315,10 +315,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.serve.http:_Handler._error": ("safety", "error answers"),
     "repro.serve.http:_Handler._discard_body": ("safety", "drains or refuses a body"),
     "repro.store.batch:_reject_address": ("safety", "rejects an out-of-range address"),
-    "repro.stream.campaign:StreamingCampaign._salvage_store": (
-        "safety",
-        "commits a caller's store after a mid-campaign crash",
-    ),
     "repro.stream.columnar:_match_rows": (
         "safety",
         "the exact diff of rows whose row hashes collide; test_columnar forces it",
@@ -328,21 +324,19 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "a pursuit's own checkpoint and resume (state, save, restore, load)",
     ),
     # -- interface: protocol hooks a backend or policy supplies
-    "repro.core.records:ObservationStore.days": ("interface", "StoreBackend query"),
-    "repro.core.records:ObservationStore.iid_history": (
-        "interface",
-        "StoreBackend query",
-    ),
-    "repro.core.records:ObservationStore.stats": ("interface", "StoreBackend query"),
+    "repro.core.records:ObservationStore.days": ("interface", "corpus query"),
+    "repro.core.records:ObservationStore.iid_history": ("interface", "corpus query"),
+    "repro.core.records:ObservationStore.stats": ("interface", "corpus query"),
     "repro.replicate.follower:ReplicaFollower.role_info": (
         "interface",
         "the role hook TrackerServer calls on a serving standby",
     ),
     "repro.scan.yarrp:TraceNetwork": ("interface", "Protocol stub"),
     "repro.scan.zmap:ProbeNetwork": ("interface", "Protocol stub"),
-    "repro.store.backend:StoreBackend": ("interface", "Protocol stubs"),
-    "repro.store.backend:ColumnarBackend": ("interface", "StoreBackend queries"),
-    "repro.store.sqlite:SqliteBackend": ("interface", "StoreBackend queries"),
+    "repro.store.backend:ColumnarBackend": (
+        "interface",
+        "the corpus queries ObservationStore.days and .stats forward",
+    ),
     # -- entry: command-line and deployment entry points
     "repro.replicate.follower:main": ("entry", "python -m repro.replicate.follower"),
     "repro.replicate.follower:ReplicaFollower.promote_campaign": (

@@ -1,22 +1,23 @@
-"""Disk-backed campaign: the corpus on sqlite, checkpoints incremental.
+"""Disk-backed campaign: the binary checkpoint chain is the corpus on disk.
 
-The in-memory observation store caps campaign scale at RAM; an
-internet-scale run (the paper's real campaign logged 8.3B responses)
-needs the corpus on disk.  This example runs a tiny rotating ISP
-campaign with the result store held by
-:class:`~repro.store.sqlite.SqliteBackend` and shows the redesigned
-storage API end to end:
+The corpus a campaign collects lives in RAM while the campaign runs;
+its durable copy is the campaign's checkpoint.  With the binary format
+each daily checkpoint appends one *segment* to a chain file -- a full
+segment first, then deltas that carry only the day's fold and the
+corpus rows appended since the previous segment -- so the chain grows
+by a day's worth of bytes per day.  This example runs a tiny rotating
+ISP campaign and shows that the chain alone is enough to pick it up:
 
-1. the campaign streams scan responses into a sqlite-backed
-   :class:`~repro.core.records.ObservationStore`;
-2. each JSON checkpoint also commits the sqlite file -- *incrementally*,
-   writing only the rows appended since the previous checkpoint;
-3. the run is "interrupted", the store file is reattached, and
-   ``StreamingCampaign.resume`` verifies the rows already on disk
-   instead of replaying them;
-4. the finished run's checkpoint is byte-identical to an uninterrupted
-   run holding its corpus in memory -- storage layout never leaks into
-   results.
+1. the campaign runs 3 of its 6 days, writing one chain segment a day;
+2. the run is "interrupted": every live object is dropped, so nothing
+   survives but the chain file;
+3. ``StreamingCampaign.resume`` rebuilds the engine, the corpus and the
+   counters from the chain and runs the campaign to completion,
+   extending the same chain;
+4. the finished run's state is identical to an uninterrupted run that
+   never checkpointed -- the interruption never leaks into results.
+
+Everything is written to a temporary directory that is removed on exit.
 
 Run: ``python examples/disk_backed_campaign.py``
 """
@@ -30,10 +31,8 @@ from repro import (
     Campaign,
     CampaignConfig,
     InternetSpec,
-    ObservationStore,
     PoolSpec,
     ProviderSpec,
-    SqliteBackend,
     StreamingCampaign,
     build_internet,
 )
@@ -64,80 +63,69 @@ def build_campaign(internet):
     return Campaign(internet, prefixes48, CampaignConfig(days=6, start_day=2, seed=11))
 
 
-def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="disk-backed-campaign-"))
-    db_path = workdir / "corpus.sqlite"
-    checkpoint = workdir / "checkpoint.json"
+def final_state(streaming):
+    """Everything a finished run leaves behind, canonically rendered."""
+    return (
+        json.dumps(engine_state(streaming.engine)),
+        json.dumps(streaming.result.store.snapshot_rows()),
+        streaming.result.days_run,
+        streaming.result.probes_sent,
+    )
 
-    # 1. First half of the campaign, corpus on disk.
-    store = ObservationStore(SqliteBackend(db_path))
+
+def run(workdir: Path) -> bool:
+    chain = workdir / "campaign.ckpt"
+
+    # 1. First half of the campaign, one chain segment per day.
     streaming = StreamingCampaign(
         build_campaign(build_world()),
-        checkpoint_path=checkpoint,
-        store=store,
+        checkpoint_path=chain,
+        checkpoint_every=1,
+        checkpoint_format="binary",
     )
     streaming.run(max_days=3)
-    backend = store.backend
-    print(f"after 3 days: {len(store)} observations in {db_path.name}")
+    stats = streaming.stats()
+    rows_before = len(streaming.result.store)
+    print(f"after 3 days: {rows_before} observations in RAM")
     print(
-        f"  checkpoint committed {backend.checkpointed_rows()} rows durably "
-        f"({backend.appended_since_checkpoint} pending) -- "
-        f"file is {db_path.stat().st_size:,} bytes"
+        f"  {chain.name}: {stats['checkpoints_full']} full + "
+        f"{stats['checkpoints_delta']} delta segments, "
+        f"{chain.stat().st_size:,} bytes"
     )
 
-    # 2. "Crash": drop every live object.  Committed rows survive in
-    #    the file; nothing else is needed to resume.
-    rows_before = backend.checkpointed_rows()
-    del streaming, store, backend
+    # 2. "Crash": drop every live object.  Only the chain file is left.
+    del streaming
 
-    # 3. Reattach the file and resume.  restore verifies the rows the
-    #    file already holds and appends only what is missing: nothing.
-    reattached = ObservationStore(SqliteBackend(db_path))
-    print(f"reattached {db_path.name}: {len(reattached)} rows already on disk")
-    assert len(reattached) == rows_before
+    # 3. Resume from the chain alone and finish the campaign; the
+    #    resumed run rebases the chain with a full segment, then
+    #    appends deltas again.
     resumed = StreamingCampaign.resume(
         build_campaign(build_world()),
-        checkpoint,
-        store=reattached,
+        chain,
+        checkpoint_every=1,
+        checkpoint_format="binary",
     )
+    print(
+        f"resumed from {chain.name}: {len(resumed.result.store)} rows, "
+        f"{resumed.result.days_run} days already run"
+    )
+    assert len(resumed.result.store) == rows_before
     result = resumed.run()
-    delta = reattached.backend.checkpointed_rows() - rows_before
     print(
         f"resumed to completion: {result.days_run} days, "
-        f"{len(reattached)} rows ({delta} appended after resume, "
-        f"0 replayed)"
+        f"{len(result.store)} rows; {chain.name} is now "
+        f"{chain.stat().st_size:,} bytes"
     )
 
-    # 4. The uninterrupted reference run, corpus in memory: its final
-    #    checkpoint must carry identical state -- backends never leak
-    #    into results.  Comparison goes through the format-sniffing
-    #    resume path so it holds for the JSON and the binary checkpoint
-    #    format alike (binary chains carry random segment ids, so raw
-    #    bytes are only comparable within the JSON format).
-    reference_checkpoint = workdir / "reference.json"
-    reference = StreamingCampaign(
-        build_campaign(build_world()), checkpoint_path=reference_checkpoint
-    )
+    # 4. The uninterrupted reference run, never checkpointed: the same
+    #    engine state, corpus and counters.
+    reference = StreamingCampaign(build_campaign(build_world()))
     reference.run()
-
-    def canonical_state(path):
-        resumed_campaign = StreamingCampaign.resume(
-            build_campaign(build_world()), path
-        )
-        return (
-            json.dumps(engine_state(resumed_campaign.engine)),
-            json.dumps(resumed_campaign.result.store.snapshot_rows()),
-            resumed_campaign.result.days_run,
-            resumed_campaign.result.probes_sent,
-        )
-
-    identical = canonical_state(checkpoint) == canonical_state(reference_checkpoint)
+    identical = final_state(resumed) == final_state(reference)
     print(
-        "final checkpoint vs. uninterrupted in-memory run: "
+        "resumed run vs. uninterrupted in-memory run: "
         + ("state-identical" if identical else "DIVERGED")
     )
-    if not identical:
-        sys.exit(1)
 
     summary = result.summary()
     print(
@@ -145,6 +133,14 @@ def main() -> None:
         f"{summary['unique_eui64_addresses']} unique EUI-64 addresses, "
         f"{summary['unique_eui64_iids']} stable IIDs"
     )
+    return identical
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="disk-backed-campaign-") as workdir:
+        identical = run(Path(workdir))
+    if not identical:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -53,12 +53,7 @@ from repro.simnet.builder import (
 )
 from repro.simnet.internet import SimInternet
 from repro.simnet.vantage import FlowTap
-from repro.store import (
-    ColumnBatch,
-    ColumnarBackend,
-    SqliteBackend,
-    StoreBackend,
-)
+from repro.store import ColumnBatch, ColumnarBackend
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.feeds import (
@@ -112,8 +107,6 @@ __all__ = [
     "SightingRecord",
     "SimInternet",
     "SnapshotPublisher",
-    "SqliteBackend",
-    "StoreBackend",
     "StreamConfig",
     "StreamEngine",
     "StreamingCampaign",

@@ -14,11 +14,6 @@ Environment table
 ===============================  ==========================================
 Variable                         Meaning
 ===============================  ==========================================
-``REPRO_STORE_BACKEND``          Default :class:`~repro.store.StoreBackend`
-                                 for every ``ObservationStore()`` built
-                                 without an explicit backend: ``columnar``
-                                 (RAM) or ``sqlite`` (disk).  Unset:
-                                 columnar.
 ``REPRO_CHECKPOINT_FORMAT``      Checkpoint write format: ``json``
                                  (canonical) or ``binary`` (columnar delta
                                  segments).  Reads always sniff the file.
@@ -57,7 +52,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-ENV_STORE_BACKEND = "REPRO_STORE_BACKEND"
 ENV_CHECKPOINT_FORMAT = "REPRO_CHECKPOINT_FORMAT"
 ENV_LOG_JSON = "REPRO_LOG_JSON"
 ENV_LOG_LEVEL = "REPRO_LOG_LEVEL"
@@ -71,7 +65,6 @@ ENV_REPLICATE_CONNECT_TIMEOUT = "REPRO_REPLICATE_CONNECT_TIMEOUT"
 class Settings:
     """One resolved configuration snapshot (see the module table)."""
 
-    store_backend: str | None = None
     checkpoint_format: str | None = None
     log_json: bool = False
     log_level: str | None = None
@@ -124,7 +117,6 @@ def current(**overrides) -> Settings:
     optional parameters straight down.
     """
     values = {
-        "store_backend": _env_str(ENV_STORE_BACKEND),
         "checkpoint_format": _env_str(ENV_CHECKPOINT_FORMAT),
         "log_json": _env_truthy(ENV_LOG_JSON),
         "log_level": _env_str(ENV_LOG_LEVEL),
@@ -153,7 +145,6 @@ __all__ = [
     "ENV_REPLICATE_BIND",
     "ENV_REPLICATE_CONNECT_TIMEOUT",
     "ENV_REPLICATE_OUTBOX",
-    "ENV_STORE_BACKEND",
     "Settings",
     "current",
 ]

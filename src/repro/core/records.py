@@ -7,12 +7,11 @@ as columns instead (:meth:`~repro.scan.zmap.ScanResult.batch`).  The
 serves every query the paper's analyses need: per-IID histories,
 per-day snapshots, and per-IID target maps (for Algorithm 1).
 
-Since the storage redesign the store is a thin facade over a pluggable
-:class:`~repro.store.backend.StoreBackend` (see :mod:`repro.store`):
+Since the storage redesign the store is a thin facade over one
+:class:`~repro.store.backend.ColumnarBackend` (see :mod:`repro.store`):
 the corpus travels as :class:`~repro.store.batch.ColumnBatch` flat
-columns, backends swap between native in-memory column storage and an
-append-only sqlite file, and checkpoint bytes are identical whichever
-backend holds the rows.  The historical API -- ``ObservationStore()``,
+columns and is held in RAM as native columns; its durable copy is the
+campaign's checkpoint.  The historical API -- ``ObservationStore()``,
 ``add``/``extend``, iteration yielding :class:`ProbeObservation` -- is
 preserved verbatim on top of it: this facade is the one place objects
 become columns (on insert) and columns become objects (on read).
@@ -25,10 +24,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.net.addr import IID_BITS, Prefix, iid_of
 from repro.net.eui64 import is_eui64_iid
+from repro.store.backend import ColumnarBackend
 from repro.store.batch import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store.backend import StoreBackend, StoreStats
+    from repro.store.backend import StoreStats
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +58,7 @@ class ProbeObservation:
 
 
 class ObservationStore:
-    """Facade over a pluggable backend; the single insert choke point.
+    """Facade over the corpus's columns; the single insert choke point.
 
     All inserts still flow through :meth:`extend` (or its columnar twin
     :meth:`extend_columns`); single-observation :meth:`add` calls batch
@@ -66,10 +66,10 @@ class ObservationStore:
     no longer pays a one-element bulk insert each time.  Every read
     drains the buffer first, so queries always see the full stream.
 
-    *backend* picks where the corpus lives -- an instance, a registered
-    name (``"columnar"`` in memory, ``"sqlite"`` on disk), or ``None``
-    for the default (columnar on every install, ``$REPRO_STORE_BACKEND``
-    to force).  Either way rows are held as columns, so every object
+    The facade converts between objects and columns and owns the
+    ``add`` buffer; :attr:`backend`, a
+    :class:`~repro.store.backend.ColumnarBackend`, owns the column
+    layout and the indexes.  Rows are held as columns, so every object
     read (iteration, ``on_day``, ``observations_of_iid``) materializes
     one :class:`ProbeObservation` per row per call: group once rather
     than re-walk the corpus.
@@ -78,12 +78,8 @@ class ObservationStore:
     #: Single ``add`` calls buffered before one bulk backend append.
     ADD_BUFFER_ROWS = 512
 
-    def __init__(self, backend: "StoreBackend | str | None" = None) -> None:
-        if backend is None or isinstance(backend, str):
-            from repro.store import make_backend
-
-            backend = make_backend(backend)
-        self.backend = backend
+    def __init__(self) -> None:
+        self.backend = ColumnarBackend()
         self._pending: list[ProbeObservation] = []
         # Telemetry bundle (repro.obs): execution state only, never
         # serialized; None keeps every path at one attribute check.
@@ -93,8 +89,7 @@ class ObservationStore:
         """Label this store's latency/row metrics with its backend name."""
         from repro.obs.instruments import StoreInstruments
 
-        name = getattr(self.backend, "name", type(self.backend).__name__)
-        self._obs = StoreInstruments(telemetry, name)
+        self._obs = StoreInstruments(telemetry, self.backend.name)
 
     def __len__(self) -> int:
         return self.backend.rows + len(self._pending)
@@ -157,8 +152,8 @@ class ObservationStore:
 
     @staticmethod
     def _timed_scan(chunks, obs) -> Iterator[ColumnBatch]:
-        """Scan passthrough that times each chunk fetch (lazy backends
-        do their I/O inside ``next``, so per-chunk timing is the truth)."""
+        """Scan passthrough that times each chunk fetch (a chunk is
+        sliced inside ``next``, so per-chunk timing is the truth)."""
         while True:
             with obs.scan_seconds.time():
                 chunk = next(chunks, None)
@@ -183,7 +178,7 @@ class ObservationStore:
     # -- checkpoint rows -----------------------------------------------------
 
     def snapshot_rows(self) -> list[list]:
-        """The canonical checkpoint rows (backend-independent bytes)."""
+        """The canonical checkpoint rows, insertion order."""
         self._flush()
         obs = self._obs
         if obs is None:
@@ -196,8 +191,8 @@ class ObservationStore:
 
         The binary checkpoint writer's currency: the same rows
         :meth:`snapshot_rows` would emit, as one :class:`ColumnBatch` --
-        column-native backends serve it without building row lists, and
-        *start_row* lets delta checkpoints fetch only the appended tail.
+        served without building row lists, and *start_row* lets delta
+        checkpoints fetch only the appended tail.
         """
         self._flush()
         obs = self._obs
@@ -207,8 +202,9 @@ class ObservationStore:
             return self.backend.snapshot_columns(start_row)
 
     def restore_columns(self, batch: ColumnBatch) -> int:
-        """Converge the corpus on a checkpoint's rows, given as columns
-        (incremental on disk-backed stores); returns rows appended."""
+        """Load a checkpoint's rows, given as columns, into this empty
+        store; returns rows appended.  A store that already holds rows
+        raises ``ValueError`` and is left as it was."""
         self._flush()
         obs = self._obs
         if obs is None:
@@ -219,11 +215,6 @@ class ObservationStore:
     def restore_rows(self, rows: list[list]) -> int:
         """:meth:`restore_columns` for JSON checkpoint rows."""
         return self.restore_columns(ColumnBatch.from_rows(rows))
-
-    def close(self) -> None:
-        """Flush and release backend resources (files, connections)."""
-        self._flush()
-        self.backend.close()
 
     # -- summary counters (the Section 4/5 headline numbers) ---------------
 

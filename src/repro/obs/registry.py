@@ -11,7 +11,7 @@ no allocation, nothing to garbage-collect.
 Identity is ``(name, labels)``: asking the registry twice for the same
 instrument returns the same object, asking with a conflicting kind (or
 conflicting histogram buckets) raises.  Labels are Prometheus-style
-``{"backend": "sqlite"}`` pairs, normalized to a sorted tuple so
+``{"backend": "columnar"}`` pairs, normalized to a sorted tuple so
 insertion order never forks identity.
 
 Registries merge: :meth:`MetricsRegistry.merge` folds another
@@ -36,7 +36,7 @@ _LABEL_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: Default histogram buckets for latencies in seconds: 100us .. 10s,
 #: roughly 2.5x apart -- wide enough for anything from a single numpy
-#: chunk fold to a full-corpus sqlite checkpoint.
+#: chunk fold to a full-corpus checkpoint.
 LATENCY_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,

@@ -1,17 +1,16 @@
-"""The :class:`StoreBackend` protocol and the in-memory backend.
+"""The corpus's column layout: :class:`ColumnarBackend`.
 
-A backend owns the observation corpus.  It must preserve insertion
-(stream) order, speak :class:`~repro.store.batch.ColumnBatch` in and
-out, and serialize to the canonical checkpoint rows
-(``[[day, t_seconds, target, source], ...]``) so checkpoints are
-byte-identical whichever backend produced them.
+The backend owns the observation corpus.  It preserves insertion
+(stream) order, speaks :class:`~repro.store.batch.ColumnBatch` in and
+out, and serializes to the canonical checkpoint rows
+(``[[day, t_seconds, target, source], ...]``).
 
-``ColumnarBackend`` is the one in-memory layout, on every install: the
-six ``ColumnBatch`` columns (stdlib :mod:`array` buffers), so columnar
+``ColumnarBackend`` is the one layout, on every install: the six
+``ColumnBatch`` columns (stdlib :mod:`array` buffers), so columnar
 consumers (the streaming engines' kernel) re-read the corpus without
 any per-row Python work, plus per-day row ranges and per-IID row
-columns that the first indexed read builds.  The disk-backed backend
-lives in :mod:`repro.store.sqlite`.
+columns that the first indexed read builds.  Its durable copy is the
+checkpoint a campaign writes (a binary chain's ``store.*`` blocks).
 """
 
 from __future__ import annotations
@@ -22,21 +21,21 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count, islice
 from operator import ne
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator
 
 from repro.net.eui64 import is_eui64_iid
 from repro.store.batch import ColumnBatch
 
-#: Default row count per :meth:`StoreBackend.scan_columns` chunk --
-#: large enough to amortize per-chunk fixed costs (numpy array builds,
-#: SQL cursor round-trips), small enough to bound transient memory when
-#: a disk-backed corpus is bigger than RAM.
+#: Default row count per :meth:`ColumnarBackend.scan_columns` chunk --
+#: large enough to amortize per-chunk fixed costs (numpy array builds
+#: in the engines' kernel), small enough to bound the transient memory
+#: of a chunk's copies.
 SCAN_CHUNK_ROWS = 16384
 
 
 @dataclass(frozen=True)
 class StoreStats:
-    """Cheap corpus counters every backend maintains incrementally."""
+    """Cheap corpus counters, maintained incrementally."""
 
     backend: str
     rows: int
@@ -44,123 +43,10 @@ class StoreStats:
     days: int
 
 
-@runtime_checkable
-class StoreBackend(Protocol):
-    """What :class:`~repro.core.records.ObservationStore` requires.
-
-    The currency is columns, ``restore`` included: the facade converts
-    observation objects (and a JSON checkpoint's rows) to a
-    :class:`ColumnBatch` before handing them over and materializes
-    objects after a read, so a backend never sees one.  All scans and
-    slices return rows in insertion order, as batches of the
-    ``ColumnBatch`` column types (``array('q')`` days, ``array('d')``
-    timestamps, ``array('Q')`` address halves).  A backend may build its
-    indexes lazily, inside the first read that needs them: the store
-    has a single writer and is read on that same thread.
-    """
-
-    @property
-    def rows(self) -> int:
-        """Total observations held (must be O(1))."""
-        ...
-
-    def append_columns(self, batch: ColumnBatch) -> int:
-        """Append a column batch; returns rows appended."""
-        ...
-
-    def scan_columns(self, chunk_rows: int = SCAN_CHUNK_ROWS) -> Iterator[ColumnBatch]:
-        """The whole corpus as bounded column chunks, insertion order."""
-        ...
-
-    def day_slice(self, day: int) -> ColumnBatch:
-        """Every observation of *day*, insertion order."""
-        ...
-
-    def iid_history(self, iid: int) -> ColumnBatch:
-        """Every observation whose source IID is *iid*, insertion order."""
-        ...
-
-    def days(self) -> list[int]:
-        """Days with at least one observation, ascending."""
-        ...
-
-    def eui_iids(self) -> set[int]:
-        """Distinct EUI-64 source IIDs seen so far."""
-        ...
-
-    def unique_sources(self) -> set[int]:
-        """Distinct 128-bit source addresses."""
-        ...
-
-    def unique_eui64_sources(self) -> set[int]:
-        """Distinct 128-bit EUI-64 source addresses."""
-        ...
-
-    def stats(self) -> StoreStats: ...
-
-    def snapshot(self) -> list[list]:
-        """Checkpoint rows for the full corpus, insertion order.
-
-        Must equal ``ColumnBatch.rows()`` of the concatenated scan --
-        the byte-identity contract across backends.
-        """
-        ...
-
-    def snapshot_columns(self, start_row: int = 0) -> ColumnBatch:
-        """Checkpoint columns from *start_row* on: the tail of
-        :meth:`snapshot` as one batch (delta checkpoints fetch only the
-        rows appended since the last one)."""
-        ...
-
-    def restore(self, batch: ColumnBatch) -> int:
-        """Converge the corpus on a checkpoint's rows, given as columns;
-        returns rows appended.
-
-        The corpus after restore must equal *batch* exactly, whatever
-        the backend already held: a held prefix is verified and kept
-        (the incremental-resume contract -- disk backends skip the
-        re-insert entirely), a held suffix beyond the checkpoint is
-        discarded (the resumed stream replays it), and a corpus that
-        disagrees with *batch* at the boundary raises ``ValueError``.
-        *batch* is never kept: what is appended is a copy of its tail.
-        """
-        ...
-
-    def close(self) -> None:
-        """Release backend resources (no-op for in-memory backends)."""
-        ...
-
-
-def _verify_prefix(backend, batch: ColumnBatch, keep: int) -> None:
-    """Raise unless the backend's first *keep* rows equal ``batch[:keep]``.
-
-    The restore soundness check, shared by every backend: a chunked
-    scan (bounded memory, O(held) reads -- still no re-inserts)
-    compared column slice against column slice, value-exact, so
-    reattaching the wrong corpus can never silently fork the stream.
-    Rows are only walked to name the one that diverges.
-    """
-    offset = 0
-    for chunk in backend.scan_columns():
-        if offset >= keep:
-            break
-        take = min(len(chunk), keep - offset)
-        held = chunk.slice(0, take).columns
-        wanted = batch.slice(offset, offset + take).columns
-        if any(h != w for h, w in zip(held, wanted)):
-            for row, (mine, theirs) in enumerate(zip(zip(*held), zip(*wanted))):
-                if mine != theirs:
-                    raise ValueError(
-                        f"{backend.name} store diverges from the checkpoint"
-                        f" at row {offset + row}: not the same corpus"
-                    )
-        offset += take
-
-
 class ColumnarBackend:
     """Native column storage: one growing :class:`ColumnBatch` + indexes.
 
-    The default on every install.  Appending a column batch is six
+    The one layout, on every install.  Appending a column batch is six
     ``extend`` calls and nothing else; re-reading the corpus for the
     streaming engines' kernel slices those same columns, so no
     per-batch object-to-column conversion is paid.  Indexes are per-day
@@ -293,16 +179,13 @@ class ColumnarBackend:
         return self._cols.slice(start_row)
 
     def restore(self, batch: ColumnBatch) -> int:
+        """Load a checkpoint's corpus into this empty store; returns
+        rows appended.  The append copies: *batch* is never kept.  A
+        store that already holds rows raises ``ValueError`` and is left
+        as it was."""
         held = len(self._cols)
-        _verify_prefix(self, batch, min(held, len(batch)))
-        if held > len(batch):
-            # Rows beyond the checkpoint (the resumed stream replays
-            # them): rebuild from the checkpoint.  The re-insert of
-            # verified rows is an implementation detail, not an append.
-            self.__init__()
-            self.append_columns(batch)
-            return 0
-        return self.append_columns(batch.slice(held))
-
-    def close(self) -> None:
-        pass
+        if held:
+            raise ValueError(
+                f"restore needs an empty store; this one holds {held} rows"
+            )
+        return self.append_columns(batch)

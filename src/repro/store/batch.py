@@ -8,7 +8,8 @@ uint64 halves.  This is the lingua franca of the storage redesign:
   (a :class:`~repro.scan.zmap.ScanStream`'s ``column_batches``, a
   :class:`~repro.scan.zmap.ScanResult`'s ``batch``), which owns the
   rule for the day a reply belongs to,
-* every :class:`~repro.store.backend.StoreBackend` appends and scans it,
+* the store (:class:`~repro.store.backend.ColumnarBackend`) appends and
+  scans it,
   and
 * the streaming engine consumes it without per-observation conversion
   (:meth:`~repro.stream.engine.StreamEngine.ingest_columns`).
@@ -209,8 +210,7 @@ class ColumnBatch:
         """Checkpoint rows ``[day, t_seconds, target, source]``, in order.
 
         The exact shape :func:`repro.stream.checkpoint.engine_state` has
-        always serialized -- backends produce these for snapshots, so
-        checkpoint bytes stay identical whatever backend holds the rows.
+        always serialized; the store's snapshots are these rows.
         """
         return [
             [day, t, (thi << 64) | tlo, (shi << 64) | slo]

@@ -30,9 +30,6 @@ from repro.stream.checkpoint import checkpoint_format as resolve_checkpoint_form
 from repro.stream.checkpoint import checkpoint_savers, read_checkpoint, write_checkpoint
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.feeds import MixedFeed
-from repro.util import get_logger
-
-log = get_logger("repro.stream.campaign")
 
 
 class StreamingCampaign:
@@ -80,25 +77,11 @@ class StreamingCampaign:
         # and periodic checkpoint included) -- the serve daemon's
         # snapshot-refresh point.  Public and reassignable.
         self.on_day_complete = on_day_complete
-        # Whether result.store is caller-owned: a mid-campaign failure
-        # must commit and close such a store so the disk-backed corpus
-        # can be reattached (campaign-owned defaults are temp-backed
-        # and die with the run).
-        self._external_store = store is not None
         if store is not None:
-            # The corpus on a caller-chosen backend -- e.g. an
-            # ObservationStore over SqliteBackend so an internet-scale
-            # corpus lives on disk and checkpoints commit only the
-            # delta since the previous one.  Must be empty on a fresh
-            # run; resume() reattaches partially filled stores.
+            # A caller-built store (e.g. an ObservationStore subclass
+            # that instruments its inserts); the run fills it from empty.
             if len(store) > 0:
-                raise ValueError(
-                    "store already holds observations; pass it through "
-                    "StreamingCampaign.resume to reattach a corpus"
-                )
-            # Release the default store the result built (under a
-            # disk-backed default that is a temp file + connection).
-            self.result.store.close()
+                raise ValueError("store already holds observations")
             self.result.store = store
         if engine is None:
             engine = StreamEngine(
@@ -208,7 +191,6 @@ class StreamingCampaign:
         checkpoint_path: str | Path,
         checkpoint_every: int = 0,
         passive_feeds: "Iterable[Iterable[ProbeObservation]] | None" = None,
-        store: "ObservationStore | None" = None,
         telemetry=None,
         checkpoint_format: str | None = None,
         shipper=None,
@@ -220,12 +202,6 @@ class StreamingCampaign:
         Passive feeds are caller-supplied per run (vantage data is not
         checkpoint state); records for days the checkpoint already closed
         are dropped.
-
-        *store* reattaches a caller-owned corpus -- typically an
-        :class:`ObservationStore` over a
-        :class:`~repro.store.sqlite.SqliteBackend` file from the
-        interrupted run: rows the file already holds are verified and
-        skipped, so the disk-backed resume replays nothing.
 
         The checkpoint's format is sniffed from its magic bytes, so a
         run may switch formats across resumes.  *checkpoint_format*
@@ -252,14 +228,6 @@ class StreamingCampaign:
             checkpoint_format=checkpoint_format,
             shipper=shipper,
         )
-        if store is not None:
-            # Release the default store the constructor built (under a
-            # disk-backed default that is a temp file + connection).
-            streaming.result.store.close()
-            streaming.result.store = store
-            streaming._external_store = True
-            if telemetry is not None:
-                store.attach_telemetry(telemetry)
         streaming.result.store.restore_columns(corpus)
         streaming.result.probes_sent = progress["probes_sent"]
         streaming.result.days_run = progress["days_run"]
@@ -369,24 +337,6 @@ class StreamingCampaign:
             raise ValueError("checkpoint() requires a checkpoint_path")
         self._write_checkpoint()
 
-    def _salvage_store(self) -> None:
-        """Best-effort store shutdown after a mid-campaign failure.
-
-        A caller-provided store -- typically sqlite on a caller-owned
-        path -- is flushed, committed, and closed, so the rows ingested
-        before the crash are durable and ``resume`` can reattach the
-        file.  Campaign-owned default stores are left alone: they are
-        temp-backed (closing would delete the file) and there is
-        nothing for a caller to reattach.  A close that fails is logged
-        with its traceback, and the ingest error stays the one raised.
-        """
-        if not self._external_store:
-            return
-        try:
-            self.result.store.close()
-        except Exception:
-            log.exception("closing the caller's store after a failed run")
-
     def run(self, max_days: int | None = None) -> CampaignResult:
         """Process remaining campaign days; returns the (shared) result.
 
@@ -395,19 +345,7 @@ class StreamingCampaign:
         the sink each scan's column batches land in.  *max_days* bounds
         how many days this call processes (the interruption hook the
         checkpoint tests exercise).
-
-        If ingest raises mid-campaign, a caller-provided store is
-        committed and closed before the exception propagates (see
-        :meth:`_salvage_store`), so a crashed disk-backed run can be
-        reattached through :meth:`resume`.
         """
-        try:
-            return self._run(max_days)
-        except BaseException:
-            self._salvage_store()
-            raise
-
-    def _run(self, max_days: int | None) -> CampaignResult:
         # Passive records predating the first remaining scan day go in
         # before any probe response, keeping day order end to end.
         first_day = self.campaign.config.start_day + self.result.days_run

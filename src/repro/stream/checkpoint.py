@@ -283,8 +283,8 @@ def engine_state(engine: StreamEngine) -> dict:
         "shards": [
             _shard_state(sid, record) for sid, record in engine.shard_records().items()
         ],
-        # Every store backend serializes the same [day, t_seconds, target,
-        # source] rows in insertion order: bytes never depend on layout.
+        # The corpus as [day, t_seconds, target, source] rows, in
+        # insertion order.
         "store": engine.store.snapshot_rows() if engine.store is not None else None,
     }
 
@@ -334,7 +334,6 @@ def restore_engine(
     engine.adopt_shards(records)
     engine.restore_detection([changed], stable)
     if rows is not None and store is None and engine.store is not None:
-        # A disk-backed store verifies and skips the rows it already holds.
         engine.store.restore_rows(rows)
     return engine
 

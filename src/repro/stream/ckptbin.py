@@ -370,8 +370,8 @@ def _add_shard_blocks(writer, sid: int, record: dict) -> dict:
 def _add_store_blocks(writer, store, start_row: int) -> dict:
     """Emit the corpus rows appended since *start_row*; returns the record.
 
-    The store's column buffers feed the blocks directly (a memcpy on
-    column-native backends), the ``array('d')`` timestamps included.
+    The store's column buffers feed the blocks directly (a memcpy), the
+    ``array('d')`` timestamps included.
     ``store.tint`` is written empty, which keeps a float corpus's bytes
     and the format number: older writers listed there the rows whose
     timestamp was an int, and a reader discards it, so those rows read

@@ -5,6 +5,10 @@ Each example executes in a subprocess exactly as a reader would run it
 for the scripts that take one (the others are already tiny), so
 examples cannot silently rot as the library evolves.  The test is
 discovery-based: a new example is covered the day it lands.
+
+Each run gets a fresh, empty temporary directory as ``TMPDIR``, and
+must leave it empty: an example that writes scratch files cleans up
+after itself, so running the suite leaves nothing behind.
 """
 
 import os
@@ -24,11 +28,14 @@ def test_examples_discovered():
 
 
 @pytest.mark.parametrize("example", EXAMPLES, ids=lambda p: p.stem)
-def test_example_runs_clean(example):
+def test_example_runs_clean(example, tmp_path):
+    scratch = tmp_path / "tmpdir"
+    scratch.mkdir()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    env["TMPDIR"] = str(scratch)
     result = subprocess.run(
         [sys.executable, str(example), "tiny"],
         cwd=REPO_ROOT,
@@ -42,3 +49,5 @@ def test_example_runs_clean(example):
         f"stdout:\n{result.stdout[-2000:]}\nstderr:\n{result.stderr[-2000:]}"
     )
     assert result.stdout.strip(), f"{example.name} printed nothing"
+    left = sorted(path.name for path in scratch.iterdir())
+    assert not left, f"{example.name} left {left} in its temporary directory"

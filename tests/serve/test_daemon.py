@@ -208,8 +208,8 @@ def test_served_binary_checkpoint_state_identical(tmp_path):
 
 def test_finished_daemon_lingers_until_shutdown(tmp_path):
     # Ingest (and the campaign's store) stays on this thread -- the
-    # daemon's contract, and what the sqlite store leg requires.  A
-    # helper thread watches the linger window and posts the shutdown.
+    # daemon's contract: the store has one writer, which also reads it.
+    # A helper thread watches the linger window and posts the shutdown.
     streaming = StreamingCampaign(
         build_campaign(), checkpoint_path=tmp_path / "ck.json"
     )

@@ -1,65 +1,46 @@
-"""The StoreBackend contract, cross-backend equivalence, and sqlite
-incremental checkpoint/resume.
+"""The store's contract: the columnar backend behind ObservationStore.
 
-Every backend must hold the corpus it was given -- the oracle is the
+The store must hold the corpus it was given -- the oracle is the
 literal input list, not a second implementation: insertion order
-everywhere, value-exact snapshot rows, and engine checkpoints that do
-not depend on where the rows live.
+everywhere, value-exact snapshot rows, restores that land only on an
+empty store, and engine checkpoints that do not depend on which
+currency the rows arrived in.
 """
 
-import gc
-import io
 import json
-import logging
 import random
-import tempfile
 from array import array
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import ObservationStore, ProbeObservation
 from repro.net.addr import with_iid
 from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
-from repro.store import (
-    BACKEND_ENV,
-    ColumnarBackend,
-    ColumnBatch,
-    SqliteBackend,
-    StoreBackend,
-    default_backend_name,
-    make_backend,
-)
+from repro.store import ColumnarBackend, ColumnBatch
 from repro.store.batch import DAY_TYPECODE, TIME_TYPECODE, U64_TYPECODE
-from repro.stream.checkpoint import engine_state, restore_engine
+from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
 
 EUI = mac_to_eui64_iid(0x3810D5AABBCC)
-
-BACKENDS = ["columnar", "sqlite"]
-
-
-def fresh_backend(kind: str, tmp_path):
-    if kind == "sqlite":
-        tmp_path.mkdir(parents=True, exist_ok=True)
-        return SqliteBackend(tmp_path / "store.sqlite")
-    return make_backend(kind)
 
 
 def obs(day, target, source, t=0.0):
     return ProbeObservation(day=day, t_seconds=t, target=target, source=source)
 
 
-def sample_corpus(n=200, seed=7):
+def sample_corpus(n=200, seed=7, interleaved=False):
     """A deterministic mixed corpus: EUI and privacy IIDs, repeat
-    visitors across days, duplicates, non-monotone timestamps."""
+    visitors across days, duplicates, non-monotone timestamps.  Days
+    arrive in order (50 rows each), or *interleaved* row by row, so
+    every day is many one-row ranges of the column layout."""
     rng = random.Random(seed)
     iids = [mac_to_eui64_iid(rng.getrandbits(48)) for _ in range(6)]
     iids += [rng.getrandbits(64) | (1 << 63) for _ in range(3)]
     corpus = []
     for i in range(n):
-        day = i // 50
+        day = i % 4 if interleaved else i // 50
         net64 = 0x20010DB8_0000_0000 + (i % 7) * 0x10000 + day
         iid = iids[i % len(iids)]
         corpus.append(
@@ -75,14 +56,15 @@ def sample_corpus(n=200, seed=7):
     return corpus
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
-class TestBackendContract:
-    def test_satisfies_protocol(self, kind, tmp_path):
-        assert isinstance(fresh_backend(kind, tmp_path), StoreBackend)
+@pytest.fixture(params=["days-in-order", "days-interleaved"])
+def interleaved(request):
+    return request.param == "days-interleaved"
 
-    def test_insertion_order_and_views(self, kind, tmp_path):
-        corpus = sample_corpus()
-        store = ObservationStore(fresh_backend(kind, tmp_path))
+
+class TestBackendContract:
+    def test_insertion_order_and_views(self, interleaved):
+        corpus = sample_corpus(interleaved=interleaved)
+        store = ObservationStore()
         # Mixed currencies: singles, object batches, column batches.
         for observation in corpus[:10]:
             store.add(observation)
@@ -103,9 +85,9 @@ class TestBackendContract:
             assert store.net64s_of_iid(iid) == {o.source_net64 for o in expected}
             assert store.days_of_iid(iid) == {o.day for o in expected}
 
-    def test_counters_and_sets(self, kind, tmp_path):
-        corpus = sample_corpus()
-        store = ObservationStore(fresh_backend(kind, tmp_path))
+    def test_counters_and_sets(self, interleaved):
+        corpus = sample_corpus(interleaved=interleaved)
+        store = ObservationStore()
         store.extend(corpus)
         assert store.unique_sources() == {o.source for o in corpus}
         assert store.unique_eui64_sources() == {
@@ -113,95 +95,104 @@ class TestBackendContract:
         }
         assert store.eui64_iids() == {o.source_iid for o in corpus if o.is_eui64}
         stats = store.stats()
-        assert stats.backend == kind
+        assert stats.backend == "columnar"
         assert stats.rows == len(corpus)
         assert stats.eui_rows == sum(1 for o in corpus if o.is_eui64)
         assert stats.days == len(store.days())
 
-    def test_scan_chunks_cover_corpus_in_order(self, kind, tmp_path):
-        corpus = sample_corpus()
-        store = ObservationStore(fresh_backend(kind, tmp_path))
+    def test_scan_chunks_cover_corpus_in_order(self, interleaved):
+        corpus = sample_corpus(interleaved=interleaved)
+        store = ObservationStore()
         store.extend(corpus)
         chunks = list(store.scan_columns(chunk_rows=37))
         assert all(len(c) <= 37 for c in chunks)
         assert ColumnBatch.concat(chunks).observations() == corpus
 
-    def test_snapshot_rows_and_restore_round_trip(self, kind, tmp_path):
-        corpus = sample_corpus()
-        store = ObservationStore(fresh_backend(kind, tmp_path))
+    def test_snapshot_rows_and_restore_round_trip(self, interleaved):
+        corpus = sample_corpus(interleaved=interleaved)
+        store = ObservationStore()
         store.extend(corpus)
         rows = store.snapshot_rows()
         assert rows == [[o.day, o.t_seconds, o.target, o.source] for o in corpus]
-        restored = ObservationStore(fresh_backend(kind, tmp_path / "restored"))
-        restored.restore_rows(rows)
+        restored = ObservationStore()
+        assert restored.restore_rows(rows) == len(rows)
         assert restored.snapshot_rows() == rows
         assert list(restored) == corpus
 
-    def test_snapshot_columns_is_the_tail_of_snapshot(self, kind, tmp_path):
-        """``snapshot_columns`` is a protocol member, not an optional
-        hook: the delta-checkpoint tail, equal to ``snapshot()[n:]``."""
-        corpus = sample_corpus(n=60)
-        backend = fresh_backend(kind, tmp_path)
+    def test_snapshot_columns_is_the_tail_of_snapshot(self, interleaved):
+        """``snapshot_columns`` is the delta-checkpoint tail, equal to
+        ``snapshot()[n:]``."""
+        corpus = sample_corpus(n=60, interleaved=interleaved)
+        backend = ColumnarBackend()
         backend.append_columns(ColumnBatch.from_observations(corpus))
         rows = backend.snapshot()
         for start_row in (0, 1, 37, len(rows), len(rows) + 5):
             assert backend.snapshot_columns(start_row).rows() == rows[start_row:]
         assert backend.snapshot_columns().rows() == rows
 
-    def test_restore_converges_on_checkpoint(self, kind, tmp_path):
-        """restore() must land exactly on the checkpoint rows whatever
-        the backend already held -- prefix kept, suffix discarded,
-        divergence rejected -- on every backend alike."""
+    @pytest.mark.parametrize("checkpoint_rows", [30, 60], ids=["part", "whole"])
+    @pytest.mark.parametrize("held", [1, 30, 60], ids=["one", "prefix", "all"])
+    def test_restore_onto_a_non_empty_store_raises_and_changes_nothing(
+        self, held, checkpoint_rows
+    ):
+        """A restore lands only on an empty store: one that holds rows
+        -- the checkpoint's own prefix, all of it, or more -- raises and
+        keeps exactly what it held, indexes and counters included."""
         corpus = sample_corpus(n=60)
         rows = [[o.day, o.t_seconds, o.target, o.source] for o in corpus]
-        backend = fresh_backend(kind, tmp_path)
-        backend.append_columns(ColumnBatch.from_observations(corpus))
-        # Held suffix beyond the checkpoint: verified, then discarded.
-        assert backend.restore(ColumnBatch.from_rows(rows[:30])) == 0
-        assert backend.rows == 30
-        assert backend.snapshot() == rows[:30]
-        assert backend.eui_iids() == {
-            o.source_iid for o in corpus[:30] if o.is_eui64
-        }
-        # Held prefix: kept, only the tail appends.
-        assert backend.restore(ColumnBatch.from_rows(rows)) == len(rows) - 30
-        assert backend.snapshot() == rows
-        # Divergence anywhere in the shared prefix: rejected -- at the
-        # boundary and (the subtler case) at an early row behind an
-        # agreeing boundary.
-        bad = [list(r) for r in rows]
-        bad[-1] = [99, 0.0, 1, 2]
-        with pytest.raises(ValueError, match=f"at row {len(rows) - 1}: not the same"):
-            backend.restore(ColumnBatch.from_rows(bad))
-        bad_early = [list(r) for r in rows]
-        bad_early[0] = [0, 0.0, 1, 2]
-        with pytest.raises(ValueError, match="at row 0"):
-            backend.restore(ColumnBatch.from_rows(bad_early))
-        assert backend.snapshot() == rows  # a rejected restore changes nothing
+        backend = ColumnarBackend()
+        backend.append_columns(ColumnBatch.from_rows(rows[:held]))
+        expected_iids = backend.eui_iids()
+        with pytest.raises(ValueError, match=f"holds {held} rows"):
+            backend.restore(ColumnBatch.from_rows(rows[:checkpoint_rows]))
+        assert backend.rows == held
+        assert backend.snapshot() == rows[:held]
+        assert backend.eui_iids() == expected_iids
+        assert backend.days() == sorted({row[0] for row in rows[:held]})
+        assert backend.stats().eui_rows == sum(1 for o in corpus[:held] if o.is_eui64)
 
-    def test_restore_never_keeps_the_callers_batch(self, kind, tmp_path):
+    @pytest.mark.parametrize("how", ["rows", "columns"])
+    @pytest.mark.parametrize("held_in", ["add-buffer", "backend"])
+    def test_facade_restore_onto_a_non_empty_store_raises(self, held_in, how):
+        """The facade counts a row still in its ``add`` buffer as held:
+        the restore raises, and the store keeps that row alone."""
+        corpus = sample_corpus(n=60)
+        rows = [[o.day, o.t_seconds, o.target, o.source] for o in corpus]
+        store = ObservationStore()
+        if held_in == "add-buffer":
+            store.add(corpus[0])
+        else:
+            store.extend(corpus[:1])
+        restore = {
+            "rows": lambda: store.restore_rows(rows),
+            "columns": lambda: store.restore_columns(ColumnBatch.from_rows(rows)),
+        }[how]
+        with pytest.raises(ValueError, match="holds 1 rows"):
+            restore()
+        assert list(store) == corpus[:1]
+        assert store.snapshot_rows() == rows[:1]
+
+    def test_restore_never_keeps_the_callers_batch(self, interleaved):
         """What restore appends is a copy: the checkpoint's columns (a
         follower's still-growing corpus) and the store stay independent."""
-        corpus = sample_corpus(n=40)
+        corpus = sample_corpus(n=40, interleaved=interleaved)
         batch = ColumnBatch.from_observations(corpus[:30])
-        backend = fresh_backend(kind, tmp_path)
+        backend = ColumnarBackend()
         assert backend.restore(batch) == 30
         batch.extend(ColumnBatch.from_observations(corpus[30:]))
         assert backend.rows == 30
         backend.append_columns(ColumnBatch.from_observations(corpus[30:35]))
         assert len(batch) == len(corpus)
-        # 35 held and verified, the rest appended.
-        assert backend.restore(batch) == len(corpus) - 35
-        assert backend.snapshot() == batch.rows()
+        assert backend.snapshot() == batch.rows()[:35]
 
-    def test_indexed_reads_between_appends_match_one_append(self, kind, tmp_path):
+    def test_indexed_reads_between_appends_match_one_append(self, interleaved):
         """Indexes are brought up to date by the reads that need them:
         reads interleaved with appends must equal the same reads on a
         backend that took the whole corpus at once."""
-        corpus = sample_corpus(n=120)
-        eager = fresh_backend(kind, tmp_path / "eager")
+        corpus = sample_corpus(n=120, interleaved=interleaved)
+        eager = ColumnarBackend()
         eager.append_columns(ColumnBatch.from_observations(corpus))
-        lazy = fresh_backend(kind, tmp_path / "lazy")
+        lazy = ColumnarBackend()
         iid = corpus[0].source_iid
         seen = 0
         for stop, read in (
@@ -226,11 +217,11 @@ class TestBackendContract:
         assert lazy.days() == eager.days() == sorted({o.day for o in corpus})
         assert lazy.unique_eui64_sources() == eager.unique_eui64_sources()
 
-    def test_value_types_survive_snapshot(self, kind, tmp_path):
+    def test_value_types_survive_snapshot(self):
         """Days and addresses stay int and every timestamp is a float --
-        an int one reads back as its float -- on every backend: the JSON
-        byte-identity contract."""
-        store = ObservationStore(fresh_backend(kind, tmp_path))
+        an int one reads back as its float: the JSON byte-identity
+        contract."""
+        store = ObservationStore()
         source = with_iid(0x10, EUI)
         store.extend([obs(0, 1, source, t=0.0), obs(1, 2, 3, t=5)])
         dumped = json.dumps(store.snapshot_rows())
@@ -264,48 +255,37 @@ def _assert_typed(batch: ColumnBatch) -> None:
     assert type(batch.t_seconds) is array and batch.t_seconds.typecode == TIME_TYPECODE
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=40, deadline=None)
 @given(
     appends=st.lists(st.lists(_ROW, max_size=12), min_size=1, max_size=6),
     reads=st.lists(st.booleans(), min_size=6, max_size=6),
 )
-def test_typed_slices_equal_a_per_row_reference(kind, appends, reads):
+def test_typed_slices_equal_a_per_row_reference(appends, reads):
     """Days out of order and interleaved, reads between appends: every
     slice equals the rows picked one by one from the appended corpus,
     and every read (scan chunks and the snapshot tail too) is in the
     ``ColumnBatch`` column types."""
-    with tempfile.TemporaryDirectory() as workdir:
-        backend = (
-            SqliteBackend(f"{workdir}/store.sqlite")
-            if kind == "sqlite"
-            else ColumnarBackend()
-        )
-        corpus: list[list] = []
-        for rows, read_now in zip(appends, reads):
-            batch = _batch_of(rows)
-            backend.append_columns(batch)
-            corpus += batch.rows()
-            if read_now:
-                backend.day_slice(rows[0][0] if rows else 0)
-        assert backend.days() == sorted({row[0] for row in corpus})
-        for chunk in (*backend.scan_columns(7), backend.snapshot_columns(1)):
-            _assert_typed(chunk)
-        for day in range(6):
-            picked = backend.day_slice(day)
-            _assert_typed(picked)
-            assert picked.rows() == [row for row in corpus if row[0] == day]
-        for iid in _IIDS + [0]:
-            history = backend.iid_history(iid)
-            _assert_typed(history)
-            assert history.rows() == [
-                row for row in corpus if row[3] & ((1 << 64) - 1) == iid
-            ]
-        backend.close()
+    backend = ColumnarBackend()
+    corpus: list[list] = []
+    for rows, read_now in zip(appends, reads):
+        batch = _batch_of(rows)
+        backend.append_columns(batch)
+        corpus += batch.rows()
+        if read_now:
+            backend.day_slice(rows[0][0] if rows else 0)
+    assert backend.days() == sorted({row[0] for row in corpus})
+    for chunk in (*backend.scan_columns(7), backend.snapshot_columns(1)):
+        _assert_typed(chunk)
+    for day in range(6):
+        picked = backend.day_slice(day)
+        _assert_typed(picked)
+        assert picked.rows() == [row for row in corpus if row[0] == day]
+    for iid in _IIDS + [0]:
+        history = backend.iid_history(iid)
+        _assert_typed(history)
+        assert history.rows() == [
+            row for row in corpus if row[3] & ((1 << 64) - 1) == iid
+        ]
 
 
 def test_ingest_columns_empty_batch_is_noop():
@@ -314,16 +294,17 @@ def test_ingest_columns_empty_batch_is_noop():
     assert engine.responses_ingested == 0
 
 
-def test_add_batches_through_pending_buffer(tmp_path):
-    """Satellite: ``add`` buffers instead of a 1-element extend each."""
+def test_add_batches_through_pending_buffer(monkeypatch):
+    """``add`` buffers instead of a 1-element extend each."""
     calls = []
+    append_columns = ColumnarBackend.append_columns
 
-    class CountingBackend(ColumnarBackend):
-        def append_columns(self, batch):
-            calls.append(len(batch))
-            return super().append_columns(batch)
+    def counting_append(self, batch):
+        calls.append(len(batch))
+        return append_columns(self, batch)
 
-    store = ObservationStore(CountingBackend())
+    monkeypatch.setattr(ColumnarBackend, "append_columns", counting_append)
+    store = ObservationStore()
     for i in range(ObservationStore.ADD_BUFFER_ROWS + 10):
         store.add(obs(0, i, with_iid(0x10, EUI)))
     assert calls == [ObservationStore.ADD_BUFFER_ROWS]  # one bulk append
@@ -364,7 +345,7 @@ def test_add_keeps_pending_rows_when_the_append_is_rejected():
     """A row the column layout cannot hold fails the flush closed: the
     buffered neighbours stay counted and the error repeats on every
     read, instead of the good rows vanishing behind one exception."""
-    store = ObservationStore(ColumnarBackend())
+    store = ObservationStore()
     for i in range(5):
         store.add(obs(0, i, with_iid(0x10, EUI)))
     store.add(obs(0, 1, 1 << 128))
@@ -374,196 +355,45 @@ def test_add_keeps_pending_rows_when_the_append_is_rejected():
         assert len(store) == 6
 
 
-def test_env_override_selects_backend(monkeypatch):
-    import repro.stream.columnar as kernel
-
-    monkeypatch.setenv(BACKEND_ENV, "sqlite")
-    assert default_backend_name() == "sqlite"
-    assert isinstance(ObservationStore().backend, SqliteBackend)
-    monkeypatch.setenv(BACKEND_ENV, "columnar")
-    assert isinstance(ObservationStore().backend, ColumnarBackend)
-    monkeypatch.setenv(BACKEND_ENV, "bogus")
-    with pytest.raises(ValueError, match="bogus"):
-        ObservationStore()
-    # The removed layout fails closed, naming what is accepted -- from
-    # the environment and from the constructor alike.
-    monkeypatch.setenv(BACKEND_ENV, "object")
-    with pytest.raises(ValueError, match=r"'object'.*\['columnar', 'sqlite'\]"):
-        ObservationStore()
-    monkeypatch.delenv(BACKEND_ENV)
-    with pytest.raises(ValueError, match=r"'object'.*\['columnar', 'sqlite'\]"):
-        ObservationStore(backend="object")
-    # The default observes nothing about the platform: no numpy, same store.
-    monkeypatch.setattr(kernel, "np", None)
-    assert default_backend_name() == "columnar"
-    assert isinstance(ObservationStore().backend, ColumnarBackend)
-
-
 def origin_of(address: int) -> int:
     return 64512 + ((address >> 80) % 5)
 
 
-def test_engine_checkpoints_identical_across_backends(tmp_path):
-    """The acceptance bar: same stream, any backend, same checkpoint
-    bytes -- via per-observation, batch, and column ingestion."""
+def test_engine_checkpoints_identical_across_currencies():
+    """Same stream, same checkpoint bytes, store rows included, whether
+    it arrives one observation at a time or mixed across
+    per-observation, batch and column ingestion."""
     corpus = sample_corpus(n=300)
     config = StreamConfig(num_shards=4)
-    states = {}
-    for kind in BACKENDS:
-        engine = StreamEngine(
-            config,
-            origin_of=origin_of,
-            store=ObservationStore(fresh_backend(kind, tmp_path / kind)),
-        )
+    states = []
+    for mixed in (False, True):
+        engine = StreamEngine(config, origin_of=origin_of, store=ObservationStore())
         engine.watch(EUI)
-        for observation in corpus[:40]:
-            engine.ingest(observation)
-        engine.ingest_batch(corpus[40:150])
-        engine.ingest_columns(ColumnBatch.from_observations(corpus[150:]))
+        if mixed:
+            for observation in corpus[:40]:
+                engine.ingest(observation)
+            engine.ingest_batch(corpus[40:150])
+            engine.ingest_columns(ColumnBatch.from_observations(corpus[150:]))
+        else:
+            for observation in corpus:
+                engine.ingest(observation)
         engine.flush()
-        states[kind] = json.dumps(engine_state(engine))
-    assert states["columnar"] == states["sqlite"]
+        states.append(json.dumps(engine_state(engine)))
+    assert states[0] == states[1]
+    assert json.loads(states[0])["store"] == [
+        [o.day, o.t_seconds, o.target, o.source] for o in corpus
+    ]
 
 
-def test_sqlite_incremental_checkpoint_counts(tmp_path):
-    backend = SqliteBackend(tmp_path / "inc.sqlite")
-    corpus = sample_corpus(n=120)
-    backend.append_columns(ColumnBatch.from_observations(corpus[:80]))
-    assert backend.appended_since_checkpoint == 80
-    assert backend.checkpoint() == 80  # first delta: everything
-    assert backend.appended_since_checkpoint == 0
-    assert backend.checkpointed_rows() == 80
-    backend.append_columns(ColumnBatch.from_observations(corpus[80:]))
-    assert backend.checkpoint() == len(corpus) - 80  # only the tail
-    assert backend.checkpointed_rows() == len(corpus)
-    assert backend.checkpoint() == 0  # nothing new -> empty delta
-
-
-def test_sqlite_mid_stream_resume_byte_identical(tmp_path):
-    """Incremental resume: reattach the sqlite file mid-stream and end
-    with the exact bytes of an uninterrupted run."""
-    corpus = sample_corpus(n=260)
-    split = 130
-    config = StreamConfig(num_shards=4)
-
-    reference = StreamEngine(config, origin_of=origin_of)
-    reference.ingest_batch(corpus)
-    reference.flush()
-    final = json.dumps(engine_state(reference))
-
-    db = tmp_path / "campaign.sqlite"
-    first = StreamEngine(
-        config, origin_of=origin_of, store=ObservationStore(SqliteBackend(db))
-    )
-    first.ingest_batch(corpus[:split])
-    state = engine_state(first)  # snapshot: commits the sqlite delta
-    # Crash: drop the engine without closing; committed rows persist.
-    del first
-
-    reattached = ObservationStore(SqliteBackend(db))
-    assert len(reattached) == split  # the file already holds phase 1
-    appended = reattached.restore_rows(state["store"])
-    assert appended == 0  # incremental resume replays nothing
-    resumed = restore_engine(state, origin_of=origin_of, store=reattached)
-    resumed.ingest_batch(corpus[split:])
-    resumed.flush()
-    assert json.dumps(engine_state(resumed)) == final
-
-
-def test_sqlite_restore_discards_uncheckpointed_suffix(tmp_path):
-    """A run that kept ingesting after its last checkpoint commits on
-    close; resuming from that checkpoint must drop the suffix (the
-    resumed stream replays those responses), not dead-end."""
-    corpus = sample_corpus(n=40)
-    rows = [[o.day, o.t_seconds, o.target, o.source] for o in corpus]
-    backend = SqliteBackend(tmp_path / "a.sqlite")
-    backend.append_columns(ColumnBatch.from_observations(corpus))
-    backend.close()  # commits everything, checkpointed or not
-    reattached = SqliteBackend(tmp_path / "a.sqlite")
-    assert reattached.rows == len(corpus)
-    # Nothing appended...
-    assert reattached.restore(ColumnBatch.from_rows(rows[:20])) == 0
-    assert reattached.rows == 20  # ...and the suffix is gone
-    assert reattached.snapshot() == rows[:20]
-    assert reattached.eui_iids() == {
-        o.source_iid for o in corpus[:20] if o.is_eui64
-    }
-    # The resumed stream re-appends the replayed responses cleanly.
-    reattached.append_columns(ColumnBatch.from_observations(corpus[20:]))
-    assert reattached.snapshot() == rows
-
-
-def test_sqlite_restore_rejects_mismatched_file(tmp_path):
-    corpus = sample_corpus(n=40)
-    backend = SqliteBackend(tmp_path / "a.sqlite")
-    backend.append_columns(ColumnBatch.from_observations(corpus))
-    backend.checkpoint()
-    rows = [[o.day, o.t_seconds, o.target, o.source] for o in corpus]
-    bad_short = [list(r) for r in rows[:20]]
-    bad_short[-1] = [99, 0.0, 1, 2]
-    with pytest.raises(ValueError, match="not the same corpus"):
-        # The boundary row disagrees (checkpoint shorter than the file).
-        backend.restore(ColumnBatch.from_rows(bad_short))
-    bad_long = [list(r) for r in rows]
-    bad_long[-1] = [99, 0.0, 1, 2]
-    bad_long.append([99, 1.0, 3, 4])
-    with pytest.raises(ValueError, match="not the same corpus"):
-        # The boundary row disagrees (checkpoint longer than the file).
-        backend.restore(ColumnBatch.from_rows(bad_long))
-
-
-def test_sqlite_close_removes_owned_tempfile():
-    backend = SqliteBackend()  # no path: throwaway temp file
-    path = backend.path
-    assert path.exists()
-    backend.append_columns(ColumnBatch.from_rows([[0, 0.0, 1, with_iid(0x10, EUI)]]))
-    backend.close()
-    assert not path.exists()
-
-
-def test_sqlite_dropped_backend_removes_owned_tempfile():
-    """An unclosed backend that owns its temp file removes it when it
-    is collected: collection runs the teardown ``close`` runs."""
-    backend = SqliteBackend()
-    path = backend.path
-    backend.append_columns(ColumnBatch.from_rows([[0, 0.0, 1, with_iid(0x10, EUI)]]))
-    del backend
-    gc.collect()
-    assert not path.exists()
-
-
-def test_sqlite_failed_teardown_at_collection_is_logged():
-    """A teardown that fails when nobody called ``close`` has no caller
-    to raise to: it is logged with its traceback."""
-    backend = SqliteBackend()
-    path = backend.path
-    path.unlink()
-    path.mkdir()  # a directory in the temp file's place: its unlink fails
-    captured = io.StringIO()
-    handler = logging.StreamHandler(captured)
-    logger = logging.getLogger("repro.store.sqlite")
-    logger.addHandler(handler)
-    try:
-        del backend
-        gc.collect()
-    finally:
-        logger.removeHandler(handler)
-        path.rmdir()
-    logged = captured.getvalue()
-    assert f"removing the sqlite store {path} failed" in logged
-    assert "Traceback" in logged
-
-
-def test_eui_classification_matches_scalar_oracle(tmp_path):
+def test_eui_classification_matches_scalar_oracle():
     rng = random.Random(3)
     iids = [mac_to_eui64_iid(rng.getrandbits(48)) for _ in range(4)]
     iids += [rng.getrandbits(64) for _ in range(4)]
     corpus = [
         obs(0, 1, with_iid(0x10 + i, rng.choice(iids))) for i in range(64)
     ]
-    for kind in BACKENDS:
-        store = ObservationStore(fresh_backend(kind, tmp_path / f"e-{kind}"))
-        store.extend(corpus)
-        assert store.eui64_iids() == {
-            o.source_iid for o in corpus if is_eui64_iid(o.source_iid)
-        }, kind
+    store = ObservationStore()
+    store.extend(corpus)
+    assert store.eui64_iids() == {
+        o.source_iid for o in corpus if is_eui64_iid(o.source_iid)
+    }

@@ -1,13 +1,12 @@
-"""Mid-campaign failure leaves a reattachable disk-backed corpus.
+"""A mid-campaign failure leaves a checkpoint the run resumes from.
 
 The crash-recovery contract of :meth:`StreamingCampaign.run`: when
-ingest raises mid-campaign, a caller-provided store is committed and
-closed before the exception propagates, so every row scanned before
-the crash is durable in the sqlite file and
-:meth:`StreamingCampaign.resume` can reattach it.  The resumed run
-must finish with a final checkpoint byte-identical to a run that never
-crashed -- ``restore`` discards the file's uncheckpointed suffix, the
-resumed stream replays exactly those days, and nothing is doubled.
+ingest raises mid-campaign, the last checkpoint written is the run's
+durable copy -- engine, corpus and counters -- and
+:meth:`StreamingCampaign.resume` picks the campaign up from that file
+alone.  The resumed run must finish with a final checkpoint whose
+content is identical to a run that never crashed: the resumed stream
+replays exactly the days after the checkpoint, and nothing is doubled.
 """
 
 import pytest
@@ -15,8 +14,7 @@ import pytest
 from _ckpt import checkpoint_fingerprint
 from _worlds import CAMPAIGN_CONFIG, build_campaign
 
-from repro.core.records import ObservationStore, ProbeObservation
-from repro.store import SqliteBackend
+from repro.core.records import ProbeObservation
 from repro.stream.campaign import StreamingCampaign
 
 
@@ -37,111 +35,72 @@ def poison_feed(crash_day: int):
     raise RuntimeError("vantage link died")
 
 
-def test_crash_commits_and_closes_caller_store(tmp_path):
-    db = tmp_path / "corpus.sqlite"
-    store = ObservationStore(SqliteBackend(db))
-    streaming = StreamingCampaign(
-        build_campaign(),
-        checkpoint_path=tmp_path / "ck.json",
-        checkpoint_every=1,
-        passive_feeds=[poison_feed(crash_day=4)],
-        store=store,
-    )
-    with pytest.raises(RuntimeError, match="vantage link died"):
-        streaming.run()
-    # The store was closed (connection released) and its rows committed:
-    # a fresh backend over the same file sees every pre-crash scan row.
-    assert store.backend._con is None
-    assert db.exists()
-    salvaged = ObservationStore(SqliteBackend(db))
-    assert len(salvaged) > 0
-    days = {o.day for o in salvaged}
-    assert days == {2, 3, 4}  # start_day=2; the crash was in day 4's drain
-    salvaged.close()
-    assert db.exists()  # closing a reattached file never unlinks it
+FIRST_DAY = CAMPAIGN_CONFIG.start_day
+LAST_DAY = FIRST_DAY + CAMPAIGN_CONFIG.days - 1
 
 
-def test_crashed_run_resumes_to_clean_run_bytes(tmp_path):
+@pytest.mark.parametrize("crash_day", range(FIRST_DAY + 1, LAST_DAY + 1))
+@pytest.mark.parametrize("fmt", ["json", "binary"])
+def test_crashed_run_resumes_to_clean_run_bytes(fmt, crash_day, tmp_path):
+    """Every crash point after the first checkpoint, the last day's
+    drain included, resumes from the checkpoint alone to the clean run."""
     # The reference: the same campaign, never crashed, never served by
     # a passive feed (the poison feed's only record is never ingested).
     clean = StreamingCampaign(
-        build_campaign(), checkpoint_path=tmp_path / "clean.json"
+        build_campaign(),
+        checkpoint_path=tmp_path / "clean.ckpt",
+        checkpoint_format=fmt,
     )
     clean.run()
 
-    db = tmp_path / "corpus.sqlite"
     streaming = StreamingCampaign(
         build_campaign(),
-        checkpoint_path=tmp_path / "ck.json",
+        checkpoint_path=tmp_path / "ck.ckpt",
         checkpoint_every=1,
-        passive_feeds=[poison_feed(crash_day=4)],
-        store=ObservationStore(SqliteBackend(db)),
+        checkpoint_format=fmt,
+        passive_feeds=[poison_feed(crash_day=crash_day)],
     )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="vantage link died"):
         streaming.run()
+    # The crash day's scan rows were stored before its drain crashed;
+    # they are not in the previous day's checkpoint, which is all that
+    # is kept.
+    checkpointed = set(range(FIRST_DAY, crash_day))
+    assert {o.day for o in streaming.result.store} == checkpointed | {crash_day}
+    del streaming
 
-    # Reattach the salvaged file.  Its day-4 rows run ahead of the
-    # day-3 checkpoint; restore discards that suffix and the resumed
-    # stream replays day 4 onward.
     resumed = StreamingCampaign.resume(
-        build_campaign(),
-        tmp_path / "ck.json",
-        store=ObservationStore(SqliteBackend(db)),
+        build_campaign(), tmp_path / "ck.ckpt", checkpoint_format=fmt
     )
-    assert resumed.result.days_run == 2  # days 2 and 3 checkpointed
+    assert resumed.result.days_run == len(checkpointed)
+    assert {o.day for o in resumed.result.store} == checkpointed
     resumed.run()
     assert resumed.finished
     assert resumed.result.days_run == CAMPAIGN_CONFIG.days
-    # Fingerprints, not raw bytes: under REPRO_CHECKPOINT_FORMAT=binary
-    # the two files chain different delta cadences around the same state.
-    assert checkpoint_fingerprint(tmp_path / "ck.json") == checkpoint_fingerprint(
-        tmp_path / "clean.json"
+    assert resumed.result.store.snapshot_rows() == clean.result.store.snapshot_rows()
+    # Fingerprints, not raw bytes: binary chains carry random segment
+    # ids and split the same state across different delta cadences.
+    assert checkpoint_fingerprint(tmp_path / "ck.ckpt") == checkpoint_fingerprint(
+        tmp_path / "clean.ckpt"
     )
 
 
-def test_campaign_owned_store_is_left_alone_on_crash(tmp_path):
-    """Only caller-provided stores are salvaged: the default store is
-    temp-backed (closing would delete its file mid-exception) and has
-    nothing a caller could reattach."""
+@pytest.mark.parametrize("fmt", ["json", "binary"])
+def test_crash_before_the_first_checkpoint_writes_no_file(fmt, tmp_path):
+    """A crash in the first day's drain precedes every checkpoint: no
+    file -- not a partial one, not a tmp -- is left to resume from."""
     streaming = StreamingCampaign(
         build_campaign(),
-        passive_feeds=[poison_feed(crash_day=4)],
+        checkpoint_path=tmp_path / "ck.ckpt",
+        checkpoint_every=1,
+        checkpoint_format=fmt,
+        passive_feeds=[poison_feed(crash_day=FIRST_DAY)],
     )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="vantage link died"):
         streaming.run()
-    # Still usable: the result store was not closed under the caller.
-    assert len(streaming.result.store) > 0
-
-
-def test_failing_store_close_is_logged_not_raised(tmp_path, monkeypatch):
-    """A caller store whose ``close`` raises inside a failed run: the
-    ingest error is the one that propagates, and the close failure is
-    logged with its traceback rather than lost."""
-    import io
-    import logging
-
-    store = ObservationStore(SqliteBackend(tmp_path / "corpus.sqlite"))
-
-    def broken_close():
-        raise OSError("store volume went away")
-
-    monkeypatch.setattr(store, "close", broken_close)
-    streaming = StreamingCampaign(
-        build_campaign(),
-        passive_feeds=[poison_feed(crash_day=3)],
-        store=store,
-    )
-    captured = io.StringIO()
-    handler = logging.StreamHandler(captured)
-    logger = logging.getLogger("repro.stream.campaign")
-    logger.addHandler(handler)
-    try:
-        with pytest.raises(RuntimeError, match="vantage link died"):
-            streaming.run()
-    finally:
-        logger.removeHandler(handler)
-        store.backend.close()
-    logged = captured.getvalue()
-    assert "closing the caller's store after a failed run" in logged
-    assert "Traceback" in logged
-    assert "OSError: store volume went away" in logged
+    assert {o.day for o in streaming.result.store} == {FIRST_DAY}
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(FileNotFoundError):
+        StreamingCampaign.resume(
+            build_campaign(), tmp_path / "ck.ckpt", checkpoint_format=fmt
+        )

@@ -8,7 +8,6 @@ oracles, and the reference bulk loop agreeing with the numpy path.
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -24,7 +23,7 @@ from repro.core.records import ProbeObservation
 from repro.core.rotation_detect import diff_pairs
 from repro.core.rotation_pool import pool_bits, pool_plen_from_bits
 from repro.net.eui64 import is_eui64_iid, mac_to_eui64_iid
-from repro.store import BACKEND_ENV, ColumnBatch
+from repro.store import ColumnBatch
 from repro.stream import columnar
 from repro.stream.checkpoint import engine_state
 from repro.stream.engine import StreamConfig, StreamEngine
@@ -348,8 +347,7 @@ def test_import_and_ingest_without_numpy_installed():
     deterministic corpus (which must run the reference loop, silently),
     and prints the checkpoint JSON -- byte-compared here against the
     per-observation reference from the (typically numpy-enabled)
-    parent.  The store override is dropped from the child's environment
-    so it also proves the *default* store is columnar without numpy.
+    parent.
     """
     code = _NO_NUMPY_BOOTSTRAP.format(
         test_dir=str(Path(__file__).resolve().parent), src_dir=str(SRC_DIR)
@@ -359,7 +357,6 @@ def test_import_and_ingest_without_numpy_installed():
         capture_output=True,
         text=True,
         timeout=120,
-        env={k: v for k, v in os.environ.items() if k != BACKEND_ENV},
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == reference_state(small_corpus())

@@ -21,14 +21,14 @@ kernel-less bulk path fuzz-covered on numpy hosts, not only on the CI
 no-numpy legs (where both runs degenerate to the same, still valid,
 comparison).
 
-Since the storage redesign the harness is also the cross-backend
-oracle: the corpus-keeping reference engine holds its store in memory
-(:class:`~repro.store.backend.ColumnarBackend`) while the bulk engine
-keeps an sqlite file, and each chunk reaches the bulk engine as single
+Since the storage redesign the harness is also the currency oracle:
+when the config keeps observations, each engine holds its own store,
+and each chunk reaches the bulk engine as single
 ``ingest(observation)`` calls, an ``ingest_batch`` or an
 ``ingest_columns`` (``ColumnBatch`` hand-off), drawn per chunk -- so
-identical checkpoint bytes prove layout- and currency-independence
-(and that the currencies interleave), not just kernel equivalence.
+identical checkpoint bytes, store rows included, prove
+currency-independence (and that the currencies interleave), not just
+kernel equivalence.
 
 Since the serve layer the bulk engine is additionally *served*: a
 :class:`~repro.serve.snapshot.SnapshotPublisher` refreshes against it
@@ -75,7 +75,7 @@ from repro.simnet.rotation import (
     SequentialAssignment,
     ShuffleRotation,
 )
-from repro.store import ColumnBatch, SqliteBackend, make_backend
+from repro.store import ColumnBatch
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import engine_state, restore_engine
 from repro.stream.engine import StreamConfig, StreamEngine
@@ -211,7 +211,7 @@ def check_readers_agree(reference, others, days) -> None:
         assert read_everything(engine, days) == expected  # reads move nothing
 
 
-def check_ingest_paths_agree(seed, tmp_path):
+def check_ingest_paths_agree(seed):
     """One seed of the cross-path oracle (see the module docstring)."""
     rng = random.Random(seed ^ 0xF022)
     corpus = random_corpus(rng)
@@ -236,26 +236,20 @@ def check_ingest_paths_agree(seed, tmp_path):
     # it builds must be the reference's, and it must move nothing.
     materialize_after = reader_rng.randrange(8) if seed % 2 else None
 
-    def backend_store(kind):
-        """Corpus-keeping engines: memory for one, a disk file for one."""
-        if not config.keep_observations:
-            return None
-        if kind == "sqlite":
-            return ObservationStore(SqliteBackend(tmp_path / "fuzz.sqlite"))
-        return ObservationStore(make_backend(kind))
+    def corpus_store():
+        """Corpus-keeping engines: each its own store."""
+        return ObservationStore() if config.keep_observations else None
 
     # Telemetry rides on the bulk engine (the untelemetered reference
     # stays the oracle): instrumentation live on every hot path must
     # never perturb checkpoint bytes.
     from repro.obs import Telemetry
 
-    reference = kernel_less_engine(
-        config, origin_of=origin_of, store=backend_store("columnar")
-    )
+    reference = kernel_less_engine(config, origin_of=origin_of, store=corpus_store())
     bulk = StreamEngine(
         config,
         origin_of=origin_of,
-        store=backend_store("sqlite"),
+        store=corpus_store(),
         telemetry=Telemetry(),
     )
     engines = (reference, bulk)
@@ -295,8 +289,8 @@ def check_ingest_paths_agree(seed, tmp_path):
             assert bulk.materialize() == reference.materialize()
 
     # Mid-stream: the bulk engine must match the per-observation
-    # engine, in-progress day left open -- and the serialized store
-    # rows must not depend on the backend.
+    # engine, in-progress day left open, serialized store rows
+    # included.
     versions.append(publisher.refresh(force=True).version)
     check_readers_agree(reference, (bulk,), reader_days())
     mid = json.dumps(engine_state(reference))
@@ -331,12 +325,12 @@ def check_ingest_paths_agree(seed, tmp_path):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_checkpoint_bytes_identical_across_ingest_paths(seed, tmp_path):
-    check_ingest_paths_agree(seed, tmp_path)
+def test_checkpoint_bytes_identical_across_ingest_paths(seed):
+    check_ingest_paths_agree(seed)
 
 
 @pytest.mark.parametrize("seed", KERNEL_LESS_SEEDS)
-def test_checkpoint_bytes_identical_without_kernel(seed, tmp_path, monkeypatch):
+def test_checkpoint_bytes_identical_without_kernel(seed, monkeypatch):
     """The same engine set with numpy patched out of the kernel module:
     serial bulk, mid-stream snapshots and every feed currency all run
     the scalar reference fold and must produce its bytes."""
@@ -344,7 +338,7 @@ def test_checkpoint_bytes_identical_without_kernel(seed, tmp_path, monkeypatch):
 
     monkeypatch.setattr(columnar, "np", None)
     assert StreamEngine()._acc is None  # the patch is the whole switch
-    check_ingest_paths_agree(seed, tmp_path)
+    check_ingest_paths_agree(seed)
 
 
 def random_world_spec(rng: random.Random) -> InternetSpec:
@@ -665,23 +659,17 @@ def test_binary_campaign_resume_round_trip_without_kernel(
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_sqlite_incremental_resume_mid_stream(seed, tmp_path):
-    """Randomized incremental-checkpoint resume: checkpoint mid-stream
-    with the corpus on a sqlite file, reattach the same file, finish
-    the stream, and land on the uninterrupted run's exact bytes."""
-    from repro.stream.checkpoint import restore_engine
+def test_chain_incremental_resume_mid_stream(seed, tmp_path):
+    """Randomized incremental-checkpoint resume with the corpus kept:
+    save a binary chain after every small chunk (a full segment, then
+    deltas carrying each store tail), drop the engine mid-stream,
+    restore from the chain file alone into a fresh store, finish the
+    stream, and land on the uninterrupted run's exact bytes."""
+    from repro.stream.ckptbin import BinaryCheckpointer, load_chain
 
     rng = random.Random(seed ^ 0x51E1)
     corpus = random_corpus(rng)
-    if not corpus:
-        return
-    config = random_config(rng)
-    if not config.keep_observations:
-        config = StreamConfig(
-            num_shards=config.num_shards,
-            keep_observations=True,
-            retain_days=config.retain_days,
-        )
+    config = replace(random_config(rng), keep_observations=True)
     split = rng.randrange(len(corpus) + 1)
 
     reference = StreamEngine(config, origin_of=origin_of)
@@ -689,18 +677,25 @@ def test_sqlite_incremental_resume_mid_stream(seed, tmp_path):
     reference.flush()
     final = json.dumps(engine_state(reference))
 
-    db = tmp_path / "resume.sqlite"
-    first = StreamEngine(
-        config, origin_of=origin_of, store=ObservationStore(SqliteBackend(db))
-    )
-    for chunk in chunks(rng, corpus[:split]):
-        first.ingest_batch(chunk)
-    state = engine_state(first)  # commits the sqlite delta as a side effect
-    del first  # "crash" -- only committed rows survive in the file
+    path = tmp_path / "resume.ckpt"
+    saver = BinaryCheckpointer(path)
+    first = StreamEngine(config, origin_of=origin_of)
+    start = 0
+    while True:  # small chunks, a save after each: a chain of deltas
+        stop = min(split, start + rng.randint(1, 8))
+        first.ingest_batch(corpus[start:stop])
+        saver.save(first)
+        if stop == split:
+            break
+        start = stop
+    mid = json.dumps(engine_state(first))
+    del first, saver  # "crash" -- only the chain file survives
 
-    reattached = ObservationStore(SqliteBackend(db))
-    assert reattached.restore_rows(state["store"]) == 0  # nothing replayed
-    resumed = restore_engine(state, origin_of=origin_of, store=reattached)
+    resumed = load_chain(path).restore_engine(origin_of=origin_of)
+    assert json.dumps(engine_state(resumed)) == mid
+    assert resumed.store.snapshot_rows() == [
+        [o.day, o.t_seconds, o.target, o.source] for o in corpus[:split]
+    ]
     for chunk in chunks(rng, corpus[split:]):
         resumed.ingest_columns(ColumnBatch.from_observations(chunk))
     resumed.flush()

@@ -80,7 +80,6 @@ GATED_METRICS = (
     "columnar_ingest.speedup",
     "store_backends.columnar.append_rows_per_s",
     "store_backends.columnar.scan_rows_per_s",
-    "store_backends.sqlite.append_rows_per_s",
     "serve_queries.sustained_queries_per_s",
     "replication.replicated_responses_per_s",
 )
