@@ -434,13 +434,15 @@ def test_passive_feed_throughput(benchmark, context):
 
 
 def test_checkpoint_formats(benchmark, context, tmp_path):
-    """Binary columnar checkpoints vs. the canonical JSON checkpoint.
+    """Binary columnar checkpoints vs. the canonical JSON render.
 
     One corpus-keeping engine (store on the columnar backend, the
     layout internet-scale runs use) is checkpointed three ways: the
-    canonical JSON text, a binary full segment, and a binary delta
-    appended after one /48's worth of fresh responses dirties a single
-    shard.  Every restore must land on byte-identical ``engine_state``
+    canonical JSON text written as a file (``engine_state`` rendered and
+    written atomically -- what a JSON checkpoint was, and what
+    ``load_engine`` still reads), a binary full segment, and a binary
+    delta appended after one /48's worth of fresh responses dirties a
+    single shard.  Every restore must land on byte-identical ``engine_state``
     JSON -- the binary format changes the encoding, never the state.
     The recorded figures feed two absolute CI gates
     (``tests/test_bench_schema.py``): binary full save >= 3x the JSON
@@ -450,7 +452,7 @@ def test_checkpoint_formats(benchmark, context, tmp_path):
     does.
     """
     from repro.core.records import ProbeObservation
-    from repro.stream.checkpoint import load_engine, save_engine
+    from repro.stream.checkpoint import atomic_write, load_engine
     from repro.stream.ckptbin import BinaryCheckpointer
 
     corpus = list(context.campaign_result.store)
@@ -474,12 +476,15 @@ def test_checkpoint_formats(benchmark, context, tmp_path):
         saver = BinaryCheckpointer(bin_path)
         return saver, saver.save(engine)
 
-    save_engine(engine, json_path, format="json")  # warm both save paths
+    def json_save():
+        atomic_write(json_path, json.dumps(engine_state(engine)).encode())
+
+    json_save()  # warm both save paths
     full_save()
     json_save_seconds = binary_save_seconds = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        save_engine(engine, json_path, format="json")
+        json_save()
         json_save_seconds = min(json_save_seconds, time.perf_counter() - t0)
         t0 = time.perf_counter()
         _, full = full_save()

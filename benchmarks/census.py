@@ -323,6 +323,10 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "safety",
         "a pursuit's own checkpoint and resume (state, save, restore, load)",
     ),
+    "repro.stream.checkpoint:atomic_write": (
+        "safety",
+        "whole-file replace: LivePursuit.save, a cross-filesystem promote",
+    ),
     # -- interface: protocol hooks a backend or policy supplies
     "repro.core.records:ObservationStore.days": ("interface", "corpus query"),
     "repro.core.records:ObservationStore.iid_history": ("interface", "corpus query"),

@@ -1,8 +1,8 @@
 """Disk-backed campaign: the binary checkpoint chain is the corpus on disk.
 
 The corpus a campaign collects lives in RAM while the campaign runs;
-its durable copy is the campaign's checkpoint.  With the binary format
-each daily checkpoint appends one *segment* to a chain file -- a full
+its durable copy is the campaign's checkpoint.  Each daily checkpoint
+appends one *segment* to a chain file -- a full
 segment first, then deltas that carry only the day's fold and the
 corpus rows appended since the previous segment -- so the chain grows
 by a day's worth of bytes per day.  This example runs a tiny rotating
@@ -81,7 +81,6 @@ def run(workdir: Path) -> bool:
         build_campaign(build_world()),
         checkpoint_path=chain,
         checkpoint_every=1,
-        checkpoint_format="binary",
     )
     streaming.run(max_days=3)
     stats = streaming.stats()
@@ -103,7 +102,6 @@ def run(workdir: Path) -> bool:
         build_campaign(build_world()),
         chain,
         checkpoint_every=1,
-        checkpoint_format="binary",
     )
     print(
         f"resumed from {chain.name}: {len(resumed.result.store)} rows, "

@@ -90,7 +90,7 @@ def main(argv: list[str]) -> int:
         # 2. Day-by-day run with the dashboard ticking between days.
         internet = build_world()
         campaign = build_streaming(
-            internet, days, Path(tmp) / "campaign.json", telemetry
+            internet, days, Path(tmp) / "campaign.ckpt", telemetry
         )
         dashboard = Dashboard(telemetry, total_days=days)
         while not campaign.finished:

@@ -13,15 +13,16 @@ final snapshot, final checkpoint, server down.
 2. run the daemon: ingest day by day, serving queries throughout
    (``--linger`` keeps serving after the campaign finishes -- ``inf``
    means until a ``POST /shutdown`` arrives, the CI smoke shape),
-3. self-verify: the checkpoint written under serving must be
-   byte-identical to an unserved run's, and must resume to a finished
-   campaign.
+3. self-verify: the checkpoint written under serving must resume to a
+   finished campaign, and must hold the same state as an unserved
+   run's, byte for byte in its JSON render.
 
 Run: ``python examples/serve_daemon.py [tiny] [--port N]
 [--linger SECONDS|inf] [--checkpoint PATH] [--events PATH]``
 """
 
 import argparse
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -37,6 +38,7 @@ from repro import (
 )
 from repro.obs import Telemetry, read_events
 from repro.simnet.builder import build_internet
+from repro.stream.ckptbin import read_state
 from repro.simnet.rotation import IncrementRotation
 from repro.util import get_logger
 
@@ -73,11 +75,6 @@ def build_streaming(internet, days, checkpoint_path, telemetry=None):
         build_campaign(internet, days),
         checkpoint_path=checkpoint_path,
         checkpoint_every=1,
-        # Step 3b compares file bytes, which only the canonical JSON
-        # format promises under any write cadence (binary files accrue
-        # a delta segment per write) -- so pin it against the
-        # REPRO_CHECKPOINT_FORMAT=binary CI legs.
-        checkpoint_format="json",
         telemetry=telemetry,
     )
 
@@ -111,7 +108,7 @@ def main(argv: list[str]) -> int:
     days = 3 if args.scale == "tiny" else 5
 
     with tempfile.TemporaryDirectory() as tmp:
-        checkpoint = args.checkpoint or Path(tmp) / "served.json"
+        checkpoint = args.checkpoint or Path(tmp) / "served.ckpt"
         events = args.events or Path(tmp) / "events.jsonl"
         telemetry = Telemetry(event_path=events)
 
@@ -132,17 +129,22 @@ def main(argv: list[str]) -> int:
         print(f"event log: {', '.join(kinds)}")
 
         # 3a. The served checkpoint resumes to a finished campaign.
-        resumed = StreamingCampaign.resume(build_campaign(build_world(), days), checkpoint)
+        resumed = StreamingCampaign.resume(
+            build_campaign(build_world(), days), checkpoint
+        )
         resumed_ok = resumed.finished
         print(f"checkpoint resumes finished: {resumed_ok}")
 
         # 3b. Serving never changed what was checkpointed: an unserved
-        #     run of the identical world writes the same bytes.
-        unserved = build_streaming(build_world(), days, Path(tmp) / "plain.json")
+        #     run of the identical world holds the same state.  A chain
+        #     accrues a segment per write, so the two compare by the
+        #     JSON render of their state, not by file bytes.
+        plain = Path(tmp) / "plain.ckpt"
+        unserved = build_streaming(build_world(), days, plain)
         unserved.run()
         unserved.checkpoint()  # mirror the daemon's explicit final write
-        identical = checkpoint.read_bytes() == (Path(tmp) / "plain.json").read_bytes()
-        print(f"served checkpoint byte-identical to unserved run: {identical}")
+        identical = json.dumps(read_state(checkpoint)) == json.dumps(read_state(plain))
+        print(f"served checkpoint state identical to unserved run: {identical}")
         return 0 if (streaming.finished and resumed_ok and identical) else 1
 
 

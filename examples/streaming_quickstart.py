@@ -89,7 +89,7 @@ def main() -> None:
     # 4. Checkpoint/resume: interrupt a fresh run after 3 days, resume it
     #    from the file, and compare final engine states.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "campaign.json"
+        path = Path(tmp) / "campaign.ckpt"
         interrupted = StreamingCampaign(
             build_campaign(build_world()), checkpoint_path=path
         )

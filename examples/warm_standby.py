@@ -110,7 +110,6 @@ def run_primary(days: int, checkpoint: str) -> None:
         build_campaign(days),
         checkpoint_path=checkpoint,
         checkpoint_every=1,
-        checkpoint_format="binary",
         shipper=shipper,
     )
     # Slow the days down so the parent reliably kills us mid-campaign.

@@ -4,9 +4,9 @@ The knobs used to live as ad-hoc ``os.environ`` reads scattered across
 modules; they now resolve here, once, with one precedence rule --
 **explicit keyword arguments win over environment variables win over
 defaults** -- and one documented table.  Modules call :func:`current`
-at their decision points (construction, format resolution) rather than
-touching ``os.environ`` directly, so tests and embedders can override
-any knob per call without mutating process state.
+at their decision points (construction) rather than touching
+``os.environ`` directly, so tests and embedders can override any knob
+per call without mutating process state.
 
 Environment table
 -----------------
@@ -14,14 +14,11 @@ Environment table
 ===============================  ==========================================
 Variable                         Meaning
 ===============================  ==========================================
-``REPRO_CHECKPOINT_FORMAT``      Checkpoint write format: ``json``
-                                 (canonical) or ``binary`` (columnar delta
-                                 segments).  Reads always sniff the file.
 ``REPRO_LOG_JSON``               ``1``/``true``/``yes``: JSON-lines log
                                  records instead of human one-liners.
 ``REPRO_LOG_LEVEL``              Default level for :func:`repro.util.get_logger`
                                  (``INFO`` when unset).
-``REPRO_REPLICATE_BIND``         Endpoint a binary-checkpoint campaign's
+``REPRO_REPLICATE_BIND``         Endpoint a checkpointing campaign's
                                  segment shipper listens on for followers
                                  (``tcp://host:port``).  Unset: replication
                                  off, zero cost.
@@ -40,8 +37,8 @@ Variable                         Meaning
                                  (default 10).
 ===============================  ==========================================
 
-Empty-string values count as *unset* (the CI matrix exports ``""`` for
-knobs a leg leaves at default).  :func:`current` re-reads the
+Empty-string values count as *unset* (a job may export ``""`` for a
+knob it leaves at default).  :func:`current` re-reads the
 environment on every call -- configuration is resolved at use time,
 never frozen at import, so monkeypatched tests and late ``os.environ``
 edits behave as expected.
@@ -52,7 +49,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-ENV_CHECKPOINT_FORMAT = "REPRO_CHECKPOINT_FORMAT"
 ENV_LOG_JSON = "REPRO_LOG_JSON"
 ENV_LOG_LEVEL = "REPRO_LOG_LEVEL"
 ENV_REPLICATE_BIND = "REPRO_REPLICATE_BIND"
@@ -65,7 +61,6 @@ ENV_REPLICATE_CONNECT_TIMEOUT = "REPRO_REPLICATE_CONNECT_TIMEOUT"
 class Settings:
     """One resolved configuration snapshot (see the module table)."""
 
-    checkpoint_format: str | None = None
     log_json: bool = False
     log_level: str | None = None
     replicate_bind: str | None = None
@@ -117,7 +112,6 @@ def current(**overrides) -> Settings:
     optional parameters straight down.
     """
     values = {
-        "checkpoint_format": _env_str(ENV_CHECKPOINT_FORMAT),
         "log_json": _env_truthy(ENV_LOG_JSON),
         "log_level": _env_str(ENV_LOG_LEVEL),
         "replicate_bind": _env_str(ENV_REPLICATE_BIND),
@@ -138,7 +132,6 @@ def current(**overrides) -> Settings:
 
 
 __all__ = [
-    "ENV_CHECKPOINT_FORMAT",
     "ENV_LOG_JSON",
     "ENV_LOG_LEVEL",
     "ENV_REPLICATE_AUTHKEY",

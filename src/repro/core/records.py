@@ -213,7 +213,8 @@ class ObservationStore:
             return self.backend.restore(batch)
 
     def restore_rows(self, rows: list[list]) -> int:
-        """:meth:`restore_columns` for JSON checkpoint rows."""
+        """:meth:`restore_columns` for ``[day, t_seconds, target,
+        source]`` rows, as a JSON checkpoint holds them."""
         return self.restore_columns(ColumnBatch.from_rows(rows))
 
     # -- summary counters (the Section 4/5 headline numbers) ---------------

@@ -278,40 +278,38 @@ class CheckpointInstruments(_Bundle):
         size: int,
         day: int | None,
         seconds: float,
-        kind: str = "full",
-        delta_bytes: int | None = None,
-        base_id: str | None = None,
-        seq: int | None = None,
+        *,
+        kind: str,
+        delta_bytes: int | None,
+        base_id: str,
+        seq: int,
     ) -> None:
         """Record one checkpoint write.
 
-        *size* is the checkpoint's full size (file bytes for binary,
-        payload bytes for JSON); *delta_bytes* is the appended segment
-        size when *kind* is ``"delta"``.  Binary writes carry the chain
-        identity (*base_id*, *seq*) into the event payload, so a
-        replication follower can spot a rebase from the event log
-        alone.
+        *size* is the checkpoint file's size after the write;
+        *delta_bytes* is the appended segment size when *kind* is
+        ``"delta"``.  The chain identity (*base_id*, *seq*) goes into
+        the event payload, so a replication follower can spot a rebase
+        from the event log alone.
         """
         self.checkpoints.value += 1
         self.checkpoint_bytes.value = size
         self.write_seconds.observe(seconds)
         if kind == "delta":
             self.checkpoints_delta.value += 1
-            if delta_bytes is not None:
-                self.checkpoint_delta_bytes.value = delta_bytes
+            self.checkpoint_delta_bytes.value = delta_bytes
         else:
             self.checkpoints_full.value += 1
-        payload = {
-            "path": str(path),
-            "bytes": size,
-            "day": day,
-            "seconds": round(seconds, 6),
-            "kind": kind,
-        }
-        if base_id is not None:
-            payload["base_id"] = base_id
-            payload["seq"] = seq
-        self.telemetry.emit("checkpoint_written", **payload)
+        self.telemetry.emit(
+            "checkpoint_written",
+            path=str(path),
+            bytes=size,
+            day=day,
+            seconds=round(seconds, 6),
+            kind=kind,
+            base_id=base_id,
+            seq=seq,
+        )
 
 
 class ReplicationInstruments(_Locked):

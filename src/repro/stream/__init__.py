@@ -34,8 +34,10 @@ Layout:
   vantage via ``passive_feeds=[...]``);
 * :mod:`repro.stream.tracker` -- :class:`LivePursuit`, the day-major
   streaming tracker;
-* :mod:`repro.stream.checkpoint` -- the one checkpoint writer and
-  reader, JSON or binary (:mod:`repro.stream.ckptbin`) segments.
+* :mod:`repro.stream.checkpoint` -- the one checkpoint reader (binary
+  chains, and JSON files), the canonical ``engine_state`` render and
+  the engine's save/load; :mod:`repro.stream.ckptbin` -- the one
+  writer, chains of binary segments.
 """
 
 from repro.stream.campaign import StreamingCampaign

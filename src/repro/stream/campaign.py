@@ -12,9 +12,10 @@ layer.
 
 ``checkpoint_every`` writes an engine+progress+corpus checkpoint after
 every N completed days; :meth:`resume` picks a run back up from such a
-file, replaying nothing.  Both go through the one checkpoint writer and
-reader, :func:`~repro.stream.checkpoint.write_checkpoint` and
-:func:`~repro.stream.checkpoint.read_checkpoint`.
+file, replaying nothing.  The campaign's one
+:class:`~repro.stream.ckptbin.BinaryCheckpointer` writes the file as a
+chain of segments (full on the first write, delta after), and
+:func:`~repro.stream.checkpoint.read_checkpoint` reads it back.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Callable, Iterable
 from repro import config
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.records import ObservationStore, ProbeObservation
-from repro.stream.checkpoint import checkpoint_format as resolve_checkpoint_format
-from repro.stream.checkpoint import checkpoint_savers, read_checkpoint, write_checkpoint
+from repro.stream.checkpoint import read_checkpoint
+from repro.stream.ckptbin import BinaryCheckpointer
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.feeds import MixedFeed
 
@@ -71,6 +72,14 @@ class StreamingCampaign:
             raise ValueError("checkpoint_every must be >= 0")
         if checkpoint_every and checkpoint_path is None:
             raise ValueError("checkpoint_every requires a checkpoint_path")
+        # Binary is the only format written.  The parameter stays only
+        # because benchmarks/e2e/workloads.py (live_service) passes
+        # "binary"; it goes once that caller does.
+        if checkpoint_format not in (None, "binary"):
+            raise ValueError(
+                f"checkpoint_format={checkpoint_format!r}: checkpoints are "
+                "written as binary chains; JSON checkpoints are read-only"
+            )
         self.campaign = campaign
         self.result = CampaignResult(targets_per_day=campaign.n_targets)
         # Caller hook invoked after each completed day (its feed drain
@@ -93,36 +102,30 @@ class StreamingCampaign:
         self.engine = engine
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         self.checkpoint_every = checkpoint_every
-        # "json" (canonical) or "binary" (columnar delta segments, see
-        # repro.stream.ckptbin); resolved here so a bad value fails at
-        # construction, not at the first mid-campaign checkpoint.
-        self.checkpoint_format = resolve_checkpoint_format(checkpoint_format)
+        # The one saver of this run's chain (a resumed run's first save
+        # rebases with a full segment); None without a checkpoint_path.
+        self.saver = (
+            BinaryCheckpointer(self.checkpoint_path) if self.checkpoint_path else None
+        )
         # Checkpoint replication (repro.replicate): a SegmentShipper
         # instance, a bind address string, or None -- in which case
         # REPRO_REPLICATE_BIND can switch it on without touching the
-        # call site.  Disabled, the cost is one None check per binary
+        # call site.  Disabled, the cost is one None check per
         # checkpoint.
-        self.shipper = None
-        self._owns_shipper = False
         if shipper is None:
-            bind = config.current().replicate_bind
-            if bind and self.checkpoint_format == "binary" and checkpoint_path:
-                from repro.replicate import SegmentShipper
-
-                self.shipper = SegmentShipper(bind, telemetry=telemetry)
-                self._owns_shipper = True
-        elif isinstance(shipper, str):
+            shipper = config.current().replicate_bind if checkpoint_path else None
+        elif checkpoint_path is None:
+            # An explicitly requested shipper must be able to ship.
+            raise ValueError("replication requires a checkpoint_path")
+        self._owns_shipper = isinstance(shipper, str)
+        if self._owns_shipper:
             from repro.replicate import SegmentShipper
 
-            self._require_replicable(checkpoint_path)
-            self.shipper = SegmentShipper(shipper, telemetry=telemetry)
-            self._owns_shipper = True
-        else:
-            self._require_replicable(checkpoint_path)
-            self.shipper = shipper
+            shipper = SegmentShipper(shipper, telemetry=telemetry)
+        self.shipper = shipper
         # Checkpoint accounting surfaced by stats(): how many were
         # written this session, the file size after the last one, and
-        # the full-vs-delta split (JSON writes count as full).
+        # the full-vs-delta split.
         self.checkpoints_written = 0
         self.checkpoints_full = 0
         self.checkpoints_delta = 0
@@ -148,16 +151,6 @@ class StreamingCampaign:
             self._feed_obs = FeedInstruments(telemetry)
             engine.attach_telemetry(telemetry)
             self.result.store.attach_telemetry(telemetry)
-
-    def _require_replicable(self, checkpoint_path) -> None:
-        """An explicitly requested shipper must be able to ship."""
-        if checkpoint_path is None:
-            raise ValueError("replication requires a checkpoint_path")
-        if self.checkpoint_format != "binary":
-            raise ValueError(
-                "replication requires checkpoint_format='binary' "
-                "(segments are what ships)"
-            )
 
     def close_shipper(self) -> None:
         """Close a campaign-owned shipper (one built from an address or
@@ -192,7 +185,6 @@ class StreamingCampaign:
         checkpoint_every: int = 0,
         passive_feeds: "Iterable[Iterable[ProbeObservation]] | None" = None,
         telemetry=None,
-        checkpoint_format: str | None = None,
         shipper=None,
     ) -> "StreamingCampaign":
         """Rebuild a streaming campaign from a checkpoint file.
@@ -203,11 +195,9 @@ class StreamingCampaign:
         checkpoint state); records for days the checkpoint already closed
         are dropped.
 
-        The checkpoint's format is sniffed from its magic bytes, so a
-        run may switch formats across resumes.  *checkpoint_format*
-        governs the checkpoints the resumed run will *write*; a resumed
-        binary run rebases with a fresh full segment on its first
-        checkpoint.
+        The file may be a binary chain or a JSON checkpoint (sniffed
+        from its magic bytes); the resumed run writes a binary chain,
+        rebasing with a fresh full segment on its first checkpoint.
         """
         engine, progress, corpus = read_checkpoint(
             checkpoint_path,
@@ -225,7 +215,6 @@ class StreamingCampaign:
             checkpoint_every=checkpoint_every,
             passive_feeds=passive_feeds,
             telemetry=telemetry,
-            checkpoint_format=checkpoint_format,
             shipper=shipper,
         )
         streaming.result.store.restore_columns(corpus)
@@ -237,14 +226,10 @@ class StreamingCampaign:
     # -- execution ---------------------------------------------------------
 
     def _write_checkpoint(self) -> None:
-        """One checkpoint through the shared writer: the JSON file, or
-        one binary segment (full on the first write, delta after)."""
-        savers = checkpoint_savers(self)
-        result = write_checkpoint(
-            self.checkpoint_path,
+        """One segment through the run's saver (full on the first
+        write, delta after)."""
+        result = self.saver.save(
             self.engine,
-            fmt=self.checkpoint_format,
-            savers=savers,
             store=self.result.store,
             progress={
                 "probes_sent": self.result.probes_sent,
@@ -264,7 +249,7 @@ class StreamingCampaign:
             # Synchronous on the checkpoint thread: the file is
             # quiescent here, and ship() only reads the new byte
             # ranges + enqueues (slow followers never block it).
-            self.shipper.ship(savers[self.checkpoint_path])
+            self.shipper.ship(self.saver)
 
     def _drain_feed(
         self, through_day: int | None, skip_drained: bool = False

@@ -6,33 +6,25 @@ rotation windows, watchlist, and optionally the observation corpus --
 so a resumed run is bit-identical to an uninterrupted one given the
 same probe stream.
 
-Every checkpoint file is written by :func:`write_checkpoint` and read
-by :func:`read_checkpoint`, in either of two on-disk formats that
-serialize the *same* state, and in either of two shapes: an engine's
-state, or a streaming campaign's (progress counters, the engine, the
-corpus).
+Every checkpoint is written as a chain of binary segments by
+:class:`~repro.stream.ckptbin.BinaryCheckpointer` -- flat little-endian
+column blocks straight from the columnar accumulator and the store,
+with *delta* segments carrying only what arrived since the previous
+save -- and read by :func:`read_checkpoint`, in either of two shapes:
+an engine's state, or a streaming campaign's (progress counters, the
+engine, the corpus).  :func:`save_engine` and :func:`load_engine` are
+the engine-shaped pair; a campaign holds its own saver.
 
-* ``"json"`` (canonical, the default): deterministic JSON, sets emitted
-  sorted -- diff-able, stable, and the byte-identity oracle every other
-  path is tested against.
-* ``"binary"`` (:mod:`repro.stream.ckptbin`): length-prefixed flat
-  little-endian 64-bit column blocks, written straight from the
-  columnar accumulator's arrays and the store's column buffers, with
-  incremental *delta* segments carrying only what arrived since the
-  previous save -- the format for checkpoints on the hot path.
-  Repeated writes through one saver map chain deltas.
-
-Pick the format per call (``format=``), per process
-(``REPRO_CHECKPOINT_FORMAT``), or not at all: the reader sniffs the
-file's magic bytes, so either format loads regardless of configuration.
-
-Both formats carry the engine's column records
-(:meth:`~repro.stream.engine.StreamEngine.shard_records`): JSON renders
-them as sorted lists (:func:`_shard_state`, shared with a binary
-chain's ``state()``), and its reader parses the lists straight back
-into records for ``adopt_shards``.  Both readers validate the head and
-the records with the same checks; anything malformed is a
-``ValueError``.
+JSON is a render, not a format anyone writes: :func:`engine_state` is
+the canonical dict (sets emitted sorted) that tests diff and digest,
+and :func:`read_checkpoint` still sniffs and loads a JSON file, so
+checkpoints written before the binary chain became the one format
+still resume.  Both renderings carry the engine's column records
+(:meth:`~repro.stream.engine.StreamEngine.shard_records`): JSON as
+sorted lists (:func:`_shard_state`, shared with a binary chain's
+``state()``), which its reader parses straight back into records for
+``adopt_shards``.  Both readers validate the head and the records with
+the same checks; anything malformed is a ``ValueError``.
 
 The detection is the changed-pair log, a row per pair and close that
 flagged it with the close's day (a JSON row's third field, the binary
@@ -53,12 +45,9 @@ import json
 import shutil
 import weakref
 from array import array
-from contextlib import nullcontext
 from pathlib import Path
-from time import perf_counter
 from typing import Callable
 
-from repro import config
 from repro.core.records import ObservationStore
 from repro.store.batch import ColumnBatch
 from repro.stream.columnar import NO_DAY, RUN_FAMILIES
@@ -70,20 +59,6 @@ from repro.stream.state import join128, pair_columns, pair_ints, span_columns, s
 FORMAT_VERSION = 2
 
 _SHARD_KEY = "prefix32"  # every engine shards by the source /32; readers refuse others
-
-#: Process-wide checkpoint format override ("json" or "binary"); the
-#: ``format=`` argument wins when given.  Reads always sniff the file.
-#: (Resolved through :func:`repro.config.current`.)
-FORMAT_ENV = config.ENV_CHECKPOINT_FORMAT
-
-
-def checkpoint_format(explicit: str | None = None) -> str:
-    """Resolve the checkpoint format: argument, environment, default."""
-    fmt = config.current(checkpoint_format=explicit).checkpoint_format or "json"
-    if fmt not in ("json", "binary"):
-        raise ValueError(f"unknown checkpoint format: {fmt!r}")
-    return fmt
-
 
 def is_binary_checkpoint(path: str | Path) -> bool:
     """True when *path* starts with the binary segment magic."""
@@ -222,8 +197,8 @@ def _json_record(shard: dict) -> dict:
 def stream_head(engine: StreamEngine) -> dict:
     """The scalar head of a checkpoint: config plus stream-order state.
 
-    Both formats embed exactly this dict (JSON at the top level of
-    :func:`engine_state`, binary inside each segment header), so its
+    Both renderings embed exactly this dict (at the top level of
+    :func:`engine_state`, inside each binary segment header), so its
     key order is part of the byte-identity oracle.
     """
     config = engine.config
@@ -274,8 +249,10 @@ def restore_stream_head(
 
 
 def engine_state(engine: StreamEngine) -> dict:
-    """The engine's complete serializable state, rendered from its
-    column records and changed-pair columns (no Python state built)."""
+    """The engine's complete state as the canonical JSON-ready dict,
+    rendered from its column records and changed-pair columns (no
+    Python state built): what tests diff and digest, and the shape a
+    JSON checkpoint holds."""
     return {
         "version": FORMAT_VERSION,
         **stream_head(engine),
@@ -362,76 +339,14 @@ def atomic_write(path: str | Path, data: bytes | Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-#: Per checkpoint owner (an engine saved by :func:`save_engine`, a
-#: streaming campaign) its ``{path: BinaryCheckpointer}`` map; weak keys,
-#: so a saver dies with its owner and no two owners chain onto one.
-_SAVERS: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
-
-
-def checkpoint_savers(owner) -> dict:
-    """*owner*'s saver map for :func:`write_checkpoint`."""
-    return _SAVERS.setdefault(owner, {})
-
-
-def write_checkpoint(
-    path: str | Path,
-    engine: StreamEngine,
-    *,
-    fmt: str,
-    savers: dict,
-    store: ObservationStore | None = None,
-    progress: dict | None = None,
-    instruments=None,
-):
-    """The one checkpoint writer; returns a ``SaveResult``.
-
-    ``"binary"`` saves through *savers*' saver for *path* (so writes
-    through one map chain deltas), ``"json"`` replaces the file.  With
-    *progress* it is a campaign checkpoint whose corpus is *store*.
-    *instruments* (``CheckpointInstruments``) times the write and emits
-    ``checkpoint_written``; the bytes are the same either way.
-    """
-    from repro.stream.ckptbin import BinaryCheckpointer, SaveResult
-
-    path = Path(path)
-    if fmt == "binary":
-        saver = savers.get(path)
-        if saver is None:
-            saver = savers[path] = BinaryCheckpointer(path)
-        return saver.save(
-            engine,
-            store=store,
-            progress=progress,
-            instruments=instruments,
-        )
-    t0 = perf_counter()
-    with (
-        instruments.serialize_seconds.time()
-        if instruments is not None
-        else nullcontext()
-    ):
-        state = engine_state(engine)
-        if progress is not None:
-            state = {
-                "version": FORMAT_VERSION,
-                "progress": progress,
-                "engine": state,
-                "store": store.snapshot_rows(),
-            }
-        payload = json.dumps(state).encode()
-    atomic_write(path, payload)
-    if instruments is not None:
-        instruments.written(path, len(payload), engine.current_day, perf_counter() - t0)
-    return SaveResult("full", len(payload), len(payload), engine.config.num_shards)
-
-
 def read_checkpoint(
     path: str | Path,
     origin_of: Callable[[int], int | None] | None = None,
     store: ObservationStore | None = None,
     telemetry=None,
 ) -> tuple[StreamEngine, dict | None, ColumnBatch | None]:
-    """The one checkpoint reader, either format (sniffed) and shape.
+    """The one checkpoint reader: a binary chain or a JSON file
+    (sniffed), either shape.
 
     Returns ``(engine, progress, corpus)`` for a campaign checkpoint and
     ``(engine, None, None)`` for an engine's, whose corpus goes into
@@ -463,36 +378,34 @@ def read_checkpoint(
     return engine, progress, corpus or ColumnBatch()
 
 
-def save_engine(
-    engine: StreamEngine,
-    path: str | Path,
-    telemetry=None,
-    format: str | None = None,
-) -> Path:
-    """Write the engine checkpoint atomically; returns the path.
+#: Each engine's savers by path, for :func:`save_engine`: weak keys, so
+#: a saver dies with its engine and no two engines chain onto one.
+_SAVERS: "weakref.WeakKeyDictionary[StreamEngine, dict]" = weakref.WeakKeyDictionary()
 
-    *format* is ``"json"`` (canonical), ``"binary"`` (columnar
-    segments; repeated saves of the same engine to the same path chain
-    incremental delta segments -- see :mod:`repro.stream.ckptbin`), or
-    ``None`` for ``$REPRO_CHECKPOINT_FORMAT``-then-``"json"``.
+
+def save_engine(engine: StreamEngine, path: str | Path, telemetry=None) -> Path:
+    """Write the engine checkpoint; returns the path.
+
+    The first save of *engine* to *path* writes a full segment (through
+    a tmp and a rename); repeated saves of the same engine to the same
+    path chain delta segments -- see :mod:`repro.stream.ckptbin`.
 
     With *telemetry*, serialize latency, total write latency, and the
     checkpoint size are recorded and a ``checkpoint_written`` event is
     emitted -- the checkpoint *bytes* stay identical either way.
     """
+    from repro.stream.ckptbin import BinaryCheckpointer
+
+    path = Path(path)
+    savers = _SAVERS.setdefault(engine, {})
+    saver = savers.get(path) or savers.setdefault(path, BinaryCheckpointer(path))
     instruments = None
     if telemetry is not None:
         from repro.obs.instruments import CheckpointInstruments
 
         instruments = CheckpointInstruments(telemetry)
-    write_checkpoint(
-        path,
-        engine,
-        fmt=checkpoint_format(format),
-        savers=checkpoint_savers(engine),
-        instruments=instruments,
-    )
-    return Path(path)
+    saver.save(engine, instruments=instruments)
+    return path
 
 
 def load_engine(
@@ -501,8 +414,8 @@ def load_engine(
     store: ObservationStore | None = None,
     telemetry=None,
 ) -> StreamEngine:
-    """Read a checkpoint written by :func:`save_engine` (either format;
-    see :func:`read_checkpoint`)."""
+    """Read a checkpoint written by :func:`save_engine` (or an engine's
+    JSON checkpoint; see :func:`read_checkpoint`)."""
     return read_checkpoint(
         path, origin_of=origin_of, store=store, telemetry=telemetry
     )[0]

@@ -1,15 +1,15 @@
 """Binary columnar checkpoints: columns from the fold to a promoted standby.
 
-The JSON checkpoint (:mod:`repro.stream.checkpoint`) is the canonical,
-diff-able format, but writing it re-sorts every aggregate into Python
-list-of-lists and renders millions of 128-bit ints as decimal text --
-for a long campaign the serialize step dwarfs the state update work it
-interrupts.  This module keeps the *state* identical and changes only
-the *encoding*: every aggregate is a length-prefixed flat little-endian
-64-bit column block, and on a numpy install the aggregates are columns
-all the way -- written from the kernel's batches, merged by the
-follower, and adopted by a resumed engine with ``np.frombuffer`` --
-without a Python object per row anywhere in between.
+This module is the one checkpoint writer.  JSON is only a render of the
+same state -- :func:`~repro.stream.checkpoint.engine_state`, which
+re-sorts every aggregate into Python lists and renders 128-bit ints as
+decimal text, so it costs the whole corpus on every call -- and a
+format :func:`~repro.stream.checkpoint.read_checkpoint` still loads.
+Here every aggregate is a length-prefixed flat little-endian 64-bit
+column block, and on a numpy install the aggregates are columns all the
+way -- written from the kernel's batches, merged by the follower, and
+adopted by a resumed engine with ``np.frombuffer`` -- without a Python
+object per row anywhere in between.
 
 Segment layout (one file holds one *chain* of segments)::
 
@@ -50,8 +50,8 @@ re-emitted whole shards) reads through the same merge.
 
 **When runs merge.**  The kernel sorts each save's new rows into one
 batch and queues it; batches merge into the accumulator's runs only
-when something reads the runs -- a query, a JSON or full save, a
-``retain_days`` close.  A delta reads the queued batches, never the
+when something reads the runs -- a query, an ``engine_state`` render,
+a full save, a ``retain_days`` close.  A delta reads the queued batches, never the
 runs, so a chain of deltas never pays the merge, and a restore queues
 each segment's records as a batch for the first read to merge.
 
@@ -69,8 +69,8 @@ records of stdlib arrays and the corpus as one
 for either owner (a kernel engine views them with ``np.frombuffer``
 and queues them, so its next day close still diffs in column space).
 :meth:`ChainAssembler.state` renders the engine they restore to
-through the JSON writer's own :func:`~repro.stream.checkpoint.engine_state`
--- the dict :func:`read_state` and a follower's ``state`` return.
+through :func:`~repro.stream.checkpoint.engine_state` -- the dict
+:func:`read_state` and a follower's ``state`` return.
 """
 
 from __future__ import annotations
@@ -1006,11 +1006,10 @@ def load_chain(path) -> ChainAssembler:
 def read_state(path) -> dict:
     """Read a binary checkpoint chain back into checkpoint-state form.
 
-    Returns the same dict shape :func:`~repro.stream.checkpoint.engine_state`
-    emits (or, when the chain carries campaign progress, the campaign
-    checkpoint shape), ready for
-    :func:`~repro.stream.checkpoint.restore_engine`.  List ordering
-    inside the dict is not normative -- restore builds sets and dicts
-    from it -- so no sorting happens here.
+    Returns the dict :func:`~repro.stream.checkpoint.engine_state`
+    renders for the engine the chain restores to (or, when the chain
+    carries campaign progress, the campaign checkpoint shape), ready
+    for :func:`~repro.stream.checkpoint.restore_engine`; ``json.dumps``
+    of it is the chain's canonical JSON render.
     """
     return load_chain(path).state()

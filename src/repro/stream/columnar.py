@@ -24,10 +24,10 @@ replaces that hot loop with a columnar kernel:
     need.
   - ``shard_records()`` slices the runs and the per-day pair chunks
     per shard into *column records* -- numpy views, no copy -- the one
-    shape state leaves in, for both checkpoint formats; a day's pairs
-    are sorted once.  ``since_records()`` slices the batches queued
-    since the last binary segment instead, which a delta writes
-    without merging anything.  ``adopt()`` is the one way records come
+    shape state leaves in, for a full segment and the JSON render; a
+    day's pairs are sorted once.  ``since_records()`` slices the
+    batches queued since the last segment instead, which a delta
+    writes without merging anything.  ``adopt()`` is the one way records come
     back in, queued as batches.
 
 With the kernel the accumulator is the one owner of engine state, and
@@ -639,8 +639,8 @@ class ColumnarAccumulator:
       day close stop here, and day-close diffs read merged pair columns
       straight from the per-day chunks (:meth:`day_pairs`).
     * :meth:`shard_records` slices the runs and pair chunks per shard
-      into column records (numpy views) -- what both checkpoint formats
-      write whole.  It moves nothing.
+      into column records (numpy views) -- what a full segment and the
+      JSON render write whole.  It moves nothing.
     * :meth:`since_records` slices only the batches and pair chunks
       queued since :meth:`mark` -- the fold a binary delta carries.  It
       merges nothing into the runs.

@@ -308,7 +308,6 @@ def test_follower_reconnects_and_catches_up(tmp_path):
             build_campaign(),
             checkpoint_path=tmp_path / "primary.ckpt",
             checkpoint_every=1,
-            checkpoint_format="binary",
             shipper=shipper,
         )
         with ReplicaFollower(
@@ -350,7 +349,6 @@ campaign = StreamingCampaign(
     build_campaign(),
     checkpoint_path={ckpt!r},
     checkpoint_every=1,
-    checkpoint_format="binary",
     shipper=shipper,
 )
 # Slow the days down so the parent can SIGKILL mid-campaign.

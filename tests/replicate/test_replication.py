@@ -20,7 +20,6 @@ from _world import DAYS, build_campaign, wait_for
 from repro.obs import Telemetry, read_events
 from repro.replicate import ReplicaFollower, ReplicationError, SegmentShipper
 from repro.stream.campaign import StreamingCampaign
-from repro.stream.checkpoint import checkpoint_savers
 from repro.stream.ckptbin import (
     BinaryCheckpointer,
     ChainAssembler,
@@ -35,7 +34,6 @@ def make_primary(tmp_path, shipper, days=DAYS, **kwargs):
         build_campaign(days),
         checkpoint_path=tmp_path / "primary.ckpt",
         checkpoint_every=1,
-        checkpoint_format="binary",
         shipper=shipper,
         **kwargs,
     )
@@ -61,7 +59,6 @@ def test_chain_info_matches_saver_chain(tmp_path):
         build_campaign(),
         checkpoint_path=path,
         checkpoint_every=1,
-        checkpoint_format="binary",
     )
     campaign.run()
 
@@ -75,7 +72,7 @@ def test_chain_info_matches_saver_chain(tmp_path):
         assert cur.offset == prev.offset + prev.size
     assert infos[-1].offset + infos[-1].size == path.stat().st_size
     # The live saver tracked everything it wrote identically.
-    assert list(checkpoint_savers(campaign)[path].chain) == infos
+    assert list(campaign.saver.chain) == infos
     # segment_bytes round-trips each raw segment through the assembler.
     assembler = ChainAssembler()
     for info in infos:
@@ -92,7 +89,6 @@ def test_checkpoint_written_event_carries_chain_identity(tmp_path):
         build_campaign(),
         checkpoint_path=tmp_path / "chain.bin",
         checkpoint_every=1,
-        checkpoint_format="binary",
         telemetry=telemetry,
     )
     campaign.run()
@@ -443,35 +439,26 @@ def test_campaign_shipper_wiring(tmp_path, monkeypatch):
     assert StreamingCampaign(build_campaign()).shipper is None
 
     monkeypatch.setenv("REPRO_REPLICATE_BIND", "tcp://127.0.0.1:0")
-    auto = StreamingCampaign(
-        build_campaign(),
-        checkpoint_path=tmp_path / "auto.ckpt",
-        checkpoint_format="binary",
-    )
+    auto = StreamingCampaign(build_campaign(), checkpoint_path=tmp_path / "auto.ckpt")
     assert isinstance(auto.shipper, SegmentShipper)
     assert auto._owns_shipper
     auto.close_shipper()
-    # Env bind without a binary chain to ship: stays off, not an error.
+    # Env bind without a chain to ship: stays off, not an error.
     assert StreamingCampaign(build_campaign()).shipper is None
     monkeypatch.delenv("REPRO_REPLICATE_BIND", raising=False)
 
     # An explicit request without a shippable chain is a hard error.
     with pytest.raises(ValueError, match="checkpoint_path"):
         StreamingCampaign(build_campaign(), shipper="tcp://127.0.0.1:0")
-    with pytest.raises(ValueError, match="binary"):
-        StreamingCampaign(
-            build_campaign(),
-            checkpoint_path=tmp_path / "json.ckpt",
-            checkpoint_format="json",
-            shipper="tcp://127.0.0.1:0",
-        )
+    with pytest.raises(ValueError, match="checkpoint_path"):
+        with SegmentShipper() as shipper:
+            StreamingCampaign(build_campaign(), shipper=shipper)
 
     # A caller-provided shipper is the caller's to close.
     with SegmentShipper() as shipper:
         owned = StreamingCampaign(
             build_campaign(),
             checkpoint_path=tmp_path / "owned.ckpt",
-            checkpoint_format="binary",
             shipper=shipper,
         )
         assert owned.shipper is shipper
@@ -479,6 +466,24 @@ def test_campaign_shipper_wiring(tmp_path, monkeypatch):
         owned.close_shipper()  # no-op
         owned.checkpoint()
         assert shipper.segments_shipped == 1
+
+
+def test_env_bind_ships_any_checkpointing_campaign(tmp_path, monkeypatch):
+    """``REPRO_REPLICATE_BIND`` starts a shipper for every campaign with
+    a ``checkpoint_path`` -- every checkpoint is a binary chain, so no
+    format has to be asked for -- and every segment the run writes
+    ships."""
+    monkeypatch.setenv("REPRO_REPLICATE_BIND", "tcp://127.0.0.1:0")
+    path = tmp_path / "default.ckpt"
+    campaign = StreamingCampaign(
+        build_campaign(), checkpoint_path=path, checkpoint_every=1
+    )
+    try:
+        assert campaign._owns_shipper
+        campaign.run()
+        assert campaign.shipper.segments_shipped == len(chain_info(path)) > 1
+    finally:
+        campaign.close_shipper()
 
 
 def test_replication_metrics_flow(tmp_path):

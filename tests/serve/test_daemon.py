@@ -46,7 +46,7 @@ def test_daemon_serves_during_ingest_and_stops_clean(tmp_path):
     telemetry = Telemetry(event_path=events_path)
     streaming = StreamingCampaign(
         build_campaign(),
-        checkpoint_path=tmp_path / "ck.json",
+        checkpoint_path=tmp_path / "ck.ckpt",
         telemetry=telemetry,
     )
     daemon = TrackerDaemon(streaming)
@@ -90,7 +90,7 @@ def test_daemon_serves_during_ingest_and_stops_clean(tmp_path):
     assert versions
     assert versions == sorted(versions)
     # The final checkpoint resumes to a finished campaign.
-    resumed = StreamingCampaign.resume(build_campaign(), tmp_path / "ck.json")
+    resumed = StreamingCampaign.resume(build_campaign(), tmp_path / "ck.ckpt")
     assert resumed.finished
     # Lifecycle events bracket the run.
     telemetry.close()
@@ -109,15 +109,18 @@ def test_daemon_serves_during_ingest_and_stops_clean(tmp_path):
         pass
 
 
+def render(path) -> str:
+    """A checkpoint chain as the JSON text of its state.  A chain
+    accrues a delta segment per write, and the daemon's day-at-a-time
+    cadence writes more of them than one uninterrupted run -- so the
+    pin is on the state read back, not the file bytes."""
+    from repro.stream.ckptbin import read_state
+
+    return json.dumps(read_state(path))
+
+
 def test_post_shutdown_stops_at_day_boundary_with_checkpoint(tmp_path):
-    # Pinned to the JSON oracle: this test asserts raw byte identity,
-    # which only the canonical format guarantees under any cadence
-    # (the binary state test below covers the other format).
-    streaming = StreamingCampaign(
-        build_campaign(),
-        checkpoint_path=tmp_path / "ck.json",
-        checkpoint_format="json",
-    )
+    streaming = StreamingCampaign(build_campaign(), checkpoint_path=tmp_path / "ck")
     daemon = TrackerDaemon(streaming)
     # Stop after the first completed day, through the same hook the
     # daemon uses for refreshes.
@@ -136,74 +139,31 @@ def test_post_shutdown_stops_at_day_boundary_with_checkpoint(tmp_path):
     assert daemon.shutdown_requested
     assert not streaming.finished
     assert streaming.result.days_run == 1
-    # The interrupted run resumes and finishes; its final checkpoint is
-    # byte-identical to an uninterrupted unserved run's.
-    resumed = StreamingCampaign.resume(
-        build_campaign(), tmp_path / "ck.json", checkpoint_format="json"
-    )
+    # The interrupted run resumes and finishes; its final checkpoint
+    # holds an uninterrupted unserved run's state.
+    resumed = StreamingCampaign.resume(build_campaign(), tmp_path / "ck")
     resumed.run()
     assert resumed.finished
-    clean = StreamingCampaign(
-        build_campaign(),
-        checkpoint_path=tmp_path / "clean.json",
-        checkpoint_format="json",
-    )
+    clean = StreamingCampaign(build_campaign(), checkpoint_path=tmp_path / "clean")
     clean.run()
-    assert (tmp_path / "ck.json").read_bytes() == (
-        tmp_path / "clean.json"
-    ).read_bytes()
+    assert render(tmp_path / "ck") == render(tmp_path / "clean")
 
 
-def test_served_checkpoint_byte_identical_to_unserved(tmp_path):
-    # JSON oracle again: byte identity is the point of this test.
-    served = StreamingCampaign(
-        build_campaign(),
-        checkpoint_path=tmp_path / "served.json",
-        checkpoint_format="json",
-    )
-    TrackerDaemon(served).run()
-    unserved = StreamingCampaign(
-        build_campaign(),
-        checkpoint_path=tmp_path / "unserved.json",
-        checkpoint_format="json",
-    )
-    unserved.run()
-    assert (tmp_path / "served.json").read_bytes() == (
-        tmp_path / "unserved.json"
-    ).read_bytes()
-
-
-def test_served_binary_checkpoint_state_identical(tmp_path):
-    """Binary files accrue delta segments per write, and the daemon's
-    day-at-a-time cadence writes more of them than one uninterrupted
-    run -- so the pin is on the state read back, not the file bytes
-    (the JSON test above covers byte identity).  ``read_state`` leaves
-    list order as the segments carry it (not normative, and it follows
-    the materialize cadence), so the engine state is compared after the
-    restore round-trip that re-sorts it."""
-    from repro.stream.checkpoint import engine_state, restore_engine
-    from repro.stream.ckptbin import read_state
-
-    def canonical(path):
-        state = read_state(path)
-        state["engine"] = engine_state(restore_engine(state["engine"]))
-        return json.dumps(state, sort_keys=True)
-
+@pytest.mark.parametrize("every", [0, 1], ids=["default", "daily"])
+def test_served_binary_checkpoint_state_identical(tmp_path, every):
     served = StreamingCampaign(
         build_campaign(),
         checkpoint_path=tmp_path / "served.ckpt",
-        checkpoint_every=1,
-        checkpoint_format="binary",
+        checkpoint_every=every,
     )
     TrackerDaemon(served).run()
     unserved = StreamingCampaign(
         build_campaign(),
         checkpoint_path=tmp_path / "unserved.ckpt",
-        checkpoint_every=1,
-        checkpoint_format="binary",
+        checkpoint_every=every,
     )
     unserved.run()
-    assert canonical(tmp_path / "served.ckpt") == canonical(tmp_path / "unserved.ckpt")
+    assert render(tmp_path / "served.ckpt") == render(tmp_path / "unserved.ckpt")
 
 
 def test_finished_daemon_lingers_until_shutdown(tmp_path):
@@ -211,7 +171,7 @@ def test_finished_daemon_lingers_until_shutdown(tmp_path):
     # daemon's contract: the store has one writer, which also reads it.
     # A helper thread watches the linger window and posts the shutdown.
     streaming = StreamingCampaign(
-        build_campaign(), checkpoint_path=tmp_path / "ck.json"
+        build_campaign(), checkpoint_path=tmp_path / "ck.ckpt"
     )
     daemon = TrackerDaemon(streaming)
     observed: dict = {}
@@ -248,7 +208,7 @@ def test_finished_daemon_lingers_until_shutdown(tmp_path):
 
 def test_finished_daemon_linger_times_out(tmp_path):
     streaming = StreamingCampaign(
-        build_campaign(), checkpoint_path=tmp_path / "ck.json"
+        build_campaign(), checkpoint_path=tmp_path / "ck.ckpt"
     )
     daemon = TrackerDaemon(streaming)
     daemon.run(linger=0.1)  # no shutdown request: returns on its own
@@ -290,7 +250,6 @@ def test_a_served_day_never_leaves_columns(tmp_path, monkeypatch, forbid_folds):
             engine=engine,
             checkpoint_path=tmp_path / name,
             checkpoint_every=1,
-            checkpoint_format="binary",
         )
 
     served = streaming("served.ckpt")
@@ -346,13 +305,10 @@ def test_a_json_resumed_daemon_serves_from_columns(
     from repro.stream.checkpoint import engine_state
     from repro.stream.ckptbin import chain_info
 
-    path = tmp_path / "ck"
-    StreamingCampaign(
-        build_campaign(), checkpoint_path=path, checkpoint_format="json"
-    ).run(max_days=1)
-    resumed = StreamingCampaign.resume(
-        build_campaign(), path, checkpoint_every=1, checkpoint_format="binary"
-    )
+    chain, path = tmp_path / "day1.ckpt", tmp_path / "ck"
+    StreamingCampaign(build_campaign(), checkpoint_path=chain).run(max_days=1)
+    path.write_text(render(chain))  # a JSON checkpoint, as one was written
+    resumed = StreamingCampaign.resume(build_campaign(), path, checkpoint_every=1)
     if resumed.engine._acc is None:
         pytest.skip("numpy kernel unavailable")
     answers: list[dict] = []

@@ -1,18 +1,19 @@
-"""Format-agnostic checkpoint comparison for stream tests.
+"""Checkpoint comparison for stream tests: every file as its JSON render.
 
-JSON checkpoints are the byte-identity oracle: two equivalent ones are
-literally the same text, so they compare raw.  Binary chains embed a
-random segment id (and may split the same state across delta segments),
-so equivalent binary checkpoints are never byte-identical; they compare
-by the canonical JSON their decoded state re-serializes to after a
-restore round-trip (which re-sorts the sets the binary blocks carry
-unordered).
+Binary chains embed a random segment id and may split the same state
+across delta segments, so equivalent chains are never byte-identical.
+They compare by the JSON text of the state they restore to --
+``read_state`` renders it through ``engine_state``, sets sorted -- which
+is byte for byte the text the retired JSON writer wrote for that state,
+so the JSON digests recorded from that writer are asserted over the
+render.  A JSON checkpoint file is its own text.
 """
 
 import json
 from pathlib import Path
 
-from repro.stream.checkpoint import engine_state, is_binary_checkpoint, restore_engine
+from repro.stream.checkpoint import is_binary_checkpoint
+from repro.stream.ckptbin import read_state
 
 
 def checkpoint_fingerprint(path: str | Path) -> str:
@@ -20,20 +21,20 @@ def checkpoint_fingerprint(path: str | Path) -> str:
     path = Path(path)
     if not is_binary_checkpoint(path):
         return path.read_text()
-    from repro.stream.ckptbin import read_state
+    return json.dumps(read_state(path))
 
-    state = read_state(path)
-    if "progress" in state:  # campaign-shaped checkpoint
-        return json.dumps(
-            {
-                "version": state["version"],
-                "progress": state["progress"],
-                "engine": engine_state(restore_engine(state["engine"])),
-                "store": state["store"],
-            },
-            sort_keys=True,
-        )
-    return json.dumps(engine_state(restore_engine(state)), sort_keys=True)
+
+def checkpoint_as(path: str | Path, source: str) -> Path:
+    """The checkpoint a restore reads, by *source*: ``"binary"``, the
+    chain at *path* itself; ``"json"``, its render written beside it as
+    the JSON checkpoint an earlier release wrote for that state, which
+    the reader still loads."""
+    path = Path(path)
+    if source == "binary":
+        return path
+    rendered = path.with_name(path.name + ".json")
+    rendered.write_text(checkpoint_fingerprint(path))
+    return rendered
 
 
 def version1_state(state: dict) -> dict:

@@ -11,7 +11,7 @@ replays exactly the days after the checkpoint, and nothing is doubled.
 
 import pytest
 
-from _ckpt import checkpoint_fingerprint
+from _ckpt import checkpoint_as, checkpoint_fingerprint
 from _worlds import CAMPAIGN_CONFIG, build_campaign
 
 from repro.core.records import ProbeObservation
@@ -40,24 +40,20 @@ LAST_DAY = FIRST_DAY + CAMPAIGN_CONFIG.days - 1
 
 
 @pytest.mark.parametrize("crash_day", range(FIRST_DAY + 1, LAST_DAY + 1))
-@pytest.mark.parametrize("fmt", ["json", "binary"])
-def test_crashed_run_resumes_to_clean_run_bytes(fmt, crash_day, tmp_path):
+@pytest.mark.parametrize("source", ["json", "binary"])
+def test_crashed_run_resumes_to_clean_run_bytes(source, crash_day, tmp_path):
     """Every crash point after the first checkpoint, the last day's
-    drain included, resumes from the checkpoint alone to the clean run."""
+    drain included, resumes from the checkpoint alone to the clean run
+    -- from the chain, or from its render as a JSON checkpoint."""
     # The reference: the same campaign, never crashed, never served by
     # a passive feed (the poison feed's only record is never ingested).
-    clean = StreamingCampaign(
-        build_campaign(),
-        checkpoint_path=tmp_path / "clean.ckpt",
-        checkpoint_format=fmt,
-    )
+    clean = StreamingCampaign(build_campaign(), checkpoint_path=tmp_path / "clean.ckpt")
     clean.run()
 
     streaming = StreamingCampaign(
         build_campaign(),
         checkpoint_path=tmp_path / "ck.ckpt",
         checkpoint_every=1,
-        checkpoint_format=fmt,
         passive_feeds=[poison_feed(crash_day=crash_day)],
     )
     with pytest.raises(RuntimeError, match="vantage link died"):
@@ -69,9 +65,8 @@ def test_crashed_run_resumes_to_clean_run_bytes(fmt, crash_day, tmp_path):
     assert {o.day for o in streaming.result.store} == checkpointed | {crash_day}
     del streaming
 
-    resumed = StreamingCampaign.resume(
-        build_campaign(), tmp_path / "ck.ckpt", checkpoint_format=fmt
-    )
+    path = checkpoint_as(tmp_path / "ck.ckpt", source)
+    resumed = StreamingCampaign.resume(build_campaign(), path)
     assert resumed.result.days_run == len(checkpointed)
     assert {o.day for o in resumed.result.store} == checkpointed
     resumed.run()
@@ -80,20 +75,18 @@ def test_crashed_run_resumes_to_clean_run_bytes(fmt, crash_day, tmp_path):
     assert resumed.result.store.snapshot_rows() == clean.result.store.snapshot_rows()
     # Fingerprints, not raw bytes: binary chains carry random segment
     # ids and split the same state across different delta cadences.
-    assert checkpoint_fingerprint(tmp_path / "ck.ckpt") == checkpoint_fingerprint(
+    assert checkpoint_fingerprint(path) == checkpoint_fingerprint(
         tmp_path / "clean.ckpt"
     )
 
 
-@pytest.mark.parametrize("fmt", ["json", "binary"])
-def test_crash_before_the_first_checkpoint_writes_no_file(fmt, tmp_path):
+def test_crash_before_the_first_checkpoint_writes_no_file(tmp_path):
     """A crash in the first day's drain precedes every checkpoint: no
     file -- not a partial one, not a tmp -- is left to resume from."""
     streaming = StreamingCampaign(
         build_campaign(),
         checkpoint_path=tmp_path / "ck.ckpt",
         checkpoint_every=1,
-        checkpoint_format=fmt,
         passive_feeds=[poison_feed(crash_day=FIRST_DAY)],
     )
     with pytest.raises(RuntimeError, match="vantage link died"):
@@ -101,6 +94,4 @@ def test_crash_before_the_first_checkpoint_writes_no_file(fmt, tmp_path):
     assert {o.day for o in streaming.result.store} == {FIRST_DAY}
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(FileNotFoundError):
-        StreamingCampaign.resume(
-            build_campaign(), tmp_path / "ck.ckpt", checkpoint_format=fmt
-        )
+        StreamingCampaign.resume(build_campaign(), tmp_path / "ck.ckpt")

@@ -1,7 +1,7 @@
 """Binary checkpoint format tests: framing, chains, dispatch, campaigns.
 
 The contract under test: a binary chain restores to *exactly* the state
-the canonical JSON checkpoint carries (the fuzz harness pins the bytes;
+its canonical JSON render carries (the fuzz harness pins the bytes;
 here we pin the failure modes) -- and a file that cannot be fully
 trusted raises :class:`CheckpointError` instead of silently restoring
 partial state.
@@ -17,13 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _ckpt import checkpoint_fingerprint, version1_state
+from _ckpt import checkpoint_as, checkpoint_fingerprint, version1_state
 from _worlds import build_campaign
 
 from repro.core.records import ObservationStore, ProbeObservation
 from repro.stream.campaign import StreamingCampaign
 from repro.stream.checkpoint import (
-    checkpoint_format,
     engine_state,
     is_binary_checkpoint,
     load_engine,
@@ -92,35 +91,30 @@ def state_dump(engine: StreamEngine) -> str:
 
 
 class TestFormatDispatch:
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown checkpoint format"):
-            checkpoint_format("xml")
-        with pytest.raises(ValueError, match="unknown checkpoint format"):
-            save_engine(small_engine(), tmp_path / "c", format="xml")
+    @pytest.mark.parametrize("fmt", ["json", "xml"])
+    def test_only_binary_is_written(self, tmp_path, fmt):
+        with pytest.raises(ValueError, match="JSON checkpoints are read-only"):
+            StreamingCampaign(
+                build_campaign(), checkpoint_path=tmp_path / "c", checkpoint_format=fmt
+            )
+        assert list(tmp_path.iterdir()) == []
 
-    def test_env_var_selects_format(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT_FORMAT", "binary")
-        engine = small_engine()
-        save_engine(engine, tmp_path / "env")
-        assert is_binary_checkpoint(tmp_path / "env")
-        # The explicit argument wins over the environment.
-        save_engine(engine, tmp_path / "arg", format="json")
-        assert not is_binary_checkpoint(tmp_path / "arg")
-        monkeypatch.setenv("REPRO_CHECKPOINT_FORMAT", "carrier-pigeon")
-        with pytest.raises(ValueError, match="unknown checkpoint format"):
-            save_engine(engine, tmp_path / "bad")
+    @pytest.mark.parametrize("fmt", [None, "binary"])
+    def test_binary_is_accepted(self, tmp_path, fmt):
+        path = tmp_path / "c"
+        StreamingCampaign(
+            build_campaign(), checkpoint_path=path, checkpoint_format=fmt
+        ).run(max_days=1)
+        assert is_binary_checkpoint(path)
 
-    def test_load_sniffs_regardless_of_configuration(self, tmp_path, monkeypatch):
+    def test_load_sniffs_either_format(self, tmp_path):
         engine = small_engine()
         oracle = state_dump(engine)
-        save_engine(engine, tmp_path / "c.bin", format="binary")
-        save_engine(engine, tmp_path / "c.json", format="json")
-        # A process configured for either format resumes from both.
-        for fmt in ("json", "binary"):
-            monkeypatch.setenv("REPRO_CHECKPOINT_FORMAT", fmt)
-            for name in ("c.bin", "c.json"):
-                restored = load_engine(tmp_path / name, origin_of=origin_of)
-                assert state_dump(restored) == oracle
+        assert is_binary_checkpoint(save_engine(engine, tmp_path / "c.bin"))
+        (tmp_path / "c.json").write_text(oracle)  # a JSON checkpoint is read
+        for name in ("c.bin", "c.json"):
+            restored = load_engine(tmp_path / name, origin_of=origin_of)
+            assert state_dump(restored) == oracle
 
     def test_is_binary_checkpoint_on_missing_file(self, tmp_path):
         assert not is_binary_checkpoint(tmp_path / "nope")
@@ -129,8 +123,8 @@ class TestFormatDispatch:
         # A suffix-less path must stage at "<name>.tmp", not hijack the
         # suffix (or degenerate to a bare ".tmp"); dotted names keep
         # every dot.
-        for name, fmt in (("checkpoint", "json"), ("run.v1.2", "binary")):
-            save_engine(small_engine(), tmp_path / name, format=fmt)
+        for name in ("checkpoint", "run.v1.2"):
+            save_engine(small_engine(), tmp_path / name)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint", "run.v1.2"]
 
 
@@ -139,7 +133,7 @@ class TestSegmentValidation:
     def saved(self, tmp_path):
         engine = small_engine()
         path = tmp_path / "ckpt.bin"
-        save_engine(engine, path, format="binary")
+        save_engine(engine, path)
         return engine, path
 
     def test_roundtrip_matches_json_state(self, saved):
@@ -189,9 +183,9 @@ class TestDeltaChains:
     def test_save_engine_chains_deltas_on_one_path(self, tmp_path):
         engine = small_engine()
         path = tmp_path / "ckpt.bin"
-        save_engine(engine, path, format="binary")
+        save_engine(engine, path)
         touch_one_observation(engine)
-        save_engine(engine, path, format="binary")
+        save_engine(engine, path)
         kinds = [header["kind"] for header, _ in _read_segments(path)]
         assert kinds == ["full", "delta"]
         assert state_dump(load_engine(path, origin_of=origin_of)) == state_dump(engine)
@@ -331,14 +325,23 @@ class TestDeltaChains:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
         assert saver.path.read_bytes() == good
 
-    def test_failed_json_save_leaves_no_tmp(self, tmp_path):
+    def test_failed_save_over_a_json_checkpoint_leaves_it(self, tmp_path, monkeypatch):
+        """A run resumed from a JSON checkpoint writes its chain over
+        that file: a first save that fails leaves the JSON as it was."""
+        import repro.stream.ckptbin as ckptbin
+
         engine = small_engine()
         path = tmp_path / "ckpt.json"
-        save_engine(engine, path)
+        path.write_text(state_dump(engine))
         good = path.read_bytes()
-        engine._days_seen.add("not-a-day")  # poisons engine_state's sort
-        with pytest.raises(TypeError):
-            save_engine(engine, path)
+
+        def torn_write(fh, header_bytes, blobs):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ckptbin, "_write_segment", torn_write)
+        with pytest.raises(OSError):
+            save_engine(load_engine(path, origin_of=origin_of), path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
         assert path.read_bytes() == good
 
@@ -375,7 +378,6 @@ class TestDeltaContract:
                 build_campaign(),
                 checkpoint_path=chain_path,
                 checkpoint_every=1,
-                checkpoint_format="binary",
             )
             streaming.run()
             kinds = [header["kind"] for header, _ in _read_segments(chain_path)]
@@ -458,7 +460,6 @@ class TestCampaignBinaryCheckpoints:
             build_campaign(),
             checkpoint_path=path,
             checkpoint_every=1,
-            checkpoint_format="binary",
         )
         campaign.run()
         kinds = [header["kind"] for header, _ in _read_segments(path)]
@@ -470,40 +471,44 @@ class TestCampaignBinaryCheckpoints:
         assert stats["checkpoints_delta"] == len(kinds) - 1
         assert stats["last_checkpoint_bytes"] == path.stat().st_size
 
-    def test_json_campaign_counts_fulls_only(self, tmp_path):
-        path = tmp_path / "campaign.json"
-        campaign = StreamingCampaign(
-            build_campaign(),
-            checkpoint_path=path,
-            checkpoint_every=1,
-            checkpoint_format="json",
-        )
+    def test_json_resumed_campaign_rebases_with_a_full(self, tmp_path):
+        """A campaign resumed from a JSON checkpoint writes a chain over
+        it: a full segment on its first save, deltas after, counted so."""
+        chain = tmp_path / "day1.ckpt"
+        StreamingCampaign(build_campaign(), checkpoint_path=chain).run(max_days=1)
+        path = checkpoint_as(chain, "json")
+        campaign = StreamingCampaign.resume(build_campaign(), path, checkpoint_every=1)
         campaign.run()
+        kinds = [header["kind"] for header, _ in _read_segments(path)]
+        assert kinds[0] == "full"
+        assert kinds.count("delta") == len(kinds) - 1 >= 1
         stats = campaign.stats()
-        assert stats["checkpoints_written"] == stats["checkpoints_full"] > 1
-        assert stats["checkpoints_delta"] == 0
+        assert stats["checkpoints_written"] == len(kinds)
+        assert stats["checkpoints_full"] == 1
         assert stats["last_checkpoint_bytes"] == path.stat().st_size
 
     @pytest.mark.parametrize("fmt", ["json", "binary"])
     def test_resume_refuses_engine_checkpoint(self, tmp_path, fmt):
         """An engine-level file is refused the same way in both formats."""
-        path = save_engine(StreamEngine(), tmp_path / "engine.ckpt", format=fmt)
+        path = save_engine(StreamEngine(), tmp_path / "engine.ckpt")
+        if fmt == "json":
+            path.write_text(state_dump(StreamEngine()))
         with pytest.raises(ValueError, match="an engine checkpoint, not a campaign's"):
             StreamingCampaign.resume(build_campaign(), path)
 
     def test_delta_chain_resume_matches_uninterrupted_run(self, tmp_path):
         """The acceptance path: a campaign checkpointing per day over a
         delta chain, interrupted and resumed, must land on the same
-        state as an uninterrupted run -- in either format."""
-        json_path = tmp_path / "ref.json"
-        StreamingCampaign(build_campaign(), checkpoint_path=json_path).run()
+        state as an uninterrupted run -- checkpointing per day, or only
+        once at the end."""
+        once_path = tmp_path / "once.bin"
+        StreamingCampaign(build_campaign(), checkpoint_path=once_path).run()
 
         full_path = tmp_path / "full.bin"
         StreamingCampaign(
             build_campaign(),
             checkpoint_path=full_path,
             checkpoint_every=1,
-            checkpoint_format="binary",
         ).run()
 
         resumed_path = tmp_path / "resumed.bin"
@@ -511,22 +516,20 @@ class TestCampaignBinaryCheckpoints:
             build_campaign(),
             checkpoint_path=resumed_path,
             checkpoint_every=1,
-            checkpoint_format="binary",
         ).run(max_days=3)
         assert len(_read_segments(resumed_path)) > 1  # mid-run delta chain
         resumed = StreamingCampaign.resume(
             build_campaign(),
             resumed_path,
             checkpoint_every=1,
-            checkpoint_format="binary",
         )
         resumed.run()
 
         assert checkpoint_fingerprint(resumed_path) == checkpoint_fingerprint(
             full_path
         )
-        # ...and both match the canonical JSON run, state-for-state.
-        ref = StreamingCampaign.resume(build_campaign(), json_path)
+        # ...and both match the run saved once, state-for-state.
+        ref = StreamingCampaign.resume(build_campaign(), once_path)
         fin = StreamingCampaign.resume(build_campaign(), resumed_path)
         assert state_dump(fin.engine) == state_dump(ref.engine)
         assert fin.result.store.snapshot_rows() == ref.result.store.snapshot_rows()
@@ -645,7 +648,7 @@ class TestMalformedSegments:
         to stop at the short column and restore 49 of 50 sources."""
         engine = corpus_engine(days=(2,))
         path = tmp_path / "ckpt.bin"
-        save_engine(engine, path, format="binary")
+        save_engine(engine, path)
         ((header, payload),) = _read_segments(path)
         blocks = blocks_of(header, payload)
         victim = next(
@@ -960,7 +963,6 @@ class TestNothingToSave:
             build_campaign(),
             checkpoint_path=tmp_path / "campaign.ckpt",
             checkpoint_every=1,
-            checkpoint_format="binary",
             shipper=Shipper(),
         )
         campaign.run()
@@ -1039,7 +1041,7 @@ def test_changed_pair_blocks_hold_each_pair_once_per_close(tmp_path):
             ]
         )
     engine.flush()
-    save_engine(engine, tmp_path / "ckpt.bin", format="binary")
+    save_engine(engine, tmp_path / "ckpt.bin")
     ((header, _),) = _read_segments(tmp_path / "ckpt.bin")
     counts = {name: count for name, _, count in header["blocks"]}
     logged = {day: len(cols[0]) for day, cols in engine.live_detection.log}
@@ -1056,7 +1058,9 @@ def test_parent_written_chain_resumes_to_parent_bytes(tmp_path):
     the column restore loads here, both ways, and resumes to the final
     JSON checkpoint bytes the parent reached from it -- rendered in the
     version-1 shape, since its rows carry no close day -- and to the
-    version-2 bytes recorded since."""
+    version-2 bytes recorded since.  JSON is no longer written, so the
+    final bytes are the JSON render of the chain the resumed run
+    appends to."""
     meta = json.loads((DATA / "parent_chain.json").read_text())
     path = tmp_path / "chain.ckpt"
     path.write_bytes((DATA / "parent_chain.bin").read_bytes())
@@ -1072,21 +1076,17 @@ def test_parent_written_chain_resumes_to_parent_bytes(tmp_path):
 
     appended = tmp_path / "appended.ckpt"
     appended.write_bytes(path.read_bytes())
-    upgraded = StreamingCampaign.resume(
-        build_campaign(), appended, checkpoint_format="binary"
-    )
+    upgraded = StreamingCampaign.resume(build_campaign(), appended)
     upgraded.run()
     headers = [header for header, _ in _read_segments(appended)]
     assert (headers[0]["kind"], headers[0]["seq"]) == ("full", 0)
     assert {header["format"] for header in headers} == {BINARY_FORMAT}
 
-    resumed = StreamingCampaign.resume(build_campaign(), path, checkpoint_format="json")
-    resumed.run()
-    final = path.read_bytes()
-    assert len(resumed.result.store) == meta["rows"]
+    final = checkpoint_fingerprint(appended).encode()
+    assert len(upgraded.result.store) == meta["rows"]
     assert len(final) == meta["final_json_v2_bytes"]
     assert hashlib.sha256(final).hexdigest() == meta["final_json_v2_sha256"]
-    assert state_dump(load_engine(path)) == json.dumps(json.loads(final)["engine"])
+    assert state_dump(load_engine(appended)) == json.dumps(json.loads(final)["engine"])
     version1 = json.dumps(version1_state(json.loads(final))).encode()
     assert len(version1) == meta["final_json_bytes"]
     assert hashlib.sha256(version1).hexdigest() == meta["final_json_sha256"]

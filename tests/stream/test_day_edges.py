@@ -21,6 +21,8 @@ import json
 
 import pytest
 
+from _ckpt import checkpoint_as
+
 from repro.core.records import ProbeObservation
 from repro.core.rotation_detect import target_prefixes48
 from repro.obs import Telemetry
@@ -250,11 +252,11 @@ class TestRotationDays:
             engine.flush()
             assert engine.rotation_days == {1: prefixes([q]), 2: set()}
 
-    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    @pytest.mark.parametrize("source", ["json", "binary"])
     @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "twin"])
     @pytest.mark.parametrize("retain", [None, 2], ids=["all-days", "retain-2"])
     def test_a_restored_engine_keeps_the_mask(
-        self, tmp_path, monkeypatch, kernel, fmt, retain
+        self, tmp_path, monkeypatch, kernel, source, retain
     ):
         """Day 0 {A}, day 1 {A, Q}, day 2 opened with A, a checkpoint,
         then day 3 {A}: the checkpoint names day 1's close as the one
@@ -271,9 +273,8 @@ class TestRotationDays:
         engine = StreamEngine(StreamConfig(num_shards=2, retain_days=retain))
         for day, nets in enumerate([(a,), (a, q), (a,)]):
             engine.ingest_batch([pair_obs(day, net) for net in nets])
-        path = tmp_path / f"ckpt.{fmt}"
-        save_engine(engine, path, format=fmt)
-        restored = load_engine(path)
+        path = save_engine(engine, tmp_path / "ckpt.bin")
+        restored = load_engine(checkpoint_as(path, source))
         assert (restored._acc is not None) == kernel
         assert resident_days(restored) == ({1, 2} if retain else {0, 1, 2})
         assert restored.rotation_days == engine.rotation_days == {1: prefixes([q])}
@@ -284,11 +285,11 @@ class TestRotationDays:
         assert restored.rotation_days == engine.rotation_days
         assert json.dumps(engine_state(restored)) == json.dumps(engine_state(engine))
 
-    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    @pytest.mark.parametrize("source", ["json", "binary"])
     @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "twin"])
     @pytest.mark.parametrize("cut", ["flushed", "next_day_open"])
     def test_late_rows_void_a_restored_mask(
-        self, tmp_path, monkeypatch, kernel, fmt, cut
+        self, tmp_path, monkeypatch, kernel, source, cut
     ):
         """The schedule of ``test_columnar_and_set_closes_attribute_alike``
         with a checkpoint after its first flush: the late day-3 row adds
@@ -309,9 +310,8 @@ class TestRotationDays:
             for batch in rest:
                 engine.ingest_batch(batch)
             rest = []
-        path = tmp_path / f"ckpt.{fmt}"
-        save_engine(engine, path, format=fmt)
-        restored = load_engine(path)
+        path = save_engine(engine, tmp_path / "ckpt.bin")
+        restored = load_engine(checkpoint_as(path, source))
         assert (restored._acc is not None) == kernel
         for each in (engine, restored):
             for batch in rest:

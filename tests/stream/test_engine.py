@@ -297,11 +297,11 @@ class TestLazyDetection:
                 if read:
                     engine.live_detection.changed_pairs
             engine.flush()
+            if fmt == "json":  # the render a JSON checkpoint holds
+                blobs.append(json.dumps(engine_state(engine)).encode())
+                continue
             path = tmp_path / f"{read}.ckpt"
-            if fmt == "json":
-                save_engine(engine, path, format="json")
-            else:
-                BinaryCheckpointer(path, id_source=bytes).save(engine)
+            BinaryCheckpointer(path, id_source=bytes).save(engine)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -588,7 +588,8 @@ class TestOneOwner:
         internet, _store, engine = fill_engine(keep_observations=False)
         if engine._acc is None:
             pytest.skip("numpy kernel unavailable")
-        path = save_engine(engine, tmp_path / "engine.json", format="json")
+        path = tmp_path / "engine.json"
+        path.write_text(json.dumps(engine_state(engine)))
         with monkeypatch.context() as patch:
             calls = forbid_folds(patch)
             restored, _progress, _corpus = read_checkpoint(
@@ -602,8 +603,8 @@ class TestOneOwner:
         assert restored.changed_pair_count() > 0
 
     def test_kernel_engine_never_writes_its_shards(self, tmp_path, monkeypatch):
-        """Every currency, reads, flushes, a ``retain_days`` prune, JSON
-        and binary saves and a JSON resume, interleaved: after each step
+        """Every currency, reads, flushes, a ``retain_days`` prune, a
+        save, a JSON render and a JSON resume, interleaved: after each step
         the kernel engine still holds no ``ShardState`` and
         ``materialize()`` builds exactly the shards a kernel-less engine
         holds."""
@@ -651,16 +652,16 @@ class TestOneOwner:
             if index % 2:
                 both(lambda e: e.flush())
             if index == 1:
-                save_engine(engine, tmp_path / "ckpt.bin", format="binary")
+                save_engine(engine, tmp_path / "ckpt.bin")
                 check()
             if index == 2:
-                save_engine(engine, tmp_path / "ckpt.json", format="json")
+                (tmp_path / "ckpt.json").write_text(json.dumps(engine_state(engine)))
                 check()
                 engine = load_engine(tmp_path / "ckpt.json", origin_of=origin_of)
                 check()
         both(lambda e: e.flush())
         assert reference._prune_floor is not None  # retain_days did prune
-        save_engine(engine, tmp_path / "ckpt.bin", format="binary")
+        save_engine(engine, tmp_path / "ckpt.bin")
         check()
         assert json.dumps(engine_state(engine)) == json.dumps(engine_state(reference))
         resumed = load_engine(tmp_path / "ckpt.bin", origin_of=origin_of)

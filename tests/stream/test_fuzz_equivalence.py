@@ -63,6 +63,8 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from _ckpt import checkpoint_fingerprint
+
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.records import ObservationStore, ProbeObservation
 from repro.net.addr import Prefix
@@ -384,7 +386,10 @@ def random_world_spec(rng: random.Random) -> InternetSpec:
 def bucket_cells(world) -> list:
     """Every CPE token bucket in *world*, pool by pool, as plain values."""
     return [
-        [list(column) for column in (pool.tokens, pool.last, pool.emitted, pool.suppressed)]
+        [
+            list(column)
+            for column in (pool.tokens, pool.last, pool.emitted, pool.suppressed)
+        ]
         for provider in world.providers
         for pool in provider.pools
     ]
@@ -506,9 +511,10 @@ def test_checkpoint_bytes_identical_across_scanner_paths_without_numpy(
 
 
 def check_binary_restores(seed, tmp_path):
-    """One seed of the format oracle: the canonical JSON checkpoint, a
-    binary full segment, and a binary full+delta chain must all restore
-    to byte-identical ``engine_state`` JSON -- mid-stream and at flush.
+    """One seed of the format oracle: a JSON checkpoint (the canonical
+    render, read back), a binary full segment, and a binary full+delta
+    chain must all restore to byte-identical ``engine_state`` JSON --
+    mid-stream and at flush.
     And the two ways a binary chain comes
     back -- ``load_engine`` (columns straight into the kernel, when the
     engine has one) and ``restore_engine(read_state(...))`` (the state
@@ -537,9 +543,9 @@ def check_binary_restores(seed, tmp_path):
         engine.ingest_batch(chunk)
     json_path = tmp_path / "serial.json"
     bin_path = tmp_path / "serial.bin"
-    save_engine(engine, json_path, format="json")
-    save_engine(engine, bin_path, format="binary")
+    save_engine(engine, bin_path)
     mid = json.dumps(engine_state(engine))
+    json_path.write_text(mid)
     assert dump_restored(json_path) == mid
     assert dump_restored(bin_path) == mid
     assert dump_restored_by_dict(bin_path) == mid
@@ -556,11 +562,11 @@ def check_binary_restores(seed, tmp_path):
     for chunk in rest:
         engine.ingest_batch(chunk)
     engine.flush()
-    save_engine(engine, json_path, format="json")
-    save_engine(engine, bin_path, format="binary")
+    save_engine(engine, bin_path)
     kinds = [header["kind"] for header, _ in _read_segments(bin_path)]
     assert kinds == ["full", "delta"]
     final = json.dumps(engine_state(engine))
+    json_path.write_text(final)
     assert dump_restored(json_path) == final
     assert dump_restored(bin_path) == final
     assert dump_restored_by_dict(bin_path) == final
@@ -593,9 +599,9 @@ def test_binary_checkpoint_restores_identical_state_without_kernel(
 
 
 def check_binary_campaign_round_trip(seed, tmp_path):
-    """A campaign checkpointing in binary every day, interrupted,
-    resumed from the chain and finished in JSON, lands on the bytes of
-    an uninterrupted JSON run of a twin world."""
+    """A campaign checkpointing every day, interrupted, resumed from the
+    chain and finished, lands on the JSON render of an uninterrupted
+    run of a twin world."""
     rng = random.Random(seed ^ 0xCA3B)
     spec = random_world_spec(rng)
     worlds = [build_internet(spec) for _ in range(3)]
@@ -619,12 +625,11 @@ def check_binary_campaign_round_trip(seed, tmp_path):
     def engine(world):
         return StreamEngine(config, origin_of=world.rib.origin_of)
 
-    reference = tmp_path / "reference.json"
+    reference = tmp_path / "reference.ckpt"
     StreamingCampaign(
         campaign(worlds[0]),
         engine=engine(worlds[0]),
         checkpoint_path=reference,
-        checkpoint_format="json",
     ).run()
 
     path = tmp_path / "campaign.ckpt"
@@ -633,13 +638,10 @@ def check_binary_campaign_round_trip(seed, tmp_path):
         engine=engine(worlds[1]),
         checkpoint_path=path,
         checkpoint_every=1,
-        checkpoint_format="binary",
     ).run(max_days=rng.randint(1, campaign_config.days - 1))
-    resumed = StreamingCampaign.resume(
-        campaign(worlds[2]), path, checkpoint_format="json"
-    )
+    resumed = StreamingCampaign.resume(campaign(worlds[2]), path)
     resumed.run()
-    assert path.read_bytes() == reference.read_bytes()
+    assert checkpoint_fingerprint(path) == checkpoint_fingerprint(reference)
     return resumed
 
 

@@ -9,12 +9,13 @@ day, before the cut and after it.  Two legs, each with the columnar
 kernel and with the kernel-less twin:
 
 * every cut of a TINY streaming campaign -- after each campaign day, at
-  TINY seeds 0 and 3, in JSON and in binary -- resumes to the
-  uninterrupted run's ``rotation_days`` and final engine state;
+  TINY seeds 0 and 3, from the chain and from its JSON render --
+  resumes to the uninterrupted run's ``rotation_days`` and final engine
+  state;
 * a seeded corpus of random 7-day schedules (:func:`random_schedule`),
   with flushes, late rows after them, unscanned days and ``retain_days``
-  windows, each cut once at a random step, in JSON or through a binary
-  chain of deltas (:func:`disagreements`).  Run it wider with
+  windows, each cut once at a random step, from one full segment or
+  through a chain of deltas (:func:`disagreements`).  Run it wider with
   ``disagreements(range(600), tmp_path)`` from a script.
 """
 
@@ -24,6 +25,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
+
+from _ckpt import checkpoint_as
 
 from repro.core.records import ProbeObservation
 from repro.experiments.context import ExperimentContext
@@ -79,9 +82,9 @@ def tiny(request):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("fmt", ["json", "binary"])
+@pytest.mark.parametrize("source", ["json", "binary"])
 def test_a_campaign_cut_after_any_day_resumes_every_days_rotations(
-    tiny, tmp_path, fmt, kernel
+    tiny, tmp_path, source, kernel
 ):
     """The campaign runs a day per ``run(max_days=1)`` call, which
     closes the day and saves; the file after each call is a cut (the
@@ -95,21 +98,19 @@ def test_a_campaign_cut_after_any_day_resumes_every_days_rotations(
         want = uninterrupted.engine.rotation_days
         assert len(want) == tiny.campaign_config.days - 1 and all(want.values())
 
-        path = tmp_path / f"run.{fmt}"
-        stepped = StreamingCampaign(
-            tiny.build_campaign(), checkpoint_path=path, checkpoint_format=fmt
-        )
+        path = tmp_path / "run.ckpt"
+        stepped = StreamingCampaign(tiny.build_campaign(), checkpoint_path=path)
         cuts = []
         while not stepped.finished:
             stepped.run(max_days=1)
-            copy = tmp_path / f"cut{len(cuts)}.{fmt}"
+            copy = tmp_path / f"cut{len(cuts)}.ckpt"
             copy.write_bytes(path.read_bytes())
             cuts.append((copy, dict(stepped.engine.rotation_days)))
         assert stepped.engine.rotation_days == want
         logged = detection_of(uninterrupted.engine)
         for copy, before in cuts:
             resumed = StreamingCampaign.resume(
-                tiny.build_campaign(), copy, checkpoint_format="binary"
+                tiny.build_campaign(), checkpoint_as(copy, source)
             )
             assert (resumed.engine._acc is None) == (kernel == "twin")
             assert resumed.engine.rotation_days == before, copy.name
@@ -173,17 +174,17 @@ def apply(engine: StreamEngine, step: tuple) -> None:
         engine.ingest_batch(rows)
 
 
-def replay(schedule: dict, cut: int, fmt: str, path) -> list[str]:
-    """Run *schedule* on one engine, checkpoint it after step *cut* (in
-    binary, after every step up to it too: a chain of deltas), restore,
-    and run the rest on both; returns what the restored engine got
-    wrong, right after the restore and at the end."""
+def replay(schedule: dict, cut: int, chained: bool, path) -> list[str]:
+    """Run *schedule* on one engine, checkpoint it after step *cut*
+    (*chained*: after every step up to it too, a chain of deltas),
+    restore, and run the rest on both; returns what the restored engine
+    got wrong, right after the restore and at the end."""
     engine = StreamEngine(StreamConfig(num_shards=2, retain_days=schedule["retain"]))
     steps = schedule["steps"]
     for i, step in enumerate(steps[: cut + 1]):
         apply(engine, step)
-        if fmt == "binary" or i == cut:
-            save_engine(engine, path, format=fmt)
+        if chained or i == cut:
+            save_engine(engine, path)
     restored = load_engine(path)
     wrong = []
 
@@ -209,11 +210,11 @@ def disagreements(seeds, tmp_path, kernels=KERNELS) -> list[tuple]:
         rng = random.Random(seed)
         schedule = random_schedule(rng)
         cut = rng.randrange(len(schedule["steps"]))
-        fmt = rng.choice(["json", "binary"])
+        chained = rng.choice([False, True])
         for kernel in kernels:
-            path = tmp_path / f"s{seed}-{kernel}.{fmt}"
+            path = tmp_path / f"s{seed}-{kernel}.ckpt"
             with kernel_switch(kernel):
-                wrong = replay(schedule, cut, fmt, path)
+                wrong = replay(schedule, cut, chained, path)
             found += [(seed, kernel, what) for what in wrong]
     return found
 

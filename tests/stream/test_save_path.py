@@ -7,6 +7,9 @@ segment and of the final file, the resumed ``engine_state`` and, for
 seed 0, the final JSON checkpoint -- on every CI leg, numpy or not
 (the two kernels order some binary blocks differently, so each has its
 own binary digests; JSON and engine state are the same for both).
+JSON checkpoints are no longer written: their digests (``json-0``) are
+asserted over the JSON render of the same daily binary chain, which is
+byte for byte what the JSON writer wrote.
 The binary segment and file digests were re-recorded once, when a
 delta became the fold since the previous segment (binary format 2).
 Every digest was re-recorded when changed-pair rows gained their close
@@ -26,10 +29,10 @@ from hypothesis import strategies as st
 
 from repro.experiments.context import ExperimentContext
 from repro.experiments.scale import TINY
-from _ckpt import version1_state
+from _ckpt import checkpoint_fingerprint, version1_state
 
 from repro.stream.campaign import StreamingCampaign
-from repro.stream.checkpoint import checkpoint_savers, engine_state
+from repro.stream.checkpoint import engine_state
 from repro.stream.ckptbin import (
     BinaryCheckpointer,
     _read_segments,
@@ -70,31 +73,27 @@ def campaign_of(ctx, seed: int):
 
 
 def daily_chain(ctx, seed: int, fmt: str, path: Path) -> dict:
-    """Digests of a TINY campaign checkpointing every day in *fmt*."""
+    """Digests of a TINY campaign checkpointing every day: of its binary
+    chain, or (*fmt* ``"json"``) of the chain's JSON render."""
     streaming = StreamingCampaign(
-        campaign_of(ctx, seed),
-        checkpoint_path=path,
-        checkpoint_every=1,
-        checkpoint_format=fmt,
+        campaign_of(ctx, seed), checkpoint_path=path, checkpoint_every=1
     )
-    if fmt == "binary":
-        checkpoint_savers(streaming)[path] = BinaryCheckpointer(
-            path, id_source=counter_ids()
-        )
+    streaming.saver = BinaryCheckpointer(path, id_source=counter_ids())
     streaming.run()
-    out = {"file": sha256(path.read_bytes())}
     if fmt == "json":
-        state = version1_state(json.loads(path.read_bytes()))
-        out["file_version1"] = sha256(json.dumps(state).encode())
-    if fmt == "binary":
-        out["segments"] = [
-            sha256(segment_bytes(path, info)) for info in chain_info(path)
-        ]
-        resumed = StreamingCampaign.resume(campaign_of(ctx, seed), path)
-        state = engine_state(resumed.engine)
-        for key, shape in (("", state), ("_version1", version1_state(state))):
-            dump = json.dumps(shape, sort_keys=True)
-            out["resumed_engine_state" + key] = sha256(dump.encode())
+        render = checkpoint_fingerprint(path)
+        state = version1_state(json.loads(render))
+        return {
+            "file": sha256(render.encode()),
+            "file_version1": sha256(json.dumps(state).encode()),
+        }
+    out = {"file": sha256(path.read_bytes())}
+    out["segments"] = [sha256(segment_bytes(path, info)) for info in chain_info(path)]
+    resumed = StreamingCampaign.resume(campaign_of(ctx, seed), path)
+    state = engine_state(resumed.engine)
+    for key, shape in (("", state), ("_version1", version1_state(state))):
+        dump = json.dumps(shape, sort_keys=True)
+        out["resumed_engine_state" + key] = sha256(dump.encode())
     return out
 
 

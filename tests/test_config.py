@@ -16,8 +16,8 @@ class TestSettings:
         )
 
     def test_empty_string_counts_as_unset(self, monkeypatch):
-        monkeypatch.setenv(config.ENV_CHECKPOINT_FORMAT, "")
-        assert config.current().checkpoint_format is None
+        monkeypatch.setenv(config.ENV_REPLICATE_BIND, "")
+        assert config.current().replicate_bind is None
 
     def test_none_override_falls_through(self, monkeypatch):
         monkeypatch.setenv(config.ENV_REPLICATE_OUTBOX, "3")
